@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race bench benchdiff tables ablations accuracy bank bank-durable conformance plan fuzz corpus chaos loadtest crashtest clean
+.PHONY: all build test vet race bench perf-smoke benchdiff tables ablations accuracy bank bank-durable conformance plan fuzz corpus chaos loadtest crashtest clean
 
 all: build test
 
@@ -22,6 +22,14 @@ race:
 # Scaled-down benchmark suite (minutes on one core).
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# The benchmark is a module of its own (benchmark/go.mod), so the root
+# `go test ./...` never reaches it: run its unit tests, then one short
+# run of the shaped-WAN workload, which must end with every prediction
+# checked correct against plaintext.
+perf-smoke:
+	$(GO) test -C benchmark ./...
+	bash benchmark/run.sh --workload mlp_b1_wan --seed 1 --seconds 5 --trace 0 | tail -n 1 | grep -q '"correct":true'
 
 # Bench regression gate: re-measure the bank split and durable start-up
 # on this machine, normalize away machine speed via the offline-heavy

@@ -338,7 +338,10 @@ func (s *Server) Close() error { return s.sc.Close() }
 
 // Stats returns the traffic totals of this endpoint so far: BytesAB is
 // what the server sent, BytesBA what it received. Metering is always on;
-// it does not require tracing.
+// it does not require tracing. Bytes and Messages are exact; Flights is
+// not repeatable run to run, because the server sends ahead of the
+// client in the offline phase and its direction flips depend on when the
+// replies land. Client.Stats().Flights is the deterministic count.
 func (s *Server) Stats() Stats { return s.sc.Stats() }
 
 // HandleBatch serves one prediction batch: it receives the client's batch

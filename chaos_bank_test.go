@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"abnn2/internal/leakcheck"
 )
 
 // Bank chaos suite: banked provisioning under hostile conditions — dry
@@ -41,8 +43,7 @@ func chaosBank(t *testing.T, qm *QuantizedModel, opts BankOptions) (*Bank, strin
 // background warm-up the misses kicked off dies with Close.
 func TestChaosBankDryPool(t *testing.T) {
 	qm := chaosModel(t)
-	time.Sleep(20 * time.Millisecond)
-	base := runtime.NumGoroutine()
+	base := leakcheck.Base()
 
 	t.Run("banked-errors", func(t *testing.T) {
 		b, id, _ := chaosBank(t, qm, BankOptions{Capacity: 2})
@@ -84,7 +85,7 @@ func TestChaosBankDryPool(t *testing.T) {
 		}
 	})
 
-	settleGoroutines(t, base, "bank dry pool")
+	leakcheck.Settle(t, base, "bank dry pool")
 }
 
 // forgeIDConn corrupts the first banked announcement it carries: the
@@ -120,8 +121,7 @@ func (c *forgeIDConn) Fired() bool {
 // server half stays claimable by nobody but its owner.
 func TestChaosBankForgedCorrelationID(t *testing.T) {
 	qm := chaosModel(t)
-	time.Sleep(20 * time.Millisecond)
-	base := runtime.NumGoroutine()
+	base := leakcheck.Base()
 
 	b, id, keyFor := chaosBank(t, qm, BankOptions{Capacity: 1})
 	defer b.Close()
@@ -147,7 +147,7 @@ func TestChaosBankForgedCorrelationID(t *testing.T) {
 	if cliErr == nil {
 		t.Error("client completed a batch the server rejected")
 	}
-	settleGoroutines(t, base, "forged correlation ID")
+	leakcheck.Settle(t, base, "forged correlation ID")
 }
 
 // TestChaosBankCloseMidReplenish: with Low = Capacity every draw leaves
@@ -156,8 +156,7 @@ func TestChaosBankForgedCorrelationID(t *testing.T) {
 // return promptly, leaving no goroutines behind.
 func TestChaosBankCloseMidReplenish(t *testing.T) {
 	qm := chaosModel(t)
-	time.Sleep(20 * time.Millisecond)
-	base := runtime.NumGoroutine()
+	base := leakcheck.Base()
 
 	b, id, keyFor := chaosBank(t, qm, BankOptions{Capacity: 8, Low: 8})
 	if err := b.Prewarm(keyFor(2), 1); err != nil {
@@ -190,7 +189,7 @@ func TestChaosBankCloseMidReplenish(t *testing.T) {
 		n := runtime.Stack(buf, true)
 		t.Fatalf("Close hung on in-flight replenishment:\n%s", buf[:n])
 	}
-	settleGoroutines(t, base, "close mid-replenish")
+	leakcheck.Settle(t, base, "close mid-replenish")
 }
 
 // TestChaosBankConcurrentDrain: several OfflineAuto sessions race a
@@ -199,8 +198,7 @@ func TestChaosBankCloseMidReplenish(t *testing.T) {
 // correctly, and the shutdown must not deadlock against live Acquires.
 func TestChaosBankConcurrentDrain(t *testing.T) {
 	qm := chaosModel(t)
-	time.Sleep(20 * time.Millisecond)
-	base := runtime.NumGoroutine()
+	base := leakcheck.Base()
 
 	b, id, keyFor := chaosBank(t, qm, BankOptions{Capacity: 2})
 	if err := b.Prewarm(keyFor(2), 2); err != nil {
@@ -254,7 +252,7 @@ func TestChaosBankConcurrentDrain(t *testing.T) {
 			t.Errorf("session %d misclassified inputs %v", i, m)
 		}
 	}
-	settleGoroutines(t, base, "concurrent drain")
+	leakcheck.Settle(t, base, "concurrent drain")
 }
 
 // TestChaosBankDryConcurrent: N parallel strict-banked sessions race a
@@ -264,8 +262,7 @@ func TestChaosBankConcurrentDrain(t *testing.T) {
 // OfflineAuto must complete every session via inline fallback.
 func TestChaosBankDryConcurrent(t *testing.T) {
 	qm := chaosModel(t)
-	time.Sleep(20 * time.Millisecond)
-	base := runtime.NumGoroutine()
+	base := leakcheck.Base()
 
 	const sessions = 4
 
@@ -351,5 +348,5 @@ func TestChaosBankDryConcurrent(t *testing.T) {
 		}
 	})
 
-	settleGoroutines(t, base, "bank dry concurrent")
+	leakcheck.Settle(t, base, "bank dry concurrent")
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"abnn2/internal/leakcheck"
 	"abnn2/internal/transport"
 )
 
@@ -35,10 +36,12 @@ func chaosModel(t *testing.T) *QuantizedModel {
 	return qm
 }
 
-func chaosInputs(n int) [][]float64 {
+func chaosInputs(n int) [][]float64 { return chaosInputsDim(n, 12) }
+
+func chaosInputsDim(n, dim int) [][]float64 {
 	ins := make([][]float64, n)
 	for k := range ins {
-		x := make([]float64, 12)
+		x := make([]float64, dim)
 		for i := range x {
 			x[i] = float64((k*31+i*17)%23)/23 - 0.5
 		}
@@ -67,7 +70,7 @@ func runParties(t *testing.T, qm *QuantizedModel, sconn, cconn Conn, scfg, ccfg 
 			return
 		}
 		defer client.Close()
-		classes, err = client.Classify(chaosInputs(2))
+		classes, err = client.Classify(chaosInputsDim(2, qm.Arch().InputSize()))
 		cch <- err
 	}()
 	watchdog := time.After(chaosWatchdog)
@@ -85,23 +88,6 @@ func runParties(t *testing.T, qm *QuantizedModel, sconn, cconn Conn, scfg, ccfg 
 		}
 	}
 	return srvErr, cliErr, classes
-}
-
-// settleGoroutines waits for the goroutine count to return to base,
-// failing with full stacks if it does not: a leak means some protocol
-// path blocked forever instead of erroring out.
-func settleGoroutines(t *testing.T, base int, what string) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= base {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	buf := make([]byte, 1<<20)
-	n := runtime.Stack(buf, true)
-	t.Errorf("%s: %d goroutines, want <= %d — leak:\n%s", what, runtime.NumGoroutine(), base, buf[:n])
 }
 
 // sampleIndices picks up to k message indices spread over [0, n),
@@ -135,7 +121,40 @@ func max(a, b int) int {
 // TestChaosFaultMatrix injects every fault class at message indices
 // spread across the whole protocol, on each side in turn.
 func TestChaosFaultMatrix(t *testing.T) {
-	qm := chaosModel(t)
+	points := 4
+	if testing.Short() {
+		points = 2
+	}
+	runFaultMatrix(t, chaosModel(t), points)
+}
+
+// chaosPipelinedModel is chaosModel with a first layer of 12 chunks —
+// more than the offline window — so faults land while the server's
+// producer is sending ahead, and most message indices are mid-layer.
+func chaosPipelinedModel(t *testing.T) *QuantizedModel {
+	t.Helper()
+	qm, err := NewMLP(1024, 24, 4).Quantize("4(2,2)", 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return qm
+}
+
+// TestChaosFaultMatrixPipelined is the fault matrix over the pipelined
+// offline path: the same invariants — error not hang, within the round
+// timeout, zero leaked goroutines (the producer included) — with the
+// server up to a window of chunks ahead of the client when the fault
+// fires.
+func TestChaosFaultMatrixPipelined(t *testing.T) {
+	points := 3
+	if testing.Short() {
+		points = 2
+	}
+	runFaultMatrix(t, chaosPipelinedModel(t), points)
+}
+
+func runFaultMatrix(t *testing.T, qm *QuantizedModel, points int) {
+	inputs := chaosInputsDim(2, qm.Arch().InputSize())
 	cfg := Config{RingBits: 32, RoundTimeout: chaosRoundTimeout}
 	ccfg := cfg
 	ccfg.Seed = 99
@@ -151,7 +170,7 @@ func TestChaosFaultMatrix(t *testing.T) {
 		if srvErr != nil || cliErr != nil {
 			t.Fatalf("clean run failed: server=%v client=%v", srvErr, cliErr)
 		}
-		for k, x := range chaosInputs(2) {
+		for k, x := range inputs {
 			if classes[k] != qm.Predict(x) {
 				t.Fatalf("clean run misclassified input %d", k)
 			}
@@ -159,15 +178,10 @@ func TestChaosFaultMatrix(t *testing.T) {
 	}
 	t.Logf("clean run: server sends %d messages, client sends %d", sf.Sends(), cf.Sends())
 
-	time.Sleep(50 * time.Millisecond)
 	// Each subtest runs on its own goroutine under the parent, so the
 	// in-subtest baseline is one above what the parent observes here.
-	base := runtime.NumGoroutine() + 1
+	base := leakcheck.Base() + 1
 
-	points := 4
-	if testing.Short() {
-		points = 2
-	}
 	sides := []struct {
 		name  string
 		sends int
@@ -207,7 +221,7 @@ func TestChaosFaultMatrix(t *testing.T) {
 						if srvErr != nil || cliErr != nil {
 							t.Fatalf("tolerable delay failed the run: server=%v client=%v", srvErr, cliErr)
 						}
-						for k, x := range chaosInputs(2) {
+						for k, x := range inputs {
 							if classes[k] != qm.Predict(x) {
 								t.Errorf("delayed run misclassified input %d", k)
 							}
@@ -230,7 +244,7 @@ func TestChaosFaultMatrix(t *testing.T) {
 							t.Logf("corruption surfaced as contained panic: %v", pe)
 						}
 					}
-					settleGoroutines(t, base, t.Name())
+					leakcheck.Settle(t, base, t.Name())
 				})
 			}
 		}
@@ -242,8 +256,7 @@ func TestChaosFaultMatrix(t *testing.T) {
 // deadline) and return an error wrapping the context's error.
 func TestChaosServerCancelledWhileIdle(t *testing.T) {
 	qm := chaosModel(t)
-	time.Sleep(20 * time.Millisecond)
-	base := runtime.NumGoroutine()
+	base := leakcheck.Base()
 
 	sconn, cconn := Pipe()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -272,7 +285,7 @@ func TestChaosServerCancelledWhileIdle(t *testing.T) {
 	}
 	client.Close()
 	sconn.Close()
-	settleGoroutines(t, base+2, "server cancellation")
+	leakcheck.Settle(t, base+2, "server cancellation")
 }
 
 // TestChaosClientCancelledMidSetup: cancelling the client's context
@@ -280,8 +293,7 @@ func TestChaosServerCancelledWhileIdle(t *testing.T) {
 // abort the dial rather than hang it.
 func TestChaosClientCancelledMidSetup(t *testing.T) {
 	qm := chaosModel(t)
-	time.Sleep(20 * time.Millisecond)
-	base := runtime.NumGoroutine()
+	base := leakcheck.Base()
 
 	sconn, cconn := Pipe()
 	defer sconn.Close()
@@ -301,7 +313,7 @@ func TestChaosClientCancelledMidSetup(t *testing.T) {
 	case <-time.After(chaosWatchdog):
 		t.Fatal("DialContext did not return after cancellation")
 	}
-	settleGoroutines(t, base+2, "client cancellation")
+	leakcheck.Settle(t, base+2, "client cancellation")
 }
 
 // TestRoundTimeoutAllowsIdleBetweenBatches: RoundTimeout bounds protocol

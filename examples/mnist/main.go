@@ -32,7 +32,7 @@ func main() {
 	fmt.Printf("float accuracy %.1f%%, 8-bit quantized accuracy %.1f%%\n", 100*floatAcc, 100*qAcc)
 
 	fmt.Println("\n== secure batch prediction (batch = 16) ==")
-	serverConn, clientConn, meter := abnn2.MeteredPipe()
+	serverConn, clientConn := abnn2.Pipe()
 	spans := abnn2.NewTraceCollector() // both parties emit into one dump
 	cfg := abnn2.Config{RingBits: 64, Trace: spans}
 	go func() {
@@ -46,7 +46,7 @@ func main() {
 		log.Fatal(err)
 	}
 	setup := time.Since(setupStart)
-	setupStats := meter.Snapshot()
+	setupStats := client.Stats() // the client endpoint's count: deterministic, the server sends ahead
 
 	batch := test.Inputs[:16]
 	predStart := time.Now()
@@ -55,7 +55,7 @@ func main() {
 		log.Fatal(err)
 	}
 	pred := time.Since(predStart)
-	predStats := meter.Snapshot().Sub(setupStats)
+	predStats := client.Stats().Sub(setupStats)
 
 	correct, matches := 0, 0
 	for i, c := range classes {

@@ -1,9 +1,9 @@
 // Package bench regenerates every table of the paper's evaluation
 // section (Tables 1-5) plus the ablation studies listed in DESIGN.md.
 // Each table function runs the real protocols between two in-process
-// parties over metered pipes, measures wall time and exact wire traffic,
-// and applies the paper's published link parameters analytically to
-// produce LAN/WAN rows (see internal/transport's NetModel and DESIGN.md,
+// parties over pipes metered at each endpoint, measures wall time and
+// exact wire traffic, and applies the paper's published link parameters
+// analytically to produce LAN/WAN rows (see internal/transport's NetModel and DESIGN.md,
 // "Substitutions").
 //
 // All randomness is seeded: rerunning a table reproduces it bit for bit.
@@ -71,34 +71,35 @@ func runPair(client func(transport.Conn) error, server func(transport.Conn) erro
 		func(c transport.Conn, _ *trace.Tracer) error { return server(c) })
 }
 
-// pairTracers builds the two parties' tracers over a shared pipe meter
-// (nil, nil when tracing is off). The pipe meter attributes BytesAB to
-// the client side, so the server's view swaps directions.
-func pairTracers(opt Options, label string, meter *transport.Meter) (cli, srv *trace.Tracer) {
+// tracerOver builds one party's tracer over that party's endpoint meter
+// (nil when tracing is off).
+func tracerOver(opt Options, party, label string, meter *transport.Meter) *trace.Tracer {
 	if opt.Trace == nil {
-		return nil, nil
+		return nil
 	}
-	counters := func(swap bool) func() trace.Counters {
-		return func() trace.Counters {
-			s := meter.Snapshot()
-			if swap {
-				s.BytesAB, s.BytesBA = s.BytesBA, s.BytesAB
-			}
-			return trace.Counters{BytesSent: s.BytesAB, BytesRecvd: s.BytesBA, Messages: s.Messages, Flights: s.Flights}
-		}
-	}
-	cli = trace.New(opt.Trace, trace.WithParty("client"), trace.WithLabel(label), trace.WithCounters(counters(false)))
-	srv = trace.New(opt.Trace, trace.WithParty("server"), trace.WithLabel(label), trace.WithCounters(counters(true)))
-	return cli, srv
+	return trace.New(opt.Trace, trace.WithParty(party), trace.WithLabel(label), trace.WithCounters(func() trace.Counters {
+		s := meter.Snapshot()
+		return trace.Counters{BytesSent: s.BytesAB, BytesRecvd: s.BytesBA, Messages: s.Messages, Flights: s.Flights}
+	}))
 }
 
 // runPairT is runPair with tracing: each side receives its own tracer
 // (nil when opt.Trace is nil), both emitting to opt.Trace with the
 // given row label.
+//
+// Each end of the pipe is metered on its own, and the measurement is the
+// client endpoint's view: BytesAB is what the client sent, and Flights —
+// the NetModel input behind the LAN/WAN columns — is counted in the order
+// the client performed its operations. That order is fixed by the
+// protocol; a meter shared by both ends would count flights in arrival
+// order, which depends on scheduling now that the server sends ahead in
+// the offline phase (see transport.Stats).
 func runPairT(opt Options, label string, client func(transport.Conn, *trace.Tracer) error, server func(transport.Conn, *trace.Tracer) error) (measurement, error) {
-	ca, cb, meter := transport.MeteredPipe()
+	a, b := transport.Pipe()
+	ca, cliMeter := transport.MeterEndpoint(a)
+	cb, srvMeter := transport.MeterEndpoint(b)
 	defer ca.Close()
-	cliTr, srvTr := pairTracers(opt, label, meter)
+	cliTr, srvTr := tracerOver(opt, "client", label, cliMeter), tracerOver(opt, "server", label, srvMeter)
 	errc := make(chan error, 1)
 	start := time.Now()
 	go func() { errc <- server(cb, srvTr) }()
@@ -111,7 +112,7 @@ func runPairT(opt Options, label string, client func(transport.Conn, *trace.Trac
 	if serr != nil {
 		return measurement{}, fmt.Errorf("server: %w", serr)
 	}
-	return measurement{Wall: wall, Stats: meter.Snapshot()}, nil
+	return measurement{Wall: wall, Stats: cliMeter.Snapshot()}, nil
 }
 
 // table is a tiny fixed-width text table writer.

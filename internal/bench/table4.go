@@ -244,9 +244,12 @@ func runOnlineOnly(rg ring.Ring, shapes []layerShape, batch int, opt Options) (m
 	scheme := quant.Binary()
 	qm := syntheticQuantized(scheme, shapes)
 	arch := core.ArchOf(qm)
-	ca, cb, meter := transport.MeteredPipe()
+	a, b := transport.Pipe()
+	ca, meter := transport.MeterEndpoint(a) // the client's count, as in runPairT
+	cb, srvMeter := transport.MeterEndpoint(b)
 	defer ca.Close()
-	cliTr, srvTr := pairTracers(opt, fmt.Sprintf("online-only batch=%d", batch), meter)
+	label := fmt.Sprintf("online-only batch=%d", batch)
+	cliTr, srvTr := tracerOver(opt, "client", label, meter), tracerOver(opt, "server", label, srvMeter)
 	cp := core.Params{Ring: rg, Scheme: scheme, Workers: opt.Workers, Trace: cliTr}
 	sp := core.Params{Ring: rg, Scheme: scheme, Workers: opt.Workers, Trace: srvTr}
 	type ready struct {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"abnn2/internal/gc"
+	"abnn2/internal/leakcheck"
 	"abnn2/internal/nn"
 	"abnn2/internal/otext"
 	"abnn2/internal/prg"
@@ -127,13 +128,13 @@ func TestOfflineSurvivesPeerDisappearing(t *testing.T) {
 	}
 }
 
-// runTriplets runs one full triplet session (base-OT setup + extension +
-// payload round) with each side's connection wrapped per the given fault
-// plans, returning both parties' errors. A nil-class plan is a clean run.
-func runTripletsFaulted(t *testing.T, cliPlan, srvPlan transport.FaultPlan) (cliErr, srvErr error, cliConn, srvConn *transport.FaultConn) {
+// runTripletsFaulted runs one full triplet session (base-OT setup +
+// extension + payload rounds) for the given shape with each side's
+// connection wrapped per the given fault plans, returning both parties'
+// errors. A nil-class plan is a clean run.
+func runTripletsFaulted(t *testing.T, shape MatShape, cliPlan, srvPlan transport.FaultPlan) (cliErr, srvErr error, cliConn, srvConn *transport.FaultConn) {
 	t.Helper()
 	p := Params{Ring: ring.New(32), Scheme: quant.Binary()}
-	shape := MatShape{M: 2, N: 2, O: 1}
 	ca, cb := transport.Pipe()
 	fc := transport.Fault(ca, cliPlan)
 	fs := transport.Fault(cb, srvPlan)
@@ -142,13 +143,13 @@ func runTripletsFaulted(t *testing.T, cliPlan, srvPlan transport.FaultPlan) (cli
 		defer close(done)
 		ct, err := NewClientTriplets(fc, p, sessionTriplets, prg.New(prg.SeedFromInt(11)))
 		if err == nil {
-			_, err = ct.GenerateClient(shape, ring.NewMat(shape.N, shape.O), OneBatch)
+			_, err = ct.GenerateClient(shape, ring.NewMat(shape.N, shape.O), ModeFor(shape.O))
 		}
 		cliErr = err
 	}()
 	st, err := NewServerTriplets(fs, p, sessionTriplets)
 	if err == nil {
-		_, err = st.GenerateServer(shape, []int64{0, 1, 1, 0}, OneBatch)
+		_, err = st.GenerateServer(shape, make([]int64, shape.M*shape.N), ModeFor(shape.O))
 	}
 	srvErr = err
 	select {
@@ -166,29 +167,46 @@ func runTripletsFaulted(t *testing.T, cliPlan, srvPlan transport.FaultPlan) (cli
 // Whatever the cut point — mid base-OT, mid extension, or during the
 // payload round — both parties must return an error rather than hang:
 // the disconnecting side sees its own send fail, the survivor sees the
-// hangup on its next wire operation.
+// hangup on its next wire operation. The pipelined shape has more chunks
+// than the offline window, so cuts land with the server's producer
+// anywhere from zero to a full window ahead — in one-batch and in
+// multi-batch mode — and every cut must leave no goroutine behind.
 func TestTripletsSurviveDisconnectAtEveryMessage(t *testing.T) {
-	cliErr, srvErr, fc, fs := runTripletsFaulted(t, transport.FaultPlan{}, transport.FaultPlan{})
-	if cliErr != nil || srvErr != nil {
-		t.Fatalf("clean run failed: client=%v server=%v", cliErr, srvErr)
-	}
-	cliSends, srvSends := fc.Sends(), fs.Sends()
-	t.Logf("triplet session: client sends %d messages, server sends %d", cliSends, srvSends)
-	for i := 0; i < cliSends; i++ {
-		cliErr, srvErr, _, _ := runTripletsFaulted(t,
-			transport.FaultPlan{Class: transport.FaultDisconnect, Message: i},
-			transport.FaultPlan{})
-		if cliErr == nil || srvErr == nil {
-			t.Errorf("client disconnect at message %d: client=%v server=%v (both should error)", i, cliErr, srvErr)
-		}
-	}
-	for i := 0; i < srvSends; i++ {
-		cliErr, srvErr, _, _ := runTripletsFaulted(t,
-			transport.FaultPlan{},
-			transport.FaultPlan{Class: transport.FaultDisconnect, Message: i})
-		if cliErr == nil || srvErr == nil {
-			t.Errorf("server disconnect at message %d: client=%v server=%v (both should error)", i, cliErr, srvErr)
-		}
+	for _, tc := range []struct {
+		name  string
+		shape MatShape
+	}{
+		{"one-chunk", MatShape{M: 2, N: 2, O: 1}},
+		{"pipelined/one-batch", MatShape{M: OfflineWindow + 2, N: 4000, O: 1}},
+		{"pipelined/multi-batch", MatShape{M: OfflineWindow + 2, N: 4000, O: 2}},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			cliErr, srvErr, fc, fs := runTripletsFaulted(t, tc.shape, transport.FaultPlan{}, transport.FaultPlan{})
+			if cliErr != nil || srvErr != nil {
+				t.Fatalf("clean run failed: client=%v server=%v", cliErr, srvErr)
+			}
+			cliSends, srvSends := fc.Sends(), fs.Sends()
+			t.Logf("triplet session: client sends %d messages, server sends %d", cliSends, srvSends)
+			base := leakcheck.Base()
+			for i := 0; i < cliSends; i++ {
+				cliErr, srvErr, _, _ := runTripletsFaulted(t, tc.shape,
+					transport.FaultPlan{Class: transport.FaultDisconnect, Message: i},
+					transport.FaultPlan{})
+				if cliErr == nil || srvErr == nil {
+					t.Errorf("client disconnect at message %d: client=%v server=%v (both should error)", i, cliErr, srvErr)
+				}
+			}
+			for i := 0; i < srvSends; i++ {
+				cliErr, srvErr, _, _ := runTripletsFaulted(t, tc.shape,
+					transport.FaultPlan{},
+					transport.FaultPlan{Class: transport.FaultDisconnect, Message: i})
+				if cliErr == nil || srvErr == nil {
+					t.Errorf("server disconnect at message %d: client=%v server=%v (both should error)", i, cliErr, srvErr)
+				}
+			}
+			leakcheck.Settle(t, base, tc.name)
+		})
 	}
 }
 

@@ -68,6 +68,25 @@ func (p Params) Validate() error {
 // transport limit even at batch size 128.
 const chunkOTs = 4096
 
+// OfflineWindow is how many chunks the server's OT-extension producer may
+// run ahead of the payloads it has been sent back (see generateServer):
+// at most OfflineWindow `u` matrices are ever on the wire unanswered. A
+// chunk's u is 128 KiB, so 8 of them cover the bandwidth-delay product of
+// both of the paper's links (9 MB/s x 72 ms = 0.65 MB, 24.3 MB/s x 40 ms
+// = 0.97 MB); measured wall was flat from 4 to 32. The price is the
+// memory the window pins per session: OfflineWindow x (128 KiB of u in
+// flight + 128 KiB of t rows queued) = 2 MiB.
+const OfflineWindow = 8
+
+// OfflineFlights is the number of flights of an ABNN2 offline layer of
+// numOTs OTs that a party has to wait out — what a link's latency
+// multiplies: two per window of chunks, since the server sends a window
+// ahead, not two per chunk. The wire carries 2*chunks messages either way.
+func OfflineFlights(numOTs int64) int {
+	chunks := (numOTs + chunkOTs - 1) / chunkOTs
+	return 2 * int((chunks+OfflineWindow-1)/OfflineWindow)
+}
+
 // MatShape describes a public matrix-multiplication shape: the server's
 // m x n quantized matrix times the client's n x o share matrix.
 type MatShape struct{ M, N, O int }

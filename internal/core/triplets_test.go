@@ -45,6 +45,16 @@ func randomWeights(scheme quant.Scheme, n int, seed uint64) []int64 {
 	return out
 }
 
+// plainProduct is the reference W * R over the ring, with two's-complement
+// weights.
+func plainProduct(p Params, sh MatShape, W []int64, R *ring.Mat) *ring.Mat {
+	Wm := ring.NewMat(sh.M, sh.N)
+	for i, w := range W {
+		Wm.Data[i] = p.Ring.FromSigned(w)
+	}
+	return p.Ring.MulMat(Wm, R)
+}
+
 // runTriplets executes the offline phase and checks U + V = W * R.
 func runTriplets(t *testing.T, p Params, sh MatShape, mode Mode, seed uint64) transport.Stats {
 	t.Helper()
@@ -68,12 +78,7 @@ func runTriplets(t *testing.T, p Params, sh MatShape, mode Mode, seed uint64) tr
 	if cerr != nil || serr != nil {
 		t.Fatalf("mode %v: client=%v server=%v", mode, cerr, serr)
 	}
-	// Reference: W * R over the ring with two's-complement weights.
-	Wm := ring.NewMat(sh.M, sh.N)
-	for i, w := range W {
-		Wm.Data[i] = p.Ring.FromSigned(w)
-	}
-	want := p.Ring.MulMat(Wm, R)
+	want := plainProduct(p, sh, W, R)
 	got := p.Ring.AddMat(U, V)
 	if !p.Ring.EqualMat(got, want) {
 		for i := 0; i < sh.M; i++ {

@@ -81,7 +81,7 @@ const (
 type Candidate struct {
 	Choice   Choice
 	CommBits float64 // predicted offline wire bits, both directions
-	Flights  int     // wire flights (each pair of flights costs one RTT)
+	Flights  int     // flights a party waits on, i.e. not overlapped by sending ahead (each pair costs one RTT)
 	Compute  float64 // seconds of offline compute, before amortization
 	Seconds  float64 // total predicted seconds under the link
 }
@@ -167,11 +167,10 @@ func (l Link) price(c *Candidate) {
 // "").
 func abnn2Candidate(in Input, sh core.MatShape, sc quant.Scheme, override string) Candidate {
 	cx := core.OfflineComplexity(in.RingBits, sc, sh)
-	chunks := int(math.Ceil(float64(cx.NumOTs) / 4096))
 	c := Candidate{
 		Choice:   Choice{Backend: core.BackendABNN2, Scheme: override},
 		CommBits: cx.CommBits,
-		Flights:  2 * chunks,
+		Flights:  core.OfflineFlights(cx.NumOTs), // one round trip per window, not per chunk
 		Compute:  float64(cx.NumOTs)*secondsPerOT + cx.CommBits/8*secondsPerByte,
 	}
 	in.Link.price(&c)

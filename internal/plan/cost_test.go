@@ -31,9 +31,12 @@ func refInput(link Link) Input {
 // to the WAN preset must flip at least one layer's backend — the whole
 // point of a link-priced planner. Concretely the fat-link LAN pays
 // MiniONN's Paillier compute in full (OT backends win everywhere),
-// while on the thin 72 ms link the wide FC layer's chunked OT flights
-// lose to two compact ciphertext transfers, making the WAN plan a
-// genuine mix.
+// while on the thin 72 ms link the wide FC layer's OT traffic loses to
+// two compact ciphertext transfers, making the WAN plan a genuine mix.
+// The flip is carried by bytes, not by latency: the pipelined offline
+// phase is priced at two flights per window of core.OfflineWindow chunks
+// (one round trip for this layer, not one per 4096 OTs), and the layer
+// still flips.
 func TestCrossoverFlipsLayer(t *testing.T) {
 	lanPlan, _, err := Choose(refInput(LAN()))
 	if err != nil {

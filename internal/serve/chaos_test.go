@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"abnn2"
+	"abnn2/internal/leakcheck"
 	"abnn2/internal/metrics"
 	"abnn2/internal/transport"
 )
@@ -24,22 +25,6 @@ import (
 // -race: the admission path is the most contended code in the repo.
 
 const chaosServeWatchdog = 120 * time.Second
-
-// settleGoroutines waits for the goroutine count to return to base,
-// failing with full stacks if it does not.
-func settleGoroutines(t *testing.T, base int, what string) {
-	t.Helper()
-	deadline := time.Now().Add(15 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= base {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	buf := make([]byte, 1<<20)
-	n := runtime.Stack(buf, true)
-	t.Errorf("%s: %d goroutines, want <= %d — leak:\n%s", what, runtime.NumGoroutine(), base, buf[:n])
-}
 
 // watchdog fails the test with full stacks if fn does not return in time.
 func watchdog(t *testing.T, what string, fn func()) {
@@ -89,8 +74,7 @@ func connectHonoringHints(ctx context.Context, rt *Runtime, model string, hintle
 // its sessions by riding the backpressure protocol; every retryable
 // rejection must carry a hint; the runtime must end idle and leak-free.
 func TestChaosServeMultiTenantLoad(t *testing.T) {
-	time.Sleep(20 * time.Millisecond)
-	base := runtime.NumGoroutine()
+	base := leakcheck.Base()
 
 	reg := testRegistry(t, "tenant-a", "tenant-b")
 	m := NewMetrics(metrics.NewRegistry())
@@ -160,15 +144,14 @@ func TestChaosServeMultiTenantLoad(t *testing.T) {
 	if m.SessionsActive.Value() != 0 {
 		t.Errorf("sessions_active gauge = %d after the run", m.SessionsActive.Value())
 	}
-	settleGoroutines(t, base, "multi-tenant load")
+	leakcheck.Settle(t, base, "multi-tenant load")
 }
 
 // TestChaosServeSlowLoris: clients that connect and never speak must be
 // cut by the handshake deadline without ever holding a session slot, and
 // an honest client arriving meanwhile must be served normally.
 func TestChaosServeSlowLoris(t *testing.T) {
-	time.Sleep(20 * time.Millisecond)
-	base := runtime.NumGoroutine()
+	base := leakcheck.Base()
 
 	rt := testRuntime(t, Options{MaxSessions: 1, HandshakeTimeout: 200 * time.Millisecond})
 	ctx, cancel := context.WithTimeout(context.Background(), chaosServeWatchdog)
@@ -222,7 +205,7 @@ func TestChaosServeSlowLoris(t *testing.T) {
 	for _, c := range pins {
 		c.Close()
 	}
-	settleGoroutines(t, base, "slow loris")
+	leakcheck.Settle(t, base, "slow loris")
 }
 
 // TestChaosServeFaultsUnderLoad: every transport fault class injected
@@ -231,8 +214,7 @@ func TestChaosServeSlowLoris(t *testing.T) {
 // the healthy one must classify correctly, and neither may leak a slot
 // or a goroutine.
 func TestChaosServeFaultsUnderLoad(t *testing.T) {
-	time.Sleep(20 * time.Millisecond)
-	base := runtime.NumGoroutine()
+	base := leakcheck.Base()
 
 	rt := testRuntime(t, Options{MaxSessions: 4})
 	qm := rt.Registry().Default().Quant
@@ -316,15 +298,14 @@ func TestChaosServeFaultsUnderLoad(t *testing.T) {
 	if active := rt.Admission().Active(); active != 0 {
 		t.Errorf("%d session slots leaked across fault classes", active)
 	}
-	settleGoroutines(t, base, "faults under load")
+	leakcheck.Settle(t, base, "faults under load")
 }
 
 // TestChaosServeDrainUnderLoad: Drain must wait for in-flight sessions,
 // shed newcomers with a retryable draining rejection, and return once
 // the stragglers finish.
 func TestChaosServeDrainUnderLoad(t *testing.T) {
-	time.Sleep(20 * time.Millisecond)
-	base := runtime.NumGoroutine()
+	base := leakcheck.Base()
 
 	rt := testRuntime(t, Options{MaxSessions: 2})
 	ctx, cancel := context.WithTimeout(context.Background(), chaosServeWatchdog)
@@ -391,7 +372,7 @@ func TestChaosServeDrainUnderLoad(t *testing.T) {
 		n := runtime.Stack(buf, true)
 		t.Fatalf("drain never returned:\n%s", buf[:n])
 	}
-	settleGoroutines(t, base, "drain under load")
+	leakcheck.Settle(t, base, "drain under load")
 }
 
 // TestChaosServeBankedMultiTenant: two tenants over one bank with tiny
@@ -400,8 +381,7 @@ func TestChaosServeDrainUnderLoad(t *testing.T) {
 // bank-dry) — never a hang — and pools refill between sheds so the run
 // makes progress.
 func TestChaosServeBankedMultiTenant(t *testing.T) {
-	time.Sleep(20 * time.Millisecond)
-	base := runtime.NumGoroutine()
+	base := leakcheck.Base()
 
 	reg := testRegistry(t, "tenant-a", "tenant-b")
 	bank := abnn2.NewBank(abnn2.BankOptions{Capacity: 2, Workers: 1, Seed: 0xD1CE})
@@ -451,5 +431,5 @@ func TestChaosServeBankedMultiTenant(t *testing.T) {
 	if hintless > 0 {
 		t.Errorf("%d retryable rejections carried no hint", hintless)
 	}
-	settleGoroutines(t, base, "banked multi-tenant")
+	leakcheck.Settle(t, base, "banked multi-tenant")
 }

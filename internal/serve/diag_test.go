@@ -6,12 +6,12 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"abnn2"
+	"abnn2/internal/leakcheck"
 	"abnn2/internal/metrics"
 	"abnn2/internal/trace"
 )
@@ -48,7 +48,7 @@ func readDumps(t *testing.T, dir string) []diagDump {
 // flights — without tracing having been requested, and without leaking
 // goroutines.
 func TestDiagSLOBreachDumpsDelayedSession(t *testing.T) {
-	base := runtime.NumGoroutine()
+	base := leakcheck.Base()
 	dir := t.TempDir()
 	reg := metrics.NewRegistry()
 	m := NewMetrics(reg)
@@ -123,11 +123,11 @@ func TestDiagSLOBreachDumpsDelayedSession(t *testing.T) {
 	if profs, _ := filepath.Glob(filepath.Join(dir, "diag-cpu-*.pprof")); len(profs) != 1 {
 		t.Errorf("%d CPU profiles, want 1", len(profs))
 	}
-	settleGoroutines(t, base, "diag SLO breach")
+	leakcheck.Settle(t, base, "diag SLO breach")
 }
 
 func TestDiagErrorDump(t *testing.T) {
-	base := runtime.NumGoroutine()
+	base := leakcheck.Base()
 	dir := t.TempDir()
 	rt := testRuntime(t, Options{
 		Recorder: trace.NewRecorder(0, 0),
@@ -157,7 +157,7 @@ func TestDiagErrorDump(t *testing.T) {
 	if !found {
 		t.Error("failed session left no error dump")
 	}
-	settleGoroutines(t, base, "diag error dump")
+	leakcheck.Settle(t, base, "diag error dump")
 }
 
 func TestDiagShedDumpAndCap(t *testing.T) {
@@ -254,7 +254,7 @@ func jsonUint(v uint64) string {
 // timeline to attribute the session's wall time within 1% — the same
 // invariant scripts/loadtest.sh asserts over TCP in CI.
 func TestServeTimelineEndToEnd(t *testing.T) {
-	base := runtime.NumGoroutine()
+	base := leakcheck.Base()
 	srvTrace := abnn2.NewTraceCollector()
 	rt := testRuntime(t, Options{Session: abnn2.Config{
 		RingBits: 32, RoundTimeout: testRoundTimeout, Trace: srvTrace,
@@ -314,5 +314,5 @@ func TestServeTimelineEndToEnd(t *testing.T) {
 			t.Errorf("class %s absent from a real session:\n%s", class, trace.FormatTimeline(tl))
 		}
 	}
-	settleGoroutines(t, base, "timeline end to end")
+	leakcheck.Settle(t, base, "timeline end to end")
 }

@@ -15,7 +15,17 @@ import (
 // party A is the first conn of the pair. A MeterEndpoint observes one
 // endpoint only: party A is that endpoint itself, so BytesAB is what it
 // sent and BytesBA what it received — over a lossless transport the two
-// views agree.
+// views agree on bytes and messages.
+//
+// They do not agree on Flights once a party sends ahead of what it is
+// owed, as the server does in the pipelined offline phase. A shared
+// MeteredPipe meter counts direction flips in global arrival order, so
+// with both directions in flight at once the count depends on how the two
+// parties' goroutines were scheduled (15 one run, 17 the next). An
+// endpoint meter counts flips in the order its own party performed the
+// operations; for a party that is a single sequential loop — the client —
+// that order is fixed by the protocol, so its count is deterministic and
+// is the number to compare across runs or to price with a NetModel.
 type Stats struct {
 	BytesAB  int64 // bytes sent by party A (the first conn of MeteredPipe)
 	BytesBA  int64 // bytes sent by party B

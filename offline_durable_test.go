@@ -3,11 +3,12 @@ package abnn2
 import (
 	"context"
 	"errors"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"abnn2/internal/leakcheck"
 )
 
 // Remote offline session suite: the no-dealer replenishment path end to
@@ -92,8 +93,7 @@ func peerConfigs(t *testing.T, qm *QuantizedModel, srv, cli *durableParty) (Conf
 // against the plaintext model. No dealer exists anywhere in this test.
 func TestRemoteOfflinePeerBanked(t *testing.T) {
 	qm := chaosModel(t)
-	time.Sleep(20 * time.Millisecond)
-	base := runtime.NumGoroutine()
+	base := leakcheck.Base()
 
 	srv := newDurableParty(t, t.TempDir(), 4)
 	cli := newDurableParty(t, t.TempDir(), 4)
@@ -125,7 +125,7 @@ func TestRemoteOfflinePeerBanked(t *testing.T) {
 	if !strings.Contains(cliErr.Error(), "dry") {
 		t.Errorf("exhausted pool error %q does not mention dryness", cliErr)
 	}
-	settleGoroutines(t, base, "remote offline peer-banked")
+	leakcheck.Settle(t, base, "remote offline peer-banked")
 }
 
 // TestRemoteOfflineCrashSingleUse: a correlation spent before a crash
@@ -225,8 +225,7 @@ func (c *hangupConn) Send(msg []byte) error {
 // material that did land stays usable.
 func TestRemoteOfflineLinkCut(t *testing.T) {
 	qm := chaosModel(t)
-	time.Sleep(20 * time.Millisecond)
-	base := runtime.NumGoroutine()
+	base := leakcheck.Base()
 
 	for _, after := range []int{1, 3, 8} {
 		srv := newDurableParty(t, t.TempDir(), 4)
@@ -258,7 +257,7 @@ func TestRemoteOfflineLinkCut(t *testing.T) {
 			t.Fatalf("after=%d: offline server hung on a cut link", after)
 		}
 	}
-	settleGoroutines(t, base, "remote offline link cut")
+	leakcheck.Settle(t, base, "remote offline link cut")
 }
 
 // TestRemoteOfflineRequiresStore: both entry points refuse to run

@@ -68,11 +68,22 @@ func recoveredError(op string, r any) *PanicError {
 // blocking operation it arms a deadline of now+RoundTimeout (when
 // configured); a cancellation watcher aborts in-flight operations by
 // setting an immediate deadline when the session context is cancelled.
+//
+// Like any Conn it serves one sender beside one receiver — the pipelined
+// offline phase sends ahead on one goroutine while another receives. The
+// deadline is one per connection, so the two arm it for each other: every
+// arm moves it later, an operation therefore never gets less than its own
+// RoundTimeout, and may get more while the other direction keeps
+// arming (bounded by the offline window). What must not happen is an arm
+// on one goroutine pushing the watcher's abort deadline back out; armMu
+// orders the two and arm leaves the deadline alone once the context is
+// done.
 type sessionConn struct {
 	inner    Conn
 	meter    *transport.Meter
 	timeout  time.Duration
 	ctx      context.Context
+	armMu    sync.Mutex // orders deadline writes against the watcher's abort
 	stop     chan struct{}
 	stopOnce sync.Once
 }
@@ -99,7 +110,9 @@ func newSessionConn(ctx context.Context, conn Conn, timeout time.Duration, obs t
 				// Abort any blocked and all future operations. The per-op
 				// context check below turns the resulting timeout into the
 				// context's error.
+				c.armMu.Lock()
 				conn.SetDeadline(time.Now())
+				c.armMu.Unlock()
 			case <-c.stop:
 			}
 		}()
@@ -123,9 +136,19 @@ func (c *sessionConn) counters() trace.Counters {
 
 // arm sets the round deadline. Streams without deadline support degrade
 // to unbounded rounds rather than failing the session.
-func (c *sessionConn) arm() {
-	if c.timeout > 0 {
-		_ = c.inner.SetDeadline(time.Now().Add(c.timeout))
+func (c *sessionConn) arm() { c.setDeadline(time.Now().Add(c.timeout)) }
+
+// setDeadline writes the connection deadline unless the session context
+// is already done: from then on the watcher's immediate deadline stands,
+// whichever goroutine arms next.
+func (c *sessionConn) setDeadline(t time.Time) {
+	if c.timeout <= 0 {
+		return
+	}
+	c.armMu.Lock()
+	defer c.armMu.Unlock()
+	if c.ctx.Err() == nil {
+		_ = c.inner.SetDeadline(t)
 	}
 }
 
@@ -147,7 +170,8 @@ func (c *sessionConn) opErr(err error) error {
 func (c *sessionConn) Send(msg []byte) error {
 	// Arm before checking the context: if cancellation lands between the
 	// check and the op, the watcher's immediate deadline overrides this
-	// one and still aborts the op.
+	// one — and any later arm by the other direction's goroutine — and
+	// still aborts the op.
 	c.arm()
 	if cerr := c.ctx.Err(); cerr != nil {
 		return fmt.Errorf("abnn2: session aborted: %w", cerr)
@@ -168,9 +192,7 @@ func (c *sessionConn) Recv() ([]byte, error) {
 // between-batches wait of a server, where a client may legitimately sit
 // idle indefinitely. Context cancellation still aborts it.
 func (c *sessionConn) recvIdle() ([]byte, error) {
-	if c.timeout > 0 {
-		_ = c.inner.SetDeadline(time.Time{})
-	}
+	c.setDeadline(time.Time{})
 	// The context check must follow the disarm: if the watcher's abort
 	// deadline raced with the disarm and lost, this check still observes
 	// the cancelled context; if cancellation lands after the check, the

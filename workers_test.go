@@ -7,12 +7,14 @@ import (
 	"abnn2/internal/transport"
 )
 
-// runSecureWorkers runs one full Serve/Dial inference over a metered
-// pipe at the given worker count and returns the classifications plus
-// the exact wire traffic.
+// runSecureWorkers runs one full Serve/Dial inference over a pipe at the
+// given worker count and returns the classifications plus the exact wire
+// traffic as the client endpoint counts it: the server sends ahead in the
+// offline phase, so a meter shared by both ends would count flights in a
+// scheduling-dependent order (see transport.Stats).
 func runSecureWorkers(t *testing.T, qm *QuantizedModel, inputs [][]float64, workers int) ([]int, transport.Stats) {
 	t.Helper()
-	sc, cc, meter := MeteredPipe()
+	sc, cc := Pipe()
 	defer sc.Close()
 	var (
 		wg     sync.WaitGroup
@@ -36,7 +38,7 @@ func runSecureWorkers(t *testing.T, qm *QuantizedModel, inputs [][]float64, work
 	if srvErr != nil {
 		t.Fatalf("server (workers=%d): %v", workers, srvErr)
 	}
-	return got, meter.Snapshot()
+	return got, client.Stats()
 }
 
 // TestWorkersProduceIdenticalResults is the concurrency tier's anchor:
@@ -72,7 +74,7 @@ func TestWorkersMultiBatchAndOptimizedReLU(t *testing.T) {
 	inputs := test.Inputs[:4]
 
 	run := func(workers int) ([]int, transport.Stats) {
-		sc, cc, meter := MeteredPipe()
+		sc, cc := Pipe()
 		defer sc.Close()
 		var (
 			wg     sync.WaitGroup
@@ -96,7 +98,7 @@ func TestWorkersMultiBatchAndOptimizedReLU(t *testing.T) {
 		if srvErr != nil {
 			t.Fatalf("server (workers=%d): %v", workers, srvErr)
 		}
-		return got, meter.Snapshot()
+		return got, client.Stats()
 	}
 
 	seq, seqStats := run(1)
