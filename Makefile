@@ -25,11 +25,13 @@ bench:
 
 # The benchmark is a module of its own (benchmark/go.mod), so the root
 # `go test ./...` never reaches it: run its unit tests, then one short
-# run of the shaped-WAN workload, which must end with every prediction
-# checked correct against plaintext.
+# run each of the shaped-WAN workload (wire-bound) and the LAN workload
+# (kernel-bound), which must end with every prediction checked correct
+# against plaintext.
 perf-smoke:
 	$(GO) test -C benchmark ./...
 	bash benchmark/run.sh --workload mlp_b1_wan --seed 1 --seconds 5 --trace 0 | tail -n 1 | grep -q '"correct":true'
+	bash benchmark/run.sh --workload mlp_b1_lan --seed 1 --seconds 5 --trace 0 | tail -n 1 | grep -q '"correct":true'
 
 # Bench regression gate: re-measure the bank split and durable start-up
 # on this machine, normalize away machine speed via the offline-heavy
@@ -123,6 +125,7 @@ fuzz:
 	$(GO) test ./internal/transport -fuzz FuzzStreamRecv -fuzztime 10s
 	$(GO) test ./internal/transport -fuzz FuzzStreamRoundTrip -fuzztime 10s
 	$(GO) test ./internal/par -fuzz FuzzParMap -fuzztime 10s
+	$(GO) test ./internal/prg -fuzz FuzzPadDeriverMatchesHash -fuzztime 10s
 	$(GO) test ./internal/otext -fuzz FuzzSenderExtend -fuzztime 10s
 	$(GO) test ./internal/otext -fuzz FuzzRecvChosen -fuzztime 10s
 	$(GO) test ./internal/otext -fuzz FuzzRecvCorrelatedRing -fuzztime 10s

@@ -79,6 +79,8 @@ func (c *SecureMLClient) GenerateClient(m int, R *ring.Mat) (*ring.Mat, error) {
 			return nil, fmt.Errorf("baseline: secureml client extend: %w", err)
 		}
 		payload := make([]byte, 0, chunk*o*rg.Bytes())
+		pads := blk.NewDeriver()
+		p0raw, p1raw := make([]byte, o*8), make([]byte, o*8)
 		for local := 0; local < chunk; local++ {
 			g := ot + local
 			i := g / (n * l)
@@ -87,8 +89,9 @@ func (c *SecureMLClient) GenerateClient(m int, R *ring.Mat) (*ring.Mat, error) {
 			rrow := R.Row(j)
 			vrow := V.Row(i)
 			// Pads: p0 for choice 0, p1 for choice 1, o elements each.
-			p0raw := blk.Pad(local, 0, o*8)
-			p1raw := blk.Pad(local, 1, o*8)
+			pads.Seek(local)
+			pads.PadInto(0, p0raw)
+			pads.PadInto(1, p1raw)
 			for k := 0; k < o; k++ {
 				p0 := rg.FromBytesFull(p0raw[k*8:])
 				p1 := rg.FromBytesFull(p1raw[k*8:])
@@ -144,11 +147,14 @@ func (s *SecureMLServer) GenerateServer(W []int64, m, n, o int) (*ring.Mat, erro
 		if want := chunk * o * rg.Bytes(); len(payload) != want {
 			return nil, fmt.Errorf("baseline: secureml payload is %d bytes, want %d", len(payload), want)
 		}
+		pads := blk.NewDeriver()
+		praw := make([]byte, o*8)
 		for local := 0; local < chunk; local++ {
 			g := ot + local
 			i := g / (n * l)
 			urow := U.Row(i)
-			praw := blk.Pad(local, o*8)
+			pads.Seek(local)
+			pads.PadInto(praw)
 			for k := 0; k < o; k++ {
 				p := rg.FromBytesFull(praw[k*8:])
 				if choices[local] == 1 {

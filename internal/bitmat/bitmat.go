@@ -5,6 +5,7 @@
 package bitmat
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"abnn2/internal/par"
@@ -30,6 +31,17 @@ func New(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Stride: stride, Data: make([]byte, rows*stride)}
 }
 
+// Resized returns a rows x cols matrix whose contents are unspecified,
+// reusing m's storage when it is large enough; m may be nil. It serves
+// scratch matrices that are wholly overwritten on every use.
+func Resized(m *Matrix, rows, cols int) *Matrix {
+	if m == nil || rows < 0 || cols <= 0 || cols%8 != 0 || cap(m.Data) < rows*cols/8 {
+		return New(rows, cols) // which rejects a bad shape
+	}
+	m.Rows, m.Cols, m.Stride, m.Data = rows, cols, cols/8, m.Data[:rows*cols/8]
+	return m
+}
+
 // Row returns a view of row i.
 func (m *Matrix) Row(i int) []byte { return m.Data[i*m.Stride : (i+1)*m.Stride] }
 
@@ -49,63 +61,108 @@ func (m *Matrix) SetBit(i, j int, v byte) {
 	}
 }
 
-// XORRowInto XORs src into row i. len(src) must equal Stride.
-func (m *Matrix) XORRowInto(i int, src []byte) {
-	row := m.Row(i)
-	if len(src) != len(row) {
-		panic("bitmat: XORRowInto length mismatch")
-	}
-	for k := range row {
-		row[k] ^= src[k]
-	}
-}
-
 // Transpose returns the Cols x Rows transpose of m. The output has
 // RowsOut = m.Cols and ColsOut = m.Rows rounded up to a byte boundary in
 // storage; callers must treat bits beyond m.Rows in each output row as
-// padding. For the OT extensions in this repo, m.Rows is always padded to
-// a multiple of 8 by the caller, so no slack bits exist in practice.
+// padding (they are zero). For the OT extensions in this repo, m.Rows is
+// always padded to a multiple of 8 by the caller, so no slack bits exist
+// in practice.
 func Transpose(m *Matrix) *Matrix { return TransposePar(m, 1) }
 
-// TransposePar is Transpose with the 8-row block loop split across the
-// shared worker pool. Each row block rb writes only output-column byte
-// rb of every output row, so the ranges are disjoint and the result is
-// identical for any worker count. workers <= 0 means GOMAXPROCS.
+// TransposePar is Transpose with the block loop split across the shared
+// worker pool; the result is identical for any worker count.
+// workers <= 0 means GOMAXPROCS.
 func TransposePar(m *Matrix, workers int) *Matrix {
-	outCols := (m.Rows + 7) &^ 7
-	if outCols == 0 {
-		outCols = 8
+	out := New(m.Cols, max(8, (m.Rows+7)&^7))
+	TransposeInto(out, m, workers)
+	return out
+}
+
+// TransposeInto is TransposePar into a caller-owned matrix of the shape
+// TransposePar returns, every byte of which it overwrites, so a matrix
+// kept across calls needs no clearing.
+//
+// The matrix is cut into 64x64 bit blocks, each transposed in registers
+// by transpose64. Rows and column bytes beyond the last whole block (the
+// OT extensions pad their row count to 8, not 64, because the padded
+// count is what crosses the wire) go through the 8x8 kernel. Block
+// (rb, cb) writes only bytes [8*rb, 8*rb+8) of output rows [64*cb,
+// 64*cb+64), so the workers' ranges are disjoint.
+func TransposeInto(out, m *Matrix, workers int) {
+	if out.Rows != m.Cols || out.Cols != max(8, (m.Rows+7)&^7) {
+		panic(fmt.Sprintf("bitmat: transpose of %dx%d into %dx%d", m.Rows, m.Cols, out.Rows, out.Cols))
 	}
-	out := New(m.Cols, outCols)
-	// Process in 8x8 bit blocks: read 8 rows x 8 columns, transpose the
-	// 64-bit block with shift-mask tricks, write 8 output rows.
-	fullRowBlocks := m.Rows / 8
-	par.Map(workers, fullRowBlocks, func(rb int) {
-		for cb := 0; cb < m.Stride; cb++ {
-			// Gather 8 bytes: one byte (8 column bits) from each of 8 rows.
-			var block uint64
-			base := (rb * 8) * m.Stride
-			for k := 0; k < 8; k++ {
-				block |= uint64(m.Data[base+k*m.Stride+cb]) << (8 * uint(k))
-			}
-			block = transpose8x8(block)
-			// Scatter: byte k of the transposed block holds the bits of
-			// output rows cb*8+k at output column byte rb.
-			obase := (cb * 8) * out.Stride
-			for k := 0; k < 8; k++ {
-				out.Data[obase+k*out.Stride+rb] = byte(block >> (8 * uint(k)))
-			}
+	rowBlocks, colBlocks := m.Rows/64, m.Stride/8
+	par.Map(workers, rowBlocks*colBlocks, func(b int) {
+		rb, cb := b/colBlocks, b%colBlocks
+		var blk [64]uint64
+		off := rb*64*m.Stride + cb*8
+		for k := range blk {
+			blk[k] = binary.LittleEndian.Uint64(m.Data[off:])
+			off += m.Stride
+		}
+		transpose64(&blk)
+		off = cb*64*out.Stride + rb*8
+		for k := range blk {
+			binary.LittleEndian.PutUint64(out.Data[off:], blk[k])
+			off += out.Stride
 		}
 	})
-	// Tail rows (m.Rows not multiple of 8): bit-by-bit.
-	for i := fullRowBlocks * 8; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			if m.Bit(i, j) == 1 {
-				out.SetBit(j, i, 1)
-			}
+	// What the 64x64 blocks leave: column bytes past the last whole
+	// block, then rows past it.
+	for rb8 := 0; rb8 < rowBlocks*8; rb8++ {
+		for cb := colBlocks * 8; cb < m.Stride; cb++ {
+			transposeBlock8(out, m, rb8, cb)
 		}
 	}
-	return out
+	for rb8 := rowBlocks * 8; rb8*8 < m.Rows; rb8++ {
+		for cb := 0; cb < m.Stride; cb++ {
+			transposeBlock8(out, m, rb8, cb)
+		}
+	}
+	if m.Rows == 0 {
+		clear(out.Data)
+	}
+}
+
+// transposeBlock8 transposes the 8x8 bit block at rows [8*rb, 8*rb+8),
+// column byte cb; rows past the end of m read as zero.
+func transposeBlock8(out, m *Matrix, rb, cb int) {
+	// Gather 8 bytes: one byte (8 column bits) from each of 8 rows.
+	var block uint64
+	for k := 0; k < 8 && rb*8+k < m.Rows; k++ {
+		block |= uint64(m.Data[(rb*8+k)*m.Stride+cb]) << (8 * uint(k))
+	}
+	block = transpose8x8(block)
+	// Scatter: byte k of the transposed block holds the bits of output
+	// row cb*8+k at output column byte rb.
+	for k := 0; k < 8; k++ {
+		out.Data[(cb*8+k)*out.Stride+rb] = byte(block >> (8 * uint(k)))
+	}
+}
+
+// transpose64 transposes a 64x64 bit block in place (row k = a[k],
+// LSB-first columns): six delta-swap stages, stage j exchanging the
+// off-diagonal j x j sub-blocks of every 2j x 2j tile.
+func transpose64(a *[64]uint64) {
+	swapStage(a, 32, 0x00000000FFFFFFFF)
+	swapStage(a, 16, 0x0000FFFF0000FFFF)
+	swapStage(a, 8, 0x00FF00FF00FF00FF)
+	swapStage(a, 4, 0x0F0F0F0F0F0F0F0F)
+	swapStage(a, 2, 0x3333333333333333)
+	swapStage(a, 1, 0x5555555555555555)
+}
+
+// swapStage exchanges, for every row pair (k, k+j) with bit j of k clear,
+// the columns of row k selected by mask<<j with the columns of row k+j
+// selected by mask. It is small enough to inline, which turns j and mask
+// into constants at each of transpose64's six call sites.
+func swapStage(a *[64]uint64, j uint, mask uint64) {
+	for k := uint(0); k < 64; k = (k + j + 1) &^ j {
+		t := (a[k]>>j ^ a[k+j]) & mask
+		a[k] ^= t << j
+		a[k+j] ^= t
+	}
 }
 
 // transpose8x8 transposes an 8x8 bit block packed row-major into a uint64

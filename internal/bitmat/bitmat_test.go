@@ -1,6 +1,7 @@
 package bitmat
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -95,12 +96,64 @@ func TestTranspose8x8Property(t *testing.T) {
 	}
 }
 
-func TestXORRowInto(t *testing.T) {
-	m := New(2, 16)
-	m.Row(0)[0] = 0xF0
-	m.XORRowInto(0, []byte{0xFF, 0x01})
-	if m.Row(0)[0] != 0x0F || m.Row(0)[1] != 0x01 {
-		t.Fatalf("XORRowInto result %v", m.Row(0))
+// TestTransposeMatchesBitReference checks the blocked kernels against a
+// bit-by-bit transpose on the shapes the OT extensions produce (a padded
+// OT count by a code width, and the swapped orientation), chosen to hit
+// the 64x64 kernel alone, the 8x8 remainder alone, and both; worker
+// counts 1 and 8 must agree byte for byte.
+func TestTransposeMatchesBitReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, rows := range []int{8, 56, 64, 72, 400, 4096} {
+		for _, cols := range []int{128, 256} {
+			for _, s := range [][2]int{{rows, cols}, {cols, rows}} {
+				m := randomMatrix(rng, s[0], s[1])
+				want := New(m.Cols, m.Rows)
+				for i := 0; i < m.Rows; i++ {
+					for j := 0; j < m.Cols; j++ {
+						want.SetBit(j, i, m.Bit(i, j))
+					}
+				}
+				for _, workers := range []int{1, 8} {
+					got := TransposePar(m, workers)
+					if got.Rows != want.Rows || got.Cols != want.Cols || !bytes.Equal(got.Data, want.Data) {
+						t.Fatalf("%dx%d workers=%d: differs from the bit-by-bit transpose", s[0], s[1], workers)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestTransposeIntoOverwrites: a reused output matrix keeps nothing of
+// its previous contents, including the padding bits past a row count
+// that is not a multiple of 8.
+func TestTransposeIntoOverwrites(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for _, s := range [][2]int{{0, 8}, {3, 8}, {13, 72}, {72, 136}, {200, 256}} {
+		m := randomMatrix(rng, s[0], s[1])
+		want := Transpose(m)
+		out := randomMatrix(rng, want.Rows, want.Cols)
+		TransposeInto(out, m, 2)
+		if !bytes.Equal(out.Data, want.Data) {
+			t.Fatalf("%dx%d: stale bytes survive TransposeInto", s[0], s[1])
+		}
+	}
+}
+
+func TestTranspose64Property(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var a, b [64]uint64
+	for k := range a {
+		a[k] = rng.Uint64()
+	}
+	b = a
+	transpose64(&b)
+	for r := 0; r < 64; r++ {
+		for c := 0; c < 64; c++ {
+			if (a[r]>>uint(c))&1 != (b[c]>>uint(r))&1 {
+				t.Fatalf("bit (%d,%d) not transposed", r, c)
+			}
+		}
 	}
 }
 

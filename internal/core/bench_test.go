@@ -13,7 +13,11 @@ import (
 // benchTriplets measures offline triplet generation throughput for one
 // scheme and shape.
 func benchTriplets(b *testing.B, scheme quant.Scheme, sh MatShape, mode Mode) {
-	p := Params{Ring: ring.New(32), Scheme: scheme}
+	benchTripletsWorkers(b, scheme, sh, mode, 0)
+}
+
+func benchTripletsWorkers(b *testing.B, scheme quant.Scheme, sh MatShape, mode Mode, workers int) {
+	p := Params{Ring: ring.New(32), Scheme: scheme, Workers: workers}
 	ca, cb := transport.Pipe()
 	defer ca.Close()
 	var (
@@ -59,6 +63,13 @@ func benchTriplets(b *testing.B, scheme quant.Scheme, sh MatShape, mode Mode) {
 
 func BenchmarkTripletsOneBatch8bit(b *testing.B) {
 	benchTriplets(b, quant.Uniform(2, 4), MatShape{M: 128, N: 128, O: 1}, OneBatch)
+}
+
+// The first layer of the paper's Fig. 4 MLP at batch 1 under 4(2,2):
+// 200 704 OTs in 49 chunks on one worker per party, which is where the
+// mlp_b1_lan workload of the repository benchmark spends its time.
+func BenchmarkTripletsOneBatchFig4FC1(b *testing.B) {
+	benchTripletsWorkers(b, quant.Uniform(2, 2), MatShape{M: 128, N: 784, O: 1}, OneBatch, 1)
 }
 
 func BenchmarkTripletsOneBatchBinary(b *testing.B) {

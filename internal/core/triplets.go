@@ -47,7 +47,6 @@ type ClientTriplets struct {
 type ServerTriplets struct {
 	params  Params
 	ot      *otext.Receiver
-	vals    [][]ring.Elem
 	rng     *prg.PRG
 	session uint64
 
@@ -96,7 +95,7 @@ func NewServerTripletsSeeded(conn Conn, p Params, session uint64, rng *prg.PRG) 
 		return nil, fmt.Errorf("core: server triplet setup: %w", err)
 	}
 	ot.SetWorkers(p.Workers)
-	return &ServerTriplets{params: p, ot: ot, vals: p.fragValues(), rng: rng, session: session}, nil
+	return &ServerTriplets{params: p, ot: ot, rng: rng, session: session}, nil
 }
 
 // Baseline generator accessors. Creation is lazy — at the first layer a
@@ -196,15 +195,6 @@ func (c *ClientTriplets) schemeParams(sc quant.Scheme) (Params, [][]ring.Elem) {
 	return p, vals
 }
 
-func (s *ServerTriplets) schemeParams(sc quant.Scheme) (Params, [][]ring.Elem) {
-	if sc == nil || sc.Name() == s.params.Scheme.Name() {
-		return s.params, s.vals
-	}
-	p := s.params
-	p.Scheme = sc
-	return p, p.fragValues()
-}
-
 // Mode selects the payload packaging of the offline phase.
 type Mode int
 
@@ -283,16 +273,14 @@ func (c *ClientTriplets) generateClient(params Params, vals [][]ring.Elem, sh Ma
 		}
 		// Every OT's ciphertext block has a public size, so workers can
 		// write disjoint spans of the payload flight directly.
-		offs := payloadOffsets(params, ot, chunk, mode, elemBytes, padBytes)
+		offs := payloadOffsets(params, ot, chunk, mode, padBytes)
 		payload := make([]byte, offs[chunk])
 		// Pre-draw the per-OT masking randomness sequentially, in the
 		// exact order the sequential protocol consumed it — seeded
 		// transcripts stay byte-identical for every worker count.
+		// (NaiveN is MultiBatch at o = 1: one mask per OT.)
 		var masks ring.Vec
-		switch mode {
-		case NaiveN:
-			masks = c.rng.Vec(rg, chunk)
-		case MultiBatch:
+		if mode != OneBatch {
 			masks = c.rng.Vec(rg, chunk*sh.O)
 		}
 		// Fragment x row accumulation: each worker sums its OT range
@@ -303,7 +291,7 @@ func (c *ClientTriplets) generateClient(params Params, vals [][]ring.Elem, sh Ma
 			pv := make(ring.Vec, sh.M*sh.O)
 			partials[part] = pv
 			pV := &ring.Mat{Rows: sh.M, Cols: sh.O, Data: pv}
-			buf := make([]byte, 0, padBytes)
+			pads := blk.NewDeriver()
 			for local := lo; local < hi; local++ {
 				g := ot + local
 				i := g / (sh.N * gamma) // W row
@@ -311,40 +299,36 @@ func (c *ClientTriplets) generateClient(params Params, vals [][]ring.Elem, sh Ma
 				f := g % gamma          // fragment
 				n := params.Scheme.FragmentN(f)
 				vrow := pV.Row(i)
+				rrow := R.Row(j)
+				// Each message is encoded straight into its span of the
+				// payload flight and the pad XORed over it in place.
 				out := payload[offs[local]:offs[local+1]]
-				switch mode {
-				case OneBatch:
+				pads.Seek(local)
+				if mode == OneBatch {
 					// s := pad(0); V accumulates s; ciphertexts for t>=1 are
 					// (Value(t)*r - s) XOR pad(t).
-					s := rg.FromBytesFull(blk.Pad(local, 0, 8))
+					var pad0 [8]byte
+					pads.PadInto(0, pad0[:])
+					s := rg.FromBytesFull(pad0[:])
 					vrow[0] = rg.Add(vrow[0], s)
-					r := R.At(j, 0)
 					for t := 1; t < n; t++ {
-						m := rg.Sub(rg.Mul(vals[f][t], r), s)
-						copy(out[(t-1)*elemBytes:], xorRingElem(rg, m, blk.Pad(local, t, elemBytes)))
+						span := out[(t-1)*elemBytes : t*elemBytes]
+						rg.PutElem(span, rg.Sub(rg.Mul(vals[f][t], rrow[0]), s))
+						pads.XORPad(t, span)
 					}
-				case NaiveN:
-					// Fresh random s; all N ciphertexts sent.
-					s := masks[local]
-					vrow[0] = rg.Add(vrow[0], s)
-					r := R.At(j, 0)
-					for t := 0; t < n; t++ {
-						m := rg.Sub(rg.Mul(vals[f][t], r), s)
-						copy(out[t*elemBytes:], xorRingElem(rg, m, blk.Pad(local, t, elemBytes)))
+					continue
+				}
+				// One OT carries all o columns (NaiveN: the one column):
+				// fresh random s_k per column, all N ciphertexts sent,
+				// payload_t = concat_k (Value(t)*r_jk - s_k).
+				ss := masks[local*sh.O : (local+1)*sh.O]
+				rg.AddVecInPlace(vrow, ss)
+				for t := 0; t < n; t++ {
+					span := out[t*padBytes : (t+1)*padBytes]
+					for k := range ss {
+						rg.PutElem(span[k*elemBytes:], rg.Sub(rg.Mul(vals[f][t], rrow[k]), ss[k]))
 					}
-				case MultiBatch:
-					// One OT carries all o columns: random s_k per column,
-					// payload_t = concat_k (Value(t)*r_jk - s_k).
-					ss := masks[local*sh.O : (local+1)*sh.O]
-					rg.AddVecInPlace(vrow, ss)
-					rrow := R.Row(j)
-					for t := 0; t < n; t++ {
-						buf = buf[:0]
-						for k := 0; k < sh.O; k++ {
-							buf = rg.AppendElem(buf, rg.Sub(rg.Mul(vals[f][t], rrow[k]), ss[k]))
-						}
-						prg.XORBytes(out[t*padBytes:(t+1)*padBytes], buf, blk.Pad(local, t, padBytes))
-					}
+					pads.XORPad(t, span)
 				}
 			}
 		})
@@ -364,21 +348,15 @@ func (c *ClientTriplets) generateClient(params Params, vals [][]ring.Elem, sh Ma
 // global OT index base. Sizes depend only on public data (mode and the
 // fragment schedule), so both parties — and every worker — compute the
 // identical layout.
-func payloadOffsets(p Params, base, chunk int, mode Mode, elemBytes, padBytes int) []int {
+func payloadOffsets(p Params, base, chunk int, mode Mode, padBytes int) []int {
 	gamma := p.Scheme.Gamma()
 	offs := make([]int, chunk+1)
 	for local := 0; local < chunk; local++ {
 		n := p.Scheme.FragmentN((base + local) % gamma)
-		var ct int
-		switch mode {
-		case OneBatch:
-			ct = (n - 1) * elemBytes
-		case NaiveN:
-			ct = n * elemBytes
-		case MultiBatch:
-			ct = n * padBytes
+		if mode == OneBatch {
+			n-- // candidate 0 is the pad itself
 		}
-		offs[local+1] = offs[local] + ct
+		offs[local+1] = offs[local] + n*padBytes
 	}
 	return offs
 }
@@ -392,7 +370,10 @@ func (s *ServerTriplets) GenerateServer(sh MatShape, W []int64, mode Mode) (*rin
 // GenerateServerScheme is GenerateServer under a per-layer fragmentation
 // override; a nil scheme inherits the session scheme.
 func (s *ServerTriplets) GenerateServerScheme(sh MatShape, W []int64, mode Mode, sc quant.Scheme) (*ring.Mat, error) {
-	p, _ := s.schemeParams(sc)
+	p := s.params
+	if sc != nil {
+		p.Scheme = sc
+	}
 	return s.generateServer(p, sh, W, mode)
 }
 
@@ -515,17 +496,18 @@ func (s *ServerTriplets) generateServer(params Params, sh MatShape, W []int64, m
 		if err != nil {
 			return nil, fmt.Errorf("core: server recv payload: %w", err)
 		}
-		offs := payloadOffsets(params, ot, chunk, mode, elemBytes, padBytes)
+		offs := payloadOffsets(params, ot, chunk, mode, padBytes)
 		if len(payload) != offs[chunk] {
 			return nil, fmt.Errorf("core: payload is %d bytes, want %d", len(payload), offs[chunk])
 		}
 		// Mirror of the client kernel: workers decode disjoint payload
 		// spans into private partials of U, reduced below.
 		partials := make([]ring.Vec, par.NumChunks(params.Workers, chunk))
-		err = par.ChunksErr(params.Workers, chunk, func(part, lo, hi int) error {
+		par.Chunks(params.Workers, chunk, func(part, lo, hi int) {
 			pu := make(ring.Vec, sh.M*sh.O)
 			partials[part] = pu
 			pU := &ring.Mat{Rows: sh.M, Cols: sh.O, Data: pu}
+			pads := blk.NewDeriver()
 			buf := make([]byte, padBytes)
 			for local := lo; local < hi; local++ {
 				g := ot + local
@@ -533,33 +515,26 @@ func (s *ServerTriplets) generateServer(params Params, sh MatShape, W []int64, m
 				w := blk.Choice(local)
 				urow := pU.Row(i)
 				ct := payload[offs[local]:offs[local+1]]
-				switch mode {
-				case OneBatch:
+				pads.Seek(local)
+				if mode == OneBatch {
 					if w == 0 {
 						// Output -s where s = pad(0); Value(0)*r = 0.
-						sPad := rg.FromBytesFull(blk.Pad(local, 8))
-						urow[0] = rg.Add(urow[0], rg.Neg(sPad))
-					} else {
-						m := unxorRingElem(rg, ct[(w-1)*elemBytes:][:elemBytes], blk.Pad(local, elemBytes))
-						urow[0] = rg.Add(urow[0], m)
+						var pad0 [8]byte
+						pads.PadInto(pad0[:])
+						urow[0] = rg.Sub(urow[0], rg.FromBytesFull(pad0[:]))
+						continue
 					}
-				case NaiveN:
-					m := unxorRingElem(rg, ct[w*elemBytes:][:elemBytes], blk.Pad(local, elemBytes))
-					urow[0] = rg.Add(urow[0], m)
-				case MultiBatch:
-					prg.XORBytes(buf, ct[w*padBytes:(w+1)*padBytes], blk.Pad(local, padBytes))
-					vec, _, err := rg.DecodeVec(buf, sh.O)
-					if err != nil {
-						return fmt.Errorf("core: OT %d payload: %w", g, err)
-					}
-					rg.AddVecInPlace(urow, vec)
+					w-- // candidate 0 has no ciphertext on the wire
+				}
+				// Decrypt the chosen ciphertext in scratch: the received
+				// flight is left as it arrived.
+				copy(buf, ct[w*padBytes:(w+1)*padBytes])
+				pads.XORPad(buf)
+				for k := range urow {
+					urow[k] = rg.Add(urow[k], rg.GetElem(buf[k*elemBytes:]))
 				}
 			}
-			return nil
 		})
-		if err != nil {
-			return nil, err
-		}
 		for _, pu := range partials {
 			rg.AddVecInPlace(U.Data, pu)
 		}
@@ -578,23 +553,4 @@ func checkShape(sh MatShape, mode Mode) error {
 		return fmt.Errorf("core: %v mode requires o=1, got o=%d", mode, sh.O)
 	}
 	return nil
-}
-
-// xorRingElem returns the elemBytes-wide encoding of m XORed with pad.
-func xorRingElem(rg ring.Ring, m ring.Elem, pad []byte) []byte {
-	enc := rg.AppendElem(nil, m)
-	prg.XORBytes(enc, enc, pad[:len(enc)])
-	return enc
-}
-
-// unxorRingElem reverses xorRingElem.
-func unxorRingElem(rg ring.Ring, ct, pad []byte) ring.Elem {
-	buf := make([]byte, len(ct))
-	prg.XORBytes(buf, ct, pad[:len(ct)])
-	e, _, err := rg.DecodeElem(buf)
-	if err != nil {
-		// len(ct) is rg.Bytes() by construction; decoding cannot fail.
-		panic(err)
-	}
-	return e
 }

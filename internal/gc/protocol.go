@@ -116,13 +116,13 @@ func (g *Garbler) RunBatch(circs []*Circuit, bits [][]byte) error {
 // sendGarbled performs the communication half of Run: the label OT round
 // and the single garbled-material flight.
 func (g *Garbler) sendGarbled(c *Circuit, garbled *Garbled) error {
-	var blk *otext.SenderBlock
-	var err error
+	var pads *otext.SenderDeriver
 	if c.NumEvaluator > 0 {
-		blk, err = g.ot.Extend(c.NumEvaluator)
+		blk, err := g.ot.Extend(c.NumEvaluator)
 		if err != nil {
 			return fmt.Errorf("gc: label OT: %w", err)
 		}
+		pads = blk.NewDeriver()
 	}
 	msg := make([]byte, 0, len(garbled.Tables)+
 		c.NumGarbler*LabelSize+(len(c.Outputs)+7)/8+c.NumEvaluator*2*LabelSize)
@@ -132,13 +132,11 @@ func (g *Garbler) sendGarbled(c *Circuit, garbled *Garbled) error {
 	}
 	msg = append(msg, packBits(garbled.Decode)...)
 	for i := 0; i < c.NumEvaluator; i++ {
-		var ct0, ct1 Label
-		pad0 := blk.Pad(i, 0, LabelSize)
-		pad1 := blk.Pad(i, 1, LabelSize)
-		prg.XORBytes(ct0[:], garbled.EvalPairs[i][0][:], pad0)
-		prg.XORBytes(ct1[:], garbled.EvalPairs[i][1][:], pad1)
-		msg = append(msg, ct0[:]...)
-		msg = append(msg, ct1[:]...)
+		pads.Seek(i)
+		for v, label := range garbled.EvalPairs[i] {
+			msg = append(msg, label[:]...)
+			pads.XORPad(v, msg[len(msg)-LabelSize:])
+		}
 	}
 	if err := g.conn.Send(msg); err != nil {
 		return fmt.Errorf("gc: send garbled material: %w", err)
@@ -204,17 +202,17 @@ func (e *Evaluator) recvGarbled(c *Circuit, evalBits []byte) (received, error) {
 	if len(evalBits) != c.NumEvaluator {
 		return received{}, fmt.Errorf("gc: %d evaluator bits for %d wires", len(evalBits), c.NumEvaluator)
 	}
-	var blk *otext.ReceiverBlock
+	var pads *otext.ReceiverDeriver
 	if c.NumEvaluator > 0 {
 		choices := make([]int, len(evalBits))
 		for i, b := range evalBits {
 			choices[i] = int(b & 1)
 		}
-		var err error
-		blk, err = e.ot.Extend(choices)
+		blk, err := e.ot.Extend(choices)
 		if err != nil {
 			return received{}, fmt.Errorf("gc: label OT: %w", err)
 		}
+		pads = blk.NewDeriver()
 	}
 	msg, err := e.conn.Recv()
 	if err != nil {
@@ -238,9 +236,9 @@ func (e *Evaluator) recvGarbled(c *Circuit, evalBits []byte) (received, error) {
 	evalLabels := make([]Label, c.NumEvaluator)
 	for i := range evalLabels {
 		b := evalBits[i] & 1
-		ct := msg[off+int(b)*LabelSize : off+int(b)*LabelSize+LabelSize]
-		pad := blk.Pad(i, LabelSize)
-		prg.XORBytes(evalLabels[i][:], ct, pad)
+		copy(evalLabels[i][:], msg[off+int(b)*LabelSize:])
+		pads.Seek(i)
+		pads.XORPad(evalLabels[i][:])
 		off += 2 * LabelSize
 	}
 	return received{tables: tables, garblerLabels: garblerLabels, evalLabels: evalLabels, decode: decode}, nil

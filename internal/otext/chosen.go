@@ -43,18 +43,18 @@ func (s *Sender) SendChosen(msgs [][][]byte, msgLen int) error {
 	}
 	n := s.code.N()
 	out := make([]byte, 0, m*n*msgLen)
+	d := blk.NewDeriver()
 	for j := 0; j < m; j++ {
 		if len(msgs[j]) != n {
 			return fmt.Errorf("otext: OT %d has %d messages, want %d", j, len(msgs[j]), n)
 		}
+		d.Seek(j)
 		for v := 0; v < n; v++ {
 			if len(msgs[j][v]) != msgLen {
 				return fmt.Errorf("otext: OT %d message %d has %d bytes, want %d", j, v, len(msgs[j][v]), msgLen)
 			}
-			pad := blk.Pad(j, v, msgLen)
-			ct := make([]byte, msgLen)
-			prg.XORBytes(ct, msgs[j][v], pad)
-			out = append(out, ct...)
+			out = append(out, msgs[j][v]...)
+			d.XORPad(v, out[len(out)-msgLen:])
 		}
 	}
 	return s.conn.Send(out)
@@ -76,12 +76,11 @@ func (r *Receiver) RecvChosen(choices []int, msgLen int) ([][]byte, error) {
 		return nil, fmt.Errorf("otext: ciphertexts are %d bytes, want %d", len(cts), m*n*msgLen)
 	}
 	out := make([][]byte, m)
+	d := blk.NewDeriver()
 	for j := 0; j < m; j++ {
-		ct := cts[(j*n+choices[j])*msgLen:][:msgLen]
-		pad := blk.Pad(j, msgLen)
-		msg := make([]byte, msgLen)
-		prg.XORBytes(msg, ct, pad)
-		out[j] = msg
+		out[j] = append([]byte(nil), cts[(j*n+choices[j])*msgLen:][:msgLen]...)
+		d.Seek(j)
+		d.XORPad(out[j])
 	}
 	return out, nil
 }
@@ -105,9 +104,14 @@ func (s *Sender) SendCorrelatedRing(rg ring.Ring, deltas ring.Vec) (x0 ring.Vec,
 	}
 	x0 = make(ring.Vec, m)
 	buf := make([]byte, 0, rg.VecBytes(m))
+	d := blk.NewDeriver()
+	var pad [2][8]byte
 	for j := 0; j < m; j++ {
-		p0 := rg.FromBytesFull(blk.Pad(j, 0, 8))
-		p1 := rg.FromBytesFull(blk.Pad(j, 1, 8))
+		d.Seek(j)
+		d.PadInto(0, pad[0][:])
+		d.PadInto(1, pad[1][:])
+		p0 := rg.FromBytesFull(pad[0][:])
+		p1 := rg.FromBytesFull(pad[1][:])
 		x0[j] = p0
 		// Correction: c = x0 + delta - p1; a choice-1 receiver computes
 		// p1 + c = x0 + delta.
@@ -140,13 +144,17 @@ func (r *Receiver) RecvCorrelatedRing(rg ring.Ring, choiceBits []byte) (ring.Vec
 		return nil, fmt.Errorf("otext: recv corrections: %w", err)
 	}
 	out := make(ring.Vec, m)
+	d := blk.NewDeriver()
+	var pad [8]byte
 	for j := 0; j < m; j++ {
 		var c ring.Elem
 		c, raw, err = rg.DecodeElem(raw)
 		if err != nil {
 			return nil, fmt.Errorf("otext: correction %d: %w", j, err)
 		}
-		p := rg.FromBytesFull(blk.Pad(j, 8))
+		d.Seek(j)
+		d.PadInto(pad[:])
+		p := rg.FromBytesFull(pad[:])
 		if choices[j] == 1 {
 			out[j] = rg.Add(p, c)
 		} else {
@@ -166,10 +174,13 @@ func (s *Sender) SendRandom(m, nbytes int) ([][][]byte, error) {
 	}
 	n := s.code.N()
 	out := make([][][]byte, m)
+	d := blk.NewDeriver()
 	for j := 0; j < m; j++ {
 		out[j] = make([][]byte, n)
+		d.Seek(j)
 		for v := 0; v < n; v++ {
-			out[j][v] = blk.Pad(j, v, nbytes)
+			out[j][v] = make([]byte, nbytes)
+			d.XORPad(v, out[j][v])
 		}
 	}
 	return out, nil
@@ -182,8 +193,11 @@ func (r *Receiver) RecvRandom(choices []int, nbytes int) ([][]byte, error) {
 		return nil, err
 	}
 	out := make([][]byte, len(choices))
+	d := blk.NewDeriver()
 	for j := range choices {
-		out[j] = blk.Pad(j, nbytes)
+		out[j] = make([]byte, nbytes)
+		d.Seek(j)
+		d.XORPad(out[j])
 	}
 	return out, nil
 }

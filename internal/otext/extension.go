@@ -1,8 +1,8 @@
 package otext
 
 import (
+	"crypto/subtle"
 	"fmt"
-	"sync"
 
 	"abnn2/internal/bitmat"
 	"abnn2/internal/par"
@@ -23,9 +23,11 @@ type Sender struct {
 	code    Code
 	session uint64
 	s       []byte // secret column-selection bits, WidthBits/8 bytes
+	masks   []byte // C(v) AND s for v in [0, N), WidthBits/8 bytes each
 	cols    []*prg.PRG
 	counter uint64
 	workers int
+	qCols   *bitmat.Matrix // Extend's column-side scratch, reused across calls
 }
 
 // Receiver is the OT-extension receiver: the party whose per-OT choice
@@ -39,6 +41,10 @@ type Receiver struct {
 	cols1   []*prg.PRG
 	counter uint64
 	workers int
+	// Extend's code-side and column-side scratch, reused across calls.
+	// The row matrix t is not among them: the block Extend returns owns
+	// it, and several blocks are alive at once.
+	codeRows, codeCols, tCols *bitmat.Matrix
 }
 
 // SetWorkers bounds the kernel parallelism of Extend (column PRG
@@ -69,7 +75,15 @@ func NewSender(conn transport.Conn, code Code, session uint64, rng *prg.PRG) (*S
 	for i := range cols {
 		cols[i] = prg.New(seeds[i])
 	}
-	return &Sender{conn: conn, code: code, session: session, s: s, cols: cols}, nil
+	masks := make([]byte, code.N()*w/8)
+	for v := 0; v < code.N(); v++ {
+		mv := masks[v*w/8 : (v+1)*w/8]
+		code.Encode(v, mv)
+		for k := range mv {
+			mv[k] &= s[k]
+		}
+	}
+	return &Sender{conn: conn, code: code, session: session, s: s, masks: masks, cols: cols}, nil
 }
 
 // NewReceiver performs the base-OT setup for the receiving role, sending
@@ -95,23 +109,14 @@ func NewReceiver(conn transport.Conn, code Code, session uint64, rng *prg.PRG) (
 }
 
 // SenderBlock holds the sender's state for one Extend round of m OTs: the
-// rows q_j from which pads for any choice value are derived.
+// rows q_j from which pads for any choice value are derived. It is
+// read-only after Extend, so any number of SenderDerivers may read it
+// concurrently.
 type SenderBlock struct {
 	s    *Sender
 	q    *bitmat.Matrix // m_pad x w
 	base uint64         // counter value of OT 0 in this block
 	m    int
-	// Pad is on the hot path and called concurrently by the parallel
-	// triplet kernels; per-call buffers come from a pool so the hot loop
-	// allocates nothing and goroutines never share scratch space.
-	scratch sync.Pool // *padScratch
-}
-
-// padScratch holds the per-goroutine codeword and masked-row buffers of
-// SenderBlock.Pad.
-type padScratch struct {
-	code   []byte
-	masked []byte
 }
 
 // ReceiverBlock holds the receiver's state for one Extend round: rows t_j
@@ -143,7 +148,8 @@ func (r *Receiver) Extend(choices []int) (*ReceiverBlock, error) {
 		}
 	}
 	// Code matrix: row j = C(choices[j]); padding rows use choice 0.
-	codeRows := bitmat.New(mPad, w)
+	r.codeRows = bitmat.Resized(r.codeRows, mPad, w)
+	codeRows := r.codeRows
 	par.Map(r.workers, mPad, func(j int) {
 		c := 0
 		if j < m {
@@ -151,26 +157,25 @@ func (r *Receiver) Extend(choices []int) (*ReceiverBlock, error) {
 		}
 		r.code.Encode(c, codeRows.Row(j))
 	})
-	codeCols := bitmat.TransposePar(codeRows, r.workers) // w x mPad
+	r.codeCols = bitmat.Resized(r.codeCols, w, mPad)
+	codeCols := r.codeCols
+	bitmat.TransposeInto(codeCols, codeRows, r.workers)
 
 	// Column streams: t_i from seed0, u_i = t_i XOR PRG1_i XOR c_i.
 	// Each column owns its pair of PRGs, so columns expand independently
 	// on the worker pool; the per-column PRG states advance exactly as
-	// they would sequentially, keeping the wire bytes identical.
-	tCols := bitmat.New(w, mPad)
+	// they would sequentially, keeping the wire bytes identical. u is
+	// handed to the transport, which may keep it, so it is never reused.
+	r.tCols = bitmat.Resized(r.tCols, w, mPad)
+	tCols := r.tCols
 	u := make([]byte, w*mBytes)
-	par.Chunks(r.workers, w, func(_, lo, hi int) {
-		tmp := make([]byte, mBytes)
-		for i := lo; i < hi; i++ {
-			ti := tCols.Row(i)
-			r.cols0[i].Fill(ti)
-			ui := u[i*mBytes : (i+1)*mBytes]
-			r.cols1[i].Fill(tmp)
-			ci := codeCols.Row(i)
-			for k := 0; k < mBytes; k++ {
-				ui[k] = ti[k] ^ tmp[k] ^ ci[k]
-			}
-		}
+	par.Map(r.workers, w, func(i int) {
+		ti := tCols.Row(i)
+		r.cols0[i].Fill(ti)
+		ui := u[i*mBytes : (i+1)*mBytes]
+		r.cols1[i].Fill(ui)
+		subtle.XORBytes(ui, ui, ti)
+		subtle.XORBytes(ui, ui, codeCols.Row(i))
 	})
 	if err := r.conn.Send(u); err != nil {
 		return nil, fmt.Errorf("otext: send u matrix: %w", err)
@@ -202,15 +207,13 @@ func (s *Sender) Extend(m int) (*SenderBlock, error) {
 	if len(u) != w*mBytes {
 		return nil, fmt.Errorf("otext: u matrix is %d bytes, want %d", len(u), w*mBytes)
 	}
-	qCols := bitmat.New(w, mPad)
+	s.qCols = bitmat.Resized(s.qCols, w, mPad)
+	qCols := s.qCols
 	par.Map(s.workers, w, func(i int) {
 		qi := qCols.Row(i)
 		s.cols[i].Fill(qi)
 		if (s.s[i/8]>>(uint(i)%8))&1 == 1 {
-			ui := u[i*mBytes : (i+1)*mBytes]
-			for k := 0; k < mBytes; k++ {
-				qi[k] ^= ui[k]
-			}
+			subtle.XORBytes(qi, qi, u[i*mBytes:(i+1)*mBytes])
 		}
 	})
 	blk := &SenderBlock{
@@ -234,37 +237,77 @@ func (r *Receiver) Conn() transport.Conn { return r.conn }
 func (b *SenderBlock) Count() int   { return b.m }
 func (b *ReceiverBlock) Count() int { return b.m }
 
-// Pad returns nbytes of pad material for OT index j and candidate choice
-// value v: H(session, counter_j, q_j XOR (C(v) AND s)). The receiver can
-// compute the same bytes only for v equal to its choice at j. Safe for
-// concurrent use, so payload derivation can fan out across OT indices.
-func (b *SenderBlock) Pad(j, v int, nbytes int) []byte {
-	if j < 0 || j >= b.m {
-		panic(fmt.Sprintf("otext: pad index %d out of range [0,%d)", j, b.m))
-	}
-	row := b.q.Row(j)
-	ps, _ := b.scratch.Get().(*padScratch)
-	if ps == nil {
-		ps = &padScratch{code: make([]byte, b.s.code.WidthBits()/8), masked: make([]byte, len(row))}
-	}
-	b.s.code.Encode(v, ps.code)
-	sbits := b.s.s
-	for k := range row {
-		ps.masked[k] = row[k] ^ (ps.code[k] & sbits[k])
-	}
-	out := oracle.Hash(b.s.session, b.base+uint64(j), 0, ps.masked, nbytes)
-	b.scratch.Put(ps)
-	return out
+// SenderDeriver derives the pads of one SenderBlock for one goroutine:
+// Seek(j) selects an OT and absorbs its oracle header once, after which
+// each of the N candidates costs only the data blocks and the expansion.
+// For OT j and candidate v the pad is H(session, counter_j,
+// q_j XOR (C(v) AND s)); the receiver can compute the same bytes only for
+// v equal to its choice at j.
+type SenderDeriver struct {
+	b      *SenderBlock
+	h      prg.Deriver
+	row    []byte // q_j of the OT Seek selected
+	masked []byte // scratch for q_j XOR (C(v) AND s)
 }
 
-// Pad returns nbytes of pad material for OT index j, valid for the choice
-// the receiver made at that index: H(session, counter_j, t_j). Safe for
-// concurrent use (the block is read-only after Extend).
-func (b *ReceiverBlock) Pad(j, nbytes int) []byte {
-	if j < 0 || j >= b.m {
-		panic(fmt.Sprintf("otext: pad index %d out of range [0,%d)", j, b.m))
+// NewDeriver returns a deriver over b. Derivers are cheap; concurrent
+// kernels take one per goroutine rather than sharing.
+func (b *SenderBlock) NewDeriver() *SenderDeriver {
+	return &SenderDeriver{b: b, h: oracle.Deriver(), masked: make([]byte, b.q.Stride)}
+}
+
+// Seek selects OT index j for the following PadInto and XORPad calls.
+func (d *SenderDeriver) Seek(j int) {
+	if j < 0 || j >= d.b.m {
+		panic(fmt.Sprintf("otext: pad index %d out of range [0,%d)", j, d.b.m))
 	}
-	return oracle.Hash(b.r.session, b.base+uint64(j), 0, b.t.Row(j), nbytes)
+	d.row = d.b.q.Row(j)
+	d.h.Header(d.b.s.session, d.b.base+uint64(j), 0, len(d.row))
+}
+
+// XORPad XORs len(dst) pad bytes for candidate v of the selected OT into
+// dst.
+func (d *SenderDeriver) XORPad(v int, dst []byte) {
+	w := len(d.masked)
+	subtle.XORBytes(d.masked, d.row, d.b.s.masks[v*w:(v+1)*w])
+	d.h.XORPad(dst, d.masked)
+}
+
+// PadInto overwrites dst with pad bytes for candidate v of the selected OT.
+func (d *SenderDeriver) PadInto(v int, dst []byte) {
+	clear(dst)
+	d.XORPad(v, dst)
+}
+
+// ReceiverDeriver is the receiving side's SenderDeriver: the one pad per
+// OT valid for the choice made at that index, H(session, counter_j, t_j).
+type ReceiverDeriver struct {
+	b   *ReceiverBlock
+	h   prg.Deriver
+	row []byte // t_j of the OT Seek selected
+}
+
+// NewDeriver returns a deriver over b, one per goroutine.
+func (b *ReceiverBlock) NewDeriver() *ReceiverDeriver {
+	return &ReceiverDeriver{b: b, h: oracle.Deriver()}
+}
+
+// Seek selects OT index j for the following PadInto and XORPad calls.
+func (d *ReceiverDeriver) Seek(j int) {
+	if j < 0 || j >= d.b.m {
+		panic(fmt.Sprintf("otext: pad index %d out of range [0,%d)", j, d.b.m))
+	}
+	d.row = d.b.t.Row(j)
+	d.h.Header(d.b.r.session, d.b.base+uint64(j), 0, len(d.row))
+}
+
+// XORPad XORs len(dst) pad bytes of the selected OT into dst.
+func (d *ReceiverDeriver) XORPad(dst []byte) { d.h.XORPad(dst, d.row) }
+
+// PadInto overwrites dst with pad bytes of the selected OT.
+func (d *ReceiverDeriver) PadInto(dst []byte) {
+	clear(dst)
+	d.XORPad(dst)
 }
 
 // Choice returns the receiver's choice at index j.

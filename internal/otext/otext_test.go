@@ -91,6 +91,165 @@ func TestCodeForSelection(t *testing.T) {
 	}
 }
 
+// senderPad and receiverPad derive one pad through a fresh deriver.
+func senderPad(b *SenderBlock, j, v, n int) []byte {
+	d := b.NewDeriver()
+	d.Seek(j)
+	out := make([]byte, n)
+	d.PadInto(v, out)
+	return out
+}
+
+func receiverPad(b *ReceiverBlock, j, n int) []byte {
+	d := b.NewDeriver()
+	d.Seek(j)
+	out := make([]byte, n)
+	d.PadInto(out)
+	return out
+}
+
+// TestDeriversMatchOracleDefinition pins the pads to their definition,
+// H(session, counter_j, q_j XOR (C(v) AND s)) and H(session, counter_j,
+// t_j), evaluated through the public FastOracle.Hash with the codeword
+// taken from Code.Encode. The derivers are reused across OTs, visit the
+// candidates out of order, and two of them alternate over two OTs, so
+// nothing a deriver caches may leak from one query into the next.
+func TestDeriversMatchOracleDefinition(t *testing.T) {
+	for _, code := range []Code{RepetitionCode(), WalshHadamardCode(16)} {
+		snd, rcv, _, done := setupPair(t, code)
+		n := code.N()
+		g := prg.New(prg.SeedFromInt(uint64(n)))
+		const m = 21 // not a multiple of 8: the block is padded
+		choices := make([]int, m)
+		for i := range choices {
+			choices[i] = g.Intn(n)
+		}
+		var (
+			sb *SenderBlock
+			wg sync.WaitGroup
+		)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sb, _ = snd.Extend(m)
+		}()
+		rb, err := rcv.Extend(choices)
+		wg.Wait()
+		if err != nil || sb == nil {
+			t.Fatalf("n=%d: extend failed: %v", n, err)
+		}
+		wantSender := func(j, v, nbytes int) []byte {
+			cw := make([]byte, code.WidthBits()/8)
+			code.Encode(v, cw)
+			data := make([]byte, len(cw))
+			for k, q := range sb.q.Row(j) {
+				data[k] = q ^ cw[k]&snd.s[k]
+			}
+			return oracle.Hash(snd.session, sb.base+uint64(j), 0, data, nbytes)
+		}
+		sd := [2]*SenderDeriver{sb.NewDeriver(), sb.NewDeriver()}
+		rd := rb.NewDeriver()
+		for j := m - 1; j >= 1; j-- {
+			ots := [2]int{j, j - 1}
+			for i, d := range sd {
+				d.Seek(ots[i])
+			}
+			for step := 0; step < 2*n; step++ {
+				v := (n - 1 - step*3%n + n) % n
+				for i, d := range sd {
+					nbytes := 1 + (step*7+j)%40
+					got := make([]byte, nbytes)
+					d.PadInto(v, got)
+					if !bytes.Equal(got, wantSender(ots[i], v, nbytes)) {
+						t.Fatalf("n=%d OT %d candidate %d: sender pad differs from its definition", n, ots[i], v)
+					}
+				}
+			}
+			rd.Seek(j)
+			got := make([]byte, 24)
+			rd.PadInto(got)
+			if want := oracle.Hash(rcv.session, rb.base+uint64(j), 0, rb.t.Row(j), 24); !bytes.Equal(got, want) {
+				t.Fatalf("n=%d OT %d: receiver pad differs from its definition", n, j)
+			}
+			if !bytes.Equal(got, wantSender(j, choices[j], 24)) {
+				t.Fatalf("n=%d OT %d: receiver pad is not the sender's pad for the choice", n, j)
+			}
+		}
+		done()
+	}
+}
+
+// TestPadDerivationAllocatesNothing: once a goroutine holds its derivers,
+// the pads of a whole 4096-OT chunk (every candidate on the sending side)
+// cost no allocation at all.
+func TestPadDerivationAllocatesNothing(t *testing.T) {
+	const m, n = 4096, 4
+	snd, rcv, _, done := setupPair(t, WalshHadamardCode(n))
+	defer done()
+	var (
+		sb *SenderBlock
+		wg sync.WaitGroup
+	)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		sb, _ = snd.Extend(m)
+	}()
+	rb, err := rcv.Extend(make([]int, m))
+	wg.Wait()
+	if err != nil || sb == nil {
+		t.Fatalf("extend failed: %v", err)
+	}
+	sd, rd := sb.NewDeriver(), rb.NewDeriver()
+	pad := make([]byte, 20)
+	allocs := testing.AllocsPerRun(3, func() {
+		for j := 0; j < m; j++ {
+			sd.Seek(j)
+			for v := 0; v < n; v++ {
+				sd.XORPad(v, pad)
+			}
+			rd.Seek(j)
+			rd.PadInto(pad)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("deriving the pads of %d OTs made %v allocations, want 0", m, allocs)
+	}
+}
+
+func TestDeriverSeekOutOfRangePanics(t *testing.T) {
+	snd, rcv, _, done := setupPair(t, RepetitionCode())
+	defer done()
+	var (
+		sb *SenderBlock
+		wg sync.WaitGroup
+	)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		sb, _ = snd.Extend(3)
+	}()
+	rb, err := rcv.Extend([]int{0, 1, 0})
+	wg.Wait()
+	if err != nil || sb == nil {
+		t.Fatalf("extend failed: %v", err)
+	}
+	// Index 3 exists in the padded matrix but is not an OT of the block.
+	for name, seek := range map[string]func(){
+		"sender":   func() { sb.NewDeriver().Seek(3) },
+		"receiver": func() { rb.NewDeriver().Seek(-1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Seek out of range did not panic", name)
+				}
+			}()
+			seek()
+		}()
+	}
+}
+
 func TestPadAgreement1of2(t *testing.T) {
 	snd, rcv, _, done := setupPair(t, RepetitionCode())
 	defer done()
@@ -111,12 +270,12 @@ func TestPadAgreement1of2(t *testing.T) {
 		t.Fatalf("extend: %v %v", err, rerr)
 	}
 	for j, c := range choices {
-		want := sb.Pad(j, c, 32)
-		got := rb.Pad(j, 32)
+		want := senderPad(sb, j, c, 32)
+		got := receiverPad(rb, j, 32)
 		if !bytes.Equal(want, got) {
 			t.Fatalf("OT %d: pads disagree for chosen value", j)
 		}
-		other := sb.Pad(j, 1-c, 32)
+		other := senderPad(sb, j, 1-c, 32)
 		if bytes.Equal(other, got) {
 			t.Fatalf("OT %d: receiver pad matches unchosen value", j)
 		}
@@ -147,11 +306,11 @@ func TestPadAgreement1ofN(t *testing.T) {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 		for j, c := range choices {
-			if !bytes.Equal(sb.Pad(j, c, 16), rb.Pad(j, 16)) {
+			if !bytes.Equal(senderPad(sb, j, c, 16), receiverPad(rb, j, 16)) {
 				t.Fatalf("n=%d OT %d: pad mismatch", n, j)
 			}
 			for v := 0; v < n; v++ {
-				if v != c && bytes.Equal(sb.Pad(j, v, 16), rb.Pad(j, 16)) {
+				if v != c && bytes.Equal(senderPad(sb, j, v, 16), receiverPad(rb, j, 16)) {
 					t.Fatalf("n=%d OT %d: pad for %d collides with choice %d", n, j, v, c)
 				}
 			}
@@ -180,7 +339,7 @@ func TestSequentialExtendsIndependent(t *testing.T) {
 			t.Fatalf("round %d: %v", round, err)
 		}
 		for j, c := range choices {
-			if !bytes.Equal(sb.Pad(j, c, 16), rb.Pad(j, 16)) {
+			if !bytes.Equal(senderPad(sb, j, c, 16), receiverPad(rb, j, 16)) {
 				t.Fatalf("round %d OT %d mismatch", round, j)
 			}
 		}

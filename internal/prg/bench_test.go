@@ -1,6 +1,10 @@
 package prg
 
-import "testing"
+import (
+	"testing"
+
+	"abnn2/internal/ring"
+)
 
 func BenchmarkPRGFill4KiB(b *testing.B) {
 	g := New(SeedFromInt(1))
@@ -28,5 +32,44 @@ func BenchmarkOracleHash512(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = o.Hash(1, uint64(i), 0, data, 512)
+	}
+}
+
+// The public wrapper: one OT-extension-shaped query (a 32-byte KK13 row
+// in, one 16-byte block out) including its header blocks.
+func BenchmarkFastOracleHash(b *testing.B) {
+	o := NewFastOracle("bench")
+	data := make([]byte, 32)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = o.Hash(1, uint64(i), 0, data, 16)
+	}
+}
+
+// The same query through a Deriver, four candidates per header as in a
+// 1-out-of-4 OT; one op is one candidate pad.
+func BenchmarkDeriverXORPad(b *testing.B) {
+	d := NewFastOracle("bench").Deriver()
+	data := make([]byte, 32)
+	var pad [16]byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%4 == 0 {
+			d.Header(1, uint64(i), 0, len(data))
+		}
+		d.XORPad(pad[:], data)
+	}
+}
+
+func BenchmarkVec4096(b *testing.B) {
+	g := New(SeedFromInt(1))
+	rg := ring.New(32)
+	b.SetBytes(4096 * 8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = g.Vec(rg, 4096)
 	}
 }

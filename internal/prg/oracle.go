@@ -25,8 +25,8 @@ func NewOracle(label string) *Oracle {
 	return &Oracle{label: []byte(label)}
 }
 
-// Hash returns min(n, 32) oracle bytes for the query (session, index,
-// tweak, data). For n > 32 it extends output with counter-mode hashing.
+// Hash returns n oracle bytes for the query (session, index, tweak,
+// data): SHA-256 in counter mode, 32 bytes per counter value.
 func (o *Oracle) Hash(session uint64, index uint64, tweak uint64, data []byte, n int) []byte {
 	out := make([]byte, 0, n)
 	var hdr [24]byte

@@ -1,6 +1,7 @@
 // Package prg provides the symmetric-key primitives the protocols are
-// built from: an AES-CTR pseudorandom generator and a SHA-256-based random
-// oracle with explicit domain separation.
+// built from: an AES-CTR pseudorandom generator and two random oracles
+// with explicit domain separation, the SHA-256 Oracle and the
+// fixed-key-AES FastOracle that the OT-extension pads are drawn from.
 //
 // Protocol code never touches crypto/rand directly except through NewSeed;
 // all other randomness is expanded from seeds so that tests and benchmarks
@@ -49,6 +50,8 @@ func SeedFromInt(v uint64) Seed {
 // It is not safe for concurrent use.
 type PRG struct {
 	stream cipher.Stream
+	word   [8]byte // Uint64's keystream operand; a local would escape through the Stream interface
+	buf    []byte  // keystream scratch of Vec and Mat, grown on demand
 }
 
 // New returns a PRG expanding the given seed.
@@ -86,9 +89,9 @@ func (g *PRG) Read(p []byte) (int, error) {
 
 // Uint64 returns a pseudorandom 64-bit value.
 func (g *PRG) Uint64() uint64 {
-	var buf [8]byte
-	g.stream.XORKeyStream(buf[:], buf[:])
-	return binary.LittleEndian.Uint64(buf[:])
+	g.word = [8]byte{}
+	g.stream.XORKeyStream(g.word[:], g.word[:])
+	return binary.LittleEndian.Uint64(g.word[:])
 }
 
 // Elem samples a uniform element of r.
@@ -99,21 +102,34 @@ func (g *PRG) Elem(r ring.Ring) ring.Elem {
 // Vec samples a uniform n-element vector over r.
 func (g *PRG) Vec(r ring.Ring, n int) ring.Vec {
 	v := make(ring.Vec, n)
-	mask := r.Mask()
-	for i := range v {
-		v[i] = g.Uint64() & mask
-	}
+	g.fillElems(r, v)
 	return v
 }
 
 // Mat samples a uniform rows x cols matrix over r.
 func (g *PRG) Mat(r ring.Ring, rows, cols int) *ring.Mat {
 	m := ring.NewMat(rows, cols)
-	mask := r.Mask()
-	for i := range m.Data {
-		m.Data[i] = g.Uint64() & mask
-	}
+	g.fillElems(r, m.Data)
 	return m
+}
+
+// fillElems sets every element of v to what Elem would return next. CTR
+// keystream is a stream, so drawing it bulkBytes at a time yields the
+// bytes of len(v) Uint64 calls and leaves the PRG in the same state.
+func (g *PRG) fillElems(r ring.Ring, v []ring.Elem) {
+	const bulkBytes = 8 << 10
+	if need := min(len(v)*8, bulkBytes); cap(g.buf) < need {
+		g.buf = make([]byte, need)
+	}
+	mask := r.Mask()
+	for len(v) > 0 {
+		buf := g.buf[:min(len(v)*8, bulkBytes)]
+		g.Fill(buf)
+		for i := 0; i < len(buf); i += 8 {
+			v[i/8] = binary.LittleEndian.Uint64(buf[i:]) & mask
+		}
+		v = v[len(buf)/8:]
+	}
 }
 
 // Intn returns a pseudorandom value in [0, n). n must be positive.

@@ -68,13 +68,20 @@ func MaxAbs(ws []float64) float64 {
 
 // DecomposeAll decomposes a slice of quantized weights, returning a
 // gamma-per-weight choice matrix: choices[j] are the fragment indices of
-// weight j. It fails fast on any out-of-range weight.
+// weight j. It fails fast on any out-of-range weight. A layer holds far
+// more weights than distinct values, so equal weights share one row:
+// callers must not modify the rows.
 func DecomposeAll(s Scheme, ws []int64) ([][]int, error) {
 	out := make([][]int, len(ws))
+	rows := make(map[int64][]int)
 	for j, w := range ws {
-		c, err := s.Decompose(w)
-		if err != nil {
-			return nil, fmt.Errorf("quant: weight %d: %w", j, err)
+		c, ok := rows[w]
+		if !ok {
+			var err error
+			if c, err = s.Decompose(w); err != nil {
+				return nil, fmt.Errorf("quant: weight %d: %w", j, err)
+			}
+			rows[w] = c
 		}
 		out[j] = c
 	}

@@ -17,6 +17,23 @@ func (r Ring) AppendElem(dst []byte, x Elem) []byte {
 	return append(dst, buf[:r.Bytes()]...)
 }
 
+// PutElem writes the encoding of x over the first Bytes() bytes of dst,
+// for a caller that laid the buffer out itself.
+func (r Ring) PutElem(dst []byte, x Elem) {
+	var buf [8]byte
+	binary.LittleEndian.PutUint64(buf[:], x&r.mask)
+	copy(dst[:r.Bytes()], buf[:])
+}
+
+// GetElem reads the element encoded in the first Bytes() bytes of src. It
+// is PutElem's inverse for a buffer whose length the caller has already
+// checked; bytes that cross a trust boundary unchecked go to DecodeElem.
+func (r Ring) GetElem(src []byte) Elem {
+	var buf [8]byte
+	copy(buf[:], src[:r.Bytes()])
+	return binary.LittleEndian.Uint64(buf[:]) & r.mask
+}
+
 // AppendVec appends every element of v to dst.
 func (r Ring) AppendVec(dst []byte, v Vec) []byte {
 	for _, x := range v {
@@ -33,9 +50,7 @@ func (r Ring) DecodeElem(src []byte) (Elem, []byte, error) {
 	if len(src) < n {
 		return 0, nil, fmt.Errorf("ring: short element encoding: have %d bytes, want %d", len(src), n)
 	}
-	var buf [8]byte
-	copy(buf[:], src[:n])
-	return binary.LittleEndian.Uint64(buf[:]) & r.mask, src[n:], nil
+	return r.GetElem(src), src[n:], nil
 }
 
 // DecodeVec reads count elements from src.

@@ -251,4 +251,10 @@ func main() {
 		{[]byte{}},
 	}
 	writeCorpus("internal/plan/testdata/fuzz/FuzzUnmarshalPlan", planEntries)
+
+	// Pad deriver: a KK13-shaped query — 26 header bytes (session, index,
+	// tweak, output length) and one 32-byte row — so mutation starts on
+	// the path every triplet OT takes. Drawn last: g's earlier output
+	// feeds the corpora above.
+	writeCorpus("internal/prg/testdata/fuzz/FuzzPadDeriverMatchesHash", []entry{{g.Bytes(26), g.Bytes(32)}})
 }
