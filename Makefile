@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race bench perf-smoke benchdiff tables ablations accuracy bank bank-durable conformance plan fuzz corpus chaos loadtest crashtest clean
+.PHONY: all build test vet race bench perf-smoke tables ablations accuracy conformance fuzz corpus chaos loadtest crashtest clean
 
 all: build test
 
@@ -15,7 +15,10 @@ vet:
 test: vet
 	$(GO) test ./...
 
-# Full suite under the race detector (the concurrency test tier).
+# Full suite under the race detector: the concurrency tier, and — being
+# every test there is — also the correlation-bank, durable-bank and
+# planner tiers (bank and store unit tests, banked/peer-banked/mixed-plan
+# 40-seed sweeps, remote offline suite, serve handshake tests).
 race:
 	$(GO) test -race ./...
 
@@ -33,13 +36,6 @@ perf-smoke:
 	bash benchmark/run.sh --workload mlp_b1_wan --seed 1 --seconds 5 --trace 0 | tail -n 1 | grep -q '"correct":true'
 	bash benchmark/run.sh --workload mlp_b1_lan --seed 1 --seconds 5 --trace 0 | tail -n 1 | grep -q '"correct":true'
 
-# Bench regression gate: re-measure the bank split and durable start-up
-# on this machine, normalize away machine speed via the offline-heavy
-# rows, and fail on >20% online-path regression against the checked-in
-# BENCH_*.json baselines (threshold via BENCHDIFF_THRESHOLD).
-benchdiff:
-	GO="$(GO)" scripts/benchdiff.sh
-
 # Full paper tables (can take tens of minutes on one core).
 tables:
 	$(GO) run ./cmd/abnn2-bench
@@ -49,29 +45,6 @@ ablations:
 
 accuracy:
 	$(GO) run ./cmd/abnn2-bench -accuracy
-
-# Correlation-bank tier under the race detector: the bank's own unit
-# tests, the banked-vs-inline dual-execution equivalence suite (plus the
-# banked golden transcript), the bank chaos tests, and the offline/online
-# bench split.
-bank:
-	$(GO) test -race -count=1 ./internal/bank
-	$(GO) test -race -count=1 -run 'TestBanked|TestBankMatmul|TestGoldenSessionBanked' ./internal/testkit
-	$(GO) test -race -count=1 -run 'TestChaosBank' -v .
-	$(GO) test -count=1 -run 'TestTableBankSplit|TestBankBaselineFile' ./internal/bench
-
-# Durable-bank tier under the race detector: the on-disk store's
-# recovery/claim unit tests, the bank-over-store integration tests, the
-# remote offline replenishment suite (peer pairing, crash single-use,
-# link cuts), the serve-layer offline handshake and recovery gating, the
-# 40-seed peer-banked equivalence sweep, and the cold/warm durable bench
-# check.
-bank-durable:
-	$(GO) test -race -count=1 -run 'TestStore|TestScope|TestNewCorrID|TestBank|TestReplenisher' ./internal/bank
-	$(GO) test -race -count=1 -run 'TestRemoteOffline' -v .
-	$(GO) test -race -count=1 -run 'TestOffline|TestRecoveryGates|TestDrainFlushes' ./internal/serve
-	$(GO) test -race -count=1 -run 'TestPeerBankedEquivalenceSweep' ./internal/testkit
-	$(GO) test -count=1 -run 'TestTableBankDurable|TestBankDurableFile' ./internal/bench
 
 # Crash-recovery chaos: SIGKILL a race-built durable server mid-load,
 # restart it on the same store directory, and audit the claim journal
@@ -104,18 +77,6 @@ conformance:
 	$(GO) test -count=1 ./internal/testkit
 	$(GO) test -count=1 -run TestConformanceSmoke .
 
-# Protocol-planner tier under the race detector: the cost-model unit
-# tests and plan wire-parser fuzz seeds, the 40-seed mixed-plan
-# differential sweep (random per-layer backends per seed, bit-identity
-# vs plaintext and vs the single-backend run), the planned golden
-# transcript and serve-layer plan handshake tests, and the measured
-# planner-vs-uniform bench gate.
-plan:
-	$(GO) test -race -count=1 ./internal/plan
-	$(GO) test -race -count=1 -run 'TestMixedPlanSweep|TestGoldenSessionPlanned' ./internal/testkit
-	$(GO) test -race -count=1 -run 'TestServePlannedSessionEndToEnd|TestRejectBadPlan|TestRequiredPlanMismatch' ./internal/serve
-	$(GO) test -count=1 -run 'TestTablePlanShapes' ./internal/bench
-
 # Short fuzz pass over every fuzz target.
 fuzz:
 	$(GO) test ./internal/quant -fuzz FuzzParse -fuzztime 10s
@@ -140,13 +101,15 @@ fuzz:
 	$(GO) test ./internal/bank -fuzz FuzzScanJournal -fuzztime 10s
 	$(GO) test ./internal/bank -fuzz FuzzDecodeCorr -fuzztime 10s
 	$(GO) test ./internal/plan -fuzz FuzzUnmarshalPlan -fuzztime 10s
+	$(GO) test . -fuzz FuzzParseAnnouncement -fuzztime 10s
+	$(GO) test . -fuzz FuzzParseOfflineFrame -fuzztime 10s
 
-# Regenerate the checked-in wire-parser seed corpora
-# (internal/*/testdata/fuzz). Run after changing any wire format.
+# Regenerate the checked-in wire-parser seed corpora (testdata/fuzz and
+# internal/*/testdata/fuzz). Run after changing any wire format.
 corpus:
 	$(GO) run ./internal/testkit/gencorpus
 
-# The checked-in seed corpora under internal/*/testdata/fuzz are source,
+# The checked-in seed corpora under */testdata/fuzz are source,
 # not build output — clean only removes crashers the fuzzer minimised
 # into the Go build cache, which `go clean -fuzzcache` handles.
 clean:

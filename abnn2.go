@@ -27,7 +27,6 @@ package abnn2
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -123,14 +122,14 @@ type Config struct {
 	BankModel string
 	// BankPeer, on a client, is the serving peer's durable identity (the
 	// hex ID from the serve handshake). When set — which requires a Bank
-	// carrying a durable store — provisioning prefers the peer-paired
-	// pool filled by remote offline sessions with that server
-	// (ReplenishSession) over the in-process dealer pools, announcing
-	// correlations with this party's own peer ID so the server can claim
-	// the matching stored half. Empty disables peer-paired draws.
-	// Peer-paired pools hold all-ABNN2 material only, so a session with
-	// a Plan skips them and draws from the dealer pools (or falls back
-	// inline).
+	// carrying a durable store — batches draw from the peer-paired pool
+	// filled by remote offline sessions with that server
+	// (ReplenishSession) and from no other, announcing correlations with
+	// this party's own peer ID so the server can claim the matching
+	// stored half; the dealer pools of Bank are not consulted. Empty
+	// disables peer-paired draws. Peer-paired pools hold all-ABNN2
+	// material only, so a session with a Plan ignores BankPeer and draws
+	// from the dealer pools.
 	BankPeer string
 	// Plan, when non-nil, fixes the per-layer offline backend schedule.
 	// On a client it is proposed to the server in every batch
@@ -155,8 +154,11 @@ func (c Config) ringBits() uint {
 	return c.RingBits
 }
 
-// validate rejects configurations the lower layers would panic on.
-func (c Config) validate() error {
+// Validate rejects configurations the lower layers would panic on. Every
+// session constructor calls it; a process that builds sessions from one
+// template (internal/serve) calls it once at start-up instead of failing
+// every connection.
+func (c Config) Validate() error {
 	if b := c.ringBits(); b < 8 || b > 64 {
 		return fmt.Errorf("abnn2: RingBits %d out of range [8,64]", b)
 	}
@@ -235,9 +237,8 @@ func ServeContext(ctx context.Context, conn Conn, model *QuantizedModel, cfg Con
 
 // Server is the model owner's endpoint.
 type Server struct {
+	session
 	eng  *core.ServerEngine
-	sc   *sessionConn
-	tr   *trace.Tracer
 	bank *Bank
 	mode OfflineMode
 	key  BankKey // pool key template; Batch filled per announcement
@@ -253,30 +254,21 @@ func NewServer(conn Conn, model *QuantizedModel, cfg Config) (*Server, error) {
 	return newServer(context.Background(), conn, model, cfg)
 }
 
-func newServer(ctx context.Context, conn Conn, model *QuantizedModel, cfg Config) (*Server, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	sc := newSessionConn(ctx, conn, cfg.RoundTimeout, cfg.flightFunc("server"))
-	tr := cfg.tracer(sc, "server")
+func newServer(ctx context.Context, conn Conn, model *QuantizedModel, cfg Config) (_ *Server, err error) {
 	scheme := model.qm.Layers[0].Scheme
-	p := core.Params{Ring: ring.New(cfg.ringBits()), Scheme: scheme, Workers: cfg.Workers, Trace: tr,
-		MiniONNBits: cfg.MiniONNKeyBits}
-	sp := tr.Start("setup")
-	eng, err := guardVal("server setup", func() (*core.ServerEngine, error) {
-		return core.NewServerEngineSeeded(sc, model.qm, p, cfg.variant(), cfg.rng())
-	})
-	sp.End(err)
+	s, eng, err := openSession(ctx, conn, cfg, "server", scheme,
+		func(sc *sessionConn, p core.Params) (*core.ServerEngine, error) {
+			return core.NewServerEngineSeeded(sc, model.qm, p, cfg.variant(), cfg.rng())
+		})
 	if err != nil {
-		sc.release()
 		return nil, err
 	}
-	srv := &Server{eng: eng, sc: sc, tr: tr, bank: cfg.Bank, mode: cfg.OfflineMode}
+	defer s.releaseOn(&err)
+	srv := &Server{session: s, eng: eng, bank: cfg.Bank, mode: cfg.OfflineMode}
 	if cfg.Plan != nil {
 		// Pre-check the required plan against this model so a
 		// misconfigured server fails at setup, not per batch.
 		if err := cfg.Plan.Validate(eng.Arch(), 1); err != nil {
-			sc.release()
 			return nil, err
 		}
 		srv.reqPlan = cfg.Plan.Marshal()
@@ -286,7 +278,6 @@ func newServer(ctx context.Context, conn Conn, model *QuantizedModel, cfg Config
 		// announcing IDs from another model's pool is a claim miss.
 		id, err := bank.ModelID(model.qm)
 		if err != nil {
-			sc.release()
 			return nil, err
 		}
 		srv.key = BankKey{Model: id, Scheme: scheme.Name(), RingBits: cfg.ringBits(), Backend: bank.SessionBackend}
@@ -369,46 +360,25 @@ func (s *Server) HandleBatch() error {
 	isp.End(nil)
 	bsp := s.tr.Start("batch")
 	err = guard("handle batch", func() error {
-		// 5 bytes announce an inline batch; 13 bytes append a correlation
-		// ID and ask for dealer-banked provisioning; 29 bytes further
-		// append the client's peer ID and ask for a peer-paired half (see
-		// Client.provision).
-		if len(raw) != 5 && len(raw) != 13 && len(raw) != 29 {
-			return fmt.Errorf("abnn2: malformed batch announcement")
-		}
-		batch := int(uint32(raw[0]) | uint32(raw[1])<<8 | uint32(raw[2])<<16 | uint32(raw[3])<<24)
-		if batch <= 0 || batch > 1<<20 {
-			return fmt.Errorf("abnn2: batch size %d out of range", batch)
-		}
-		// The mode byte is a bit mask: bit 0 selects the argmax finish,
-		// bit 1 announces that a plan frame follows the announcement.
-		if raw[4] > announceArgmax|announcePlan {
-			return fmt.Errorf("abnn2: unknown output mode %d", raw[4])
-		}
-		argmax := raw[4]&announceArgmax != 0
-		bsp.SetBatch(batch)
-		if err := s.applyPlan(batch, raw[4]&announcePlan != 0); err != nil {
+		a, err := parseAnnouncement(raw)
+		if err != nil {
 			return err
 		}
-		if len(raw) == 29 {
-			var peer bank.PeerID
-			copy(peer[:], raw[13:29])
-			if err := s.claimPeerCorr(batch, binary.LittleEndian.Uint64(raw[5:13]), peer); err != nil {
-				return err
-			}
-		} else if len(raw) == 13 {
-			if err := s.claimCorr(batch, binary.LittleEndian.Uint64(raw[5:13])); err != nil {
-				return err
-			}
-		} else {
-			if s.mode == OfflineBanked {
-				return fmt.Errorf("abnn2: inline batch announcement refused (server is OfflineBanked)")
-			}
-			if err := s.eng.Offline(batch); err != nil {
-				return err
-			}
+		bsp.SetBatch(a.batch)
+		if err := s.applyPlan(a.batch, a.plan); err != nil {
+			return err
 		}
-		if argmax {
+		if a.source != provisionInline {
+			err = s.claim(a)
+		} else if s.mode == OfflineBanked {
+			err = fmt.Errorf("abnn2: inline batch announcement refused (server is OfflineBanked)")
+		} else {
+			err = s.eng.Offline(a.batch)
+		}
+		if err != nil {
+			return err
+		}
+		if a.argmax {
 			return s.eng.OnlineArgmax()
 		}
 		return s.eng.Online()
@@ -416,12 +386,6 @@ func (s *Server) HandleBatch() error {
 	bsp.End(err)
 	return err
 }
-
-// Batch announcement mode-byte bits.
-const (
-	announceArgmax = 0x01 // private argmax finish
-	announcePlan   = 0x02 // a plan frame follows the announcement
-)
 
 // applyPlan consumes a batch's plan frame (when announced) and installs
 // the schedule on the engine; without one it restores the all-ABNN2
@@ -467,53 +431,43 @@ func (s *Server) applyPlan(batch int, planned bool) error {
 	return nil
 }
 
-// claimCorr resolves a banked announcement: it claims the parked server
-// half for the announced correlation ID and installs it. Any failure —
-// no bank, inline-only policy, unknown/spent ID, a half from the wrong
-// pool — is a protocol error that fails the batch immediately; the
+// claim resolves a banked announcement: it takes this party's half of the
+// announced correlation — the half the dealer bank parked at the client's
+// draw, or the half stored under the announcing client's peer id, whose
+// claim-journal entry lands before the half is returned, so the id can
+// never back two batches even across a crash — and installs it. Any
+// failure — no bank, inline-only policy, unknown or spent id, a half from
+// the wrong pool — is a protocol error that fails the batch at once; the
 // session never blocks waiting for material.
-func (s *Server) claimCorr(batch int, id uint64) (err error) {
-	ksp := s.tr.Start("bank").SetBatch(batch)
+func (s *Server) claim(a announcement) (err error) {
+	ksp := s.tr.Start(a.source.span()).SetBatch(a.batch)
 	defer func() { ksp.End(err) }()
 	if s.bank == nil || s.mode == OfflineInline {
 		return fmt.Errorf("abnn2: client announced a banked batch but this server provisions inline")
 	}
-	key := s.claimKey(batch)
-	half, ok := s.bank.Claim(id, key)
-	if !ok {
-		return fmt.Errorf("abnn2: unknown or spent correlation ID for pool %v", key)
-	}
-	corr, good := half.(*core.ServerCorr)
-	if !good {
-		return fmt.Errorf("abnn2: pool %v holds %T, want a server correlation", key, half)
-	}
-	return s.eng.InstallCorr(corr)
-}
-
-// claimPeerCorr resolves a peer-banked announcement: it durably claims
-// the server half stored under the announcing client's peer ID (the
-// claim-journal entry lands before the half is installed, so the ID can
-// never back two batches even across a crash) and installs it. Any
-// failure fails the batch immediately, exactly like claimCorr.
-func (s *Server) claimPeerCorr(batch int, id uint64, peer bank.PeerID) (err error) {
-	ksp := s.tr.Start("bank-peer").SetBatch(batch)
-	defer func() { ksp.End(err) }()
-	if s.bank == nil || s.mode == OfflineInline {
-		return fmt.Errorf("abnn2: client announced a peer-banked batch but this server provisions inline")
-	}
-	if s.bank.Store() == nil {
-		return fmt.Errorf("abnn2: client announced a peer-banked batch but this server has no durable store")
-	}
-	if s.planFP != "" {
-		// Peer-paired pools hold all-ABNN2 material; a planned batch
-		// announcing one is a protocol violation, not a fallback case.
-		return fmt.Errorf("abnn2: peer-banked announcement on a planned batch")
-	}
-	key := s.key
-	key.Batch = batch
-	corr, ok := s.bank.ClaimPeer(peer, id, key)
-	if !ok {
-		return fmt.Errorf("abnn2: unknown or spent peer correlation ID for pool %v", key)
+	key := s.claimKey(a.batch)
+	var corr *core.ServerCorr
+	if a.source == provisionPeer {
+		if s.bank.Store() == nil {
+			return fmt.Errorf("abnn2: client announced a peer-banked batch but this server has no durable store")
+		}
+		if s.planFP != "" {
+			// Peer-paired pools hold all-ABNN2 material; a planned batch
+			// announcing one is a protocol violation, not a fallback case.
+			return fmt.Errorf("abnn2: peer-banked announcement on a planned batch")
+		}
+		var ok bool
+		if corr, ok = s.bank.ClaimPeer(a.peer, a.corr, key); !ok {
+			return fmt.Errorf("abnn2: unknown or spent peer correlation ID for pool %v", key)
+		}
+	} else {
+		half, ok := s.bank.Claim(a.corr, key)
+		if !ok {
+			return fmt.Errorf("abnn2: unknown or spent correlation ID for pool %v", key)
+		}
+		if corr, ok = half.(*core.ServerCorr); !ok {
+			return fmt.Errorf("abnn2: pool %v holds %T, want a server correlation", key, half)
+		}
 	}
 	return s.eng.InstallCorr(corr)
 }
@@ -533,9 +487,8 @@ func (s *Server) claimKey(batch int) BankKey {
 
 // Client is the data owner's endpoint.
 type Client struct {
+	session
 	eng  *core.ClientEngine
-	sc   *sessionConn
-	tr   *trace.Tracer
 	arch Arch
 	rg   ring.Ring
 	frac uint
@@ -543,12 +496,12 @@ type Client struct {
 	mode OfflineMode
 	key  BankKey // pool key template; Batch filled per request
 
-	hasPeer  bool
-	peer     bank.PeerID // the server's identity, keying local peer draws
-	selfPeer bank.PeerID // this party's identity, announced to the server
+	source   provisioning // the one pool batches draw from, fixed at Dial
+	peer     bank.PeerID  // the server's identity, keying local peer draws
+	selfPeer bank.PeerID  // this party's identity, announced to the server
 
 	plan    *Plan  // the proposed per-layer backend schedule, nil = all-ABNN2
-	planRaw []byte // its marshalled frame, appended to every announcement
+	planRaw []byte // its marshalled frame, sent after every announcement
 }
 
 // Dial performs the cryptographic setup for the client role. arch must
@@ -562,61 +515,59 @@ func Dial(conn Conn, arch Arch, cfg Config) (*Client, error) {
 // client session, not just setup. Cancelling it aborts any in-flight
 // protocol round; subsequent calls fail immediately. Callers should
 // Close the client when done so the cancellation watcher is released.
-func DialContext(ctx context.Context, conn Conn, arch Arch, cfg Config) (*Client, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if cfg.Bank != nil && cfg.OfflineMode != OfflineInline && cfg.BankModel == "" {
-		return nil, fmt.Errorf("abnn2: Config.Bank on a client requires Config.BankModel")
-	}
+//
+// Where batches get their offline material is decided here, once: the
+// peer-paired store when Config.BankPeer is set (and no Plan is), else
+// the shared dealer bank when Config.Bank is set, else — or under
+// OfflineInline — the inline offline phase. A batch that finds its one
+// pool dry falls back inline (OfflineAuto) or fails (OfflineBanked); it
+// never tries a second pool.
+func DialContext(ctx context.Context, conn Conn, arch Arch, cfg Config) (_ *Client, err error) {
+	source := provisionInline
 	var peer BankPeerID
-	usePeer := cfg.BankPeer != "" && cfg.OfflineMode != OfflineInline && cfg.Plan == nil
-	if usePeer {
-		if cfg.Bank == nil || cfg.Bank.Store() == nil {
-			return nil, fmt.Errorf("abnn2: Config.BankPeer requires a bank with a durable store")
+	if cfg.Bank != nil && cfg.OfflineMode != OfflineInline {
+		if cfg.BankModel == "" {
+			return nil, fmt.Errorf("abnn2: Config.Bank on a client requires Config.BankModel")
 		}
-		var perr error
-		if peer, perr = bank.ParsePeerID(cfg.BankPeer); perr != nil {
-			return nil, perr
+		source = provisionDealer
+		if cfg.BankPeer != "" && cfg.Plan == nil {
+			if cfg.Bank.Store() == nil {
+				return nil, fmt.Errorf("abnn2: Config.BankPeer requires a bank with a durable store")
+			}
+			if peer, err = bank.ParsePeerID(cfg.BankPeer); err != nil {
+				return nil, err
+			}
+			source = provisionPeer
 		}
 	}
 	scheme, err := quant.Parse(arch.SchemeName)
 	if err != nil {
 		return nil, fmt.Errorf("abnn2: architecture scheme: %w", err)
 	}
-	sc := newSessionConn(ctx, conn, cfg.RoundTimeout, cfg.flightFunc("client"))
-	tr := cfg.tracer(sc, "client")
-	rg := ring.New(cfg.ringBits())
-	p := core.Params{Ring: rg, Scheme: scheme, Workers: cfg.Workers, Trace: tr,
-		MiniONNBits: cfg.MiniONNKeyBits}
-	sp := tr.Start("setup")
-	eng, err := guardVal("client setup", func() (*core.ClientEngine, error) {
-		return core.NewClientEngine(sc, arch, p, cfg.variant(), cfg.rng())
-	})
-	sp.End(err)
+	s, eng, err := openSession(ctx, conn, cfg, "client", scheme,
+		func(sc *sessionConn, p core.Params) (*core.ClientEngine, error) {
+			return core.NewClientEngine(sc, arch, p, cfg.variant(), cfg.rng())
+		})
 	if err != nil {
-		sc.release()
 		return nil, err
 	}
-	cl := &Client{eng: eng, sc: sc, tr: tr, arch: arch, rg: rg, frac: arch.Frac,
-		bank: cfg.Bank, mode: cfg.OfflineMode}
+	defer s.releaseOn(&err)
+	cl := &Client{session: s, eng: eng, arch: arch, rg: ring.New(cfg.ringBits()), frac: arch.Frac,
+		bank: cfg.Bank, mode: cfg.OfflineMode, source: source, peer: peer}
 	var sched core.Schedule
 	if cfg.Plan != nil {
 		if err := cfg.Plan.Validate(arch, 1); err != nil {
-			sc.release()
 			return nil, fmt.Errorf("abnn2: %w", err)
 		}
 		if sched, err = cfg.Plan.Schedule(); err != nil {
-			sc.release()
 			return nil, fmt.Errorf("abnn2: %w", err)
 		}
 		if err := eng.SetSchedule(sched); err != nil {
-			sc.release()
 			return nil, err
 		}
 		cl.plan, cl.planRaw = cfg.Plan, cfg.Plan.Marshal()
 	}
-	if cfg.Bank != nil {
+	if source != provisionInline {
 		backend := bank.SessionBackend
 		if cfg.Plan != nil {
 			// Banked draws for a planned session come from pools keyed —
@@ -624,15 +575,14 @@ func DialContext(ctx context.Context, conn Conn, arch Arch, cfg Config) (*Client
 			fp := cfg.Plan.Fingerprint()
 			backend = bank.PlanBackend(fp)
 			if err := cfg.Bank.RegisterSchedule(fp, sched, cfg.MiniONNKeyBits); err != nil {
-				sc.release()
 				return nil, err
 			}
 		}
 		cl.key = BankKey{Model: cfg.BankModel, Scheme: arch.SchemeName,
 			RingBits: cfg.ringBits(), Backend: backend}
 	}
-	if usePeer {
-		cl.hasPeer, cl.peer, cl.selfPeer = true, peer, cfg.Bank.Store().PeerID()
+	if source == provisionPeer {
+		cl.selfPeer = cfg.Bank.Store().PeerID()
 	}
 	return cl, nil
 }
@@ -678,7 +628,7 @@ func (c *Client) ClassifyPrivate(inputs [][]float64) ([]int, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := c.provision(len(inputs), 1); err != nil {
+		if err := c.provision(len(inputs), true); err != nil {
 			return nil, err
 		}
 		return c.eng.PredictArgmax(X)
@@ -696,7 +646,7 @@ func (c *Client) Infer(inputs [][]float64) (*ring.Mat, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := c.provision(len(inputs), 0); err != nil {
+		if err := c.provision(len(inputs), false); err != nil {
 			return nil, err
 		}
 		return c.eng.Predict(X)
@@ -724,40 +674,13 @@ func (c *Client) encodeBatch(inputs [][]float64) (*ring.Mat, error) {
 	return X, nil
 }
 
-func (c *Client) announce(batch int, mode byte) error {
-	ann := []byte{byte(batch), byte(batch >> 8), byte(batch >> 16), byte(batch >> 24), c.modeBits(mode)}
-	if err := c.sc.Send(ann); err != nil {
-		return err
-	}
-	return c.sendPlan()
-}
-
-// modeBits folds the plan-follows bit into an announcement's mode byte.
-func (c *Client) modeBits(mode byte) byte {
-	if c.planRaw != nil {
-		mode |= announcePlan
-	}
-	return mode
-}
-
-// sendPlan appends the session's plan frame to an announcement. The
-// frame depends only on public configuration, never on inputs, so its
-// shape leaks nothing (the golden-transcript suite pins this).
-func (c *Client) sendPlan() error {
-	if c.planRaw == nil {
-		return nil
-	}
-	return c.sc.Send(c.planRaw)
-}
-
 // provision readies one batch's offline material and announces the batch
-// to the server. With a bank configured it tries to draw a correlation
-// pair first: on a hit it installs the client half and announces the
-// correlation ID (13-byte announcement) so the server claims the paired
-// half; on a dry pool it falls back to the inline offline phase
-// (OfflineAuto) or fails fast (OfflineBanked) — it never waits for the
-// pool to fill.
-func (c *Client) provision(batch int, mode byte) error {
+// to the server. A banked source draws a correlation from its one pool:
+// on a hit the client half is installed and the announcement carries the
+// correlation id so the server claims the paired half; on a dry pool the
+// batch falls back to the inline offline phase (OfflineAuto) or fails
+// fast (OfflineBanked) — it never waits for the pool to fill.
+func (c *Client) provision(batch int, argmax bool) error {
 	if c.plan != nil {
 		// Batch size changes backend applicability (QUOTIENT is o=1
 		// only), so the plan revalidates per batch before it is
@@ -766,85 +689,67 @@ func (c *Client) provision(batch int, mode byte) error {
 			return fmt.Errorf("abnn2: %w", err)
 		}
 	}
-	if c.bank != nil && c.mode != OfflineInline {
+	a := announcement{batch: batch, argmax: argmax, plan: c.planRaw != nil}
+	if c.source != provisionInline {
 		key := c.key
 		key.Batch = batch
-		// Peer-paired pool first: material this client generated with this
-		// very server over the real wire, no dealer trust involved.
-		if c.hasPeer {
-			psp := c.tr.Start("bank-peer").SetBatch(batch)
-			if id, corr, ok := c.bank.AcquirePeer(c.peer, key); ok {
-				err := c.eng.InstallCorr(corr)
-				psp.End(err)
-				if err != nil {
-					return err
-				}
-				return c.announcePeerBanked(batch, mode, id)
-			}
-			psp.End(nil)
+		sp := c.tr.Start(c.source.span()).SetBatch(batch)
+		id, ok, err := c.draw(key)
+		if err == nil && !ok && c.mode == OfflineBanked {
+			err = fmt.Errorf("%w: pool %v (OfflineBanked forbids inline fallback)", ErrBankDry, key)
 		}
-		bsp := c.tr.Start("bank").SetBatch(batch)
-		id, half, ok := c.bank.Acquire(key)
-		if ok {
-			err := c.installCorr(key, id, half)
-			bsp.End(err)
-			if err != nil {
-				return err
-			}
-			return c.announceBanked(batch, mode, id)
-		}
-		if c.mode == OfflineBanked {
-			err := fmt.Errorf("%w: pool %v (OfflineBanked forbids inline fallback)", ErrBankDry, key)
-			bsp.End(err)
+		sp.End(err)
+		if err != nil {
 			return err
 		}
-		bsp.End(nil)
+		if ok {
+			a.source, a.corr, a.peer = c.source, id, c.selfPeer
+		}
 	}
-	if err := c.announce(batch, mode); err != nil {
+	if err := c.sc.Send(a.append(nil)); err != nil {
 		return err
 	}
-	return c.eng.Offline(batch)
-}
-
-// installCorr arms the engine with an acquired client half. On failure
-// the parked server half is discarded too (claimed and dropped), so a
-// broken pool entry cannot linger until eviction.
-func (c *Client) installCorr(key BankKey, id uint64, half any) error {
-	corr, good := half.(*core.ClientCorr)
-	if !good {
-		c.bank.Claim(id, key)
-		return fmt.Errorf("abnn2: pool %v holds %T, want a client correlation", key, half)
+	// The plan frame depends only on public configuration, never on
+	// inputs, so its shape leaks nothing (the golden-transcript suite pins
+	// this).
+	if a.plan {
+		if err := c.sc.Send(c.planRaw); err != nil {
+			return err
+		}
 	}
-	if err := c.eng.InstallCorr(corr); err != nil {
-		c.bank.Claim(id, key)
-		return err
+	if a.source == provisionInline {
+		return c.eng.Offline(batch)
 	}
 	return nil
 }
 
-// announceBanked is announce plus the correlation ID the server claims
-// its half with.
-func (c *Client) announceBanked(batch int, mode byte, id uint64) error {
-	ann := make([]byte, 13)
-	ann[0], ann[1], ann[2], ann[3] = byte(batch), byte(batch>>8), byte(batch>>16), byte(batch>>24)
-	ann[4] = c.modeBits(mode)
-	binary.LittleEndian.PutUint64(ann[5:], id)
-	if err := c.sc.Send(ann); err != nil {
-		return err
+// draw takes one correlation from the session's pool and arms the engine
+// with the client half; ok is false when the pool is dry. A dealer pair
+// whose client half cannot be installed has its parked server half
+// discarded too (claimed and dropped), so a broken pool entry cannot
+// linger until eviction.
+func (c *Client) draw(key BankKey) (id uint64, ok bool, err error) {
+	if c.source == provisionPeer {
+		// Material this client generated with this very server over the
+		// real wire, no dealer trust involved.
+		id, corr, ok := c.bank.AcquirePeer(c.peer, key)
+		if !ok {
+			return 0, false, nil
+		}
+		return id, true, c.eng.InstallCorr(corr)
 	}
-	return c.sendPlan()
-}
-
-// announcePeerBanked is announceBanked plus this client's own peer ID,
-// under which the server stored its half of the announced correlation.
-func (c *Client) announcePeerBanked(batch int, mode byte, id uint64) error {
-	ann := make([]byte, 29)
-	ann[0], ann[1], ann[2], ann[3] = byte(batch), byte(batch>>8), byte(batch>>16), byte(batch>>24)
-	ann[4] = c.modeBits(mode)
-	binary.LittleEndian.PutUint64(ann[5:13], id)
-	copy(ann[13:29], c.selfPeer[:])
-	if err := c.sc.Send(ann); err != nil {
-		return err
+	id, half, ok := c.bank.Acquire(key)
+	if !ok {
+		return 0, false, nil
 	}
-	return c.sendPlan()
+	corr, good := half.(*core.ClientCorr)
+	if !good {
+		err = fmt.Errorf("abnn2: pool %v holds %T, want a client correlation", key, half)
+	} else {
+		err = c.eng.InstallCorr(corr)
+	}
+	if err != nil {
+		c.bank.Claim(id, key)
+	}
+	return id, true, err
 }

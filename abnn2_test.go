@@ -290,3 +290,19 @@ func TestQuantizationAccuracyLadder(t *testing.T) {
 		t.Errorf("8-bit accuracy %.3f far below float %.3f", acc["8(2,2,2,2)"], floatAcc)
 	}
 }
+
+// TestParseOfflineMode: ParseOfflineMode inverts OfflineMode.String and
+// refuses every other name, "invalid" — String's answer for an
+// out-of-range mode — included.
+func TestParseOfflineMode(t *testing.T) {
+	for _, m := range []OfflineMode{OfflineAuto, OfflineInline, OfflineBanked} {
+		if got, err := ParseOfflineMode(m.String()); err != nil || got != m {
+			t.Errorf("ParseOfflineMode(%q) = %v, %v; want %v", m.String(), got, err, m)
+		}
+	}
+	for _, name := range []string{"", "Auto", "banked ", "invalid", OfflineMode(7).String()} {
+		if m, err := ParseOfflineMode(name); err == nil {
+			t.Errorf("ParseOfflineMode(%q) = %v, want an error", name, m)
+		}
+	}
+}

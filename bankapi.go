@@ -15,6 +15,7 @@ package abnn2
 
 import (
 	"errors"
+	"fmt"
 
 	"abnn2/internal/bank"
 )
@@ -75,8 +76,8 @@ func BankModelID(q *QuantizedModel) (string, error) {
 // "Durable bank".
 type BankStore = bank.Store
 
-// BankStoreOptions configures OpenBankStore: directory, journal fsync
-// cadence, segment rotation size, observer.
+// BankStoreOptions configures OpenBankStore: directory, segment rotation
+// size, observer.
 type BankStoreOptions = bank.StoreOptions
 
 // BankRecoverStats summarizes a store's startup recovery scan.
@@ -140,4 +141,14 @@ func (m OfflineMode) String() string {
 		return "banked"
 	}
 	return "invalid"
+}
+
+// ParseOfflineMode is the inverse of OfflineMode.String, for flag values.
+func ParseOfflineMode(s string) (OfflineMode, error) {
+	for m := OfflineAuto; m <= OfflineBanked; m++ {
+		if m.String() == s {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("abnn2: unknown offline mode %q (want auto, inline or banked)", s)
 }

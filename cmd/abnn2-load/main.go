@@ -78,9 +78,9 @@ func main() {
 		Hintless:   reg.NewCounter("abnn2_load_hintless_rejections_total", "Retryable rejections that carried no retry-after hint."),
 	}
 
-	mode, err := parseOfflineMode(*offline)
+	mode, err := abnn2.ParseOfflineMode(*offline)
 	if err != nil {
-		logger.Error("bad -offline", "value", *offline)
+		logger.Error("bad -offline", "err", err)
 		os.Exit(1)
 	}
 
@@ -425,18 +425,6 @@ func rejectionLines(st *loadStats) ([]string, []int64) {
 		codes[i], counts[i] = r.code, r.n
 	}
 	return codes, counts
-}
-
-func parseOfflineMode(s string) (abnn2.OfflineMode, error) {
-	switch s {
-	case "auto":
-		return abnn2.OfflineAuto, nil
-	case "inline":
-		return abnn2.OfflineInline, nil
-	case "banked":
-		return abnn2.OfflineBanked, nil
-	}
-	return 0, fmt.Errorf("unknown offline mode %q", s)
 }
 
 func splitNonEmpty(s string) []string {

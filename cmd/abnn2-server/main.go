@@ -80,16 +80,14 @@ func main() {
 		"pools serve co-located clients sharing this process's bank — see DESIGN.md")
 	bankLow := flag.Int("bank-low", 0, "pool low watermark triggering background refill (0 = capacity/2)")
 	bankPrewarm := flag.String("bank-prewarm", "1", "comma-separated batch sizes to prewarm correlation pools for, per model")
-	bankDir := flag.String("bank-dir", "", "durable bank store directory: pools persist across restarts and remote "+
-		"clients may run peer-paired offline replenishment sessions (empty = memory-only; requires -bank-capacity > 0)")
-	bankFsync := flag.Int("bank-fsync", 1, "fsync the claim journal every N claims (1 = every claim, the only "+
-		"setting that makes single-use survive power loss)")
+	bankDir := flag.String("bank-dir", "", "durable bank store directory: remote clients may run peer-paired offline "+
+		"replenishment sessions, and the halves they leave here survive restarts (empty = no store; requires -bank-capacity > 0)")
 	planFlag := flag.String("plan", "", "required "+plan.FlagUsage+"; single-model registries only")
 	linkFlag := flag.String("link", "wan", "link model pricing -plan auto: lan, wan, or MBps:RTTms")
 	flag.Parse()
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil)).With("component", "abnn2-server")
 
-	mode, err := parseOfflineMode(*offlineMode)
+	mode, err := abnn2.ParseOfflineMode(*offlineMode)
 	if err != nil {
 		logger.Error("bad -offline", "err", err)
 		os.Exit(1)
@@ -161,17 +159,12 @@ func main() {
 		obs := bank.NewMetricsObserver(reg)
 		if *bankDir != "" {
 			var err error
-			store, err = abnn2.OpenBankStore(abnn2.BankStoreOptions{
-				Dir:        *bankDir,
-				FsyncEvery: *bankFsync,
-				Observer:   obs,
-			})
+			store, err = abnn2.OpenBankStore(abnn2.BankStoreOptions{Dir: *bankDir, Observer: obs})
 			if err != nil {
 				logger.Error("open bank store", "dir", *bankDir, "err", err)
 				os.Exit(1)
 			}
-			logger.Info("durable bank store up", "dir", *bankDir,
-				"peer", store.PeerID().String(), "fsync_every", *bankFsync)
+			logger.Info("durable bank store up", "dir", *bankDir, "peer", store.PeerID().String())
 		}
 		corrBank = abnn2.NewBank(abnn2.BankOptions{
 			Capacity: *bankCap,
@@ -252,9 +245,8 @@ func main() {
 	}
 	if corrBank != nil {
 		// Readiness gates on recovery then prewarm: /readyz answers 503
-		// until the durable store's recovery scan has completed (restoring
-		// persisted pools) and the pools for every (model, batch) pair have
-		// been attempted.
+		// until the durable store's recovery scan has completed and the
+		// dealer pools for every (model, batch) pair have been attempted.
 		var keys []abnn2.BankKey
 		for _, name := range registry.Names() {
 			m, _ := registry.Get(name)
@@ -380,18 +372,6 @@ func main() {
 func modelStem(path string) string {
 	base := filepath.Base(path)
 	return strings.TrimSuffix(base, filepath.Ext(base))
-}
-
-func parseOfflineMode(s string) (abnn2.OfflineMode, error) {
-	switch s {
-	case "auto":
-		return abnn2.OfflineAuto, nil
-	case "inline":
-		return abnn2.OfflineInline, nil
-	case "banked":
-		return abnn2.OfflineBanked, nil
-	}
-	return 0, strconv.ErrSyntax
 }
 
 func splitNonEmpty(s string) []string {

@@ -1,0 +1,190 @@
+package abnn2
+
+import (
+	"bytes"
+	"errors"
+	"strings"
+	"testing"
+	"time"
+
+	"abnn2/internal/bank"
+)
+
+// annBytes builds announcement bytes by hand: 4 batch bytes, a mode byte
+// and a tail, so the tests do not lean on the codec they check.
+func annBytes(batch uint32, mode byte, tail int) []byte {
+	raw := []byte{byte(batch), byte(batch >> 8), byte(batch >> 16), byte(batch >> 24), mode}
+	for i := 0; i < tail; i++ {
+		raw = append(raw, byte(0xA0+i))
+	}
+	return raw
+}
+
+func TestParseAnnouncement(t *testing.T) {
+	var peer bank.PeerID
+	for i := range peer {
+		peer[i] = byte(0xA8 + i)
+	}
+	const corr = 0xA7A6A5A4A3A2A1A0
+	accepted := []struct {
+		raw  []byte
+		want announcement
+	}{
+		{annBytes(1, 0, 0), announcement{batch: 1}},
+		{annBytes(32, 1, 0), announcement{batch: 32, argmax: true}},
+		{annBytes(1<<20, 2, 8), announcement{batch: 1 << 20, plan: true, source: provisionDealer, corr: corr}},
+		{annBytes(7, 3, 24), announcement{batch: 7, argmax: true, plan: true, source: provisionPeer, corr: corr, peer: peer}},
+	}
+	for _, c := range accepted {
+		got, err := parseAnnouncement(c.raw)
+		if err != nil || got != c.want {
+			t.Errorf("parse %x = %+v, %v; want %+v", c.raw, got, err, c.want)
+		}
+		if back := c.want.append(nil); !bytes.Equal(back, c.raw) {
+			t.Errorf("append %+v = %x, want %x", c.want, back, c.raw)
+		}
+	}
+	rejected := []struct {
+		raw  []byte
+		want string
+	}{
+		{nil, "malformed batch announcement"},
+		{annBytes(1, 0, 0)[:4], "malformed batch announcement"},
+		{annBytes(1, 0, 1), "malformed batch announcement"},
+		{annBytes(1, 0, 7), "malformed batch announcement"},
+		{annBytes(1, 0, 9), "malformed batch announcement"},
+		{annBytes(1, 0, 25), "malformed batch announcement"},
+		{annBytes(0, 0, 0), "batch size 0 out of range"},
+		{annBytes(1<<20+1, 0, 8), "out of range"},
+		{annBytes(1<<31, 0, 24), "out of range"},
+		{annBytes(1, 4, 0), "unknown output mode 4"},
+		{annBytes(1, 0xFF, 8), "unknown output mode 255"},
+	}
+	for _, c := range rejected {
+		if _, err := parseAnnouncement(c.raw); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("parse %x: error %v, want one mentioning %q", c.raw, err, c.want)
+		}
+	}
+}
+
+func TestParseOfflineFrame(t *testing.T) {
+	id := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+	const idVal = 0x0807060504030201
+	frame := func(kind byte, tail ...byte) []byte {
+		return append(append([]byte{kind}, id...), tail...)
+	}
+	accepted := []struct {
+		raw  []byte
+		want offlineFrame
+	}{
+		{frame('R', 2, 0, 0, 0), offlineFrame{kind: offlineReq, id: idVal, batch: 2}},
+		{frame('G'), offlineFrame{kind: offlineGo, id: idVal}},
+		{frame('N'), offlineFrame{kind: offlineNak, id: idVal}},
+		{frame('A'), offlineFrame{kind: offlineAck, id: idVal}},
+		{[]byte{'D'}, offlineFrame{kind: offlineDone}},
+	}
+	for _, c := range accepted {
+		got, err := parseOfflineFrame(c.raw)
+		if err != nil || got != c.want {
+			t.Errorf("parse %x = %+v, %v; want %+v", c.raw, got, err, c.want)
+		}
+		if back := c.want.append(nil); !bytes.Equal(back, c.raw) {
+			t.Errorf("append %+v = %x, want %x", c.want, back, c.raw)
+		}
+	}
+	rejected := [][]byte{
+		nil,
+		{'X'},
+		frame('R'),                // a request without its batch
+		frame('R', 0, 0, 0, 0),    // batch 0
+		frame('R', 1, 0, 16, 0),   // batch 1<<20 + 1
+		frame('R', 1, 0, 0, 0, 0), // one byte long
+		frame('G', 0),
+		frame('A')[:8],
+		{'D', 0},
+	}
+	for _, raw := range rejected {
+		if f, err := parseOfflineFrame(raw); err == nil {
+			t.Errorf("parse %x accepted as %+v", raw, f)
+		}
+	}
+}
+
+func FuzzParseAnnouncement(f *testing.F) {
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		a, err := parseAnnouncement(raw)
+		if err != nil {
+			return
+		}
+		if n := len(raw); n != 5 && n != 13 && n != 29 {
+			t.Fatalf("accepted %d bytes", n)
+		}
+		if a.batch < 1 || a.batch > 1<<20 || raw[4] > 3 {
+			t.Fatalf("accepted %x as %+v", raw, a)
+		}
+		if back := a.append(nil); !bytes.Equal(back, raw) {
+			t.Fatalf("parse then append: %x in, %x out", raw, back)
+		}
+	})
+}
+
+func FuzzParseOfflineFrame(f *testing.F) {
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		fr, err := parseOfflineFrame(raw)
+		if err != nil {
+			return
+		}
+		if fr.kind == offlineReq && (fr.batch < 1 || fr.batch > 1<<20) {
+			t.Fatalf("accepted %x as %+v", raw, fr)
+		}
+		if back := fr.append(nil); !bytes.Equal(back, raw) {
+			t.Fatalf("parse then append: %x in, %x out", raw, back)
+		}
+	})
+}
+
+// TestServerRejectsMalformedAnnouncement: whatever a set-up client sends
+// in place of an announcement, HandleBatch answers with an ordinary
+// error — not a contained panic — and does not wait for more.
+func TestServerRejectsMalformedAnnouncement(t *testing.T) {
+	qm := chaosModel(t)
+	for _, raw := range [][]byte{
+		{},
+		annBytes(1, 0, 0)[:4],
+		annBytes(1, 0, 3),
+		annBytes(1, 0, 30),
+		annBytes(0, 0, 0),
+		annBytes(1<<20+1, 1, 8),
+		annBytes(1, 4, 0),
+		annBytes(2, 0x80, 24),
+	} {
+		sconn, cconn := Pipe()
+		got := make(chan error, 1)
+		go func() {
+			srv, err := NewServer(sconn, qm, Config{RingBits: 32, RoundTimeout: chaosRoundTimeout})
+			if err != nil {
+				got <- err
+				return
+			}
+			defer srv.Close()
+			got <- srv.HandleBatch()
+		}()
+		cl, err := Dial(cconn, qm.Arch(), Config{RingBits: 32, RoundTimeout: chaosRoundTimeout})
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		if err := cl.sc.Send(raw); err != nil {
+			t.Fatalf("send %x: %v", raw, err)
+		}
+		select {
+		case err := <-got:
+			var pe *PanicError
+			if err == nil || errors.As(err, &pe) {
+				t.Errorf("announcement %x: server returned %v, want an ordinary error", raw, err)
+			}
+		case <-time.After(chaosWatchdog):
+			t.Fatalf("announcement %x: server hung", raw)
+		}
+		cl.Close()
+	}
+}

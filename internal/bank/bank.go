@@ -129,12 +129,11 @@ type Options struct {
 	// Observer, when non-nil, receives pool hit/miss/refill/depth events;
 	// see NewMetricsObserver.
 	Observer Observer
-	// Store, when non-nil, makes the bank durable: generated dealer pairs
-	// are persisted as they are pushed, Restore reloads them after a
-	// restart, every Acquire tombstones its pair in the claim journal
-	// before handing it out, and the peer-paired AcquirePeer/ClaimPeer/
-	// PutPeer* APIs become available. The store must have completed
-	// Recover before the bank touches it.
+	// Store, when non-nil, backs the peer-paired pools (AcquirePeer,
+	// ClaimPeer, PutPeer*): halves generated with a remote peer live
+	// there, durably and claim-before-use. Dealer pools are memory-only
+	// either way. The store must have completed Recover before the bank
+	// touches it.
 	Store *Store
 }
 
@@ -234,8 +233,6 @@ type schedEntry struct {
 // PlanBackend(fingerprint)) generable: their offline phase runs under
 // sched instead of all-ABNN2. miniONNBits sets the Paillier key size for
 // MiniONN layers (0 = default). Idempotent for identical registrations.
-// Planned pools are not reloaded by Restore (their scopes stay on disk
-// untouched); they regenerate on demand.
 func (b *Bank) RegisterSchedule(fingerprint string, sched core.Schedule, miniONNBits int) error {
 	if fingerprint == "" || sched == nil {
 		return fmt.Errorf("bank: schedule registration needs a fingerprint and a schedule")
@@ -389,35 +386,19 @@ func (b *Bank) Acquire(key Key) (id uint64, clientHalf any, ok bool) {
 		b.observe(Event{Kind: "miss", Key: key})
 		return 0, nil, false
 	}
-	var pair Pair
-	var depth int
-	for {
-		p.mu.Lock()
-		if len(p.entries) == 0 {
-			p.mu.Unlock()
-			b.maybeRefill(p)
-			b.misses.Add(1)
-			b.observe(Event{Kind: "miss", Key: key})
-			return 0, nil, false
-		}
-		e := p.entries[0]
-		p.entries[0] = poolEntry{}
-		p.entries = p.entries[1:]
-		depth = len(p.entries)
+	p.mu.Lock()
+	if len(p.entries) == 0 {
 		p.mu.Unlock()
-		// Claim-before-use: tombstone the durable record in the journal
-		// before the pair can reach a session. A claim that cannot be made
-		// durable drops the pair (never serve what might replay after a
-		// crash) and tries the next entry.
-		if e.persistID != 0 && b.opts.Store != nil {
-			if _, ok, err := b.opts.Store.ClaimByID(Scope{Key: key}, e.persistID); err != nil || !ok {
-				b.observe(Event{Kind: "persist-claim-drop", Key: key, Err: err})
-				continue
-			}
-		}
-		pair = e.pair
-		break
+		b.maybeRefill(p)
+		b.misses.Add(1)
+		b.observe(Event{Kind: "miss", Key: key})
+		return 0, nil, false
 	}
+	pair := p.entries[0]
+	p.entries[0] = Pair{}
+	p.entries = p.entries[1:]
+	depth := len(p.entries)
+	p.mu.Unlock()
 	id = b.park(key, pair.Server)
 	b.maybeRefill(p)
 	b.hits.Add(1)
@@ -669,35 +650,15 @@ func (b *Bank) refill(p *pool) {
 	}
 }
 
-// push appends a generated pair, honouring the capacity bound. Session
-// pairs are persisted to the store first (memory-only on store failure:
-// a broken disk degrades durability, not serving); a pair dropped at the
-// capacity bound claims its fresh record back so disk mirrors memory.
+// push appends a generated pair, honouring the capacity bound.
 func (b *Bank) push(p *pool, pair Pair) {
-	e := poolEntry{pair: pair}
-	if st := b.opts.Store; st != nil && p.custom == nil {
-		server, sok := pair.Server.(*core.ServerCorr)
-		client, cok := pair.Client.(*core.ClientCorr)
-		if sok && cok {
-			id := NewCorrID()
-			if err := st.Append(Scope{Key: p.key}, id, EncodePair(server, client)); err != nil {
-				b.observe(Event{Kind: "persist-error", Key: p.key, Err: err})
-			} else {
-				e.persistID = id
-			}
-		}
-	}
 	cap := b.opts.capacity()
 	p.mu.Lock()
-	kept := len(p.entries) < cap
-	if kept {
-		p.entries = append(p.entries, e)
+	if len(p.entries) < cap {
+		p.entries = append(p.entries, pair)
 	}
 	depth := len(p.entries)
 	p.mu.Unlock()
-	if !kept && e.persistID != 0 {
-		_, _, _ = b.opts.Store.ClaimByID(Scope{Key: p.key}, e.persistID)
-	}
 	b.refills.Add(1)
 	b.observe(Event{Kind: "refill", Key: p.key, Depth: depth})
 }

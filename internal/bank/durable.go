@@ -6,61 +6,13 @@ import (
 	"abnn2/internal/core"
 )
 
-// This file is the bank's durable API surface: restart restore of dealer
-// pools, and the peer-paired pools that replace the in-process trusted
-// dealer for genuinely remote client/server pairs (see remote.go for the
-// wire protocol that fills them).
+// This file is the bank's durable API surface: the peer-paired pools that
+// replace the in-process trusted dealer for genuinely remote
+// client/server pairs (see offline.go in the root package for the wire
+// protocol that fills them).
 
 // Store returns the bank's durable store, nil for a memory-only bank.
 func (b *Bank) Store() *Store { return b.opts.Store }
-
-// Restore reloads persisted dealer pairs into their in-memory pools
-// after a restart. Only scopes whose model is registered are loaded
-// (others stay on disk untouched); pools are filled past Capacity if the
-// store holds more — capacity bounds generation, not what survived.
-// Undecodable records are tombstoned so they are not retried forever.
-// Call after RegisterModel and after the store's Recover.
-func (b *Bank) Restore() (int, error) {
-	st := b.opts.Store
-	if st == nil {
-		return 0, nil
-	}
-	n := 0
-	for _, scope := range st.Scopes() {
-		if scope.Peer != NoPeer || scope.Key.Backend != SessionBackend {
-			continue
-		}
-		p := b.lookup(scope.Key)
-		if p == nil {
-			continue
-		}
-		recs, err := st.Records(scope)
-		if err != nil {
-			return n, err
-		}
-		for _, r := range recs {
-			server, client, derr := DecodePair(r.Blob)
-			if derr == nil && server.Batch != scope.Key.Batch {
-				derr = fmt.Errorf("bank: restored pair batch %d does not match scope batch %d", server.Batch, scope.Key.Batch)
-			}
-			if derr != nil {
-				b.observe(Event{Kind: "persist-decode-error", Key: scope.Key, Err: derr})
-				_, _, _ = st.ClaimByID(scope, r.ID)
-				continue
-			}
-			p.mu.Lock()
-			p.entries = append(p.entries, poolEntry{
-				pair:      Pair{Server: server, Client: client},
-				persistID: r.ID,
-			})
-			depth := len(p.entries)
-			p.mu.Unlock()
-			n++
-			b.observe(Event{Kind: "restore", Key: scope.Key, Depth: depth})
-		}
-	}
-	return n, nil
-}
 
 // PutPeerClient durably stores the client half of a peer-paired
 // correlation generated with the server identified by peer (the
@@ -87,7 +39,8 @@ func (b *Bank) PutPeerServer(peer PeerID, key Key, id uint64, c *core.ServerCorr
 // with the server identified by peer. The returned id is the correlation
 // id the client announces in-band; the server looks the matching half up
 // under the client's own peer id via ClaimPeer. ok is false when the
-// peer pool is dry — callers degrade to the dealer pool or inline.
+// peer pool is dry — callers fall back to the inline offline phase or
+// fail.
 func (b *Bank) AcquirePeer(peer PeerID, key Key) (id uint64, clientHalf *core.ClientCorr, ok bool) {
 	st := b.opts.Store
 	if st == nil {

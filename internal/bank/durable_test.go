@@ -10,9 +10,8 @@ import (
 	"abnn2/internal/core"
 )
 
-// Durable-bank integration suite: the bank over a real store — persist
-// on generation, claim-before-use on Acquire, Restore after restart,
-// peer-paired pools, and the background replenisher's watermark/backoff
+// Durable-bank integration suite: the bank over a real store —
+// peer-paired pools and the background replenisher's watermark/backoff
 // machinery.
 
 // durableBank builds a bank over a recovered store on dir, registering
@@ -27,56 +26,6 @@ func durableBank(t *testing.T, dir string, opts Options) (*Bank, *Store, Key) {
 	b := New(opts)
 	key := sessionKey(t, b, testModel(t), 2)
 	return b, st, key
-}
-
-// TestBankPersistRestoreCycle: generated pairs are persisted, survive a
-// restart, Restore puts them back, and a pre-crash Acquire stays spent.
-func TestBankPersistRestoreCycle(t *testing.T) {
-	dir := t.TempDir()
-	b1, st1, key := durableBank(t, dir, Options{Capacity: 3})
-	if err := b1.Prewarm(key, 3); err != nil {
-		t.Fatalf("prewarm: %v", err)
-	}
-	scope := Scope{Key: key}
-	if d := st1.Depth(scope); d != 3 {
-		t.Fatalf("store depth after prewarm = %d, want 3", d)
-	}
-	// Spend one pair before the "crash": its persisted record must be
-	// tombstoned via the claim journal before Acquire returns.
-	if _, _, ok := b1.Acquire(key); !ok {
-		t.Fatal("acquire missed a warm pool")
-	}
-	if d := st1.Depth(scope); d != 2 {
-		t.Fatalf("store depth after acquire = %d, want 2 (claim-before-use)", d)
-	}
-	b1.Close() // the store is abandoned un-Closed: crash model
-
-	b2, st2, key2 := durableBank(t, dir, Options{Capacity: 3})
-	defer b2.Close()
-	defer st2.Close()
-	if key2 != key {
-		t.Fatalf("pool key changed across restart: %v vs %v", key2, key)
-	}
-	n, err := b2.Restore()
-	if err != nil {
-		t.Fatalf("restore: %v", err)
-	}
-	if n != 2 {
-		t.Fatalf("restored %d pairs, want 2", n)
-	}
-	if d := b2.Depth(key); d != 2 {
-		t.Fatalf("pool depth after restore = %d, want 2", d)
-	}
-	// Both survivors must acquire and claim cleanly.
-	for i := 0; i < 2; i++ {
-		id, _, ok := b2.Acquire(key)
-		if !ok {
-			t.Fatalf("acquire %d after restore missed", i)
-		}
-		if _, ok := b2.Claim(id, key); !ok {
-			t.Fatalf("claim %d after restore missed", i)
-		}
-	}
 }
 
 // TestBankPeerPairedRoundTrip: peer halves land in each party's own
@@ -327,9 +276,9 @@ func TestReplenisherKick(t *testing.T) {
 	}
 }
 
-// TestBankStoreFailureDegradesNotBreaks: when the store dies mid-flight
-// (simulated by closing it), generation keeps serving memory-only and
-// Acquire never hands out a pair whose claim could not be recorded.
+// TestBankStoreFailureDegrades: when the store dies mid-flight (simulated
+// by closing it), the memory-only dealer pool keeps serving, and
+// AcquirePeer never hands out a half whose claim could not be recorded.
 func TestBankStoreFailureDegrades(t *testing.T) {
 	dir := t.TempDir()
 	b, st, key := durableBank(t, dir, Options{Capacity: 2})
@@ -337,10 +286,19 @@ func TestBankStoreFailureDegrades(t *testing.T) {
 	if err := b.Prewarm(key, 2); err != nil {
 		t.Fatalf("prewarm: %v", err)
 	}
+	_, half, ok := b.Acquire(key)
+	if !ok {
+		t.Fatal("acquire missed a warm pool")
+	}
+	peer := PeerID{7}
+	if err := b.PutPeerClient(peer, key, NewCorrID(), half.(*core.ClientCorr)); err != nil {
+		t.Fatalf("put peer half: %v", err)
+	}
 	st.Close() // store gone; claims can no longer be journaled
-	// Acquire must not return persisted pairs it cannot tombstone: the
-	// persisted entries are dropped, not double-spendable.
-	if _, _, ok := b.Acquire(key); ok {
-		t.Fatal("acquire handed out a persisted pair after the store died")
+	if _, _, ok := b.AcquirePeer(peer, key); ok {
+		t.Fatal("AcquirePeer handed out a half after the store died")
+	}
+	if _, _, ok := b.Acquire(key); !ok {
+		t.Fatal("the dealer pool stopped serving when the store died")
 	}
 }

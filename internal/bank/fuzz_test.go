@@ -119,10 +119,9 @@ func FuzzDecodeCorr(f *testing.F) {
 	s, c := fuzzCorrPair()
 	f.Add(EncodeServerCorr(s))
 	f.Add(EncodeClientCorr(c))
-	f.Add(EncodePair(s, c))
 	f.Add([]byte{KindServerHalf})
 	f.Add([]byte{KindClientHalf, 2, 0, 0, 0})
-	f.Add([]byte{KindPair, 0xFF, 0xFF, 0xFF, 0xFF})
+	f.Add([]byte{'P', 0xFF, 0xFF, 0xFF, 0xFF}) // the retired dealer-pair tag
 	f.Add([]byte{'X'})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -136,13 +135,6 @@ func FuzzDecodeCorr(f *testing.F) {
 			round = EncodeServerCorr(x)
 		case *core.ClientCorr:
 			round = EncodeClientCorr(x)
-		case Pair:
-			sc, ok1 := x.Server.(*core.ServerCorr)
-			cc, ok2 := x.Client.(*core.ClientCorr)
-			if !ok1 || !ok2 {
-				t.Fatalf("pair halves are %T / %T", x.Server, x.Client)
-			}
-			round = EncodePair(sc, cc)
 		default:
 			t.Fatalf("DecodeCorr returned unexpected type %T", v)
 		}

@@ -27,17 +27,9 @@ type pool struct {
 	session *sessionGen
 
 	mu        sync.Mutex
-	entries   []poolEntry
+	entries   []Pair
 	refilling bool
 	conns     []transport.Conn // generator pipe ends, closed by Bank.Close
-}
-
-// poolEntry is one queued pair plus, when the bank is durable, the id of
-// its on-disk record (0 for memory-only entries, e.g. custom pools or a
-// store whose append failed).
-type poolEntry struct {
-	pair      Pair
-	persistID uint64
 }
 
 // generate produces one pair; genMu is held by the caller.

@@ -27,8 +27,7 @@ import "abnn2/internal/metrics"
 //	abnn2_bank_persist_recovered_records     records available after recovery
 //	abnn2_bank_persist_quarantined_total     corrupt segments/dirs quarantined
 //	abnn2_bank_persist_pruned_total          fully-claimed segment files deleted
-//	abnn2_bank_persist_restored_total        dealer pairs reloaded at startup
-//	abnn2_bank_persist_errors_total          store append/claim/decode failures
+//	abnn2_bank_persist_errors_total          store claim/decode failures
 //	abnn2_bank_replenish_rounds_total        remote offline rounds completed
 //	abnn2_bank_replenish_retries_total       replenish attempts that failed
 //	abnn2_bank_replenish_backoff_ms          current replenisher backoff (0 = healthy)
@@ -56,8 +55,7 @@ func NewMetricsObserver(r *metrics.Registry) Observer {
 		recovered:       r.NewGauge("abnn2_bank_persist_recovered_records", "Records available after the startup recovery scan."),
 		quarantined:     r.NewCounter("abnn2_bank_persist_quarantined_total", "Corrupt segments or pool dirs quarantined during recovery."),
 		pruned:          r.NewCounter("abnn2_bank_persist_pruned_total", "Fully-claimed segment files deleted during recovery or drain."),
-		restored:        r.NewCounter("abnn2_bank_persist_restored_total", "Persisted dealer pairs reloaded into pools at startup."),
-		persistErrs:     r.NewCounter("abnn2_bank_persist_errors_total", "Durable-store append/claim/decode failures."),
+		persistErrs:     r.NewCounter("abnn2_bank_persist_errors_total", "Durable-store claim/decode failures."),
 		replenishRounds: r.NewCounter("abnn2_bank_replenish_rounds_total", "Remote offline replenishment rounds completed."),
 		replenishRetry:  r.NewCounter("abnn2_bank_replenish_retries_total", "Remote replenishment attempts that failed."),
 		backoffMS:       r.NewGauge("abnn2_bank_replenish_backoff_ms", "Current replenisher backoff in milliseconds (0 when healthy)."),
@@ -84,7 +82,6 @@ type metricsObserver struct {
 	recovered       *metrics.Gauge
 	quarantined     *metrics.Counter
 	pruned          *metrics.Counter
-	restored        *metrics.Counter
 	persistErrs     *metrics.Counter
 	replenishRounds *metrics.Counter
 	replenishRetry  *metrics.Counter
@@ -132,9 +129,7 @@ func (m *metricsObserver) BankEvent(ev Event) {
 		m.quarantined.Inc()
 	case "persist-prune":
 		m.pruned.Inc()
-	case "restore":
-		m.restored.Inc()
-	case "persist-error", "persist-claim-drop", "persist-decode-error":
+	case "persist-claim-drop", "persist-decode-error":
 		m.persistErrs.Inc()
 	case "replenish-round":
 		m.replenishRounds.Inc()

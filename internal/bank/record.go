@@ -34,7 +34,6 @@ import (
 //
 //	'S' | u32 batch | u32 n | n x mat             server half
 //	'C' | u32 batch | mat R0 | u32 n | n x mat V | u32 n | n x (u8 present [mat]) Z1
-//	'P' | u32 serverLen | server blob | client blob      dealer pair
 //	mat := u32 rows | u32 cols | rows*cols x u64
 //
 // All integers little-endian. Ring elements are stored as full 8-byte
@@ -68,7 +67,6 @@ const maxMatDim = 1 << 21
 const (
 	KindServerHalf byte = 'S'
 	KindClientHalf byte = 'C'
-	KindPair       byte = 'P'
 )
 
 // PeerID is a party's durable 128-bit identity, generated randomly on
@@ -79,8 +77,10 @@ const (
 // spending that peer's precomputed pairs; see SECURITY.md.
 type PeerID [16]byte
 
-// NoPeer is the zero PeerID, marking dealer pools (in-process trusted
-// dealer, no remote pairing).
+// NoPeer is the zero PeerID. No party mints it and no scope written today
+// carries it; servers before the dealer pools became memory-only
+// persisted them under it, and such scopes are recovered, left untouched
+// and never served.
 var NoPeer PeerID
 
 // String renders the ID as 32 hex digits.
@@ -98,7 +98,7 @@ func ParsePeerID(s string) (PeerID, error) {
 }
 
 // Scope identifies one durable pool: the correlation key plus the peer
-// the pairs are bound to (NoPeer for dealer pools).
+// the halves were generated with.
 type Scope struct {
 	Peer PeerID
 	Key  Key
@@ -499,39 +499,6 @@ func DecodeClientCorr(src []byte) (*core.ClientCorr, error) {
 	return c, nil
 }
 
-// EncodePair serializes a dealer pair (both halves).
-func EncodePair(server *core.ServerCorr, client *core.ClientCorr) []byte {
-	sb := EncodeServerCorr(server)
-	dst := []byte{KindPair}
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(sb)))
-	dst = append(dst, sb...)
-	return append(dst, EncodeClientCorr(client)...)
-}
-
-// DecodePair parses a dealer pair; the inverse of EncodePair.
-func DecodePair(src []byte) (*core.ServerCorr, *core.ClientCorr, error) {
-	if len(src) == 0 || src[0] != KindPair {
-		return nil, nil, fmt.Errorf("bank: not a pair blob")
-	}
-	src = src[1:]
-	slen, src, err := decodeU32(src)
-	if err != nil {
-		return nil, nil, err
-	}
-	if slen < 0 || slen > len(src) {
-		return nil, nil, fmt.Errorf("bank: pair server-half length %d out of range", slen)
-	}
-	server, err := DecodeServerCorr(src[:slen])
-	if err != nil {
-		return nil, nil, err
-	}
-	client, err := DecodeClientCorr(src[slen:])
-	if err != nil {
-		return nil, nil, err
-	}
-	return server, client, nil
-}
-
 // DecodeCorr dispatches on a blob's tag, for callers (and fuzzers) that
 // hold an arbitrary record.
 func DecodeCorr(src []byte) (any, error) {
@@ -543,12 +510,6 @@ func DecodeCorr(src []byte) (any, error) {
 		return DecodeServerCorr(src)
 	case KindClientHalf:
 		return DecodeClientCorr(src)
-	case KindPair:
-		s, c, err := DecodePair(src)
-		if err != nil {
-			return nil, err
-		}
-		return Pair{Server: s, Client: c}, nil
 	}
 	return nil, fmt.Errorf("bank: unknown correlation blob tag %#x", src[0])
 }

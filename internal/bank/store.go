@@ -14,10 +14,9 @@ import (
 // Store is the durable half of the bank: per-scope append-only segment
 // files of checksummed correlation records plus one shared claim journal.
 // The claim discipline is claim-before-use — a record's journal entry is
-// written (and, per FsyncPolicy, fsynced) before the correlation bytes
-// are ever handed to a session — so single-use holds across SIGKILL: a
-// correlation that might have reached a wire is tombstoned on disk before
-// it does.
+// written and fsynced before the correlation bytes are ever handed to a
+// session — so single-use holds across SIGKILL: a correlation that might
+// have reached a wire is tombstoned on disk before it does.
 //
 // A fresh Store is inert until Recover has run: every read/write returns
 // ErrNotRecovered so a server cannot serve from an unvalidated directory
@@ -36,7 +35,6 @@ type Store struct {
 	failed    error // hard recovery failure: every op returns it
 	closed    bool
 	journal   *os.File
-	unsynced  int // journal appends since last fsync
 	scopes    map[uint64]*scopeState
 	stats     RecoverStats
 }
@@ -46,25 +44,12 @@ type StoreOptions struct {
 	// Dir is the store directory, created if absent. One store per
 	// process; concurrent processes on one directory are not supported.
 	Dir string
-	// FsyncEvery is the journal fsync cadence: fsync after every Nth
-	// claim. Default 1 — the only setting under which single-use is
-	// guaranteed across SIGKILL; larger values trade that guarantee for
-	// claim throughput (a crash may forget up to N-1 claims, letting
-	// those correlations be spent again). See DESIGN.md "Durable bank".
-	FsyncEvery int
 	// SegmentMaxBytes rotates a scope's active segment past this size.
 	// Default 64 MiB.
 	SegmentMaxBytes int64
 	// Observer, when non-nil, receives persist-* events; see
 	// NewPersistObserver.
 	Observer Observer
-}
-
-func (o StoreOptions) fsyncEvery() int {
-	if o.FsyncEvery <= 0 {
-		return 1
-	}
-	return o.FsyncEvery
 }
 
 func (o StoreOptions) segmentMax() int64 {
@@ -113,13 +98,6 @@ type scopeState struct {
 type segmentInfo struct {
 	path string
 	ids  []uint64
-}
-
-// StoreRecord is one available (unclaimed) record, as returned by
-// Records.
-type StoreRecord struct {
-	ID   uint64
-	Blob []byte
 }
 
 const (
@@ -575,10 +553,11 @@ func (s *Store) pruneLocked(sc *scopeState) int {
 	return pruned
 }
 
-// claimLocked journals a claim and applies it in memory. The in-memory
-// mark happens even when the disk write fails: once a journal append was
-// attempted the entry may be durable, so the record must never be served
-// (the error then surfaces to the caller, who treats the draw as a miss).
+// claimLocked journals a claim, fsyncs the journal and applies the claim
+// in memory. The in-memory mark happens even when the disk write fails:
+// once a journal append was attempted the entry may be durable, so the
+// record must never be served (the error then surfaces to the caller,
+// who treats the draw as a miss).
 func (s *Store) claimLocked(sc *scopeState, id uint64) error {
 	delete(sc.recs, id)
 	sc.claimed[id] = true
@@ -586,14 +565,10 @@ func (s *Store) claimLocked(sc *scopeState, id uint64) error {
 	if _, err := s.journal.Write(entry); err != nil {
 		return fmt.Errorf("bank: journal append: %w", err)
 	}
-	s.unsynced++
-	if s.unsynced >= s.opts.fsyncEvery() {
-		if err := s.journal.Sync(); err != nil {
-			return fmt.Errorf("bank: journal sync: %w", err)
-		}
-		s.unsynced = 0
-		s.observe(Event{Kind: "persist-journal-fsync"})
+	if err := s.journal.Sync(); err != nil {
+		return fmt.Errorf("bank: journal sync: %w", err)
 	}
+	s.observe(Event{Kind: "persist-journal-fsync"})
 	s.observe(Event{Kind: "persist-claim", Key: sc.scope.Key})
 	return nil
 }
@@ -642,25 +617,6 @@ func (s *Store) ClaimByID(scope Scope, id uint64) (blob []byte, ok bool, err err
 	return b, true, nil
 }
 
-// Records returns the available records under scope without claiming
-// them — the bank's restart restore path, which re-parks pairs in memory
-// but still claims each one through the journal at Acquire time.
-func (s *Store) Records(scope Scope) ([]StoreRecord, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sc, err := s.getState(scope, false)
-	if err != nil || sc == nil {
-		return nil, err
-	}
-	out := make([]StoreRecord, 0, len(sc.avail))
-	for _, id := range sc.avail {
-		if b, have := sc.recs[id]; have {
-			out = append(out, StoreRecord{ID: id, Blob: b})
-		}
-	}
-	return out, nil
-}
-
 // Depth returns the number of available records under scope.
 func (s *Store) Depth(scope Scope) int {
 	s.mu.Lock()
@@ -678,18 +634,6 @@ func (s *Store) Depth(scope Scope) int {
 	return n
 }
 
-// Scopes returns every recovered scope in deterministic order.
-func (s *Store) Scopes() []Scope {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Scope, 0, len(s.scopes))
-	for _, sc := range s.scopes {
-		out = append(out, sc.scope)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
-	return out
-}
-
 // Recovered reports whether Recover has completed successfully.
 func (s *Store) Recovered() bool {
 	s.mu.Lock()
@@ -699,21 +643,15 @@ func (s *Store) Recovered() bool {
 
 // Sync flushes the journal and every active segment to stable storage —
 // the drain path, so a graceful shutdown leaves nothing in OS buffers.
+// Every claim has already synced the journal; flushing it again here
+// covers a claim whose own sync failed.
 func (s *Store) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.recovered || s.closed {
 		return nil
 	}
-	var first error
-	if s.unsynced > 0 {
-		if err := s.journal.Sync(); err != nil {
-			first = err
-		} else {
-			s.unsynced = 0
-			s.observe(Event{Kind: "persist-journal-fsync"})
-		}
-	}
+	first := s.journal.Sync()
 	for _, sc := range s.scopes {
 		if sc.seg != nil {
 			if err := sc.seg.Sync(); err != nil && first == nil {
@@ -738,11 +676,7 @@ func (s *Store) Close() error {
 	s.closed = true
 	var first error
 	if s.journal != nil {
-		if s.unsynced > 0 {
-			if err := s.journal.Sync(); err != nil {
-				first = err
-			}
-		}
+		first = s.journal.Sync()
 		if err := s.journal.Close(); err != nil && first == nil {
 			first = err
 		}

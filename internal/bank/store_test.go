@@ -98,8 +98,8 @@ func TestStoreClaimSurvivesReopen(t *testing.T) {
 	if _, ok, err := s1.ClaimByID(scope, 3); err != nil || !ok {
 		t.Fatalf("claim 3: ok=%v err=%v", ok, err)
 	}
-	// Abandon s1 without Close or Sync: FsyncEvery defaults to 1, so both
-	// claims must already be durable — this is the SIGKILL model.
+	// Abandon s1 without Close or Sync: every claim fsyncs the journal, so
+	// both claims must already be durable — this is the SIGKILL model.
 	s2, stats := openRecovered(t, dir, StoreOptions{})
 	defer s2.Close()
 	if stats.Records != 3 || stats.Claimed != 2 {
@@ -111,20 +111,25 @@ func TestStoreClaimSurvivesReopen(t *testing.T) {
 	if _, ok, _ := s2.ClaimByID(scope, 3); ok {
 		t.Fatal("correlation 3 claimable again after reopen — double use")
 	}
-	recs, err := s2.Records(scope)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range recs {
-		if r.ID == id || r.ID == 3 {
-			t.Fatalf("claimed id %d still listed after recovery", r.ID)
+	survivors := 0
+	for {
+		rid, blob, ok, err := s2.Draw(scope)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !bytes.Equal(r.Blob, blobs[r.ID]) {
-			t.Fatalf("record %d blob corrupted across reopen", r.ID)
+		if !ok {
+			break
+		}
+		survivors++
+		if rid == id || rid == 3 {
+			t.Fatalf("claimed id %d still drawable after recovery", rid)
+		}
+		if !bytes.Equal(blob, blobs[rid]) {
+			t.Fatalf("record %d blob corrupted across reopen", rid)
 		}
 	}
-	if len(recs) != 3 {
-		t.Fatalf("%d records survive, want 3", len(recs))
+	if survivors != 3 {
+		t.Fatalf("%d records survive, want 3", survivors)
 	}
 }
 
@@ -308,8 +313,8 @@ func TestStoreSegmentRotation(t *testing.T) {
 	}
 }
 
-// TestStoreFsyncCadence: FsyncEvery batches journal fsyncs; Sync flushes
-// the remainder.
+// TestStoreFsyncCadence: every claim is followed by its own journal
+// fsync barrier — the claim-before-use guarantee has no batching.
 func TestStoreFsyncCadence(t *testing.T) {
 	var mu sync.Mutex
 	fsyncs := 0
@@ -322,7 +327,7 @@ func TestStoreFsyncCadence(t *testing.T) {
 	})
 	dir := t.TempDir()
 	scope := testScope(NoPeer)
-	s, _ := openRecovered(t, dir, StoreOptions{FsyncEvery: 3, Observer: obs})
+	s, _ := openRecovered(t, dir, StoreOptions{Observer: obs})
 	defer s.Close()
 	for i := 1; i <= 7; i++ {
 		if err := s.Append(scope, uint64(i), []byte{byte(i)}); err != nil {
@@ -333,21 +338,12 @@ func TestStoreFsyncCadence(t *testing.T) {
 		if _, ok, err := s.ClaimByID(scope, uint64(i)); err != nil || !ok {
 			t.Fatalf("claim %d: ok=%v err=%v", i, ok, err)
 		}
-	}
-	mu.Lock()
-	after := fsyncs
-	mu.Unlock()
-	if after != 2 { // claims 3 and 6
-		t.Fatalf("%d journal fsyncs after 7 claims at FsyncEvery=3, want 2", after)
-	}
-	if err := s.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	final := fsyncs
-	mu.Unlock()
-	if final != 3 {
-		t.Fatalf("%d journal fsyncs after Sync, want 3", final)
+		mu.Lock()
+		after := fsyncs
+		mu.Unlock()
+		if after != i {
+			t.Fatalf("%d journal fsyncs after %d claims, want one per claim", after, i)
+		}
 	}
 }
 

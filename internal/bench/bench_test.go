@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
-	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -265,55 +263,6 @@ func TestTableBankSplit(t *testing.T) {
 	}
 }
 
-// TestBankBaselineFile keeps the checked-in BENCH_baseline.json honest:
-// it must parse, hold bank-split rows, and every recorded online-only
-// row must beat its end-to-end sibling — the property the baseline
-// exists to document. Regenerate with:
-//
-//	go run ./cmd/abnn2-bench -bank -baseline-out BENCH_baseline.json
-func TestBankBaselineFile(t *testing.T) {
-	data, err := os.ReadFile("../../BENCH_baseline.json")
-	if err != nil {
-		t.Fatalf("read baseline: %v", err)
-	}
-	var doc struct {
-		Table string         `json:"table"`
-		Rows  []TableBankRow `json:"rows"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatalf("parse baseline: %v", err)
-	}
-	if doc.Table != "bank-split" {
-		t.Fatalf("baseline table %q, want bank-split", doc.Table)
-	}
-	e2e := map[int]TableBankRow{}
-	online := map[int]TableBankRow{}
-	for _, r := range doc.Rows {
-		switch r.Mode {
-		case "end-to-end":
-			e2e[r.Batch] = r
-		case "online-only":
-			online[r.Batch] = r
-		default:
-			t.Errorf("unknown mode %q", r.Mode)
-		}
-	}
-	if len(e2e) == 0 || len(e2e) != len(online) {
-		t.Fatalf("baseline holds %d end-to-end and %d online-only rows", len(e2e), len(online))
-	}
-	for batch, e := range e2e {
-		o, ok := online[batch]
-		if !ok {
-			t.Errorf("batch %d has no online-only row", batch)
-			continue
-		}
-		if o.CommMB >= e.CommMB || o.WallSec >= e.WallSec {
-			t.Errorf("batch %d: recorded online-only (%.4fs, %.3f MB) not below end-to-end (%.4fs, %.3f MB)",
-				batch, o.WallSec, o.CommMB, e.WallSec, e.CommMB)
-		}
-	}
-}
-
 // TestTableBankDurable is the acceptance check behind the durable store:
 // a warm start (recovered persisted correlations) must reach its first
 // banked prediction faster and with less wire traffic than a cold start
@@ -340,43 +289,5 @@ func TestTableBankDurable(t *testing.T) {
 	if warm.FirstSec >= cold.FirstSec {
 		t.Errorf("warm-start first prediction %.4fs not below cold-start %.4fs",
 			warm.FirstSec, cold.FirstSec)
-	}
-}
-
-// TestBankDurableFile keeps the checked-in BENCH_durable.json honest: it
-// must parse, hold one cold and one warm row, and the recorded warm
-// start must beat the cold start on both axes. Regenerate with:
-//
-//	go run ./cmd/abnn2-bench -bank-durable -baseline-out BENCH_durable.json
-func TestBankDurableFile(t *testing.T) {
-	data, err := os.ReadFile("../../BENCH_durable.json")
-	if err != nil {
-		t.Fatalf("read durable baseline: %v", err)
-	}
-	var doc struct {
-		Table string            `json:"table"`
-		Rows  []TableDurableRow `json:"rows"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatalf("parse durable baseline: %v", err)
-	}
-	if doc.Table != "bank-durable" {
-		t.Fatalf("baseline table %q, want bank-durable", doc.Table)
-	}
-	modes := map[string]TableDurableRow{}
-	for _, r := range doc.Rows {
-		modes[r.Mode] = r
-	}
-	cold, okC := modes["cold-start"]
-	warm, okW := modes["warm-start"]
-	if !okC || !okW || len(doc.Rows) != 2 {
-		t.Fatalf("baseline holds rows %v, want exactly cold-start and warm-start", doc.Rows)
-	}
-	if warm.Recovered < 1 {
-		t.Errorf("recorded warm start recovered %d records", warm.Recovered)
-	}
-	if warm.CommMB >= cold.CommMB || warm.FirstSec >= cold.FirstSec {
-		t.Errorf("recorded warm start (%.4fs, %.3f MB) not below cold start (%.4fs, %.3f MB)",
-			warm.FirstSec, warm.CommMB, cold.FirstSec, cold.CommMB)
 	}
 }

@@ -63,7 +63,7 @@ func TestOfflineHandshakeAndSession(t *testing.T) {
 
 	sconn, cconn := abnn2.Pipe()
 	go func() { _ = rt.HandleConn(context.Background(), sconn, "inproc") }()
-	info, err := ClientHandshakeOffline(cconn, "", cliStore.PeerID().String())
+	info, err := clientHandshake(cconn, hello{V: helloVersion, Offline: true, Peer: cliStore.PeerID().String()})
 	if err != nil {
 		t.Fatalf("offline handshake: %v", err)
 	}
@@ -89,7 +89,7 @@ func TestOfflineHandshakeAndSession(t *testing.T) {
 		conn, info2, err := func() (abnn2.Conn, HandshakeInfo, error) {
 			sc, cc := abnn2.Pipe()
 			go func() { _ = rt.HandleConn(ctx, sc, "inproc") }()
-			inf, err := clientHandshakeInfo(cc, hello{V: helloVersion})
+			inf, err := clientHandshake(cc, hello{V: helloVersion})
 			return cc, inf, err
 		}()
 		if err != nil {
@@ -125,7 +125,7 @@ func TestOfflineHandshakeRejections(t *testing.T) {
 		sconn, cconn := abnn2.Pipe()
 		defer cconn.Close()
 		go func() { _ = rt.HandleConn(context.Background(), sconn, "inproc") }()
-		_, err := ClientHandshakeOffline(cconn, "", abnn2.BankPeerID{1}.String())
+		_, err := clientHandshake(cconn, hello{V: helloVersion, Offline: true, Peer: abnn2.BankPeerID{1}.String()})
 		var rej *RejectError
 		if !errors.As(err, &rej) || rej.Temporary() {
 			t.Fatalf("offline hello without a store: %v, want permanent rejection", err)
@@ -136,7 +136,7 @@ func TestOfflineHandshakeRejections(t *testing.T) {
 		sconn, cconn := abnn2.Pipe()
 		defer cconn.Close()
 		go func() { _ = rt.HandleConn(context.Background(), sconn, "inproc") }()
-		_, err := ClientHandshakeOffline(cconn, "", "not-a-peer-id")
+		_, err := clientHandshake(cconn, hello{V: helloVersion, Offline: true, Peer: "not-a-peer-id"})
 		var rej *RejectError
 		if !errors.As(err, &rej) || rej.Temporary() {
 			t.Fatalf("offline hello with a bad peer: %v, want permanent rejection", err)
@@ -179,7 +179,7 @@ func TestRecoveryGatesReadiness(t *testing.T) {
 	}
 	sconn, cconn := abnn2.Pipe()
 	go func() { _ = rt.HandleConn(context.Background(), sconn, "inproc") }()
-	_, herr := ClientHandshakeOffline(cconn, "", abnn2.BankPeerID{1}.String())
+	_, herr := clientHandshake(cconn, hello{V: helloVersion, Offline: true, Peer: abnn2.BankPeerID{1}.String()})
 	cconn.Close()
 	var rej *RejectError
 	if !errors.As(herr, &rej) || !rej.Temporary() {
@@ -217,5 +217,66 @@ func TestDrainFlushesJournal(t *testing.T) {
 	}
 	if ready, reason := rt.ReadyState(); ready || reason != "draining" {
 		t.Fatalf("ReadyState after drain = %v %q", ready, reason)
+	}
+}
+
+// TestOfflineHelloShedLikeInference: on a draining or saturated runtime
+// an offline hello is shed with the codes an inference hello gets, in the
+// same precedence — draining beats saturation.
+func TestOfflineHelloShedLikeInference(t *testing.T) {
+	st, err := abnn2.OpenBankStore(abnn2.BankStoreOptions{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	b := abnn2.NewBank(abnn2.BankOptions{Capacity: 2, Store: st})
+	rt := testRuntime(t, Options{Bank: b, MaxSessions: 1})
+	t.Cleanup(func() {
+		b.Close()
+		st.Close()
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	// shed sends one hello of each kind and returns the rejection codes.
+	shed := func() (inference, offline string) {
+		t.Helper()
+		codes := make([]string, 0, 2)
+		for _, h := range []hello{
+			{V: helloVersion},
+			{V: helloVersion, Offline: true, Peer: abnn2.BankPeerID{1}.String()},
+		} {
+			sconn, cconn := abnn2.Pipe()
+			go func() { _ = rt.HandleConn(ctx, sconn, "inproc") }()
+			_, err := clientHandshake(cconn, h)
+			cconn.Close()
+			var rej *RejectError
+			if !errors.As(err, &rej) || !rej.Temporary() || rej.Rejection.RetryAfter() <= 0 {
+				t.Fatalf("hello %+v: %v, want a hinted retryable rejection", h, err)
+			}
+			codes = append(codes, rej.Rejection.Code)
+		}
+		return codes[0], codes[1]
+	}
+
+	// Occupy the only slot: admitted but never progressing (no Dial).
+	hold, _, err := rt.Connect(ctx, "")
+	if err != nil {
+		t.Fatalf("holder connect: %v", err)
+	}
+	defer hold.Close()
+	if inf, off := shed(); inf != RejectSaturated || off != RejectSaturated {
+		t.Errorf("saturated runtime shed inference as %q, offline as %q", inf, off)
+	}
+
+	// Draining with the slot still held: draining wins for both.
+	dctx, dcancel := context.WithTimeout(ctx, 50*time.Millisecond)
+	defer dcancel()
+	if err := rt.Drain(dctx); err == nil {
+		t.Fatal("drain returned while the holder was still connected")
+	}
+	if inf, off := shed(); inf != RejectDraining || off != RejectDraining {
+		t.Errorf("draining, saturated runtime shed inference as %q, offline as %q", inf, off)
 	}
 }

@@ -38,7 +38,8 @@ type Options struct {
 	HandshakeTimeout time.Duration
 	// Session is the per-session configuration template: ring width,
 	// ReLU variant, workers, round timeout, trace sink, offline mode.
-	// SessionID and Bank are filled per connection by the runtime.
+	// SessionID is filled per connection by the runtime, Bank from the
+	// field above; New validates the result (abnn2.Config.Validate).
 	Session abnn2.Config
 	// Metrics, when non-nil, receives the runtime's admission and
 	// session series; see NewMetrics.
@@ -104,8 +105,12 @@ func New(opts Options) (*Runtime, error) {
 	if opts.Registry == nil || opts.Registry.Len() == 0 {
 		return nil, fmt.Errorf("serve: registry is empty")
 	}
-	if opts.Session.OfflineMode == abnn2.OfflineBanked && opts.Bank == nil {
-		return nil, fmt.Errorf("serve: OfflineBanked sessions require Options.Bank")
+	// The effective per-session config, minus the per-connection session
+	// id: a bad template fails here, at start-up, not on every connection.
+	session := opts.Session
+	session.Bank = opts.Bank
+	if err := session.Validate(); err != nil {
+		return nil, fmt.Errorf("serve: Options.Session: %w", err)
 	}
 	log := opts.Logger
 	if log == nil {
@@ -124,7 +129,7 @@ func New(opts Options) (*Runtime, error) {
 		bank:      opts.Bank,
 		adm:       NewAdmission(max),
 		hsTimeout: hs,
-		session:   opts.Session,
+		session:   session,
 		m:         opts.Metrics,
 		log:       log,
 		recorder:  opts.Recorder,
@@ -206,13 +211,11 @@ func (rt *Runtime) StartPrewarm(keys []abnn2.BankKey, depth int) {
 
 // StartRecovery begins background recovery of the bank's durable store,
 // gating readiness: /readyz answers 503 until the recovery scan has
-// completed, so banked sessions never run against an unvalidated store.
-// On success the bank's persisted dealer pairs are restored into their
-// pools, then prewarming of keys starts (so prewarm tops up what
-// recovery did not restore, instead of racing it). A failed recovery is
-// logged and leaves the store disabled — the bank serves memory-only,
-// degrading durability rather than startup — and the runtime still
-// becomes ready.
+// completed, so peer-banked sessions never run against an unvalidated
+// store; prewarming of the (memory-only) dealer pools for keys starts
+// after it. A failed recovery is logged and leaves the store disabled —
+// peer-paired draws and offline sessions fail, degrading durability
+// rather than startup — and the runtime still becomes ready.
 func (rt *Runtime) StartRecovery(store *abnn2.BankStore, keys []abnn2.BankKey, depth int) {
 	if store == nil {
 		rt.StartPrewarm(keys, depth)
@@ -228,18 +231,11 @@ func (rt *Runtime) StartRecovery(store *abnn2.BankStore, keys []abnn2.BankKey, d
 		defer rt.untrackConn()
 		stats, err := store.Recover()
 		if err != nil {
-			rt.log.Error("bank store recovery failed; serving memory-only", "dir", store.Dir(), "err", err)
+			rt.log.Error("bank store recovery failed; serving without it", "dir", store.Dir(), "err", err)
 		} else {
 			rt.log.Info("bank store recovered", "dir", store.Dir(),
 				"scopes", stats.Scopes, "records", stats.Records, "claimed", stats.Claimed,
 				"torn_tails", stats.TornTails, "quarantined", stats.Quarantined)
-			if rt.bank != nil {
-				if n, rerr := rt.bank.Restore(); rerr != nil {
-					rt.log.Warn("bank restore failed", "err", rerr)
-				} else if n > 0 {
-					rt.log.Info("bank pools restored from store", "pairs", n)
-				}
-			}
 		}
 		rt.recovered.Store(true)
 		ready, _ := rt.ReadyState()
@@ -355,22 +351,20 @@ func (rt *Runtime) HandleConn(ctx context.Context, conn abnn2.Conn, remote strin
 			Reason: fmt.Sprintf("model %q is not served here", h.Model),
 		})
 	}
+	// What the hello asks for is checked before admission: a request this
+	// server can never serve is refused without taking a slot.
+	var sessPlan *abnn2.Plan
+	var peer abnn2.BankPeerID
+	var rej *Rejection
 	if h.Offline {
-		if len(h.Plan) > 0 {
-			// Replenishment generates the all-ABNN2 session material;
-			// planned pools are filled by planned online sessions.
-			return rt.reject(conn, remote, Rejection{
-				Code:   RejectBadPlan,
-				Reason: "offline replenishment sessions do not take a plan",
-			})
-		}
-		return rt.handleOffline(ctx, conn, remote, model, h)
+		peer, rej = rt.checkOffline(h)
+	} else {
+		sessPlan, rej = rt.checkPlan(model, h)
 	}
-	sessPlan, perr := rt.checkPlan(model, h)
-	if perr != nil {
-		return rt.reject(conn, remote, Rejection{Code: RejectBadPlan, Reason: perr.Error()})
+	if rej != nil {
+		return rt.reject(conn, remote, *rej)
 	}
-	release, rej, degraded := rt.admit(model)
+	release, rej, degraded := rt.admit(model, h.Offline)
 	if rej != nil {
 		return rt.reject(conn, remote, *rej)
 	}
@@ -397,15 +391,17 @@ func (rt *Runtime) HandleConn(ctx context.Context, conn abnn2.Conn, remote strin
 	// arms per-round deadlines from Config.RoundTimeout).
 	_ = conn.SetDeadline(time.Time{})
 
+	cfg := rt.session
+	cfg.SessionID = id
+	if h.Offline {
+		return rt.serveOffline(ctx, conn, remote, model, cfg, peer)
+	}
 	if degraded {
 		rt.m.degraded()
 		rt.log.Info("admitted degraded (pools dry, inline offline)",
 			"session", id, "model", model.Name, "remote", remote)
 	}
 	rt.emitAdmission(id, hsStart)
-	cfg := rt.session
-	cfg.SessionID = id
-	cfg.Bank = rt.bank
 	if sessPlan != nil {
 		// The admitted plan becomes the session's requirement: every
 		// batch announcement must carry this exact plan.
@@ -452,107 +448,70 @@ func (rt *Runtime) emitAdmission(id uint64, hsStart time.Time) {
 	})
 }
 
-// handleOffline serves a remote offline-replenishment session: the
-// client and this server run the real two-party offline protocol and
-// each durably stores its half of every correlation under the other's
-// peer id. Offline sessions take a normal session slot — they cost the
-// same compute as an inline offline phase — but skip the bank-dry
-// check, since their whole point is to fill pools.
-func (rt *Runtime) handleOffline(ctx context.Context, conn abnn2.Conn, remote string, model *Model, h hello) error {
+// checkOffline validates an offline hello: it needs a server with a
+// durable store to keep the halves in, the client's peer id to keep them
+// under, and no plan — replenishment generates the all-ABNN2 session
+// material; planned pools are filled by planned online sessions.
+func (rt *Runtime) checkOffline(h hello) (peer abnn2.BankPeerID, _ *Rejection) {
+	if len(h.Plan) > 0 {
+		return peer, &Rejection{Code: RejectBadPlan,
+			Reason: "offline replenishment sessions do not take a plan"}
+	}
 	if rt.bank == nil || rt.bank.Store() == nil {
-		return rt.reject(conn, remote, Rejection{
-			Code:   RejectBadHello,
-			Reason: "offline sessions require a server with a durable bank store",
-		})
+		return peer, &Rejection{Code: RejectBadHello,
+			Reason: "offline sessions require a server with a durable bank store"}
 	}
 	peer, err := abnn2.ParseBankPeerID(h.Peer)
 	if err != nil {
-		return rt.reject(conn, remote, Rejection{
-			Code:   RejectBadHello,
-			Reason: "offline sessions require the client's bank peer id",
-		})
+		return peer, &Rejection{Code: RejectBadHello,
+			Reason: "offline sessions require the client's bank peer id"}
 	}
-	if !rt.recovered.Load() {
-		// The store refuses writes until recovery completes; shedding here
-		// saves the client a doomed offline phase.
-		return rt.reject(conn, remote, Rejection{
-			Code: RejectBankDry, Retryable: true,
-			RetryAfterMillis: bankDryRetryAfter.Milliseconds(),
-			Reason:           "bank store recovery in progress",
-		})
-	}
-	rt.mu.Lock()
-	draining := rt.draining
-	rt.mu.Unlock()
-	if draining {
-		return rt.reject(conn, remote, Rejection{
-			Code: RejectDraining, Retryable: true,
-			RetryAfterMillis: drainRetryAfter.Milliseconds(),
-			Reason:           "server is draining for shutdown",
-		})
-	}
-	release, ok := rt.adm.TryAcquire()
-	if !ok {
-		return rt.reject(conn, remote, Rejection{
-			Code: RejectSaturated, Retryable: true,
-			RetryAfterMillis: rt.adm.RetryAfter().Milliseconds(),
-			Reason:           fmt.Sprintf("all %d session slots busy", rt.adm.Max()),
-		})
-	}
-	defer release()
+	return peer, nil
+}
 
-	id := rt.nextSession.Add(1)
-	reply, err := json.Marshal(helloReply{OK: true, Model: model.Name, Arch: model.ArchJSON,
-		BankID: model.BankID, Peer: rt.bank.Store().PeerID().String(), Session: id})
-	if err != nil {
-		return err
-	}
-	if err := conn.Send(reply); err != nil {
-		rt.m.handshakeFail()
-		rt.log.Warn("handshake reply failed", "remote", remote, "err", err)
-		return fmt.Errorf("serve: handshake reply: %w", err)
-	}
-	_ = conn.SetDeadline(time.Time{})
-
-	cfg := rt.session
-	cfg.SessionID = id
-	cfg.Bank = rt.bank
+// serveOffline runs an admitted remote offline-replenishment session: the
+// client and this server run the real two-party offline protocol and
+// each durably stores its half of every correlation under the other's
+// peer id.
+func (rt *Runtime) serveOffline(ctx context.Context, conn abnn2.Conn, remote string, model *Model,
+	cfg abnn2.Config, peer abnn2.BankPeerID) error {
 	rt.m.offlineStart()
 	start := time.Now()
-	err = abnn2.ServeOfflineSession(ctx, conn, model.Quant, cfg, peer)
+	err := abnn2.ServeOfflineSession(ctx, conn, model.Quant, cfg, peer)
 	rt.m.offlineEnd(err)
 	if err != nil {
-		rt.diag.sessionAnomaly("error", id, model.Name, remote, time.Since(start), 0, err)
-		rt.log.Error("offline session failed", "session", id, "model", model.Name,
-			"remote", remote, "peer", h.Peer, "err", err)
+		rt.diag.sessionAnomaly("error", cfg.SessionID, model.Name, remote, time.Since(start), 0, err)
+		rt.log.Error("offline session failed", "session", cfg.SessionID, "model", model.Name,
+			"remote", remote, "peer", peer.String(), "err", err)
 		return err
 	}
-	rt.log.Info("offline session done", "session", id, "model", model.Name,
-		"remote", remote, "peer", h.Peer,
+	rt.log.Info("offline session done", "session", cfg.SessionID, "model", model.Name,
+		"remote", remote, "peer", peer.String(),
 		"dur", time.Since(start).Round(time.Millisecond))
 	return nil
 }
 
 // checkPlan validates a hello's proposed per-layer protocol plan
-// against the requested model. A nil return with a nil plan means the
+// against the requested model. A nil plan with a nil rejection means the
 // hello proposed none. Validation runs before admission — a plan the
 // server cannot execute is refused in the handshake round, before the
 // client sinks base-OT work into a doomed session.
-func (rt *Runtime) checkPlan(model *Model, h hello) (*abnn2.Plan, error) {
+func (rt *Runtime) checkPlan(model *Model, h hello) (*abnn2.Plan, *Rejection) {
 	if len(h.Plan) == 0 {
 		return nil, nil
 	}
 	if rt.session.Plan != nil && !bytes.Equal(h.Plan, rt.session.Plan.Marshal()) {
-		return nil, fmt.Errorf("this server requires plan %s", rt.session.Plan)
+		return nil, &Rejection{Code: RejectBadPlan,
+			Reason: fmt.Sprintf("this server requires plan %s", rt.session.Plan)}
 	}
 	p, err := plan.Unmarshal(h.Plan)
-	if err != nil {
-		return nil, err
+	if err == nil {
+		// Batch 1 is the most permissive shape; the session layer re-checks
+		// against each announced batch.
+		err = p.Validate(model.Quant.Arch(), 1)
 	}
-	// Batch 1 is the most permissive shape; the session layer re-checks
-	// against each announced batch.
-	if err := p.Validate(model.Quant.Arch(), 1); err != nil {
-		return nil, err
+	if err != nil {
+		return nil, &Rejection{Code: RejectBadPlan, Reason: err.Error()}
 	}
 	return p, nil
 }
@@ -560,8 +519,11 @@ func (rt *Runtime) checkPlan(model *Model, h hello) (*abnn2.Plan, error) {
 // admit decides one handshake: a session slot plus degradation status,
 // or a typed rejection. Decision order: draining beats saturation beats
 // bank state, so a shutting-down server answers consistently whatever
-// its load.
-func (rt *Runtime) admit(model *Model) (release func(), rej *Rejection, degraded bool) {
+// its load and whichever kind of session the hello asked for. Offline
+// sessions take a normal slot — they cost the same compute as an inline
+// offline phase — and their bank state is the store's, not the pools':
+// filling dry pools is their whole point.
+func (rt *Runtime) admit(model *Model, offline bool) (release func(), rej *Rejection, degraded bool) {
 	rt.mu.Lock()
 	draining := rt.draining
 	rt.mu.Unlock()
@@ -580,7 +542,18 @@ func (rt *Runtime) admit(model *Model) (release func(), rej *Rejection, degraded
 			Reason:           fmt.Sprintf("all %d session slots busy", rt.adm.Max()),
 		}, false
 	}
-	if rt.bank != nil && rt.session.OfflineMode != abnn2.OfflineInline {
+	if offline {
+		if !rt.recovered.Load() {
+			// The store refuses writes until recovery completes; shedding
+			// here saves the client a doomed offline phase.
+			release()
+			return nil, &Rejection{
+				Code: RejectBankDry, Retryable: true,
+				RetryAfterMillis: bankDryRetryAfter.Milliseconds(),
+				Reason:           "bank store recovery in progress",
+			}, false
+		}
+	} else if rt.bank != nil && rt.session.OfflineMode != abnn2.OfflineInline {
 		if depth := rt.bankDepth(model); depth == 0 {
 			if rt.session.OfflineMode == abnn2.OfflineBanked {
 				// Admitting would hand the client a session whose every batch
@@ -635,23 +608,20 @@ func (rt *Runtime) reject(conn abnn2.Conn, remote string, rej Rejection) error {
 // *RejectError, the pipe is closed, and the serving goroutine has
 // already exited by way of its own close.
 func (rt *Runtime) Connect(ctx context.Context, model string) (abnn2.Conn, abnn2.Arch, error) {
-	sconn, cconn := abnn2.Pipe()
-	go func() { _ = rt.HandleConn(ctx, sconn, "inproc") }()
-	arch, err := ClientHandshake(cconn, model)
-	if err != nil {
-		cconn.Close()
-		return nil, arch, err
-	}
-	return cconn, arch, nil
+	return rt.ConnectPlan(ctx, model, nil)
 }
 
 // ConnectPlan is Connect proposing a per-layer protocol plan in the
-// handshake; the same plan must then be set as abnn2.Config.Plan for
-// the Dial on the returned connection.
+// handshake (nil proposes none); the same plan must then be set as
+// abnn2.Config.Plan for the Dial on the returned connection.
 func (rt *Runtime) ConnectPlan(ctx context.Context, model string, p *abnn2.Plan) (abnn2.Conn, abnn2.Arch, error) {
+	h := hello{V: helloVersion, Model: model}
+	if p != nil {
+		h.Plan = p.Marshal()
+	}
 	sconn, cconn := abnn2.Pipe()
 	go func() { _ = rt.HandleConn(ctx, sconn, "inproc") }()
-	info, err := ClientHandshakePlan(cconn, model, p)
+	info, err := clientHandshake(cconn, h)
 	if err != nil {
 		cconn.Close()
 		return nil, info.Arch, err

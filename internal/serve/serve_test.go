@@ -313,6 +313,11 @@ func TestNewValidation(t *testing.T) {
 		Session: abnn2.Config{OfflineMode: abnn2.OfflineBanked}}); err == nil {
 		t.Error("New with OfflineBanked and no bank succeeded")
 	}
+	// A bad session template is a start-up error, not one every client
+	// then meets as a dropped connection.
+	if _, err := New(Options{Registry: reg, Session: abnn2.Config{Workers: -1}}); err == nil {
+		t.Error("New with negative Session.Workers succeeded")
+	}
 }
 
 func TestJitterRange(t *testing.T) {

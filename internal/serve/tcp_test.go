@@ -47,7 +47,7 @@ func TestDialModelRetryOverTCP(t *testing.T) {
 	defer cancel()
 
 	// Client 1 takes the only slot and holds it mid-protocol.
-	hold, _, err := DialModel(ctx, addr, "")
+	hold, _, err := DialModelInfo(ctx, addr, "")
 	if err != nil {
 		t.Fatalf("holder dial: %v", err)
 	}
@@ -57,7 +57,7 @@ func TestDialModelRetryOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatalf("probe dial: %v", err)
 	}
-	_, err = ClientHandshake(conn, "")
+	_, err = ClientHandshakeInfo(conn, "")
 	conn.Close()
 	var rej *RejectError
 	if !errors.As(err, &rej) || rej.Rejection.Code != RejectSaturated {
@@ -67,21 +67,21 @@ func TestDialModelRetryOverTCP(t *testing.T) {
 		t.Fatalf("saturated rejection carried no retry hint: %+v", rej.Rejection)
 	}
 
-	// Client 2 retries through DialModel while the slot frees shortly.
+	// Client 2 retries through DialModelInfo while the slot frees shortly.
 	var released atomic.Bool
 	go func() {
 		time.Sleep(150 * time.Millisecond)
 		released.Store(true)
 		hold.Close()
 	}()
-	conn2, arch, err := DialModel(ctx, addr, "")
+	conn2, info, err := DialModelInfo(ctx, addr, "")
 	if err != nil {
 		t.Fatalf("retrying dial: %v", err)
 	}
 	if !released.Load() {
 		t.Error("retrying client admitted while the slot was still held")
 	}
-	client, err := abnn2.Dial(conn2, arch, abnn2.Config{RingBits: 32, RoundTimeout: testRoundTimeout})
+	client, err := abnn2.Dial(conn2, info.Arch, abnn2.Config{RingBits: 32, RoundTimeout: testRoundTimeout})
 	if err != nil {
 		t.Fatalf("session dial: %v", err)
 	}
@@ -109,7 +109,7 @@ func TestDialModelPermanentRejection(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	start := time.Now()
-	_, _, err := DialModel(ctx, addr, "no-such-model")
+	_, _, err := DialModelInfo(ctx, addr, "no-such-model")
 	var rej *RejectError
 	if !errors.As(err, &rej) || rej.Rejection.Code != RejectUnknownModel {
 		t.Fatalf("err = %v, want unknown-model rejection", err)

@@ -103,7 +103,7 @@ func (r Rejection) RetryAfter() time.Duration {
 }
 
 // RejectError is a Rejection as a client-side error, returned by
-// ClientHandshake and DialModel. Use errors.As to recover the typed
+// ClientHandshakeInfo and DialModelInfo. Use errors.As to recover the typed
 // rejection and its retry hint.
 type RejectError struct {
 	Rejection Rejection
@@ -136,46 +136,17 @@ type HandshakeInfo struct {
 	SessionID uint64
 }
 
-// ClientHandshake performs one handshake attempt on an established
+// ClientHandshakeInfo performs one handshake attempt on an established
 // connection: it sends the hello for the named model (empty = server
 // default) and decodes the reply. A server-side rejection comes back as
 // a *RejectError; on success the returned architecture is ready for
 // abnn2.Dial on the same connection.
-func ClientHandshake(conn abnn2.Conn, model string) (abnn2.Arch, error) {
-	info, err := clientHandshakeInfo(conn, hello{V: helloVersion, Model: model})
-	return info.Arch, err
-}
-
-// ClientHandshakeInfo is ClientHandshake returning the full handshake
-// info (bank identity, server peer ID, session id) on an established
-// connection.
 func ClientHandshakeInfo(conn abnn2.Conn, model string) (HandshakeInfo, error) {
-	return clientHandshakeInfo(conn, hello{V: helloVersion, Model: model})
+	return clientHandshake(conn, hello{V: helloVersion, Model: model})
 }
 
-// ClientHandshakeOffline performs the handshake for a remote offline-
-// replenishment session: peer is this client's durable bank identity
-// (hex). On success the connection is ready for abnn2.ReplenishSession
-// with the returned BankID and Peer.
-func ClientHandshakeOffline(conn abnn2.Conn, model, peer string) (HandshakeInfo, error) {
-	return clientHandshakeInfo(conn, hello{V: helloVersion, Model: model, Offline: true, Peer: peer})
-}
-
-// ClientHandshakePlan performs the handshake proposing a per-layer
-// protocol plan. The server validates the plan against the model at
-// admission and answers a permanent bad-plan rejection if it cannot
-// serve it; on success the same plan must be set as abnn2.Config.Plan
-// for the Dial on this connection.
-func ClientHandshakePlan(conn abnn2.Conn, model string, p *abnn2.Plan) (HandshakeInfo, error) {
-	h := hello{V: helloVersion, Model: model}
-	if p != nil {
-		h.Plan = p.Marshal()
-	}
-	return clientHandshakeInfo(conn, h)
-}
-
-// clientHandshakeInfo sends h and decodes the full reply.
-func clientHandshakeInfo(conn abnn2.Conn, h hello) (HandshakeInfo, error) {
+// clientHandshake sends h and decodes the full reply.
+func clientHandshake(conn abnn2.Conn, h hello) (HandshakeInfo, error) {
 	var info HandshakeInfo
 	raw, err := json.Marshal(h)
 	if err != nil {
@@ -219,43 +190,25 @@ func Jitter(d time.Duration) time.Duration {
 	return d/2 + rand.N(d)
 }
 
-// DialModel connects to a serving runtime over TCP and completes the
+// DialModelInfo connects to a serving runtime over TCP and completes the
 // model handshake, honoring the server's backpressure: retryable
 // rejections are retried with the server's retry-after hint (jittered)
 // until ctx expires, while permanent rejections fail immediately. On
-// success the connection is admitted and the architecture ready for
-// abnn2.Dial.
-func DialModel(ctx context.Context, addr, model string) (abnn2.Conn, abnn2.Arch, error) {
-	conn, info, err := dialHello(ctx, addr, hello{V: helloVersion, Model: model})
-	return conn, info.Arch, err
-}
-
-// DialModelInfo is DialModel returning the full handshake info — bank
-// identity and server peer ID included — for clients that provision from
-// peer-paired pools (abnn2.Config.BankModel/BankPeer).
+// success the connection is admitted and the returned info — the
+// architecture, and the bank identity and server peer ID for clients that
+// provision from peer-paired pools (abnn2.Config.BankModel/BankPeer) —
+// is ready for abnn2.Dial.
 func DialModelInfo(ctx context.Context, addr, model string) (abnn2.Conn, HandshakeInfo, error) {
 	return dialHello(ctx, addr, hello{V: helloVersion, Model: model})
 }
 
 // DialOffline connects for a remote offline-replenishment session: peer
 // is this client's durable bank identity (hex). The same backpressure
-// handling as DialModel applies; on success the connection is admitted
-// and ready for abnn2.ReplenishSession with the returned BankID and
-// Peer.
+// handling as DialModelInfo applies; on success the connection is
+// admitted and ready for abnn2.ReplenishSession with the returned BankID
+// and Peer.
 func DialOffline(ctx context.Context, addr, model, peer string) (abnn2.Conn, HandshakeInfo, error) {
 	return dialHello(ctx, addr, hello{V: helloVersion, Model: model, Offline: true, Peer: peer})
-}
-
-// DialModelPlan is DialModel proposing a per-layer protocol plan in the
-// hello. A bad-plan rejection is permanent and fails immediately; on
-// success the same plan must be set as abnn2.Config.Plan for the Dial
-// on the returned connection.
-func DialModelPlan(ctx context.Context, addr, model string, p *abnn2.Plan) (abnn2.Conn, HandshakeInfo, error) {
-	h := hello{V: helloVersion, Model: model}
-	if p != nil {
-		h.Plan = p.Marshal()
-	}
-	return dialHello(ctx, addr, h)
 }
 
 func dialHello(ctx context.Context, addr string, h hello) (abnn2.Conn, HandshakeInfo, error) {
@@ -264,7 +217,7 @@ func dialHello(ctx context.Context, addr string, h hello) (abnn2.Conn, Handshake
 		if err != nil {
 			return nil, HandshakeInfo{}, err
 		}
-		info, err := clientHandshakeInfo(conn, h)
+		info, err := clientHandshake(conn, h)
 		if err == nil {
 			return conn, info, nil
 		}

@@ -207,12 +207,13 @@ func main() {
 
 	sb := bank.EncodeServerCorr(scorr)
 	cb := bank.EncodeClientCorr(ccorr)
-	pb := bank.EncodePair(scorr, ccorr)
 	corrEntries := []entry{
-		{sb}, {cb}, {pb},
+		{sb}, {cb},
 		{sb[:len(sb)-3]}, // truncated matrix body
 		{cb[:len(cb)-1]}, // truncated Z1 tail
-		{g.Bytes(len(pb))},
+		// The length of the retired dealer-pair blob ('P' | u32 | server |
+		// client), so every later draw from g is unchanged.
+		{g.Bytes(5 + len(sb) + len(cb))},
 		{[]byte{}},
 	}
 	writeCorpus("internal/bank/testdata/fuzz/FuzzDecodeCorr", corrEntries)
@@ -254,7 +255,35 @@ func main() {
 
 	// Pad deriver: a KK13-shaped query — 26 header bytes (session, index,
 	// tweak, output length) and one 32-byte row — so mutation starts on
-	// the path every triplet OT takes. Drawn last: g's earlier output
-	// feeds the corpora above.
+	// the path every triplet OT takes. Drawn after everything above: g's
+	// earlier output feeds those corpora.
 	writeCorpus("internal/prg/testdata/fuzz/FuzzPadDeriverMatchesHash", []entry{{g.Bytes(26), g.Bytes(32)}})
+
+	// Root package: the session layer's control frames (frames.go). One
+	// valid frame per layout and kind, then each length's neighbours and
+	// fills, which cover batch 0, batch > 1<<20 and the unknown mode bits.
+	// Drawn last of all, for the same reason.
+	inline := []byte{2, 0, 0, 0, 0x01}                          // batch 2, argmax
+	dealer := append([]byte{1, 0, 0, 0, 0x02}, g.Bytes(8)...)   // batch 1, plan follows
+	peered := append([]byte{0, 0, 16, 0, 0x03}, g.Bytes(24)...) // batch 1<<20, both bits
+	annEntries := []entry{{inline}, {dealer}, {peered},
+		{[]byte{1, 0, 16, 0, 0}}, // batch 1<<20 + 1
+		{[]byte{1, 0, 0, 0, 4}},  // first unknown mode bit
+	}
+	for _, n := range []int{len(inline), len(dealer), len(peered)} {
+		annEntries = append(annEntries, fills(n, g)...)
+	}
+	writeCorpus("testdata/fuzz/FuzzParseAnnouncement", annEntries)
+
+	req := append(append([]byte{'R'}, g.Bytes(8)...), 4, 0, 0, 0) // batch 4
+	offEntries := []entry{{req}, {[]byte{'D'}}, {[]byte{'D', 0}}, {[]byte{'X'}},
+		{append(append([]byte{'R'}, g.Bytes(8)...), 0, 0, 0, 0)}, // batch 0
+		{req[:len(req)-1]},
+		{[]byte{}},
+	}
+	for _, kind := range []byte{'G', 'N', 'A'} {
+		reply := append([]byte{kind}, g.Bytes(8)...)
+		offEntries = append(offEntries, entry{reply}, entry{reply[:8]}, entry{append(reply, 0)})
+	}
+	writeCorpus("testdata/fuzz/FuzzParseOfflineFrame", offEntries)
 }

@@ -9,16 +9,16 @@ package abnn2
 // sessions announce a stored correlation id (plus the client's peer id)
 // and skip the offline phase entirely.
 //
-// Wire protocol, after the serve-layer offline handshake, all little-
-// endian, one correlation per round trip:
+// The exchange, after the serve-layer offline handshake, one correlation
+// per round trip (frame layouts: frames.go):
 //
-//	client → server  'R' | u64 id | u32 batch    request one correlation
-//	server → client  'G' | u64 id                accepted: both sides now
-//	                                             run the offline protocol
-//	server → client  'N' | u64 id                refused (pool at capacity,
-//	                                             duplicate id, store error)
-//	server → client  'A' | u64 id                server half persisted
-//	client → server  'D'                         done, close cleanly
+//	client → server  'R' id batch    request one correlation
+//	server → client  'G' id          accepted: both sides now run the
+//	                                 offline protocol
+//	server → client  'N' id          refused (pool at capacity, duplicate
+//	                                 id, store error)
+//	server → client  'A' id          server half persisted
+//	client → server  'D'             done, close cleanly
 //
 // The decision round ('G'/'N') precedes generation so a refused request
 // costs one round trip, not an offline phase. The server persists before
@@ -27,7 +27,6 @@ package abnn2
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -35,7 +34,6 @@ import (
 	"abnn2/internal/bank"
 	"abnn2/internal/core"
 	"abnn2/internal/quant"
-	"abnn2/internal/ring"
 	"abnn2/internal/transport"
 )
 
@@ -44,80 +42,66 @@ import (
 // (0xBA).
 const offlineSessionTag = 0xBC
 
-const (
-	offlineReq  = 'R'
-	offlineGo   = 'G'
-	offlineAck  = 'A'
-	offlineNak  = 'N'
-	offlineDone = 'D'
-)
-
 // ServeOfflineSession runs the server side of a remote offline-
 // replenishment session until the client sends done or hangs up. Every
 // generated server half is persisted under the client's peer id before
 // it is acknowledged; cfg.Bank must carry a recovered durable store.
 // Returns nil on a clean client shutdown.
 func ServeOfflineSession(ctx context.Context, conn Conn, model *QuantizedModel, cfg Config, clientPeer BankPeerID) error {
-	if err := cfg.validate(); err != nil {
-		return err
-	}
 	if cfg.Bank == nil || cfg.Bank.Store() == nil {
 		return fmt.Errorf("abnn2: offline sessions require a bank with a durable store")
 	}
 	b := cfg.Bank
-	sc := newSessionConn(ctx, conn, cfg.RoundTimeout, cfg.flightFunc("server"))
-	defer sc.release()
-	tr := cfg.tracer(sc, "server")
-	scheme := model.qm.Layers[0].Scheme
-	p := core.Params{Ring: ring.New(cfg.ringBits()), Scheme: scheme, Workers: cfg.Workers, Trace: tr}
 	modelID, err := bank.ModelID(model.qm)
 	if err != nil {
 		return err
 	}
-	sp := tr.Start("setup")
-	strip, err := guardVal("offline session setup", func() (*core.ServerTriplets, error) {
-		return core.NewServerTripletsSeeded(sc, p, offlineSessionTag, cfg.rng())
-	})
-	sp.End(err)
+	scheme := model.qm.Layers[0].Scheme
+	s, strip, err := openSession(ctx, conn, cfg, "server", scheme,
+		func(sc *sessionConn, p core.Params) (*core.ServerTriplets, error) {
+			return core.NewServerTripletsSeeded(sc, p, offlineSessionTag, cfg.rng())
+		})
 	if err != nil {
 		return err
 	}
-	keyBase := BankKey{Model: modelID, Scheme: scheme.Name(), RingBits: cfg.ringBits(), Backend: bank.SessionBackend}
+	defer s.sc.release()
+	reply := func(kind byte, id uint64) error {
+		return s.sc.Send(offlineFrame{kind: kind, id: id}.append(nil))
+	}
+	key := BankKey{Model: modelID, Scheme: scheme.Name(), RingBits: cfg.ringBits(), Backend: bank.SessionBackend}
 	for {
-		raw, err := sc.recvIdle()
+		raw, err := s.sc.recvIdle()
 		if err != nil {
 			if errors.Is(err, transport.ErrClosed) || errors.Is(err, io.EOF) {
 				return nil
 			}
 			return err
 		}
-		if len(raw) == 1 && raw[0] == offlineDone {
+		req, err := parseOfflineFrame(raw)
+		if err == nil && !req.fromClient() {
+			err = fmt.Errorf("a server's frame %q", req.kind)
+		}
+		if err != nil {
+			return fmt.Errorf("abnn2: malformed offline request: %w", err)
+		}
+		if req.kind == offlineDone {
 			return nil
 		}
-		if len(raw) != 13 || raw[0] != offlineReq {
-			return fmt.Errorf("abnn2: malformed offline request")
-		}
-		id := binary.LittleEndian.Uint64(raw[1:9])
-		batch := int(binary.LittleEndian.Uint32(raw[9:13]))
-		if batch <= 0 || batch > 1<<20 {
-			return fmt.Errorf("abnn2: offline request batch %d out of range", batch)
-		}
-		key := keyBase
-		key.Batch = batch
+		key.Batch = req.batch
 		// Refuse before generating: a full pool or reused id costs the
 		// client one round trip, not a wasted offline phase.
 		if b.PeerDepth(clientPeer, key) >= b.Capacity() {
-			if err := sendOfflineReply(sc, offlineNak, id); err != nil {
+			if err := reply(offlineNak, req.id); err != nil {
 				return err
 			}
 			continue
 		}
-		if err := sendOfflineReply(sc, offlineGo, id); err != nil {
+		if err := reply(offlineGo, req.id); err != nil {
 			return err
 		}
-		osp := tr.Start("offline-replenish").SetBatch(batch)
+		osp := s.tr.Start("offline-replenish").SetBatch(req.batch)
 		corr, err := guardVal("offline replenish", func() (*core.ServerCorr, error) {
-			return strip.OfflineCorr(model.qm, batch)
+			return strip.OfflineCorr(model.qm, req.batch)
 		})
 		osp.End(err)
 		if err != nil {
@@ -125,20 +109,13 @@ func ServeOfflineSession(ctx context.Context, conn Conn, model *QuantizedModel, 
 			return err
 		}
 		status := byte(offlineAck)
-		if perr := b.PutPeerServer(clientPeer, key, id, corr); perr != nil {
+		if perr := b.PutPeerServer(clientPeer, key, req.id, corr); perr != nil {
 			status = offlineNak
 		}
-		if err := sendOfflineReply(sc, status, id); err != nil {
+		if err := reply(status, req.id); err != nil {
 			return err
 		}
 	}
-}
-
-func sendOfflineReply(sc *sessionConn, status byte, id uint64) error {
-	msg := make([]byte, 9)
-	msg[0] = status
-	binary.LittleEndian.PutUint64(msg[1:], id)
-	return sc.Send(msg)
 }
 
 // ReplenishSession runs the client side of a remote offline session over
@@ -149,16 +126,13 @@ func sendOfflineReply(sc *sessionConn, status byte, id uint64) error {
 // Returns how many correlations landed; fewer than n with a nil error
 // means the server's pool for this peer is at capacity.
 func ReplenishSession(ctx context.Context, conn Conn, arch Arch, cfg Config, serverPeer BankPeerID, batch, n int) (int, error) {
-	if err := cfg.validate(); err != nil {
-		return 0, err
-	}
 	if cfg.Bank == nil || cfg.Bank.Store() == nil {
 		return 0, fmt.Errorf("abnn2: replenish sessions require a bank with a durable store")
 	}
 	if cfg.BankModel == "" {
 		return 0, fmt.Errorf("abnn2: replenish sessions require Config.BankModel")
 	}
-	if batch <= 0 || batch > 1<<20 {
+	if batch <= 0 || batch > maxBatch {
 		return 0, fmt.Errorf("abnn2: batch size %d out of range", batch)
 	}
 	b := cfg.Bank
@@ -166,26 +140,40 @@ func ReplenishSession(ctx context.Context, conn Conn, arch Arch, cfg Config, ser
 	if err != nil {
 		return 0, fmt.Errorf("abnn2: architecture scheme: %w", err)
 	}
-	sc := newSessionConn(ctx, conn, cfg.RoundTimeout, cfg.flightFunc("client"))
-	defer sc.release()
-	tr := cfg.tracer(sc, "client")
-	p := core.Params{Ring: ring.New(cfg.ringBits()), Scheme: scheme, Workers: cfg.Workers, Trace: tr}
 	root := cfg.rng()
 	trng, shares := root.Child("triplets"), root.Child("shares")
-	sp := tr.Start("setup")
-	ctrip, err := guardVal("replenish setup", func() (*core.ClientTriplets, error) {
-		return core.NewClientTriplets(sc, p, offlineSessionTag, trng)
-	})
-	sp.End(err)
+	s, ctrip, err := openSession(ctx, conn, cfg, "client", scheme,
+		func(sc *sessionConn, p core.Params) (*core.ClientTriplets, error) {
+			return core.NewClientTriplets(sc, p, offlineSessionTag, trng)
+		})
 	if err != nil {
 		return 0, err
 	}
+	defer s.sc.release()
 	key := BankKey{Model: cfg.BankModel, Scheme: arch.SchemeName, RingBits: cfg.ringBits(),
 		Batch: batch, Backend: bank.SessionBackend}
 	done := func(got int) (int, error) {
 		// Best-effort: the server also treats a hangup as a clean end.
-		_ = sc.Send([]byte{offlineDone})
+		_ = s.sc.Send(offlineFrame{kind: offlineDone}.append(nil))
 		return got, nil
+	}
+	// reply reads the server's next frame about correlation id.
+	reply := func(id uint64) (byte, error) {
+		raw, err := s.sc.Recv()
+		if err != nil {
+			return 0, err
+		}
+		f, err := parseOfflineFrame(raw)
+		if err == nil && f.fromClient() {
+			err = fmt.Errorf("a client's frame %q", f.kind)
+		}
+		if err != nil {
+			return 0, fmt.Errorf("abnn2: malformed offline reply: %w", err)
+		}
+		if f.id != id {
+			return 0, fmt.Errorf("abnn2: offline reply for id %d, want %d", f.id, id)
+		}
+		return f.kind, nil
 	}
 	got := 0
 	for i := 0; i < n; i++ {
@@ -194,14 +182,10 @@ func ReplenishSession(ctx context.Context, conn Conn, arch Arch, cfg Config, ser
 			return got, ctx.Err()
 		}
 		id := bank.NewCorrID()
-		req := make([]byte, 13)
-		req[0] = offlineReq
-		binary.LittleEndian.PutUint64(req[1:9], id)
-		binary.LittleEndian.PutUint32(req[9:13], uint32(batch))
-		if err := sc.Send(req); err != nil {
+		if err := s.sc.Send(offlineFrame{kind: offlineReq, id: id, batch: batch}.append(nil)); err != nil {
 			return got, err
 		}
-		status, err := recvOfflineReply(sc, id)
+		status, err := reply(id)
 		if err != nil {
 			return got, err
 		}
@@ -211,7 +195,7 @@ func ReplenishSession(ctx context.Context, conn Conn, arch Arch, cfg Config, ser
 		if status != offlineGo {
 			return got, fmt.Errorf("abnn2: unexpected offline reply %#x", status)
 		}
-		osp := tr.Start("offline-replenish").SetBatch(batch)
+		osp := s.tr.Start("offline-replenish").SetBatch(batch)
 		corr, err := guardVal("replenish offline", func() (*core.ClientCorr, error) {
 			return ctrip.OfflineCorr(arch, shares, batch)
 		})
@@ -219,8 +203,7 @@ func ReplenishSession(ctx context.Context, conn Conn, arch Arch, cfg Config, ser
 		if err != nil {
 			return got, err
 		}
-		status, err = recvOfflineReply(sc, id)
-		if err != nil {
+		if status, err = reply(id); err != nil {
 			return got, err
 		}
 		if status == offlineAck {
@@ -233,18 +216,4 @@ func ReplenishSession(ctx context.Context, conn Conn, arch Arch, cfg Config, ser
 		// half and keep going — the streams stay in lockstep either way.
 	}
 	return done(got)
-}
-
-func recvOfflineReply(sc *sessionConn, wantID uint64) (byte, error) {
-	raw, err := sc.Recv()
-	if err != nil {
-		return 0, err
-	}
-	if len(raw) != 9 {
-		return 0, fmt.Errorf("abnn2: malformed offline reply")
-	}
-	if got := binary.LittleEndian.Uint64(raw[1:9]); got != wantID {
-		return 0, fmt.Errorf("abnn2: offline reply for id %d, want %d", got, wantID)
-	}
-	return raw[0], nil
 }

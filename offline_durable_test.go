@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"abnn2/internal/bank"
 	"abnn2/internal/leakcheck"
 )
 
@@ -148,8 +149,8 @@ func TestRemoteOfflineCrashSingleUse(t *testing.T) {
 	}
 
 	// Crash both parties: new stores on the same dirs, the old ones left
-	// un-synced. FsyncEvery=1 means the spent pair's claims are already
-	// on disk.
+	// un-synced. Every claim fsyncs the journal, so the spent pair's
+	// claims are already on disk.
 	srv2 := newDurableParty(t, srvDir, 4)
 	cli2 := newDurableParty(t, cliDir, 4)
 	if d := cli2.bank.PeerDepth(srv2.store.PeerID(), bankSessionKeyForTest(t, qm, 2)); d != 1 {
@@ -279,5 +280,73 @@ func TestRemoteOfflineRequiresStore(t *testing.T) {
 		Config{RingBits: 32, Bank: memBank, BankModel: "x"}, BankPeerID{1}, 2, 1)
 	if err == nil || !strings.Contains(err.Error(), "durable store") {
 		t.Fatalf("ReplenishSession without a store: %v", err)
+	}
+}
+
+// eventLog counts bank events by kind.
+type eventLog struct {
+	mu    sync.Mutex
+	kinds map[string]int
+}
+
+func (l *eventLog) BankEvent(ev bank.Event) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.kinds == nil {
+		l.kinds = make(map[string]int)
+	}
+	l.kinds[ev.Kind]++
+}
+
+func (l *eventLog) count(kind string) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.kinds[kind]
+}
+
+// TestPeerDryConsultsOnePool: a client set up for peer-paired draws asks
+// its peer pool and nothing else. On a dry pool OfflineAuto runs the
+// batch inline after exactly one peer-miss — the dealer tier is never
+// tried, so it books no miss — and OfflineBanked fails with ErrBankDry.
+func TestPeerDryConsultsOnePool(t *testing.T) {
+	qm := chaosModel(t)
+	srv := newDurableParty(t, t.TempDir(), 4)
+	st, err := OpenBankStore(BankStoreOptions{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	var events eventLog
+	cbank := NewBank(BankOptions{Capacity: 4, Store: st, Observer: &events})
+	t.Cleanup(func() {
+		cbank.Close()
+		st.Close()
+	})
+	scfg, ccfg := peerConfigs(t, qm, srv, &durableParty{store: st, bank: cbank})
+	scfg.OfflineMode, ccfg.OfflineMode = OfflineAuto, OfflineAuto
+
+	sconn, cconn := Pipe()
+	srvErr, cliErr, classes := runParties(t, qm, sconn, cconn, scfg, ccfg)
+	if srvErr != nil || cliErr != nil {
+		t.Fatalf("OfflineAuto on a dry peer pool: server=%v client=%v", srvErr, cliErr)
+	}
+	for k, x := range chaosInputs(2) {
+		if classes[k] != qm.Predict(x) {
+			t.Errorf("input %d misclassified on the inline fallback", k)
+		}
+	}
+	if pm, m := events.count("peer-miss"), events.count("miss"); pm != 1 || m != 0 {
+		t.Errorf("dry peer pool booked %d peer-miss and %d dealer miss events, want 1 and 0", pm, m)
+	}
+
+	ccfg.OfflineMode = OfflineBanked
+	sconn, cconn = Pipe()
+	if _, cliErr, _ = runParties(t, qm, sconn, cconn, scfg, ccfg); !errors.Is(cliErr, ErrBankDry) {
+		t.Errorf("OfflineBanked on a dry peer pool: %v, want ErrBankDry", cliErr)
+	}
+	if m := events.count("miss"); m != 0 {
+		t.Errorf("OfflineBanked booked %d dealer miss events, want 0", m)
 	}
 }

@@ -45,7 +45,7 @@ boot_server() {
     "$WORK/abnn2-server" -model "$WORK/model.json" -listen "$ADDR" \
         -metrics-addr "$METRICS" -workers 1 -round-timeout 2m \
         -bank-capacity 8 -bank-prewarm "$N" -bank-dir "$SRV_BANK" \
-        -bank-fsync 1 >"$log" 2>&1 &
+        >"$log" 2>&1 &
     SRV_PID=$!
     i=0
     until curl -fsS "http://$METRICS/readyz" >/dev/null 2>&1; do

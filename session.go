@@ -7,7 +7,10 @@ import (
 	"sync"
 	"time"
 
+	"abnn2/internal/core"
 	"abnn2/internal/par"
+	"abnn2/internal/quant"
+	"abnn2/internal/ring"
 	"abnn2/internal/trace"
 	"abnn2/internal/transport"
 )
@@ -62,6 +65,48 @@ func recoveredError(op string, r any) *PanicError {
 		return &PanicError{Op: op, Value: cp.Value, Stack: cp.Stack}
 	}
 	return &PanicError{Op: op, Value: r, Stack: debug.Stack()}
+}
+
+// session is what set-up leaves every endpoint with: its hardened
+// connection and its span recorder (nil when tracing is off).
+type session struct {
+	sc *sessionConn
+	tr *trace.Tracer
+}
+
+// openSession is the one session set-up, under all four endpoints (Serve,
+// Dial, ServeOfflineSession, ReplenishSession): it validates cfg, wraps
+// conn, builds the party's tracer and protocol parameters, and runs setup
+// — the cryptographic set-up, base OTs included — under the "setup" span
+// with panics contained. It releases the session itself when setup fails;
+// after a nil error the caller owns the release.
+func openSession[E any](ctx context.Context, conn Conn, cfg Config, party string, scheme quant.Scheme,
+	setup func(*sessionConn, core.Params) (E, error)) (session, E, error) {
+	var none E
+	if err := cfg.Validate(); err != nil {
+		return session{}, none, err
+	}
+	sc := newSessionConn(ctx, conn, cfg.RoundTimeout, cfg.flightFunc(party))
+	s := session{sc: sc, tr: cfg.tracer(sc, party)}
+	p := core.Params{Ring: ring.New(cfg.ringBits()), Scheme: scheme, Workers: cfg.Workers, Trace: s.tr,
+		MiniONNBits: cfg.MiniONNKeyBits}
+	sp := s.tr.Start("setup")
+	eng, err := guardVal(party+" setup", func() (E, error) { return setup(sc, p) })
+	sp.End(err)
+	if err != nil {
+		sc.release()
+		return session{}, none, err
+	}
+	return s, eng, nil
+}
+
+// releaseOn releases the session when a constructor step after set-up
+// left *err non-nil; deferred once by the constructors that hand the
+// session on.
+func (s session) releaseOn(err *error) {
+	if *err != nil {
+		s.sc.release()
+	}
 }
 
 // sessionConn wraps the protocol connection of one session. Before each
