@@ -28,13 +28,16 @@ bench:
 
 # The benchmark is a module of its own (benchmark/go.mod), so the root
 # `go test ./...` never reaches it: run its unit tests, then one short
-# run each of the shaped-WAN workload (wire-bound) and the LAN workload
-# (kernel-bound), which must end with every prediction checked correct
+# run each of the shaped-WAN workload (wire-bound), the LAN workload
+# (kernel-bound) and the CNN (the only short one whose garbled-circuit
+# batches have several circuits of unequal size, the pool kernel and the
+# GC argmax), which must end with every prediction checked correct
 # against plaintext.
 perf-smoke:
 	$(GO) test -C benchmark ./...
 	bash benchmark/run.sh --workload mlp_b1_wan --seed 1 --seconds 5 --trace 0 | tail -n 1 | grep -q '"correct":true'
 	bash benchmark/run.sh --workload mlp_b1_lan --seed 1 --seconds 5 --trace 0 | tail -n 1 | grep -q '"correct":true'
+	bash benchmark/run.sh --workload cnn_b1_lan --seed 1 --seconds 5 --trace 0 | tail -n 1 | grep -q '"correct":true'
 
 # Full paper tables (can take tens of minutes on one core).
 tables:
@@ -92,6 +95,7 @@ fuzz:
 	$(GO) test ./internal/otext -fuzz FuzzRecvCorrelatedRing -fuzztime 10s
 	$(GO) test ./internal/gc -fuzz FuzzEvaluatorRun -fuzztime 10s
 	$(GO) test ./internal/gc -fuzz 'FuzzEvaluate$$' -fuzztime 10s
+	$(GO) test ./internal/gc -fuzz FuzzGarbleMatchesReference -fuzztime 10s
 	$(GO) test ./internal/core -fuzz FuzzTripletPayloadOneBatch -fuzztime 10s
 	$(GO) test ./internal/core -fuzz FuzzTripletPayloadMultiBatch -fuzztime 10s
 	$(GO) test ./internal/baseot -fuzz 'FuzzReceive$$' -fuzztime 10s

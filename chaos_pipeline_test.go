@@ -83,7 +83,7 @@ func TestChaosPipelinedProducerPanic(t *testing.T) {
 	if !errors.As(srvErr, &pe) {
 		t.Fatalf("server returned %v, want *PanicError", srvErr)
 	}
-	if pe.Value != "injected panic inside Extend" || !strings.Contains(string(pe.Stack), "extendAhead") {
+	if pe.Value != "injected panic inside Extend" || !strings.Contains(string(pe.Stack), "par.Ahead") {
 		t.Errorf("PanicError carries value %v and a stack without the producer frame:\n%s", pe.Value, pe.Stack)
 	}
 	if cliErr == nil {

@@ -51,3 +51,43 @@ func TestTripletAllocationsPerChunk(t *testing.T) {
 		}
 	}
 }
+
+// TestReLUAllocationsPerChunk gates the online GC path the same way: one
+// 2048-neuron chunk may cost each party a fixed number of buffers — the
+// input bit vectors, the batch's child PRG, the label-OT flights and
+// blocks, the pipeline's channels, one wire-label array, the flight and
+// the received frame, the output — and nothing per gate, per wire or per
+// label. Before the word-wide kernel the same chunk made about 200 000
+// allocations per party, one per input label.
+func TestReLUAllocationsPerChunk(t *testing.T) {
+	const perParty = 64
+	rg := ring.New(32)
+	cn, sn, _, done := nonlinearPair(t, rg)
+	defer done()
+	cn.SetWorkers(1)
+	sn.SetWorkers(1)
+	g := prg.New(prg.SeedFromInt(5))
+	y1, z1, y0 := g.Vec(rg, reluChunk), g.Vec(rg, reluChunk), g.Vec(rg, reluChunk)
+	for _, variant := range []ReLUVariant{ReLUGC, ReLUOptimized} {
+		// AllocsPerRun's own warm-up call builds the circuit; it counts
+		// both parties together.
+		allocs := testing.AllocsPerRun(3, func() {
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := cn.ReLUClient(variant, y1, z1); err != nil {
+					t.Error(err)
+				}
+			}()
+			if _, err := sn.ReLUServer(variant, y0); err != nil {
+				t.Error(err)
+			}
+			wg.Wait()
+		})
+		t.Logf("%v: %.0f allocations per chunk, both parties", variant, allocs)
+		if allocs > 2*perParty {
+			t.Errorf("%v: %.0f allocations for one chunk, want <= %d per party", variant, allocs, perParty)
+		}
+	}
+}

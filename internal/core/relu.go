@@ -44,10 +44,13 @@ func (v ReLUVariant) String() string {
 	return "gc"
 }
 
-// reluChunk bounds neurons per garbled circuit. Chunking keeps the
-// garbler/evaluator working set tens of megabytes even at batch size 128
-// on the 784->128 layer (one circuit per chunk; chunks run sequentially
-// on the same session).
+// reluChunk bounds neurons per garbled circuit, one circuit per chunk.
+// With gc's pipelined round that bounds the working set whatever the
+// batch size: the garbler holds at most Workers+1 chunks garbled and
+// unsent and the evaluator at most Workers+1 received and unevaluated —
+// at ring width 32 about 10 MB of flight per chunk plus 16 MB of wire
+// labels per worker, so tens of megabytes per party at Workers=1 even at
+// batch size 128 on the 784->128 layer (8 chunks).
 const reluChunk = 2048
 
 // circuitCache memoizes the deterministic per-chunk circuits; building a
@@ -174,9 +177,9 @@ func reluSpans(n int) [][2]int {
 // ReLUClient runs the client side over a share vector: y1 are the
 // client's shares of the pre-activations, z1 the client's (pre-chosen)
 // shares of the outputs. Long vectors are split into chunks of reluChunk
-// neurons, one garbled circuit per chunk; the chunks garble as one batch
-// so the CPU-heavy half fans out across the worker pool while the wire
-// flights keep a fixed order.
+// neurons, one garbled circuit per chunk; the chunks run as one batch, so
+// chunk k+1 garbles while chunk k is on the wire and the flights keep a
+// fixed order.
 func (c *ClientNonlinear) ReLUClient(variant ReLUVariant, y1, z1 ring.Vec) error {
 	if len(y1) != len(z1) {
 		return fmt.Errorf("core: relu share length mismatch %d vs %d", len(y1), len(z1))

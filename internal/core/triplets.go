@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime/debug"
 
 	"abnn2/internal/baseline"
 	"abnn2/internal/otext"
@@ -377,80 +376,21 @@ func (s *ServerTriplets) GenerateServerScheme(sh MatShape, W []int64, mode Mode,
 	return s.generateServer(p, sh, W, mode)
 }
 
-// extended is one chunk's OT-extension result on its way from the
-// producer goroutine to the consumer: the block, the error that ended
-// production, or the panic the consumer must rethrow.
-type extended struct {
-	blk      *otext.ReceiverBlock
-	err      error
-	panicked *par.ChunkPanic
-}
-
-// extendAhead is the producer half of generateServer: it decomposes each
-// chunk's choices and runs Extend — which sends the chunk's u matrix —
-// for as long as it holds a credit, i.e. while fewer than OfflineWindow
-// chunks are extended but not yet decoded. u_{k+1} depends on nothing the
-// client sends, so the only thing bounding the run-ahead is the window.
-//
-// It stops at the first Extend error (delivered in order through ready),
-// when stop closes (the consumer failed or returned), and on a panic
-// inside Extend, which it hands to the consumer as a *par.ChunkPanic so
-// the panic resurfaces on the goroutine the session guard watches. It
-// always closes ready on the way out, which is what the consumer waits on.
-func (s *ServerTriplets) extendAhead(choices [][]int, gamma, total int, credit chan<- struct{}, ready chan<- extended, stop <-chan struct{}) {
-	defer close(ready)
-	defer func() {
-		if r := recover(); r != nil {
-			cp, ok := r.(*par.ChunkPanic)
-			if !ok {
-				cp = &par.ChunkPanic{Value: r, Stack: debug.Stack()}
-			}
-			// Never blocks: the credit taken for the chunk that panicked
-			// reserved this slot.
-			ready <- extended{panicked: cp}
-		}
-	}()
-	for ot := 0; ot < total; {
-		select {
-		case credit <- struct{}{}:
-		case <-stop:
-			return
-		}
-		// A select with both cases ready picks either; once the consumer
-		// has stopped, sending another u is wasted and may block.
-		select {
-		case <-stop:
-			return
-		default:
-		}
-		cs := make([]int, min(total-ot, chunkOTs))
-		for local := range cs {
-			g := ot + local
-			cs[local] = choices[g/gamma][g%gamma]
-		}
-		blk, err := s.ot.Extend(cs)
-		ready <- extended{blk: blk, err: err}
-		if err != nil {
-			return
-		}
-		ot += len(cs)
-	}
-}
-
 // generateServer is the server side of the offline phase for one layer,
-// pipelined: a producer goroutine (extendAhead) sends u_k for up to
-// OfflineWindow chunks ahead, while this goroutine — the consumer —
-// receives payload k and decodes it against the queued block. The client
-// is a plain reactive loop (recv u_k, send payload k), so on a link with
-// latency the client's replies to chunks k+1.. are already in flight
-// while chunk k is decoded, instead of one round trip per chunk. Each
-// party's send order and bytes are those of the strict ping-pong, so
-// seeded transcripts are unchanged.
+// pipelined on par.Ahead: a producer goroutine decomposes each chunk's
+// choices and runs Extend — which sends the chunk's u matrix — for up to
+// OfflineWindow chunks that are extended but not yet decoded, while this
+// goroutine receives payload k and decodes it against the queued block.
+// u_{k+1} depends on nothing the client sends, so the only thing bounding
+// the run-ahead is the window. The client is a plain reactive loop (recv
+// u_k, send payload k), so on a link with latency the client's replies to
+// chunks k+1.. are already in flight while chunk k is decoded, instead of
+// one round trip per chunk. Each party's send order and bytes are those
+// of the strict ping-pong, so seeded transcripts are unchanged.
 //
-// The producer never outlives the call: every return path (error, panic
-// in the decode kernel, success) closes stop and waits for ready to
-// close. A producer blocked in Send is released by whatever bounds any
-// Send of the session — peer hangup, the round deadline, cancellation.
+// The producer never outlives the call, and a panic inside Extend
+// resurfaces here, on the goroutine the session guard watches, as a
+// *par.ChunkPanic: both are par.Ahead's contract.
 func (s *ServerTriplets) generateServer(params Params, sh MatShape, W []int64, mode Mode) (*ring.Mat, error) {
 	if err := checkShape(sh, mode); err != nil {
 		return nil, err
@@ -469,36 +409,29 @@ func (s *ServerTriplets) generateServer(params Params, sh MatShape, W []int64, m
 	elemBytes := rg.Bytes()
 	padBytes := sh.O * elemBytes
 
-	// Both channels are sized to the window: credit is its semaphore, and
-	// ready holds at most one result per credit, so the producer's pushes
-	// never block.
-	credit := make(chan struct{}, OfflineWindow)
-	ready := make(chan extended, OfflineWindow)
-	stop := make(chan struct{})
-	go s.extendAhead(choices, gamma, total, credit, ready, stop)
-	defer func() {
-		close(stop)
-		for range ready {
+	extend := func(_, k int) (*otext.ReceiverBlock, error) {
+		ot := k * chunkOTs
+		cs := make([]int, min(total-ot, chunkOTs))
+		for local := range cs {
+			g := ot + local
+			cs[local] = choices[g/gamma][g%gamma]
 		}
-	}()
-
-	for ot := 0; ot < total; {
-		ext := <-ready
-		if ext.panicked != nil {
-			panic(ext.panicked)
+		blk, err := s.ot.Extend(cs)
+		if err != nil {
+			return nil, fmt.Errorf("core: server extend: %w", err)
 		}
-		if ext.err != nil {
-			return nil, fmt.Errorf("core: server extend: %w", ext.err)
-		}
-		blk := ext.blk
+		return blk, nil
+	}
+	decode := func(k int, blk *otext.ReceiverBlock) error {
+		ot := k * chunkOTs
 		chunk := blk.Count()
 		payload, err := s.ot.Conn().Recv()
 		if err != nil {
-			return nil, fmt.Errorf("core: server recv payload: %w", err)
+			return fmt.Errorf("core: server recv payload: %w", err)
 		}
 		offs := payloadOffsets(params, ot, chunk, mode, padBytes)
 		if len(payload) != offs[chunk] {
-			return nil, fmt.Errorf("core: payload is %d bytes, want %d", len(payload), offs[chunk])
+			return fmt.Errorf("core: payload is %d bytes, want %d", len(payload), offs[chunk])
 		}
 		// Mirror of the client kernel: workers decode disjoint payload
 		// spans into private partials of U, reduced below.
@@ -538,8 +471,10 @@ func (s *ServerTriplets) generateServer(params Params, sh MatShape, W []int64, m
 		for _, pu := range partials {
 			rg.AddVecInPlace(U.Data, pu)
 		}
-		<-credit // chunk decoded: the producer may extend one more
-		ot += chunk
+		return nil
+	}
+	if err := par.Ahead(1, OfflineWindow, (total+chunkOTs-1)/chunkOTs, extend, decode); err != nil {
+		return nil, err
 	}
 	// U currently holds sum(Value*r - s); V holds sum(s): U + V = W*R.
 	return U, nil

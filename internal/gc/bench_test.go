@@ -52,18 +52,7 @@ func BenchmarkBuildReLUCircuit(b *testing.B) {
 func benchRunBatch(b *testing.B, workers int) {
 	ca, cb := transport.Pipe()
 	defer ca.Close()
-	var (
-		g    *Garbler
-		gerr error
-		wg   sync.WaitGroup
-	)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		g, gerr = NewGarbler(ca, 99, prg.New(prg.SeedFromInt(1)))
-	}()
-	e, eerr := NewEvaluator(cb, 99, prg.New(prg.SeedFromInt(2)))
-	wg.Wait()
+	g, e, gerr, eerr := newParties(ca, cb)
 	if gerr != nil || eerr != nil {
 		b.Fatalf("setup: %v %v", gerr, eerr)
 	}

@@ -38,11 +38,18 @@ type Circuit struct {
 	NumWires     int
 	Gates        []Gate
 	Outputs      []int
+
+	ands int // AND gates in Gates, counted once by Finish; 0 = not counted
 }
 
 // NumAND returns the number of AND gates, the communication-relevant size
-// of the circuit (XOR and INV are free).
+// of the circuit (XOR and INV are free). Every flight-size computation
+// asks, so a circuit that came out of Builder.Finish answers from the
+// count taken there; one assembled by hand is scanned.
 func (c *Circuit) NumAND() int {
+	if c.ands > 0 {
+		return c.ands
+	}
 	n := 0
 	for _, g := range c.Gates {
 		if g.Kind == GateAND {
@@ -145,6 +152,7 @@ func (b *Builder) Finish() *Circuit {
 		}
 	}
 	c := b.c
+	c.ands = c.NumAND()
 	return &c
 }
 

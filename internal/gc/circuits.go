@@ -292,9 +292,12 @@ func BitsToUint(bits []byte) uint64 {
 
 // VecToBits concatenates UintToBits for each element.
 func VecToBits(xs []uint64, bits uint) []byte {
-	out := make([]byte, 0, uint(len(xs))*bits)
-	for _, x := range xs {
-		out = append(out, UintToBits(x, bits)...)
+	out := make([]byte, uint(len(xs))*bits)
+	for k, x := range xs {
+		word := out[uint(k)*bits : uint(k+1)*bits]
+		for i := range word {
+			word[i] = byte((x >> uint(i)) & 1)
+		}
 	}
 	return out
 }

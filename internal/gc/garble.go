@@ -13,19 +13,39 @@ import (
 // LabelSize is the wire-label width in bytes (kappa = 128 bits).
 const LabelSize = 16
 
-// Label is a wire label.
+// Label is a wire label in its wire encoding.
 type Label [LabelSize]byte
 
-func (l Label) lsb() byte { return l[0] & 1 }
+// wire is a label as the kernels hold it: the two little-endian 64-bit
+// words of its Label encoding, so that XOR, the permute bit and the hash
+// are word operations with no 16-byte copies.
+type wire struct{ lo, hi uint64 }
 
-func xorLabel(a, b Label) Label {
-	var out Label
-	binary.LittleEndian.PutUint64(out[0:8],
-		binary.LittleEndian.Uint64(a[0:8])^binary.LittleEndian.Uint64(b[0:8]))
-	binary.LittleEndian.PutUint64(out[8:16],
-		binary.LittleEndian.Uint64(a[8:16])^binary.LittleEndian.Uint64(b[8:16]))
-	return out
+func loadWire(b []byte) wire {
+	_ = b[LabelSize-1]
+	return wire{binary.LittleEndian.Uint64(b[0:8]), binary.LittleEndian.Uint64(b[8:16])}
 }
+
+func (w wire) store(b []byte) {
+	_ = b[LabelSize-1]
+	binary.LittleEndian.PutUint64(b[0:8], w.lo)
+	binary.LittleEndian.PutUint64(b[8:16], w.hi)
+}
+
+func (w wire) label() (l Label) {
+	w.store(l[:])
+	return l
+}
+
+func (w wire) xor(o wire) wire { return wire{w.lo ^ o.lo, w.hi ^ o.hi} }
+
+// lsb is the point-and-permute bit: bit 0 of the label's first byte.
+func (w wire) lsb() uint64 { return w.lo & 1 }
+
+// when returns w if bit is 1 and the zero label if bit is 0, without a
+// branch: permute bits are uniformly random, so a branch on one is
+// mispredicted half the time.
+func (w wire) when(bit uint64) wire { return wire{w.lo & -bit, w.hi & -bit} }
 
 // mmoCipher is the fixed-key AES permutation behind the garbling hash.
 var mmoCipher = func() cipher.Block {
@@ -40,23 +60,18 @@ var mmoCipher = func() cipher.Block {
 // hasher computes the garbling hash H(label, tweak), instantiated as the
 // standard fixed-key AES MMO construction pi(x) XOR x with the tweak
 // folded into the input (JustGarble / half-gates paper instantiation).
-// The scratch buffers live in the struct so the hot loop performs no
+// The AES operands live in the struct so the hot loop performs no
 // allocations (slices passed through the cipher.Block interface would
 // otherwise escape to the heap on every call).
 type hasher struct {
 	x, e [16]byte
 }
 
-func (h *hasher) hash(l Label, tweak uint64) Label {
-	binary.LittleEndian.PutUint64(h.x[0:8], binary.LittleEndian.Uint64(l[0:8])^tweak)
-	copy(h.x[8:16], l[8:16])
+func (h *hasher) hash(l wire, tweak uint64) wire {
+	l.lo ^= tweak
+	l.store(h.x[:])
 	mmoCipher.Encrypt(h.e[:], h.x[:])
-	var out Label
-	binary.LittleEndian.PutUint64(out[0:8],
-		binary.LittleEndian.Uint64(h.e[0:8])^binary.LittleEndian.Uint64(h.x[0:8]))
-	binary.LittleEndian.PutUint64(out[8:16],
-		binary.LittleEndian.Uint64(h.e[8:16])^binary.LittleEndian.Uint64(h.x[8:16]))
-	return out
+	return loadWire(h.e[:]).xor(l)
 }
 
 // Garbled is the garbler's output: everything the evaluator needs except
@@ -69,84 +84,166 @@ type Garbled struct {
 	EvalPairs [][2]Label
 }
 
-// Garble garbles the circuit under fresh randomness from rng, with the
-// garbler's input bits given. Free-XOR with global offset R (lsb 1),
+// garbling is the garbling kernel's state and scratch: after garble
+// returns, r and zero hold the global offset and the zero label of every
+// wire, from which the caller reads input labels and decode bits in
+// whatever layout it needs. One garbling serves one goroutine; reusing it
+// from circuit to circuit reuses the wire-label array, the kernel's only
+// large allocation.
+type garbling struct {
+	h     hasher
+	r     wire   // free-XOR global offset, lsb 1
+	zero  []wire // zero label of every wire of the circuit last garbled
+	stage []byte // keystream staging for the input-label draw
+}
+
+// labelStage is how much keystream garble draws at a time.
+const labelStage = 8 << 10
+
+// garble garbles c under fresh randomness from rng into tables, which
+// must be c.TableBytes() long. Free-XOR with global offset R (lsb 1),
 // half-gates for AND, INV by XORing the output-wire semantics with R.
+//
+// The draw order is the wire format's: R, then the zero label of every
+// input wire in wire order, LabelSize bytes each. The keystream is a
+// stream, so drawing it a stage at a time yields the same labels, and
+// leaves rng in the same state, as one draw per label.
+func (s *garbling) garble(c *Circuit, rng *prg.PRG, tables []byte) error {
+	if s.stage == nil {
+		s.stage = make([]byte, labelStage)
+	}
+	if cap(s.zero) < c.NumWires {
+		s.zero = make([]wire, c.NumWires)
+	}
+	s.zero = s.zero[:c.NumWires]
+	zero := s.zero
+	rng.Fill(s.stage[:LabelSize])
+	r := loadWire(s.stage)
+	r.lo |= 1 // point-and-permute: lsb of R must be 1
+	s.r = r
+	for in := zero[:c.NumGarbler+c.NumEvaluator]; len(in) > 0; {
+		buf := s.stage[:min(len(in)*LabelSize, labelStage)]
+		rng.Fill(buf)
+		for i := 0; i < len(buf); i += LabelSize {
+			in[i/LabelSize] = loadWire(buf[i:])
+		}
+		in = in[len(buf)/LabelSize:]
+	}
+
+	h := &s.h
+	var tweak uint64 // 2 * AND-gate index; the evaluator half-gate uses tweak+1
+	for i := range c.Gates {
+		g := &c.Gates[i]
+		switch g.Kind {
+		case GateXOR:
+			zero[g.Out] = zero[g.A].xor(zero[g.B])
+		case GateINV:
+			// NOT flips semantics: label for "out=0" is label for "a=1".
+			zero[g.Out] = zero[g.A].xor(r)
+		case GateAND:
+			a0, b0 := zero[g.A], zero[g.B]
+			pa, pb := a0.lsb(), b0.lsb()
+			// Four hashes: each of H(a0), H(b0) feeds both its half-gate's
+			// ciphertext and its output label.
+			ha0, ha1 := h.hash(a0, tweak), h.hash(a0.xor(r), tweak)
+			hb0, hb1 := h.hash(b0, tweak+1), h.hash(b0.xor(r), tweak+1)
+			// Generator half-gate.
+			tg := ha0.xor(ha1).xor(r.when(pb))
+			wg := ha0.xor(tg.when(pa))
+			// Evaluator half-gate.
+			te := hb0.xor(hb1).xor(a0)
+			we := hb0.xor(te.xor(a0).when(pb))
+			zero[g.Out] = wg.xor(we)
+			tg.store(tables[tweak*LabelSize:])
+			te.store(tables[(tweak+1)*LabelSize:])
+			tweak += 2
+		default:
+			return fmt.Errorf("gc: unknown gate kind %d", g.Kind)
+		}
+	}
+	return nil
+}
+
+// garblerLabel returns the active label of garbler input wire i for the
+// given input bit.
+func (s *garbling) garblerLabel(i int, bit byte) wire {
+	return s.zero[i].xor(s.r.when(uint64(bit & 1)))
+}
+
+// Garble garbles the circuit under fresh randomness from rng, with the
+// garbler's input bits given.
 func Garble(c *Circuit, garblerBits []byte, rng *prg.PRG) (*Garbled, error) {
 	if len(garblerBits) != c.NumGarbler {
 		return nil, fmt.Errorf("gc: %d garbler bits for %d input wires", len(garblerBits), c.NumGarbler)
 	}
-	var r Label
-	copy(r[:], rng.Bytes(LabelSize))
-	r[0] |= 1 // point-and-permute: lsb of R must be 1
-
-	zero := make([]Label, c.NumWires) // zero label of every wire
-	for i := 0; i < c.NumGarbler+c.NumEvaluator; i++ {
-		copy(zero[i][:], rng.Bytes(LabelSize))
+	out := &Garbled{
+		Tables:        make([]byte, c.TableBytes()),
+		GarblerLabels: make([]Label, c.NumGarbler),
+		Decode:        make([]byte, len(c.Outputs)),
+		EvalPairs:     make([][2]Label, c.NumEvaluator),
 	}
-	tables := make([]byte, 0, c.TableBytes())
-	h := new(hasher)
-	var gateIndex uint64
-	for _, g := range c.Gates {
-		switch g.Kind {
-		case GateXOR:
-			zero[g.Out] = xorLabel(zero[g.A], zero[g.B])
-		case GateINV:
-			// NOT flips semantics: label for "out=0" is label for "a=1".
-			zero[g.Out] = xorLabel(zero[g.A], r)
-		case GateAND:
-			a0 := zero[g.A]
-			b0 := zero[g.B]
-			a1 := xorLabel(a0, r)
-			b1 := xorLabel(b0, r)
-			pa := a0.lsb()
-			pb := b0.lsb()
-			j := 2 * gateIndex
-			jp := 2*gateIndex + 1
-			// Generator half-gate.
-			tg := xorLabel(h.hash(a0, j), h.hash(a1, j))
-			if pb == 1 {
-				tg = xorLabel(tg, r)
-			}
-			wg := h.hash(a0, j)
-			if pa == 1 {
-				wg = xorLabel(wg, tg)
-			}
-			// Evaluator half-gate.
-			te := xorLabel(xorLabel(h.hash(b0, jp), h.hash(b1, jp)), a0)
-			we := h.hash(b0, jp)
-			if pb == 1 {
-				we = xorLabel(we, xorLabel(te, a0))
-			}
-			zero[g.Out] = xorLabel(wg, we)
-			tables = append(tables, tg[:]...)
-			tables = append(tables, te[:]...)
-			gateIndex++
-		default:
-			return nil, fmt.Errorf("gc: unknown gate kind %d", g.Kind)
-		}
+	var s garbling
+	if err := s.garble(c, rng, out.Tables); err != nil {
+		return nil, err
 	}
-
-	out := &Garbled{Tables: tables}
-	out.GarblerLabels = make([]Label, c.NumGarbler)
-	for i := 0; i < c.NumGarbler; i++ {
-		if garblerBits[i]&1 == 1 {
-			out.GarblerLabels[i] = xorLabel(zero[i], r)
-		} else {
-			out.GarblerLabels[i] = zero[i]
-		}
+	for i := range out.GarblerLabels {
+		out.GarblerLabels[i] = s.garblerLabel(i, garblerBits[i]).label()
 	}
-	out.EvalPairs = make([][2]Label, c.NumEvaluator)
-	for i := 0; i < c.NumEvaluator; i++ {
-		w := c.NumGarbler + i
-		out.EvalPairs[i][0] = zero[w]
-		out.EvalPairs[i][1] = xorLabel(zero[w], r)
+	for i := range out.EvalPairs {
+		z := s.zero[c.NumGarbler+i]
+		out.EvalPairs[i] = [2]Label{z.label(), z.xor(s.r).label()}
 	}
-	out.Decode = make([]byte, len(c.Outputs))
 	for i, w := range c.Outputs {
-		out.Decode[i] = zero[w].lsb()
+		out.Decode[i] = byte(s.zero[w].lsb())
 	}
 	return out, nil
+}
+
+// evaluating is the evaluation kernel's scratch, the mirror of garbling:
+// the caller loads the active input labels into active, evaluate fills in
+// the rest.
+type evaluating struct {
+	h      hasher
+	active []wire          // active label of every wire
+	label  [LabelSize]byte // one evaluator label being unpadded
+}
+
+// inputs returns the active-label array for c, its input wires to be
+// filled by the caller before evaluate.
+func (s *evaluating) inputs(c *Circuit) []wire {
+	if cap(s.active) < c.NumWires {
+		s.active = make([]wire, c.NumWires)
+	}
+	s.active = s.active[:c.NumWires]
+	return s.active
+}
+
+// evaluate walks the gates over the garbled tables, which must be
+// c.TableBytes() long.
+func (s *evaluating) evaluate(c *Circuit, tables []byte) error {
+	active := s.active
+	h := &s.h
+	var tweak uint64
+	for i := range c.Gates {
+		g := &c.Gates[i]
+		switch g.Kind {
+		case GateXOR:
+			active[g.Out] = active[g.A].xor(active[g.B])
+		case GateINV:
+			active[g.Out] = active[g.A]
+		case GateAND:
+			a, b := active[g.A], active[g.B]
+			tg := loadWire(tables[tweak*LabelSize:])
+			te := loadWire(tables[(tweak+1)*LabelSize:])
+			wg := h.hash(a, tweak).xor(tg.when(a.lsb()))
+			we := h.hash(b, tweak+1).xor(te.xor(a).when(b.lsb()))
+			active[g.Out] = wg.xor(we)
+			tweak += 2
+		default:
+			return fmt.Errorf("gc: unknown gate kind %d", g.Kind)
+		}
+	}
+	return nil
 }
 
 // Evaluate runs the evaluator over the garbled tables given active labels
@@ -162,42 +259,20 @@ func Evaluate(c *Circuit, tables []byte, garblerLabels, evalLabels []Label, deco
 	if len(decode) != len(c.Outputs) {
 		return nil, fmt.Errorf("gc: decode has %d bits, want %d", len(decode), len(c.Outputs))
 	}
-	active := make([]Label, c.NumWires)
-	copy(active, garblerLabels)
-	copy(active[c.NumGarbler:], evalLabels)
-	h := new(hasher)
-	var gateIndex uint64
-	for _, g := range c.Gates {
-		switch g.Kind {
-		case GateXOR:
-			active[g.Out] = xorLabel(active[g.A], active[g.B])
-		case GateINV:
-			active[g.Out] = active[g.A]
-		case GateAND:
-			var tg, te Label
-			copy(tg[:], tables[gateIndex*2*LabelSize:])
-			copy(te[:], tables[gateIndex*2*LabelSize+LabelSize:])
-			j := 2 * gateIndex
-			jp := 2*gateIndex + 1
-			a := active[g.A]
-			b := active[g.B]
-			wg := h.hash(a, j)
-			if a.lsb() == 1 {
-				wg = xorLabel(wg, tg)
-			}
-			we := h.hash(b, jp)
-			if b.lsb() == 1 {
-				we = xorLabel(we, xorLabel(te, a))
-			}
-			active[g.Out] = xorLabel(wg, we)
-			gateIndex++
-		default:
-			return nil, fmt.Errorf("gc: unknown gate kind %d", g.Kind)
-		}
+	var s evaluating
+	active := s.inputs(c)
+	for i := range garblerLabels {
+		active[i] = loadWire(garblerLabels[i][:])
+	}
+	for i := range evalLabels {
+		active[c.NumGarbler+i] = loadWire(evalLabels[i][:])
+	}
+	if err := s.evaluate(c, tables); err != nil {
+		return nil, err
 	}
 	bits := make([]byte, len(c.Outputs))
 	for i, w := range c.Outputs {
-		bits[i] = active[w].lsb() ^ decode[i]
+		bits[i] = byte(active[w].lsb()) ^ decode[i]
 	}
 	return bits, nil
 }

@@ -2,6 +2,7 @@ package gc
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"abnn2/internal/otext"
 	"abnn2/internal/par"
@@ -17,6 +18,7 @@ type Garbler struct {
 	ot      *otext.Sender
 	rng     *prg.PRG
 	workers int
+	garbled atomic.Int64 // circuits garbled so far; the run-ahead bound test reads it mid-round
 }
 
 // Evaluator drives the evaluating side (the server in ABNN2).
@@ -24,6 +26,7 @@ type Evaluator struct {
 	conn    transport.Conn
 	ot      *otext.Receiver
 	workers int
+	choices []int // label-OT choice scratch
 }
 
 // NewGarbler sets up the garbling side, running base OTs for the label
@@ -59,25 +62,29 @@ func (e *Evaluator) SetWorkers(n int) {
 	e.ot.SetWorkers(n)
 }
 
+// flightBytes is the size of c's garbler -> evaluator flight: the garbled
+// tables, the garbler's active input labels, the packed decode bits and
+// the evaluator's label pairs under their OT pads.
+func flightBytes(c *Circuit) int {
+	return c.TableBytes() + c.NumGarbler*LabelSize + (len(c.Outputs)+7)/8 + c.NumEvaluator*2*LabelSize
+}
+
 // Run garbles c under the garbler's input bits and sends everything the
 // evaluator needs in a single flight (after receiving the OT column
 // matrix). The protocol per invocation is two flights total:
 // evaluator -> garbler (OT columns), garbler -> evaluator (tables, labels,
-// decode bits, OT ciphertexts).
+// decode bits, OT ciphertexts). Run is a round of one circuit garbled
+// straight from the garbler's stream.
 func (g *Garbler) Run(c *Circuit, garblerBits []byte) error {
-	garbled, err := Garble(c, garblerBits, g.rng)
-	if err != nil {
-		return err
-	}
-	return g.sendGarbled(c, garbled)
+	return g.round([]*Circuit{c}, [][]byte{garblerBits}, []*prg.PRG{g.rng})
 }
 
-// RunBatch runs the garbler side for a batch of independent circuits.
-// Garbling — the CPU-heavy half — fans out across the shared worker
-// pool; the per-circuit randomness is pre-derived sequentially and the
-// wire flights go out in batch order, so the transcript is byte-for-byte
-// identical for any worker count. The evaluator must mirror the call
-// with RunBatch over the same circuits.
+// RunBatch runs the garbler side for a batch of independent circuits:
+// len(circs) consecutive rounds of Run's two flights, in batch order,
+// with garbling — the CPU-heavy half — running ahead of the wire. The
+// per-circuit randomness is pre-derived sequentially, so the transcript
+// is byte-for-byte identical for any worker count. The evaluator must
+// mirror the call with RunBatch over the same circuits.
 func (g *Garbler) RunBatch(circs []*Circuit, bits [][]byte) error {
 	if len(circs) != len(bits) {
 		return fmt.Errorf("gc: %d circuits for %d input sets", len(circs), len(bits))
@@ -89,53 +96,85 @@ func (g *Garbler) RunBatch(circs []*Circuit, bits [][]byte) error {
 	for i := range rngs {
 		rngs[i] = g.rng.Child(fmt.Sprintf("batch/%d", i))
 	}
-	garbled := make([]*Garbled, len(circs))
-	if err := par.ChunksErr(g.workers, len(circs), func(_, lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			gb, err := Garble(circs[i], bits[i], rngs[i])
-			if err != nil {
-				return err
+	return g.round(circs, bits, rngs)
+}
+
+// round is the garbler's pipeline. Up to `workers` producers garble
+// circuits k+1.. into flight buffers while this goroutine runs circuit
+// k's label-OT round and sends its flight, so a batch costs about
+// garble(first) + max(garble, send) * (rest) instead of garble(all) +
+// send(all). At most workers + 1 circuits are garbled (or being garbled)
+// and not yet sent: that window, not the batch, bounds the garbler's
+// memory — one kernel's wire labels per worker and workers + 1 flights,
+// each reused from circuit to circuit and dropped with the round.
+func (g *Garbler) round(circs []*Circuit, bits [][]byte, rngs []*prg.PRG) error {
+	workers := par.NumChunks(g.workers, len(circs))
+	window := workers + 1
+	kernels := make([]garbling, workers) // one per producer goroutine
+	flights := make([][]byte, window)    // circuit i uses slot i mod window
+	return par.Ahead(workers, window, len(circs),
+		func(w, i int) ([]byte, error) {
+			// Circuit i-window has been sent — par.Ahead starts no item
+			// before then — and Send does not keep the buffer.
+			slot, n := i%window, flightBytes(circs[i])
+			if cap(flights[slot]) < n {
+				flights[slot] = make([]byte, n)
 			}
-			garbled[i] = gb
-		}
-		return nil
-	}); err != nil {
+			msg := flights[slot][:n]
+			if err := kernels[w].flight(circs[i], bits[i], rngs[i], msg); err != nil {
+				return nil, err
+			}
+			g.garbled.Add(1)
+			return msg, nil
+		},
+		func(i int, msg []byte) error { return g.sendGarbled(circs[i], msg) })
+}
+
+// flight garbles c into msg, laid out as flightBytes describes, with the
+// evaluator's label pairs still in the clear: sendGarbled pads them once
+// the label OT has run.
+func (s *garbling) flight(c *Circuit, garblerBits []byte, rng *prg.PRG, msg []byte) error {
+	if len(garblerBits) != c.NumGarbler {
+		return fmt.Errorf("gc: %d garbler bits for %d input wires", len(garblerBits), c.NumGarbler)
+	}
+	tb := c.TableBytes()
+	if err := s.garble(c, rng, msg[:tb]); err != nil {
 		return err
 	}
-	// Communication stays sequential in batch order: one OT round plus
-	// one garbled-material flight per circuit, exactly as len(circs)
-	// consecutive Run calls would produce.
-	for i := range circs {
-		if err := g.sendGarbled(circs[i], garbled[i]); err != nil {
-			return err
-		}
+	off := tb
+	for i, b := range garblerBits {
+		s.garblerLabel(i, b).store(msg[off:])
+		off += LabelSize
+	}
+	decode := msg[off : off+(len(c.Outputs)+7)/8]
+	clear(decode)
+	for i, w := range c.Outputs {
+		decode[i/8] |= byte(s.zero[w].lsb()) << (uint(i) % 8)
+	}
+	off += len(decode)
+	for _, z := range s.zero[c.NumGarbler : c.NumGarbler+c.NumEvaluator] {
+		z.store(msg[off:])
+		z.xor(s.r).store(msg[off+LabelSize:])
+		off += 2 * LabelSize
 	}
 	return nil
 }
 
-// sendGarbled performs the communication half of Run: the label OT round
+// sendGarbled performs the communication half of a round: the label OT
 // and the single garbled-material flight.
-func (g *Garbler) sendGarbled(c *Circuit, garbled *Garbled) error {
-	var pads *otext.SenderDeriver
+func (g *Garbler) sendGarbled(c *Circuit, msg []byte) error {
 	if c.NumEvaluator > 0 {
 		blk, err := g.ot.Extend(c.NumEvaluator)
 		if err != nil {
 			return fmt.Errorf("gc: label OT: %w", err)
 		}
-		pads = blk.NewDeriver()
-	}
-	msg := make([]byte, 0, len(garbled.Tables)+
-		c.NumGarbler*LabelSize+(len(c.Outputs)+7)/8+c.NumEvaluator*2*LabelSize)
-	msg = append(msg, garbled.Tables...)
-	for _, l := range garbled.GarblerLabels {
-		msg = append(msg, l[:]...)
-	}
-	msg = append(msg, packBits(garbled.Decode)...)
-	for i := 0; i < c.NumEvaluator; i++ {
-		pads.Seek(i)
-		for v, label := range garbled.EvalPairs[i] {
-			msg = append(msg, label[:]...)
-			pads.XORPad(v, msg[len(msg)-LabelSize:])
+		pads := blk.NewDeriver()
+		pairs := msg[len(msg)-c.NumEvaluator*2*LabelSize:]
+		for i := 0; i < c.NumEvaluator; i++ {
+			pads.Seek(i)
+			pads.XORPad(0, pairs[:LabelSize])
+			pads.XORPad(1, pairs[LabelSize:2*LabelSize])
+			pairs = pairs[2*LabelSize:]
 		}
 	}
 	if err := g.conn.Send(msg); err != nil {
@@ -144,67 +183,66 @@ func (g *Garbler) sendGarbled(c *Circuit, garbled *Garbled) error {
 	return nil
 }
 
-// received holds one circuit's parsed garbled material, ready to
-// evaluate.
+// received is one circuit's garbled-material flight and the label-OT
+// block that opens the evaluator's labels in it. The evaluation it is
+// handed to owns the frame: its tables are read in place.
 type received struct {
-	tables        []byte
-	garblerLabels []Label
-	evalLabels    []Label
-	decode        []byte
+	msg []byte
+	blk *otext.ReceiverBlock
 }
 
 // Run evaluates c with the evaluator's input bits and returns the decoded
 // output bits.
 func (e *Evaluator) Run(c *Circuit, evalBits []byte) ([]byte, error) {
-	rcv, err := e.recvGarbled(c, evalBits)
+	outs, err := e.RunBatch([]*Circuit{c}, [][]byte{evalBits})
 	if err != nil {
 		return nil, err
 	}
-	return Evaluate(c, rcv.tables, rcv.garblerLabels, rcv.evalLabels, rcv.decode)
+	return outs[0], nil
 }
 
 // RunBatch runs the evaluator side for a batch of independent circuits,
-// mirroring Garbler.RunBatch: the per-circuit OT rounds and receives
-// happen sequentially in batch order (fixed wire order), then the
-// CPU-heavy evaluation fans out across the shared worker pool. Returns
-// the decoded output bits per circuit.
+// mirroring Garbler.RunBatch. This goroutine keeps the wire: per circuit,
+// in batch order, it sends the label-OT columns and receives the flight,
+// and hands each flight to an evaluation running behind it, at most
+// `workers` at a time, so circuit k evaluates while circuit k+1 is
+// received. An evaluation error does not stop the receive loop — the
+// garbler is never left blocked in a send mid-batch — and is returned
+// after it. Returns the decoded output bits per circuit.
 func (e *Evaluator) RunBatch(circs []*Circuit, bits [][]byte) ([][]byte, error) {
 	if len(circs) != len(bits) {
 		return nil, fmt.Errorf("gc: %d circuits for %d input sets", len(circs), len(bits))
 	}
-	rcvs := make([]received, len(circs))
-	for i := range circs {
-		rcv, err := e.recvGarbled(circs[i], bits[i])
-		if err != nil {
-			return nil, err
-		}
-		rcvs[i] = rcv
-	}
+	// One kernel per evaluation slot: its wire labels are reused from
+	// circuit to circuit and dropped with the round.
+	kernels := make([]evaluating, par.NumChunks(e.workers, len(circs)))
 	outs := make([][]byte, len(circs))
-	if err := par.ChunksErr(e.workers, len(circs), func(_, lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			out, err := Evaluate(circs[i], rcvs[i].tables, rcvs[i].garblerLabels, rcvs[i].evalLabels, rcvs[i].decode)
-			if err != nil {
-				return err
-			}
-			outs[i] = out
-		}
-		return nil
-	}); err != nil {
+	err := par.Behind(e.workers, len(circs),
+		func(i int) (received, error) { return e.recvGarbled(circs[i], bits[i]) },
+		func(w, i int, rcv received) (err error) {
+			outs[i], err = kernels[w].flight(circs[i], bits[i], rcv)
+			return err
+		})
+	if err != nil {
 		return nil, err
 	}
 	return outs, nil
 }
 
-// recvGarbled performs the communication half of Run: the label OT round
-// and parsing of the garbled-material flight.
+// recvGarbled performs the communication half of a round: the label OT
+// and the receipt of the garbled-material flight.
 func (e *Evaluator) recvGarbled(c *Circuit, evalBits []byte) (received, error) {
 	if len(evalBits) != c.NumEvaluator {
 		return received{}, fmt.Errorf("gc: %d evaluator bits for %d wires", len(evalBits), c.NumEvaluator)
 	}
-	var pads *otext.ReceiverDeriver
+	var rcv received
 	if c.NumEvaluator > 0 {
-		choices := make([]int, len(evalBits))
+		// The block keeps the slice only to answer Choice, which this
+		// package never asks, so one buffer serves every round.
+		if cap(e.choices) < len(evalBits) {
+			e.choices = make([]int, len(evalBits))
+		}
+		choices := e.choices[:len(evalBits)]
 		for i, b := range evalBits {
 			choices[i] = int(b & 1)
 		}
@@ -212,52 +250,50 @@ func (e *Evaluator) recvGarbled(c *Circuit, evalBits []byte) (received, error) {
 		if err != nil {
 			return received{}, fmt.Errorf("gc: label OT: %w", err)
 		}
-		pads = blk.NewDeriver()
+		rcv.blk = blk
 	}
 	msg, err := e.conn.Recv()
 	if err != nil {
 		return received{}, fmt.Errorf("gc: recv garbled material: %w", err)
 	}
-	tb := c.TableBytes()
-	decodeBytes := (len(c.Outputs) + 7) / 8
-	want := tb + c.NumGarbler*LabelSize + decodeBytes + c.NumEvaluator*2*LabelSize
-	if len(msg) != want {
+	if want := flightBytes(c); len(msg) != want {
 		return received{}, fmt.Errorf("gc: garbled material is %d bytes, want %d", len(msg), want)
 	}
-	tables := msg[:tb]
+	rcv.msg = msg
+	return rcv, nil
+}
+
+// flight evaluates c over a received flight: it opens the evaluator's
+// labels with the OT pads, takes the garbler's as sent, walks the gates
+// over the tables where they lie in the frame, and decodes the outputs.
+func (s *evaluating) flight(c *Circuit, evalBits []byte, rcv received) ([]byte, error) {
+	msg := rcv.msg
+	active := s.inputs(c)
+	tb := c.TableBytes()
 	off := tb
-	garblerLabels := make([]Label, c.NumGarbler)
-	for i := range garblerLabels {
-		copy(garblerLabels[i][:], msg[off:])
+	for i := 0; i < c.NumGarbler; i++ {
+		active[i] = loadWire(msg[off:])
 		off += LabelSize
 	}
-	decode := unpackBits(msg[off:off+decodeBytes], len(c.Outputs))
-	off += decodeBytes
-	evalLabels := make([]Label, c.NumEvaluator)
-	for i := range evalLabels {
-		b := evalBits[i] & 1
-		copy(evalLabels[i][:], msg[off+int(b)*LabelSize:])
-		pads.Seek(i)
-		pads.XORPad(evalLabels[i][:])
-		off += 2 * LabelSize
-	}
-	return received{tables: tables, garblerLabels: garblerLabels, evalLabels: evalLabels, decode: decode}, nil
-}
-
-func packBits(bits []byte) []byte {
-	out := make([]byte, (len(bits)+7)/8)
-	for i, b := range bits {
-		if b&1 == 1 {
-			out[i/8] |= 1 << (uint(i) % 8)
+	decode := msg[off : off+(len(c.Outputs)+7)/8]
+	off += len(decode)
+	if c.NumEvaluator > 0 {
+		pads := rcv.blk.NewDeriver()
+		for i, b := range evalBits {
+			// Unpad a copy: the frame stays as it arrived.
+			copy(s.label[:], msg[off+int(b&1)*LabelSize:])
+			pads.Seek(i)
+			pads.XORPad(s.label[:])
+			active[c.NumGarbler+i] = loadWire(s.label[:])
+			off += 2 * LabelSize
 		}
 	}
-	return out
-}
-
-func unpackBits(b []byte, n int) []byte {
-	out := make([]byte, n)
-	for i := range out {
-		out[i] = (b[i/8] >> (uint(i) % 8)) & 1
+	if err := s.evaluate(c, msg[:tb]); err != nil {
+		return nil, err
 	}
-	return out
+	bits := make([]byte, len(c.Outputs))
+	for i, w := range c.Outputs {
+		bits[i] = byte(active[w].lsb()) ^ (decode[i/8]>>(uint(i)%8))&1
+	}
+	return bits, nil
 }

@@ -11,18 +11,7 @@ import (
 func setupParties(t *testing.T) (*Garbler, *Evaluator, *transport.Meter, func()) {
 	t.Helper()
 	ca, cb, m := transport.MeteredPipe()
-	var (
-		g    *Garbler
-		gerr error
-		wg   sync.WaitGroup
-	)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		g, gerr = NewGarbler(ca, 99, prg.New(prg.SeedFromInt(1)))
-	}()
-	e, eerr := NewEvaluator(cb, 99, prg.New(prg.SeedFromInt(2)))
-	wg.Wait()
+	g, e, gerr, eerr := newParties(ca, cb)
 	if gerr != nil || eerr != nil {
 		t.Fatalf("setup: %v %v", gerr, eerr)
 	}

@@ -164,8 +164,7 @@ func (r *Receiver) Extend(choices []int) (*ReceiverBlock, error) {
 	// Column streams: t_i from seed0, u_i = t_i XOR PRG1_i XOR c_i.
 	// Each column owns its pair of PRGs, so columns expand independently
 	// on the worker pool; the per-column PRG states advance exactly as
-	// they would sequentially, keeping the wire bytes identical. u is
-	// handed to the transport, which may keep it, so it is never reused.
+	// they would sequentially, keeping the wire bytes identical.
 	r.tCols = bitmat.Resized(r.tCols, w, mPad)
 	tCols := r.tCols
 	u := make([]byte, w*mBytes)

@@ -1,9 +1,10 @@
 // Package par provides the shared bounded worker pool behind every
 // parallel protocol kernel in this repository: OT-extension column
-// processing, batch garbling/evaluation, and triplet matmul
-// accumulation.
+// processing and triplet matmul accumulation, plus the two pipelines
+// (pipeline.go) that overlap garbling, evaluation and OT extension with
+// the wire.
 //
-// Three properties every helper guarantees:
+// Three properties every range helper guarantees:
 //
 //   - Deterministic partition: [0, n) is split into contiguous ranges
 //     whose boundaries depend only on the resolved worker count and n.
@@ -13,9 +14,12 @@
 //     bytes, only at different speeds.
 //
 //   - Shared and bounded: one process-wide pool of GOMAXPROCS
-//     goroutines serves every subsystem. A call never spawns
-//     per-invocation goroutines, so a server handling many concurrent
-//     sessions cannot fork an unbounded goroutine herd.
+//     goroutines serves every subsystem. Chunks, ChunksErr and Map never
+//     spawn per-invocation goroutines, so a server handling many
+//     concurrent sessions cannot fork an unbounded goroutine herd. (The
+//     wire pipelines Ahead and Behind start at most Workers goroutines
+//     per call and join them before returning; pipeline.go says why
+//     they cannot borrow the pool.)
 //
 //   - Deadlock-free under saturation: task submission never blocks.
 //     When the queue is full (nested parallelism, oversubscription) the

@@ -96,6 +96,30 @@ func main() {
 		evalEntries = append(evalEntries, entry{e[0], g.Bytes(2 * gc.LabelSize)})
 	}
 	writeCorpus("internal/gc/testdata/fuzz/FuzzEvaluate", evalEntries)
+	// Gate programs for the kernel-vs-reference identity fuzz (two bytes
+	// of input counts, then kind/operand/operand triples; kinds 2 and 3
+	// are INV). These draw nothing from g, so they move no other corpus.
+	invChain := []byte{3, 3}
+	for i := 0; i < 150; i++ {
+		invChain = append(invChain, 2, byte(i+7), 0) // invert the newest wire
+	}
+	for i := 0; i < 40; i++ {
+		invChain = append(invChain, 1, byte(3*i), byte(5*i+1)) // AND across the chain
+	}
+	mixed := []byte{2, 1}
+	for i := 0; i < 250; i++ {
+		mixed = append(mixed, byte(i%4), byte(7*i+3), byte(11*i+5))
+	}
+	andOfInv := []byte{0, 0}
+	for i := 0; i < 80; i++ {
+		andOfInv = append(andOfInv, 3, byte(i), 0, 1, byte(2*i+1), byte(2*i+2), 0, byte(3*i), byte(3*i+1))
+	}
+	writeCorpus("internal/gc/testdata/fuzz/FuzzGarbleMatchesReference", []entry{
+		{invChain, {0xA5, 0x3C}},
+		{mixed, {0x01, 0xFE, 0x77, 0x10, 0x9B, 0x42, 0xC3, 0x5A, 0xE1}},
+		{andOfInv, {0xFF}},
+		{[]byte{3, 3}, []byte{}},
+	})
 
 	// internal/core: triplet payloads for shape 2x3 over 4(2,2) and the
 	// 33-bit ring — 12 OTs of (N-1)*5 bytes one-batch, N*o*5 multi-batch.

@@ -25,6 +25,10 @@ import (
 // not safe for concurrent Sends or concurrent Recvs, but one goroutine may
 // Send while another Recvs (full duplex).
 //
+// Send does not keep msg: when it returns, the bytes have been copied or
+// written out and the caller may reuse the buffer (a wrapper that logs
+// flights copies them). A message returned by Recv belongs to the caller.
+//
 // SetDeadline bounds all current and future Send/Recv calls: operations
 // that have not completed by t fail with a timeout error (IsTimeout
 // reports true). The zero time clears the deadline. SetDeadline may be
