@@ -29,15 +29,17 @@ bench:
 # The benchmark is a module of its own (benchmark/go.mod), so the root
 # `go test ./...` never reaches it: run its unit tests, then one short
 # run each of the shaped-WAN workload (wire-bound), the LAN workload
-# (kernel-bound) and the CNN (the only short one whose garbled-circuit
+# (kernel-bound), the CNN (the only short one whose garbled-circuit
 # batches have several circuits of unequal size, the pool kernel and the
-# GC argmax), which must end with every prediction checked correct
-# against plaintext.
+# GC argmax) and the banked workload (the only one that fills and draws
+# the bank's loopback pools through the benchmark's adapter), each of
+# which must end with every prediction checked correct against plaintext.
 perf-smoke:
 	$(GO) test -C benchmark ./...
 	bash benchmark/run.sh --workload mlp_b1_wan --seed 1 --seconds 5 --trace 0 | tail -n 1 | grep -q '"correct":true'
 	bash benchmark/run.sh --workload mlp_b1_lan --seed 1 --seconds 5 --trace 0 | tail -n 1 | grep -q '"correct":true'
 	bash benchmark/run.sh --workload cnn_b1_lan --seed 1 --seconds 5 --trace 0 | tail -n 1 | grep -q '"correct":true'
+	bash benchmark/run.sh --workload mlp_b32_banked --seed 1 --seconds 5 --trace 0 | tail -n 1 | grep -q '"correct":true'
 
 # Full paper tables (can take tens of minutes on one core).
 tables:

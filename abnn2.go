@@ -104,11 +104,12 @@ type Config struct {
 	// local; 0 is a valid ID.
 	SessionID uint64
 	// Bank, when non-nil, provisions batches from precomputed correlation
-	// pools instead of running the offline phase on the request path. Both
-	// endpoints of a session must share the same *Bank instance (it is an
-	// in-process trusted dealer; see NewBank): the client Acquires its
-	// half and announces the correlation ID, the server Claims the paired
-	// half. Behaviour on a dry pool is set by OfflineMode.
+	// pools instead of running the offline phase on the request path: the
+	// client draws its half and announces the correlation ID, the server
+	// claims the paired half. Without BankPeer the pool is the loopback
+	// one, filled inside this process, and both endpoints of the session
+	// must share the same *Bank instance (an in-process trusted dealer;
+	// see NewBank). Behaviour on a dry pool is set by OfflineMode.
 	Bank *Bank
 	// OfflineMode selects inline vs banked offline provisioning; the zero
 	// value OfflineAuto prefers the bank and falls back inline. Ignored
@@ -122,14 +123,15 @@ type Config struct {
 	BankModel string
 	// BankPeer, on a client, is the serving peer's durable identity (the
 	// hex ID from the serve handshake). When set — which requires a Bank
-	// carrying a durable store — batches draw from the peer-paired pool
-	// filled by remote offline sessions with that server
-	// (ReplenishSession) and from no other, announcing correlations with
-	// this party's own peer ID so the server can claim the matching
-	// stored half; the dealer pools of Bank are not consulted. Empty
-	// disables peer-paired draws. Peer-paired pools hold all-ABNN2
-	// material only, so a session with a Plan ignores BankPeer and draws
-	// from the dealer pools.
+	// carrying a durable store — batches draw from the pool filled by
+	// remote offline sessions with that server (ReplenishSession) and
+	// from no other, announcing correlations with this party's own peer
+	// ID so the server can claim the matching stored half; the loopback
+	// pools of Bank are not consulted. Empty selects the loopback pools.
+	// Remote offline sessions generate all-ABNN2 material only, so with a
+	// Plan the peer's pool for that plan is always dry: batches run the
+	// offline phase inline (OfflineAuto) or fail with ErrBankDry
+	// (OfflineBanked).
 	BankPeer string
 	// Plan, when non-nil, fixes the per-layer offline backend schedule.
 	// On a client it is proposed to the server in every batch
@@ -432,13 +434,13 @@ func (s *Server) applyPlan(batch int, planned bool) error {
 }
 
 // claim resolves a banked announcement: it takes this party's half of the
-// announced correlation — the half the dealer bank parked at the client's
-// draw, or the half stored under the announcing client's peer id, whose
+// announced correlation — stored under the announcing client's identity,
+// the loopback client's for a 13-byte announcement; on disk its
 // claim-journal entry lands before the half is returned, so the id can
 // never back two batches even across a crash — and installs it. Any
 // failure — no bank, inline-only policy, unknown or spent id, a half from
-// the wrong pool — is a protocol error that fails the batch at once; the
-// session never blocks waiting for material.
+// another pool or peer — is a protocol error that fails the batch at once;
+// the session never blocks waiting for material.
 func (s *Server) claim(a announcement) (err error) {
 	ksp := s.tr.Start(a.source.span()).SetBatch(a.batch)
 	defer func() { ksp.End(err) }()
@@ -446,28 +448,9 @@ func (s *Server) claim(a announcement) (err error) {
 		return fmt.Errorf("abnn2: client announced a banked batch but this server provisions inline")
 	}
 	key := s.claimKey(a.batch)
-	var corr *core.ServerCorr
-	if a.source == provisionPeer {
-		if s.bank.Store() == nil {
-			return fmt.Errorf("abnn2: client announced a peer-banked batch but this server has no durable store")
-		}
-		if s.planFP != "" {
-			// Peer-paired pools hold all-ABNN2 material; a planned batch
-			// announcing one is a protocol violation, not a fallback case.
-			return fmt.Errorf("abnn2: peer-banked announcement on a planned batch")
-		}
-		var ok bool
-		if corr, ok = s.bank.ClaimPeer(a.peer, a.corr, key); !ok {
-			return fmt.Errorf("abnn2: unknown or spent peer correlation ID for pool %v", key)
-		}
-	} else {
-		half, ok := s.bank.Claim(a.corr, key)
-		if !ok {
-			return fmt.Errorf("abnn2: unknown or spent correlation ID for pool %v", key)
-		}
-		if corr, ok = half.(*core.ServerCorr); !ok {
-			return fmt.Errorf("abnn2: pool %v holds %T, want a server correlation", key, half)
-		}
+	corr, ok := s.bank.Claim(a.peer, a.corr, key)
+	if !ok {
+		return fmt.Errorf("abnn2: unknown or spent correlation ID for pool %v", key)
 	}
 	return s.eng.InstallCorr(corr)
 }
@@ -496,8 +479,8 @@ type Client struct {
 	mode OfflineMode
 	key  BankKey // pool key template; Batch filled per request
 
-	source   provisioning // the one pool batches draw from, fixed at Dial
-	peer     bank.PeerID  // the server's identity, keying local peer draws
+	source   provisioning // how batches are provisioned, fixed at Dial
+	peer     bank.PeerID  // the server's identity: the one pool batches draw from
 	selfPeer bank.PeerID  // this party's identity, announced to the server
 
 	plan    *Plan  // the proposed per-layer backend schedule, nil = all-ABNN2
@@ -516,28 +499,28 @@ func Dial(conn Conn, arch Arch, cfg Config) (*Client, error) {
 // protocol round; subsequent calls fail immediately. Callers should
 // Close the client when done so the cancellation watcher is released.
 //
-// Where batches get their offline material is decided here, once: the
-// peer-paired store when Config.BankPeer is set (and no Plan is), else
-// the shared dealer bank when Config.Bank is set, else — or under
-// OfflineInline — the inline offline phase. A batch that finds its one
-// pool dry falls back inline (OfflineAuto) or fails (OfflineBanked); it
-// never tries a second pool.
+// Where batches get their offline material is decided here, once: with
+// Config.Bank set, the pool shared with Config.BankPeer — the loopback
+// peer when that is empty — and without it, or under OfflineInline, the
+// inline offline phase. A batch that finds its one pool dry falls back
+// inline (OfflineAuto) or fails (OfflineBanked); it never tries a second
+// pool.
 func DialContext(ctx context.Context, conn Conn, arch Arch, cfg Config) (_ *Client, err error) {
 	source := provisionInline
-	var peer BankPeerID
+	peer, selfPeer := bank.LoopbackServer, bank.LoopbackClient
 	if cfg.Bank != nil && cfg.OfflineMode != OfflineInline {
 		if cfg.BankModel == "" {
 			return nil, fmt.Errorf("abnn2: Config.Bank on a client requires Config.BankModel")
 		}
-		source = provisionDealer
-		if cfg.BankPeer != "" && cfg.Plan == nil {
+		source = provisionLoopback
+		if cfg.BankPeer != "" {
 			if cfg.Bank.Store() == nil {
 				return nil, fmt.Errorf("abnn2: Config.BankPeer requires a bank with a durable store")
 			}
 			if peer, err = bank.ParsePeerID(cfg.BankPeer); err != nil {
 				return nil, err
 			}
-			source = provisionPeer
+			source, selfPeer = provisionPeer, cfg.Bank.Store().PeerID()
 		}
 	}
 	scheme, err := quant.Parse(arch.SchemeName)
@@ -553,7 +536,7 @@ func DialContext(ctx context.Context, conn Conn, arch Arch, cfg Config) (_ *Clie
 	}
 	defer s.releaseOn(&err)
 	cl := &Client{session: s, eng: eng, arch: arch, rg: ring.New(cfg.ringBits()), frac: arch.Frac,
-		bank: cfg.Bank, mode: cfg.OfflineMode, source: source, peer: peer}
+		bank: cfg.Bank, mode: cfg.OfflineMode, source: source, peer: peer, selfPeer: selfPeer}
 	var sched core.Schedule
 	if cfg.Plan != nil {
 		if err := cfg.Plan.Validate(arch, 1); err != nil {
@@ -580,9 +563,6 @@ func DialContext(ctx context.Context, conn Conn, arch Arch, cfg Config) (_ *Clie
 		}
 		cl.key = BankKey{Model: cfg.BankModel, Scheme: arch.SchemeName,
 			RingBits: cfg.ringBits(), Backend: backend}
-	}
-	if source == provisionPeer {
-		cl.selfPeer = cfg.Bank.Store().PeerID()
 	}
 	return cl, nil
 }
@@ -724,32 +704,11 @@ func (c *Client) provision(batch int, argmax bool) error {
 }
 
 // draw takes one correlation from the session's pool and arms the engine
-// with the client half; ok is false when the pool is dry. A dealer pair
-// whose client half cannot be installed has its parked server half
-// discarded too (claimed and dropped), so a broken pool entry cannot
-// linger until eviction.
+// with the client half; ok is false when the pool is dry.
 func (c *Client) draw(key BankKey) (id uint64, ok bool, err error) {
-	if c.source == provisionPeer {
-		// Material this client generated with this very server over the
-		// real wire, no dealer trust involved.
-		id, corr, ok := c.bank.AcquirePeer(c.peer, key)
-		if !ok {
-			return 0, false, nil
-		}
-		return id, true, c.eng.InstallCorr(corr)
-	}
-	id, half, ok := c.bank.Acquire(key)
+	id, corr, ok := c.bank.Draw(c.peer, key)
 	if !ok {
 		return 0, false, nil
 	}
-	corr, good := half.(*core.ClientCorr)
-	if !good {
-		err = fmt.Errorf("abnn2: pool %v holds %T, want a client correlation", key, half)
-	} else {
-		err = c.eng.InstallCorr(corr)
-	}
-	if err != nil {
-		c.bank.Claim(id, key)
-	}
-	return id, true, err
+	return id, true, c.eng.InstallCorr(corr)
 }

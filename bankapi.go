@@ -8,10 +8,14 @@ package abnn2
 // correlation pair instead of running the offline phase inline, so the
 // online phase is round-trips plus matmul only.
 //
-// The bank is an in-process trusted dealer: both endpoints of a banked
-// session must share the same *Bank instance (one process, or a load
-// harness driving its own server). See DESIGN.md, "Offline correlation
-// bank", for the security argument and the single-use guarantee.
+// A bank's pools are keyed by the peer their halves were generated with.
+// The loopback pools are filled inside this process — an in-process
+// trusted dealer, so both endpoints of a session drawing from them must
+// share the same *Bank instance (one process, or a load harness driving
+// its own server). A remote peer's pools are filled over the wire by
+// ReplenishSession / ServeOfflineSession into each party's own BankStore.
+// See DESIGN.md, "Correlation bank", for the security argument and the
+// single-use guarantee.
 
 import (
 	"errors"
@@ -27,10 +31,8 @@ import (
 // batch will usually find the pool warm. Test with errors.Is.
 var ErrBankDry = errors.New("abnn2: correlation pool dry")
 
-// BankSessionBackend is the BankKey.Backend under which full-session
-// correlation pools live — the pools Config.Bank sessions draw from.
-// Pools registered through RegisterBankProducer-style custom backends
-// must use a different name.
+// BankSessionBackend is the BankKey.Backend of the pools plan-less
+// Config.Bank sessions draw from.
 const BankSessionBackend = bank.SessionBackend
 
 // Bank is a correlation precompute service; see NewBank.
@@ -48,10 +50,11 @@ type BankKey = bank.Key
 // BankStats is a snapshot of bank counters and pool depths.
 type BankStats = bank.Stats
 
-// NewBank returns an empty correlation bank. Register the served models
-// with RegisterBankModel, hand the bank to both endpoints via
-// Config.Bank, and optionally Prewarm the pools you expect traffic on;
-// pools touched cold warm themselves in the background.
+// NewBank returns an empty correlation bank. For loopback provisioning
+// register the served models with RegisterBankModel, hand the bank to
+// both endpoints via Config.Bank, and optionally Prewarm the pools you
+// expect traffic on; pools touched cold warm themselves in the
+// background.
 func NewBank(opts BankOptions) *Bank { return bank.New(opts) }
 
 // RegisterBankModel makes a model's correlation pools available and
@@ -73,7 +76,7 @@ func BankModelID(q *QuantizedModel) (string, error) {
 // CRC-checksummed segment files per pool plus a claim journal with
 // claim-before-use tombstoning, so single-use survives SIGKILL. Open
 // one, Recover it, and pass it as BankOptions.Store; see DESIGN.md
-// "Durable bank".
+// "Correlation bank".
 type BankStore = bank.Store
 
 // BankStoreOptions configures OpenBankStore: directory, segment rotation

@@ -77,27 +77,6 @@ func BenchmarkTable5VsQuotient(b *testing.B) {
 	}
 }
 
-// BenchmarkTableBankSplit reports both halves of the correlation-bank
-// split: the end-to-end request path (inline offline + online) and the
-// online-only path of a banked session, as separate comm metrics.
-func BenchmarkTableBankSplit(b *testing.B) {
-	var rows []bench.TableBankRow
-	for i := 0; i < b.N; i++ {
-		rows = bench.TableBank(bench.Options{Quick: true})
-	}
-	for _, r := range rows {
-		if r.Batch != 1 {
-			continue
-		}
-		switch r.Mode {
-		case "end-to-end":
-			b.ReportMetric(r.CommMB, "e2e-MB")
-		case "online-only":
-			b.ReportMetric(r.CommMB, "online-MB")
-		}
-	}
-}
-
 func BenchmarkAblationOneBatch(b *testing.B) {
 	var rows []bench.AblationRow
 	for i := 0; i < b.N; i++ {

@@ -195,7 +195,7 @@ func TestChaosBankCloseMidReplenish(t *testing.T) {
 // TestChaosBankConcurrentDrain: several OfflineAuto sessions race a
 // Drain + Close. Sessions that draw before the close use the bank;
 // sessions that lose the race fall back inline — every one must finish
-// correctly, and the shutdown must not deadlock against live Acquires.
+// correctly, and the shutdown must not deadlock against live draws.
 func TestChaosBankConcurrentDrain(t *testing.T) {
 	qm := chaosModel(t)
 	base := leakcheck.Base()

@@ -29,9 +29,6 @@ func main() {
 	quick := flag.Bool("quick", false, "scaled-down shapes for a fast run")
 	ablations := flag.Bool("ablations", false, "run ablation studies instead of tables")
 	accuracy := flag.Bool("accuracy", false, "run the quantization accuracy ladder instead of tables")
-	bankSplit := flag.Bool("bank", false, "run the offline/online correlation-bank split instead of tables")
-	bankDurable := flag.Bool("bank-durable", false, "run the durable-bank cold/warm start-up split instead of tables")
-	baselineOut := flag.String("baseline-out", "", "with -bank or -bank-durable: also write the rows as a JSON baseline to this file")
 	workers := flag.Int("workers", 0, "worker goroutines for protocol kernels (0 = one per CPU)")
 	traceOut := flag.String("trace-out", "", "append per-phase protocol spans as JSONL to this file (empty = off); replay with abnn2-inspect -trace")
 	planFlag := flag.String("plan", "", "for -table plan: "+plan.FlagUsage)
@@ -53,34 +50,6 @@ func main() {
 		bench.Accuracy(opt)
 		return
 	}
-	writeBaseline := func(table string, rows any) {
-		if *baselineOut == "" {
-			return
-		}
-		doc := struct {
-			Table   string `json:"table"`
-			Quick   bool   `json:"quick"`
-			Workers int    `json:"workers"`
-			Rows    any    `json:"rows"`
-		}{Table: table, Quick: *quick, Workers: *workers, Rows: rows}
-		data, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "abnn2-bench: marshal baseline: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*baselineOut, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "abnn2-bench: write baseline: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if *bankSplit {
-		writeBaseline("bank-split", bench.TableBank(opt))
-		return
-	}
-	if *bankDurable {
-		writeBaseline("bank-durable", bench.TableBankDurable(opt))
-		return
-	}
 	if *ablations {
 		bench.AblationOneBatch(opt)
 		bench.AblationMultiBatch(opt)
@@ -99,7 +68,6 @@ func main() {
 		"cnn": func(o bench.Options) { bench.TableCNN(o) },
 		"plan": func(o bench.Options) {
 			rows := bench.TablePlan(o)
-			writeBaseline("plan", rows)
 			if *planOut != "" && len(rows) > 0 {
 				writePlanJSON(*planOut, rows[0].Plan)
 			}

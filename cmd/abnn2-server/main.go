@@ -14,17 +14,17 @@
 // the session boundary, and SIGINT/SIGTERM triggers a graceful drain —
 // new handshakes are shed as "draining", in-flight batches run to
 // completion within -grace, then remaining sessions are aborted. With a
-// correlation bank configured the server degrades gracefully: sessions
-// draw precomputed offline material while pools last and fall back to
-// inline offline generation when they run dry (or shed with "bank-dry"
-// under -offline banked).
+// correlation bank configured (-bank-capacity, -bank-dir) clients run
+// the offline phase ahead of need and later sessions claim the stored
+// halves; a batch whose client found its pool dry runs the offline phase
+// inline (or is refused under -offline banked).
 //
 // Observability: every session is assigned an ID that correlates its
 // structured log lines, trace spans, and metrics. -metrics-addr starts
 // an HTTP endpoint exposing Prometheus text at /metrics, an
 // expvar-style JSON document at /vars, liveness and readiness at
-// /healthz and /readyz (ready gates on bank prewarm and flips off at
-// drain), and the pprof profiles under /debug/pprof/. -trace-out
+// /healthz and /readyz (ready gates on bank store recovery and flips off
+// at drain), and the pprof profiles under /debug/pprof/. -trace-out
 // appends every protocol span to a JSONL file that abnn2-inspect -trace
 // can replay into a breakdown table.
 //
@@ -44,7 +44,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -68,7 +67,7 @@ func main() {
 	roundTimeout := flag.Duration("round-timeout", time.Minute, "per-round protocol deadline (0 = unbounded)")
 	grace := flag.Duration("grace", 30*time.Second, "drain period for in-flight sessions on shutdown")
 	maxMsg := flag.Int("max-message", 0, "per-message size limit in bytes (0 = default 64 MiB)")
-	offlineMode := flag.String("offline", "auto", "offline provisioning: auto (bank with inline fallback), inline, banked (shed when pools are dry)")
+	offlineMode := flag.String("offline", "auto", "offline provisioning: auto (bank with inline fallback), inline, banked (refuse inline batches)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /vars, /healthz, /readyz, /debug/flightrecorder and /debug/pprof on this address (empty = off)")
 	traceOut := flag.String("trace-out", "", "append protocol spans and flight stamps as JSONL to this file (empty = off)")
 	slo := flag.Duration("slo", 0, "per-session latency SLO; breaches count in abnn2_slo_breaches_total and trigger diagnostics dumps (0 = off)")
@@ -76,10 +75,8 @@ func main() {
 	diagProfile := flag.Duration("diag-profile", 0, "capture a CPU profile window of this length on each anomaly burst (0 = off; requires -diag-dir)")
 	recorderEvents := flag.Int("recorder-events", abnn2.DefaultRecorderEvents, "flight-recorder ring size per session (0 = disable the recorder)")
 	recorderSessions := flag.Int("recorder-sessions", abnn2.DefaultRecorderSessions, "flight-recorder session rings kept (LRU)")
-	bankCap := flag.Int("bank-capacity", 0, "correlation pool capacity per (model, batch) (0 = bank off); "+
-		"pools serve co-located clients sharing this process's bank — see DESIGN.md")
-	bankLow := flag.Int("bank-low", 0, "pool low watermark triggering background refill (0 = capacity/2)")
-	bankPrewarm := flag.String("bank-prewarm", "1", "comma-separated batch sizes to prewarm correlation pools for, per model")
+	bankCap := flag.Int("bank-capacity", 0, "correlation pool capacity per (client peer, model, batch): how many "+
+		"unspent halves one remote client may keep in -bank-dir (0 = bank off)")
 	bankDir := flag.String("bank-dir", "", "durable bank store directory: remote clients may run peer-paired offline "+
 		"replenishment sessions, and the halves they leave here survive restarts (empty = no store; requires -bank-capacity > 0)")
 	planFlag := flag.String("plan", "", "required "+plan.FlagUsage+"; single-model registries only")
@@ -148,11 +145,11 @@ func main() {
 		traceSink = abnn2.MultiTraceSink(srvMetrics, abnn2.NewTraceWriter(f))
 	}
 
-	// Correlation bank: precomputes the offline phase off the request
-	// path for every registered model. Banked provisioning requires
-	// client and server to share the bank instance (an in-process trust
-	// domain), so over TCP this serves embedded/load-harness deployments;
-	// remote clients keep using the inline offline phase.
+	// Correlation bank: holds the server halves of the correlations
+	// remote clients generate with this server ahead of need (offline
+	// replenishment sessions into -bank-dir), which their later sessions
+	// claim in place of the inline offline phase. The bank's loopback
+	// pools need client and server in one process and are not filled here.
 	var corrBank *abnn2.Bank
 	var store *abnn2.BankStore
 	if *bankCap > 0 {
@@ -168,7 +165,6 @@ func main() {
 		}
 		corrBank = abnn2.NewBank(abnn2.BankOptions{
 			Capacity: *bankCap,
-			Low:      *bankLow,
 			Workers:  *workers,
 			Trace:    traceSink,
 			Observer: obs,
@@ -243,23 +239,10 @@ func main() {
 		logger.Error("serve runtime", "err", err)
 		os.Exit(1)
 	}
-	if corrBank != nil {
-		// Readiness gates on recovery then prewarm: /readyz answers 503
-		// until the durable store's recovery scan has completed and the
-		// dealer pools for every (model, batch) pair have been attempted.
-		var keys []abnn2.BankKey
-		for _, name := range registry.Names() {
-			m, _ := registry.Get(name)
-			for _, b := range parseBatchList(*bankPrewarm) {
-				keys = append(keys, abnn2.BankKey{Model: m.BankID, Scheme: m.Quant.Scheme(),
-					RingBits: *ringBits, Batch: b, Backend: bank.SessionBackend})
-			}
-		}
-		if store != nil {
-			rt.StartRecovery(store, keys, *bankCap)
-		} else {
-			rt.StartPrewarm(keys, *bankCap)
-		}
+	if store != nil {
+		// Readiness gates on recovery: /readyz answers 503 until the
+		// durable store's recovery scan has completed.
+		rt.StartRecovery(store)
 	}
 
 	if *metricsAddr != "" {
@@ -379,17 +362,6 @@ func splitNonEmpty(s string) []string {
 	for _, f := range strings.Split(s, ",") {
 		if f = strings.TrimSpace(f); f != "" {
 			out = append(out, f)
-		}
-	}
-	return out
-}
-
-// parseBatchList parses the -bank-prewarm CSV; bad entries are skipped.
-func parseBatchList(s string) []int {
-	var out []int
-	for _, f := range splitNonEmpty(s) {
-		if n, err := strconv.Atoi(f); err == nil && n > 0 {
-			out = append(out, n)
 		}
 	}
 	return out

@@ -21,9 +21,9 @@ const maxBatch = 1 << 20
 type provisioning uint8
 
 const (
-	provisionInline provisioning = iota // the offline phase runs on the request path
-	provisionDealer                     // a pair drawn from the shared in-process dealer bank
-	provisionPeer                       // a half drawn from this party's store of peer-paired halves
+	provisionInline   provisioning = iota // the offline phase runs on the request path
+	provisionLoopback                     // a half drawn from the bank's loopback pool, filled in this process
+	provisionPeer                         // a half drawn from the pool this party filled with the remote server
 )
 
 // span names the trace span around a banked draw or claim.
@@ -37,12 +37,12 @@ func (p provisioning) span() string {
 // Announcement layouts, by length:
 //
 //	 5  u32 batch | u8 mode                              inline
-//	13  u32 batch | u8 mode | u64 corr                   dealer-banked
+//	13  u32 batch | u8 mode | u64 corr                   loopback-banked
 //	29  u32 batch | u8 mode | u64 corr | 16-byte peer    peer-banked
 const (
-	annInlineLen = 5
-	annDealerLen = annInlineLen + 8
-	annPeerLen   = annDealerLen + len(bank.PeerID{})
+	annInlineLen   = 5
+	annLoopbackLen = annInlineLen + 8
+	annPeerLen     = annLoopbackLen + len(bank.PeerID{})
 )
 
 // Mode-byte bits of an announcement.
@@ -59,7 +59,7 @@ type announcement struct {
 	plan   bool // a plan frame follows
 	source provisioning
 	corr   uint64      // correlation id; banked sources only
-	peer   bank.PeerID // the announcing client's own identity; provisionPeer only
+	peer   bank.PeerID // the announcing client's identity; on the wire for provisionPeer only
 }
 
 func (a announcement) append(dst []byte) []byte {
@@ -90,8 +90,8 @@ func parseAnnouncement(raw []byte) (announcement, error) {
 	switch len(raw) {
 	case annInlineLen:
 		a.source = provisionInline
-	case annDealerLen:
-		a.source = provisionDealer
+	case annLoopbackLen:
+		a.source, a.peer = provisionLoopback, bank.LoopbackClient
 	case annPeerLen:
 		a.source = provisionPeer
 	default:
@@ -112,7 +112,7 @@ func parseAnnouncement(raw []byte) (announcement, error) {
 		a.corr = binary.LittleEndian.Uint64(raw[annInlineLen:])
 	}
 	if a.source == provisionPeer {
-		copy(a.peer[:], raw[annDealerLen:])
+		copy(a.peer[:], raw[annLoopbackLen:])
 	}
 	return a, nil
 }

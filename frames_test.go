@@ -32,7 +32,7 @@ func TestParseAnnouncement(t *testing.T) {
 	}{
 		{annBytes(1, 0, 0), announcement{batch: 1}},
 		{annBytes(32, 1, 0), announcement{batch: 32, argmax: true}},
-		{annBytes(1<<20, 2, 8), announcement{batch: 1 << 20, plan: true, source: provisionDealer, corr: corr}},
+		{annBytes(1<<20, 2, 8), announcement{batch: 1 << 20, plan: true, source: provisionLoopback, corr: corr, peer: bank.LoopbackClient}},
 		{annBytes(7, 3, 24), announcement{batch: 7, argmax: true, plan: true, source: provisionPeer, corr: corr, peer: peer}},
 	}
 	for _, c := range accepted {

@@ -1,26 +1,38 @@
-// Package bank implements the offline correlation bank: a background
-// precompute service that generates the protocol's data-independent
-// material — OT-extension flights and per-layer matmul triplets — off the
-// request path, so a session's online phase is round-trips plus matmul
-// only (the paper's offline/online split, Tables 3-5, made operational).
+// Package bank implements the offline correlation bank: pools of the
+// protocol's data-independent material — OT-extension flights and
+// per-layer matmul triplets — generated off the request path, so a
+// session's online phase is round-trips plus matmul only (the paper's
+// offline/online split, Tables 3-5, made operational).
 //
-// Correlations are keyed by (model identity, quantization scheme η, ring
-// width ℓ, batch size, backend) and held in bounded per-key pools with
-// low-watermark replenishment. A client session Acquires its half of a
-// pair together with a correlation ID, announces the ID in-band, and the
-// server session Claims the matching server half.
+// A correlation is two halves, one per party, generated together by the
+// two-party offline protocol and named by a correlation id. There is one
+// pool kind: a FIFO of halves keyed by the peer they were generated with
+// and by (model identity, quantization scheme η, ring width ℓ, batch
+// size, backend). A client session Draws the oldest client half of the
+// pool it shares with its server and announces the id in-band; the server
+// session Claims the server half stored under that id and the announcing
+// client's identity. Either operation spends the half: it is removed
+// (and, on disk, tombstoned first) before it is returned, so no
+// correlation can back two online phases.
 //
-// Security model: the bank is an in-process trusted dealer. It produces
-// each pair by running the genuine two-party offline protocol between a
-// persistent generator pair over an internal pipe, so the stored halves
-// are exactly what a live offline phase would have produced; the "dealer"
-// is the process that hosts both generator endpoints. This models the
-// standard SPDZ-style preprocessing functionality and is sound only when
-// bank and parties share a trust domain (one process, or an operator
-// running a load harness against its own server). Pairs are single-use by
-// construction: Acquire removes the entry and Claim removes the parked
-// half, so no correlation can back two online phases (see DESIGN.md,
-// "Offline correlation bank").
+// Halves reach a pool in two ways. Put stores this party's half of a
+// correlation it generated with a remote peer over the wire (offline.go
+// in the root package); those pools live in the Store's segment files and
+// survive restarts. The loopback filler (Prewarm, and a watermark refill
+// behind every loopback draw) is the same arrangement with both parties
+// in this process: a persistent generator pair runs the genuine offline
+// protocol over an internal pipe and stores the client halves under
+// LoopbackServer and the server halves under LoopbackClient, in memory
+// only.
+//
+// Security model: the loopback peer is an in-process trusted dealer — the
+// process that hosts both generator endpoints sees both halves. That
+// models the standard SPDZ-style preprocessing functionality and is sound
+// only when both parties of the online session share this process's trust
+// domain (one process, or an operator running a load harness against its
+// own server). Halves generated with a remote peer involve no dealer: they
+// are exactly what a live offline phase produces, run early (see
+// DESIGN.md, "Correlation bank").
 package bank
 
 import (
@@ -28,7 +40,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -41,9 +52,8 @@ import (
 	"abnn2/internal/trace"
 )
 
-// SessionBackend is the Key.Backend of pools that feed full inference
-// sessions (paired core.ServerCorr/core.ClientCorr halves). Other backend
-// names are free for custom pools registered with RegisterProducer.
+// SessionBackend is the Key.Backend of pools generated under the default
+// all-ABNN2 schedule.
 const SessionBackend = "abnn2"
 
 // planPrefix starts the Key.Backend of pools generated under a per-layer
@@ -55,10 +65,10 @@ const planPrefix = "plan:"
 // the plan with the given fingerprint (see internal/plan.Fingerprint).
 func PlanBackend(fingerprint string) string { return planPrefix + fingerprint }
 
-// Key identifies one correlation pool. Model is the digest returned by
-// RegisterModel for session pools (free-form for custom pools); Scheme is
-// the quantization scheme designation (η); RingBits is ℓ; Batch the
-// online batch size the correlations are sized for.
+// Key identifies the correlations of one pool. Model is the digest
+// returned by RegisterModel; Scheme is the quantization scheme designation
+// (η); RingBits is ℓ; Batch the online batch size the correlations are
+// sized for.
 type Key struct {
 	Model    string
 	Scheme   string
@@ -77,22 +87,12 @@ func (k Key) String() string {
 	return fmt.Sprintf("%s/%s/l%d/b%d/%s", model, k.Scheme, k.RingBits, k.Batch, k.Backend)
 }
 
-// Pair is one precomputed correlation: the two parties' paired halves.
-// For session pools Server is a *core.ServerCorr and Client a
-// *core.ClientCorr; custom pools store whatever their Producer returns.
-type Pair struct {
-	Server any
-	Client any
-}
-
-// Producer generates one correlation pair for a custom pool. rng is the
-// pool's deterministic stream (when the bank is seeded); calls are
-// serialized per pool, so a Producer may keep state behind the closure.
-type Producer func(rng *prg.PRG) (Pair, error)
-
-// Event is one bank occurrence delivered to an Observer: Kind is "hit",
-// "miss", "claim", "claim-miss", "refill", "refill-error", or "evict";
-// Depth is the pool depth after the event where meaningful.
+// Event is one bank occurrence delivered to an Observer. Draws and claims
+// report "hit", "miss", "claim" and "claim-miss" on a loopback pool and
+// the same kinds prefixed "peer-" on a remote peer's; the loopback filler
+// adds "refill", "refill-error" and "evict", the store its "persist-*"
+// kinds and the replenisher its "replenish-*" kinds. Depth is the pool
+// depth after the event where meaningful.
 type Event struct {
 	Kind  string
 	Key   Key
@@ -110,9 +110,9 @@ type Observer interface {
 type Options struct {
 	// Capacity bounds each pool's depth. Default 8.
 	Capacity int
-	// Low is the refill watermark: a pool dropping below it triggers
-	// background replenishment up to Capacity. Default Capacity/2,
-	// minimum 1.
+	// Low is the refill watermark: a loopback pool dropping below it
+	// triggers background replenishment up to Capacity. Default
+	// Capacity/2, minimum 1.
 	Low int
 	// Workers bounds generation compute parallelism (the internal/par
 	// pool), like core.Params.Workers. 0 means one worker per CPU.
@@ -129,11 +129,11 @@ type Options struct {
 	// Observer, when non-nil, receives pool hit/miss/refill/depth events;
 	// see NewMetricsObserver.
 	Observer Observer
-	// Store, when non-nil, backs the peer-paired pools (AcquirePeer,
-	// ClaimPeer, PutPeer*): halves generated with a remote peer live
-	// there, durably and claim-before-use. Dealer pools are memory-only
-	// either way. The store must have completed Recover before the bank
-	// touches it.
+	// Store, when non-nil, holds the bank's pools: halves generated with
+	// a remote peer live there durably and claim-before-use, which Put
+	// requires; loopback pools are memory-only in it. Nil gives the bank
+	// a memory-only store of its own. A remote peer's pools are
+	// unavailable until the store has completed Recover.
 	Store *Store
 }
 
@@ -154,16 +154,18 @@ func (o Options) low() int {
 	return 1
 }
 
-// maxClaims bounds the parked-server-half map: an Acquire whose ID is
-// never Claimed (client died before announcing) must not leak memory
-// forever, so the oldest parked halves are evicted FIFO past this bound.
+// maxClaims bounds, per loopback pool, the server halves whose client
+// half was drawn and whose id was never claimed (the client died before
+// announcing): they must not hold memory forever, so past this bound the
+// oldest are evicted FIFO.
 const maxClaims = 1024
 
 // bankSession is the OT session tag of the bank's internal generator
 // pairs, distinct from the live session tags in internal/core.
 const bankSession = 0xBA
 
-// Stats is a snapshot of bank counters and pool depths.
+// Stats is a snapshot of bank counters — draws and claims on every pool,
+// refills of the loopback ones — and the loopback pools' depths.
 type Stats struct {
 	Hits, Misses int64
 	Claims       int64
@@ -173,14 +175,10 @@ type Stats struct {
 	Depths       map[Key]int
 }
 
-type claimEntry struct {
-	key  Key
-	half any
-}
-
 // Bank is the correlation bank. All methods are safe for concurrent use.
 type Bank struct {
 	opts   Options
+	store  *Store // opts.Store, or a memory-only one
 	ctx    context.Context
 	cancel context.CancelFunc
 	rng    *prg.PRG // root stream; pool children derived under mu
@@ -188,20 +186,18 @@ type Bank struct {
 	mu       sync.Mutex
 	models   map[string]*nn.QuantizedModel
 	scheds   map[string]schedEntry
-	pools    map[Key]*pool
-	claims   map[uint64]claimEntry
-	order    []uint64 // claim insertion order, for eviction
-	nextID   uint64
+	pools    map[Key]*pool // the loopback pools' fillers
 	draining bool
 	closed   bool
 
-	wg sync.WaitGroup
+	nextID atomic.Uint64 // loopback correlation ids are sequential
+	wg     sync.WaitGroup
 
 	hits, misses, claimed, claimMisses, refills, refillErrors atomic.Int64
 }
 
-// New returns an empty bank. Register models (or custom producers), then
-// Prewarm pools or let first-touch misses warm them in the background.
+// New returns an empty bank. Register models, then Prewarm loopback pools
+// or let first-touch misses warm them in the background.
 func New(opts Options) *Bank {
 	ctx, cancel := context.WithCancel(context.Background())
 	var rng *prg.PRG
@@ -210,15 +206,19 @@ func New(opts Options) *Bank {
 	} else {
 		rng = prg.New(prg.NewSeed())
 	}
+	store := opts.Store
+	if store == nil {
+		store = newMemStore()
+	}
 	return &Bank{
 		opts:   opts,
+		store:  store,
 		ctx:    ctx,
 		cancel: cancel,
 		rng:    rng,
 		models: make(map[string]*nn.QuantizedModel),
 		scheds: make(map[string]schedEntry),
 		pools:  make(map[Key]*pool),
-		claims: make(map[uint64]claimEntry),
 	}
 }
 
@@ -229,7 +229,7 @@ type schedEntry struct {
 	miniONNBits int
 }
 
-// RegisterSchedule makes planned session pools (Key.Backend =
+// RegisterSchedule makes planned loopback pools (Key.Backend =
 // PlanBackend(fingerprint)) generable: their offline phase runs under
 // sched instead of all-ABNN2. miniONNBits sets the Paillier key size for
 // MiniONN layers (0 = default). Idempotent for identical registrations.
@@ -258,9 +258,9 @@ func ModelID(qm *nn.QuantizedModel) (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// RegisterModel makes a model's session pools available and returns the
+// RegisterModel makes a model's loopback pools generable and returns the
 // model ID clients put in their pool keys. Pools themselves are created
-// lazily per (ring, batch) on first Acquire or Prewarm. Idempotent.
+// lazily per (ring, batch) on first Draw or Prewarm. Idempotent.
 func (b *Bank) RegisterModel(qm *nn.QuantizedModel) (string, error) {
 	id, err := ModelID(qm)
 	if err != nil {
@@ -275,33 +275,10 @@ func (b *Bank) RegisterModel(qm *nn.QuantizedModel) (string, error) {
 	return id, nil
 }
 
-// RegisterProducer creates a custom pool generating pairs with gen —
-// e.g. raw matmul triplets from one of the testkit backends. The key's
-// Backend must not be SessionBackend (session pools are derived from
-// registered models).
-func (b *Bank) RegisterProducer(key Key, gen Producer) error {
-	if key.Backend == SessionBackend {
-		return fmt.Errorf("bank: backend %q is reserved for session pools", SessionBackend)
-	}
-	if gen == nil {
-		return fmt.Errorf("bank: nil producer")
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.closed {
-		return fmt.Errorf("bank: closed")
-	}
-	if _, dup := b.pools[key]; dup {
-		return fmt.Errorf("bank: pool %v already registered", key)
-	}
-	b.pools[key] = b.newPoolLocked(key, gen)
-	return nil
-}
-
 // newPoolLocked builds a pool shell; b.mu must be held (the pool's rng is
 // derived from the bank root stream).
-func (b *Bank) newPoolLocked(key Key, gen Producer) *pool {
-	p := &pool{key: key, custom: gen, rng: b.rng.Child("pool/" + key.String())}
+func (b *Bank) newPoolLocked(key Key) *pool {
+	p := &pool{key: key, rng: b.rng.Child("pool/" + key.String())}
 	if b.opts.Trace != nil {
 		p.tr = trace.New(b.opts.Trace, trace.WithParty("bank"),
 			trace.WithLabel(key.String()), trace.WithCounters(p.counters))
@@ -309,8 +286,9 @@ func (b *Bank) newPoolLocked(key Key, gen Producer) *pool {
 	return p
 }
 
-// lookup returns the pool for key, creating a session pool on first touch
-// when the key is well-formed and its model is registered; nil otherwise.
+// lookup returns the loopback pool's filler for key, creating it on first
+// touch when the key is well-formed and its model is registered; nil
+// otherwise.
 func (b *Bank) lookup(key Key) *pool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -345,7 +323,7 @@ func (b *Bank) lookup(key Key) *pool {
 		return nil
 	}
 	params.MiniONNBits = mbits
-	p := b.newPoolLocked(key, nil)
+	p := b.newPoolLocked(key)
 	p.model, p.params, p.sched = qm, params, sched
 	b.pools[key] = p
 	return p
@@ -374,96 +352,140 @@ func sessionParams(qm *nn.QuantizedModel, key Key, workers int) (core.Params, er
 	return p, nil
 }
 
-// Acquire draws the client half of one correlation from the pool,
-// parking the server half under the returned ID for the peer session to
-// Claim. ok is false when the pool is dry or the key unknown — callers
-// fall back to inline offline generation or fail fast, never wait: a dry
-// pool additionally triggers background warming for subsequent sessions.
-func (b *Bank) Acquire(key Key) (id uint64, clientHalf any, ok bool) {
-	p := b.lookup(key)
-	if p == nil {
-		b.misses.Add(1)
-		b.observe(Event{Kind: "miss", Key: key})
-		return 0, nil, false
+// Store returns the store the bank was given, nil for a bank that keeps
+// its pools in memory only.
+func (b *Bank) Store() *Store { return b.opts.Store }
+
+// events is the Event.Kind prefix of draws and claims on peer's pools.
+func (p PeerID) events() string {
+	if p.loopback() {
+		return ""
 	}
-	p.mu.Lock()
-	if len(p.entries) == 0 {
-		p.mu.Unlock()
+	return "peer-"
+}
+
+// Draw takes the oldest client half of the pool shared with peer — the
+// server's identity, LoopbackServer for the in-process filler — and claims
+// it: on disk the claim's journal entry lands before the half is returned.
+// The returned id is what the client announces in-band; the server finds
+// the matching half through Claim. ok is false when the pool is dry or
+// unknown — callers fall back to inline offline generation or fail fast,
+// never wait; a dry loopback pool additionally starts warming in the
+// background for subsequent sessions.
+func (b *Bank) Draw(peer PeerID, key Key) (id uint64, half *core.ClientCorr, ok bool) {
+	scope := Scope{Peer: peer, Key: key}
+	var p *pool // the filler behind a loopback pool
+	if peer == LoopbackServer {
+		if p = b.lookup(key); p == nil {
+			return b.miss(peer, key)
+		}
+	}
+	for {
+		id, blob, ok, err := b.store.Draw(scope)
+		if err != nil {
+			b.observe(Event{Kind: "persist-claim-drop", Key: key, Err: err})
+		}
+		if err != nil || !ok {
+			break
+		}
+		half, err := DecodeClientCorr(blob)
+		if err != nil {
+			// Already claimed; just skip it and try the next record.
+			b.observe(Event{Kind: "persist-decode-error", Key: key, Err: err})
+			continue
+		}
+		if p != nil {
+			b.evictParked(p)
+			b.maybeRefill(p)
+		}
+		b.hits.Add(1)
+		b.observe(Event{Kind: peer.events() + "hit", Key: key, Depth: b.store.Depth(scope)})
+		return id, half, true
+	}
+	if p != nil {
 		b.maybeRefill(p)
-		b.misses.Add(1)
-		b.observe(Event{Kind: "miss", Key: key})
-		return 0, nil, false
 	}
-	pair := p.entries[0]
-	p.entries[0] = Pair{}
-	p.entries = p.entries[1:]
-	depth := len(p.entries)
+	return b.miss(peer, key)
+}
+
+func (b *Bank) miss(peer PeerID, key Key) (uint64, *core.ClientCorr, bool) {
+	b.misses.Add(1)
+	b.observe(Event{Kind: peer.events() + "miss", Key: key})
+	return 0, nil, false
+}
+
+// evictParked enforces maxClaims on p: the pool's server halves number
+// its undrawn pairs plus the parked ones, and the parked ones are the
+// oldest, so evicting is drawing from the server-half scope.
+func (b *Bank) evictParked(p *pool) {
+	client, server := p.scopes()
+	evicted := 0
+	p.mu.Lock()
+	for b.store.Depth(server)-b.store.Depth(client) > maxClaims {
+		if _, _, ok, _ := b.store.Draw(server); !ok {
+			break
+		}
+		evicted++
+	}
 	p.mu.Unlock()
-	id = b.park(key, pair.Server)
-	b.maybeRefill(p)
-	b.hits.Add(1)
-	b.observe(Event{Kind: "hit", Key: key, Depth: depth})
-	return id, pair.Client, true
+	for ; evicted > 0; evicted-- {
+		b.observe(Event{Kind: "evict", Key: p.key})
+	}
 }
 
-// park stores a server half for Claim, evicting the oldest parked half
-// past maxClaims.
-func (b *Bank) park(key Key, half any) uint64 {
-	var evicted []Event
-	b.mu.Lock()
-	b.nextID++
-	id := b.nextID
-	b.claims[id] = claimEntry{key: key, half: half}
-	b.order = append(b.order, id)
-	for len(b.claims) > maxClaims {
-		old := b.order[0]
-		b.order = b.order[1:]
-		if e, ok := b.claims[old]; ok {
-			delete(b.claims, old)
-			evicted = append(evicted, Event{Kind: "evict", Key: e.key})
+// Claim takes the server half stored under the announcing client's
+// identity — LoopbackClient for the in-process filler — and the announced
+// correlation id. Single-use: the half is removed (on disk, its claim
+// journal entry lands) before it is returned, so the same id can never
+// back two online phases even across SIGKILL. A claim under another key or
+// peer than the half was stored under misses and leaves it in place.
+func (b *Bank) Claim(peer PeerID, id uint64, key Key) (half *core.ServerCorr, ok bool) {
+	blob, ok, err := b.store.ClaimByID(Scope{Peer: peer, Key: key}, id)
+	if err != nil {
+		b.observe(Event{Kind: "persist-claim-drop", Key: key, Err: err})
+	} else if ok {
+		if half, err = DecodeServerCorr(blob); err == nil {
+			b.claimed.Add(1)
+			b.observe(Event{Kind: peer.events() + "claim", Key: key})
+			return half, true
 		}
+		b.observe(Event{Kind: "persist-decode-error", Key: key, Err: err})
 	}
-	b.mu.Unlock()
-	for _, ev := range evicted {
-		b.observe(ev)
-	}
-	return id
-}
-
-// Claim hands over the parked server half for id. The key must match the
-// one the half was acquired under (a mismatch is a protocol error on the
-// announcing client's side). Each ID claims at most once.
-func (b *Bank) Claim(id uint64, key Key) (serverHalf any, ok bool) {
-	b.mu.Lock()
-	e, found := b.claims[id]
-	if found && e.key == key {
-		delete(b.claims, id)
-		for i, v := range b.order {
-			if v == id {
-				b.order = append(b.order[:i], b.order[i+1:]...)
-				break
-			}
-		}
-		b.mu.Unlock()
-		b.claimed.Add(1)
-		b.observe(Event{Kind: "claim", Key: key})
-		return e.half, true
-	}
-	b.mu.Unlock()
 	b.claimMisses.Add(1)
-	b.observe(Event{Kind: "claim-miss", Key: key})
+	b.observe(Event{Kind: peer.events() + "claim-miss", Key: key})
 	return nil, false
 }
 
-// Capacity returns the bank's per-pool depth bound — also the depth cap
-// a remote offline session enforces per peer pool.
+// Put durably stores this party's half of a correlation generated with the
+// remote party identified by peer: an EncodeClientCorr blob on a client, an
+// EncodeServerCorr blob on a server (one commit of a remote offline round).
+func (b *Bank) Put(peer PeerID, key Key, id uint64, half []byte) error {
+	if b.opts.Store == nil {
+		return fmt.Errorf("bank: no durable store")
+	}
+	if peer.loopback() {
+		return fmt.Errorf("bank: peer id %s is reserved for the loopback filler", peer)
+	}
+	return b.store.Append(Scope{Peer: peer, Key: key}, id, half)
+}
+
+// Depth returns the number of unspent halves in the (peer, key) pool (0
+// when absent): the depth of a loopback pool under LoopbackServer, the
+// replenisher's watermark input under a remote peer.
+func (b *Bank) Depth(peer PeerID, key Key) int {
+	return b.store.Depth(Scope{Peer: peer, Key: key})
+}
+
+// Capacity returns the bank's per-pool depth bound: what the loopback
+// filler fills to, and what a remote offline session enforces per peer.
 func (b *Bank) Capacity() int { return b.opts.capacity() }
 
 // Low returns the bank's refill watermark.
 func (b *Bank) Low() int { return b.opts.low() }
 
-// Prewarm synchronously fills the pool to depth n (clamped to Capacity).
-// Errors out rather than blocking forever when the bank is closing.
+// Prewarm synchronously fills the loopback pool for key to depth n
+// (clamped to Capacity). Errors out rather than blocking forever when the
+// bank is closing.
 func (b *Bank) Prewarm(key Key, n int) error {
 	p := b.lookup(key)
 	if p == nil {
@@ -472,35 +494,15 @@ func (b *Bank) Prewarm(key Key, n int) error {
 	if cap := b.opts.capacity(); n > cap {
 		n = cap
 	}
-	for {
-		p.mu.Lock()
-		depth := len(p.entries)
-		p.mu.Unlock()
-		if depth >= n {
-			return nil
-		}
-		pair, err := b.generateOne(p)
-		if err != nil {
+	for b.Depth(LoopbackServer, key) < n {
+		if err := b.fill(p); err != nil {
 			return err
 		}
-		b.push(p, pair)
 	}
+	return nil
 }
 
-// Depth returns the current depth of the pool for key (0 when absent).
-func (b *Bank) Depth(key Key) int {
-	b.mu.Lock()
-	p := b.pools[key]
-	b.mu.Unlock()
-	if p == nil {
-		return 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.entries)
-}
-
-// Snapshot returns current counters and per-pool depths.
+// Snapshot returns current counters and the loopback pools' depths.
 func (b *Bank) Snapshot() Stats {
 	s := Stats{
 		Hits:         b.hits.Load(),
@@ -512,29 +514,14 @@ func (b *Bank) Snapshot() Stats {
 		Depths:       make(map[Key]int),
 	}
 	b.mu.Lock()
-	pools := make([]*pool, 0, len(b.pools))
-	for _, p := range b.pools {
-		pools = append(pools, p)
+	for key := range b.pools {
+		s.Depths[key] = 0
 	}
 	b.mu.Unlock()
-	for _, p := range pools {
-		p.mu.Lock()
-		s.Depths[p.key] = len(p.entries)
-		p.mu.Unlock()
+	for key := range s.Depths {
+		s.Depths[key] = b.Depth(LoopbackServer, key)
 	}
 	return s
-}
-
-// Keys returns the bank's pool keys in deterministic order.
-func (b *Bank) Keys() []Key {
-	b.mu.Lock()
-	keys := make([]Key, 0, len(b.pools))
-	for k := range b.pools {
-		keys = append(keys, k)
-	}
-	b.mu.Unlock()
-	sort.Slice(keys, func(i, j int) bool { return keys[i].String() < keys[j].String() })
-	return keys
 }
 
 // Drain stops accepting new replenishment work, waits for in-flight
@@ -568,7 +555,7 @@ func (b *Bank) Drain(ctx context.Context) error {
 // Close force-stops the bank: pending refills are cancelled (in-flight
 // generator protocol rounds are unblocked by closing their pipes), and
 // Close returns once every background goroutine has exited. Safe to call
-// more than once; Acquire and Claim report misses afterwards.
+// more than once; loopback draws report misses afterwards.
 func (b *Bank) Close() error {
 	b.mu.Lock()
 	if b.closed {
@@ -608,7 +595,7 @@ func (b *Bank) maybeRefill(p *pool) {
 	}
 	low := b.opts.low()
 	p.mu.Lock()
-	if p.refilling || len(p.entries) >= low {
+	if p.refilling || b.Depth(LoopbackServer, p.key) >= low {
 		p.mu.Unlock()
 		return
 	}
@@ -619,63 +606,60 @@ func (b *Bank) maybeRefill(p *pool) {
 }
 
 // refill replenishes one pool up to Capacity, then exits. A generation
-// error stops the replenisher (the next Acquire may retry); Close aborts
-// it mid-pair by closing the generator pipe.
+// error stops the replenisher (the next Draw may retry); Close aborts it
+// mid-pair by closing the generator pipe.
 func (b *Bank) refill(p *pool) {
 	defer b.wg.Done()
 	cap := b.opts.capacity()
-	for !b.stopping() {
-		p.mu.Lock()
-		depth := len(p.entries)
-		p.mu.Unlock()
-		if depth >= cap {
-			break
-		}
-		pair, err := b.generateOne(p)
-		if err != nil {
+	for !b.stopping() && b.Depth(LoopbackServer, p.key) < cap {
+		if err := b.fill(p); err != nil {
 			b.refillErrors.Add(1)
 			b.observe(Event{Kind: "refill-error", Key: p.key, Err: err})
 			break
 		}
-		b.push(p, pair)
 	}
 	p.mu.Lock()
 	p.refilling = false
-	depth := len(p.entries)
 	p.mu.Unlock()
-	// An Acquire that raced with our exit saw refilling=true and skipped
-	// its trigger; restart if the pool is still shallow.
-	if depth < b.opts.low() && !b.stopping() {
-		b.maybeRefill(p)
-	}
+	// A Draw that raced with our exit saw refilling=true and skipped its
+	// trigger; maybeRefill restarts us if the pool is still shallow.
+	b.maybeRefill(p)
 }
 
-// push appends a generated pair, honouring the capacity bound.
-func (b *Bank) push(p *pool, pair Pair) {
-	cap := b.opts.capacity()
-	p.mu.Lock()
-	if len(p.entries) < cap {
-		p.entries = append(p.entries, pair)
-	}
-	depth := len(p.entries)
-	p.mu.Unlock()
-	b.refills.Add(1)
-	b.observe(Event{Kind: "refill", Key: p.key, Depth: depth})
-}
-
-// generateOne produces one pair for p. Generation per pool is serialized
-// (deterministic stream consumption); distinct pools generate
+// fill generates one pair for p and stores its halves under the next
+// sequential id, honouring the capacity bound. Generation per pool is
+// serialized (deterministic stream consumption); distinct pools generate
 // concurrently.
-func (b *Bank) generateOne(p *pool) (Pair, error) {
+func (b *Bank) fill(p *pool) error {
 	p.genMu.Lock()
 	defer p.genMu.Unlock()
 	if err := b.ctx.Err(); err != nil {
-		return Pair{}, fmt.Errorf("bank: closed")
+		return fmt.Errorf("bank: closed")
 	}
 	sp := p.tr.Start("bank-refill").SetBatch(p.key.Batch)
-	pair, err := p.generate(b.ctx)
+	server, client, err := p.generate(b.ctx)
 	sp.End(err)
-	return pair, err
+	if err != nil {
+		return err
+	}
+	cscope, sscope := p.scopes()
+	p.mu.Lock()
+	if b.store.Depth(cscope) < b.opts.capacity() {
+		// The server half first: a client half that can be drawn always
+		// has its partner waiting for the claim.
+		id := b.nextID.Add(1)
+		if err = b.store.Append(sscope, id, EncodeServerCorr(server)); err == nil {
+			err = b.store.Append(cscope, id, EncodeClientCorr(client))
+		}
+	}
+	depth := b.store.Depth(cscope)
+	p.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	b.refills.Add(1)
+	b.observe(Event{Kind: "refill", Key: p.key, Depth: depth})
+	return nil
 }
 
 func (b *Bank) observe(ev Event) {

@@ -12,13 +12,13 @@ import (
 	"abnn2/internal/transport"
 )
 
-// pool is one correlation queue plus its generator. entries is FIFO so
-// deterministic pools hand out pairs in generation order.
+// pool is the filler of one loopback pool: the generator that produces its
+// pairs. The halves themselves wait in the bank's store, FIFO, so a
+// deterministic pool hands out pairs in generation order.
 type pool struct {
 	key    Key
-	custom Producer // non-nil for RegisterProducer pools
 	model  *nn.QuantizedModel
-	params core.Params   // session pools only
+	params core.Params
 	sched  core.Schedule // per-layer backend schedule; nil = all-ABNN2
 	rng    *prg.PRG      // pool stream; consumed only under genMu
 	tr     *trace.Tracer
@@ -26,21 +26,23 @@ type pool struct {
 	genMu   sync.Mutex // serializes generation and lazy generator setup
 	session *sessionGen
 
-	mu        sync.Mutex
-	entries   []Pair
+	mu        sync.Mutex // also makes storing a pair atomic for evictParked
 	refilling bool
 	conns     []transport.Conn // generator pipe ends, closed by Bank.Close
 }
 
+// scopes returns where the pool's halves wait: client halves under the
+// loopback server's identity, server halves under the loopback client's.
+func (p *pool) scopes() (client, server Scope) {
+	return Scope{Peer: LoopbackServer, Key: p.key}, Scope{Peer: LoopbackClient, Key: p.key}
+}
+
 // generate produces one pair; genMu is held by the caller.
-func (p *pool) generate(ctx context.Context) (Pair, error) {
-	if p.custom != nil {
-		return p.custom(p.rng)
-	}
+func (p *pool) generate(ctx context.Context) (*core.ServerCorr, *core.ClientCorr, error) {
 	if p.session == nil {
 		g, err := newSessionGen(p.model, p.params, p.rng)
 		if err != nil {
-			return Pair{}, err
+			return nil, nil, err
 		}
 		p.mu.Lock()
 		p.conns = append(p.conns, g.sconn, g.cconn)
@@ -50,7 +52,7 @@ func (p *pool) generate(ctx context.Context) (Pair, error) {
 		// this append; re-check so the fresh pipe is not left open.
 		if ctx.Err() != nil {
 			p.closeGen()
-			return Pair{}, fmt.Errorf("bank: closed")
+			return nil, nil, fmt.Errorf("bank: closed")
 		}
 	}
 	return p.session.generate(p.key.Batch, p.sched)
@@ -58,7 +60,7 @@ func (p *pool) generate(ctx context.Context) (Pair, error) {
 
 // counters adapts the session generator's pipe meter to the tracer, so
 // bank-refill spans carry the offline bytes they moved off the request
-// path. Custom pools have no internal wire and report zeros.
+// path.
 func (p *pool) counters() trace.Counters {
 	p.mu.Lock()
 	g := p.session
@@ -82,8 +84,8 @@ func (p *pool) closeGen() {
 	}
 }
 
-// sessionGen is a persistent two-party offline-phase generator: the
-// bank's trusted-dealer core. Base OTs run once at setup; each generate
+// sessionGen is a persistent two-party offline-phase generator: both ends
+// of the loopback peer. Base OTs run once at setup; each generate
 // call then runs the real offline protocol (server triplet receiver vs
 // client triplet sender) over the internal pipe and returns both halves.
 type sessionGen struct {
@@ -133,7 +135,7 @@ func newSessionGen(model *nn.QuantizedModel, p core.Params, rng *prg.PRG) (*sess
 // generate runs one offline phase, both roles concurrently, and returns
 // the paired halves. A non-nil sched routes each layer to its planned
 // backend; the stored halves are identical objects either way.
-func (g *sessionGen) generate(batch int, sched core.Schedule) (Pair, error) {
+func (g *sessionGen) generate(batch int, sched core.Schedule) (*core.ServerCorr, *core.ClientCorr, error) {
 	type result struct {
 		corr *core.ServerCorr
 		err  error
@@ -149,11 +151,11 @@ func (g *sessionGen) generate(batch int, sched core.Schedule) (Pair, error) {
 	}
 	s := <-ch
 	if cerr != nil {
-		return Pair{}, fmt.Errorf("bank: generator client offline: %w", cerr)
+		return nil, nil, fmt.Errorf("bank: generator client offline: %w", cerr)
 	}
 	if s.err != nil {
 		_ = g.sconn.Close()
-		return Pair{}, fmt.Errorf("bank: generator server offline: %w", s.err)
+		return nil, nil, fmt.Errorf("bank: generator server offline: %w", s.err)
 	}
-	return Pair{Server: s.corr, Client: ccorr}, nil
+	return s.corr, ccorr, nil
 }

@@ -83,6 +83,20 @@ type PeerID [16]byte
 // and never served.
 var NoPeer PeerID
 
+// LoopbackServer and LoopbackClient are the two ends of the in-process
+// filler, the peer whose both parties live in this process. A pool under
+// either is memory-only in any store: client halves wait under
+// LoopbackServer (the identity an in-process client draws with), their
+// server halves under LoopbackClient (the identity a 13-byte announcement
+// stands for). No store mints them, and a directory that names one is
+// quarantined at recovery.
+var (
+	LoopbackServer = PeerID([]byte("loopback-server\x00"))
+	LoopbackClient = PeerID([]byte("loopback-client\x00"))
+)
+
+func (p PeerID) loopback() bool { return p == LoopbackServer || p == LoopbackClient }
+
 // String renders the ID as 32 hex digits.
 func (p PeerID) String() string { return hex.EncodeToString(p[:]) }
 
@@ -497,19 +511,4 @@ func DecodeClientCorr(src []byte) (*core.ClientCorr, error) {
 		return nil, fmt.Errorf("bank: %d trailing bytes after client corr", len(src))
 	}
 	return c, nil
-}
-
-// DecodeCorr dispatches on a blob's tag, for callers (and fuzzers) that
-// hold an arbitrary record.
-func DecodeCorr(src []byte) (any, error) {
-	if len(src) == 0 {
-		return nil, fmt.Errorf("bank: empty correlation blob")
-	}
-	switch src[0] {
-	case KindServerHalf:
-		return DecodeServerCorr(src)
-	case KindClientHalf:
-		return DecodeClientCorr(src)
-	}
-	return nil, fmt.Errorf("bank: unknown correlation blob tag %#x", src[0])
 }

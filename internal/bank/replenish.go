@@ -161,7 +161,7 @@ func (r *Replenisher) sweep() {
 		if r.ctx.Err() != nil {
 			return
 		}
-		depth := b.PeerDepth(r.opts.Peer, key)
+		depth := b.Depth(r.opts.Peer, key)
 		if depth > r.opts.low() {
 			continue
 		}
@@ -178,7 +178,7 @@ func (r *Replenisher) sweep() {
 		r.setBackoff(0)
 		b.observe(Event{Kind: "replenish-backoff", Key: key, Depth: 0})
 		if got > 0 {
-			b.observe(Event{Kind: "replenish-round", Key: key, Depth: b.PeerDepth(r.opts.Peer, key)})
+			b.observe(Event{Kind: "replenish-round", Key: key, Depth: b.Depth(r.opts.Peer, key)})
 		}
 	}
 }

@@ -6,13 +6,10 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"abnn2/internal/core"
 )
 
-// Durable-bank integration suite: the bank over a real store —
-// peer-paired pools and the background replenisher's watermark/backoff
-// machinery.
+// The background replenisher's watermark/backoff machinery, over a bank
+// on a real store.
 
 // durableBank builds a bank over a recovered store on dir, registering
 // the test model, and returns bank, store, and the batch-2 session key.
@@ -26,98 +23,6 @@ func durableBank(t *testing.T, dir string, opts Options) (*Bank, *Store, Key) {
 	b := New(opts)
 	key := sessionKey(t, b, testModel(t), 2)
 	return b, st, key
-}
-
-// TestBankPeerPairedRoundTrip: peer halves land in each party's own
-// store — the client half under the server's peer id, the server half
-// under the client's — and come back via AcquirePeer/ClaimPeer exactly
-// once, including across a restart of both parties.
-func TestBankPeerPairedRoundTrip(t *testing.T) {
-	cliDir, srvDir := t.TempDir(), t.TempDir()
-	cb1, cst1, key := durableBank(t, cliDir, Options{Capacity: 4})
-	sb1, sst1, _ := durableBank(t, srvDir, Options{Capacity: 4})
-	cliPeer, srvPeer := cst1.PeerID(), sst1.PeerID()
-
-	// Manufacture a genuine pair via the dealer path, then repark it as a
-	// peer-paired correlation (the codec round-trip is what matters here;
-	// the remote wire protocol is exercised in the root package).
-	if err := cb1.Prewarm(key, 1); err != nil {
-		t.Fatalf("prewarm: %v", err)
-	}
-	id, clientHalf, ok := cb1.Acquire(key)
-	if !ok {
-		t.Fatal("acquire missed")
-	}
-	serverHalf, ok := cb1.Claim(id, key)
-	if !ok {
-		t.Fatal("claim missed")
-	}
-	ccorr, ok1 := clientHalf.(*core.ClientCorr)
-	scorr, ok2 := serverHalf.(*core.ServerCorr)
-	if !ok1 || !ok2 {
-		t.Fatalf("halves are %T / %T", clientHalf, serverHalf)
-	}
-	cid := NewCorrID()
-	if err := cb1.PutPeerClient(srvPeer, key, cid, ccorr); err != nil {
-		t.Fatalf("put peer client: %v", err)
-	}
-	if err := sb1.PutPeerServer(cliPeer, key, cid, scorr); err != nil {
-		t.Fatalf("put peer server: %v", err)
-	}
-	if d := cb1.PeerDepth(srvPeer, key); d != 1 {
-		t.Fatalf("client-side peer depth = %d, want 1", d)
-	}
-	if d := sb1.PeerDepth(cliPeer, key); d != 1 {
-		t.Fatalf("server-side peer depth = %d, want 1", d)
-	}
-	cb1.Close()
-	cst1.Close()
-	sb1.Close()
-	sst1.Close()
-
-	cb2, cst2, _ := durableBank(t, cliDir, Options{Capacity: 4})
-	sb2, sst2, _ := durableBank(t, srvDir, Options{Capacity: 4})
-	defer cb2.Close()
-	defer cst2.Close()
-	defer sb2.Close()
-	defer sst2.Close()
-	gid, gc, ok := cb2.AcquirePeer(srvPeer, key)
-	if !ok {
-		t.Fatal("peer acquire missed after restart")
-	}
-	if gid != cid {
-		t.Fatalf("peer acquire returned id %d, want %d", gid, cid)
-	}
-	if gc.Batch != ccorr.Batch || len(gc.V) != len(ccorr.V) {
-		t.Fatalf("client corr mangled: batch %d layers %d", gc.Batch, len(gc.V))
-	}
-	gs, ok := sb2.ClaimPeer(cliPeer, cid, key)
-	if !ok {
-		t.Fatal("peer claim missed after restart")
-	}
-	if gs.Batch != scorr.Batch || len(gs.U) != len(scorr.U) {
-		t.Fatalf("server corr mangled: batch %d layers %d", gs.Batch, len(gs.U))
-	}
-	for li := range scorr.U {
-		for i := range scorr.U[li].Data {
-			if gs.U[li].Data[i] != scorr.U[li].Data[i] {
-				t.Fatalf("server U[%d][%d] differs after disk round trip", li, i)
-			}
-		}
-	}
-	// Single use: both directions are spent.
-	if _, _, ok := cb2.AcquirePeer(srvPeer, key); ok {
-		t.Fatal("peer pool served the client half twice")
-	}
-	if _, ok := sb2.ClaimPeer(cliPeer, cid, key); ok {
-		t.Fatal("peer pool served the server half twice")
-	}
-	// And a different peer sees nothing.
-	var other PeerID
-	other[7] = 1
-	if _, _, ok := cb2.AcquirePeer(other, key); ok {
-		t.Fatal("peer pools leaked across peers")
-	}
 }
 
 // TestReplenisherWatermark: a pool below Low triggers Run with the
@@ -170,7 +75,7 @@ func TestReplenisherWatermark(t *testing.T) {
 		t.Fatalf("full pool triggered another replenishment (%v, %d)", c.key, c.n)
 	case <-time.After(50 * time.Millisecond):
 	}
-	if d := b.PeerDepth(peer, key); d != 4 {
+	if d := b.Depth(peer, key); d != 4 {
 		t.Fatalf("peer depth = %d, want 4", d)
 	}
 }
@@ -273,32 +178,5 @@ func TestReplenisherKick(t *testing.T) {
 	case <-ran:
 	case <-time.After(5 * time.Second):
 		t.Fatal("Kick did not wake the replenisher")
-	}
-}
-
-// TestBankStoreFailureDegrades: when the store dies mid-flight (simulated
-// by closing it), the memory-only dealer pool keeps serving, and
-// AcquirePeer never hands out a half whose claim could not be recorded.
-func TestBankStoreFailureDegrades(t *testing.T) {
-	dir := t.TempDir()
-	b, st, key := durableBank(t, dir, Options{Capacity: 2})
-	defer b.Close()
-	if err := b.Prewarm(key, 2); err != nil {
-		t.Fatalf("prewarm: %v", err)
-	}
-	_, half, ok := b.Acquire(key)
-	if !ok {
-		t.Fatal("acquire missed a warm pool")
-	}
-	peer := PeerID{7}
-	if err := b.PutPeerClient(peer, key, NewCorrID(), half.(*core.ClientCorr)); err != nil {
-		t.Fatalf("put peer half: %v", err)
-	}
-	st.Close() // store gone; claims can no longer be journaled
-	if _, _, ok := b.AcquirePeer(peer, key); ok {
-		t.Fatal("AcquirePeer handed out a half after the store died")
-	}
-	if _, _, ok := b.Acquire(key); !ok {
-		t.Fatal("the dealer pool stopped serving when the store died")
 	}
 }

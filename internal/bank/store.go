@@ -11,20 +11,27 @@ import (
 	"sync"
 )
 
-// Store is the durable half of the bank: per-scope append-only segment
-// files of checksummed correlation records plus one shared claim journal.
-// The claim discipline is claim-before-use — a record's journal entry is
-// written and fsynced before the correlation bytes are ever handed to a
-// session — so single-use holds across SIGKILL: a correlation that might
-// have reached a wire is tombstoned on disk before it does.
+// Store holds every pool of a bank: one FIFO-with-claim-by-id image per
+// scope, and beneath it, for the scopes of remote peers, per-scope
+// append-only segment files of checksummed correlation records plus one
+// shared claim journal. The claim discipline is claim-before-use — a
+// record's journal entry is written and fsynced before the correlation
+// bytes are ever handed to a session — so single-use holds across
+// SIGKILL: a correlation that might have reached a wire is tombstoned on
+// disk before it does.
 //
-// A fresh Store is inert until Recover has run: every read/write returns
-// ErrNotRecovered so a server cannot serve from an unvalidated directory
-// (readiness in internal/serve is gated on exactly this). Recovery
-// truncates torn tails (the partial write of a crashed append) and
-// quarantines structurally corrupt segments; corruption in the journal
-// beyond a torn tail fails the whole store closed — replaying a claim is
-// the one error this design never risks.
+// A store opened without a directory (a bank's own, see New) and the
+// loopback scopes of any store are the same image with nothing beneath
+// it: their halves were generated inside this process and die with it,
+// so appends and claims skip the files and need no recovery.
+//
+// The durable scopes of a fresh Store are inert until Recover has run:
+// every read/write returns ErrNotRecovered so a server cannot serve from
+// an unvalidated directory (readiness in internal/serve is gated on
+// exactly this). Recovery truncates torn tails (the partial write of a
+// crashed append) and quarantines structurally corrupt segments;
+// corruption in the journal beyond a torn tail fails the whole store
+// closed — replaying a claim is the one error this design never risks.
 type Store struct {
 	opts StoreOptions
 	dir  string
@@ -74,11 +81,11 @@ type RecoverStats struct {
 // completed successfully.
 var ErrNotRecovered = fmt.Errorf("bank: store not recovered")
 
-// scopeState is the in-memory image of one durable pool.
+// scopeState is the in-memory image of one pool.
 type scopeState struct {
 	scope    Scope
 	hash     uint64
-	dir      string
+	dir      string   // "" for a memory-only scope
 	seg      *os.File // active segment, nil until first Append
 	segSize  int64
 	segIndex int      // highest segment index seen/created
@@ -128,6 +135,10 @@ func OpenStore(opts StoreOptions) (*Store, error) {
 	}
 	return s, nil
 }
+
+// newMemStore returns a store with no directory: every scope is
+// memory-only.
+func newMemStore() *Store { return &Store{scopes: make(map[uint64]*scopeState)} }
 
 // loadPeer reads the durable peer identity, minting a fresh random one on
 // first open. The write is atomic (tmp + rename) so a crash mid-mint
@@ -306,7 +317,7 @@ func (s *Store) recoverPoolDir(dir, name string, st *RecoverStats) (*scopeState,
 		return nil, false
 	}
 	scope, err := ParseScope(strings.TrimSpace(string(scopeData)))
-	if err != nil || scope.dirName() != name {
+	if err != nil || scope.dirName() != name || scope.Peer.loopback() {
 		s.quarantine(dir, st)
 		return nil, false
 	}
@@ -401,11 +412,14 @@ func (s *Store) getState(scope Scope, create bool) (*scopeState, error) {
 	if s.closed {
 		return nil, fmt.Errorf("bank: store closed")
 	}
-	if s.failed != nil {
-		return nil, s.failed
-	}
-	if !s.recovered {
-		return nil, ErrNotRecovered
+	mem := s.dir == "" || scope.Peer.loopback()
+	if !mem {
+		if s.failed != nil {
+			return nil, s.failed
+		}
+		if !s.recovered {
+			return nil, ErrNotRecovered
+		}
 	}
 	h := scope.hash()
 	if sc, ok := s.scopes[h]; ok {
@@ -420,25 +434,28 @@ func (s *Store) getState(scope Scope, create bool) (*scopeState, error) {
 	if err := scope.valid(); err != nil {
 		return nil, err
 	}
-	dir := filepath.Join(s.dir, poolsDir, scope.dirName())
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("bank: pool dir: %w", err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, scopeFile), []byte(scope.String()+"\n"), 0o644); err != nil {
-		return nil, fmt.Errorf("bank: pool scope file: %w", err)
-	}
 	sc := &scopeState{
-		scope: scope, hash: h, dir: dir,
+		scope: scope, hash: h,
 		recs: make(map[uint64][]byte), claimed: make(map[uint64]bool),
+	}
+	if !mem {
+		sc.dir = filepath.Join(s.dir, poolsDir, scope.dirName())
+		if err := os.MkdirAll(sc.dir, 0o755); err != nil {
+			return nil, fmt.Errorf("bank: pool dir: %w", err)
+		}
+		if err := os.WriteFile(filepath.Join(sc.dir, scopeFile), []byte(scope.String()+"\n"), 0o644); err != nil {
+			return nil, fmt.Errorf("bank: pool scope file: %w", err)
+		}
 	}
 	s.scopes[h] = sc
 	return sc, nil
 }
 
-// Append durably adds one correlation record under scope. The id must be
-// fresh for the scope. The segment write is buffered by the OS — a crash
-// may lose unsynced appends, which only costs regeneration (claims, not
-// appends, carry the single-use guarantee).
+// Append adds one correlation record under scope, durably unless the
+// scope is memory-only. The id must be fresh for the scope. The segment
+// write is buffered by the OS — a crash may lose unsynced appends, which
+// only costs regeneration (claims, not appends, carry the single-use
+// guarantee).
 func (s *Store) Append(scope Scope, id uint64, blob []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -452,6 +469,30 @@ func (s *Store) Append(scope Scope, id uint64, blob []byte) error {
 	if _, dup := sc.recs[id]; dup {
 		return fmt.Errorf("bank: duplicate record id %d in scope", id)
 	}
+	if sc.dir != "" {
+		if err := s.appendSegment(sc, id, blob); err != nil {
+			return err
+		}
+	}
+	stored := make([]byte, len(blob))
+	copy(stored, blob)
+	sc.recs[id] = stored
+	sc.avail = append(sc.avail, id)
+	if sc.dir == "" {
+		return nil
+	}
+	if sc.segSize >= s.opts.segmentMax() {
+		if err := s.rotateSegment(sc); err != nil {
+			return err
+		}
+	}
+	s.observe(Event{Kind: "persist-append", Key: scope.Key, Depth: len(sc.avail)})
+	return nil
+}
+
+// appendSegment writes one record to sc's active segment file, opening
+// one first if there is none.
+func (s *Store) appendSegment(sc *scopeState, id uint64, blob []byte) error {
 	if sc.seg == nil {
 		if err := s.openSegment(sc); err != nil {
 			return err
@@ -465,16 +506,6 @@ func (s *Store) Append(scope Scope, id uint64, blob []byte) error {
 	if sc.active != nil {
 		sc.active.ids = append(sc.active.ids, id)
 	}
-	stored := make([]byte, len(blob))
-	copy(stored, blob)
-	sc.recs[id] = stored
-	sc.avail = append(sc.avail, id)
-	if sc.segSize >= s.opts.segmentMax() {
-		if err := s.rotateSegment(sc); err != nil {
-			return err
-		}
-	}
-	s.observe(Event{Kind: "persist-append", Key: scope.Key, Depth: len(sc.avail)})
 	return nil
 }
 
@@ -560,6 +591,11 @@ func (s *Store) pruneLocked(sc *scopeState) int {
 // who treats the draw as a miss).
 func (s *Store) claimLocked(sc *scopeState, id uint64) error {
 	delete(sc.recs, id)
+	if sc.dir == "" {
+		// Memory-only: no journal to write, and the filler's ids are
+		// sequential, so there is no reuse to remember the claim against.
+		return nil
+	}
 	sc.claimed[id] = true
 	entry := AppendJournalEntry(nil, sc.hash, id)
 	if _, err := s.journal.Write(entry); err != nil {
@@ -611,7 +647,16 @@ func (s *Store) ClaimByID(scope Scope, id uint64) (blob []byte, ok bool, err err
 	if !have {
 		return nil, false, nil
 	}
-	if err := s.claimLocked(sc, id); err != nil {
+	err = s.claimLocked(sc, id)
+	// Claims by id mostly arrive in draw order: dropping spent ids off the
+	// head keeps avail from growing with every correlation ever stored.
+	for len(sc.avail) > 0 {
+		if _, live := sc.recs[sc.avail[0]]; live {
+			break
+		}
+		sc.avail = sc.avail[1:]
+	}
+	if err != nil {
 		return nil, false, err
 	}
 	return b, true, nil
@@ -625,13 +670,7 @@ func (s *Store) Depth(scope Scope) int {
 	if err != nil || sc == nil {
 		return 0
 	}
-	n := 0
-	for _, id := range sc.avail {
-		if _, have := sc.recs[id]; have {
-			n++
-		}
-	}
-	return n
+	return len(sc.recs) // every unclaimed record, and only those, is in recs
 }
 
 // Recovered reports whether Recover has completed successfully.

@@ -237,57 +237,3 @@ func TestTableFormatting(t *testing.T) {
 }
 
 func itoa(v int) string { return strconv.Itoa(v) }
-
-// TestTableBankSplit is the acceptance check behind the correlation
-// bank: for every batch size, the online-only row (banked provisioning)
-// must land strictly below the end-to-end row (inline offline phase) in
-// both wall time and wire traffic.
-func TestTableBankSplit(t *testing.T) {
-	rows := TableBank(quickOpts())
-	if len(rows) == 0 || len(rows)%2 != 0 {
-		t.Fatalf("got %d rows, want a non-empty even number", len(rows))
-	}
-	for i := 0; i+1 < len(rows); i += 2 {
-		e2e, online := rows[i], rows[i+1]
-		if e2e.Mode != "end-to-end" || online.Mode != "online-only" || e2e.Batch != online.Batch {
-			t.Fatalf("row pairing broken: %+v / %+v", e2e, online)
-		}
-		if online.CommMB >= e2e.CommMB {
-			t.Errorf("batch %d: online-only comm %.3f MB not below end-to-end %.3f MB",
-				e2e.Batch, online.CommMB, e2e.CommMB)
-		}
-		if online.WallSec >= e2e.WallSec {
-			t.Errorf("batch %d: online-only wall %.4fs not below end-to-end %.4fs",
-				e2e.Batch, online.WallSec, e2e.WallSec)
-		}
-	}
-}
-
-// TestTableBankDurable is the acceptance check behind the durable store:
-// a warm start (recovered persisted correlations) must reach its first
-// banked prediction faster and with less wire traffic than a cold start
-// (remote offline session on the boot path), and recovery must actually
-// have found the persisted records.
-func TestTableBankDurable(t *testing.T) {
-	rows := TableBankDurable(quickOpts())
-	if len(rows) != 2 {
-		t.Fatalf("got %d rows, want cold + warm", len(rows))
-	}
-	cold, warm := rows[0], rows[1]
-	if cold.Mode != "cold-start" || warm.Mode != "warm-start" {
-		t.Fatalf("row order broken: %+v / %+v", cold, warm)
-	}
-	if cold.Recovered != 0 {
-		t.Errorf("cold start recovered %d records from a fresh directory", cold.Recovered)
-	}
-	if warm.Recovered < 1 {
-		t.Errorf("warm start recovered %d records, want at least 1", warm.Recovered)
-	}
-	if warm.CommMB >= cold.CommMB {
-		t.Errorf("warm-start comm %.3f MB not below cold-start %.3f MB", warm.CommMB, cold.CommMB)
-	}
-	if warm.FirstSec >= cold.FirstSec {
-		t.Errorf("warm-start first prediction %.4fs not below cold-start %.4fs",
-			warm.FirstSec, cold.FirstSec)
-	}
-}

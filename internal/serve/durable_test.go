@@ -186,7 +186,7 @@ func TestRecoveryGatesReadiness(t *testing.T) {
 		t.Fatalf("offline hello during recovery: %v, want retryable rejection", herr)
 	}
 
-	rt.StartRecovery(st, nil, 0)
+	rt.StartRecovery(st)
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		if ready, _ := rt.ReadyState(); ready {
@@ -199,6 +199,43 @@ func TestRecoveryGatesReadiness(t *testing.T) {
 	}
 	if !st.Recovered() {
 		t.Fatal("StartRecovery completed without recovering the store")
+	}
+}
+
+// TestStoreOnlyRuntimeAdmitsBanked: a runtime whose bank only holds what
+// remote clients leave in its store — no loopback pool, the shape of
+// abnn2-server — becomes ready as soon as the store has recovered and
+// admits inference sessions under OfflineBanked, having generated no
+// correlation: whether a batch is banked is the client's store's business.
+func TestStoreOnlyRuntimeAdmitsBanked(t *testing.T) {
+	st, err := abnn2.OpenBankStore(abnn2.BankStoreOptions{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := abnn2.NewBank(abnn2.BankOptions{Capacity: 2, Store: st})
+	rt := testRuntime(t, Options{Bank: b, Session: abnn2.Config{OfflineMode: abnn2.OfflineBanked}})
+	t.Cleanup(func() {
+		b.Close()
+		st.Close()
+	})
+	rt.StartRecovery(st)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if ready, _ := rt.ReadyState(); ready {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("runtime never became ready")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	conn, _, err := rt.Connect(context.Background(), "")
+	if err != nil {
+		t.Fatalf("inference hello under OfflineBanked with no loopback pool: %v", err)
+	}
+	conn.Close()
+	if snap := b.Snapshot(); snap.Refills != 0 || len(snap.Depths) != 0 {
+		t.Fatalf("bank generated %d correlations into %d loopback pools, want none", snap.Refills, len(snap.Depths))
 	}
 }
 

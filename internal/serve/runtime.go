@@ -22,9 +22,10 @@ type Options struct {
 	// Registry holds the served models; must contain at least one.
 	Registry *Registry
 	// Bank, when non-nil, provisions sessions from precomputed
-	// correlation pools. Every registered model is given its own pools
-	// (New registers them); sessions degrade per Session.OfflineMode when
-	// pools run dry.
+	// correlation pools: remote clients claim the halves their offline
+	// sessions left in the bank's store, in-process clients sharing the
+	// bank draw from its loopback pools (New registers every model for
+	// them). Sessions degrade per Session.OfflineMode when pools run dry.
 	Bank *abnn2.Bank
 	// MaxSessions bounds concurrently admitted sessions. 0 derives a
 	// default from GOMAXPROCS and Session.Workers (each session fans its
@@ -183,10 +184,12 @@ func (rt *Runtime) Bank() *abnn2.Bank { return rt.bank }
 // Registry returns the runtime's model registry.
 func (rt *Runtime) Registry() *Registry { return rt.reg }
 
-// StartPrewarm begins background prewarming of the given pool keys to
-// depth each, gating readiness: /readyz answers 503 until every key has
-// been attempted. Prewarm failures are logged and skipped — pools warm
-// lazily on first miss — so a broken key degrades capacity, not startup.
+// StartPrewarm begins background prewarming of the loopback pools for
+// the given keys to depth each (for deployments whose clients share the
+// bank in process), gating readiness: /readyz answers 503 until every
+// key has been attempted. Prewarm failures are logged and skipped —
+// pools warm lazily on first miss — so a broken key degrades capacity,
+// not startup.
 func (rt *Runtime) StartPrewarm(keys []abnn2.BankKey, depth int) {
 	if rt.bank == nil || len(keys) == 0 {
 		return
@@ -201,7 +204,7 @@ func (rt *Runtime) StartPrewarm(keys []abnn2.BankKey, depth int) {
 				rt.log.Warn("bank prewarm failed", "key", key.String(), "err", err)
 				continue
 			}
-			rt.log.Info("bank pool warm", "key", key.String(), "depth", rt.bank.Depth(key))
+			rt.log.Info("bank pool warm", "key", key.String(), "depth", rt.bank.Snapshot().Depths[key])
 		}
 		rt.prewarmed.Store(true)
 		ready, _ := rt.ReadyState()
@@ -212,15 +215,10 @@ func (rt *Runtime) StartPrewarm(keys []abnn2.BankKey, depth int) {
 // StartRecovery begins background recovery of the bank's durable store,
 // gating readiness: /readyz answers 503 until the recovery scan has
 // completed, so peer-banked sessions never run against an unvalidated
-// store; prewarming of the (memory-only) dealer pools for keys starts
-// after it. A failed recovery is logged and leaves the store disabled —
-// peer-paired draws and offline sessions fail, degrading durability
+// store. A failed recovery is logged and leaves the store disabled —
+// peer-banked claims and offline sessions fail, degrading durability
 // rather than startup — and the runtime still becomes ready.
-func (rt *Runtime) StartRecovery(store *abnn2.BankStore, keys []abnn2.BankKey, depth int) {
-	if store == nil {
-		rt.StartPrewarm(keys, depth)
-		return
-	}
+func (rt *Runtime) StartRecovery(store *abnn2.BankStore) {
 	rt.mu.Lock()
 	rt.store = store
 	rt.mu.Unlock()
@@ -240,7 +238,6 @@ func (rt *Runtime) StartRecovery(store *abnn2.BankStore, keys []abnn2.BankKey, d
 		rt.recovered.Store(true)
 		ready, _ := rt.ReadyState()
 		rt.m.setReady(ready)
-		rt.StartPrewarm(keys, depth)
 	}()
 }
 
@@ -522,7 +519,11 @@ func (rt *Runtime) checkPlan(model *Model, h hello) (*abnn2.Plan, *Rejection) {
 // its load and whichever kind of session the hello asked for. Offline
 // sessions take a normal slot — they cost the same compute as an inline
 // offline phase — and their bank state is the store's, not the pools':
-// filling dry pools is their whole point.
+// filling dry pools is their whole point. An inference session's bank
+// state is its model's loopback pools, where there are any: what a remote
+// client's own store holds for this server is not visible from here, so
+// without loopback pools the session is admitted and each batch finds
+// out for itself.
 func (rt *Runtime) admit(model *Model, offline bool) (release func(), rej *Rejection, degraded bool) {
 	rt.mu.Lock()
 	draining := rt.draining
@@ -554,7 +555,7 @@ func (rt *Runtime) admit(model *Model, offline bool) (release func(), rej *Rejec
 			}, false
 		}
 	} else if rt.bank != nil && rt.session.OfflineMode != abnn2.OfflineInline {
-		if depth := rt.bankDepth(model); depth == 0 {
+		if depth, ok := rt.loopbackDepth(model); ok && depth == 0 {
 			if rt.session.OfflineMode == abnn2.OfflineBanked {
 				// Admitting would hand the client a session whose every batch
 				// fails; shed instead, while the miss-triggered refill runs.
@@ -571,19 +572,16 @@ func (rt *Runtime) admit(model *Model, offline bool) (release func(), rej *Rejec
 	return release, nil, degraded
 }
 
-// bankDepth sums the live depths of the model's session pools across all
-// batch sizes.
-func (rt *Runtime) bankDepth(m *Model) int {
-	if rt.bank == nil || m.BankID == "" {
-		return 0
-	}
-	total := 0
+// loopbackDepth sums the live depths of the model's loopback pools across
+// all batch sizes; ok is false when the model has none, which is every
+// deployment whose clients do not share the bank in process.
+func (rt *Runtime) loopbackDepth(m *Model) (total int, ok bool) {
 	for key, depth := range rt.bank.Snapshot().Depths {
 		if key.Model == m.BankID {
-			total += depth
+			total, ok = total+depth, true
 		}
 	}
-	return total
+	return total, ok
 }
 
 // reject sheds one connection: metrics, log, best-effort wire reply

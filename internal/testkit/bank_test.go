@@ -2,15 +2,13 @@ package testkit
 
 import (
 	"fmt"
-	"sync"
+	"sync/atomic"
 	"testing"
 
 	"abnn2"
 	"abnn2/internal/bank"
 	"abnn2/internal/core"
 	"abnn2/internal/nn"
-	"abnn2/internal/prg"
-	"abnn2/internal/quant"
 	"abnn2/internal/ring"
 )
 
@@ -113,100 +111,102 @@ func TestBankedEquivalenceSweep(t *testing.T) {
 	}
 }
 
-// TestBankMatmulBackendPools runs every secure-matmul backend as a bank
-// Producer: pairs drawn from the pool must (a) reconstruct to W*R over
-// the ring and (b) be bit-identical to calling the backend directly with
-// the seed the producer drew — the bank adds queueing, not arithmetic.
-func TestBankMatmulBackendPools(t *testing.T) {
-	scheme := quant.NewBitScheme(true, 2, 2)
-	backends := []struct {
-		name    string
-		run     MatmulFunc
-		o       int
-		ternary bool
-	}{
-		{"abnn2-onebatch", ABNN2Matmul(scheme, core.OneBatch), 1, false},
-		{"abnn2-multibatch", ABNN2Matmul(scheme, core.MultiBatch), 3, false},
-		{"secureml", SecureMLMatmul(), 2, false},
-		{"minionn-512", MiniONNMatmul(512), 2, false},
-		{"quotient", QuotientMatmul(), 1, true},
-	}
-	for bi, be := range backends {
-		bi, be := bi, be
-		t.Run(be.name, func(t *testing.T) {
-			t.Parallel()
-			rg := ring.New(32)
-			prng := prg.New(prg.SeedFromInt(uint64(0xFACE + bi)))
-			const m, n, draws = 4, 5, 3
-			W := make([]int64, m*n)
-			lo, hi := scheme.Range()
-			for i := range W {
-				if be.ternary {
-					W[i] = int64(prng.Intn(3) - 1)
-				} else {
-					W[i] = lo + int64(prng.Intn(int(hi-lo+1)))
-				}
-			}
-			R := prng.Mat(rg, n, be.o)
+// planHits counts the draws served from one pool.
+type planHits struct {
+	key bank.Key
+	n   atomic.Int64
+}
 
-			b := bank.New(bank.Options{Capacity: draws, Seed: uint64(0xC0 + bi)})
+func (h *planHits) BankEvent(ev bank.Event) {
+	if ev.Kind == "hit" && ev.Key == h.key {
+		h.n.Add(1)
+	}
+}
+
+// TestPlannedBankedSweep crosses the planner with the bank: a few seeds
+// of the mixed-plan generator, each run provisioned (OfflineBanked, so an
+// inline fallback fails the run) from a loopback pool generated under
+// that very plan. The outputs must equal the plaintext ring reference,
+// the draws must have come from the plan-fingerprinted pool, and that
+// pool must never serve a session that announced no plan.
+func TestPlannedBankedSweep(t *testing.T) {
+	for seed := uint64(0); seed < 8; seed++ {
+		seed := seed
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			t.Parallel()
+			c := Generate(seed)
+			p, err := randomPlan(c)
+			if err != nil {
+				t.Fatalf("%s: draw plan: %v", c.Desc(), err)
+			}
+			if err := p.Validate(core.ArchOf(c.Model), c.Batch); err != nil {
+				t.Fatalf("%s: generated plan %s invalid: %v", c.Desc(), p, err)
+			}
+			sched, err := p.Schedule()
+			if err != nil {
+				t.Fatalf("%s: plan %s: %v", c.Desc(), p, err)
+			}
+			data, err := nn.MarshalQuantized(c.Model)
+			if err != nil {
+				t.Fatal(err)
+			}
+			qm, err := nn.UnmarshalQuantized(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hits := &planHits{}
+			b := bank.New(bank.Options{Capacity: 1, Seed: 0xAB00 + seed, Observer: hits})
 			defer b.Close()
-			key := bank.Key{Model: "matmul-oracle", Scheme: be.name,
-				RingBits: 32, Batch: be.o, Backend: be.name}
-			var mu sync.Mutex
-			var seeds []uint64
-			err := b.RegisterProducer(key, func(rng *prg.PRG) (bank.Pair, error) {
-				s := rng.Uint64()
-				mu.Lock()
-				seeds = append(seeds, s)
-				mu.Unlock()
-				U, V, err := be.run(rg, W, m, n, R, s)
-				return bank.Pair{Server: U, Client: V}, err
+			id, err := b.RegisterModel(qm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := b.RegisterSchedule(p.Fingerprint(), sched, planSweepKeyBits); err != nil {
+				t.Fatal(err)
+			}
+			plain := bank.Key{Model: id, Scheme: c.Scheme, RingBits: c.RingBits,
+				Batch: c.Batch, Backend: bank.SessionBackend}
+			planned := plain
+			planned.Backend = bank.PlanBackend(p.Fingerprint())
+			hits.key = planned
+			if err := b.Prewarm(planned, 1); err != nil {
+				t.Fatalf("%s: prewarm %v: %v", c.Desc(), planned, err)
+			}
+			out, err := RunSecureCfg(c, 0, func(server bool, cfg *abnn2.Config) {
+				cfg.Plan = p
+				cfg.MiniONNKeyBits = planSweepKeyBits
+				cfg.Bank = b
+				cfg.OfflineMode = abnn2.OfflineBanked
+				if !server {
+					cfg.BankModel = id
+				}
 			})
 			if err != nil {
-				t.Fatalf("register producer: %v", err)
+				t.Fatalf("%s: plan %s banked: %v", c.Desc(), p, err)
 			}
-			if err := b.Prewarm(key, draws); err != nil {
-				t.Fatalf("prewarm: %v", err)
-			}
-			Wm := ring.NewMat(m, n)
-			for i, w := range W {
-				Wm.Data[i] = rg.FromSigned(w)
-			}
-			want := rg.MulMat(Wm, R)
-			for d := 0; d < draws; d++ {
-				id, clientHalf, ok := b.Acquire(key)
-				if !ok {
-					t.Fatalf("draw %d: pool dry after prewarm", d)
-				}
-				serverHalf, ok := b.Claim(id, key)
-				if !ok {
-					t.Fatalf("draw %d: claim %d failed", d, id)
-				}
-				U, V := serverHalf.(*ring.Mat), clientHalf.(*ring.Mat)
-				got := rg.AddMat(U, V)
-				for i := range want.Data {
-					if got.Data[i] != want.Data[i] {
-						t.Fatalf("draw %d: U+V mismatch at %d: got %d, want %d",
-							d, i, got.Data[i], want.Data[i])
+			rg := ring.New(c.RingBits)
+			for k, x := range c.Inputs {
+				want := c.Model.ForwardRing(rg, c.Model.EncodeInput(rg, x))
+				for i, w := range want {
+					if got := out.At(i, k); got != w {
+						t.Fatalf("%s: plan %s: output %d of sample %d: banked %d, plaintext %d",
+							c.Desc(), p, i, k, got, w)
 					}
 				}
-				// Bit-identity against a direct call with the drawn seed:
-				// pool FIFO order matches producer call order, so seeds[d]
-				// is the seed behind this pair.
-				mu.Lock()
-				s := seeds[d]
-				mu.Unlock()
-				Ud, Vd, err := be.run(rg, W, m, n, R, s)
-				if err != nil {
-					t.Fatalf("draw %d: direct run: %v", d, err)
-				}
-				for i := range Ud.Data {
-					if U.Data[i] != Ud.Data[i] || V.Data[i] != Vd.Data[i] {
-						t.Fatalf("draw %d: banked share differs from direct call at %d: "+
-							"U %d vs %d, V %d vs %d", d, i, U.Data[i], Ud.Data[i], V.Data[i], Vd.Data[i])
-					}
-				}
+			}
+			if hits.n.Load() == 0 {
+				t.Fatalf("%s: plan %s: no draw was served from pool %v", c.Desc(), p, planned)
+			}
+			// With the planned pool stocked again, a plan-less draw for the
+			// same model and batch must find nothing.
+			if err := b.Prewarm(planned, 1); err != nil {
+				t.Fatalf("%s: prewarm %v: %v", c.Desc(), planned, err)
+			}
+			if _, _, ok := b.Draw(bank.LoopbackServer, plain); ok {
+				t.Fatalf("%s: a plan-less draw was served while only pool %v was stocked", c.Desc(), planned)
+			}
+			if d := b.Depth(bank.LoopbackServer, planned); d != 1 {
+				t.Fatalf("%s: planned pool depth %d after a plan-less draw, want 1", c.Desc(), d)
 			}
 		})
 	}

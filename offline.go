@@ -22,8 +22,9 @@ package abnn2
 //
 // The decision round ('G'/'N') precedes generation so a refused request
 // costs one round trip, not an offline phase. The server persists before
-// acking; a client that crashes between 'A' and its own persist leaves
-// an orphaned server half, which is never claimable and costs only disk.
+// acking; a client that crashes between 'A' and its own persist strands
+// one server half, which is never claimable and costs its disk space and
+// one unit of that peer's pool capacity.
 
 import (
 	"context"
@@ -38,7 +39,7 @@ import (
 )
 
 // offlineSessionTag is the OT session tag of remote offline sessions,
-// distinct from both live sessions and the bank's internal dealer
+// distinct from both live sessions and the bank's loopback filler
 // (0xBA).
 const offlineSessionTag = 0xBC
 
@@ -90,7 +91,7 @@ func ServeOfflineSession(ctx context.Context, conn Conn, model *QuantizedModel, 
 		key.Batch = req.batch
 		// Refuse before generating: a full pool or reused id costs the
 		// client one round trip, not a wasted offline phase.
-		if b.PeerDepth(clientPeer, key) >= b.Capacity() {
+		if b.Depth(clientPeer, key) >= b.Capacity() {
 			if err := reply(offlineNak, req.id); err != nil {
 				return err
 			}
@@ -109,7 +110,7 @@ func ServeOfflineSession(ctx context.Context, conn Conn, model *QuantizedModel, 
 			return err
 		}
 		status := byte(offlineAck)
-		if perr := b.PutPeerServer(clientPeer, key, req.id, corr); perr != nil {
+		if perr := b.Put(clientPeer, key, req.id, bank.EncodeServerCorr(corr)); perr != nil {
 			status = offlineNak
 		}
 		if err := reply(status, req.id); err != nil {
@@ -207,7 +208,7 @@ func ReplenishSession(ctx context.Context, conn Conn, arch Arch, cfg Config, ser
 			return got, err
 		}
 		if status == offlineAck {
-			if err := b.PutPeerClient(serverPeer, key, id, corr); err != nil {
+			if err := b.Put(serverPeer, key, id, bank.EncodeClientCorr(corr)); err != nil {
 				return got, err
 			}
 			got++

@@ -9,7 +9,9 @@ import (
 	"time"
 
 	"abnn2/internal/bank"
+	"abnn2/internal/core"
 	"abnn2/internal/leakcheck"
+	"abnn2/internal/plan"
 )
 
 // Remote offline session suite: the no-dealer replenishment path end to
@@ -153,7 +155,7 @@ func TestRemoteOfflineCrashSingleUse(t *testing.T) {
 	// claims are already on disk.
 	srv2 := newDurableParty(t, srvDir, 4)
 	cli2 := newDurableParty(t, cliDir, 4)
-	if d := cli2.bank.PeerDepth(srv2.store.PeerID(), bankSessionKeyForTest(t, qm, 2)); d != 1 {
+	if d := cli2.bank.Depth(srv2.store.PeerID(), bankSessionKeyForTest(t, qm, 2)); d != 1 {
 		t.Fatalf("client peer depth after restart = %d, want 1 (one of two spent)", d)
 	}
 	scfg2, ccfg2 := peerConfigs(t, qm, srv2, cli2)
@@ -195,7 +197,7 @@ func TestRemoteOfflineServerAtCapacity(t *testing.T) {
 	if got := replenishPair(t, qm, srv, cli, 2, 3); got != 1 {
 		t.Fatalf("replenished %d correlations against capacity 1, want 1", got)
 	}
-	if d := cli.bank.PeerDepth(srv.store.PeerID(), bankSessionKeyForTest(t, qm, 2)); d != 1 {
+	if d := cli.bank.Depth(srv.store.PeerID(), bankSessionKeyForTest(t, qm, 2)); d != 1 {
 		t.Fatalf("client stored %d halves, want 1", d)
 	}
 }
@@ -306,7 +308,7 @@ func (l *eventLog) count(kind string) int {
 
 // TestPeerDryConsultsOnePool: a client set up for peer-paired draws asks
 // its peer pool and nothing else. On a dry pool OfflineAuto runs the
-// batch inline after exactly one peer-miss — the dealer tier is never
+// batch inline after exactly one peer-miss — the loopback pool is never
 // tried, so it books no miss — and OfflineBanked fails with ErrBankDry.
 func TestPeerDryConsultsOnePool(t *testing.T) {
 	qm := chaosModel(t)
@@ -338,7 +340,7 @@ func TestPeerDryConsultsOnePool(t *testing.T) {
 		}
 	}
 	if pm, m := events.count("peer-miss"), events.count("miss"); pm != 1 || m != 0 {
-		t.Errorf("dry peer pool booked %d peer-miss and %d dealer miss events, want 1 and 0", pm, m)
+		t.Errorf("dry peer pool booked %d peer-miss and %d loopback miss events, want 1 and 0", pm, m)
 	}
 
 	ccfg.OfflineMode = OfflineBanked
@@ -347,6 +349,59 @@ func TestPeerDryConsultsOnePool(t *testing.T) {
 		t.Errorf("OfflineBanked on a dry peer pool: %v, want ErrBankDry", cliErr)
 	}
 	if m := events.count("miss"); m != 0 {
-		t.Errorf("OfflineBanked booked %d dealer miss events, want 0", m)
+		t.Errorf("OfflineBanked booked %d loopback miss events, want 0", m)
+	}
+}
+
+// TestPlannedPeerDrawIsDry: remote offline sessions generate all-ABNN2
+// material, so a client with both BankPeer and a Plan draws from that
+// peer's pool for the plan, which nothing fills: OfflineAuto runs the
+// batch inline after one peer-miss, OfflineBanked fails with ErrBankDry,
+// and neither touches the plan-less halves stored for the same peer or
+// the client's own loopback pools (whose server half this server could
+// never claim).
+func TestPlannedPeerDrawIsDry(t *testing.T) {
+	qm := chaosModel(t)
+	srv := newDurableParty(t, t.TempDir(), 4)
+	st, err := OpenBankStore(BankStoreOptions{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	var events eventLog
+	cli := &durableParty{store: st, bank: NewBank(BankOptions{Capacity: 4, Store: st, Observer: &events})}
+	t.Cleanup(func() {
+		cli.bank.Close()
+		st.Close()
+	})
+	if got := replenishPair(t, qm, srv, cli, 2, 1); got != 1 {
+		t.Fatalf("replenished %d correlations, want 1", got)
+	}
+	scfg, ccfg := peerConfigs(t, qm, srv, cli)
+	ccfg.Plan = plan.Uniform(core.BackendSecureML, len(qm.Arch().Layers))
+	scfg.OfflineMode, ccfg.OfflineMode = OfflineAuto, OfflineAuto
+
+	sconn, cconn := Pipe()
+	srvErr, cliErr, classes := runParties(t, qm, sconn, cconn, scfg, ccfg)
+	if srvErr != nil || cliErr != nil {
+		t.Fatalf("OfflineAuto, planned, peer pool: server=%v client=%v", srvErr, cliErr)
+	}
+	for k, x := range chaosInputs(2) {
+		if classes[k] != qm.Predict(x) {
+			t.Errorf("input %d misclassified on the inline fallback", k)
+		}
+	}
+	ccfg.OfflineMode = OfflineBanked
+	sconn, cconn = Pipe()
+	if _, cliErr, _ = runParties(t, qm, sconn, cconn, scfg, ccfg); !errors.Is(cliErr, ErrBankDry) {
+		t.Errorf("OfflineBanked, planned, peer pool: %v, want ErrBankDry", cliErr)
+	}
+	if pm, ph, m := events.count("peer-miss"), events.count("peer-hit"), events.count("miss"); pm != 2 || ph != 0 || m != 0 {
+		t.Errorf("planned peer draws booked %d peer-miss, %d peer-hit, %d loopback miss events, want 2, 0, 0", pm, ph, m)
+	}
+	if d := cli.bank.Depth(srv.store.PeerID(), bankSessionKeyForTest(t, qm, 2)); d != 1 {
+		t.Errorf("plan-less peer pool depth = %d after planned draws, want 1", d)
 	}
 }

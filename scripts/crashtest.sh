@@ -44,7 +44,7 @@ boot_server() {
     log="$1"
     "$WORK/abnn2-server" -model "$WORK/model.json" -listen "$ADDR" \
         -metrics-addr "$METRICS" -workers 1 -round-timeout 2m \
-        -bank-capacity 8 -bank-prewarm "$N" -bank-dir "$SRV_BANK" \
+        -bank-capacity 8 -bank-dir "$SRV_BANK" \
         >"$log" 2>&1 &
     SRV_PID=$!
     i=0
