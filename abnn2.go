@@ -123,15 +123,12 @@ type Config struct {
 	BankModel string
 	// BankPeer, on a client, is the serving peer's durable identity (the
 	// hex ID from the serve handshake). When set — which requires a Bank
-	// carrying a durable store — batches draw from the pool filled by
-	// remote offline sessions with that server (ReplenishSession) and
-	// from no other, announcing correlations with this party's own peer
-	// ID so the server can claim the matching stored half; the loopback
-	// pools of Bank are not consulted. Empty selects the loopback pools.
-	// Remote offline sessions generate all-ABNN2 material only, so with a
-	// Plan the peer's pool for that plan is always dry: batches run the
-	// offline phase inline (OfflineAuto) or fail with ErrBankDry
-	// (OfflineBanked).
+	// carrying a durable store — batches draw from the pool this party
+	// filled with that server (Client.Prefetch) and from no other,
+	// announcing correlations with this party's own peer ID so the server
+	// can claim the matching stored half; the loopback pools of Bank are
+	// not consulted. Empty selects the loopback pools. With a Plan the
+	// pool is the one prefetched under that plan.
 	BankPeer string
 	// Plan, when non-nil, fixes the per-layer offline backend schedule.
 	// On a client it is proposed to the server in every batch
@@ -337,10 +334,12 @@ func (s *Server) Close() error { return s.sc.Close() }
 // replies land. Client.Stats().Flights is the deterministic count.
 func (s *Server) Stats() Stats { return s.sc.Stats() }
 
-// HandleBatch serves one prediction batch: it receives the client's batch
-// announcement (size + output mode), runs the offline phase, then the
-// online phase. The announcement wait is idle time (no round deadline);
-// everything after it is deadline-bounded when RoundTimeout is set.
+// HandleBatch serves one batch: it receives the client's batch
+// announcement (size + mode), then either runs the offline phase and the
+// online phase of a prediction or, for an announcement that says "store",
+// generates the batch's offline material and stores it (see store). The
+// announcement wait is idle time (no round deadline); everything after it
+// is deadline-bounded when RoundTimeout is set.
 //
 // A client that hangs up between batches is a clean shutdown, reported
 // as io.EOF; a connection lost mid-batch is a protocol failure and
@@ -348,7 +347,8 @@ func (s *Server) Stats() Stats { return s.sc.Stats() }
 func (s *Server) HandleBatch() error {
 	// The idle span covers the between-batches wait (including the batch
 	// announcement bytes), so root spans partition the session's traffic:
-	// every byte falls in exactly one of setup, idle, or batch.
+	// every byte falls in exactly one of setup, idle, batch, or
+	// offline-replenish.
 	isp := s.tr.Start("idle")
 	raw, err := s.sc.recvIdle()
 	if err != nil {
@@ -360,33 +360,41 @@ func (s *Server) HandleBatch() error {
 		return err
 	}
 	isp.End(nil)
-	bsp := s.tr.Start("batch")
-	err = guard("handle batch", func() error {
-		a, err := parseAnnouncement(raw)
-		if err != nil {
-			return err
-		}
+	a, err := parseAnnouncement(raw)
+	bsp := s.tr.Start(a.rootSpan())
+	if err == nil {
 		bsp.SetBatch(a.batch)
-		if err := s.applyPlan(a.batch, a.plan); err != nil {
-			return err
-		}
-		if a.source != provisionInline {
-			err = s.claim(a)
-		} else if s.mode == OfflineBanked {
-			err = fmt.Errorf("abnn2: inline batch announcement refused (server is OfflineBanked)")
-		} else {
-			err = s.eng.Offline(a.batch)
-		}
-		if err != nil {
-			return err
-		}
-		if a.argmax {
-			return s.eng.OnlineArgmax()
-		}
-		return s.eng.Online()
-	})
+		err = guard("handle batch", func() error { return s.serveBatch(a) })
+	}
 	bsp.End(err)
 	return err
+}
+
+// serveBatch runs the batch a announces: a store batch, or a prediction
+// on offline material claimed, or generated inline, as a says.
+func (s *Server) serveBatch(a announcement) error {
+	if err := s.applyPlan(a.batch, a.plan); err != nil {
+		return err
+	}
+	if a.store {
+		return s.store(a)
+	}
+	var err error
+	switch {
+	case a.source != provisionInline:
+		err = s.claim(a)
+	case s.mode == OfflineBanked:
+		err = fmt.Errorf("abnn2: inline batch announcement refused (server is OfflineBanked)")
+	default:
+		err = s.eng.Offline(a.batch)
+	}
+	if err != nil {
+		return err
+	}
+	if a.argmax {
+		return s.eng.OnlineArgmax()
+	}
+	return s.eng.Online()
 }
 
 // applyPlan consumes a batch's plan frame (when announced) and installs
@@ -466,6 +474,42 @@ func (s *Server) claimKey(batch int) BankKey {
 		key.Backend = bank.PlanBackend(s.planFP)
 	}
 	return key
+}
+
+// store serves a batch announced with the store bit: the offline phase
+// run early. Both parties generate the batch's correlation under the
+// session's own generators and schedule, install nothing, and each keeps
+// its half under the announced id in the pool it shares with the other —
+// the one a later peer-banked announcement of that id claims from.
+//
+// The server answers twice, echoing the id: go or nak before generating,
+// so a request it will not keep (no recovered durable store, inline-only
+// policy, this peer's pool at Capacity) costs the client one round trip
+// and no offline phase; then, after a go, ack once its half is on disk or
+// nak when it could not be put there. It persists before acking: a client
+// that crashes between the ack and its own persist strands one server
+// half, which is never claimable and costs its disk space and one unit of
+// that peer's pool capacity.
+func (s *Server) store(a announcement) error {
+	reply := func(kind byte) error {
+		return s.sc.Send(offlineFrame{kind: kind, id: a.corr}.append(nil))
+	}
+	key := s.claimKey(a.batch)
+	if s.bank == nil || s.mode == OfflineInline || s.bank.Store() == nil || !s.bank.Store().Recovered() ||
+		s.bank.Depth(a.peer, key) >= s.bank.Capacity() {
+		return reply(offlineNak)
+	}
+	if err := reply(offlineGo); err != nil {
+		return err
+	}
+	corr, err := s.eng.OfflineCorr(a.batch)
+	if err != nil {
+		return err // the two sides are mid-protocol; there is no resync point
+	}
+	if err := s.bank.Put(a.peer, key, a.corr, bank.EncodeServerCorr(corr)); err != nil {
+		return reply(offlineNak)
+	}
+	return reply(offlineAck)
 }
 
 // Client is the data owner's endpoint.
@@ -661,15 +705,10 @@ func (c *Client) encodeBatch(inputs [][]float64) (*ring.Mat, error) {
 // batch falls back to the inline offline phase (OfflineAuto) or fails
 // fast (OfflineBanked) — it never waits for the pool to fill.
 func (c *Client) provision(batch int, argmax bool) error {
-	if c.plan != nil {
-		// Batch size changes backend applicability (QUOTIENT is o=1
-		// only), so the plan revalidates per batch before it is
-		// announced — the server would reject it anyway.
-		if err := c.plan.Validate(c.arch, batch); err != nil {
-			return fmt.Errorf("abnn2: %w", err)
-		}
+	if err := c.planFits(batch); err != nil {
+		return err
 	}
-	a := announcement{batch: batch, argmax: argmax, plan: c.planRaw != nil}
+	a := announcement{batch: batch, argmax: argmax}
 	if c.source != provisionInline {
 		key := c.key
 		key.Batch = batch
@@ -686,19 +725,39 @@ func (c *Client) provision(batch int, argmax bool) error {
 			a.source, a.corr, a.peer = c.source, id, c.selfPeer
 		}
 	}
-	if err := c.sc.Send(a.append(nil)); err != nil {
+	if err := c.announce(a); err != nil {
 		return err
-	}
-	// The plan frame depends only on public configuration, never on
-	// inputs, so its shape leaks nothing (the golden-transcript suite pins
-	// this).
-	if a.plan {
-		if err := c.sc.Send(c.planRaw); err != nil {
-			return err
-		}
 	}
 	if a.source == provisionInline {
 		return c.eng.Offline(batch)
+	}
+	return nil
+}
+
+// planFits revalidates the session's plan for one batch size: it changes
+// backend applicability (QUOTIENT is o=1 only), and the server would
+// reject the announcement anyway.
+func (c *Client) planFits(batch int) error {
+	if c.plan == nil {
+		return nil
+	}
+	if err := c.plan.Validate(c.arch, batch); err != nil {
+		return fmt.Errorf("abnn2: %w", err)
+	}
+	return nil
+}
+
+// announce sends a batch announcement, followed by the session's plan
+// frame when there is one. The plan frame depends only on public
+// configuration, never on inputs, so its shape leaks nothing (the
+// golden-transcript suite pins this).
+func (c *Client) announce(a announcement) error {
+	a.plan = c.planRaw != nil
+	if err := c.sc.Send(a.append(nil)); err != nil {
+		return err
+	}
+	if a.plan {
+		return c.sc.Send(c.planRaw)
 	}
 	return nil
 }
@@ -711,4 +770,78 @@ func (c *Client) draw(key BankKey) (id uint64, ok bool, err error) {
 		return 0, false, nil
 	}
 	return id, true, c.eng.InstallCorr(corr)
+}
+
+// Prefetch runs the offline phase ahead of need: for up to n batches of
+// the given size the two parties generate the batch's correlation exactly
+// as an inline batch would — same generators, same plan — and, instead of
+// predicting with it, each stores its half in the pool it shares with the
+// other, where a later session's batches find it (Config.BankPeer). It
+// needs a client dialled with Config.BankPeer, and may be mixed freely
+// with predictions on the same session. It returns how many correlations
+// landed; fewer than n with a nil error means the server declined more
+// (its pool for this client is at capacity, or it keeps no store), which
+// costs one round trip and no offline phase.
+func (c *Client) Prefetch(batch, n int) (stored int, err error) {
+	if c.source != provisionPeer {
+		return 0, fmt.Errorf("abnn2: Prefetch requires a client dialled with Config.BankPeer")
+	}
+	if batch <= 0 || batch > maxBatch {
+		return 0, fmt.Errorf("abnn2: batch size %d out of range", batch)
+	}
+	if err := c.planFits(batch); err != nil {
+		return 0, err
+	}
+	for stored < n {
+		sp := c.tr.Start("offline-replenish").SetBatch(batch)
+		ok, err := guardVal("prefetch", func() (bool, error) { return c.storeBatch(batch) })
+		sp.End(err)
+		if err != nil || !ok {
+			return stored, err
+		}
+		stored++
+	}
+	return stored, nil
+}
+
+// storeBatch is the client side of Server.store for one correlation; ok
+// is false when the server answered nak.
+func (c *Client) storeBatch(batch int) (ok bool, err error) {
+	a := announcement{batch: batch, store: true, source: provisionPeer, corr: bank.NewCorrID(), peer: c.selfPeer}
+	if err := c.announce(a); err != nil {
+		return false, err
+	}
+	if ok, err := c.storeReply(a.corr, offlineGo); err != nil || !ok {
+		return false, err
+	}
+	corr, err := c.eng.OfflineCorr(batch)
+	if err != nil {
+		return false, err
+	}
+	if ok, err := c.storeReply(a.corr, offlineAck); err != nil || !ok {
+		return false, err // on a nak the server kept nothing: drop our half too
+	}
+	key := c.key
+	key.Batch = batch
+	return true, c.bank.Put(c.peer, key, a.corr, bank.EncodeClientCorr(corr))
+}
+
+// storeReply reads the server's next reply about correlation id: true for
+// the kind the exchange is due, false for a nak.
+func (c *Client) storeReply(id uint64, due byte) (bool, error) {
+	raw, err := c.sc.Recv()
+	if err != nil {
+		return false, err
+	}
+	f, err := parseOfflineFrame(raw)
+	if err != nil {
+		return false, fmt.Errorf("abnn2: malformed store reply: %w", err)
+	}
+	if f.id != id {
+		return false, fmt.Errorf("abnn2: store reply for id %d, want %d", f.id, id)
+	}
+	if f.kind != due && f.kind != offlineNak {
+		return false, fmt.Errorf("abnn2: store reply %q, want %q", f.kind, due)
+	}
+	return f.kind == due, nil
 }

@@ -13,7 +13,7 @@ package abnn2
 // trusted dealer, so both endpoints of a session drawing from them must
 // share the same *Bank instance (one process, or a load harness driving
 // its own server). A remote peer's pools are filled over the wire by
-// ReplenishSession / ServeOfflineSession into each party's own BankStore.
+// Client.Prefetch, each party keeping its half in its own BankStore.
 // See DESIGN.md, "Correlation bank", for the security argument and the
 // single-use guarantee.
 
@@ -100,13 +100,13 @@ func OpenBankStore(opts BankStoreOptions) (*BankStore, error) { return bank.Open
 func ParseBankPeerID(s string) (BankPeerID, error) { return bank.ParsePeerID(s) }
 
 // BankReplenisher keeps peer-paired pools above their low watermark by
-// running remote offline sessions in the background, with jittered
-// exponential backoff on transient failures; see NewBankReplenisher.
+// prefetching in the background, with jittered exponential backoff on
+// transient failures; see NewBankReplenisher.
 type BankReplenisher = bank.Replenisher
 
 // BankReplenishOptions configures a BankReplenisher. Its Run callback
-// typically dials the server's offline endpoint (serve.DialOffline) and
-// drives ReplenishSession.
+// typically opens an offline-class session (serve.DialOffline, Dial) and
+// calls Client.Prefetch.
 type BankReplenishOptions = bank.ReplenishOptions
 
 // NewBankReplenisher validates options and returns a stopped

@@ -12,13 +12,14 @@
 // once admitted.
 //
 // With -bank-dir the client keeps a durable correlation store of its
-// own: -prefetch N first runs a remote offline-replenishment session
-// against the server — the genuine two-party offline protocol, no
-// dealer — persisting N peer-paired client halves, and the inference
-// session then provisions each batch from that store (announcing the
-// stored correlation id) instead of running the offline phase inline.
-// Prefetched material survives restarts and stays bound to the server
-// peer it was generated with.
+// own: -prefetch N first opens a replenishment session against the
+// server and runs the offline phase N times early — the genuine
+// two-party protocol, no dealer, under -plan when one is given — each
+// party persisting its half, and the inference session then provisions
+// each batch from that store (announcing the stored correlation id)
+// instead of running the offline phase inline. Prefetched material
+// survives restarts and stays bound to the server peer and the plan it
+// was generated with.
 //
 // Usage:
 //
@@ -37,6 +38,7 @@ import (
 	"time"
 
 	"abnn2"
+	"abnn2/internal/bank"
 	"abnn2/internal/plan"
 	"abnn2/internal/serve"
 )
@@ -53,19 +55,13 @@ func main() {
 	roundTimeout := flag.Duration("round-timeout", time.Minute, "per-round protocol deadline (0 = unbounded)")
 	traceOut := flag.String("trace-out", "", "append protocol spans as JSONL to this file (empty = off)")
 	bankDir := flag.String("bank-dir", "", "durable correlation store directory for peer-paired offline material (empty = off)")
-	prefetch := flag.Int("prefetch", 0, "run a remote offline session stocking this many correlations of batch -n before inference (requires -bank-dir)")
+	prefetch := flag.Int("prefetch", 0, "first open a replenishment session stocking this many correlations of batch -n (requires -bank-dir)")
 	planFlag := flag.String("plan", "", plan.FlagUsage)
 	linkFlag := flag.String("link", "wan", "link model pricing -plan auto: lan, wan, or MBps:RTTms")
 	flag.Parse()
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil)).With("component", "abnn2-client")
 	if *prefetch > 0 && *bankDir == "" {
 		logger.Error("-prefetch requires -bank-dir")
-		os.Exit(1)
-	}
-	if *planFlag != "" && *prefetch > 0 {
-		// Peer-paired pools hold all-ABNN2 material; a planned session
-		// cannot draw from them.
-		logger.Error("-plan cannot be combined with -prefetch (peer-paired pools are all-ABNN2)")
 		os.Exit(1)
 	}
 
@@ -118,66 +114,101 @@ func main() {
 			logger.Error("server rejected the "+what, "code", rej.Rejection.Code,
 				"retryable", rej.Rejection.Retryable, "reason", rej.Rejection.Reason)
 		} else {
-			logger.Error(what+" dial", "addr", *addr, "err", err)
+			logger.Error(what+" failed", "addr", *addr, "err", err)
 		}
 		os.Exit(1)
 	}
 
+	// The plan is computed from public state only (architecture, ring
+	// width, batch, link), once, from the first admitted handshake; every
+	// session of this run announces it and the server re-validates it per
+	// batch.
+	var sessPlan *abnn2.Plan
+	planFor := func(arch abnn2.Arch) *abnn2.Plan {
+		if *planFlag == "" || sessPlan != nil {
+			return sessPlan
+		}
+		link, err := plan.ParseLink(*linkFlag)
+		if err != nil {
+			logger.Error("bad -link", "err", err)
+			os.Exit(1)
+		}
+		p, est, err := plan.FromFlag(*planFlag, plan.Input{
+			Arch: arch, RingBits: *ringBits, Batch: *n, Link: link})
+		if err != nil {
+			logger.Error("bad -plan", "err", err)
+			os.Exit(1)
+		}
+		fmt.Printf("plan: %s\n", p)
+		if est != nil {
+			fmt.Print(est.Table())
+		}
+		sessPlan = p
+		return p
+	}
+
 	// Prefetch: run the genuine two-party offline protocol ahead of need,
-	// storing the client halves under the server's peer id. The initial
+	// each party storing its half under the other's peer id. The initial
 	// fill is synchronous — inference should find the pool warm — and a
 	// background replenisher then keeps it above the low watermark for as
 	// long as the process lives.
 	if *prefetch > 0 {
-		octx, ocancel := context.WithTimeout(context.Background(), *dialTimeout)
-		oconn, oinfo, err := serve.DialOffline(octx, *addr, *model, store.PeerID().String())
-		if err != nil {
-			dialFailed("offline session", err)
+		// prefetchSession opens one replenishment session and stores up to
+		// want correlations of batch -n.
+		prefetchSession := func(ctx context.Context, want int) (int, serve.HandshakeInfo, error) {
+			ctx, cancel := context.WithTimeout(ctx, *dialTimeout)
+			defer cancel()
+			conn, info, err := serve.DialOffline(ctx, *addr, *model)
+			if err != nil {
+				return 0, info, err
+			}
+			defer conn.Close()
+			cfg := baseCfg
+			cfg.Bank, cfg.BankModel, cfg.BankPeer = cbank, info.BankID, info.Peer
+			cfg.SessionID, cfg.Plan = info.SessionID, planFor(info.Arch)
+			client, err := abnn2.DialContext(ctx, conn, info.Arch, cfg)
+			if err != nil {
+				return 0, info, err
+			}
+			defer client.Close()
+			got, err := client.Prefetch(*n, want)
+			return got, info, err
 		}
+		start := time.Now()
+		got, oinfo, err := prefetchSession(context.Background(), *prefetch)
+		if err != nil {
+			dialFailed("replenishment session", err)
+		}
+		logger.Info("correlations prefetched", "stored", got, "batch", *n,
+			"dur", time.Since(start).Round(time.Millisecond))
 		serverPeer, err := abnn2.ParseBankPeerID(oinfo.Peer)
 		if err != nil {
 			logger.Error("server peer id", "peer", oinfo.Peer, "err", err)
 			os.Exit(1)
 		}
-		ocfg := baseCfg
-		ocfg.Bank, ocfg.BankModel, ocfg.SessionID = cbank, oinfo.BankID, oinfo.SessionID
-		start := time.Now()
-		got, rerr := abnn2.ReplenishSession(octx, oconn, oinfo.Arch, ocfg, serverPeer, *n, *prefetch)
-		oconn.Close()
-		ocancel()
-		if rerr != nil {
-			logger.Error("offline replenishment failed", "stored", got, "err", rerr)
-			os.Exit(1)
-		}
-		logger.Info("correlations prefetched", "stored", got, "batch", *n,
-			"dur", time.Since(start).Round(time.Millisecond))
 
 		// Background replenishment: every draw during inference lowers the
 		// pool; the replenisher tops it back up to the prefetch target with
-		// fresh remote offline sessions, so a long-lived client never
+		// fresh replenishment sessions, so a long-lived client never
 		// degrades to the inline offline phase.
 		low := *prefetch / 2
 		if low < 1 {
 			low = 1
 		}
+		backend := abnn2.BankSessionBackend
+		if sessPlan != nil {
+			backend = bank.PlanBackend(sessPlan.Fingerprint())
+		}
 		rep, err := abnn2.NewBankReplenisher(abnn2.BankReplenishOptions{
 			Bank: cbank,
 			Peer: serverPeer,
 			Keys: []abnn2.BankKey{{Model: oinfo.BankID, Scheme: oinfo.Arch.SchemeName,
-				RingBits: *ringBits, Batch: *n, Backend: abnn2.BankSessionBackend}},
+				RingBits: *ringBits, Batch: *n, Backend: backend}},
 			Low:    low,
 			Target: *prefetch,
-			Run: func(ctx context.Context, key abnn2.BankKey, n int) (int, error) {
-				rctx, cancel := context.WithTimeout(ctx, *dialTimeout)
-				defer cancel()
-				rconn, rinfo, err := serve.DialOffline(rctx, *addr, *model, store.PeerID().String())
-				if err != nil {
-					return 0, err
-				}
-				defer rconn.Close()
-				rcfg := baseCfg
-				rcfg.Bank, rcfg.BankModel, rcfg.SessionID = cbank, rinfo.BankID, rinfo.SessionID
-				return abnn2.ReplenishSession(rctx, rconn, rinfo.Arch, rcfg, serverPeer, key.Batch, n)
+			Run: func(ctx context.Context, _ abnn2.BankKey, want int) (int, error) {
+				got, _, err := prefetchSession(ctx, want)
+				return got, err
 			},
 		})
 		if err != nil {
@@ -211,26 +242,7 @@ func main() {
 
 	cfg := baseCfg
 	cfg.SessionID = info.SessionID
-	if *planFlag != "" {
-		// The plan is computed from public state only (architecture, ring
-		// width, batch, link); the server re-validates it per batch.
-		link, err := plan.ParseLink(*linkFlag)
-		if err != nil {
-			logger.Error("bad -link", "err", err)
-			os.Exit(1)
-		}
-		p, est, err := plan.FromFlag(*planFlag, plan.Input{
-			Arch: arch, RingBits: *ringBits, Batch: *n, Link: link})
-		if err != nil {
-			logger.Error("bad -plan", "err", err)
-			os.Exit(1)
-		}
-		fmt.Printf("plan: %s\n", p)
-		if est != nil {
-			fmt.Print(est.Table())
-		}
-		cfg.Plan = p
-	}
+	cfg.Plan = planFor(arch)
 	if cbank != nil && info.BankID != "" && info.Peer != "" {
 		// Provision from the durable peer-paired pool; a dry pool falls
 		// back to the inline offline phase (OfflineAuto).

@@ -27,7 +27,7 @@
 // Usage:
 //
 //	abnn2-train -out model.json
-//	abnn2-inspect -model model.json -batch 1,32,128 -wan 9,72
+//	abnn2-inspect -model model.json -batch 1,32,128 -link 9:72
 //	abnn2-inspect -trace spans.jsonl
 //	abnn2-inspect -timeline client.jsonl,server.jsonl
 //	abnn2-inspect -bank-audit /var/lib/abnn2
@@ -54,7 +54,6 @@ func main() {
 	modelPath := flag.String("model", "model.json", "quantized model JSON")
 	batches := flag.String("batch", "1,32,128", "comma-separated batch sizes to project")
 	ringBits := flag.Uint("ring", 32, "share ring bit width l")
-	wan := flag.String("wan", "9,72", "WAN model as bandwidthMBps,rttMs")
 	tracePath := flag.String("trace", "", "replay a JSONL span dump instead of projecting a model")
 	timeline := flag.String("timeline", "", "merge comma-separated JSONL dumps (client and server) into a cross-party session timeline")
 	session := flag.Uint64("session", 0, "session id for -timeline (0 = the unique session both parties recorded)")
@@ -64,7 +63,7 @@ func main() {
 	planFlag := flag.String("plan", "", "print the "+
 		"protocol planner's predicted per-layer cost table for -model (auto, a backend name, or @file); "+
 		"with -trace, also the measured per-layer offline spans beside it")
-	linkFlag := flag.String("link", "wan", "link model pricing -plan: lan, wan, or MBps:RTTms")
+	linkFlag := flag.String("link", "wan", "link model pricing the projection table and -plan: lan, wan, or MBps:RTTms")
 	flag.Parse()
 	log.SetFlags(0)
 	log.SetPrefix("abnn2-inspect: ")
@@ -94,7 +93,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("parse model: %v", err)
 	}
-	bws, rtt, err := parseWAN(*wan)
+	link, err := plan.ParseLink(*linkFlag)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -125,8 +124,9 @@ func main() {
 		fmt.Printf("  %d: %s %d -> %d%s%s%s\n", i, kind, l.In, l.OutputSize(), extra, relu, req)
 	}
 
-	fmt.Printf("\nprojected offline cost (Table 1 closed forms), WAN %.1f MB/s + %d ms RTT:\n", bws, rtt)
-	fmt.Printf("%8s %14s %12s %14s\n", "batch", "#OT", "offline MB", "WAN transfer s")
+	fmt.Printf("\nprojected offline cost (Table 1 closed forms), %s link %.1f MB/s + %g ms RTT:\n",
+		link.Name, link.BandwidthMBps, link.RTTms)
+	fmt.Printf("%8s %14s %12s %14s\n", "batch", "#OT", "offline MB", "transfer s")
 	for _, bStr := range strings.Split(*batches, ",") {
 		b, err := strconv.Atoi(strings.TrimSpace(bStr))
 		if err != nil || b <= 0 {
@@ -141,7 +141,7 @@ func main() {
 			bits += c.CommBits
 		}
 		mb := bits / 8 / (1 << 20)
-		fmt.Printf("%8d %14d %12.2f %14.2f\n", b, ots, mb, bits/8/(bws*1e6))
+		fmt.Printf("%8d %14d %12.2f %14.2f\n", b, ots, mb, bits/8/(link.BandwidthMBps*1e6))
 	}
 
 	// GC activation cost: ~3l AND gates per neuron per prediction.
@@ -339,22 +339,6 @@ func buildTimeline(paths string, session uint64, tolerance float64, jsonOut bool
 	if err := tl.Check(tolerance); err != nil {
 		log.Fatal(err)
 	}
-}
-
-func parseWAN(s string) (float64, int, error) {
-	parts := strings.Split(s, ",")
-	if len(parts) != 2 {
-		return 0, 0, fmt.Errorf("abnn2-inspect: -wan wants bandwidthMBps,rttMs")
-	}
-	bw, err := strconv.ParseFloat(strings.TrimSpace(parts[0]), 64)
-	if err != nil || bw <= 0 {
-		return 0, 0, fmt.Errorf("abnn2-inspect: bad bandwidth %q", parts[0])
-	}
-	rtt, err := strconv.Atoi(strings.TrimSpace(parts[1]))
-	if err != nil || rtt < 0 {
-		return 0, 0, fmt.Errorf("abnn2-inspect: bad RTT %q", parts[1])
-	}
-	return bw, rtt, nil
 }
 
 // auditBank scans a durable store's claim journal for double-spent

@@ -316,8 +316,10 @@ func main() {
 			srvMetrics.ConnsActive.Add(1)
 			defer srvMetrics.ConnsActive.Add(-1)
 			start := time.Now()
-			err := rt.HandleConn(connCtx, abnn2.StreamLimit(tcp, *maxMsg), tcp.RemoteAddr().String())
-			srvMetrics.ObserveSession(err, time.Since(start))
+			// The outcome — shed, failed handshake, failed or finished
+			// session — is booked by the runtime (abnn2_serve_*).
+			_ = rt.HandleConn(connCtx, abnn2.StreamLimit(tcp, *maxMsg), tcp.RemoteAddr().String())
+			srvMetrics.SessionSeconds.Observe(time.Since(start).Seconds())
 		}()
 	}
 

@@ -1,8 +1,8 @@
 package abnn2
 
 // Control frames of the session layer: the batch announcement that opens
-// every prediction and the frames of a remote offline session. This file
-// is the only code that knows their byte layouts (PROTOCOL.md §0,
+// every batch and the server's replies to one that says "store". This
+// file is the only code that knows their byte layouts (PROTOCOL.md §0,
 // "Control frames"); all integers are little-endian.
 
 import (
@@ -38,28 +38,40 @@ func (p provisioning) span() string {
 //
 //	 5  u32 batch | u8 mode                              inline
 //	13  u32 batch | u8 mode | u64 corr                   loopback-banked
-//	29  u32 batch | u8 mode | u64 corr | 16-byte peer    peer-banked
+//	29  u32 batch | u8 mode | u64 corr | 16-byte peer    peer-banked, or store
 const (
 	annInlineLen   = 5
 	annLoopbackLen = annInlineLen + 8
 	annPeerLen     = annLoopbackLen + len(bank.PeerID{})
 )
 
-// Mode-byte bits of an announcement.
+// Mode-byte bits of an announcement. Store is valid on the 29-byte
+// layout only and never beside argmax.
 const (
 	announceArgmax = 0x01 // private argmax finish
 	announcePlan   = 0x02 // a plan frame follows the announcement
+	announceStore  = 0x04 // no prediction: generate the batch's offline material and store it
 )
 
 // announcement is one batch announcement, the client's first flight of
-// every prediction.
+// every batch.
 type announcement struct {
 	batch  int
 	argmax bool // finish with the garbled-circuit argmax
 	plan   bool // a plan frame follows
+	store  bool // no prediction: generate the batch's offline material and store it under corr
 	source provisioning
-	corr   uint64      // correlation id; banked sources only
+	corr   uint64      // correlation id: the one to claim, or with store the fresh one to store under
 	peer   bank.PeerID // the announcing client's identity; on the wire for provisionPeer only
+}
+
+// rootSpan names the root trace span of the batch a announces: only a
+// prediction is a "batch".
+func (a announcement) rootSpan() string {
+	if a.store {
+		return "offline-replenish"
+	}
+	return "batch"
 }
 
 func (a announcement) append(dst []byte) []byte {
@@ -69,6 +81,9 @@ func (a announcement) append(dst []byte) []byte {
 	}
 	if a.plan {
 		mode |= announcePlan
+	}
+	if a.store {
+		mode |= announceStore
 	}
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(a.batch))
 	dst = append(dst, mode)
@@ -83,8 +98,9 @@ func (a announcement) append(dst []byte) []byte {
 }
 
 // parseAnnouncement is the inverse of append. The bytes are the peer's:
-// every length but the three layouts, an unknown mode bit and a batch
-// outside [1, maxBatch] are errors.
+// every length but the three layouts, an unknown mode bit, a store bit off
+// the peer layout or beside argmax, and a batch outside [1, maxBatch] are
+// errors.
 func parseAnnouncement(raw []byte) (announcement, error) {
 	var a announcement
 	switch len(raw) {
@@ -104,10 +120,13 @@ func parseAnnouncement(raw []byte) (announcement, error) {
 	}
 	a.batch = int(batch)
 	mode := raw[4]
-	if mode > announceArgmax|announcePlan {
+	if mode > announceArgmax|announcePlan|announceStore {
 		return a, fmt.Errorf("abnn2: unknown output mode %d", mode)
 	}
-	a.argmax, a.plan = mode&announceArgmax != 0, mode&announcePlan != 0
+	a.argmax, a.plan, a.store = mode&announceArgmax != 0, mode&announcePlan != 0, mode&announceStore != 0
+	if a.store && (a.source != provisionPeer || a.argmax) {
+		return a, fmt.Errorf("abnn2: malformed store announcement")
+	}
 	if a.source != provisionInline {
 		a.corr = binary.LittleEndian.Uint64(raw[annInlineLen:])
 	}
@@ -117,74 +136,37 @@ func parseAnnouncement(raw []byte) (announcement, error) {
 	return a, nil
 }
 
-// Offline-session frame kinds; see offline.go for the exchange.
-//
-//	'R' | u64 id | u32 batch    13 bytes
-//	'G' | u64 id                 9 bytes (likewise 'N', 'A')
-//	'D'                          1 byte
+// Kinds of the server's reply to a store announcement, each
+// kind | u64 corr, 9 bytes: one decision before generation (go or nak),
+// and after a go one outcome once the server's half is on disk (ack) or
+// could not be put there (nak).
 const (
-	offlineReq  = 'R'
-	offlineGo   = 'G'
-	offlineAck  = 'A'
-	offlineNak  = 'N'
-	offlineDone = 'D'
+	offlineGo  = 'G'
+	offlineAck = 'A'
+	offlineNak = 'N'
 )
 
-// offlineFrame is one control frame of a remote offline session.
-type offlineFrame struct {
-	kind  byte
-	id    uint64 // correlation id; every kind but done
-	batch int    // request only
-}
+const offlineFrameLen = 9
 
-// fromClient reports whether f is a kind the client sends; the rest are
-// the server's replies.
-func (f offlineFrame) fromClient() bool { return f.kind == offlineReq || f.kind == offlineDone }
+// offlineFrame is one reply to a store announcement.
+type offlineFrame struct {
+	kind byte
+	id   uint64 // the announced correlation id, echoed
+}
 
 func (f offlineFrame) append(dst []byte) []byte {
-	dst = append(dst, f.kind)
-	if f.kind == offlineDone {
-		return dst
-	}
-	dst = binary.LittleEndian.AppendUint64(dst, f.id)
-	if f.kind == offlineReq {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(f.batch))
-	}
-	return dst
+	return binary.LittleEndian.AppendUint64(append(dst, f.kind), f.id)
 }
 
-// parseOfflineFrame is the inverse of append: each kind has exactly one
-// length, and a request's batch must lie in [1, maxBatch]. Its errors say
-// what is wrong with the frame; the caller says which flight it was.
+// parseOfflineFrame is the inverse of append. Its errors say what is
+// wrong with the frame; the caller says which flight it was.
 func parseOfflineFrame(raw []byte) (offlineFrame, error) {
-	var f offlineFrame
-	if len(raw) == 0 {
-		return f, fmt.Errorf("empty frame")
+	if len(raw) != offlineFrameLen {
+		return offlineFrame{}, fmt.Errorf("frame is %d bytes, want %d", len(raw), offlineFrameLen)
 	}
-	f.kind = raw[0]
-	want := 9
-	switch f.kind {
-	case offlineReq:
-		want = 13
-	case offlineGo, offlineAck, offlineNak:
-	case offlineDone:
-		want = 1
-	default:
-		return f, fmt.Errorf("unknown frame kind %#x", f.kind)
-	}
-	if len(raw) != want {
-		return f, fmt.Errorf("frame %q is %d bytes, want %d", f.kind, len(raw), want)
-	}
-	if f.kind == offlineDone {
-		return f, nil
-	}
-	f.id = binary.LittleEndian.Uint64(raw[1:])
-	if f.kind == offlineReq {
-		batch := binary.LittleEndian.Uint32(raw[9:])
-		if batch == 0 || batch > maxBatch {
-			return f, fmt.Errorf("batch %d out of range", batch)
-		}
-		f.batch = int(batch)
+	f := offlineFrame{kind: raw[0], id: binary.LittleEndian.Uint64(raw[1:])}
+	if f.kind != offlineGo && f.kind != offlineAck && f.kind != offlineNak {
+		return offlineFrame{}, fmt.Errorf("unknown frame kind %#x", f.kind)
 	}
 	return f, nil
 }

@@ -34,6 +34,8 @@ func TestParseAnnouncement(t *testing.T) {
 		{annBytes(32, 1, 0), announcement{batch: 32, argmax: true}},
 		{annBytes(1<<20, 2, 8), announcement{batch: 1 << 20, plan: true, source: provisionLoopback, corr: corr, peer: bank.LoopbackClient}},
 		{annBytes(7, 3, 24), announcement{batch: 7, argmax: true, plan: true, source: provisionPeer, corr: corr, peer: peer}},
+		{annBytes(2, 4, 24), announcement{batch: 2, store: true, source: provisionPeer, corr: corr, peer: peer}},
+		{annBytes(1<<20, 6, 24), announcement{batch: 1 << 20, plan: true, store: true, source: provisionPeer, corr: corr, peer: peer}},
 	}
 	for _, c := range accepted {
 		got, err := parseAnnouncement(c.raw)
@@ -57,7 +59,11 @@ func TestParseAnnouncement(t *testing.T) {
 		{annBytes(0, 0, 0), "batch size 0 out of range"},
 		{annBytes(1<<20+1, 0, 8), "out of range"},
 		{annBytes(1<<31, 0, 24), "out of range"},
-		{annBytes(1, 4, 0), "unknown output mode 4"},
+		{annBytes(1, 4, 0), "malformed store announcement"},  // store, inline layout
+		{annBytes(1, 6, 8), "malformed store announcement"},  // store, loopback layout
+		{annBytes(1, 5, 24), "malformed store announcement"}, // store with argmax
+		{annBytes(1, 7, 24), "malformed store announcement"},
+		{annBytes(1, 8, 24), "unknown output mode 8"},
 		{annBytes(1, 0xFF, 8), "unknown output mode 255"},
 	}
 	for _, c := range rejected {
@@ -77,11 +83,9 @@ func TestParseOfflineFrame(t *testing.T) {
 		raw  []byte
 		want offlineFrame
 	}{
-		{frame('R', 2, 0, 0, 0), offlineFrame{kind: offlineReq, id: idVal, batch: 2}},
 		{frame('G'), offlineFrame{kind: offlineGo, id: idVal}},
 		{frame('N'), offlineFrame{kind: offlineNak, id: idVal}},
 		{frame('A'), offlineFrame{kind: offlineAck, id: idVal}},
-		{[]byte{'D'}, offlineFrame{kind: offlineDone}},
 	}
 	for _, c := range accepted {
 		got, err := parseOfflineFrame(c.raw)
@@ -94,14 +98,13 @@ func TestParseOfflineFrame(t *testing.T) {
 	}
 	rejected := [][]byte{
 		nil,
-		{'X'},
-		frame('R'),                // a request without its batch
-		frame('R', 0, 0, 0, 0),    // batch 0
-		frame('R', 1, 0, 16, 0),   // batch 1<<20 + 1
-		frame('R', 1, 0, 0, 0, 0), // one byte long
+		{'G'},
+		frame('X'),
+		frame('R'),             // the kinds a client once sent are not replies
+		frame('R', 2, 0, 0, 0), // ... at their old lengths either
+		{'D'},
 		frame('G', 0),
 		frame('A')[:8],
-		{'D', 0},
 	}
 	for _, raw := range rejected {
 		if f, err := parseOfflineFrame(raw); err == nil {
@@ -116,11 +119,15 @@ func FuzzParseAnnouncement(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if n := len(raw); n != 5 && n != 13 && n != 29 {
+		n := len(raw)
+		if n != 5 && n != 13 && n != 29 {
 			t.Fatalf("accepted %d bytes", n)
 		}
-		if a.batch < 1 || a.batch > 1<<20 || raw[4] > 3 {
+		if a.batch < 1 || a.batch > 1<<20 || raw[4] > 7 {
 			t.Fatalf("accepted %x as %+v", raw, a)
+		}
+		if a.store && (n != 29 || a.argmax) {
+			t.Fatalf("accepted a store announcement of %d bytes, argmax %v", n, a.argmax)
 		}
 		if back := a.append(nil); !bytes.Equal(back, raw) {
 			t.Fatalf("parse then append: %x in, %x out", raw, back)
@@ -134,7 +141,7 @@ func FuzzParseOfflineFrame(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if fr.kind == offlineReq && (fr.batch < 1 || fr.batch > 1<<20) {
+		if len(raw) != 9 || (fr.kind != 'G' && fr.kind != 'N' && fr.kind != 'A') {
 			t.Fatalf("accepted %x as %+v", raw, fr)
 		}
 		if back := fr.append(nil); !bytes.Equal(back, raw) {
@@ -156,6 +163,7 @@ func TestServerRejectsMalformedAnnouncement(t *testing.T) {
 		annBytes(0, 0, 0),
 		annBytes(1<<20+1, 1, 8),
 		annBytes(1, 4, 0),
+		annBytes(2, 5, 24),
 		annBytes(2, 0x80, 24),
 	} {
 		sconn, cconn := Pipe()

@@ -458,7 +458,7 @@ func (b *Bank) Claim(peer PeerID, id uint64, key Key) (half *core.ServerCorr, ok
 
 // Put durably stores this party's half of a correlation generated with the
 // remote party identified by peer: an EncodeClientCorr blob on a client, an
-// EncodeServerCorr blob on a server (one commit of a remote offline round).
+// EncodeServerCorr blob on a server (one commit of a store batch).
 func (b *Bank) Put(peer PeerID, key Key, id uint64, half []byte) error {
 	if b.opts.Store == nil {
 		return fmt.Errorf("bank: no durable store")
@@ -477,7 +477,7 @@ func (b *Bank) Depth(peer PeerID, key Key) int {
 }
 
 // Capacity returns the bank's per-pool depth bound: what the loopback
-// filler fills to, and what a remote offline session enforces per peer.
+// filler fills to, and what a server enforces per peer on store batches.
 func (b *Bank) Capacity() int { return b.opts.capacity() }
 
 // Low returns the bank's refill watermark.

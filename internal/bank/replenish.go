@@ -10,11 +10,10 @@ import (
 
 // ReplenishFunc runs one replenishment session against the remote peer:
 // generate up to n correlations for key and store both parties' halves
-// (the abnn2 facade's ReplenishSession dials the server and drives the
-// wire protocol). It returns how many correlations actually landed —
-// fewer than n is fine (the server may be at capacity) — and an error
-// only for failures worth backing off on (link down, handshake
-// rejected, protocol failure).
+// (the abnn2 facade's Client.Prefetch, on a session dialled for it). It
+// returns how many correlations actually landed — fewer than n is fine
+// (the server may be at capacity) — and an error only for failures worth
+// backing off on (link down, handshake rejected, protocol failure).
 type ReplenishFunc func(ctx context.Context, key Key, n int) (int, error)
 
 // ReplenishOptions configures a Replenisher.
@@ -75,16 +74,14 @@ func (o ReplenishOptions) maxBackoff() time.Duration {
 }
 
 // Replenisher keeps a set of peer-paired pools above their low watermark
-// by running remote offline sessions in the background: low-watermark
-// polling, jittered exponential backoff on transient failures, and a
-// Kick hook for draw-miss triggers. One goroutine serves all keys —
-// replenishment is offline-phase heavy, so sessions are sequential by
-// design.
+// by running replenishment sessions in the background: low-watermark
+// polling and jittered exponential backoff on transient failures. One
+// goroutine serves all keys — replenishment is offline-phase heavy, so
+// sessions are sequential by design.
 type Replenisher struct {
 	opts   ReplenishOptions
 	ctx    context.Context
 	cancel context.CancelFunc
-	kick   chan struct{}
 	wg     sync.WaitGroup
 
 	mu      sync.Mutex
@@ -104,22 +101,13 @@ func NewReplenisher(opts ReplenishOptions) (*Replenisher, error) {
 		return nil, fmt.Errorf("bank: replenisher requires at least one pool key")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	return &Replenisher{opts: opts, ctx: ctx, cancel: cancel, kick: make(chan struct{}, 1)}, nil
+	return &Replenisher{opts: opts, ctx: ctx, cancel: cancel}, nil
 }
 
 // Start launches the background loop. Call once.
 func (r *Replenisher) Start() {
 	r.wg.Add(1)
 	go r.loop()
-}
-
-// Kick requests an immediate watermark check (e.g. after a draw miss),
-// bypassing the poll interval. Never blocks.
-func (r *Replenisher) Kick() {
-	select {
-	case r.kick <- struct{}{}:
-	default:
-	}
 }
 
 // Backoff reports the current failure backoff (0 when healthy).
@@ -146,9 +134,8 @@ func (r *Replenisher) loop() {
 		case <-r.ctx.Done():
 			return
 		case <-t.C:
-		case <-r.kick:
+			r.sweep()
 		}
-		r.sweep()
 	}
 }
 

@@ -142,41 +142,3 @@ func TestReplenisherBackoff(t *testing.T) {
 		t.Fatalf("backoff %v after a successful round, want 0", d)
 	}
 }
-
-// TestReplenisherKick: a draw-miss style Kick wakes the loop without
-// waiting for the poll interval.
-func TestReplenisherKick(t *testing.T) {
-	dir := t.TempDir()
-	b, st, key := durableBank(t, dir, Options{Capacity: 2})
-	defer b.Close()
-	defer st.Close()
-
-	ran := make(chan struct{}, 1)
-	r, err := NewReplenisher(ReplenishOptions{
-		Bank: b, Keys: []Key{key},
-		Interval: time.Hour, // only a Kick can wake it
-		Run: func(ctx context.Context, k Key, n int) (int, error) {
-			select {
-			case ran <- struct{}{}:
-			default:
-			}
-			for i := 0; i < n; i++ {
-				if err := st.Append(Scope{Key: k}, NewCorrID(), []byte{1}); err != nil {
-					return i, err
-				}
-			}
-			return n, nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Start()
-	defer r.Close()
-	r.Kick()
-	select {
-	case <-ran:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Kick did not wake the replenisher")
-	}
-}

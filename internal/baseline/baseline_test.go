@@ -1,6 +1,8 @@
 package baseline
 
 import (
+	"bytes"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -113,6 +115,73 @@ func TestMiniONNTriplets(t *testing.T) {
 	}
 	if meter.Snapshot().TotalBytes() == 0 {
 		t.Fatal("no traffic recorded")
+	}
+}
+
+// tapeConn keeps a copy of every message its party sends.
+type tapeConn struct {
+	transport.Conn
+	sent [][]byte
+}
+
+func (c *tapeConn) Send(msg []byte) error {
+	c.sent = append(c.sent, append([]byte(nil), msg...))
+	return c.Conn.Send(msg)
+}
+
+// minionnTranscript runs one seeded MiniONN set-up and matmul under the
+// given GOMAXPROCS and returns everything each party sent.
+func minionnTranscript(t *testing.T, procs int) (client, server [][]byte) {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	rg := ring.New(32)
+	a, b := transport.Pipe()
+	defer a.Close()
+	ca, cb := &tapeConn{Conn: a}, &tapeConn{Conn: b}
+	const m, n, o = 3, 4, 2
+	g := prg.New(prg.SeedFromInt(6))
+	W := make([]int64, m*n)
+	for i := range W {
+		W[i] = int64(g.Intn(255)) - 127
+	}
+	R := g.Mat(rg, n, o)
+	cerr := make(chan error, 1)
+	go func() {
+		cl, err := NewMiniONNClient(ca, rg, 512, prg.New(prg.SeedFromInt(4)))
+		if err == nil {
+			_, err = cl.GenerateClient(m, R)
+		}
+		cerr <- err
+	}()
+	sv, err := NewMiniONNServer(cb, rg, prg.New(prg.SeedFromInt(5)))
+	if err == nil {
+		_, err = sv.GenerateServer(W, m, n, o)
+	}
+	if cerr := <-cerr; cerr != nil || err != nil {
+		t.Fatalf("GOMAXPROCS=%d: client %v, server %v", procs, cerr, err)
+	}
+	return ca.sent, cb.sent
+}
+
+// TestMiniONNTranscriptIgnoresGOMAXPROCS: with both parties seeded, every
+// byte either sends — public key, ciphertexts, response — is the same on
+// one CPU as on four: each ciphertext's randomness comes from its own
+// child PRG, derived in index order, not from whichever worker ran it.
+func TestMiniONNTranscriptIgnoresGOMAXPROCS(t *testing.T) {
+	c1, s1 := minionnTranscript(t, 1)
+	c4, s4 := minionnTranscript(t, 4)
+	for _, side := range []struct {
+		party  string
+		p1, p4 [][]byte
+	}{{"client", c1, c4}, {"server", s1, s4}} {
+		if len(side.p1) != len(side.p4) {
+			t.Fatalf("%s sent %d messages under GOMAXPROCS=1, %d under 4", side.party, len(side.p1), len(side.p4))
+		}
+		for i := range side.p1 {
+			if !bytes.Equal(side.p1[i], side.p4[i]) {
+				t.Errorf("%s message %d (%d bytes) differs between GOMAXPROCS=1 and 4", side.party, i, len(side.p1[i]))
+			}
+		}
 	}
 }
 

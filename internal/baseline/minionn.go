@@ -3,10 +3,9 @@ package baseline
 import (
 	"fmt"
 	"math/big"
-	"runtime"
-	"sync"
 
 	"abnn2/internal/paillier"
+	"abnn2/internal/par"
 	"abnn2/internal/prg"
 	"abnn2/internal/ring"
 	"abnn2/internal/transport"
@@ -82,16 +81,20 @@ func (c *MiniONNClient) GenerateClient(m int, R *ring.Mat) (*ring.Mat, error) {
 	pk := &c.sk.PublicKey
 	n, o := R.Rows, R.Cols
 	ctBytes := pk.CiphertextBytes()
-	// Encrypt all n*o share elements.
+	// Encrypt all n*o share elements, each under its own child PRG, seeded
+	// here in index order: a seeded transcript does not depend on how the
+	// encryptions are scheduled.
+	seeds := c.rng.Bytes(n * o * prg.SeedSize)
 	msg := make([]byte, n*o*ctBytes)
-	if err := parallelFor(n*o, func(idx int, rng *prg.PRG) error {
+	if err := forEach(n*o, func(idx int) error {
+		rng := prg.New(prg.Seed(seeds[idx*prg.SeedSize:]))
 		ct, err := pk.Encrypt(rng, new(big.Int).SetUint64(R.Data[idx]))
 		if err != nil {
 			return err
 		}
 		copy(msg[idx*ctBytes:], pk.Marshal(ct))
 		return nil
-	}, c.rng); err != nil {
+	}); err != nil {
 		return nil, fmt.Errorf("baseline: minionn encrypt: %w", err)
 	}
 	if err := c.conn.Send(msg); err != nil {
@@ -105,7 +108,7 @@ func (c *MiniONNClient) GenerateClient(m int, R *ring.Mat) (*ring.Mat, error) {
 		return nil, fmt.Errorf("baseline: minionn response is %d bytes, want %d", len(resp), m*o*ctBytes)
 	}
 	V := ring.NewMat(m, o)
-	if err := parallelFor(m*o, func(idx int, _ *prg.PRG) error {
+	if err := forEach(m*o, func(idx int) error {
 		ct, err := pk.Unmarshal(resp[idx*ctBytes : (idx+1)*ctBytes])
 		if err != nil {
 			return err
@@ -113,7 +116,7 @@ func (c *MiniONNClient) GenerateClient(m int, R *ring.Mat) (*ring.Mat, error) {
 		plain := c.sk.Decrypt(ct)
 		V.Data[idx] = plain.Uint64() & c.rg.Mask() // low l bits are exact
 		return nil
-	}, c.rng); err != nil {
+	}); err != nil {
 		return nil, err
 	}
 	return V, nil
@@ -135,14 +138,14 @@ func (s *MiniONNServer) GenerateServer(W []int64, m, n, o int) (*ring.Mat, error
 		return nil, fmt.Errorf("baseline: minionn ciphertexts are %d bytes, want %d", len(raw), n*o*ctBytes)
 	}
 	cts := make([]*paillier.Ciphertext, n*o)
-	if err := parallelFor(n*o, func(idx int, _ *prg.PRG) error {
+	if err := forEach(n*o, func(idx int) error {
 		ct, err := pk.Unmarshal(raw[idx*ctBytes : (idx+1)*ctBytes])
 		if err != nil {
 			return err
 		}
 		cts[idx] = ct
 		return nil
-	}, s.rng); err != nil {
+	}); err != nil {
 		return nil, err
 	}
 	// Mask window: |w.r| < n * 2^eta * 2^l; pick G with slack.
@@ -156,7 +159,7 @@ func (s *MiniONNServer) GenerateServer(W []int64, m, n, o int) (*ring.Mat, error
 		r := new(big.Int).SetBytes(s.rng.Bytes(int(gBits) / 8))
 		masks[idx] = r.Add(r, base)
 	}
-	if err := parallelFor(m*o, func(idx int, _ *prg.PRG) error {
+	if err := forEach(m*o, func(idx int) error {
 		i, k := idx/o, idx%o
 		// acc = Enc(w_i0 * r_0k + mask), then fold the remaining terms.
 		acc := pk.AddPlain(pk.MulConst(cts[0*o+k], big.NewInt(W[i*n+0])), masks[idx])
@@ -166,7 +169,7 @@ func (s *MiniONNServer) GenerateServer(W []int64, m, n, o int) (*ring.Mat, error
 		copy(resp[idx*ctBytes:], pk.Marshal(acc))
 		U.Data[idx] = s.rg.Neg(s.rg.Reduce(masks[idx].Uint64()))
 		return nil
-	}, s.rng); err != nil {
+	}); err != nil {
 		return nil, err
 	}
 	if err := s.conn.Send(resp); err != nil {
@@ -175,50 +178,15 @@ func (s *MiniONNServer) GenerateServer(W []int64, m, n, o int) (*ring.Mat, error
 	return U, nil
 }
 
-// parallelFor runs fn over [0, n) across cores. Each worker gets an
-// independent child PRG derived from rng so results are deterministic
-// up to index partitioning (each index derives its own PRG).
-func parallelFor(n int, fn func(idx int, rng *prg.PRG) error, rng *prg.PRG) error {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		g := rng.Child("par")
-		for i := 0; i < n; i++ {
-			if err := fn(i, g); err != nil {
+// forEach runs fn over [0, n) on the shared worker pool, one worker per
+// CPU, and returns the lowest-indexed chunk's error.
+func forEach(n int, fn func(idx int) error) error {
+	return par.ChunksErr(0, n, func(_, lo, hi int) error {
+		for idx := lo; idx < hi; idx++ {
+			if err := fn(idx); err != nil {
 				return err
 			}
 		}
 		return nil
-	}
-	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		ferr error
-	)
-	next := make(chan int, n)
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		g := rng.Child(fmt.Sprintf("par%d", w))
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				if err := fn(i, g); err != nil {
-					mu.Lock()
-					if ferr == nil {
-						ferr = err
-					}
-					mu.Unlock()
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return ferr
+	})
 }

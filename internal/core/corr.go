@@ -32,20 +32,14 @@ type ClientCorr struct {
 	Z1    []*ring.Mat // per layer; non-nil exactly for ReLU/pool layers
 }
 
-// OfflineCorr runs the server side of the offline phase for one batch and
-// returns the resulting correlation half without installing it anywhere.
-// It is the interactive part of ServerEngine.Offline, split out so a
-// precompute service can run it against the matching client generator
-// ahead of any session.
-func (s *ServerTriplets) OfflineCorr(model *nn.QuantizedModel, batch int) (*ServerCorr, error) {
-	return s.OfflineCorrSched(model, batch, nil)
-}
-
-// OfflineCorrSched is OfflineCorr under a per-layer backend schedule. A
-// nil schedule is the legacy all-ABNN2 path, byte-identical to
-// OfflineCorr. Every backend yields the same object — the layer's U
-// share — so the returned correlation is interchangeable downstream;
-// only the wire bytes spent producing it differ.
+// OfflineCorrSched runs the server side of the offline phase for one
+// batch under a per-layer backend schedule (nil = all-ABNN2) and returns
+// the resulting correlation half without installing it anywhere: the
+// engines call it on the request path, a precompute service against the
+// matching client generator ahead of any session. Every backend yields
+// the same object — the layer's U share — so the returned correlation is
+// interchangeable downstream; only the wire bytes spent producing it
+// differ.
 func (s *ServerTriplets) OfflineCorrSched(model *nn.QuantizedModel, batch int, sched Schedule) (*ServerCorr, error) {
 	if batch <= 0 {
 		return nil, fmt.Errorf("core: batch must be positive")
@@ -110,18 +104,12 @@ func (s *ServerTriplets) generateLayer(ch LayerChoice, sh MatShape, W []int64) (
 	return nil, fmt.Errorf("core: unknown backend %d", uint8(ch.Backend))
 }
 
-// OfflineCorr runs the client side of the offline phase: it samples the
-// input mask and every future activation share from shareRNG (the triplet
-// masking randomness comes from the generator's own stream), then
-// generates the matching triplets layer by layer.
-func (c *ClientTriplets) OfflineCorr(arch Arch, shareRNG *prg.PRG, batch int) (*ClientCorr, error) {
-	return c.OfflineCorrSched(arch, shareRNG, batch, nil)
-}
-
-// OfflineCorrSched is OfflineCorr under a per-layer backend schedule
-// (nil = all-ABNN2, byte-identical to OfflineCorr). The share sampling
-// from shareRNG is schedule-independent, so the same seed yields the
-// same R0/Z1 under every schedule.
+// OfflineCorrSched runs the client side of the offline phase: it samples
+// the input mask and every future activation share from shareRNG (the
+// triplet masking randomness comes from the generator's own stream), then
+// generates the matching triplets layer by layer under the schedule (nil
+// = all-ABNN2). The share sampling is schedule-independent, so the same
+// seed yields the same R0/Z1 under every schedule.
 func (c *ClientTriplets) OfflineCorrSched(arch Arch, shareRNG *prg.PRG, batch int, sched Schedule) (*ClientCorr, error) {
 	if batch <= 0 {
 		return nil, fmt.Errorf("core: batch must be positive")

@@ -306,37 +306,46 @@ func (e *ClientEngine) SetSchedule(s Schedule) error {
 }
 
 // Offline runs the server's data-independent phase for one batch of the
-// given size. It may be called again after Online to provision the next
-// batch. Sessions drawing from a precompute bank skip it and InstallCorr
-// a pre-generated half instead.
-func (e *ServerEngine) Offline(batch int) (err error) {
-	if batch <= 0 {
-		return fmt.Errorf("core: batch must be positive")
-	}
-	sp := e.params.Trace.Start("offline").SetBatch(batch)
-	defer func() { sp.End(err) }()
-	corr, err := e.trip.OfflineCorrSched(e.model, batch, e.sched)
+// given size and arms the engine with the result. It may be called again
+// after Online to provision the next batch. Sessions drawing from a
+// precompute bank skip it and InstallCorr a pre-generated half instead.
+func (e *ServerEngine) Offline(batch int) error {
+	corr, err := e.OfflineCorr(batch)
 	if err != nil {
 		return err
 	}
 	return e.InstallCorr(corr)
 }
 
-// Offline runs the client's data-independent phase: it samples the input
-// mask and every future activation share, then generates the matching
-// triplets layer by layer. Sessions drawing from a precompute bank skip
-// it and InstallCorr a pre-generated half instead.
-func (e *ClientEngine) Offline(batch int) (err error) {
-	if batch <= 0 {
-		return fmt.Errorf("core: batch must be positive")
-	}
+// OfflineCorr is the interactive half of Offline: it runs the offline
+// phase under the engine's generators and schedule and returns the
+// correlation half without installing it, so a session can generate
+// material for a later one (see internal/bank). The engine's installed
+// state is untouched.
+func (e *ServerEngine) OfflineCorr(batch int) (corr *ServerCorr, err error) {
 	sp := e.params.Trace.Start("offline").SetBatch(batch)
 	defer func() { sp.End(err) }()
-	corr, err := e.trip.OfflineCorrSched(e.arch, e.rng, batch, e.sched)
+	return e.trip.OfflineCorrSched(e.model, batch, e.sched)
+}
+
+// Offline runs the client's data-independent phase: it samples the input
+// mask and every future activation share, then generates the matching
+// triplets layer by layer, and arms the engine with the result. Sessions
+// drawing from a precompute bank skip it and InstallCorr a pre-generated
+// half instead.
+func (e *ClientEngine) Offline(batch int) error {
+	corr, err := e.OfflineCorr(batch)
 	if err != nil {
 		return err
 	}
 	return e.InstallCorr(corr)
+}
+
+// OfflineCorr is the client-side counterpart of the server's OfflineCorr.
+func (e *ClientEngine) OfflineCorr(batch int) (corr *ClientCorr, err error) {
+	sp := e.params.Trace.Start("offline").SetBatch(batch)
+	defer func() { sp.End(err) }()
+	return e.trip.OfflineCorrSched(e.arch, e.rng, batch, e.sched)
 }
 
 // Online runs one inference batch on the server side, consuming the

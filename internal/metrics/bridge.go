@@ -1,10 +1,6 @@
 package metrics
 
-import (
-	"time"
-
-	"abnn2/internal/trace"
-)
+import "abnn2/internal/trace"
 
 // ServerMetrics is the standard metric set of a serving process. It
 // doubles as a trace.Sink: pointed at by Config.Trace, every completed
@@ -12,15 +8,13 @@ import (
 // reflects exactly what the span dump records.
 //
 // Byte/message/flight totals accumulate root spans only (setup, idle,
-// batch): root spans partition a session's traffic, while nested spans
-// overlap their parents and would double count. The per-phase families
-// accumulate every span under its own phase name, which is the live view
-// of the paper's per-phase breakdown tables.
+// batch, offline-replenish): root spans partition a session's traffic,
+// while nested spans overlap their parents and would double count. The
+// per-phase families accumulate every span under its own phase name, which
+// is the live view of the paper's per-phase breakdown tables.
 type ServerMetrics struct {
-	ConnsTotal    *Counter
-	ConnsActive   *Gauge
-	ConnsRejected *Counter
-	SessionsFail  *Counter
+	ConnsTotal  *Counter
+	ConnsActive *Gauge
 
 	BytesSent  *Counter
 	BytesRecvd *Counter
@@ -41,10 +35,8 @@ type ServerMetrics struct {
 // NewServerMetrics registers the standard series on r.
 func NewServerMetrics(r *Registry) *ServerMetrics {
 	return &ServerMetrics{
-		ConnsTotal:    r.NewCounter("abnn2_connections_total", "Client connections accepted."),
-		ConnsActive:   r.NewGauge("abnn2_connections_active", "Client sessions currently being served."),
-		ConnsRejected: r.NewCounter("abnn2_connections_rejected_total", "Connections rejected at the concurrency cap."),
-		SessionsFail:  r.NewCounter("abnn2_sessions_failed_total", "Sessions that ended with a protocol error."),
+		ConnsTotal:  r.NewCounter("abnn2_connections_total", "Client connections accepted."),
+		ConnsActive: r.NewGauge("abnn2_connections_active", "Client connections currently open."),
 
 		BytesSent:  r.NewCounter("abnn2_bytes_sent_total", "Protocol bytes sent to clients."),
 		BytesRecvd: r.NewCounter("abnn2_bytes_received_total", "Protocol bytes received from clients."),
@@ -81,12 +73,4 @@ func (m *ServerMetrics) Emit(s trace.Span) {
 	if s.Err != "" {
 		m.SpanErrors.Inc()
 	}
-}
-
-// ObserveSession records a finished session: its outcome and lifetime.
-func (m *ServerMetrics) ObserveSession(err error, d time.Duration) {
-	if err != nil {
-		m.SessionsFail.Inc()
-	}
-	m.SessionSeconds.Observe(d.Seconds())
 }

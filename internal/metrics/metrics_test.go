@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"abnn2/internal/trace"
 )
@@ -197,7 +196,7 @@ func TestServerMetricsBridge(t *testing.T) {
 	batch.End(nil)
 
 	sm.ConnsTotal.Inc()
-	sm.ObserveSession(nil, 50*time.Millisecond)
+	sm.SessionSeconds.Observe(0.05)
 
 	if got := sm.BytesSent.Value(); got != 1300 {
 		t.Fatalf("bytes sent = %d, want 1300 (roots only)", got)

@@ -7,10 +7,12 @@ import (
 	"time"
 
 	"abnn2"
+	"abnn2/internal/metrics"
 )
 
-// Durable serving suite: the runtime's offline-session handshake branch,
-// recovery-gated readiness, and the drain-time claim journal flush.
+// Durable serving suite: offline-class sessions (what their hello is
+// refused for and how they are accounted), recovery-gated readiness, and
+// the drain-time claim journal flush.
 
 // durableRuntime builds a runtime whose bank persists to a fresh store
 // under dir, recovery already completed (synchronously, for test
@@ -54,33 +56,47 @@ func clientParty(t *testing.T) (*abnn2.BankStore, *abnn2.Bank) {
 	return st, b
 }
 
-// TestOfflineHandshakeAndSession: an offline hello is admitted, carries
-// the server's bank identity and peer id, and the replenished pool then
-// backs a peer-banked inference session through the normal handshake.
-func TestOfflineHandshakeAndSession(t *testing.T) {
-	rt, srvStore := durableRuntime(t, t.TempDir(), 4)
-	cliStore, cliBank := clientParty(t)
-
+// offlineSession opens an offline-class session against rt in process —
+// hello, then Dial onto the pool shared with the server — proposing plan p
+// in both (nil proposes none).
+func offlineSession(t *testing.T, rt *Runtime, cliBank *abnn2.Bank, p *abnn2.Plan) (*abnn2.Client, HandshakeInfo) {
+	t.Helper()
+	h := hello{V: helloVersion, Offline: true}
+	if p != nil {
+		h.Plan = p.Marshal()
+	}
 	sconn, cconn := abnn2.Pipe()
 	go func() { _ = rt.HandleConn(context.Background(), sconn, "inproc") }()
-	info, err := clientHandshake(cconn, hello{V: helloVersion, Offline: true, Peer: cliStore.PeerID().String()})
+	info, err := clientHandshake(cconn, h)
 	if err != nil {
+		cconn.Close()
 		t.Fatalf("offline handshake: %v", err)
 	}
+	client, err := abnn2.Dial(cconn, info.Arch, abnn2.Config{RingBits: 32, RoundTimeout: testRoundTimeout,
+		Bank: cliBank, BankModel: info.BankID, BankPeer: info.Peer, Plan: p})
+	if err != nil {
+		cconn.Close()
+		t.Fatalf("offline session dial: %v", err)
+	}
+	return client, info
+}
+
+// TestOfflineHandshakeAndSession: an offline hello is admitted, carries
+// the server's bank identity and peer id, and the pool its session
+// prefetched then backs a peer-banked inference session through the
+// normal handshake.
+func TestOfflineHandshakeAndSession(t *testing.T) {
+	rt, srvStore := durableRuntime(t, t.TempDir(), 4)
+	_, cliBank := clientParty(t)
+
+	client, info := offlineSession(t, rt, cliBank, nil)
 	if info.BankID == "" || info.Peer != srvStore.PeerID().String() {
 		t.Fatalf("offline handshake info incomplete: bank=%q peer=%q", info.BankID, info.Peer)
 	}
-	serverPeer, err := abnn2.ParseBankPeerID(info.Peer)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ccfg := abnn2.Config{RingBits: 32, RoundTimeout: testRoundTimeout,
-		Bank: cliBank, BankModel: info.BankID}
-	got, err := abnn2.ReplenishSession(context.Background(), cconn, info.Arch, ccfg,
-		serverPeer, 2, 2)
-	cconn.Close()
+	got, err := client.Prefetch(2, 2)
+	client.Close()
 	if err != nil || got != 2 {
-		t.Fatalf("replenish: got=%d err=%v", got, err)
+		t.Fatalf("prefetch: got=%d err=%v", got, err)
 	}
 
 	// The stored pairs back real sessions through the normal handshake.
@@ -115,8 +131,107 @@ func TestOfflineHandshakeAndSession(t *testing.T) {
 	}
 }
 
-// TestOfflineHandshakeRejections: offline hellos are refused without a
-// durable bank (permanent) and with a malformed peer id (permanent).
+// TestOfflineSessionPlanned: an offline hello proposing a plan is admitted
+// like an inference hello proposing one; the session prefetches under that
+// plan, and a planned inference session then runs banked-only from the
+// pool it filled and predicts like plaintext. A plan the model cannot run
+// is refused for an offline hello with the code an inference hello gets.
+func TestOfflineSessionPlanned(t *testing.T) {
+	rt, _ := durableRuntime(t, t.TempDir(), 4)
+	_, cliBank := clientParty(t)
+	p := testPlan()
+
+	client, info := offlineSession(t, rt, cliBank, p)
+	got, err := client.Prefetch(2, 1)
+	client.Close()
+	if err != nil || got != 1 {
+		t.Fatalf("planned prefetch: got=%d err=%v", got, err)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	conn, arch, err := rt.ConnectPlan(ctx, "", p)
+	if err != nil {
+		t.Fatalf("planned connect: %v", err)
+	}
+	client, err = abnn2.Dial(conn, arch, abnn2.Config{RingBits: 32, RoundTimeout: testRoundTimeout,
+		Bank: cliBank, OfflineMode: abnn2.OfflineBanked, BankModel: info.BankID, BankPeer: info.Peer, Plan: p})
+	if err != nil {
+		conn.Close()
+		t.Fatalf("planned dial: %v", err)
+	}
+	defer client.Close()
+	classes, err := client.Classify(testInputs(2))
+	if err != nil {
+		t.Fatalf("planned classify from the prefetched pool: %v", err)
+	}
+	qm, _ := rt.Registry().Get("")
+	for k, x := range testInputs(2) {
+		if want := qm.Quant.Predict(x); classes[k] != want {
+			t.Errorf("input %d: planned peer-banked %d, plaintext %d", k, classes[k], want)
+		}
+	}
+
+	sconn, cconn := abnn2.Pipe()
+	defer cconn.Close()
+	go func() { _ = rt.HandleConn(context.Background(), sconn, "inproc") }()
+	short := &abnn2.Plan{Layers: p.Layers[:1]}
+	_, err = clientHandshake(cconn, hello{V: helloVersion, Offline: true, Plan: short.Marshal()})
+	var rej *RejectError
+	if !errors.As(err, &rej) || rej.Rejection.Code != RejectBadPlan {
+		t.Fatalf("offline hello with an infeasible plan: %v, want %s", err, RejectBadPlan)
+	}
+}
+
+// TestOfflineSessionAccounting: a replenishment session is booked under
+// its own counters and kept out of everything that measures predictions —
+// the SLO burn rate, the session-latency histogram, the session counters,
+// abnn2_batches_total and abnn2_inference_seconds — while each of its
+// store batches is one offline-replenish root span on the server's trace.
+func TestOfflineSessionAccounting(t *testing.T) {
+	_, b := clientParty(t) // a recovered store and its bank: the server's here
+	reg := metrics.NewRegistry()
+	m, sm, spans := NewMetrics(reg), metrics.NewServerMetrics(reg), abnn2.NewTraceCollector()
+	// An SLO no session can meet: every session measured against it breaches.
+	rt := testRuntime(t, Options{Bank: b, Metrics: m, SLO: time.Nanosecond,
+		Session: abnn2.Config{Trace: abnn2.MultiTraceSink(sm, spans)}})
+	_, cliBank := clientParty(t)
+
+	client, _ := offlineSession(t, rt, cliBank, nil)
+	got, err := client.Prefetch(2, 2)
+	client.Close()
+	if err != nil || got != 2 {
+		t.Fatalf("prefetch: got=%d err=%v", got, err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := rt.Drain(ctx); err != nil { // the server side of the session has finished
+		t.Fatal(err)
+	}
+
+	if total, failed := m.OfflineTotal.Value(), m.OfflineFailed.Value(); total != 1 || failed != 0 {
+		t.Errorf("offline sessions: %d admitted, %d failed; want 1, 0", total, failed)
+	}
+	if n := m.SessionsTotal.With("m0").Value() + m.SessionsFailed.Value() + m.SLOSessions.Value() + m.SLOBreaches.With("m0").Value(); n != 0 {
+		t.Errorf("the replenishment session moved inference session or SLO counters by %d", n)
+	}
+	if n := m.SessionLatency.With("m0").Count(); n != 0 {
+		t.Errorf("the replenishment session was observed %d times in the session-latency histogram", n)
+	}
+	if n, obs := sm.Batches.Value(), sm.Inference.Count(); n != 0 || obs != 0 {
+		t.Errorf("two store batches moved abnn2_batches_total by %d and abnn2_inference_seconds by %d", n, obs)
+	}
+	roots := map[string]int{}
+	for _, sp := range abnn2.TraceRoots(spans.Spans()) {
+		roots[sp.Name]++
+	}
+	if roots["offline-replenish"] != 2 || roots["batch"] != 0 || roots["admission"] != 0 {
+		t.Errorf("server root spans %v, want two offline-replenish, no batch, no admission", roots)
+	}
+}
+
+// TestOfflineHandshakeRejections: an offline hello is refused without a
+// durable bank, permanently and before any session work.
 func TestOfflineHandshakeRejections(t *testing.T) {
 	t.Run("no-store", func(t *testing.T) {
 		b := abnn2.NewBank(abnn2.BankOptions{Capacity: 2})
@@ -125,21 +240,10 @@ func TestOfflineHandshakeRejections(t *testing.T) {
 		sconn, cconn := abnn2.Pipe()
 		defer cconn.Close()
 		go func() { _ = rt.HandleConn(context.Background(), sconn, "inproc") }()
-		_, err := clientHandshake(cconn, hello{V: helloVersion, Offline: true, Peer: abnn2.BankPeerID{1}.String()})
+		_, err := clientHandshake(cconn, hello{V: helloVersion, Offline: true})
 		var rej *RejectError
-		if !errors.As(err, &rej) || rej.Temporary() {
-			t.Fatalf("offline hello without a store: %v, want permanent rejection", err)
-		}
-	})
-	t.Run("bad-peer", func(t *testing.T) {
-		rt, _ := durableRuntime(t, t.TempDir(), 2)
-		sconn, cconn := abnn2.Pipe()
-		defer cconn.Close()
-		go func() { _ = rt.HandleConn(context.Background(), sconn, "inproc") }()
-		_, err := clientHandshake(cconn, hello{V: helloVersion, Offline: true, Peer: "not-a-peer-id"})
-		var rej *RejectError
-		if !errors.As(err, &rej) || rej.Temporary() {
-			t.Fatalf("offline hello with a bad peer: %v, want permanent rejection", err)
+		if !errors.As(err, &rej) || rej.Temporary() || rej.Rejection.Code != RejectBadHello {
+			t.Fatalf("offline hello without a store: %v, want permanent %s", err, RejectBadHello)
 		}
 	})
 }
@@ -179,11 +283,11 @@ func TestRecoveryGatesReadiness(t *testing.T) {
 	}
 	sconn, cconn := abnn2.Pipe()
 	go func() { _ = rt.HandleConn(context.Background(), sconn, "inproc") }()
-	_, herr := clientHandshake(cconn, hello{V: helloVersion, Offline: true, Peer: abnn2.BankPeerID{1}.String()})
+	_, herr := clientHandshake(cconn, hello{V: helloVersion, Offline: true})
 	cconn.Close()
 	var rej *RejectError
-	if !errors.As(herr, &rej) || !rej.Temporary() {
-		t.Fatalf("offline hello during recovery: %v, want retryable rejection", herr)
+	if !errors.As(herr, &rej) || !rej.Temporary() || rej.Rejection.Code != RejectBankDry || rej.Rejection.RetryAfter() <= 0 {
+		t.Fatalf("offline hello during recovery: %v, want a hinted retryable %s", herr, RejectBankDry)
 	}
 
 	rt.StartRecovery(st)
@@ -282,7 +386,7 @@ func TestOfflineHelloShedLikeInference(t *testing.T) {
 		codes := make([]string, 0, 2)
 		for _, h := range []hello{
 			{V: helloVersion},
-			{V: helloVersion, Offline: true, Peer: abnn2.BankPeerID{1}.String()},
+			{V: helloVersion, Offline: true},
 		} {
 			sconn, cconn := abnn2.Pipe()
 			go func() { _ = rt.HandleConn(ctx, sconn, "inproc") }()

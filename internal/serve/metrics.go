@@ -82,37 +82,31 @@ func (m *Metrics) degraded() {
 	}
 }
 
-func (m *Metrics) sessionStart(model string) {
-	if m != nil {
-		m.SessionsActive.Add(1)
+// sessionStart and sessionEnd book one admitted session under its class:
+// replenishment sessions have their own pair of counters.
+func (m *Metrics) sessionStart(model string, offline bool) {
+	if m == nil {
+		return
+	}
+	m.SessionsActive.Add(1)
+	if offline {
+		m.OfflineTotal.Inc()
+	} else {
 		m.SessionsTotal.With(model).Inc()
 	}
 }
 
-func (m *Metrics) sessionEnd(err error) {
+func (m *Metrics) sessionEnd(err error, offline bool) {
 	if m == nil {
 		return
 	}
 	m.SessionsActive.Add(-1)
-	if err != nil {
-		m.SessionsFailed.Inc()
-	}
-}
-
-func (m *Metrics) offlineStart() {
-	if m != nil {
-		m.SessionsActive.Add(1)
-		m.OfflineTotal.Inc()
-	}
-}
-
-func (m *Metrics) offlineEnd(err error) {
-	if m == nil {
-		return
-	}
-	m.SessionsActive.Add(-1)
-	if err != nil {
+	switch {
+	case err == nil:
+	case offline:
 		m.OfflineFailed.Inc()
+	default:
+		m.SessionsFailed.Inc()
 	}
 }
 

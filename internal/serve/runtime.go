@@ -350,13 +350,9 @@ func (rt *Runtime) HandleConn(ctx context.Context, conn abnn2.Conn, remote strin
 	}
 	// What the hello asks for is checked before admission: a request this
 	// server can never serve is refused without taking a slot.
-	var sessPlan *abnn2.Plan
-	var peer abnn2.BankPeerID
-	var rej *Rejection
-	if h.Offline {
-		peer, rej = rt.checkOffline(h)
-	} else {
-		sessPlan, rej = rt.checkPlan(model, h)
+	sessPlan, rej := rt.checkPlan(model, h)
+	if rej == nil && h.Offline {
+		rej = rt.checkOffline()
 	}
 	if rej != nil {
 		return rt.reject(conn, remote, *rej)
@@ -390,39 +386,47 @@ func (rt *Runtime) HandleConn(ctx context.Context, conn abnn2.Conn, remote strin
 
 	cfg := rt.session
 	cfg.SessionID = id
-	if h.Offline {
-		return rt.serveOffline(ctx, conn, remote, model, cfg, peer)
-	}
 	if degraded {
 		rt.m.degraded()
 		rt.log.Info("admitted degraded (pools dry, inline offline)",
 			"session", id, "model", model.Name, "remote", remote)
 	}
-	rt.emitAdmission(id, hsStart)
 	if sessPlan != nil {
 		// The admitted plan becomes the session's requirement: every
 		// batch announcement must carry this exact plan.
 		cfg.Plan = sessPlan
 	}
-	rt.m.sessionStart(model.Name)
+	// The hello's class selects how the session is accounted, not what
+	// runs: a replenishment session stays out of the latency SLO, the
+	// session-latency histogram and the timeline's queue class — how long
+	// it runs is the client's choice of how much to prefetch.
+	slo := rt.slo
+	if h.Offline {
+		slo = 0
+	} else {
+		rt.emitAdmission(id, hsStart)
+	}
+	rt.m.sessionStart(model.Name, h.Offline)
 	start := time.Now()
 	stats, err := abnn2.ServeContext(ctx, conn, model.Quant, cfg)
 	elapsed := time.Since(start)
-	rt.m.sessionEnd(err)
-	rt.m.observeSession(model.Name, elapsed, rt.slo)
+	rt.m.sessionEnd(err, h.Offline)
+	if !h.Offline {
+		rt.m.observeSession(model.Name, elapsed, slo)
+	}
 	if err != nil {
-		rt.diag.sessionAnomaly("error", id, model.Name, remote, elapsed, rt.slo, err)
+		rt.diag.sessionAnomaly("error", id, model.Name, remote, elapsed, slo, err)
 		rt.log.Error("session failed", "session", id, "model", model.Name, "remote", remote,
-			"err", err, "bytes_sent", stats.BytesAB, "bytes_recvd", stats.BytesBA)
+			"offline", h.Offline, "err", err, "bytes_sent", stats.BytesAB, "bytes_recvd", stats.BytesBA)
 		return err
 	}
-	if rt.slo > 0 && elapsed > rt.slo {
-		rt.diag.sessionAnomaly("slo-breach", id, model.Name, remote, elapsed, rt.slo, nil)
+	if slo > 0 && elapsed > slo {
+		rt.diag.sessionAnomaly("slo-breach", id, model.Name, remote, elapsed, slo, nil)
 		rt.log.Warn("session breached latency SLO", "session", id, "model", model.Name,
-			"remote", remote, "elapsed", elapsed.Round(time.Millisecond), "slo", rt.slo)
+			"remote", remote, "elapsed", elapsed.Round(time.Millisecond), "slo", slo)
 	}
 	rt.log.Info("session done", "session", id, "model", model.Name, "remote", remote,
-		"bytes_sent", stats.BytesAB, "bytes_recvd", stats.BytesBA,
+		"offline", h.Offline, "bytes_sent", stats.BytesAB, "bytes_recvd", stats.BytesBA,
 		"dur", elapsed.Round(time.Millisecond))
 	return nil
 }
@@ -445,46 +449,15 @@ func (rt *Runtime) emitAdmission(id uint64, hsStart time.Time) {
 	})
 }
 
-// checkOffline validates an offline hello: it needs a server with a
-// durable store to keep the halves in, the client's peer id to keep them
-// under, and no plan — replenishment generates the all-ABNN2 session
-// material; planned pools are filled by planned online sessions.
-func (rt *Runtime) checkOffline(h hello) (peer abnn2.BankPeerID, _ *Rejection) {
-	if len(h.Plan) > 0 {
-		return peer, &Rejection{Code: RejectBadPlan,
-			Reason: "offline replenishment sessions do not take a plan"}
-	}
+// checkOffline refuses an offline hello this server can never serve: one
+// without a durable store has nowhere to keep the halves, and saying so
+// here saves the client the session set-up it would spend to learn it
+// from the first store batch's nak.
+func (rt *Runtime) checkOffline() *Rejection {
 	if rt.bank == nil || rt.bank.Store() == nil {
-		return peer, &Rejection{Code: RejectBadHello,
+		return &Rejection{Code: RejectBadHello,
 			Reason: "offline sessions require a server with a durable bank store"}
 	}
-	peer, err := abnn2.ParseBankPeerID(h.Peer)
-	if err != nil {
-		return peer, &Rejection{Code: RejectBadHello,
-			Reason: "offline sessions require the client's bank peer id"}
-	}
-	return peer, nil
-}
-
-// serveOffline runs an admitted remote offline-replenishment session: the
-// client and this server run the real two-party offline protocol and
-// each durably stores its half of every correlation under the other's
-// peer id.
-func (rt *Runtime) serveOffline(ctx context.Context, conn abnn2.Conn, remote string, model *Model,
-	cfg abnn2.Config, peer abnn2.BankPeerID) error {
-	rt.m.offlineStart()
-	start := time.Now()
-	err := abnn2.ServeOfflineSession(ctx, conn, model.Quant, cfg, peer)
-	rt.m.offlineEnd(err)
-	if err != nil {
-		rt.diag.sessionAnomaly("error", cfg.SessionID, model.Name, remote, time.Since(start), 0, err)
-		rt.log.Error("offline session failed", "session", cfg.SessionID, "model", model.Name,
-			"remote", remote, "peer", peer.String(), "err", err)
-		return err
-	}
-	rt.log.Info("offline session done", "session", cfg.SessionID, "model", model.Name,
-		"remote", remote, "peer", peer.String(),
-		"dur", time.Since(start).Round(time.Millisecond))
 	return nil
 }
 

@@ -36,19 +36,19 @@ const helloVersion = 1
 const maxHelloBytes = 4096
 
 // hello is the client's opening flight: wire version and requested model
-// (empty selects the registry's default model). Offline asks for a
-// remote offline-replenishment session instead of an inference session;
-// it requires Peer, the client's durable bank identity, under which the
-// server will store its correlation halves. Plan, when present, is the
-// marshalled per-layer protocol plan the client intends to announce on
-// every batch; the server validates it against the model at admission —
-// a plan it cannot serve is refused in the handshake round, before any
-// base-OT work.
+// (empty selects the registry's default model). Offline declares a
+// replenishment session — one that will prefetch, not predict: the server
+// refuses it here, before any base-OT work, when it keeps no durable store
+// or the store is still recovering, and accounts it apart from inference
+// sessions; what runs after the handshake is the same session either way.
+// Plan, when present, is the marshalled per-layer protocol plan the client
+// intends to announce on every batch; the server validates it against the
+// model at admission — a plan it cannot serve is refused in the handshake
+// round, before any base-OT work.
 type hello struct {
 	V       int    `json:"abnn2"`
 	Model   string `json:"model,omitempty"`
 	Offline bool   `json:"offline,omitempty"`
-	Peer    string `json:"peer,omitempty"`
 	Plan    []byte `json:"plan,omitempty"`
 }
 
@@ -124,7 +124,7 @@ func (e *RejectError) Temporary() bool { return e.Rejection.Retryable }
 // HandshakeInfo is everything an admitted handshake tells the client:
 // the model's public architecture, and — when the server runs a durable
 // bank — the model's bank identity and the server's durable peer ID,
-// ready for abnn2.Config.BankModel/BankPeer or a replenish session.
+// ready for abnn2.Config.BankModel/BankPeer.
 type HandshakeInfo struct {
 	Model  string
 	Arch   abnn2.Arch
@@ -202,13 +202,11 @@ func DialModelInfo(ctx context.Context, addr, model string) (abnn2.Conn, Handsha
 	return dialHello(ctx, addr, hello{V: helloVersion, Model: model})
 }
 
-// DialOffline connects for a remote offline-replenishment session: peer
-// is this client's durable bank identity (hex). The same backpressure
-// handling as DialModelInfo applies; on success the connection is
-// admitted and ready for abnn2.ReplenishSession with the returned BankID
-// and Peer.
-func DialOffline(ctx context.Context, addr, model, peer string) (abnn2.Conn, HandshakeInfo, error) {
-	return dialHello(ctx, addr, hello{V: helloVersion, Model: model, Offline: true, Peer: peer})
+// DialOffline is DialModelInfo declaring a replenishment session (see
+// hello.Offline): on success the connection is admitted and ready for
+// abnn2.Dial with the returned BankID and Peer, then Client.Prefetch.
+func DialOffline(ctx context.Context, addr, model string) (abnn2.Conn, HandshakeInfo, error) {
+	return dialHello(ctx, addr, hello{V: helloVersion, Model: model, Offline: true})
 }
 
 func dialHello(ctx context.Context, addr string, h hello) (abnn2.Conn, HandshakeInfo, error) {

@@ -1,7 +1,6 @@
 package testkit
 
 import (
-	"context"
 	"fmt"
 	"testing"
 
@@ -12,10 +11,11 @@ import (
 )
 
 // The peer-banked arm of the differential sweep: correlations come from
-// a genuinely remote offline session — two separate durable stores
-// filled over a pipe by the real two-party offline protocol, no
-// in-process dealer anywhere — and the banked session then provisions
-// from them (OfflineBanked, so a silent inline fallback fails the run).
+// store batches between genuinely remote parties — two separate durable
+// stores filled over a pipe by the real two-party offline protocol on an
+// ordinary session (Serve + Dial + Prefetch), no in-process dealer
+// anywhere — and the banked session then provisions from them
+// (OfflineBanked, so a silent inline fallback fails the run).
 // Bit-identity with the inline run and the plaintext reference certifies
 // that the disk round trip and the peer-pairing protocol preserve the
 // correlations exactly.
@@ -38,9 +38,10 @@ func durableSweepParty(t *testing.T, seed uint64) (*abnn2.BankStore, *abnn2.Bank
 	return st, b
 }
 
-// runPeerBanked replenishes exactly one peer-paired correlation over an
-// in-memory pipe and executes the case provisioned from it.
-func runPeerBanked(t *testing.T, c *Case, optRelu bool) (*ring.Mat, error) {
+// runPeerBanked prefetches exactly one peer-paired correlation over an
+// in-memory pipe and executes the case provisioned from it, both sessions
+// under plan p (nil = all-ABNN2).
+func runPeerBanked(t *testing.T, c *Case, optRelu bool, p *abnn2.Plan) (*ring.Mat, error) {
 	t.Helper()
 	data, err := nn.MarshalQuantized(c.Model)
 	if err != nil {
@@ -55,32 +56,13 @@ func runPeerBanked(t *testing.T, c *Case, optRelu bool) (*ring.Mat, error) {
 		return nil, fmt.Errorf("model id: %w", err)
 	}
 	srvStore, srvBank := durableSweepParty(t, 0xE000+c.Seed)
-	cliStore, cliBank := durableSweepParty(t, 0xF000+c.Seed)
-
-	sconn, cconn := transport.Pipe()
-	scfg := abnn2.Config{RingBits: c.RingBits, Seed: 4*c.Seed + 3, Bank: srvBank}
-	ccfg := abnn2.Config{RingBits: c.RingBits, Seed: 4*c.Seed + 4, Bank: cliBank, BankModel: id}
-	srvErr := make(chan error, 1)
-	go func() {
-		err := abnn2.ServeOfflineSession(context.Background(), sconn, qm, scfg, cliStore.PeerID())
-		sconn.Close()
-		srvErr <- err
-	}()
-	got, err := abnn2.ReplenishSession(context.Background(), cconn, qm.Arch(), ccfg,
-		srvStore.PeerID(), c.Batch, 1)
-	cconn.Close()
-	if err != nil {
-		return nil, fmt.Errorf("replenish: %w", err)
-	}
-	if serr := <-srvErr; serr != nil {
-		return nil, fmt.Errorf("offline serve: %w", serr)
-	}
-	if got != 1 {
-		return nil, fmt.Errorf("replenished %d correlations, want 1", got)
-	}
-	return RunSecureCfg(c, 0, func(server bool, cfg *abnn2.Config) {
+	_, cliBank := durableSweepParty(t, 0xF000+c.Seed)
+	// peered points a session's two configs at the pool the parties share.
+	peered := func(server bool, cfg *abnn2.Config) {
 		cfg.OptimizedReLU = optRelu
 		cfg.OfflineMode = abnn2.OfflineBanked
+		cfg.Plan = p
+		cfg.MiniONNKeyBits = planSweepKeyBits
 		if server {
 			cfg.Bank = srvBank
 		} else {
@@ -88,7 +70,36 @@ func runPeerBanked(t *testing.T, c *Case, optRelu bool) (*ring.Mat, error) {
 			cfg.BankModel = id
 			cfg.BankPeer = srvStore.PeerID().String()
 		}
-	})
+	}
+
+	sconn, cconn := transport.Pipe()
+	scfg := abnn2.Config{RingBits: c.RingBits, Seed: 4*c.Seed + 3}
+	ccfg := abnn2.Config{RingBits: c.RingBits, Seed: 4*c.Seed + 4}
+	peered(true, &scfg)
+	peered(false, &ccfg)
+	srvErr := make(chan error, 1)
+	go func() {
+		_, err := abnn2.Serve(sconn, qm, scfg)
+		srvErr <- err
+	}()
+	client, err := abnn2.Dial(cconn, qm.Arch(), ccfg)
+	if err != nil {
+		cconn.Close()
+		<-srvErr
+		return nil, fmt.Errorf("prefetch dial: %w", err)
+	}
+	got, err := client.Prefetch(c.Batch, 1)
+	client.Close()
+	if serr := <-srvErr; serr != nil {
+		return nil, fmt.Errorf("prefetch server: %w", serr)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("prefetch: %w", err)
+	}
+	if got != 1 {
+		return nil, fmt.Errorf("prefetched %d correlations, want 1", got)
+	}
+	return RunSecureCfg(c, 0, peered)
 }
 
 // TestPeerBankedEquivalenceSweep: 40 consecutive seeds (one full pass
@@ -112,7 +123,7 @@ func TestPeerBankedEquivalenceSweep(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: inline run: %v", c.Desc(), err)
 					}
-					banked, err := runPeerBanked(t, c, v.opt)
+					banked, err := runPeerBanked(t, c, v.opt, nil)
 					if err != nil {
 						t.Fatalf("%s: peer-banked run: %v", c.Desc(), err)
 					}

@@ -211,3 +211,36 @@ func TestPlannedBankedSweep(t *testing.T) {
 		})
 	}
 }
+
+// TestPlannedPeerBankedSweep is TestPlannedBankedSweep between remote
+// parties: the same mixed-plan seeds, each prefetched under its plan by a
+// store batch over a pipe (two durable stores, no dealer) and then run
+// OfflineBanked from the plan-fingerprinted pool that batch filled. The
+// outputs must equal the plaintext ring reference.
+func TestPlannedPeerBankedSweep(t *testing.T) {
+	for seed := uint64(0); seed < 8; seed++ {
+		seed := seed
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			t.Parallel()
+			c := Generate(seed)
+			p, err := randomPlan(c)
+			if err != nil {
+				t.Fatalf("%s: draw plan: %v", c.Desc(), err)
+			}
+			out, err := runPeerBanked(t, c, false, p)
+			if err != nil {
+				t.Fatalf("%s: plan %s peer-banked: %v", c.Desc(), p, err)
+			}
+			rg := ring.New(c.RingBits)
+			for k, x := range c.Inputs {
+				want := c.Model.ForwardRing(rg, c.Model.EncodeInput(rg, x))
+				for i, w := range want {
+					if got := out.At(i, k); got != w {
+						t.Fatalf("%s: plan %s: output %d of sample %d: peer-banked %d, plaintext %d",
+							c.Desc(), p, i, k, got, w)
+					}
+				}
+			}
+		})
+	}
+}

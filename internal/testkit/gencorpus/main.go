@@ -285,29 +285,38 @@ func main() {
 
 	// Root package: the session layer's control frames (frames.go). One
 	// valid frame per layout and kind, then each length's neighbours and
-	// fills, which cover batch 0, batch > 1<<20 and the unknown mode bits.
+	// fills, which cover batch 0, batch > 1<<20 and the unknown mode bits;
+	// the store bit on its one layout and on the ones it is refused on.
 	// Drawn last of all, for the same reason.
 	inline := []byte{2, 0, 0, 0, 0x01}                          // batch 2, argmax
 	dealer := append([]byte{1, 0, 0, 0, 0x02}, g.Bytes(8)...)   // batch 1, plan follows
 	peered := append([]byte{0, 0, 16, 0, 0x03}, g.Bytes(24)...) // batch 1<<20, both bits
 	annEntries := []entry{{inline}, {dealer}, {peered},
 		{[]byte{1, 0, 16, 0, 0}}, // batch 1<<20 + 1
-		{[]byte{1, 0, 0, 0, 4}},  // first unknown mode bit
+		{[]byte{1, 0, 0, 0, 8}},  // first unknown mode bit
 	}
 	for _, n := range []int{len(inline), len(dealer), len(peered)} {
 		annEntries = append(annEntries, fills(n, g)...)
 	}
+	store := append([]byte{4, 0, 0, 0, 0x04}, g.Bytes(24)...) // batch 4, store
+	annEntries = append(annEntries, entry{store},
+		entry{append([]byte{4, 0, 0, 0, 0x06}, store[5:]...)}, // store, plan follows
+		entry{append([]byte{4, 0, 0, 0, 0x05}, store[5:]...)}, // store with argmax
+		entry{store[:13]}, // store on the loopback layout
+		entry{store[:5]},  // store on the inline layout
+	)
 	writeCorpus("testdata/fuzz/FuzzParseAnnouncement", annEntries)
 
-	req := append(append([]byte{'R'}, g.Bytes(8)...), 4, 0, 0, 0) // batch 4
-	offEntries := []entry{{req}, {[]byte{'D'}}, {[]byte{'D', 0}}, {[]byte{'X'}},
-		{append(append([]byte{'R'}, g.Bytes(8)...), 0, 0, 0, 0)}, // batch 0
-		{req[:len(req)-1]},
-		{[]byte{}},
-	}
+	// The replies to a store announcement: each kind at its one length and
+	// that length's neighbours, then what is no reply at all — the frames a
+	// client sent in the offline sessions this exchange replaced included.
+	var offEntries []entry
 	for _, kind := range []byte{'G', 'N', 'A'} {
 		reply := append([]byte{kind}, g.Bytes(8)...)
 		offEntries = append(offEntries, entry{reply}, entry{reply[:8]}, entry{append(reply, 0)})
 	}
+	req := append(append([]byte{'R'}, g.Bytes(8)...), 4, 0, 0, 0)
+	offEntries = append(offEntries, entry{req}, entry{req[:9]}, entry{[]byte{'D'}}, entry{[]byte{'G'}},
+		entry{append([]byte{'X'}, g.Bytes(8)...)}, entry{make([]byte, 9)}, entry{[]byte{}})
 	writeCorpus("testdata/fuzz/FuzzParseOfflineFrame", offEntries)
 }

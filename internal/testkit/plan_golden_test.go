@@ -20,8 +20,11 @@ import (
 //     of the secret inputs: same seeds, different client inputs, same
 //     flight sizes in the same order.
 //
-// MiniONN is deliberately absent from the pinned plan: its Paillier
-// ciphertext bytes depend on GOMAXPROCS, so that backend is
+// MiniONN is absent from the pinned plan because its Paillier ciphertext
+// bytes once depended on GOMAXPROCS. They no longer do (each ciphertext has
+// its own child PRG; internal/baseline's
+// TestMiniONNTranscriptIgnoresGOMAXPROCS holds that), but the pinned plan
+// and its golden file are left as they were: the backend stays
 // conformance-locked by TestMixedPlanSweep rather than a transcript.
 func TestGoldenSessionPlanned(t *testing.T) {
 	c := Generate(5) // fixed case: ring 8, scheme 6(6), batch 2, conv+pool then FC

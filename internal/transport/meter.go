@@ -131,15 +131,6 @@ func MeteredPipe() (Conn, Conn, *Meter) {
 		m
 }
 
-// Metered wraps an existing pair of connections with a shared meter.
-// The conns must be the two ends of the same channel.
-func Metered(a, b Conn) (Conn, Conn, *Meter) {
-	m := &Meter{}
-	return &meteredConn{Conn: a, meter: m, party: 1},
-		&meteredConn{Conn: b, meter: m, party: 2},
-		m
-}
-
 // FlightFunc observes one successfully framed message crossing an
 // observed endpoint: the direction ("send" or "recv"), the 1-based
 // per-direction sequence number, the framed payload size, and the time

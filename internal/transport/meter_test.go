@@ -10,8 +10,9 @@ import (
 // Regression test for the metered wrapper recording before Conn.Send
 // returned, which inflated Stats under fault injection.
 func TestMeterSkipsFailedSends(t *testing.T) {
-	a, b := Pipe()
-	ma, _, meter := Metered(Fault(a, FaultPlan{Class: FaultDisconnect, Message: 1}), b)
+	a, _ := Pipe()
+	meter := &Meter{}
+	ma := &meteredConn{Conn: Fault(a, FaultPlan{Class: FaultDisconnect, Message: 1}), meter: meter, party: 1}
 
 	if err := ma.Send([]byte("ok")); err != nil {
 		t.Fatal(err)

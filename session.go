@@ -74,12 +74,12 @@ type session struct {
 	tr *trace.Tracer
 }
 
-// openSession is the one session set-up, under all four endpoints (Serve,
-// Dial, ServeOfflineSession, ReplenishSession): it validates cfg, wraps
-// conn, builds the party's tracer and protocol parameters, and runs setup
-// — the cryptographic set-up, base OTs included — under the "setup" span
-// with panics contained. It releases the session itself when setup fails;
-// after a nil error the caller owns the release.
+// openSession is the one session set-up, under both endpoints (Serve and
+// Dial): it validates cfg, wraps conn, builds the party's tracer and
+// protocol parameters, and runs setup — the cryptographic set-up, base OTs
+// included — under the "setup" span with panics contained. It releases the
+// session itself when setup fails; after a nil error the caller owns the
+// release.
 func openSession[E any](ctx context.Context, conn Conn, cfg Config, party string, scheme quant.Scheme,
 	setup func(*sessionConn, core.Params) (E, error)) (session, E, error) {
 	var none E
