@@ -31,15 +31,18 @@ bench:
 # run each of the shaped-WAN workload (wire-bound), the LAN workload
 # (kernel-bound), the CNN (the only short one whose garbled-circuit
 # batches have several circuits of unequal size, the pool kernel and the
-# GC argmax) and the banked workload (the only one that fills and draws
-# the bank's loopback pools through the benchmark's adapter), each of
-# which must end with every prediction checked correct against plaintext.
+# GC argmax), the banked workload (the only one that fills and draws
+# the bank's loopback pools through the benchmark's adapter) and the
+# churn workload (one session per request through serve.Runtime: the
+# only one whose requests run the base-OT set-up), each of which must end
+# with every prediction checked correct against plaintext.
 perf-smoke:
 	$(GO) test -C benchmark ./...
 	bash benchmark/run.sh --workload mlp_b1_wan --seed 1 --seconds 5 --trace 0 | tail -n 1 | grep -q '"correct":true'
 	bash benchmark/run.sh --workload mlp_b1_lan --seed 1 --seconds 5 --trace 0 | tail -n 1 | grep -q '"correct":true'
 	bash benchmark/run.sh --workload cnn_b1_lan --seed 1 --seconds 5 --trace 0 | tail -n 1 | grep -q '"correct":true'
 	bash benchmark/run.sh --workload mlp_b32_banked --seed 1 --seconds 5 --trace 0 | tail -n 1 | grep -q '"correct":true'
+	bash benchmark/run.sh --workload serve_churn --seed 1 --seconds 5 --trace 0 | tail -n 1 | grep -q '"correct":true'
 
 # Full paper tables (can take tens of minutes on one core).
 tables:
@@ -102,6 +105,7 @@ fuzz:
 	$(GO) test ./internal/core -fuzz FuzzTripletPayloadMultiBatch -fuzztime 10s
 	$(GO) test ./internal/baseot -fuzz 'FuzzReceive$$' -fuzztime 10s
 	$(GO) test ./internal/baseot -fuzz 'FuzzSend$$' -fuzztime 10s
+	$(GO) test ./internal/baseot -fuzz FuzzSendMatchesReference -fuzztime 10s
 	$(GO) test ./internal/paillier -fuzz FuzzUnmarshalCiphertext -fuzztime 10s
 	$(GO) test ./internal/bank -fuzz FuzzScanSegment -fuzztime 10s
 	$(GO) test ./internal/bank -fuzz FuzzScanJournal -fuzztime 10s

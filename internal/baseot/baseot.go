@@ -4,10 +4,15 @@
 // batch of kappa (or 2*kappa for KK13) base OTs is run once per session
 // and all subsequent transfers use only symmetric-key operations.
 //
+// A batch of n OTs costs the sender n+1 variable-point multiplications
+// and the receiver n, and the receiver's run beside the sender's: see
+// DESIGN.md, "Session set-up".
+//
 // Security is against semi-honest adversaries, the model of the paper.
 package baseot
 
 import (
+	"bytes"
 	"crypto/elliptic"
 	"fmt"
 	"math/big"
@@ -18,23 +23,33 @@ import (
 
 // MsgSize is the base-OT payload size: 16 bytes, exactly one PRG seed.
 // Base OTs only ever transfer seeds; longer payloads use OT extension.
-const MsgSize = 16
+const MsgSize = prg.SeedSize
 
-// Msg is one base-OT message.
-type Msg [MsgSize]byte
+// Msg is one base-OT message: the seed of an OT-extension column.
+type Msg = prg.Seed
 
 var oracle = prg.NewOracle("baseot/chou-orlandi")
 
-// curve is the group; P-256 gives > 128-bit security matching kappa.
+// curve is the group; P-256 gives > 128-bit security matching kappa. It
+// is a variable only so that the operation-count test can wrap it.
 var curve = elliptic.P256()
+
+const (
+	coordLen = 32             // a P-256 field element or scalar, big-endian
+	pointLen = 1 + 2*coordLen // uncompressed SEC1: 0x04 || x || y
+)
+
+// order is the group order as a fixed-width big-endian string.
+var order = curve.Params().N.FillBytes(make([]byte, coordLen))
 
 // Send runs the sender side of a batch of len(pairs) base OTs over conn.
 // pairs[i][b] is delivered if the receiver's i-th choice bit is b.
 func Send(conn transport.Conn, pairs [][2]Msg, rng *prg.PRG) error {
 	n := len(pairs)
 	// Sender secret a, announce A = aG.
-	a := randScalar(rng)
-	ax, ay := curve.ScalarBaseMult(a.Bytes())
+	var a [coordLen]byte
+	randScalar(rng, &a)
+	ax, ay := curve.ScalarBaseMult(a[:])
 	if err := conn.Send(elliptic.Marshal(curve, ax, ay)); err != nil {
 		return fmt.Errorf("baseot: send A: %w", err)
 	}
@@ -43,29 +58,29 @@ func Send(conn transport.Conn, pairs [][2]Msg, rng *prg.PRG) error {
 	if err != nil {
 		return fmt.Errorf("baseot: recv B: %w", err)
 	}
-	ptLen := pointLen()
-	if len(raw) != n*ptLen {
-		return fmt.Errorf("baseot: expected %d B-points (%d bytes), got %d bytes", n, n*ptLen, len(raw))
+	if len(raw) != n*pointLen {
+		return fmt.Errorf("baseot: expected %d B-points (%d bytes), got %d bytes", n, n*pointLen, len(raw))
 	}
-	// For each i: k0 = H(i, a*B_i), k1 = H(i, a*(B_i - A)).
-	// Negate A once for the subtraction.
-	negAy := new(big.Int).Sub(curve.Params().P, ay)
-	out := make([]byte, 0, n*2*MsgSize)
+	// For each i: k0 = H(i, a*B_i), k1 = H(i, a*(B_i - A)). The second
+	// point is a*B_i - a*A, and T = -(a*A) is the same for the whole
+	// batch, so an OT costs one multiplication and one addition. a*A is
+	// never the identity (the group order is prime and 0 < a < order).
+	tx, ty := curve.ScalarMult(ax, ay, a[:])
+	ty.Sub(curve.Params().P, ty)
+	out := make([]byte, n*2*MsgSize)
+	scratch := make([]byte, 2*coordLen)
 	for i := 0; i < n; i++ {
-		bx, by := elliptic.Unmarshal(curve, raw[i*ptLen:(i+1)*ptLen])
+		bx, by := elliptic.Unmarshal(curve, raw[i*pointLen:(i+1)*pointLen])
 		if bx == nil {
 			return fmt.Errorf("baseot: invalid point for OT %d", i)
 		}
-		k0x, k0y := curve.ScalarMult(bx, by, a.Bytes())
-		dx, dy := curve.Add(bx, by, ax, negAy)
-		k1x, k1y := curve.ScalarMult(dx, dy, a.Bytes())
-		k0 := deriveKey(uint64(i), 0, k0x, k0y)
-		k1 := deriveKey(uint64(i), 1, k1x, k1y)
-		var c0, c1 Msg
-		prg.XORBytes(c0[:], pairs[i][0][:], k0[:])
-		prg.XORBytes(c1[:], pairs[i][1][:], k1[:])
-		out = append(out, c0[:]...)
-		out = append(out, c1[:]...)
+		k0x, k0y := curve.ScalarMult(bx, by, a[:])
+		k1x, k1y := curve.Add(k0x, k0y, tx, ty)
+		k0 := deriveKey(scratch, i, 0, k0x, k0y)
+		k1 := deriveKey(scratch, i, 1, k1x, k1y)
+		c := out[i*2*MsgSize : (i+1)*2*MsgSize]
+		prg.XORBytes(c[:MsgSize], pairs[i][0][:], k0[:])
+		prg.XORBytes(c[MsgSize:], pairs[i][1][:], k1[:])
 	}
 	if err := conn.Send(out); err != nil {
 		return fmt.Errorf("baseot: send ciphertexts: %w", err)
@@ -86,19 +101,30 @@ func Receive(conn transport.Conn, choices []byte, rng *prg.PRG) ([]Msg, error) {
 		return nil, fmt.Errorf("baseot: invalid A point")
 	}
 	// For each OT choose b_i; B_i = b_i*G + c_i*A.
-	scalars := make([]*big.Int, n)
-	buf := make([]byte, 0, n*pointLen())
+	scalars := make([][coordLen]byte, n)
+	flight := make([]byte, n*pointLen)
 	for i := 0; i < n; i++ {
-		b := randScalar(rng)
-		scalars[i] = b
-		bx, by := curve.ScalarBaseMult(b.Bytes())
+		randScalar(rng, &scalars[i])
+		bx, by := curve.ScalarBaseMult(scalars[i][:])
 		if choices[i]&1 == 1 {
 			bx, by = curve.Add(bx, by, ax, ay)
 		}
-		buf = append(buf, elliptic.Marshal(curve, bx, by)...)
+		p := flight[i*pointLen : (i+1)*pointLen]
+		p[0] = 4 // uncompressed
+		bx.FillBytes(p[1 : 1+coordLen])
+		by.FillBytes(p[1+coordLen:])
 	}
-	if err := conn.Send(buf); err != nil {
+	if err := conn.Send(flight); err != nil {
 		return nil, fmt.Errorf("baseot: send B: %w", err)
+	}
+	// k_c = H(i, b_i * A) needs nothing the sender has yet to say, so the
+	// keys are derived now, while the sender is deriving its own from the
+	// flight just sent, and not after its ciphertexts arrive.
+	out := make([]Msg, n)
+	scratch := make([]byte, 2*coordLen)
+	for i := range out {
+		kx, ky := curve.ScalarMult(ax, ay, scalars[i][:])
+		out[i] = deriveKey(scratch, i, int(choices[i]&1), kx, ky)
 	}
 	cts, err := conn.Recv()
 	if err != nil {
@@ -107,37 +133,34 @@ func Receive(conn transport.Conn, choices []byte, rng *prg.PRG) ([]Msg, error) {
 	if len(cts) != n*2*MsgSize {
 		return nil, fmt.Errorf("baseot: expected %d ciphertext bytes, got %d", n*2*MsgSize, len(cts))
 	}
-	out := make([]Msg, n)
-	for i := 0; i < n; i++ {
-		// k_c = H(i, b_i * A).
-		kx, ky := curve.ScalarMult(ax, ay, scalars[i].Bytes())
-		k := deriveKey(uint64(i), uint64(choices[i]&1), kx, ky)
+	for i := range out {
 		ct := cts[i*2*MsgSize+int(choices[i]&1)*MsgSize:][:MsgSize]
-		prg.XORBytes(out[i][:], ct, k[:])
+		prg.XORBytes(out[i][:], out[i][:], ct)
 	}
 	return out, nil
 }
 
-func pointLen() int {
-	return 1 + 2*((curve.Params().BitSize+7)/8) // uncompressed marshal
+// deriveKey hashes the point (x, y) into the key of OT index, branch 0
+// or 1. The oracle input is x.Bytes() || y.Bytes(): each coordinate
+// minimal big-endian, so one with a leading zero byte is shorter than
+// coordLen and the identity (0, 0) hashes the empty string. That is the
+// wire contract of protocol v1 (PROTOCOL.md section 0) — a fixed-width
+// encoding would change about one key in 128. scratch holds the input;
+// it is the caller's so that a batch allocates it once.
+func deriveKey(scratch []byte, index, branch int, x, y *big.Int) Msg {
+	xl, yl := (x.BitLen()+7)/8, (y.BitLen()+7)/8
+	x.FillBytes(scratch[:xl])
+	y.FillBytes(scratch[xl : xl+yl])
+	return oracle.Block(0, uint64(index), uint64(branch), scratch[:xl+yl])
 }
 
-func deriveKey(index, branch uint64, x, y *big.Int) Msg {
-	data := make([]byte, 0, 64)
-	data = append(data, x.Bytes()...)
-	data = append(data, y.Bytes()...)
-	blk := oracle.Block(0, index, branch, data)
-	return Msg(blk)
-}
-
-func randScalar(rng *prg.PRG) *big.Int {
-	nOrder := curve.Params().N
-	byteLen := (nOrder.BitLen() + 7) / 8
+// randScalar sets k to a uniform scalar in [1, order) by rejection,
+// drawing coordLen bytes of rng per attempt.
+func randScalar(rng *prg.PRG, k *[coordLen]byte) {
 	for {
-		b := rng.Bytes(byteLen)
-		k := new(big.Int).SetBytes(b)
-		if k.Sign() > 0 && k.Cmp(nOrder) < 0 {
-			return k
+		rng.Fill(k[:])
+		if bytes.Compare(k[:], order) < 0 && *k != [coordLen]byte{} {
+			return
 		}
 	}
 }

@@ -13,24 +13,7 @@ import (
 // the receiver's outputs.
 func runOT(t *testing.T, pairs [][2]Msg, choices []byte) []Msg {
 	t.Helper()
-	a, b := transport.Pipe()
-	defer a.Close()
-	var wg sync.WaitGroup
-	wg.Add(1)
-	var sendErr error
-	go func() {
-		defer wg.Done()
-		sendErr = Send(a, pairs, prg.New(prg.SeedFromInt(100)))
-	}()
-	got, err := Receive(b, choices, prg.New(prg.SeedFromInt(200)))
-	wg.Wait()
-	if sendErr != nil {
-		t.Fatalf("sender: %v", sendErr)
-	}
-	if err != nil {
-		t.Fatalf("receiver: %v", err)
-	}
-	return got
+	return runPair(t, Send, Receive, pairs, choices, 100).out
 }
 
 func makePairs(n int) [][2]Msg {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"abnn2/internal/nn"
+	"abnn2/internal/otext"
 	"abnn2/internal/par"
 	"abnn2/internal/prg"
 	"abnn2/internal/ring"
@@ -189,6 +190,14 @@ const (
 	sessionGC       = 2
 )
 
+// The base OTs of a session's two set-ups, one per column of each OT
+// extension's code (its WidthBits); each set-up runs under its own
+// "baseot" span.
+const (
+	tripletBaseOTs = 2 * otext.Kappa // KK13, Walsh-Hadamard code
+	gcBaseOTs      = otext.Kappa     // IKNP, repetition code
+)
+
 // ServerEngine is the model owner's side of secure inference.
 type ServerEngine struct {
 	params  Params
@@ -244,11 +253,15 @@ func NewServerEngineSeeded(conn Conn, model *nn.QuantizedModel, p Params, varian
 			}
 		}
 	}
+	sp := p.Trace.Start("baseot").SetBatch(tripletBaseOTs)
 	trip, err := NewServerTripletsSeeded(conn, p, sessionTriplets, rng.Child("triplets"))
+	sp.End(err)
 	if err != nil {
 		return nil, err
 	}
+	sp = p.Trace.Start("baseot").SetBatch(gcBaseOTs)
 	nl, err := NewServerNonlinear(conn, p.Ring, sessionGC, rng.Child("gc"))
+	sp.End(err)
 	if err != nil {
 		return nil, err
 	}
@@ -264,11 +277,15 @@ func NewClientEngine(conn Conn, arch Arch, p Params, variant ReLUVariant, rng *p
 	if err := arch.Validate(); err != nil {
 		return nil, err
 	}
+	sp := p.Trace.Start("baseot").SetBatch(tripletBaseOTs)
 	trip, err := NewClientTriplets(conn, p, sessionTriplets, rng.Child("triplets"))
+	sp.End(err)
 	if err != nil {
 		return nil, err
 	}
+	sp = p.Trace.Start("baseot").SetBatch(gcBaseOTs)
 	nl, err := NewClientNonlinear(conn, p.Ring, sessionGC, rng.Child("gc"))
+	sp.End(err)
 	if err != nil {
 		return nil, err
 	}

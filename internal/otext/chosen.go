@@ -3,34 +3,8 @@ package otext
 import (
 	"fmt"
 
-	"abnn2/internal/baseot"
-	"abnn2/internal/prg"
 	"abnn2/internal/ring"
-	"abnn2/internal/transport"
 )
-
-// baseOTReceive and baseOTSend adapt internal/baseot to seed slices.
-
-func baseOTReceive(conn transport.Conn, choices []byte, rng *prg.PRG) ([]prg.Seed, error) {
-	msgs, err := baseot.Receive(conn, choices, rng)
-	if err != nil {
-		return nil, err
-	}
-	seeds := make([]prg.Seed, len(msgs))
-	for i, m := range msgs {
-		seeds[i] = prg.Seed(m)
-	}
-	return seeds, nil
-}
-
-func baseOTSend(conn transport.Conn, pairs [][2][16]byte, rng *prg.PRG) error {
-	bp := make([][2]baseot.Msg, len(pairs))
-	for i := range pairs {
-		bp[i][0] = baseot.Msg(pairs[i][0])
-		bp[i][1] = baseot.Msg(pairs[i][1])
-	}
-	return baseot.Send(conn, bp, rng)
-}
 
 // SendChosen transfers chosen messages: msgs[j][v] is delivered for OT j
 // if the receiver chose v. All messages must have length msgLen. One

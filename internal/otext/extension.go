@@ -4,6 +4,7 @@ import (
 	"crypto/subtle"
 	"fmt"
 
+	"abnn2/internal/baseot"
 	"abnn2/internal/bitmat"
 	"abnn2/internal/par"
 	"abnn2/internal/prg"
@@ -67,7 +68,7 @@ func NewSender(conn transport.Conn, code Code, session uint64, rng *prg.PRG) (*S
 	for i := 0; i < w; i++ {
 		choices[i] = (s[i/8] >> (uint(i) % 8)) & 1
 	}
-	seeds, err := baseOTReceive(conn, choices, rng)
+	seeds, err := baseot.Receive(conn, choices, rng)
 	if err != nil {
 		return nil, fmt.Errorf("otext: sender setup: %w", err)
 	}
@@ -90,19 +91,16 @@ func NewSender(conn transport.Conn, code Code, session uint64, rng *prg.PRG) (*S
 // one seed pair per code column.
 func NewReceiver(conn transport.Conn, code Code, session uint64, rng *prg.PRG) (*Receiver, error) {
 	w := code.WidthBits()
-	pairs := make([][2][16]byte, w)
+	pairs := make([][2]prg.Seed, w)
 	cols0 := make([]*prg.PRG, w)
 	cols1 := make([]*prg.PRG, w)
-	for i := 0; i < w; i++ {
-		var s0, s1 prg.Seed
-		copy(s0[:], rng.Bytes(prg.SeedSize))
-		copy(s1[:], rng.Bytes(prg.SeedSize))
-		pairs[i][0] = s0
-		pairs[i][1] = s1
-		cols0[i] = prg.New(s0)
-		cols1[i] = prg.New(s1)
+	for i := range pairs {
+		rng.Fill(pairs[i][0][:])
+		rng.Fill(pairs[i][1][:])
+		cols0[i] = prg.New(pairs[i][0])
+		cols1[i] = prg.New(pairs[i][1])
 	}
-	if err := baseOTSend(conn, pairs, rng); err != nil {
+	if err := baseot.Send(conn, pairs, rng); err != nil {
 		return nil, fmt.Errorf("otext: receiver setup: %w", err)
 	}
 	return &Receiver{conn: conn, code: code, session: session, cols0: cols0, cols1: cols1}, nil

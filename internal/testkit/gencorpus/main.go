@@ -18,12 +18,14 @@ import (
 	"path/filepath"
 
 	"abnn2/internal/bank"
+	"abnn2/internal/baseot"
 	"abnn2/internal/core"
 	"abnn2/internal/gc"
 	"abnn2/internal/paillier"
 	"abnn2/internal/plan"
 	"abnn2/internal/prg"
 	"abnn2/internal/ring"
+	"abnn2/internal/transport"
 )
 
 // entry is one corpus file: a sequence of fuzz arguments, all []byte.
@@ -143,14 +145,39 @@ func main() {
 		{[]byte{}, []byte{}},
 	}
 	writeCorpus("internal/baseot/testdata/fuzz/FuzzReceive", recvEntries)
+	pair := func(p, q []byte) entry { return entry{append(append([]byte{}, p...), q...)} }
 	sendEntries := []entry{
-		{append(append([]byte{}, points[0]...), points[1]...)},
-		{append(append([]byte{}, points[2]...), points[3]...)},
+		pair(points[0], points[1]),
+		pair(points[2], points[3]),
 		{make([]byte, 130)},
 		{g.Bytes(130)},
 		{[]byte{}},
 	}
 	writeCorpus("internal/baseot/testdata/fuzz/FuzzSend", sendEntries)
+	// FuzzSendMatchesReference: the B flights on which the sender's
+	// a*B_i - a*A and the reference's a*(B_i - A) take different special
+	// cases of the group law. A is what the target's sender (seed 8)
+	// announces, read off a sender of zero OTs: B_i = A makes k1 the
+	// identity, B_i = -A makes the sender's addition a doubling.
+	pa, pb := transport.Pipe()
+	_ = pa.Send(nil) // the empty B flight; a fresh pipe buffers it
+	if err := baseot.Send(pb, nil, prg.New(prg.SeedFromInt(8))); err != nil {
+		fatal(err)
+	}
+	A, err := pa.Recv()
+	if err != nil {
+		fatal(err)
+	}
+	ax, ay := elliptic.Unmarshal(curve, A)
+	negA := elliptic.Marshal(curve, ax, new(big.Int).Sub(curve.Params().P, ay))
+	writeCorpus("internal/baseot/testdata/fuzz/FuzzSendMatchesReference", []entry{
+		pair(A, A),
+		pair(negA, negA),
+		pair(A, negA),
+		pair(points[0], A),
+		pair(points[1], points[1]),
+		pair(points[2], make([]byte, 65)),
+	})
 
 	// internal/paillier: the fuzz target's key is GenerateKey(seed 1,
 	// 512), the package test key. Seed real ciphertexts plus the two

@@ -124,7 +124,7 @@ func TestTracedTCPInferenceSpansMatchMeter(t *testing.T) {
 		}
 	}
 	for name, want := range map[string]int{
-		"setup": 1, "batch": 1, "offline": 1, "online": 1,
+		"setup": 1, "baseot": 2, "batch": 1, "offline": 1, "online": 1,
 		"triplets": layers, "matmul": layers, "relu": reluLayers,
 		"input": 1, "output": 1,
 	} {
@@ -134,7 +134,7 @@ func TestTracedTCPInferenceSpansMatchMeter(t *testing.T) {
 	}
 	cliSpans := cliSink.Spans()
 	for name, want := range map[string]int{
-		"setup": 1, "batch": 1, "offline": 1, "online": 1,
+		"setup": 1, "baseot": 2, "batch": 1, "offline": 1, "online": 1,
 		"triplets": layers, "relu": reluLayers, "input": 1, "output": 1,
 	} {
 		if got := countSpans(cliSpans, name); got != want {
@@ -168,6 +168,31 @@ func TestTracedTCPInferenceSpansMatchMeter(t *testing.T) {
 		}
 	}
 
+	// Set-up is the two base-OT batches under the setup span, in protocol
+	// order: 256 OTs for the triplet extension, then 128 for the GC's;
+	// a batch of n moves A, n points and n ciphertext pairs.
+	for party, spans := range map[string][]TraceSpan{"server": srvSpans, "client": cliSpans} {
+		var setup TraceSpan
+		var batches []TraceSpan
+		for _, sp := range spans {
+			switch sp.Name {
+			case "setup":
+				setup = sp
+			case "baseot":
+				batches = append(batches, sp)
+			}
+		}
+		for i, n := range []int{256, 128} {
+			if i >= len(batches) {
+				break // counted above
+			}
+			if sp := batches[i]; sp.Batch != n || sp.Parent != setup.ID || sp.Bytes() != int64(65+n*(65+32)) {
+				t.Errorf("%s baseot span %d: batch %d, parent %d, %d bytes; want batch %d under setup (%d), %d bytes",
+					party, i, sp.Batch, sp.Parent, sp.Bytes(), n, setup.ID, 65+n*(65+32))
+			}
+		}
+	}
+
 	// The JSONL dump format round-trips, and the table renderer shows
 	// the per-phase breakdown.
 	var buf bytes.Buffer
@@ -183,7 +208,7 @@ func TestTracedTCPInferenceSpansMatchMeter(t *testing.T) {
 		t.Fatalf("round trip lost spans: %d vs %d", len(back), len(srvSpans))
 	}
 	table := TraceTable(back)
-	for _, phase := range []string{"matmul", "triplets", "setup"} {
+	for _, phase := range []string{"matmul", "triplets", "setup", "baseot"} {
 		if !strings.Contains(table, phase) {
 			t.Errorf("trace table missing %q:\n%s", phase, table)
 		}
