@@ -1,8 +1,14 @@
 package abnn2
 
 import (
+	"errors"
 	"sync"
 	"testing"
+	"time"
+
+	"abnn2/internal/leakcheck"
+	"abnn2/internal/otext"
+	"abnn2/internal/prg"
 )
 
 // trainSmall builds a small trained+quantized model for API tests.
@@ -304,5 +310,62 @@ func TestParseOfflineMode(t *testing.T) {
 		if m, err := ParseOfflineMode(name); err == nil {
 			t.Errorf("ParseOfflineMode(%q) = %v, want an error", name, m)
 		}
+	}
+}
+
+// TestV1PeerFailsInSetup pairs each party with a frozen wire-v1 peer and
+// no hello in front (Serve / Dial on a bare connection, where nothing
+// announces a version): v1 always set the triplet extension up over 256
+// columns, this model's 4(2,2) scheme runs 192, so the first base-OT
+// batch has the wrong number of points for whoever counts them. Both
+// sides must come back with an ordinary error well inside the round
+// timeout — no *PanicError, no hang.
+func TestV1PeerFailsInSetup(t *testing.T) {
+	qm := chaosModel(t)
+	cfg := Config{RingBits: 32, RoundTimeout: chaosRoundTimeout}
+	// The v1 peer's set-up, then what the binaries do on an error: hang up.
+	v1 := map[string]func(c Conn) error{
+		"v1-client": func(c Conn) error {
+			_, err := otext.NewSender(c, otext.WalshHadamardCode(256), 1, prg.New(prg.SeedFromInt(1)))
+			return err
+		},
+		"v1-server": func(c Conn) error {
+			_, err := otext.NewReceiver(c, otext.WalshHadamardCode(256), 1, prg.New(prg.SeedFromInt(2)))
+			return err
+		},
+	}
+	v2 := map[string]func(c Conn) error{
+		"v1-client": func(c Conn) error { _, err := Serve(c, qm, cfg); return err },
+		"v1-server": func(c Conn) error { _, err := Dial(c, qm.Arch(), cfg); return err },
+	}
+	for name, old := range v1 {
+		t.Run(name, func(t *testing.T) {
+			base := leakcheck.Base()
+			a, b := Pipe()
+			oldErr := make(chan error, 1)
+			go func() {
+				err := old(a)
+				a.Close()
+				oldErr <- err
+			}()
+			start := time.Now()
+			err := v2[name](b)
+			b.Close()
+			if err == nil {
+				t.Fatal("set-up against a v1 peer succeeded")
+			}
+			var pe *PanicError
+			if errors.As(err, &pe) {
+				t.Errorf("set-up against a v1 peer panicked: %v", err)
+			}
+			if elapsed := time.Since(start); elapsed >= chaosRoundTimeout {
+				t.Errorf("set-up took %v to fail, round timeout is %v", elapsed, chaosRoundTimeout)
+			}
+			if err := <-oldErr; err == nil {
+				t.Error("the v1 peer completed its set-up")
+			}
+			t.Logf("v2 party: %v", err)
+			leakcheck.Settle(t, base, name)
+		})
 	}
 }

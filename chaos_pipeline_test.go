@@ -22,9 +22,10 @@ import (
 // round timeout must still end the session promptly, and nothing may be
 // left running.
 
-// uFlightBytes is the size of a full chunk's u matrix (256 columns x 4096
-// OTs), which identifies the offline phase's server-to-client flights.
-const uFlightBytes = 256 * 4096 / 8
+// uFlightBytes is the size of a full chunk's u matrix (the 192 columns of
+// the N = 4 code x 4096 OTs), which identifies the offline phase's
+// server-to-client flights.
+const uFlightBytes = 192 * 4096 / 8
 
 // uCountConn wraps an endpoint and counts the full-size u flights it
 // sends and receives; panicAt > 0 makes the panicAt-th such Send panic
@@ -99,7 +100,12 @@ func TestChaosPipelinedProducerPanic(t *testing.T) {
 // round timeout, and without cancellation the round timeout itself must
 // end the session; either way both server goroutines exit.
 func TestChaosPipelinedStalledClient(t *testing.T) {
-	qm := chaosPipelinedModel(t)
+	// A first layer of 20 chunks (1024 x 40 weights x 2 fragments / 4096):
+	// room to answer three and still park a full window beyond them.
+	qm, err := NewMLP(1024, 40, 4).Quantize("4(2,2)", 6)
+	if err != nil {
+		t.Fatal(err)
+	}
 	const answered = 3
 
 	run := func(t *testing.T, roundTimeout time.Duration, abort func(cancel context.CancelFunc)) (error, time.Duration) {

@@ -128,9 +128,10 @@ func TestChaosFaultMatrix(t *testing.T) {
 	runFaultMatrix(t, chaosModel(t), points)
 }
 
-// chaosPipelinedModel is chaosModel with a first layer of 12 chunks —
+// chaosPipelinedModel is chaosModel with a first layer of 12 chunks and
+// a second of one, which the server extends through as one run of 13 —
 // more than the offline window — so faults land while the server's
-// producer is sending ahead, and most message indices are mid-layer.
+// producer is sending ahead, and most message indices are mid-run.
 func chaosPipelinedModel(t *testing.T) *QuantizedModel {
 	t.Helper()
 	qm, err := NewMLP(1024, 24, 4).Quantize("4(2,2)", 6)

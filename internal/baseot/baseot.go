@@ -1,8 +1,9 @@
 // Package baseot implements the "simplest OT" protocol of Chou and
 // Orlandi over the NIST P-256 curve. These base oblivious transfers are
 // the public-key bootstrap for the OT extensions in internal/otext: a
-// batch of kappa (or 2*kappa for KK13) base OTs is run once per session
-// and all subsequent transfers use only symmetric-key operations.
+// batch of kappa (for KK13, between kappa and 2*kappa: one per column of
+// the code the scheme's N needs) base OTs is run once per session and all
+// subsequent transfers use only symmetric-key operations.
 //
 // A batch of n OTs costs the sender n+1 variable-point multiplications
 // and the receiver n, and the receiver's run beside the sender's: see

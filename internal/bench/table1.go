@@ -7,11 +7,14 @@ import (
 	"abnn2/internal/quant"
 )
 
-// Table1Row is one analytic comparison row.
+// Table1Row is one analytic comparison row: communication as this
+// implementation sends it (the KK13 code sized to N) and as the paper's
+// Table 1 prints it (2*kappa column bits for every OT).
 type Table1Row struct {
-	System string
-	NumOTs int64
-	CommMB float64
+	System  string
+	NumOTs  int64
+	CommMB  float64
+	PaperMB float64
 }
 
 // Table1 reproduces the paper's Table 1: analytic OT counts and
@@ -31,16 +34,16 @@ func Table1(opt Options) []Table1Row {
 
 	rows := []Table1Row{}
 	add := func(c core.Complexity) {
-		rows = append(rows, Table1Row{System: c.Label, NumOTs: c.NumOTs, CommMB: c.CommMB()})
+		rows = append(rows, Table1Row{System: c.Label, NumOTs: c.NumOTs, CommMB: c.CommMB(), PaperMB: c.PaperMB()})
 	}
 	add(core.SecureMLComplexity(l, shMulti))
 	add(core.MultiBatchComplexity(l, scheme, shMulti))
 	add(core.SecureMLComplexity(l, shOne))
 	add(core.OneBatchComplexity(l, scheme, shOne))
 
-	t := &table{header: []string{"system", "#OT", "comm(MB)"}}
+	t := &table{header: []string{"system", "#OT", "comm(MB)", "paper 2k(MB)"}}
 	for _, r := range rows {
-		t.add(r.System, count(r.NumOTs), mb(r.CommMB))
+		t.add(r.System, count(r.NumOTs), mb(r.CommMB), mb(r.PaperMB))
 	}
 	fmt.Fprintf(opt.out(), "Table 1: OT complexity, %dx%d * %dx{%d,1}, l=%d, kappa=128\n%s\n",
 		m, n, n, o, l, t)

@@ -1,7 +1,7 @@
 // Package bitmat implements packed bit matrices and their transpose, the
 // data-movement core of IKNP-style OT extension: the receiver builds an
-// m x w bit matrix column-wise (w = code width: 128 for IKNP, 256 for
-// KK13) and both parties need it row-wise, or vice versa.
+// m x w bit matrix column-wise (w = code width: 128 for IKNP, 192 to 256
+// for KK13) and both parties need it row-wise, or vice versa.
 package bitmat
 
 import (

@@ -23,26 +23,43 @@ func TestSecureMLComplexityKnown(t *testing.T) {
 }
 
 func TestOneBatchComplexityKnown(t *testing.T) {
-	// 8(2,2,2,2), l=32, m*n = 100: per fragment N=4:
-	// 100 * (32*3 + 256) = 35200 bits; gamma=4 -> 140800 bits, 400 OTs.
+	// 8(2,2,2,2), l=32, m*n = 100: per fragment N=4, 192 columns:
+	// 100 * (32*3 + 192) = 28800 bits; gamma=4 -> 115200 bits, 400 OTs.
+	// As Table 1 prints it, 2*kappa columns: 100 * (32*3 + 256) * 4.
 	c := OneBatchComplexity(32, quant.Uniform(2, 4), MatShape{M: 10, N: 10, O: 1})
 	if c.NumOTs != 400 {
 		t.Errorf("#OT = %d, want 400", c.NumOTs)
 	}
-	if c.CommBits != 140800 {
-		t.Errorf("comm = %v bits, want 140800", c.CommBits)
+	if c.CommBits != 115200 {
+		t.Errorf("comm = %v bits, want 115200", c.CommBits)
+	}
+	if c.PaperBits != 140800 {
+		t.Errorf("paper comm = %v bits, want 140800", c.PaperBits)
 	}
 }
 
 func TestMultiBatchComplexityKnown(t *testing.T) {
-	// ternary (N=3, gamma=1), l=32, o=4, m*n=100:
-	// 100 * (4*32*3 + 256) = 100 * 640 = 64000 bits, 100 OTs.
+	// ternary (N=3, gamma=1, 192 columns), l=32, o=4, m*n=100:
+	// 100 * (4*32*3 + 192) = 100 * 576 = 57600 bits, 100 OTs; Table 1:
+	// 100 * (4*32*3 + 256) = 64000.
 	c := MultiBatchComplexity(32, quant.Ternary(), MatShape{M: 10, N: 10, O: 4})
 	if c.NumOTs != 100 {
 		t.Errorf("#OT = %d, want 100", c.NumOTs)
 	}
-	if c.CommBits != 64000 {
-		t.Errorf("comm = %v bits, want 64000", c.CommBits)
+	if c.CommBits != 57600 {
+		t.Errorf("comm = %v bits, want 57600", c.CommBits)
+	}
+	if c.PaperBits != 64000 {
+		t.Errorf("paper comm = %v bits, want 64000", c.PaperBits)
+	}
+}
+
+func TestQuotientComplexityKnown(t *testing.T) {
+	// l=32, m*n=100: 200 COTs of 32 correction bits and the repetition
+	// code's 128 columns; Table 1's 2*kappa would be 200 * (32 + 256).
+	c := QuotientComplexity(32, MatShape{M: 10, N: 10, O: 1})
+	if c.NumOTs != 200 || c.CommBits != 200*(32+128) || c.PaperBits != 200*(32+256) {
+		t.Errorf("#OT = %d, comm = %v, paper comm = %v", c.NumOTs, c.CommBits, c.PaperBits)
 	}
 }
 
@@ -72,7 +89,7 @@ func TestTable2Formula(t *testing.T) {
 	for _, c := range cases {
 		var bits float64
 		for _, sh := range shapes {
-			bits += OneBatchComplexity(32, c.scheme, sh).CommBits
+			bits += OneBatchComplexity(32, c.scheme, sh).PaperBits
 		}
 		mb := bits / 8 / (1 << 20)
 		if math.Abs(mb-c.wantMB) > 0.35 {

@@ -7,6 +7,7 @@ import (
 	"abnn2/internal/par"
 	"abnn2/internal/prg"
 	"abnn2/internal/ring"
+	"abnn2/internal/trace"
 )
 
 // Correlation state: the product of the data-independent offline phase,
@@ -40,6 +41,15 @@ type ClientCorr struct {
 // the same object — the layer's U share — so the returned correlation is
 // interchangeable downstream; only the wire bytes spent producing it
 // differ.
+//
+// Each maximal run of consecutive ABNN2 layers is one pipeline (see
+// generateServer): the server extends into layer L+1 while layer L's
+// payloads are still coming back. A baseline layer ends the run, which
+// drains before the baseline's own messages start. Every layer still gets
+// its "triplets" span: a run's consumer closes layer L's and opens layer
+// L+1's when it has decoded L's last chunk, so the spans tile the phase;
+// what a server span's byte count says is what crossed the wire while it
+// was open, which inside a run includes u matrices of the layer after.
 func (s *ServerTriplets) OfflineCorrSched(model *nn.QuantizedModel, batch int, sched Schedule) (*ServerCorr, error) {
 	if batch <= 0 {
 		return nil, fmt.Errorf("core: batch must be positive")
@@ -47,34 +57,71 @@ func (s *ServerTriplets) OfflineCorrSched(model *nn.QuantizedModel, batch int, s
 	if sched != nil && len(sched) != len(model.Layers) {
 		return nil, fmt.Errorf("core: schedule has %d layers, model has %d", len(sched), len(model.Layers))
 	}
-	corr := &ServerCorr{Batch: batch, U: make([]*ring.Mat, 0, len(model.Layers))}
-	for li, l := range model.Layers {
-		// Convolutions multiply the same weights across every output
-		// position, so their OT columns include the spatial positions —
-		// exactly the paper's multi-batch reuse, applied to space instead
-		// of (only) batch.
-		sh := MatShape{M: l.Out, N: l.ColRows(), O: batch * l.Cols()}
-		var ch LayerChoice
-		if sched != nil {
-			ch = sched[li]
+	if err := s.widen(widestCode(s.params.Scheme, sched)); err != nil {
+		return nil, fmt.Errorf("core: server offline: %w", err)
+	}
+	choice := func(li int) LayerChoice {
+		if sched == nil {
+			return LayerChoice{}
 		}
-		lsp := s.params.Trace.Start("triplets").SetLayer(li).SetWorkers(par.Workers(s.params.Workers))
-		u, err := s.generateLayer(ch, sh, l.W)
-		lsp.End(err)
+		return sched[li]
+	}
+	// Convolutions multiply the same weights across every output
+	// position, so their OT columns include the spatial positions —
+	// exactly the paper's multi-batch reuse, applied to space instead
+	// of (only) batch.
+	shape := func(li int) MatShape {
+		l := model.Layers[li]
+		return MatShape{M: l.Out, N: l.ColRows(), O: batch * l.Cols()}
+	}
+	span := func(li int) *trace.SpanCtx {
+		return s.params.Trace.Start("triplets").SetLayer(li).SetWorkers(par.Workers(s.params.Workers))
+	}
+	n := len(model.Layers)
+	corr := &ServerCorr{Batch: batch, U: make([]*ring.Mat, n)}
+	for li := 0; li < n; {
+		if ch := choice(li); ch.Backend != BackendABNN2 {
+			lsp := span(li)
+			u, err := s.generateBaseline(ch.Backend, shape(li), model.Layers[li].W)
+			lsp.End(err)
+			if err != nil {
+				return nil, fmt.Errorf("core: server offline layer %d (%s): %w", li, ch.Backend, err)
+			}
+			corr.U[li] = u
+			li++
+			continue
+		}
+		var run []serverLayer
+		start, end := li, li
+		for ; end < n && choice(end).Backend == BackendABNN2; end++ {
+			p, sh := s.params, shape(end)
+			if sc := choice(end).Scheme; sc != nil {
+				p.Scheme = sc
+			}
+			run = append(run, serverLayer{params: p, sh: sh, W: model.Layers[end].W, mode: ModeFor(sh.O)})
+		}
+		// li follows the run's consumer, so that it names the layer whose
+		// span is open — the one an error belongs to.
+		lsp := span(li)
+		us, err := s.generateServer(run, func() {
+			lsp.End(nil)
+			if li++; li < end {
+				lsp = span(li)
+			}
+		})
 		if err != nil {
-			return nil, fmt.Errorf("core: server offline layer %d (%s): %w", li, ch.Backend, err)
+			lsp.End(err)
+			return nil, fmt.Errorf("core: server offline layer %d (%s): %w", li, BackendABNN2, err)
 		}
-		corr.U = append(corr.U, u)
+		copy(corr.U[start:end], us)
 	}
 	return corr, nil
 }
 
-// generateLayer dispatches one layer's triplet generation to its
-// scheduled backend.
-func (s *ServerTriplets) generateLayer(ch LayerChoice, sh MatShape, W []int64) (*ring.Mat, error) {
-	switch ch.Backend {
-	case BackendABNN2:
-		return s.GenerateServerScheme(sh, W, ModeFor(sh.O), ch.Scheme)
+// generateBaseline dispatches one layer's triplet generation to the
+// baseline backend it is scheduled on.
+func (s *ServerTriplets) generateBaseline(b BackendID, sh MatShape, W []int64) (*ring.Mat, error) {
+	switch b {
 	case BackendSecureML:
 		g, err := s.secureML()
 		if err != nil {
@@ -101,7 +148,7 @@ func (s *ServerTriplets) generateLayer(ch LayerChoice, sh MatShape, W []int64) (
 		}
 		return &ring.Mat{Rows: sh.M, Cols: 1, Data: u}, nil
 	}
-	return nil, fmt.Errorf("core: unknown backend %d", uint8(ch.Backend))
+	return nil, fmt.Errorf("core: unknown backend %d", uint8(b))
 }
 
 // OfflineCorrSched runs the client side of the offline phase: it samples
@@ -116,6 +163,9 @@ func (c *ClientTriplets) OfflineCorrSched(arch Arch, shareRNG *prg.PRG, batch in
 	}
 	if sched != nil && len(sched) != len(arch.Layers) {
 		return nil, fmt.Errorf("core: schedule has %d layers, architecture has %d", len(sched), len(arch.Layers))
+	}
+	if err := c.widen(widestCode(c.params.Scheme, sched)); err != nil {
+		return nil, fmt.Errorf("core: client offline: %w", err)
 	}
 	rg := c.params.Ring
 	corr := &ClientCorr{
@@ -161,7 +211,8 @@ func (c *ClientTriplets) OfflineCorrSched(arch Arch, shareRNG *prg.PRG, batch in
 func (c *ClientTriplets) generateLayer(ch LayerChoice, sh MatShape, R *ring.Mat) (*ring.Mat, error) {
 	switch ch.Backend {
 	case BackendABNN2:
-		return c.GenerateClientScheme(sh, R, ModeFor(sh.O), ch.Scheme)
+		p, vals := c.schemeParams(ch.Scheme)
+		return c.generateClient(p, vals, sh, R, ModeFor(sh.O))
 	case BackendSecureML:
 		g, err := c.secureML()
 		if err != nil {

@@ -31,7 +31,7 @@ func TestServerRejectsTruncatedPayload(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		// A rogue client: real OT sender setup + extension, bogus payload.
-		snd, err := otext.NewSender(ca, otext.WalshHadamardCode(256), sessionTriplets, prg.New(prg.SeedFromInt(1)))
+		snd, err := otext.NewSender(ca, schemeCode(p.Scheme), sessionTriplets, prg.New(prg.SeedFromInt(1)))
 		if err != nil {
 			t.Errorf("rogue setup: %v", err)
 			return
@@ -134,6 +134,22 @@ func TestOfflineSurvivesPeerDisappearing(t *testing.T) {
 // errors. A nil-class plan is a clean run.
 func runTripletsFaulted(t *testing.T, shape MatShape, cliPlan, srvPlan transport.FaultPlan) (cliErr, srvErr error, cliConn, srvConn *transport.FaultConn) {
 	t.Helper()
+	return runOfflineFaulted(t, cliPlan, srvPlan,
+		func(ct *ClientTriplets) error {
+			_, err := ct.GenerateClient(shape, ring.NewMat(shape.N, shape.O), ModeFor(shape.O))
+			return err
+		},
+		func(st *ServerTriplets) error {
+			_, err := st.GenerateServer(shape, make([]int64, shape.M*shape.N), ModeFor(shape.O))
+			return err
+		})
+}
+
+// runOfflineFaulted is runTripletsFaulted for any offline work: each
+// party sets its binary-scheme generator up over its faulted connection
+// and then runs its function.
+func runOfflineFaulted(t *testing.T, cliPlan, srvPlan transport.FaultPlan, client func(*ClientTriplets) error, server func(*ServerTriplets) error) (cliErr, srvErr error, cliConn, srvConn *transport.FaultConn) {
+	t.Helper()
 	p := Params{Ring: ring.New(32), Scheme: quant.Binary()}
 	ca, cb := transport.Pipe()
 	fc := transport.Fault(ca, cliPlan)
@@ -143,13 +159,13 @@ func runTripletsFaulted(t *testing.T, shape MatShape, cliPlan, srvPlan transport
 		defer close(done)
 		ct, err := NewClientTriplets(fc, p, sessionTriplets, prg.New(prg.SeedFromInt(11)))
 		if err == nil {
-			_, err = ct.GenerateClient(shape, ring.NewMat(shape.N, shape.O), ModeFor(shape.O))
+			err = client(ct)
 		}
 		cliErr = err
 	}()
 	st, err := NewServerTriplets(fs, p, sessionTriplets)
 	if err == nil {
-		_, err = st.GenerateServer(shape, make([]int64, shape.M*shape.N), ModeFor(shape.O))
+		err = server(st)
 	}
 	srvErr = err
 	select {

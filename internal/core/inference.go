@@ -190,13 +190,11 @@ const (
 	sessionGC       = 2
 )
 
-// The base OTs of a session's two set-ups, one per column of each OT
-// extension's code (its WidthBits); each set-up runs under its own
-// "baseot" span.
-const (
-	tripletBaseOTs = 2 * otext.Kappa // KK13, Walsh-Hadamard code
-	gcBaseOTs      = otext.Kappa     // IKNP, repetition code
-)
+// gcBaseOTs is the base-OT count of the GC subsystem's set-up, one per
+// column of IKNP's repetition code. Like the triplet subsystem's set-up
+// (one per column of the session scheme's code, see widen) it runs under
+// its own "baseot" span.
+const gcBaseOTs = otext.Kappa
 
 // ServerEngine is the model owner's side of secure inference.
 type ServerEngine struct {
@@ -253,13 +251,11 @@ func NewServerEngineSeeded(conn Conn, model *nn.QuantizedModel, p Params, varian
 			}
 		}
 	}
-	sp := p.Trace.Start("baseot").SetBatch(tripletBaseOTs)
 	trip, err := NewServerTripletsSeeded(conn, p, sessionTriplets, rng.Child("triplets"))
-	sp.End(err)
 	if err != nil {
 		return nil, err
 	}
-	sp = p.Trace.Start("baseot").SetBatch(gcBaseOTs)
+	sp := p.Trace.Start("baseot").SetBatch(gcBaseOTs)
 	nl, err := NewServerNonlinear(conn, p.Ring, sessionGC, rng.Child("gc"))
 	sp.End(err)
 	if err != nil {
@@ -277,13 +273,11 @@ func NewClientEngine(conn Conn, arch Arch, p Params, variant ReLUVariant, rng *p
 	if err := arch.Validate(); err != nil {
 		return nil, err
 	}
-	sp := p.Trace.Start("baseot").SetBatch(tripletBaseOTs)
 	trip, err := NewClientTriplets(conn, p, sessionTriplets, rng.Child("triplets"))
-	sp.End(err)
 	if err != nil {
 		return nil, err
 	}
-	sp = p.Trace.Start("baseot").SetBatch(gcBaseOTs)
+	sp := p.Trace.Start("baseot").SetBatch(gcBaseOTs)
 	nl, err := NewClientNonlinear(conn, p.Ring, sessionGC, rng.Child("gc"))
 	sp.End(err)
 	if err != nil {

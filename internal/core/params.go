@@ -70,18 +70,27 @@ const chunkOTs = 4096
 
 // OfflineWindow is how many chunks the server's OT-extension producer may
 // run ahead of the payloads it has been sent back (see generateServer):
-// at most OfflineWindow `u` matrices are ever on the wire unanswered. A
-// chunk's u is 128 KiB, so 8 of them cover the bandwidth-delay product of
-// both of the paper's links (9 MB/s x 72 ms = 0.65 MB, 24.3 MB/s x 40 ms
-// = 0.97 MB); measured wall was flat from 4 to 32. The price is the
-// memory the window pins per session: OfflineWindow x (128 KiB of u in
-// flight + 128 KiB of t rows queued) = 2 MiB.
-const OfflineWindow = 8
+// at most OfflineWindow `u` matrices are ever on the wire unanswered. The
+// window has to cover the link's bandwidth-delay product plus the chunk
+// being turned around, or the producer stalls on credit while the link
+// idles. A chunk's u is chunkOTs x the layer's code width: 96 KiB at N = 4
+// (192 columns), 128 KiB at the widest code. On the benchmark's link (24.3
+// MB/s x 40 ms = 0.97 MB; the paper's other link, 9 MB/s x 72 ms, is 0.65
+// MB) 8 chunks at N = 4 are 0.75 MiB in flight — under the product — and
+// 12 are 1.125 MiB, which is where the measured wall goes flat (16 is no
+// faster). The price is the memory the window pins per session:
+// OfflineWindow x (u in flight + as many bytes of t rows queued) = 12 x 2
+// x 96 KiB = 2.25 MiB at N = 4, 3 MiB at the widest code.
+const OfflineWindow = 12
 
 // OfflineFlights is the number of flights of an ABNN2 offline layer of
 // numOTs OTs that a party has to wait out — what a link's latency
 // multiplies: two per window of chunks, since the server sends a window
-// ahead, not two per chunk. The wire carries 2*chunks messages either way.
+// ahead, not two per chunk. The wire carries 2*chunks messages either
+// way. Priced alone, a layer pays for filling and draining the window;
+// inside a run of consecutive ABNN2 layers the server extends straight
+// on into the next layer, so summing this over a run over-counts the
+// drains between its layers.
 func OfflineFlights(numOTs int64) int {
 	chunks := (numOTs + chunkOTs - 1) / chunkOTs
 	return 2 * int((chunks+OfflineWindow-1)/OfflineWindow)

@@ -9,6 +9,7 @@ import (
 	"abnn2/internal/prg"
 	"abnn2/internal/quant"
 	"abnn2/internal/ring"
+	"abnn2/internal/trace"
 )
 
 // This file implements the offline phase: dot-product / matrix triplet
@@ -23,8 +24,11 @@ import (
 // identical order from the public shape and scheme.
 
 // ClientTriplets is the client-side triplet generator. It owns the
-// OT-extension sender (KK13 instantiation over the 256-bit
-// Walsh-Hadamard code, which serves every fragment size up to N=256).
+// OT-extension sender (KK13 instantiation), whose base OTs cover the code
+// of the widest fragmentation scheme it has run so far: the session
+// scheme's from set-up, more only if a plan re-fragments a layer into
+// larger N (see widen). Every layer extends over the code of its own
+// scheme, a prefix of those columns.
 // When a per-layer Schedule routes layers to the baseline backends, it
 // also lazily owns the matching baseline generators over the same
 // connection (distinct OT session tags keep the instances apart).
@@ -62,17 +66,79 @@ const (
 	sessionOffQuotient = 0x41
 )
 
-// NewClientTriplets performs base-OT setup for the client role.
+// schemeCode returns the KK13 code a layer fragmented under sc extends
+// over: the one for its largest fragment, since one extension round
+// covers OTs of every fragment. It is public protocol state, so both
+// parties size every u matrix alike.
+func schemeCode(sc quant.Scheme) otext.Code {
+	n := 0
+	for f := 0; f < sc.Gamma(); f++ {
+		n = max(n, sc.FragmentN(f))
+	}
+	return otext.WalshHadamardCode(n)
+}
+
+// widestCode returns the widest code an ABNN2 layer of sched extends
+// over under session scheme sc; a nil schedule runs every layer under sc.
+func widestCode(sc quant.Scheme, sched Schedule) otext.Code {
+	if sched == nil {
+		return schemeCode(sc)
+	}
+	var widest otext.Code
+	for _, ch := range sched {
+		if ch.Backend != BackendABNN2 {
+			continue
+		}
+		code := schemeCode(sc)
+		if ch.Scheme != nil {
+			code = schemeCode(ch.Scheme)
+		}
+		if code.WidthBits() > widest.WidthBits() {
+			widest = code
+		}
+	}
+	return widest
+}
+
+// NewClientTriplets performs base-OT setup for the client role: widening
+// from no columns to the session scheme's code.
 func NewClientTriplets(conn Conn, p Params, session uint64, rng *prg.PRG) (*ClientTriplets, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	ot, err := otext.NewSender(conn, otext.WalshHadamardCode(256), session, rng)
+	// No columns yet: set-up is the first widening, on the one path (and
+	// under the one span) any later one takes.
+	ot, err := otext.NewSender(conn, otext.Code{}, session, rng)
 	if err != nil {
-		return nil, fmt.Errorf("core: client triplet setup: %w", err)
+		return nil, err
 	}
 	ot.SetWorkers(p.Workers)
-	return &ClientTriplets{params: p, ot: ot, rng: rng, vals: p.fragValues(), session: session}, nil
+	c := &ClientTriplets{params: p, ot: ot, rng: rng, vals: p.fragValues(), session: session}
+	if err := c.widen(schemeCode(p.Scheme)); err != nil {
+		return nil, fmt.Errorf("core: client triplet setup: %w", err)
+	}
+	return c, nil
+}
+
+// widen runs the base OTs for whatever columns code has beyond those the
+// sender already holds. It talks to the peer, so it runs on the goroutine
+// that owns the connection, before a batch's first layer (or at set-up),
+// mirrored by the server's widen.
+func (c *ClientTriplets) widen(code otext.Code) error {
+	return widenSpan(c.params.Trace, code.WidthBits()-c.ot.Columns(), func() error { return c.ot.Widen(code, c.rng) })
+}
+
+// widenSpan runs one party's base OTs for missing columns under a
+// "baseot" span, and nothing at all — no span, no flight — when none are
+// missing.
+func widenSpan(tr *trace.Tracer, missing int, baseOTs func() error) error {
+	if missing <= 0 {
+		return nil
+	}
+	sp := tr.Start("baseot").SetBatch(missing)
+	err := baseOTs()
+	sp.End(err)
+	return err
 }
 
 // NewServerTriplets performs base-OT setup for the server role. The
@@ -89,12 +155,23 @@ func NewServerTripletsSeeded(conn Conn, p Params, session uint64, rng *prg.PRG) 
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	ot, err := otext.NewReceiver(conn, otext.WalshHadamardCode(256), session, rng)
+	ot, err := otext.NewReceiver(conn, otext.Code{}, session, rng) // no columns yet, as on the client
 	if err != nil {
-		return nil, fmt.Errorf("core: server triplet setup: %w", err)
+		return nil, err
 	}
 	ot.SetWorkers(p.Workers)
-	return &ServerTriplets{params: p, ot: ot, rng: rng, session: session}, nil
+	s := &ServerTriplets{params: p, ot: ot, rng: rng, session: session}
+	if err := s.widen(schemeCode(p.Scheme)); err != nil {
+		return nil, fmt.Errorf("core: server triplet setup: %w", err)
+	}
+	return s, nil
+}
+
+// widen mirrors ClientTriplets.widen. It receives, so it must never run
+// on the run-ahead producer, which shares the connection's receive side
+// with the consumer.
+func (s *ServerTriplets) widen(code otext.Code) error {
+	return widenSpan(s.params.Trace, code.WidthBits()-s.ot.Columns(), func() error { return s.ot.Widen(code, s.rng) })
 }
 
 // Baseline generator accessors. Creation is lazy — at the first layer a
@@ -238,20 +315,20 @@ func (c *ClientTriplets) GenerateClient(sh MatShape, R *ring.Mat, mode Mode) (*r
 	return c.generateClient(c.params, c.vals, sh, R, mode)
 }
 
-// GenerateClientScheme is GenerateClient under a per-layer fragmentation
-// override (a planner-chosen η/γ decomposition); a nil scheme inherits
-// the session scheme.
-func (c *ClientTriplets) GenerateClientScheme(sh MatShape, R *ring.Mat, mode Mode, sc quant.Scheme) (*ring.Mat, error) {
-	p, vals := c.schemeParams(sc)
-	return c.generateClient(p, vals, sh, R, mode)
-}
-
+// generateClient is GenerateClient under params, the session's or a
+// per-layer fragmentation override's (a planner-chosen η/γ
+// decomposition), with vals that scheme's fragment values. The layer
+// extends over its own scheme's code; columns for it must be there (see
+// widen).
 func (c *ClientTriplets) generateClient(params Params, vals [][]ring.Elem, sh MatShape, R *ring.Mat, mode Mode) (*ring.Mat, error) {
 	if err := checkShape(sh, mode); err != nil {
 		return nil, err
 	}
 	if R.Rows != sh.N || R.Cols != sh.O {
 		return nil, fmt.Errorf("core: R is %dx%d, want %dx%d", R.Rows, R.Cols, sh.N, sh.O)
+	}
+	if err := c.ot.Use(schemeCode(params.Scheme)); err != nil {
+		return nil, fmt.Errorf("core: client extend: %w", err)
 	}
 	rg := params.Ring
 	gamma := params.Scheme.Gamma()
@@ -363,55 +440,86 @@ func payloadOffsets(p Params, base, chunk int, mode Mode, padBytes int) []int {
 // GenerateServer runs the server side for quantized weights W (m x n,
 // row-major int64). It returns U (m x o).
 func (s *ServerTriplets) GenerateServer(sh MatShape, W []int64, mode Mode) (*ring.Mat, error) {
-	return s.generateServer(s.params, sh, W, mode)
-}
-
-// GenerateServerScheme is GenerateServer under a per-layer fragmentation
-// override; a nil scheme inherits the session scheme.
-func (s *ServerTriplets) GenerateServerScheme(sh MatShape, W []int64, mode Mode, sc quant.Scheme) (*ring.Mat, error) {
-	p := s.params
-	if sc != nil {
-		p.Scheme = sc
-	}
-	return s.generateServer(p, sh, W, mode)
-}
-
-// generateServer is the server side of the offline phase for one layer,
-// pipelined on par.Ahead: a producer goroutine decomposes each chunk's
-// choices and runs Extend — which sends the chunk's u matrix — for up to
-// OfflineWindow chunks that are extended but not yet decoded, while this
-// goroutine receives payload k and decodes it against the queued block.
-// u_{k+1} depends on nothing the client sends, so the only thing bounding
-// the run-ahead is the window. The client is a plain reactive loop (recv
-// u_k, send payload k), so on a link with latency the client's replies to
-// chunks k+1.. are already in flight while chunk k is decoded, instead of
-// one round trip per chunk. Each party's send order and bytes are those
-// of the strict ping-pong, so seeded transcripts are unchanged.
-//
-// The producer never outlives the call, and a panic inside Extend
-// resurfaces here, on the goroutine the session guard watches, as a
-// *par.ChunkPanic: both are par.Ahead's contract.
-func (s *ServerTriplets) generateServer(params Params, sh MatShape, W []int64, mode Mode) (*ring.Mat, error) {
-	if err := checkShape(sh, mode); err != nil {
-		return nil, err
-	}
-	if len(W) != sh.M*sh.N {
-		return nil, fmt.Errorf("core: W has %d elements, want %d", len(W), sh.M*sh.N)
-	}
-	choices, err := quant.DecomposeAll(params.Scheme, W)
+	us, err := s.generateServer([]serverLayer{{params: s.params, sh: sh, W: W, mode: mode}}, func() {})
 	if err != nil {
 		return nil, err
 	}
-	rg := params.Ring
-	gamma := params.Scheme.Gamma()
-	total := params.NumOTs(sh)
-	U := ring.NewMat(sh.M, sh.O)
-	elemBytes := rg.Bytes()
-	padBytes := sh.O * elemBytes
+	return us[0], nil
+}
 
-	extend := func(_, k int) (*otext.ReceiverBlock, error) {
-		ot := k * chunkOTs
-		cs := make([]int, min(total-ot, chunkOTs))
+// serverLayer is one layer of a run: its shape, weights and payload
+// mode, under params — the session's, or a per-layer fragmentation
+// override's.
+type serverLayer struct {
+	params Params
+	sh     MatShape
+	W      []int64
+	mode   Mode
+}
+
+// chunks is the number of extension rounds the layer is cut into.
+func (l serverLayer) chunks() int { return (l.params.NumOTs(l.sh) + chunkOTs - 1) / chunkOTs }
+
+// generateServer is the server side of the offline phase for a run of
+// consecutive ABNN2 layers, pipelined on one par.Ahead over the run's
+// flat chunk sequence: a producer goroutine decomposes each chunk's
+// choices and runs Extend — which sends the chunk's u matrix — for up to
+// OfflineWindow chunks that are extended but not yet decoded, while this
+// goroutine receives payload k and decodes it against the queued block.
+// u_{k+1} depends on nothing the client sends, in the next layer no more
+// than in this one, so the only thing bounding the run-ahead is the
+// window: the producer goes straight on into layer L+1 while layer L's
+// last payloads are still on their way back, and a run fills and drains
+// the window once, not once per layer. The client is a plain reactive
+// loop (recv u_k, send payload k), so on a link with latency the client's
+// replies to chunks k+1.. are already in flight while chunk k is decoded,
+// instead of one round trip per chunk. Each party's send order and bytes
+// are those of the strict ping-pong, so seeded transcripts are unchanged.
+//
+// layerDone runs on this goroutine each time a layer's last chunk has
+// been decoded; the returned shares are in run order. On an error the
+// layer that failed is the one after the last layerDone.
+//
+// The producer never outlives the call, and a panic inside Extend
+// resurfaces here, on the goroutine the session guard watches, as a
+// *par.ChunkPanic: both are par.Ahead's contract. The producer only ever
+// sends: columns a layer's code lacks are an error from Use, not a reason
+// to widen here (see widen).
+func (s *ServerTriplets) generateServer(run []serverLayer, layerDone func()) ([]*ring.Mat, error) {
+	// first[k] is the flat index of layer k's first chunk.
+	first := make([]int, len(run)+1)
+	for k, l := range run {
+		if err := checkShape(l.sh, l.mode); err != nil {
+			return nil, err
+		}
+		if len(l.W) != l.sh.M*l.sh.N {
+			return nil, fmt.Errorf("core: W has %d elements, want %d", len(l.W), l.sh.M*l.sh.N)
+		}
+		first[k+1] = first[k] + l.chunks()
+	}
+	us := make([]*ring.Mat, len(run))
+
+	// The producer's view of the run: the layer it is in and that
+	// layer's decomposed weights. Only the producer goroutine touches it.
+	var (
+		pk      = -1
+		choices [][]int
+	)
+	extend := func(_, i int) (*otext.ReceiverBlock, error) {
+		for pk < 0 || i >= first[pk+1] {
+			pk++
+			var err error
+			if choices, err = quant.DecomposeAll(run[pk].params.Scheme, run[pk].W); err != nil {
+				return nil, err
+			}
+			if err := s.ot.Use(schemeCode(run[pk].params.Scheme)); err != nil {
+				return nil, fmt.Errorf("core: server extend: %w", err)
+			}
+		}
+		params, sh := run[pk].params, run[pk].sh
+		gamma := params.Scheme.Gamma()
+		ot := (i - first[pk]) * chunkOTs
+		cs := make([]int, min(params.NumOTs(sh)-ot, chunkOTs))
 		for local := range cs {
 			g := ot + local
 			cs[local] = choices[g/gamma][g%gamma]
@@ -422,8 +530,18 @@ func (s *ServerTriplets) generateServer(params Params, sh MatShape, W []int64, m
 		}
 		return blk, nil
 	}
-	decode := func(k int, blk *otext.ReceiverBlock) error {
-		ot := k * chunkOTs
+	ck := 0 // the consumer's layer
+	decode := func(i int, blk *otext.ReceiverBlock) error {
+		params, sh, mode := run[ck].params, run[ck].sh, run[ck].mode
+		if us[ck] == nil {
+			us[ck] = ring.NewMat(sh.M, sh.O)
+		}
+		U := us[ck]
+		rg := params.Ring
+		gamma := params.Scheme.Gamma()
+		elemBytes := rg.Bytes()
+		padBytes := sh.O * elemBytes
+		ot := (i - first[ck]) * chunkOTs
 		chunk := blk.Count()
 		payload, err := s.ot.Conn().Recv()
 		if err != nil {
@@ -471,13 +589,17 @@ func (s *ServerTriplets) generateServer(params Params, sh MatShape, W []int64, m
 		for _, pu := range partials {
 			rg.AddVecInPlace(U.Data, pu)
 		}
+		if i+1 == first[ck+1] {
+			// U now holds sum(Value*r - s); V holds sum(s): U + V = W*R.
+			layerDone()
+			ck++
+		}
 		return nil
 	}
-	if err := par.Ahead(1, OfflineWindow, (total+chunkOTs-1)/chunkOTs, extend, decode); err != nil {
+	if err := par.Ahead(1, OfflineWindow, first[len(run)], extend, decode); err != nil {
 		return nil, err
 	}
-	// U currently holds sum(Value*r - s); V holds sum(s): U + V = W*R.
-	return U, nil
+	return us, nil
 }
 
 func checkShape(sh MatShape, mode Mode) error {

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"abnn2/internal/baseline"
 	"abnn2/internal/otext"
 	"abnn2/internal/prg"
 	"abnn2/internal/quant"
@@ -142,42 +143,93 @@ func TestChunkingBoundary(t *testing.T) {
 	runTriplets(t, p, sh, OneBatch, 400)
 }
 
-// Communication must match Table 1's formulas exactly:
-// one-batch:  gamma*m*n * (l*(N-1) + 2*kappa) bits
-// multi-batch: gamma*m*n * (o*l*N + 2*kappa) bits
+// Communication must match Table 1's formulas exactly, at the column
+// width this implementation sends — that of the KK13 code for the
+// scheme's largest N, written out by hand here — and the formulas in
+// complexity.go must say the same:
+// one-batch:  gamma*m*n * (l*(N-1) + width) bits
+// multi-batch: gamma*m*n * (o*l*N + width) bits
 // (payload client->server; column matrices server->client).
 func TestCommunicationMatchesTable1(t *testing.T) {
-	l := 32
-	cases := []struct {
+	const l = 32
+	for _, c := range []struct {
 		scheme quant.Scheme
-		sh     MatShape
-		mode   Mode
+		width  int64 // column bits per OT
 	}{
-		{quant.Uniform(2, 4), MatShape{8, 16, 1}, OneBatch},
-		{quant.Ternary(), MatShape{8, 16, 1}, OneBatch},
-		{quant.Uniform(2, 4), MatShape{8, 16, 4}, MultiBatch},
-		{quant.NewBitScheme(true, 3, 3, 2), MatShape{8, 16, 1}, OneBatch},
-	}
-	for _, c := range cases {
-		p := Params{Ring: ring.New(uint(l)), Scheme: c.scheme}
-		stats := runTriplets(t, p, c.sh, c.mode, 500)
-		var payloadBits, colBits int64
-		for f := 0; f < c.scheme.Gamma(); f++ {
-			n := int64(c.scheme.FragmentN(f))
-			per := int64(c.sh.M * c.sh.N)
-			if c.mode == OneBatch {
-				payloadBits += per * int64(l) * (n - 1)
-			} else {
-				payloadBits += per * int64(c.sh.O) * int64(l) * n
+		{quant.Binary(), 128},                    // N = 2
+		{quant.Ternary(), 192},                   // N = 3
+		{quant.Uniform(2, 4), 192},               // N = 4
+		{quant.NewBitScheme(true, 3, 3, 2), 224}, // N = 8, 8, 4: one width per layer
+		{quant.NewBitScheme(true, 4, 4), 240},    // N = 16
+	} {
+		for _, sh := range []MatShape{{8, 16, 1}, {8, 16, 4}} {
+			mode := ModeFor(sh.O)
+			p := Params{Ring: ring.New(l), Scheme: c.scheme}
+			stats := runTriplets(t, p, sh, mode, 500)
+			var payloadBits, colBits int64
+			for f := 0; f < c.scheme.Gamma(); f++ {
+				n := int64(c.scheme.FragmentN(f))
+				per := int64(sh.M * sh.N)
+				if mode == OneBatch {
+					payloadBits += per * l * (n - 1)
+				} else {
+					payloadBits += per * int64(sh.O) * l * n
+				}
+				colBits += per * c.width
 			}
-			colBits += per * 2 * otext.Kappa
+			if got := stats.BytesAB * 8; got != payloadBits {
+				t.Errorf("%s %v: client payload %d bits, want %d", c.scheme.Name(), mode, got, payloadBits)
+			}
+			if got := stats.BytesBA * 8; got != colBits {
+				t.Errorf("%s %v: server columns %d bits, want %d", c.scheme.Name(), mode, got, colBits)
+			}
+			cx := OfflineComplexity(l, c.scheme, sh)
+			if got := float64(stats.TotalBytes() * 8); got != cx.CommBits {
+				t.Errorf("%s %v: measured %v bits, formula %v", c.scheme.Name(), mode, got, cx.CommBits)
+			}
+			if want := float64(payloadBits + int64(p.NumOTs(sh))*2*otext.Kappa); cx.PaperBits != want {
+				t.Errorf("%s %v: paper-faithful formula %v bits, want %v", c.scheme.Name(), mode, cx.PaperBits, want)
+			}
 		}
-		if got := stats.BytesAB * 8; got != payloadBits {
-			t.Errorf("%s %v: client payload %d bits, want %d", c.scheme.Name(), c.mode, got, payloadBits)
-		}
-		if got := stats.BytesBA * 8; got != colBits {
-			t.Errorf("%s %v: server columns %d bits, want %d", c.scheme.Name(), c.mode, got, colBits)
-		}
+	}
+
+	// QUOTIENT: two correlated 1-out-of-2 OTs per weight, l correction
+	// bits and the 128-bit repetition code's columns each.
+	sh := MatShape{8, 16, 1}
+	rg := ring.New(l)
+	ca, cb, meter := transport.MeteredPipe()
+	defer ca.Close()
+	var (
+		qc   *baseline.QuotientClient
+		cerr error
+		wg   sync.WaitGroup
+	)
+	setup := func(f func()) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f()
+		}()
+	}
+	setup(func() { qc, cerr = baseline.NewQuotientClient(ca, rg, 1, prg.New(prg.SeedFromInt(1))) })
+	qs, serr := baseline.NewQuotientServer(cb, rg, 1, prg.New(prg.SeedFromInt(2)))
+	wg.Wait()
+	if cerr != nil || serr != nil {
+		t.Fatalf("quotient setup: client=%v server=%v", cerr, serr)
+	}
+	meter.Reset()
+	setup(func() { _, cerr = qc.GenerateClient(sh.M, prg.New(prg.SeedFromInt(3)).Vec(rg, sh.N)) })
+	_, serr = qs.GenerateServer(randomWeights(quant.Ternary(), sh.M*sh.N, 4), sh.M, sh.N)
+	wg.Wait()
+	if cerr != nil || serr != nil {
+		t.Fatalf("quotient: client=%v server=%v", cerr, serr)
+	}
+	stats := meter.Snapshot()
+	if got, want := stats.BytesBA*8, int64(2*sh.M*sh.N*128); got != want {
+		t.Errorf("quotient: server columns %d bits, want %d", got, want)
+	}
+	if got, want := float64(stats.TotalBytes()*8), QuotientComplexity(l, sh).CommBits; got != want {
+		t.Errorf("quotient: measured %v bits, formula %v", got, want)
 	}
 }
 

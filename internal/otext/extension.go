@@ -16,15 +16,15 @@ var oracle = prg.NewFastOracle("otext/pad")
 // Sender is the OT-extension sender: the party that, after each Extend
 // round, can derive the pad for every candidate choice value. In ABNN2's
 // multiplication protocol the *client* (holding the random share r) plays
-// this role. A Sender is bound to one connection and one code and must be
-// paired with exactly one Receiver performing the same sequence of calls.
-// Not safe for concurrent use.
+// this role. A Sender is bound to one connection, runs one code at a time
+// (see Use) and must be paired with exactly one Receiver performing the
+// same sequence of calls. Not safe for concurrent use.
 type Sender struct {
 	conn    transport.Conn
-	code    Code
+	code    Code // what Extend runs over: at most len(cols) columns wide
 	session uint64
-	s       []byte // secret column-selection bits, WidthBits/8 bytes
-	masks   []byte // C(v) AND s for v in [0, N), WidthBits/8 bytes each
+	s       []byte // secret column-selection bits, one per column set up
+	masks   []byte // C(v) AND s for v in [0, code.N()), code.WidthBits()/8 bytes each
 	cols    []*prg.PRG
 	counter uint64
 	workers int
@@ -36,7 +36,7 @@ type Sender struct {
 // weight fragments) plays this role.
 type Receiver struct {
 	conn    transport.Conn
-	code    Code
+	code    Code // what Extend runs over: at most len(cols0) columns wide
 	session uint64
 	cols0   []*prg.PRG
 	cols1   []*prg.PRG
@@ -57,53 +57,117 @@ func (s *Sender) SetWorkers(n int) { s.workers = n }
 // SetWorkers mirrors Sender.SetWorkers for the receiving role.
 func (r *Receiver) SetWorkers(n int) { r.workers = n }
 
-// NewSender performs the base-OT setup for the sending role. It samples
-// the secret s and receives one seed per code column via base OT (the
-// extension sender is the base-OT receiver, per IKNP). rng supplies all
-// local randomness.
+// NewSender performs the base-OT setup for the sending role and leaves
+// the sender running code: set-up is widening from no columns at all.
+// rng supplies all local randomness.
 func NewSender(conn transport.Conn, code Code, session uint64, rng *prg.PRG) (*Sender, error) {
-	w := code.WidthBits()
-	s := rng.Bytes(w / 8)
-	choices := make([]byte, w)
-	for i := 0; i < w; i++ {
-		choices[i] = (s[i/8] >> (uint(i) % 8)) & 1
+	s := &Sender{conn: conn, session: session}
+	if err := s.Widen(code, rng); err != nil {
+		return nil, err
 	}
-	seeds, err := baseot.Receive(conn, choices, rng)
+	return s, s.Use(code)
+}
+
+// Widen runs base OTs for the columns code has beyond those already set
+// up — none when the sender is wide enough — extending the secret s by
+// one fresh bit and receiving one seed per new column (the extension
+// sender is the base-OT receiver, per IKNP). The code in use and the
+// state of the columns already there are untouched. The Receiver must
+// call its Widen with the same code at the same point of the message
+// sequence.
+func (s *Sender) Widen(code Code, rng *prg.PRG) error {
+	have, w := len(s.cols), code.WidthBits()
+	if w <= have {
+		return nil
+	}
+	fresh := rng.Bytes((w - have) / 8)
+	choices := make([]byte, w-have)
+	for i := range choices {
+		choices[i] = (fresh[i/8] >> (uint(i) % 8)) & 1
+	}
+	seeds, err := baseot.Receive(s.conn, choices, rng)
 	if err != nil {
-		return nil, fmt.Errorf("otext: sender setup: %w", err)
+		return fmt.Errorf("otext: sender setup: %w", err)
 	}
-	cols := make([]*prg.PRG, w)
-	for i := range cols {
-		cols[i] = prg.New(seeds[i])
+	s.s = append(s.s, fresh...)
+	for _, seed := range seeds {
+		s.cols = append(s.cols, prg.New(seed))
+	}
+	return nil
+}
+
+// Columns returns how many code columns base OTs have been run for: the
+// width of the widest code Use accepts.
+func (s *Sender) Columns() int { return len(s.cols) }
+
+// Use makes code the one the following Extend calls run over, on its
+// first WidthBits columns; every column keeps its own PRG stream, so the
+// columns a narrower code leaves out simply do not advance. It fails when
+// code needs columns no base OT has been run for: widening talks to the
+// peer and so is the caller's to order, not something a round may do
+// behind its back. Blocks from earlier rounds stay valid.
+func (s *Sender) Use(code Code) error {
+	if code == s.code {
+		return nil
+	}
+	w := code.WidthBits()
+	if w > len(s.cols) {
+		return fmt.Errorf("otext: code for N=%d needs %d columns, base OTs were run for %d", code.N(), w, len(s.cols))
 	}
 	masks := make([]byte, code.N()*w/8)
 	for v := 0; v < code.N(); v++ {
 		mv := masks[v*w/8 : (v+1)*w/8]
 		code.Encode(v, mv)
 		for k := range mv {
-			mv[k] &= s[k]
+			mv[k] &= s.s[k]
 		}
 	}
-	return &Sender{conn: conn, code: code, session: session, s: s, masks: masks, cols: cols}, nil
+	s.code, s.masks = code, masks
+	return nil
 }
 
-// NewReceiver performs the base-OT setup for the receiving role, sending
-// one seed pair per code column.
+// NewReceiver performs the base-OT setup for the receiving role, the
+// mirror of NewSender.
 func NewReceiver(conn transport.Conn, code Code, session uint64, rng *prg.PRG) (*Receiver, error) {
-	w := code.WidthBits()
-	pairs := make([][2]prg.Seed, w)
-	cols0 := make([]*prg.PRG, w)
-	cols1 := make([]*prg.PRG, w)
+	r := &Receiver{conn: conn, session: session}
+	if err := r.Widen(code, rng); err != nil {
+		return nil, err
+	}
+	return r, r.Use(code)
+}
+
+// Widen mirrors Sender.Widen: one fresh seed pair per missing column,
+// sent by base OT.
+func (r *Receiver) Widen(code Code, rng *prg.PRG) error {
+	have, w := len(r.cols0), code.WidthBits()
+	if w <= have {
+		return nil
+	}
+	pairs := make([][2]prg.Seed, w-have)
 	for i := range pairs {
 		rng.Fill(pairs[i][0][:])
 		rng.Fill(pairs[i][1][:])
-		cols0[i] = prg.New(pairs[i][0])
-		cols1[i] = prg.New(pairs[i][1])
 	}
-	if err := baseot.Send(conn, pairs, rng); err != nil {
-		return nil, fmt.Errorf("otext: receiver setup: %w", err)
+	if err := baseot.Send(r.conn, pairs, rng); err != nil {
+		return fmt.Errorf("otext: receiver setup: %w", err)
 	}
-	return &Receiver{conn: conn, code: code, session: session, cols0: cols0, cols1: cols1}, nil
+	for i := range pairs {
+		r.cols0 = append(r.cols0, prg.New(pairs[i][0]))
+		r.cols1 = append(r.cols1, prg.New(pairs[i][1]))
+	}
+	return nil
+}
+
+// Columns mirrors Sender.Columns.
+func (r *Receiver) Columns() int { return len(r.cols0) }
+
+// Use mirrors Sender.Use.
+func (r *Receiver) Use(code Code) error {
+	if w := code.WidthBits(); w > len(r.cols0) {
+		return fmt.Errorf("otext: code for N=%d needs %d columns, base OTs were run for %d", code.N(), w, len(r.cols0))
+	}
+	r.code = code
+	return nil
 }
 
 // SenderBlock holds the sender's state for one Extend round of m OTs: the
@@ -111,10 +175,11 @@ func NewReceiver(conn transport.Conn, code Code, session uint64, rng *prg.PRG) (
 // read-only after Extend, so any number of SenderDerivers may read it
 // concurrently.
 type SenderBlock struct {
-	s    *Sender
-	q    *bitmat.Matrix // m_pad x w
-	base uint64         // counter value of OT 0 in this block
-	m    int
+	s     *Sender
+	q     *bitmat.Matrix // m_pad x w
+	masks []byte         // the sender's masks for the code the round ran over
+	base  uint64         // counter value of OT 0 in this block
+	m     int
 }
 
 // ReceiverBlock holds the receiver's state for one Extend round: rows t_j
@@ -128,9 +193,9 @@ type ReceiverBlock struct {
 }
 
 // Extend runs one extension round for m OTs from the receiver side with
-// the given per-OT choices (each in [0, code.N())). It transmits the
-// masked column matrix to the sender (one flight of m_pad * WidthBits
-// bits) and returns the block from which pads are derived.
+// the given per-OT choices (each in [0, N) of the code in use). It
+// transmits the masked column matrix to the sender (one flight of m_pad *
+// WidthBits bits) and returns the block from which pads are derived.
 func (r *Receiver) Extend(choices []int) (*ReceiverBlock, error) {
 	m := len(choices)
 	if m == 0 {
@@ -214,10 +279,11 @@ func (s *Sender) Extend(m int) (*SenderBlock, error) {
 		}
 	})
 	blk := &SenderBlock{
-		s:    s,
-		q:    bitmat.TransposePar(qCols, s.workers),
-		base: s.counter,
-		m:    m,
+		s:     s,
+		q:     bitmat.TransposePar(qCols, s.workers),
+		masks: s.masks,
+		base:  s.counter,
+		m:     m,
 	}
 	s.counter += uint64(mPad)
 	return blk, nil
@@ -266,7 +332,7 @@ func (d *SenderDeriver) Seek(j int) {
 // dst.
 func (d *SenderDeriver) XORPad(v int, dst []byte) {
 	w := len(d.masked)
-	subtle.XORBytes(d.masked, d.row, d.b.s.masks[v*w:(v+1)*w])
+	subtle.XORBytes(d.masked, d.row, d.b.masks[v*w:(v+1)*w])
 	d.h.XORPad(dst, d.masked)
 }
 

@@ -70,12 +70,12 @@ func fuzzReceiver(f *testing.F, code Code) (*Receiver, transport.Conn) {
 }
 
 // FuzzSenderExtend feeds arbitrary bytes as the u column matrix. The
-// valid length for WH(16) and m=8 is 256 bytes (w columns of mPad/8
-// bytes); everything else must error cleanly.
+// valid length for WH(16) and m=8 is 240 bytes (w = 240 columns of
+// mPad/8 bytes); everything else must error cleanly.
 func FuzzSenderExtend(f *testing.F) {
 	snd, peer := fuzzSender(f, WalshHadamardCode(16))
-	f.Add(make([]byte, 256))
-	f.Add(make([]byte, 255))
+	f.Add(make([]byte, 240))
+	f.Add(make([]byte, 239))
 	f.Add([]byte{})
 	f.Add(make([]byte, 1024))
 	f.Fuzz(func(t *testing.T, data []byte) {

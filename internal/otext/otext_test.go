@@ -2,6 +2,7 @@ package otext
 
 import (
 	"bytes"
+	"math/bits"
 	"sync"
 	"testing"
 
@@ -37,57 +38,92 @@ func TestCodes(t *testing.T) {
 	if rep.N() != 2 || rep.WidthBits() != 128 {
 		t.Fatalf("repetition code: N=%d width=%d", rep.N(), rep.WidthBits())
 	}
-	buf := make([]byte, 16)
-	rep.Encode(0, buf)
-	for _, b := range buf {
-		if b != 0 {
+	// N = 2 is IKNP's repetition code byte for byte, whichever
+	// constructor built it.
+	for _, c := range []Code{rep, WalshHadamardCode(2)} {
+		buf := make([]byte, 16)
+		c.Encode(0, buf)
+		if !bytes.Equal(buf, make([]byte, 16)) {
 			t.Fatal("C(0) not all-zero")
 		}
-	}
-	rep.Encode(1, buf)
-	for _, b := range buf {
-		if b != 0xFF {
+		c.Encode(1, buf)
+		if !bytes.Equal(buf, bytes.Repeat([]byte{0xFF}, 16)) {
 			t.Fatal("C(1) not all-one")
 		}
 	}
 
 	wh := WalshHadamardCode(16)
-	if wh.N() != 16 || wh.WidthBits() != 256 {
+	if wh.N() != 16 || wh.WidthBits() != 240 {
 		t.Fatalf("WH code: N=%d width=%d", wh.N(), wh.WidthBits())
+	}
+	// The widest member is the full code (what the benchmark's kernel
+	// replay builds).
+	if w := WalshHadamardCode(256).WidthBits(); w != 256 {
+		t.Fatalf("WH(256) width = %d, want 256", w)
+	}
+	if w := (Code{}).WidthBits(); w != 0 {
+		t.Fatalf("zero Code width = %d, want 0", w)
 	}
 }
 
-// The WH code must have minimum distance >= Kappa between any two
-// codewords in range; this is the property receiver privacy rests on.
-func TestWalshHadamardDistance(t *testing.T) {
-	c := WalshHadamardCode(256)
-	words := make([][]byte, 256)
-	for v := 0; v < 256; v++ {
-		words[v] = make([]byte, 32)
+// codewords returns the n codewords of the code for n choices.
+func codewords(n int) [][]byte {
+	c := WalshHadamardCode(n)
+	words := make([][]byte, n)
+	for v := range words {
+		words[v] = make([]byte, c.WidthBits()/8)
 		c.Encode(v, words[v])
 	}
-	for a := 0; a < 256; a++ {
-		for b := a + 1; b < 256; b++ {
-			d := 0
-			for k := 0; k < 32; k++ {
-				x := words[a][k] ^ words[b][k]
-				for ; x != 0; x &= x - 1 {
-					d++
+	return words
+}
+
+// Every code the constructor can return must keep any two codewords in
+// range at least Kappa bits apart; this is the property receiver privacy
+// rests on. Puncturing drops only columns that are zero on every codeword
+// in use, so the distance is the full code's, exactly Kappa, at every n.
+func TestWalshHadamardDistance(t *testing.T) {
+	for n := 2; n <= 256; n++ {
+		words := codewords(n)
+		for a := 0; a < n; a++ {
+			for b := a + 1; b < n; b++ {
+				d := 0
+				for k := range words[a] {
+					d += bits.OnesCount8(words[a][k] ^ words[b][k])
 				}
-			}
-			if d < Kappa {
-				t.Fatalf("distance(%d,%d) = %d < %d", a, b, d, Kappa)
+				if d != Kappa {
+					t.Fatalf("n=%d: distance(%d,%d) = %d, want exactly %d", n, a, b, d, Kappa)
+				}
 			}
 		}
 	}
 }
 
-func TestCodeForSelection(t *testing.T) {
-	if CodeFor(2).WidthBits() != 128 {
-		t.Error("CodeFor(2) should be the repetition code")
+// TestCodeNesting: the code for a < b choices is a byte prefix of the
+// code for b on the choices both have. Running a layer on a prefix of the
+// session's columns and widening a session by base OTs for the missing
+// columns only both rest on it.
+func TestCodeNesting(t *testing.T) {
+	full := codewords(256)
+	for n := 2; n <= 256; n++ {
+		for v, w := range codewords(n) {
+			if !bytes.Equal(w, full[v][:len(w)]) {
+				t.Fatalf("n=%d: codeword %d is not a prefix of the 256-choice codeword", n, v)
+			}
+		}
 	}
-	if CodeFor(4).WidthBits() != 256 {
-		t.Error("CodeFor(4) should be Walsh-Hadamard")
+}
+
+// TestCodeForSelection: the width is chosen from N alone — the columns
+// the next power of two of codewords uses, in whole bytes.
+func TestCodeForSelection(t *testing.T) {
+	for _, tc := range []struct{ lo, hi, width int }{
+		{2, 2, 128}, {3, 4, 192}, {5, 8, 224}, {9, 16, 240}, {17, 32, 248}, {33, 256, 256},
+	} {
+		for n := tc.lo; n <= tc.hi; n++ {
+			if got := WalshHadamardCode(n).WidthBits(); got != tc.width {
+				t.Errorf("WalshHadamardCode(%d).WidthBits() = %d, want %d", n, got, tc.width)
+			}
+		}
 	}
 }
 
@@ -465,7 +501,7 @@ func TestExtendCommunication(t *testing.T) {
 	}
 	wg.Wait()
 	s := meter.Snapshot()
-	wantBytes := int64(m * 256 / 8)
+	wantBytes := int64(m * 240 / 8) // N = 16: 240 columns
 	// Receiver is party B in setupPair ordering.
 	if s.BytesBA != wantBytes {
 		t.Errorf("u matrix bytes = %d, want %d", s.BytesBA, wantBytes)
@@ -492,4 +528,135 @@ func TestChoiceOutOfRange(t *testing.T) {
 	}
 	done() // unblock sender goroutine
 	wg.Wait()
+}
+
+// extendPair runs one Extend round on both sides.
+func extendPair(t *testing.T, snd *Sender, rcv *Receiver, choices []int) (*SenderBlock, *ReceiverBlock) {
+	t.Helper()
+	var (
+		sb   *SenderBlock
+		serr error
+		wg   sync.WaitGroup
+	)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		sb, serr = snd.Extend(len(choices))
+	}()
+	rb, rerr := rcv.Extend(choices)
+	wg.Wait()
+	if serr != nil || rerr != nil {
+		t.Fatalf("extend: sender=%v receiver=%v", serr, rerr)
+	}
+	return sb, rb
+}
+
+// checkPads requires the receiver's pad to be the sender's pad for the
+// choice and for no other candidate.
+func checkPads(t *testing.T, what string, sb *SenderBlock, rb *ReceiverBlock, n int, choices []int) {
+	t.Helper()
+	for j, c := range choices {
+		got := receiverPad(rb, j, 16)
+		for v := 0; v < n; v++ {
+			if bytes.Equal(senderPad(sb, j, v, 16), got) != (v == c) {
+				t.Fatalf("%s: OT %d candidate %d vs choice %d: wrong pad agreement", what, j, v, c)
+			}
+		}
+	}
+}
+
+// TestUsePrefix: a pair set up for a wide code runs any narrower one on a
+// prefix of its columns — the u flight shrinks to the narrower width, the
+// pads agree — and going back to the wide code still works, as do blocks
+// extended before a Use. A code wider than the base OTs is refused.
+func TestUsePrefix(t *testing.T) {
+	wide := WalshHadamardCode(16)
+	snd, rcv, meter, done := setupPair(t, wide)
+	defer done()
+	if err := snd.Use(WalshHadamardCode(17)); err == nil {
+		t.Error("sender accepted a code wider than its base OTs")
+	}
+	if err := rcv.Use(WalshHadamardCode(17)); err == nil {
+		t.Error("receiver accepted a code wider than its base OTs")
+	}
+	g := prg.New(prg.SeedFromInt(5))
+	const m = 24
+	var (
+		firstS *SenderBlock
+		firstR *ReceiverBlock
+		firstC []int
+	)
+	for round, n := range []int{16, 4, 2, 3, 16} {
+		code := WalshHadamardCode(n)
+		if err := snd.Use(code); err != nil {
+			t.Fatal(err)
+		}
+		if err := rcv.Use(code); err != nil {
+			t.Fatal(err)
+		}
+		choices := make([]int, m)
+		for i := range choices {
+			choices[i] = g.Intn(n)
+		}
+		meter.Reset()
+		sb, rb := extendPair(t, snd, rcv, choices)
+		if got, want := meter.Snapshot().BytesBA, int64(m*code.WidthBits()/8); got != want {
+			t.Errorf("N=%d: u matrix is %d bytes, want %d", n, got, want)
+		}
+		checkPads(t, "current round", sb, rb, n, choices)
+		if round == 0 {
+			firstS, firstR, firstC = sb, rb, choices
+		}
+	}
+	checkPads(t, "first round after four Use calls", firstS, firstR, 16, firstC)
+}
+
+// TestWiden: a pair set up at N = 4 (192 columns) widened to N = 16 runs
+// base OTs for the 48 missing columns only, once, and then extends at the
+// wider code; the columns it had keep their streams.
+func TestWiden(t *testing.T) {
+	narrow, wide := WalshHadamardCode(4), WalshHadamardCode(16)
+	snd, rcv, meter, done := setupPair(t, narrow)
+	defer done()
+	widen := func() int64 {
+		meter.Reset()
+		var (
+			serr error
+			wg   sync.WaitGroup
+		)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			serr = snd.Widen(wide, prg.New(prg.SeedFromInt(33)))
+		}()
+		rerr := rcv.Widen(wide, prg.New(prg.SeedFromInt(44)))
+		wg.Wait()
+		if serr != nil || rerr != nil {
+			t.Fatalf("widen: sender=%v receiver=%v", serr, rerr)
+		}
+		return meter.Snapshot().TotalBytes()
+	}
+	// One base-OT batch of n: A (65 bytes), n points, n ciphertext pairs.
+	const added = 240 - 192
+	if got, want := widen(), int64(65+added*(65+32)); got != want {
+		t.Errorf("widening moved %d bytes, want %d (%d base OTs)", got, want, added)
+	}
+	if got := widen(); got != 0 {
+		t.Errorf("widening an already wide pair moved %d bytes", got)
+	}
+	g := prg.New(prg.SeedFromInt(6))
+	for _, code := range []Code{narrow, wide} {
+		if err := snd.Use(code); err != nil {
+			t.Fatal(err)
+		}
+		if err := rcv.Use(code); err != nil {
+			t.Fatal(err)
+		}
+		choices := make([]int, 40)
+		for i := range choices {
+			choices[i] = g.Intn(code.N())
+		}
+		sb, rb := extendPair(t, snd, rcv, choices)
+		checkPads(t, "after widening", sb, rb, code.N(), choices)
+	}
 }

@@ -103,7 +103,11 @@ type Estimate struct {
 
 // TotalSeconds sums the predicted per-layer cost. Layers execute
 // sequentially in the offline protocol, so the sum is the end-to-end
-// prediction.
+// prediction — an upper one where consecutive layers run ABNN2: the
+// server extends straight through such a run (core.OfflineCorrSched), so
+// the window fills and drains once per run, while each layer is priced
+// here as if it drained alone (core.OfflineFlights). Pricing runs, not
+// layers, belongs to the overlap-aware cost model (ROADMAP).
 func (e *Estimate) TotalSeconds() float64 {
 	var t float64
 	for _, l := range e.Layers {

@@ -80,10 +80,11 @@ func fills(valid int, g *prg.PRG) []entry {
 func main() {
 	g := prg.New(prg.SeedFromInt(0xC0))
 
-	// internal/otext: u-matrix for WH(16)/m=8 is 256 bytes; 1-of-4
-	// chosen cts at msgLen 4 are 64 bytes; COT corrections for 3 OTs
-	// over the 33-bit ring are 15 bytes.
-	writeCorpus("internal/otext/testdata/fuzz/FuzzSenderExtend", fills(256, g))
+	// internal/otext: u-matrix for WH(16)/m=8 is 240 bytes (240 columns
+	// of one byte); 1-of-4 chosen cts at msgLen 4 are 64 bytes; COT
+	// corrections for 3 OTs over the 33-bit ring are 15 bytes.
+	writeCorpus("internal/otext/testdata/fuzz/FuzzSenderExtend", fills(240, g))
+	g.Bytes(16) // the u-matrix was 256 bytes wide in wire v1: every later corpus keeps its bytes
 	writeCorpus("internal/otext/testdata/fuzz/FuzzRecvChosen", fills(64, g))
 	writeCorpus("internal/otext/testdata/fuzz/FuzzRecvCorrelatedRing", fills(15, g))
 

@@ -169,8 +169,9 @@ func TestTracedTCPInferenceSpansMatchMeter(t *testing.T) {
 	}
 
 	// Set-up is the two base-OT batches under the setup span, in protocol
-	// order: 256 OTs for the triplet extension, then 128 for the GC's;
-	// a batch of n moves A, n points and n ciphertext pairs.
+	// order: one OT per column of the scheme's code for the triplet
+	// extension — 192 for the N = 4 fragments of 8(2,2,2,2) — then 128
+	// for the GC's; a batch of n moves A, n points and n ciphertext pairs.
 	for party, spans := range map[string][]TraceSpan{"server": srvSpans, "client": cliSpans} {
 		var setup TraceSpan
 		var batches []TraceSpan
@@ -182,7 +183,7 @@ func TestTracedTCPInferenceSpansMatchMeter(t *testing.T) {
 				batches = append(batches, sp)
 			}
 		}
-		for i, n := range []int{256, 128} {
+		for i, n := range []int{192, 128} {
 			if i >= len(batches) {
 				break // counted above
 			}
