@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race bench perf-smoke tables ablations accuracy conformance goldens fuzz corpus chaos loadtest crashtest clean
+.PHONY: all build test vet race bench perf-smoke tables ablations accuracy conformance goldens fuzz corpus chaos loadtest crashtest docs-check loc clean
 
 all: build test
 
@@ -127,6 +127,17 @@ fuzz:
 # internal/*/testdata/fuzz). Run after changing any wire format.
 corpus:
 	$(GO) run ./internal/testkit/gencorpus
+
+# Every backticked internal/, cmd/, examples/ or scripts/ path the docs
+# cite must exist (CI's static job runs it).
+docs-check:
+	sh scripts/docs-check.sh
+
+# ROADMAP's size figure: non-test Go lines outside the benchmark module and
+# its build directory. "Negative net line count" is checked against this,
+# not quoted.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' | xargs cat | wc -l
 
 # The checked-in seed corpora under */testdata/fuzz are source,
 # not build output — clean only removes crashers the fuzzer minimised

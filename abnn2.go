@@ -34,6 +34,7 @@ import (
 
 	"abnn2/internal/bank"
 	"abnn2/internal/core"
+	"abnn2/internal/paillier"
 	"abnn2/internal/plan"
 	"abnn2/internal/prg"
 	"abnn2/internal/quant"
@@ -140,9 +141,11 @@ type Config struct {
 	// any announced plan the model can execute. Plans never change
 	// prediction bits — only where offline cost is spent.
 	Plan *Plan
-	// MiniONNKeyBits sets the Paillier key size of planned MiniONN
-	// layers (0 = the baseline default, 1024). Public protocol state:
-	// both parties must configure the same value.
+	// MiniONNKeyBits sets the size of the Paillier key the client
+	// generates for planned MiniONN layers (0 = the baseline default,
+	// 1024). Client-local: the server never reads the field — it takes
+	// the size off the key it receives and refuses one outside the same
+	// [256,4096] range.
 	MiniONNKeyBits int
 }
 
@@ -173,8 +176,8 @@ func (c Config) Validate() error {
 	if c.OfflineMode == OfflineBanked && c.Bank == nil {
 		return fmt.Errorf("abnn2: OfflineBanked requires Config.Bank")
 	}
-	if c.MiniONNKeyBits != 0 && (c.MiniONNKeyBits < 256 || c.MiniONNKeyBits > 4096) {
-		return fmt.Errorf("abnn2: MiniONNKeyBits %d outside [256,4096]", c.MiniONNKeyBits)
+	if c.MiniONNKeyBits != 0 && (c.MiniONNKeyBits < paillier.MinModulusBits || c.MiniONNKeyBits > paillier.MaxModulusBits) {
+		return fmt.Errorf("abnn2: MiniONNKeyBits %d outside [%d,%d]", c.MiniONNKeyBits, paillier.MinModulusBits, paillier.MaxModulusBits)
 	}
 	if c.Plan != nil && (len(c.Plan.Layers) == 0 || len(c.Plan.Layers) > plan.MaxLayers) {
 		return fmt.Errorf("abnn2: Plan has %d layers, want [1,%d]", len(c.Plan.Layers), plan.MaxLayers)

@@ -1,13 +1,17 @@
 package abnn2
 
 import (
+	"bytes"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"abnn2/internal/core"
 	"abnn2/internal/leakcheck"
 	"abnn2/internal/otext"
+	"abnn2/internal/plan"
 	"abnn2/internal/prg"
 )
 
@@ -148,6 +152,29 @@ func TestModelJSONRoundTrip(t *testing.T) {
 	for _, x := range test.Inputs[:5] {
 		if qm.Predict(x) != qm2.Predict(x) {
 			t.Error("prediction changed after roundtrip")
+		}
+	}
+}
+
+// A model whose layers do not chain, or whose declared input disagrees
+// with its conv geometry, is one every client's Arch.Validate refuses at
+// Dial: loading it must fail too, so that a server never starts on it.
+func TestLoadQuantizedModelRejectsUndialableArch(t *testing.T) {
+	for _, tc := range []struct{ name, json, want string }{
+		{"mis-chained",
+			`{"frac":4,"layers":[
+				{"in":4,"out":3,"w":[1,0,1,0,1,0,1,0,1,0,1,0],"b":[0,0,0],"scale":1,"relu":true,"scheme":"binary"},
+				{"in":5,"out":2,"w":[1,0,1,0,1,0,1,0,1,0],"b":[0,0],"scale":1,"relu":false,"scheme":"binary"}]}`,
+			"layer 1 expects 5 inputs, previous layer outputs 3"},
+		{"conv-geometry",
+			`{"frac":4,"layers":[
+				{"in":10,"out":1,"w":[1,0,1,0],"b":[0],"scale":1,"relu":false,"scheme":"binary",
+				 "conv":{"ci":1,"h":3,"w":3,"kh":2,"kw":2,"stride":1,"pad":0}}]}`,
+			"input 10 does not match conv geometry 9"},
+	} {
+		_, err := LoadQuantizedModel([]byte(tc.json))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: LoadQuantizedModel error = %v, want one containing %q", tc.name, err, tc.want)
 		}
 	}
 }
@@ -368,4 +395,53 @@ func TestV1PeerFailsInSetup(t *testing.T) {
 			leakcheck.Settle(t, base, name)
 		})
 	}
+}
+
+// keySwapConn replaces the flight that follows the plan frame — under a
+// plan whose first layer is MiniONN, the client's Paillier public key —
+// with a modulus of its own.
+type keySwapConn struct {
+	Conn
+	modulus  []byte
+	planSeen bool
+}
+
+func (k *keySwapConn) Send(msg []byte) error {
+	if k.planSeen {
+		k.planSeen, msg = false, k.modulus
+	} else if bytes.HasPrefix(msg, []byte("ABP1")) {
+		k.planSeen = true
+	}
+	return k.Conn.Send(msg)
+}
+
+// TestServerRefusesOversizedPaillierKey: the MiniONN public key is the
+// client's, and the server's whole homomorphic matrix product runs modulo
+// its square — compute, which no round timeout bounds. A client that
+// schedules one MiniONN layer and sends an 8192-bit modulus must cost the
+// server one ordinary error, raised on the key's length before anything
+// is squared or any ciphertext read, and leave no goroutine behind.
+func TestServerRefusesOversizedPaillierKey(t *testing.T) {
+	qm := chaosModel(t)
+	base := leakcheck.Base()
+	modulus := prg.New(prg.SeedFromInt(41)).Bytes(8192 / 8)
+	modulus[0] |= 0x80
+	modulus[len(modulus)-1] |= 1
+	cfg := Config{RingBits: 32, RoundTimeout: chaosRoundTimeout}
+	ccfg := cfg
+	ccfg.Plan = plan.Uniform(core.BackendMiniONN, len(qm.Arch().Layers))
+	ccfg.MiniONNKeyBits = 256
+	sconn, cconn := Pipe()
+	srvErr, cliErr, _ := runParties(t, qm, sconn, &keySwapConn{Conn: cconn, modulus: modulus}, cfg, ccfg)
+	if srvErr == nil || cliErr == nil {
+		t.Fatalf("oversized key: server=%v client=%v, want both to fail", srvErr, cliErr)
+	}
+	var pe *PanicError
+	if errors.As(srvErr, &pe) {
+		t.Errorf("the server panicked on the key: %v", srvErr)
+	}
+	if !strings.Contains(srvErr.Error(), "paillier: modulus of 1024 bytes outside [256,4096] bits") {
+		t.Errorf("the server did not refuse the key on its length: %v", srvErr)
+	}
+	leakcheck.Settle(t, base, "oversized key")
 }

@@ -14,7 +14,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -33,7 +32,6 @@ func main() {
 	traceOut := flag.String("trace-out", "", "append per-phase protocol spans as JSONL to this file (empty = off); replay with abnn2-inspect -trace")
 	planFlag := flag.String("plan", "", "for -table plan: "+plan.FlagUsage)
 	linkFlag := flag.String("link", "", "for -table plan: link model pricing the plan (lan, wan, or MBps:RTTms; empty = wan)")
-	planOut := flag.String("plan-out", "", "for -table plan: also write the evaluated plan as JSON to this file (feed back via -plan @file)")
 	flag.Parse()
 
 	opt := bench.Options{Quick: *quick, Out: os.Stdout, Workers: *workers, Plan: *planFlag, Link: *linkFlag}
@@ -60,18 +58,13 @@ func main() {
 		return
 	}
 	run := map[string]func(bench.Options){
-		"1":   func(o bench.Options) { bench.Table1(o) },
-		"2":   func(o bench.Options) { bench.Table2(o) },
-		"3":   func(o bench.Options) { bench.Table3(o) },
-		"4":   func(o bench.Options) { bench.Table4(o) },
-		"5":   func(o bench.Options) { bench.Table5(o) },
-		"cnn": func(o bench.Options) { bench.TableCNN(o) },
-		"plan": func(o bench.Options) {
-			rows := bench.TablePlan(o)
-			if *planOut != "" && len(rows) > 0 {
-				writePlanJSON(*planOut, rows[0].Plan)
-			}
-		},
+		"1":    func(o bench.Options) { bench.Table1(o) },
+		"2":    func(o bench.Options) { bench.Table2(o) },
+		"3":    func(o bench.Options) { bench.Table3(o) },
+		"4":    func(o bench.Options) { bench.Table4(o) },
+		"5":    func(o bench.Options) { bench.Table5(o) },
+		"cnn":  func(o bench.Options) { bench.TableCNN(o) },
+		"plan": func(o bench.Options) { bench.TablePlan(o) },
 	}
 	if *table == "all" {
 		for _, k := range []string{"1", "2", "3", "4", "5", "cnn"} {
@@ -85,23 +78,4 @@ func main() {
 		os.Exit(2)
 	}
 	f(opt)
-}
-
-// writePlanJSON persists an evaluated plan (its compact string form,
-// e.g. "abnn2,minionn") as the JSON @file form -plan accepts.
-func writePlanJSON(path, planStr string) {
-	p, err := plan.FromString(planStr)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "abnn2-bench: plan-out: %v\n", err)
-		os.Exit(1)
-	}
-	data, err := json.MarshalIndent(p, "", "  ")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "abnn2-bench: plan-out: %v\n", err)
-		os.Exit(1)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "abnn2-bench: plan-out: %v\n", err)
-		os.Exit(1)
-	}
 }

@@ -61,7 +61,7 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit the -timeline result as JSON instead of a table")
 	bankAudit := flag.String("bank-audit", "", "audit a bank store directory's claim journal for double-spent ids")
 	planFlag := flag.String("plan", "", "print the "+
-		"protocol planner's predicted per-layer cost table for -model (auto, a backend name, or @file); "+
+		"protocol planner's predicted per-layer cost table for -model (auto, a backend name, or one entry per layer, e.g. abnn2,minionn); "+
 		"with -trace, also the measured per-layer offline spans beside it")
 	linkFlag := flag.String("link", "wan", "link model pricing the projection table and -plan: lan, wan, or MBps:RTTms")
 	flag.Parse()

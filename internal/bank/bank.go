@@ -16,8 +16,9 @@
 // correlation can back two online phases.
 //
 // Halves reach a pool in two ways. Put stores this party's half of a
-// correlation it generated with a remote peer over the wire (offline.go
-// in the root package); those pools live in the Store's segment files and
+// correlation it generated with a remote peer over the wire (a batch whose
+// announcement says "store": Client.Prefetch and Server.store in the root
+// package's abnn2.go); those pools live in the Store's segment files and
 // survive restarts. The loopback filler (Prewarm, and a watermark refill
 // behind every loopback draw) is the same arrangement with both parties
 // in this process: a persistent generator pair runs the genuine offline

@@ -34,13 +34,17 @@ func AblationOneBatch(opt Options) []AblationRow {
 	rg := ring.New(32)
 	scheme := quant.Uniform(2, 4)
 	rows := []AblationRow{}
-	for _, mode := range []core.Mode{core.NaiveN, core.OneBatch} {
-		meas, err := runOfflineMode(rg, scheme, layerShape{m, n}, 1, mode, opt.Workers)
+	// Fig. 3 is section 4.1.2 at o = 1: the naive row is MultiBatch there.
+	for _, row := range []struct {
+		label string
+		mode  core.Mode
+	}{{"naive-N", core.MultiBatch}, {core.OneBatch.String(), core.OneBatch}} {
+		meas, err := runOfflineMode(rg, scheme, layerShape{m, n}, 1, row.mode, opt.Workers)
 		if err != nil {
-			panic(fmt.Sprintf("bench: one-batch ablation %v: %v", mode, err))
+			panic(fmt.Sprintf("bench: one-batch ablation %s: %v", row.label, err))
 		}
 		rows = append(rows, AblationRow{
-			Label:   mode.String(),
+			Label:   row.label,
 			WallSec: meas.Wall.Seconds(),
 			WANSec:  meas.timeUnder(transport.WANTable3),
 			CommMB:  meas.CommMB(),
@@ -226,7 +230,7 @@ func AblationRing(opt Options) []AblationRow {
 				l.ReqC, l.ReqT = 13, 12 // ~Scale=1 rescale; cost-equivalent
 			}
 		}
-		meas, err := runEndToEndModel(ring.New(cfg.bits), qm, batch, core.ReLUGC, opt, "ablation-ring "+cfg.label)
+		meas, err := runEndToEndModel(ring.New(cfg.bits), qm, batch, core.ReLUGC, nil, 0, opt, "ablation-ring "+cfg.label)
 		if err != nil {
 			panic(fmt.Sprintf("bench: ring ablation %s: %v", cfg.label, err))
 		}

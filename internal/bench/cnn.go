@@ -86,6 +86,6 @@ func runSecureCNN(rg ring.Ring, scheme quant.Scheme, channels, batch int, opt Op
 			Scale: 1, Scheme: scheme,
 		},
 	}}
-	return runEndToEndModel(rg, qm, batch, core.ReLUGC, opt,
+	return runEndToEndModel(rg, qm, batch, core.ReLUGC, nil, 0, opt,
 		fmt.Sprintf("cnn %s batch=%d", scheme.Name(), batch))
 }

@@ -156,7 +156,7 @@ func TablePlan(opt Options) []TablePlanRow {
 		oc := &offlineComm{next: opt.Trace}
 		ropt := opt
 		ropt.Trace = oc
-		meas, err := runPlanned(rg, qm, batch, sched, keyBits, ropt, "plan "+e.p.String())
+		meas, err := runEndToEndModel(rg, qm, batch, core.ReLUGC, sched, keyBits, ropt, "plan "+e.p.String())
 		if err != nil {
 			panic(fmt.Sprintf("bench: plan %s: %v", e.p, err))
 		}
@@ -175,43 +175,4 @@ func TablePlan(opt Options) []TablePlanRow {
 	}
 	fmt.Fprintf(opt.out(), "Planner: measured, reference CNN, l=%d, batch=%d\n%s\n", planRingBits, batch, t)
 	return rows
-}
-
-// runPlanned measures one offline+online secure inference under a
-// per-layer backend schedule (nil = the all-ABNN2 default).
-func runPlanned(rg ring.Ring, qm *nn.QuantizedModel, batch int, sched core.Schedule, miniONNBits int, opt Options, label string) (measurement, error) {
-	scheme := qm.Layers[0].Scheme
-	arch := core.ArchOf(qm)
-	return runPairT(opt, label,
-		func(conn transport.Conn, tr *trace.Tracer) error {
-			p := core.Params{Ring: rg, Scheme: scheme, Workers: opt.Workers, Trace: tr, MiniONNBits: miniONNBits}
-			cli, err := core.NewClientEngine(conn, arch, p, core.ReLUGC, prg.New(prg.SeedFromInt(11)))
-			if err != nil {
-				return err
-			}
-			if err := cli.SetSchedule(sched); err != nil {
-				return err
-			}
-			if err := cli.Offline(batch); err != nil {
-				return err
-			}
-			X := prg.New(prg.SeedFromInt(12)).Mat(rg, arch.InputSize(), batch)
-			_, err = cli.Predict(X)
-			return err
-		},
-		func(conn transport.Conn, tr *trace.Tracer) error {
-			p := core.Params{Ring: rg, Scheme: scheme, Workers: opt.Workers, Trace: tr, MiniONNBits: miniONNBits}
-			srv, err := core.NewServerEngine(conn, qm, p, core.ReLUGC)
-			if err != nil {
-				return err
-			}
-			if err := srv.SetSchedule(sched); err != nil {
-				return err
-			}
-			if err := srv.Offline(batch); err != nil {
-				return err
-			}
-			return srv.Online()
-		},
-	)
 }

@@ -88,20 +88,25 @@ func Table4(opt Options) []Table4Row {
 // runEndToEnd measures a complete offline+online secure inference on a
 // synthetic network with the given layer shapes.
 func runEndToEnd(rg ring.Ring, scheme quant.Scheme, shapes []layerShape, batch int, variant core.ReLUVariant, opt Options, label string) (measurement, error) {
-	return runEndToEndModel(rg, syntheticQuantized(scheme, shapes), batch, variant, opt, label)
+	return runEndToEndModel(rg, syntheticQuantized(scheme, shapes), batch, variant, nil, 0, opt, label)
 }
 
 // runEndToEndModel measures a complete offline+online secure inference
-// for an explicit quantized model. With opt.Trace set, both parties emit
-// per-phase spans labelled with the table row identity.
-func runEndToEndModel(rg ring.Ring, qm *nn.QuantizedModel, batch int, variant core.ReLUVariant, opt Options, label string) (measurement, error) {
+// for an explicit quantized model under a per-layer backend schedule (nil
+// = the all-ABNN2 default; miniONNBits sizes the key of any MiniONN layer
+// in it, 0 = the baseline's default). With opt.Trace set, both parties
+// emit per-phase spans labelled with the table row identity.
+func runEndToEndModel(rg ring.Ring, qm *nn.QuantizedModel, batch int, variant core.ReLUVariant, sched core.Schedule, miniONNBits int, opt Options, label string) (measurement, error) {
 	scheme := qm.Layers[0].Scheme
 	arch := core.ArchOf(qm)
 	return runPairT(opt, label,
 		func(conn transport.Conn, tr *trace.Tracer) error {
-			p := core.Params{Ring: rg, Scheme: scheme, Workers: opt.Workers, Trace: tr}
+			p := core.Params{Ring: rg, Scheme: scheme, Workers: opt.Workers, Trace: tr, MiniONNBits: miniONNBits}
 			cli, err := core.NewClientEngine(conn, arch, p, variant, prg.New(prg.SeedFromInt(11)))
 			if err != nil {
+				return err
+			}
+			if err := cli.SetSchedule(sched); err != nil {
 				return err
 			}
 			if err := cli.Offline(batch); err != nil {
@@ -115,6 +120,9 @@ func runEndToEndModel(rg ring.Ring, qm *nn.QuantizedModel, batch int, variant co
 			p := core.Params{Ring: rg, Scheme: scheme, Workers: opt.Workers, Trace: tr}
 			srv, err := core.NewServerEngine(conn, qm, p, variant)
 			if err != nil {
+				return err
+			}
+			if err := srv.SetSchedule(sched); err != nil {
 				return err
 			}
 			if err := srv.Offline(batch); err != nil {

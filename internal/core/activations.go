@@ -3,17 +3,16 @@ package core
 import (
 	"fmt"
 
-	"abnn2/internal/gc"
 	"abnn2/internal/ring"
 )
 
 // Square activation: Algorithm 2 with f(y) = y^2 mod 2^l, the activation
 // CryptoNets-style networks use when comparisons are too expensive for
 // the underlying cryptosystem. Included to demonstrate that the paper's
-// generic non-linear protocol (Algorithm 2, our BatchFuncCircuit)
-// supports arbitrary activations — and to quantify why ABNN2 is right to
-// keep multiplications out of GC: a squarer costs ~2*l^2 AND gates per
-// neuron against ReLU's ~3*l.
+// generic non-linear protocol (Algorithm 2, gc.Algorithm2Circuit) supports
+// arbitrary activations — and to quantify why ABNN2 is right to keep
+// multiplications out of GC: a squarer costs ~1.5*l^2 AND gates per neuron
+// against ReLU's ~3*l.
 
 // squareChunk bounds neurons per squaring circuit (each neuron is l^2
 // scale, so chunks are much smaller than ReLU's).
@@ -24,53 +23,11 @@ func (c *ClientNonlinear) SquareClient(y1, z1 ring.Vec) error {
 	if len(y1) != len(z1) {
 		return fmt.Errorf("core: square share length mismatch %d vs %d", len(y1), len(z1))
 	}
-	bits := c.rg.Bits()
-	for start := 0; start < len(y1); start += squareChunk {
-		end := start + squareChunk
-		if end > len(y1) {
-			end = len(y1)
-		}
-		n := end - start
-		circ := c.cache.square(cacheKey{bits, n})
-		in := append(gc.VecToBits(y1[start:end], bits), gc.VecToBits(z1[start:end], bits)...)
-		if err := c.garb.Run(circ, in); err != nil {
-			return fmt.Errorf("core: square garble: %w", err)
-		}
-	}
-	return nil
+	return c.garble(kindSquare, 1, squareChunk, y1, z1)
 }
 
 // SquareServer runs the server (evaluator) side, returning its shares of
 // the squared activations.
 func (s *ServerNonlinear) SquareServer(y0 ring.Vec) (ring.Vec, error) {
-	bits := s.rg.Bits()
-	z0 := make(ring.Vec, 0, len(y0))
-	for start := 0; start < len(y0); start += squareChunk {
-		end := start + squareChunk
-		if end > len(y0) {
-			end = len(y0)
-		}
-		n := end - start
-		circ := s.cache.square(cacheKey{bits, n})
-		out, err := s.eval.Run(circ, gc.VecToBits(y0[start:end], bits))
-		if err != nil {
-			return nil, fmt.Errorf("core: square evaluate: %w", err)
-		}
-		z0 = append(z0, gc.BitsToVec(out, bits, n)...)
-	}
-	return z0, nil
-}
-
-func (cc *circuitCache) square(k cacheKey) *gc.Circuit {
-	if cc.squares == nil {
-		cc.squares = make(map[cacheKey]*gc.Circuit)
-	}
-	if c, ok := cc.squares[k]; ok {
-		return c
-	}
-	c := gc.BatchFuncCircuit(k.bits, k.n, func(b *gc.Builder, y []int) []int {
-		return b.MulMod(y, y)
-	})
-	cc.squares[k] = c
-	return c
+	return s.evaluate(kindSquare, 1, squareChunk, y0)
 }

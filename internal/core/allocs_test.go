@@ -26,7 +26,7 @@ func TestTripletAllocationsPerChunk(t *testing.T) {
 	for _, tc := range []struct {
 		mode Mode
 		o    int
-	}{{OneBatch, 1}, {NaiveN, 1}, {MultiBatch, 16}} {
+	}{{OneBatch, 1}, {MultiBatch, 1}, {MultiBatch, 16}} {
 		sh := MatShape{M: 16, N: 128, O: tc.o}
 		if p.NumOTs(sh) != chunkOTs {
 			t.Fatalf("shape %+v is %d OTs, want one chunk of %d", sh, p.NumOTs(sh), chunkOTs)

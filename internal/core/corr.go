@@ -189,7 +189,7 @@ func (c *ClientTriplets) OfflineCorrSched(arch Arch, shareRNG *prg.PRG, batch in
 		}
 		corr.V = append(corr.V, v)
 		switch {
-		case l.ReLU || l.Pool != nil:
+		case l.Reshares():
 			// The GC reshare lets the client fix its next-layer share now.
 			corr.Z1[li] = shareRNG.Mat(rg, l.OutputSize(), batch)
 			r = corr.Z1[li]
@@ -285,12 +285,11 @@ func (e *ClientEngine) InstallCorr(c *ClientCorr) error {
 		if v == nil || v.Rows != l.Out || v.Cols != c.Batch*l.Cols() {
 			return fmt.Errorf("core: install client corr: layer %d triplet share malformed", li)
 		}
-		gc := l.ReLU || l.Pool != nil
 		z := c.Z1[li]
-		if gc && (z == nil || z.Rows != l.OutputSize() || z.Cols != c.Batch) {
+		if l.Reshares() && (z == nil || z.Rows != l.OutputSize() || z.Cols != c.Batch) {
 			return fmt.Errorf("core: install client corr: layer %d activation share malformed", li)
 		}
-		if !gc && z != nil {
+		if !l.Reshares() && z != nil {
 			return fmt.Errorf("core: install client corr: layer %d has a share but no GC junction", li)
 		}
 	}

@@ -226,12 +226,11 @@ func TestTripletsSurviveDisconnectAtEveryMessage(t *testing.T) {
 	}
 }
 
-// runReLUFaulted runs one full nonlinear session (base-OT setup + a
-// batched ReLU) under the given fault plans.
-func runReLUFaulted(t *testing.T, variant ReLUVariant, cliPlan, srvPlan transport.FaultPlan) (cliErr, srvErr error, cliConn, srvConn *transport.FaultConn) {
+// runNonlinearFaulted runs one full nonlinear session (base-OT setup +
+// one GC layer over eight output values) under the given fault plans.
+func runNonlinearFaulted(t *testing.T, cliPlan, srvPlan transport.FaultPlan, client func(*ClientNonlinear, *prg.PRG) error, server func(*ServerNonlinear, *prg.PRG) error) (cliErr, srvErr error, cliConn, srvConn *transport.FaultConn) {
 	t.Helper()
 	rg := ring.New(32)
-	n := 8
 	ca, cb := transport.Pipe()
 	fc := transport.Fault(ca, cliPlan)
 	fs := transport.Fault(cb, srvPlan)
@@ -240,53 +239,97 @@ func runReLUFaulted(t *testing.T, variant ReLUVariant, cliPlan, srvPlan transpor
 		defer close(done)
 		cn, err := NewClientNonlinear(fc, rg, sessionGC, prg.New(prg.SeedFromInt(21)))
 		if err == nil {
-			rng := prg.New(prg.SeedFromInt(22))
-			err = cn.ReLUClient(variant, rng.Vec(rg, n), rng.Vec(rg, n))
+			err = client(cn, prg.New(prg.SeedFromInt(22)))
 		}
 		cliErr = err
 	}()
 	sn, err := NewServerNonlinear(fs, rg, sessionGC, prg.New(prg.SeedFromInt(23)))
 	if err == nil {
-		rng := prg.New(prg.SeedFromInt(24))
-		_, err = sn.ReLUServer(variant, rng.Vec(rg, n))
+		err = server(sn, prg.New(prg.SeedFromInt(24)))
 	}
 	srvErr = err
 	select {
 	case <-done:
 	case <-time.After(30 * time.Second):
 		buf := make([]byte, 1<<20)
-		t.Fatalf("ReLU run hung:\n%s", buf[:runtime.Stack(buf, true)])
+		t.Fatalf("nonlinear run hung:\n%s", buf[:runtime.Stack(buf, true)])
 	}
 	fc.Close()
 	return cliErr, srvErr, fc, fs
 }
 
-// TestReLUSurvivesDisconnectAtEveryMessage is the ReLU counterpart: both
-// GC variants, every message boundary, each side in turn.
+// TestReLUSurvivesDisconnectAtEveryMessage is the counterpart for the GC
+// layers: every message boundary, each side in turn, for every entry
+// point over the one garble/evaluate driver — both ReLU variants (the
+// optimised one adds its two plain flights), a fused max pool and the
+// square activation.
 func TestReLUSurvivesDisconnectAtEveryMessage(t *testing.T) {
-	for _, variant := range []ReLUVariant{ReLUGC, ReLUOptimized} {
-		cliErr, srvErr, fc, fs := runReLUFaulted(t, variant, transport.FaultPlan{}, transport.FaultPlan{})
-		if cliErr != nil || srvErr != nil {
-			t.Fatalf("variant %v clean run failed: client=%v server=%v", variant, cliErr, srvErr)
-		}
-		cliSends, srvSends := fc.Sends(), fs.Sends()
-		t.Logf("variant %v: client sends %d messages, server sends %d", variant, cliSends, srvSends)
-		for i := 0; i < cliSends; i++ {
-			cliErr, srvErr, _, _ := runReLUFaulted(t, variant,
-				transport.FaultPlan{Class: transport.FaultDisconnect, Message: i},
-				transport.FaultPlan{})
-			if cliErr == nil || srvErr == nil {
-				t.Errorf("variant %v, client disconnect at message %d: client=%v server=%v", variant, i, cliErr, srvErr)
+	const n = 8
+	rg := ring.New(32)
+	windows := make([][]int, n)
+	for i := range windows {
+		windows[i] = []int{2 * i, 2*i + 1}
+	}
+	type layer struct {
+		name   string
+		client func(*ClientNonlinear, *prg.PRG) error
+		server func(*ServerNonlinear, *prg.PRG) error
+	}
+	relu := func(name string, variant ReLUVariant) layer {
+		return layer{name,
+			func(cn *ClientNonlinear, rng *prg.PRG) error {
+				return cn.ReLUClient(variant, rng.Vec(rg, n), rng.Vec(rg, n))
+			},
+			func(sn *ServerNonlinear, rng *prg.PRG) error {
+				_, err := sn.ReLUServer(variant, rng.Vec(rg, n))
+				return err
+			}}
+	}
+	for _, tc := range []layer{
+		relu("relu/gc", ReLUGC),
+		relu("relu/optimized", ReLUOptimized),
+		{"pool",
+			func(cn *ClientNonlinear, rng *prg.PRG) error {
+				return cn.MaxPoolClient(rng.Vec(rg, 2*n), rng.Vec(rg, n), windows, true)
+			},
+			func(sn *ServerNonlinear, rng *prg.PRG) error {
+				_, err := sn.MaxPoolServer(rng.Vec(rg, 2*n), windows, true)
+				return err
+			}},
+		{"square",
+			func(cn *ClientNonlinear, rng *prg.PRG) error { return cn.SquareClient(rng.Vec(rg, n), rng.Vec(rg, n)) },
+			func(sn *ServerNonlinear, rng *prg.PRG) error {
+				_, err := sn.SquareServer(rng.Vec(rg, n))
+				return err
+			}},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			cliErr, srvErr, fc, fs := runNonlinearFaulted(t, transport.FaultPlan{}, transport.FaultPlan{}, tc.client, tc.server)
+			if cliErr != nil || srvErr != nil {
+				t.Fatalf("clean run failed: client=%v server=%v", cliErr, srvErr)
 			}
-		}
-		for i := 0; i < srvSends; i++ {
-			cliErr, srvErr, _, _ := runReLUFaulted(t, variant,
-				transport.FaultPlan{},
-				transport.FaultPlan{Class: transport.FaultDisconnect, Message: i})
-			if cliErr == nil || srvErr == nil {
-				t.Errorf("variant %v, server disconnect at message %d: client=%v server=%v", variant, i, cliErr, srvErr)
+			cliSends, srvSends := fc.Sends(), fs.Sends()
+			t.Logf("client sends %d messages, server sends %d", cliSends, srvSends)
+			base := leakcheck.Base()
+			for i := 0; i < cliSends; i++ {
+				cliErr, srvErr, _, _ := runNonlinearFaulted(t,
+					transport.FaultPlan{Class: transport.FaultDisconnect, Message: i},
+					transport.FaultPlan{}, tc.client, tc.server)
+				if cliErr == nil || srvErr == nil {
+					t.Errorf("client disconnect at message %d: client=%v server=%v (both should error)", i, cliErr, srvErr)
+				}
 			}
-		}
+			for i := 0; i < srvSends; i++ {
+				cliErr, srvErr, _, _ := runNonlinearFaulted(t,
+					transport.FaultPlan{},
+					transport.FaultPlan{Class: transport.FaultDisconnect, Message: i}, tc.client, tc.server)
+				if cliErr == nil || srvErr == nil {
+					t.Errorf("server disconnect at message %d: client=%v server=%v (both should error)", i, cliErr, srvErr)
+				}
+			}
+			leakcheck.Settle(t, base, tc.name)
+		})
 	}
 }
 

@@ -53,6 +53,12 @@ func (l LayerSpec) OutputSize() int {
 	return l.Out * p
 }
 
+// Reshares reports whether the layer ends in a GC junction — a ReLU or a
+// pool, with or without its fused ReLU — after which the client's share
+// of the next layer's input is a fresh z1 it chose offline rather than its
+// triplet share.
+func (l LayerSpec) Reshares() bool { return l.ReLU || l.Pool != nil }
+
 // Arch is the public architecture both parties know: layer shapes, ReLU
 // positions, and the input fixed-point precision. Weights stay private to
 // the server; inputs stay private to the client.
@@ -559,7 +565,7 @@ func (e *ClientEngine) predictShares(X *ring.Mat) (*ring.Mat, error) {
 	}
 	// If the final layer ends in a GC reshare, the client's output share
 	// is the z1 it chose for that layer, not the triplet share.
-	if last := len(e.arch.Layers) - 1; e.arch.Layers[last].ReLU || e.arch.Layers[last].Pool != nil {
+	if last := len(e.arch.Layers) - 1; e.arch.Layers[last].Reshares() {
 		f1 = e.z1[last]
 	}
 	return f1, nil

@@ -37,10 +37,10 @@ type Params struct {
 	// telemetry (the peer never observes it); nil disables tracing with
 	// zero overhead.
 	Trace *trace.Tracer
-	// MiniONNBits sets the Paillier key size used when a per-layer
-	// Schedule routes a layer to the MiniONN backend; 0 means the
-	// baseline package default. Public protocol state: both parties must
-	// agree (the client generates the key, the server checks it).
+	// MiniONNBits sets the size of the Paillier key the client generates
+	// when a per-layer Schedule routes a layer to the MiniONN backend; 0
+	// means the baseline package default. Client-local: the server takes
+	// the size off the key it receives, within paillier's modulus range.
 	MiniONNBits int
 }
 

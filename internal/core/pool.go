@@ -9,27 +9,14 @@ import (
 )
 
 // Secure max pooling and secure argmax, built on the same garbled-circuit
-// session as the ReLU protocols. Both are extensions beyond the paper's
-// FC-only evaluation: pooling enables CNNs (the workloads MiniONN/XONN
-// evaluate), and argmax lets the client learn only the predicted class
-// instead of the full score vector.
+// session as the ReLU protocols. Both go beyond the paper's FC-only
+// evaluation: pooling enables CNNs (the workloads MiniONN/XONN evaluate)
+// and is Algorithm 2 over windows of more than one value — gather, then
+// the driver in relu.go; argmax lets the client learn only the predicted
+// class instead of the full score vector.
 
 // poolChunk bounds windows per garbled circuit, mirroring reluChunk.
 const poolChunk = 512
-
-type poolKey struct {
-	bits uint
-	win  int
-	n    int
-	relu bool
-}
-
-type argmaxKey struct {
-	bits    uint
-	n       int
-	idxBits uint
-	batch   int
-}
 
 // MaxPoolClient runs the client (garbler) side of non-overlapping max
 // pooling. y1 is the client's share of the pre-pool values; windows[i]
@@ -40,134 +27,83 @@ func (c *ClientNonlinear) MaxPoolClient(y1, z1 ring.Vec, windows [][]int, withRe
 	if len(z1) != len(windows) {
 		return fmt.Errorf("core: %d z1 shares for %d windows", len(z1), len(windows))
 	}
-	win, err := uniformWindow(windows)
+	gathered, win, err := gatherWindows(y1, windows)
 	if err != nil {
 		return err
 	}
-	rbits := c.rg.Bits()
-	var circs []*gc.Circuit
-	var ins [][]byte
-	for start := 0; start < len(windows); start += poolChunk {
-		end := start + poolChunk
-		if end > len(windows) {
-			end = len(windows)
-		}
-		n := end - start
-		// Gather y1 values in window order.
-		gathered := make(ring.Vec, 0, n*win)
-		for _, w := range windows[start:end] {
-			for _, idx := range w {
-				gathered = append(gathered, y1[idx])
-			}
-		}
-		circs = append(circs, c.poolCircuit(rbits, win, n, withReLU))
-		ins = append(ins, append(gc.VecToBits(gathered, rbits), gc.VecToBits(z1[start:end], rbits)...))
-	}
-	// All chunks garble as one batch on the worker pool.
-	if err := c.garb.RunBatch(circs, ins); err != nil {
-		return fmt.Errorf("core: maxpool garble: %w", err)
-	}
-	return nil
+	return c.garble(poolKind(withReLU), win, poolChunk, gathered, z1)
 }
 
 // MaxPoolServer runs the server (evaluator) side, returning its shares of
 // the pooled outputs (one per window, in window order).
 func (s *ServerNonlinear) MaxPoolServer(y0 ring.Vec, windows [][]int, withReLU bool) (ring.Vec, error) {
-	win, err := uniformWindow(windows)
+	gathered, win, err := gatherWindows(y0, windows)
 	if err != nil {
 		return nil, err
 	}
-	rbits := s.rg.Bits()
-	var circs []*gc.Circuit
-	var ins [][]byte
-	var ns []int
-	for start := 0; start < len(windows); start += poolChunk {
-		end := start + poolChunk
-		if end > len(windows) {
-			end = len(windows)
-		}
-		n := end - start
-		gathered := make(ring.Vec, 0, n*win)
-		for _, w := range windows[start:end] {
-			for _, idx := range w {
-				gathered = append(gathered, y0[idx])
-			}
-		}
-		circs = append(circs, s.poolCircuit(rbits, win, n, withReLU))
-		ins = append(ins, gc.VecToBits(gathered, rbits))
-		ns = append(ns, n)
-	}
-	outs, err := s.eval.RunBatch(circs, ins)
-	if err != nil {
-		return nil, fmt.Errorf("core: maxpool evaluate: %w", err)
-	}
-	z0 := make(ring.Vec, 0, len(windows))
-	for k, out := range outs {
-		z0 = append(z0, gc.BitsToVec(out, rbits, ns[k])...)
-	}
-	return z0, nil
+	return s.evaluate(poolKind(withReLU), win, poolChunk, gathered)
 }
 
-func uniformWindow(windows [][]int) (int, error) {
-	if len(windows) == 0 {
-		return 0, fmt.Errorf("core: empty window set")
+func poolKind(withReLU bool) circuitKind {
+	if withReLU {
+		return kindReLU
+	}
+	return kindMax
+}
+
+// gatherWindows lays a share vector out window after window — the order
+// the circuits read their inputs in — and returns the common window size.
+func gatherWindows(y ring.Vec, windows [][]int) (ring.Vec, int, error) {
+	if len(windows) == 0 || len(windows[0]) == 0 {
+		return nil, 0, fmt.Errorf("core: empty window set")
 	}
 	win := len(windows[0])
+	gathered := make(ring.Vec, 0, len(windows)*win)
 	for i, w := range windows {
 		if len(w) != win {
-			return 0, fmt.Errorf("core: window %d has %d elements, want %d", i, len(w), win)
+			return nil, 0, fmt.Errorf("core: window %d has %d elements, want %d", i, len(w), win)
+		}
+		for _, idx := range w {
+			gathered = append(gathered, y[idx])
 		}
 	}
-	return win, nil
-}
-
-func (c *ClientNonlinear) poolCircuit(bits uint, win, n int, relu bool) *gc.Circuit {
-	return c.cache.pool(poolKey{bits, win, n, relu})
-}
-
-func (s *ServerNonlinear) poolCircuit(bits uint, win, n int, relu bool) *gc.Circuit {
-	return s.cache.pool(poolKey{bits, win, n, relu})
+	return gathered, win, nil
 }
 
 // ArgmaxClient runs the client side of secure argmax over a batch of
 // score-share columns (y1 laid out sample-major: sample k occupies
 // y1[k*n:(k+1)*n]). The client learns the argmax of each sample; the
-// server learns nothing (it forwards masked indices).
+// server learns nothing (it forwards masked indices). The round is one
+// circuit garbled straight from the garbler's stream, not a batch.
 func (c *ClientNonlinear) ArgmaxClient(y1 ring.Vec, n, batch int) ([]int, error) {
 	if len(y1) != n*batch {
 		return nil, fmt.Errorf("core: argmax shares %d for %d x %d", len(y1), n, batch)
 	}
-	idxBits := indexBits(n)
+	ib := int(indexBits(n))
 	rbits := c.rg.Bits()
-	circ := c.cache.argmax(argmaxKey{rbits, n, idxBits, batch}, func() *gc.Circuit {
-		return gc.BatchArgmaxCircuit(rbits, n, idxBits, batch)
-	})
 	// Fresh masks from the garbler's randomness pool: derive from a
 	// dedicated PRG child so masks never repeat across calls.
 	masks := make([]uint64, batch)
-	maskBits := make([]byte, 0, batch*int(idxBits))
+	in := gc.VecToBits(y1, rbits)
 	for k := range masks {
-		masks[k] = c.maskRng.Uint64() & ((1 << idxBits) - 1)
-		maskBits = append(maskBits, gc.UintToBits(masks[k], idxBits)...)
+		masks[k] = c.maskRng.Uint64() & (1<<ib - 1)
+		in = append(in, gc.UintToBits(masks[k], uint(ib))...)
 	}
-	in := append(gc.VecToBits(y1, rbits), maskBits...)
-	if err := c.garb.Run(circ, in); err != nil {
+	if err := c.garb.Run(c.cache.get(circuitKey{kindArgmax, rbits, n, batch}), in); err != nil {
 		return nil, fmt.Errorf("core: argmax garble: %w", err)
 	}
 	raw, err := c.conn.Recv()
 	if err != nil {
 		return nil, fmt.Errorf("core: argmax recv: %w", err)
 	}
-	want := (batch*int(idxBits) + 7) / 8
-	if len(raw) != want {
+	if want := (batch*ib + 7) / 8; len(raw) != want {
 		return nil, fmt.Errorf("core: argmax message is %d bytes, want %d", len(raw), want)
 	}
 	out := make([]int, batch)
-	for k := 0; k < batch; k++ {
+	for k := range out {
 		var v uint64
-		for i := 0; i < int(idxBits); i++ {
-			bit := (raw[(k*int(idxBits)+i)/8] >> (uint(k*int(idxBits)+i) % 8)) & 1
-			v |= uint64(bit) << uint(i)
+		for i := 0; i < ib; i++ {
+			v |= bitAt(raw, k*ib+i) << uint(i)
 		}
 		idx := int(v ^ masks[k])
 		if idx >= n {
@@ -184,22 +120,12 @@ func (s *ServerNonlinear) ArgmaxServer(y0 ring.Vec, n, batch int) error {
 	if len(y0) != n*batch {
 		return fmt.Errorf("core: argmax shares %d for %d x %d", len(y0), n, batch)
 	}
-	idxBits := indexBits(n)
 	rbits := s.rg.Bits()
-	circ := s.cache.argmax(argmaxKey{rbits, n, idxBits, batch}, func() *gc.Circuit {
-		return gc.BatchArgmaxCircuit(rbits, n, idxBits, batch)
-	})
-	out, err := s.eval.Run(circ, gc.VecToBits(y0, rbits))
+	out, err := s.eval.Run(s.cache.get(circuitKey{kindArgmax, rbits, n, batch}), gc.VecToBits(y0, rbits))
 	if err != nil {
 		return fmt.Errorf("core: argmax evaluate: %w", err)
 	}
-	packed := make([]byte, (len(out)+7)/8)
-	for i, b := range out {
-		if b&1 == 1 {
-			packed[i/8] |= 1 << (uint(i) % 8)
-		}
-	}
-	if err := s.conn.Send(packed); err != nil {
+	if err := s.conn.Send(packBits(out)); err != nil {
 		return fmt.Errorf("core: argmax send: %w", err)
 	}
 	return nil

@@ -9,7 +9,17 @@ import (
 	"abnn2/internal/transport"
 )
 
-// Non-linear layer protocols (paper section 4.2). Two variants:
+// Non-linear layer protocols (paper section 4.2). The paper states its
+// protocol once, generically — Algorithm 2 run for f: reconstruct
+// y = y0 + y1 inside a garbled circuit, apply f, hand the server
+// f(y) - z1 — and so does this package: one garbler-side and one
+// evaluator-side driver (garble, evaluate) run every batched GC layer, and
+// ReLU, max pooling (pool.go) and the square activation (activations.go)
+// are the instances f = ReLU over windows of one value, f = ReLU or the
+// identity over windows of k*k, and f = squaring. A ReLU layer is a pool
+// layer of window one, byte for byte.
+//
+// ReLU comes in two variants:
 //
 //   - ReLUGC: Algorithm 2 run for f = ReLU. The whole computation
 //     y = y0+y1, z0 = max(0,y) - z1 happens inside one garbled circuit;
@@ -50,72 +60,76 @@ func (v ReLUVariant) String() string {
 // unsent and the evaluator at most Workers+1 received and unevaluated —
 // at ring width 32 about 10 MB of flight per chunk plus 16 MB of wire
 // labels per worker, so tens of megabytes per party at Workers=1 even at
-// batch size 128 on the 784->128 layer (8 chunks).
+// batch size 128 on the 784->128 layer (8 chunks). Like poolChunk and
+// squareChunk it is a tuned memory bound, not a knob: it fixes the size
+// and position of every flight.
 const reluChunk = 2048
 
-// circuitCache memoizes the deterministic per-chunk circuits; building a
-// 2048-neuron circuit is pure CPU and identical across chunks and runs.
-type circuitCache struct {
-	relu     map[cacheKey]*gc.Circuit
-	sign     map[cacheKey]*gc.Circuit
-	squares  map[cacheKey]*gc.Circuit
-	pools    map[poolKey]*gc.Circuit
-	argmaxes map[argmaxKey]*gc.Circuit
-}
+// circuitKind names what a garbled circuit computes over each window of
+// reconstructed values. The first three are Algorithm 2 — max over the
+// window, f, reshare — and differ in f only.
+type circuitKind uint8
 
-type cacheKey struct {
+const (
+	kindMax    circuitKind = iota // f = identity: plain max pooling
+	kindReLU                      // f = ReLU: the ReLU layer (window of one) and the fused pool
+	kindSquare                    // f(y) = y*y
+	kindSign                      // the optimised ReLU's comparison bit; no reshare
+	kindArgmax                    // masked index of the window's maximum; n samples of win scores
+)
+
+// circuitKey identifies one circuit: what it computes, the ring width,
+// the values per window and the windows it holds.
+type circuitKey struct {
+	kind circuitKind
 	bits uint
+	win  int
 	n    int
 }
 
-func (cc *circuitCache) pool(k poolKey) *gc.Circuit {
-	if cc.pools == nil {
-		cc.pools = make(map[poolKey]*gc.Circuit)
+func (k circuitKey) build() *gc.Circuit {
+	switch k.kind {
+	case kindSign:
+		return gc.BatchSignCircuit(k.bits, k.n)
+	case kindArgmax:
+		return gc.BatchArgmaxCircuit(k.bits, k.win, indexBits(k.win), k.n)
+	case kindReLU:
+		return gc.Algorithm2Circuit(k.bits, k.win, k.n, (*gc.Builder).ReLU)
+	case kindSquare:
+		return gc.Algorithm2Circuit(k.bits, k.win, k.n, func(b *gc.Builder, y []int) []int { return b.MulMod(y, y) })
 	}
-	if c, ok := cc.pools[k]; ok {
-		return c
+	return gc.Algorithm2Circuit(k.bits, k.win, k.n, nil)
+}
+
+// circuitCache memoizes the deterministic circuits; building a
+// 2048-neuron circuit is pure CPU and identical across chunks and runs.
+type circuitCache map[circuitKey]*gc.Circuit
+
+func (cc circuitCache) get(k circuitKey) *gc.Circuit {
+	c, ok := cc[k]
+	if !ok {
+		c = k.build()
+		cc[k] = c
 	}
-	c := gc.BatchMaxPoolCircuit(k.bits, k.win, k.n, k.relu)
-	cc.pools[k] = c
 	return c
 }
 
-func (cc *circuitCache) argmax(k argmaxKey, build func() *gc.Circuit) *gc.Circuit {
-	if cc.argmaxes == nil {
-		cc.argmaxes = make(map[argmaxKey]*gc.Circuit)
+// batch cuts one layer into its garbled-circuit batch: shares holds one
+// party's input shares laid out window after window, at most chunk windows
+// go into one circuit, and a circuit's input bits are its windows' shares
+// followed — on the garbler's side of a reshare — by its slice of the
+// output shares z1 (nil otherwise).
+func (cc circuitCache) batch(kind circuitKind, bits uint, win, chunk int, shares, z1 ring.Vec) (circs []*gc.Circuit, ins [][]byte) {
+	for start, n := 0, len(shares)/win; start < n; start += chunk {
+		end := min(start+chunk, n)
+		in := gc.VecToBits(shares[start*win:end*win], bits)
+		if z1 != nil {
+			in = append(in, gc.VecToBits(z1[start:end], bits)...)
+		}
+		circs = append(circs, cc.get(circuitKey{kind, bits, win, end - start}))
+		ins = append(ins, in)
 	}
-	if c, ok := cc.argmaxes[k]; ok {
-		return c
-	}
-	c := build()
-	cc.argmaxes[k] = c
-	return c
-}
-
-func (cc *circuitCache) reluCircuit(bits uint, n int) *gc.Circuit {
-	if cc.relu == nil {
-		cc.relu = make(map[cacheKey]*gc.Circuit)
-	}
-	k := cacheKey{bits, n}
-	if c, ok := cc.relu[k]; ok {
-		return c
-	}
-	c := gc.BatchReLUCircuit(bits, n)
-	cc.relu[k] = c
-	return c
-}
-
-func (cc *circuitCache) signCircuit(bits uint, n int) *gc.Circuit {
-	if cc.sign == nil {
-		cc.sign = make(map[cacheKey]*gc.Circuit)
-	}
-	k := cacheKey{bits, n}
-	if c, ok := cc.sign[k]; ok {
-		return c
-	}
-	c := gc.BatchSignCircuit(bits, n)
-	cc.sign[k] = c
-	return c
+	return circs, ins
 }
 
 // ClientNonlinear runs the client (garbler) side of activation layers.
@@ -142,7 +156,7 @@ func NewClientNonlinear(conn transport.Conn, rg ring.Ring, session uint64, rng *
 	if err != nil {
 		return nil, err
 	}
-	return &ClientNonlinear{rg: rg, garb: g, conn: conn, maskRng: rng.Child("argmax-masks")}, nil
+	return &ClientNonlinear{rg: rg, garb: g, conn: conn, cache: circuitCache{}, maskRng: rng.Child("argmax-masks")}, nil
 }
 
 // NewServerNonlinear sets up the evaluator role.
@@ -151,7 +165,7 @@ func NewServerNonlinear(conn transport.Conn, rg ring.Ring, session uint64, rng *
 	if err != nil {
 		return nil, err
 	}
-	return &ServerNonlinear{rg: rg, eval: e, conn: conn}, nil
+	return &ServerNonlinear{rg: rg, eval: e, conn: conn, cache: circuitCache{}}, nil
 }
 
 // SetWorkers bounds the kernel parallelism of the GC session underneath
@@ -161,56 +175,67 @@ func (c *ClientNonlinear) SetWorkers(n int) { c.garb.SetWorkers(n) }
 // SetWorkers mirrors ClientNonlinear.SetWorkers.
 func (s *ServerNonlinear) SetWorkers(n int) { s.eval.SetWorkers(n) }
 
-// reluSpans splits n neurons into reluChunk-sized [start, end) spans.
-func reluSpans(n int) [][2]int {
-	var spans [][2]int
-	for start := 0; start < n; start += reluChunk {
-		end := start + reluChunk
-		if end > n {
-			end = n
-		}
-		spans = append(spans, [2]int{start, end})
-	}
-	return spans
+// garble is the garbler's side of every batched GC layer. y1 holds the
+// client's shares window after window and z1 its pre-chosen output shares,
+// one per window (nil for the sign circuit, which reshares nothing). Long
+// layers are split into chunks of `chunk` windows, one garbled circuit per
+// chunk; the chunks run as one batch, so chunk k+1 garbles while chunk k
+// is on the wire and the flights keep a fixed order.
+func (c *ClientNonlinear) garble(kind circuitKind, win, chunk int, y1, z1 ring.Vec) error {
+	return c.garb.RunBatch(c.cache.batch(kind, c.rg.Bits(), win, chunk, y1, z1))
 }
+
+// evaluate is the evaluator's side, chunked as garble chunks. It returns
+// one value per window: the server's share z0 for a reshare, the decoded
+// comparison bit for the sign circuit.
+func (s *ServerNonlinear) evaluate(kind circuitKind, win, chunk int, y0 ring.Vec) (ring.Vec, error) {
+	outs, err := s.eval.RunBatch(s.cache.batch(kind, s.rg.Bits(), win, chunk, y0, nil))
+	if err != nil {
+		return nil, err
+	}
+	n := len(y0) / win
+	vals := make(ring.Vec, 0, n)
+	for _, out := range outs {
+		m := min(chunk, n-len(vals))
+		vals = append(vals, gc.BitsToVec(out, uint(len(out)/m), m)...)
+	}
+	return vals, nil
+}
+
+// packBits packs one bit per element, least significant bit first: the
+// form in which the evaluator forwards decoded bits (the optimised ReLU's
+// signs, the argmax's masked indices) to the garbler.
+func packBits[T byte | uint64](bits []T) []byte {
+	packed := make([]byte, (len(bits)+7)/8)
+	for i, b := range bits {
+		packed[i/8] |= byte(b&1) << (uint(i) % 8)
+	}
+	return packed
+}
+
+// bitAt reads bit i of a packBits vector.
+func bitAt(packed []byte, i int) uint64 { return uint64(packed[i/8]>>(uint(i)%8)) & 1 }
 
 // ReLUClient runs the client side over a share vector: y1 are the
 // client's shares of the pre-activations, z1 the client's (pre-chosen)
-// shares of the outputs. Long vectors are split into chunks of reluChunk
-// neurons, one garbled circuit per chunk; the chunks run as one batch, so
-// chunk k+1 garbles while chunk k is on the wire and the flights keep a
-// fixed order.
+// shares of the outputs.
 func (c *ClientNonlinear) ReLUClient(variant ReLUVariant, y1, z1 ring.Vec) error {
 	if len(y1) != len(z1) {
 		return fmt.Errorf("core: relu share length mismatch %d vs %d", len(y1), len(z1))
 	}
-	if variant != ReLUGC && variant != ReLUOptimized {
+	if variant == ReLUGC {
+		return c.garble(kindReLU, 1, reluChunk, y1, z1)
+	}
+	if variant != ReLUOptimized {
 		return fmt.Errorf("core: unknown ReLU variant %d", variant)
 	}
-	bits := c.rg.Bits()
-	spans := reluSpans(len(y1))
-	circs := make([]*gc.Circuit, len(spans))
-	ins := make([][]byte, len(spans))
-	for k, sp := range spans {
-		n := sp[1] - sp[0]
-		if variant == ReLUGC {
-			circs[k] = c.cache.reluCircuit(bits, n)
-			ins[k] = append(gc.VecToBits(y1[sp[0]:sp[1]], bits), gc.VecToBits(z1[sp[0]:sp[1]], bits)...)
-		} else {
-			circs[k] = c.cache.signCircuit(bits, n)
-			ins[k] = gc.VecToBits(y1[sp[0]:sp[1]], bits)
-		}
-	}
-	if err := c.garb.RunBatch(circs, ins); err != nil {
+	if err := c.garble(kindSign, 1, reluChunk, y1, nil); err != nil {
 		return err
 	}
-	if variant == ReLUGC {
-		return nil
-	}
-	// Optimized variant: receive the sign bits the server decoded, then
-	// reshare — one round per chunk, in chunk order.
-	for _, sp := range spans {
-		n := sp[1] - sp[0]
+	// Receive the sign bits the server decoded, then reshare — one round
+	// per chunk, in chunk order.
+	for start := 0; start < len(y1); start += reluChunk {
+		n := min(reluChunk, len(y1)-start)
 		raw, err := c.conn.Recv()
 		if err != nil {
 			return fmt.Errorf("core: recv sign bits: %w", err)
@@ -219,11 +244,11 @@ func (c *ClientNonlinear) ReLUClient(variant ReLUVariant, y1, z1 ring.Vec) error
 			return fmt.Errorf("core: sign bits are %d bytes, want %d", len(raw), (n+7)/8)
 		}
 		d := make(ring.Vec, n)
-		for i := 0; i < n; i++ {
-			if (raw[i/8]>>(uint(i)%8))&1 == 1 {
-				d[i] = c.rg.Sub(y1[sp[0]+i], z1[sp[0]+i]) // positive: z0 = y0 + (y1 - z1)
+		for i := range d {
+			if bitAt(raw, i) == 1 {
+				d[i] = c.rg.Sub(y1[start+i], z1[start+i]) // positive: z0 = y0 + (y1 - z1)
 			} else {
-				d[i] = c.rg.Neg(z1[sp[0]+i]) // negative: z0 = -z1
+				d[i] = c.rg.Neg(z1[start+i]) // negative: z0 = -z1
 			}
 		}
 		if err := c.conn.Send(c.rg.AppendVec(nil, d)); err != nil {
@@ -236,45 +261,22 @@ func (c *ClientNonlinear) ReLUClient(variant ReLUVariant, y1, z1 ring.Vec) error
 // ReLUServer runs the server side over its share vector y0, returning its
 // shares z0 of the activations. Chunking mirrors ReLUClient.
 func (s *ServerNonlinear) ReLUServer(variant ReLUVariant, y0 ring.Vec) (ring.Vec, error) {
-	if variant != ReLUGC && variant != ReLUOptimized {
+	if variant == ReLUGC {
+		return s.evaluate(kindReLU, 1, reluChunk, y0)
+	}
+	if variant != ReLUOptimized {
 		return nil, fmt.Errorf("core: unknown ReLU variant %d", variant)
 	}
-	bits := s.rg.Bits()
-	spans := reluSpans(len(y0))
-	circs := make([]*gc.Circuit, len(spans))
-	ins := make([][]byte, len(spans))
-	for k, sp := range spans {
-		n := sp[1] - sp[0]
-		if variant == ReLUGC {
-			circs[k] = s.cache.reluCircuit(bits, n)
-		} else {
-			circs[k] = s.cache.signCircuit(bits, n)
-		}
-		ins[k] = gc.VecToBits(y0[sp[0]:sp[1]], bits)
-	}
-	outs, err := s.eval.RunBatch(circs, ins)
+	signs, err := s.evaluate(kindSign, 1, reluChunk, y0)
 	if err != nil {
 		return nil, err
 	}
+	// Reveal signs and reshare per chunk, mirroring the client's round
+	// order.
 	z0 := make(ring.Vec, 0, len(y0))
-	if variant == ReLUGC {
-		for k, sp := range spans {
-			z0 = append(z0, gc.BitsToVec(outs[k], bits, sp[1]-sp[0])...)
-		}
-		return z0, nil
-	}
-	// Optimized variant: reveal signs and reshare per chunk, mirroring
-	// the client's round order.
-	for k, sp := range spans {
-		n := sp[1] - sp[0]
-		signs := outs[k]
-		packed := make([]byte, (n+7)/8)
-		for i, b := range signs {
-			if b&1 == 1 {
-				packed[i/8] |= 1 << (uint(i) % 8)
-			}
-		}
-		if err := s.conn.Send(packed); err != nil {
+	for start := 0; start < len(y0); start += reluChunk {
+		n := min(reluChunk, len(y0)-start)
+		if err := s.conn.Send(packBits(signs[start : start+n])); err != nil {
 			return nil, fmt.Errorf("core: send sign bits: %w", err)
 		}
 		raw, err := s.conn.Recv()
@@ -285,12 +287,11 @@ func (s *ServerNonlinear) ReLUServer(variant ReLUVariant, y0 ring.Vec) (ring.Vec
 		if err != nil || len(rest) != 0 {
 			return nil, fmt.Errorf("core: reshare message malformed: %v", err)
 		}
-		for i := 0; i < n; i++ {
-			if signs[i]&1 == 1 {
-				z0 = append(z0, s.rg.Add(y0[sp[0]+i], d[i]))
-			} else {
-				z0 = append(z0, d[i])
+		for i, di := range d {
+			if signs[start+i] == 1 {
+				di = s.rg.Add(y0[start+i], di)
 			}
+			z0 = append(z0, di)
 		}
 	}
 	return z0, nil

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -119,5 +120,74 @@ func TestReLUShareLengthMismatch(t *testing.T) {
 	defer done()
 	if err := cn.ReLUClient(ReLUGC, make(ring.Vec, 2), make(ring.Vec, 3)); err == nil {
 		t.Error("length mismatch accepted")
+	}
+}
+
+// sentLog records every flight one party sends, set-up included.
+type sentLog struct {
+	transport.Conn
+	sent [][]byte
+}
+
+func (l *sentLog) Send(msg []byte) error {
+	l.sent = append(l.sent, append([]byte(nil), msg...))
+	return l.Conn.Send(msg)
+}
+
+// TestReLUIsPoolOfOne pins the identity the one driver rests on: from the
+// same seeds, a ReLU layer and a fused max pool over the windows {0}, {1},
+// ... put the same bytes on the wire in both directions — set-up, label
+// OTs and garbled material — and leave the server the same z0. One
+// circuit's worth of neurons and less: above poolChunk the two entry points
+// differ in where they cut the layer, and in nothing else.
+func TestReLUIsPoolOfOne(t *testing.T) {
+	rg := ring.New(32)
+	run := func(n int, client func(*ClientNonlinear, ring.Vec, ring.Vec) error, server func(*ServerNonlinear, ring.Vec) (ring.Vec, error)) (cli, srv [][]byte, z0 ring.Vec) {
+		t.Helper()
+		ca, cb := transport.Pipe()
+		defer ca.Close()
+		lc, ls := &sentLog{Conn: ca}, &sentLog{Conn: cb}
+		shares := prg.New(prg.SeedFromInt(33))
+		y1, z1, y0 := shares.Vec(rg, n), shares.Vec(rg, n), shares.Vec(rg, n)
+		done := make(chan error, 1)
+		go func() {
+			cn, err := NewClientNonlinear(lc, rg, sessionGC, prg.New(prg.SeedFromInt(31)))
+			if err == nil {
+				err = client(cn, y1, z1)
+			}
+			done <- err
+		}()
+		sn, err := NewServerNonlinear(ls, rg, sessionGC, prg.New(prg.SeedFromInt(32)))
+		if err == nil {
+			z0, err = server(sn, y0)
+		}
+		if cerr := <-done; cerr != nil || err != nil {
+			t.Fatalf("n=%d: client=%v server=%v", n, cerr, err)
+		}
+		return lc.sent, ls.sent, z0
+	}
+	for _, n := range []int{1, 300, poolChunk} {
+		windows := make([][]int, n)
+		for i := range windows {
+			windows[i] = []int{i}
+		}
+		rc, rs, rz := run(n,
+			func(cn *ClientNonlinear, y1, z1 ring.Vec) error { return cn.ReLUClient(ReLUGC, y1, z1) },
+			func(sn *ServerNonlinear, y0 ring.Vec) (ring.Vec, error) { return sn.ReLUServer(ReLUGC, y0) })
+		pc, ps, pz := run(n,
+			func(cn *ClientNonlinear, y1, z1 ring.Vec) error { return cn.MaxPoolClient(y1, z1, windows, true) },
+			func(sn *ServerNonlinear, y0 ring.Vec) (ring.Vec, error) { return sn.MaxPoolServer(y0, windows, true) })
+		if !reflect.DeepEqual(rc, pc) {
+			t.Errorf("n=%d: the client sends different bytes for a ReLU and for a pool of window one", n)
+		}
+		if !reflect.DeepEqual(rs, ps) {
+			t.Errorf("n=%d: the server sends different bytes for a ReLU and for a pool of window one", n)
+		}
+		if !reflect.DeepEqual(rz, pz) {
+			t.Errorf("n=%d: z0 differs between a ReLU and a pool of window one", n)
+		}
+		if len(rc) == 0 || len(rs) == 0 || len(rz) != n {
+			t.Fatalf("n=%d: recorded %d client flights, %d server flights, %d shares", n, len(rc), len(rs), len(rz))
+		}
 	}
 }

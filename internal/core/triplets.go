@@ -280,11 +280,10 @@ const (
 	// ciphertexts of l bits cross the wire per OT. Only valid for o = 1.
 	OneBatch Mode = iota
 	// MultiBatch is the section 4.1.2 variant: one OT per weight fragment
-	// carries all o products in N ciphertexts of o*l bits each.
+	// carries all o products in N ciphertexts of o*l bits each. At o = 1
+	// it is the unoptimised Fig. 3 protocol (all N ciphertexts sent), which
+	// is how the one-batch ablation runs its "naive-N" row.
 	MultiBatch
-	// NaiveN is the unoptimised Fig. 3 protocol for o = 1 (all N
-	// ciphertexts sent); kept for the one-batch ablation benchmark.
-	NaiveN
 )
 
 func (m Mode) String() string {
@@ -293,8 +292,6 @@ func (m Mode) String() string {
 		return "one-batch"
 	case MultiBatch:
 		return "multi-batch"
-	case NaiveN:
-		return "naive-N"
 	}
 	return fmt.Sprintf("Mode(%d)", int(m))
 }
@@ -354,7 +351,6 @@ func (c *ClientTriplets) generateClient(params Params, vals [][]ring.Elem, sh Ma
 		// Pre-draw the per-OT masking randomness sequentially, in the
 		// exact order the sequential protocol consumed it — seeded
 		// transcripts stay byte-identical for every worker count.
-		// (NaiveN is MultiBatch at o = 1: one mask per OT.)
 		var masks ring.Vec
 		if mode != OneBatch {
 			masks = c.rng.Vec(rg, chunk*sh.O)
@@ -394,7 +390,7 @@ func (c *ClientTriplets) generateClient(params Params, vals [][]ring.Elem, sh Ma
 					}
 					continue
 				}
-				// One OT carries all o columns (NaiveN: the one column):
+				// One OT carries all o columns:
 				// fresh random s_k per column, all N ciphertexts sent,
 				// payload_t = concat_k (Value(t)*r_jk - s_k).
 				ss := masks[local*sh.O : (local+1)*sh.O]
@@ -606,7 +602,7 @@ func checkShape(sh MatShape, mode Mode) error {
 	if sh.M <= 0 || sh.N <= 0 || sh.O <= 0 {
 		return fmt.Errorf("core: invalid shape %+v", sh)
 	}
-	if (mode == OneBatch || mode == NaiveN) && sh.O != 1 {
+	if mode == OneBatch && sh.O != 1 {
 		return fmt.Errorf("core: %v mode requires o=1, got o=%d", mode, sh.O)
 	}
 	return nil

@@ -112,7 +112,7 @@ func TestOneBatchAllSchemes(t *testing.T) {
 
 func TestNaiveNMatchesOneBatch(t *testing.T) {
 	p := Params{Ring: ring.New(32), Scheme: quant.Uniform(2, 2)}
-	runTriplets(t, p, MatShape{M: 3, N: 4, O: 1}, NaiveN, 200)
+	runTriplets(t, p, MatShape{M: 3, N: 4, O: 1}, MultiBatch, 200)
 }
 
 func TestMultiBatchAllSchemes(t *testing.T) {
@@ -239,7 +239,7 @@ func TestOneBatchBeatsNaive(t *testing.T) {
 	p := Params{Ring: ring.New(32), Scheme: quant.Uniform(2, 4)}
 	sh := MatShape{M: 4, N: 8, O: 1}
 	sOne := runTriplets(t, p, sh, OneBatch, 600)
-	sNaive := runTriplets(t, p, sh, NaiveN, 601)
+	sNaive := runTriplets(t, p, sh, MultiBatch, 601)
 	if sOne.BytesAB >= sNaive.BytesAB {
 		t.Errorf("one-batch payload %d >= naive %d", sOne.BytesAB, sNaive.BytesAB)
 	}

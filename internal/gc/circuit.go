@@ -238,7 +238,7 @@ func (b *Builder) MuxVec(sel int, a, c []int) []int {
 }
 
 // MulMod appends a shift-and-add multiplier computing (a * c) mod
-// 2^len(a). About 2*len^2 AND gates — expensive, which is precisely why
+// 2^len(a). About 1.5*len^2 AND gates — expensive, which is precisely why
 // ABNN2 keeps multiplications out of GC and in the OT domain; provided
 // for activations that need products (e.g. the square activation of
 // CryptoNets-style networks).

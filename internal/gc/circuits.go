@@ -5,29 +5,78 @@ package gc
 // follow the paper's role assignment: the client (garbler) holds y1 and
 // fresh output shares z1, the server (evaluator) holds y0 and learns z0.
 
-// BatchReLUCircuit builds the Algorithm-2 circuit for n neurons of the
-// given bit width:
+// Algorithm2Circuit builds the paper's generic non-linear circuit
+// (Algorithm 2, section 4.2) for n windows of win values each:
 //
-//	for each neuron k: y = y0[k] + y1[k] mod 2^bits
-//	                   z0[k] = ReLU(y) - z1[k] mod 2^bits
+//	for each window k: y = max over the window of (y0[i] + y1[i]) mod 2^bits
+//	                   z0[k] = f(y) - z1[k] mod 2^bits
 //
-// Garbler inputs: y1 (n*bits), then z1 (n*bits). Evaluator inputs: y0
-// (n*bits). Outputs: z0 (n*bits), revealed to the evaluator.
-// Cost: about 3*bits AND gates per neuron.
-func BatchReLUCircuit(bits uint, n int) *Circuit {
+// f is a sub-circuit factory that receives the builder and the bits of y
+// and returns the activated bits; nil is the identity. Every reshare layer
+// is an instance: ReLU is a window of one with (*Builder).ReLU, max
+// pooling a window of k*k values with or without it, the square activation
+// a window of one with MulMod. The maximum is a tournament in input order.
+//
+// Garbler inputs: y1 (n*win words), then z1 (n words). Evaluator inputs:
+// y0 (n*win words). Outputs: z0 (n words), revealed to the evaluator.
+// Inputs are ordered window by window; the caller gathers values into
+// window order.
+func Algorithm2Circuit(bits uint, win, n int, f func(b *Builder, y []int) []int) *Circuit {
+	if win < 1 {
+		panic("gc: window must hold at least one value")
+	}
 	b := NewBuilder()
 	l := int(bits)
-	y1 := b.GarblerInput(n * l)
+	y1 := b.GarblerInput(n * win * l)
 	z1 := b.GarblerInput(n * l)
-	y0 := b.EvaluatorInput(n * l)
+	y0 := b.EvaluatorInput(n * win * l)
 	for k := 0; k < n; k++ {
-		y := b.AdderMod(y0[k*l:(k+1)*l], y1[k*l:(k+1)*l])
-		pos := b.NOT(y[l-1]) // 1 when y >= 0 in two's complement
-		relu := b.AndBit(pos, y)
-		z0 := b.SubMod(relu, z1[k*l:(k+1)*l])
-		b.Output(z0...)
+		var y []int
+		for e := 0; e < win; e++ {
+			off := (k*win + e) * l
+			v := b.AdderMod(y0[off:off+l], y1[off:off+l])
+			if e == 0 {
+				y = v
+			} else {
+				y = b.Max(y, v)
+			}
+		}
+		if f != nil {
+			y = f(b, y)
+		}
+		b.Output(b.SubMod(y, z1[k*l:(k+1)*l])...)
 	}
 	return b.Finish()
+}
+
+// ReLU appends max(0, y) for a signed word: every bit ANDed with the
+// negated sign bit. One AND per bit, so Algorithm 2 for ReLU costs about
+// 3*bits AND gates per neuron.
+func (b *Builder) ReLU(y []int) []int {
+	pos := b.NOT(y[len(y)-1]) // 1 when y >= 0 in two's complement
+	return b.AndBit(pos, y)
+}
+
+// BatchReLUCircuit is Algorithm 2 for f = ReLU over n neurons.
+func BatchReLUCircuit(bits uint, n int) *Circuit {
+	return Algorithm2Circuit(bits, 1, n, (*Builder).ReLU)
+}
+
+// BatchFuncCircuit is Algorithm 2 over n neurons for an arbitrary
+// bitwise-defined activation, so downstream users can plug activations
+// other than ReLU into the same reshare pattern.
+func BatchFuncCircuit(bits uint, n int, f func(b *Builder, y []int) []int) *Circuit {
+	return Algorithm2Circuit(bits, 1, n, f)
+}
+
+// BatchMaxPoolCircuit is Algorithm 2 over n non-overlapping pooling
+// windows of win values; withReLU clamps the maximum at zero, fusing the
+// ReLU into the pool since max(relu(x_i)) == relu(max(x_i)).
+func BatchMaxPoolCircuit(bits uint, win, n int, withReLU bool) *Circuit {
+	if withReLU {
+		return Algorithm2Circuit(bits, win, n, (*Builder).ReLU)
+	}
+	return Algorithm2Circuit(bits, win, n, nil)
 }
 
 // BatchSignCircuit builds the comparison-only circuit used by the
@@ -50,65 +99,14 @@ func BatchSignCircuit(bits uint, n int) *Circuit {
 	return b.Finish()
 }
 
-// BatchFuncCircuit builds the generic Algorithm-2 circuit for an arbitrary
-// bitwise-defined activation given as a sub-circuit factory: f receives
-// the builder and the reconstructed y bits and returns the activated bits.
-// It is exported so downstream users can plug activations other than ReLU
-// into the same reshare pattern.
-func BatchFuncCircuit(bits uint, n int, f func(b *Builder, y []int) []int) *Circuit {
-	b := NewBuilder()
-	l := int(bits)
-	y1 := b.GarblerInput(n * l)
-	z1 := b.GarblerInput(n * l)
-	y0 := b.EvaluatorInput(n * l)
-	for k := 0; k < n; k++ {
-		y := b.AdderMod(y0[k*l:(k+1)*l], y1[k*l:(k+1)*l])
-		act := f(b, y)
-		z0 := b.SubMod(act, z1[k*l:(k+1)*l])
-		b.Output(z0...)
-	}
-	return b.Finish()
-}
-
-// BatchMaxPoolCircuit builds the secure max-pooling circuit for n
-// windows of `win` values each (non-overlapping pooling): per window,
-// reconstruct each y = y0 + y1, take the tournament max (optionally
-// clamped at zero, fusing the ReLU into the pool since
-// max(relu(x_i)) == relu(max(x_i))), and reshare as z0 = result - z1.
+// BatchArgmaxCircuit builds a secure argmax over n words for each of
+// `batch` independent samples in one circuit (one protocol round for a
+// whole prediction batch): per sample it reconstructs every y = y0 + y1,
+// runs a tournament carrying the running index, and outputs the winning
+// index XOR a garbler-chosen mask (so the evaluator learns nothing: it
+// forwards the masked index to the garbler, who unmasks). idxBits index
+// bits must satisfy 2^idxBits >= n.
 //
-// Garbler inputs: y1 (n*win words), then z1 (n words). Evaluator inputs:
-// y0 (n*win words). Outputs: z0 (n words), revealed to the evaluator.
-// Inputs are ordered window-by-window; the caller gathers values into
-// window order.
-func BatchMaxPoolCircuit(bits uint, win, n int, withReLU bool) *Circuit {
-	if win < 1 {
-		panic("gc: pooling window must be at least 1")
-	}
-	b := NewBuilder()
-	l := int(bits)
-	y1 := b.GarblerInput(n * win * l)
-	z1 := b.GarblerInput(n * l)
-	y0 := b.EvaluatorInput(n * win * l)
-	for k := 0; k < n; k++ {
-		base := k * win * l
-		best := b.AdderMod(y0[base:base+l], y1[base:base+l])
-		for e := 1; e < win; e++ {
-			off := base + e*l
-			y := b.AdderMod(y0[off:off+l], y1[off:off+l])
-			best = b.Max(best, y)
-		}
-		if withReLU {
-			pos := b.NOT(best[l-1])
-			best = b.AndBit(pos, best)
-		}
-		z0 := b.SubMod(best, z1[k*l:(k+1)*l])
-		b.Output(z0...)
-	}
-	return b.Finish()
-}
-
-// BatchArgmaxCircuit is ArgmaxCircuit over `batch` independent samples
-// in one circuit (one protocol round for a whole prediction batch).
 // Garbler inputs: y1 (batch*n words), masks (batch*idxBits). Evaluator:
 // y0 (batch*n words). Outputs: batch masked indices.
 func BatchArgmaxCircuit(bits uint, n int, idxBits uint, batch int) *Circuit {
@@ -124,6 +122,7 @@ func BatchArgmaxCircuit(bits uint, n int, idxBits uint, batch int) *Circuit {
 	for s := 0; s < batch; s++ {
 		base := s * n * l
 		best := b.AdderMod(y0[base:base+l], y1[base:base+l])
+		// Index bits are constants: 0 and 1 as free wires.
 		zero := b.XOR(best[0], best[0])
 		one := b.constOne(zero)
 		bestIdx := make([]int, ib)
@@ -133,7 +132,7 @@ func BatchArgmaxCircuit(bits uint, n int, idxBits uint, batch int) *Circuit {
 		for e := 1; e < n; e++ {
 			off := base + e*l
 			y := b.AdderMod(y0[off:off+l], y1[off:off+l])
-			gt := b.SignedLess(best, y)
+			gt := b.SignedLess(best, y) // candidate wins
 			best = b.MuxVec(gt, y, best)
 			candIdx := make([]int, ib)
 			for i := range candIdx {
@@ -152,51 +151,9 @@ func BatchArgmaxCircuit(bits uint, n int, idxBits uint, batch int) *Circuit {
 	return b.Finish()
 }
 
-// ArgmaxCircuit builds a secure argmax over n words: it reconstructs
-// every y = y0 + y1, runs a tournament carrying the running index, and
-// outputs the winning index XOR a garbler-chosen mask (so the evaluator
-// learns nothing: it forwards the masked index to the garbler, who
-// unmasks). idxBits index bits must satisfy 2^idxBits >= n.
-//
-// Garbler inputs: y1 (n words), mask (idxBits). Evaluator: y0 (n words).
-// Outputs: masked index (idxBits bits).
+// ArgmaxCircuit is BatchArgmaxCircuit for a single sample.
 func ArgmaxCircuit(bits uint, n int, idxBits uint) *Circuit {
-	if n < 1 || uint64(n) > 1<<idxBits {
-		panic("gc: argmax index width too small")
-	}
-	b := NewBuilder()
-	l := int(bits)
-	ib := int(idxBits)
-	y1 := b.GarblerInput(n * l)
-	mask := b.GarblerInput(ib)
-	y0 := b.EvaluatorInput(n * l)
-	best := b.AdderMod(y0[0:l], y1[0:l])
-	// Index 0 as constant wires.
-	zero := b.XOR(best[0], best[0]) // constant 0 (free)
-	bestIdx := make([]int, ib)
-	for i := range bestIdx {
-		bestIdx[i] = zero
-	}
-	for e := 1; e < n; e++ {
-		y := b.AdderMod(y0[e*l:(e+1)*l], y1[e*l:(e+1)*l])
-		gt := b.SignedLess(best, y) // candidate wins
-		best = b.MuxVec(gt, y, best)
-		// Candidate index e as constants.
-		candIdx := make([]int, ib)
-		one := b.constOne(zero)
-		for i := range candIdx {
-			if (e>>uint(i))&1 == 1 {
-				candIdx[i] = one
-			} else {
-				candIdx[i] = zero
-			}
-		}
-		bestIdx = b.MuxVec(gt, candIdx, bestIdx)
-	}
-	for i := 0; i < ib; i++ {
-		b.Output(b.XOR(bestIdx[i], mask[i]))
-	}
-	return b.Finish()
+	return BatchArgmaxCircuit(bits, n, idxBits, 1)
 }
 
 // PopCount appends a Wallace-style counter returning the number of set

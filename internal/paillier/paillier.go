@@ -28,12 +28,22 @@ type PrivateKey struct {
 // Ciphertext is a Paillier ciphertext (an element of Z_{N^2}^*).
 type Ciphertext struct{ C *big.Int }
 
+// The modulus sizes this package works with. One range bounds the key a
+// party generates, the knob that sizes it (abnn2.Config.MiniONNKeyBits)
+// and — the one that matters — the modulus a party accepts from its peer:
+// every homomorphic operation afterwards is arithmetic modulo that
+// number's square, so its size is the peer's say over this party's CPU.
+const (
+	MinModulusBits = 256
+	MaxModulusBits = 4096
+)
+
 // GenerateKey creates a key pair with an n-bit modulus. randSrc supplies
 // primality-candidate randomness; pass a seeded PRG for deterministic
 // tests or crypto/rand.Reader for real keys.
 func GenerateKey(randSrc io.Reader, bits int) (*PrivateKey, error) {
-	if bits < 128 {
-		return nil, fmt.Errorf("paillier: modulus of %d bits is too small", bits)
+	if bits < MinModulusBits || bits > MaxModulusBits {
+		return nil, fmt.Errorf("paillier: modulus of %d bits outside [%d,%d]", bits, MinModulusBits, MaxModulusBits)
 	}
 	for {
 		p, err := genPrime(randSrc, bits/2)
@@ -161,10 +171,16 @@ func (pk *PublicKey) Unmarshal(b []byte) (*Ciphertext, error) {
 // MarshalPublicKey serialises the modulus.
 func MarshalPublicKey(pk *PublicKey) []byte { return pk.N.Bytes() }
 
-// UnmarshalPublicKey parses a modulus.
+// UnmarshalPublicKey parses a modulus received from the peer. The size is
+// checked on the bytes, before they become a number and long before the
+// number is squared. (The product of two primes of bits/2 bits may be one
+// bit short of bits, hence the lower bound's -1.)
 func UnmarshalPublicKey(b []byte) (*PublicKey, error) {
+	if len(b) < MinModulusBits/8 || len(b) > MaxModulusBits/8 {
+		return nil, fmt.Errorf("paillier: modulus of %d bytes outside [%d,%d] bits", len(b), MinModulusBits, MaxModulusBits)
+	}
 	n := new(big.Int).SetBytes(b)
-	if n.BitLen() < 128 {
+	if n.BitLen() < MinModulusBits-1 {
 		return nil, fmt.Errorf("paillier: modulus too small (%d bits)", n.BitLen())
 	}
 	return &PublicKey{N: n, N2: new(big.Int).Mul(n, n)}, nil

@@ -1,6 +1,7 @@
 package paillier
 
 import (
+	"bytes"
 	"math/big"
 	"testing"
 
@@ -122,6 +123,29 @@ func TestPublicKeyMarshal(t *testing.T) {
 	}
 	if pk2.N.Cmp(pk.N) != 0 || pk2.N2.Cmp(pk.N2) != 0 {
 		t.Fatal("public key roundtrip mismatch")
+	}
+}
+
+// The modulus arrives from the peer, and everything after it is
+// arithmetic modulo its square: its size is bounded on the byte length,
+// at both ends of [MinModulusBits, MaxModulusBits].
+func TestUnmarshalPublicKeyBoundsModulus(t *testing.T) {
+	modulus := func(n int) []byte { return bytes.Repeat([]byte{0xff}, n) }
+	for _, n := range []int{0, 1, MinModulusBits/8 - 1, MaxModulusBits/8 + 1, 8192 / 8} {
+		if _, err := UnmarshalPublicKey(modulus(n)); err == nil {
+			t.Errorf("modulus of %d bytes accepted", n)
+		}
+	}
+	for _, n := range []int{MinModulusBits / 8, MaxModulusBits / 8} {
+		if _, err := UnmarshalPublicKey(modulus(n)); err != nil {
+			t.Errorf("modulus of %d bytes refused: %v", n, err)
+		}
+	}
+	// In-range bytes, out-of-range number: leading zeros do not count.
+	small := make([]byte, MinModulusBits/8)
+	small[len(small)-1] = 3
+	if _, err := UnmarshalPublicKey(small); err == nil {
+		t.Error("a 2-bit modulus padded to 32 bytes accepted")
 	}
 }
 

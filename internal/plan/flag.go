@@ -2,55 +2,44 @@ package plan
 
 import (
 	"fmt"
-	"os"
 	"strings"
 	"text/tabwriter"
-
-	"abnn2/internal/core"
 )
 
 // FlagUsage documents the shared -plan flag value syntax.
 const FlagUsage = "per-layer offline backend plan: auto (cost-model planner under -link), " +
 	"a backend name (abnn2, secureml, minionn, quotient) for a uniform plan, " +
-	"or @file naming a JSON plan (empty = no plan, the all-ABNN2 default)"
+	"or one entry per layer as the tools print it, e.g. abnn2,abnn2:4(4),minionn " +
+	"(empty = no plan, the all-ABNN2 default)"
 
 // FromFlag resolves a -plan flag value against a model: "auto" runs
-// the cost-model planner under in.Link, a backend name builds a
-// uniform plan, and "@path" loads a JSON plan file. The empty value
-// means no plan (nil, nil, nil). The estimate is nil when the plan
-// validates but cannot be priced.
+// the cost-model planner under in.Link; anything else is the plan's
+// textual form (Plan.String), where a single entry stands for every
+// layer. The empty value means no plan (nil, nil, nil). The estimate is
+// nil when the plan validates but cannot be priced.
 func FromFlag(val string, in Input) (*Plan, *Estimate, error) {
-	switch {
-	case val == "":
+	switch val {
+	case "":
 		return nil, nil, nil
-	case val == "auto":
+	case "auto":
 		return Choose(in)
-	case strings.HasPrefix(val, "@"):
-		data, err := os.ReadFile(val[1:])
-		if err != nil {
-			return nil, nil, fmt.Errorf("plan: %w", err)
-		}
-		p, err := FromJSON(data)
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := p.Validate(in.Arch, in.Batch); err != nil {
-			return nil, nil, err
-		}
-		est, _ := EstimatePlan(in, p)
-		return p, est, nil
-	default:
-		b, err := core.ParseBackend(val)
-		if err != nil {
-			return nil, nil, fmt.Errorf("plan: bad -plan value %q: want auto, a backend name, or @file", val)
-		}
-		p := Uniform(b, len(in.Arch.Layers))
-		if err := p.Validate(in.Arch, in.Batch); err != nil {
-			return nil, nil, err
-		}
-		est, _ := EstimatePlan(in, p)
-		return p, est, nil
 	}
+	p, err := FromString(val)
+	if err != nil {
+		return nil, nil, fmt.Errorf("plan: bad -plan value %q (want auto, a backend name, or one entry per layer): %w", val, err)
+	}
+	if len(p.Layers) == 1 {
+		one := p.Layers[0]
+		p.Layers = make([]Choice, len(in.Arch.Layers))
+		for i := range p.Layers {
+			p.Layers[i] = one
+		}
+	}
+	if err := p.Validate(in.Arch, in.Batch); err != nil {
+		return nil, nil, err
+	}
+	est, _ := EstimatePlan(in, p)
+	return p, est, nil
 }
 
 // Table renders the estimate as an aligned predicted-cost table, one

@@ -18,7 +18,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -45,38 +44,13 @@ const planMagic = "ABP1"
 // is only meaningful for the ABNN2 backend (the baselines do not
 // fragment) and must quantize the same weight range.
 type Choice struct {
-	Backend core.BackendID `json:"-"`
-	Scheme  string         `json:"scheme,omitempty"`
-}
-
-// choiceJSON is the @file form of a Choice, with the backend by name.
-type choiceJSON struct {
-	Backend string `json:"backend"`
-	Scheme  string `json:"scheme,omitempty"`
-}
-
-// MarshalJSON encodes the backend by name ("abnn2", "secureml", ...).
-func (c Choice) MarshalJSON() ([]byte, error) {
-	return json.Marshal(choiceJSON{Backend: c.Backend.String(), Scheme: c.Scheme})
-}
-
-// UnmarshalJSON is the inverse of MarshalJSON.
-func (c *Choice) UnmarshalJSON(b []byte) error {
-	var j choiceJSON
-	if err := json.Unmarshal(b, &j); err != nil {
-		return err
-	}
-	id, err := core.ParseBackend(j.Backend)
-	if err != nil {
-		return err
-	}
-	c.Backend, c.Scheme = id, j.Scheme
-	return nil
+	Backend core.BackendID
+	Scheme  string
 }
 
 // Plan assigns one Choice per linear layer of a model.
 type Plan struct {
-	Layers []Choice `json:"layers"`
+	Layers []Choice
 }
 
 // Uniform builds the plan running every one of n layers on backend b
@@ -104,7 +78,9 @@ func (p *Plan) IsUniform() (core.BackendID, bool) {
 	return b, true
 }
 
-// String renders the plan compactly, e.g. "abnn2,abnn2,minionn".
+// String renders the plan in its one textual form, e.g.
+// "abnn2,abnn2:4(4),minionn": what the tools print, and what FromString
+// and the -plan flag take back.
 func (p *Plan) String() string {
 	parts := make([]string, len(p.Layers))
 	for i, c := range p.Layers {
@@ -243,11 +219,26 @@ func (p *Plan) Validate(arch core.Arch, batch int) error {
 	return sched.Validate(arch, nil)
 }
 
-// FromString parses the compact String form back into a plan:
-// comma-separated backend names, each optionally ":scheme"-suffixed.
+// FromString parses the String form back into a plan: comma-separated
+// backend names, each optionally ":scheme"-suffixed. A scheme designation
+// keeps the commas inside its parentheses ("abnn2:8(2,2,2,2),minionn" is
+// two layers).
 func FromString(s string) (*Plan, error) {
-	parts := strings.Split(s, ",")
-	if len(parts) == 0 || len(parts) > MaxLayers {
+	var parts []string
+	depth, start := 0, 0
+	for i, r := range s {
+		switch {
+		case r == '(':
+			depth++
+		case r == ')':
+			depth--
+		case r == ',' && depth == 0:
+			parts = append(parts, s[start:i])
+			start = i + 1
+		}
+	}
+	parts = append(parts, s[start:])
+	if len(parts) > MaxLayers {
 		return nil, fmt.Errorf("plan: layer count %d outside [1,%d]", len(parts), MaxLayers)
 	}
 	p := &Plan{Layers: make([]Choice, len(parts))}
@@ -263,16 +254,4 @@ func FromString(s string) (*Plan, error) {
 		p.Layers[i] = Choice{Backend: id, Scheme: scheme}
 	}
 	return p, nil
-}
-
-// FromJSON parses the @file form of a plan.
-func FromJSON(b []byte) (*Plan, error) {
-	var p Plan
-	if err := json.Unmarshal(b, &p); err != nil {
-		return nil, fmt.Errorf("plan: %w", err)
-	}
-	if len(p.Layers) == 0 || len(p.Layers) > MaxLayers {
-		return nil, fmt.Errorf("plan: layer count %d outside [1,%d]", len(p.Layers), MaxLayers)
-	}
-	return &p, nil
 }

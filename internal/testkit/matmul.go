@@ -24,8 +24,7 @@ import (
 type MatmulFunc func(rg ring.Ring, W []int64, m, n int, R *ring.Mat, seed uint64) (U, V *ring.Mat, err error)
 
 // ABNN2Matmul returns the paper's 1-out-of-N triplet protocol under the
-// given fragmentation scheme and payload mode (OneBatch and NaiveN
-// require o = 1).
+// given fragmentation scheme and payload mode (OneBatch requires o = 1).
 func ABNN2Matmul(scheme quant.Scheme, mode core.Mode) MatmulFunc {
 	return func(rg ring.Ring, W []int64, m, n int, R *ring.Mat, seed uint64) (*ring.Mat, *ring.Mat, error) {
 		p := core.Params{Ring: rg, Scheme: scheme}

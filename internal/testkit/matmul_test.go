@@ -32,7 +32,7 @@ func TestMatmulBackendABNN2(t *testing.T) {
 		mode   core.Mode
 	}{
 		{"onebatch-4(2,2)", quant.NewBitScheme(true, 2, 2), 1, core.OneBatch},
-		{"naiveN-4(2,2)", quant.NewBitScheme(true, 2, 2), 1, core.NaiveN},
+		{"naiveN-4(2,2)", quant.NewBitScheme(true, 2, 2), 1, core.MultiBatch},
 		{"multibatch-4(2,2)", quant.NewBitScheme(true, 2, 2), 3, core.MultiBatch},
 		{"multibatch-ternary", quant.Ternary(), 2, core.MultiBatch},
 		{"onebatch-binary", quant.Binary(), 1, core.OneBatch},
@@ -101,8 +101,9 @@ func TestMatmulBackendQuotient(t *testing.T) {
 
 // Satellite: a gamma=1 scheme (one fragment, one OT per weight) is the
 // degenerate point of the fragmentation machinery — the payload offsets
-// collapse to a single span. OneBatch, NaiveN, and MultiBatch must all
-// agree with the plaintext product there.
+// collapse to a single span. OneBatch and MultiBatch — at o = 1, the naive
+// Fig. 3 protocol, and above — must all agree with the plaintext product
+// there.
 func TestMatmulGammaOne(t *testing.T) {
 	scheme := quant.NewBitScheme(true, 4) // "4(4)": gamma=1, N=16
 	if scheme.Gamma() != 1 {
@@ -119,7 +120,7 @@ func TestMatmulGammaOne(t *testing.T) {
 			mode core.Mode
 		}{
 			{"onebatch", 1, core.OneBatch},
-			{"naiveN", 1, core.NaiveN},
+			{"naiveN", 1, core.MultiBatch},
 			{"multibatch", 2, core.MultiBatch},
 		} {
 			R := g.Mat(rg, n, tc.o)

@@ -133,11 +133,17 @@ func (q *QuantizedModel) Scheme() string { return q.qm.Layers[0].Scheme.Name() }
 func (q *QuantizedModel) MarshalJSON() ([]byte, error) { return nn.MarshalQuantized(q.qm) }
 
 // LoadQuantizedModel parses a quantized model from JSON, validating every
-// weight against its scheme.
+// weight against its scheme and the architecture as a client would before
+// it dials (layer i takes what layer i-1 produces, conv geometry matches
+// the declared input): a model no client could use fails here, at the
+// operator's start-up, not at every Dial.
 func LoadQuantizedModel(data []byte) (*QuantizedModel, error) {
 	inner, err := nn.UnmarshalQuantized(data)
 	if err != nil {
 		return nil, err
+	}
+	if err := core.ArchOf(inner).Validate(); err != nil {
+		return nil, fmt.Errorf("abnn2: quantized model: %w", err)
 	}
 	return &QuantizedModel{qm: inner}, nil
 }

@@ -13,8 +13,8 @@ package abnn2
 import "abnn2/internal/plan"
 
 // Plan is a per-layer offline backend schedule; see Config.Plan. Build
-// one with ChoosePlan (cost-model driven), plan.Uniform, or from its
-// JSON form.
+// one with ChoosePlan (cost-model driven) or as a literal, one PlanChoice
+// per layer; its String is the form the tools' -plan flag takes.
 type Plan = plan.Plan
 
 // PlanChoice is one layer's (backend, scheme) assignment.
