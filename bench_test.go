@@ -1,6 +1,6 @@
-// An external test package: internal/bench drives the public facade for
-// the offline/online split table, so an in-package test file here would
-// close an import cycle.
+// An external test package, like the examples: these benchmarks use
+// nothing of the root package, only internal/bench, which drives the
+// protocol packages directly and does not import abnn2.
 package abnn2_test
 
 // One testing.B benchmark per paper table plus the ablations, backed by

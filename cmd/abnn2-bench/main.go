@@ -1,12 +1,15 @@
-// Command abnn2-bench regenerates the paper's evaluation tables (1-5)
-// and the ablation studies from DESIGN.md.
+// Command abnn2-bench regenerates the paper's evaluation tables (1-5),
+// the CNN and planner extension tables, the accuracy ladder and the
+// ablation studies from DESIGN.md.
 //
 // Usage:
 //
-//	abnn2-bench                 # every table, full paper configuration
-//	abnn2-bench -table 3        # one table
+//	abnn2-bench                 # tables 1-5 and cnn, full paper configuration
+//	abnn2-bench -table 3        # one table: 1..5, cnn or plan
+//	abnn2-bench -table plan -plan abnn2,minionn -link 9:72
 //	abnn2-bench -quick          # scaled-down shapes (< 1 minute total)
 //	abnn2-bench -ablations      # ablation studies only
+//	abnn2-bench -accuracy       # quantization accuracy ladder only
 //
 // Full mode runs the exact paper shapes (Figure 4 network, batch sizes up
 // to 128) and can take several minutes on one core; see EXPERIMENTS.md
@@ -24,7 +27,7 @@ import (
 )
 
 func main() {
-	table := flag.String("table", "all", "which table to run: 1..5 or all")
+	table := flag.String("table", "all", "which table to run: 1..5, cnn, plan, or all (1..5 and cnn)")
 	quick := flag.Bool("quick", false, "scaled-down shapes for a fast run")
 	ablations := flag.Bool("ablations", false, "run ablation studies instead of tables")
 	accuracy := flag.Bool("accuracy", false, "run the quantization accuracy ladder instead of tables")
@@ -76,6 +79,12 @@ func main() {
 	if !ok {
 		fmt.Fprintf(os.Stderr, "abnn2-bench: unknown table %q (want 1..5, cnn, plan, or all)\n", *table)
 		os.Exit(2)
+	}
+	if *table == "plan" {
+		if err := bench.CheckPlan(opt); err != nil {
+			fmt.Fprintf(os.Stderr, "abnn2-bench: %v\n", err)
+			os.Exit(2)
+		}
 	}
 	f(opt)
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"abnn2/internal/par"
 	"abnn2/internal/prg"
 	"abnn2/internal/ring"
 	"abnn2/internal/transport"
@@ -130,8 +131,8 @@ func (c *tapeConn) Send(msg []byte) error {
 }
 
 // minionnTranscript runs one seeded MiniONN set-up and matmul under the
-// given GOMAXPROCS and returns everything each party sent.
-func minionnTranscript(t *testing.T, procs int) (client, server [][]byte) {
+// given GOMAXPROCS and worker bound and returns everything each party sent.
+func minionnTranscript(t *testing.T, procs, workers int) (client, server [][]byte) {
 	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	rg := ring.New(32)
@@ -149,12 +150,14 @@ func minionnTranscript(t *testing.T, procs int) (client, server [][]byte) {
 	go func() {
 		cl, err := NewMiniONNClient(ca, rg, 512, prg.New(prg.SeedFromInt(4)))
 		if err == nil {
+			cl.SetWorkers(workers)
 			_, err = cl.GenerateClient(m, R)
 		}
 		cerr <- err
 	}()
 	sv, err := NewMiniONNServer(cb, rg, prg.New(prg.SeedFromInt(5)))
 	if err == nil {
+		sv.SetWorkers(workers)
 		_, err = sv.GenerateServer(W, m, n, o)
 	}
 	if cerr := <-cerr; cerr != nil || err != nil {
@@ -165,23 +168,73 @@ func minionnTranscript(t *testing.T, procs int) (client, server [][]byte) {
 
 // TestMiniONNTranscriptIgnoresGOMAXPROCS: with both parties seeded, every
 // byte either sends — public key, ciphertexts, response — is the same on
-// one CPU as on four: each ciphertext's randomness comes from its own
-// child PRG, derived in index order, not from whichever worker ran it.
+// one CPU as on four, and under a worker bound of 1 as of 8: each
+// ciphertext's randomness comes from its own child PRG, derived in index
+// order, not from whichever worker ran it.
 func TestMiniONNTranscriptIgnoresGOMAXPROCS(t *testing.T) {
-	c1, s1 := minionnTranscript(t, 1)
-	c4, s4 := minionnTranscript(t, 4)
-	for _, side := range []struct {
-		party  string
-		p1, p4 [][]byte
-	}{{"client", c1, c4}, {"server", s1, s4}} {
-		if len(side.p1) != len(side.p4) {
-			t.Fatalf("%s sent %d messages under GOMAXPROCS=1, %d under 4", side.party, len(side.p1), len(side.p4))
-		}
-		for i := range side.p1 {
-			if !bytes.Equal(side.p1[i], side.p4[i]) {
-				t.Errorf("%s message %d (%d bytes) differs between GOMAXPROCS=1 and 4", side.party, i, len(side.p1[i]))
+	c1, s1 := minionnTranscript(t, 1, 0)
+	for _, other := range []struct {
+		name           string
+		procs, workers int
+	}{{"GOMAXPROCS=4", 4, 0}, {"Workers=1", 4, 1}, {"Workers=8", 4, 8}} {
+		c, s := minionnTranscript(t, other.procs, other.workers)
+		for _, side := range []struct {
+			party string
+			a, b  [][]byte
+		}{{"client", c1, c}, {"server", s1, s}} {
+			if len(side.a) != len(side.b) {
+				t.Fatalf("%s sent %d messages under GOMAXPROCS=1, %d under %s", side.party, len(side.a), len(side.b), other.name)
+			}
+			for i := range side.a {
+				if !bytes.Equal(side.a[i], side.b[i]) {
+					t.Errorf("%s message %d (%d bytes) differs between GOMAXPROCS=1 and %s", side.party, i, len(side.a[i]), other.name)
+				}
 			}
 		}
+	}
+}
+
+// TestMiniONNHonoursWorkers: the bound set with SetWorkers is the one
+// every parallel loop of both parties runs under. At 1 no two loop bodies
+// are ever in flight at once (the two parties alternate, so their loops
+// never overlap either); before the bound was threaded through, all four
+// loops asked for one worker per CPU whatever the session was given.
+func TestMiniONNHonoursWorkers(t *testing.T) {
+	var (
+		mu             sync.Mutex
+		inFlight, peak int
+		asked          []int
+	)
+	enter := func(d int) {
+		mu.Lock()
+		defer mu.Unlock()
+		if inFlight += d; inFlight > peak {
+			peak = inFlight
+		}
+	}
+	chunksErr = func(workers, n int, fn func(c, lo, hi int) error) error {
+		mu.Lock()
+		asked = append(asked, workers)
+		mu.Unlock()
+		return par.ChunksErr(workers, n, func(c, lo, hi int) error {
+			enter(1)
+			defer enter(-1)
+			return fn(c, lo, hi)
+		})
+	}
+	defer func() { chunksErr = par.ChunksErr }()
+
+	minionnTranscript(t, 4, 1)
+	if len(asked) != 4 {
+		t.Errorf("%d parallel loops ran, want 4 (encrypt, unmarshal, product, decrypt)", len(asked))
+	}
+	for _, w := range asked {
+		if w != 1 {
+			t.Errorf("a loop asked for %d workers, want the bound of 1", w)
+		}
+	}
+	if peak != 1 {
+		t.Errorf("%d loop bodies in flight at once under Workers=1", peak)
 	}
 }
 

@@ -33,19 +33,29 @@ const statSigma = 40
 
 // MiniONNClient owns the HE keypair and the share matrix R.
 type MiniONNClient struct {
-	rg   ring.Ring
-	conn transport.Conn
-	sk   *paillier.PrivateKey
-	rng  *prg.PRG
+	rg      ring.Ring
+	conn    transport.Conn
+	sk      *paillier.PrivateKey
+	rng     *prg.PRG
+	workers int
 }
 
 // MiniONNServer holds the weights.
 type MiniONNServer struct {
-	rg   ring.Ring
-	conn transport.Conn
-	pk   *paillier.PublicKey
-	rng  *prg.PRG
+	rg      ring.Ring
+	conn    transport.Conn
+	pk      *paillier.PublicKey
+	rng     *prg.PRG
+	workers int
 }
+
+// SetWorkers bounds the parallelism of the per-element encryptions and
+// decryptions (0 = one worker per CPU, the default). Purely local: the
+// transcript does not depend on it.
+func (c *MiniONNClient) SetWorkers(n int) { c.workers = n }
+
+// SetWorkers mirrors MiniONNClient.SetWorkers for the homomorphic product.
+func (s *MiniONNServer) SetWorkers(n int) { s.workers = n }
 
 // NewMiniONNClient generates a keypair and announces the public key.
 func NewMiniONNClient(conn transport.Conn, rg ring.Ring, keyBits int, rng *prg.PRG) (*MiniONNClient, error) {
@@ -74,7 +84,7 @@ func NewMiniONNServer(conn transport.Conn, rg ring.Ring, rng *prg.PRG) (*MiniONN
 
 // GenerateClient encrypts R (n x o) column by column, sends the
 // ciphertexts, and decrypts the server's response into V (m x o).
-// Encryption and decryption are parallelised across cores; MiniONN's
+// Encryption and decryption are parallelised up to SetWorkers; MiniONN's
 // evaluation reports single-core numbers, but the protocol shape is
 // unchanged and our benches report both wall and comm anyway.
 func (c *MiniONNClient) GenerateClient(m int, R *ring.Mat) (*ring.Mat, error) {
@@ -86,7 +96,7 @@ func (c *MiniONNClient) GenerateClient(m int, R *ring.Mat) (*ring.Mat, error) {
 	// encryptions are scheduled.
 	seeds := c.rng.Bytes(n * o * prg.SeedSize)
 	msg := make([]byte, n*o*ctBytes)
-	if err := forEach(n*o, func(idx int) error {
+	if err := forEach(c.workers, n*o, func(idx int) error {
 		rng := prg.New(prg.Seed(seeds[idx*prg.SeedSize:]))
 		ct, err := pk.Encrypt(rng, new(big.Int).SetUint64(R.Data[idx]))
 		if err != nil {
@@ -108,7 +118,7 @@ func (c *MiniONNClient) GenerateClient(m int, R *ring.Mat) (*ring.Mat, error) {
 		return nil, fmt.Errorf("baseline: minionn response is %d bytes, want %d", len(resp), m*o*ctBytes)
 	}
 	V := ring.NewMat(m, o)
-	if err := forEach(m*o, func(idx int) error {
+	if err := forEach(c.workers, m*o, func(idx int) error {
 		ct, err := pk.Unmarshal(resp[idx*ctBytes : (idx+1)*ctBytes])
 		if err != nil {
 			return err
@@ -138,7 +148,7 @@ func (s *MiniONNServer) GenerateServer(W []int64, m, n, o int) (*ring.Mat, error
 		return nil, fmt.Errorf("baseline: minionn ciphertexts are %d bytes, want %d", len(raw), n*o*ctBytes)
 	}
 	cts := make([]*paillier.Ciphertext, n*o)
-	if err := forEach(n*o, func(idx int) error {
+	if err := forEach(s.workers, n*o, func(idx int) error {
 		ct, err := pk.Unmarshal(raw[idx*ctBytes : (idx+1)*ctBytes])
 		if err != nil {
 			return err
@@ -159,7 +169,7 @@ func (s *MiniONNServer) GenerateServer(W []int64, m, n, o int) (*ring.Mat, error
 		r := new(big.Int).SetBytes(s.rng.Bytes(int(gBits) / 8))
 		masks[idx] = r.Add(r, base)
 	}
-	if err := forEach(m*o, func(idx int) error {
+	if err := forEach(s.workers, m*o, func(idx int) error {
 		i, k := idx/o, idx%o
 		// acc = Enc(w_i0 * r_0k + mask), then fold the remaining terms.
 		acc := pk.AddPlain(pk.MulConst(cts[0*o+k], big.NewInt(W[i*n+0])), masks[idx])
@@ -178,10 +188,14 @@ func (s *MiniONNServer) GenerateServer(W []int64, m, n, o int) (*ring.Mat, error
 	return U, nil
 }
 
-// forEach runs fn over [0, n) on the shared worker pool, one worker per
-// CPU, and returns the lowest-indexed chunk's error.
-func forEach(n int, fn func(idx int) error) error {
-	return par.ChunksErr(0, n, func(_, lo, hi int) error {
+// chunksErr is par.ChunksErr, a variable so that the worker-bound test
+// can count the chunk bodies in flight.
+var chunksErr = par.ChunksErr
+
+// forEach runs fn over [0, n) on the shared worker pool, at most workers
+// chunks at a time, and returns the lowest-indexed chunk's error.
+func forEach(workers, n int, fn func(idx int) error) error {
+	return chunksErr(workers, n, func(_, lo, hi int) error {
 		for idx := lo; idx < hi; idx++ {
 			if err := fn(idx); err != nil {
 				return err

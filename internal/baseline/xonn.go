@@ -46,27 +46,6 @@ func NewBNN(rng *prg.PRG, sizes ...int) *BNN {
 	return b
 }
 
-// BinarizeModelWeights converts float weights to BNN weight bits
-// (1 when the weight is non-negative).
-func BinarizeModelWeights(b *BNN, floats [][]float64) error {
-	if len(floats) != len(b.Weights) {
-		return fmt.Errorf("baseline: %d weight layers for BNN with %d", len(floats), len(b.Weights))
-	}
-	for l := range floats {
-		if len(floats[l]) != len(b.Weights[l]) {
-			return fmt.Errorf("baseline: layer %d has %d weights, want %d", l, len(floats[l]), len(b.Weights[l]))
-		}
-		for i, w := range floats[l] {
-			if w >= 0 {
-				b.Weights[l][i] = 1
-			} else {
-				b.Weights[l][i] = 0
-			}
-		}
-	}
-	return nil
-}
-
 // Forward evaluates the BNN in the clear: returns the last layer's
 // popcount scores. Input bits must have length Sizes[0].
 func (b *BNN) Forward(input []byte) []int {
@@ -184,16 +163,4 @@ func XONNQuery(conn transport.Conn, b *BNN, input []byte, session uint64, rng *p
 		scores[o] = int(gc.BitsToUint(out[o*sb : (o+1)*sb]))
 	}
 	return scores, nil
-}
-
-// Binarize converts real-valued features into input bits by thresholding
-// at the given level.
-func Binarize(x []float64, threshold float64) []byte {
-	out := make([]byte, len(x))
-	for i, v := range x {
-		if v >= threshold {
-			out[i] = 1
-		}
-	}
-	return out
 }

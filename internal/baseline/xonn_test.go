@@ -64,29 +64,6 @@ func TestXONNSecureMatchesPlain(t *testing.T) {
 	}
 }
 
-func TestBinarizeModelWeights(t *testing.T) {
-	b := NewBNN(prg.New(prg.SeedFromInt(2)), 2, 2)
-	if err := BinarizeModelWeights(b, [][]float64{{0.5, -0.5, 0, -1}}); err != nil {
-		t.Fatal(err)
-	}
-	want := []byte{1, 0, 1, 0}
-	for i := range want {
-		if b.Weights[0][i] != want[i] {
-			t.Fatalf("weights = %v", b.Weights[0])
-		}
-	}
-	if err := BinarizeModelWeights(b, [][]float64{{1}}); err == nil {
-		t.Fatal("shape mismatch accepted")
-	}
-}
-
-func TestBinarize(t *testing.T) {
-	got := Binarize([]float64{0.1, 0.9, 0.5}, 0.5)
-	if got[0] != 0 || got[1] != 1 || got[2] != 1 {
-		t.Fatalf("binarize = %v", got)
-	}
-}
-
 func TestXONNRejectsWrongInputSize(t *testing.T) {
 	b := NewBNN(prg.New(prg.SeedFromInt(3)), 4, 2)
 	_, cb := transport.Pipe()

@@ -2,14 +2,12 @@ package bench
 
 import (
 	"fmt"
-	"sync"
 
 	"abnn2/internal/core"
 	"abnn2/internal/nn"
 	"abnn2/internal/prg"
 	"abnn2/internal/quant"
 	"abnn2/internal/ring"
-	"abnn2/internal/transport"
 )
 
 // AccuracyRow reports classification quality for one quantization scheme
@@ -54,7 +52,7 @@ func Accuracy(opt Options) []AccuracyRow {
 	for _, sc := range schemes {
 		qm := nn.Quantize(model, sc, 8)
 		qAcc := qm.Accuracy(testX, testY)
-		match := secureAgreement(qm, sc, testX[:secureN], opt.Workers)
+		match := secureAgreement(qm, testX[:secureN], opt)
 		rows = append(rows, AccuracyRow{
 			Scheme:      sc.Name(),
 			FloatAcc:    floatAcc,
@@ -74,48 +72,17 @@ func Accuracy(opt Options) []AccuracyRow {
 // secureAgreement runs one secure batch and returns the fraction of
 // predictions identical to plaintext quantized inference (expected: 1.0,
 // the protocol is exact over Z_2^64).
-func secureAgreement(qm *nn.QuantizedModel, sc quant.Scheme, inputs [][]float64, workers int) float64 {
+func secureAgreement(qm *nn.QuantizedModel, inputs [][]float64, opt Options) float64 {
 	rg := ring.New(64)
-	p := core.Params{Ring: rg, Scheme: sc, Workers: workers}
-	arch := core.ArchOf(qm)
-	batch := len(inputs)
-	ca, cb := transport.Pipe()
-	defer ca.Close()
-	var (
-		serr error
-		wg   sync.WaitGroup
-	)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		srv, err := core.NewServerEngine(ca, qm, p, core.ReLUGC)
-		if err == nil {
-			err = srv.Offline(batch)
-		}
-		if err == nil {
-			err = srv.Online()
-		}
-		serr = err
-	}()
-	cli, err := core.NewClientEngine(cb, arch, p, core.ReLUGC, prg.New(prg.SeedFromInt(2)))
-	if err != nil {
-		panic(err)
-	}
-	if err := cli.Offline(batch); err != nil {
-		panic(err)
-	}
-	X := ring.NewMat(arch.InputSize(), batch)
+	X := ring.NewMat(core.ArchOf(qm).InputSize(), len(inputs))
 	fp := ring.NewFixedPoint(rg, qm.Frac)
 	for k, x := range inputs {
 		for i, v := range x {
 			X.Set(i, k, fp.Encode(v))
 		}
 	}
-	out, err := cli.Predict(X)
-	wg.Wait()
-	if serr != nil || err != nil {
-		panic(fmt.Sprintf("bench: accuracy secure run: %v %v", serr, err))
-	}
+	out := runEndToEndModel(opt, "accuracy "+qm.Layers[0].Scheme.Name(),
+		endToEnd{ring: rg, model: qm, inputs: X, variant: core.ReLUGC}).out
 	agree := 0
 	for k, x := range inputs {
 		best := 0
@@ -128,5 +95,5 @@ func secureAgreement(qm *nn.QuantizedModel, sc quant.Scheme, inputs [][]float64,
 			agree++
 		}
 	}
-	return float64(agree) / float64(batch)
+	return float64(agree) / float64(len(inputs))
 }

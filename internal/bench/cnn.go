@@ -37,10 +37,9 @@ func TableCNN(opt Options) []TableCNNRow {
 	var rows []TableCNNRow
 	for _, sc := range schemes {
 		for _, batch := range batches {
-			meas, err := runSecureCNN(rg, sc, channels, batch, opt)
-			if err != nil {
-				panic(fmt.Sprintf("bench: cnn %s batch %d: %v", sc.Name(), batch, err))
-			}
+			qm := referenceCNN(prg.New(prg.SeedFromInt(51)), sc, channels, 5)
+			meas := runEndToEndModel(opt, fmt.Sprintf("cnn %s batch=%d", sc.Name(), batch),
+				endToEnd{ring: rg, model: qm, batch: batch, variant: core.ReLUGC}).whole
 			rows = append(rows, TableCNNRow{
 				Scheme: sc.Name(),
 				Batch:  batch,
@@ -58,34 +57,25 @@ func TableCNN(opt Options) []TableCNNRow {
 	return rows
 }
 
-// runSecureCNN builds a random in-range quantized CNN and measures one
-// offline+online secure inference.
-func runSecureCNN(rg ring.Ring, scheme quant.Scheme, channels, batch int, opt Options) (measurement, error) {
-	rng := prg.New(prg.SeedFromInt(51))
-	min, max := scheme.Range()
-	span := int(max - min + 1)
-	randW := func(n int) []int64 {
-		w := make([]int64, n)
-		for i := range w {
-			w[i] = min + int64(rng.Intn(span))
-		}
-		return w
-	}
-	conv := &nn.ConvSpec{Ci: 1, H: 28, W: 28, Kh: 5, Kw: 5, Stride: 1, Pad: 0}
-	fcIn := channels * 12 * 12
-	qm := &nn.QuantizedModel{Frac: 8, Layers: []*nn.QuantizedLayer{
+// referenceCNN is the one CNN the tables build: conv k x k over a 28x28
+// single-channel image into the given number of channels, ReLU and pool 2
+// fused in the garbled circuit, then one FC layer to the class scores;
+// weights and biases random in the scheme's range.
+func referenceCNN(rng *prg.PRG, scheme quant.Scheme, channels, k int) *nn.QuantizedModel {
+	conv := &nn.ConvSpec{Ci: 1, H: 28, W: 28, Kh: k, Kw: k, Stride: 1, Pad: 0}
+	pooled := (28 - k + 1) / 2
+	fcIn := channels * pooled * pooled
+	return &nn.QuantizedModel{Frac: 8, Layers: []*nn.QuantizedLayer{
 		{
 			In: conv.InputSize(), Out: channels,
-			W: randW(channels * conv.ColRows()), B: randW(channels),
+			W: randWeights(rng, scheme, channels*conv.ColRows()), B: randWeights(rng, scheme, channels),
 			Scale: 1, ReLU: true, Scheme: scheme,
 			Conv: conv, Pool: &nn.PoolSpec{K: 2},
 		},
 		{
 			In: fcIn, Out: nn.NumClasses,
-			W: randW(nn.NumClasses * fcIn), B: randW(nn.NumClasses),
+			W: randWeights(rng, scheme, nn.NumClasses*fcIn), B: randWeights(rng, scheme, nn.NumClasses),
 			Scale: 1, Scheme: scheme,
 		},
 	}}
-	return runEndToEndModel(rg, qm, batch, core.ReLUGC, nil, 0, opt,
-		fmt.Sprintf("cnn %s batch=%d", scheme.Name(), batch))
 }

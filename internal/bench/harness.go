@@ -1,20 +1,26 @@
-// Package bench regenerates every table of the paper's evaluation
-// section (Tables 1-5) plus the ablation studies listed in DESIGN.md.
-// Each table function runs the real protocols between two in-process
-// parties over pipes metered at each endpoint, measures wall time and
-// exact wire traffic, and applies the paper's published link parameters
-// analytically to produce LAN/WAN rows (see internal/transport's NetModel and DESIGN.md,
-// "Substitutions").
+// Package bench prints the paper's evaluation as tables: Tables 1-5, the
+// CNN and planner extension tables, the accuracy ladder and the ablation
+// studies listed in DESIGN.md. Table 1 is analytic; every other row is a
+// real protocol execution between two in-process parties under the one
+// harness in this file (run): a pipe metered at each endpoint, wall time
+// and exact wire traffic measured, the paper's published link parameters
+// applied analytically for the LAN/WAN columns (transport.NetModel;
+// DESIGN.md, "Substitutions"). It imports the protocol packages, never the
+// root package.
 //
-// All randomness is seeded: rerunning a table reproduces it bit for bit.
+// All randomness is seeded: rerunning a table reproduces its bytes and
+// flights exactly, and testdata/quick.golden pins them.
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"strings"
 	"time"
 
+	"abnn2/internal/prg"
+	"abnn2/internal/quant"
 	"abnn2/internal/trace"
 	"abnn2/internal/transport"
 )
@@ -63,14 +69,6 @@ func (m measurement) timeUnder(nm transport.NetModel) float64 {
 	return nm.TotalTime(m.Wall, m.Stats).Seconds()
 }
 
-// runPair executes the two protocol sides concurrently over a metered
-// pipe and returns the cost profile. Errors from either side abort.
-func runPair(client func(transport.Conn) error, server func(transport.Conn) error) (measurement, error) {
-	return runPairT(Options{}, "",
-		func(c transport.Conn, _ *trace.Tracer) error { return client(c) },
-		func(c transport.Conn, _ *trace.Tracer) error { return server(c) })
-}
-
 // tracerOver builds one party's tracer over that party's endpoint meter
 // (nil when tracing is off).
 func tracerOver(opt Options, party, label string, meter *transport.Meter) *trace.Tracer {
@@ -83,36 +81,89 @@ func tracerOver(opt Options, party, label string, meter *transport.Meter) *trace
 	}))
 }
 
-// runPairT is runPair with tracing: each side receives its own tracer
-// (nil when opt.Trace is nil), both emitting to opt.Trace with the
-// given row label.
+// side is what the harness hands one party: its endpoint of the pipe,
+// that endpoint's meter, and its tracer (nil when tracing is off).
+type side struct {
+	conn  transport.Conn
+	meter *transport.Meter
+	trace *trace.Tracer
+}
+
+// offlinePhase wraps a party that generates triplets without an engine in
+// the "offline" span an engine would have opened, so these runs leave
+// their bytes and time in opt.Trace as the end-to-end ones do.
+func offlinePhase(party func(side) error) func(side) error {
+	return func(s side) error {
+		sp := s.trace.Start("offline")
+		err := party(s)
+		sp.End(err)
+		return err
+	}
+}
+
+// testHookRun, set by TestQuickTablesPinned only, sees the label and the
+// client endpoint's counters of every measurement a table row is built
+// from.
+var testHookRun func(label string, s transport.Stats)
+
+func record(label string, s transport.Stats) {
+	if testHookRun != nil {
+		testHookRun(label, s)
+	}
+}
+
+// run is the one two-party execution under every table: the two protocol
+// sides run concurrently over a pipe metered at each endpoint, each with
+// its own tracer emitting to opt.Trace under the row label. A side that
+// fails closes its endpoint, so a peer parked in Recv returns instead of
+// waiting out the test timeout; both errors come back joined.
 //
-// Each end of the pipe is metered on its own, and the measurement is the
-// client endpoint's view: BytesAB is what the client sent, and Flights —
-// the NetModel input behind the LAN/WAN columns — is counted in the order
-// the client performed its operations. That order is fixed by the
-// protocol; a meter shared by both ends would count flights in arrival
-// order, which depends on scheduling now that the server sends ahead in
-// the offline phase (see transport.Stats).
-func runPairT(opt Options, label string, client func(transport.Conn, *trace.Tracer) error, server func(transport.Conn, *trace.Tracer) error) (measurement, error) {
+// The measurement is the client endpoint's view: BytesAB is what the
+// client sent, and Flights — the NetModel input behind the LAN/WAN columns
+// — is counted in the order the client performed its operations. That
+// order is fixed by the protocol; a meter shared by both ends would count
+// flights in arrival order, which depends on scheduling now that the
+// server sends ahead in the offline phase (see transport.Stats).
+func run(opt Options, label string, client, server func(side) error) (measurement, error) {
 	a, b := transport.Pipe()
 	ca, cliMeter := transport.MeterEndpoint(a)
 	cb, srvMeter := transport.MeterEndpoint(b)
 	defer ca.Close()
-	cliTr, srvTr := tracerOver(opt, "client", label, cliMeter), tracerOver(opt, "server", label, srvMeter)
+	cli := side{ca, cliMeter, tracerOver(opt, "client", label, cliMeter)}
+	srv := side{cb, srvMeter, tracerOver(opt, "server", label, srvMeter)}
 	errc := make(chan error, 1)
 	start := time.Now()
-	go func() { errc <- server(cb, srvTr) }()
-	cerr := client(ca, cliTr)
+	go func() {
+		err := server(srv)
+		if err != nil {
+			cb.Close()
+			err = fmt.Errorf("server: %w", err)
+		}
+		errc <- err
+	}()
+	cerr := client(cli)
+	if cerr != nil {
+		ca.Close()
+		cerr = fmt.Errorf("client: %w", cerr)
+	}
 	serr := <-errc
 	wall := time.Since(start)
-	if cerr != nil {
-		return measurement{}, fmt.Errorf("client: %w", cerr)
+	if err := errors.Join(cerr, serr); err != nil {
+		return measurement{}, err
 	}
-	if serr != nil {
-		return measurement{}, fmt.Errorf("server: %w", serr)
+	m := measurement{Wall: wall, Stats: cliMeter.Snapshot()}
+	record(label, m.Stats)
+	return m, nil
+}
+
+// mustRun is run for the table drivers: a seeded in-process run that
+// fails is a bug, and the table cannot be printed without it.
+func mustRun(opt Options, label string, client, server func(side) error) measurement {
+	m, err := run(opt, label, client, server)
+	if err != nil {
+		panic(fmt.Sprintf("bench: %s: %v", label, err))
 	}
-	return measurement{Wall: wall, Stats: cliMeter.Snapshot()}, nil
+	return m
 }
 
 // table is a tiny fixed-width text table writer.
@@ -161,9 +212,27 @@ func (t *table) String() string {
 
 func secs(v float64) string { return fmt.Sprintf("%.3f", v) }
 func mb(v float64) string   { return fmt.Sprintf("%.2f", v) }
-func count(v int64) string  { return fmt.Sprintf("%d", v) }
 
-// fig4Shapes are the paper's evaluation network layer shapes (Figure 4).
+// layerShape is one fully connected layer: M outputs, N inputs.
 type layerShape struct{ M, N int }
 
-var fig4Shapes = []layerShape{{128, 784}, {128, 128}, {10, 128}}
+// shapes is the evaluation network's layers: the paper's Figure 4, or the
+// scaled-down network every Quick table runs instead.
+func (o Options) shapes() []layerShape {
+	if o.Quick {
+		return []layerShape{{32, 96}, {32, 32}, {10, 32}}
+	}
+	return []layerShape{{128, 784}, {128, 128}, {10, 128}}
+}
+
+// randWeights draws n weights uniformly from the scheme's range. The
+// tables measure cost, which does not depend on weight values.
+func randWeights(rng *prg.PRG, scheme quant.Scheme, n int) []int64 {
+	min, max := scheme.Range()
+	span := int(max - min + 1)
+	w := make([]int64, n)
+	for i := range w {
+		w[i] = min + int64(rng.Intn(span))
+	}
+	return w
+}

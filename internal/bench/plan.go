@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"sync"
 
 	"abnn2/internal/core"
 	"abnn2/internal/nn"
@@ -10,7 +9,6 @@ import (
 	"abnn2/internal/prg"
 	"abnn2/internal/quant"
 	"abnn2/internal/ring"
-	"abnn2/internal/trace"
 	"abnn2/internal/transport"
 )
 
@@ -19,32 +17,14 @@ import (
 type TablePlanRow struct {
 	Plan    string `json:"plan"`
 	Uniform bool   `json:"uniform"`
-	// OfflineMB is the offline-phase wire traffic (from the "offline"
-	// trace span), the part of the session a plan actually moves; CommMB
-	// is the whole session including the plan-independent online phase.
+	// OfflineMB is the offline-phase wire traffic, the part of the session
+	// a plan actually moves and the measured counterpart of
+	// Estimate.TotalCommBits; CommMB is the whole session including the
+	// plan-independent online phase.
 	OfflineMB float64 `json:"offline_mb"`
 	CommMB    float64 `json:"comm_mb"`
 	LANSec    float64 `json:"lan_sec"`
 	WANSec    float64 `json:"wan_sec"`
-}
-
-// offlineComm sums one party's view of the offline-phase spans, giving
-// the measured counterpart of Estimate.TotalCommBits.
-type offlineComm struct {
-	mu    sync.Mutex
-	bytes int64
-	next  trace.Sink
-}
-
-func (s *offlineComm) Emit(sp trace.Span) {
-	if sp.Name == "offline" && sp.Party == "client" {
-		s.mu.Lock()
-		s.bytes += sp.Bytes()
-		s.mu.Unlock()
-	}
-	if s.next != nil {
-		s.next.Emit(sp)
-	}
 }
 
 // planRingBits is the ring width of the planner comparison (the paper's
@@ -69,33 +49,39 @@ const planKeyBits = 512
 // multi-bit scheme keeps QUOTIENT inapplicable, so the planner must
 // find the crossover rather than a ternary shortcut.
 func PlanReferenceModel() *nn.QuantizedModel {
-	scheme := quant.Uniform(2, 2) // "4(2,2)": eta=4 split into two 2-bit fragments
-	rng := prg.New(prg.SeedFromInt(53))
-	min, max := scheme.Range()
-	span := int(max - min + 1)
-	randW := func(n int) []int64 {
-		w := make([]int64, n)
-		for i := range w {
-			w[i] = min + int64(rng.Intn(span))
+	// "4(2,2)": eta=4 split into two 2-bit fragments.
+	return referenceCNN(prg.New(prg.SeedFromInt(53)), quant.Uniform(2, 2), 4, 3)
+}
+
+// choosePlan resolves Options.Plan and Options.Link against the reference
+// CNN's architecture: the planner's input, the plan to measure first, and
+// its predicted cost when it can be priced.
+func choosePlan(opt Options, arch core.Arch) (plan.Input, *plan.Plan, *plan.Estimate, error) {
+	link := plan.WAN()
+	if opt.Link != "" {
+		var err error
+		if link, err = plan.ParseLink(opt.Link); err != nil {
+			return plan.Input{}, nil, nil, err
 		}
-		return w
 	}
-	channels := 4
-	conv := &nn.ConvSpec{Ci: 1, H: 28, W: 28, Kh: 3, Kw: 3, Stride: 1, Pad: 0}
-	fcIn := channels * 13 * 13
-	return &nn.QuantizedModel{Frac: 8, Layers: []*nn.QuantizedLayer{
-		{
-			In: conv.InputSize(), Out: channels,
-			W: randW(channels * conv.ColRows()), B: randW(channels),
-			Scale: 1, ReLU: true, Scheme: scheme,
-			Conv: conv, Pool: &nn.PoolSpec{K: 2},
-		},
-		{
-			In: fcIn, Out: nn.NumClasses,
-			W: randW(nn.NumClasses * fcIn), B: randW(nn.NumClasses),
-			Scale: 1, Scheme: scheme,
-		},
-	}}
+	in := plan.Input{Arch: arch, RingBits: planRingBits, Batch: 1, Link: link, MiniONNBits: planKeyBits}
+	val := opt.Plan
+	if val == "" {
+		val = "auto"
+	}
+	chosen, est, err := plan.FromFlag(val, in)
+	if err != nil {
+		return plan.Input{}, nil, nil, err
+	}
+	return in, chosen, est, nil
+}
+
+// CheckPlan reports whether TablePlan can run with opt's Plan and Link,
+// so a binary can refuse a mistyped flag in one line; TablePlan itself
+// panics on them, as every table does on an error.
+func CheckPlan(opt Options) error {
+	_, _, _, err := choosePlan(opt, core.ArchOf(PlanReferenceModel()))
+	return err
 }
 
 // TablePlan runs the protocol-planner comparison on the reference CNN:
@@ -107,27 +93,14 @@ func TablePlan(opt Options) []TablePlanRow {
 	rg := ring.New(planRingBits)
 	qm := PlanReferenceModel()
 	arch := core.ArchOf(qm)
-	batch := 1
-	keyBits := planKeyBits
-	link := plan.WAN()
-	if opt.Link != "" {
-		var err error
-		if link, err = plan.ParseLink(opt.Link); err != nil {
-			panic(fmt.Sprintf("bench: %v", err))
-		}
-	}
-	in := plan.Input{Arch: arch, RingBits: planRingBits, Batch: batch, Link: link, MiniONNBits: keyBits}
-	val := opt.Plan
-	if val == "" {
-		val = "auto"
-	}
-	chosen, est, err := plan.FromFlag(val, in)
+	in, chosen, est, err := choosePlan(opt, arch)
 	if err != nil {
-		panic(fmt.Sprintf("bench: plan %q: %v", val, err))
+		panic(fmt.Sprintf("bench: %v", err))
 	}
+	batch := in.Batch
 	if est != nil {
 		fmt.Fprintf(opt.out(), "Planner: predicted offline cost under %s link (keyBits=%d)\n%s\n",
-			link.Name, keyBits, est.Table())
+			in.Link.Name, planKeyBits, est.Table())
 	}
 
 	type entry struct {
@@ -153,17 +126,14 @@ func TablePlan(opt Options) []TablePlanRow {
 		if err != nil {
 			panic(fmt.Sprintf("bench: plan %s: %v", e.p, err))
 		}
-		oc := &offlineComm{next: opt.Trace}
-		ropt := opt
-		ropt.Trace = oc
-		meas, err := runEndToEndModel(rg, qm, batch, core.ReLUGC, sched, keyBits, ropt, "plan "+e.p.String())
-		if err != nil {
-			panic(fmt.Sprintf("bench: plan %s: %v", e.p, err))
-		}
+		ph := runEndToEndModel(opt, "plan "+e.p.String(),
+			endToEnd{ring: rg, model: qm, batch: batch, variant: core.ReLUGC, sched: sched, keyBits: planKeyBits})
+		meas := ph.whole
+		record("plan "+e.p.String()+" offline", ph.offline)
 		rows = append(rows, TablePlanRow{
 			Plan:      e.p.String(),
 			Uniform:   e.uniform,
-			OfflineMB: float64(oc.bytes) / (1 << 20),
+			OfflineMB: float64(ph.offline.TotalBytes()) / (1 << 20),
 			CommMB:    meas.CommMB(),
 			LANSec:    meas.timeUnder(transport.LAN),
 			WANSec:    meas.timeUnder(transport.WANTable3),

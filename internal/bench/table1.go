@@ -43,7 +43,7 @@ func Table1(opt Options) []Table1Row {
 
 	t := &table{header: []string{"system", "#OT", "comm(MB)", "paper 2k(MB)"}}
 	for _, r := range rows {
-		t.add(r.System, count(r.NumOTs), mb(r.CommMB), mb(r.PaperMB))
+		t.add(r.System, fmt.Sprint(r.NumOTs), mb(r.CommMB), mb(r.PaperMB))
 	}
 	fmt.Fprintf(opt.out(), "Table 1: OT complexity, %dx%d * %dx{%d,1}, l=%d, kappa=128\n%s\n",
 		m, n, n, o, l, t)

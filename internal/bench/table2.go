@@ -48,19 +48,14 @@ var table2Schemes = []struct {
 // for every fragmentation scheme and batch size.
 func Table2(opt Options) []Table2Row {
 	batches := []int{1, 32, 64, 128}
-	shapes := fig4Shapes
 	if opt.Quick {
 		batches = []int{1, 8}
-		shapes = []layerShape{{32, 96}, {32, 32}, {10, 32}}
 	}
 	rg := ring.New(32)
 	var rows []Table2Row
 	for _, sc := range table2Schemes {
 		for _, batch := range batches {
-			m, err := runOfflineNetwork(rg, sc.scheme, shapes, batch, opt.Workers)
-			if err != nil {
-				panic(fmt.Sprintf("bench: table2 %s batch %d: %v", sc.scheme.Name(), batch, err))
-			}
+			m := runOffline(opt, fmt.Sprintf("table2 %s batch=%d", sc.scheme.Name(), batch), rg, sc.scheme, networkJobs(opt.shapes(), batch))
 			rows = append(rows, Table2Row{
 				Eta:    sc.eta,
 				Scheme: sc.scheme.Name(),
@@ -78,44 +73,55 @@ func Table2(opt Options) []Table2Row {
 	return rows
 }
 
-// runOfflineNetwork generates the offline triplets for every layer of a
-// network, measuring the combined cost.
-func runOfflineNetwork(rg ring.Ring, scheme quant.Scheme, shapes []layerShape, batch int, workers int) (measurement, error) {
-	p := core.Params{Ring: rg, Scheme: scheme, Workers: workers}
-	mode := core.ModeFor(batch)
-	return runPair(
-		func(conn transport.Conn) error {
+// offlineJob is one matrix product's worth of triplets, packaged as mode.
+type offlineJob struct {
+	shape core.MatShape
+	mode  core.Mode
+}
+
+// networkJobs is one job per layer of a network at the given batch size,
+// each in the mode the engines would pick for it.
+func networkJobs(shapes []layerShape, batch int) []offlineJob {
+	jobs := make([]offlineJob, len(shapes))
+	for i, sh := range shapes {
+		jobs[i] = offlineJob{core.MatShape{M: sh.M, N: sh.N, O: batch}, core.ModeFor(batch)}
+	}
+	return jobs
+}
+
+// runOffline is the one offline driver: it generates the triplets of
+// every job, in order, on one session set-up, and measures the lot.
+func runOffline(opt Options, label string, rg ring.Ring, scheme quant.Scheme, jobs []offlineJob) measurement {
+	return mustRun(opt, label,
+		offlinePhase(func(s side) error {
 			rng := prg.New(prg.SeedFromInt(1))
-			ct, err := core.NewClientTriplets(conn, p, 1, rng)
+			p := core.Params{Ring: rg, Scheme: scheme, Workers: opt.Workers, Trace: s.trace}
+			ct, err := core.NewClientTriplets(s.conn, p, 1, rng)
 			if err != nil {
 				return err
 			}
-			for _, sh := range shapes {
-				R := rng.Mat(rg, sh.N, batch)
-				if _, err := ct.GenerateClient(core.MatShape{M: sh.M, N: sh.N, O: batch}, R, mode); err != nil {
+			for _, j := range jobs {
+				R := rng.Mat(rg, j.shape.N, j.shape.O)
+				if _, err := ct.GenerateClient(j.shape, R, j.mode); err != nil {
 					return err
 				}
 			}
 			return nil
-		},
-		func(conn transport.Conn) error {
-			st, err := core.NewServerTriplets(conn, p, 1)
+		}),
+		offlinePhase(func(s side) error {
+			p := core.Params{Ring: rg, Scheme: scheme, Workers: opt.Workers, Trace: s.trace}
+			st, err := core.NewServerTriplets(s.conn, p, 1)
 			if err != nil {
 				return err
 			}
 			wrng := prg.New(prg.SeedFromInt(2))
-			min, max := scheme.Range()
-			span := int(max - min + 1)
-			for _, sh := range shapes {
-				W := make([]int64, sh.M*sh.N)
-				for i := range W {
-					W[i] = min + int64(wrng.Intn(span))
-				}
-				if _, err := st.GenerateServer(core.MatShape{M: sh.M, N: sh.N, O: batch}, W, mode); err != nil {
+			for _, j := range jobs {
+				W := randWeights(wrng, scheme, j.shape.M*j.shape.N)
+				if _, err := st.GenerateServer(j.shape, W, j.mode); err != nil {
 					return err
 				}
 			}
 			return nil
-		},
+		}),
 	)
 }

@@ -33,30 +33,19 @@ func Table3(opt Options) []Table3Row {
 	schemes := []quant.Scheme{quant.Binary(), quant.Ternary(), quant.Uniform(2, 4)}
 	var rows []Table3Row
 	for _, d := range ds {
-		for _, sc := range schemes {
-			meas, err := runOfflineNetwork(rg, sc, []layerShape{{m, d}}, 1, opt.Workers)
-			if err != nil {
-				panic(fmt.Sprintf("bench: table3 %s d=%d: %v", sc.Name(), d, err))
-			}
+		row := func(system string, meas measurement) {
 			rows = append(rows, Table3Row{
-				System: sc.Name(),
+				System: system,
 				D:      d,
 				LANSec: meas.timeUnder(transport.LAN),
 				WANSec: meas.timeUnder(transport.WANTable3),
 				CommMB: meas.CommMB(),
 			})
 		}
-		meas, err := runSecureML(rg, m, d)
-		if err != nil {
-			panic(fmt.Sprintf("bench: table3 secureml d=%d: %v", d, err))
+		for _, sc := range schemes {
+			row(sc.Name(), runOffline(opt, fmt.Sprintf("table3 %s d=%d", sc.Name(), d), rg, sc, networkJobs([]layerShape{{m, d}}, 1)))
 		}
-		rows = append(rows, Table3Row{
-			System: "SecureML",
-			D:      d,
-			LANSec: meas.timeUnder(transport.LAN),
-			WANSec: meas.timeUnder(transport.WANTable3),
-			CommMB: meas.CommMB(),
-		})
+		row("SecureML", runSecureML(opt, rg, m, d))
 	}
 	t := &table{header: []string{"d", "system", "LAN(s)", "WAN(s)", "comm(MB)"}}
 	for _, r := range rows {
@@ -68,21 +57,20 @@ func Table3(opt Options) []Table3Row {
 
 // runSecureML measures the SecureML baseline triplet generation for an
 // m x d full-width matrix times a d-vector.
-func runSecureML(rg ring.Ring, m, d int) (measurement, error) {
-	return runPair(
-		func(conn transport.Conn) error {
+func runSecureML(opt Options, rg ring.Ring, m, d int) measurement {
+	return mustRun(opt, fmt.Sprintf("table3 SecureML d=%d", d),
+		offlinePhase(func(s side) error {
 			rng := prg.New(prg.SeedFromInt(3))
-			cl, err := baseline.NewSecureMLClient(conn, rg, 1, rng)
+			cl, err := baseline.NewSecureMLClient(s.conn, rg, 1, rng)
 			if err != nil {
 				return err
 			}
-			R := rng.Mat(rg, d, 1)
-			_, err = cl.GenerateClient(m, R)
+			_, err = cl.GenerateClient(m, rng.Mat(rg, d, 1))
 			return err
-		},
-		func(conn transport.Conn) error {
+		}),
+		offlinePhase(func(s side) error {
 			rng := prg.New(prg.SeedFromInt(4))
-			sv, err := baseline.NewSecureMLServer(conn, rg, 1, rng)
+			sv, err := baseline.NewSecureMLServer(s.conn, rg, 1, rng)
 			if err != nil {
 				return err
 			}
@@ -92,6 +80,6 @@ func runSecureML(rg ring.Ring, m, d int) (measurement, error) {
 			}
 			_, err = sv.GenerateServer(W, m, d, 1)
 			return err
-		},
+		}),
 	)
 }

@@ -10,7 +10,6 @@ import (
 	"abnn2/internal/prg"
 	"abnn2/internal/quant"
 	"abnn2/internal/ring"
-	"abnn2/internal/trace"
 	"abnn2/internal/transport"
 )
 
@@ -43,38 +42,36 @@ var table4Schemes = []quant.Scheme{
 // the Note column marks extrapolated rows.
 func Table4(opt Options) []Table4Row {
 	batches := []int{1, 128}
-	shapes := fig4Shapes
 	minionnCap := 8
 	rings := []uint{32, 64}
 	if opt.Quick {
 		batches = []int{1, 8}
-		shapes = []layerShape{{32, 96}, {32, 32}, {10, 32}}
 		minionnCap = 2
 		rings = []uint{32}
 	}
 	var rows []Table4Row
+	row := func(system string, l uint, batch int, meas measurement, note string) {
+		rows = append(rows, Table4Row{
+			System: system,
+			L:      l,
+			Batch:  batch,
+			LANSec: meas.timeUnder(transport.LAN),
+			WANSec: meas.timeUnder(transport.WANQuotient),
+			CommMB: meas.CommMB(),
+			Note:   note,
+		})
+	}
 	for _, l := range rings {
 		rg := ring.New(l)
 		for _, sc := range table4Schemes {
 			for _, batch := range batches {
-				meas, err := runEndToEnd(rg, sc, shapes, batch, core.ReLUGC, opt,
-					fmt.Sprintf("table4 %s l=%d batch=%d", sc.Name(), l, batch))
-				if err != nil {
-					panic(fmt.Sprintf("bench: table4 %s l=%d batch=%d: %v", sc.Name(), l, batch, err))
-				}
-				rows = append(rows, Table4Row{
-					System: "Our " + sc.Name(),
-					L:      l,
-					Batch:  batch,
-					LANSec: meas.timeUnder(transport.LAN),
-					WANSec: meas.timeUnder(transport.WANQuotient),
-					CommMB: meas.CommMB(),
-				})
+				row("Our "+sc.Name(), l, batch, runEndToEndModel(opt, fmt.Sprintf("table4 %s l=%d batch=%d", sc.Name(), l, batch),
+					endToEnd{ring: rg, model: syntheticQuantized(sc, opt.shapes()), batch: batch, variant: core.ReLUGC}).whole, "")
 			}
 		}
 		for _, batch := range batches {
-			row := measureMiniONN(rg, shapes, batch, minionnCap, opt)
-			rows = append(rows, row)
+			meas, note := measureMiniONN(rg, opt.shapes(), batch, minionnCap, opt)
+			row("MiniONN", l, batch, meas, note)
 		}
 	}
 	t := &table{header: []string{"system", "l", "batch", "LAN(s)", "WAN(s)", "comm(MB)", "note"}}
@@ -85,100 +82,116 @@ func Table4(opt Options) []Table4Row {
 	return rows
 }
 
-// runEndToEnd measures a complete offline+online secure inference on a
-// synthetic network with the given layer shapes.
-func runEndToEnd(rg ring.Ring, scheme quant.Scheme, shapes []layerShape, batch int, variant core.ReLUVariant, opt Options, label string) (measurement, error) {
-	return runEndToEndModel(rg, syntheticQuantized(scheme, shapes), batch, variant, nil, 0, opt, label)
+// endToEnd is one secure inference to measure: a quantized model run
+// offline then online between a client and a server engine.
+type endToEnd struct {
+	ring    ring.Ring
+	model   *nn.QuantizedModel
+	batch   int       // classify this many seeded random inputs ...
+	inputs  *ring.Mat // ... or, when non-nil, this batch (one column each)
+	variant core.ReLUVariant
+	sched   core.Schedule // per-layer backends; nil = all ABNN2
+	keyBits int           // Paillier key of any MiniONN layer in sched; 0 = the baseline's default
 }
 
-// runEndToEndModel measures a complete offline+online secure inference
-// for an explicit quantized model under a per-layer backend schedule (nil
-// = the all-ABNN2 default; miniONNBits sizes the key of any MiniONN layer
-// in it, 0 = the baseline's default). With opt.Trace set, both parties
-// emit per-phase spans labelled with the table row identity.
-func runEndToEndModel(rg ring.Ring, qm *nn.QuantizedModel, batch int, variant core.ReLUVariant, sched core.Schedule, miniONNBits int, opt Options, label string) (measurement, error) {
-	scheme := qm.Layers[0].Scheme
-	arch := core.ArchOf(qm)
-	return runPairT(opt, label,
-		func(conn transport.Conn, tr *trace.Tracer) error {
-			p := core.Params{Ring: rg, Scheme: scheme, Workers: opt.Workers, Trace: tr, MiniONNBits: miniONNBits}
-			cli, err := core.NewClientEngine(conn, arch, p, variant, prg.New(prg.SeedFromInt(11)))
+// phases is what runEndToEndModel measured: the whole run (set-up,
+// offline, online), the client's offline phase alone — the part of a
+// session a plan moves — the online phase alone, and the client's output.
+type phases struct {
+	whole   measurement
+	offline transport.Stats
+	online  measurement
+	out     *ring.Mat
+}
+
+// runEndToEndModel is the one end-to-end driver. The phase split is the
+// difference of snapshots of the client's meter, taken around the client's
+// offline phase: the meter is never reset, so the whole-run flight count —
+// what the WAN columns price — is the same number whether or not anyone
+// reads the split. With opt.Trace set, both parties emit per-phase spans
+// labelled with the row identity.
+func runEndToEndModel(opt Options, label string, r endToEnd) phases {
+	scheme := r.model.Layers[0].Scheme
+	arch := core.ArchOf(r.model)
+	X := r.inputs
+	if X == nil {
+		X = prg.New(prg.SeedFromInt(12)).Mat(r.ring, arch.InputSize(), r.batch)
+	}
+	var (
+		ph                       phases
+		afterSetup, afterOffline transport.Stats // the client meter's running totals
+		offlineDone              time.Time
+	)
+	ph.whole = mustRun(opt, label,
+		func(s side) error {
+			p := core.Params{Ring: r.ring, Scheme: scheme, Workers: opt.Workers, Trace: s.trace, MiniONNBits: r.keyBits}
+			cli, err := core.NewClientEngine(s.conn, arch, p, r.variant, prg.New(prg.SeedFromInt(11)))
 			if err != nil {
 				return err
 			}
-			if err := cli.SetSchedule(sched); err != nil {
+			if err := cli.SetSchedule(r.sched); err != nil {
 				return err
 			}
-			if err := cli.Offline(batch); err != nil {
+			afterSetup = s.meter.Snapshot()
+			if err := cli.Offline(X.Cols); err != nil {
 				return err
 			}
-			X := prg.New(prg.SeedFromInt(12)).Mat(rg, arch.InputSize(), batch)
-			_, err = cli.Predict(X)
+			afterOffline, offlineDone = s.meter.Snapshot(), time.Now()
+			ph.out, err = cli.Predict(X)
 			return err
 		},
-		func(conn transport.Conn, tr *trace.Tracer) error {
-			p := core.Params{Ring: rg, Scheme: scheme, Workers: opt.Workers, Trace: tr}
-			srv, err := core.NewServerEngine(conn, qm, p, variant)
+		func(s side) error {
+			p := core.Params{Ring: r.ring, Scheme: scheme, Workers: opt.Workers, Trace: s.trace}
+			srv, err := core.NewServerEngine(s.conn, r.model, p, r.variant)
 			if err != nil {
 				return err
 			}
-			if err := srv.SetSchedule(sched); err != nil {
+			if err := srv.SetSchedule(r.sched); err != nil {
 				return err
 			}
-			if err := srv.Offline(batch); err != nil {
+			if err := srv.Offline(X.Cols); err != nil {
 				return err
 			}
 			return srv.Online()
 		},
 	)
+	ph.offline = afterOffline.Sub(afterSetup)
+	ph.online = measurement{Wall: time.Since(offlineDone), Stats: ph.whole.Stats.Sub(afterOffline)}
+	return ph
 }
 
 // syntheticQuantized builds a quantized model with random in-range
-// weights for the given shapes (benchmarks only care about cost, which is
-// weight-value independent).
+// weights for the given shapes.
 func syntheticQuantized(scheme quant.Scheme, shapes []layerShape) *nn.QuantizedModel {
 	rng := prg.New(prg.SeedFromInt(13))
-	min, max := scheme.Range()
-	span := int(max - min + 1)
 	qm := &nn.QuantizedModel{Frac: 8}
 	for li, sh := range shapes {
-		l := &nn.QuantizedLayer{
+		qm.Layers = append(qm.Layers, &nn.QuantizedLayer{
 			In: sh.N, Out: sh.M,
-			W:      make([]int64, sh.M*sh.N),
+			W:      randWeights(rng, scheme, sh.M*sh.N),
 			B:      make([]int64, sh.M),
 			Scale:  1,
 			ReLU:   li+1 < len(shapes),
 			Scheme: scheme,
-		}
-		for i := range l.W {
-			l.W[i] = min + int64(rng.Intn(span))
-		}
-		qm.Layers = append(qm.Layers, l)
+		})
 	}
 	return qm
 }
 
 // measureMiniONN measures the MiniONN baseline: HE offline phase plus the
 // same online phase ABNN2 uses (MiniONN's online is likewise additive
-// shares + GC activations). Batches beyond cap are extrapolated.
-func measureMiniONN(rg ring.Ring, shapes []layerShape, batch, maxBatch int, opt Options) Table4Row {
+// shares + GC activations). Batches beyond cap are extrapolated, which
+// the returned note says.
+func measureMiniONN(rg ring.Ring, shapes []layerShape, batch, maxBatch int, opt Options) (total measurement, note string) {
 	measured := batch
-	note := ""
 	if batch > maxBatch {
 		measured = maxBatch
 		note = fmt.Sprintf("extrapolated from batch %d", maxBatch)
 	}
-	offline := func(b int) measurement {
-		m, err := runMiniONNOffline(rg, shapes, b)
-		if err != nil {
-			panic(fmt.Sprintf("bench: minionn offline batch %d: %v", b, err))
-		}
-		return m
-	}
-	one := offline(1)
+	one := runMiniONNOffline(opt, rg, shapes, 1)
 	est := one
 	if measured > 1 {
-		atCap := offline(measured)
+		atCap := runMiniONNOffline(opt, rg, shapes, measured)
 		if batch > measured {
 			// Linear extrapolation from (1, measured) to batch.
 			scale := float64(batch-1) / float64(measured-1)
@@ -192,46 +205,40 @@ func measureMiniONN(rg ring.Ring, shapes []layerShape, batch, maxBatch int, opt 
 	}
 	// Online phase: identical to ABNN2's (binary weights used as the
 	// cheapest stand-in; online cost is scheme-independent).
-	online, err := runOnlineOnly(rg, shapes, batch, opt)
-	if err != nil {
-		panic(fmt.Sprintf("bench: minionn online batch %d: %v", batch, err))
-	}
-	total := measurement{Wall: est.Wall + online.Wall, Stats: est.Stats.Add(online.Stats)}
-	return Table4Row{
-		System: "MiniONN",
-		L:      rg.Bits(),
-		Batch:  batch,
-		LANSec: total.timeUnder(transport.LAN),
-		WANSec: total.timeUnder(transport.WANQuotient),
-		CommMB: total.CommMB(),
-		Note:   note,
-	}
+	label := fmt.Sprintf("table4 MiniONN l=%d batch=%d online", rg.Bits(), batch)
+	online := runEndToEndModel(opt, label, endToEnd{ring: rg, model: syntheticQuantized(quant.Binary(), shapes), batch: batch, variant: core.ReLUGC}).online
+	// An ABNN2 session's offline phase ends on a client send, so its first
+	// online message (the client's masked input) opens no flight. MiniONN's
+	// offline phase ends on the server's response: behind it, it does.
+	online.Stats.Flights++
+	record(label+" phase", online.Stats)
+	return measurement{Wall: est.Wall + online.Wall, Stats: est.Stats.Add(online.Stats)}, note
 }
 
 // runMiniONNOffline generates HE triplets for every layer.
-func runMiniONNOffline(rg ring.Ring, shapes []layerShape, batch int) (measurement, error) {
-	keyBits := baseline.MiniONNKeyBits
-	return runPair(
-		func(conn transport.Conn) error {
+func runMiniONNOffline(opt Options, rg ring.Ring, shapes []layerShape, batch int) measurement {
+	return mustRun(opt, fmt.Sprintf("table4 MiniONN l=%d batch=%d offline", rg.Bits(), batch),
+		offlinePhase(func(s side) error {
 			rng := prg.New(prg.SeedFromInt(21))
-			cl, err := baseline.NewMiniONNClient(conn, rg, keyBits, rng)
+			cl, err := baseline.NewMiniONNClient(s.conn, rg, baseline.MiniONNKeyBits, rng)
 			if err != nil {
 				return err
 			}
+			cl.SetWorkers(opt.Workers)
 			for _, sh := range shapes {
-				R := rng.Mat(rg, sh.N, batch)
-				if _, err := cl.GenerateClient(sh.M, R); err != nil {
+				if _, err := cl.GenerateClient(sh.M, rng.Mat(rg, sh.N, batch)); err != nil {
 					return err
 				}
 			}
 			return nil
-		},
-		func(conn transport.Conn) error {
+		}),
+		offlinePhase(func(s side) error {
 			rng := prg.New(prg.SeedFromInt(22))
-			sv, err := baseline.NewMiniONNServer(conn, rg, rng)
+			sv, err := baseline.NewMiniONNServer(s.conn, rg, rng)
 			if err != nil {
 				return err
 			}
+			sv.SetWorkers(opt.Workers)
 			for _, sh := range shapes {
 				W := make([]int64, sh.M*sh.N)
 				for i := range W {
@@ -242,60 +249,6 @@ func runMiniONNOffline(rg ring.Ring, shapes []layerShape, batch int) (measuremen
 				}
 			}
 			return nil
-		},
+		}),
 	)
-}
-
-// runOnlineOnly measures just the online phase of the reference engine
-// (the offline phase is run but excluded from the measurement window).
-func runOnlineOnly(rg ring.Ring, shapes []layerShape, batch int, opt Options) (measurement, error) {
-	scheme := quant.Binary()
-	qm := syntheticQuantized(scheme, shapes)
-	arch := core.ArchOf(qm)
-	a, b := transport.Pipe()
-	ca, meter := transport.MeterEndpoint(a) // the client's count, as in runPairT
-	cb, srvMeter := transport.MeterEndpoint(b)
-	defer ca.Close()
-	label := fmt.Sprintf("online-only batch=%d", batch)
-	cliTr, srvTr := tracerOver(opt, "client", label, meter), tracerOver(opt, "server", label, srvMeter)
-	cp := core.Params{Ring: rg, Scheme: scheme, Workers: opt.Workers, Trace: cliTr}
-	sp := core.Params{Ring: rg, Scheme: scheme, Workers: opt.Workers, Trace: srvTr}
-	type ready struct {
-		srv *core.ServerEngine
-		err error
-	}
-	srvReady := make(chan ready, 1)
-	srvDone := make(chan error, 1)
-	go func() {
-		srv, err := core.NewServerEngine(cb, qm, sp, core.ReLUGC)
-		if err == nil {
-			err = srv.Offline(batch)
-		}
-		srvReady <- ready{srv, err}
-		if err != nil {
-			return
-		}
-		srvDone <- srv.Online()
-	}()
-	cli, err := core.NewClientEngine(ca, arch, cp, core.ReLUGC, prg.New(prg.SeedFromInt(23)))
-	if err != nil {
-		return measurement{}, err
-	}
-	if err := cli.Offline(batch); err != nil {
-		return measurement{}, err
-	}
-	r := <-srvReady
-	if r.err != nil {
-		return measurement{}, r.err
-	}
-	meter.Reset()
-	start := time.Now()
-	X := prg.New(prg.SeedFromInt(24)).Mat(rg, arch.InputSize(), batch)
-	if _, err := cli.Predict(X); err != nil {
-		return measurement{}, err
-	}
-	if err := <-srvDone; err != nil {
-		return measurement{}, err
-	}
-	return measurement{Wall: time.Since(start), Stats: meter.Snapshot()}, nil
 }

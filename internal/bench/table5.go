@@ -33,19 +33,14 @@ var quotientPublished = []Table5Row{
 // results, batch 1 and 128, under the 24.3 MB/s / 40 ms WAN model.
 func Table5(opt Options) []Table5Row {
 	batches := []int{1, 128}
-	shapes := fig4Shapes
 	if opt.Quick {
 		batches = []int{1, 8}
-		shapes = []layerShape{{32, 96}, {32, 32}, {10, 32}}
 	}
 	rg := ring.New(32)
 	rows := append([]Table5Row{}, quotientPublished...)
 	for _, batch := range batches {
-		meas, err := runEndToEnd(rg, quant.Binary(), shapes, batch, core.ReLUGC, opt,
-			fmt.Sprintf("table5 batch=%d", batch))
-		if err != nil {
-			panic(fmt.Sprintf("bench: table5 batch %d: %v", batch, err))
-		}
+		meas := runEndToEndModel(opt, fmt.Sprintf("table5 batch=%d", batch),
+			endToEnd{ring: rg, model: syntheticQuantized(quant.Binary(), opt.shapes()), batch: batch, variant: core.ReLUGC}).whole
 		rows = append(rows, Table5Row{
 			System: "Our binary",
 			Batch:  batch,

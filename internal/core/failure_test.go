@@ -261,8 +261,7 @@ func runNonlinearFaulted(t *testing.T, cliPlan, srvPlan transport.FaultPlan, cli
 // TestReLUSurvivesDisconnectAtEveryMessage is the counterpart for the GC
 // layers: every message boundary, each side in turn, for every entry
 // point over the one garble/evaluate driver — both ReLU variants (the
-// optimised one adds its two plain flights), a fused max pool and the
-// square activation.
+// optimised one adds its two plain flights) and a fused max pool.
 func TestReLUSurvivesDisconnectAtEveryMessage(t *testing.T) {
 	const n = 8
 	rg := ring.New(32)
@@ -294,12 +293,6 @@ func TestReLUSurvivesDisconnectAtEveryMessage(t *testing.T) {
 			},
 			func(sn *ServerNonlinear, rng *prg.PRG) error {
 				_, err := sn.MaxPoolServer(rng.Vec(rg, 2*n), windows, true)
-				return err
-			}},
-		{"square",
-			func(cn *ClientNonlinear, rng *prg.PRG) error { return cn.SquareClient(rng.Vec(rg, n), rng.Vec(rg, n)) },
-			func(sn *ServerNonlinear, rng *prg.PRG) error {
-				_, err := sn.SquareServer(rng.Vec(rg, n))
 				return err
 			}},
 	} {

@@ -14,10 +14,9 @@ import (
 // y = y0 + y1 inside a garbled circuit, apply f, hand the server
 // f(y) - z1 — and so does this package: one garbler-side and one
 // evaluator-side driver (garble, evaluate) run every batched GC layer, and
-// ReLU, max pooling (pool.go) and the square activation (activations.go)
-// are the instances f = ReLU over windows of one value, f = ReLU or the
-// identity over windows of k*k, and f = squaring. A ReLU layer is a pool
-// layer of window one, byte for byte.
+// ReLU and max pooling (pool.go) are the instances f = ReLU over windows
+// of one value and f = ReLU or the identity over windows of k*k. A ReLU
+// layer is a pool layer of window one, byte for byte.
 //
 // ReLU comes in two variants:
 //
@@ -60,20 +59,19 @@ func (v ReLUVariant) String() string {
 // unsent and the evaluator at most Workers+1 received and unevaluated —
 // at ring width 32 about 10 MB of flight per chunk plus 16 MB of wire
 // labels per worker, so tens of megabytes per party at Workers=1 even at
-// batch size 128 on the 784->128 layer (8 chunks). Like poolChunk and
-// squareChunk it is a tuned memory bound, not a knob: it fixes the size
-// and position of every flight.
+// batch size 128 on the 784->128 layer (8 chunks). Like poolChunk it is
+// a tuned memory bound, not a knob: it fixes the size and position of
+// every flight.
 const reluChunk = 2048
 
 // circuitKind names what a garbled circuit computes over each window of
-// reconstructed values. The first three are Algorithm 2 — max over the
+// reconstructed values. The first two are Algorithm 2 — max over the
 // window, f, reshare — and differ in f only.
 type circuitKind uint8
 
 const (
 	kindMax    circuitKind = iota // f = identity: plain max pooling
 	kindReLU                      // f = ReLU: the ReLU layer (window of one) and the fused pool
-	kindSquare                    // f(y) = y*y
 	kindSign                      // the optimised ReLU's comparison bit; no reshare
 	kindArgmax                    // masked index of the window's maximum; n samples of win scores
 )
@@ -95,8 +93,6 @@ func (k circuitKey) build() *gc.Circuit {
 		return gc.BatchArgmaxCircuit(k.bits, k.win, indexBits(k.win), k.n)
 	case kindReLU:
 		return gc.Algorithm2Circuit(k.bits, k.win, k.n, (*gc.Builder).ReLU)
-	case kindSquare:
-		return gc.Algorithm2Circuit(k.bits, k.win, k.n, func(b *gc.Builder, y []int) []int { return b.MulMod(y, y) })
 	}
 	return gc.Algorithm2Circuit(k.bits, k.win, k.n, nil)
 }

@@ -201,6 +201,7 @@ func (c *ClientTriplets) miniONN() (*baseline.MiniONNClient, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: minionn setup: %w", err)
 		}
+		g.SetWorkers(c.params.Workers)
 		c.mon = g
 	}
 	return c.mon, nil
@@ -234,6 +235,7 @@ func (s *ServerTriplets) miniONN() (*baseline.MiniONNServer, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: minionn setup: %w", err)
 		}
+		g.SetWorkers(s.params.Workers)
 		s.mon = g
 	}
 	return s.mon, nil

@@ -35,20 +35,6 @@ func TruncShare1(rg ring.Ring, z ring.Elem, t uint) ring.Elem {
 	return rg.Neg(neg >> t)
 }
 
-// TruncVec0 truncates a whole server-side share vector in place.
-func TruncVec0(rg ring.Ring, z ring.Vec, t uint) {
-	for i := range z {
-		z[i] = TruncShare0(rg, z[i], t)
-	}
-}
-
-// TruncVec1 truncates a whole client-side share vector in place.
-func TruncVec1(rg ring.Ring, z ring.Vec, t uint) {
-	for i := range z {
-		z[i] = TruncShare1(rg, z[i], t)
-	}
-}
-
 // RequantShare0 applies the public rescale c/2^t to a server share.
 func RequantShare0(rg ring.Ring, z ring.Elem, c uint64, t uint) ring.Elem {
 	return TruncShare0(rg, rg.MulConst(c, z), t)
@@ -71,12 +57,4 @@ func RequantVec1(rg ring.Ring, z ring.Vec, c uint64, t uint) {
 	for i := range z {
 		z[i] = RequantShare1(rg, z[i], c, t)
 	}
-}
-
-// TruncExact computes the plaintext reference floor(signed(z) * c / 2^t)
-// embedded back in the ring; the secure result differs from it by at most
-// one unit per truncation (w.h.p.).
-func TruncExact(rg ring.Ring, z ring.Elem, c uint64, t uint) ring.Elem {
-	v := rg.Signed(rg.MulConst(c, z))
-	return rg.FromSigned(v >> t) // arithmetic shift = floor division
 }

@@ -5,7 +5,6 @@ import (
 
 	"abnn2/internal/prg"
 	"abnn2/internal/ring"
-	"abnn2/internal/sharing"
 )
 
 // Probabilistic truncation is correct up to +-1 except with probability
@@ -22,7 +21,8 @@ func TestTruncShareWithinOne(t *testing.T) {
 	for i := 0; i < trials; i++ {
 		// Values of ~20 bits: expected wrap rate 2^(21-32) ~ 0.05%.
 		z := rg.FromSigned(int64(rng.Intn(1<<20)) - (1 << 19))
-		z0, z1 := sharing.Share(rg, z, rng)
+		z0 := rng.Elem(rg)
+		z1 := rg.Sub(z, z0)
 		got := rg.Signed(rg.Add(TruncShare0(rg, z0, tbits), TruncShare1(rg, z1, tbits)))
 		want := rg.Signed(z) >> tbits
 		if d := got - want; d < -1 || d > 1 {
@@ -32,30 +32,6 @@ func TestTruncShareWithinOne(t *testing.T) {
 	// Allow up to 10x the expected wrap rate before declaring a bug.
 	if failures > 25 {
 		t.Fatalf("%d/%d truncations off by more than 1 (expect ~2.5)", failures, trials)
-	}
-}
-
-func TestTruncVecMatchesScalar(t *testing.T) {
-	rg := ring.New(32)
-	rng := prg.New(prg.SeedFromInt(2))
-	v := rng.Vec(rg, 16)
-	want := make(ring.Vec, 16)
-	for i := range v {
-		want[i] = TruncShare0(rg, v[i], 5)
-	}
-	got := v.Clone()
-	TruncVec0(rg, got, 5)
-	if !rg.EqualVec(got, want) {
-		t.Fatal("TruncVec0 diverged from TruncShare0")
-	}
-	want1 := make(ring.Vec, 16)
-	for i := range v {
-		want1[i] = TruncShare1(rg, v[i], 5)
-	}
-	got1 := v.Clone()
-	TruncVec1(rg, got1, 5)
-	if !rg.EqualVec(got1, want1) {
-		t.Fatal("TruncVec1 diverged from TruncShare1")
 	}
 }
 
@@ -70,9 +46,10 @@ func TestRequantRate(t *testing.T) {
 	for i := 0; i < trials; i++ {
 		// |z| < 2^14 so |z*c| < 2^20: wrap rate ~ 2^-11.
 		z := rg.FromSigned(int64(rng.Intn(1<<14)) - (1 << 13))
-		z0, z1 := sharing.Share(rg, z, rng)
+		z0 := rng.Elem(rg)
+		z1 := rg.Sub(z, z0)
 		got := rg.Signed(rg.Add(RequantShare0(rg, z0, c, tb), RequantShare1(rg, z1, c, tb)))
-		want := rg.Signed(TruncExact(rg, z, c, tb))
+		want := rg.Signed(truncExact(rg, z, c, tb))
 		if d := got - want; d < -1 || d > 1 {
 			failures++
 		}
@@ -96,15 +73,23 @@ func TestTruncZeroSharesExact(t *testing.T) {
 	}
 }
 
+// truncExact is the plaintext reference floor(signed(z) * c / 2^t)
+// embedded back in the ring; the secure result differs from it by at most
+// one unit per truncation (w.h.p.).
+func truncExact(rg ring.Ring, z ring.Elem, c uint64, t uint) ring.Elem {
+	v := rg.Signed(rg.MulConst(c, z))
+	return rg.FromSigned(v >> t) // arithmetic shift = floor division
+}
+
 func TestTruncExactKnown(t *testing.T) {
 	rg := ring.New(32)
 	// 1000 * 39 / 2^14 = floor(39000/16384) = 2.
-	if got := rg.Signed(TruncExact(rg, rg.FromSigned(1000), 39, 14)); got != 2 {
-		t.Fatalf("TruncExact = %d, want 2", got)
+	if got := rg.Signed(truncExact(rg, rg.FromSigned(1000), 39, 14)); got != 2 {
+		t.Fatalf("truncExact = %d, want 2", got)
 	}
 	// Negative: floor(-39000/16384) = -3.
-	if got := rg.Signed(TruncExact(rg, rg.FromSigned(-1000), 39, 14)); got != -3 {
-		t.Fatalf("TruncExact(neg) = %d, want -3", got)
+	if got := rg.Signed(truncExact(rg, rg.FromSigned(-1000), 39, 14)); got != -3 {
+		t.Fatalf("truncExact(neg) = %d, want -3", got)
 	}
 }
 
@@ -114,7 +99,8 @@ func TestTrunc64Rate(t *testing.T) {
 	failures := 0
 	for i := 0; i < 2000; i++ {
 		z := rg.FromSigned(int64(rng.Intn(1<<40)) - (1 << 39))
-		z0, z1 := sharing.Share(rg, z, rng)
+		z0 := rng.Elem(rg)
+		z1 := rg.Sub(z, z0)
 		got := rg.Signed(rg.Add(TruncShare0(rg, z0, 16), TruncShare1(rg, z1, 16)))
 		want := rg.Signed(z) >> 16
 		if d := got - want; d < -1 || d > 1 {

@@ -11,6 +11,17 @@ import (
 // Algorithm2Circuit, frozen here so that the identity test below compares
 // the one builder against what the goldens were recorded with and not
 // against itself.
+// BatchFuncCircuit and ArgmaxCircuit are the two instances no engine
+// builds: Algorithm 2 over n neurons for an arbitrary activation, and the
+// argmax of a single sample.
+func BatchFuncCircuit(bits uint, n int, f func(b *Builder, y []int) []int) *Circuit {
+	return Algorithm2Circuit(bits, 1, n, f)
+}
+
+func ArgmaxCircuit(bits uint, n int, idxBits uint) *Circuit {
+	return BatchArgmaxCircuit(bits, n, idxBits, 1)
+}
+
 func seedReLUCircuit(bits uint, n int) *Circuit {
 	b := NewBuilder()
 	l := int(bits)

@@ -131,11 +131,6 @@ func (b *Builder) NOT(a int) int {
 	return out
 }
 
-// OR computes a OR c = NOT(NOT a AND NOT c) — one AND gate.
-func (b *Builder) OR(a, c int) int {
-	return b.NOT(b.AND(b.NOT(a), b.NOT(c)))
-}
-
 // Output marks wires as circuit outputs, in order.
 func (b *Builder) Output(ws ...int) { b.c.Outputs = append(b.c.Outputs, ws...) }
 
@@ -235,35 +230,6 @@ func (b *Builder) MuxVec(sel int, a, c []int) []int {
 		out[i] = b.XOR(c[i], b.AND(sel, d))
 	}
 	return out
-}
-
-// MulMod appends a shift-and-add multiplier computing (a * c) mod
-// 2^len(a). About 1.5*len^2 AND gates — expensive, which is precisely why
-// ABNN2 keeps multiplications out of GC and in the OT domain; provided
-// for activations that need products (e.g. the square activation of
-// CryptoNets-style networks).
-func (b *Builder) MulMod(a, c []int) []int {
-	if len(a) != len(c) {
-		panic("gc: multiplier operand width mismatch")
-	}
-	n := len(a)
-	zero := b.XOR(a[0], a[0])
-	acc := make([]int, n)
-	for i := range acc {
-		acc[i] = zero
-	}
-	for i := 0; i < n; i++ {
-		// partial = (a AND c_i) << i, truncated to n bits.
-		partial := make([]int, n)
-		for k := 0; k < i; k++ {
-			partial[k] = zero
-		}
-		for k := i; k < n; k++ {
-			partial[k] = b.AND(c[i], a[k-i])
-		}
-		acc = b.AdderMod(acc, partial)
-	}
-	return acc
 }
 
 // SignedLess appends a two's-complement comparator returning the single

@@ -14,8 +14,8 @@ package gc
 // f is a sub-circuit factory that receives the builder and the bits of y
 // and returns the activated bits; nil is the identity. Every reshare layer
 // is an instance: ReLU is a window of one with (*Builder).ReLU, max
-// pooling a window of k*k values with or without it, the square activation
-// a window of one with MulMod. The maximum is a tournament in input order.
+// pooling a window of k*k values with or without it. The maximum is a
+// tournament in input order.
 //
 // Garbler inputs: y1 (n*win words), then z1 (n words). Evaluator inputs:
 // y0 (n*win words). Outputs: z0 (n words), revealed to the evaluator.
@@ -60,13 +60,6 @@ func (b *Builder) ReLU(y []int) []int {
 // BatchReLUCircuit is Algorithm 2 for f = ReLU over n neurons.
 func BatchReLUCircuit(bits uint, n int) *Circuit {
 	return Algorithm2Circuit(bits, 1, n, (*Builder).ReLU)
-}
-
-// BatchFuncCircuit is Algorithm 2 over n neurons for an arbitrary
-// bitwise-defined activation, so downstream users can plug activations
-// other than ReLU into the same reshare pattern.
-func BatchFuncCircuit(bits uint, n int, f func(b *Builder, y []int) []int) *Circuit {
-	return Algorithm2Circuit(bits, 1, n, f)
 }
 
 // BatchMaxPoolCircuit is Algorithm 2 over n non-overlapping pooling
@@ -149,11 +142,6 @@ func BatchArgmaxCircuit(bits uint, n int, idxBits uint, batch int) *Circuit {
 		}
 	}
 	return b.Finish()
-}
-
-// ArgmaxCircuit is BatchArgmaxCircuit for a single sample.
-func ArgmaxCircuit(bits uint, n int, idxBits uint) *Circuit {
-	return BatchArgmaxCircuit(bits, n, idxBits, 1)
 }
 
 // PopCount appends a Wallace-style counter returning the number of set

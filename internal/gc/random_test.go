@@ -9,6 +9,12 @@ import (
 
 // plainEval evaluates a circuit in the clear, the differential oracle for
 // the garbling scheme.
+// OR is random-circuit material: a OR c = NOT(NOT a AND NOT c), one AND
+// gate. No layer circuit uses it.
+func (b *Builder) OR(a, c int) int {
+	return b.NOT(b.AND(b.NOT(a), b.NOT(c)))
+}
+
 func plainEval(c *Circuit, gBits, eBits []byte) []byte {
 	wires := make([]byte, c.NumWires)
 	copy(wires, gBits)

@@ -13,6 +13,34 @@ import (
 // from the same seed and requires byte-equal tables, labels and decode
 // bits, the same following PRG state, and — evaluating each garbling with
 // each evaluator — equal outputs that agree with the circuit in the clear.
+// MulMod appends a shift-and-add multiplier computing (a * c) mod
+// 2^len(a), about 1.5*len^2 AND gates. No layer circuit multiplies — ABNN2
+// keeps products in the OT domain — so it lives here, as the AND-heavy
+// activation the kernel reference tests square with.
+func (b *Builder) MulMod(a, c []int) []int {
+	if len(a) != len(c) {
+		panic("gc: multiplier operand width mismatch")
+	}
+	n := len(a)
+	zero := b.XOR(a[0], a[0])
+	acc := make([]int, n)
+	for i := range acc {
+		acc[i] = zero
+	}
+	for i := 0; i < n; i++ {
+		// partial = (a AND c_i) << i, truncated to n bits.
+		partial := make([]int, n)
+		for k := 0; k < i; k++ {
+			partial[k] = zero
+		}
+		for k := i; k < n; k++ {
+			partial[k] = b.AND(c[i], a[k-i])
+		}
+		acc = b.AdderMod(acc, partial)
+	}
+	return acc
+}
+
 func matchReference(t testing.TB, c *Circuit, gBits, eBits []byte, seed uint64) {
 	t.Helper()
 	rngNew, rngRef := prg.New(prg.SeedFromInt(seed)), prg.New(prg.SeedFromInt(seed))

@@ -171,9 +171,6 @@ func TestEncodeInputAndScale(t *testing.T) {
 	if r.Signed(enc[0]) != 384 {
 		t.Fatalf("encoded 1.5 -> %d, want 384", r.Signed(enc[0]))
 	}
-	if s := qm.OutputScale(); math.Abs(s-0.5/256) > 1e-15 {
-		t.Fatalf("OutputScale = %v", s)
-	}
 }
 
 func TestModelSerializationRoundTrip(t *testing.T) {

@@ -232,20 +232,6 @@ func (qm *QuantizedModel) EncodeInput(r ring.Ring, x []float64) ring.Vec {
 	return out
 }
 
-// OutputScale returns the real value represented by one integer unit of
-// the network output: the product of all layer scales and 2^-frac, with
-// each requantization folding its layer's scale back out.
-func (qm *QuantizedModel) OutputScale() float64 {
-	s := 1.0 / float64(uint64(1)<<qm.Frac)
-	for _, l := range qm.Layers {
-		s *= l.Scale
-		if l.ReqC != 0 {
-			s *= float64(uint64(1)<<l.ReqT) / float64(l.ReqC)
-		}
-	}
-	return s
-}
-
 // Predict runs fixed-point inference over Z_{2^64} and returns the argmax
 // class. With 64-bit arithmetic the 3-layer evaluation network cannot
 // overflow for 8-bit weights, so this matches the secure protocol's

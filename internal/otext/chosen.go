@@ -137,41 +137,3 @@ func (r *Receiver) RecvCorrelatedRing(rg ring.Ring, choiceBits []byte) (ring.Vec
 	}
 	return out, nil
 }
-
-// SendRandom returns pads usable as m random OTs without any payload
-// flight: the sender learns all N pads per OT, the receiver (via
-// RecvRandom) learns the pad of its choice. nbytes is the pad width.
-func (s *Sender) SendRandom(m, nbytes int) ([][][]byte, error) {
-	blk, err := s.Extend(m)
-	if err != nil {
-		return nil, err
-	}
-	n := s.code.N()
-	out := make([][][]byte, m)
-	d := blk.NewDeriver()
-	for j := 0; j < m; j++ {
-		out[j] = make([][]byte, n)
-		d.Seek(j)
-		for v := 0; v < n; v++ {
-			out[j][v] = make([]byte, nbytes)
-			d.XORPad(v, out[j][v])
-		}
-	}
-	return out, nil
-}
-
-// RecvRandom is the receiver side of SendRandom.
-func (r *Receiver) RecvRandom(choices []int, nbytes int) ([][]byte, error) {
-	blk, err := r.Extend(choices)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]byte, len(choices))
-	d := blk.NewDeriver()
-	for j := range choices {
-		out[j] = make([]byte, nbytes)
-		d.Seek(j)
-		d.XORPad(out[j])
-	}
-	return out, nil
-}

@@ -456,32 +456,6 @@ func TestCorrelatedRing(t *testing.T) {
 	}
 }
 
-func TestRandomOT(t *testing.T) {
-	const n, m = 4, 10
-	snd, rcv, _, done := setupPair(t, WalshHadamardCode(n))
-	defer done()
-	choices := []int{0, 1, 2, 3, 3, 2, 1, 0, 2, 2}
-	var (
-		pads [][][]byte
-		wg   sync.WaitGroup
-	)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		pads, _ = snd.SendRandom(m, 16)
-	}()
-	got, err := rcv.RecvRandom(choices, 16)
-	wg.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := range got {
-		if !bytes.Equal(got[j], pads[j][choices[j]]) {
-			t.Fatalf("random OT %d mismatch", j)
-		}
-	}
-}
-
 // Communication of one Extend must match the analytic formula:
 // m_pad * WidthBits bits from receiver to sender.
 func TestExtendCommunication(t *testing.T) {

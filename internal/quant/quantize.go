@@ -42,9 +42,6 @@ func (q Quantizer) Quantize(w float64) int64 {
 	return v
 }
 
-// Dequantize maps a quantized integer back to its real value.
-func (q Quantizer) Dequantize(v int64) float64 { return float64(v) * q.Scale }
-
 // QuantizeAll quantizes a weight slice, returning the integer weights.
 func (q Quantizer) QuantizeAll(ws []float64) []int64 {
 	out := make([]int64, len(ws))

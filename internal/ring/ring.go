@@ -42,10 +42,6 @@ func (r Ring) Bits() uint { return r.bits }
 // Mask returns 2^l - 1.
 func (r Ring) Mask() uint64 { return r.mask }
 
-// Modulus returns 2^l as a float64 (exact for l <= 53, approximate above;
-// used only for diagnostics).
-func (r Ring) Modulus() float64 { return math.Pow(2, float64(r.bits)) }
-
 // Bytes returns the number of bytes needed to serialize one element:
 // ceil(l/8).
 func (r Ring) Bytes() int { return int(r.bits+7) / 8 }

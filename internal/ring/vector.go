@@ -7,9 +7,6 @@ import "fmt"
 // ring by reducing.
 type Vec []Elem
 
-// NewVec returns a zero vector of length n.
-func NewVec(n int) Vec { return make(Vec, n) }
-
 // Clone returns a copy of v.
 func (v Vec) Clone() Vec {
 	out := make(Vec, len(v))
@@ -44,43 +41,6 @@ func (r Ring) SubVec(a, b Vec) Vec {
 		out[i] = (a[i] - b[i]) & r.mask
 	}
 	return out
-}
-
-// NegVec returns -a elementwise.
-func (r Ring) NegVec(a Vec) Vec {
-	out := make(Vec, len(a))
-	for i := range a {
-		out[i] = (-a[i]) & r.mask
-	}
-	return out
-}
-
-// Dot returns the inner product <a, b> mod 2^l.
-func (r Ring) Dot(a, b Vec) Elem {
-	mustSameLen(len(a), len(b))
-	var acc uint64
-	for i := range a {
-		acc += a[i] * b[i]
-	}
-	return acc & r.mask
-}
-
-// ScaleVec returns c*a elementwise for a public constant c.
-func (r Ring) ScaleVec(c uint64, a Vec) Vec {
-	out := make(Vec, len(a))
-	for i := range a {
-		out[i] = (c * a[i]) & r.mask
-	}
-	return out
-}
-
-// ReduceVec reduces every element of v into the ring, in place, and
-// returns v for chaining.
-func (r Ring) ReduceVec(v Vec) Vec {
-	for i := range v {
-		v[i] &= r.mask
-	}
-	return v
 }
 
 // EqualVec reports elementwise equality after reduction.
@@ -122,23 +82,6 @@ func (m *Mat) Row(i int) Vec { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 // Clone returns a deep copy.
 func (m *Mat) Clone() *Mat {
 	return &Mat{Rows: m.Rows, Cols: m.Cols, Data: m.Data.Clone()}
-}
-
-// MulVec returns m . x mod 2^l, an m.Rows-length vector.
-func (r Ring) MulVec(m *Mat, x Vec) Vec {
-	if m.Cols != len(x) {
-		panic(fmt.Sprintf("ring: matvec shape mismatch %dx%d . %d", m.Rows, m.Cols, len(x)))
-	}
-	out := make(Vec, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		var acc uint64
-		for j := range row {
-			acc += row[j] * x[j]
-		}
-		out[i] = acc & r.mask
-	}
-	return out
 }
 
 // MulMat returns a . b mod 2^l.
@@ -187,14 +130,6 @@ func (r Ring) AddMat(a, b *Mat) *Mat {
 		panic("ring: matrix add shape mismatch")
 	}
 	return &Mat{Rows: a.Rows, Cols: a.Cols, Data: r.AddVec(a.Data, b.Data)}
-}
-
-// SubMat returns a-b elementwise.
-func (r Ring) SubMat(a, b *Mat) *Mat {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		panic("ring: matrix sub shape mismatch")
-	}
-	return &Mat{Rows: a.Rows, Cols: a.Cols, Data: r.SubVec(a.Data, b.Data)}
 }
 
 // EqualMat reports equality of shape and (reduced) contents.

@@ -23,78 +23,79 @@ import (
 // output shares (m x o each). seed pins both parties' randomness.
 type MatmulFunc func(rg ring.Ring, W []int64, m, n int, R *ring.Mat, seed uint64) (U, V *ring.Mat, err error)
 
+// party is one side of a backend: given its end of the pipe and its own
+// stream of the run's randomness, it returns its output share.
+type party func(conn transport.Conn, rng *prg.PRG) (*ring.Mat, error)
+
+// shares is the one two-party skeleton under every backend: the server
+// runs in a goroutine, the client inline. A side that fails closes its
+// endpoint, so the other returns instead of waiting for a message that
+// will never come.
+func shares(seed uint64, server, client party) (U, V *ring.Mat, err error) {
+	serverConn, clientConn := transport.Pipe()
+	serr := make(chan error, 1)
+	go func() {
+		var err error
+		if U, err = server(serverConn, prg.New(prg.SeedFromInt(2*seed+1))); err != nil {
+			serverConn.Close()
+		}
+		serr <- err
+	}()
+	V, cerr := client(clientConn, prg.New(prg.SeedFromInt(2*seed+2)))
+	if cerr != nil {
+		clientConn.Close()
+	}
+	if err := <-serr; err != nil {
+		return nil, nil, fmt.Errorf("server: %w", err)
+	}
+	if cerr != nil {
+		return nil, nil, fmt.Errorf("client: %w", cerr)
+	}
+	return U, V, nil
+}
+
 // ABNN2Matmul returns the paper's 1-out-of-N triplet protocol under the
 // given fragmentation scheme and payload mode (OneBatch requires o = 1).
 func ABNN2Matmul(scheme quant.Scheme, mode core.Mode) MatmulFunc {
 	return func(rg ring.Ring, W []int64, m, n int, R *ring.Mat, seed uint64) (*ring.Mat, *ring.Mat, error) {
 		p := core.Params{Ring: rg, Scheme: scheme}
 		sh := core.MatShape{M: m, N: n, O: R.Cols}
-		serverConn, clientConn := transport.Pipe()
-		type res struct {
-			U   *ring.Mat
-			err error
-		}
-		ch := make(chan res, 1)
-		go func() {
-			srv, err := core.NewServerTripletsSeeded(serverConn, p, 7, prg.New(prg.SeedFromInt(2*seed+1)))
-			if err != nil {
-				ch <- res{nil, err}
-				return
-			}
-			U, err := srv.GenerateServer(sh, W, mode)
-			ch <- res{U, err}
-		}()
-		cli, err := core.NewClientTriplets(clientConn, p, 7, prg.New(prg.SeedFromInt(2*seed+2)))
-		if err != nil {
-			clientConn.Close()
-			<-ch
-			return nil, nil, err
-		}
-		V, cerr := cli.GenerateClient(sh, R, mode)
-		sr := <-ch
-		if sr.err != nil {
-			return nil, nil, fmt.Errorf("server: %w", sr.err)
-		}
-		if cerr != nil {
-			return nil, nil, fmt.Errorf("client: %w", cerr)
-		}
-		return sr.U, V, nil
+		return shares(seed,
+			func(conn transport.Conn, rng *prg.PRG) (*ring.Mat, error) {
+				srv, err := core.NewServerTripletsSeeded(conn, p, 7, rng)
+				if err != nil {
+					return nil, err
+				}
+				return srv.GenerateServer(sh, W, mode)
+			},
+			func(conn transport.Conn, rng *prg.PRG) (*ring.Mat, error) {
+				cli, err := core.NewClientTriplets(conn, p, 7, rng)
+				if err != nil {
+					return nil, err
+				}
+				return cli.GenerateClient(sh, R, mode)
+			})
 	}
 }
 
 // SecureMLMatmul returns the SecureML-style bitwise OT-triplet baseline.
 func SecureMLMatmul() MatmulFunc {
 	return func(rg ring.Ring, W []int64, m, n int, R *ring.Mat, seed uint64) (*ring.Mat, *ring.Mat, error) {
-		serverConn, clientConn := transport.Pipe()
-		type res struct {
-			U   *ring.Mat
-			err error
-		}
-		ch := make(chan res, 1)
-		go func() {
-			srv, err := baseline.NewSecureMLServer(serverConn, rg, 7, prg.New(prg.SeedFromInt(2*seed+1)))
-			if err != nil {
-				ch <- res{nil, err}
-				return
-			}
-			U, err := srv.GenerateServer(W, m, n, R.Cols)
-			ch <- res{U, err}
-		}()
-		cli, err := baseline.NewSecureMLClient(clientConn, rg, 7, prg.New(prg.SeedFromInt(2*seed+2)))
-		if err != nil {
-			clientConn.Close()
-			<-ch
-			return nil, nil, err
-		}
-		V, cerr := cli.GenerateClient(m, R)
-		sr := <-ch
-		if sr.err != nil {
-			return nil, nil, fmt.Errorf("server: %w", sr.err)
-		}
-		if cerr != nil {
-			return nil, nil, fmt.Errorf("client: %w", cerr)
-		}
-		return sr.U, V, nil
+		return shares(seed,
+			func(conn transport.Conn, rng *prg.PRG) (*ring.Mat, error) {
+				srv, err := baseline.NewSecureMLServer(conn, rg, 7, rng)
+				if err != nil {
+					return nil, err
+				}
+				return srv.GenerateServer(W, m, n, R.Cols)
+			},
+			func(conn transport.Conn, rng *prg.PRG) (*ring.Mat, error) {
+				cli, err := baseline.NewSecureMLClient(conn, rg, 7, rng)
+				if err != nil {
+					return nil, err
+				}
+				return cli.GenerateClient(m, R)
+			})
 	}
 }
 
@@ -102,36 +103,21 @@ func SecureMLMatmul() MatmulFunc {
 // sizes the (test-only) modulus; 512 keeps the sweep fast.
 func MiniONNMatmul(keyBits int) MatmulFunc {
 	return func(rg ring.Ring, W []int64, m, n int, R *ring.Mat, seed uint64) (*ring.Mat, *ring.Mat, error) {
-		serverConn, clientConn := transport.Pipe()
-		type res struct {
-			U   *ring.Mat
-			err error
-		}
-		ch := make(chan res, 1)
-		go func() {
-			srv, err := baseline.NewMiniONNServer(serverConn, rg, prg.New(prg.SeedFromInt(2*seed+1)))
-			if err != nil {
-				ch <- res{nil, err}
-				return
-			}
-			U, err := srv.GenerateServer(W, m, n, R.Cols)
-			ch <- res{U, err}
-		}()
-		cli, err := baseline.NewMiniONNClient(clientConn, rg, keyBits, prg.New(prg.SeedFromInt(2*seed+2)))
-		if err != nil {
-			clientConn.Close()
-			<-ch
-			return nil, nil, err
-		}
-		V, cerr := cli.GenerateClient(m, R)
-		sr := <-ch
-		if sr.err != nil {
-			return nil, nil, fmt.Errorf("server: %w", sr.err)
-		}
-		if cerr != nil {
-			return nil, nil, fmt.Errorf("client: %w", cerr)
-		}
-		return sr.U, V, nil
+		return shares(seed,
+			func(conn transport.Conn, rng *prg.PRG) (*ring.Mat, error) {
+				srv, err := baseline.NewMiniONNServer(conn, rg, rng)
+				if err != nil {
+					return nil, err
+				}
+				return srv.GenerateServer(W, m, n, R.Cols)
+			},
+			func(conn transport.Conn, rng *prg.PRG) (*ring.Mat, error) {
+				cli, err := baseline.NewMiniONNClient(conn, rg, keyBits, rng)
+				if err != nil {
+					return nil, err
+				}
+				return cli.GenerateClient(m, R)
+			})
 	}
 }
 
@@ -142,36 +128,23 @@ func QuotientMatmul() MatmulFunc {
 		if R.Cols != 1 {
 			return nil, nil, fmt.Errorf("quotient backend is vector-only, got o=%d", R.Cols)
 		}
-		serverConn, clientConn := transport.Pipe()
-		type res struct {
-			u   ring.Vec
-			err error
-		}
-		ch := make(chan res, 1)
-		go func() {
-			srv, err := baseline.NewQuotientServer(serverConn, rg, 7, prg.New(prg.SeedFromInt(2*seed+1)))
-			if err != nil {
-				ch <- res{nil, err}
-				return
-			}
-			u, err := srv.GenerateServer(W, m, n)
-			ch <- res{u, err}
-		}()
-		cli, err := baseline.NewQuotientClient(clientConn, rg, 7, prg.New(prg.SeedFromInt(2*seed+2)))
-		if err != nil {
-			clientConn.Close()
-			<-ch
-			return nil, nil, err
-		}
-		v, cerr := cli.GenerateClient(m, ring.Vec(R.Data))
-		sr := <-ch
-		if sr.err != nil {
-			return nil, nil, fmt.Errorf("server: %w", sr.err)
-		}
-		if cerr != nil {
-			return nil, nil, fmt.Errorf("client: %w", cerr)
-		}
-		return &ring.Mat{Rows: m, Cols: 1, Data: sr.u}, &ring.Mat{Rows: m, Cols: 1, Data: v}, nil
+		return shares(seed,
+			func(conn transport.Conn, rng *prg.PRG) (*ring.Mat, error) {
+				srv, err := baseline.NewQuotientServer(conn, rg, 7, rng)
+				if err != nil {
+					return nil, err
+				}
+				u, err := srv.GenerateServer(W, m, n)
+				return &ring.Mat{Rows: m, Cols: 1, Data: u}, err
+			},
+			func(conn transport.Conn, rng *prg.PRG) (*ring.Mat, error) {
+				cli, err := baseline.NewQuotientClient(conn, rg, 7, rng)
+				if err != nil {
+					return nil, err
+				}
+				v, err := cli.GenerateClient(m, ring.Vec(R.Data))
+				return &ring.Mat{Rows: m, Cols: 1, Data: v}, err
+			})
 	}
 }
 
