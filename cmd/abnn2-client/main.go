@@ -140,9 +140,7 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("plan: %s\n", p)
-		if est != nil {
-			fmt.Print(est.Table())
-		}
+		fmt.Print(est.Table())
 		sessPlan = p
 		return p
 	}

@@ -41,6 +41,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"time"
 
 	"abnn2/internal/bank"
 	"abnn2/internal/core"
@@ -48,6 +49,7 @@ import (
 	"abnn2/internal/otext"
 	"abnn2/internal/plan"
 	"abnn2/internal/trace"
+	"abnn2/internal/transport"
 )
 
 func main() {
@@ -125,7 +127,7 @@ func main() {
 	}
 
 	fmt.Printf("\nprojected offline cost (Table 1 closed forms), %s link %.1f MB/s + %g ms RTT:\n",
-		link.Name, link.BandwidthMBps, link.RTTms)
+		link.Name, link.BandwidthBytes/1e6, float64(link.RTT)/float64(time.Millisecond))
 	fmt.Printf("%8s %14s %12s %14s\n", "batch", "#OT", "offline MB", "transfer s")
 	for _, bStr := range strings.Split(*batches, ",") {
 		b, err := strconv.Atoi(strings.TrimSpace(bStr))
@@ -141,7 +143,7 @@ func main() {
 			bits += c.CommBits
 		}
 		mb := bits / 8 / (1 << 20)
-		fmt.Printf("%8d %14d %12.2f %14.2f\n", b, ots, mb, bits/8/(link.BandwidthMBps*1e6))
+		fmt.Printf("%8d %14d %12.2f %14.2f\n", b, ots, mb, link.NetworkTime(transport.Stats{BytesAB: int64(bits / 8)}).Seconds())
 	}
 
 	// GC activation cost: ~3l AND gates per neuron per prediction.
@@ -181,9 +183,6 @@ func planReport(modelPath, planVal, linkVal, batches string, ringBits uint, trac
 		log.Fatal(err)
 	}
 	fmt.Printf("plan: %s (batch %d, %s link)\n", p, batch, link.Name)
-	if est == nil {
-		log.Fatalf("plan %s cannot be priced by the cost model", p)
-	}
 	fmt.Print(est.Table())
 	if tracePath == "" {
 		return

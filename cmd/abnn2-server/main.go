@@ -209,9 +209,7 @@ func main() {
 		}
 		reqPlan = p
 		logger.Info("plan required", "plan", p.String())
-		if est != nil {
-			os.Stderr.WriteString(est.Table())
-		}
+		os.Stderr.WriteString(est.Table())
 	}
 
 	rt, err := serve.New(serve.Options{

@@ -243,7 +243,7 @@ func (s *Store) recoverJournal(st *RecoverStats) (map[uint64]map[uint64]bool, er
 		claims, keep, serr = scanJournal(data)
 		if serr == errTorn {
 			st.TornTails++
-			if err := os.Truncate(path, maxInt64(keep, int64(len(journalMagic)))); err != nil {
+			if err := os.Truncate(path, max(keep, int64(len(journalMagic)))); err != nil {
 				return nil, err
 			}
 			if keep < int64(len(journalMagic)) {
@@ -737,11 +737,4 @@ func (s *Store) observe(ev Event) {
 	if s.opts.Observer != nil {
 		s.opts.Observer.BankEvent(ev)
 	}
-}
-
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

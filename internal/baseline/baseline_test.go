@@ -24,9 +24,9 @@ func TestSecureMLTriplets(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			cl, cerr = NewSecureMLClient(ca, rg, 1, prg.New(prg.SeedFromInt(1)))
+			cl, cerr = NewSecureMLClient(ca, rg, 1, 0, prg.New(prg.SeedFromInt(1)))
 		}()
-		sv, serr := NewSecureMLServer(cb, rg, 1, prg.New(prg.SeedFromInt(2)))
+		sv, serr := NewSecureMLServer(cb, rg, 1, 0, prg.New(prg.SeedFromInt(2)))
 		wg.Wait()
 		if cerr != nil || serr != nil {
 			t.Fatalf("setup: %v %v", cerr, serr)
@@ -77,9 +77,9 @@ func TestMiniONNTriplets(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		cl, cerr = NewMiniONNClient(ca, rg, 512, prg.New(prg.SeedFromInt(4)))
+		cl, cerr = NewMiniONNClient(ca, rg, 512, 0, prg.New(prg.SeedFromInt(4)))
 	}()
-	sv, serr := NewMiniONNServer(cb, rg, prg.New(prg.SeedFromInt(5)))
+	sv, serr := NewMiniONNServer(cb, rg, 0, prg.New(prg.SeedFromInt(5)))
 	wg.Wait()
 	if cerr != nil || serr != nil {
 		t.Fatalf("setup: %v %v", cerr, serr)
@@ -148,16 +148,14 @@ func minionnTranscript(t *testing.T, procs, workers int) (client, server [][]byt
 	R := g.Mat(rg, n, o)
 	cerr := make(chan error, 1)
 	go func() {
-		cl, err := NewMiniONNClient(ca, rg, 512, prg.New(prg.SeedFromInt(4)))
+		cl, err := NewMiniONNClient(ca, rg, 512, workers, prg.New(prg.SeedFromInt(4)))
 		if err == nil {
-			cl.SetWorkers(workers)
 			_, err = cl.GenerateClient(m, R)
 		}
 		cerr <- err
 	}()
-	sv, err := NewMiniONNServer(cb, rg, prg.New(prg.SeedFromInt(5)))
+	sv, err := NewMiniONNServer(cb, rg, workers, prg.New(prg.SeedFromInt(5)))
 	if err == nil {
-		sv.SetWorkers(workers)
 		_, err = sv.GenerateServer(W, m, n, o)
 	}
 	if cerr := <-cerr; cerr != nil || err != nil {
@@ -194,7 +192,7 @@ func TestMiniONNTranscriptIgnoresGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// TestMiniONNHonoursWorkers: the bound set with SetWorkers is the one
+// TestMiniONNHonoursWorkers: the bound the constructors are given is the one
 // every parallel loop of both parties runs under. At 1 no two loop bodies
 // are ever in flight at once (the two parties alternate, so their loops
 // never overlap either); before the bound was threaded through, all four
@@ -250,9 +248,9 @@ func TestQuotientTriplets(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		cl, cerr = NewQuotientClient(ca, rg, 2, prg.New(prg.SeedFromInt(7)))
+		cl, cerr = NewQuotientClient(ca, rg, 2, 0, prg.New(prg.SeedFromInt(7)))
 	}()
-	sv, serr := NewQuotientServer(cb, rg, 2, prg.New(prg.SeedFromInt(8)))
+	sv, serr := NewQuotientServer(cb, rg, 2, 0, prg.New(prg.SeedFromInt(8)))
 	wg.Wait()
 	if cerr != nil || serr != nil {
 		t.Fatalf("setup: %v %v", cerr, serr)
@@ -263,17 +261,18 @@ func TestQuotientTriplets(t *testing.T) {
 	for i := range W {
 		W[i] = int64(g.Intn(3)) - 1
 	}
-	r := g.Vec(rg, n)
+	R := g.Mat(rg, n, 1)
+	r := R.Data
 	var (
-		v  ring.Vec
+		v  *ring.Mat
 		ce error
 	)
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		v, ce = cl.GenerateClient(m, r)
+		v, ce = cl.GenerateClient(m, R)
 	}()
-	u, se := sv.GenerateServer(W, m, n)
+	u, se := sv.GenerateServer(W, m, n, 1)
 	wg.Wait()
 	if ce != nil || se != nil {
 		t.Fatalf("%v %v", ce, se)
@@ -283,29 +282,41 @@ func TestQuotientTriplets(t *testing.T) {
 		for j := 0; j < n; j++ {
 			want = rg.Add(want, rg.Mul(rg.FromSigned(W[i*n+j]), r[j]))
 		}
-		if got := rg.Add(u[i], v[i]); got != want {
+		if got := rg.Add(u.Data[i], v.Data[i]); got != want {
 			t.Fatalf("row %d: %d want %d", i, got, want)
 		}
 	}
 }
 
+// The gadget's own refusals: a weight outside {-1, 0, 1}, and — it takes
+// the other baselines' signatures but is vector-only — any o but 1, on
+// either side, before a byte is sent.
 func TestQuotientRejectsNonTernary(t *testing.T) {
 	rg := ring.New(32)
 	ca, cb, _ := transport.MeteredPipe()
 	defer ca.Close()
-	var wg sync.WaitGroup
+	var (
+		cl *QuotientClient
+		wg sync.WaitGroup
+	)
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		NewQuotientClient(ca, rg, 3, prg.New(prg.SeedFromInt(10)))
+		cl, _ = NewQuotientClient(ca, rg, 3, 0, prg.New(prg.SeedFromInt(10)))
 	}()
-	sv, err := NewQuotientServer(cb, rg, 3, prg.New(prg.SeedFromInt(11)))
+	sv, err := NewQuotientServer(cb, rg, 3, 0, prg.New(prg.SeedFromInt(11)))
 	wg.Wait()
-	if err != nil {
-		t.Fatal(err)
+	if err != nil || cl == nil {
+		t.Fatalf("setup: client=%v server err=%v", cl, err)
 	}
-	if _, err := sv.GenerateServer([]int64{2}, 1, 1); err == nil {
+	if _, err := sv.GenerateServer([]int64{2}, 1, 1, 1); err == nil {
 		t.Error("non-ternary weight accepted")
+	}
+	if _, err := sv.GenerateServer([]int64{1}, 1, 1, 2); err == nil {
+		t.Error("server accepted o=2")
+	}
+	if _, err := cl.GenerateClient(1, ring.NewMat(1, 2)); err == nil {
+		t.Error("client accepted a two-column R")
 	}
 }
 
@@ -324,9 +335,9 @@ func TestMiniONNRejectsNonUnitCiphertexts(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		srv, serr = NewMiniONNServer(cb, rg, prg.New(prg.SeedFromInt(21)))
+		srv, serr = NewMiniONNServer(cb, rg, 0, prg.New(prg.SeedFromInt(21)))
 	}()
-	cl, cerr := NewMiniONNClient(ca, rg, 512, prg.New(prg.SeedFromInt(22)))
+	cl, cerr := NewMiniONNClient(ca, rg, 512, 0, prg.New(prg.SeedFromInt(22)))
 	wg.Wait()
 	if cerr != nil || serr != nil {
 		t.Fatalf("setup: client=%v server=%v", cerr, serr)

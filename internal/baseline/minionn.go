@@ -49,16 +49,9 @@ type MiniONNServer struct {
 	workers int
 }
 
-// SetWorkers bounds the parallelism of the per-element encryptions and
-// decryptions (0 = one worker per CPU, the default). Purely local: the
-// transcript does not depend on it.
-func (c *MiniONNClient) SetWorkers(n int) { c.workers = n }
-
-// SetWorkers mirrors MiniONNClient.SetWorkers for the homomorphic product.
-func (s *MiniONNServer) SetWorkers(n int) { s.workers = n }
-
-// NewMiniONNClient generates a keypair and announces the public key.
-func NewMiniONNClient(conn transport.Conn, rg ring.Ring, keyBits int, rng *prg.PRG) (*MiniONNClient, error) {
+// NewMiniONNClient generates a keypair and announces the public key;
+// workers bounds the per-element encryptions and decryptions.
+func NewMiniONNClient(conn transport.Conn, rg ring.Ring, keyBits, workers int, rng *prg.PRG) (*MiniONNClient, error) {
 	sk, err := paillier.GenerateKey(rng, keyBits)
 	if err != nil {
 		return nil, fmt.Errorf("baseline: minionn keygen: %w", err)
@@ -66,11 +59,12 @@ func NewMiniONNClient(conn transport.Conn, rg ring.Ring, keyBits int, rng *prg.P
 	if err := conn.Send(paillier.MarshalPublicKey(&sk.PublicKey)); err != nil {
 		return nil, fmt.Errorf("baseline: minionn send pk: %w", err)
 	}
-	return &MiniONNClient{rg: rg, conn: conn, sk: sk, rng: rng}, nil
+	return &MiniONNClient{rg: rg, conn: conn, sk: sk, rng: rng, workers: workers}, nil
 }
 
-// NewMiniONNServer receives the client's public key.
-func NewMiniONNServer(conn transport.Conn, rg ring.Ring, rng *prg.PRG) (*MiniONNServer, error) {
+// NewMiniONNServer receives the client's public key; workers bounds the
+// homomorphic product.
+func NewMiniONNServer(conn transport.Conn, rg ring.Ring, workers int, rng *prg.PRG) (*MiniONNServer, error) {
 	raw, err := conn.Recv()
 	if err != nil {
 		return nil, fmt.Errorf("baseline: minionn recv pk: %w", err)
@@ -79,12 +73,12 @@ func NewMiniONNServer(conn transport.Conn, rg ring.Ring, rng *prg.PRG) (*MiniONN
 	if err != nil {
 		return nil, err
 	}
-	return &MiniONNServer{rg: rg, conn: conn, pk: pk, rng: rng}, nil
+	return &MiniONNServer{rg: rg, conn: conn, pk: pk, rng: rng, workers: workers}, nil
 }
 
 // GenerateClient encrypts R (n x o) column by column, sends the
 // ciphertexts, and decrypts the server's response into V (m x o).
-// Encryption and decryption are parallelised up to SetWorkers; MiniONN's
+// Encryption and decryption are parallelised up to workers; MiniONN's
 // evaluation reports single-core numbers, but the protocol shape is
 // unchanged and our benches report both wall and comm anyway.
 func (c *MiniONNClient) GenerateClient(m int, R *ring.Mat) (*ring.Mat, error) {

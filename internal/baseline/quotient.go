@@ -30,28 +30,35 @@ type QuotientServer struct {
 }
 
 // NewQuotientClient sets up the sender role.
-func NewQuotientClient(conn transport.Conn, rg ring.Ring, session uint64, rng *prg.PRG) (*QuotientClient, error) {
+func NewQuotientClient(conn transport.Conn, rg ring.Ring, session uint64, workers int, rng *prg.PRG) (*QuotientClient, error) {
 	ot, err := otext.NewSender(conn, otext.RepetitionCode(), session, rng)
 	if err != nil {
 		return nil, fmt.Errorf("baseline: quotient client setup: %w", err)
 	}
+	ot.SetWorkers(workers)
 	return &QuotientClient{rg: rg, ot: ot}, nil
 }
 
 // NewQuotientServer sets up the receiver role.
-func NewQuotientServer(conn transport.Conn, rg ring.Ring, session uint64, rng *prg.PRG) (*QuotientServer, error) {
+func NewQuotientServer(conn transport.Conn, rg ring.Ring, session uint64, workers int, rng *prg.PRG) (*QuotientServer, error) {
 	ot, err := otext.NewReceiver(conn, otext.RepetitionCode(), session, rng)
 	if err != nil {
 		return nil, fmt.Errorf("baseline: quotient server setup: %w", err)
 	}
+	ot.SetWorkers(workers)
 	return &QuotientServer{rg: rg, ot: ot}, nil
 }
 
-// GenerateClient produces V (m-vector) for the product of the server's
-// m x n ternary matrix with the client's r (n-vector): two COTs per
-// element, correlations +r_j and -r_j.
-func (c *QuotientClient) GenerateClient(m int, r ring.Vec) (ring.Vec, error) {
+// GenerateClient produces V (m x 1) for the product of the server's
+// m x n ternary matrix with the client's R (n x 1): two COTs per element,
+// correlations +r_j and -r_j. The signature is the other baselines'; the
+// gadget is vector-only, so any other R is refused.
+func (c *QuotientClient) GenerateClient(m int, R *ring.Mat) (*ring.Mat, error) {
+	if R.Cols != 1 {
+		return nil, fmt.Errorf("baseline: quotient is vector-only, R has %d columns", R.Cols)
+	}
 	rg := c.rg
+	r := R.Data
 	n := len(r)
 	deltas := make(ring.Vec, 0, 2*m*n)
 	for i := 0; i < m; i++ {
@@ -63,20 +70,23 @@ func (c *QuotientClient) GenerateClient(m int, r ring.Vec) (ring.Vec, error) {
 	if err != nil {
 		return nil, fmt.Errorf("baseline: quotient client COT: %w", err)
 	}
-	v := make(ring.Vec, m)
+	V := ring.NewMat(m, 1)
 	for i := 0; i < m; i++ {
 		var acc ring.Elem
 		for j := 0; j < 2*n; j++ {
 			acc = rg.Add(acc, x0[i*2*n+j])
 		}
-		v[i] = rg.Neg(acc)
+		V.Data[i] = rg.Neg(acc)
 	}
-	return v, nil
+	return V, nil
 }
 
-// GenerateServer produces U for ternary weights W (m x n row-major,
-// values in {-1, 0, 1}).
-func (s *QuotientServer) GenerateServer(W []int64, m, n int) (ring.Vec, error) {
+// GenerateServer produces U (m x 1) for ternary weights W (m x n
+// row-major, values in {-1, 0, 1}); o must be 1.
+func (s *QuotientServer) GenerateServer(W []int64, m, n, o int) (*ring.Mat, error) {
+	if o != 1 {
+		return nil, fmt.Errorf("baseline: quotient is vector-only, got o=%d", o)
+	}
 	if len(W) != m*n {
 		return nil, fmt.Errorf("baseline: W has %d elements, want %d", len(W), m*n)
 	}
@@ -97,13 +107,13 @@ func (s *QuotientServer) GenerateServer(W []int64, m, n int) (ring.Vec, error) {
 	if err != nil {
 		return nil, fmt.Errorf("baseline: quotient server COT: %w", err)
 	}
-	u := make(ring.Vec, m)
+	U := ring.NewMat(m, 1)
 	for i := 0; i < m; i++ {
 		var acc ring.Elem
 		for j := 0; j < 2*n; j++ {
 			acc = s.rg.Add(acc, got[i*2*n+j])
 		}
-		u[i] = acc
+		U.Data[i] = acc
 	}
-	return u, nil
+	return U, nil
 }

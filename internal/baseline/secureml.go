@@ -35,27 +35,33 @@ type SecureMLServer struct {
 	ot *otext.Receiver
 }
 
-// NewSecureMLClient sets up the sender role over an IKNP session.
-func NewSecureMLClient(conn transport.Conn, rg ring.Ring, session uint64, rng *prg.PRG) (*SecureMLClient, error) {
+// NewSecureMLClient sets up the sender role over an IKNP session. workers
+// bounds the parallelism of the generator's kernels, here and on every
+// constructor of the package (0 = one worker per CPU); it is purely local:
+// the transcript does not depend on it.
+func NewSecureMLClient(conn transport.Conn, rg ring.Ring, session uint64, workers int, rng *prg.PRG) (*SecureMLClient, error) {
 	ot, err := otext.NewSender(conn, otext.RepetitionCode(), session, rng)
 	if err != nil {
 		return nil, fmt.Errorf("baseline: secureml client setup: %w", err)
 	}
+	ot.SetWorkers(workers)
 	return &SecureMLClient{rg: rg, ot: ot}, nil
 }
 
 // NewSecureMLServer sets up the receiver role.
-func NewSecureMLServer(conn transport.Conn, rg ring.Ring, session uint64, rng *prg.PRG) (*SecureMLServer, error) {
+func NewSecureMLServer(conn transport.Conn, rg ring.Ring, session uint64, workers int, rng *prg.PRG) (*SecureMLServer, error) {
 	ot, err := otext.NewReceiver(conn, otext.RepetitionCode(), session, rng)
 	if err != nil {
 		return nil, fmt.Errorf("baseline: secureml server setup: %w", err)
 	}
+	ot.SetWorkers(workers)
 	return &SecureMLServer{rg: rg, ot: ot}, nil
 }
 
-// secureMLChunk bounds OTs per extension round; at l = 64 OTs per element
-// this keeps messages comfortably sized.
-const secureMLChunk = 8192
+// SecureMLChunk bounds OTs per extension round; at l = 64 OTs per element
+// this keeps messages comfortably sized. Each round is two flights a party
+// waits on, which is what core's cost table prices.
+const SecureMLChunk = 8192
 
 // GenerateClient produces the client's share matrix V (m x o) for the
 // multiplication of the server's m x n matrix with the client's R (n x o).
@@ -71,8 +77,8 @@ func (c *SecureMLClient) GenerateClient(m int, R *ring.Mat) (*ring.Mat, error) {
 	ot := 0
 	for ot < total {
 		chunk := total - ot
-		if chunk > secureMLChunk {
-			chunk = secureMLChunk
+		if chunk > SecureMLChunk {
+			chunk = SecureMLChunk
 		}
 		blk, err := c.ot.Extend(chunk)
 		if err != nil {
@@ -127,8 +133,8 @@ func (s *SecureMLServer) GenerateServer(W []int64, m, n, o int) (*ring.Mat, erro
 	ot := 0
 	for ot < total {
 		chunk := total - ot
-		if chunk > secureMLChunk {
-			chunk = secureMLChunk
+		if chunk > SecureMLChunk {
+			chunk = SecureMLChunk
 		}
 		choices := make([]int, chunk)
 		for local := 0; local < chunk; local++ {

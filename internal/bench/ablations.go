@@ -43,7 +43,7 @@ func AblationOneBatch(opt Options) []AblationRow {
 		label string
 		mode  core.Mode
 	}{{"naive-N", core.MultiBatch}, {core.OneBatch.String(), core.OneBatch}} {
-		meas := runOffline(opt, "ablation-onebatch "+row.label, rg, scheme, []offlineJob{{core.MatShape{M: m, N: n, O: 1}, row.mode}})
+		meas := runOffline(opt, "ablation-onebatch "+row.label, rg, scheme, []offlineJob{{shape: core.MatShape{M: m, N: n, O: 1}, mode: row.mode}})
 		rows = append(rows, ablationRow(row.label, meas, transport.WANTable3))
 	}
 	printAblation(opt, "Ablation: one-batch C-OT vs naive 1-of-N (128x"+fmt.Sprint(n)+", 8(2,2,2,2), l=32)", rows)
@@ -65,13 +65,13 @@ func AblationMultiBatch(opt Options) []AblationRow {
 	// The strawman is o independent one-batch runs on one session.
 	repeated := make([]offlineJob, o)
 	for k := range repeated {
-		repeated[k] = offlineJob{core.MatShape{M: m, N: n, O: 1}, core.OneBatch}
+		repeated[k] = offlineJob{shape: core.MatShape{M: m, N: n, O: 1}, mode: core.OneBatch}
 	}
 	for _, row := range []struct {
 		label string
 		jobs  []offlineJob
 	}{
-		{fmt.Sprintf("multi-batch (1 OT reused for %d columns)", o), []offlineJob{{core.MatShape{M: m, N: n, O: o}, core.MultiBatch}}},
+		{fmt.Sprintf("multi-batch (1 OT reused for %d columns)", o), []offlineJob{{shape: core.MatShape{M: m, N: n, O: o}, mode: core.MultiBatch}}},
 		{fmt.Sprintf("repeated one-batch (%d separate runs)", o), repeated},
 	} {
 		meas := runOffline(opt, "ablation-multibatch "+row.label, rg, scheme, row.jobs)
@@ -116,7 +116,7 @@ func AblationFragmentN(opt Options) []AblationRow {
 	}
 	rows := []AblationRow{}
 	for _, sc := range schemes {
-		meas := runOffline(opt, "ablation-fragment "+sc.Name(), rg, sc, []offlineJob{{core.MatShape{M: m, N: n, O: 1}, core.OneBatch}})
+		meas := runOffline(opt, "ablation-fragment "+sc.Name(), rg, sc, []offlineJob{{shape: core.MatShape{M: m, N: n, O: 1}, mode: core.OneBatch}})
 		rows = append(rows, ablationRow(sc.Name(), meas, transport.WANTable3))
 	}
 	printAblation(opt, "Ablation: fragment size sweep for 8-bit weights (one-batch)", rows)

@@ -15,16 +15,16 @@ import (
 // TablePlanRow records one measured run of the planner comparison: a
 // per-layer backend plan (mixed or uniform) executed end to end.
 type TablePlanRow struct {
-	Plan    string `json:"plan"`
-	Uniform bool   `json:"uniform"`
+	Plan    string
+	Uniform bool
 	// OfflineMB is the offline-phase wire traffic, the part of the session
 	// a plan actually moves and the measured counterpart of
 	// Estimate.TotalCommBits; CommMB is the whole session including the
 	// plan-independent online phase.
-	OfflineMB float64 `json:"offline_mb"`
-	CommMB    float64 `json:"comm_mb"`
-	LANSec    float64 `json:"lan_sec"`
-	WANSec    float64 `json:"wan_sec"`
+	OfflineMB float64
+	CommMB    float64
+	LANSec    float64
+	LinkSec   float64 // under the link the plan was priced for (-link)
 }
 
 // planRingBits is the ring width of the planner comparison (the paper's
@@ -55,7 +55,7 @@ func PlanReferenceModel() *nn.QuantizedModel {
 
 // choosePlan resolves Options.Plan and Options.Link against the reference
 // CNN's architecture: the planner's input, the plan to measure first, and
-// its predicted cost when it can be priced.
+// its predicted cost.
 func choosePlan(opt Options, arch core.Arch) (plan.Input, *plan.Plan, *plan.Estimate, error) {
 	link := plan.WAN()
 	if opt.Link != "" {
@@ -88,7 +88,8 @@ func CheckPlan(opt Options) error {
 // the plan the cost model chooses under the WAN link (or Options.Plan
 // when set) against every applicable uniform single-backend plan, each
 // executed for real over a metered pipe. The predicted table prints
-// first, then the measured rows it is judged against.
+// first, then the measured rows it is judged against, their wire time
+// modelled under the same link.
 func TablePlan(opt Options) []TablePlanRow {
 	rg := ring.New(planRingBits)
 	qm := PlanReferenceModel()
@@ -98,10 +99,8 @@ func TablePlan(opt Options) []TablePlanRow {
 		panic(fmt.Sprintf("bench: %v", err))
 	}
 	batch := in.Batch
-	if est != nil {
-		fmt.Fprintf(opt.out(), "Planner: predicted offline cost under %s link (keyBits=%d)\n%s\n",
-			in.Link.Name, planKeyBits, est.Table())
-	}
+	fmt.Fprintf(opt.out(), "Planner: predicted offline cost under %s link (keyBits=%d)\n%s\n",
+		in.Link.Name, planKeyBits, est.Table())
 
 	type entry struct {
 		p       *plan.Plan
@@ -136,13 +135,13 @@ func TablePlan(opt Options) []TablePlanRow {
 			OfflineMB: float64(ph.offline.TotalBytes()) / (1 << 20),
 			CommMB:    meas.CommMB(),
 			LANSec:    meas.timeUnder(transport.LAN),
-			WANSec:    meas.timeUnder(transport.WANTable3),
+			LinkSec:   meas.timeUnder(in.Link.NetModel),
 		})
 	}
-	t := &table{header: []string{"plan", "LAN(s)", "WAN(s)", "offline(MB)", "comm(MB)"}}
+	t := &table{header: []string{"plan", "LAN(s)", in.Link.Name + "(s)", "offline(MB)", "comm(MB)"}}
 	for _, r := range rows {
-		t.add(r.Plan, secs(r.LANSec), secs(r.WANSec), mb(r.OfflineMB), mb(r.CommMB))
+		t.add(r.Plan, secs(r.LANSec), secs(r.LinkSec), mb(r.OfflineMB), mb(r.CommMB))
 	}
-	fmt.Fprintf(opt.out(), "Planner: measured, reference CNN, l=%d, batch=%d\n%s\n", planRingBits, batch, t)
+	fmt.Fprintf(opt.out(), "Planner: measured under %s link, reference CNN, l=%d, batch=%d\n%s\n", in.Link.Name, planRingBits, batch, t)
 	return rows
 }

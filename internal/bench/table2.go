@@ -55,7 +55,7 @@ func Table2(opt Options) []Table2Row {
 	var rows []Table2Row
 	for _, sc := range table2Schemes {
 		for _, batch := range batches {
-			m := runOffline(opt, fmt.Sprintf("table2 %s batch=%d", sc.scheme.Name(), batch), rg, sc.scheme, networkJobs(opt.shapes(), batch))
+			m := runOffline(opt, fmt.Sprintf("table2 %s batch=%d", sc.scheme.Name(), batch), rg, sc.scheme, networkJobs(core.BackendABNN2, opt.shapes(), batch))
 			rows = append(rows, Table2Row{
 				Eta:    sc.eta,
 				Scheme: sc.scheme.Name(),
@@ -73,36 +73,51 @@ func Table2(opt Options) []Table2Row {
 	return rows
 }
 
-// offlineJob is one matrix product's worth of triplets, packaged as mode.
+// offlineJob is one matrix product's worth of triplets: on ABNN2 (the zero
+// backend) packaged as mode, on a baseline as the baseline packs it.
 type offlineJob struct {
-	shape core.MatShape
-	mode  core.Mode
+	shape   core.MatShape
+	mode    core.Mode
+	backend core.BackendID
 }
 
-// networkJobs is one job per layer of a network at the given batch size,
-// each in the mode the engines would pick for it.
-func networkJobs(shapes []layerShape, batch int) []offlineJob {
+// networkJobs is one job per layer of a network at the given batch size on
+// backend b, each ABNN2 job in the mode the engines would pick for it.
+func networkJobs(b core.BackendID, shapes []layerShape, batch int) []offlineJob {
 	jobs := make([]offlineJob, len(shapes))
 	for i, sh := range shapes {
-		jobs[i] = offlineJob{core.MatShape{M: sh.M, N: sh.N, O: batch}, core.ModeFor(batch)}
+		jobs[i] = offlineJob{core.MatShape{M: sh.M, N: sh.N, O: batch}, core.ModeFor(batch), b}
 	}
 	return jobs
 }
 
 // runOffline is the one offline driver: it generates the triplets of
-// every job, in order, on one session set-up, and measures the lot.
+// every job, in order, on one session set-up, and measures the lot — the
+// scheme's base OTs when the jobs run ABNN2; when they run a baseline, the
+// set-up it runs at its first job and no ABNN2 column (core.Open*Triplets).
+// Weights are drawn from scheme's range on every backend: the tables
+// measure cost, which does not depend on their values.
 func runOffline(opt Options, label string, rg ring.Ring, scheme quant.Scheme, jobs []offlineJob) measurement {
+	newClient, newServer := core.NewClientTriplets, core.NewServerTripletsSeeded
+	if jobs[0].backend != core.BackendABNN2 {
+		newClient, newServer = core.OpenClientTriplets, core.OpenServerTriplets
+	}
 	return mustRun(opt, label,
 		offlinePhase(func(s side) error {
 			rng := prg.New(prg.SeedFromInt(1))
 			p := core.Params{Ring: rg, Scheme: scheme, Workers: opt.Workers, Trace: s.trace}
-			ct, err := core.NewClientTriplets(s.conn, p, 1, rng)
+			ct, err := newClient(s.conn, p, 1, rng)
 			if err != nil {
 				return err
 			}
 			for _, j := range jobs {
 				R := rng.Mat(rg, j.shape.N, j.shape.O)
-				if _, err := ct.GenerateClient(j.shape, R, j.mode); err != nil {
+				if j.backend == core.BackendABNN2 {
+					_, err = ct.GenerateClient(j.shape, R, j.mode)
+				} else {
+					_, err = ct.GenerateBaseline(j.backend, j.shape, R)
+				}
+				if err != nil {
 					return err
 				}
 			}
@@ -110,14 +125,19 @@ func runOffline(opt Options, label string, rg ring.Ring, scheme quant.Scheme, jo
 		}),
 		offlinePhase(func(s side) error {
 			p := core.Params{Ring: rg, Scheme: scheme, Workers: opt.Workers, Trace: s.trace}
-			st, err := core.NewServerTriplets(s.conn, p, 1)
+			st, err := newServer(s.conn, p, 1, prg.New(prg.NewSeed()))
 			if err != nil {
 				return err
 			}
 			wrng := prg.New(prg.SeedFromInt(2))
 			for _, j := range jobs {
 				W := randWeights(wrng, scheme, j.shape.M*j.shape.N)
-				if _, err := st.GenerateServer(j.shape, W, j.mode); err != nil {
+				if j.backend == core.BackendABNN2 {
+					_, err = st.GenerateServer(j.shape, W, j.mode)
+				} else {
+					_, err = st.GenerateBaseline(j.backend, j.shape, W)
+				}
+				if err != nil {
 					return err
 				}
 			}

@@ -3,8 +3,7 @@ package bench
 import (
 	"fmt"
 
-	"abnn2/internal/baseline"
-	"abnn2/internal/prg"
+	"abnn2/internal/core"
 	"abnn2/internal/quant"
 	"abnn2/internal/ring"
 	"abnn2/internal/transport"
@@ -43,9 +42,12 @@ func Table3(opt Options) []Table3Row {
 			})
 		}
 		for _, sc := range schemes {
-			row(sc.Name(), runOffline(opt, fmt.Sprintf("table3 %s d=%d", sc.Name(), d), rg, sc, networkJobs([]layerShape{{m, d}}, 1)))
+			row(sc.Name(), runOffline(opt, fmt.Sprintf("table3 %s d=%d", sc.Name(), d), rg, sc,
+				networkJobs(core.BackendABNN2, []layerShape{{m, d}}, 1)))
 		}
-		row("SecureML", runSecureML(opt, rg, m, d))
+		// SecureML's weights are full-width; its cost is the same for any.
+		row("SecureML", runOffline(opt, fmt.Sprintf("table3 SecureML d=%d", d), rg, quant.Uniform(2, 4),
+			networkJobs(core.BackendSecureML, []layerShape{{m, d}}, 1)))
 	}
 	t := &table{header: []string{"d", "system", "LAN(s)", "WAN(s)", "comm(MB)"}}
 	for _, r := range rows {
@@ -53,33 +55,4 @@ func Table3(opt Options) []Table3Row {
 	}
 	fmt.Fprintf(opt.out(), "Table 3: offline matmul 128 x d, l=64, one-batch\n%s\n", t)
 	return rows
-}
-
-// runSecureML measures the SecureML baseline triplet generation for an
-// m x d full-width matrix times a d-vector.
-func runSecureML(opt Options, rg ring.Ring, m, d int) measurement {
-	return mustRun(opt, fmt.Sprintf("table3 SecureML d=%d", d),
-		offlinePhase(func(s side) error {
-			rng := prg.New(prg.SeedFromInt(3))
-			cl, err := baseline.NewSecureMLClient(s.conn, rg, 1, rng)
-			if err != nil {
-				return err
-			}
-			_, err = cl.GenerateClient(m, rng.Mat(rg, d, 1))
-			return err
-		}),
-		offlinePhase(func(s side) error {
-			rng := prg.New(prg.SeedFromInt(4))
-			sv, err := baseline.NewSecureMLServer(s.conn, rg, 1, rng)
-			if err != nil {
-				return err
-			}
-			W := make([]int64, m*d)
-			for i := range W {
-				W[i] = int64(rng.Uint64()) // full-width weights
-			}
-			_, err = sv.GenerateServer(W, m, d, 1)
-			return err
-		}),
-	)
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"abnn2/internal/baseline"
 	"abnn2/internal/core"
 	"abnn2/internal/nn"
 	"abnn2/internal/prg"
@@ -188,10 +187,15 @@ func measureMiniONN(rg ring.Ring, shapes []layerShape, batch, maxBatch int, opt 
 		measured = maxBatch
 		note = fmt.Sprintf("extrapolated from batch %d", maxBatch)
 	}
-	one := runMiniONNOffline(opt, rg, shapes, 1)
+	// HE triplets for every layer, under the default key.
+	offline := func(batch int) measurement {
+		return runOffline(opt, fmt.Sprintf("table4 MiniONN l=%d batch=%d offline", rg.Bits(), batch), rg, quant.Uniform(2, 4),
+			networkJobs(core.BackendMiniONN, shapes, batch))
+	}
+	one := offline(1)
 	est := one
 	if measured > 1 {
-		atCap := runMiniONNOffline(opt, rg, shapes, measured)
+		atCap := offline(measured)
 		if batch > measured {
 			// Linear extrapolation from (1, measured) to batch.
 			scale := float64(batch-1) / float64(measured-1)
@@ -213,42 +217,4 @@ func measureMiniONN(rg ring.Ring, shapes []layerShape, batch, maxBatch int, opt 
 	online.Stats.Flights++
 	record(label+" phase", online.Stats)
 	return measurement{Wall: est.Wall + online.Wall, Stats: est.Stats.Add(online.Stats)}, note
-}
-
-// runMiniONNOffline generates HE triplets for every layer.
-func runMiniONNOffline(opt Options, rg ring.Ring, shapes []layerShape, batch int) measurement {
-	return mustRun(opt, fmt.Sprintf("table4 MiniONN l=%d batch=%d offline", rg.Bits(), batch),
-		offlinePhase(func(s side) error {
-			rng := prg.New(prg.SeedFromInt(21))
-			cl, err := baseline.NewMiniONNClient(s.conn, rg, baseline.MiniONNKeyBits, rng)
-			if err != nil {
-				return err
-			}
-			cl.SetWorkers(opt.Workers)
-			for _, sh := range shapes {
-				if _, err := cl.GenerateClient(sh.M, rng.Mat(rg, sh.N, batch)); err != nil {
-					return err
-				}
-			}
-			return nil
-		}),
-		offlinePhase(func(s side) error {
-			rng := prg.New(prg.SeedFromInt(22))
-			sv, err := baseline.NewMiniONNServer(s.conn, rg, rng)
-			if err != nil {
-				return err
-			}
-			sv.SetWorkers(opt.Workers)
-			for _, sh := range shapes {
-				W := make([]int64, sh.M*sh.N)
-				for i := range W {
-					W[i] = int64(rng.Intn(255)) - 127
-				}
-				if _, err := sv.GenerateServer(W, sh.M, sh.N, batch); err != nil {
-					return err
-				}
-			}
-			return nil
-		}),
-	)
 }

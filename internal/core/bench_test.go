@@ -30,7 +30,7 @@ func benchTripletsWorkers(b *testing.B, scheme quant.Scheme, sh MatShape, mode M
 		defer wg.Done()
 		ct, err = NewClientTriplets(ca, p, 1, prg.New(prg.SeedFromInt(1)))
 	}()
-	st, serr := NewServerTriplets(cb, p, 1)
+	st, serr := NewServerTripletsSeeded(cb, p, 1, prg.New(prg.NewSeed()))
 	wg.Wait()
 	if err != nil || serr != nil {
 		b.Fatalf("setup: %v %v", err, serr)

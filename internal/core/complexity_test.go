@@ -11,14 +11,30 @@ import (
 
 func TestSecureMLComplexityKnown(t *testing.T) {
 	// l=64, 128x1000 x 1000x1: #OT = 64*65/128 * 128000 = 4,160,000;
-	// comm = 128000*64*65*(1+2) bits.
+	// Table 1's comm = 128000*64*65*(1+2) bits. As sent: one COT per weight
+	// bit, 128000*64 of them, each 128 column bits and o*64 correction bits,
+	// in 1000 rounds of 8192.
 	c := SecureMLComplexity(64, MatShape{M: 128, N: 1000, O: 1})
 	if c.NumOTs != 4160000 {
 		t.Errorf("#OT = %d, want 4160000", c.NumOTs)
 	}
-	wantBits := 128000.0 * 64 * 65 * 3
-	if c.CommBits != wantBits {
-		t.Errorf("comm = %v bits, want %v", c.CommBits, wantBits)
+	if want := 128000.0 * 64 * 65 * 3; c.PaperBits != want {
+		t.Errorf("paper comm = %v bits, want %v", c.PaperBits, want)
+	}
+	if want := 128000.0 * 64 * (128 + 64); c.CommBits != want {
+		t.Errorf("comm as sent = %v bits, want %v", c.CommBits, want)
+	}
+	if c.Flights != 2000 {
+		t.Errorf("flights = %d, want 2000", c.Flights)
+	}
+	// o = 16: the column bits are shared by the 16 products of one OT, the
+	// paper's closed form scales whole.
+	c = SecureMLComplexity(64, MatShape{M: 128, N: 1000, O: 16})
+	if want := 128000.0 * 64 * (128 + 16*64); c.CommBits != want {
+		t.Errorf("o=16: comm as sent = %v bits, want %v", c.CommBits, want)
+	}
+	if want := 16 * 128000.0 * 64 * 65 * 3; c.PaperBits != want {
+		t.Errorf("o=16: paper comm = %v bits, want %v", c.PaperBits, want)
 	}
 }
 

@@ -82,7 +82,7 @@ func (s *ServerTriplets) OfflineCorrSched(model *nn.QuantizedModel, batch int, s
 	for li := 0; li < n; {
 		if ch := choice(li); ch.Backend != BackendABNN2 {
 			lsp := span(li)
-			u, err := s.generateBaseline(ch.Backend, shape(li), model.Layers[li].W)
+			u, err := s.GenerateBaseline(ch.Backend, shape(li), model.Layers[li].W)
 			lsp.End(err)
 			if err != nil {
 				return nil, fmt.Errorf("core: server offline layer %d (%s): %w", li, ch.Backend, err)
@@ -118,37 +118,26 @@ func (s *ServerTriplets) OfflineCorrSched(model *nn.QuantizedModel, batch int, s
 	return corr, nil
 }
 
-// generateBaseline dispatches one layer's triplet generation to the
-// baseline backend it is scheduled on.
-func (s *ServerTriplets) generateBaseline(b BackendID, sh MatShape, W []int64) (*ring.Mat, error) {
-	switch b {
-	case BackendSecureML:
-		g, err := s.secureML()
-		if err != nil {
-			return nil, err
-		}
-		return g.GenerateServer(W, sh.M, sh.N, sh.O)
-	case BackendMiniONN:
-		g, err := s.miniONN()
-		if err != nil {
-			return nil, err
-		}
-		return g.GenerateServer(W, sh.M, sh.N, sh.O)
-	case BackendQuotient:
-		if sh.O != 1 {
-			return nil, fmt.Errorf("core: quotient backend requires o=1, got o=%d", sh.O)
-		}
-		g, err := s.quotient()
-		if err != nil {
-			return nil, err
-		}
-		u, err := g.GenerateServer(W, sh.M, sh.N)
-		if err != nil {
-			return nil, err
-		}
-		return &ring.Mat{Rows: sh.M, Cols: 1, Data: u}, nil
+// GenerateBaseline runs the server side of one layer on baseline backend
+// b: U (m x o) for weights W (m x n). The generator is built from the
+// backend table at the first layer a schedule routes to the backend — so
+// unscheduled sessions consume no extra randomness and stay
+// byte-identical to the pre-schedule wire format — and kept. Both parties
+// reach that layer at the same point of the message sequence, so the
+// lazily-run setup flights pair up.
+func (s *ServerTriplets) GenerateBaseline(b BackendID, sh MatShape, W []int64) (*ring.Mat, error) {
+	if !b.Valid() || backends[b].server == nil {
+		return nil, fmt.Errorf("core: backend %s has no baseline generator", b)
 	}
-	return nil, fmt.Errorf("core: unknown backend %d", uint8(b))
+	if s.baselines[b] == nil {
+		e := &backends[b]
+		g, err := e.server(s.ot.Conn(), s.params, s.session+e.tag, s.rng.Child(e.name))
+		if err != nil {
+			return nil, fmt.Errorf("core: %s setup: %w", e.name, err)
+		}
+		s.baselines[b] = g
+	}
+	return s.baselines[b].GenerateServer(W, sh.M, sh.N, sh.O)
 }
 
 // OfflineCorrSched runs the client side of the offline phase: it samples
@@ -209,37 +198,28 @@ func (c *ClientTriplets) OfflineCorrSched(arch Arch, shareRNG *prg.PRG, batch in
 // generateLayer is the client-side backend dispatch; R is the client's
 // n x o share matrix for the layer.
 func (c *ClientTriplets) generateLayer(ch LayerChoice, sh MatShape, R *ring.Mat) (*ring.Mat, error) {
-	switch ch.Backend {
-	case BackendABNN2:
+	if ch.Backend == BackendABNN2 {
 		p, vals := c.schemeParams(ch.Scheme)
 		return c.generateClient(p, vals, sh, R, ModeFor(sh.O))
-	case BackendSecureML:
-		g, err := c.secureML()
-		if err != nil {
-			return nil, err
-		}
-		return g.GenerateClient(sh.M, R)
-	case BackendMiniONN:
-		g, err := c.miniONN()
-		if err != nil {
-			return nil, err
-		}
-		return g.GenerateClient(sh.M, R)
-	case BackendQuotient:
-		if sh.O != 1 {
-			return nil, fmt.Errorf("core: quotient backend requires o=1, got o=%d", sh.O)
-		}
-		g, err := c.quotient()
-		if err != nil {
-			return nil, err
-		}
-		v, err := g.GenerateClient(sh.M, ring.Vec(R.Data))
-		if err != nil {
-			return nil, err
-		}
-		return &ring.Mat{Rows: sh.M, Cols: 1, Data: v}, nil
 	}
-	return nil, fmt.Errorf("core: unknown backend %d", uint8(ch.Backend))
+	return c.GenerateBaseline(ch.Backend, sh, R)
+}
+
+// GenerateBaseline mirrors ServerTriplets.GenerateBaseline: V (m x o) for
+// the client's share matrix R (n x o).
+func (c *ClientTriplets) GenerateBaseline(b BackendID, sh MatShape, R *ring.Mat) (*ring.Mat, error) {
+	if !b.Valid() || backends[b].client == nil {
+		return nil, fmt.Errorf("core: backend %s has no baseline generator", b)
+	}
+	if c.baselines[b] == nil {
+		e := &backends[b]
+		g, err := e.client(c.ot.Conn(), c.params, c.session+e.tag, c.rng.Child(e.name))
+		if err != nil {
+			return nil, fmt.Errorf("core: %s setup: %w", e.name, err)
+		}
+		c.baselines[b] = g
+	}
+	return c.baselines[b].GenerateClient(sh.M, R)
 }
 
 // InstallCorr arms the engine with a precomputed correlation half, in

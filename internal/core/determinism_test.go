@@ -56,13 +56,10 @@ func TestTranscriptDeterminism(t *testing.T) {
 				t.Error(err)
 			}
 		}()
-		// The server's OT-receiver setup uses an OS-seeded PRG internally
-		// (NewServerTriplets), which would break determinism of ITS
-		// transcript — but the client's transcript must still be
-		// deterministic because nothing the server sends influences the
-		// client's payload bytes... except the base-OT B points do (they
-		// key the pads). So pin the server randomness too by using the
-		// lower-level constructor path.
+		// An OS-seeded server would break determinism of ITS transcript —
+		// and of the client's too: nothing the server sends influences the
+		// client's payload bytes, except that the base-OT B points do (they
+		// key the pads). So pin the server randomness as well.
 		st, err := NewServerTripletsSeeded(rcb, p, 1, prg.New(prg.SeedFromInt(103)))
 		if err != nil {
 			t.Fatal(err)

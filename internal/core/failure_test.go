@@ -42,7 +42,7 @@ func TestServerRejectsTruncatedPayload(t *testing.T) {
 		}
 		snd.Conn().Send([]byte{1, 2, 3}) // far too short
 	}()
-	st, err := NewServerTriplets(cb, p, sessionTriplets)
+	st, err := NewServerTripletsSeeded(cb, p, sessionTriplets, prg.New(prg.NewSeed()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestOfflineSurvivesPeerDisappearing(t *testing.T) {
 		_ = ct
 		ca.Close()
 	}()
-	st, err := NewServerTriplets(cb, p, sessionTriplets)
+	st, err := NewServerTripletsSeeded(cb, p, sessionTriplets, prg.New(prg.NewSeed()))
 	if err != nil {
 		// Setup itself may fail if the close raced in; also fine.
 		wg.Wait()
@@ -163,7 +163,7 @@ func runOfflineFaulted(t *testing.T, cliPlan, srvPlan transport.FaultPlan, clien
 		}
 		cliErr = err
 	}()
-	st, err := NewServerTriplets(fs, p, sessionTriplets)
+	st, err := NewServerTripletsSeeded(fs, p, sessionTriplets, prg.New(prg.NewSeed()))
 	if err == nil {
 		err = server(st)
 	}

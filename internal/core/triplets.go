@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"abnn2/internal/baseline"
 	"abnn2/internal/otext"
 	"abnn2/internal/par"
 	"abnn2/internal/prg"
@@ -31,7 +30,7 @@ import (
 // scheme, a prefix of those columns.
 // When a per-layer Schedule routes layers to the baseline backends, it
 // also lazily owns the matching baseline generators over the same
-// connection (distinct OT session tags keep the instances apart).
+// connection, one slot per entry of the backend table (GenerateBaseline).
 type ClientTriplets struct {
 	params  Params
 	ot      *otext.Sender
@@ -39,10 +38,8 @@ type ClientTriplets struct {
 	vals    [][]ring.Elem
 	session uint64
 
-	altVals map[string][][]ring.Elem // fragValues per override scheme
-	sml     *baseline.SecureMLClient
-	mon     *baseline.MiniONNClient
-	quo     *baseline.QuotientClient
+	altVals   map[string][][]ring.Elem // fragValues per override scheme
+	baselines [numBackends]clientGenerator
 }
 
 // ServerTriplets is the server-side triplet generator (OT receiver),
@@ -53,18 +50,8 @@ type ServerTriplets struct {
 	rng     *prg.PRG
 	session uint64
 
-	sml *baseline.SecureMLServer
-	mon *baseline.MiniONNServer
-	quo *baseline.QuotientServer
+	baselines [numBackends]serverGenerator
 }
-
-// Baseline generators ride the same connection as the ABNN2 triplets;
-// offsetting the session tag keeps their OT-extension instances (and
-// random-oracle domains) separate from the triplet and GC sessions.
-const (
-	sessionOffSecureML = 0x40
-	sessionOffQuotient = 0x41
-)
 
 // schemeCode returns the KK13 code a layer fragmented under sc extends
 // over: the one for its largest fragment, since one extension round
@@ -103,21 +90,34 @@ func widestCode(sc quant.Scheme, sched Schedule) otext.Code {
 // NewClientTriplets performs base-OT setup for the client role: widening
 // from no columns to the session scheme's code.
 func NewClientTriplets(conn Conn, p Params, session uint64, rng *prg.PRG) (*ClientTriplets, error) {
+	c, err := OpenClientTriplets(conn, p, session, rng)
+	if err != nil {
+		return nil, err
+	}
+	// Set-up is the first widening, on the one path (and under the one
+	// span) any later one takes.
+	if err := c.widen(schemeCode(p.Scheme)); err != nil {
+		return nil, fmt.Errorf("core: client triplet setup: %w", err)
+	}
+	return c, nil
+}
+
+// OpenClientTriplets is NewClientTriplets short of its base OTs: a
+// generator with no columns yet, which has sent nothing. OfflineCorrSched
+// widens it to what its schedule's ABNN2 layers extend over and a baseline
+// sets itself up at its first layer, so a run of baseline layers alone —
+// the baselines' rows of the paper's tables, the matmul oracle — pays for
+// its own set-up and no other; GenerateClient needs the columns there.
+func OpenClientTriplets(conn Conn, p Params, session uint64, rng *prg.PRG) (*ClientTriplets, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	// No columns yet: set-up is the first widening, on the one path (and
-	// under the one span) any later one takes.
 	ot, err := otext.NewSender(conn, otext.Code{}, session, rng)
 	if err != nil {
 		return nil, err
 	}
 	ot.SetWorkers(p.Workers)
-	c := &ClientTriplets{params: p, ot: ot, rng: rng, vals: p.fragValues(), session: session}
-	if err := c.widen(schemeCode(p.Scheme)); err != nil {
-		return nil, fmt.Errorf("core: client triplet setup: %w", err)
-	}
-	return c, nil
+	return &ClientTriplets{params: p, ot: ot, rng: rng, vals: p.fragValues(), session: session}, nil
 }
 
 // widen runs the base OTs for whatever columns code has beyond those the
@@ -141,30 +141,34 @@ func widenSpan(tr *trace.Tracer, missing int, baseOTs func() error) error {
 	return err
 }
 
-// NewServerTriplets performs base-OT setup for the server role. The
-// receiver's setup randomness is independent of any secret reuse, so it
-// is drawn from a fresh OS seed.
-func NewServerTriplets(conn Conn, p Params, session uint64) (*ServerTriplets, error) {
-	return NewServerTripletsSeeded(conn, p, session, prg.New(prg.NewSeed()))
-}
-
-// NewServerTripletsSeeded is NewServerTriplets with caller-controlled
-// randomness, the form the transcript-determinism and golden-transcript
-// tests (internal/testkit) pin both parties with.
+// NewServerTripletsSeeded performs base-OT setup for the server role. The
+// receiver's setup randomness is independent of any secret reuse, so a
+// caller with nothing to pin draws it from a fresh OS seed; the engines and
+// the transcript-determinism and golden-transcript tests (internal/testkit)
+// pin both parties.
 func NewServerTripletsSeeded(conn Conn, p Params, session uint64, rng *prg.PRG) (*ServerTriplets, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	ot, err := otext.NewReceiver(conn, otext.Code{}, session, rng) // no columns yet, as on the client
+	s, err := OpenServerTriplets(conn, p, session, rng)
 	if err != nil {
 		return nil, err
 	}
-	ot.SetWorkers(p.Workers)
-	s := &ServerTriplets{params: p, ot: ot, rng: rng, session: session}
 	if err := s.widen(schemeCode(p.Scheme)); err != nil {
 		return nil, fmt.Errorf("core: server triplet setup: %w", err)
 	}
 	return s, nil
+}
+
+// OpenServerTriplets mirrors OpenClientTriplets: no columns yet, nothing
+// received.
+func OpenServerTriplets(conn Conn, p Params, session uint64, rng *prg.PRG) (*ServerTriplets, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	ot, err := otext.NewReceiver(conn, otext.Code{}, session, rng)
+	if err != nil {
+		return nil, err
+	}
+	ot.SetWorkers(p.Workers)
+	return &ServerTriplets{params: p, ot: ot, rng: rng, session: session}, nil
 }
 
 // widen mirrors ClientTriplets.widen. It receives, so it must never run
@@ -172,84 +176,6 @@ func NewServerTripletsSeeded(conn Conn, p Params, session uint64, rng *prg.PRG) 
 // with the consumer.
 func (s *ServerTriplets) widen(code otext.Code) error {
 	return widenSpan(s.params.Trace, code.WidthBits()-s.ot.Columns(), func() error { return s.ot.Widen(code, s.rng) })
-}
-
-// Baseline generator accessors. Creation is lazy — at the first layer a
-// schedule routes to the backend — so unscheduled sessions consume no
-// extra randomness and stay byte-identical to the pre-schedule wire
-// format. Both parties reach the same layer at the same point of the
-// message sequence, so the lazily-run setup flights pair up.
-
-func (c *ClientTriplets) secureML() (*baseline.SecureMLClient, error) {
-	if c.sml == nil {
-		g, err := baseline.NewSecureMLClient(c.ot.Conn(), c.params.Ring, c.session+sessionOffSecureML, c.rng.Child("secureml"))
-		if err != nil {
-			return nil, fmt.Errorf("core: secureml setup: %w", err)
-		}
-		c.sml = g
-	}
-	return c.sml, nil
-}
-
-func (c *ClientTriplets) miniONN() (*baseline.MiniONNClient, error) {
-	if c.mon == nil {
-		bits := c.params.MiniONNBits
-		if bits == 0 {
-			bits = baseline.MiniONNKeyBits
-		}
-		g, err := baseline.NewMiniONNClient(c.ot.Conn(), c.params.Ring, bits, c.rng.Child("minionn"))
-		if err != nil {
-			return nil, fmt.Errorf("core: minionn setup: %w", err)
-		}
-		g.SetWorkers(c.params.Workers)
-		c.mon = g
-	}
-	return c.mon, nil
-}
-
-func (c *ClientTriplets) quotient() (*baseline.QuotientClient, error) {
-	if c.quo == nil {
-		g, err := baseline.NewQuotientClient(c.ot.Conn(), c.params.Ring, c.session+sessionOffQuotient, c.rng.Child("quotient"))
-		if err != nil {
-			return nil, fmt.Errorf("core: quotient setup: %w", err)
-		}
-		c.quo = g
-	}
-	return c.quo, nil
-}
-
-func (s *ServerTriplets) secureML() (*baseline.SecureMLServer, error) {
-	if s.sml == nil {
-		g, err := baseline.NewSecureMLServer(s.ot.Conn(), s.params.Ring, s.session+sessionOffSecureML, s.rng.Child("secureml"))
-		if err != nil {
-			return nil, fmt.Errorf("core: secureml setup: %w", err)
-		}
-		s.sml = g
-	}
-	return s.sml, nil
-}
-
-func (s *ServerTriplets) miniONN() (*baseline.MiniONNServer, error) {
-	if s.mon == nil {
-		g, err := baseline.NewMiniONNServer(s.ot.Conn(), s.params.Ring, s.rng.Child("minionn"))
-		if err != nil {
-			return nil, fmt.Errorf("core: minionn setup: %w", err)
-		}
-		g.SetWorkers(s.params.Workers)
-		s.mon = g
-	}
-	return s.mon, nil
-}
-
-func (s *ServerTriplets) quotient() (*baseline.QuotientServer, error) {
-	if s.quo == nil {
-		g, err := baseline.NewQuotientServer(s.ot.Conn(), s.params.Ring, s.session+sessionOffQuotient, s.rng.Child("quotient"))
-		if err != nil {
-			return nil, fmt.Errorf("core: quotient setup: %w", err)
-		}
-		s.quo = g
-	}
-	return s.quo, nil
 }
 
 // schemeParams resolves an optional per-layer scheme override into the
@@ -605,7 +531,7 @@ func checkShape(sh MatShape, mode Mode) error {
 		return fmt.Errorf("core: invalid shape %+v", sh)
 	}
 	if mode == OneBatch && sh.O != 1 {
-		return fmt.Errorf("core: %v mode requires o=1, got o=%d", mode, sh.O)
+		return fmt.Errorf("core: %v mode needs o=1, got o=%d", mode, sh.O)
 	}
 	return nil
 }

@@ -26,7 +26,7 @@ func tripletPair(t *testing.T, p Params) (*ClientTriplets, *ServerTriplets, *tra
 		defer wg.Done()
 		ct, err = NewClientTriplets(ca, p, 1, prg.New(prg.SeedFromInt(10)))
 	}()
-	st, serr := NewServerTriplets(cb, p, 1)
+	st, serr := NewServerTripletsSeeded(cb, p, 1, prg.New(prg.NewSeed()))
 	wg.Wait()
 	if err != nil || serr != nil {
 		t.Fatalf("setup: %v %v", err, serr)
@@ -211,15 +211,15 @@ func TestCommunicationMatchesTable1(t *testing.T) {
 			f()
 		}()
 	}
-	setup(func() { qc, cerr = baseline.NewQuotientClient(ca, rg, 1, prg.New(prg.SeedFromInt(1))) })
-	qs, serr := baseline.NewQuotientServer(cb, rg, 1, prg.New(prg.SeedFromInt(2)))
+	setup(func() { qc, cerr = baseline.NewQuotientClient(ca, rg, 1, 0, prg.New(prg.SeedFromInt(1))) })
+	qs, serr := baseline.NewQuotientServer(cb, rg, 1, 0, prg.New(prg.SeedFromInt(2)))
 	wg.Wait()
 	if cerr != nil || serr != nil {
 		t.Fatalf("quotient setup: client=%v server=%v", cerr, serr)
 	}
 	meter.Reset()
-	setup(func() { _, cerr = qc.GenerateClient(sh.M, prg.New(prg.SeedFromInt(3)).Vec(rg, sh.N)) })
-	_, serr = qs.GenerateServer(randomWeights(quant.Ternary(), sh.M*sh.N, 4), sh.M, sh.N)
+	setup(func() { _, cerr = qc.GenerateClient(sh.M, prg.New(prg.SeedFromInt(3)).Mat(rg, sh.N, 1)) })
+	_, serr = qs.GenerateServer(randomWeights(quant.Ternary(), sh.M*sh.N, 4), sh.M, sh.N, 1)
 	wg.Wait()
 	if cerr != nil || serr != nil {
 		t.Fatalf("quotient: client=%v server=%v", cerr, serr)

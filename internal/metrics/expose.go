@@ -13,6 +13,11 @@ import (
 // 0.0.4, what every scraper speaks) and an expvar-style JSON document
 // for humans and ad-hoc tooling.
 
+// family is a Vec of any kind, as exposition walks it.
+type family interface {
+	series(visit func(label, value string, kid any))
+}
+
 // WritePrometheus renders every registered metric in Prometheus text
 // format.
 func (r *Registry) WritePrometheus(w io.Writer) error {
@@ -23,46 +28,47 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 	}
 	r.each(func(m *metric) {
-		switch it := m.item.(type) {
-		case *Counter:
-			pf("# HELP %s %s\n# TYPE %s counter\n%s %d\n", m.name, m.help, m.name, m.name, it.Value())
-		case *Gauge:
-			pf("# HELP %s %s\n# TYPE %s gauge\n%s %d\n", m.name, m.help, m.name, m.name, it.Value())
-		case *CounterVec:
-			pf("# HELP %s %s\n# TYPE %s counter\n", m.name, m.help, m.name)
-			vals, cs := it.children()
-			for i, v := range vals {
-				pf("%s{%s=%s} %d\n", m.name, it.label, strconv.Quote(v), cs[i].Value())
-			}
-		case *GaugeVec:
-			pf("# HELP %s %s\n# TYPE %s gauge\n", m.name, m.help, m.name)
-			vals, gs := it.children()
-			for i, v := range vals {
-				pf("%s{%s=%s} %d\n", m.name, it.label, strconv.Quote(v), gs[i].Value())
-			}
-		case *Histogram:
-			pf("# HELP %s %s\n# TYPE %s histogram\n", m.name, m.help, m.name)
-			bounds, cum, sum, count := it.snapshot()
-			for i, b := range bounds {
-				pf("%s_bucket{le=%q} %d\n", m.name, formatFloat(b), cum[i])
-			}
-			pf("%s_bucket{le=\"+Inf\"} %d\n", m.name, count)
-			pf("%s_sum %s\n%s_count %d\n", m.name, formatFloat(sum), m.name, count)
-		case *HistogramVec:
-			pf("# HELP %s %s\n# TYPE %s histogram\n", m.name, m.help, m.name)
-			vals, hs := it.children()
-			for i, v := range vals {
-				lbl := fmt.Sprintf("%s=%s", it.label, strconv.Quote(v))
-				bounds, cum, sum, count := hs[i].snapshot()
-				for j, b := range bounds {
-					pf("%s_bucket{%s,le=%q} %d\n", m.name, lbl, formatFloat(b), cum[j])
-				}
-				pf("%s_bucket{%s,le=\"+Inf\"} %d\n", m.name, lbl, count)
-				pf("%s_sum{%s} %s\n%s_count{%s} %d\n", m.name, lbl, formatFloat(sum), m.name, lbl, count)
-			}
+		pf("# HELP %s %s\n# TYPE %s %s\n", m.name, m.help, m.name, m.kind)
+		if f, ok := m.item.(family); ok {
+			f.series(func(label, value string, kid any) {
+				promSeries(pf, m.name, label+"="+strconv.Quote(value), kid)
+			})
+			return
 		}
+		promSeries(pf, m.name, "", m.item)
 	})
 	return err
+}
+
+// promSeries writes one series' sample lines: a scalar metric's (labels
+// empty) or those of the child of a family that labels tells apart.
+func promSeries(pf func(string, ...any), name, labels string, item any) {
+	switch it := item.(type) {
+	case interface{ Value() int64 }: // *Counter, *Gauge
+		pf("%s%s %d\n", name, braces(labels), it.Value())
+	case *Histogram:
+		bounds, cum, sum, count := it.snapshot()
+		for i, b := range bounds {
+			pf("%s_bucket%s %d\n", name, braces(labels, "le="+strconv.Quote(formatFloat(b))), cum[i])
+		}
+		pf("%s_bucket%s %d\n", name, braces(labels, `le="+Inf"`), count)
+		pf("%s_sum%s %s\n%s_count%s %d\n", name, braces(labels), formatFloat(sum), name, braces(labels), count)
+	}
+}
+
+// braces renders a label set from its non-empty pairs; an empty set is no
+// braces at all.
+func braces(pairs ...string) string {
+	set := ""
+	for _, p := range pairs {
+		if p != "" {
+			set += "," + p
+		}
+	}
+	if set == "" {
+		return ""
+	}
+	return "{" + set[1:] + "}"
 }
 
 // formatFloat renders a float the way Prometheus expects (shortest
@@ -75,55 +81,39 @@ func formatFloat(f float64) string {
 }
 
 // WriteJSON renders every registered metric as one JSON object, keyed by
-// metric name. Counters and gauges become numbers; counter families
-// become objects keyed by label value; histograms become
-// {count, sum, buckets}.
+// metric name. Counters and gauges become numbers; histograms become
+// {count, sum, buckets}; a family becomes an object of those keyed by
+// label value.
 func (r *Registry) WriteJSON(w io.Writer) error {
 	doc := make(map[string]any)
 	r.each(func(m *metric) {
-		switch it := m.item.(type) {
-		case *Counter:
-			doc[m.name] = it.Value()
-		case *Gauge:
-			doc[m.name] = it.Value()
-		case *CounterVec:
-			kids := make(map[string]int64)
-			vals, cs := it.children()
-			for i, v := range vals {
-				kids[v] = cs[i].Value()
-			}
-			doc[m.name] = kids
-		case *GaugeVec:
-			kids := make(map[string]int64)
-			vals, gs := it.children()
-			for i, v := range vals {
-				kids[v] = gs[i].Value()
-			}
-			doc[m.name] = kids
-		case *Histogram:
-			bounds, cum, sum, count := it.snapshot()
-			buckets := make(map[string]uint64, len(bounds))
-			for i, b := range bounds {
-				buckets[formatFloat(b)] = cum[i]
-			}
-			doc[m.name] = map[string]any{"count": count, "sum": sum, "buckets": buckets}
-		case *HistogramVec:
+		if f, ok := m.item.(family); ok {
 			kids := make(map[string]any)
-			vals, hs := it.children()
-			for i, v := range vals {
-				bounds, cum, sum, count := hs[i].snapshot()
-				buckets := make(map[string]uint64, len(bounds))
-				for j, b := range bounds {
-					buckets[formatFloat(b)] = cum[j]
-				}
-				kids[v] = map[string]any{"count": count, "sum": sum, "buckets": buckets}
-			}
+			f.series(func(_, value string, kid any) { kids[value] = jsonSeries(kid) })
 			doc[m.name] = kids
+			return
 		}
+		doc[m.name] = jsonSeries(m.item)
 	})
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(doc)
+}
+
+// jsonSeries is one series' JSON value.
+func jsonSeries(item any) any {
+	switch it := item.(type) {
+	case interface{ Value() int64 }:
+		return it.Value()
+	case *Histogram:
+		bounds, cum, sum, count := it.snapshot()
+		buckets := make(map[string]uint64, len(bounds))
+		for i, b := range bounds {
+			buckets[formatFloat(b)] = cum[i]
+		}
+		return map[string]any{"count": count, "sum": sum, "buckets": buckets}
+	}
+	return nil
 }
 
 // Handler serves the registry in Prometheus text format (mount at

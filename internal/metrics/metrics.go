@@ -147,120 +147,70 @@ var SizeBuckets = []float64{
 	1 << 20, 4 << 20, 16 << 20, 64 << 20, 256 << 20, 1 << 30,
 }
 
-// CounterVec is a family of counters distinguished by one label (e.g.
-// bytes per protocol phase).
-type CounterVec struct {
+// Vec is a family of metrics of one kind distinguished by one label:
+// bytes per protocol phase, pool depth per correlation key, session
+// latency per model (its histograms sharing one bucket ladder).
+type Vec[T any] struct {
 	label string
+	child func() *T // builds the child for a label value first used
 	mu    sync.Mutex
-	kids  map[string]*Counter
+	kids  map[string]*T
 	order []string
 }
 
-// With returns the child counter for the given label value, creating it
-// on first use.
-func (v *CounterVec) With(value string) *Counter {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	c, ok := v.kids[value]
-	if !ok {
-		c = &Counter{}
-		v.kids[value] = c
-		v.order = append(v.order, value)
-	}
-	return c
+// The three families the registry hands out.
+type (
+	CounterVec   = Vec[Counter]
+	GaugeVec     = Vec[Gauge]
+	HistogramVec = Vec[Histogram]
+)
+
+func newVec[T any](label string, child func() *T) *Vec[T] {
+	return &Vec[T]{label: label, child: child, kids: make(map[string]*T)}
 }
 
-// children returns (label values, counters) in first-use order.
-func (v *CounterVec) children() ([]string, []*Counter) {
+// With returns the child for the given label value, creating it on first
+// use.
+func (v *Vec[T]) With(value string) *T {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	kid, ok := v.kids[value]
+	if !ok {
+		kid = v.child()
+		v.kids[value] = kid
+		v.order = append(v.order, value)
+	}
+	return kid
+}
+
+// children returns (label values, children) in first-use order.
+func (v *Vec[T]) children() ([]string, []*T) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	vals := make([]string, len(v.order))
 	copy(vals, v.order)
-	cs := make([]*Counter, len(vals))
+	kids := make([]*T, len(vals))
 	for i, val := range vals {
-		cs[i] = v.kids[val]
+		kids[i] = v.kids[val]
 	}
-	return vals, cs
+	return vals, kids
 }
 
-// GaugeVec is a family of gauges distinguished by one label (e.g. pool
-// depth per correlation key).
-type GaugeVec struct {
-	label string
-	mu    sync.Mutex
-	kids  map[string]*Gauge
-	order []string
-}
-
-// With returns the child gauge for the given label value, creating it on
-// first use.
-func (v *GaugeVec) With(value string) *Gauge {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	g, ok := v.kids[value]
-	if !ok {
-		g = &Gauge{}
-		v.kids[value] = g
-		v.order = append(v.order, value)
-	}
-	return g
-}
-
-// children returns (label values, gauges) in first-use order.
-func (v *GaugeVec) children() ([]string, []*Gauge) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	vals := make([]string, len(v.order))
-	copy(vals, v.order)
-	gs := make([]*Gauge, len(vals))
+// series is exposition's view of a family, whatever its kind: each child
+// in first-use order, with the label pair that tells it apart.
+func (v *Vec[T]) series(visit func(label, value string, kid any)) {
+	vals, kids := v.children()
 	for i, val := range vals {
-		gs[i] = v.kids[val]
+		visit(v.label, val, kids[i])
 	}
-	return vals, gs
-}
-
-// HistogramVec is a family of histograms distinguished by one label,
-// sharing one bucket ladder (e.g. session latency per model).
-type HistogramVec struct {
-	label  string
-	bounds []float64
-	mu     sync.Mutex
-	kids   map[string]*Histogram
-	order  []string
-}
-
-// With returns the child histogram for the given label value, creating
-// it on first use.
-func (v *HistogramVec) With(value string) *Histogram {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	h, ok := v.kids[value]
-	if !ok {
-		h = &Histogram{bounds: v.bounds, counts: make([]uint64, len(v.bounds)+1)}
-		v.kids[value] = h
-		v.order = append(v.order, value)
-	}
-	return h
-}
-
-// children returns (label values, histograms) in first-use order.
-func (v *HistogramVec) children() ([]string, []*Histogram) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	vals := make([]string, len(v.order))
-	copy(vals, v.order)
-	hs := make([]*Histogram, len(vals))
-	for i, val := range vals {
-		hs[i] = v.kids[val]
-	}
-	return vals, hs
 }
 
 // metric couples a registered metric with its metadata.
 type metric struct {
 	name string
 	help string
-	item any // *Counter | *Gauge | *Histogram | *CounterVec | *GaugeVec | *HistogramVec
+	kind string // Prometheus TYPE: counter, gauge or histogram
+	item any    // *Counter | *Gauge | *Histogram, or a *Vec of one of them
 }
 
 // Registry holds named metrics and renders them for export. The zero
@@ -276,7 +226,7 @@ func NewRegistry() *Registry {
 	return &Registry{byName: make(map[string]*metric)}
 }
 
-func (r *Registry) register(name, help string, item any) {
+func (r *Registry) register(name, help, kind string, item any) {
 	if name == "" {
 		panic("metrics: empty metric name")
 	}
@@ -291,7 +241,7 @@ func (r *Registry) register(name, help string, item any) {
 	if _, dup := r.byName[name]; dup {
 		panic(fmt.Sprintf("metrics: duplicate metric %q", name))
 	}
-	m := &metric{name: name, help: help, item: item}
+	m := &metric{name: name, help: help, kind: kind, item: item}
 	r.byName[name] = m
 	r.ordered = append(r.ordered, m)
 }
@@ -299,14 +249,14 @@ func (r *Registry) register(name, help string, item any) {
 // NewCounter registers and returns a counter.
 func (r *Registry) NewCounter(name, help string) *Counter {
 	c := &Counter{}
-	r.register(name, help, c)
+	r.register(name, help, "counter", c)
 	return c
 }
 
 // NewGauge registers and returns a gauge.
 func (r *Registry) NewGauge(name, help string) *Gauge {
 	g := &Gauge{}
-	r.register(name, help, g)
+	r.register(name, help, "gauge", g)
 	return g
 }
 
@@ -316,15 +266,19 @@ func (r *Registry) NewHistogram(name, help string, bounds []float64) *Histogram 
 	if len(bounds) == 0 || !sort.Float64sAreSorted(bounds) {
 		panic(fmt.Sprintf("metrics: histogram %q needs sorted non-empty buckets", name))
 	}
-	h := &Histogram{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
-	r.register(name, help, h)
+	h := newHistogram(bounds)
+	r.register(name, help, "histogram", h)
 	return h
+}
+
+func newHistogram(bounds []float64) *Histogram {
+	return &Histogram{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
 }
 
 // NewCounterVec registers and returns a single-label counter family.
 func (r *Registry) NewCounterVec(name, help, label string) *CounterVec {
-	v := &CounterVec{label: label, kids: make(map[string]*Counter)}
-	r.register(name, help, v)
+	v := newVec(label, func() *Counter { return &Counter{} })
+	r.register(name, help, "counter", v)
 	return v
 }
 
@@ -334,15 +288,15 @@ func (r *Registry) NewHistogramVec(name, help, label string, bounds []float64) *
 	if len(bounds) == 0 || !sort.Float64sAreSorted(bounds) {
 		panic(fmt.Sprintf("metrics: histogram family %q needs sorted non-empty buckets", name))
 	}
-	v := &HistogramVec{label: label, bounds: bounds, kids: make(map[string]*Histogram)}
-	r.register(name, help, v)
+	v := newVec(label, func() *Histogram { return newHistogram(bounds) })
+	r.register(name, help, "histogram", v)
 	return v
 }
 
 // NewGaugeVec registers and returns a single-label gauge family.
 func (r *Registry) NewGaugeVec(name, help, label string) *GaugeVec {
-	v := &GaugeVec{label: label, kids: make(map[string]*Gauge)}
-	r.register(name, help, v)
+	v := newVec(label, func() *Gauge { return &Gauge{} })
+	r.register(name, help, "gauge", v)
 	return v
 }
 

@@ -2,41 +2,44 @@ package plan
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 
-	"abnn2/internal/baseline"
 	"abnn2/internal/core"
 	"abnn2/internal/quant"
+	"abnn2/internal/transport"
 )
 
-// Link models the channel the offline phase runs over. Predicted layer
-// time is CommBits / bandwidth + Flights * RTT + compute / ComputeAmort.
+// Link is the channel the offline phase is priced over: a transport link
+// model — predicted layer time is its NetworkTime for the layer's bytes
+// and waited-on flights — plus the layer's compute / ComputeAmort.
 type Link struct {
-	Name string `json:"name,omitempty"`
-	// BandwidthMBps is the link bandwidth in megabytes per second.
-	BandwidthMBps float64 `json:"bandwidth_mbps"`
-	// RTTms is the round-trip time in milliseconds; every protocol
-	// flight pair pays one.
-	RTTms float64 `json:"rtt_ms"`
+	transport.NetModel
 	// ComputeAmort divides predicted offline *compute* time. On a WAN
 	// the offline phase is bank-precomputed ahead of need (overlapping
 	// with idle link time across many sessions), so compute is heavily
 	// amortized relative to the wire; on a LAN inline generation pays
 	// it in full. Must be >= 1.
-	ComputeAmort float64 `json:"compute_amort"`
+	ComputeAmort float64
 }
 
-// LAN is the datacenter preset: 10 Gbit/s, 0.2 ms RTT, inline offline
-// (compute paid in full).
-func LAN() Link { return Link{Name: "lan", BandwidthMBps: 1250, RTTms: 0.2, ComputeAmort: 1} }
+// LAN is the datacenter preset: transport.LAN (10 Gbit/s, 0.2 ms RTT),
+// inline offline (compute paid in full).
+func LAN() Link { return preset("lan", transport.LAN, 1) }
 
-// WAN is the wide-area preset matching the paper's evaluation setting
-// (72 Mbit/s-class broadband, 72 ms RTT); offline compute is assumed
-// bank-amortized across sessions.
-func WAN() Link { return Link{Name: "wan", BandwidthMBps: 9, RTTms: 72, ComputeAmort: 64} }
+// WAN is the wide-area preset matching the paper's evaluation setting:
+// transport.WANTable3 (72 Mbit/s-class broadband, 72 ms RTT); offline
+// compute is assumed bank-amortized across sessions.
+func WAN() Link { return preset("wan", transport.WANTable3, 64) }
+
+// preset is a transport link model under the name the -link flag knows
+// it by.
+func preset(name string, nm transport.NetModel, amort float64) Link {
+	nm.Name = name
+	return Link{NetModel: nm, ComputeAmort: amort}
+}
 
 // ParseLink accepts "lan", "wan", or "<MBps>:<RTTms>" (custom link,
 // ComputeAmort 1).
@@ -52,7 +55,8 @@ func ParseLink(s string) (Link, error) {
 		bw, err1 := strconv.ParseFloat(parts[0], 64)
 		rtt, err2 := strconv.ParseFloat(parts[1], 64)
 		if err1 == nil && err2 == nil && bw > 0 && rtt >= 0 {
-			return Link{Name: s, BandwidthMBps: bw, RTTms: rtt, ComputeAmort: 1}, nil
+			nm := transport.NetModel{BandwidthBytes: bw * 1e6, RTT: time.Duration(rtt * float64(time.Millisecond))}
+			return preset(s, nm, 1), nil
 		}
 	}
 	return Link{}, fmt.Errorf("plan: cannot parse link %q (want lan, wan, or MBps:RTTms)", s)
@@ -147,86 +151,58 @@ func (in Input) validate() error {
 	if in.Batch <= 0 {
 		return fmt.Errorf("plan: batch must be positive")
 	}
-	if in.Link.BandwidthMBps <= 0 || in.Link.ComputeAmort < 1 {
+	if in.Link.BandwidthBytes <= 0 || in.Link.ComputeAmort < 1 {
 		return fmt.Errorf("plan: malformed link %+v", in.Link)
 	}
 	return nil
 }
 
-func (in Input) keyBits() int {
-	if in.MiniONNBits > 0 {
-		return in.MiniONNBits
-	}
-	return baseline.MiniONNKeyBits
+// shapeAt is the matmul layer l lowers to at a batch size.
+func shapeAt(l core.LayerSpec, batch int) core.MatShape {
+	return core.MatShape{M: l.Out, N: l.ColRows(), O: batch * l.Cols()}
 }
 
-// price converts a candidate's raw resources into seconds under the
-// link model.
-func (l Link) price(c *Candidate) {
-	c.Seconds = c.CommBits/8/(l.BandwidthMBps*1e6) + float64(c.Flights)/2*l.RTTms/1e3 + c.Compute/l.ComputeAmort
-}
-
-// abnn2Candidate prices the ABNN2 backend for one layer under a
-// concrete fragmentation scheme (the session scheme when override is
-// "").
-func abnn2Candidate(in Input, sh core.MatShape, sc quant.Scheme, override string) Candidate {
-	cx := core.OfflineComplexity(in.RingBits, sc, sh)
+// price evaluates one (backend, scheme) option for a layer of shape sh: the
+// backend table's cost as sent under sc — the fragmentation the layer
+// would run under, the session's unless ch overrides it — turned into
+// seconds by the compute constants above and in's link.
+func price(in Input, ch Choice, sc quant.Scheme, sh core.MatShape) Candidate {
+	cx := ch.Backend.Cost(in.RingBits, in.MiniONNBits, sc, sh)
+	kb := float64(core.PaillierBits(in.MiniONNBits))
 	c := Candidate{
-		Choice:   Choice{Backend: core.BackendABNN2, Scheme: override},
+		Choice:   ch,
 		CommBits: cx.CommBits,
-		Flights:  core.OfflineFlights(cx.NumOTs), // one round trip per window, not per chunk
-		Compute:  float64(cx.NumOTs)*secondsPerOT + cx.CommBits/8*secondsPerByte,
+		Flights:  cx.Flights,
+		Compute: float64(cx.NumOTs)*secondsPerOT + cx.CommBits/8*secondsPerByte +
+			float64(cx.PaillierOps)*paillierCubeSeconds*kb*kb*kb,
 	}
-	in.Link.price(&c)
+	wire := in.Link.NetworkTime(transport.Stats{BytesAB: int64(c.CommBits / 8), Flights: int64(c.Flights)})
+	c.Seconds = wire.Seconds() + c.Compute/in.Link.ComputeAmort
 	return c
 }
 
 // candidates enumerates every applicable (backend, scheme) option for
-// one layer, in a fixed deterministic order.
+// one layer, in a fixed deterministic order: the backend table's, each
+// backend under the session scheme first.
 func candidates(in Input, session quant.Scheme, l core.LayerSpec) []Candidate {
-	sh := core.MatShape{M: l.Out, N: l.ColRows(), O: in.Batch * l.Cols()}
-	out := []Candidate{abnn2Candidate(in, sh, session, "")}
-
-	// Alternative η/γ decompositions of the same weight range: for
-	// bit schemes, re-fragment the η bits into uniform widths (plus a
-	// remainder fragment). Candidate counts trade payload size against
-	// OT count, so the best width is shape- and link-dependent.
-	for _, sc := range altSchemes(session) {
-		out = append(out, abnn2Candidate(in, sh, sc, sc.Name()))
-	}
-
-	cx := core.SecureMLComplexity(in.RingBits, sh)
-	sml := Candidate{
-		Choice:   Choice{Backend: core.BackendSecureML},
-		CommBits: cx.CommBits,
-		Flights:  2 * int(math.Ceil(float64(sh.M)*float64(sh.N)*float64(in.RingBits)/8192)),
-		Compute:  float64(cx.NumOTs)*secondsPerOT + cx.CommBits/8*secondsPerByte,
-	}
-	in.Link.price(&sml)
-	out = append(out, sml)
-
-	kb := in.keyBits()
-	mcx := core.MiniONNComplexity(kb, sh)
-	ops := (float64(sh.N) + float64(sh.M)) * float64(sh.O)
-	mon := Candidate{
-		Choice:   Choice{Backend: core.BackendMiniONN},
-		CommBits: mcx.CommBits,
-		Flights:  3, // public key, ciphertexts up, ciphertexts down
-		Compute:  ops * paillierCubeSeconds * float64(kb) * float64(kb) * float64(kb),
-	}
-	in.Link.price(&mon)
-	out = append(out, mon)
-
-	if min, max := session.Range(); min >= -1 && max <= 1 && sh.O == 1 {
-		qcx := core.QuotientComplexity(in.RingBits, sh)
-		quo := Candidate{
-			Choice:   Choice{Backend: core.BackendQuotient},
-			CommBits: qcx.CommBits,
-			Flights:  2,
-			Compute:  float64(qcx.NumOTs)*secondsPerOT + qcx.CommBits/8*secondsPerByte,
+	sh := shapeAt(l, in.Batch)
+	lo, hi := session.Range()
+	var out []Candidate
+	for _, b := range core.Backends() {
+		if b.Fits(sh, lo, hi) != nil {
+			continue
 		}
-		in.Link.price(&quo)
-		out = append(out, quo)
+		out = append(out, price(in, Choice{Backend: b}, session, sh))
+		if !b.Fragments() {
+			continue
+		}
+		// Alternative η/γ decompositions of the same weight range: for
+		// bit schemes, re-fragment the η bits into uniform widths (plus a
+		// remainder fragment). Candidate counts trade payload size against
+		// OT count, so the best width is shape- and link-dependent.
+		for _, sc := range altSchemes(session) {
+			out = append(out, price(in, Choice{Backend: b, Scheme: sc.Name()}, sc, sh))
+		}
 	}
 	return out
 }
@@ -282,9 +258,9 @@ func bitEta(sc quant.Scheme) uint {
 }
 
 // Choose runs the planner: per layer, evaluate every applicable
-// candidate and keep the cheapest. Strict-less-than comparison over a
-// fixed enumeration order makes the result deterministic for a fixed
-// Input.
+// candidate and keep the cheapest — of equals, the first in the fixed
+// enumeration order (the sort is stable), which makes the result
+// deterministic for a fixed Input.
 func Choose(in Input) (*Plan, *Estimate, error) {
 	if err := in.validate(); err != nil {
 		return nil, nil, err
@@ -296,22 +272,10 @@ func Choose(in Input) (*Plan, *Estimate, error) {
 	p := &Plan{Layers: make([]Choice, len(in.Arch.Layers))}
 	est := &Estimate{Link: in.Link, Layers: make([]LayerEstimate, len(in.Arch.Layers))}
 	for li, l := range in.Arch.Layers {
-		cands := candidates(in, session, l)
-		best := cands[0]
-		for _, c := range cands[1:] {
-			if c.Seconds < best.Seconds {
-				best = c
-			}
-		}
-		sorted := append([]Candidate(nil), cands...)
+		sorted := candidates(in, session, l)
 		sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Seconds < sorted[j].Seconds })
-		p.Layers[li] = best.Choice
-		est.Layers[li] = LayerEstimate{
-			Layer:      li,
-			Shape:      core.MatShape{M: l.Out, N: l.ColRows(), O: in.Batch * l.Cols()},
-			Chosen:     best,
-			Candidates: sorted,
-		}
+		p.Layers[li] = sorted[0].Choice
+		est.Layers[li] = LayerEstimate{Layer: li, Shape: shapeAt(l, in.Batch), Chosen: sorted[0], Candidates: sorted}
 	}
 	return p, est, nil
 }
@@ -331,39 +295,14 @@ func EstimatePlan(in Input, p *Plan) (*Estimate, error) {
 	}
 	est := &Estimate{Link: in.Link, Layers: make([]LayerEstimate, len(p.Layers))}
 	for li, ch := range p.Layers {
-		l := in.Arch.Layers[li]
-		cands := candidates(in, session, l)
-		var chosen *Candidate
-		for i := range cands {
-			if cands[i].Choice == ch {
-				chosen = &cands[i]
-				break
+		sc := session
+		if ch.Scheme != "" {
+			if sc, err = quant.Parse(ch.Scheme); err != nil {
+				return nil, err
 			}
 		}
-		if chosen == nil {
-			// A valid choice outside the planner's enumeration (e.g. a
-			// hand-written scheme override): price it directly.
-			sh := core.MatShape{M: l.Out, N: l.ColRows(), O: in.Batch * l.Cols()}
-			var c Candidate
-			switch ch.Backend {
-			case core.BackendABNN2:
-				sc := session
-				if ch.Scheme != "" {
-					if sc, err = quant.Parse(ch.Scheme); err != nil {
-						return nil, err
-					}
-				}
-				c = abnn2Candidate(in, sh, sc, ch.Scheme)
-			default:
-				return nil, fmt.Errorf("plan: layer %d: cannot price %s", li, ch.Backend)
-			}
-			chosen = &c
-		}
-		est.Layers[li] = LayerEstimate{
-			Layer:  li,
-			Shape:  core.MatShape{M: l.Out, N: l.ColRows(), O: in.Batch * l.Cols()},
-			Chosen: *chosen,
-		}
+		sh := shapeAt(in.Arch.Layers[li], in.Batch)
+		est.Layers[li] = LayerEstimate{Layer: li, Shape: sh, Chosen: price(in, ch, sc, sh)}
 	}
 	return est, nil
 }

@@ -15,8 +15,8 @@ const FlagUsage = "per-layer offline backend plan: auto (cost-model planner unde
 // FromFlag resolves a -plan flag value against a model: "auto" runs
 // the cost-model planner under in.Link; anything else is the plan's
 // textual form (Plan.String), where a single entry stands for every
-// layer. The empty value means no plan (nil, nil, nil). The estimate is
-// nil when the plan validates but cannot be priced.
+// layer. The empty value means no plan (nil, nil, nil); any other comes
+// back validated and priced.
 func FromFlag(val string, in Input) (*Plan, *Estimate, error) {
 	switch val {
 	case "":
@@ -35,10 +35,10 @@ func FromFlag(val string, in Input) (*Plan, *Estimate, error) {
 			p.Layers[i] = one
 		}
 	}
-	if err := p.Validate(in.Arch, in.Batch); err != nil {
+	est, err := EstimatePlan(in, p)
+	if err != nil {
 		return nil, nil, err
 	}
-	est, _ := EstimatePlan(in, p)
 	return p, est, nil
 }
 

@@ -170,53 +170,19 @@ func (p *Plan) Schedule() (core.Schedule, error) {
 	return s, nil
 }
 
-// Validate checks the plan against a public architecture: layer count,
-// backend applicability (QUOTIENT is vector-only, so conv layers and
-// batches above 1 reject it), and scheme overrides that parse and
-// preserve the session scheme's weight range. Weight-value checks
-// (ternary range, override representability) happen server-side in
-// ServerEngine.SetSchedule, which holds the weights.
+// Validate checks the plan against a public architecture at a batch size:
+// scheme overrides that parse, then everything core.Schedule.Validate
+// checks on the client — layer count, each layer fitting its backend at
+// this batch's o (QUOTIENT is vector-only, so batches above 1 reject it)
+// and its override, over the session scheme's weight range. Checks against
+// the weights themselves happen server-side in ServerEngine.SetSchedule,
+// which holds them.
 func (p *Plan) Validate(arch core.Arch, batch int) error {
-	if len(p.Layers) != len(arch.Layers) {
-		return fmt.Errorf("plan: %d layers, model has %d", len(p.Layers), len(arch.Layers))
-	}
-	session, err := quant.Parse(arch.SchemeName)
-	if err != nil {
-		return fmt.Errorf("plan: session scheme: %w", err)
-	}
-	smin, smax := session.Range()
-	for i, c := range p.Layers {
-		if !c.Backend.Valid() {
-			return fmt.Errorf("plan: layer %d: unknown backend %d", i, uint8(c.Backend))
-		}
-		if c.Scheme != "" {
-			if c.Backend != core.BackendABNN2 {
-				return fmt.Errorf("plan: layer %d: scheme override on %s", i, c.Backend)
-			}
-			sc, err := quant.Parse(c.Scheme)
-			if err != nil {
-				return fmt.Errorf("plan: layer %d: %w", i, err)
-			}
-			if min, max := sc.Range(); min > smin || max < smax {
-				return fmt.Errorf("plan: layer %d: scheme %s range [%d,%d] narrower than session %s [%d,%d]",
-					i, c.Scheme, min, max, arch.SchemeName, smin, smax)
-			}
-		}
-		if c.Backend == core.BackendQuotient {
-			l := arch.Layers[i]
-			if o := batch * l.Cols(); o != 1 {
-				return fmt.Errorf("plan: layer %d: quotient backend requires o=1, got o=%d", i, o)
-			}
-			if smin < -1 || smax > 1 {
-				return fmt.Errorf("plan: layer %d: quotient backend requires a ternary scheme, session is %s", i, arch.SchemeName)
-			}
-		}
-	}
 	sched, err := p.Schedule()
 	if err != nil {
 		return err
 	}
-	return sched.Validate(arch, nil)
+	return sched.Validate(arch, batch, nil)
 }
 
 // FromString parses the String form back into a plan: comma-separated

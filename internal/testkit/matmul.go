@@ -3,7 +3,6 @@ package testkit
 import (
 	"fmt"
 
-	"abnn2/internal/baseline"
 	"abnn2/internal/core"
 	"abnn2/internal/prg"
 	"abnn2/internal/quant"
@@ -78,72 +77,31 @@ func ABNN2Matmul(scheme quant.Scheme, mode core.Mode) MatmulFunc {
 	}
 }
 
-// SecureMLMatmul returns the SecureML-style bitwise OT-triplet baseline.
-func SecureMLMatmul() MatmulFunc {
+// BaselineMatmul returns comparison backend b — SecureML's bitwise COT
+// triplets, MiniONN over a Paillier key of keyBits (0 = the default; 512
+// keeps the sweep fast), QUOTIENT's ternary COT gadget, which is
+// vector-only and needs W in {-1, 0, 1} — run the way a scheduled session
+// runs it: through the triplet generators' own dispatch, the lazily-run
+// set-up included.
+func BaselineMatmul(b core.BackendID, keyBits int) MatmulFunc {
 	return func(rg ring.Ring, W []int64, m, n int, R *ring.Mat, seed uint64) (*ring.Mat, *ring.Mat, error) {
+		// Params wants a session scheme; no layer runs under it here.
+		p := core.Params{Ring: rg, Scheme: quant.Binary(), MiniONNBits: keyBits}
+		sh := core.MatShape{M: m, N: n, O: R.Cols}
 		return shares(seed,
 			func(conn transport.Conn, rng *prg.PRG) (*ring.Mat, error) {
-				srv, err := baseline.NewSecureMLServer(conn, rg, 7, rng)
+				srv, err := core.OpenServerTriplets(conn, p, 7, rng)
 				if err != nil {
 					return nil, err
 				}
-				return srv.GenerateServer(W, m, n, R.Cols)
+				return srv.GenerateBaseline(b, sh, W)
 			},
 			func(conn transport.Conn, rng *prg.PRG) (*ring.Mat, error) {
-				cli, err := baseline.NewSecureMLClient(conn, rg, 7, rng)
+				cli, err := core.OpenClientTriplets(conn, p, 7, rng)
 				if err != nil {
 					return nil, err
 				}
-				return cli.GenerateClient(m, R)
-			})
-	}
-}
-
-// MiniONNMatmul returns the Paillier-based MiniONN baseline. keyBits
-// sizes the (test-only) modulus; 512 keeps the sweep fast.
-func MiniONNMatmul(keyBits int) MatmulFunc {
-	return func(rg ring.Ring, W []int64, m, n int, R *ring.Mat, seed uint64) (*ring.Mat, *ring.Mat, error) {
-		return shares(seed,
-			func(conn transport.Conn, rng *prg.PRG) (*ring.Mat, error) {
-				srv, err := baseline.NewMiniONNServer(conn, rg, rng)
-				if err != nil {
-					return nil, err
-				}
-				return srv.GenerateServer(W, m, n, R.Cols)
-			},
-			func(conn transport.Conn, rng *prg.PRG) (*ring.Mat, error) {
-				cli, err := baseline.NewMiniONNClient(conn, rg, keyBits, rng)
-				if err != nil {
-					return nil, err
-				}
-				return cli.GenerateClient(m, R)
-			})
-	}
-}
-
-// QuotientMatmul returns the QUOTIENT ternary COT baseline. It is
-// vector-only (o = 1) and requires W in {-1, 0, 1}.
-func QuotientMatmul() MatmulFunc {
-	return func(rg ring.Ring, W []int64, m, n int, R *ring.Mat, seed uint64) (*ring.Mat, *ring.Mat, error) {
-		if R.Cols != 1 {
-			return nil, nil, fmt.Errorf("quotient backend is vector-only, got o=%d", R.Cols)
-		}
-		return shares(seed,
-			func(conn transport.Conn, rng *prg.PRG) (*ring.Mat, error) {
-				srv, err := baseline.NewQuotientServer(conn, rg, 7, rng)
-				if err != nil {
-					return nil, err
-				}
-				u, err := srv.GenerateServer(W, m, n)
-				return &ring.Mat{Rows: m, Cols: 1, Data: u}, err
-			},
-			func(conn transport.Conn, rng *prg.PRG) (*ring.Mat, error) {
-				cli, err := baseline.NewQuotientClient(conn, rg, 7, rng)
-				if err != nil {
-					return nil, err
-				}
-				v, err := cli.GenerateClient(m, ring.Vec(R.Data))
-				return &ring.Mat{Rows: m, Cols: 1, Data: v}, err
+				return cli.GenerateBaseline(b, sh, R)
 			})
 	}
 }
