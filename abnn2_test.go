@@ -361,7 +361,7 @@ func TestV1PeerFailsInSetup(t *testing.T) {
 			return err
 		},
 	}
-	v2 := map[string]func(c Conn) error{
+	cur := map[string]func(c Conn) error{
 		"v1-client": func(c Conn) error { _, err := Serve(c, qm, cfg); return err },
 		"v1-server": func(c Conn) error { _, err := Dial(c, qm.Arch(), cfg); return err },
 	}
@@ -376,7 +376,7 @@ func TestV1PeerFailsInSetup(t *testing.T) {
 				oldErr <- err
 			}()
 			start := time.Now()
-			err := v2[name](b)
+			err := cur[name](b)
 			b.Close()
 			if err == nil {
 				t.Fatal("set-up against a v1 peer succeeded")
@@ -391,7 +391,7 @@ func TestV1PeerFailsInSetup(t *testing.T) {
 			if err := <-oldErr; err == nil {
 				t.Error("the v1 peer completed its set-up")
 			}
-			t.Logf("v2 party: %v", err)
+			t.Logf("current party: %v", err)
 			leakcheck.Settle(t, base, name)
 		})
 	}

@@ -481,9 +481,6 @@ func (b *Bank) Depth(peer PeerID, key Key) int {
 // filler fills to, and what a server enforces per peer on store batches.
 func (b *Bank) Capacity() int { return b.opts.capacity() }
 
-// Low returns the bank's refill watermark.
-func (b *Bank) Low() int { return b.opts.low() }
-
 // Prewarm synchronously fills the loopback pool for key to depth n
 // (clamped to Capacity). Errors out rather than blocking forever when the
 // bank is closing.

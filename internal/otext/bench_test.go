@@ -70,8 +70,10 @@ func BenchmarkExtendKK13x65536Workers8(b *testing.B) {
 	benchExtendWorkers(b, WalshHadamardCode(256), 65536, 8)
 }
 
-func BenchmarkPadDerivation(b *testing.B) {
-	snd, rcv, done := benchPair(b, WalshHadamardCode(16))
+// One op is one OT on the sender: the index step once, then all N
+// candidate pads of padBytes each.
+func benchPadDerivation(b *testing.B, code Code, padBytes int) {
+	snd, rcv, done := benchPair(b, code)
 	defer done()
 	const m = 1024
 	var (
@@ -88,17 +90,23 @@ func BenchmarkPadDerivation(b *testing.B) {
 	}
 	wg.Wait()
 	d := sb.NewDeriver()
-	var pad [64]byte
+	pad := make([]byte, padBytes)
 	b.ReportAllocs()
 	b.ResetTimer()
-	// One op is one OT: the header once, then all 16 candidate pads.
 	for i := 0; i < b.N; i++ {
 		d.Seek(i % m)
-		for v := 0; v < 16; v++ {
-			d.PadInto(v, pad[:])
+		for v := 0; v < code.N(); v++ {
+			d.PadInto(v, pad)
 		}
 	}
 }
+
+// N = 16 with 64-byte pads: a multi-batch payload, expansion included.
+func BenchmarkPadDerivation(b *testing.B) { benchPadDerivation(b, WalshHadamardCode(16), 64) }
+
+// N = 4 with 4-byte pads: the inner loop of a one-batch triplet at
+// 4(2,2) over a 32-bit ring, which is all of mlp_b1_lan's offline phase.
+func BenchmarkPadDerivationN4(b *testing.B) { benchPadDerivation(b, WalshHadamardCode(4), 4) }
 
 func BenchmarkBaseOTSetup(b *testing.B) {
 	for i := 0; i < b.N; i++ {

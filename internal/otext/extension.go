@@ -297,15 +297,14 @@ func (s *Sender) Conn() transport.Conn { return s.conn }
 func (r *Receiver) Conn() transport.Conn { return r.conn }
 
 // Count returns the number of OTs in the block.
-func (b *SenderBlock) Count() int   { return b.m }
 func (b *ReceiverBlock) Count() int { return b.m }
 
 // SenderDeriver derives the pads of one SenderBlock for one goroutine:
-// Seek(j) selects an OT and absorbs its oracle header once, after which
-// each of the N candidates costs only the data blocks and the expansion.
-// For OT j and candidate v the pad is H(session, counter_j,
-// q_j XOR (C(v) AND s)); the receiver can compute the same bytes only for
-// v equal to its choice at j.
+// the oracle's header block is paid once per deriver and its index block
+// once per Seek(j), after which each of the N candidates costs only its
+// row blocks (and, past 16 bytes, its expansion). For OT j and candidate v
+// the pad is H(session, counter_j, q_j XOR (C(v) AND s)); the receiver
+// can compute the same bytes only for v equal to its choice at j.
 type SenderDeriver struct {
 	b      *SenderBlock
 	h      prg.Deriver
@@ -316,7 +315,7 @@ type SenderDeriver struct {
 // NewDeriver returns a deriver over b. Derivers are cheap; concurrent
 // kernels take one per goroutine rather than sharing.
 func (b *SenderBlock) NewDeriver() *SenderDeriver {
-	return &SenderDeriver{b: b, h: oracle.Deriver(), masked: make([]byte, b.q.Stride)}
+	return &SenderDeriver{b: b, h: oracle.Deriver(b.s.session, 0, b.q.Stride), masked: make([]byte, b.q.Stride)}
 }
 
 // Seek selects OT index j for the following PadInto and XORPad calls.
@@ -325,7 +324,7 @@ func (d *SenderDeriver) Seek(j int) {
 		panic(fmt.Sprintf("otext: pad index %d out of range [0,%d)", j, d.b.m))
 	}
 	d.row = d.b.q.Row(j)
-	d.h.Header(d.b.s.session, d.b.base+uint64(j), 0, len(d.row))
+	d.h.Index(d.b.base + uint64(j))
 }
 
 // XORPad XORs len(dst) pad bytes for candidate v of the selected OT into
@@ -352,7 +351,7 @@ type ReceiverDeriver struct {
 
 // NewDeriver returns a deriver over b, one per goroutine.
 func (b *ReceiverBlock) NewDeriver() *ReceiverDeriver {
-	return &ReceiverDeriver{b: b, h: oracle.Deriver()}
+	return &ReceiverDeriver{b: b, h: oracle.Deriver(b.r.session, 0, b.t.Stride)}
 }
 
 // Seek selects OT index j for the following PadInto and XORPad calls.
@@ -361,7 +360,7 @@ func (d *ReceiverDeriver) Seek(j int) {
 		panic(fmt.Sprintf("otext: pad index %d out of range [0,%d)", j, d.b.m))
 	}
 	d.row = d.b.t.Row(j)
-	d.h.Header(d.b.r.session, d.b.base+uint64(j), 0, len(d.row))
+	d.h.Index(d.b.base + uint64(j))
 }
 
 // XORPad XORs len(dst) pad bytes of the selected OT into dst.

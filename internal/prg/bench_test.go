@@ -36,7 +36,7 @@ func BenchmarkOracleHash512(b *testing.B) {
 }
 
 // The public wrapper: one OT-extension-shaped query (a 32-byte KK13 row
-// in, one 16-byte block out) including its header blocks.
+// in, one 16-byte block out) including its header and index blocks.
 func BenchmarkFastOracleHash(b *testing.B) {
 	o := NewFastOracle("bench")
 	data := make([]byte, 32)
@@ -47,17 +47,17 @@ func BenchmarkFastOracleHash(b *testing.B) {
 	}
 }
 
-// The same query through a Deriver, four candidates per header as in a
+// The same query through a Deriver, four candidates per index as in a
 // 1-out-of-4 OT; one op is one candidate pad.
 func BenchmarkDeriverXORPad(b *testing.B) {
-	d := NewFastOracle("bench").Deriver()
 	data := make([]byte, 32)
+	d := NewFastOracle("bench").Deriver(1, 0, len(data))
 	var pad [16]byte
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if i%4 == 0 {
-			d.Header(1, uint64(i), 0, len(data))
+			d.Index(uint64(i))
 		}
 		d.XORPad(pad[:], data)
 	}

@@ -8,29 +8,29 @@ import (
 	"fmt"
 )
 
-// FastOracle is a fixed-key-AES instantiation of the random oracle used
-// on the protocols' hot paths (OT-extension pads, where millions of
-// evaluations dominate runtime). Modern MPC implementations (JustGarble,
-// emp-toolkit, ABY) model a random oracle with a fixed-key AES
-// permutation for exactly this reason; with AES-NI one evaluation is an
+// FastOracle is the fixed-key-AES instantiation of the random oracle on
+// the protocols' hot paths (OT-extension pads, millions per request), as
+// in JustGarble, emp-toolkit and ABY: with AES-NI one evaluation is an
 // order of magnitude cheaper than SHA-256.
 //
-// Construction (pi = AES-128 with a per-oracle fixed key derived from the
-// domain label):
+// With pi = AES-128 under a key derived from the domain label and
+// f(h, b) = pi(h XOR b) XOR h XOR b, the n output bytes of the query
+// (session, index, tweak, data) are, short being 1 when n <= 16,
 //
-//	absorb:  h <- pi(h XOR b) XOR h XOR b        (Miyaguchi-Preneel style)
-//	         over header block (session, index, tweak) then data blocks,
-//	         finalised with a length block
-//	expand:  out_i = pi(h XOR tau_i) XOR h       (Even-Mansour style)
+//	g_blk = f(0, (session, tweak<<32 | len(data)<<1 | short))
+//	g_j   = f(g_blk, (index, 0))
+//	c     = f(...f(g_j, d_0)..., d_last)   16-byte blocks of data, the last zero-padded
+//	out   = c[:n]                          when short
+//	out_i = pi(c XOR tau_i) XOR c          otherwise, tau_i = (i, 0xEE<<56)
 //
-// where tau_i are distinct counter blocks tagged with a domain byte so
-// absorption and expansion queries cannot collide. This is the standard
-// heuristic instantiation; see DESIGN.md for the security model note.
+// The header commits to the chain's length, so the chain is prefix-free
+// without a finalisation block, and the short bit keeps any c from being
+// both output and expanded (SECURITY.md, "Random oracles").
 //
-// A FastOracle is immutable after construction and safe for concurrent
-// use; all per-query state lives in a Deriver.
+// A FastOracle is safe for concurrent use; per-query state lives in a
+// Deriver. Block is exported so that a test can count the calls to it.
 type FastOracle struct {
-	block cipher.Block
+	Block cipher.Block
 }
 
 // NewFastOracle derives the fixed AES key from the domain label.
@@ -40,42 +40,49 @@ func NewFastOracle(label string) *FastOracle {
 	if err != nil {
 		panic(fmt.Sprintf("prg: %v", err)) // impossible: key length is fixed
 	}
-	return &FastOracle{block: blk}
+	return &FastOracle{Block: blk}
 }
 
 // Hash returns n oracle bytes for the query (session, index, tweak, data).
 func (o *FastOracle) Hash(session, index, tweak uint64, data []byte, n int) []byte {
-	d := o.Deriver()
-	d.Header(session, index, tweak, len(data))
+	d := o.Deriver(session, tweak, len(data))
+	d.Index(index)
 	out := make([]byte, n)
 	d.XORPad(out, data)
 	return out
 }
 
-// Deriver evaluates a FastOracle at many data values under one header:
-// Header absorbs the (session, index) and (tweak, len) blocks once, and
-// every XORPad resumes from that saved chaining value. The OT-extension
-// sender asks for N pads per OT that differ only in the data block, so
-// this saves two of every six AES calls there. The output for a query is
+// Deriver evaluates a FastOracle over one block of OTs: it is made for
+// what the block's queries share, Index selects the OT, and every XORPad
+// resumes from g_j. g_blk and g_j depend on the output shape, which only
+// XORPad learns, so the first XORPad that needs one computes it: one AES
+// call per shape per Deriver, one per shape per Index, and then a pad
+// costs its data blocks (and its expansion when n > 16). The output is
 // exactly FastOracle.Hash of the same query.
 //
-// The chaining value is held as two little-endian words, so absorbing
-// and expanding are word XORs around the AES call. The AES operands live
-// in the struct, not on the stack: Encrypt is an interface call, and
-// stack operands would escape to the heap on every call. One Deriver
-// serves one goroutine.
+// Chaining values are two little-endian words, so absorbing and expanding
+// are word XORs around the AES call. The AES operands live in the struct:
+// Encrypt is an interface call, and stack operands would escape to the
+// heap on every call. One Deriver serves one goroutine.
 type Deriver struct {
-	block   cipher.Block
-	g0, g1  uint64 // chaining value after the two header blocks
-	dataLen int    // data length the header committed to
-	in, out [16]byte
+	block                cipher.Block
+	session, meta, index uint64 // meta: the header word with short clear
+	dataLen              int    // data length the header commits to
+	blk                  [2][2]uint64
+	blkOK                [2]bool // blk[short] holds g_blk
+	g0, g1               uint64
+	shape                int // g0, g1 are g_j at short = shape; -1: not computed
+	in, out              [16]byte
 }
 
-// Deriver returns a Deriver for o, by value so that a caller's own
-// per-goroutine state can embed it. Header must be called before the
-// first XORPad.
-func (o *FastOracle) Deriver() Deriver {
-	return Deriver{block: o.block, dataLen: -1}
+// Deriver returns a Deriver for the queries (session, *, tweak, data of
+// dataLen bytes), by value so that a caller's per-goroutine state can
+// embed it. Tweak and dataLen share a header word: 32 and 31 bits.
+func (o *FastOracle) Deriver(session, tweak uint64, dataLen int) Deriver {
+	if tweak>>32 != 0 || uint64(dataLen)>>31 != 0 {
+		panic(fmt.Sprintf("prg: tweak %#x or data length %d does not fit the oracle's header block", tweak, dataLen))
+	}
+	return Deriver{block: o.Block, session: session, meta: tweak<<32 | uint64(dataLen)<<1, dataLen: dataLen, shape: -1}
 }
 
 // absorb returns the chaining value pi(h XOR b) XOR h XOR b.
@@ -87,19 +94,26 @@ func (d *Deriver) absorb(h0, h1, b0, b1 uint64) (uint64, uint64) {
 	return binary.LittleEndian.Uint64(d.out[0:]) ^ x0, binary.LittleEndian.Uint64(d.out[8:]) ^ x1
 }
 
-// Header starts the queries (session, index, tweak, data) for data of
-// dataLen bytes, replacing any earlier header.
-func (d *Deriver) Header(session, index, tweak uint64, dataLen int) {
-	h0, h1 := d.absorb(0, 0, session, index)
-	d.g0, d.g1 = d.absorb(h0, h1, tweak, uint64(dataLen))
-	d.dataLen = dataLen
-}
+// Index selects the query index — the OT — of the following XORPads.
+func (d *Deriver) Index(index uint64) { d.index, d.shape = index, -1 }
 
-// XORPad XORs len(dst) oracle bytes for the query (header, data) into
-// dst. len(data) must be the dataLen given to Header.
+// XORPad XORs len(dst) oracle bytes for the query (header, index, data)
+// into dst. len(data) must be the Deriver's dataLen.
 func (d *Deriver) XORPad(dst, data []byte) {
 	if len(data) != d.dataLen {
-		panic(fmt.Sprintf("prg: Deriver data is %d bytes, header said %d", len(data), d.dataLen))
+		panic(fmt.Sprintf("prg: Deriver data is %d bytes, header says %d", len(data), d.dataLen))
+	}
+	short := 0
+	if len(dst) <= 16 {
+		short = 1
+	}
+	if d.shape != short {
+		if !d.blkOK[short] {
+			d.blk[short][0], d.blk[short][1] = d.absorb(0, 0, d.session, d.meta|uint64(short))
+			d.blkOK[short] = true
+		}
+		d.g0, d.g1 = d.absorb(d.blk[short][0], d.blk[short][1], d.index, 0)
+		d.shape = short
 	}
 	h0, h1 := d.g0, d.g1
 	// Data blocks, the last one zero-padded.
@@ -111,29 +125,32 @@ func (d *Deriver) XORPad(dst, data []byte) {
 		copy(tail[:], data)
 		h0, h1 = d.absorb(h0, h1, binary.LittleEndian.Uint64(tail[0:]), binary.LittleEndian.Uint64(tail[8:]))
 	}
-	// Finalisation block (domain-separates absorb from expand).
-	h0, h1 = d.absorb(h0, h1, 0, 0xA5<<56)
-	// Expand: block i is pi(h XOR tau_i) XOR h, tau_i = (i, 0xEE<<56).
+	if short == 1 {
+		xorBlock(dst, h0, h1)
+		return
+	}
+	// Expand: block i is pi(c XOR tau_i) XOR c.
 	binary.LittleEndian.PutUint64(d.in[8:], h1^0xEE<<56)
 	for i := uint64(0); len(dst) != 0; i++ {
 		binary.LittleEndian.PutUint64(d.in[0:], h0^i)
 		d.block.Encrypt(d.out[:], d.in[:])
-		e0 := binary.LittleEndian.Uint64(d.out[0:]) ^ h0
-		e1 := binary.LittleEndian.Uint64(d.out[8:]) ^ h1
+		xorBlock(dst, binary.LittleEndian.Uint64(d.out[0:])^h0, binary.LittleEndian.Uint64(d.out[8:])^h1)
+		dst = dst[min(16, len(dst)):]
+	}
+}
+
+// xorBlock XORs the first min(len(dst), 16) bytes of the block (e0, e1)
+// into dst: whole words where they fit, then bytes.
+func xorBlock(dst []byte, e0, e1 uint64) {
+	if len(dst) >= 8 {
+		binary.LittleEndian.PutUint64(dst, binary.LittleEndian.Uint64(dst)^e0)
 		if len(dst) >= 16 {
-			binary.LittleEndian.PutUint64(dst[0:], binary.LittleEndian.Uint64(dst[0:])^e0)
 			binary.LittleEndian.PutUint64(dst[8:], binary.LittleEndian.Uint64(dst[8:])^e1)
-			dst = dst[16:]
-			continue
+			return
 		}
-		// Last, partial block: one whole word if it fits, then bytes.
-		if len(dst) >= 8 {
-			binary.LittleEndian.PutUint64(dst, binary.LittleEndian.Uint64(dst)^e0)
-			dst, e0 = dst[8:], e1
-		}
-		for k := range dst {
-			dst[k] ^= byte(e0 >> (8 * uint(k)))
-		}
-		return
+		dst, e0 = dst[8:], e1
+	}
+	for k := range dst {
+		dst[k] ^= byte(e0 >> (8 * uint(k)))
 	}
 }

@@ -2,6 +2,7 @@ package prg
 
 import (
 	"crypto/sha256"
+	"crypto/subtle"
 	"encoding/binary"
 )
 
@@ -25,43 +26,34 @@ func NewOracle(label string) *Oracle {
 	return &Oracle{label: []byte(label)}
 }
 
+// sum appends SHA-256(label, session, index, tweak, ctr, data) to out.
+func (o *Oracle) sum(out []byte, session, index, tweak uint64, ctr uint32, data []byte) []byte {
+	var hdr [28]byte
+	binary.LittleEndian.PutUint64(hdr[0:], session)
+	binary.LittleEndian.PutUint64(hdr[8:], index)
+	binary.LittleEndian.PutUint64(hdr[16:], tweak)
+	binary.LittleEndian.PutUint32(hdr[24:], ctr)
+	h := sha256.New()
+	h.Write(o.label)
+	h.Write(hdr[:])
+	h.Write(data)
+	return h.Sum(out)
+}
+
 // Hash returns n oracle bytes for the query (session, index, tweak,
 // data): SHA-256 in counter mode, 32 bytes per counter value.
 func (o *Oracle) Hash(session uint64, index uint64, tweak uint64, data []byte, n int) []byte {
 	out := make([]byte, 0, n)
-	var hdr [24]byte
-	binary.LittleEndian.PutUint64(hdr[0:], session)
-	binary.LittleEndian.PutUint64(hdr[8:], index)
-	binary.LittleEndian.PutUint64(hdr[16:], tweak)
-	var ctr uint32
-	for len(out) < n {
-		h := sha256.New()
-		h.Write(o.label)
-		h.Write(hdr[:])
-		var cb [4]byte
-		binary.LittleEndian.PutUint32(cb[:], ctr)
-		h.Write(cb[:])
-		h.Write(data)
-		out = h.Sum(out)
-		ctr++
+	for ctr := uint32(0); len(out) < n; ctr++ {
+		out = o.sum(out, session, index, tweak, ctr, data)
 	}
 	return out[:n]
 }
 
-// Block returns a single 128-bit oracle output, the common case in the
-// OT-extension inner loops (one RO block per transferred message).
-func (o *Oracle) Block(session, index, tweak uint64, data []byte) [ROWidth]byte {
-	var out [ROWidth]byte
-	h := sha256.New()
-	h.Write(o.label)
-	var hdr [24]byte
-	binary.LittleEndian.PutUint64(hdr[0:], session)
-	binary.LittleEndian.PutUint64(hdr[8:], index)
-	binary.LittleEndian.PutUint64(hdr[16:], tweak)
-	h.Write(hdr[:])
-	h.Write([]byte{0, 0, 0, 0})
-	h.Write(data)
-	copy(out[:], h.Sum(nil))
+// Block returns a single 128-bit oracle output, the first ROWidth bytes
+// of Hash: the common case in the OT set-up (one RO block per key).
+func (o *Oracle) Block(session, index, tweak uint64, data []byte) (out [ROWidth]byte) {
+	copy(out[:], o.sum(nil, session, index, tweak, 0, data))
 	return out
 }
 
@@ -71,8 +63,6 @@ func XORBytes(dst, a, b []byte) []byte {
 	if len(a) != len(b) || len(dst) != len(a) {
 		panic("prg: XORBytes length mismatch")
 	}
-	for i := range dst {
-		dst[i] = a[i] ^ b[i]
-	}
+	subtle.XORBytes(dst, a, b)
 	return dst
 }

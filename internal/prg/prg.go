@@ -67,9 +67,7 @@ func New(seed Seed) *PRG {
 
 // Fill overwrites p with pseudorandom bytes.
 func (g *PRG) Fill(p []byte) {
-	for i := range p {
-		p[i] = 0
-	}
+	clear(p)
 	g.stream.XORKeyStream(p, p)
 }
 

@@ -188,12 +188,27 @@ func TestFastOracleSeparation(t *testing.T) {
 	}
 }
 
+// TestFastOraclePrefixConsistent: a shorter output is a prefix of a
+// longer one of the same shape — within n <= 16 (a truncated chaining
+// value) and within n > 16 (counter-mode expansion) — while the header's
+// short bit makes the two shapes of one query unrelated: the 16 bytes
+// that are a short output are never the start of a long one.
 func TestFastOraclePrefixConsistent(t *testing.T) {
 	o := NewFastOracle("t")
+	block := o.Hash(1, 2, 3, []byte("x"), 16)
 	long := o.Hash(1, 2, 3, []byte("x"), 100)
-	short := o.Hash(1, 2, 3, []byte("x"), 32)
-	if !bytes.Equal(long[:32], short) {
-		t.Fatal("expansion not prefix-consistent")
+	for _, n := range []int{1, 4, 8, 15} {
+		if !bytes.Equal(block[:n], o.Hash(1, 2, 3, []byte("x"), n)) {
+			t.Errorf("n=%d is not a prefix of n=16", n)
+		}
+	}
+	for _, n := range []int{17, 32, 99} {
+		if !bytes.Equal(long[:n], o.Hash(1, 2, 3, []byte("x"), n)) {
+			t.Errorf("n=%d is not a prefix of n=100", n)
+		}
+	}
+	if bytes.Equal(block, long[:16]) || bytes.Equal(block[:8], long[:8]) {
+		t.Error("short and long outputs of one query share a prefix")
 	}
 }
 

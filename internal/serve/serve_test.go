@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -187,7 +188,7 @@ func TestRejectBadHello(t *testing.T) {
 	for _, raw := range [][]byte{
 		[]byte("not json"),
 		[]byte(`{"abnn2":99}`), // wrong version
-		append([]byte(`{"abnn2":2,"model":"`), append(make([]byte, maxHelloBytes), '"', '}')...),
+		append([]byte(`{"abnn2":3,"model":"`), append(make([]byte, maxHelloBytes), '"', '}')...),
 	} {
 		sconn, cconn := abnn2.Pipe()
 		done := make(chan error, 1)
@@ -214,72 +215,76 @@ func TestRejectBadHello(t *testing.T) {
 	}
 }
 
-// TestHelloVersionMismatch: the two directions of a v1/v2 pairing, on the
-// raw hello. A v1 client's hello — well-formed, naming a served model —
-// is refused bad-hello, permanently, before the session's set-up opens a
-// single span; and this client's hello says version 2, which a v1 server
-// (frozen here: it admits version 1 only) refuses the same way, so the
-// client fails with a permanent *RejectError instead of running a
-// handshake whose base-OT flights would not line up.
+// TestHelloVersionMismatch: the two directions of pairing this version
+// with each older one, on the raw hello. An old client's hello —
+// well-formed, naming a served model — is refused bad-hello, permanently,
+// before the session's set-up opens a single span; and this client's
+// hello says version 3, which an old server (frozen here: it admits its
+// own version only) refuses the same way, so the client fails with a
+// permanent *RejectError instead of running a handshake whose base-OT
+// flights would not line up (version 1) or, worse, one that completes
+// and then derives pads the peer does not (version 2).
 func TestHelloVersionMismatch(t *testing.T) {
-	t.Run("v1-client", func(t *testing.T) {
-		var spans abnn2.TraceCollector
-		rt := testRuntime(t, Options{Session: abnn2.Config{Trace: &spans}})
-		sconn, cconn := abnn2.Pipe()
-		defer cconn.Close()
-		done := make(chan error, 1)
-		go func() { done <- rt.HandleConn(context.Background(), sconn, "test") }()
-		if err := cconn.Send([]byte(`{"abnn2":1,"model":"m0"}`)); err != nil {
-			t.Fatal(err)
-		}
-		reply, err := cconn.Recv()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var hr helloReply
-		if err := json.Unmarshal(reply, &hr); err != nil {
-			t.Fatalf("reply not JSON: %v", err)
-		}
-		if hr.OK || hr.Reject == nil || hr.Reject.Code != RejectBadHello || hr.Reject.Retryable {
-			t.Fatalf("reply = %+v, want permanent bad-hello rejection", hr)
-		}
-		var rej *RejectError
-		if err := <-done; !errors.As(err, &rej) || rej.Rejection.Code != RejectBadHello {
-			t.Fatalf("HandleConn err = %v, want bad-hello RejectError", err)
-		}
-		if got := spans.Spans(); len(got) != 0 {
-			t.Errorf("refused hello left %d spans, want no session work at all", len(got))
-		}
-	})
-	t.Run("v1-server", func(t *testing.T) {
-		sconn, cconn := abnn2.Pipe()
-		defer cconn.Close()
-		sawVersion := make(chan int, 1)
-		go func() {
-			defer sconn.Close()
-			raw, err := sconn.Recv()
+	for old := 1; old < helloVersion; old++ {
+		t.Run(fmt.Sprintf("v%d-client", old), func(t *testing.T) {
+			var spans abnn2.TraceCollector
+			rt := testRuntime(t, Options{Session: abnn2.Config{Trace: &spans}})
+			sconn, cconn := abnn2.Pipe()
+			defer cconn.Close()
+			done := make(chan error, 1)
+			go func() { done <- rt.HandleConn(context.Background(), sconn, "test") }()
+			if err := cconn.Send(fmt.Appendf(nil, `{"abnn2":%d,"model":"m0"}`, old)); err != nil {
+				t.Fatal(err)
+			}
+			reply, err := cconn.Recv()
 			if err != nil {
-				return
+				t.Fatal(err)
 			}
-			var h hello
-			_ = json.Unmarshal(raw, &h)
-			sawVersion <- h.V
-			hr := helloReply{OK: h.V == 1}
-			if !hr.OK {
-				hr.Reject = &Rejection{Code: RejectBadHello, Reason: "malformed hello or unsupported version"}
+			var hr helloReply
+			if err := json.Unmarshal(reply, &hr); err != nil {
+				t.Fatalf("reply not JSON: %v", err)
 			}
-			out, _ := json.Marshal(hr)
-			_ = sconn.Send(out)
-		}()
-		_, err := ClientHandshakeInfo(cconn, "m0")
-		if v := <-sawVersion; v != 2 {
-			t.Errorf("client's hello says version %d, want 2", v)
-		}
-		var rej *RejectError
-		if !errors.As(err, &rej) || rej.Rejection.Code != RejectBadHello || rej.Temporary() {
-			t.Fatalf("handshake err = %v, want a permanent bad-hello *RejectError", err)
-		}
-	})
+			if hr.OK || hr.Reject == nil || hr.Reject.Code != RejectBadHello || hr.Reject.Retryable {
+				t.Fatalf("reply = %+v, want permanent bad-hello rejection", hr)
+			}
+			var rej *RejectError
+			if err := <-done; !errors.As(err, &rej) || rej.Rejection.Code != RejectBadHello {
+				t.Fatalf("HandleConn err = %v, want bad-hello RejectError", err)
+			}
+			if got := spans.Spans(); len(got) != 0 {
+				t.Errorf("refused hello left %d spans, want no session work at all", len(got))
+			}
+		})
+		t.Run(fmt.Sprintf("v%d-server", old), func(t *testing.T) {
+			sconn, cconn := abnn2.Pipe()
+			defer cconn.Close()
+			sawVersion := make(chan int, 1)
+			go func() {
+				defer sconn.Close()
+				raw, err := sconn.Recv()
+				if err != nil {
+					return
+				}
+				var h hello
+				_ = json.Unmarshal(raw, &h)
+				sawVersion <- h.V
+				hr := helloReply{OK: h.V == old}
+				if !hr.OK {
+					hr.Reject = &Rejection{Code: RejectBadHello, Reason: "malformed hello or unsupported version"}
+				}
+				out, _ := json.Marshal(hr)
+				_ = sconn.Send(out)
+			}()
+			_, err := ClientHandshakeInfo(cconn, "m0")
+			if v := <-sawVersion; v != 3 {
+				t.Errorf("client's hello says version %d, want 3", v)
+			}
+			var rej *RejectError
+			if !errors.As(err, &rej) || rej.Rejection.Code != RejectBadHello || rej.Temporary() {
+				t.Fatalf("handshake err = %v, want a permanent bad-hello *RejectError", err)
+			}
+		})
+	}
 }
 
 func TestRejectSaturatedWithHint(t *testing.T) {

@@ -25,14 +25,12 @@ import (
 	"abnn2"
 )
 
-// helloVersion is the handshake wire version, which is the protocol's:
-// version 2 sizes the triplet extension's code — and so its base OTs and
-// every u matrix — to the scheme's N (PROTOCOL.md section 1), where
-// version 1 always ran 256 columns. A server answers any other version
-// with a non-retryable bad-hello rejection, before any base-OT work, so
-// the field also doubles as the magic that distinguishes a runtime client
+// helloVersion is the handshake wire version, which is the protocol's
+// (PROTOCOL.md, "Version"). A server answers any other version with a
+// non-retryable bad-hello rejection, before any base-OT work, so the
+// field also doubles as the magic that distinguishes a runtime client
 // from a stray connection.
-const helloVersion = 2
+const helloVersion = 3
 
 // maxHelloBytes bounds the first client flight. A hello is a short JSON
 // object; anything bigger is hostile or lost.
