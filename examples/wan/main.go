@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"abnn2"
+	"abnn2/internal/core"
 	"abnn2/internal/transport"
 )
 
@@ -54,7 +55,8 @@ func main() {
 		fmt.Println()
 	}
 	fmt.Println("the latency column charges every flight RTT/2, an upper bound: the offline phase keeps")
-	fmt.Println("8 chunks in flight, so a real link pays about one round trip per 8 of those flight pairs.")
+	fmt.Printf("%d chunks in flight, so a real link pays about one round trip per %[1]d of those flight pairs.\n",
+		core.OfflineWindow)
 	fmt.Println("on a WAN, flights x RTT/2 dominates small batches; bytes dominate large ones —")
 	fmt.Println("which is why the paper's speedups over SecureML grow from ~2-3x (LAN) to ~25-36x (WAN).")
 }

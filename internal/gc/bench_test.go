@@ -40,6 +40,52 @@ func BenchmarkEvaluateReLU256x32(b *testing.B) {
 	}
 }
 
+// The 2048x32 kernels run the circuit core's ReLU chunk garbles (2048
+// neurons at 32 bits, 192,512 AND gates; a banked Fig. 4 request at
+// batch 32 runs four), in place into preallocated tables, so they time
+// the kernel and not Garbled's allocations.
+
+func BenchmarkGarbleReLU2048x32(b *testing.B) {
+	circ := BatchReLUCircuit(32, 2048)
+	tables := make([]byte, circ.TableBytes())
+	rng := prg.New(prg.SeedFromInt(1))
+	var s garbling
+	if err := s.garble(circ, rng, tables); err != nil { // sizes the kernel's scratch
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.garble(circ, rng, tables); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportPerAND(b, circ)
+}
+
+func BenchmarkEvaluateReLU2048x32(b *testing.B) {
+	circ := BatchReLUCircuit(32, 2048)
+	tables := make([]byte, circ.TableBytes())
+	var g garbling
+	if err := g.garble(circ, prg.New(prg.SeedFromInt(2)), tables); err != nil {
+		b.Fatal(err)
+	}
+	var s evaluating
+	// All-zero inputs: the zero labels are the active ones. Evaluation
+	// writes gate outputs only, so the inputs stay loaded across runs.
+	copy(s.inputs(circ), g.zero[:circ.NumGarbler+circ.NumEvaluator])
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.evaluate(circ, tables); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportPerAND(b, circ)
+}
+
+func reportPerAND(b *testing.B, c *Circuit) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*c.NumAND()), "ns/AND")
+}
+
 func BenchmarkBuildReLUCircuit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = BatchReLUCircuit(32, 256)

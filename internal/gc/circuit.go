@@ -79,13 +79,8 @@ func (b *Builder) GarblerInput(n int) []int {
 	if b.c.NumEvaluator > 0 || b.inputs {
 		panic("gc: garbler inputs must be declared first")
 	}
-	ws := make([]int, n)
-	for i := range ws {
-		ws[i] = b.c.NumWires
-		b.c.NumWires++
-	}
 	b.c.NumGarbler += n
-	return ws
+	return b.wires(n)
 }
 
 // EvaluatorInput reserves n evaluator-input wires and returns their
@@ -94,42 +89,38 @@ func (b *Builder) EvaluatorInput(n int) []int {
 	if b.inputs {
 		panic("gc: inputs must be declared before gates")
 	}
+	b.c.NumEvaluator += n
+	return b.wires(n)
+}
+
+// wires reserves the next n wire indices.
+func (b *Builder) wires(n int) []int {
 	ws := make([]int, n)
 	for i := range ws {
-		ws[i] = b.c.NumWires
-		b.c.NumWires++
+		ws[i] = b.c.NumWires + i
 	}
-	b.c.NumEvaluator += n
+	b.c.NumWires += n
 	return ws
 }
 
-func (b *Builder) newWire() int {
+// gate appends a gate on a fresh output wire and returns that wire; the
+// first gate ends input declaration.
+func (b *Builder) gate(kind GateKind, a, c int) int {
 	b.inputs = true
-	w := b.c.NumWires
+	out := b.c.NumWires
 	b.c.NumWires++
-	return w
+	b.c.Gates = append(b.c.Gates, Gate{Kind: kind, A: a, B: c, Out: out})
+	return out
 }
 
 // XOR appends an XOR gate and returns its output wire.
-func (b *Builder) XOR(a, c int) int {
-	out := b.newWire()
-	b.c.Gates = append(b.c.Gates, Gate{Kind: GateXOR, A: a, B: c, Out: out})
-	return out
-}
+func (b *Builder) XOR(a, c int) int { return b.gate(GateXOR, a, c) }
 
 // AND appends an AND gate and returns its output wire.
-func (b *Builder) AND(a, c int) int {
-	out := b.newWire()
-	b.c.Gates = append(b.c.Gates, Gate{Kind: GateAND, A: a, B: c, Out: out})
-	return out
-}
+func (b *Builder) AND(a, c int) int { return b.gate(GateAND, a, c) }
 
 // NOT appends an inverter and returns its output wire.
-func (b *Builder) NOT(a int) int {
-	out := b.newWire()
-	b.c.Gates = append(b.c.Gates, Gate{Kind: GateINV, A: a, Out: out})
-	return out
-}
+func (b *Builder) NOT(a int) int { return b.gate(GateINV, a, 0) }
 
 // Output marks wires as circuit outputs, in order.
 func (b *Builder) Output(ws ...int) { b.c.Outputs = append(b.c.Outputs, ws...) }

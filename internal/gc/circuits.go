@@ -218,13 +218,7 @@ func (b *Builder) GreaterConst(x []int, k uint64) int {
 }
 
 // UintToBits expands the low `bits` bits of x, LSB first, one byte per bit.
-func UintToBits(x uint64, bits uint) []byte {
-	out := make([]byte, bits)
-	for i := uint(0); i < bits; i++ {
-		out[i] = byte((x >> i) & 1)
-	}
-	return out
-}
+func UintToBits(x uint64, bits uint) []byte { return VecToBits([]uint64{x}, bits) }
 
 // BitsToUint packs a little-endian bit vector back into a uint64.
 func BitsToUint(bits []byte) uint64 {
@@ -235,7 +229,7 @@ func BitsToUint(bits []byte) uint64 {
 	return x
 }
 
-// VecToBits concatenates UintToBits for each element.
+// VecToBits concatenates the little-endian bit vectors of every element.
 func VecToBits(xs []uint64, bits uint) []byte {
 	out := make([]byte, uint(len(xs))*bits)
 	for k, x := range xs {

@@ -63,15 +63,45 @@ var mmoCipher = func() cipher.Block {
 // The AES operands live in the struct so the hot loop performs no
 // allocations (slices passed through the cipher.Block interface would
 // otherwise escape to the heap on every call).
+//
+// An AND gate's hashes are one staged call: store every operand, issue
+// the Encrypt calls back to back, then load every result. Calls that
+// share one operand/result pair serialise on it; with a pair per call the
+// core overlaps them (four calls: ~74 vs ~36 ns). The stages are
+// unrolled: a loop over the buffers reads slower.
 type hasher struct {
-	x, e [16]byte
+	x, e [4][16]byte
 }
 
-func (h *hasher) hash(l wire, tweak uint64) wire {
-	l.lo ^= tweak
-	l.store(h.x[:])
-	mmoCipher.Encrypt(h.e[:], h.x[:])
-	return loadWire(h.e[:]).xor(l)
+// hash4 returns the garbler's four hashes of an AND gate, computed in
+// this order: H(a0, tweak), H(a1, tweak), H(b0, tweak+1), H(b1, tweak+1).
+func (h *hasher) hash4(a0, a1, b0, b1 wire, tweak uint64) (wire, wire, wire, wire) {
+	a0.lo ^= tweak
+	a1.lo ^= tweak
+	b0.lo ^= tweak + 1
+	b1.lo ^= tweak + 1
+	a0.store(h.x[0][:])
+	a1.store(h.x[1][:])
+	b0.store(h.x[2][:])
+	b1.store(h.x[3][:])
+	mmoCipher.Encrypt(h.e[0][:], h.x[0][:])
+	mmoCipher.Encrypt(h.e[1][:], h.x[1][:])
+	mmoCipher.Encrypt(h.e[2][:], h.x[2][:])
+	mmoCipher.Encrypt(h.e[3][:], h.x[3][:])
+	return loadWire(h.e[0][:]).xor(a0), loadWire(h.e[1][:]).xor(a1),
+		loadWire(h.e[2][:]).xor(b0), loadWire(h.e[3][:]).xor(b1)
+}
+
+// hash2 returns the evaluator's two hashes of an AND gate, H(a, tweak)
+// and H(b, tweak+1), in that order.
+func (h *hasher) hash2(a, b wire, tweak uint64) (wire, wire) {
+	a.lo ^= tweak
+	b.lo ^= tweak + 1
+	a.store(h.x[0][:])
+	b.store(h.x[1][:])
+	mmoCipher.Encrypt(h.e[0][:], h.x[0][:])
+	mmoCipher.Encrypt(h.e[1][:], h.x[1][:])
+	return loadWire(h.e[0][:]).xor(a), loadWire(h.e[1][:]).xor(b)
 }
 
 // Garbled is the garbler's output: everything the evaluator needs except
@@ -145,8 +175,7 @@ func (s *garbling) garble(c *Circuit, rng *prg.PRG, tables []byte) error {
 			pa, pb := a0.lsb(), b0.lsb()
 			// Four hashes: each of H(a0), H(b0) feeds both its half-gate's
 			// ciphertext and its output label.
-			ha0, ha1 := h.hash(a0, tweak), h.hash(a0.xor(r), tweak)
-			hb0, hb1 := h.hash(b0, tweak+1), h.hash(b0.xor(r), tweak+1)
+			ha0, ha1, hb0, hb1 := h.hash4(a0, a0.xor(r), b0, b0.xor(r), tweak)
 			// Generator half-gate.
 			tg := ha0.xor(ha1).xor(r.when(pb))
 			wg := ha0.xor(tg.when(pa))
@@ -235,8 +264,9 @@ func (s *evaluating) evaluate(c *Circuit, tables []byte) error {
 			a, b := active[g.A], active[g.B]
 			tg := loadWire(tables[tweak*LabelSize:])
 			te := loadWire(tables[(tweak+1)*LabelSize:])
-			wg := h.hash(a, tweak).xor(tg.when(a.lsb()))
-			we := h.hash(b, tweak+1).xor(te.xor(a).when(b.lsb()))
+			ha, hb := h.hash2(a, b, tweak)
+			wg := ha.xor(tg.when(a.lsb()))
+			we := hb.xor(te.xor(a).when(b.lsb()))
 			active[g.Out] = wg.xor(we)
 			tweak += 2
 		default:
