@@ -50,10 +50,6 @@ type Conn = transport.Conn
 // Pipe returns an in-process connection pair (server end, client end).
 func Pipe() (Conn, Conn) { return transport.Pipe() }
 
-// MeteredPipe returns an in-process pair plus a traffic meter, useful for
-// measuring protocol cost.
-func MeteredPipe() (Conn, Conn, *transport.Meter) { return transport.MeteredPipe() }
-
 // Stream frames messages over a byte stream such as a *net.TCPConn.
 func Stream(rw io.ReadWriteCloser) Conn { return transport.NewStream(rw) }
 

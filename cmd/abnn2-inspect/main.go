@@ -45,6 +45,7 @@ import (
 
 	"abnn2/internal/bank"
 	"abnn2/internal/core"
+	"abnn2/internal/gc"
 	"abnn2/internal/nn"
 	"abnn2/internal/otext"
 	"abnn2/internal/plan"
@@ -103,7 +104,7 @@ func main() {
 	fmt.Printf("model: %d layers, scheme %s, frac %d, ring Z_2^%d\n",
 		len(qm.Layers), qm.Layers[0].Scheme.Name(), qm.Frac, *ringBits)
 	fmt.Println("\nlayers:")
-	var neurons int
+	var outputs, ands, tableBytes int
 	for i, l := range qm.Layers {
 		kind := "FC"
 		extra := ""
@@ -117,7 +118,19 @@ func main() {
 		relu := ""
 		if l.ReLU {
 			relu = " + ReLU"
-			neurons += l.OutputSize()
+		}
+		// The circuit the engine garbles per output: Algorithm 2 over one
+		// pooling window, or over one neuron for a bare ReLU.
+		var circ *gc.Circuit
+		if l.Pool != nil {
+			circ = gc.BatchMaxPoolCircuit(*ringBits, l.Pool.K*l.Pool.K, 1, l.ReLU)
+		} else if l.ReLU {
+			circ = gc.BatchReLUCircuit(*ringBits, 1)
+		}
+		if circ != nil {
+			outputs += l.OutputSize()
+			ands += l.OutputSize() * circ.NumAND()
+			tableBytes += l.OutputSize() * circ.TableBytes()
 		}
 		req := ""
 		if l.ReqC != 0 {
@@ -146,11 +159,8 @@ func main() {
 		fmt.Printf("%8d %14d %12.2f %14.2f\n", b, ots, mb, link.NetworkTime(transport.Stats{BytesAB: int64(bits / 8)}).Seconds())
 	}
 
-	// GC activation cost: ~3l AND gates per neuron per prediction.
-	perNeuronAND := 3 * int(*ringBits)
-	fmt.Printf("\nactivations: %d ReLU neurons/prediction -> ~%d AND gates, ~%.2f MB garbled tables each\n",
-		neurons, neurons*perNeuronAND,
-		float64(neurons*perNeuronAND)*2*16/(1<<20))
+	fmt.Printf("\nactivations: %d ReLU neurons and pool windows/prediction -> %d AND gates, %.2f MB garbled tables\n",
+		outputs, ands, float64(tableBytes)/(1<<20))
 	fmt.Printf("(kappa = %d; one-batch C-OT and multi-batch packing selected automatically per batch)\n", otext.Kappa)
 }
 

@@ -43,14 +43,17 @@ func Example() {
 	// Output: secure == plaintext: true
 }
 
-// ExampleClient_ClassifyPrivate shows the argmax finish: the client
-// learns only the class index, never the score vector.
+// ExampleClient_ClassifyPrivate runs a small CNN (conv 5x5 -> ReLU ->
+// pool 2 -> FC) and finishes with the private argmax. The convolution runs
+// as OT matrix triplets, the fused ReLU and max pooling and the argmax
+// inside garbled circuits; the client learns only each class index, never
+// the score vector.
 func ExampleClient_ClassifyPrivate() {
 	ds := abnn2.SyntheticDataset(300, 7)
 	train, test := ds.Split(0.9)
-	model := abnn2.NewMLP(784, 12, 10)
-	model.Train(train.Inputs, train.Labels, abnn2.TrainOptions{Epochs: 2})
-	qm, err := model.Quantize("ternary", 8)
+	model := abnn2.NewSmallCNN(4)
+	model.Train(train.Inputs, train.Labels, abnn2.TrainOptions{Epochs: 2, BatchSize: 16})
+	qm, err := model.Quantize("8(2,2,2,2)", 8)
 	if err != nil {
 		fmt.Println("quantize:", err)
 		return
@@ -62,13 +65,20 @@ func ExampleClient_ClassifyPrivate() {
 		fmt.Println("dial:", err)
 		return
 	}
-	classes, err := client.ClassifyPrivate(test.Inputs[:1])
+	inputs := test.Inputs[:4]
+	classes, err := client.ClassifyPrivate(inputs)
 	if err != nil {
 		fmt.Println("classify:", err)
 		return
 	}
-	fmt.Println("matches plaintext:", classes[0] == qm.Predict(test.Inputs[0]))
-	// Output: matches plaintext: true
+	matches := 0
+	for i, x := range inputs {
+		if classes[i] == qm.Predict(x) {
+			matches++
+		}
+	}
+	fmt.Printf("matches plaintext: %d of %d\n", matches, len(inputs))
+	// Output: matches plaintext: 4 of 4
 }
 
 // ExampleChoosePlan prices the per-layer offline backends under the two

@@ -114,6 +114,31 @@ func TestParseOfflineFrame(t *testing.T) {
 }
 
 func FuzzParseAnnouncement(f *testing.F) {
+	// One valid frame per layout and mode bit, the store bit on its one
+	// layout and on the two it is refused on, the batch and mode bounds,
+	// then each length's fills and neighbours.
+	for _, raw := range [][]byte{
+		annBytes(2, 1, 0),       // inline, argmax
+		annBytes(1, 2, 8),       // loopback, plan follows
+		annBytes(1<<20, 3, 24),  // peer, both bits
+		annBytes(4, 4, 24),      // store
+		annBytes(4, 6, 24),      // store, plan follows
+		annBytes(4, 5, 24),      // store with argmax
+		annBytes(4, 4, 8),       // store on the loopback layout
+		annBytes(4, 4, 0),       // store on the inline layout
+		annBytes(1<<20+1, 0, 0), // batch over the bound
+		annBytes(0, 0, 8),       // batch 0
+		annBytes(1, 8, 0),       // first unknown mode bit
+		{},
+	} {
+		f.Add(raw)
+	}
+	for _, n := range []int{5, 13, 29} {
+		f.Add(bytes.Repeat([]byte{0xFF}, n))
+		f.Add(bytes.Repeat([]byte{0x80}, n))
+		f.Add(make([]byte, n-1))
+		f.Add(make([]byte, n+1))
+	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		a, err := parseAnnouncement(raw)
 		if err != nil {
@@ -136,6 +161,18 @@ func FuzzParseAnnouncement(f *testing.F) {
 }
 
 func FuzzParseOfflineFrame(f *testing.F) {
+	// Each reply kind at its one length and that length's neighbours, then
+	// what is no reply at all, the request a client once sent included.
+	id := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+	for _, kind := range []byte{'G', 'N', 'A', 'X', 0} {
+		frame := append([]byte{kind}, id...)
+		f.Add(frame)
+		f.Add(frame[:8])
+		f.Add(append(frame, 0))
+	}
+	f.Add(append(append([]byte{'R'}, id...), 4, 0, 0, 0))
+	f.Add([]byte{'D'})
+	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		fr, err := parseOfflineFrame(raw)
 		if err != nil {

@@ -304,12 +304,12 @@ func TestPutNeedsDurableStore(t *testing.T) {
 	mem := New(Options{})
 	defer mem.Close()
 	key := sessionKey(t, mem, testModel(t), 1)
-	if err := mem.Put(PeerID{1}, key, 1, []byte{KindClientHalf}); err == nil {
+	if err := mem.Put(PeerID{1}, key, 1, []byte{kindClientHalf}); err == nil {
 		t.Fatal("Put succeeded on a memory-only bank")
 	}
 	f := fillDiskPeer(t, 1)
 	for _, p := range []PeerID{LoopbackServer, LoopbackClient} {
-		if err := f.b.Put(p, f.key, 7, []byte{KindClientHalf}); err == nil {
+		if err := f.b.Put(p, f.key, 7, []byte{kindClientHalf}); err == nil {
 			t.Fatalf("Put under reserved identity %s succeeded", p)
 		}
 	}

@@ -2,6 +2,7 @@ package bank
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"abnn2/internal/core"
@@ -20,14 +21,24 @@ import (
 func FuzzScanSegment(f *testing.F) {
 	scope := Scope{Key: Key{Model: "m", Scheme: "4(2,2)", RingBits: 32,
 		Batch: 2, Backend: "fuzz"}}
-	img := AppendSegmentHeader(nil, scope.String())
-	img = AppendSegmentRecord(img, 7, []byte{KindServerHalf, 1, 2, 3})
+	hdr := slices.Clip(appendSegmentHeader(nil, scope.String()))
+	img := appendSegmentRecord(hdr, 7, []byte{kindServerHalf, 1, 2, 3})
+	// Two records carrying real correlation blobs, then the same image with
+	// the first payload corrupted under an intact length field.
+	s, c := fuzzCorrPair()
+	full := appendSegmentRecord(appendSegmentRecord(hdr, 1, EncodeServerCorr(s)), 2, EncodeClientCorr(c))
+	crcFlip := append([]byte{}, full...)
+	crcFlip[len(hdr)+8] ^= 0xFF
 	f.Add(img)
+	f.Add(full)
+	f.Add(crcFlip)
 	f.Add(img[:len(img)-3])             // torn record tail
+	f.Add(hdr)                          // header only
+	f.Add(hdr[:len(hdr)-3])             // torn scope line
 	f.Add(img[:5])                      // torn header
 	f.Add([]byte("ABNN2SG1"))           // header magic only
 	f.Add([]byte("NOTMAGIC________"))   // wrong magic
-	f.Add(AppendSegmentHeader(nil, "")) // empty scope line
+	f.Add(appendSegmentHeader(nil, "")) // empty scope line
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, recs, keep, err := scanSegment(data)
@@ -54,9 +65,13 @@ func FuzzScanSegment(f *testing.F) {
 // the torn-tail contract mirrors the segment scanner's.
 func FuzzScanJournal(f *testing.F) {
 	img := append([]byte{}, journalMagic...)
-	img = AppendJournalEntry(img, 0xAB, 1)
-	img = AppendJournalEntry(img, 0xAB, 2)
+	img = appendJournalEntry(img, 0xAB, 1)
+	img = appendJournalEntry(img, 0xCD, 2)
+	img = appendJournalEntry(img, 0xAB, 3)
+	midFlip := append([]byte{}, img...)
+	midFlip[len(journalMagic)+4] ^= 0xFF // the first of three entries
 	f.Add(img)
+	f.Add(midFlip)
 	f.Add(img[:len(img)-journalEntrySize/2]) // torn last entry
 	f.Add(append([]byte{}, journalMagic...))
 	f.Add([]byte("ABNN2JN"))  // torn header
@@ -117,10 +132,13 @@ func fuzzCorrPair() (*core.ServerCorr, *core.ClientCorr) {
 // peer-paired correlation bit-exact).
 func FuzzDecodeCorr(f *testing.F) {
 	s, c := fuzzCorrPair()
-	f.Add(EncodeServerCorr(s))
-	f.Add(EncodeClientCorr(c))
-	f.Add([]byte{KindServerHalf})
-	f.Add([]byte{KindClientHalf, 2, 0, 0, 0})
+	sb, cb := EncodeServerCorr(s), EncodeClientCorr(c)
+	f.Add(sb)
+	f.Add(cb)
+	f.Add(sb[:len(sb)-3]) // truncated matrix body
+	f.Add(cb[:len(cb)-1]) // truncated Z1 tail
+	f.Add([]byte{kindServerHalf})
+	f.Add([]byte{kindClientHalf, 2, 0, 0, 0})
 	f.Add([]byte{'P', 0xFF, 0xFF, 0xFF, 0xFF}) // the retired dealer-pair tag
 	f.Add([]byte{'X'})
 	f.Add([]byte{})

@@ -65,8 +65,8 @@ const maxMatDim = 1 << 21
 
 // Correlation blob tags.
 const (
-	KindServerHalf byte = 'S'
-	KindClientHalf byte = 'C'
+	kindServerHalf byte = 'S'
+	kindClientHalf byte = 'C'
 )
 
 // PeerID is a party's durable 128-bit identity, generated randomly on
@@ -120,7 +120,7 @@ type Scope struct {
 
 // String is the canonical scope encoding: the segment header line, the
 // KEY file contents, and the input to the journal's scope hash. Round-
-// trips through ParseScope.
+// trips through parseScope.
 func (s Scope) String() string {
 	return fmt.Sprintf("v1 peer=%s model=%s scheme=%s l=%d batch=%d backend=%s",
 		s.Peer, s.Key.Model, s.Key.Scheme, s.Key.RingBits, s.Key.Batch, s.Key.Backend)
@@ -143,9 +143,9 @@ func (s Scope) valid() error {
 	return nil
 }
 
-// ParseScope decodes the canonical form. It accepts exactly what String
+// parseScope decodes the canonical form. It accepts exactly what String
 // produces; recovery treats anything else as a corrupt pool directory.
-func ParseScope(s string) (Scope, error) {
+func parseScope(s string) (Scope, error) {
 	var sc Scope
 	fields := strings.Split(s, " ")
 	if len(fields) != 7 || fields[0] != "v1" {
@@ -196,16 +196,16 @@ func (s Scope) dirName() string {
 	return hex.EncodeToString(sum[:8])
 }
 
-// AppendSegmentHeader appends a segment file header for scope.
-func AppendSegmentHeader(dst []byte, scope string) []byte {
+// appendSegmentHeader appends a segment file header for scope.
+func appendSegmentHeader(dst []byte, scope string) []byte {
 	dst = append(dst, segmentMagic...)
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(scope)))
 	return append(dst, scope...)
 }
 
-// AppendSegmentRecord appends one framed, checksummed record: id plus a
+// appendSegmentRecord appends one framed, checksummed record: id plus a
 // correlation blob.
-func AppendSegmentRecord(dst []byte, id uint64, blob []byte) []byte {
+func appendSegmentRecord(dst []byte, id uint64, blob []byte) []byte {
 	payload := make([]byte, 0, 8+len(blob))
 	payload = binary.LittleEndian.AppendUint64(payload, id)
 	payload = append(payload, blob...)
@@ -214,8 +214,8 @@ func AppendSegmentRecord(dst []byte, id uint64, blob []byte) []byte {
 	return append(dst, payload...)
 }
 
-// AppendJournalEntry appends one fixed-size claim entry.
-func AppendJournalEntry(dst []byte, scopeHash, id uint64) []byte {
+// appendJournalEntry appends one fixed-size claim entry.
+func appendJournalEntry(dst []byte, scopeHash, id uint64) []byte {
 	var e [journalEntrySize]byte
 	binary.LittleEndian.PutUint64(e[0:8], scopeHash)
 	binary.LittleEndian.PutUint64(e[8:16], id)
@@ -387,7 +387,7 @@ const maxLayers = 1 << 16
 
 // EncodeServerCorr serializes a server correlation half.
 func EncodeServerCorr(c *core.ServerCorr) []byte {
-	dst := []byte{KindServerHalf}
+	dst := []byte{kindServerHalf}
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(c.Batch))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(c.U)))
 	for _, u := range c.U {
@@ -398,7 +398,7 @@ func EncodeServerCorr(c *core.ServerCorr) []byte {
 
 // DecodeServerCorr parses a server half; the inverse of EncodeServerCorr.
 func DecodeServerCorr(src []byte) (*core.ServerCorr, error) {
-	if len(src) == 0 || src[0] != KindServerHalf {
+	if len(src) == 0 || src[0] != kindServerHalf {
 		return nil, fmt.Errorf("bank: not a server correlation blob")
 	}
 	src = src[1:]
@@ -432,7 +432,7 @@ func DecodeServerCorr(src []byte) (*core.ServerCorr, error) {
 
 // EncodeClientCorr serializes a client correlation half.
 func EncodeClientCorr(c *core.ClientCorr) []byte {
-	dst := []byte{KindClientHalf}
+	dst := []byte{kindClientHalf}
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(c.Batch))
 	dst = appendMat(dst, c.R0)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(c.V)))
@@ -453,7 +453,7 @@ func EncodeClientCorr(c *core.ClientCorr) []byte {
 
 // DecodeClientCorr parses a client half; the inverse of EncodeClientCorr.
 func DecodeClientCorr(src []byte) (*core.ClientCorr, error) {
-	if len(src) == 0 || src[0] != KindClientHalf {
+	if len(src) == 0 || src[0] != kindClientHalf {
 		return nil, fmt.Errorf("bank: not a client correlation blob")
 	}
 	src = src[1:]

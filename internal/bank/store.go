@@ -316,7 +316,7 @@ func (s *Store) recoverPoolDir(dir, name string, st *RecoverStats) (*scopeState,
 		s.quarantine(dir, st)
 		return nil, false
 	}
-	scope, err := ParseScope(strings.TrimSpace(string(scopeData)))
+	scope, err := parseScope(strings.TrimSpace(string(scopeData)))
 	if err != nil || scope.dirName() != name || scope.Peer.loopback() {
 		s.quarantine(dir, st)
 		return nil, false
@@ -498,7 +498,7 @@ func (s *Store) appendSegment(sc *scopeState, id uint64, blob []byte) error {
 			return err
 		}
 	}
-	rec := AppendSegmentRecord(nil, id, blob)
+	rec := appendSegmentRecord(nil, id, blob)
 	if _, err := sc.seg.Write(rec); err != nil {
 		return fmt.Errorf("bank: segment append: %w", err)
 	}
@@ -518,7 +518,7 @@ func (s *Store) openSegment(sc *scopeState) error {
 	if err != nil {
 		return fmt.Errorf("bank: open segment: %w", err)
 	}
-	hdr := AppendSegmentHeader(nil, sc.scope.String())
+	hdr := appendSegmentHeader(nil, sc.scope.String())
 	if _, err := f.Write(hdr); err != nil {
 		f.Close()
 		return fmt.Errorf("bank: segment header: %w", err)
@@ -597,7 +597,7 @@ func (s *Store) claimLocked(sc *scopeState, id uint64) error {
 		return nil
 	}
 	sc.claimed[id] = true
-	entry := AppendJournalEntry(nil, sc.hash, id)
+	entry := appendJournalEntry(nil, sc.hash, id)
 	if _, err := s.journal.Write(entry); err != nil {
 		return fmt.Errorf("bank: journal append: %w", err)
 	}

@@ -380,7 +380,7 @@ func TestScopeRoundTrip(t *testing.T) {
 	var peer PeerID
 	copy(peer[:], bytes.Repeat([]byte{0xAB}, 16))
 	for _, sc := range []Scope{testScope(NoPeer), testScope(peer)} {
-		got, err := ParseScope(sc.String())
+		got, err := parseScope(sc.String())
 		if err != nil {
 			t.Fatalf("parse %q: %v", sc.String(), err)
 		}
@@ -392,8 +392,8 @@ func TestScopeRoundTrip(t *testing.T) {
 		"", "v2 peer=x", "v1 peer=zz model=m scheme=s l=32 batch=1 backend=b",
 		"v1 peer=" + NoPeer.String() + " model=m scheme=s l=7 batch=1 backend=b",
 	} {
-		if _, err := ParseScope(bad); err == nil {
-			t.Fatalf("ParseScope(%q) accepted garbage", bad)
+		if _, err := parseScope(bad); err == nil {
+			t.Fatalf("parseScope(%q) accepted garbage", bad)
 		}
 	}
 }

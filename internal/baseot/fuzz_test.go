@@ -14,8 +14,10 @@ import (
 // buffered pipe with the hostile flights pre-fed; the subject's own
 // outgoing flights sit in the pipe buffer and are discarded with it.
 
-func validPoint() []byte {
-	x, y := curve.ScalarBaseMult([]byte{1})
+// validPoint returns k times the generator: random 65-byte strings are
+// almost never on the curve.
+func validPoint(k byte) []byte {
+	x, y := curve.ScalarBaseMult([]byte{k})
 	return elliptic.Marshal(curve, x, y)
 }
 
@@ -23,7 +25,7 @@ func validPoint() []byte {
 // point A and the ciphertext batch (valid length n*2*MsgSize = 64 for
 // n=2).
 func FuzzReceive(f *testing.F) {
-	g := validPoint()
+	g := validPoint(1)
 	f.Add(g, make([]byte, 64))
 	f.Add(g, make([]byte, 63))
 	f.Add([]byte{}, []byte{})
@@ -41,9 +43,11 @@ func FuzzReceive(f *testing.F) {
 // points B_i (valid length n*65 = 130 for n=2 over P-256). Off-curve and
 // truncated points must be rejected without panicking.
 func FuzzSend(f *testing.F) {
-	g := validPoint()
+	g := validPoint(1)
 	valid := append(append([]byte{}, g...), g...)
 	f.Add(valid)
+	f.Add(append(validPoint(1), validPoint(2)...))
+	f.Add(append(validPoint(3), validPoint(4)...))
 	f.Add(valid[:129])
 	f.Add([]byte{})
 	f.Add(make([]byte, 130))

@@ -148,8 +148,8 @@ func TestMatchesReference(t *testing.T) {
 	}
 }
 
-// fuzzSenderSeed seeds the sender under FuzzSendMatchesReference;
-// gencorpus derives the sender's point A from the same value.
+// fuzzSenderSeed seeds the sender under FuzzSendMatchesReference, whose
+// seeds derive the sender's point A from the same value.
 const fuzzSenderSeed = 8
 
 // sendAgainst runs send for n = 2 against a pre-fed B flight and returns
@@ -186,11 +186,16 @@ func FuzzSendMatchesReference(f *testing.F) {
 	ax, ay := referenceCurve.ScalarBaseMult(a.Bytes())
 	A := elliptic.Marshal(referenceCurve, ax, ay)
 	negA := elliptic.Marshal(referenceCurve, ax, new(big.Int).Sub(referenceCurve.Params().P, ay))
-	g := validPoint()
+	g := validPoint(1)
 	join := func(p, q []byte) []byte { return append(append([]byte{}, p...), q...) }
 	f.Add(join(A, g))
+	f.Add(join(g, A))
 	f.Add(join(negA, g))
+	f.Add(join(A, A))
+	f.Add(join(negA, negA))
+	f.Add(join(A, negA))
 	f.Add(join(g, g))
+	f.Add(join(g, make([]byte, 65)))
 	f.Add(join(A, A)[:129])
 	f.Add(make([]byte, 130))
 	f.Fuzz(func(t *testing.T, braw []byte) {

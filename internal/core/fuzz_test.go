@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 
@@ -40,6 +41,18 @@ func fuzzServerTriplets(f *testing.F, p Params) (*ServerTriplets, transport.Conn
 	return srv, cb
 }
 
+// addPayloadSeeds seeds a payload parser at its valid length: zero, 0xFF
+// and 0x80 fills (set high bits reach the ring canonicality check), both
+// off-by-one neighbours and the empty payload.
+func addPayloadSeeds(f *testing.F, valid int) {
+	for _, fill := range []byte{0, 0xFF, 0x80} {
+		f.Add(bytes.Repeat([]byte{fill}, valid))
+	}
+	f.Add(make([]byte, valid-1))
+	f.Add(make([]byte, valid+1))
+	f.Add([]byte{})
+}
+
 // FuzzTripletPayloadOneBatch feeds arbitrary bytes as the client's
 // one-batch ciphertext payload. Shape 2x3 over the 4(2,2) scheme gives
 // gamma*m*n = 12 OTs in a single chunk; the valid payload length is
@@ -51,9 +64,7 @@ func FuzzTripletPayloadOneBatch(f *testing.F) {
 	srv, peer := fuzzServerTriplets(f, p)
 	sh := MatShape{M: 2, N: 3, O: 1}
 	W := []int64{1, -2, 0, 3, -1, 2}
-	f.Add(make([]byte, 180))
-	f.Add(make([]byte, 179))
-	f.Add([]byte{})
+	addPayloadSeeds(f, 180)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if err := peer.Send(data); err != nil {
 			t.Skip("pipe closed")
@@ -71,9 +82,7 @@ func FuzzTripletPayloadMultiBatch(f *testing.F) {
 	srv, peer := fuzzServerTriplets(f, p)
 	sh := MatShape{M: 2, N: 3, O: 2}
 	W := []int64{1, -2, 0, 3, -1, 2}
-	f.Add(make([]byte, 480))
-	f.Add(make([]byte, 479))
-	f.Add([]byte{})
+	addPayloadSeeds(f, 480)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if err := peer.Send(data); err != nil {
 			t.Skip("pipe closed")

@@ -1,6 +1,7 @@
 package gc
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 
@@ -54,7 +55,10 @@ func FuzzEvaluatorRun(f *testing.F) {
 		evalBits[i] = byte(i) & 1
 	}
 	f.Add(make([]byte, want))
+	f.Add(bytes.Repeat([]byte{0xFF}, want))
+	f.Add(bytes.Repeat([]byte{0x80}, want))
 	f.Add(make([]byte, want-1))
+	f.Add(make([]byte, want+1))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if err := peer.Send(data); err != nil {
@@ -70,7 +74,12 @@ func FuzzEvaluatorRun(f *testing.F) {
 // no input may panic.
 func FuzzEvaluate(f *testing.F) {
 	circ := BatchSignCircuit(8, 1)
+	labels := make([]byte, circ.NumGarbler*LabelSize) // a distinct label for every garbler input
+	for i := range labels {
+		labels[i] = byte(7*i + 1)
+	}
 	f.Add(make([]byte, circ.TableBytes()), make([]byte, 16))
+	f.Add(bytes.Repeat([]byte{0xFF}, circ.TableBytes()), labels)
 	f.Add([]byte{}, []byte{})
 	f.Add(make([]byte, 7), make([]byte, 3))
 	f.Fuzz(func(t *testing.T, tables, labelSrc []byte) {

@@ -173,9 +173,29 @@ func gateProgram(prog []byte) *Circuit {
 // arbitrary gate lists, inputs and seeds, including the shapes no
 // circuit constructor emits: INV chains, gates fed the same wire twice,
 // AND gates on inverted and re-inverted wires. The input bytes double as
-// the garbling seed. The checked-in corpus (gencorpus) adds long
-// INV-heavy programs.
+// the garbling seed.
 func FuzzGarbleMatchesReference(f *testing.F) {
+	// Three long programs: a chain of 150 INVs with ANDs across it, all
+	// gate kinds interleaved, and ANDs of freshly inverted wires.
+	invChain := []byte{3, 3}
+	for i := 0; i < 150; i++ {
+		invChain = append(invChain, 2, byte(i+7), 0) // invert the newest wire
+	}
+	for i := 0; i < 40; i++ {
+		invChain = append(invChain, 1, byte(3*i), byte(5*i+1))
+	}
+	mixed := []byte{2, 1}
+	for i := 0; i < 250; i++ {
+		mixed = append(mixed, byte(i%4), byte(7*i+3), byte(11*i+5))
+	}
+	andOfInv := []byte{0, 0}
+	for i := 0; i < 80; i++ {
+		andOfInv = append(andOfInv, 3, byte(i), 0, 1, byte(2*i+1), byte(2*i+2), 0, byte(3*i), byte(3*i+1))
+	}
+	f.Add(invChain, []byte{0xA5, 0x3C})
+	f.Add(mixed, []byte{0x01, 0xFE, 0x77, 0x10, 0x9B, 0x42, 0xC3, 0x5A, 0xE1})
+	f.Add(andOfInv, []byte{0xFF})
+	f.Add([]byte{3, 3}, []byte{})
 	f.Add([]byte{0, 0, 1, 0, 1}, []byte{1, 1})
 	f.Add([]byte{1, 2, 1, 0, 0, 0, 1, 1, 1, 3, 3, 1, 5, 4}, []byte{0xFF, 0x00}) // x AND x, x XOR x
 	f.Add([]byte{}, []byte{})

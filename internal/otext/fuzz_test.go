@@ -1,6 +1,7 @@
 package otext
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 
@@ -69,14 +70,24 @@ func fuzzReceiver(f *testing.F, code Code) (*Receiver, transport.Conn) {
 	return rcv, b
 }
 
+// addFlightSeeds seeds a flight parser at its valid length: zero, 0xFF
+// and 0x80 fills (set high bits reach the ring canonicality checks),
+// both off-by-one neighbours and the empty flight.
+func addFlightSeeds(f *testing.F, valid int) {
+	for _, fill := range []byte{0, 0xFF, 0x80} {
+		f.Add(bytes.Repeat([]byte{fill}, valid))
+	}
+	f.Add(make([]byte, valid-1))
+	f.Add(make([]byte, valid+1))
+	f.Add([]byte{})
+}
+
 // FuzzSenderExtend feeds arbitrary bytes as the u column matrix. The
 // valid length for WH(16) and m=8 is 240 bytes (w = 240 columns of
 // mPad/8 bytes); everything else must error cleanly.
 func FuzzSenderExtend(f *testing.F) {
 	snd, peer := fuzzSender(f, WalshHadamardCode(16))
-	f.Add(make([]byte, 240))
-	f.Add(make([]byte, 239))
-	f.Add([]byte{})
+	addFlightSeeds(f, 240)
 	f.Add(make([]byte, 1024))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if err := peer.Send(data); err != nil {
@@ -92,9 +103,7 @@ func FuzzSenderExtend(f *testing.F) {
 func FuzzRecvChosen(f *testing.F) {
 	rcv, peer := fuzzReceiver(f, WalshHadamardCode(4))
 	choices := []int{0, 1, 2, 3}
-	f.Add(make([]byte, 64))
-	f.Add(make([]byte, 63))
-	f.Add([]byte{})
+	addFlightSeeds(f, 64)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if err := peer.Send(data); err != nil {
 			t.Skip("pipe closed")
@@ -110,9 +119,7 @@ func FuzzRecvCorrelatedRing(f *testing.F) {
 	rcv, peer := fuzzReceiver(f, RepetitionCode())
 	rg := ring.New(33)
 	bits := []byte{1, 0, 1}
-	f.Add(make([]byte, 15))
-	f.Add(make([]byte, 14))
-	f.Add([]byte{})
+	addFlightSeeds(f, 15)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if err := peer.Send(data); err != nil {
 			t.Skip("pipe closed")

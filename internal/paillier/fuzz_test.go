@@ -16,13 +16,18 @@ func FuzzUnmarshalCiphertext(f *testing.F) {
 	sk := testKey
 	pk := &sk.PublicKey
 	rng := prg.New(prg.SeedFromInt(99))
-	valid, err := pk.Encrypt(rng, big.NewInt(1234))
-	if err != nil {
-		f.Fatal(err)
+	for _, m := range []int64{0, 1, 1234, 1 << 40} {
+		ct, err := pk.Encrypt(rng, big.NewInt(m))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(pk.Marshal(ct))
 	}
-	f.Add(pk.Marshal(valid))
-	f.Add(make([]byte, pk.CiphertextBytes()))                 // zero: not a unit
-	f.Add(pk.N.FillBytes(make([]byte, pk.CiphertextBytes()))) // multiple of N
+	threeN := new(big.Int).Mul(pk.N, big.NewInt(3))
+	f.Add(make([]byte, pk.CiphertextBytes()))                   // zero: not a unit
+	f.Add(pk.N.FillBytes(make([]byte, pk.CiphertextBytes())))   // multiple of N
+	f.Add(threeN.FillBytes(make([]byte, pk.CiphertextBytes()))) // a larger multiple
+	f.Add(pk.N2.FillBytes(make([]byte, pk.CiphertextBytes())))  // out of range
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ct, err := pk.Unmarshal(data)

@@ -18,10 +18,30 @@ func FuzzUnmarshalPlan(f *testing.F) {
 		{Backend: core.BackendMiniONN},
 		{Backend: core.BackendSecureML},
 	}}
-	f.Add(mixed.Marshal())
-	f.Add(Uniform(core.BackendQuotient, 1).Marshal())
-	f.Add([]byte("ABP1"))
-	f.Add([]byte{})
+	one := Uniform(core.BackendQuotient, 1).Marshal()
+	// The rejection boundaries: layer 0's backend byte (offset 6) unknown,
+	// its scheme-length byte (offset 7) over MaxSchemeName, a scheme body
+	// cut short.
+	badBackend := append([]byte{}, one...)
+	badBackend[6] = 0xEE
+	longScheme := append([]byte{}, one...)
+	longScheme[7] = MaxSchemeName + 1
+	torn := mixed.Marshal()
+	for _, seed := range [][]byte{
+		mixed.Marshal(),
+		one,
+		Uniform(core.BackendABNN2, MaxLayers).Marshal(),
+		badBackend,
+		longScheme,
+		torn[:len(torn)-3],
+		[]byte("ABP1\x00\x00"),                 // zero layers
+		[]byte("ABP1\xff\xff"),                 // over MaxLayers
+		append(append([]byte{}, one...), 0x00), // trailing byte
+		[]byte("ABP1"),
+		{},
+	} {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := Unmarshal(data)
 		if err != nil {

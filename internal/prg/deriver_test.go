@@ -158,9 +158,12 @@ func TestDeriverPanicsOnWrongDataLength(t *testing.T) {
 // already served another query yield the frozen reference's bytes. The
 // header argument carries session, index, tweak (8 bytes each, the tweak
 // cut to the 32 bits the header block has for it) and the output length
-// (2 bytes), zero-extended when short; internal/testkit/gencorpus writes
-// the checked-in seed.
+// (2 bytes), zero-extended when short.
 func FuzzPadDeriverMatchesHash(f *testing.F) {
+	// A KK13-shaped query at N = 4: one 192-column row, a 16-byte pad.
+	kk13 := make([]byte, 26)
+	kk13[0], kk13[8], kk13[20], kk13[24] = 0xC0, 3, 1, 15
+	f.Add(kk13, bytes.Repeat([]byte{0xA5}, 24))
 	f.Add(make([]byte, 26), make([]byte, 16))
 	f.Add([]byte{1, 2, 3}, []byte{})
 	f.Add(bytes.Repeat([]byte{0xFF}, 26), []byte("seventeen bytes!!"))

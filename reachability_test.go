@@ -6,13 +6,18 @@ package abnn2_test
 //
 // Rule 1: every function declared in a non-test file under internal/
 // (packages testkit and leakcheck are test instruments, exempt whole) is
-// named by some non-test file of the repository — cmd/, examples/ and the
-// benchmark module's adapter included — other than at its own
-// declaration, or is in internalOnlyTests below with the reason it stays.
+// named by some non-test file of the repository — cmd/ and the benchmark
+// module's adapter included — other than at its own declaration, or is in
+// internalOnlyTests below with the reason it stays.
 //
 // Rule 2: every exported function of the root package is named by a test,
 // an example or a binary. The root API is what a library user outside this
 // module reaches; one nobody calls here is one nobody checks.
+//
+// Rule 3: every package main outside the benchmark module is a command
+// under cmd/. A program anywhere else is one no build, test or CI job
+// runs, so it drifts; an example belongs in example_test.go, where
+// `go test` runs it and checks its output.
 //
 // The scan is go/parser only: names, not types. A method counts as named
 // when any selector or identifier spells its name, so `String` on one type
@@ -45,6 +50,7 @@ var internalOnlyTests = map[string]string{
 	"bank.Replenisher.Backoff":  "test instrument: the failure backoff a test waits to see set and cleared",
 	"bitmat.Matrix.Bit":         "test instrument: the reader SetBit and the transposes are checked against",
 	"ring.Ring.EqualMat":        "test oracle: share reconstruction in the core, gc and testkit tests",
+	"trace.Collector.Spans":     "public API: how a library user reads an abnn2.TraceCollector; the root telemetry tests read through it",
 }
 
 type declared struct {
@@ -61,18 +67,8 @@ func scanGo(t *testing.T, keep func(path string) bool, declsIn func(path string)
 	fset := token.NewFileSet()
 	var decls []declared
 	uses := map[string]int{}
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		path = filepath.ToSlash(path)
-		if !strings.HasSuffix(path, ".go") || !keep(path) {
+	walkGo(t, func(path string) error {
+		if !keep(path) {
 			return nil
 		}
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
@@ -103,10 +99,31 @@ func scanGo(t *testing.T, keep func(path string) bool, declsIn func(path string)
 		})
 		return nil
 	})
+	return decls, uses
+}
+
+// walkGo calls visit with the slash-separated path of every .go file of
+// the repository outside hidden and testdata directories.
+func walkGo(t *testing.T, visit func(path string) error) {
+	t.Helper()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if path = filepath.ToSlash(path); strings.HasSuffix(path, ".go") {
+			return visit(path)
+		}
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return decls, uses
 }
 
 func receiverType(e ast.Expr) string {
@@ -165,7 +182,7 @@ func TestRootAPIHasCallers(t *testing.T) {
 		func(string) bool { return true })
 	_, uses := scanGo(t,
 		func(path string) bool {
-			return isTest(path) || strings.HasPrefix(path, "cmd/") || strings.HasPrefix(path, "examples/")
+			return isTest(path) || strings.HasPrefix(path, "cmd/")
 		},
 		func(string) bool { return false })
 	for _, d := range decls {
@@ -173,4 +190,21 @@ func TestRootAPIHasCallers(t *testing.T) {
 			t.Errorf("%s: exported %s has no test, example or binary that names it", d.pos, d.name)
 		}
 	}
+}
+
+func TestMainPackagesAreCommands(t *testing.T) {
+	fset := token.NewFileSet()
+	walkGo(t, func(path string) error {
+		if strings.HasPrefix(path, "cmd/") || strings.HasPrefix(path, "benchmark/") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.PackageClauseOnly)
+		if err != nil {
+			return err
+		}
+		if f.Name.Name == "main" {
+			t.Errorf("%s: package main outside cmd/ — make it a command, an Example in a _test.go file, or delete it", path)
+		}
+		return nil
+	})
 }

@@ -19,9 +19,6 @@ import (
 // each other.
 type Stats = transport.Stats
 
-// Meter collects Stats for a connection; see MeteredPipe.
-type Meter = transport.Meter
-
 // TraceSpan is one completed protocol phase: its name ("setup", "baseot",
 // "offline", "triplets", "bank", "bank-refill", "batch", "online",
 // "input", "matmul", "relu", "pool", "argmax", "output", "idle"),
