@@ -65,7 +65,8 @@ func StreamLimit(rw io.ReadWriteCloser, limit int) Conn {
 // Config selects protocol parameters. The zero value means: 32-bit ring,
 // fully oblivious GC ReLU.
 type Config struct {
-	// RingBits is l of the share ring Z_2^l (8..64). Default 32.
+	// RingBits is l of the share ring Z_2^l (8..64). Default
+	// DefaultRingBits.
 	RingBits uint
 	// OptimizedReLU selects the paper's section 4.2 sign-bit ReLU, which
 	// is ~3x cheaper in garbled tables but reveals each activation's sign
@@ -108,15 +109,14 @@ type Config struct {
 	// must share the same *Bank instance (an in-process trusted dealer;
 	// see NewBank). Behaviour on a dry pool is set by OfflineMode.
 	Bank *Bank
-	// OfflineMode selects inline vs banked offline provisioning; the zero
-	// value OfflineAuto prefers the bank and falls back inline. Ignored
-	// when Bank is nil (everything runs inline) except that OfflineBanked
-	// then fails validation on the client.
+	// OfflineMode selects what a dry pool does; the zero value OfflineAuto
+	// falls back inline. Without a Bank every batch runs inline, and
+	// OfflineBanked fails validation.
 	OfflineMode OfflineMode
 	// BankModel is the model ID (from RegisterBankModel / BankModelID)
 	// the client keys its pool draws with. Client-side only: the server
 	// derives the ID from the model it serves. Required when Bank is set
-	// on a client and OfflineMode is not OfflineInline.
+	// on a client.
 	BankModel string
 	// BankPeer, on a client, is the serving peer's durable identity (the
 	// hex ID from the serve handshake). When set — which requires a Bank
@@ -145,9 +145,12 @@ type Config struct {
 	MiniONNKeyBits int
 }
 
+// DefaultRingBits is l of the share ring of a Config whose RingBits is 0.
+const DefaultRingBits = 32
+
 func (c Config) ringBits() uint {
 	if c.RingBits == 0 {
-		return 32
+		return DefaultRingBits
 	}
 	return c.RingBits
 }
@@ -215,13 +218,16 @@ func Serve(conn Conn, model *QuantizedModel, cfg Config) (Stats, error) {
 //
 // The returned Stats cover everything this endpoint sent and received
 // over the session's lifetime, including the failed remainder of an
-// aborted session.
+// aborted session. ServeContext closes conn when it returns, failed
+// set-up included, so a client blocked on a failed session sees the
+// connection close instead of waiting for a reply that never comes.
 func ServeContext(ctx context.Context, conn Conn, model *QuantizedModel, cfg Config) (Stats, error) {
 	srv, err := newServer(ctx, conn, model, cfg)
 	if err != nil {
+		conn.Close()
 		return Stats{}, err
 	}
-	defer srv.sc.release()
+	defer srv.Close()
 	for {
 		err := srv.HandleBatch()
 		if errors.Is(err, io.EOF) {
@@ -292,7 +298,7 @@ func (c Config) tracer(sc *sessionConn, party string) *trace.Tracer {
 	return trace.New(c.Trace,
 		trace.WithParty(party),
 		trace.WithSession(c.SessionID),
-		trace.WithCounters(sc.counters))
+		trace.WithCounters(sc.Stats))
 }
 
 // flightFunc builds this endpoint's wire-flight stamper, nil unless the
@@ -445,13 +451,13 @@ func (s *Server) applyPlan(batch int, planned bool) error {
 // the loopback client's for a 13-byte announcement; on disk its
 // claim-journal entry lands before the half is returned, so the id can
 // never back two batches even across a crash — and installs it. Any
-// failure — no bank, inline-only policy, unknown or spent id, a half from
-// another pool or peer — is a protocol error that fails the batch at once;
-// the session never blocks waiting for material.
+// failure — no bank, unknown or spent id, a half from another pool or
+// peer — is a protocol error that fails the batch at once; the session
+// never blocks waiting for material.
 func (s *Server) claim(a announcement) (err error) {
 	ksp := s.tr.Start(a.source.span()).SetBatch(a.batch)
 	defer func() { ksp.End(err) }()
-	if s.bank == nil || s.mode == OfflineInline {
+	if s.bank == nil {
 		return fmt.Errorf("abnn2: client announced a banked batch but this server provisions inline")
 	}
 	key := s.claimKey(a.batch)
@@ -482,19 +488,19 @@ func (s *Server) claimKey(batch int) BankKey {
 // the one a later peer-banked announcement of that id claims from.
 //
 // The server answers twice, echoing the id: go or nak before generating,
-// so a request it will not keep (no recovered durable store, inline-only
-// policy, this peer's pool at Capacity) costs the client one round trip
-// and no offline phase; then, after a go, ack once its half is on disk or
-// nak when it could not be put there. It persists before acking: a client
-// that crashes between the ack and its own persist strands one server
-// half, which is never claimable and costs its disk space and one unit of
-// that peer's pool capacity.
+// so a request it will not keep (no recovered durable store, this peer's
+// pool at Capacity) costs the client one round trip and no offline phase;
+// then, after a go, ack once its half is on disk or nak when it could not
+// be put there. It persists before acking: a client that crashes between
+// the ack and its own persist strands one server half, which is never
+// claimable and costs its disk space and one unit of that peer's pool
+// capacity.
 func (s *Server) store(a announcement) error {
 	reply := func(kind byte) error {
 		return s.sc.Send(offlineFrame{kind: kind, id: a.corr}.append(nil))
 	}
 	key := s.claimKey(a.batch)
-	if s.bank == nil || s.mode == OfflineInline || s.bank.Store() == nil || !s.bank.Store().Recovered() ||
+	if s.bank == nil || s.bank.Store() == nil || !s.bank.Store().Recovered() ||
 		s.bank.Depth(a.peer, key) >= s.bank.Capacity() {
 		return reply(offlineNak)
 	}
@@ -544,14 +550,13 @@ func Dial(conn Conn, arch Arch, cfg Config) (*Client, error) {
 //
 // Where batches get their offline material is decided here, once: with
 // Config.Bank set, the pool shared with Config.BankPeer — the loopback
-// peer when that is empty — and without it, or under OfflineInline, the
-// inline offline phase. A batch that finds its one pool dry falls back
-// inline (OfflineAuto) or fails (OfflineBanked); it never tries a second
-// pool.
+// peer when that is empty — and without it the inline offline phase. A
+// batch that finds its one pool dry falls back inline (OfflineAuto) or
+// fails (OfflineBanked); it never tries a second pool.
 func DialContext(ctx context.Context, conn Conn, arch Arch, cfg Config) (_ *Client, err error) {
 	source := provisionInline
 	peer, selfPeer := bank.LoopbackServer, bank.LoopbackClient
-	if cfg.Bank != nil && cfg.OfflineMode != OfflineInline {
+	if cfg.Bank != nil {
 		if cfg.BankModel == "" {
 			return nil, fmt.Errorf("abnn2: Config.Bank on a client requires Config.BankModel")
 		}
@@ -619,6 +624,16 @@ func (c *Client) Close() error { return c.sc.Close() }
 // what the client sent, BytesBA what it received. Metering is always on;
 // it does not require tracing.
 func (c *Client) Stats() Stats { return c.sc.Stats() }
+
+// PoolKey is the key of the pool this client's batches of the given size
+// draw from and Prefetch fills: model, scheme, ring width and backend as
+// DialContext derived them from Config. It is the zero key with Batch set
+// for a client without Config.Bank.
+func (c *Client) PoolKey(batch int) BankKey {
+	key := c.key
+	key.Batch = batch
+	return key
+}
 
 // Classify securely evaluates the model on a batch of float inputs and
 // returns the predicted class indices (computed locally from the full
@@ -709,8 +724,7 @@ func (c *Client) provision(batch int, argmax bool) error {
 	}
 	a := announcement{batch: batch, argmax: argmax}
 	if c.source != provisionInline {
-		key := c.key
-		key.Batch = batch
+		key := c.PoolKey(batch)
 		sp := c.tr.Start(c.source.span()).SetBatch(batch)
 		id, ok, err := c.draw(key)
 		if err == nil && !ok && c.mode == OfflineBanked {
@@ -820,9 +834,7 @@ func (c *Client) storeBatch(batch int) (ok bool, err error) {
 	if ok, err := c.storeReply(a.corr, offlineAck); err != nil || !ok {
 		return false, err // on a nak the server kept nothing: drop our half too
 	}
-	key := c.key
-	key.Batch = batch
-	return true, c.bank.Put(c.peer, key, a.corr, bank.EncodeClientCorr(corr))
+	return true, c.bank.Put(c.peer, c.PoolKey(batch), a.corr, bank.EncodeClientCorr(corr))
 }
 
 // storeReply reads the server's next reply about correlation id: true for

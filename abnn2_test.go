@@ -328,12 +328,12 @@ func TestQuantizationAccuracyLadder(t *testing.T) {
 // refuses every other name, "invalid" — String's answer for an
 // out-of-range mode — included.
 func TestParseOfflineMode(t *testing.T) {
-	for _, m := range []OfflineMode{OfflineAuto, OfflineInline, OfflineBanked} {
+	for _, m := range []OfflineMode{OfflineAuto, OfflineBanked} {
 		if got, err := ParseOfflineMode(m.String()); err != nil || got != m {
 			t.Errorf("ParseOfflineMode(%q) = %v, %v; want %v", m.String(), got, err, m)
 		}
 	}
-	for _, name := range []string{"", "Auto", "banked ", "invalid", OfflineMode(7).String()} {
+	for _, name := range []string{"", "Auto", "banked ", "inline", "invalid", OfflineMode(7).String()} {
 		if m, err := ParseOfflineMode(name); err == nil {
 			t.Errorf("ParseOfflineMode(%q) = %v, want an error", name, m)
 		}

@@ -79,8 +79,7 @@ func BankModelID(q *QuantizedModel) (string, error) {
 // "Correlation bank".
 type BankStore = bank.Store
 
-// BankStoreOptions configures OpenBankStore: directory, segment rotation
-// size, observer.
+// BankStoreOptions configures OpenBankStore: directory and observer.
 type BankStoreOptions = bank.StoreOptions
 
 // BankRecoverStats summarizes a store's startup recovery scan.
@@ -124,9 +123,6 @@ const (
 	// and falls back to inline offline generation when the pool is dry or
 	// no bank is configured. The default.
 	OfflineAuto OfflineMode = iota
-	// OfflineInline always runs the offline phase inline, ignoring any
-	// configured bank.
-	OfflineInline
 	// OfflineBanked requires the bank: a dry pool (client) or an inline
 	// announcement (server) fails the batch immediately instead of
 	// falling back. Use it to keep latency-critical serving off the
@@ -138,8 +134,6 @@ func (m OfflineMode) String() string {
 	switch m {
 	case OfflineAuto:
 		return "auto"
-	case OfflineInline:
-		return "inline"
 	case OfflineBanked:
 		return "banked"
 	}
@@ -153,5 +147,5 @@ func ParseOfflineMode(s string) (OfflineMode, error) {
 			return m, nil
 		}
 	}
-	return 0, fmt.Errorf("abnn2: unknown offline mode %q (want auto, inline or banked)", s)
+	return 0, fmt.Errorf("abnn2: unknown offline mode %q (want auto or banked)", s)
 }

@@ -344,3 +344,49 @@ func TestRoundTimeoutAllowsIdleBetweenBatches(t *testing.T) {
 		t.Fatalf("server: %v", err)
 	}
 }
+
+// TestFailedServeClosesConn: parties that disagree on a session parameter
+// set up fine — base OTs do not depend on it — and the server then fails
+// the first batch. ServeContext closes its connection when it returns, so
+// the client's Classify, blocked on a reply that will never come, fails
+// at once even with no RoundTimeout set.
+func TestFailedServeClosesConn(t *testing.T) {
+	qm := chaosModel(t)
+	for _, c := range []struct {
+		name       string
+		scfg, ccfg Config
+	}{
+		{"ring", Config{RingBits: 64}, Config{RingBits: 32}},
+		{"relu", Config{RingBits: 32, OptimizedReLU: true}, Config{RingBits: 32}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			sconn, cconn := Pipe()
+			served := make(chan error, 1)
+			go func() {
+				_, err := Serve(sconn, qm, c.scfg)
+				served <- err
+			}()
+			client, err := Dial(cconn, qm.Arch(), c.ccfg)
+			if err != nil {
+				t.Fatalf("setup: %v", err)
+			}
+			defer client.Close()
+			classified := make(chan error, 1)
+			go func() {
+				_, err := client.Classify(chaosInputs(2))
+				classified <- err
+			}()
+			select {
+			case err := <-classified:
+				if err == nil {
+					t.Fatal("Classify succeeded across mismatched parties")
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("Classify still blocked 5 s into a session the server gave up on")
+			}
+			if err := <-served; err == nil {
+				t.Error("Serve returned nil for a session it could not run")
+			}
+		})
+	}
+}

@@ -1,6 +1,8 @@
 // Command abnn2-client connects to abnn2-server, completes the model
 // handshake, and requests secure predictions for synthetic inputs. The
-// server never sees the inputs; the client never sees the weights.
+// server never sees the inputs; the client never sees the weights. The
+// share ring width and the ReLU protocol are the server's: the handshake
+// reply carries both, so the client has no flag for either.
 //
 // The connect is retried with capped, jittered exponential backoff until
 // -dial-timeout expires, so the client can be started before (or
@@ -38,7 +40,6 @@ import (
 	"time"
 
 	"abnn2"
-	"abnn2/internal/bank"
 	"abnn2/internal/plan"
 	"abnn2/internal/serve"
 )
@@ -47,8 +48,6 @@ func main() {
 	addr := flag.String("connect", "localhost:9000", "server address")
 	model := flag.String("model", "", "model name to request (empty = server default)")
 	n := flag.Int("n", 4, "number of inputs to classify (one batch)")
-	ringBits := flag.Uint("ring", 64, "share ring bit width l (must match server)")
-	optRelu := flag.Bool("optimized-relu", false, "must match the server's setting")
 	seed := flag.Uint64("dataset-seed", 7, "synthetic dataset seed")
 	workers := flag.Int("workers", 0, "worker goroutines for protocol kernels (0 = one per CPU)")
 	dialTimeout := flag.Duration("dial-timeout", 30*time.Second, "total connect budget including retries and admission backoff")
@@ -101,12 +100,11 @@ func main() {
 		defer cbank.Close()
 	}
 
-	baseCfg := abnn2.Config{
-		RingBits:      *ringBits,
-		OptimizedReLU: *optRelu,
-		Workers:       *workers,
-		RoundTimeout:  *roundTimeout,
-		Trace:         traceSink,
+	// The session parameters both parties must share — ring width and ReLU
+	// variant — are the server's, read off each handshake.
+	configFor := func(info serve.HandshakeInfo) abnn2.Config {
+		return abnn2.Config{RingBits: info.RingBits, OptimizedReLU: info.OptimizedReLU,
+			Workers: *workers, RoundTimeout: *roundTimeout, Trace: traceSink, SessionID: info.SessionID}
 	}
 	dialFailed := func(what string, err error) {
 		var rej *serve.RejectError
@@ -124,7 +122,7 @@ func main() {
 	// session of this run announces it and the server re-validates it per
 	// batch.
 	var sessPlan *abnn2.Plan
-	planFor := func(arch abnn2.Arch) *abnn2.Plan {
+	planFor := func(info serve.HandshakeInfo) *abnn2.Plan {
 		if *planFlag == "" || sessPlan != nil {
 			return sessPlan
 		}
@@ -134,7 +132,7 @@ func main() {
 			os.Exit(1)
 		}
 		p, est, err := plan.FromFlag(*planFlag, plan.Input{
-			Arch: arch, RingBits: *ringBits, Batch: *n, Link: link})
+			Arch: info.Arch, RingBits: info.RingBits, Batch: *n, Link: link})
 		if err != nil {
 			logger.Error("bad -plan", "err", err)
 			os.Exit(1)
@@ -152,60 +150,51 @@ func main() {
 	// long as the process lives.
 	if *prefetch > 0 {
 		// prefetchSession opens one replenishment session and stores up to
-		// want correlations of batch -n.
-		prefetchSession := func(ctx context.Context, want int) (int, serve.HandshakeInfo, error) {
+		// want correlations of batch -n; it returns how many landed, the
+		// server's peer id and the pool they landed in.
+		prefetchSession := func(ctx context.Context, want int) (int, string, abnn2.BankKey, error) {
 			ctx, cancel := context.WithTimeout(ctx, *dialTimeout)
 			defer cancel()
 			conn, info, err := serve.DialOffline(ctx, *addr, *model)
 			if err != nil {
-				return 0, info, err
+				return 0, "", abnn2.BankKey{}, err
 			}
 			defer conn.Close()
-			cfg := baseCfg
+			cfg := configFor(info)
 			cfg.Bank, cfg.BankModel, cfg.BankPeer = cbank, info.BankID, info.Peer
-			cfg.SessionID, cfg.Plan = info.SessionID, planFor(info.Arch)
+			cfg.Plan = planFor(info)
 			client, err := abnn2.DialContext(ctx, conn, info.Arch, cfg)
 			if err != nil {
-				return 0, info, err
+				return 0, info.Peer, abnn2.BankKey{}, err
 			}
 			defer client.Close()
 			got, err := client.Prefetch(*n, want)
-			return got, info, err
+			return got, info.Peer, client.PoolKey(*n), err
 		}
 		start := time.Now()
-		got, oinfo, err := prefetchSession(context.Background(), *prefetch)
+		got, peer, key, err := prefetchSession(context.Background(), *prefetch)
 		if err != nil {
 			dialFailed("replenishment session", err)
 		}
 		logger.Info("correlations prefetched", "stored", got, "batch", *n,
 			"dur", time.Since(start).Round(time.Millisecond))
-		serverPeer, err := abnn2.ParseBankPeerID(oinfo.Peer)
+		serverPeer, err := abnn2.ParseBankPeerID(peer)
 		if err != nil {
-			logger.Error("server peer id", "peer", oinfo.Peer, "err", err)
+			logger.Error("server peer id", "peer", peer, "err", err)
 			os.Exit(1)
 		}
 
 		// Background replenishment: every draw during inference lowers the
-		// pool; the replenisher tops it back up to the prefetch target with
-		// fresh replenishment sessions, so a long-lived client never
-		// degrades to the inline offline phase.
-		low := *prefetch / 2
-		if low < 1 {
-			low = 1
-		}
-		backend := abnn2.BankSessionBackend
-		if sessPlan != nil {
-			backend = bank.PlanBackend(sessPlan.Fingerprint())
-		}
+		// pool; the replenisher tops it back up to the prefetch target (the
+		// client bank's capacity) with fresh replenishment sessions once it
+		// falls to half of that, so a long-lived client never degrades to
+		// the inline offline phase.
 		rep, err := abnn2.NewBankReplenisher(abnn2.BankReplenishOptions{
 			Bank: cbank,
 			Peer: serverPeer,
-			Keys: []abnn2.BankKey{{Model: oinfo.BankID, Scheme: oinfo.Arch.SchemeName,
-				RingBits: *ringBits, Batch: *n, Backend: backend}},
-			Low:    low,
-			Target: *prefetch,
+			Keys: []abnn2.BankKey{key},
 			Run: func(ctx context.Context, _ abnn2.BankKey, want int) (int, error) {
-				got, _, err := prefetchSession(ctx, want)
+				got, _, _, err := prefetchSession(ctx, want)
 				return got, err
 			},
 		})
@@ -215,7 +204,7 @@ func main() {
 		}
 		rep.Start()
 		defer rep.Close()
-		logger.Info("background replenisher started", "low", low, "target", *prefetch)
+		logger.Info("background replenisher started", "target", *prefetch)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), *dialTimeout)
@@ -238,9 +227,8 @@ func main() {
 	fmt.Printf("architecture: %d layers, input %d, output %d, scheme %s\n",
 		len(arch.Layers), arch.InputSize(), arch.OutputSize(), arch.SchemeName)
 
-	cfg := baseCfg
-	cfg.SessionID = info.SessionID
-	cfg.Plan = planFor(arch)
+	cfg := configFor(info)
+	cfg.Plan = planFor(info)
 	if cbank != nil && info.BankID != "" && info.Peer != "" {
 		// Provision from the durable peer-paired pool; a dry pool falls
 		// back to the inline offline phase (OfflineAuto).

@@ -16,7 +16,9 @@
 // an optional correlation bank (-bank-capacity), and a bounded admission
 // controller (-max-sessions) — thousands of clients are then pipe pairs,
 // no sockets needed. TCP mode (-connect) exercises a real server
-// end-to-end, including DialTCP's jittered backoff.
+// end-to-end, including DialTCP's jittered backoff; its clients take the
+// ring width and ReLU protocol from the server's handshake, so -ring and
+// -optimized-relu configure the embedded runtime only.
 //
 // Usage:
 //
@@ -53,13 +55,13 @@ func main() {
 	requests := flag.Int("requests", 0, "requests per client (0 = run until -duration)")
 	sessionBatches := flag.Int("session-batches", 4, "batches per session before a client reconnects (slot turnover)")
 	batch := flag.Int("batch", 1, "inputs per prediction batch")
-	ringBits := flag.Uint("ring", 32, "share ring bit width l (must match the server in TCP mode)")
-	optRelu := flag.Bool("optimized-relu", false, "use the sign-leaking optimized ReLU (must match the server in TCP mode)")
+	ringBits := flag.Uint("ring", 32, "embedded runtime share ring bit width l (TCP mode takes the server's)")
+	optRelu := flag.Bool("optimized-relu", false, "embedded runtime uses the sign-leaking optimized ReLU (TCP mode takes the server's)")
 	workers := flag.Int("workers", 1, "worker goroutines per session kernel")
 	roundTimeout := flag.Duration("round-timeout", time.Minute, "per-round protocol deadline")
 	maxSessions := flag.Int("max-sessions", 0, "embedded runtime admission capacity (0 = CPU-derived)")
 	bankCap := flag.Int("bank-capacity", 0, "embedded runtime correlation pool capacity (0 = bank off)")
-	offline := flag.String("offline", "auto", "embedded runtime offline mode: auto, inline, banked")
+	offline := flag.String("offline", "auto", "embedded runtime offline mode: auto, banked")
 	dialTimeout := flag.Duration("dial-timeout", 30*time.Second, "per-connect budget including admission retries")
 	requireHints := flag.Bool("require-hints", false, "exit non-zero if any retryable rejection lacked a retry-after hint")
 	seed := flag.Uint64("seed", 11, "synthetic input seed")
@@ -101,7 +103,7 @@ func main() {
 				return nil, abnn2.Arch{}, ccfg, err
 			}
 			cfg := ccfg
-			cfg.SessionID = info.SessionID
+			cfg.RingBits, cfg.OptimizedReLU, cfg.SessionID = info.RingBits, info.OptimizedReLU, info.SessionID
 			return conn, info.Arch, cfg, nil
 		}
 		fmt.Printf("mode=tcp addr=%s clients=%d\n", addr, *clients)
@@ -124,7 +126,7 @@ func main() {
 			name := pick(names, i)
 			conn, arch, err := rt.Connect(ctx, name)
 			cfg := ccfg
-			if rt.Bank() != nil && mode != abnn2.OfflineInline {
+			if rt.Bank() != nil {
 				// In-process clients share the runtime's trust domain, so they
 				// may draw banked correlations like an embedded deployment.
 				cfg.Bank = rt.Bank()
@@ -337,10 +339,9 @@ func embeddedRuntime(logger *slog.Logger, modelPath string, tenants int, ccfg ab
 		corrBank = abnn2.NewBank(abnn2.BankOptions{Capacity: bankCap, Workers: ccfg.Workers})
 	}
 	scfg := ccfg
-	scfg.OfflineMode = mode
+	scfg.Bank, scfg.OfflineMode = corrBank, mode
 	rt, err := serve.New(serve.Options{
 		Registry:    registry,
-		Bank:        corrBank,
 		MaxSessions: maxSessions,
 		Session:     scfg,
 		Logger:      logger,

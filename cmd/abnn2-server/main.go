@@ -67,7 +67,7 @@ func main() {
 	roundTimeout := flag.Duration("round-timeout", time.Minute, "per-round protocol deadline (0 = unbounded)")
 	grace := flag.Duration("grace", 30*time.Second, "drain period for in-flight sessions on shutdown")
 	maxMsg := flag.Int("max-message", 0, "per-message size limit in bytes (0 = default 64 MiB)")
-	offlineMode := flag.String("offline", "auto", "offline provisioning: auto (bank with inline fallback), inline, banked (refuse inline batches)")
+	offlineMode := flag.String("offline", "auto", "offline provisioning: auto (bank with inline fallback), banked (refuse inline batches)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /vars, /healthz, /readyz, /debug/flightrecorder and /debug/pprof on this address (empty = off)")
 	traceOut := flag.String("trace-out", "", "append protocol spans and flight stamps as JSONL to this file (empty = off)")
 	slo := flag.Duration("slo", 0, "per-session latency SLO; breaches count in abnn2_slo_breaches_total and trigger diagnostics dumps (0 = off)")
@@ -214,7 +214,6 @@ func main() {
 
 	rt, err := serve.New(serve.Options{
 		Registry:         registry,
-		Bank:             corrBank,
 		MaxSessions:      *maxConns,
 		HandshakeTimeout: *handshakeTimeout,
 		Session: abnn2.Config{
@@ -223,6 +222,7 @@ func main() {
 			Workers:       *workers,
 			RoundTimeout:  *roundTimeout,
 			Trace:         traceSink,
+			Bank:          corrBank,
 			OfflineMode:   mode,
 			Plan:          reqPlan,
 		},

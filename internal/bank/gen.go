@@ -58,18 +58,17 @@ func (p *pool) generate(ctx context.Context) (*core.ServerCorr, *core.ClientCorr
 	return p.session.generate(p.key.Batch, p.sched)
 }
 
-// counters adapts the session generator's pipe meter to the tracer, so
+// counters reads the session generator's pipe meter for the tracer, so
 // bank-refill spans carry the offline bytes they moved off the request
-// path.
-func (p *pool) counters() trace.Counters {
+// path; it is zero until the generator exists.
+func (p *pool) counters() transport.Stats {
 	p.mu.Lock()
 	g := p.session
 	p.mu.Unlock()
 	if g == nil {
-		return trace.Counters{}
+		return transport.Stats{}
 	}
-	s := g.meter.Snapshot()
-	return trace.Counters{BytesSent: s.BytesAB, BytesRecvd: s.BytesBA, Messages: s.Messages, Flights: s.Flights}
+	return g.meter.Snapshot()
 }
 
 // closeGen closes the generator pipes, unblocking any in-flight offline

@@ -47,7 +47,7 @@ func TestStorePruneAtSync(t *testing.T) {
 	})
 	dir := t.TempDir()
 	scope := testScope(NoPeer)
-	s, _ := openRecovered(t, dir, StoreOptions{SegmentMaxBytes: 128, Observer: obs})
+	s, _ := openRecovered(t, dir, StoreOptions{segmentMaxBytes: 128, Observer: obs})
 	defer s.Close()
 	fillSegments(t, s, scope, 6)
 	before := segCount(t, dir, scope)
@@ -94,7 +94,7 @@ func TestStorePruneAtSync(t *testing.T) {
 func TestStorePruneKeepsLiveSegments(t *testing.T) {
 	dir := t.TempDir()
 	scope := testScope(NoPeer)
-	s, _ := openRecovered(t, dir, StoreOptions{SegmentMaxBytes: 128})
+	s, _ := openRecovered(t, dir, StoreOptions{segmentMaxBytes: 128})
 	defer s.Close()
 	fillSegments(t, s, scope, 6)
 	before := segCount(t, dir, scope)
@@ -119,7 +119,7 @@ func TestStorePruneKeepsLiveSegments(t *testing.T) {
 func TestStorePruneAtRecovery(t *testing.T) {
 	dir := t.TempDir()
 	scope := testScope(NoPeer)
-	s1, _ := openRecovered(t, dir, StoreOptions{SegmentMaxBytes: 128})
+	s1, _ := openRecovered(t, dir, StoreOptions{segmentMaxBytes: 128})
 	fillSegments(t, s1, scope, 6)
 	// Claim four: the oldest segments become fully claimed, the tail
 	// keeps live records.
@@ -159,7 +159,7 @@ func TestStorePruneAtRecovery(t *testing.T) {
 func TestStorePruneFullyClaimedStore(t *testing.T) {
 	dir := t.TempDir()
 	scope := testScope(NoPeer)
-	s1, _ := openRecovered(t, dir, StoreOptions{SegmentMaxBytes: 128})
+	s1, _ := openRecovered(t, dir, StoreOptions{segmentMaxBytes: 128})
 	fillSegments(t, s1, scope, 4)
 	for i := 0; i < 4; i++ {
 		if _, _, ok, err := s1.Draw(scope); err != nil || !ok {

@@ -22,55 +22,24 @@ type ReplenishOptions struct {
 	Bank *Bank
 	// Peer identifies the remote party whose paired pools are maintained.
 	Peer PeerID
-	// Keys are the pools to keep warm.
+	// Keys are the pools to keep warm: a pool at or below the Bank's low
+	// watermark is refilled up to the Bank's capacity.
 	Keys []Key
-	// Low is the refill watermark: a pool at or below it triggers a
-	// replenishment session. Default Bank's low watermark.
-	Low int
-	// Target is the fill target per pool. Default Bank's capacity.
-	Target int
-	// Interval is the watermark poll cadence. Default 500ms.
-	Interval time.Duration
-	// MinBackoff/MaxBackoff bound the jittered exponential backoff after
-	// a failed replenishment. Defaults 100ms and 30s.
-	MinBackoff, MaxBackoff time.Duration
 	// Run performs one replenishment session. Required.
 	Run ReplenishFunc
+
+	// Test hooks; zero means the default. interval is the watermark poll
+	// cadence (500ms); minBackoff and maxBackoff bound the jittered
+	// exponential backoff after a failed replenishment (100ms, 30s).
+	interval, minBackoff, maxBackoff time.Duration
 }
 
-func (o ReplenishOptions) low() int {
-	if o.Low > 0 {
-		return o.Low
+// orDefault is d, or def when d is zero.
+func orDefault(d, def time.Duration) time.Duration {
+	if d > 0 {
+		return d
 	}
-	return o.Bank.opts.low()
-}
-
-func (o ReplenishOptions) target() int {
-	if o.Target > 0 {
-		return o.Target
-	}
-	return o.Bank.opts.capacity()
-}
-
-func (o ReplenishOptions) interval() time.Duration {
-	if o.Interval > 0 {
-		return o.Interval
-	}
-	return 500 * time.Millisecond
-}
-
-func (o ReplenishOptions) minBackoff() time.Duration {
-	if o.MinBackoff > 0 {
-		return o.MinBackoff
-	}
-	return 100 * time.Millisecond
-}
-
-func (o ReplenishOptions) maxBackoff() time.Duration {
-	if o.MaxBackoff > 0 {
-		return o.MaxBackoff
-	}
-	return 30 * time.Second
+	return def
 }
 
 // Replenisher keeps a set of peer-paired pools above their low watermark
@@ -127,7 +96,7 @@ func (r *Replenisher) Close() {
 
 func (r *Replenisher) loop() {
 	defer r.wg.Done()
-	t := time.NewTicker(r.opts.interval())
+	t := time.NewTicker(orDefault(r.opts.interval, 500*time.Millisecond))
 	defer t.Stop()
 	for {
 		select {
@@ -149,10 +118,10 @@ func (r *Replenisher) sweep() {
 			return
 		}
 		depth := b.Depth(r.opts.Peer, key)
-		if depth > r.opts.low() {
+		if depth > b.opts.low() {
 			continue
 		}
-		want := r.opts.target() - depth
+		want := b.opts.capacity() - depth
 		if want <= 0 {
 			continue
 		}
@@ -175,10 +144,10 @@ func (r *Replenisher) sweep() {
 func (r *Replenisher) backOff(key Key) {
 	r.mu.Lock()
 	if r.backoff == 0 {
-		r.backoff = r.opts.minBackoff()
+		r.backoff = orDefault(r.opts.minBackoff, 100*time.Millisecond)
 	} else {
 		r.backoff *= 2
-		if max := r.opts.maxBackoff(); r.backoff > max {
+		if max := orDefault(r.opts.maxBackoff, 30*time.Second); r.backoff > max {
 			r.backoff = max
 		}
 	}

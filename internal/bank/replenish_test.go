@@ -42,7 +42,7 @@ func TestReplenisherWatermark(t *testing.T) {
 	calls := make(chan call, 16)
 	r, err := NewReplenisher(ReplenishOptions{
 		Bank: b, Peer: peer, Keys: []Key{key},
-		Interval: 5 * time.Millisecond,
+		interval: 5 * time.Millisecond,
 		Run: func(ctx context.Context, k Key, n int) (int, error) {
 			calls <- call{k, n}
 			// Pretend n correlations landed by parking real records.
@@ -92,9 +92,9 @@ func TestReplenisherBackoff(t *testing.T) {
 	fails, succeedAfter := 0, 3
 	r, err := NewReplenisher(ReplenishOptions{
 		Bank: b, Keys: []Key{key},
-		Interval:   time.Millisecond,
-		MinBackoff: 2 * time.Millisecond,
-		MaxBackoff: 20 * time.Millisecond,
+		interval:   time.Millisecond,
+		minBackoff: 2 * time.Millisecond,
+		maxBackoff: 20 * time.Millisecond,
 		Run: func(ctx context.Context, k Key, n int) (int, error) {
 			mu.Lock()
 			defer mu.Unlock()

@@ -51,19 +51,20 @@ type StoreOptions struct {
 	// Dir is the store directory, created if absent. One store per
 	// process; concurrent processes on one directory are not supported.
 	Dir string
-	// SegmentMaxBytes rotates a scope's active segment past this size.
-	// Default 64 MiB.
-	SegmentMaxBytes int64
 	// Observer, when non-nil, receives persist-* events; see
 	// NewPersistObserver.
 	Observer Observer
+
+	// segmentMaxBytes, a test hook, rotates a scope's active segment past
+	// this size; zero means 64 MiB.
+	segmentMaxBytes int64
 }
 
 func (o StoreOptions) segmentMax() int64 {
-	if o.SegmentMaxBytes <= 0 {
+	if o.segmentMaxBytes <= 0 {
 		return 64 << 20
 	}
-	return o.SegmentMaxBytes
+	return o.segmentMaxBytes
 }
 
 // RecoverStats summarizes one recovery scan.

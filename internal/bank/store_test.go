@@ -288,12 +288,12 @@ func TestStoreJournalTornTail(t *testing.T) {
 	}
 }
 
-// TestStoreSegmentRotation: appends past SegmentMaxBytes rotate to new
+// TestStoreSegmentRotation: appends past segmentMaxBytes rotate to new
 // segment files, and recovery reassembles the pool from all of them.
 func TestStoreSegmentRotation(t *testing.T) {
 	dir := t.TempDir()
 	scope := testScope(NoPeer)
-	s1, _ := openRecovered(t, dir, StoreOptions{SegmentMaxBytes: 128})
+	s1, _ := openRecovered(t, dir, StoreOptions{segmentMaxBytes: 128})
 	for i := 1; i <= 6; i++ {
 		if err := s1.Append(scope, uint64(i), bytes.Repeat([]byte{byte(i)}, 48)); err != nil {
 			t.Fatal(err)

@@ -66,7 +66,7 @@ func (c *QuotientClient) GenerateClient(m int, R *ring.Mat) (*ring.Mat, error) {
 			deltas = append(deltas, r[j], rg.Neg(r[j]))
 		}
 	}
-	x0, err := c.ot.SendCorrelatedRing(rg, deltas)
+	x0, err := c.ot.SendCorrelatedRing(rg, 1, deltas)
 	if err != nil {
 		return nil, fmt.Errorf("baseline: quotient client COT: %w", err)
 	}
@@ -103,7 +103,7 @@ func (s *QuotientServer) GenerateServer(W []int64, m, n, o int) (*ring.Mat, erro
 			return nil, fmt.Errorf("baseline: weight %d is not ternary", w)
 		}
 	}
-	got, err := s.ot.RecvCorrelatedRing(s.rg, bits)
+	got, err := s.ot.RecvCorrelatedRing(s.rg, 1, bits)
 	if err != nil {
 		return nil, fmt.Errorf("baseline: quotient server COT: %w", err)
 	}

@@ -65,58 +65,37 @@ const SecureMLChunk = 8192
 
 // GenerateClient produces the client's share matrix V (m x o) for the
 // multiplication of the server's m x n matrix with the client's R (n x o).
-// Each weight bit consumes one correlated OT whose correlation is the
-// whole row slice 2^b * R[j][*] — o ring elements per OT, mirroring the
-// multi-batch packing so the comparison against ABNN2 is apples-to-apples.
+// Each weight bit consumes one correlated OT of width o whose correlation
+// is the whole row slice 2^b * R[j][*], mirroring the multi-batch packing
+// so the comparison against ABNN2 is apples-to-apples.
 func (c *SecureMLClient) GenerateClient(m int, R *ring.Mat) (*ring.Mat, error) {
 	rg := c.rg
 	n, o := R.Rows, R.Cols
 	l := int(rg.Bits())
 	total := m * n * l
 	V := ring.NewMat(m, o)
-	ot := 0
-	for ot < total {
-		chunk := total - ot
-		if chunk > SecureMLChunk {
-			chunk = SecureMLChunk
-		}
-		blk, err := c.ot.Extend(chunk)
-		if err != nil {
-			return nil, fmt.Errorf("baseline: secureml client extend: %w", err)
-		}
-		payload := make([]byte, 0, chunk*o*rg.Bytes())
-		pads := blk.NewDeriver()
-		p0raw, p1raw := make([]byte, o*8), make([]byte, o*8)
-		for local := 0; local < chunk; local++ {
-			g := ot + local
-			i := g / (n * l)
-			j := (g / l) % n
-			b := uint(g % l)
-			rrow := R.Row(j)
-			vrow := V.Row(i)
-			// Pads: p0 for choice 0, p1 for choice 1, o elements each.
-			pads.Seek(local)
-			pads.PadInto(0, p0raw)
-			pads.PadInto(1, p1raw)
-			for k := 0; k < o; k++ {
-				p0 := rg.FromBytesFull(p0raw[k*8:])
-				p1 := rg.FromBytesFull(p1raw[k*8:])
-				// Client share accumulates -x0 = -p0; correction lets a
-				// choice-1 server learn p0 + 2^b*r.
-				vrow[k] = rg.Add(vrow[k], rg.Neg(p0))
-				delta := rg.MulConst(uint64(1)<<b, rrow[k])
-				corr := rg.Sub(rg.Add(p0, delta), p1)
-				payload = rg.AppendElem(payload, corr)
+	for ot := 0; ot < total; ot += SecureMLChunk {
+		chunk := min(total-ot, SecureMLChunk)
+		deltas := make(ring.Vec, 0, chunk*o)
+		for g := ot; g < ot+chunk; g++ {
+			j, b := (g/l)%n, uint(g%l)
+			for _, r := range R.Row(j) {
+				deltas = append(deltas, rg.MulConst(uint64(1)<<b, r))
 			}
 		}
-		if err := c.ot.Conn().Send(payload); err != nil {
-			return nil, fmt.Errorf("baseline: secureml client payload: %w", err)
+		x0, err := c.ot.SendCorrelatedRing(rg, o, deltas)
+		if err != nil {
+			return nil, fmt.Errorf("baseline: secureml client COT: %w", err)
 		}
-		ot += chunk
+		// The server's share sums x0 + w_b*2^b*r over the bits, which is
+		// sum(x0) + W*R, so the client's share is -sum(x0).
+		for local := 0; local < chunk; local++ {
+			vrow := V.Row((ot + local) / (n * l))
+			for k := range vrow {
+				vrow[k] = rg.Sub(vrow[k], x0[local*o+k])
+			}
+		}
 	}
-	// V currently holds sum(-x0); negate convention: client share v with
-	// u + v = W*R means v = -sum(x0)? Server's u = sum(x_{w_b}) =
-	// sum(x0 + w_b*2^b*r) = sum(x0) + W*R, so v = -sum(x0). Done above.
 	return V, nil
 }
 
@@ -130,50 +109,23 @@ func (s *SecureMLServer) GenerateServer(W []int64, m, n, o int) (*ring.Mat, erro
 	l := int(rg.Bits())
 	total := m * n * l
 	U := ring.NewMat(m, o)
-	ot := 0
-	for ot < total {
-		chunk := total - ot
-		if chunk > SecureMLChunk {
-			chunk = SecureMLChunk
-		}
-		choices := make([]int, chunk)
-		for local := 0; local < chunk; local++ {
+	for ot := 0; ot < total; ot += SecureMLChunk {
+		chunk := min(total-ot, SecureMLChunk)
+		bits := make([]byte, chunk)
+		for local := range bits {
 			g := ot + local
-			w := rg.FromSigned(W[g/l])
-			choices[local] = int((w >> uint(g%l)) & 1)
+			bits[local] = byte(rg.FromSigned(W[g/l]) >> uint(g%l) & 1)
 		}
-		blk, err := s.ot.Extend(choices)
+		got, err := s.ot.RecvCorrelatedRing(rg, o, bits)
 		if err != nil {
-			return nil, fmt.Errorf("baseline: secureml server extend: %w", err)
+			return nil, fmt.Errorf("baseline: secureml server COT: %w", err)
 		}
-		payload, err := s.ot.Conn().Recv()
-		if err != nil {
-			return nil, fmt.Errorf("baseline: secureml server payload: %w", err)
-		}
-		if want := chunk * o * rg.Bytes(); len(payload) != want {
-			return nil, fmt.Errorf("baseline: secureml payload is %d bytes, want %d", len(payload), want)
-		}
-		pads := blk.NewDeriver()
-		praw := make([]byte, o*8)
 		for local := 0; local < chunk; local++ {
-			g := ot + local
-			i := g / (n * l)
-			urow := U.Row(i)
-			pads.Seek(local)
-			pads.PadInto(praw)
-			for k := 0; k < o; k++ {
-				p := rg.FromBytesFull(praw[k*8:])
-				if choices[local] == 1 {
-					corr, _, err := rg.DecodeElem(payload[(local*o+k)*rg.Bytes():])
-					if err != nil {
-						return nil, err
-					}
-					p = rg.Add(p, corr)
-				}
-				urow[k] = rg.Add(urow[k], p)
+			urow := U.Row((ot + local) / (n * l))
+			for k := range urow {
+				urow[k] = rg.Add(urow[k], got[local*o+k])
 			}
 		}
-		ot += chunk
 	}
 	return U, nil
 }

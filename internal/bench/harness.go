@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"text/tabwriter"
 	"time"
 
 	"abnn2/internal/prg"
@@ -75,10 +76,7 @@ func tracerOver(opt Options, party, label string, meter *transport.Meter) *trace
 	if opt.Trace == nil {
 		return nil
 	}
-	return trace.New(opt.Trace, trace.WithParty(party), trace.WithLabel(label), trace.WithCounters(func() trace.Counters {
-		s := meter.Snapshot()
-		return trace.Counters{BytesSent: s.BytesAB, BytesRecvd: s.BytesBA, Messages: s.Messages, Flights: s.Flights}
-	}))
+	return trace.New(opt.Trace, trace.WithParty(party), trace.WithLabel(label), trace.WithCounters(meter.Snapshot))
 }
 
 // side is what the harness hands one party: its endpoint of the pipe,
@@ -166,7 +164,8 @@ func mustRun(opt Options, label string, client, server func(side) error) measure
 	return m
 }
 
-// table is a tiny fixed-width text table writer.
+// table is a tiny text table: columns two spaces apart, the header
+// underlined.
 type table struct {
 	header []string
 	rows   [][]string
@@ -175,38 +174,16 @@ type table struct {
 func (t *table) add(cells ...string) { t.rows = append(t.rows, cells) }
 
 func (t *table) String() string {
-	widths := make([]int, len(t.header))
-	for i, h := range t.header {
-		widths[i] = len(h)
-	}
-	for _, r := range t.rows {
-		for i, c := range r {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
 	var b strings.Builder
-	line := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", widths[i], c)
-		}
-		b.WriteByte('\n')
+	w := tabwriter.NewWriter(&b, 0, 0, 2, ' ', 0)
+	rule := make([]string, len(t.header))
+	for i, h := range t.header {
+		rule[i] = strings.Repeat("-", len(h))
 	}
-	line(t.header)
-	for i, w := range widths {
-		if i > 0 {
-			b.WriteString("  ")
-		}
-		b.WriteString(strings.Repeat("-", w))
+	for _, r := range append([][]string{t.header, rule}, t.rows...) {
+		fmt.Fprintln(w, strings.Join(r, "\t"))
 	}
-	b.WriteByte('\n')
-	for _, r := range t.rows {
-		line(r)
-	}
+	w.Flush()
 	return b.String()
 }
 

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"abnn2/internal/trace"
+	"abnn2/internal/transport"
 )
 
 func TestCounterGaugeBasics(t *testing.T) {
@@ -173,24 +174,24 @@ func TestServerMetricsBridge(t *testing.T) {
 	sm := NewServerMetrics(r)
 	tr := trace.New(sm, trace.WithParty("server"), trace.WithSession(1))
 
-	var ctr trace.Counters
-	src := func() trace.Counters { return ctr }
+	var ctr transport.Stats
+	src := func() transport.Stats { return ctr }
 	trace.WithCounters(src)(tr)
 
 	setup := tr.Start("setup")
-	ctr.BytesSent += 1000
-	ctr.BytesRecvd += 500
+	ctr.BytesAB += 1000
+	ctr.BytesBA += 500
 	ctr.Messages += 4
 	ctr.Flights += 2
 	setup.End(nil)
 
 	batch := tr.Start("batch").SetBatch(2)
 	off := tr.Start("offline")
-	ctr.BytesRecvd += 2000
+	ctr.BytesBA += 2000
 	ctr.Messages += 2
 	ctr.Flights += 1
 	off.End(nil)
-	ctr.BytesSent += 300
+	ctr.BytesAB += 300
 	ctr.Messages += 1
 	ctr.Flights += 1
 	batch.End(nil)

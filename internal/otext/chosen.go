@@ -59,38 +59,44 @@ func (r *Receiver) RecvChosen(choices []int, msgLen int) ([][]byte, error) {
 	return out, nil
 }
 
-// SendCorrelatedRing runs m correlated OTs over ring elements, the gadget
-// used by the SecureML baseline and by QUOTIENT-style binary
-// multiplication. For OT j the sender learns a random x0_j (derived from
-// its pad) and the receiver obtains x0_j + deltas[j] if its choice bit is
-// 1, or x0_j if 0. Only one correction element per OT crosses the wire,
-// so the payload is m*l bits on top of the column matrix.
+// SendCorrelatedRing runs m = len(deltas)/width correlated OTs over
+// vectors of width ring elements, the gadget behind the SecureML baseline
+// (width o, one row slice per weight bit) and QUOTIENT-style binary
+// multiplication (width 1). For OT j the sender learns a random x0_j —
+// elements j*width .. j*width+width-1 of the result, derived from its pad
+// — and the receiver obtains x0_j + delta_j if its choice bit is 1, or
+// x0_j if 0. Only the corrections cross the wire, one element per delta,
+// so the payload is len(deltas)*l bits on top of the column matrix.
 //
 // The code must be the repetition code (N = 2).
-func (s *Sender) SendCorrelatedRing(rg ring.Ring, deltas ring.Vec) (x0 ring.Vec, err error) {
+func (s *Sender) SendCorrelatedRing(rg ring.Ring, width int, deltas ring.Vec) (x0 ring.Vec, err error) {
 	if s.code.N() != 2 {
 		return nil, fmt.Errorf("otext: correlated OT requires a 1-out-of-2 code")
 	}
-	m := len(deltas)
+	if width < 1 || len(deltas)%width != 0 {
+		return nil, fmt.Errorf("otext: %d deltas do not split into OTs of width %d", len(deltas), width)
+	}
+	m := len(deltas) / width
 	blk, err := s.Extend(m)
 	if err != nil {
 		return nil, err
 	}
-	x0 = make(ring.Vec, m)
-	buf := make([]byte, 0, rg.VecBytes(m))
+	x0 = make(ring.Vec, len(deltas))
+	buf := make([]byte, 0, rg.VecBytes(len(deltas)))
 	d := blk.NewDeriver()
-	var pad [2][8]byte
+	p0, p1 := make([]byte, width*8), make([]byte, width*8)
 	for j := 0; j < m; j++ {
 		d.Seek(j)
-		d.PadInto(0, pad[0][:])
-		d.PadInto(1, pad[1][:])
-		p0 := rg.FromBytesFull(pad[0][:])
-		p1 := rg.FromBytesFull(pad[1][:])
-		x0[j] = p0
-		// Correction: c = x0 + delta - p1; a choice-1 receiver computes
-		// p1 + c = x0 + delta.
-		c := rg.Sub(rg.Add(p0, deltas[j]), p1)
-		buf = rg.AppendElem(buf, c)
+		d.PadInto(0, p0)
+		d.PadInto(1, p1)
+		for k := 0; k < width; k++ {
+			e := j*width + k
+			x0[e] = rg.FromBytesFull(p0[k*8:])
+			// Correction: c = x0 + delta - p1; a choice-1 receiver computes
+			// p1 + c = x0 + delta.
+			c := rg.Sub(rg.Add(x0[e], deltas[e]), rg.FromBytesFull(p1[k*8:]))
+			buf = rg.AppendElem(buf, c)
+		}
 	}
 	if err := s.conn.Send(buf); err != nil {
 		return nil, fmt.Errorf("otext: send corrections: %w", err)
@@ -99,8 +105,9 @@ func (s *Sender) SendCorrelatedRing(rg ring.Ring, deltas ring.Vec) (x0 ring.Vec,
 }
 
 // RecvCorrelatedRing is the receiver side of SendCorrelatedRing: for each
-// choice bit b_j it returns x0_j + b_j * delta_j.
-func (r *Receiver) RecvCorrelatedRing(rg ring.Ring, choiceBits []byte) (ring.Vec, error) {
+// choice bit b_j it returns the width elements x0_j + b_j * delta_j. A
+// correction flight of any length but the honest one is refused.
+func (r *Receiver) RecvCorrelatedRing(rg ring.Ring, width int, choiceBits []byte) (ring.Vec, error) {
 	if r.code.N() != 2 {
 		return nil, fmt.Errorf("otext: correlated OT requires a 1-out-of-2 code")
 	}
@@ -117,22 +124,21 @@ func (r *Receiver) RecvCorrelatedRing(rg ring.Ring, choiceBits []byte) (ring.Vec
 	if err != nil {
 		return nil, fmt.Errorf("otext: recv corrections: %w", err)
 	}
-	out := make(ring.Vec, m)
+	if want := rg.VecBytes(m * width); len(raw) != want {
+		return nil, fmt.Errorf("otext: corrections are %d bytes, want %d", len(raw), want)
+	}
+	out := make(ring.Vec, m*width)
 	d := blk.NewDeriver()
-	var pad [8]byte
+	pad := make([]byte, width*8)
 	for j := 0; j < m; j++ {
-		var c ring.Elem
-		c, raw, err = rg.DecodeElem(raw)
-		if err != nil {
-			return nil, fmt.Errorf("otext: correction %d: %w", j, err)
-		}
 		d.Seek(j)
-		d.PadInto(pad[:])
-		p := rg.FromBytesFull(pad[:])
-		if choices[j] == 1 {
-			out[j] = rg.Add(p, c)
-		} else {
-			out[j] = p
+		d.PadInto(pad)
+		for k := 0; k < width; k++ {
+			e := j*width + k
+			out[e] = rg.FromBytesFull(pad[k*8:])
+			if choices[j] == 1 {
+				out[e] = rg.Add(out[e], rg.GetElem(raw[e*rg.Bytes():]))
+			}
 		}
 	}
 	return out, nil

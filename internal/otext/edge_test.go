@@ -7,6 +7,7 @@ import (
 
 	"abnn2/internal/prg"
 	"abnn2/internal/ring"
+	"abnn2/internal/transport"
 )
 
 // Edge-of-parameter-space tests: KK13 at its degenerate point N=2
@@ -94,9 +95,9 @@ func TestCorrelatedMatchesChosen(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		x0, serr = snd.SendCorrelatedRing(rg, deltas)
+		x0, serr = snd.SendCorrelatedRing(rg, 1, deltas)
 	}()
-	got, rerr := rcv.RecvCorrelatedRing(rg, bits)
+	got, rerr := rcv.RecvCorrelatedRing(rg, 1, bits)
 	wg.Wait()
 	if serr != nil || rerr != nil {
 		t.Fatalf("correlated round: send=%v recv=%v", serr, rerr)
@@ -124,6 +125,63 @@ func TestCorrelatedMatchesChosen(t *testing.T) {
 		}
 		if refElem[0] != want {
 			t.Errorf("OT %d: chosen-path reference %d disagrees with %d", i, refElem[0], want)
+		}
+	}
+}
+
+// trailingConn appends one byte to every message it sends once armed.
+type trailingConn struct {
+	transport.Conn
+	armed bool
+}
+
+func (c *trailingConn) Send(msg []byte) error {
+	if c.armed {
+		msg = append(msg[:len(msg):len(msg)], 0)
+	}
+	return c.Conn.Send(msg)
+}
+
+// TestRecvCorrelatedRingRefusesTrailingBytes: an honest correction flight
+// with one byte appended is refused, at QUOTIENT's width 1 and at a
+// SecureML-style width, instead of being parsed as if the byte were not
+// there.
+func TestRecvCorrelatedRingRefusesTrailingBytes(t *testing.T) {
+	rg := ring.New(32)
+	bits := []byte{1, 0, 1, 1}
+	for _, width := range []int{1, 3} {
+		a, b := transport.Pipe()
+		sc := &trailingConn{Conn: a}
+		var (
+			snd  *Sender
+			serr error
+			wg   sync.WaitGroup
+		)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			snd, serr = NewSender(sc, RepetitionCode(), 7, prg.New(prg.SeedFromInt(11)))
+		}()
+		rcv, rerr := NewReceiver(b, RepetitionCode(), 7, prg.New(prg.SeedFromInt(22)))
+		wg.Wait()
+		if serr != nil || rerr != nil {
+			t.Fatalf("setup: sender=%v receiver=%v", serr, rerr)
+		}
+		sc.armed = true
+		deltas := prg.New(prg.SeedFromInt(5)).Vec(rg, len(bits)*width)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, serr = snd.SendCorrelatedRing(rg, width, deltas)
+		}()
+		_, rerr = rcv.RecvCorrelatedRing(rg, width, bits)
+		wg.Wait()
+		a.Close()
+		if serr != nil {
+			t.Fatalf("width %d: send: %v", width, serr)
+		}
+		if rerr == nil {
+			t.Errorf("width %d: a correction flight with a trailing byte was accepted", width)
 		}
 	}
 }

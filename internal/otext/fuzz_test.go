@@ -124,6 +124,6 @@ func FuzzRecvCorrelatedRing(f *testing.F) {
 		if err := peer.Send(data); err != nil {
 			t.Skip("pipe closed")
 		}
-		rcv.RecvCorrelatedRing(rg, bits)
+		rcv.RecvCorrelatedRing(rg, 1, bits)
 	})
 }

@@ -438,9 +438,9 @@ func TestCorrelatedRing(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		x0, serr = snd.SendCorrelatedRing(rg, deltas)
+		x0, serr = snd.SendCorrelatedRing(rg, 1, deltas)
 	}()
-	xb, err := rcv.RecvCorrelatedRing(rg, bits)
+	xb, err := rcv.RecvCorrelatedRing(rg, 1, bits)
 	wg.Wait()
 	if serr != nil || err != nil {
 		t.Fatalf("cot: %v %v", serr, err)

@@ -388,8 +388,8 @@ func TestChaosServeBankedMultiTenant(t *testing.T) {
 	defer bank.Close()
 	m := NewMetrics(metrics.NewRegistry())
 	rt := testRuntime(t, Options{
-		Registry: reg, Bank: bank, MaxSessions: 2, Metrics: m,
-		Session: abnn2.Config{RingBits: 32, RoundTimeout: testRoundTimeout, OfflineMode: abnn2.OfflineAuto},
+		Registry: reg, MaxSessions: 2, Metrics: m,
+		Session: abnn2.Config{RingBits: 32, RoundTimeout: testRoundTimeout, Bank: bank, OfflineMode: abnn2.OfflineAuto},
 	})
 
 	ctx, cancel := context.WithTimeout(context.Background(), chaosServeWatchdog)

@@ -27,7 +27,7 @@ func durableRuntime(t *testing.T, dir string, capacity int) (*Runtime, *abnn2.Ba
 		t.Fatal(err)
 	}
 	b := abnn2.NewBank(abnn2.BankOptions{Capacity: capacity, Store: st})
-	rt := testRuntime(t, Options{Bank: b})
+	rt := testRuntime(t, Options{Session: abnn2.Config{Bank: b}})
 	t.Cleanup(func() {
 		b.Close()
 		st.Close()
@@ -193,8 +193,8 @@ func TestOfflineSessionAccounting(t *testing.T) {
 	reg := metrics.NewRegistry()
 	m, sm, spans := NewMetrics(reg), metrics.NewServerMetrics(reg), abnn2.NewTraceCollector()
 	// An SLO no session can meet: every session measured against it breaches.
-	rt := testRuntime(t, Options{Bank: b, Metrics: m, SLO: time.Nanosecond,
-		Session: abnn2.Config{Trace: abnn2.MultiTraceSink(sm, spans)}})
+	rt := testRuntime(t, Options{Metrics: m, SLO: time.Nanosecond,
+		Session: abnn2.Config{Bank: b, Trace: abnn2.MultiTraceSink(sm, spans)}})
 	_, cliBank := clientParty(t)
 
 	client, _ := offlineSession(t, rt, cliBank, nil)
@@ -236,7 +236,7 @@ func TestOfflineHandshakeRejections(t *testing.T) {
 	t.Run("no-store", func(t *testing.T) {
 		b := abnn2.NewBank(abnn2.BankOptions{Capacity: 2})
 		defer b.Close()
-		rt := testRuntime(t, Options{Bank: b})
+		rt := testRuntime(t, Options{Session: abnn2.Config{Bank: b}})
 		sconn, cconn := abnn2.Pipe()
 		defer cconn.Close()
 		go func() { _ = rt.HandleConn(context.Background(), sconn, "inproc") }()
@@ -269,7 +269,7 @@ func TestRecoveryGatesReadiness(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := abnn2.NewBank(abnn2.BankOptions{Capacity: 2, Store: st})
-	rt := testRuntime(t, Options{Bank: b})
+	rt := testRuntime(t, Options{Session: abnn2.Config{Bank: b}})
 	t.Cleanup(func() {
 		b.Close()
 		st.Close()
@@ -317,7 +317,7 @@ func TestStoreOnlyRuntimeAdmitsBanked(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := abnn2.NewBank(abnn2.BankOptions{Capacity: 2, Store: st})
-	rt := testRuntime(t, Options{Bank: b, Session: abnn2.Config{OfflineMode: abnn2.OfflineBanked}})
+	rt := testRuntime(t, Options{Session: abnn2.Config{Bank: b, OfflineMode: abnn2.OfflineBanked}})
 	t.Cleanup(func() {
 		b.Close()
 		st.Close()
@@ -373,7 +373,7 @@ func TestOfflineHelloShedLikeInference(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := abnn2.NewBank(abnn2.BankOptions{Capacity: 2, Store: st})
-	rt := testRuntime(t, Options{Bank: b, MaxSessions: 1})
+	rt := testRuntime(t, Options{Session: abnn2.Config{Bank: b}, MaxSessions: 1})
 	t.Cleanup(func() {
 		b.Close()
 		st.Close()

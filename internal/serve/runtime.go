@@ -21,12 +21,6 @@ import (
 type Options struct {
 	// Registry holds the served models; must contain at least one.
 	Registry *Registry
-	// Bank, when non-nil, provisions sessions from precomputed
-	// correlation pools: remote clients claim the halves their offline
-	// sessions left in the bank's store, in-process clients sharing the
-	// bank draw from its loopback pools (New registers every model for
-	// them). Sessions degrade per Session.OfflineMode when pools run dry.
-	Bank *abnn2.Bank
 	// MaxSessions bounds concurrently admitted sessions. 0 derives a
 	// default from GOMAXPROCS and Session.Workers (each session fans its
 	// kernels across Workers goroutines, so capacity is compute slots
@@ -38,9 +32,15 @@ type Options struct {
 	// slot. Default 10s.
 	HandshakeTimeout time.Duration
 	// Session is the per-session configuration template: ring width,
-	// ReLU variant, workers, round timeout, trace sink, offline mode.
-	// SessionID is filled per connection by the runtime, Bank from the
-	// field above; New validates the result (abnn2.Config.Validate).
+	// ReLU variant, workers, round timeout, trace sink, bank, offline
+	// mode. The handshake tells every client the ring width and ReLU
+	// variant; SessionID is filled per connection by the runtime; New
+	// validates the template (abnn2.Config.Validate). Session.Bank, when
+	// non-nil, provisions sessions from precomputed correlation pools:
+	// remote clients claim the halves their offline sessions left in the
+	// bank's store, in-process clients sharing the bank draw from its
+	// loopback pools (New registers every model for them). Sessions
+	// degrade per Session.OfflineMode when pools run dry.
 	Session abnn2.Config
 	// Metrics, when non-nil, receives the runtime's admission and
 	// session series; see NewMetrics.
@@ -79,7 +79,6 @@ const (
 // to HandleConn, whatever transport it arrived on.
 type Runtime struct {
 	reg       *Registry
-	bank      *abnn2.Bank
 	adm       *Admission
 	hsTimeout time.Duration
 	session   abnn2.Config
@@ -108,10 +107,13 @@ func New(opts Options) (*Runtime, error) {
 	}
 	// The effective per-session config, minus the per-connection session
 	// id: a bad template fails here, at start-up, not on every connection.
+	// Its ring width is the one every handshake reply carries.
 	session := opts.Session
-	session.Bank = opts.Bank
 	if err := session.Validate(); err != nil {
 		return nil, fmt.Errorf("serve: Options.Session: %w", err)
+	}
+	if session.RingBits == 0 {
+		session.RingBits = abnn2.DefaultRingBits
 	}
 	log := opts.Logger
 	if log == nil {
@@ -127,7 +129,6 @@ func New(opts Options) (*Runtime, error) {
 	}
 	rt := &Runtime{
 		reg:       opts.Registry,
-		bank:      opts.Bank,
 		adm:       NewAdmission(max),
 		hsTimeout: hs,
 		session:   session,
@@ -142,10 +143,10 @@ func New(opts Options) (*Runtime, error) {
 		rt.session.Trace = trace.Multi(rt.session.Trace, rt.recorder)
 	}
 	rt.diag = newDiagnostics(opts.DiagDir, rt.recorder, opts.DiagProfile, opts.Metrics, log)
-	if rt.bank != nil {
+	if rt.session.Bank != nil {
 		for _, name := range rt.reg.Names() {
 			m, _ := rt.reg.Get(name)
-			id, err := abnn2.RegisterBankModel(rt.bank, m.Quant)
+			id, err := abnn2.RegisterBankModel(rt.session.Bank, m.Quant)
 			if err != nil {
 				return nil, fmt.Errorf("serve: register %q with bank: %w", name, err)
 			}
@@ -179,7 +180,7 @@ func defaultMaxSessions(workers int) int {
 func (rt *Runtime) Admission() *Admission { return rt.adm }
 
 // Bank returns the runtime's correlation bank (nil when banking is off).
-func (rt *Runtime) Bank() *abnn2.Bank { return rt.bank }
+func (rt *Runtime) Bank() *abnn2.Bank { return rt.session.Bank }
 
 // Registry returns the runtime's model registry.
 func (rt *Runtime) Registry() *Registry { return rt.reg }
@@ -191,7 +192,7 @@ func (rt *Runtime) Registry() *Registry { return rt.reg }
 // pools warm lazily on first miss — so a broken key degrades capacity,
 // not startup.
 func (rt *Runtime) StartPrewarm(keys []abnn2.BankKey, depth int) {
-	if rt.bank == nil || len(keys) == 0 {
+	if rt.session.Bank == nil || len(keys) == 0 {
 		return
 	}
 	rt.prewarmed.Store(false)
@@ -200,11 +201,11 @@ func (rt *Runtime) StartPrewarm(keys []abnn2.BankKey, depth int) {
 	go func() {
 		defer rt.untrackConn()
 		for _, key := range keys {
-			if err := rt.bank.Prewarm(key, depth); err != nil {
+			if err := rt.session.Bank.Prewarm(key, depth); err != nil {
 				rt.log.Warn("bank prewarm failed", "key", key.String(), "err", err)
 				continue
 			}
-			rt.log.Info("bank pool warm", "key", key.String(), "depth", rt.bank.Snapshot().Depths[key])
+			rt.log.Info("bank pool warm", "key", key.String(), "depth", rt.session.Bank.Snapshot().Depths[key])
 		}
 		rt.prewarmed.Store(true)
 		ready, _ := rt.ReadyState()
@@ -367,9 +368,10 @@ func (rt *Runtime) HandleConn(ctx context.Context, conn abnn2.Conn, remote strin
 	// the client stamps its spans and flights with the server's id,
 	// which is what lets -timeline merge the two dumps.
 	id := rt.nextSession.Add(1)
-	hr := helloReply{OK: true, Model: model.Name, Arch: model.ArchJSON, Session: id}
-	if rt.bank != nil && rt.bank.Store() != nil {
-		hr.BankID, hr.Peer = model.BankID, rt.bank.Store().PeerID().String()
+	hr := helloReply{OK: true, Model: model.Name, Arch: model.ArchJSON, Session: id,
+		RingBits: rt.session.RingBits, OptimizedReLU: rt.session.OptimizedReLU}
+	if rt.session.Bank != nil && rt.session.Bank.Store() != nil {
+		hr.BankID, hr.Peer = model.BankID, rt.session.Bank.Store().PeerID().String()
 	}
 	reply, err := json.Marshal(hr)
 	if err != nil {
@@ -454,7 +456,7 @@ func (rt *Runtime) emitAdmission(id uint64, hsStart time.Time) {
 // here saves the client the session set-up it would spend to learn it
 // from the first store batch's nak.
 func (rt *Runtime) checkOffline() *Rejection {
-	if rt.bank == nil || rt.bank.Store() == nil {
+	if rt.session.Bank == nil || rt.session.Bank.Store() == nil {
 		return &Rejection{Code: RejectBadHello,
 			Reason: "offline sessions require a server with a durable bank store"}
 	}
@@ -527,7 +529,7 @@ func (rt *Runtime) admit(model *Model, offline bool) (release func(), rej *Rejec
 				Reason:           "bank store recovery in progress",
 			}, false
 		}
-	} else if rt.bank != nil && rt.session.OfflineMode != abnn2.OfflineInline {
+	} else if rt.session.Bank != nil {
 		if depth, ok := rt.loopbackDepth(model); ok && depth == 0 {
 			if rt.session.OfflineMode == abnn2.OfflineBanked {
 				// Admitting would hand the client a session whose every batch
@@ -549,7 +551,7 @@ func (rt *Runtime) admit(model *Model, offline bool) (release func(), rej *Rejec
 // all batch sizes; ok is false when the model has none, which is every
 // deployment whose clients do not share the bank in process.
 func (rt *Runtime) loopbackDepth(m *Model) (total int, ok bool) {
-	for key, depth := range rt.bank.Snapshot().Depths {
+	for key, depth := range rt.session.Bank.Snapshot().Depths {
 		if key.Model == m.BankID {
 			total, ok = total+depth, true
 		}

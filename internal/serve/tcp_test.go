@@ -118,3 +118,60 @@ func TestDialModelPermanentRejection(t *testing.T) {
 		t.Errorf("permanent rejection took %v — it was retried", elapsed)
 	}
 }
+
+// TestHandshakeCarriesSessionParameters: the hello reply hands the client
+// the server's ring width and ReLU variant, so a client that takes both
+// from the handshake — it has no setting of its own — predicts exactly
+// against a server at l = 64 with the optimized ReLU. A server left at
+// the default ring width announces it too, never 0.
+func TestHandshakeCarriesSessionParameters(t *testing.T) {
+	reg := testRegistry(t, "m0")
+	rt := testRuntime(t, Options{Registry: reg, Session: abnn2.Config{RingBits: 64, OptimizedReLU: true}})
+	addr, stop := serveTCP(t, rt)
+	defer stop()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	conn, info, err := DialModelInfo(ctx, addr, "")
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	if info.RingBits != 64 || !info.OptimizedReLU {
+		t.Fatalf("handshake says ring %d, optimized ReLU %v; want 64, true", info.RingBits, info.OptimizedReLU)
+	}
+	client, err := abnn2.Dial(conn, info.Arch, abnn2.Config{RingBits: info.RingBits,
+		OptimizedReLU: info.OptimizedReLU, RoundTimeout: testRoundTimeout, SessionID: info.SessionID})
+	if err != nil {
+		conn.Close()
+		t.Fatalf("setup: %v", err)
+	}
+	defer client.Close()
+	inputs := testInputs(3)
+	got, err := client.Classify(inputs)
+	if err != nil {
+		t.Fatalf("classify: %v", err)
+	}
+	m, _ := reg.Get("")
+	for k, x := range inputs {
+		if want := m.Quant.Predict(x); got[k] != want {
+			t.Errorf("input %d: secure class %d, plaintext %d", k, got[k], want)
+		}
+	}
+
+	def, err := New(Options{Registry: testRegistry(t, "m0")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sconn, cconn := abnn2.Pipe()
+	done := make(chan error, 1)
+	go func() { done <- def.HandleConn(context.Background(), sconn, "test") }()
+	info, err = ClientHandshakeInfo(cconn, "")
+	cconn.Close()
+	<-done
+	if err != nil {
+		t.Fatalf("handshake: %v", err)
+	}
+	if info.RingBits != abnn2.DefaultRingBits || info.OptimizedReLU {
+		t.Errorf("default server's handshake says ring %d, optimized ReLU %v; want %d, false",
+			info.RingBits, info.OptimizedReLU, abnn2.DefaultRingBits)
+	}
+}

@@ -53,17 +53,21 @@ type hello struct {
 	Plan    []byte `json:"plan,omitempty"`
 }
 
-// helloReply is the server's answer: the model's public architecture on
-// admission, a Rejection otherwise. BankID is the model's bank identity
-// and Peer the server's durable bank identity, both present only when
-// the server runs a durable bank — together they let the client key
-// peer-paired pools identically to the server.
+// helloReply is the server's answer: the model's public architecture and
+// the session's public parameters — the share ring width l (never 0 on
+// admission) and the ReLU protocol — on admission, a Rejection otherwise.
+// BankID is the model's bank identity and Peer the server's durable bank
+// identity, both present only when the server runs a durable bank —
+// together they let the client key peer-paired pools identically to the
+// server.
 type helloReply struct {
-	OK     bool            `json:"ok"`
-	Model  string          `json:"model,omitempty"`
-	Arch   json.RawMessage `json:"arch,omitempty"`
-	BankID string          `json:"bank_id,omitempty"`
-	Peer   string          `json:"peer,omitempty"`
+	OK            bool            `json:"ok"`
+	Model         string          `json:"model,omitempty"`
+	Arch          json.RawMessage `json:"arch,omitempty"`
+	RingBits      uint            `json:"ring_bits,omitempty"`
+	OptimizedReLU bool            `json:"optimized_relu,omitempty"`
+	BankID        string          `json:"bank_id,omitempty"`
+	Peer          string          `json:"peer,omitempty"`
 	// Session is the server-assigned session id. Clients stamp their
 	// spans and flights with it so the two parties' dumps merge into one
 	// timeline (abnn2-inspect -timeline).
@@ -123,14 +127,17 @@ func (e *RejectError) Error() string {
 func (e *RejectError) Temporary() bool { return e.Rejection.Retryable }
 
 // HandshakeInfo is everything an admitted handshake tells the client:
-// the model's public architecture, and — when the server runs a durable
-// bank — the model's bank identity and the server's durable peer ID,
-// ready for abnn2.Config.BankModel/BankPeer.
+// the model's public architecture, the session parameters both parties
+// must share, ready for abnn2.Config.RingBits/OptimizedReLU, and — when
+// the server runs a durable bank — the model's bank identity and the
+// server's durable peer ID, ready for abnn2.Config.BankModel/BankPeer.
 type HandshakeInfo struct {
-	Model  string
-	Arch   abnn2.Arch
-	BankID string
-	Peer   string
+	Model         string
+	Arch          abnn2.Arch
+	RingBits      uint
+	OptimizedReLU bool
+	BankID        string
+	Peer          string
 	// SessionID is the server-assigned session id; set it as
 	// abnn2.Config.SessionID so client-side spans and flights correlate
 	// with the server's dump of the same session.
@@ -140,8 +147,8 @@ type HandshakeInfo struct {
 // ClientHandshakeInfo performs one handshake attempt on an established
 // connection: it sends the hello for the named model (empty = server
 // default) and decodes the reply. A server-side rejection comes back as
-// a *RejectError; on success the returned architecture is ready for
-// abnn2.Dial on the same connection.
+// a *RejectError; on success the returned architecture and session
+// parameters are ready for abnn2.Dial on the same connection.
 func ClientHandshakeInfo(conn abnn2.Conn, model string) (HandshakeInfo, error) {
 	return clientHandshake(conn, hello{V: helloVersion, Model: model})
 }
@@ -173,7 +180,11 @@ func clientHandshake(conn abnn2.Conn, h hello) (HandshakeInfo, error) {
 	if err := json.Unmarshal(hr.Arch, &info.Arch); err != nil {
 		return info, fmt.Errorf("serve: malformed architecture: %w", err)
 	}
-	info.Model, info.BankID, info.Peer, info.SessionID = hr.Model, hr.BankID, hr.Peer, hr.Session
+	if hr.RingBits == 0 {
+		return info, fmt.Errorf("serve: hello reply carries no ring width")
+	}
+	info.Model, info.RingBits, info.OptimizedReLU = hr.Model, hr.RingBits, hr.OptimizedReLU
+	info.BankID, info.Peer, info.SessionID = hr.BankID, hr.Peer, hr.Session
 	return info, nil
 }
 

@@ -152,11 +152,11 @@ func TestGoldenCOT(t *testing.T) {
 	bits := []byte{1, 0, 1, 1, 0, 0}
 	runPair(t,
 		func() error {
-			_, err := snd.SendCorrelatedRing(rg, deltas)
+			_, err := snd.SendCorrelatedRing(rg, 1, deltas)
 			return err
 		},
 		func() error {
-			_, err := rcv.RecvCorrelatedRing(rg, bits)
+			_, err := rcv.RecvCorrelatedRing(rg, 1, bits)
 			return err
 		})
 	compare(t, "cot-ring32", "correlated OT ring=32 m=6", sc, rc)

@@ -2,8 +2,10 @@ package trace
 
 import (
 	"fmt"
+	"io"
 	"sort"
 	"strings"
+	"text/tabwriter"
 	"time"
 )
 
@@ -120,33 +122,25 @@ func FormatTable(stats []PhaseStat) string {
 		fmtBytes(tot.BytesSent), fmtBytes(tot.BytesRecvd),
 		fmt.Sprint(tot.Messages), fmt.Sprint(tot.Flights),
 	})
-	widths := make([]int, len(header))
-	for _, r := range rows {
-		for i, c := range r {
-			if len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	for ri, r := range rows {
-		for i, c := range r {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", widths[i], c)
-		}
-		b.WriteByte('\n')
-		if ri == 0 {
-			for i, w := range widths {
-				if i > 0 {
-					b.WriteString("  ")
-				}
-				b.WriteString(strings.Repeat("-", w))
-			}
-			b.WriteByte('\n')
-		}
-	}
+	writeTable(&b, rows)
 	return b.String()
+}
+
+// writeTable renders rows, the first of them the header, as columns two
+// spaces apart with the header underlined.
+func writeTable(out io.Writer, rows [][]string) {
+	w := tabwriter.NewWriter(out, 0, 0, 2, ' ', 0)
+	for i, r := range rows {
+		fmt.Fprintln(w, strings.Join(r, "\t"))
+		if i == 0 {
+			rule := make([]string, len(r))
+			for j, h := range r {
+				rule[j] = strings.Repeat("-", len(h))
+			}
+			fmt.Fprintln(w, strings.Join(rule, "\t"))
+		}
+	}
+	w.Flush()
 }
 
 func fmtBytes(n int64) string {

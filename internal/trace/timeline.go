@@ -394,32 +394,7 @@ func FormatTimeline(tl *Timeline) string {
 		rows = append(rows, []string{a.Class, party, phase, layer,
 			fmt.Sprint(a.Count), a.Dur.Round(time.Microsecond).String()})
 	}
-	widths := make([]int, len(rows[0]))
-	for _, r := range rows {
-		for i, c := range r {
-			if len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	for ri, r := range rows {
-		for i, c := range r {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", widths[i], c)
-		}
-		b.WriteByte('\n')
-		if ri == 0 {
-			for i, w := range widths {
-				if i > 0 {
-					b.WriteString("  ")
-				}
-				b.WriteString(strings.Repeat("-", w))
-			}
-			b.WriteByte('\n')
-		}
-	}
+	writeTable(&b, rows)
 	return b.String()
 }
 

@@ -24,10 +24,10 @@
 //	argmax     the private argmax finish
 //	output     output-share transfer
 //
-// The package is dependency-free by design: byte counters come in
-// through a caller-supplied closure (transport.Meter adapts trivially),
-// so transport, core, and the public abnn2 package can all share one
-// Tracer without import cycles.
+// Byte counters come in through a caller-supplied closure returning the
+// endpoint's transport.Stats (a transport.Meter's Snapshot), so core,
+// bank and the public abnn2 package can all share one Tracer; transport
+// itself imports nothing of this package.
 //
 // A nil *Tracer is the disabled tracer: every method is a no-op and the
 // hot path allocates nothing, so instrumentation can stay unconditional
@@ -37,6 +37,8 @@ package trace
 import (
 	"sync"
 	"time"
+
+	"abnn2/internal/transport"
 )
 
 // Span is one completed protocol phase. Byte/message/flight counts are
@@ -73,24 +75,6 @@ type Span struct {
 // Bytes returns the span's total wire traffic, both directions.
 func (s Span) Bytes() int64 { return s.BytesSent + s.BytesRecvd }
 
-// Counters is a cumulative snapshot of one endpoint's wire activity.
-// Values must be monotonically non-decreasing; spans record deltas.
-type Counters struct {
-	BytesSent  int64
-	BytesRecvd int64
-	Messages   int64
-	Flights    int64
-}
-
-func (c Counters) sub(prev Counters) Counters {
-	return Counters{
-		BytesSent:  c.BytesSent - prev.BytesSent,
-		BytesRecvd: c.BytesRecvd - prev.BytesRecvd,
-		Messages:   c.Messages - prev.Messages,
-		Flights:    c.Flights - prev.Flights,
-	}
-}
-
 // Sink receives completed spans. Implementations must be safe for
 // concurrent Emit calls: two parties of an in-process run may share one
 // sink.
@@ -111,8 +95,10 @@ func WithSession(id uint64) Option { return func(t *Tracer) { t.session = id } }
 func WithLabel(l string) Option { return func(t *Tracer) { t.label = l } }
 
 // WithCounters supplies the cumulative wire-counter source read at span
-// boundaries. Without it spans record durations only.
-func WithCounters(src func() Counters) Option { return func(t *Tracer) { t.counters = src } }
+// boundaries: one endpoint's transport.Stats, BytesAB what it sent and
+// BytesBA what it received, all monotonically non-decreasing. Without it
+// spans record durations only.
+func WithCounters(src func() transport.Stats) Option { return func(t *Tracer) { t.counters = src } }
 
 // Tracer hands out spans for one session. The nil Tracer is valid and
 // disabled: Start returns nil and nil *SpanCtx methods no-op without
@@ -126,7 +112,7 @@ type Tracer struct {
 	party    string
 	session  uint64
 	label    string
-	counters func() Counters
+	counters func() transport.Stats
 
 	mu     sync.Mutex
 	nextID uint64
@@ -151,7 +137,7 @@ func New(sink Sink, opts ...Option) *Tracer {
 type SpanCtx struct {
 	t    *Tracer
 	span Span
-	base Counters
+	base transport.Stats
 }
 
 // Start opens a span. The currently open span (if any) becomes its
@@ -216,10 +202,9 @@ func (sc *SpanCtx) End(err error) {
 	}
 	sc.span.Dur = time.Since(sc.span.Start)
 	if sc.t.counters != nil {
-		now := sc.t.counters()
-		d := now.sub(sc.base)
-		sc.span.BytesSent = d.BytesSent
-		sc.span.BytesRecvd = d.BytesRecvd
+		d := sc.t.counters().Sub(sc.base)
+		sc.span.BytesSent = d.BytesAB
+		sc.span.BytesRecvd = d.BytesBA
 		sc.span.Messages = d.Messages
 		sc.span.Flights = d.Flights
 	}

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"abnn2/internal/transport"
 )
 
 func TestNilTracerIsDisabled(t *testing.T) {
@@ -36,21 +38,21 @@ func TestNilTracerAllocatesNothing(t *testing.T) {
 
 func TestSpanCountersAndNesting(t *testing.T) {
 	var c Collector
-	var ctr Counters
+	var ctr transport.Stats
 	tr := New(&c,
 		WithParty("client"), WithSession(7), WithLabel("run"),
-		WithCounters(func() Counters { return ctr }))
+		WithCounters(func() transport.Stats { return ctr }))
 
 	root := tr.Start("batch").SetBatch(4)
-	ctr.BytesSent += 100
+	ctr.BytesAB += 100
 	ctr.Messages++
 	ctr.Flights++
 	child := tr.Start("triplets").SetLayer(0).SetWorkers(8)
-	ctr.BytesRecvd += 50
+	ctr.BytesBA += 50
 	ctr.Messages++
 	ctr.Flights++
 	child.End(nil)
-	ctr.BytesSent += 10
+	ctr.BytesAB += 10
 	ctr.Messages++
 	root.End(errors.New("boom"))
 

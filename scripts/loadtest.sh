@@ -63,7 +63,7 @@ curl -fsS "http://$METRICS/healthz" >/dev/null
 
 echo "== drive load (exits non-zero on failures or hintless rejections)"
 "$WORK/abnn2-load" -connect "$ADDR" -clients 8 -duration 10s \
-    -ring 64 -workers 1 -session-batches 2 -require-hints
+    -workers 1 -session-batches 2 -require-hints
 
 echo "== audit shed accounting on /metrics"
 SCRAPE="$WORK/metrics.txt"
@@ -87,7 +87,7 @@ awk '
 }
 
 echo "== cross-party timeline (traced client vs server dump)"
-"$WORK/abnn2-client" -connect "$ADDR" -n 2 -ring 64 -workers 1 \
+"$WORK/abnn2-client" -connect "$ADDR" -n 2 -workers 1 \
     -trace-out "$WORK/client-spans.jsonl" >/dev/null
 # The load clients above did not trace, so exactly one session carries
 # flights from both parties and -timeline auto-detects it. The server

@@ -172,13 +172,6 @@ func (c *sessionConn) release() { c.stopOnce.Do(func() { close(c.stop) }) }
 // this party sent, BytesBA what it received.
 func (c *sessionConn) Stats() transport.Stats { return c.meter.Snapshot() }
 
-// counters adapts the session meter to the tracer's counter source, so
-// spans are stamped with byte/message/flight deltas automatically.
-func (c *sessionConn) counters() trace.Counters {
-	s := c.meter.Snapshot()
-	return trace.Counters{BytesSent: s.BytesAB, BytesRecvd: s.BytesBA, Messages: s.Messages, Flights: s.Flights}
-}
-
 // arm sets the round deadline. Streams without deadline support degrade
 // to unbounded rounds rather than failing the session.
 func (c *sessionConn) arm() { c.setDeadline(time.Now().Add(c.timeout)) }
