@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"abnn2/internal/nn"
+	"abnn2/internal/quant"
 	"abnn2/internal/ring"
 )
 
@@ -116,6 +117,68 @@ func TestSampleMajor(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("sampleMajor = %v, want %v", got, want)
+		}
+	}
+}
+
+// payloadOffsetsPerChunk is the per-chunk layout the triplet loops used
+// before payloadLayout, frozen: the chunk+1 prefix offsets of each OT's
+// ciphertext block inside one payload flight, for the chunk starting at
+// global OT index base.
+func payloadOffsetsPerChunk(p Params, base, chunk int, mode Mode, padBytes int) []int {
+	gamma := p.Scheme.Gamma()
+	offs := make([]int, chunk+1)
+	for local := 0; local < chunk; local++ {
+		n := p.Scheme.FragmentN((base + local) % gamma)
+		if mode == OneBatch {
+			n-- // candidate 0 is the pad itself
+		}
+		offs[local+1] = offs[local] + n*padBytes
+	}
+	return offs
+}
+
+// TestPayloadLayoutMatchesPerChunkOffsets: the once-per-layer layout puts
+// every OT of every chunk where the per-chunk offsets did, for every
+// scheme the conformance sweeps can draw — binary, ternary, and each
+// signed and unsigned partition of 1 to 8 bits into fragments — in both
+// modes, over chunks whose start is not a multiple of γ and a short last
+// chunk.
+func TestPayloadLayoutMatchesPerChunkOffsets(t *testing.T) {
+	schemes := []quant.Scheme{quant.Binary(), quant.Ternary()}
+	var partitions func(eta int, widths []uint)
+	partitions = func(eta int, widths []uint) {
+		if eta == 0 {
+			for _, signed := range []bool{false, true} {
+				schemes = append(schemes, quant.NewBitScheme(signed, append([]uint(nil), widths...)...))
+			}
+			return
+		}
+		for w := 1; w <= eta; w++ {
+			partitions(eta-w, append(widths, uint(w)))
+		}
+	}
+	for eta := 1; eta <= 8; eta++ {
+		partitions(eta, nil)
+	}
+	const total = 3*chunkOTs + 1000
+	for _, sc := range schemes {
+		p := Params{Scheme: sc}
+		for _, mode := range []Mode{OneBatch, MultiBatch} {
+			padBytes := 4
+			if mode == MultiBatch {
+				padBytes = 3 * 8
+			}
+			l := newPayloadLayout(sc, mode, padBytes)
+			for ot := 0; ot < total; ot += chunkOTs {
+				chunk := min(chunkOTs, total-ot)
+				want := payloadOffsetsPerChunk(p, ot, chunk, mode, padBytes)
+				for local := 0; local <= chunk; local++ {
+					if got := l.at(ot+local) - l.at(ot); got != want[local] {
+						t.Fatalf("%s %v: OT %d of the chunk at %d is at %d, want %d", sc.Name(), mode, local, ot, got, want[local])
+					}
+				}
+			}
 		}
 	}
 }

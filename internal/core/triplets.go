@@ -1,6 +1,7 @@
 package core
 
 import (
+	"crypto/subtle"
 	"fmt"
 
 	"abnn2/internal/otext"
@@ -261,6 +262,7 @@ func (c *ClientTriplets) generateClient(params Params, vals [][]ring.Elem, sh Ma
 	V := ring.NewMat(sh.M, sh.O)
 	elemBytes := rg.Bytes()
 	padBytes := sh.O * elemBytes
+	layout := newPayloadLayout(params.Scheme, mode, padBytes)
 
 	ot := 0 // global OT index
 	for ot < total {
@@ -274,8 +276,8 @@ func (c *ClientTriplets) generateClient(params Params, vals [][]ring.Elem, sh Ma
 		}
 		// Every OT's ciphertext block has a public size, so workers can
 		// write disjoint spans of the payload flight directly.
-		offs := payloadOffsets(params, ot, chunk, mode, padBytes)
-		payload := make([]byte, offs[chunk])
+		base := layout.at(ot)
+		payload := make([]byte, layout.at(ot+chunk)-base)
 		// Pre-draw the per-OT masking randomness sequentially, in the
 		// exact order the sequential protocol consumed it — seeded
 		// transcripts stay byte-identical for every worker count.
@@ -292,30 +294,34 @@ func (c *ClientTriplets) generateClient(params Params, vals [][]ring.Elem, sh Ma
 			partials[part] = pv
 			pV := &ring.Mat{Rows: sh.M, Cols: sh.O, Data: pv}
 			pads := blk.NewDeriver()
+			var cand []byte // one-batch: the OT's N pads, candidate 0's included
+			if mode == OneBatch {
+				cand = make([]byte, layout.maxN*elemBytes)
+			}
 			for local := lo; local < hi; local++ {
 				g := ot + local
 				i := g / (sh.N * gamma) // W row
 				j := (g / gamma) % sh.N // W col
 				f := g % gamma          // fragment
-				n := params.Scheme.FragmentN(f)
+				n := layout.n[f]
 				vrow := pV.Row(i)
 				rrow := R.Row(j)
 				// Each message is encoded straight into its span of the
-				// payload flight and the pad XORed over it in place.
-				out := payload[offs[local]:offs[local+1]]
+				// payload flight and the pads XORed over it in place.
+				out := payload[layout.at(g)-base : layout.at(g+1)-base]
 				pads.Seek(local)
 				if mode == OneBatch {
 					// s := pad(0); V accumulates s; ciphertexts for t>=1 are
 					// (Value(t)*r - s) XOR pad(t).
-					var pad0 [8]byte
-					pads.PadInto(0, pad0[:])
-					s := rg.FromBytesFull(pad0[:])
+					cand := cand[:n*elemBytes]
+					clear(cand)
+					pads.XORPads(cand, n)
+					s := rg.GetElem(cand)
 					vrow[0] = rg.Add(vrow[0], s)
 					for t := 1; t < n; t++ {
-						span := out[(t-1)*elemBytes : t*elemBytes]
-						rg.PutElem(span, rg.Sub(rg.Mul(vals[f][t], rrow[0]), s))
-						pads.XORPad(t, span)
+						rg.PutElem(out[(t-1)*elemBytes:], rg.Sub(rg.Mul(vals[f][t], rrow[0]), s))
 					}
+					subtle.XORBytes(out, out, cand[elemBytes:])
 					continue
 				}
 				// One OT carries all o columns:
@@ -328,8 +334,8 @@ func (c *ClientTriplets) generateClient(params Params, vals [][]ring.Elem, sh Ma
 					for k := range ss {
 						rg.PutElem(span[k*elemBytes:], rg.Sub(rg.Mul(vals[f][t], rrow[k]), ss[k]))
 					}
-					pads.XORPad(t, span)
 				}
+				pads.XORPads(out, n)
 			}
 		})
 		for _, pv := range partials {
@@ -343,22 +349,36 @@ func (c *ClientTriplets) generateClient(params Params, vals [][]ring.Elem, sh Ma
 	return V, nil
 }
 
-// payloadOffsets returns the chunk+1 prefix offsets of each OT's
-// ciphertext block inside one payload flight, for the chunk starting at
-// global OT index base. Sizes depend only on public data (mode and the
-// fragment schedule), so both parties — and every worker — compute the
-// identical layout.
-func payloadOffsets(p Params, base, chunk int, mode Mode, padBytes int) []int {
-	gamma := p.Scheme.Gamma()
-	offs := make([]int, chunk+1)
-	for local := 0; local < chunk; local++ {
-		n := p.Scheme.FragmentN((base + local) % gamma)
+// payloadLayout places each OT's ciphertext block in a layer's payload
+// flights. Sizes depend only on public data — the mode and the fragment
+// schedule, which repeats every γ OTs — so both parties, and every
+// worker, compute the identical layout, once per layer.
+type payloadLayout struct {
+	n      []int // candidates of fragment f
+	prefix []int // prefix[f]: ciphertext bytes of one weight's fragments 0..f-1
+	maxN   int
+}
+
+func newPayloadLayout(sc quant.Scheme, mode Mode, padBytes int) payloadLayout {
+	gamma := sc.Gamma()
+	l := payloadLayout{n: make([]int, gamma), prefix: make([]int, gamma+1)}
+	for f := range l.n {
+		l.n[f] = sc.FragmentN(f)
+		l.maxN = max(l.maxN, l.n[f])
+		sent := l.n[f]
 		if mode == OneBatch {
-			n-- // candidate 0 is the pad itself
+			sent-- // candidate 0 is the pad itself
 		}
-		offs[local+1] = offs[local] + n*padBytes
+		l.prefix[f+1] = l.prefix[f] + sent*padBytes
 	}
-	return offs
+	return l
+}
+
+// at returns the offset of OT g's ciphertext block from the start of the
+// layer's first flight; a flight starting at OT base starts at at(base).
+func (l payloadLayout) at(g int) int {
+	gamma := len(l.n)
+	return g/gamma*l.prefix[gamma] + l.prefix[g%gamma]
 }
 
 // GenerateServer runs the server side for quantized weights W (m x n,
@@ -412,6 +432,7 @@ func (l serverLayer) chunks() int { return (l.params.NumOTs(l.sh) + chunkOTs - 1
 func (s *ServerTriplets) generateServer(run []serverLayer, layerDone func()) ([]*ring.Mat, error) {
 	// first[k] is the flat index of layer k's first chunk.
 	first := make([]int, len(run)+1)
+	layouts := make([]payloadLayout, len(run))
 	for k, l := range run {
 		if err := checkShape(l.sh, l.mode); err != nil {
 			return nil, err
@@ -420,6 +441,7 @@ func (s *ServerTriplets) generateServer(run []serverLayer, layerDone func()) ([]
 			return nil, fmt.Errorf("core: W has %d elements, want %d", len(l.W), l.sh.M*l.sh.N)
 		}
 		first[k+1] = first[k] + l.chunks()
+		layouts[k] = newPayloadLayout(l.params.Scheme, l.mode, l.sh.O*l.params.Ring.Bytes())
 	}
 	us := make([]*ring.Mat, len(run))
 
@@ -465,15 +487,16 @@ func (s *ServerTriplets) generateServer(run []serverLayer, layerDone func()) ([]
 		gamma := params.Scheme.Gamma()
 		elemBytes := rg.Bytes()
 		padBytes := sh.O * elemBytes
+		layout := layouts[ck]
 		ot := (i - first[ck]) * chunkOTs
 		chunk := blk.Count()
 		payload, err := s.ot.Conn().Recv()
 		if err != nil {
 			return fmt.Errorf("core: server recv payload: %w", err)
 		}
-		offs := payloadOffsets(params, ot, chunk, mode, padBytes)
-		if len(payload) != offs[chunk] {
-			return fmt.Errorf("core: payload is %d bytes, want %d", len(payload), offs[chunk])
+		base := layout.at(ot)
+		if want := layout.at(ot+chunk) - base; len(payload) != want {
+			return fmt.Errorf("core: payload is %d bytes, want %d", len(payload), want)
 		}
 		// Mirror of the client kernel: workers decode disjoint payload
 		// spans into private partials of U, reduced below.
@@ -489,7 +512,7 @@ func (s *ServerTriplets) generateServer(run []serverLayer, layerDone func()) ([]
 				i := g / (sh.N * gamma)
 				w := blk.Choice(local)
 				urow := pU.Row(i)
-				ct := payload[offs[local]:offs[local+1]]
+				ct := payload[layout.at(g)-base : layout.at(g+1)-base]
 				pads.Seek(local)
 				if mode == OneBatch {
 					if w == 0 {

@@ -1,8 +1,6 @@
 package gc
 
 import (
-	"crypto/aes"
-	"crypto/cipher"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -47,30 +45,21 @@ func (w wire) lsb() uint64 { return w.lo & 1 }
 // mispredicted half the time.
 func (w wire) when(bit uint64) wire { return wire{w.lo & -bit, w.hi & -bit} }
 
-// mmoCipher is the fixed-key AES permutation behind the garbling hash.
-var mmoCipher = func() cipher.Block {
-	sum := sha256.Sum256([]byte("abnn2/gc/halfgates"))
-	c, err := aes.NewCipher(sum[:16])
-	if err != nil {
-		panic(err) // impossible: fixed key length
-	}
-	return c
-}()
+// mmoKey is the fixed AES key of the garbling hash, and mmo its
+// permutation.
+var (
+	mmoKey = sha256.Sum256([]byte("abnn2/gc/halfgates"))
+	mmo    = prg.NewPerm(mmoKey[:16])
+)
 
 // hasher computes the garbling hash H(label, tweak), instantiated as the
 // standard fixed-key AES MMO construction pi(x) XOR x with the tweak
 // folded into the input (JustGarble / half-gates paper instantiation).
-// The AES operands live in the struct so the hot loop performs no
-// allocations (slices passed through the cipher.Block interface would
-// otherwise escape to the heap on every call).
-//
-// An AND gate's hashes are one staged call: store every operand, issue
-// the Encrypt calls back to back, then load every result. Calls that
-// share one operand/result pair serialise on it; with a pair per call the
-// core overlaps them (four calls: ~74 vs ~36 ns). The stages are
-// unrolled: a loop over the buffers reads slower.
+// An AND gate's hashes are independent, so they go to the permutation in
+// one call: four lanes on the garbler, two on the evaluator. The lanes
+// live in the kernel state, which is on the heap already.
 type hasher struct {
-	x, e [4][16]byte
+	lanes prg.Lanes
 }
 
 // hash4 returns the garbler's four hashes of an AND gate, computed in
@@ -80,16 +69,14 @@ func (h *hasher) hash4(a0, a1, b0, b1 wire, tweak uint64) (wire, wire, wire, wir
 	a1.lo ^= tweak
 	b0.lo ^= tweak + 1
 	b1.lo ^= tweak + 1
-	a0.store(h.x[0][:])
-	a1.store(h.x[1][:])
-	b0.store(h.x[2][:])
-	b1.store(h.x[3][:])
-	mmoCipher.Encrypt(h.e[0][:], h.x[0][:])
-	mmoCipher.Encrypt(h.e[1][:], h.x[1][:])
-	mmoCipher.Encrypt(h.e[2][:], h.x[2][:])
-	mmoCipher.Encrypt(h.e[3][:], h.x[3][:])
-	return loadWire(h.e[0][:]).xor(a0), loadWire(h.e[1][:]).xor(a1),
-		loadWire(h.e[2][:]).xor(b0), loadWire(h.e[3][:]).xor(b1)
+	l := &h.lanes
+	a0.store(l[0][:])
+	a1.store(l[1][:])
+	b0.store(l[2][:])
+	b1.store(l[3][:])
+	mmo.Encrypt(l, 4)
+	return loadWire(l[0][:]).xor(a0), loadWire(l[1][:]).xor(a1),
+		loadWire(l[2][:]).xor(b0), loadWire(l[3][:]).xor(b1)
 }
 
 // hash2 returns the evaluator's two hashes of an AND gate, H(a, tweak)
@@ -97,11 +84,11 @@ func (h *hasher) hash4(a0, a1, b0, b1 wire, tweak uint64) (wire, wire, wire, wir
 func (h *hasher) hash2(a, b wire, tweak uint64) (wire, wire) {
 	a.lo ^= tweak
 	b.lo ^= tweak + 1
-	a.store(h.x[0][:])
-	b.store(h.x[1][:])
-	mmoCipher.Encrypt(h.e[0][:], h.x[0][:])
-	mmoCipher.Encrypt(h.e[1][:], h.x[1][:])
-	return loadWire(h.e[0][:]).xor(a), loadWire(h.e[1][:]).xor(b)
+	l := &h.lanes
+	a.store(l[0][:])
+	b.store(l[1][:])
+	mmo.Encrypt(l, 2)
+	return loadWire(l[0][:]).xor(a), loadWire(l[1][:]).xor(b)
 }
 
 // Garbled is the garbler's output: everything the evaluator needs except

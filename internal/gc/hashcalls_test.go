@@ -2,6 +2,7 @@ package gc
 
 import (
 	"bytes"
+	"crypto/aes"
 	"crypto/cipher"
 	"fmt"
 	"sync/atomic"
@@ -23,13 +24,19 @@ func (c countingBlock) Encrypt(dst, src []byte) {
 }
 
 // countHashes routes the garbling hash through a counter for the rest of
-// the test. No test in this package runs in parallel, so swapping the
-// package's cipher is safe.
+// the test: the same key's crypto/aes cipher, wrapped, so that the
+// permutation makes one counted Encrypt call per block. No test in this
+// package runs in parallel, so swapping the package's permutation is
+// safe.
 func countHashes(t *testing.T) *atomic.Int64 {
 	calls := new(atomic.Int64)
-	orig := mmoCipher
-	mmoCipher = countingBlock{orig, calls}
-	t.Cleanup(func() { mmoCipher = orig })
+	blk, err := aes.NewCipher(mmoKey[:16])
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := mmo
+	mmo = prg.WrapBlock(countingBlock{blk, calls})
+	t.Cleanup(func() { mmo = orig })
 	return calls
 }
 

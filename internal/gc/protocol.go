@@ -172,8 +172,7 @@ func (g *Garbler) sendGarbled(c *Circuit, msg []byte) error {
 		pairs := msg[len(msg)-c.NumEvaluator*2*LabelSize:]
 		for i := 0; i < c.NumEvaluator; i++ {
 			pads.Seek(i)
-			pads.XORPad(0, pairs[:LabelSize])
-			pads.XORPad(1, pairs[LabelSize:2*LabelSize])
+			pads.XORPads(pairs[:2*LabelSize], 2)
 			pairs = pairs[2*LabelSize:]
 		}
 	}

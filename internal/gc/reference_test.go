@@ -1,6 +1,8 @@
 package gc
 
 import (
+	"crypto/aes"
+	"crypto/cipher"
 	"encoding/binary"
 	"fmt"
 
@@ -13,6 +15,17 @@ import (
 // [16]byte labels passed by value. It is the byte-identity oracle of
 // reference_identity_test.go and FuzzGarbleMatchesReference: the wire
 // format is whatever this code produces.
+
+// mmoCipher is the garbling key under crypto/aes, the cipher the frozen
+// code below called before the package's hash moved to prg.Perm; kept
+// here so the reference does not run the kernel it checks.
+var mmoCipher = func() cipher.Block {
+	c, err := aes.NewCipher(mmoKey[:16])
+	if err != nil {
+		panic(err) // impossible: fixed key length
+	}
+	return c
+}()
 
 func (l Label) lsb() byte { return l[0] & 1 }
 

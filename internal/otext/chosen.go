@@ -22,14 +22,14 @@ func (s *Sender) SendChosen(msgs [][][]byte, msgLen int) error {
 		if len(msgs[j]) != n {
 			return fmt.Errorf("otext: OT %d has %d messages, want %d", j, len(msgs[j]), n)
 		}
-		d.Seek(j)
 		for v := 0; v < n; v++ {
 			if len(msgs[j][v]) != msgLen {
 				return fmt.Errorf("otext: OT %d message %d has %d bytes, want %d", j, v, len(msgs[j][v]), msgLen)
 			}
 			out = append(out, msgs[j][v]...)
-			d.XORPad(v, out[len(out)-msgLen:])
 		}
+		d.Seek(j)
+		d.XORPads(out[len(out)-n*msgLen:], n)
 	}
 	return s.conn.Send(out)
 }
@@ -84,11 +84,12 @@ func (s *Sender) SendCorrelatedRing(rg ring.Ring, width int, deltas ring.Vec) (x
 	x0 = make(ring.Vec, len(deltas))
 	buf := make([]byte, 0, rg.VecBytes(len(deltas)))
 	d := blk.NewDeriver()
-	p0, p1 := make([]byte, width*8), make([]byte, width*8)
+	pads := make([]byte, 2*width*8)
+	p0, p1 := pads[:width*8], pads[width*8:]
 	for j := 0; j < m; j++ {
 		d.Seek(j)
-		d.PadInto(0, p0)
-		d.PadInto(1, p1)
+		clear(pads)
+		d.XORPads(pads, 2)
 		for k := 0; k < width; k++ {
 			e := j*width + k
 			x0[e] = rg.FromBytesFull(p0[k*8:])

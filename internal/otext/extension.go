@@ -301,24 +301,24 @@ func (b *ReceiverBlock) Count() int { return b.m }
 
 // SenderDeriver derives the pads of one SenderBlock for one goroutine:
 // the oracle's header block is paid once per deriver and its index block
-// once per Seek(j), after which each of the N candidates costs only its
-// row blocks (and, past 16 bytes, its expansion). For OT j and candidate v
-// the pad is H(session, counter_j, q_j XOR (C(v) AND s)); the receiver
-// can compute the same bytes only for v equal to its choice at j.
+// once per Seek(j), after which the N candidates cost only their row
+// blocks (and, past 16 bytes, their expansion), four candidates per AES
+// call. For OT j and candidate v the pad is H(session, counter_j, q_j XOR
+// (C(v) AND s)); the receiver can compute the same bytes only for v equal
+// to its choice at j.
 type SenderDeriver struct {
-	b      *SenderBlock
-	h      prg.Deriver
-	row    []byte // q_j of the OT Seek selected
-	masked []byte // scratch for q_j XOR (C(v) AND s)
+	b   *SenderBlock
+	h   prg.Deriver
+	row []byte // q_j of the OT Seek selected
 }
 
 // NewDeriver returns a deriver over b. Derivers are cheap; concurrent
 // kernels take one per goroutine rather than sharing.
 func (b *SenderBlock) NewDeriver() *SenderDeriver {
-	return &SenderDeriver{b: b, h: oracle.Deriver(b.s.session, 0, b.q.Stride), masked: make([]byte, b.q.Stride)}
+	return &SenderDeriver{b: b, h: oracle.Deriver(b.s.session, 0, b.q.Stride)}
 }
 
-// Seek selects OT index j for the following PadInto and XORPad calls.
+// Seek selects OT index j for the following XORPads calls.
 func (d *SenderDeriver) Seek(j int) {
 	if j < 0 || j >= d.b.m {
 		panic(fmt.Sprintf("otext: pad index %d out of range [0,%d)", j, d.b.m))
@@ -327,18 +327,11 @@ func (d *SenderDeriver) Seek(j int) {
 	d.h.Index(d.b.base + uint64(j))
 }
 
-// XORPad XORs len(dst) pad bytes for candidate v of the selected OT into
-// dst.
-func (d *SenderDeriver) XORPad(v int, dst []byte) {
-	w := len(d.masked)
-	subtle.XORBytes(d.masked, d.row, d.b.masks[v*w:(v+1)*w])
-	d.h.XORPad(dst, d.masked)
-}
-
-// PadInto overwrites dst with pad bytes for candidate v of the selected OT.
-func (d *SenderDeriver) PadInto(v int, dst []byte) {
-	clear(dst)
-	d.XORPad(v, dst)
+// XORPads XORs the pads of candidates 0..n-1 of the selected OT into dst,
+// which it splits into n equal spans: candidate v's pad into span v. n is
+// at most the code's N; an OT of a smaller fragment asks for fewer.
+func (d *SenderDeriver) XORPads(dst []byte, n int) {
+	d.h.XORPads(dst, d.row, d.b.masks[:n*len(d.row)])
 }
 
 // ReceiverDeriver is the receiving side's SenderDeriver: the one pad per

@@ -8,8 +8,9 @@ import (
 	"abnn2/internal/prg"
 )
 
-// countingBlock counts the oracle's AES calls on their way to the real
-// permutation, so the pads stay what they are.
+// countingBlock counts the oracle's AES blocks on their way to the real
+// permutation, so the pads stay what they are: a FastOracle literal
+// evaluates through its Block one block per call.
 type countingBlock struct {
 	cipher.Block
 	calls int
@@ -22,7 +23,7 @@ func (c *countingBlock) Encrypt(dst, src []byte) {
 
 // TestPadOperationCounts is the count the one-batch triplet's timing
 // rests on: an OT whose N pads are n bytes each, over a w-column code,
-// costs the sender 1 + N*ceil(w/128) AES calls and the receiver
+// costs the sender 1 + N*ceil(w/128) AES blocks and the receiver
 // 1 + ceil(w/128) — 9 and 3 at 4(2,2), where the oracle that finalised
 // and expanded every pad paid 18 and 6 — plus ceil(n/16) expansion calls
 // per pad only when n > 16; and the header block is paid once per
@@ -60,15 +61,13 @@ func TestPadOperationCounts(t *testing.T) {
 			if padBytes > 16 {
 				expand = (padBytes + 15) / 16
 			}
-			pad := make([]byte, padBytes)
+			pad, pads := make([]byte, padBytes), make([]byte, c.n*padBytes)
 
 			counter.calls = 0
 			sd := sb.NewDeriver()
 			for j := 0; j < m; j++ {
 				sd.Seek(j)
-				for v := 0; v < c.n; v++ {
-					sd.XORPad(v, pad)
-				}
+				sd.XORPads(pads, c.n)
 			}
 			if perOT := 1 + c.n*(rowBlocks+expand); counter.calls != 1+m*perOT {
 				t.Errorf("N=%d w=%d n=%d: sender made %d AES calls over %d OTs, want 1 header + %d x %d", c.n, c.w, padBytes, counter.calls, m, m, perOT)

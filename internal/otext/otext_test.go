@@ -131,8 +131,14 @@ func TestCodeForSelection(t *testing.T) {
 func senderPad(b *SenderBlock, j, v, n int) []byte {
 	d := b.NewDeriver()
 	d.Seek(j)
-	out := make([]byte, n)
-	d.PadInto(v, out)
+	return candidates(d, v+1, n)[v*n:]
+}
+
+// candidates returns the pads of candidates 0..cands-1 of the selected
+// OT, n bytes each, back to back.
+func candidates(d *SenderDeriver, cands, n int) []byte {
+	out := make([]byte, cands*n)
+	d.XORPads(out, cands)
 	return out
 }
 
@@ -147,9 +153,10 @@ func receiverPad(b *ReceiverBlock, j, n int) []byte {
 // TestDeriversMatchOracleDefinition pins the pads to their definition,
 // H(session, counter_j, q_j XOR (C(v) AND s)) and H(session, counter_j,
 // t_j), evaluated through the public FastOracle.Hash with the codeword
-// taken from Code.Encode. The derivers are reused across OTs, visit the
-// candidates out of order, and two of them alternate over two OTs, so
-// nothing a deriver caches may leak from one query into the next.
+// taken from Code.Encode. The derivers are reused across OTs and pad
+// lengths, derive every candidate or a prefix of them, and two of them
+// alternate over two OTs, so nothing a deriver caches may leak from one
+// query into the next.
 func TestDeriversMatchOracleDefinition(t *testing.T) {
 	for _, code := range []Code{RepetitionCode(), WalshHadamardCode(16)} {
 		snd, rcv, _, done := setupPair(t, code)
@@ -190,14 +197,15 @@ func TestDeriversMatchOracleDefinition(t *testing.T) {
 			for i, d := range sd {
 				d.Seek(ots[i])
 			}
-			for step := 0; step < 2*n; step++ {
-				v := (n - 1 - step*3%n + n) % n
+			for step := 0; step < 4; step++ {
+				cands := n - step*3%n // every candidate, then a prefix of them
 				for i, d := range sd {
 					nbytes := 1 + (step*7+j)%40
-					got := make([]byte, nbytes)
-					d.PadInto(v, got)
-					if !bytes.Equal(got, wantSender(ots[i], v, nbytes)) {
-						t.Fatalf("n=%d OT %d candidate %d: sender pad differs from its definition", n, ots[i], v)
+					got := candidates(d, cands, nbytes)
+					for v := 0; v < cands; v++ {
+						if !bytes.Equal(got[v*nbytes:(v+1)*nbytes], wantSender(ots[i], v, nbytes)) {
+							t.Fatalf("n=%d OT %d candidate %d: sender pad differs from its definition", n, ots[i], v)
+						}
 					}
 				}
 			}
@@ -216,8 +224,8 @@ func TestDeriversMatchOracleDefinition(t *testing.T) {
 }
 
 // TestPadDerivationAllocatesNothing: once a goroutine holds its derivers,
-// the pads of a whole 4096-OT chunk (every candidate on the sending side)
-// cost no allocation at all.
+// the pads of a whole 4096-OT chunk (every candidate on the sending side,
+// in lockstep, at both output shapes) cost no allocation at all.
 func TestPadDerivationAllocatesNothing(t *testing.T) {
 	const m, n = 4096, 4
 	snd, rcv, _, done := setupPair(t, WalshHadamardCode(n))
@@ -237,13 +245,12 @@ func TestPadDerivationAllocatesNothing(t *testing.T) {
 		t.Fatalf("extend failed: %v", err)
 	}
 	sd, rd := sb.NewDeriver(), rb.NewDeriver()
-	pad := make([]byte, 20)
+	pad, pads := make([]byte, 20), make([]byte, n*20)
 	allocs := testing.AllocsPerRun(3, func() {
 		for j := 0; j < m; j++ {
 			sd.Seek(j)
-			for v := 0; v < n; v++ {
-				sd.XORPad(v, pad)
-			}
+			sd.XORPads(pads, n)
+			sd.XORPads(pads[:n*4], n)
 			rd.Seek(j)
 			rd.PadInto(pad)
 		}

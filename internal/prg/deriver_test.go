@@ -133,6 +133,41 @@ func TestDeriverXORsIntoDst(t *testing.T) {
 	}
 }
 
+// TestDeriverXORPadsMatchesReference derives N candidates in lockstep —
+// N below, at and above the four lanes of a permutation call, and not a
+// multiple of them — over row widths with and without a zero-padded tail
+// and pads of both output shapes, on a Deriver that single pads of the
+// other shape interleave with, and XORs into a dst that is not zero.
+func TestDeriverXORPadsMatchesReference(t *testing.T) {
+	o := NewFastOracle("deriver-test")
+	g := New(SeedFromInt(43))
+	for _, cands := range []int{1, 2, 3, 4, 5, 8, 16} {
+		for _, w := range []int{1, 8, 16, 24, 32, 40} {
+			session, tweak := g.Uint64(), g.Uint64()>>32
+			d := o.Deriver(session, tweak, w)
+			for _, n := range []int{1, 4, 8, 16, 17, 33, 64} {
+				index := g.Uint64()
+				d.Index(index)
+				row, masks := g.Bytes(w), g.Bytes(cands*w)
+				dst := g.Bytes(cands * n)
+				want := append([]byte(nil), dst...)
+				for v := 0; v < cands; v++ {
+					data := XORBytes(make([]byte, w), row, masks[v*w:(v+1)*w])
+					XORBytes(want[v*n:(v+1)*n], want[v*n:(v+1)*n], referenceHash(o, session, index, tweak, data, n))
+				}
+				other := 8 + 16*(n&1^1) // a single pad of the other shape first
+				if got := derive(&d, row, other); !bytes.Equal(got, referenceHash(o, session, index, tweak, row, other)) {
+					t.Fatalf("N=%d w=%d n=%d: single pad differs from reference", cands, w, n)
+				}
+				d.XORPads(dst, row, masks)
+				if !bytes.Equal(dst, want) {
+					t.Fatalf("N=%d w=%d n=%d: XORPads differs from reference", cands, w, n)
+				}
+			}
+		}
+	}
+}
+
 // TestDeriverPanicsOnWrongDataLength: data of another length than the
 // header commits to, and a tweak or length the header word has no room
 // for, are bugs in the caller and stop it.
@@ -142,6 +177,11 @@ func TestDeriverPanicsOnWrongDataLength(t *testing.T) {
 		"data":    func() { d := o.Deriver(1, 3, 16); d.XORPad(make([]byte, 8), make([]byte, 15)) },
 		"tweak":   func() { o.Hash(1, 2, 1<<32, nil, 8) },
 		"dataLen": func() { o.Deriver(1, 0, 1<<31) },
+		"row":     func() { d := o.Deriver(1, 3, 16); d.XORPads(make([]byte, 8), make([]byte, 15), make([]byte, 30)) },
+		"masks":   func() { d := o.Deriver(1, 3, 16); d.XORPads(make([]byte, 8), make([]byte, 16), make([]byte, 40)) },
+		"noMasks": func() { d := o.Deriver(1, 3, 16); d.XORPads(nil, make([]byte, 16), nil) },
+		"dst":     func() { d := o.Deriver(1, 3, 16); d.XORPads(make([]byte, 9), make([]byte, 16), make([]byte, 32)) },
+		"noRow":   func() { d := o.Deriver(1, 3, 0); d.XORPads(make([]byte, 8), nil, nil) },
 	} {
 		func() {
 			defer func() {
@@ -154,8 +194,9 @@ func TestDeriverPanicsOnWrongDataLength(t *testing.T) {
 	}
 }
 
-// FuzzPadDeriverMatchesHash: for any query, Hash and a Deriver that has
-// already served another query yield the frozen reference's bytes. The
+// FuzzPadDeriverMatchesHash: for any query, Hash, a Deriver that has
+// already served another query, and its lockstep XORPads over candidates
+// of the query's data yield the frozen reference's bytes. The
 // header argument carries session, index, tweak (8 bytes each, the tweak
 // cut to the 32 bits the header block has for it) and the output length
 // (2 bytes), zero-extended when short.
@@ -188,6 +229,24 @@ func FuzzPadDeriverMatchesHash(f *testing.F) {
 		for rep := 0; rep < 2; rep++ {
 			if got := derive(&reused, data, n); !bytes.Equal(got, want) {
 				t.Fatalf("reused Deriver differs from reference (dataLen=%d n=%d rep=%d)", len(data), n, rep)
+			}
+		}
+		// Five candidates in lockstep, the data as the row and masks of
+		// one repeated byte each: candidate 0's mask is zero.
+		if len(data) == 0 {
+			return
+		}
+		const cands = 5
+		masks := make([]byte, 0, cands*len(data))
+		for v := byte(0); v < cands; v++ {
+			masks = append(masks, bytes.Repeat([]byte{v * 0x3B}, len(data))...)
+		}
+		pads := make([]byte, cands*n)
+		reused.XORPads(pads, data, masks)
+		for v := 0; v < cands; v++ {
+			cand := XORBytes(make([]byte, len(data)), data, masks[v*len(data):(v+1)*len(data)])
+			if !bytes.Equal(pads[v*n:(v+1)*n], referenceHash(o, session, index, tweak, cand, n)) {
+				t.Fatalf("lockstep candidate %d differs from reference (dataLen=%d n=%d)", v, len(data), n)
 			}
 		}
 	})
