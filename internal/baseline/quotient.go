@@ -31,7 +31,7 @@ type QuotientServer struct {
 
 // NewQuotientClient sets up the sender role.
 func NewQuotientClient(conn transport.Conn, rg ring.Ring, session uint64, workers int, rng *prg.PRG) (*QuotientClient, error) {
-	ot, err := otext.NewSender(conn, otext.RepetitionCode(), session, rng)
+	ot, err := otext.NewSender(conn, otext.WalshHadamardCode(2), session, rng)
 	if err != nil {
 		return nil, fmt.Errorf("baseline: quotient client setup: %w", err)
 	}
@@ -41,7 +41,7 @@ func NewQuotientClient(conn transport.Conn, rg ring.Ring, session uint64, worker
 
 // NewQuotientServer sets up the receiver role.
 func NewQuotientServer(conn transport.Conn, rg ring.Ring, session uint64, workers int, rng *prg.PRG) (*QuotientServer, error) {
-	ot, err := otext.NewReceiver(conn, otext.RepetitionCode(), session, rng)
+	ot, err := otext.NewReceiver(conn, otext.WalshHadamardCode(2), session, rng)
 	if err != nil {
 		return nil, fmt.Errorf("baseline: quotient server setup: %w", err)
 	}

@@ -40,7 +40,7 @@ type SecureMLServer struct {
 // constructor of the package (0 = one worker per CPU); it is purely local:
 // the transcript does not depend on it.
 func NewSecureMLClient(conn transport.Conn, rg ring.Ring, session uint64, workers int, rng *prg.PRG) (*SecureMLClient, error) {
-	ot, err := otext.NewSender(conn, otext.RepetitionCode(), session, rng)
+	ot, err := otext.NewSender(conn, otext.WalshHadamardCode(2), session, rng)
 	if err != nil {
 		return nil, fmt.Errorf("baseline: secureml client setup: %w", err)
 	}
@@ -50,7 +50,7 @@ func NewSecureMLClient(conn transport.Conn, rg ring.Ring, session uint64, worker
 
 // NewSecureMLServer sets up the receiver role.
 func NewSecureMLServer(conn transport.Conn, rg ring.Ring, session uint64, workers int, rng *prg.PRG) (*SecureMLServer, error) {
-	ot, err := otext.NewReceiver(conn, otext.RepetitionCode(), session, rng)
+	ot, err := otext.NewReceiver(conn, otext.WalshHadamardCode(2), session, rng)
 	if err != nil {
 		return nil, fmt.Errorf("baseline: secureml server setup: %w", err)
 	}

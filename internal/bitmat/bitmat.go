@@ -1,7 +1,7 @@
 // Package bitmat implements packed bit matrices and their transpose, the
-// data-movement core of IKNP-style OT extension: the receiver builds an
-// m x w bit matrix column-wise (w = code width: 128 for IKNP, 192 to 256
-// for KK13) and both parties need it row-wise, or vice versa.
+// data-movement core of IKNP-style OT extension: each party expands an
+// m x w bit matrix (w = code width: 128 for IKNP, 192 to 256 for KK13)
+// column-wise from its base-OT seeds and derives its pads from it row-wise.
 package bitmat
 
 import (

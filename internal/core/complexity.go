@@ -108,7 +108,7 @@ func QuotientComplexity(l uint, sh MatShape) Complexity {
 	return Complexity{
 		Label:     "QUOTIENT",
 		NumOTs:    2 * int64(sh.M) * int64(sh.N),
-		CommBits:  2 * mn * (float64(l) + float64(otext.RepetitionCode().WidthBits())),
+		CommBits:  2 * mn * (float64(l) + float64(otext.WalshHadamardCode(2).WidthBits())),
 		PaperBits: 2 * mn * (float64(l) + 2*otext.Kappa),
 		Flights:   2,
 	}

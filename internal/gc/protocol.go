@@ -32,7 +32,7 @@ type Evaluator struct {
 // NewGarbler sets up the garbling side, running base OTs for the label
 // transfers on conn.
 func NewGarbler(conn transport.Conn, session uint64, rng *prg.PRG) (*Garbler, error) {
-	ot, err := otext.NewSender(conn, otext.RepetitionCode(), session, rng)
+	ot, err := otext.NewSender(conn, otext.WalshHadamardCode(2), session, rng)
 	if err != nil {
 		return nil, fmt.Errorf("gc: garbler OT setup: %w", err)
 	}
@@ -41,7 +41,7 @@ func NewGarbler(conn transport.Conn, session uint64, rng *prg.PRG) (*Garbler, er
 
 // NewEvaluator sets up the evaluating side.
 func NewEvaluator(conn transport.Conn, session uint64, rng *prg.PRG) (*Evaluator, error) {
-	ot, err := otext.NewReceiver(conn, otext.RepetitionCode(), session, rng)
+	ot, err := otext.NewReceiver(conn, otext.WalshHadamardCode(2), session, rng)
 	if err != nil {
 		return nil, fmt.Errorf("gc: evaluator OT setup: %w", err)
 	}

@@ -58,8 +58,11 @@ func benchExtendWorkers(b *testing.B, code Code, m, workers int) {
 	b.ReportMetric(float64(m)*float64(b.N), "OTs-total")
 }
 
-func BenchmarkExtendIKNP4096(b *testing.B)  { benchExtend(b, RepetitionCode(), 4096) }
+func BenchmarkExtendIKNP4096(b *testing.B)  { benchExtend(b, WalshHadamardCode(2), 4096) }
 func BenchmarkExtendKK13x4096(b *testing.B) { benchExtend(b, WalshHadamardCode(16), 4096) }
+
+// N = 4, the 192-column code every benchmark workload's layers run.
+func BenchmarkExtendKK13N4x4096(b *testing.B) { benchExtend(b, WalshHadamardCode(4), 4096) }
 
 // Workers=1 vs Workers=8 on a large KK13 round: the ratio is the
 // speedup quoted in EXPERIMENTS.md.
@@ -109,7 +112,7 @@ func BenchmarkPadDerivationN4(b *testing.B) { benchPadDerivation(b, WalshHadamar
 
 func BenchmarkBaseOTSetup(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, _, done := benchPair(b, RepetitionCode())
+		_, _, done := benchPair(b, WalshHadamardCode(2))
 		done()
 	}
 }

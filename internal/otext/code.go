@@ -15,6 +15,7 @@
 package otext
 
 import (
+	"crypto/subtle"
 	"fmt"
 	"math/bits"
 )
@@ -39,19 +40,14 @@ const Kappa = 128
 // The zero Code has no choices and no columns.
 type Code struct{ n, width int }
 
-// whTable holds the 256-column Walsh-Hadamard code over 8-bit messages:
-// the bit of codeword w at column x is the parity of w AND x. The columns
-// are ordered by ascending count of trailing zero bits of x — the 128 odd
-// x, then the 64 with one trailing zero, ... then x = 128, then x = 0 —
-// because a column x is zero on every codeword below 2^k exactly when x
-// has at least k trailing zeros (w AND x then has no bit to count). The
-// columns that the first 2^k codewords use are thus exactly the first
-// 256 - 256/2^k, and dropping the rest removes nothing from any pairwise
-// distance among those codewords: it stays the full code's 128.
-// Codewords are precomputed once: Encode sits on the per-pad hot path of
-// the OT extension.
-var whTable = func() *[256][32]byte {
-	var cols [256]byte // cols[255] = 0
+// whCols lists the columns of the 256-column Walsh-Hadamard code over
+// 8-bit messages: codeword v has bit parity(v AND x) at column x. They are
+// ordered by ascending count of trailing zeros of x (the 128 odd x first,
+// x = 0 last): column x is zero on every codeword below 2^k exactly when
+// x has at least k trailing zeros, so the first 2^k codewords use the
+// first 256 - 256/2^k columns, and dropping the rest keeps every pairwise
+// distance among them at the full code's 128.
+var whCols = func() (cols [256]byte) { // cols[255] = 0
 	k := 0
 	for tz := uint(0); tz < 8; tz++ {
 		for x := 1 << tz; x < 256; x += 2 << tz {
@@ -59,13 +55,7 @@ var whTable = func() *[256][32]byte {
 			k++
 		}
 	}
-	var t [256][32]byte
-	for w := range t {
-		for pos, x := range cols {
-			t[w][pos/8] |= byte(bits.OnesCount8(byte(w)&x)&1) << (pos % 8)
-		}
-	}
-	return &t
+	return cols
 }()
 
 // WalshHadamardCode returns the KK13 code for 1-out-of-n OT, n in
@@ -75,17 +65,11 @@ func WalshHadamardCode(n int) Code {
 	if n < 2 || n > 256 {
 		panic(fmt.Sprintf("otext: Walsh-Hadamard code supports N in [2,256], got %d", n))
 	}
-	// The columns the first 2^k codewords use, 2^k the next power of two
-	// at or above n, rounded up to whole bytes (which only changes 252,
-	// 254 and 255 into 256).
+	// The columns the first 2^k >= n codewords use, in whole bytes (which
+	// only turns 252, 254 and 255 into 256).
 	k := bits.Len(uint(n - 1))
 	return Code{n: n, width: (2*Kappa - 2*Kappa>>k + 7) &^ 7}
 }
-
-// RepetitionCode returns the IKNP 1-out-of-2 code, C(0) = 0^128 and
-// C(1) = 1^128: the family's N = 2 member, whose 128 columns are the odd
-// x, on which codeword 1 is all ones.
-func RepetitionCode() Code { return WalshHadamardCode(2) }
 
 // N is the number of encodable choices.
 func (c Code) N() int { return c.n }
@@ -99,5 +83,34 @@ func (c Code) Encode(choice int, dst []byte) {
 	if choice < 0 || choice >= c.n {
 		panic(fmt.Sprintf("otext: choice %d out of range [0,%d)", choice, c.n))
 	}
-	copy(dst, whTable[choice][:c.width/8])
+	clear(dst[:c.width/8])
+	for pos, x := range whCols[:c.width] {
+		dst[pos/8] |= byte(bits.OnesCount8(byte(choice)&x)&1) << (pos % 8)
+	}
+}
+
+// choicePlanes returns a round's k = ⌈log2 N⌉ choice bit-planes, mBytes
+// bytes each: bit j of plane b is bit b of choices[j], or 0 for a padding
+// row j >= len(choices). A choice outside [0, N) is an error.
+func (c Code) choicePlanes(choices []int, mBytes int) ([]byte, error) {
+	planes := make([]byte, bits.Len(uint(c.n-1))*mBytes)
+	for j, v := range choices {
+		if v < 0 || v >= c.n {
+			return nil, fmt.Errorf("otext: choice %d out of range [0,%d)", v, c.n)
+		}
+		for at := j / 8; v != 0; at, v = at+mBytes, v>>1 {
+			planes[at] |= byte(v&1) << (j % 8)
+		}
+	}
+	return planes, nil
+}
+
+// xorColumn XORs column i of the code matrix into dst: for x = whCols[i],
+// parity(choice AND x) per row, the XOR of plane b for each bit b of x.
+func (c Code) xorColumn(dst []byte, i int, planes []byte) {
+	for b, at := 0, 0; at < len(planes); b, at = b+1, at+len(dst) {
+		if whCols[i]>>b&1 == 1 {
+			subtle.XORBytes(dst, dst, planes[at:at+len(dst)])
+		}
+	}
 }

@@ -58,7 +58,7 @@ func TestKK13DegeneratesToTwoMessages(t *testing.T) {
 		t.Fatalf("WH(2) N = %d", wh.N())
 	}
 	gotWH := runChosen(t, wh, msgs, choices, msgLen)
-	gotRep := runChosen(t, RepetitionCode(), msgs, choices, msgLen)
+	gotRep := runChosen(t, WalshHadamardCode(2), msgs, choices, msgLen)
 	for i := range msgs {
 		want := msgs[i][choices[i]]
 		if !bytes.Equal(gotWH[i], want) {
@@ -85,7 +85,7 @@ func TestCorrelatedMatchesChosen(t *testing.T) {
 		bits[i] = byte(g.Intn(2))
 	}
 
-	snd, rcv, _, done := setupPair(t, RepetitionCode())
+	snd, rcv, _, done := setupPair(t, WalshHadamardCode(2))
 	defer done()
 	var (
 		x0   ring.Vec
@@ -113,7 +113,7 @@ func TestCorrelatedMatchesChosen(t *testing.T) {
 		msgs[i] = [][]byte{m0, m1}
 		choices[i] = int(bits[i])
 	}
-	ref := runChosen(t, RepetitionCode(), msgs, choices, elemBytes)
+	ref := runChosen(t, WalshHadamardCode(2), msgs, choices, elemBytes)
 	for i := 0; i < m; i++ {
 		want := rg.Add(x0[i], rg.Mul(rg.Reduce(uint64(bits[i])), deltas[i]))
 		if got[i] != want {
@@ -160,9 +160,9 @@ func TestRecvCorrelatedRingRefusesTrailingBytes(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			snd, serr = NewSender(sc, RepetitionCode(), 7, prg.New(prg.SeedFromInt(11)))
+			snd, serr = NewSender(sc, WalshHadamardCode(2), 7, prg.New(prg.SeedFromInt(11)))
 		}()
-		rcv, rerr := NewReceiver(b, RepetitionCode(), 7, prg.New(prg.SeedFromInt(22)))
+		rcv, rerr := NewReceiver(b, WalshHadamardCode(2), 7, prg.New(prg.SeedFromInt(22)))
 		wg.Wait()
 		if serr != nil || rerr != nil {
 			t.Fatalf("setup: sender=%v receiver=%v", serr, rerr)

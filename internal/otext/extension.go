@@ -42,10 +42,9 @@ type Receiver struct {
 	cols1   []*prg.PRG
 	counter uint64
 	workers int
-	// Extend's code-side and column-side scratch, reused across calls.
-	// The row matrix t is not among them: the block Extend returns owns
-	// it, and several blocks are alive at once.
-	codeRows, codeCols, tCols *bitmat.Matrix
+	// Extend's column-side scratch, reused across calls (the row matrix t
+	// belongs to the block Extend returns; several are alive at once).
+	tCols *bitmat.Matrix
 }
 
 // SetWorkers bounds the kernel parallelism of Extend (column PRG
@@ -205,26 +204,13 @@ func (r *Receiver) Extend(choices []int) (*ReceiverBlock, error) {
 	mPad := (m + 7) &^ 7
 	mBytes := mPad / 8
 
-	for _, c := range choices {
-		if c < 0 || c >= r.code.N() {
-			return nil, fmt.Errorf("otext: choice %d out of range [0,%d)", c, r.code.N())
-		}
+	planes, err := r.code.choicePlanes(choices, mBytes)
+	if err != nil {
+		return nil, err
 	}
-	// Code matrix: row j = C(choices[j]); padding rows use choice 0.
-	r.codeRows = bitmat.Resized(r.codeRows, mPad, w)
-	codeRows := r.codeRows
-	par.Map(r.workers, mPad, func(j int) {
-		c := 0
-		if j < m {
-			c = choices[j]
-		}
-		r.code.Encode(c, codeRows.Row(j))
-	})
-	r.codeCols = bitmat.Resized(r.codeCols, w, mPad)
-	codeCols := r.codeCols
-	bitmat.TransposeInto(codeCols, codeRows, r.workers)
 
-	// Column streams: t_i from seed0, u_i = t_i XOR PRG1_i XOR c_i.
+	// Column streams: t_i from seed0, u_i = t_i XOR PRG1_i XOR c_i, with
+	// c_i column i of the code matrix (row j = C(choices[j])) from planes.
 	// Each column owns its pair of PRGs, so columns expand independently
 	// on the worker pool; the per-column PRG states advance exactly as
 	// they would sequentially, keeping the wire bytes identical.
@@ -237,7 +223,7 @@ func (r *Receiver) Extend(choices []int) (*ReceiverBlock, error) {
 		ui := u[i*mBytes : (i+1)*mBytes]
 		r.cols1[i].Fill(ui)
 		subtle.XORBytes(ui, ui, ti)
-		subtle.XORBytes(ui, ui, codeCols.Row(i))
+		r.code.xorColumn(ui, i, planes)
 	})
 	if err := r.conn.Send(u); err != nil {
 		return nil, fmt.Errorf("otext: send u matrix: %w", err)

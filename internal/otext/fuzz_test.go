@@ -116,7 +116,7 @@ func FuzzRecvChosen(f *testing.F) {
 // flight over the 33-bit ring (5-byte elements; valid length 3*5 = 15).
 // The odd ring width exercises DecodeElem's partial-element handling.
 func FuzzRecvCorrelatedRing(f *testing.F) {
-	rcv, peer := fuzzReceiver(f, RepetitionCode())
+	rcv, peer := fuzzReceiver(f, WalshHadamardCode(2))
 	rg := ring.New(33)
 	bits := []byte{1, 0, 1}
 	addFlightSeeds(f, 15)

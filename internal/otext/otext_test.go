@@ -34,22 +34,19 @@ func setupPair(t *testing.T, code Code) (*Sender, *Receiver, *transport.Meter, f
 }
 
 func TestCodes(t *testing.T) {
-	rep := RepetitionCode()
+	rep := WalshHadamardCode(2)
 	if rep.N() != 2 || rep.WidthBits() != 128 {
 		t.Fatalf("repetition code: N=%d width=%d", rep.N(), rep.WidthBits())
 	}
-	// N = 2 is IKNP's repetition code byte for byte, whichever
-	// constructor built it.
-	for _, c := range []Code{rep, WalshHadamardCode(2)} {
-		buf := make([]byte, 16)
-		c.Encode(0, buf)
-		if !bytes.Equal(buf, make([]byte, 16)) {
-			t.Fatal("C(0) not all-zero")
-		}
-		c.Encode(1, buf)
-		if !bytes.Equal(buf, bytes.Repeat([]byte{0xFF}, 16)) {
-			t.Fatal("C(1) not all-one")
-		}
+	// N = 2 is IKNP's repetition code byte for byte.
+	buf := make([]byte, 16)
+	rep.Encode(0, buf)
+	if !bytes.Equal(buf, make([]byte, 16)) {
+		t.Fatal("C(0) not all-zero")
+	}
+	rep.Encode(1, buf)
+	if !bytes.Equal(buf, bytes.Repeat([]byte{0xFF}, 16)) {
+		t.Fatal("C(1) not all-one")
 	}
 
 	wh := WalshHadamardCode(16)
@@ -158,7 +155,7 @@ func receiverPad(b *ReceiverBlock, j, n int) []byte {
 // alternate over two OTs, so nothing a deriver caches may leak from one
 // query into the next.
 func TestDeriversMatchOracleDefinition(t *testing.T) {
-	for _, code := range []Code{RepetitionCode(), WalshHadamardCode(16)} {
+	for _, code := range []Code{WalshHadamardCode(2), WalshHadamardCode(16)} {
 		snd, rcv, _, done := setupPair(t, code)
 		n := code.N()
 		g := prg.New(prg.SeedFromInt(uint64(n)))
@@ -261,7 +258,7 @@ func TestPadDerivationAllocatesNothing(t *testing.T) {
 }
 
 func TestDeriverSeekOutOfRangePanics(t *testing.T) {
-	snd, rcv, _, done := setupPair(t, RepetitionCode())
+	snd, rcv, _, done := setupPair(t, WalshHadamardCode(2))
 	defer done()
 	var (
 		sb *SenderBlock
@@ -294,7 +291,7 @@ func TestDeriverSeekOutOfRangePanics(t *testing.T) {
 }
 
 func TestPadAgreement1of2(t *testing.T) {
-	snd, rcv, _, done := setupPair(t, RepetitionCode())
+	snd, rcv, _, done := setupPair(t, WalshHadamardCode(2))
 	defer done()
 	choices := []int{0, 1, 1, 0, 1, 0, 0, 1, 1, 1, 0}
 	var (
@@ -325,8 +322,11 @@ func TestPadAgreement1of2(t *testing.T) {
 	}
 }
 
+// TestPadAgreement1ofN runs one N of every code width and every plane
+// count k = 2..8 the receiver XORs into u, and N = 3, whose planes never
+// hold the choice 3 the code has a codeword for.
 func TestPadAgreement1ofN(t *testing.T) {
-	for _, n := range []int{4, 16, 256} {
+	for _, n := range []int{3, 4, 8, 16, 32, 64, 128, 256} {
 		snd, rcv, _, done := setupPair(t, WalshHadamardCode(n))
 		g := prg.New(prg.SeedFromInt(uint64(n)))
 		const m = 40
@@ -363,7 +363,7 @@ func TestPadAgreement1ofN(t *testing.T) {
 }
 
 func TestSequentialExtendsIndependent(t *testing.T) {
-	snd, rcv, _, done := setupPair(t, RepetitionCode())
+	snd, rcv, _, done := setupPair(t, WalshHadamardCode(2))
 	defer done()
 	for round := 0; round < 3; round++ {
 		choices := []int{round % 2, 1, 0}
@@ -428,7 +428,7 @@ func TestChosenMessages1ofN(t *testing.T) {
 
 func TestCorrelatedRing(t *testing.T) {
 	rg := ring.New(32)
-	snd, rcv, _, done := setupPair(t, RepetitionCode())
+	snd, rcv, _, done := setupPair(t, WalshHadamardCode(2))
 	defer done()
 	g := prg.New(prg.SeedFromInt(88))
 	const m = 50

@@ -121,7 +121,7 @@ func chosenMsgs(n, m, msgLen int) ([][][]byte, []int) {
 }
 
 func TestGoldenIKNP(t *testing.T) {
-	snd, rcv, sc, rc := otPair(t, otext.RepetitionCode())
+	snd, rcv, sc, rc := otPair(t, otext.WalshHadamardCode(2))
 	msgs, choices := chosenMsgs(2, 5, 8)
 	runPair(t,
 		func() error { return snd.SendChosen(msgs, 8) },
@@ -146,7 +146,7 @@ func TestGoldenKK13(t *testing.T) {
 
 func TestGoldenCOT(t *testing.T) {
 	rg := ring.New(32)
-	snd, rcv, sc, rc := otPair(t, otext.RepetitionCode())
+	snd, rcv, sc, rc := otPair(t, otext.WalshHadamardCode(2))
 	g := prg.New(prg.SeedFromInt(6))
 	deltas := g.Vec(rg, 6)
 	bits := []byte{1, 0, 1, 1, 0, 0}
