@@ -25,7 +25,6 @@
 package abnn2
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -247,7 +246,7 @@ type Server struct {
 	mode OfflineMode
 	key  BankKey // pool key template; Batch filled per announcement
 
-	reqPlan []byte // marshalled Config.Plan, nil = accept any valid plan
+	reqPlan string // Config.Plan in its text form, "" = accept any valid plan
 	planFP  string // fingerprint of the batch's active plan ("" = none)
 	planned bool   // a schedule is currently installed on the engine
 }
@@ -275,7 +274,7 @@ func newServer(ctx context.Context, conn Conn, model *QuantizedModel, cfg Config
 		if err := cfg.Plan.Validate(eng.Arch(), 1); err != nil {
 			return nil, err
 		}
-		srv.reqPlan = cfg.Plan.Marshal()
+		srv.reqPlan = cfg.Plan.String()
 	}
 	if cfg.Bank != nil {
 		// The server keys its claims by its own model's identity; a client
@@ -404,13 +403,14 @@ func (s *Server) serveBatch(a announcement) error {
 
 // applyPlan consumes a batch's plan frame (when announced) and installs
 // the schedule on the engine; without one it restores the all-ABNN2
-// default. The frame is attacker-shaped bytes: it is strictly parsed,
-// checked against the server's configured plan (when one is required),
-// and validated against the model — layer count, backend applicability,
-// weight ranges — before any of it reaches the protocol.
+// default. The frame is the plan's text form in attacker-shaped bytes: it
+// is parsed by plan.FromString, compared in canonical form with the
+// server's configured plan (when one is required), and validated against
+// the model — layer count, backend applicability, weight ranges — before
+// any of it reaches the protocol.
 func (s *Server) applyPlan(batch int, planned bool) error {
 	if !planned {
-		if s.reqPlan != nil {
+		if s.reqPlan != "" {
 			return fmt.Errorf("abnn2: batch announced without a plan, but this server requires one")
 		}
 		if s.planned {
@@ -425,11 +425,11 @@ func (s *Server) applyPlan(batch int, planned bool) error {
 	if err != nil {
 		return fmt.Errorf("abnn2: recv plan frame: %w", err)
 	}
-	p, err := plan.Unmarshal(raw)
+	p, err := plan.FromString(string(raw))
 	if err != nil {
 		return fmt.Errorf("abnn2: %w", err)
 	}
-	if s.reqPlan != nil && !bytes.Equal(raw, s.reqPlan) {
+	if s.reqPlan != "" && p.String() != s.reqPlan {
 		return fmt.Errorf("abnn2: announced plan does not match this server's configured plan")
 	}
 	if err := p.Validate(s.eng.Arch(), batch); err != nil {
@@ -532,8 +532,7 @@ type Client struct {
 	peer     bank.PeerID  // the server's identity: the one pool batches draw from
 	selfPeer bank.PeerID  // this party's identity, announced to the server
 
-	plan    *Plan  // the proposed per-layer backend schedule, nil = all-ABNN2
-	planRaw []byte // its marshalled frame, sent after every announcement
+	plan *Plan // the proposed per-layer backend schedule, nil = all-ABNN2
 }
 
 // Dial performs the cryptographic setup for the client role. arch must
@@ -596,7 +595,7 @@ func DialContext(ctx context.Context, conn Conn, arch Arch, cfg Config) (_ *Clie
 		if err := eng.SetSchedule(sched); err != nil {
 			return nil, err
 		}
-		cl.plan, cl.planRaw = cfg.Plan, cfg.Plan.Marshal()
+		cl.plan = cfg.Plan
 	}
 	if source != provisionInline {
 		backend := bank.SessionBackend
@@ -761,16 +760,16 @@ func (c *Client) planFits(batch int) error {
 }
 
 // announce sends a batch announcement, followed by the session's plan
-// frame when there is one. The plan frame depends only on public
-// configuration, never on inputs, so its shape leaks nothing (the
-// golden-transcript suite pins this).
+// frame — the plan's text form — when there is one. The plan frame
+// depends only on public configuration, never on inputs, so its shape
+// leaks nothing (the golden-transcript suite pins this).
 func (c *Client) announce(a announcement) error {
-	a.plan = c.planRaw != nil
+	a.plan = c.plan != nil
 	if err := c.sc.Send(a.append(nil)); err != nil {
 		return err
 	}
 	if a.plan {
-		return c.sc.Send(c.planRaw)
+		return c.sc.Send([]byte(c.plan.String()))
 	}
 	return nil
 }

@@ -1,7 +1,7 @@
 package abnn2
 
 import (
-	"bytes"
+	"encoding/binary"
 	"errors"
 	"strings"
 	"sync"
@@ -397,11 +397,12 @@ func TestV1PeerFailsInSetup(t *testing.T) {
 	}
 }
 
-// keySwapConn replaces the flight that follows the plan frame — under a
-// plan whose first layer is MiniONN, the client's Paillier public key —
-// with a modulus of its own.
+// keySwapConn replaces the flight that follows the plan frame — the
+// plan's text form; under a plan whose first layer is MiniONN, the next
+// flight is the client's Paillier public key — with a modulus of its own.
 type keySwapConn struct {
 	Conn
+	plan     string
 	modulus  []byte
 	planSeen bool
 }
@@ -409,7 +410,7 @@ type keySwapConn struct {
 func (k *keySwapConn) Send(msg []byte) error {
 	if k.planSeen {
 		k.planSeen, msg = false, k.modulus
-	} else if bytes.HasPrefix(msg, []byte("ABP1")) {
+	} else if string(msg) == k.plan {
 		k.planSeen = true
 	}
 	return k.Conn.Send(msg)
@@ -432,7 +433,7 @@ func TestServerRefusesOversizedPaillierKey(t *testing.T) {
 	ccfg.Plan = plan.Uniform(core.BackendMiniONN, len(qm.Arch().Layers))
 	ccfg.MiniONNKeyBits = 256
 	sconn, cconn := Pipe()
-	srvErr, cliErr, _ := runParties(t, qm, sconn, &keySwapConn{Conn: cconn, modulus: modulus}, cfg, ccfg)
+	srvErr, cliErr, _ := runParties(t, qm, sconn, &keySwapConn{Conn: cconn, plan: ccfg.Plan.String(), modulus: modulus}, cfg, ccfg)
 	if srvErr == nil || cliErr == nil {
 		t.Fatalf("oversized key: server=%v client=%v, want both to fail", srvErr, cliErr)
 	}
@@ -444,4 +445,56 @@ func TestServerRefusesOversizedPaillierKey(t *testing.T) {
 		t.Errorf("the server did not refuse the key on its length: %v", srvErr)
 	}
 	leakcheck.Settle(t, base, "oversized key")
+}
+
+// v3PlanConn is a wire-v3 client's plan flight on a v4 session: it sends
+// the binary frame v3 put where v4 sends the plan's text form ("ABP1", a
+// little-endian uint16 layer count, then per layer a backend byte, a
+// scheme-length byte and the scheme).
+type v3PlanConn struct {
+	Conn
+	plan *plan.Plan
+}
+
+func (c *v3PlanConn) Send(msg []byte) error {
+	if string(msg) == c.plan.String() {
+		msg = binary.LittleEndian.AppendUint16([]byte("ABP1"), uint16(len(c.plan.Layers)))
+		for _, l := range c.plan.Layers {
+			msg = append(append(msg, byte(l.Backend), byte(len(l.Scheme))), l.Scheme...)
+		}
+	}
+	return c.Conn.Send(msg)
+}
+
+// TestV3PlanFlightFailsLoudly pairs this server with a wire-v3 client on
+// a bare connection, where no hello announces a version: set-up is the
+// same in both versions, so the session opens, and the first batch's plan
+// flight is v3's binary frame, which plan.FromString refuses. The server's
+// batch must fail with that parse error — no *PanicError, the frame never
+// misread as a plan — and the client must see the connection close well
+// inside the round timeout, with no goroutine left behind.
+func TestV3PlanFlightFailsLoudly(t *testing.T) {
+	qm := chaosModel(t)
+	base := leakcheck.Base()
+	cfg := Config{RingBits: 32, RoundTimeout: chaosRoundTimeout}
+	ccfg := cfg
+	ccfg.Plan = plan.Uniform(core.BackendSecureML, len(qm.Arch().Layers))
+	sconn, cconn := Pipe()
+	start := time.Now()
+	srvErr, cliErr, _ := runParties(t, qm, sconn, &v3PlanConn{Conn: cconn, plan: ccfg.Plan}, cfg, ccfg)
+	if srvErr == nil || !strings.Contains(srvErr.Error(), `unknown backend "ABP1`) {
+		t.Errorf("server: %v, want the plan parse error", srvErr)
+	}
+	var pe *PanicError
+	if errors.As(srvErr, &pe) || errors.As(cliErr, &pe) {
+		t.Errorf("a party panicked: server=%v client=%v", srvErr, cliErr)
+	}
+	if cliErr == nil {
+		t.Error("the v3 client's batch completed against a server that refused its plan")
+	}
+	if elapsed := time.Since(start); elapsed >= chaosRoundTimeout {
+		t.Errorf("the session took %v to fail, round timeout is %v", elapsed, chaosRoundTimeout)
+	}
+	t.Logf("server: %v; client: %v", srvErr, cliErr)
+	leakcheck.Settle(t, base, "v3 plan flight")
 }

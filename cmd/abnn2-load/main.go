@@ -43,6 +43,7 @@ import (
 	"abnn2/internal/bank"
 	"abnn2/internal/metrics"
 	"abnn2/internal/serve"
+	"abnn2/internal/transport"
 )
 
 func main() {
@@ -293,7 +294,7 @@ func connectRetry(ctx context.Context, id int,
 		select {
 		case <-ctx.Done():
 			return nil, arch, cfg, ctx.Err()
-		case <-time.After(serve.Jitter(wait)):
+		case <-time.After(transport.Jitter(wait)):
 		}
 	}
 }

@@ -14,7 +14,7 @@
 // the session boundary, and SIGINT/SIGTERM triggers a graceful drain —
 // new handshakes are shed as "draining", in-flight batches run to
 // completion within -grace, then remaining sessions are aborted. With a
-// correlation bank configured (-bank-capacity, -bank-dir) clients run
+// correlation bank configured (-bank-dir, sized by -bank-capacity) clients run
 // the offline phase ahead of need and later sessions claim the stored
 // halves; a batch whose client found its pool dry runs the offline phase
 // inline (or is refused under -offline banked).
@@ -36,7 +36,9 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
+	"fmt"
 	"log/slog"
 	"net"
 	"net/http"
@@ -67,7 +69,7 @@ func main() {
 	roundTimeout := flag.Duration("round-timeout", time.Minute, "per-round protocol deadline (0 = unbounded)")
 	grace := flag.Duration("grace", 30*time.Second, "drain period for in-flight sessions on shutdown")
 	maxMsg := flag.Int("max-message", 0, "per-message size limit in bytes (0 = default 64 MiB)")
-	offlineMode := flag.String("offline", "auto", "offline provisioning: auto (bank with inline fallback), banked (refuse inline batches)")
+	offlineMode := flag.String("offline", "auto", "offline provisioning: auto (bank with inline fallback), banked (refuse inline batches; requires -bank-dir)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /vars, /healthz, /readyz, /debug/flightrecorder and /debug/pprof on this address (empty = off)")
 	traceOut := flag.String("trace-out", "", "append protocol spans and flight stamps as JSONL to this file (empty = off)")
 	slo := flag.Duration("slo", 0, "per-session latency SLO; breaches count in abnn2_slo_breaches_total and trigger diagnostics dumps (0 = off)")
@@ -76,25 +78,17 @@ func main() {
 	recorderEvents := flag.Int("recorder-events", abnn2.DefaultRecorderEvents, "flight-recorder ring size per session (0 = disable the recorder)")
 	recorderSessions := flag.Int("recorder-sessions", abnn2.DefaultRecorderSessions, "flight-recorder session rings kept (LRU)")
 	bankCap := flag.Int("bank-capacity", 0, "correlation pool capacity per (client peer, model, batch): how many "+
-		"unspent halves one remote client may keep in -bank-dir (0 = bank off)")
+		"unspent halves one remote client may keep in -bank-dir (0 = the bank's default of 8; requires -bank-dir)")
 	bankDir := flag.String("bank-dir", "", "durable bank store directory: remote clients may run peer-paired offline "+
-		"replenishment sessions, and the halves they leave here survive restarts (empty = no store; requires -bank-capacity > 0)")
+		"replenishment sessions, and the halves they leave here survive restarts (empty = no bank)")
 	planFlag := flag.String("plan", "", "required "+plan.FlagUsage+"; single-model registries only")
 	linkFlag := flag.String("link", "wan", "link model pricing -plan auto: lan, wan, or MBps:RTTms")
 	flag.Parse()
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil)).With("component", "abnn2-server")
 
-	mode, err := abnn2.ParseOfflineMode(*offlineMode)
+	mode, err := bankFlags(*offlineMode, *bankDir, *bankCap)
 	if err != nil {
-		logger.Error("bad -offline", "err", err)
-		os.Exit(1)
-	}
-	if mode == abnn2.OfflineBanked && *bankCap <= 0 {
-		logger.Error("-offline banked requires -bank-capacity > 0")
-		os.Exit(1)
-	}
-	if *bankDir != "" && *bankCap <= 0 {
-		logger.Error("-bank-dir requires -bank-capacity > 0")
+		logger.Error("bad bank flags", "err", err)
 		os.Exit(1)
 	}
 
@@ -149,20 +143,18 @@ func main() {
 	// remote clients generate with this server ahead of need (offline
 	// replenishment sessions into -bank-dir), which their later sessions
 	// claim in place of the inline offline phase. The bank's loopback
-	// pools need client and server in one process and are not filled here.
+	// pools need client and server in one process and are not filled here,
+	// so the bank exists only with the store that remote clients fill.
 	var corrBank *abnn2.Bank
 	var store *abnn2.BankStore
-	if *bankCap > 0 {
+	if *bankDir != "" {
 		obs := bank.NewMetricsObserver(reg)
-		if *bankDir != "" {
-			var err error
-			store, err = abnn2.OpenBankStore(abnn2.BankStoreOptions{Dir: *bankDir, Observer: obs})
-			if err != nil {
-				logger.Error("open bank store", "dir", *bankDir, "err", err)
-				os.Exit(1)
-			}
-			logger.Info("durable bank store up", "dir", *bankDir, "peer", store.PeerID().String())
+		store, err = abnn2.OpenBankStore(abnn2.BankStoreOptions{Dir: *bankDir, Observer: obs})
+		if err != nil {
+			logger.Error("open bank store", "dir", *bankDir, "err", err)
+			os.Exit(1)
 		}
+		logger.Info("durable bank store up", "dir", *bankDir, "peer", store.PeerID().String())
 		corrBank = abnn2.NewBank(abnn2.BankOptions{
 			Capacity: *bankCap,
 			Workers:  *workers,
@@ -170,7 +162,7 @@ func main() {
 			Observer: obs,
 			Store:    store,
 		})
-		logger.Info("correlation bank up", "capacity", *bankCap, "models", registry.Len())
+		logger.Info("correlation bank up", "capacity", corrBank.Capacity(), "models", registry.Len())
 	}
 
 	// Flight recorder and anomaly diagnostics: the recorder is always on
@@ -349,6 +341,27 @@ func main() {
 			logger.Info("shutdown: bank store closed")
 		}
 	}
+}
+
+// bankFlags checks how -offline, -bank-dir and -bank-capacity combine and
+// returns the offline mode. The bank exists if and only if -bank-dir is
+// set: this server never fills its loopback pools, and without a store the
+// hello reply names no bank a remote client could fill or draw from, so a
+// storeless bank would only fail batches. -bank-capacity sizes that bank
+// and -offline banked relies on it; both are refused without it.
+func bankFlags(offline, bankDir string, bankCap int) (abnn2.OfflineMode, error) {
+	mode, err := abnn2.ParseOfflineMode(offline)
+	switch {
+	case err != nil:
+		return 0, err
+	case bankCap < 0:
+		return 0, fmt.Errorf("-bank-capacity %d is negative", bankCap)
+	case bankDir == "" && mode == abnn2.OfflineBanked:
+		return 0, errors.New("-offline banked requires -bank-dir")
+	case bankDir == "" && bankCap != 0:
+		return 0, errors.New("-bank-capacity requires -bank-dir")
+	}
+	return mode, nil
 }
 
 // modelStem names a model after its file: "models/mnist.json" → "mnist".

@@ -3,9 +3,10 @@ package bank
 import (
 	"context"
 	"fmt"
-	"math/rand/v2"
 	"sync"
 	"time"
+
+	"abnn2/internal/transport"
 )
 
 // ReplenishFunc runs one replenishment session against the remote peer:
@@ -154,10 +155,9 @@ func (r *Replenisher) backOff(key Key) {
 	d := r.backoff
 	r.mu.Unlock()
 	r.opts.Bank.observe(Event{Kind: "replenish-backoff", Key: key, Depth: int(d.Milliseconds())})
-	wait := d/2 + rand.N(d)
 	select {
 	case <-r.ctx.Done():
-	case <-time.After(wait):
+	case <-time.After(transport.Jitter(d)):
 	}
 }
 

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"abnn2/internal/core"
@@ -29,7 +30,8 @@ func TestTextFormRoundTrips(t *testing.T) {
 			t.Errorf("FromString(%q) = %q", p, got)
 		}
 	}
-	for _, bad := range []string{"", "abnn2,", "abnn2,,minionn", "nosuch", "abnn2:4(4),nosuch"} {
+	for _, bad := range []string{"", "abnn2,", "abnn2,,minionn", "nosuch", "abnn2:4(4),nosuch",
+		strings.Repeat("abnn2,", MaxLayers) + "abnn2", strings.Repeat(" ", MaxPlanBytes) + "abnn2"} {
 		if p, err := FromString(bad); err == nil {
 			t.Errorf("FromString(%q) = %q, want an error", bad, p)
 		}

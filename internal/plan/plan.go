@@ -16,7 +16,6 @@ package plan
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"strings"
@@ -25,19 +24,21 @@ import (
 	"abnn2/internal/quant"
 )
 
-// Wire-format bounds. The plan frame is attacker-shaped bytes at the
-// server, so every limit is enforced by Unmarshal before any allocation
-// proportional to the peer's claim.
+// Text-form bounds. The plan's text form is attacker-shaped bytes at the
+// server (the plan flight, the serve hello), so FromString enforces
+// every limit before any allocation proportional to the peer's claim.
 const (
 	// MaxLayers bounds the per-plan layer count (far above any real
-	// model; a frame claiming more is rejected, not truncated).
+	// model; a plan claiming more is rejected, not truncated).
 	MaxLayers = 1024
 	// MaxSchemeName bounds one scheme designation's byte length.
 	MaxSchemeName = 64
+	// maxBackendName is the longest backend name ("quotient", "secureml").
+	maxBackendName = 8
+	// MaxPlanBytes bounds the whole text form: MaxLayers entries, each the
+	// longest backend name, ':', a MaxSchemeName scheme and a ','.
+	MaxPlanBytes = MaxLayers * (maxBackendName + 1 + MaxSchemeName + 1)
 )
-
-// planMagic starts every marshalled plan frame.
-const planMagic = "ABP1"
 
 // Choice fixes one layer's offline backend. Scheme, when non-empty, is
 // a quant designation overriding the session fragmentation scheme; it
@@ -78,9 +79,10 @@ func (p *Plan) IsUniform() (core.BackendID, bool) {
 	return b, true
 }
 
-// String renders the plan in its one textual form, e.g.
-// "abnn2,abnn2:4(4),minionn": what the tools print, and what FromString
-// and the -plan flag take back.
+// String renders the plan in its one encoding, e.g.
+// "abnn2,abnn2:4(4),minionn": what the tools print, what the plan flight
+// and the serve hello carry, and what FromString and the -plan flag take
+// back.
 func (p *Plan) String() string {
 	parts := make([]string, len(p.Layers))
 	for i, c := range p.Layers {
@@ -92,63 +94,12 @@ func (p *Plan) String() string {
 	return strings.Join(parts, ",")
 }
 
-// Marshal encodes the plan frame: "ABP1", a little-endian uint16 layer
-// count, then per layer one backend byte, one scheme-length byte, and
-// the scheme designation bytes (length 0 = inherit session scheme).
-func (p *Plan) Marshal() []byte {
-	out := make([]byte, 0, 6+2*len(p.Layers))
-	out = append(out, planMagic...)
-	out = binary.LittleEndian.AppendUint16(out, uint16(len(p.Layers)))
-	for _, c := range p.Layers {
-		out = append(out, byte(c.Backend), byte(len(c.Scheme)))
-		out = append(out, c.Scheme...)
-	}
-	return out
-}
-
-// Unmarshal strictly parses a plan frame: bad magic, layer counts
-// beyond MaxLayers, unknown backend ids, over-long scheme names,
-// truncation, and trailing bytes are all rejected.
-func Unmarshal(b []byte) (*Plan, error) {
-	if len(b) < len(planMagic)+2 || string(b[:len(planMagic)]) != planMagic {
-		return nil, fmt.Errorf("plan: bad frame header")
-	}
-	n := int(binary.LittleEndian.Uint16(b[len(planMagic):]))
-	if n == 0 || n > MaxLayers {
-		return nil, fmt.Errorf("plan: layer count %d outside [1,%d]", n, MaxLayers)
-	}
-	rest := b[len(planMagic)+2:]
-	p := &Plan{Layers: make([]Choice, 0, n)}
-	for i := 0; i < n; i++ {
-		if len(rest) < 2 {
-			return nil, fmt.Errorf("plan: truncated at layer %d", i)
-		}
-		id, sl := core.BackendID(rest[0]), int(rest[1])
-		if !id.Valid() {
-			return nil, fmt.Errorf("plan: layer %d: unknown backend id %d", i, rest[0])
-		}
-		if sl > MaxSchemeName {
-			return nil, fmt.Errorf("plan: layer %d: scheme name %d bytes, max %d", i, sl, MaxSchemeName)
-		}
-		rest = rest[2:]
-		if len(rest) < sl {
-			return nil, fmt.Errorf("plan: truncated scheme at layer %d", i)
-		}
-		p.Layers = append(p.Layers, Choice{Backend: id, Scheme: string(rest[:sl])})
-		rest = rest[sl:]
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("plan: %d trailing bytes", len(rest))
-	}
-	return p, nil
-}
-
-// Fingerprint returns a short stable identifier of the exact plan
-// bytes, used to key banked correlations ("plan:<fingerprint>" in
+// Fingerprint returns a short stable identifier of the plan's text form,
+// used to key banked correlations ("plan:<fingerprint>" in
 // BankKey.Backend) so a pool only ever serves the schedule it was
 // generated under.
 func (p *Plan) Fingerprint() string {
-	sum := sha256.Sum256(p.Marshal())
+	sum := sha256.Sum256([]byte(p.String()))
 	return hex.EncodeToString(sum[:8])
 }
 
@@ -188,8 +139,13 @@ func (p *Plan) Validate(arch core.Arch, batch int) error {
 // FromString parses the String form back into a plan: comma-separated
 // backend names, each optionally ":scheme"-suffixed. A scheme designation
 // keeps the commas inside its parentheses ("abnn2:8(2,2,2,2),minionn" is
-// two layers).
+// two layers). It is the one parser of peer-sent plans: input over
+// MaxPlanBytes is refused before anything is split, and the split stops
+// at MaxLayers.
 func FromString(s string) (*Plan, error) {
+	if len(s) > MaxPlanBytes {
+		return nil, fmt.Errorf("plan: %d bytes, max %d", len(s), MaxPlanBytes)
+	}
 	var parts []string
 	depth, start := 0, 0
 	for i, r := range s {
@@ -199,14 +155,14 @@ func FromString(s string) (*Plan, error) {
 		case r == ')':
 			depth--
 		case r == ',' && depth == 0:
+			if len(parts) == MaxLayers-1 {
+				return nil, fmt.Errorf("plan: more than %d layers", MaxLayers)
+			}
 			parts = append(parts, s[start:i])
 			start = i + 1
 		}
 	}
 	parts = append(parts, s[start:])
-	if len(parts) > MaxLayers {
-		return nil, fmt.Errorf("plan: layer count %d outside [1,%d]", len(parts), MaxLayers)
-	}
 	p := &Plan{Layers: make([]Choice, len(parts))}
 	for i, part := range parts {
 		name, scheme, _ := strings.Cut(part, ":")

@@ -64,7 +64,7 @@ func connectHonoringHints(ctx context.Context, rt *Runtime, model string, hintle
 		select {
 		case <-ctx.Done():
 			return nil, arch, ctx.Err()
-		case <-time.After(Jitter(wait)):
+		case <-time.After(transport.Jitter(wait)):
 		}
 	}
 }

@@ -63,7 +63,7 @@ func offlineSession(t *testing.T, rt *Runtime, cliBank *abnn2.Bank, p *abnn2.Pla
 	t.Helper()
 	h := hello{V: helloVersion, Offline: true}
 	if p != nil {
-		h.Plan = p.Marshal()
+		h.Plan = p.String()
 	}
 	sconn, cconn := abnn2.Pipe()
 	go func() { _ = rt.HandleConn(context.Background(), sconn, "inproc") }()
@@ -176,7 +176,7 @@ func TestOfflineSessionPlanned(t *testing.T) {
 	defer cconn.Close()
 	go func() { _ = rt.HandleConn(context.Background(), sconn, "inproc") }()
 	short := &abnn2.Plan{Layers: p.Layers[:1]}
-	_, err = clientHandshake(cconn, hello{V: helloVersion, Offline: true, Plan: short.Marshal()})
+	_, err = clientHandshake(cconn, hello{V: helloVersion, Offline: true, Plan: short.String()})
 	var rej *RejectError
 	if !errors.As(err, &rej) || rej.Rejection.Code != RejectBadPlan {
 		t.Fatalf("offline hello with an infeasible plan: %v, want %s", err, RejectBadPlan)

@@ -56,7 +56,7 @@ func TestServePlannedSessionEndToEnd(t *testing.T) {
 }
 
 // TestRejectBadPlan: an infeasible plan (wrong layer count) and a
-// malformed plan frame are both refused in the handshake round with the
+// malformed plan are both refused in the handshake round with the
 // permanent bad-plan code — before admission, before any base-OT work.
 func TestRejectBadPlan(t *testing.T) {
 	rt := testRuntime(t, Options{})
@@ -71,8 +71,8 @@ func TestRejectBadPlan(t *testing.T) {
 		t.Fatalf("rejection = %+v, want permanent bad-plan", rej.Rejection)
 	}
 
-	// A frame that does not parse at all.
-	raw, err := json.Marshal(hello{V: helloVersion, Plan: []byte("not a plan frame")})
+	// A plan that does not parse at all.
+	raw, err := json.Marshal(hello{V: helloVersion, Plan: "not a plan"})
 	if err != nil {
 		t.Fatal(err)
 	}

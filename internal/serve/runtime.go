@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -469,14 +468,13 @@ func (rt *Runtime) checkOffline() *Rejection {
 // server cannot execute is refused in the handshake round, before the
 // client sinks base-OT work into a doomed session.
 func (rt *Runtime) checkPlan(model *Model, h hello) (*abnn2.Plan, *Rejection) {
-	if len(h.Plan) == 0 {
+	if h.Plan == "" {
 		return nil, nil
 	}
-	if rt.session.Plan != nil && !bytes.Equal(h.Plan, rt.session.Plan.Marshal()) {
-		return nil, &Rejection{Code: RejectBadPlan,
-			Reason: fmt.Sprintf("this server requires plan %s", rt.session.Plan)}
+	p, err := plan.FromString(h.Plan)
+	if err == nil && rt.session.Plan != nil && p.String() != rt.session.Plan.String() {
+		err = fmt.Errorf("this server requires plan %s", rt.session.Plan)
 	}
-	p, err := plan.Unmarshal(h.Plan)
 	if err == nil {
 		// Batch 1 is the most permissive shape; the session layer re-checks
 		// against each announced batch.
@@ -590,7 +588,7 @@ func (rt *Runtime) Connect(ctx context.Context, model string) (abnn2.Conn, abnn2
 func (rt *Runtime) ConnectPlan(ctx context.Context, model string, p *abnn2.Plan) (abnn2.Conn, abnn2.Arch, error) {
 	h := hello{V: helloVersion, Model: model}
 	if p != nil {
-		h.Plan = p.Marshal()
+		h.Plan = p.String()
 	}
 	sconn, cconn := abnn2.Pipe()
 	go func() { _ = rt.HandleConn(ctx, sconn, "inproc") }()

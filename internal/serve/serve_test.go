@@ -12,6 +12,7 @@ import (
 
 	"abnn2"
 	"abnn2/internal/metrics"
+	"abnn2/internal/transport"
 )
 
 const testRoundTimeout = 5 * time.Second
@@ -219,11 +220,12 @@ func TestRejectBadHello(t *testing.T) {
 // with each older one, on the raw hello. An old client's hello —
 // well-formed, naming a served model — is refused bad-hello, permanently,
 // before the session's set-up opens a single span; and this client's
-// hello says version 3, which an old server (frozen here: it admits its
+// hello says version 4, which an old server (frozen here: it admits its
 // own version only) refuses the same way, so the client fails with a
 // permanent *RejectError instead of running a handshake whose base-OT
-// flights would not line up (version 1) or, worse, one that completes
-// and then derives pads the peer does not (version 2).
+// flights would not line up (version 1), one that completes and then
+// derives pads the peer does not (version 2), or a planned session whose
+// plan flight the peer cannot parse (version 3).
 func TestHelloVersionMismatch(t *testing.T) {
 	for old := 1; old < helloVersion; old++ {
 		t.Run(fmt.Sprintf("v%d-client", old), func(t *testing.T) {
@@ -276,8 +278,8 @@ func TestHelloVersionMismatch(t *testing.T) {
 				_ = sconn.Send(out)
 			}()
 			_, err := ClientHandshakeInfo(cconn, "m0")
-			if v := <-sawVersion; v != 3 {
-				t.Errorf("client's hello says version %d, want 3", v)
+			if v := <-sawVersion; v != 4 {
+				t.Errorf("client's hello says version %d, want 4", v)
 			}
 			var rej *RejectError
 			if !errors.As(err, &rej) || rej.Rejection.Code != RejectBadHello || rej.Temporary() {
@@ -328,7 +330,7 @@ func TestRejectSaturatedWithHint(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("still rejected after slot freed: %v", err)
 		}
-		time.Sleep(Jitter(rej.Rejection.RetryAfter()))
+		time.Sleep(transport.Jitter(rej.Rejection.RetryAfter()))
 	}
 }
 
@@ -393,28 +395,27 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestJitterRange: every retry-after wait a serve client sleeps — the
+// admission hint's bounds, the bank-dry and drain hints, the default for a
+// hintless rejection — is jittered over [d/2, 3d/2) with a real spread.
 func TestJitterRange(t *testing.T) {
-	if got := Jitter(0); got != 0 {
+	if got := transport.Jitter(0); got != 0 {
 		t.Fatalf("Jitter(0) = %v", got)
 	}
-	d := 100 * time.Millisecond
-	lo, hi := d, d
-	for i := 0; i < 2000; i++ {
-		j := Jitter(d)
-		if j < d/2 || j >= d+d/2 {
-			t.Fatalf("Jitter(%v) = %v outside [%v, %v)", d, j, d/2, d+d/2)
+	for _, d := range []time.Duration{minRetryAfter, defaultRetryAfter, bankDryRetryAfter, drainRetryAfter, maxRetryAfter} {
+		lo, hi := d, d
+		for i := 0; i < 2000; i++ {
+			j := transport.Jitter(d)
+			if j < d/2 || j >= d+d/2 {
+				t.Fatalf("Jitter(%v) = %v outside [%v, %v)", d, j, d/2, d+d/2)
+			}
+			lo, hi = min(lo, j), max(hi, j)
 		}
-		if j < lo {
-			lo = j
+		// With 2000 draws the spread must cover a good part of the
+		// interval; a constant (broken jitter) would fail both bounds.
+		if lo > d*3/4 || hi < d*5/4 {
+			t.Errorf("Jitter(%v) spread [%v, %v] suspiciously narrow", d, lo, hi)
 		}
-		if j > hi {
-			hi = j
-		}
-	}
-	// With 2000 draws the spread must cover a good part of the interval;
-	// a constant (broken jitter) would fail both bounds.
-	if lo > d*3/4 || hi < d*5/4 {
-		t.Errorf("jitter spread [%v, %v] suspiciously narrow", lo, hi)
 	}
 }
 

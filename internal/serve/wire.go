@@ -19,10 +19,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math/rand/v2"
 	"time"
 
 	"abnn2"
+	"abnn2/internal/transport"
 )
 
 // helloVersion is the handshake wire version, which is the protocol's
@@ -30,7 +30,7 @@ import (
 // non-retryable bad-hello rejection, before any base-OT work, so the
 // field also doubles as the magic that distinguishes a runtime client
 // from a stray connection.
-const helloVersion = 3
+const helloVersion = 4
 
 // maxHelloBytes bounds the first client flight. A hello is a short JSON
 // object; anything bigger is hostile or lost.
@@ -42,15 +42,15 @@ const maxHelloBytes = 4096
 // refuses it here, before any base-OT work, when it keeps no durable store
 // or the store is still recovering, and accounts it apart from inference
 // sessions; what runs after the handshake is the same session either way.
-// Plan, when present, is the marshalled per-layer protocol plan the client
-// intends to announce on every batch; the server validates it against the
-// model at admission — a plan it cannot serve is refused in the handshake
-// round, before any base-OT work.
+// Plan, when present, is the text form (plan.String) of the per-layer
+// protocol plan the client intends to announce on every batch; the server
+// validates it against the model at admission — a plan it cannot serve is
+// refused in the handshake round, before any base-OT work.
 type hello struct {
 	V       int    `json:"abnn2"`
 	Model   string `json:"model,omitempty"`
 	Offline bool   `json:"offline,omitempty"`
-	Plan    []byte `json:"plan,omitempty"`
+	Plan    string `json:"plan,omitempty"`
 }
 
 // helloReply is the server's answer: the model's public architecture and
@@ -192,16 +192,6 @@ func clientHandshake(conn abnn2.Conn, h hello) (HandshakeInfo, error) {
 // (a server older than the hint field, or a zero estimate).
 const defaultRetryAfter = 100 * time.Millisecond
 
-// Jitter spreads a backoff delay uniformly over [d/2, 3d/2), so a herd
-// of clients rejected at the same instant does not reconnect at the same
-// instant either.
-func Jitter(d time.Duration) time.Duration {
-	if d <= 0 {
-		return 0
-	}
-	return d/2 + rand.N(d)
-}
-
 // DialModelInfo connects to a serving runtime over TCP and completes the
 // model handshake, honoring the server's backpressure: retryable
 // rejections are retried with the server's retry-after hint (jittered)
@@ -243,7 +233,7 @@ func dialHello(ctx context.Context, addr string, h hello) (abnn2.Conn, Handshake
 		select {
 		case <-ctx.Done():
 			return nil, info, fmt.Errorf("serve: dial %s: %w (last rejection: %v)", addr, ctx.Err(), err)
-		case <-time.After(Jitter(wait)):
+		case <-time.After(transport.Jitter(wait)):
 		}
 	}
 }

@@ -234,3 +234,25 @@ func TestNetModelLANFasterThanWAN(t *testing.T) {
 		t.Error("LAN not faster than WAN for same traffic")
 	}
 }
+
+// TestJitterRange: every retry delay — DialTCP's, the serve client's, the
+// replenisher's — is jittered over [d/2, 3d/2), and zero stays zero.
+func TestJitterRange(t *testing.T) {
+	if got := Jitter(0); got != 0 {
+		t.Fatalf("Jitter(0) = %v", got)
+	}
+	d := 100 * time.Millisecond
+	lo, hi := d, d
+	for i := 0; i < 2000; i++ {
+		j := Jitter(d)
+		if j < d/2 || j >= d+d/2 {
+			t.Fatalf("Jitter(%v) = %v outside [%v, %v)", d, j, d/2, d+d/2)
+		}
+		lo, hi = min(lo, j), max(hi, j)
+	}
+	// 2000 draws must spread well past the quartiles; a constant (no
+	// jitter) or a one-sided bug would trip one of these.
+	if lo > d*3/4 || hi < d*5/4 {
+		t.Errorf("jitter spread [%v, %v] suspiciously narrow", lo, hi)
+	}
+}

@@ -3,9 +3,10 @@ package abnn2
 import (
 	"context"
 	"fmt"
-	"math/rand/v2"
 	"net"
 	"time"
+
+	"abnn2/internal/transport"
 )
 
 // TCP dialing with capped, jittered exponential backoff. A freshly
@@ -21,15 +22,6 @@ const (
 	dialMaxBackoff     = 2 * time.Second
 	dialAttemptTimeout = 2 * time.Second
 )
-
-// jitterBackoff spreads d uniformly over [d/2, 3d/2), keeping the mean
-// at d so the expected total dial time is unchanged.
-func jitterBackoff(d time.Duration) time.Duration {
-	if d <= 0 {
-		return 0
-	}
-	return d/2 + rand.N(d)
-}
 
 // DialTCP connects to a TCP abnn2 endpoint and returns the framed
 // connection. Failed attempts are retried with capped exponential
@@ -49,7 +41,7 @@ func DialTCP(ctx context.Context, addr string) (Conn, error) {
 		select {
 		case <-ctx.Done():
 			return nil, fmt.Errorf("abnn2: dial %s: %w (last attempt: %v)", addr, ctx.Err(), lastErr)
-		case <-time.After(jitterBackoff(backoff)):
+		case <-time.After(transport.Jitter(backoff)):
 		}
 		if backoff *= 2; backoff > dialMaxBackoff {
 			backoff = dialMaxBackoff

@@ -19,6 +19,12 @@ package abnn2_test
 // runs, so it drifts; an example belongs in example_test.go, where
 // `go test` runs it and checks its output.
 //
+// Rule 4: every fuzz target (a func Fuzz* in a _test.go file outside the
+// benchmark module) is a -fuzz target of the Makefile's fuzz recipe, and
+// every target the recipe fuzzes exists. A renamed or new target that the
+// recipe (and CI, which runs the same list) misses is never fuzzed, and
+// nothing else fails when that happens.
+//
 // The scan is go/parser only: names, not types. A method counts as named
 // when any selector or identifier spells its name, so `String` on one type
 // hides behind `String` on another. That errs towards silence, never
@@ -30,6 +36,8 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
+	"path"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -207,4 +215,49 @@ func TestMainPackagesAreCommands(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+func TestFuzzTargetsAreFuzzed(t *testing.T) {
+	fuzzFile := func(p string) bool { return isTest(p) && !strings.HasPrefix(p, "benchmark/") }
+	decls, _ := scanGo(t, fuzzFile, fuzzFile)
+	declared := map[string]bool{}
+	for _, d := range decls {
+		if strings.HasPrefix(d.bare, "Fuzz") && strings.Count(d.name, ".") == 1 {
+			dir := path.Dir(d.pos.Filename)
+			if dir != "." {
+				dir = "./" + dir
+			}
+			declared[dir+" "+d.bare] = true
+		}
+	}
+	makefile, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, recipe, _ := strings.Cut(string(makefile), "\nfuzz:\n")
+	fuzzed := map[string]bool{}
+	for _, line := range strings.Split(recipe, "\n") {
+		if !strings.HasPrefix(line, "\t") {
+			break
+		}
+		// $(GO) test <package> -fuzz <target> -fuzztime <d>
+		f := strings.Fields(line)
+		if len(f) < 5 || f[1] != "test" || f[3] != "-fuzz" {
+			t.Fatalf("Makefile fuzz recipe line %q is not `$(GO) test <package> -fuzz <target> ...`", line)
+		}
+		fuzzed[f[2]+" "+strings.TrimSuffix(strings.Trim(f[4], "'"), "$$")] = true
+	}
+	for target := range declared {
+		if !fuzzed[target] {
+			t.Errorf("fuzz target %s is not in the Makefile's fuzz recipe", target)
+		}
+	}
+	for target := range fuzzed {
+		if !declared[target] {
+			t.Errorf("the Makefile's fuzz recipe fuzzes %s, which no _test.go file declares", target)
+		}
+	}
+	if len(declared) == 0 {
+		t.Error("no fuzz targets found")
+	}
 }

@@ -6,6 +6,8 @@ import (
 	"net"
 	"testing"
 	"time"
+
+	"abnn2/internal/transport"
 )
 
 // End-to-end over real TCP, exercising the same flow as the
@@ -134,5 +136,38 @@ func TestDialTCPHonorsContext(t *testing.T) {
 	}
 	if d := time.Since(start); d > 5*time.Second {
 		t.Fatalf("DialTCP took %v after context expiry", d)
+	}
+}
+
+// TestJitterBackoffRange: every wait of DialTCP's backoff schedule (50ms
+// doubling to the 2s cap) is jittered over [d/2, 3d/2) with a real
+// spread, so clients redialing a restarted server do not retry in step.
+func TestJitterBackoffRange(t *testing.T) {
+	if got := transport.Jitter(0); got != 0 {
+		t.Fatalf("Jitter(0) = %v", got)
+	}
+	for d := dialInitialBackoff; ; d *= 2 {
+		d = min(d, dialMaxBackoff)
+		lo, hi := d, d
+		for i := 0; i < 2000; i++ {
+			j := transport.Jitter(d)
+			if j < d/2 || j >= d+d/2 {
+				t.Fatalf("Jitter(%v) = %v outside [%v, %v)", d, j, d/2, d+d/2)
+			}
+			if j < lo {
+				lo = j
+			}
+			if j > hi {
+				hi = j
+			}
+		}
+		// 2000 draws must spread well past the quartiles; a constant (no
+		// jitter) or a one-sided bug would trip one of these.
+		if lo > d*3/4 || hi < d*5/4 {
+			t.Errorf("Jitter(%v) spread [%v, %v] suspiciously narrow", d, lo, hi)
+		}
+		if d == dialMaxBackoff {
+			break
+		}
 	}
 }
