@@ -150,8 +150,7 @@ func main() {
 		var ots int64
 		var bits float64
 		for _, l := range qm.Layers {
-			sh := core.MatShape{M: l.Out, N: l.ColRows(), O: b * l.Cols()}
-			c := core.OfflineComplexity(*ringBits, l.Scheme, sh)
+			c := core.OfflineComplexity(*ringBits, l.Scheme, core.ShapeAt(l.Shape, b))
 			ots += c.NumOTs
 			bits += c.CommBits
 		}

@@ -67,14 +67,13 @@ func referenceCNN(rng *prg.PRG, scheme quant.Scheme, channels, k int) *nn.Quanti
 	fcIn := channels * pooled * pooled
 	return &nn.QuantizedModel{Frac: 8, Layers: []*nn.QuantizedLayer{
 		{
-			In: conv.InputSize(), Out: channels,
-			W: randWeights(rng, scheme, channels*conv.ColRows()), B: randWeights(rng, scheme, channels),
-			Scale: 1, ReLU: true, Scheme: scheme,
-			Conv: conv, Pool: &nn.PoolSpec{K: 2},
+			Shape: nn.Shape{In: conv.InputSize(), Out: channels, ReLU: true, Conv: conv, Pool: &nn.PoolSpec{K: 2}},
+			W:     randWeights(rng, scheme, channels*conv.ColRows()), B: randWeights(rng, scheme, channels),
+			Scale: 1, Scheme: scheme,
 		},
 		{
-			In: fcIn, Out: nn.NumClasses,
-			W: randWeights(rng, scheme, nn.NumClasses*fcIn), B: randWeights(rng, scheme, nn.NumClasses),
+			Shape: nn.Shape{In: fcIn, Out: nn.NumClasses},
+			W:     randWeights(rng, scheme, nn.NumClasses*fcIn), B: randWeights(rng, scheme, nn.NumClasses),
 			Scale: 1, Scheme: scheme,
 		},
 	}}

@@ -166,11 +166,10 @@ func syntheticQuantized(scheme quant.Scheme, shapes []layerShape) *nn.QuantizedM
 	qm := &nn.QuantizedModel{Frac: 8}
 	for li, sh := range shapes {
 		qm.Layers = append(qm.Layers, &nn.QuantizedLayer{
-			In: sh.N, Out: sh.M,
+			Shape:  nn.Shape{In: sh.N, Out: sh.M, ReLU: li+1 < len(shapes)},
 			W:      randWeights(rng, scheme, sh.M*sh.N),
 			B:      make([]int64, sh.M),
 			Scale:  1,
-			ReLU:   li+1 < len(shapes),
 			Scheme: scheme,
 		})
 	}

@@ -254,8 +254,7 @@ func (s Schedule) Validate(arch Arch, batch int, weights [][]int64) error {
 				return fmt.Errorf("core: layer %d: weights in [%d,%d] outside scheme %s range", li, lo, hi, ch.Scheme.Name())
 			}
 		}
-		l := arch.Layers[li]
-		if err := ch.Backend.Fits(MatShape{M: l.Out, N: l.ColRows(), O: batch * l.Cols()}, lo, hi); err != nil {
+		if err := ch.Backend.Fits(ShapeAt(arch.Layers[li], batch), lo, hi); err != nil {
 			return fmt.Errorf("core: layer %d: %w", li, err)
 		}
 	}

@@ -29,9 +29,9 @@ func buildTestCNN(t *testing.T, scheme quant.Scheme, withPool bool) *nn.Quantize
 	}
 	conv1 := &nn.ConvSpec{Ci: 1, H: 8, W: 8, Kh: 3, Kw: 3, Stride: 1, Pad: 1} // out 2x8x8
 	l1 := &nn.QuantizedLayer{
-		In: conv1.InputSize(), Out: 2,
-		W: randW(2 * conv1.ColRows()), B: randW(2),
-		Scale: 1, ReLU: true, Scheme: scheme, Conv: conv1,
+		Shape: nn.Shape{In: conv1.InputSize(), Out: 2, ReLU: true, Conv: conv1},
+		W:     randW(2 * conv1.ColRows()), B: randW(2),
+		Scale: 1, Scheme: scheme,
 	}
 	in2H := 8
 	if withPool {
@@ -40,14 +40,14 @@ func buildTestCNN(t *testing.T, scheme quant.Scheme, withPool bool) *nn.Quantize
 	}
 	conv2 := &nn.ConvSpec{Ci: 2, H: in2H, W: in2H, Kh: 3, Kw: 3, Stride: 1, Pad: 0} // out 3x(in2H-2)^2
 	l2 := &nn.QuantizedLayer{
-		In: conv2.InputSize(), Out: 3,
-		W: randW(3 * conv2.ColRows()), B: randW(3),
-		Scale: 1, ReLU: true, Scheme: scheme, Conv: conv2,
+		Shape: nn.Shape{In: conv2.InputSize(), Out: 3, ReLU: true, Conv: conv2},
+		W:     randW(3 * conv2.ColRows()), B: randW(3),
+		Scale: 1, Scheme: scheme,
 	}
 	fcIn := 3 * (in2H - 2) * (in2H - 2)
 	l3 := &nn.QuantizedLayer{
-		In: fcIn, Out: 4,
-		W: randW(4 * fcIn), B: randW(4),
+		Shape: nn.Shape{In: fcIn, Out: 4},
+		W:     randW(4 * fcIn), B: randW(4),
 		Scale: 1, Scheme: scheme,
 	}
 	return &nn.QuantizedModel{Frac: 0, Layers: []*nn.QuantizedLayer{l1, l2, l3}}
@@ -281,8 +281,8 @@ func TestLinearJunction(t *testing.T) {
 		return w
 	}
 	qm := &nn.QuantizedModel{Frac: 0, Layers: []*nn.QuantizedLayer{
-		{In: 6, Out: 5, W: randW(30), B: randW(5), Scale: 1, Scheme: scheme}, // no relu
-		{In: 5, Out: 3, W: randW(15), B: randW(3), Scale: 1, Scheme: scheme},
+		{Shape: nn.Shape{In: 6, Out: 5}, W: randW(30), B: randW(5), Scale: 1, Scheme: scheme}, // no relu
+		{Shape: nn.Shape{In: 5, Out: 3}, W: randW(15), B: randW(3), Scale: 1, Scheme: scheme},
 	}}
 	p := Params{Ring: ring.New(32), Scheme: scheme}
 	runCNNInference(t, qm, p, ReLUGC, 2)

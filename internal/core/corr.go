@@ -66,14 +66,7 @@ func (s *ServerTriplets) OfflineCorrSched(model *nn.QuantizedModel, batch int, s
 		}
 		return sched[li]
 	}
-	// Convolutions multiply the same weights across every output
-	// position, so their OT columns include the spatial positions —
-	// exactly the paper's multi-batch reuse, applied to space instead
-	// of (only) batch.
-	shape := func(li int) MatShape {
-		l := model.Layers[li]
-		return MatShape{M: l.Out, N: l.ColRows(), O: batch * l.Cols()}
-	}
+	shape := func(li int) MatShape { return ShapeAt(model.Layers[li].Shape, batch) }
 	span := func(li int) *trace.SpanCtx {
 		return s.params.Trace.Start("triplets").SetLayer(li).SetWorkers(par.Workers(s.params.Workers))
 	}
@@ -165,7 +158,7 @@ func (c *ClientTriplets) OfflineCorrSched(arch Arch, shareRNG *prg.PRG, batch in
 	}
 	r := corr.R0
 	for li, l := range arch.Layers {
-		sh := MatShape{M: l.Out, N: l.ColRows(), O: batch * l.Cols()}
+		sh := ShapeAt(l, batch)
 		var ch LayerChoice
 		if sched != nil {
 			ch = sched[li]

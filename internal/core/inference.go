@@ -15,55 +15,11 @@ import (
 // generation; the client also fixes all of its future shares) and the
 // online phase (one linear message per network plus the GC activations).
 
-// LayerSpec is the public description of one linear layer, including the
-// (public) requantization parameters and conv/pool geometry when the
-// model uses them.
-type LayerSpec struct {
-	In, Out int
-	ReLU    bool
-	ReqC    uint64
-	ReqT    uint
-	Conv    *nn.ConvSpec `json:",omitempty"`
-	Pool    *nn.PoolSpec `json:",omitempty"`
-}
-
-// ColRows returns the matmul inner dimension.
-func (l LayerSpec) ColRows() int {
-	if l.Conv == nil {
-		return l.In
-	}
-	return l.Conv.ColRows()
-}
-
-// Cols returns matmul columns per sample.
-func (l LayerSpec) Cols() int {
-	if l.Conv == nil {
-		return 1
-	}
-	return l.Conv.Positions()
-}
-
-// OutputSize returns the flattened per-sample output length after
-// pooling.
-func (l LayerSpec) OutputSize() int {
-	p := l.Cols()
-	if l.Pool != nil {
-		p /= l.Pool.K * l.Pool.K
-	}
-	return l.Out * p
-}
-
-// Reshares reports whether the layer ends in a GC junction — a ReLU or a
-// pool, with or without its fused ReLU — after which the client's share
-// of the next layer's input is a fresh z1 it chose offline rather than its
-// triplet share.
-func (l LayerSpec) Reshares() bool { return l.ReLU || l.Pool != nil }
-
 // Arch is the public architecture both parties know: layer shapes, ReLU
 // positions, and the input fixed-point precision. Weights stay private to
 // the server; inputs stay private to the client.
 type Arch struct {
-	Layers []LayerSpec
+	Layers []nn.Shape
 	Frac   uint
 	// SchemeName is the quantization scheme designation (quant.Parse
 	// syntax); the scheme is public protocol configuration.
@@ -72,14 +28,7 @@ type Arch struct {
 
 // ArchOf extracts the public architecture of a quantized model.
 func ArchOf(qm *nn.QuantizedModel) Arch {
-	a := Arch{Frac: qm.Frac, SchemeName: qm.Layers[0].Scheme.Name()}
-	for _, l := range qm.Layers {
-		a.Layers = append(a.Layers, LayerSpec{
-			In: l.In, Out: l.Out, ReLU: l.ReLU,
-			ReqC: l.ReqC, ReqT: l.ReqT, Conv: l.Conv, Pool: l.Pool,
-		})
-	}
-	return a
+	return Arch{Layers: qm.Shapes(), Frac: qm.Frac, SchemeName: qm.Layers[0].Scheme.Name()}
 }
 
 // InputSize returns the network input dimension.
@@ -90,50 +39,14 @@ func (a Arch) OutputSize() int { return a.Layers[len(a.Layers)-1].OutputSize() }
 
 // Validate checks structural consistency. The client receives the Arch
 // over the network (it is public data, but still attacker-shaped bytes),
-// so every geometric assumption the engine makes is checked here.
-func (a Arch) Validate() error {
-	if len(a.Layers) == 0 {
-		return fmt.Errorf("core: architecture has no layers")
-	}
-	if a.Frac > 62 {
-		return fmt.Errorf("core: fixed-point precision %d too large", a.Frac)
-	}
-	for i, l := range a.Layers {
-		if l.In <= 0 || l.Out <= 0 || l.In > 1<<24 || l.Out > 1<<24 {
-			return fmt.Errorf("core: layer %d has invalid shape %dx%d", i, l.Out, l.In)
-		}
-		if l.ReqT > 62 {
-			return fmt.Errorf("core: layer %d requant shift %d too large", i, l.ReqT)
-		}
-		if l.Conv != nil {
-			if err := l.Conv.Validate(); err != nil {
-				return fmt.Errorf("core: layer %d: %w", i, err)
-			}
-			if l.In != l.Conv.InputSize() {
-				return fmt.Errorf("core: layer %d input %d does not match conv geometry %d",
-					i, l.In, l.Conv.InputSize())
-			}
-		}
-		if l.Pool != nil {
-			if l.Conv == nil {
-				return fmt.Errorf("core: layer %d pools without a convolution", i)
-			}
-			if err := l.Pool.Validate(l.Conv.OutH(), l.Conv.OutW()); err != nil {
-				return fmt.Errorf("core: layer %d: %w", i, err)
-			}
-		}
-		if i > 0 && a.Layers[i-1].OutputSize() != l.In {
-			return fmt.Errorf("core: layer %d expects %d inputs, previous layer outputs %d",
-				i, l.In, a.Layers[i-1].OutputSize())
-		}
-	}
-	return nil
-}
+// so every geometric assumption the engine makes is checked here, by the
+// same rules a server's model file passes.
+func (a Arch) Validate() error { return nn.ValidateShapes(a.Frac, a.Layers) }
 
 // shareCols expands a share matrix (features x batch) into matmul column
 // form: the matrix itself for FC layers, a per-sample im2col for
 // convolutions (a public rearrangement, applied locally to shares).
-func shareCols(l LayerSpec, share *ring.Mat) *ring.Mat {
+func shareCols(l nn.Shape, share *ring.Mat) *ring.Mat {
 	if l.Conv == nil {
 		return share
 	}
@@ -176,7 +89,7 @@ func foldBatch(y *ring.Mat, batch int) *ring.Mat {
 // poolWindowsFlat builds the pooling window index lists over the
 // flattened (features x batch) layout, in the output order of the next
 // layer's share matrix.
-func poolWindowsFlat(l LayerSpec, batch int) [][]int {
+func poolWindowsFlat(l nn.Shape, batch int) [][]int {
 	per := l.Pool.Windows(l.Out, l.Conv.OutH(), l.Conv.OutW())
 	wins := make([][]int, 0, len(per)*batch)
 	for _, win := range per {

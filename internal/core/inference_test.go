@@ -1,6 +1,9 @@
 package core
 
 import (
+	"encoding/json"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -265,7 +268,7 @@ func TestArchValidate(t *testing.T) {
 	good := Arch{
 		Frac:       8,
 		SchemeName: "binary",
-		Layers: []LayerSpec{
+		Layers: []nn.Shape{
 			{In: 4, Out: 3, ReLU: true},
 			{In: 3, Out: 2},
 		},
@@ -275,17 +278,55 @@ func TestArchValidate(t *testing.T) {
 	}
 	bad := []Arch{
 		{},
-		{Layers: []LayerSpec{{In: 0, Out: 1}}},
-		{Layers: []LayerSpec{{In: 2, Out: 2}, {In: 3, Out: 1}}},                                                // chain break
-		{Layers: []LayerSpec{{In: 2, Out: 2, ReqT: 99}}},                                                       // bad requant
-		{Layers: []LayerSpec{{In: 2, Out: 2, Pool: &nn.PoolSpec{K: 2}}}},                                       // pool sans conv
-		{Frac: 99, Layers: []LayerSpec{{In: 2, Out: 2}}},                                                       // bad frac
-		{Layers: []LayerSpec{{In: 4, Out: 1, Conv: &nn.ConvSpec{Ci: 1, H: 3, W: 3, Kh: 2, Kw: 2, Stride: 1}}}}, // In != conv input
+		{Layers: []nn.Shape{{In: 0, Out: 1}}},
+		{Layers: []nn.Shape{{In: 2, Out: 2}, {In: 3, Out: 1}}},                                                // chain break
+		{Layers: []nn.Shape{{In: 2, Out: 2, ReqT: 99}}},                                                       // bad requant
+		{Layers: []nn.Shape{{In: 2, Out: 2, Pool: &nn.PoolSpec{K: 2}}}},                                       // pool sans conv
+		{Frac: 99, Layers: []nn.Shape{{In: 2, Out: 2}}},                                                       // bad frac
+		{Layers: []nn.Shape{{In: 4, Out: 1, Conv: &nn.ConvSpec{Ci: 1, H: 3, W: 3, Kh: 2, Kw: 2, Stride: 1}}}}, // In != conv input
 	}
 	for i, a := range bad {
 		if err := a.Validate(); err == nil {
 			t.Errorf("bad arch %d validated", i)
 		}
+	}
+}
+
+// The hello reply's "arch" is encoding/json over Arch. An MLP's bytes are
+// wire version 4's; a CNN's conv and pool keys are now the model file's
+// lower-case ones, and the version-4 upper-case form still decodes to the
+// same Arch because encoding/json matches keys case-insensitively.
+func TestArchJSONWireForm(t *testing.T) {
+	mlp := Arch{Frac: 8, SchemeName: "binary", Layers: []nn.Shape{{In: 4, Out: 3, ReLU: true}, {In: 3, Out: 2}}}
+	got, err := json.Marshal(mlp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"Layers":[{"In":4,"Out":3,"ReLU":true,"ReqC":0,"ReqT":0},{"In":3,"Out":2,"ReLU":false,"ReqC":0,"ReqT":0}],"Frac":8,"SchemeName":"binary"}`; string(got) != want {
+		t.Errorf("MLP arch encodes as\n%s\nwant\n%s", got, want)
+	}
+	cnn := Arch{Frac: 8, SchemeName: "binary", Layers: []nn.Shape{
+		{In: 16, Out: 2, ReLU: true, Conv: &nn.ConvSpec{Ci: 1, H: 4, W: 4, Kh: 2, Kw: 2, Stride: 2}, Pool: &nn.PoolSpec{K: 2}},
+		{In: 2, Out: 2},
+	}}
+	got, err = json.Marshal(cnn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `"Conv":{"ci":1,"h":4,"w":4,"kh":2,"kw":2,"stride":2,"pad":0},"Pool":{"k":2}`; !strings.Contains(string(got), want) {
+		t.Errorf("CNN arch encodes as %s, want it to contain %s", got, want)
+	}
+	v4 := `{"Layers":[{"In":16,"Out":2,"ReLU":true,"ReqC":0,"ReqT":0,"Conv":{"Ci":1,"H":4,"W":4,"Kh":2,"Kw":2,"Stride":2,"Pad":0},"Pool":{"K":2}},` +
+		`{"In":2,"Out":2,"ReLU":false,"ReqC":0,"ReqT":0}],"Frac":8,"SchemeName":"binary"}`
+	var dec Arch
+	if err := json.Unmarshal([]byte(v4), &dec); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(dec, cnn) {
+		t.Errorf("version-4 CNN arch decodes to %+v, want %+v", dec, cnn)
+	}
+	if err := dec.Validate(); err != nil {
+		t.Errorf("decoded CNN arch: %v", err)
 	}
 }
 

@@ -39,7 +39,7 @@ func TestFoldBatch(t *testing.T) {
 
 func TestShareColsConv(t *testing.T) {
 	conv := &nn.ConvSpec{Ci: 1, H: 2, W: 2, Kh: 2, Kw: 2, Stride: 1, Pad: 0}
-	l := LayerSpec{In: 4, Out: 1, Conv: conv}
+	l := nn.Shape{In: 4, Out: 1, Conv: conv}
 	// Two samples, features [a b c d] per sample.
 	share := &ring.Mat{Rows: 4, Cols: 2, Data: ring.Vec{
 		1, 5,
@@ -58,7 +58,7 @@ func TestShareColsConv(t *testing.T) {
 		}
 	}
 	// FC passthrough.
-	fc := LayerSpec{In: 4, Out: 2}
+	fc := nn.Shape{In: 4, Out: 2}
 	if shareCols(fc, share) != share {
 		t.Fatal("FC shareCols should be identity")
 	}
@@ -67,7 +67,7 @@ func TestShareColsConv(t *testing.T) {
 func TestPoolWindowsFlat(t *testing.T) {
 	conv := &nn.ConvSpec{Ci: 1, H: 5, W: 5, Kh: 2, Kw: 2, Stride: 1, Pad: 1} // out 4x4... check: (5+2-2)/1+1=6? No: (5+2*1-2)/1+1 = 6.
 	_ = conv
-	spec := LayerSpec{
+	spec := nn.Shape{
 		In: 16, Out: 1,
 		Conv: &nn.ConvSpec{Ci: 1, H: 5, W: 5, Kh: 2, Kw: 2, Stride: 1, Pad: 0}, // out 4x4
 		Pool: &nn.PoolSpec{K: 2},

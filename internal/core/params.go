@@ -14,6 +14,7 @@ package core
 import (
 	"fmt"
 
+	"abnn2/internal/nn"
 	"abnn2/internal/quant"
 	"abnn2/internal/ring"
 	"abnn2/internal/trace"
@@ -99,6 +100,14 @@ func OfflineFlights(numOTs int64) int {
 // MatShape describes a public matrix-multiplication shape: the server's
 // m x n quantized matrix times the client's n x o share matrix.
 type MatShape struct{ M, N, O int }
+
+// ShapeAt is the matmul layer l lowers to at a batch size. Convolutions
+// multiply the same weights across every output position, so their OT
+// columns include the spatial positions — exactly the paper's
+// multi-batch reuse, applied to space instead of (only) batch.
+func ShapeAt(l nn.Shape, batch int) MatShape {
+	return MatShape{M: l.Out, N: l.ColRows(), O: batch * l.Cols()}
+}
 
 // NumOTs returns the OT count gamma*m*n of the offline phase (Table 1).
 func (p Params) NumOTs(sh MatShape) int {

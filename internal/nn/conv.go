@@ -16,11 +16,16 @@ import (
 
 // ConvSpec describes a 2D convolution's geometry. The weight matrix of
 // the owning layer is Co x (Ci*Kh*Kw), applied at every output position.
+// The json keys are the model file's; decoding matches them
+// case-insensitively, so a hello's "Ci" reads as "ci".
 type ConvSpec struct {
-	Ci, H, W int // input channels and spatial size
-	Kh, Kw   int // kernel size
-	Stride   int
-	Pad      int
+	Ci     int `json:"ci"` // input channels
+	H      int `json:"h"`  // input height
+	W      int `json:"w"`  // input width
+	Kh     int `json:"kh"` // kernel height
+	Kw     int `json:"kw"` // kernel width
+	Stride int `json:"stride"`
+	Pad    int `json:"pad"`
 }
 
 // OutH returns the output feature-map height.
@@ -122,7 +127,7 @@ func (c ConvSpec) Im2ColRing(x ring.Vec) ring.Vec {
 // Co x Oh x Ow feature map. Non-overlap means every input belongs to
 // exactly one window, which the secure pooling protocol relies on.
 type PoolSpec struct {
-	K int // window edge (K x K), stride K
+	K int `json:"k"` // window edge (K x K), stride K
 }
 
 // Validate checks the pool against the grid it is applied to.

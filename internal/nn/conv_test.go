@@ -196,10 +196,9 @@ func TestQuantizedCNNForwardRing(t *testing.T) {
 	qm := &QuantizedModel{Frac: 0}
 	for _, l := range m.Layers {
 		ql := &QuantizedLayer{
-			In: l.In, Out: l.Out,
-			W: make([]int64, len(l.W)), B: make([]int64, len(l.B)),
-			Scale: 1, ReLU: l.ReLU, Scheme: quant.NewBitScheme(true, 2, 2),
-			Conv: l.Conv, Pool: l.Pool,
+			Shape: l.Shape,
+			W:     make([]int64, len(l.W)), B: make([]int64, len(l.B)),
+			Scale: 1, Scheme: quant.NewBitScheme(true, 2, 2),
 		}
 		for i, w := range l.W {
 			ql.W[i] = int64(w)

@@ -21,86 +21,27 @@ import (
 )
 
 // Layer is one linear layer y = W*cols(x) + b with optional ReLU and max
-// pooling. For fully connected layers Conv and Pool are nil and W is
-// Out x In; for convolutions W is Out x (Ci*Kh*Kw) and In = Ci*H*W.
+// pooling over its Shape. For fully connected layers W is Out x In; for
+// convolutions W is Out x (Ci*Kh*Kw). A float layer never requantizes.
 type Layer struct {
-	In, Out int // input vector length; output channels (rows of W)
-	W       []float64
-	B       []float64 // one bias per output row (channel)
-	ReLU    bool
-	Conv    *ConvSpec
-	Pool    *PoolSpec // requires Conv (pooling needs a spatial grid)
-}
-
-// cols returns the number of matmul columns P.
-func (l *Layer) cols() int {
-	if l.Conv == nil {
-		return 1
-	}
-	return l.Conv.Positions()
-}
-
-// colRows returns the matmul inner dimension n.
-func (l *Layer) colRows() int {
-	if l.Conv == nil {
-		return l.In
-	}
-	return l.Conv.ColRows()
-}
-
-// OutputSize returns the flattened output length after pooling.
-func (l *Layer) OutputSize() int {
-	p := l.cols()
-	if l.Pool != nil {
-		p /= l.Pool.K * l.Pool.K
-	}
-	return l.Out * p
-}
-
-// validate panics on inconsistent geometry; layers are built by library
-// code, so a bad layer is a programming error.
-func (l *Layer) validate() {
-	if len(l.W) != l.Out*l.colRows() || len(l.B) != l.Out {
-		panic(fmt.Sprintf("nn: layer has %d weights and %d biases for shape %dx%d",
-			len(l.W), len(l.B), l.Out, l.colRows()))
-	}
-	if l.Conv != nil {
-		if err := l.Conv.Validate(); err != nil {
-			panic(err)
-		}
-		if l.In != l.Conv.InputSize() {
-			panic(fmt.Sprintf("nn: conv layer In=%d, spec wants %d", l.In, l.Conv.InputSize()))
-		}
-	}
-	if l.Pool != nil {
-		if l.Conv == nil {
-			panic("nn: pooling requires a convolutional layer")
-		}
-		if err := l.Pool.Validate(l.Conv.OutH(), l.Conv.OutW()); err != nil {
-			panic(err)
-		}
-	}
+	Shape
+	W []float64
+	B []float64 // one bias per output row (channel)
 }
 
 // NewFCLayer builds a fully connected layer.
 func NewFCLayer(in, out int, relu bool) *Layer {
-	return &Layer{In: in, Out: out, W: make([]float64, out*in), B: make([]float64, out), ReLU: relu}
+	return &Layer{Shape: Shape{In: in, Out: out, ReLU: relu}, W: make([]float64, out*in), B: make([]float64, out)}
 }
 
 // NewConvLayer builds a convolutional layer with co output channels and
 // optional non-overlapping max pooling.
 func NewConvLayer(spec ConvSpec, co int, relu bool, pool *PoolSpec) *Layer {
-	l := &Layer{
-		In:   spec.InputSize(),
-		Out:  co,
-		W:    make([]float64, co*spec.ColRows()),
-		B:    make([]float64, co),
-		ReLU: relu,
-		Conv: &spec,
-		Pool: pool,
+	return &Layer{
+		Shape: Shape{In: spec.InputSize(), Out: co, ReLU: relu, Conv: &spec, Pool: pool},
+		W:     make([]float64, co*spec.ColRows()),
+		B:     make([]float64, co),
 	}
-	l.validate()
-	return l
 }
 
 // Model is a feed-forward stack of layers.
@@ -115,34 +56,42 @@ func NewModel(sizes ...int) *Model {
 	if len(sizes) < 2 {
 		panic("nn: model needs at least input and output sizes")
 	}
-	m := &Model{}
+	var layers []*Layer
 	for i := 0; i+1 < len(sizes); i++ {
-		m.Layers = append(m.Layers, NewFCLayer(sizes[i], sizes[i+1], i+2 < len(sizes)))
+		layers = append(layers, NewFCLayer(sizes[i], sizes[i+1], i+2 < len(sizes)))
+	}
+	return NewCustomModel(layers...)
+}
+
+// NewCustomModel assembles a model from explicit layers. Layers are built
+// by library code, so a model ValidateShapes or CheckParams refuses is a
+// programming error and panics.
+func NewCustomModel(layers ...*Layer) *Model {
+	m := &Model{Layers: layers}
+	if err := m.validate(); err != nil {
+		panic(err)
 	}
 	return m
 }
 
-// NewCustomModel assembles a model from explicit layers, validating that
-// each layer's output feeds the next layer's input.
-func NewCustomModel(layers ...*Layer) *Model {
-	if len(layers) == 0 {
-		panic("nn: empty model")
-	}
-	for i, l := range layers {
-		l.validate()
-		if i > 0 && layers[i-1].OutputSize() != l.In {
-			panic(fmt.Sprintf("nn: layer %d expects %d inputs, previous layer outputs %d",
-				i, l.In, layers[i-1].OutputSize()))
+// validate checks every layer's weight and bias counts and the model's
+// geometry.
+func (m *Model) validate() error {
+	shapes := make([]Shape, len(m.Layers))
+	for i, l := range m.Layers {
+		if err := l.CheckParams(len(l.W), len(l.B)); err != nil {
+			return fmt.Errorf("nn: layer %d: %w", i, err)
 		}
+		shapes[i] = l.Shape
 	}
-	return &Model{Layers: layers}
+	return ValidateShapes(0, shapes)
 }
 
 // InitXavier initialises weights with Xavier/Glorot uniform scaling using
 // deterministic randomness from rng.
 func (m *Model) InitXavier(rng *prg.PRG) {
 	for _, l := range m.Layers {
-		bound := math.Sqrt(6.0 / float64(l.colRows()+l.Out))
+		bound := math.Sqrt(6.0 / float64(l.ColRows()+l.Out))
 		for i := range l.W {
 			u := float64(rng.Uint64()) / float64(math.MaxUint64)
 			l.W[i] = (2*u - 1) * bound
@@ -169,7 +118,7 @@ func (l *Layer) forwardLayer(x []float64, trace bool) layerState {
 	} else {
 		xcol = x
 	}
-	n, p := l.colRows(), l.cols()
+	n, p := l.ColRows(), l.Cols()
 	z := make([]float64, l.Out*p)
 	for o := 0; o < l.Out; o++ {
 		row := l.W[o*n : (o+1)*n]

@@ -144,8 +144,8 @@ func TestForwardRingMatchesInt(t *testing.T) {
 	qm := &QuantizedModel{
 		Frac: 4,
 		Layers: []*QuantizedLayer{
-			{In: 3, Out: 2, W: []int64{1, -2, 3, 0, 1, -1}, B: []int64{5, -5}, Scale: 1, ReLU: true, Scheme: quant.Uniform(2, 2)},
-			{In: 2, Out: 1, W: []int64{2, -3}, B: []int64{1}, Scale: 1, ReLU: false, Scheme: quant.Uniform(2, 2)},
+			{Shape: Shape{In: 3, Out: 2, ReLU: true}, W: []int64{1, -2, 3, 0, 1, -1}, B: []int64{5, -5}, Scale: 1, Scheme: quant.Uniform(2, 2)},
+			{Shape: Shape{In: 2, Out: 1}, W: []int64{2, -3}, B: []int64{1}, Scale: 1, Scheme: quant.Uniform(2, 2)},
 		},
 	}
 	r := ring.New(32)
@@ -164,7 +164,7 @@ func TestForwardRingMatchesInt(t *testing.T) {
 
 func TestEncodeInputAndScale(t *testing.T) {
 	qm := &QuantizedModel{Frac: 8, Layers: []*QuantizedLayer{
-		{In: 1, Out: 1, W: []int64{1}, B: []int64{0}, Scale: 0.5, Scheme: quant.Uniform(2, 2)},
+		{Shape: Shape{In: 1, Out: 1}, W: []int64{1}, B: []int64{0}, Scale: 0.5, Scheme: quant.Uniform(2, 2)},
 	}}
 	r := ring.New(32)
 	enc := qm.EncodeInput(r, []float64{1.5})

@@ -8,59 +8,15 @@ import (
 	"abnn2/internal/ring"
 )
 
-// QuantizedLayer is a fully connected layer with integer weights produced
-// by a quant.Scheme. Bias is pre-scaled to the layer's output fixed-point
+// QuantizedLayer is a layer with integer weights produced by a
+// quant.Scheme. Bias is pre-scaled to the layer's output fixed-point
 // scale so the server can add it to its share locally for free.
 type QuantizedLayer struct {
-	In, Out int
-	W       []int64 // row-major quantized weights
-	B       []int64 // bias in output-scale integer units
-	Scale   float64 // weight dequantization scale
-	ReLU    bool
-	Scheme  quant.Scheme
-
-	// ReqC/ReqT, when ReqC != 0, requantize the layer output by the
-	// public rational ReqC/2^ReqT (≈ Scale), returning activations to the
-	// input fixed-point scale. Both parties apply it locally to their
-	// shares (SecureML-style truncation); see internal/core/truncate.go.
-	ReqC uint64
-	ReqT uint
-
-	// Conv marks a convolutional layer (weights are Out x Ci*Kh*Kw,
-	// applied per position over an im2col expansion); Pool applies
-	// non-overlapping max pooling after the activation.
-	Conv *ConvSpec
-	Pool *PoolSpec
-}
-
-// OutputSize returns the flattened per-sample output length.
-func (l *QuantizedLayer) OutputSize() int {
-	if l.Conv == nil {
-		return l.Out
-	}
-	p := l.Conv.Positions()
-	if l.Pool != nil {
-		p /= l.Pool.K * l.Pool.K
-	}
-	return l.Out * p
-}
-
-// ColRows returns the matmul inner dimension: In for FC layers,
-// Ci*Kh*Kw for convolutions.
-func (l *QuantizedLayer) ColRows() int {
-	if l.Conv == nil {
-		return l.In
-	}
-	return l.Conv.ColRows()
-}
-
-// Cols returns the matmul column count per sample: 1 for FC layers,
-// the number of output positions for convolutions.
-func (l *QuantizedLayer) Cols() int {
-	if l.Conv == nil {
-		return 1
-	}
-	return l.Conv.Positions()
+	Shape
+	W      []int64 // row-major quantized weights
+	B      []int64 // bias in output-scale integer units
+	Scale  float64 // weight dequantization scale
+	Scheme quant.Scheme
 }
 
 // WMat converts the layer's weights into a ring matrix (two's complement
@@ -114,15 +70,11 @@ func quantize(m *Model, scheme quant.Scheme, frac uint, cBits uint) *QuantizedMo
 	for _, l := range m.Layers {
 		q := quant.NewQuantizer(scheme, quant.MaxAbs(l.W))
 		ql := &QuantizedLayer{
-			In:     l.In,
-			Out:    l.Out,
+			Shape:  l.Shape,
 			W:      q.QuantizeAll(l.W),
 			B:      make([]int64, l.Out),
 			Scale:  q.Scale,
-			ReLU:   l.ReLU,
 			Scheme: scheme,
-			Conv:   l.Conv,
-			Pool:   l.Pool,
 		}
 		// This layer's raw outputs carry scale actScale * q.Scale.
 		outScale := actScale * q.Scale
@@ -265,5 +217,11 @@ func (qm *QuantizedModel) Accuracy(xs [][]float64, labels []int) float64 {
 // InputSize returns the expected input dimension.
 func (qm *QuantizedModel) InputSize() int { return qm.Layers[0].In }
 
-// OutputSize returns the network output dimension.
-func (qm *QuantizedModel) OutputSize() int { return qm.Layers[len(qm.Layers)-1].Out }
+// Shapes returns the model's public layer geometry.
+func (qm *QuantizedModel) Shapes() []Shape {
+	shapes := make([]Shape, len(qm.Layers))
+	for i, l := range qm.Layers {
+		shapes[i] = l.Shape
+	}
+	return shapes
+}

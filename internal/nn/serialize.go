@@ -9,46 +9,14 @@ import (
 
 // Wire formats for models, used by cmd/abnn2-train and the server binary.
 
-type convJSON struct {
-	Ci     int `json:"ci"`
-	H      int `json:"h"`
-	W      int `json:"w"`
-	Kh     int `json:"kh"`
-	Kw     int `json:"kw"`
-	Stride int `json:"stride"`
-	Pad    int `json:"pad"`
-}
-
-func convToJSON(c *ConvSpec) *convJSON {
-	if c == nil {
-		return nil
-	}
-	return &convJSON{Ci: c.Ci, H: c.H, W: c.W, Kh: c.Kh, Kw: c.Kw, Stride: c.Stride, Pad: c.Pad}
-}
-
-func convFromJSON(c *convJSON) (*ConvSpec, error) {
-	if c == nil {
-		return nil, nil
-	}
-	spec := &ConvSpec{Ci: c.Ci, H: c.H, W: c.W, Kh: c.Kh, Kw: c.Kw, Stride: c.Stride, Pad: c.Pad}
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	return spec, nil
-}
-
-type poolJSON struct {
-	K int `json:"k"`
-}
-
 type layerJSON struct {
 	In   int       `json:"in"`
 	Out  int       `json:"out"`
 	W    []float64 `json:"w"`
 	B    []float64 `json:"b"`
 	ReLU bool      `json:"relu"`
-	Conv *convJSON `json:"conv,omitempty"`
-	Pool *poolJSON `json:"pool,omitempty"`
+	Conv *ConvSpec `json:"conv,omitempty"`
+	Pool *PoolSpec `json:"pool,omitempty"`
 }
 
 type modelJSON struct {
@@ -59,11 +27,7 @@ type modelJSON struct {
 func MarshalModel(m *Model) ([]byte, error) {
 	mj := modelJSON{}
 	for _, l := range m.Layers {
-		lj := layerJSON{In: l.In, Out: l.Out, W: l.W, B: l.B, ReLU: l.ReLU, Conv: convToJSON(l.Conv)}
-		if l.Pool != nil {
-			lj.Pool = &poolJSON{K: l.Pool.K}
-		}
-		mj.Layers = append(mj.Layers, lj)
+		mj.Layers = append(mj.Layers, layerJSON{In: l.In, Out: l.Out, W: l.W, B: l.B, ReLU: l.ReLU, Conv: l.Conv, Pool: l.Pool})
 	}
 	return json.Marshal(mj)
 }
@@ -75,39 +39,16 @@ func UnmarshalModel(data []byte) (*Model, error) {
 		return nil, fmt.Errorf("nn: parse model: %w", err)
 	}
 	m := &Model{}
-	for i, lj := range mj.Layers {
-		conv, err := convFromJSON(lj.Conv)
-		if err != nil {
-			return nil, fmt.Errorf("nn: layer %d: %w", i, err)
-		}
-		l := &Layer{In: lj.In, Out: lj.Out, W: lj.W, B: lj.B, ReLU: lj.ReLU, Conv: conv}
-		if lj.Pool != nil {
-			l.Pool = &PoolSpec{K: lj.Pool.K}
-		}
-		if len(l.W) != l.Out*l.colRows() || len(l.B) != l.Out {
-			return nil, fmt.Errorf("nn: layer %d shape mismatch: %d weights for %dx%d, %d biases",
-				i, len(l.W), l.Out, l.colRows(), len(l.B))
-		}
-		m.Layers = append(m.Layers, l)
+	for _, lj := range mj.Layers {
+		m.Layers = append(m.Layers, &Layer{
+			Shape: Shape{In: lj.In, Out: lj.Out, ReLU: lj.ReLU, Conv: lj.Conv, Pool: lj.Pool},
+			W:     lj.W, B: lj.B,
+		})
 	}
-	if len(m.Layers) == 0 {
-		return nil, fmt.Errorf("nn: model has no layers")
-	}
-	// Full structural validation (panics converted to errors).
-	if err := safeValidate(m); err != nil {
+	if err := m.validate(); err != nil {
 		return nil, err
 	}
 	return m, nil
-}
-
-func safeValidate(m *Model) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("nn: invalid model: %v", r)
-		}
-	}()
-	NewCustomModel(m.Layers...)
-	return nil
 }
 
 type qLayerJSON struct {
@@ -120,8 +61,8 @@ type qLayerJSON struct {
 	Scheme string    `json:"scheme"`
 	ReqC   uint64    `json:"reqc,omitempty"`
 	ReqT   uint      `json:"reqt,omitempty"`
-	Conv   *convJSON `json:"conv,omitempty"`
-	Pool   *poolJSON `json:"pool,omitempty"`
+	Conv   *ConvSpec `json:"conv,omitempty"`
+	Pool   *PoolSpec `json:"pool,omitempty"`
 }
 
 type qModelJSON struct {
@@ -133,15 +74,11 @@ type qModelJSON struct {
 func MarshalQuantized(qm *QuantizedModel) ([]byte, error) {
 	mj := qModelJSON{Frac: qm.Frac}
 	for _, l := range qm.Layers {
-		lj := qLayerJSON{
+		mj.Layers = append(mj.Layers, qLayerJSON{
 			In: l.In, Out: l.Out, W: l.W, B: l.B,
 			Scale: l.Scale, ReLU: l.ReLU, Scheme: l.Scheme.Name(),
-			ReqC: l.ReqC, ReqT: l.ReqT, Conv: convToJSON(l.Conv),
-		}
-		if l.Pool != nil {
-			lj.Pool = &poolJSON{K: l.Pool.K}
-		}
-		mj.Layers = append(mj.Layers, lj)
+			ReqC: l.ReqC, ReqT: l.ReqT, Conv: l.Conv, Pool: l.Pool,
+		})
 	}
 	return json.Marshal(mj)
 }
@@ -162,36 +99,17 @@ func UnmarshalQuantized(data []byte) (*QuantizedModel, error) {
 		if _, err := quant.DecomposeAll(scheme, lj.W); err != nil {
 			return nil, fmt.Errorf("nn: quantized layer %d: %w", i, err)
 		}
-		if lj.ReqT > 62 {
-			return nil, fmt.Errorf("nn: quantized layer %d: requant shift %d too large", i, lj.ReqT)
-		}
-		conv, err := convFromJSON(lj.Conv)
-		if err != nil {
-			return nil, fmt.Errorf("nn: quantized layer %d: %w", i, err)
-		}
 		ql := &QuantizedLayer{
-			In: lj.In, Out: lj.Out, W: lj.W, B: lj.B,
-			Scale: lj.Scale, ReLU: lj.ReLU, Scheme: scheme,
-			ReqC: lj.ReqC, ReqT: lj.ReqT, Conv: conv,
+			Shape: Shape{In: lj.In, Out: lj.Out, ReLU: lj.ReLU, ReqC: lj.ReqC, ReqT: lj.ReqT, Conv: lj.Conv, Pool: lj.Pool},
+			W:     lj.W, B: lj.B, Scale: lj.Scale, Scheme: scheme,
 		}
-		if lj.Pool != nil {
-			ql.Pool = &PoolSpec{K: lj.Pool.K}
-		}
-		if len(ql.W) != ql.Out*ql.ColRows() || len(ql.B) != ql.Out {
-			return nil, fmt.Errorf("nn: quantized layer %d shape mismatch", i)
-		}
-		if ql.Pool != nil {
-			if ql.Conv == nil {
-				return nil, fmt.Errorf("nn: quantized layer %d: pooling without convolution", i)
-			}
-			if err := ql.Pool.Validate(ql.Conv.OutH(), ql.Conv.OutW()); err != nil {
-				return nil, fmt.Errorf("nn: quantized layer %d: %w", i, err)
-			}
+		if err := ql.CheckParams(len(ql.W), len(ql.B)); err != nil {
+			return nil, fmt.Errorf("nn: quantized layer %d: %w", i, err)
 		}
 		qm.Layers = append(qm.Layers, ql)
 	}
-	if len(qm.Layers) == 0 {
-		return nil, fmt.Errorf("nn: quantized model has no layers")
+	if err := ValidateShapes(qm.Frac, qm.Shapes()); err != nil {
+		return nil, err
 	}
 	return qm, nil
 }

@@ -81,7 +81,7 @@ func (m *Model) step(xs [][]float64, labels []int, batch []int, lr float64) floa
 		for li := nl - 1; li >= 0; li-- {
 			l := m.Layers[li]
 			st := states[li]
-			nIn, p := l.colRows(), l.cols()
+			nIn, p := l.ColRows(), l.Cols()
 			// Through pooling: scatter each pooled gradient to its argmax.
 			dZ := dAct
 			if l.Pool != nil {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"abnn2/internal/core"
+	"abnn2/internal/nn"
 	"abnn2/internal/quant"
 	"abnn2/internal/transport"
 )
@@ -157,11 +158,6 @@ func (in Input) validate() error {
 	return nil
 }
 
-// shapeAt is the matmul layer l lowers to at a batch size.
-func shapeAt(l core.LayerSpec, batch int) core.MatShape {
-	return core.MatShape{M: l.Out, N: l.ColRows(), O: batch * l.Cols()}
-}
-
 // price evaluates one (backend, scheme) option for a layer of shape sh: the
 // backend table's cost as sent under sc — the fragmentation the layer
 // would run under, the session's unless ch overrides it — turned into
@@ -184,8 +180,8 @@ func price(in Input, ch Choice, sc quant.Scheme, sh core.MatShape) Candidate {
 // candidates enumerates every applicable (backend, scheme) option for
 // one layer, in a fixed deterministic order: the backend table's, each
 // backend under the session scheme first.
-func candidates(in Input, session quant.Scheme, l core.LayerSpec) []Candidate {
-	sh := shapeAt(l, in.Batch)
+func candidates(in Input, session quant.Scheme, l nn.Shape) []Candidate {
+	sh := core.ShapeAt(l, in.Batch)
 	lo, hi := session.Range()
 	var out []Candidate
 	for _, b := range core.Backends() {
@@ -275,7 +271,7 @@ func Choose(in Input) (*Plan, *Estimate, error) {
 		sorted := candidates(in, session, l)
 		sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Seconds < sorted[j].Seconds })
 		p.Layers[li] = sorted[0].Choice
-		est.Layers[li] = LayerEstimate{Layer: li, Shape: shapeAt(l, in.Batch), Chosen: sorted[0], Candidates: sorted}
+		est.Layers[li] = LayerEstimate{Layer: li, Shape: core.ShapeAt(l, in.Batch), Chosen: sorted[0], Candidates: sorted}
 	}
 	return p, est, nil
 }
@@ -301,7 +297,7 @@ func EstimatePlan(in Input, p *Plan) (*Estimate, error) {
 				return nil, err
 			}
 		}
-		sh := shapeAt(in.Arch.Layers[li], in.Batch)
+		sh := core.ShapeAt(in.Arch.Layers[li], in.Batch)
 		est.Layers[li] = LayerEstimate{Layer: li, Shape: sh, Chosen: price(in, ch, sc, sh)}
 	}
 	return est, nil

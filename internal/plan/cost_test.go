@@ -16,7 +16,7 @@ func refArch() core.Arch {
 	return core.Arch{
 		Frac:       8,
 		SchemeName: "4(2,2)",
-		Layers: []core.LayerSpec{
+		Layers: []nn.Shape{
 			{In: conv.InputSize(), Out: 4, ReLU: true, Conv: conv, Pool: &nn.PoolSpec{K: 2}},
 			{In: 4 * 13 * 13, Out: nn.NumClasses},
 		},
@@ -67,7 +67,7 @@ func TestCrossoverFlipsLayer(t *testing.T) {
 // formula that shrinks under a bigger layer is transcribing the
 // Complexity algebra wrongly.
 func TestCostMonotoneInShape(t *testing.T) {
-	shapes := []core.LayerSpec{
+	shapes := []nn.Shape{
 		{In: 16, Out: 8},
 		{In: 32, Out: 8},  // inner dimension up
 		{In: 32, Out: 24}, // rows up
@@ -76,7 +76,7 @@ func TestCostMonotoneInShape(t *testing.T) {
 		var prevComm, prevSec float64
 		for step, l := range shapes {
 			in := Input{
-				Arch:        core.Arch{Frac: 4, SchemeName: "4(2,2)", Layers: []core.LayerSpec{l}},
+				Arch:        core.Arch{Frac: 4, SchemeName: "4(2,2)", Layers: []nn.Shape{l}},
 				RingBits:    32,
 				Batch:       1,
 				Link:        WAN(),
@@ -99,7 +99,7 @@ func TestCostMonotoneInShape(t *testing.T) {
 		var prevBComm float64
 		for step, batch := range []int{1, 2, 4} {
 			in := Input{
-				Arch:        core.Arch{Frac: 4, SchemeName: "4(2,2)", Layers: []core.LayerSpec{{In: 16, Out: 8}}},
+				Arch:        core.Arch{Frac: 4, SchemeName: "4(2,2)", Layers: []nn.Shape{{In: 16, Out: 8}}},
 				RingBits:    32,
 				Batch:       batch,
 				Link:        WAN(),

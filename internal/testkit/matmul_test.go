@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"abnn2/internal/core"
+	"abnn2/internal/nn"
 	"abnn2/internal/plan"
 	"abnn2/internal/prg"
 	"abnn2/internal/quant"
@@ -207,7 +208,7 @@ func TestBackendTable(t *testing.T) {
 					lo, hi := scheme.Range()
 					fits := b.Fits(sh, lo, hi) == nil
 
-					arch := core.Arch{Frac: 8, SchemeName: scheme.Name(), Layers: []core.LayerSpec{{In: sh.N, Out: sh.M}}}
+					arch := core.Arch{Frac: 8, SchemeName: scheme.Name(), Layers: []nn.Shape{{In: sh.N, Out: sh.M}}}
 					in := plan.Input{Arch: arch, RingBits: l, Batch: sh.O, Link: plan.LAN(), MiniONNBits: keyBits}
 					p := plan.Uniform(b, 1)
 					if got := p.Validate(arch, sh.O) == nil; got != fits {

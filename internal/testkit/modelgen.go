@@ -122,11 +122,9 @@ func genFCModel(rng *prg.PRG, scheme quant.Scheme) *nn.QuantizedModel {
 	qm := &nn.QuantizedModel{Frac: uint(rng.Intn(4))}
 	for d := 0; d < depth; d++ {
 		l := &nn.QuantizedLayer{
-			In:     sizes[d],
-			Out:    sizes[d+1],
+			Shape:  nn.Shape{In: sizes[d], Out: sizes[d+1], ReLU: rng.Intn(2) == 0},
 			Scale:  1,
 			Scheme: scheme,
-			ReLU:   rng.Intn(2) == 0,
 		}
 		fillWeights(rng, l, scheme)
 		qm.Layers = append(qm.Layers, l)
@@ -140,12 +138,9 @@ func genConvModel(rng *prg.PRG, scheme quant.Scheme) *nn.QuantizedModel {
 	conv := &nn.ConvSpec{Ci: 1, H: 5, W: 5, Kh: 2, Kw: 2, Stride: 1, Pad: 0}
 	co := 1 + rng.Intn(2)
 	l0 := &nn.QuantizedLayer{
-		In:     conv.InputSize(),
-		Out:    co,
+		Shape:  nn.Shape{In: conv.InputSize(), Out: co, ReLU: true, Conv: conv},
 		Scale:  1,
 		Scheme: scheme,
-		ReLU:   true,
-		Conv:   conv,
 	}
 	if rng.Intn(2) == 0 {
 		l0.Pool = &nn.PoolSpec{K: 2}
@@ -153,8 +148,7 @@ func genConvModel(rng *prg.PRG, scheme quant.Scheme) *nn.QuantizedModel {
 	fillWeights(rng, l0, scheme)
 	out := 1 + rng.Intn(4)
 	l1 := &nn.QuantizedLayer{
-		In:     l0.OutputSize(),
-		Out:    out,
+		Shape:  nn.Shape{In: l0.OutputSize(), Out: out},
 		Scale:  1,
 		Scheme: scheme,
 	}
