@@ -234,6 +234,12 @@ func ModeFor(o int) Mode {
 	return MultiBatch
 }
 
+// subRun is how many OTs a one-batch worker derives the pads of in one
+// run, into its own scratch, before it encodes or decodes them: whole
+// groups of the pad kernel's eight lanes at N = 2 and N = 4 on both
+// sides, and a scratch that stays in L1.
+const subRun = 32
+
 // GenerateClient runs the client side of the offline phase for shape sh
 // with the client share matrix R (n x o). It returns V (m x o) such that
 // the server's U satisfies U + V = W * R.
@@ -294,9 +300,9 @@ func (c *ClientTriplets) generateClient(params Params, vals [][]ring.Elem, sh Ma
 			partials[part] = pv
 			pV := &ring.Mat{Rows: sh.M, Cols: sh.O, Data: pv}
 			pads := blk.NewDeriver()
-			var cand []byte // one-batch: the OT's N pads, candidate 0's included
+			var cands, cand []byte // one-batch: a sub-run's pads, and the OT's
 			if mode == OneBatch {
-				cand = make([]byte, layout.maxN*elemBytes)
+				cands = make([]byte, subRun*layout.maxN*elemBytes)
 			}
 			for local := lo; local < hi; local++ {
 				g := ot + local
@@ -309,19 +315,21 @@ func (c *ClientTriplets) generateClient(params Params, vals [][]ring.Elem, sh Ma
 				// Each message is encoded straight into its span of the
 				// payload flight and the pads XORed over it in place.
 				out := payload[layout.at(g)-base : layout.at(g+1)-base]
-				pads.Seek(local)
 				if mode == OneBatch {
+					if (local-lo)%subRun == 0 {
+						clear(cands)
+						layout.derive(pads, cands, ot, local, min(local+subRun, hi), elemBytes)
+						cand = cands
+					}
 					// s := pad(0); V accumulates s; ciphertexts for t>=1 are
 					// (Value(t)*r - s) XOR pad(t).
-					cand := cand[:n*elemBytes]
-					clear(cand)
-					pads.XORPads(cand, n)
 					s := rg.GetElem(cand)
 					vrow[0] = rg.Add(vrow[0], s)
 					for t := 1; t < n; t++ {
 						rg.PutElem(out[(t-1)*elemBytes:], rg.Sub(rg.Mul(vals[f][t], rrow[0]), s))
 					}
-					subtle.XORBytes(out, out, cand[elemBytes:])
+					subtle.XORBytes(out, out, cand[elemBytes:n*elemBytes])
+					cand = cand[n*elemBytes:]
 					continue
 				}
 				// One OT carries all o columns:
@@ -335,7 +343,7 @@ func (c *ClientTriplets) generateClient(params Params, vals [][]ring.Elem, sh Ma
 						rg.PutElem(span[k*elemBytes:], rg.Sub(rg.Mul(vals[f][t], rrow[k]), ss[k]))
 					}
 				}
-				pads.XORPads(out, n)
+				pads.XORPadsRun(out, padBytes, local, n)
 			}
 		})
 		for _, pv := range partials {
@@ -372,6 +380,22 @@ func newPayloadLayout(sc quant.Scheme, mode Mode, padBytes int) payloadLayout {
 		l.prefix[f+1] = l.prefix[f] + sent*padBytes
 	}
 	return l
+}
+
+// derive XORs into buf the one-batch pads of the chunk's OTs lo..hi-1,
+// the chunk starting at OT ot: every candidate of each, elemBytes each,
+// OT after OT. A stretch of OTs with the same N is one run of the
+// deriver; under a uniform scheme that is all of them.
+func (l payloadLayout) derive(d *otext.SenderDeriver, buf []byte, ot, lo, hi, elemBytes int) {
+	gamma := len(l.n)
+	for lo < hi {
+		n, k := l.n[(ot+lo)%gamma], 1
+		for lo+k < hi && l.n[(ot+lo+k)%gamma] == n {
+			k++
+		}
+		d.XORPadsRun(buf[:k*n*elemBytes], elemBytes, lo, n)
+		buf, lo = buf[k*n*elemBytes:], lo+k
+	}
 }
 
 // at returns the offset of OT g's ciphertext block from the start of the
@@ -507,27 +531,39 @@ func (s *ServerTriplets) generateServer(run []serverLayer, layerDone func()) ([]
 			pU := &ring.Mat{Rows: sh.M, Cols: sh.O, Data: pu}
 			pads := blk.NewDeriver()
 			buf := make([]byte, padBytes)
+			// One-batch: a sub-run's 16-byte short pads. A short pad is a
+			// prefix of its OT's one chaining value, so one serves both the
+			// 8-byte pad(0) read and the elemBytes decrypt.
+			var short []byte
+			if mode == OneBatch {
+				short = make([]byte, subRun*16)
+			}
 			for local := lo; local < hi; local++ {
 				g := ot + local
 				i := g / (sh.N * gamma)
 				w := blk.Choice(local)
 				urow := pU.Row(i)
 				ct := payload[layout.at(g)-base : layout.at(g+1)-base]
-				pads.Seek(local)
 				if mode == OneBatch {
+					k := (local - lo) % subRun
+					if k == 0 {
+						clear(short)
+						pads.XORPadsRun(short[:16*(min(local+subRun, hi)-local)], 16, local)
+					}
+					pad := short[16*k:]
 					if w == 0 {
 						// Output -s where s = pad(0); Value(0)*r = 0.
-						var pad0 [8]byte
-						pads.PadInto(pad0[:])
-						urow[0] = rg.Sub(urow[0], rg.FromBytesFull(pad0[:]))
+						urow[0] = rg.Sub(urow[0], rg.FromBytesFull(pad[:8]))
 						continue
 					}
-					w-- // candidate 0 has no ciphertext on the wire
+					// Candidate 0 has no ciphertext on the wire. Decrypt
+					// into scratch: the received flight is left as it
+					// arrived.
+					subtle.XORBytes(buf, ct[(w-1)*padBytes:w*padBytes], pad[:padBytes])
+				} else {
+					copy(buf, ct[w*padBytes:(w+1)*padBytes])
+					pads.XORPadsRun(buf, padBytes, local)
 				}
-				// Decrypt the chosen ciphertext in scratch: the received
-				// flight is left as it arrived.
-				copy(buf, ct[w*padBytes:(w+1)*padBytes])
-				pads.XORPad(buf)
 				for k := range urow {
 					urow[k] = rg.Add(urow[k], rg.GetElem(buf[k*elemBytes:]))
 				}

@@ -220,8 +220,8 @@ func Garble(c *Circuit, garblerBits []byte, rng *prg.PRG) (*Garbled, error) {
 // the rest.
 type evaluating struct {
 	h      hasher
-	active []wire          // active label of every wire
-	label  [LabelSize]byte // one evaluator label being unpadded
+	active []wire // active label of every wire
+	pads   []byte // the evaluator's label pads, its labels unpadded in place
 }
 
 // inputs returns the active-label array for c, its input wires to be

@@ -1,6 +1,7 @@
 package gc
 
 import (
+	"crypto/subtle"
 	"fmt"
 	"sync/atomic"
 
@@ -168,13 +169,8 @@ func (g *Garbler) sendGarbled(c *Circuit, msg []byte) error {
 		if err != nil {
 			return fmt.Errorf("gc: label OT: %w", err)
 		}
-		pads := blk.NewDeriver()
 		pairs := msg[len(msg)-c.NumEvaluator*2*LabelSize:]
-		for i := 0; i < c.NumEvaluator; i++ {
-			pads.Seek(i)
-			pads.XORPads(pairs[:2*LabelSize], 2)
-			pairs = pairs[2*LabelSize:]
-		}
+		blk.NewDeriver().XORPadsRun(pairs, LabelSize, 0, 2)
 	}
 	if err := g.conn.Send(msg); err != nil {
 		return fmt.Errorf("gc: send garbled material: %w", err)
@@ -277,13 +273,17 @@ func (s *evaluating) flight(c *Circuit, evalBits []byte, rcv received) ([]byte, 
 	decode := msg[off : off+(len(c.Outputs)+7)/8]
 	off += len(decode)
 	if c.NumEvaluator > 0 {
-		pads := rcv.blk.NewDeriver()
+		// Unpad into scratch: the frame stays as it arrived.
+		if n := c.NumEvaluator * LabelSize; cap(s.pads) < n {
+			s.pads = make([]byte, n)
+		}
+		pads := s.pads[:c.NumEvaluator*LabelSize]
+		clear(pads)
+		rcv.blk.NewDeriver().XORPadsRun(pads, LabelSize, 0)
 		for i, b := range evalBits {
-			// Unpad a copy: the frame stays as it arrived.
-			copy(s.label[:], msg[off+int(b&1)*LabelSize:])
-			pads.Seek(i)
-			pads.XORPad(s.label[:])
-			active[c.NumGarbler+i] = loadWire(s.label[:])
+			label := pads[i*LabelSize : (i+1)*LabelSize]
+			subtle.XORBytes(label, label, msg[off+int(b&1)*LabelSize:])
+			active[c.NumGarbler+i] = loadWire(label)
 			off += 2 * LabelSize
 		}
 	}

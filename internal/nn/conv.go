@@ -43,7 +43,9 @@ func (c ConvSpec) ColRows() int { return c.Ci * c.Kh * c.Kw }
 // InputSize returns the flattened input length Ci*H*W.
 func (c ConvSpec) InputSize() int { return c.Ci * c.H * c.W }
 
-// Validate checks the geometry.
+// Validate checks the geometry. Every field is bounded by maxDim first,
+// so that the sizes built from them cannot overflow, and then the input,
+// the im2col rows and the output grid are.
 func (c ConvSpec) Validate() error {
 	if c.Ci <= 0 || c.H <= 0 || c.W <= 0 || c.Kh <= 0 || c.Kw <= 0 {
 		return fmt.Errorf("nn: conv dimensions must be positive: %+v", c)
@@ -54,10 +56,32 @@ func (c ConvSpec) Validate() error {
 	if c.Pad < 0 {
 		return fmt.Errorf("nn: conv padding must be non-negative")
 	}
+	if max(c.Ci, c.H, c.W, c.Kh, c.Kw, c.Stride, c.Pad) > maxDim {
+		return fmt.Errorf("nn: conv field above %d: %+v", maxDim, c)
+	}
 	if c.Kh > c.H+2*c.Pad || c.Kw > c.W+2*c.Pad {
 		return fmt.Errorf("nn: kernel %dx%d larger than padded input %dx%d", c.Kh, c.Kw, c.H+2*c.Pad, c.W+2*c.Pad)
 	}
+	if !withinDim(c.Ci, c.H, c.W) || !withinDim(c.Ci, c.Kh, c.Kw) || !withinDim(c.OutH(), c.OutW()) {
+		return fmt.Errorf("nn: conv input, im2col rows or output grid above %d: %+v", maxDim, c)
+	}
 	return nil
+}
+
+// withinDim reports whether the product of positive factors is at most
+// maxDim, checking each partial product before the next factor multiplies
+// it, so that nothing overflows.
+func withinDim(factors ...int) bool {
+	p := 1
+	for _, f := range factors {
+		if f > maxDim {
+			return false
+		}
+		if p *= f; p > maxDim {
+			return false
+		}
+	}
+	return true
 }
 
 // colIndex returns the flattened input index for im2col row r at output

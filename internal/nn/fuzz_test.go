@@ -45,6 +45,8 @@ func FuzzUnmarshalModel(f *testing.F) {
 	f.Add([]byte(`{"layers":[{"in":2,"out":1,"w":[1,2],"b":[0],"relu":true}]}`))
 	f.Add([]byte(`null`))
 	f.Add([]byte(`{"layers":[{"in":-3,"out":0,"w":[],"b":[],"relu":false}]}`))
+	// A conv whose padding makes a ~4*10^12-position output grid.
+	f.Add([]byte(`{"layers":[{"in":25,"out":1,"w":[0,0,0,0],"b":[0],"conv":{"ci":1,"h":5,"w":5,"kh":2,"kw":2,"stride":1,"pad":1000000}}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := UnmarshalModel(data)
 		if err != nil {

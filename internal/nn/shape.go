@@ -99,6 +99,9 @@ func ValidateShapes(frac uint, shapes []Shape) error {
 				return fmt.Errorf("nn: layer %d input %d does not match conv geometry %d",
 					i, l.In, l.Conv.InputSize())
 			}
+			if !withinDim(l.Out, l.Cols()) {
+				return fmt.Errorf("nn: layer %d output %d x %d positions is above %d", i, l.Out, l.Cols(), maxDim)
+			}
 		}
 		if l.Pool != nil {
 			if l.Conv == nil {

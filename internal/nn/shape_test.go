@@ -42,6 +42,11 @@ func TestLoadersRefuseMalformedGeometry(t *testing.T) {
 		{"conv-in", 4, []string{layerFile(10, 1, 4, conv3x3)}, false},
 		{"pool-without-conv", 4, []string{layerFile(4, 4, 16, `,"pool":{"k":2}`)}, false},
 		{"pool-not-dividing", 4, []string{layerFile(16, 1, 4, conv4x4+`,"relu":true,"pool":{"k":2}`)}, false},
+		// A hostile output grid: a 5x5 input padded by 10^6 is ~4*10^12
+		// positions, and fields near 2^63 would overflow the sizes.
+		{"conv-pad-huge", 4, []string{layerFile(25, 1, 4, `,"conv":{"ci":1,"h":5,"w":5,"kh":2,"kw":2,"stride":1,"pad":1000000}`)}, false},
+		{"conv-grid-times-out", 4, []string{layerFile(1<<20, 32, 32*4, `,"conv":{"ci":1,"h":1024,"w":1024,"kh":2,"kw":2,"stride":1,"pad":0}`)}, false},
+		{"conv-field-overflow", 4, []string{layerFile(1, 1, 1, `,"conv":{"ci":1,"h":1,"w":1,"kh":1,"kw":1,"stride":1,"pad":4611686018427387904}`)}, false},
 		{"reqt-63", 4, []string{layerFile(2, 2, 4, `,"reqc":1,"reqt":63`)}, true},
 		{"frac-63", 63, []string{layerFile(2, 2, 4, "")}, true},
 	} {

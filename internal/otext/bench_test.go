@@ -97,9 +97,8 @@ func benchPadDerivation(b *testing.B, code Code, padBytes int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d.Seek(i % m)
 		clear(pads)
-		d.XORPads(pads, code.N())
+		d.XORPadsRun(pads, padBytes, i%m, code.N())
 	}
 }
 
@@ -109,6 +108,57 @@ func BenchmarkPadDerivation(b *testing.B) { benchPadDerivation(b, WalshHadamardC
 // N = 4 with 4-byte pads: the inner loop of a one-batch triplet at
 // 4(2,2) over a 32-bit ring, which is all of mlp_b1_lan's offline phase.
 func BenchmarkPadDerivationN4(b *testing.B) { benchPadDerivation(b, WalshHadamardCode(4), 4) }
+
+// extendedPair runs one m-OT extension round at code and returns both
+// blocks, the receiver's under all-zero choices.
+func extendedPair(b *testing.B, code Code, m int) (*SenderBlock, *ReceiverBlock) {
+	snd, rcv, done := benchPair(b, code)
+	b.Cleanup(done)
+	var (
+		sb *SenderBlock
+		wg sync.WaitGroup
+	)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		sb, _ = snd.Extend(m)
+	}()
+	rb, err := rcv.Extend(make([]int, m))
+	wg.Wait()
+	if err != nil || sb == nil {
+		b.Fatalf("extend: %v", err)
+	}
+	return sb, rb
+}
+
+// One op is one OT of a 4096-OT run on the sender at N = 4 with 4-byte
+// pads: BenchmarkPadDerivationN4's OT, derived as the one-batch client
+// derives it, a run at a time.
+func BenchmarkPadRunN4(b *testing.B) {
+	const m = 4096
+	sb, _ := extendedPair(b, WalshHadamardCode(4), m)
+	d := sb.NewDeriver()
+	pads := make([]byte, m*4*4)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += m {
+		d.XORPadsRun(pads, 4, 0, 4)
+	}
+}
+
+// One op is one OT of a 4096-OT run on the receiver at N = 4 with the
+// 16-byte short pad the one-batch server derives per OT.
+func BenchmarkReceiverPadRun(b *testing.B) {
+	const m = 4096
+	_, rb := extendedPair(b, WalshHadamardCode(4), m)
+	d := rb.NewDeriver()
+	pads := make([]byte, m*16)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += m {
+		d.XORPadsRun(pads, 16, 0)
+	}
+}
 
 func BenchmarkBaseOTSetup(b *testing.B) {
 	for i := 0; i < b.N; i++ {

@@ -7,8 +7,8 @@ import (
 )
 
 // SendChosen transfers chosen messages: msgs[j][v] is delivered for OT j
-// if the receiver chose v. All messages must have length msgLen. One
-// flight of m * N * msgLen bytes.
+// if the receiver chose v. All messages must have length msgLen, at least
+// 1. One flight of m * N * msgLen bytes.
 func (s *Sender) SendChosen(msgs [][][]byte, msgLen int) error {
 	m := len(msgs)
 	blk, err := s.Extend(m)
@@ -17,7 +17,6 @@ func (s *Sender) SendChosen(msgs [][][]byte, msgLen int) error {
 	}
 	n := s.code.N()
 	out := make([]byte, 0, m*n*msgLen)
-	d := blk.NewDeriver()
 	for j := 0; j < m; j++ {
 		if len(msgs[j]) != n {
 			return fmt.Errorf("otext: OT %d has %d messages, want %d", j, len(msgs[j]), n)
@@ -28,9 +27,8 @@ func (s *Sender) SendChosen(msgs [][][]byte, msgLen int) error {
 			}
 			out = append(out, msgs[j][v]...)
 		}
-		d.Seek(j)
-		d.XORPads(out[len(out)-n*msgLen:], n)
 	}
+	blk.NewDeriver().XORPadsRun(out, msgLen, 0, n)
 	return s.conn.Send(out)
 }
 
@@ -53,8 +51,7 @@ func (r *Receiver) RecvChosen(choices []int, msgLen int) ([][]byte, error) {
 	d := blk.NewDeriver()
 	for j := 0; j < m; j++ {
 		out[j] = append([]byte(nil), cts[(j*n+choices[j])*msgLen:][:msgLen]...)
-		d.Seek(j)
-		d.XORPad(out[j])
+		d.XORPadsRun(out[j], msgLen, j)
 	}
 	return out, nil
 }
@@ -87,9 +84,8 @@ func (s *Sender) SendCorrelatedRing(rg ring.Ring, width int, deltas ring.Vec) (x
 	pads := make([]byte, 2*width*8)
 	p0, p1 := pads[:width*8], pads[width*8:]
 	for j := 0; j < m; j++ {
-		d.Seek(j)
 		clear(pads)
-		d.XORPads(pads, 2)
+		d.XORPadsRun(pads, width*8, j, 2)
 		for k := 0; k < width; k++ {
 			e := j*width + k
 			x0[e] = rg.FromBytesFull(p0[k*8:])
@@ -132,8 +128,8 @@ func (r *Receiver) RecvCorrelatedRing(rg ring.Ring, width int, choiceBits []byte
 	d := blk.NewDeriver()
 	pad := make([]byte, width*8)
 	for j := 0; j < m; j++ {
-		d.Seek(j)
-		d.PadInto(pad)
+		clear(pad)
+		d.XORPadsRun(pad, width*8, j)
 		for k := 0; k < width; k++ {
 			e := j*width + k
 			out[e] = rg.FromBytesFull(pad[k*8:])

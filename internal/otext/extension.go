@@ -286,16 +286,14 @@ func (r *Receiver) Conn() transport.Conn { return r.conn }
 func (b *ReceiverBlock) Count() int { return b.m }
 
 // SenderDeriver derives the pads of one SenderBlock for one goroutine:
-// the oracle's header block is paid once per deriver and its index block
-// once per Seek(j), after which the N candidates cost only their row
-// blocks (and, past 16 bytes, their expansion), four candidates per AES
-// call. For OT j and candidate v the pad is H(session, counter_j, q_j XOR
-// (C(v) AND s)); the receiver can compute the same bytes only for v equal
-// to its choice at j.
+// the oracle's header block is paid once per deriver and each OT's index
+// block once per run, after which the N candidates cost only their row
+// blocks (and, past 16 bytes, their expansion). For OT j and candidate v
+// the pad is H(session, counter_j, q_j XOR (C(v) AND s)); the receiver
+// can compute the same bytes only for v equal to its choice at j.
 type SenderDeriver struct {
-	b   *SenderBlock
-	h   prg.Deriver
-	row []byte // q_j of the OT Seek selected
+	b *SenderBlock
+	h prg.Deriver
 }
 
 // NewDeriver returns a deriver over b. Derivers are cheap; concurrent
@@ -304,28 +302,22 @@ func (b *SenderBlock) NewDeriver() *SenderDeriver {
 	return &SenderDeriver{b: b, h: oracle.Deriver(b.s.session, 0, b.q.Stride)}
 }
 
-// Seek selects OT index j for the following XORPads calls.
-func (d *SenderDeriver) Seek(j int) {
-	if j < 0 || j >= d.b.m {
-		panic(fmt.Sprintf("otext: pad index %d out of range [0,%d)", j, d.b.m))
-	}
-	d.row = d.b.q.Row(j)
-	d.h.Index(d.b.base + uint64(j))
-}
-
-// XORPads XORs the pads of candidates 0..n-1 of the selected OT into dst,
-// which it splits into n equal spans: candidate v's pad into span v. n is
-// at most the code's N; an OT of a smaller fragment asks for fewer.
-func (d *SenderDeriver) XORPads(dst []byte, n int) {
-	d.h.XORPads(dst, d.row, d.b.masks[:n*len(d.row)])
+// XORPadsRun XORs into dst the n-byte pads of candidates 0..cands-1 of
+// the OTs j, j+1, ..., candidate v of OT j+i at dst[(i*cands+v)*n:]:
+// len(dst)/(cands*n) OTs, all in the block. cands is at most the code's
+// N; an OT of a smaller fragment asks for fewer. A run of one OT is one
+// OT's pads.
+func (d *SenderDeriver) XORPadsRun(dst []byte, n, j, cands int) {
+	stride := d.b.q.Stride
+	k := runLength(len(dst), n*cands, j, d.b.m)
+	d.h.XORPadsRun(dst, n, d.b.base+uint64(j), d.b.q.Data[j*stride:(j+k)*stride], d.b.masks[:cands*stride])
 }
 
 // ReceiverDeriver is the receiving side's SenderDeriver: the one pad per
 // OT valid for the choice made at that index, H(session, counter_j, t_j).
 type ReceiverDeriver struct {
-	b   *ReceiverBlock
-	h   prg.Deriver
-	row []byte // t_j of the OT Seek selected
+	b *ReceiverBlock
+	h prg.Deriver
 }
 
 // NewDeriver returns a deriver over b, one per goroutine.
@@ -333,22 +325,21 @@ func (b *ReceiverBlock) NewDeriver() *ReceiverDeriver {
 	return &ReceiverDeriver{b: b, h: oracle.Deriver(b.r.session, 0, b.t.Stride)}
 }
 
-// Seek selects OT index j for the following PadInto and XORPad calls.
-func (d *ReceiverDeriver) Seek(j int) {
-	if j < 0 || j >= d.b.m {
-		panic(fmt.Sprintf("otext: pad index %d out of range [0,%d)", j, d.b.m))
-	}
-	d.row = d.b.t.Row(j)
-	d.h.Index(d.b.base + uint64(j))
+// XORPadsRun XORs into dst the n-byte pads of the OTs j, j+1, ..., OT
+// j+i's at dst[i*n:]: len(dst)/n OTs, all in the block.
+func (d *ReceiverDeriver) XORPadsRun(dst []byte, n, j int) {
+	stride := d.b.t.Stride
+	k := runLength(len(dst), n, j, d.b.m)
+	d.h.XORPadsRun(dst, n, d.b.base+uint64(j), d.b.t.Data[j*stride:(j+k)*stride], nil)
 }
 
-// XORPad XORs len(dst) pad bytes of the selected OT into dst.
-func (d *ReceiverDeriver) XORPad(dst []byte) { d.h.XORPad(dst, d.row) }
-
-// PadInto overwrites dst with pad bytes of the selected OT.
-func (d *ReceiverDeriver) PadInto(dst []byte) {
-	clear(dst)
-	d.XORPad(dst)
+// runLength returns the number of OTs whose pads, per bytes each, fill
+// dstLen bytes from OT j, and panics unless they are OTs of a block of m.
+func runLength(dstLen, per, j, m int) int {
+	if per < 1 || dstLen%per != 0 || j < 0 || j+dstLen/per > m {
+		panic(fmt.Sprintf("otext: %d pad bytes from OT %d are not whole OTs of %d bytes in [0,%d)", dstLen, j, per, m))
+	}
+	return dstLen / per
 }
 
 // Choice returns the receiver's choice at index j.

@@ -27,7 +27,7 @@ func (c *countingBlock) Encrypt(dst, src []byte) {
 // 1 + ceil(w/128) — 9 and 3 at 4(2,2), where the oracle that finalised
 // and expanded every pad paid 18 and 6 — plus ceil(n/16) expansion calls
 // per pad only when n > 16; and the header block is paid once per
-// deriver, not once per Seek.
+// deriver, not once per OT of a run.
 func TestPadOperationCounts(t *testing.T) {
 	counter := &countingBlock{Block: oracle.Block}
 	old := oracle
@@ -61,24 +61,18 @@ func TestPadOperationCounts(t *testing.T) {
 			if padBytes > 16 {
 				expand = (padBytes + 15) / 16
 			}
-			pad, pads := make([]byte, padBytes), make([]byte, c.n*padBytes)
+			pad, pads := make([]byte, m*padBytes), make([]byte, m*c.n*padBytes)
 
 			counter.calls = 0
 			sd := sb.NewDeriver()
-			for j := 0; j < m; j++ {
-				sd.Seek(j)
-				sd.XORPads(pads, c.n)
-			}
+			sd.XORPadsRun(pads, padBytes, 0, c.n)
 			if perOT := 1 + c.n*(rowBlocks+expand); counter.calls != 1+m*perOT {
 				t.Errorf("N=%d w=%d n=%d: sender made %d AES calls over %d OTs, want 1 header + %d x %d", c.n, c.w, padBytes, counter.calls, m, m, perOT)
 			}
 
 			counter.calls = 0
 			rd := rb.NewDeriver()
-			for j := 0; j < m; j++ {
-				rd.Seek(j)
-				rd.XORPad(pad)
-			}
+			rd.XORPadsRun(pad, padBytes, 0)
 			if perOT := 1 + rowBlocks + expand; counter.calls != 1+m*perOT {
 				t.Errorf("N=%d w=%d n=%d: receiver made %d AES calls over %d OTs, want 1 header + %d x %d", c.n, c.w, padBytes, counter.calls, m, m, perOT)
 			}

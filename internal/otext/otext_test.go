@@ -126,24 +126,20 @@ func TestCodeForSelection(t *testing.T) {
 
 // senderPad and receiverPad derive one pad through a fresh deriver.
 func senderPad(b *SenderBlock, j, v, n int) []byte {
-	d := b.NewDeriver()
-	d.Seek(j)
-	return candidates(d, v+1, n)[v*n:]
+	return candidates(b.NewDeriver(), j, v+1, n)[v*n:]
 }
 
-// candidates returns the pads of candidates 0..cands-1 of the selected
-// OT, n bytes each, back to back.
-func candidates(d *SenderDeriver, cands, n int) []byte {
+// candidates returns the pads of candidates 0..cands-1 of OT j, n bytes
+// each, back to back: a run of one OT.
+func candidates(d *SenderDeriver, j, cands, n int) []byte {
 	out := make([]byte, cands*n)
-	d.XORPads(out, cands)
+	d.XORPadsRun(out, n, j, cands)
 	return out
 }
 
 func receiverPad(b *ReceiverBlock, j, n int) []byte {
-	d := b.NewDeriver()
-	d.Seek(j)
 	out := make([]byte, n)
-	d.PadInto(out)
+	b.NewDeriver().XORPadsRun(out, n, j)
 	return out
 }
 
@@ -191,14 +187,11 @@ func TestDeriversMatchOracleDefinition(t *testing.T) {
 		rd := rb.NewDeriver()
 		for j := m - 1; j >= 1; j-- {
 			ots := [2]int{j, j - 1}
-			for i, d := range sd {
-				d.Seek(ots[i])
-			}
 			for step := 0; step < 4; step++ {
 				cands := n - step*3%n // every candidate, then a prefix of them
 				for i, d := range sd {
 					nbytes := 1 + (step*7+j)%40
-					got := candidates(d, cands, nbytes)
+					got := candidates(d, ots[i], cands, nbytes)
 					for v := 0; v < cands; v++ {
 						if !bytes.Equal(got[v*nbytes:(v+1)*nbytes], wantSender(ots[i], v, nbytes)) {
 							t.Fatalf("n=%d OT %d candidate %d: sender pad differs from its definition", n, ots[i], v)
@@ -206,9 +199,8 @@ func TestDeriversMatchOracleDefinition(t *testing.T) {
 					}
 				}
 			}
-			rd.Seek(j)
 			got := make([]byte, 24)
-			rd.PadInto(got)
+			rd.XORPadsRun(got, 24, j)
 			if want := oracle.Hash(rcv.session, rb.base+uint64(j), 0, rb.t.Row(j), 24); !bytes.Equal(got, want) {
 				t.Fatalf("n=%d OT %d: receiver pad differs from its definition", n, j)
 			}
@@ -242,15 +234,12 @@ func TestPadDerivationAllocatesNothing(t *testing.T) {
 		t.Fatalf("extend failed: %v", err)
 	}
 	sd, rd := sb.NewDeriver(), rb.NewDeriver()
-	pad, pads := make([]byte, 20), make([]byte, n*20)
+	pads, long := make([]byte, m*n*4), make([]byte, m*n*20)
 	allocs := testing.AllocsPerRun(3, func() {
-		for j := 0; j < m; j++ {
-			sd.Seek(j)
-			sd.XORPads(pads, n)
-			sd.XORPads(pads[:n*4], n)
-			rd.Seek(j)
-			rd.PadInto(pad)
-		}
+		sd.XORPadsRun(pads, 4, 0, n)
+		sd.XORPadsRun(long, 20, 0, n)
+		rd.XORPadsRun(pads[:m*16], 16, 0)
+		rd.XORPadsRun(long[:m*20], 20, 0)
 	})
 	if allocs != 0 {
 		t.Fatalf("deriving the pads of %d OTs made %v allocations, want 0", m, allocs)
@@ -276,13 +265,15 @@ func TestDeriverSeekOutOfRangePanics(t *testing.T) {
 	}
 	// Index 3 exists in the padded matrix but is not an OT of the block.
 	for name, seek := range map[string]func(){
-		"sender":   func() { sb.NewDeriver().Seek(3) },
-		"receiver": func() { rb.NewDeriver().Seek(-1) },
+		"sender":    func() { sb.NewDeriver().XORPadsRun(make([]byte, 8), 4, 3, 2) },
+		"senderRun": func() { sb.NewDeriver().XORPadsRun(make([]byte, 24), 4, 1, 2) },
+		"receiver":  func() { rb.NewDeriver().XORPadsRun(make([]byte, 4), 4, -1) },
+		"partial":   func() { rb.NewDeriver().XORPadsRun(make([]byte, 6), 4, 0) },
 	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("%s: Seek out of range did not panic", name)
+					t.Errorf("%s: a run out of range did not panic", name)
 				}
 			}()
 			seek()

@@ -51,15 +51,13 @@ func BenchmarkFastOracleHash(b *testing.B) {
 // 1-out-of-4 OT; one op is one candidate pad.
 func BenchmarkDeriverXORPad(b *testing.B) {
 	data := make([]byte, 32)
+	masks := make([]byte, 4*len(data))
 	d := NewFastOracle("bench").Deriver(1, 0, len(data))
-	var pad [16]byte
+	var pads [4 * 16]byte
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if i%4 == 0 {
-			d.Index(uint64(i))
-		}
-		d.XORPad(pad[:], data)
+	for i := 0; i < b.N; i += 4 {
+		d.XORPadsRun(pads[:], 16, uint64(i), data, masks)
 	}
 }
 

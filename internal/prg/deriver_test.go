@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"testing"
+	"unsafe"
 
 	"abnn2/internal/ring"
 )
@@ -53,10 +54,10 @@ func referenceHash(o *FastOracle, session, index, tweak uint64, data []byte, n i
 	return out[:n]
 }
 
-// derive is one query through a Deriver whose index is set.
-func derive(d *Deriver, data []byte, n int) []byte {
+// derive is one query through a Deriver: a run of one OT.
+func derive(d *Deriver, index uint64, data []byte, n int) []byte {
 	out := make([]byte, n)
-	d.XORPad(out, data)
+	d.XORPadsRun(out, n, index, data, nil)
 	return out
 }
 
@@ -71,14 +72,13 @@ func TestDeriverMatchesReference(t *testing.T) {
 	for dataLen := 0; dataLen <= 80; dataLen++ {
 		session, index, tweak := g.Uint64(), g.Uint64(), g.Uint64()>>32
 		d := o.Deriver(session, tweak, dataLen)
-		d.Index(index)
 		for n := 1; n <= 100; n++ {
 			data := g.Bytes(dataLen)
 			want := referenceHash(o, session, index, tweak, data, n)
 			if got := o.Hash(session, index, tweak, data, n); !bytes.Equal(got, want) {
 				t.Fatalf("Hash differs from reference at dataLen=%d n=%d", dataLen, n)
 			}
-			if got := derive(&d, data, n); !bytes.Equal(got, want) {
+			if got := derive(&d, index, data, n); !bytes.Equal(got, want) {
 				t.Fatalf("Deriver differs from reference at dataLen=%d n=%d", dataLen, n)
 			}
 		}
@@ -102,19 +102,15 @@ func TestDeriverOrderAndInterleaving(t *testing.T) {
 		}
 	}
 	d := [2]Deriver{o.Deriver(7, 0, 32), o.Deriver(7, 0, 32)}
-	for ot := range d {
-		d[ot].Index(uint64(100 + ot))
-	}
 	for _, v := range []int{7, 6, 5, 4, 3, 2, 1, 0, 3, 3, 0, 7} {
 		for ot := range d {
-			if got := derive(&d[ot], data[ot][v], n); !bytes.Equal(got, want[ot][v]) {
+			if got := derive(&d[ot], uint64(100+ot), data[ot][v], n); !bytes.Equal(got, want[ot][v]) {
 				t.Fatalf("OT %d candidate %d differs from reference", ot, v)
 			}
 		}
 	}
-	// A new index replaces the old one completely.
-	d[0].Index(101)
-	if got := derive(&d[0], data[1][2], n); !bytes.Equal(got, want[1][2]) {
+	// Another index is another query, whichever Deriver asks it.
+	if got := derive(&d[0], 101, data[1][2], n); !bytes.Equal(got, want[1][2]) {
 		t.Fatal("re-indexed Deriver differs from reference")
 	}
 }
@@ -122,13 +118,12 @@ func TestDeriverOrderAndInterleaving(t *testing.T) {
 func TestDeriverXORsIntoDst(t *testing.T) {
 	o := NewFastOracle("deriver-test")
 	d := o.Deriver(1, 3, 5)
-	d.Index(2)
 	for n := 1; n <= 40; n++ {
 		dst := New(SeedFromInt(uint64(n))).Bytes(n)
 		want := XORBytes(make([]byte, n), dst, referenceHash(o, 1, 2, 3, []byte("hello"), n))
-		d.XORPad(dst, []byte("hello"))
+		d.XORPadsRun(dst, n, 2, []byte("hello"), nil)
 		if !bytes.Equal(dst, want) {
-			t.Fatalf("n=%d: XORPad did not XOR the pad into dst", n)
+			t.Fatalf("n=%d: XORPadsRun did not XOR the pad into dst", n)
 		}
 	}
 }
@@ -147,7 +142,6 @@ func TestDeriverXORPadsMatchesReference(t *testing.T) {
 			d := o.Deriver(session, tweak, w)
 			for _, n := range []int{1, 4, 8, 16, 17, 33, 64} {
 				index := g.Uint64()
-				d.Index(index)
 				row, masks := g.Bytes(w), g.Bytes(cands*w)
 				dst := g.Bytes(cands * n)
 				want := append([]byte(nil), dst...)
@@ -156,12 +150,12 @@ func TestDeriverXORPadsMatchesReference(t *testing.T) {
 					XORBytes(want[v*n:(v+1)*n], want[v*n:(v+1)*n], referenceHash(o, session, index, tweak, data, n))
 				}
 				other := 8 + 16*(n&1^1) // a single pad of the other shape first
-				if got := derive(&d, row, other); !bytes.Equal(got, referenceHash(o, session, index, tweak, row, other)) {
+				if got := derive(&d, index, row, other); !bytes.Equal(got, referenceHash(o, session, index, tweak, row, other)) {
 					t.Fatalf("N=%d w=%d n=%d: single pad differs from reference", cands, w, n)
 				}
-				d.XORPads(dst, row, masks)
+				d.XORPadsRun(dst, n, index, row, masks)
 				if !bytes.Equal(dst, want) {
-					t.Fatalf("N=%d w=%d n=%d: XORPads differs from reference", cands, w, n)
+					t.Fatalf("N=%d w=%d n=%d: XORPadsRun differs from reference", cands, w, n)
 				}
 			}
 		}
@@ -174,14 +168,25 @@ func TestDeriverXORPadsMatchesReference(t *testing.T) {
 func TestDeriverPanicsOnWrongDataLength(t *testing.T) {
 	o := NewFastOracle("deriver-test")
 	for name, f := range map[string]func(){
-		"data":    func() { d := o.Deriver(1, 3, 16); d.XORPad(make([]byte, 8), make([]byte, 15)) },
+		"data":    func() { d := o.Deriver(1, 3, 16); d.XORPadsRun(make([]byte, 8), 8, 2, make([]byte, 15), nil) },
 		"tweak":   func() { o.Hash(1, 2, 1<<32, nil, 8) },
 		"dataLen": func() { o.Deriver(1, 0, 1<<31) },
-		"row":     func() { d := o.Deriver(1, 3, 16); d.XORPads(make([]byte, 8), make([]byte, 15), make([]byte, 30)) },
-		"masks":   func() { d := o.Deriver(1, 3, 16); d.XORPads(make([]byte, 8), make([]byte, 16), make([]byte, 40)) },
-		"noMasks": func() { d := o.Deriver(1, 3, 16); d.XORPads(nil, make([]byte, 16), nil) },
-		"dst":     func() { d := o.Deriver(1, 3, 16); d.XORPads(make([]byte, 9), make([]byte, 16), make([]byte, 32)) },
-		"noRow":   func() { d := o.Deriver(1, 3, 0); d.XORPads(make([]byte, 8), nil, nil) },
+		"row": func() {
+			d := o.Deriver(1, 3, 16)
+			d.XORPadsRun(make([]byte, 8), 4, 2, make([]byte, 15), make([]byte, 30))
+		},
+		"masks": func() {
+			d := o.Deriver(1, 3, 16)
+			d.XORPadsRun(make([]byte, 8), 4, 2, make([]byte, 16), make([]byte, 40))
+		},
+		"noMasks": func() { d := o.Deriver(1, 3, 16); d.XORPadsRun(make([]byte, 8), 4, 2, make([]byte, 16), []byte{}) },
+		"dst": func() {
+			d := o.Deriver(1, 3, 16)
+			d.XORPadsRun(make([]byte, 9), 4, 2, make([]byte, 16), make([]byte, 32))
+		},
+		"noRow": func() { d := o.Deriver(1, 3, 0); d.XORPadsRun(make([]byte, 8), 8, 2, nil, make([]byte, 8)) },
+		"run":   func() { d := o.Deriver(1, 3, 16); d.XORPadsRun(make([]byte, 16), 8, 2, make([]byte, 16), nil) },
+		"n":     func() { d := o.Deriver(1, 3, 16); d.XORPadsRun(nil, 0, 2, nil, nil) },
 	} {
 		func() {
 			defer func() {
@@ -195,7 +200,7 @@ func TestDeriverPanicsOnWrongDataLength(t *testing.T) {
 }
 
 // FuzzPadDeriverMatchesHash: for any query, Hash, a Deriver that has
-// already served another query, and its lockstep XORPads over candidates
+// already served another query, and its lockstep run of one OT over candidates
 // of the query's data yield the frozen reference's bytes. The
 // header argument carries session, index, tweak (8 bytes each, the tweak
 // cut to the 32 bits the header block has for it) and the output length
@@ -223,11 +228,9 @@ func FuzzPadDeriverMatchesHash(f *testing.F) {
 		// A Deriver that has served another index, at the short or the
 		// long output shape, then the query twice.
 		reused := o.Deriver(session, tweak, len(data))
-		reused.Index(index + 1)
-		derive(&reused, data, 8+16*(n&1))
-		reused.Index(index)
+		derive(&reused, index+1, data, 8+16*(n&1))
 		for rep := 0; rep < 2; rep++ {
-			if got := derive(&reused, data, n); !bytes.Equal(got, want) {
+			if got := derive(&reused, index, data, n); !bytes.Equal(got, want) {
 				t.Fatalf("reused Deriver differs from reference (dataLen=%d n=%d rep=%d)", len(data), n, rep)
 			}
 		}
@@ -242,13 +245,160 @@ func FuzzPadDeriverMatchesHash(f *testing.F) {
 			masks = append(masks, bytes.Repeat([]byte{v * 0x3B}, len(data))...)
 		}
 		pads := make([]byte, cands*n)
-		reused.XORPads(pads, data, masks)
+		reused.XORPadsRun(pads, n, index, data, masks)
 		for v := 0; v < cands; v++ {
 			cand := XORBytes(make([]byte, len(data)), data, masks[v*len(data):(v+1)*len(data)])
 			if !bytes.Equal(pads[v*n:(v+1)*n], referenceHash(o, session, index, tweak, cand, n)) {
 				t.Fatalf("lockstep candidate %d differs from reference (dataLen=%d n=%d)", v, len(data), n)
 			}
 		}
+	})
+}
+
+// checkRun derives a run of k OTs through o's and through the counted
+// literal's Derivers — the pad kernel where the host has it, and the
+// portable path — into the same non-zero dst, and holds both to the
+// frozen reference, OT by OT and candidate by candidate. masks nil is the
+// receiver's shape, one pad of the row per OT.
+func checkRun(t *testing.T, o *FastOracle, session, first, tweak uint64, rows, masks, dst []byte, n, k int) {
+	t.Helper()
+	w := len(rows) / k
+	cands := 1
+	if masks != nil {
+		cands = len(masks) / w
+	}
+	want := append([]byte(nil), dst...)
+	for i := 0; i < k; i++ {
+		for v := 0; v < cands; v++ {
+			data := append([]byte(nil), rows[i*w:(i+1)*w]...)
+			if masks != nil {
+				XORBytes(data, data, masks[v*w:(v+1)*w])
+			}
+			span := want[(i*cands+v)*n : (i*cands+v+1)*n]
+			XORBytes(span, span, referenceHash(o, session, first+uint64(i), tweak, data, n))
+		}
+	}
+	for name, oracle := range map[string]*FastOracle{"kernel": o, "portable": {Block: o.Block}} {
+		d := oracle.Deriver(session, tweak, w)
+		got := append([]byte(nil), dst...)
+		d.XORPadsRun(got, n, first, rows, masks)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: w=%d cands=%d n=%d k=%d first=%#x: run differs from reference", name, w, cands, n, k, first)
+		}
+	}
+}
+
+// TestXORPadsRunMatchesReference holds the run form to the frozen
+// reference over every row width from 1 to 40 bytes, 1 to 8 candidates
+// (and masks nil), pads of both shapes and runs of 1 to 33 OTs, then
+// sweeps the pad kernel's own shapes — 16- and 24-byte rows, every short
+// pad length, every run length, so that every group count and tail
+// occurs — with indices that wrap past 2^64 among them.
+func TestXORPadsRunMatchesReference(t *testing.T) {
+	o := NewFastOracle("run-test")
+	g := New(SeedFromInt(44))
+	run := func(w, cands, n, k int, first uint64) {
+		rows, dst := g.Bytes(k*w), g.Bytes(k*max(cands, 1)*n)
+		var masks []byte
+		if cands > 0 {
+			masks = g.Bytes(cands * w)
+		}
+		checkRun(t, o, g.Uint64(), first, g.Uint64()>>32, rows, masks, dst, n, k)
+	}
+	step := 0
+	for w := 1; w <= 40; w++ {
+		for cands := 0; cands <= 8; cands++ {
+			for _, n := range []int{1, 4, 8, 15, 16, 17, 33, 64} {
+				step++
+				run(w, cands, n, 1+step*7%33, g.Uint64())
+			}
+		}
+	}
+	for _, w := range []int{16, 24} {
+		for _, cands := range []int{0, 1, 2, 3, 4, 5, 8} {
+			for n := 1; n <= 16; n++ {
+				for k := 1; k <= 33; k++ {
+					first := g.Uint64()
+					if k%4 == 0 {
+						first = -uint64(1 + g.Intn(8)) // within 8 of 2^64
+					}
+					run(w, cands, n, k, first)
+				}
+			}
+		}
+	}
+}
+
+// TestPadRunLayout: the pad kernel reads padRun by the byte offsets
+// perm_amd64.s names; a field that moves must move there too.
+func TestPadRunLayout(t *testing.T) {
+	var r padRun
+	for _, f := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"g", unsafe.Offsetof(r.g), 0},
+		{"groups", unsafe.Offsetof(r.groups), 16},
+		{"blocks", unsafe.Offsetof(r.blocks), 24},
+		{"n", unsafe.Offsetof(r.n), 32},
+		{"rowStep", unsafe.Offsetof(r.rowStep), 40},
+		{"dstStep", unsafe.Offsetof(r.dstStep), 48},
+		{"otStep", unsafe.Offsetof(r.otStep), 56},
+		{"usedBytes", unsafe.Offsetof(r.usedBytes), 64},
+		{"lane", unsafe.Offsetof(r.lane), 72},
+		{"lane size", unsafe.Sizeof(r.lane[0]), 24},
+	} {
+		if f.got != f.want {
+			t.Errorf("padRun.%s at %d, the kernel reads it at %d", f.name, f.got, f.want)
+		}
+	}
+}
+
+// FuzzPadRunMatchesHash: any run — row width, candidates (or masks nil),
+// pad length, run length and first index from the header, rows and masks
+// from the data cycled — derives the frozen reference's bytes through the
+// kernel and the portable path alike, XORed into a dst that is not zero.
+// The header carries session and first index (8 bytes each), then one
+// byte each of width (mod 41), candidates (mod 9, 0 for masks nil), pad
+// length (mod 64, plus 1) and run length (mod 33, plus 1), zero-extended
+// when short.
+func FuzzPadRunMatchesHash(f *testing.F) {
+	shape := func(first uint64, w, cands, n, k byte) []byte {
+		h := make([]byte, 20)
+		binary.LittleEndian.PutUint64(h[0:], 0xC0FFEE)
+		binary.LittleEndian.PutUint64(h[8:], first)
+		h[16], h[17], h[18], h[19] = w, cands, n-1, k-1
+		return h
+	}
+	f.Add(shape(1<<20, 24, 4, 4, 32), []byte("one-batch client at N = 4"))
+	f.Add(shape(1<<20, 24, 0, 16, 32), []byte("one-batch server at N = 4"))
+	f.Add(shape(0, 16, 2, 16, 9), []byte("GC label OTs"))
+	f.Add(shape(77, 24, 3, 8, 5), []byte("ternary"))
+	f.Add(shape(^uint64(0)-3, 16, 1, 16, 17), []byte{0xFF})
+	f.Add(shape(5, 40, 5, 64, 3), []byte{})
+	o := NewFastOracle("run-fuzz")
+	f.Fuzz(func(t *testing.T, header, data []byte) {
+		var hdr [20]byte
+		copy(hdr[:], header)
+		session := binary.LittleEndian.Uint64(hdr[0:])
+		first := binary.LittleEndian.Uint64(hdr[8:])
+		w, cands := int(hdr[16])%41, int(hdr[17])%9
+		n, k := int(hdr[18])%64+1, int(hdr[19])%33+1
+		if w == 0 {
+			cands = 0 // masks need a row to mask
+		}
+		material := make([]byte, k*w+cands*w+k*max(cands, 1)*n)
+		for i := range material {
+			if len(data) > 0 {
+				material[i] = data[i%len(data)] ^ byte(i)
+			}
+		}
+		rows, rest := material[:k*w], material[k*w:]
+		var masks []byte
+		if cands > 0 {
+			masks, rest = rest[:cands*w], rest[cands*w:]
+		}
+		checkRun(t, o, session, first, 9, rows, masks, rest, n, k)
 	})
 }
 

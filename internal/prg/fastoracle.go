@@ -45,35 +45,56 @@ func NewFastOracle(label string) *FastOracle {
 // Hash returns n oracle bytes for the query (session, index, tweak, data).
 func (o *FastOracle) Hash(session, index, tweak uint64, data []byte, n int) []byte {
 	d := o.Deriver(session, tweak, len(data))
-	d.Index(index)
 	out := make([]byte, n)
-	d.XORPad(out, data)
+	d.XORPadsRun(out, n, index, data, nil)
 	return out
 }
 
 // Deriver evaluates a FastOracle over one block of OTs: it is made for
-// what the block's queries share, Index selects the OT, and every XORPad
-// or XORPads resumes from g_j. g_blk and g_j depend on the output shape,
-// which only the pad call learns, so the first one that needs one computes
-// it: one AES call per shape per Deriver, one per shape per Index, and
-// then a pad costs its data blocks (and its expansion when n > 16). The
-// output is exactly FastOracle.Hash of the same query.
+// what the block's queries share, and XORPadsRun derives the pads of a
+// run of its OTs. g_blk depends on the output shape, which only the pad
+// call learns, so the first run of a shape computes it: one AES call per
+// shape per Deriver, then one per OT for g_j, and then a pad costs its
+// data blocks (and its expansion when n > 16). The output is exactly
+// FastOracle.Hash of the same query.
 //
-// Independent blocks go to the permutation together: the N candidates of
-// XORPads absorb each data block in one call per four candidates, and
+// Independent blocks go to the permutation together. On amd64 with
+// AES-NI a run of short pads over 16- or 24-byte rows takes the pad
+// kernel: eight lanes per call, a lane being one candidate of one OT, and
+// the index, data and feed-forward steps of all eight done in registers.
+// Everything else takes the portable path, one OT at a time: its N
+// candidates absorb each data block in one call per four candidates, and
 // expansion blocks, of one pad or of several, go four per call. Chaining
 // values are two little-endian words, so absorbing and expanding are word
 // XORs around the AES call. One Deriver serves one goroutine.
 type Deriver struct {
-	perm                 *Perm
-	session, meta, index uint64 // meta: the header word with short clear
-	dataLen              int    // data length the header commits to
-	blk                  [2][2]uint64
-	blkOK                [2]bool // blk[short] holds g_blk
-	g0, g1               uint64
-	shape                int // g0, g1 are g_j at short = shape; -1: not computed
-	lanes                Lanes
+	perm          *Perm
+	session, meta uint64 // meta: the header word with short clear
+	dataLen       int    // data length the header commits to
+	blk           [2][2]uint64
+	blkOK         [2]bool // blk[short] holds g_blk
+	lanes         Lanes
+	run           padRun
 }
+
+// padRun is what the pad kernel reads of a run: g_blk, how many 8-lane
+// groups there are and how far each moves through rows, dst and the
+// indices, and for every lane its OT within the group and the offsets of
+// its row and mask. Every field is a word, at the offset perm_amd64.s
+// names it by.
+type padRun struct {
+	g              [2]uint64
+	groups, blocks uint64 // blocks: data blocks per row, 1 or 2
+	n              uint64 // pad bytes
+	rowStep        uint64
+	dstStep        uint64
+	otStep         uint64
+	usedBytes      uint64 // 16 per lane written out
+	lane           [8]struct{ ot, row, mask uint64 }
+}
+
+// zeroMask is the kernel's mask when a run has none: one 24-byte row's.
+var zeroMask [24]byte
 
 // Deriver returns a Deriver for the queries (session, *, tweak, data of
 // dataLen bytes), by value so that a caller's per-goroutine state can
@@ -86,7 +107,7 @@ func (o *FastOracle) Deriver(session, tweak uint64, dataLen int) Deriver {
 	if p == nil {
 		p = WrapBlock(o.Block)
 	}
-	return Deriver{perm: p, session: session, meta: tweak<<32 | uint64(dataLen)<<1, dataLen: dataLen, shape: -1}
+	return Deriver{perm: p, session: session, meta: tweak<<32 | uint64(dataLen)<<1, dataLen: dataLen}
 }
 
 // absorb returns the chaining value pi(h XOR b) XOR h XOR b.
@@ -98,66 +119,84 @@ func (d *Deriver) absorb(h0, h1, b0, b1 uint64) (uint64, uint64) {
 	return e0 ^ x0, e1 ^ x1
 }
 
-// Index selects the query index — the OT — of the following pad calls.
-func (d *Deriver) Index(index uint64) { d.index, d.shape = index, -1 }
+// header returns g_blk for the output shape.
+func (d *Deriver) header(short int) (uint64, uint64) {
+	if !d.blkOK[short] {
+		d.blk[short][0], d.blk[short][1] = d.absorb(0, 0, d.session, d.meta|uint64(short))
+		d.blkOK[short] = true
+	}
+	return d.blk[short][0], d.blk[short][1]
+}
 
-// chain leaves g_j for n-byte outputs in g0, g1 and reports whether that
-// shape is short.
-func (d *Deriver) chain(n int) bool {
+// XORPadsRun XORs into dst the n-byte pads of a run of k OTs whose
+// indices are first, first+1, ... (mod 2^64) and whose rows lie back to
+// back in rows, dataLen bytes each. OT i's queries are (header, first+i,
+// row_i XOR mask_v) for the cands masks held back to back in masks, or
+// the single query (header, first+i, row_i) when masks is nil. Pads are
+// OT-major: candidate v of OT i is at dst[(i*cands+v)*n:], so k is
+// len(dst)/(cands*n).
+func (d *Deriver) XORPadsRun(dst []byte, n int, first uint64, rows, masks []byte) {
+	w, cands := d.dataLen, 1
+	if masks != nil && w != 0 {
+		cands = len(masks) / w
+	}
+	if n < 1 || cands < 1 || masks != nil && (w == 0 || cands*w != len(masks)) ||
+		len(dst)%(cands*n) != 0 || len(rows) != len(dst)/(cands*n)*w {
+		panic(fmt.Sprintf("prg: %d pad bytes of %d, %d row bytes, %d mask bytes, header says %d", len(dst), n, len(rows), len(masks), w))
+	}
+	k := len(dst) / (cands * n)
+	if k == 0 {
+		return
+	}
 	short := 0
 	if n <= 16 {
 		short = 1
 	}
-	if d.shape != short {
-		if !d.blkOK[short] {
-			d.blk[short][0], d.blk[short][1] = d.absorb(0, 0, d.session, d.meta|uint64(short))
-			d.blkOK[short] = true
-		}
-		d.g0, d.g1 = d.absorb(d.blk[short][0], d.blk[short][1], d.index, 0)
-		d.shape = short
+	g0, g1 := d.header(short)
+	i := 0
+	if ots := 8 / cands; d.perm.kernel && short == 1 && (w == 16 || w == 24) && ots > 0 && k >= ots {
+		i = d.kernelRun(dst, n, first, rows, masks, cands, ots, k)
 	}
-	return short == 1
+	for ; i < k; i++ {
+		c0, c1 := d.absorb(g0, g1, first+uint64(i), 0)
+		d.pads(dst[i*cands*n:(i+1)*cands*n], n, cands, c0, c1, rows[i*w:(i+1)*w], masks)
+	}
 }
 
-// XORPad XORs len(dst) oracle bytes for the query (header, index, data)
-// into dst. len(data) must be the Deriver's dataLen.
-func (d *Deriver) XORPad(dst, data []byte) {
-	if len(data) != d.dataLen {
-		panic(fmt.Sprintf("prg: Deriver data is %d bytes, header says %d", len(data), d.dataLen))
-	}
-	d.pads(dst, len(dst), data, nil)
-}
-
-// XORPads XORs the pads of N queries that differ only in their data,
-// (header, index, row XOR mask_v) for v < N, into dst: masks holds the N
-// masks back to back and dst the N pads, len(dst)/N bytes each, pad v at
-// offset v*len(dst)/N. len(row) must be the Deriver's dataLen, not 0.
-func (d *Deriver) XORPads(dst, row, masks []byte) {
-	cands := 0
-	if len(row) != 0 {
-		cands = len(masks) / len(row)
-	}
-	if len(row) != d.dataLen || cands == 0 || cands*len(row) != len(masks) || len(dst)%cands != 0 {
-		panic(fmt.Sprintf("prg: %d pad bytes, %d mask bytes for a %d-byte row, header says %d", len(dst), len(masks), len(row), d.dataLen))
-	}
-	d.pads(dst, len(dst)/cands, row, masks)
-}
-
-// pads XORs into dst, n bytes each, the pads of the queries whose data are
-// row XOR the masks in turn, or row alone when masks is nil: four
-// candidates in lockstep, one permutation call per data block.
-func (d *Deriver) pads(dst []byte, n int, row, masks []byte) {
-	short := d.chain(n)
+// kernelRun derives the pads of the whole groups of a run through the pad
+// kernel, ots OTs to a group, and returns how many OTs it did.
+func (d *Deriver) kernelRun(dst []byte, n int, first uint64, rows, masks []byte, cands, ots, k int) int {
 	w := d.dataLen
-	cands := 1
-	if masks != nil {
-		cands = len(masks) / w
+	r := &d.run
+	r.g = d.blk[1]
+	r.groups, r.blocks, r.n = uint64(k/ots), uint64(w+15)/16, uint64(n)
+	r.rowStep, r.dstStep, r.otStep = uint64(ots*w), uint64(ots*cands*n), uint64(ots)
+	r.usedBytes = uint64(16 * ots * cands)
+	if masks == nil {
+		masks = zeroMask[:]
 	}
+	for l := range r.lane {
+		i, v := l/cands, l%cands
+		if i >= ots { // an unused lane: any in-bounds inputs do
+			i, v = 0, 0
+		}
+		r.lane[l] = struct{ ot, row, mask uint64 }{uint64(i), uint64(i * w), uint64(v * w)}
+	}
+	padKernel(&d.perm.rk, r, &rows[0], &masks[0], &dst[0], first)
+	return k / ots * ots
+}
+
+// pads XORs into dst, n bytes each, the pads of one OT's cands queries
+// from its g_j (g0, g1): the data are row XOR the masks in turn, or row
+// alone when masks is nil, four candidates in lockstep, one permutation
+// call per data block.
+func (d *Deriver) pads(dst []byte, n, cands int, g0, g1 uint64, row, masks []byte) {
+	w := d.dataLen
 	for v0 := 0; v0 < cands; v0 += 4 {
 		k := min(4, cands-v0)
 		var c [4][2]uint64
 		for l := range c[:k] {
-			c[l] = [2]uint64{d.g0, d.g1}
+			c[l] = [2]uint64{g0, g1}
 		}
 		// Data blocks, the last one zero-padded.
 		for off := 0; off < w; off += 16 {
@@ -180,7 +219,7 @@ func (d *Deriver) pads(dst []byte, n int, row, masks []byte) {
 			}
 		}
 		out := dst[v0*n : (v0+k)*n]
-		if short {
+		if n <= 16 {
 			for l := range c[:k] {
 				xorBlock(out[l*n:(l+1)*n], c[l][0], c[l][1])
 			}

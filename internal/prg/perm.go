@@ -7,8 +7,8 @@ import (
 	"fmt"
 )
 
-// Perm is a fixed-key AES-128 permutation evaluated on up to four
-// independent blocks per call. One AES block costs about as much as four
+// Perm is a fixed-key AES-128 permutation evaluated on up to eight
+// independent blocks per call. One AES block costs about as much as eight
 // interleaved ones, because a single block waits out each round's
 // latency; callers that hold independent blocks (the N candidate pads of
 // an OT, the four hashes of an AND gate) hand them over together.
@@ -27,7 +27,7 @@ type Perm struct {
 // Lanes holds a Perm call's blocks, encrypted in place. Callers keep it
 // in state that is already on the heap: the portable path hands the lanes
 // to a cipher.Block, through which a stack buffer would escape.
-type Lanes [4][16]byte
+type Lanes [8][16]byte
 
 // NewPerm returns AES-128 under key, which must be 16 bytes.
 func NewPerm(key []byte) *Perm {
@@ -46,7 +46,7 @@ func NewPerm(key []byte) *Perm {
 // per block, so that a test can count the blocks.
 func WrapBlock(b cipher.Block) *Perm { return &Perm{block: b} }
 
-// Encrypt encrypts l[:n] in place, n from 1 to 4. It may overwrite the
+// Encrypt encrypts l[:n] in place, n from 1 to 8. It may overwrite the
 // lanes past n.
 func (p *Perm) Encrypt(l *Lanes, n int) {
 	if p.kernel {

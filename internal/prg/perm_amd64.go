@@ -13,7 +13,13 @@ func cpuidECX() uint32
 func expandKey(key *[16]byte, rk *[11 * 16]byte)
 
 // encryptKernel encrypts l[:n] in place under the round keys rk: one lane
-// for n = 1, two for n = 2, all four otherwise.
+// for n = 1, two for n = 2, four for n up to 4, all eight otherwise.
 //
 //go:noescape
 func encryptKernel(rk *[11 * 16]byte, l *Lanes, n int)
+
+// padKernel derives the pads of r.groups 8-lane groups of a pad run whose
+// first OT has index first, XORing them into dst (see Deriver.kernelRun).
+//
+//go:noescape
+func padKernel(rk *[11 * 16]byte, r *padRun, rows, masks, dst *byte, first uint64)

@@ -21,7 +21,7 @@ func checkPerm(t *testing.T, key []byte, in Lanes) {
 	p := NewPerm(key)
 	paths := map[string]func(*Lanes, int){"Encrypt": p.Encrypt, "portable": p.portable}
 	for name, enc := range paths {
-		for n := 1; n <= 4; n++ {
+		for n := 1; n <= len(in); n++ {
 			got := in
 			enc(&got, n)
 			for i := 0; i < n; i++ {
@@ -88,7 +88,7 @@ func TestPermKernelRuns(t *testing.T) {
 	}
 }
 
-// FuzzPermMatchesCipher: for any key and four lanes, every lane width of
+// FuzzPermMatchesCipher: for any key and eight lanes, every lane width of
 // both paths equals crypto/aes.
 func FuzzPermMatchesCipher(f *testing.F) {
 	f.Add(make([]byte, 16), make([]byte, 64))
@@ -107,7 +107,7 @@ func FuzzPermMatchesCipher(f *testing.F) {
 
 func BenchmarkPerm(b *testing.B) {
 	p := NewPerm(make([]byte, 16))
-	for _, n := range []int{1, 2, 4} {
+	for _, n := range []int{1, 2, 4, 8} {
 		for name, enc := range map[string]func(*Lanes, int){"kernel": p.Encrypt, "portable": p.portable} {
 			b.Run(name+"/"+string(rune('0'+n)), func(b *testing.B) {
 				l := new(Lanes)
