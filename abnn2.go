@@ -34,7 +34,6 @@ import (
 	"abnn2/internal/bank"
 	"abnn2/internal/core"
 	"abnn2/internal/paillier"
-	"abnn2/internal/plan"
 	"abnn2/internal/prg"
 	"abnn2/internal/quant"
 	"abnn2/internal/ring"
@@ -131,11 +130,12 @@ type Config struct {
 	// announcement (one extra public flight) and executed by both
 	// parties; banked draws are keyed by the plan's fingerprint so
 	// pooled correlations always match the schedule. On a server it is a
-	// requirement: announced plans must be byte-identical to it and
-	// plan-less batches are rejected. A server without a Plan accepts
-	// any announced plan the model can execute. Plans never change
-	// prediction bits — only where offline cost is spent.
-	Plan *Plan
+	// requirement: announced plans must be the same schedule, however
+	// spelled (their canonical text forms are compared), and plan-less
+	// batches are rejected. A server without a Plan accepts any announced
+	// plan the model can execute. Plans never change prediction bits —
+	// only where offline cost is spent.
+	Plan Plan
 	// MiniONNKeyBits sets the size of the Paillier key the client
 	// generates for planned MiniONN layers (0 = the baseline default,
 	// 1024). Client-local: the server never reads the field — it takes
@@ -176,9 +176,6 @@ func (c Config) Validate() error {
 	}
 	if c.MiniONNKeyBits != 0 && (c.MiniONNKeyBits < paillier.MinModulusBits || c.MiniONNKeyBits > paillier.MaxModulusBits) {
 		return fmt.Errorf("abnn2: MiniONNKeyBits %d outside [%d,%d]", c.MiniONNKeyBits, paillier.MinModulusBits, paillier.MaxModulusBits)
-	}
-	if c.Plan != nil && (len(c.Plan.Layers) == 0 || len(c.Plan.Layers) > plan.MaxLayers) {
-		return fmt.Errorf("abnn2: Plan has %d layers, want [1,%d]", len(c.Plan.Layers), plan.MaxLayers)
 	}
 	return nil
 }
@@ -246,9 +243,8 @@ type Server struct {
 	mode OfflineMode
 	key  BankKey // pool key template; Batch filled per announcement
 
-	reqPlan string // Config.Plan in its text form, "" = accept any valid plan
-	planFP  string // fingerprint of the batch's active plan ("" = none)
-	planned bool   // a schedule is currently installed on the engine
+	required core.Schedule // Config.Plan; nil = accept any valid plan
+	sched    core.Schedule // the schedule installed on the engine; nil = none
 }
 
 // NewServer performs the cryptographic setup (base OTs) for the server
@@ -267,15 +263,12 @@ func newServer(ctx context.Context, conn Conn, model *QuantizedModel, cfg Config
 		return nil, err
 	}
 	defer s.releaseOn(&err)
-	srv := &Server{session: s, eng: eng, bank: cfg.Bank, mode: cfg.OfflineMode}
-	if cfg.Plan != nil {
-		// Pre-check the required plan against this model so a
-		// misconfigured server fails at setup, not per batch.
-		if err := cfg.Plan.Validate(eng.Arch(), 1); err != nil {
-			return nil, err
-		}
-		srv.reqPlan = cfg.Plan.String()
+	// Pre-check the required plan against this model so a misconfigured
+	// server fails at setup, not per batch.
+	if err := cfg.Plan.Validate(eng.Arch(), 1, nil); err != nil {
+		return nil, err
 	}
+	srv := &Server{session: s, eng: eng, bank: cfg.Bank, mode: cfg.OfflineMode, required: cfg.Plan}
 	if cfg.Bank != nil {
 		// The server keys its claims by its own model's identity; a client
 		// announcing IDs from another model's pool is a claim miss.
@@ -404,45 +397,36 @@ func (s *Server) serveBatch(a announcement) error {
 // applyPlan consumes a batch's plan frame (when announced) and installs
 // the schedule on the engine; without one it restores the all-ABNN2
 // default. The frame is the plan's text form in attacker-shaped bytes: it
-// is parsed by plan.FromString, compared in canonical form with the
+// is parsed by core.ParseSchedule, compared in canonical form with the
 // server's configured plan (when one is required), and validated against
 // the model — layer count, backend applicability, weight ranges — before
 // any of it reaches the protocol.
 func (s *Server) applyPlan(batch int, planned bool) error {
-	if !planned {
-		if s.reqPlan != "" {
-			return fmt.Errorf("abnn2: batch announced without a plan, but this server requires one")
+	var sched core.Schedule
+	if planned {
+		raw, err := s.sc.Recv()
+		if err != nil {
+			return fmt.Errorf("abnn2: recv plan frame: %w", err)
 		}
-		if s.planned {
-			if err := s.eng.SetSchedule(nil); err != nil {
-				return err
-			}
-			s.planned, s.planFP = false, ""
+		if sched, err = core.ParseSchedule(string(raw)); err != nil {
+			return fmt.Errorf("abnn2: %w", err)
 		}
+	}
+	switch {
+	case s.required != nil && sched == nil:
+		return fmt.Errorf("abnn2: batch announced without a plan, but this server requires one")
+	case s.required != nil && sched.String() != s.required.String():
+		return fmt.Errorf("abnn2: announced plan does not match this server's configured plan")
+	case sched == nil && s.sched == nil:
 		return nil
 	}
-	raw, err := s.sc.Recv()
-	if err != nil {
-		return fmt.Errorf("abnn2: recv plan frame: %w", err)
-	}
-	p, err := plan.FromString(string(raw))
-	if err != nil {
-		return fmt.Errorf("abnn2: %w", err)
-	}
-	if s.reqPlan != "" && p.String() != s.reqPlan {
-		return fmt.Errorf("abnn2: announced plan does not match this server's configured plan")
-	}
-	if err := p.Validate(s.eng.Arch(), batch); err != nil {
-		return fmt.Errorf("abnn2: %w", err)
-	}
-	sched, err := p.Schedule()
-	if err != nil {
+	if err := sched.Validate(s.eng.Arch(), batch, nil); err != nil {
 		return fmt.Errorf("abnn2: %w", err)
 	}
 	if err := s.eng.SetSchedule(sched); err != nil {
 		return err
 	}
-	s.planned, s.planFP = true, p.Fingerprint()
+	s.sched = sched
 	return nil
 }
 
@@ -475,8 +459,8 @@ func (s *Server) claim(a announcement) (err error) {
 func (s *Server) claimKey(batch int) BankKey {
 	key := s.key
 	key.Batch = batch
-	if s.planFP != "" {
-		key.Backend = bank.PlanBackend(s.planFP)
+	if s.sched != nil {
+		key.Backend = bank.PlanBackend(s.sched)
 	}
 	return key
 }
@@ -532,7 +516,7 @@ type Client struct {
 	peer     bank.PeerID  // the server's identity: the one pool batches draw from
 	selfPeer bank.PeerID  // this party's identity, announced to the server
 
-	plan *Plan // the proposed per-layer backend schedule, nil = all-ABNN2
+	plan Plan // the proposed per-layer backend schedule, nil = all-ABNN2
 }
 
 // Dial performs the cryptographic setup for the client role. arch must
@@ -583,28 +567,17 @@ func DialContext(ctx context.Context, conn Conn, arch Arch, cfg Config) (_ *Clie
 	}
 	defer s.releaseOn(&err)
 	cl := &Client{session: s, eng: eng, arch: arch, rg: ring.New(cfg.ringBits()), frac: arch.Frac,
-		bank: cfg.Bank, mode: cfg.OfflineMode, source: source, peer: peer, selfPeer: selfPeer}
-	var sched core.Schedule
-	if cfg.Plan != nil {
-		if err := cfg.Plan.Validate(arch, 1); err != nil {
-			return nil, fmt.Errorf("abnn2: %w", err)
-		}
-		if sched, err = cfg.Plan.Schedule(); err != nil {
-			return nil, fmt.Errorf("abnn2: %w", err)
-		}
-		if err := eng.SetSchedule(sched); err != nil {
-			return nil, err
-		}
-		cl.plan = cfg.Plan
+		bank: cfg.Bank, mode: cfg.OfflineMode, source: source, peer: peer, selfPeer: selfPeer, plan: cfg.Plan}
+	if err := eng.SetSchedule(cfg.Plan); err != nil {
+		return nil, fmt.Errorf("abnn2: %w", err)
 	}
 	if source != provisionInline {
 		backend := bank.SessionBackend
 		if cfg.Plan != nil {
 			// Banked draws for a planned session come from pools keyed —
 			// and generated — under this exact schedule.
-			fp := cfg.Plan.Fingerprint()
-			backend = bank.PlanBackend(fp)
-			if err := cfg.Bank.RegisterSchedule(fp, sched, cfg.MiniONNKeyBits); err != nil {
+			backend = bank.PlanBackend(cfg.Plan)
+			if err := cfg.Bank.RegisterSchedule(cfg.Plan, cfg.MiniONNKeyBits); err != nil {
 				return nil, err
 			}
 		}
@@ -750,10 +723,7 @@ func (c *Client) provision(batch int, argmax bool) error {
 // backend applicability (QUOTIENT is o=1 only), and the server would
 // reject the announcement anyway.
 func (c *Client) planFits(batch int) error {
-	if c.plan == nil {
-		return nil
-	}
-	if err := c.plan.Validate(c.arch, batch); err != nil {
+	if err := c.plan.Validate(c.arch, batch, nil); err != nil {
 		return fmt.Errorf("abnn2: %w", err)
 	}
 	return nil

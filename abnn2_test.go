@@ -447,29 +447,82 @@ func TestServerRefusesOversizedPaillierKey(t *testing.T) {
 	leakcheck.Settle(t, base, "oversized key")
 }
 
-// v3PlanConn is a wire-v3 client's plan flight on a v4 session: it sends
-// the binary frame v3 put where v4 sends the plan's text form ("ABP1", a
-// little-endian uint16 layer count, then per layer a backend byte, a
-// scheme-length byte and the scheme).
-type v3PlanConn struct {
+// planFrameConn replaces the client's plan flight — the plan's canonical
+// text form — with frame.
+type planFrameConn struct {
 	Conn
-	plan *plan.Plan
+	plan  string
+	frame []byte
 }
 
-func (c *v3PlanConn) Send(msg []byte) error {
-	if string(msg) == c.plan.String() {
-		msg = binary.LittleEndian.AppendUint16([]byte("ABP1"), uint16(len(c.plan.Layers)))
-		for _, l := range c.plan.Layers {
-			msg = append(append(msg, byte(l.Backend), byte(len(l.Scheme))), l.Scheme...)
-		}
+func (c *planFrameConn) Send(msg []byte) error {
+	if string(msg) == c.plan {
+		msg = c.frame
 	}
 	return c.Conn.Send(msg)
+}
+
+// v3PlanFrame is the binary frame a wire-v3 client put where v4 sends the
+// plan's text form: "ABP1", a little-endian uint16 layer count, then per
+// layer a backend byte, a scheme-length byte and the scheme.
+func v3PlanFrame(p Plan) []byte {
+	frame := binary.LittleEndian.AppendUint16([]byte("ABP1"), uint16(len(p)))
+	for _, l := range p {
+		var scheme string
+		if l.Scheme != nil {
+			scheme = l.Scheme.Name()
+		}
+		frame = append(append(frame, byte(l.Backend), byte(len(scheme))), scheme...)
+	}
+	return frame
+}
+
+// TestRequiredPlanAdmitsAnySpelling: a server that requires a plan
+// compares the plan flight's canonical form with its own, so a client that
+// spells the same schedule another way — spaces, a leading zero — is
+// served and predicts like plaintext, and a different schedule is refused.
+func TestRequiredPlanAdmitsAnySpelling(t *testing.T) {
+	qm := chaosModel(t)
+	required, err := core.ParseSchedule("abnn2:4(4),secureml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	scfg := Config{RingBits: 32, RoundTimeout: chaosRoundTimeout, Plan: required}
+	ccfg := scfg
+	for _, tc := range []struct {
+		spelling string
+		admitted bool
+	}{
+		{"abnn2:4(4),secureml", true},
+		{"abnn2:4( 4) , secureml", true},
+		{" abnn2:04(4),secureml", true},
+		{"abnn2:4(2,2),secureml", false},
+	} {
+		sconn, cconn := Pipe()
+		frame := &planFrameConn{Conn: cconn, plan: required.String(), frame: []byte(tc.spelling)}
+		srvErr, cliErr, classes := runParties(t, qm, sconn, frame, scfg, ccfg)
+		if !tc.admitted {
+			if srvErr == nil || !strings.Contains(srvErr.Error(), "does not match") || cliErr == nil {
+				t.Errorf("plan %q: server=%v client=%v, want the mismatch refused", tc.spelling, srvErr, cliErr)
+			}
+			continue
+		}
+		if srvErr != nil || cliErr != nil {
+			t.Errorf("plan %q: server=%v client=%v, want it admitted", tc.spelling, srvErr, cliErr)
+			continue
+		}
+		for k, x := range chaosInputs(2) {
+			if classes[k] != qm.Predict(x) {
+				t.Errorf("plan %q: input %d misclassified", tc.spelling, k)
+			}
+		}
+	}
 }
 
 // TestV3PlanFlightFailsLoudly pairs this server with a wire-v3 client on
 // a bare connection, where no hello announces a version: set-up is the
 // same in both versions, so the session opens, and the first batch's plan
-// flight is v3's binary frame, which plan.FromString refuses. The server's
+// flight is v3's binary frame, which core.ParseSchedule refuses. The server's
 // batch must fail with that parse error — no *PanicError, the frame never
 // misread as a plan — and the client must see the connection close well
 // inside the round timeout, with no goroutine left behind.
@@ -481,7 +534,8 @@ func TestV3PlanFlightFailsLoudly(t *testing.T) {
 	ccfg.Plan = plan.Uniform(core.BackendSecureML, len(qm.Arch().Layers))
 	sconn, cconn := Pipe()
 	start := time.Now()
-	srvErr, cliErr, _ := runParties(t, qm, sconn, &v3PlanConn{Conn: cconn, plan: ccfg.Plan}, cfg, ccfg)
+	frame := &planFrameConn{Conn: cconn, plan: ccfg.Plan.String(), frame: v3PlanFrame(ccfg.Plan)}
+	srvErr, cliErr, _ := runParties(t, qm, sconn, frame, cfg, ccfg)
 	if srvErr == nil || !strings.Contains(srvErr.Error(), `unknown backend "ABP1`) {
 		t.Errorf("server: %v, want the plan parse error", srvErr)
 	}

@@ -121,8 +121,8 @@ func main() {
 	// width, batch, link), once, from the first admitted handshake; every
 	// session of this run announces it and the server re-validates it per
 	// batch.
-	var sessPlan *abnn2.Plan
-	planFor := func(info serve.HandshakeInfo) *abnn2.Plan {
+	var sessPlan abnn2.Plan
+	planFor := func(info serve.HandshakeInfo) abnn2.Plan {
 		if *planFlag == "" || sessPlan != nil {
 			return sessPlan
 		}

@@ -182,7 +182,7 @@ func main() {
 	// Required plan: every session must announce exactly this per-layer
 	// backend schedule. The plan is per-model (layer counts must match),
 	// so it is limited to single-model registries.
-	var reqPlan *abnn2.Plan
+	var reqPlan abnn2.Plan
 	if *planFlag != "" {
 		if registry.Len() != 1 {
 			logger.Error("-plan requires a single-model registry", "models", registry.Len())

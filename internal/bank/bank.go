@@ -41,7 +41,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -57,14 +56,11 @@ import (
 // all-ABNN2 schedule.
 const SessionBackend = "abnn2"
 
-// planPrefix starts the Key.Backend of pools generated under a per-layer
-// protocol schedule; the remainder is the plan fingerprint, so a pool
-// only ever serves sessions running that exact schedule.
-const planPrefix = "plan:"
-
-// PlanBackend returns the Key.Backend of session pools generated under
-// the plan with the given fingerprint (see internal/plan.Fingerprint).
-func PlanBackend(fingerprint string) string { return planPrefix + fingerprint }
+// PlanBackend returns the Key.Backend of pools generated under a per-layer
+// protocol schedule: "plan:" and the schedule's fingerprint
+// (core.Schedule.Fingerprint), so a pool only ever serves sessions running
+// that exact schedule, however its plan was spelled.
+func PlanBackend(sched core.Schedule) string { return "plan:" + sched.Fingerprint() }
 
 // Key identifies the correlations of one pool. Model is the digest
 // returned by RegisterModel; Scheme is the quantization scheme designation
@@ -223,27 +219,27 @@ func New(opts Options) *Bank {
 	}
 }
 
-// schedEntry is one registered per-layer protocol schedule, keyed by its
-// plan fingerprint.
+// schedEntry is one registered per-layer protocol schedule, keyed by the
+// Key.Backend of its pools (PlanBackend).
 type schedEntry struct {
 	sched       core.Schedule
 	miniONNBits int
 }
 
 // RegisterSchedule makes planned loopback pools (Key.Backend =
-// PlanBackend(fingerprint)) generable: their offline phase runs under
-// sched instead of all-ABNN2. miniONNBits sets the Paillier key size for
+// PlanBackend(sched)) generable: their offline phase runs under sched
+// instead of all-ABNN2. miniONNBits sets the Paillier key size for
 // MiniONN layers (0 = default). Idempotent for identical registrations.
-func (b *Bank) RegisterSchedule(fingerprint string, sched core.Schedule, miniONNBits int) error {
-	if fingerprint == "" || sched == nil {
-		return fmt.Errorf("bank: schedule registration needs a fingerprint and a schedule")
+func (b *Bank) RegisterSchedule(sched core.Schedule, miniONNBits int) error {
+	if sched == nil {
+		return fmt.Errorf("bank: schedule registration needs a schedule")
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {
 		return fmt.Errorf("bank: closed")
 	}
-	b.scheds[fingerprint] = schedEntry{sched: sched, miniONNBits: miniONNBits}
+	b.scheds[PlanBackend(sched)] = schedEntry{sched: sched, miniONNBits: miniONNBits}
 	return nil
 }
 
@@ -301,16 +297,12 @@ func (b *Bank) lookup(key Key) *pool {
 	}
 	var sched core.Schedule
 	var mbits int
-	switch {
-	case key.Backend == SessionBackend:
-	case strings.HasPrefix(key.Backend, planPrefix):
-		e, ok := b.scheds[strings.TrimPrefix(key.Backend, planPrefix)]
+	if key.Backend != SessionBackend {
+		e, ok := b.scheds[key.Backend]
 		if !ok {
 			return nil
 		}
 		sched, mbits = e.sched, e.miniONNBits
-	default:
-		return nil
 	}
 	qm, ok := b.models[key.Model]
 	if !ok {

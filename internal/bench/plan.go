@@ -56,7 +56,7 @@ func PlanReferenceModel() *nn.QuantizedModel {
 // choosePlan resolves Options.Plan and Options.Link against the reference
 // CNN's architecture: the planner's input, the plan to measure first, and
 // its predicted cost.
-func choosePlan(opt Options, arch core.Arch) (plan.Input, *plan.Plan, *plan.Estimate, error) {
+func choosePlan(opt Options, arch core.Arch) (plan.Input, core.Schedule, *plan.Estimate, error) {
 	link := plan.WAN()
 	if opt.Link != "" {
 		var err error
@@ -103,14 +103,14 @@ func TablePlan(opt Options) []TablePlanRow {
 		in.Link.Name, planKeyBits, est.Table())
 
 	type entry struct {
-		p       *plan.Plan
+		sched   core.Schedule
 		uniform bool
 	}
 	_, uni := chosen.IsUniform()
 	entries := []entry{{chosen, uni}}
 	for _, b := range core.Backends() {
 		u := plan.Uniform(b, len(arch.Layers))
-		if u.Validate(arch, batch) != nil {
+		if u.Validate(arch, batch, nil) != nil {
 			continue // e.g. QUOTIENT on a multi-bit scheme
 		}
 		if u.String() == chosen.String() {
@@ -121,16 +121,13 @@ func TablePlan(opt Options) []TablePlanRow {
 
 	var rows []TablePlanRow
 	for _, e := range entries {
-		sched, err := e.p.Schedule()
-		if err != nil {
-			panic(fmt.Sprintf("bench: plan %s: %v", e.p, err))
-		}
-		ph := runEndToEndModel(opt, "plan "+e.p.String(),
-			endToEnd{ring: rg, model: qm, batch: batch, variant: core.ReLUGC, sched: sched, keyBits: planKeyBits})
+		name := e.sched.String()
+		ph := runEndToEndModel(opt, "plan "+name,
+			endToEnd{ring: rg, model: qm, batch: batch, variant: core.ReLUGC, sched: e.sched, keyBits: planKeyBits})
 		meas := ph.whole
-		record("plan "+e.p.String()+" offline", ph.offline)
+		record("plan "+name+" offline", ph.offline)
 		rows = append(rows, TablePlanRow{
-			Plan:      e.p.String(),
+			Plan:      name,
 			Uniform:   e.uniform,
 			OfflineMB: float64(ph.offline.TotalBytes()) / (1 << 20),
 			CommMB:    meas.CommMB(),

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"slices"
+	"strings"
 
 	"abnn2/internal/baseline"
 	"abnn2/internal/prg"
@@ -206,10 +209,123 @@ type LayerChoice struct {
 	Scheme  quant.Scheme
 }
 
-// Schedule assigns one LayerChoice per linear layer. A nil Schedule is
-// the legacy path — every layer runs ABNN2 under the session scheme —
-// and is transcript-identical to sessions that predate scheduling.
+// String renders the choice as one entry of the plan text form: the
+// backend name, then ":" and the override's name when there is one.
+func (c LayerChoice) String() string {
+	if c.Scheme == nil {
+		return c.Backend.String()
+	}
+	return c.Backend.String() + ":" + c.Scheme.Name()
+}
+
+// Schedule assigns one LayerChoice per linear layer: the per-layer
+// protocol plan, from the planner (internal/plan) through the wire, the
+// bank's pool key and the engines. A nil Schedule is no plan — every
+// layer runs ABNN2 under the session scheme — and is transcript-identical
+// to sessions that predate scheduling.
 type Schedule []LayerChoice
+
+// Text-form bounds. The plan's text form is attacker-shaped bytes at the
+// server (the plan flight, the serve hello), so ParseSchedule enforces
+// every limit before any allocation proportional to the peer's claim.
+const (
+	// MaxPlanLayers bounds the per-plan layer count (far above any real
+	// model; a plan claiming more is rejected, not truncated).
+	MaxPlanLayers = 1024
+	// MaxSchemeName bounds one scheme designation's byte length.
+	MaxSchemeName = 64
+	// maxBackendName is the longest backend name ("quotient", "secureml").
+	maxBackendName = 8
+	// MaxPlanBytes bounds the whole text form: MaxPlanLayers entries, each
+	// the longest backend name, ':', a MaxSchemeName scheme and a ','.
+	MaxPlanBytes = MaxPlanLayers * (maxBackendName + 1 + MaxSchemeName + 1)
+)
+
+// String renders the schedule in its one, canonical encoding, e.g.
+// "abnn2,abnn2:4(4),minionn": what the tools print, what the plan flight
+// and the serve hello carry, what a required plan is compared in, and
+// what ParseSchedule and the -plan flag take back.
+func (s Schedule) String() string {
+	parts := make([]string, len(s))
+	for i, c := range s {
+		parts[i] = c.String()
+	}
+	return strings.Join(parts, ",")
+}
+
+// Fingerprint returns a short stable identifier of the canonical text
+// form, used to key banked correlations ("plan:<fingerprint>" in a bank
+// key's Backend) so a pool only ever serves the schedule it was generated
+// under, however the plan was spelled.
+func (s Schedule) Fingerprint() string {
+	sum := sha256.Sum256([]byte(s.String()))
+	return hex.EncodeToString(sum[:8])
+}
+
+// IsUniform reports whether every layer runs the same backend with no
+// scheme override, and which backend that is.
+func (s Schedule) IsUniform() (BackendID, bool) {
+	if len(s) == 0 {
+		return 0, false
+	}
+	for _, c := range s {
+		if c.Backend != s[0].Backend || c.Scheme != nil {
+			return 0, false
+		}
+	}
+	return s[0].Backend, true
+}
+
+// ParseSchedule parses a plan's text form: comma-separated backend names,
+// each optionally ":scheme"-suffixed. A scheme designation keeps the
+// commas inside its parentheses ("abnn2:8(2,2,2,2),minionn" is two
+// layers). It is the one parser of plans, peer-sent ones included, and
+// the one place their schemes are parsed: input over MaxPlanBytes is
+// refused before anything is split, and the split stops at MaxPlanLayers.
+// Any spelling quant.Parse accepts ("8(2, 2,2,2)", "08(4,4)") is the same
+// schedule as the canonical one String prints. The result is not checked
+// against an architecture; Validate does that.
+func ParseSchedule(text string) (Schedule, error) {
+	if len(text) > MaxPlanBytes {
+		return nil, fmt.Errorf("core: plan of %d bytes, max %d", len(text), MaxPlanBytes)
+	}
+	var parts []string
+	depth, start := 0, 0
+	for i, r := range text {
+		switch {
+		case r == '(':
+			depth++
+		case r == ')':
+			depth--
+		case r == ',' && depth == 0:
+			if len(parts) == MaxPlanLayers-1 {
+				return nil, fmt.Errorf("core: plan of more than %d layers", MaxPlanLayers)
+			}
+			parts = append(parts, text[start:i])
+			start = i + 1
+		}
+	}
+	parts = append(parts, text[start:])
+	s := make(Schedule, len(parts))
+	for i, part := range parts {
+		name, scheme, override := strings.Cut(part, ":")
+		id, err := ParseBackend(strings.TrimSpace(name))
+		if err != nil {
+			return nil, fmt.Errorf("core: plan layer %d: %w", i, err)
+		}
+		s[i].Backend = id
+		if !override {
+			continue
+		}
+		if len(scheme) > MaxSchemeName {
+			return nil, fmt.Errorf("core: plan layer %d: scheme name of %d bytes, max %d", i, len(scheme), MaxSchemeName)
+		}
+		if s[i].Scheme, err = quant.Parse(strings.TrimSpace(scheme)); err != nil {
+			return nil, fmt.Errorf("core: plan layer %d: %w", i, err)
+		}
+	}
+	return s, nil
+}
 
 // Validate checks the schedule against the architecture at a batch size:
 // one valid choice per layer, scheme overrides only where the backend
@@ -217,8 +333,7 @@ type Schedule []LayerChoice
 // for the weights it holds on the server, for the session scheme's whole
 // range on the client, which holds none (weights is nil there). The
 // engines learn the batch size only at Offline and ask about a batch of
-// one, the smallest o a layer runs at; a session asks again per batch
-// (plan.Validate).
+// one, the smallest o a layer runs at; a session asks again per batch.
 func (s Schedule) Validate(arch Arch, batch int, weights [][]int64) error {
 	if s == nil {
 		return nil

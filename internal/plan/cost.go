@@ -1,3 +1,18 @@
+// Package plan implements the cost-model-driven per-layer protocol
+// planner. Given a model's public architecture, its quantization scheme,
+// and link parameters, it evaluates the analytic Complexity formulas
+// (internal/core) per backend per layer — communication and compute,
+// priced under the link model — and emits a core.Schedule: one (backend,
+// η/γ decomposition) choice per linear layer minimizing predicted
+// end-to-end cost. The schedule type, its text form, fingerprint and
+// parser live in internal/core; this package is the cost model only.
+//
+// Correctness does not depend on the plan: every backend produces the
+// same additive triplet shares, so any plan yields bit-identical
+// predictions (the conformance sweep in internal/testkit locks this).
+// The plan only moves where the offline bytes and round trips are
+// spent, which is why the client may propose one and the server only
+// validates feasibility, never utility.
 package plan
 
 import (
@@ -84,7 +99,7 @@ const (
 
 // Candidate is one evaluated (backend, scheme) option for a layer.
 type Candidate struct {
-	Choice   Choice
+	Choice   core.LayerChoice
 	CommBits float64 // predicted offline wire bits, both directions
 	Flights  int     // flights a party waits on, i.e. not overlapped by sending ahead (each pair costs one RTT)
 	Compute  float64 // seconds of offline compute, before amortization
@@ -159,10 +174,14 @@ func (in Input) validate() error {
 }
 
 // price evaluates one (backend, scheme) option for a layer of shape sh: the
-// backend table's cost as sent under sc — the fragmentation the layer
-// would run under, the session's unless ch overrides it — turned into
-// seconds by the compute constants above and in's link.
-func price(in Input, ch Choice, sc quant.Scheme, sh core.MatShape) Candidate {
+// backend table's cost as sent under the fragmentation the layer would run
+// under — ch's override, else the session scheme — turned into seconds by
+// the compute constants above and in's link.
+func price(in Input, session quant.Scheme, ch core.LayerChoice, sh core.MatShape) Candidate {
+	sc := session
+	if ch.Scheme != nil {
+		sc = ch.Scheme
+	}
 	cx := ch.Backend.Cost(in.RingBits, in.MiniONNBits, sc, sh)
 	kb := float64(core.PaillierBits(in.MiniONNBits))
 	c := Candidate{
@@ -188,7 +207,7 @@ func candidates(in Input, session quant.Scheme, l nn.Shape) []Candidate {
 		if b.Fits(sh, lo, hi) != nil {
 			continue
 		}
-		out = append(out, price(in, Choice{Backend: b}, session, sh))
+		out = append(out, price(in, session, core.LayerChoice{Backend: b}, sh))
 		if !b.Fragments() {
 			continue
 		}
@@ -197,7 +216,7 @@ func candidates(in Input, session quant.Scheme, l nn.Shape) []Candidate {
 		// remainder fragment). Candidate counts trade payload size against
 		// OT count, so the best width is shape- and link-dependent.
 		for _, sc := range altSchemes(session) {
-			out = append(out, price(in, Choice{Backend: b, Scheme: sc.Name()}, sc, sh))
+			out = append(out, price(in, session, core.LayerChoice{Backend: b, Scheme: sc}, sh))
 		}
 	}
 	return out
@@ -257,7 +276,7 @@ func bitEta(sc quant.Scheme) uint {
 // candidate and keep the cheapest — of equals, the first in the fixed
 // enumeration order (the sort is stable), which makes the result
 // deterministic for a fixed Input.
-func Choose(in Input) (*Plan, *Estimate, error) {
+func Choose(in Input) (core.Schedule, *Estimate, error) {
 	if err := in.validate(); err != nil {
 		return nil, nil, err
 	}
@@ -265,40 +284,34 @@ func Choose(in Input) (*Plan, *Estimate, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("plan: session scheme: %w", err)
 	}
-	p := &Plan{Layers: make([]Choice, len(in.Arch.Layers))}
+	s := make(core.Schedule, len(in.Arch.Layers))
 	est := &Estimate{Link: in.Link, Layers: make([]LayerEstimate, len(in.Arch.Layers))}
 	for li, l := range in.Arch.Layers {
 		sorted := candidates(in, session, l)
 		sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Seconds < sorted[j].Seconds })
-		p.Layers[li] = sorted[0].Choice
+		s[li] = sorted[0].Choice
 		est.Layers[li] = LayerEstimate{Layer: li, Shape: core.ShapeAt(l, in.Batch), Chosen: sorted[0], Candidates: sorted}
 	}
-	return p, est, nil
+	return s, est, nil
 }
 
-// EstimatePlan prices a given plan (rather than choosing one), for
+// EstimatePlan prices a given schedule (rather than choosing one), for
 // predicted-vs-measured reporting.
-func EstimatePlan(in Input, p *Plan) (*Estimate, error) {
+func EstimatePlan(in Input, s core.Schedule) (*Estimate, error) {
 	if err := in.validate(); err != nil {
 		return nil, err
 	}
-	if err := p.Validate(in.Arch, in.Batch); err != nil {
+	if err := s.Validate(in.Arch, in.Batch, nil); err != nil {
 		return nil, err
 	}
 	session, err := quant.Parse(in.Arch.SchemeName)
 	if err != nil {
 		return nil, fmt.Errorf("plan: session scheme: %w", err)
 	}
-	est := &Estimate{Link: in.Link, Layers: make([]LayerEstimate, len(p.Layers))}
-	for li, ch := range p.Layers {
-		sc := session
-		if ch.Scheme != "" {
-			if sc, err = quant.Parse(ch.Scheme); err != nil {
-				return nil, err
-			}
-		}
+	est := &Estimate{Link: in.Link, Layers: make([]LayerEstimate, len(s))}
+	for li, ch := range s {
 		sh := core.ShapeAt(in.Arch.Layers[li], in.Batch)
-		est.Layers[li] = LayerEstimate{Layer: li, Shape: sh, Chosen: price(in, ch, sc, sh)}
+		est.Layers[li] = LayerEstimate{Layer: li, Shape: sh, Chosen: price(in, session, ch, sh)}
 	}
 	return est, nil
 }

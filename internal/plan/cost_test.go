@@ -47,8 +47,8 @@ func TestCrossoverFlipsLayer(t *testing.T) {
 		t.Fatal(err)
 	}
 	flips := 0
-	for i := range lanPlan.Layers {
-		if lanPlan.Layers[i].Backend != wanPlan.Layers[i].Backend {
+	for i := range lanPlan {
+		if lanPlan[i].Backend != wanPlan[i].Backend {
 			flips++
 		}
 	}

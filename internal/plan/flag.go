@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"text/tabwriter"
+
+	"abnn2/internal/core"
 )
 
 // FlagUsage documents the shared -plan flag value syntax.
@@ -12,34 +14,44 @@ const FlagUsage = "per-layer offline backend plan: auto (cost-model planner unde
 	"or one entry per layer as the tools print it, e.g. abnn2,abnn2:4(4),minionn " +
 	"(empty = no plan, the all-ABNN2 default)"
 
+// Uniform builds the schedule running every one of n layers on backend b
+// under the session scheme.
+func Uniform(b core.BackendID, n int) core.Schedule {
+	s := make(core.Schedule, n)
+	for i := range s {
+		s[i].Backend = b
+	}
+	return s
+}
+
 // FromFlag resolves a -plan flag value against a model: "auto" runs
 // the cost-model planner under in.Link; anything else is the plan's
-// textual form (Plan.String), where a single entry stands for every
+// text form (core.ParseSchedule), where a single entry stands for every
 // layer. The empty value means no plan (nil, nil, nil); any other comes
 // back validated and priced.
-func FromFlag(val string, in Input) (*Plan, *Estimate, error) {
+func FromFlag(val string, in Input) (core.Schedule, *Estimate, error) {
 	switch val {
 	case "":
 		return nil, nil, nil
 	case "auto":
 		return Choose(in)
 	}
-	p, err := FromString(val)
+	s, err := core.ParseSchedule(val)
 	if err != nil {
 		return nil, nil, fmt.Errorf("plan: bad -plan value %q (want auto, a backend name, or one entry per layer): %w", val, err)
 	}
-	if len(p.Layers) == 1 {
-		one := p.Layers[0]
-		p.Layers = make([]Choice, len(in.Arch.Layers))
-		for i := range p.Layers {
-			p.Layers[i] = one
+	if len(s) == 1 {
+		one := s[0]
+		s = make(core.Schedule, len(in.Arch.Layers))
+		for i := range s {
+			s[i] = one
 		}
 	}
-	est, err := EstimatePlan(in, p)
+	est, err := EstimatePlan(in, s)
 	if err != nil {
 		return nil, nil, err
 	}
-	return p, est, nil
+	return s, est, nil
 }
 
 // Table renders the estimate as an aligned predicted-cost table, one
@@ -50,12 +62,8 @@ func (e *Estimate) Table() string {
 	fmt.Fprintln(w, "layer\tshape\tbackend\tpred comm\tflights\tpred time")
 	var flights int
 	for _, l := range e.Layers {
-		name := l.Chosen.Choice.Backend.String()
-		if s := l.Chosen.Choice.Scheme; s != "" {
-			name += ":" + s
-		}
 		fmt.Fprintf(w, "%d\t%dx%dx%d\t%s\t%s\t%d\t%.3fs\n",
-			l.Layer, l.Shape.M, l.Shape.N, l.Shape.O, name,
+			l.Layer, l.Shape.M, l.Shape.N, l.Shape.O, l.Chosen.Choice,
 			fmtBits(l.Chosen.CommBits), l.Chosen.Flights, l.Chosen.Seconds)
 		flights += l.Chosen.Flights
 	}

@@ -6,34 +6,57 @@ import (
 	"testing"
 
 	"abnn2/internal/core"
+	"abnn2/internal/quant"
 )
 
 // TestTextFormRoundTrips: a plan has one textual form, and what String
-// prints FromString takes back — scheme overrides included, whose
-// designations carry commas of their own.
+// prints core.ParseSchedule takes back — scheme overrides included, whose
+// designations carry commas of their own; any other spelling of a plan
+// parses to the same schedule, whose String is the canonical one.
 func TestTextFormRoundTrips(t *testing.T) {
-	for _, p := range []*Plan{
+	for _, p := range []core.Schedule{
 		Uniform(core.BackendQuotient, 1),
 		Uniform(core.BackendABNN2, 3),
-		{Layers: []Choice{
-			{Backend: core.BackendABNN2, Scheme: "8(2,2,2,2)"},
-			{Backend: core.BackendABNN2, Scheme: "4(4)"},
+		{
+			{Backend: core.BackendABNN2, Scheme: quant.Uniform(2, 4)},
+			{Backend: core.BackendABNN2, Scheme: quant.Uniform(4, 1)},
 			{Backend: core.BackendMiniONN},
 			{Backend: core.BackendSecureML},
-		}},
+		},
+		{
+			{Backend: core.BackendABNN2, Scheme: quant.NewBitScheme(false, 4, 4)},
+			{Backend: core.BackendABNN2, Scheme: quant.Binary()},
+			{Backend: core.BackendABNN2, Scheme: quant.Ternary()},
+		},
 	} {
-		got, err := FromString(p.String())
+		got, err := core.ParseSchedule(p.String())
 		if err != nil {
-			t.Fatalf("FromString(%q): %v", p, err)
+			t.Fatalf("ParseSchedule(%q): %v", p, err)
 		}
 		if !reflect.DeepEqual(got, p) {
-			t.Errorf("FromString(%q) = %q", p, got)
+			t.Errorf("ParseSchedule(%q) = %q", p, got)
 		}
 	}
-	for _, bad := range []string{"", "abnn2,", "abnn2,,minionn", "nosuch", "abnn2:4(4),nosuch",
-		strings.Repeat("abnn2,", MaxLayers) + "abnn2", strings.Repeat(" ", MaxPlanBytes) + "abnn2"} {
-		if p, err := FromString(bad); err == nil {
-			t.Errorf("FromString(%q) = %q, want an error", bad, p)
+	for text, canonical := range map[string]string{
+		"abnn2:8(2, 2,2,2),minionn":   "abnn2:8(2,2,2,2),minionn",
+		" abnn2 : 08(04,4) ,secureml": "abnn2:8(4,4),secureml",
+		"abnn2:u8(4,4)":               "abnn2:u8(4,4)",
+		"abnn2:binary,abnn2:ternary":  "abnn2:binary,abnn2:ternary",
+	} {
+		p, err := core.ParseSchedule(text)
+		if err != nil {
+			t.Errorf("ParseSchedule(%q): %v", text, err)
+			continue
+		}
+		want, _ := core.ParseSchedule(canonical)
+		if p.String() != canonical || p.Fingerprint() != want.Fingerprint() {
+			t.Errorf("ParseSchedule(%q) = %q (fingerprint %s), want %q (%s)", text, p, p.Fingerprint(), canonical, want.Fingerprint())
+		}
+	}
+	for _, bad := range []string{"", "abnn2,", "abnn2,,minionn", "nosuch", "abnn2:4(4),nosuch", "abnn2:", "abnn2:9(9)",
+		strings.Repeat("abnn2,", core.MaxPlanLayers) + "abnn2", strings.Repeat(" ", core.MaxPlanBytes) + "abnn2"} {
+		if p, err := core.ParseSchedule(bad); err == nil {
+			t.Errorf("ParseSchedule(%q) = %q, want an error", bad, p)
 		}
 	}
 }
@@ -47,12 +70,13 @@ func TestFromFlagForms(t *testing.T) {
 		t.Fatal(err)
 	}
 	for val, want := range map[string]string{
-		"auto":                 auto.String(),
-		auto.String():          auto.String(),
-		"secureml":             "secureml,secureml",
-		"abnn2:4(4)":           "abnn2:4(4),abnn2:4(4)",
-		"abnn2,minionn":        "abnn2,minionn",
-		"abnn2:4(2,2),minionn": "abnn2:4(2,2),minionn",
+		"auto":                  auto.String(),
+		auto.String():           auto.String(),
+		"secureml":              "secureml,secureml",
+		"abnn2:4(4)":            "abnn2:4(4),abnn2:4(4)",
+		"abnn2,minionn":         "abnn2,minionn",
+		"abnn2:4(2,2),minionn":  "abnn2:4(2,2),minionn",
+		"abnn2:4(2, 2),minionn": "abnn2:4(2,2),minionn",
 	} {
 		p, est, err := FromFlag(val, in)
 		if err != nil {
@@ -62,7 +86,7 @@ func TestFromFlagForms(t *testing.T) {
 		if p.String() != want {
 			t.Errorf("-plan %s resolved to %s, want %s", val, p, want)
 		}
-		if est == nil || len(est.Layers) != len(p.Layers) {
+		if est == nil || len(est.Layers) != len(p) {
 			t.Errorf("-plan %s: no per-layer estimate", val)
 		}
 	}

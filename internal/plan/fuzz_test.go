@@ -6,46 +6,54 @@ import (
 	"testing"
 
 	"abnn2/internal/core"
+	"abnn2/internal/quant"
 )
 
 // FuzzPlanFromString: the plan's text form is attacker-shaped bytes at
 // the server (the plan flight, the serve hello), so arbitrary input must
-// never panic the parser, input over MaxPlanBytes is refused, and
-// anything accepted re-parses from its String to an equal plan whose
-// String is a fixed point: the server compares plans in that canonical
-// form.
+// never panic core.ParseSchedule, input over MaxPlanBytes is refused, and
+// anything accepted has a canonical String — at most MaxPlanBytes long —
+// that re-parses to an equal schedule with the same fingerprint and is a
+// fixed point of parse∘String: the server compares plans, and the bank
+// keys pools, in that canonical form.
 func FuzzPlanFromString(f *testing.F) {
-	mixed := &Plan{Layers: []Choice{
-		{Backend: core.BackendABNN2, Scheme: "8(2,2,2,2)"},
+	mixed := core.Schedule{
+		{Backend: core.BackendABNN2, Scheme: quant.Uniform(2, 4)},
 		{Backend: core.BackendMiniONN},
 		{Backend: core.BackendSecureML},
-	}}
+	}
 	for _, seed := range []string{
 		mixed.String(),
 		Uniform(core.BackendQuotient, 1).String(),
-		Uniform(core.BackendABNN2, MaxLayers).String(),
-		strings.Repeat(",", MaxPlanBytes+1),
+		Uniform(core.BackendABNN2, core.MaxPlanLayers).String(),
+		strings.Repeat(",", core.MaxPlanBytes+1),
 		"nosuch,abnn2",
-		"abnn2:" + strings.Repeat("2", MaxSchemeName+1),
+		"abnn2:" + strings.Repeat("2", core.MaxSchemeName+1),
 		"abnn2:8(2,2,minionn",
 		"abnn2:4)4(,minionn",
 		" abnn2 , minionn",
 		"abnn2,",
 		"",
 		"ABP1\x01\x00\x00\x00", // a wire v3 binary plan frame
+		"abnn2:8(2, 2,2,2) , minionn",
+		"abnn2:08(04,4)",
+		"abnn2:u8(4,4)",
 	} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
-		p, err := FromString(s)
+		p, err := core.ParseSchedule(s)
 		if err != nil {
 			return
 		}
-		if len(s) > MaxPlanBytes {
-			t.Fatalf("accepted %d bytes, max %d", len(s), MaxPlanBytes)
+		if len(s) > core.MaxPlanBytes {
+			t.Fatalf("accepted %d bytes, max %d", len(s), core.MaxPlanBytes)
 		}
 		text := p.String()
-		re, err := FromString(text)
+		if len(text) > core.MaxPlanBytes {
+			t.Fatalf("canonical form of %d bytes, max %d", len(text), core.MaxPlanBytes)
+		}
+		re, err := core.ParseSchedule(text)
 		if err != nil {
 			t.Fatalf("String %q of an accepted plan does not parse: %v", text, err)
 		}
@@ -55,8 +63,10 @@ func FuzzPlanFromString(f *testing.F) {
 		if re.String() != text {
 			t.Fatalf("String is not a fixed point: %q then %q", text, re.String())
 		}
-		_ = p.Fingerprint()
-		if _, uni := p.IsUniform(); uni && len(p.Layers) == 0 {
+		if re.Fingerprint() != p.Fingerprint() {
+			t.Fatalf("%q and its canonical form %q have different fingerprints", s, text)
+		}
+		if _, uni := p.IsUniform(); uni && len(p) == 0 {
 			t.Fatal("empty plan reported uniform")
 		}
 	})
@@ -64,18 +74,18 @@ func FuzzPlanFromString(f *testing.F) {
 
 // TestMaxPlanBytesCoversEveryPlan: MaxPlanBytes is derived from the
 // longest backend name, so every backend must fit it, and the widest plan
-// the other bounds admit must print within it.
+// the other bounds admit must parse within it.
 func TestMaxPlanBytesCoversEveryPlan(t *testing.T) {
+	perLayer := core.MaxPlanBytes / core.MaxPlanLayers
 	for _, b := range core.Backends() {
-		if len(b.String()) > maxBackendName {
-			t.Errorf("backend %s is longer than maxBackendName %d", b, maxBackendName)
+		if n := len(b.String()) + 1 + core.MaxSchemeName + 1; n > perLayer {
+			t.Errorf("backend %s needs %d bytes per layer, MaxPlanBytes allows %d", b, n, perLayer)
 		}
 	}
-	widest := &Plan{Layers: make([]Choice, MaxLayers)}
-	for i := range widest.Layers {
-		widest.Layers[i] = Choice{Backend: core.BackendQuotient, Scheme: strings.Repeat("2", MaxSchemeName)}
-	}
-	if _, err := FromString(widest.String()); err != nil {
+	scheme := strings.Repeat("0", core.MaxSchemeName-len("4(4)")) + "4(4)"
+	entry := "quotient:" + scheme
+	widest := strings.Repeat(entry+",", core.MaxPlanLayers-1) + entry
+	if _, err := core.ParseSchedule(widest); err != nil {
 		t.Errorf("the widest plan is refused: %v", err)
 	}
 }

@@ -6,7 +6,7 @@ import "testing"
 // it accepts must be internally consistent (decompose/recompose
 // round-trips over the whole range).
 func FuzzParse(f *testing.F) {
-	for _, seed := range []string{"binary", "ternary", "8(2,2,2,2)", "u4(1,3)", "3(2,1)", "", "8(", "9(2,2)", "x(1)"} {
+	for _, seed := range []string{"binary", "ternary", "8(2,2,2,2)", "u4(1,3)", "3(2,1)", "", "8(", "9(2,2)", "x(1)", "9(9)", "40(8,8,8,8,8)"} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, s string) {

@@ -218,14 +218,14 @@ func Parse(s string) (Scheme, error) {
 	var sum int
 	for i, p := range parts {
 		w, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || w <= 0 {
+		if err != nil || w <= 0 || w > 8 {
 			return nil, fmt.Errorf("quant: bad fragment width %q in %q", p, s)
 		}
 		widths[i] = uint(w)
 		sum += w
 	}
-	if sum != eta {
-		return nil, fmt.Errorf("quant: widths in %q sum to %d, want %d", s, sum, eta)
+	if sum != eta || eta > 32 {
+		return nil, fmt.Errorf("quant: widths in %q sum to %d, want %d and at most 32", s, sum, eta)
 	}
 	return NewBitScheme(signed, widths...), nil
 }

@@ -123,7 +123,9 @@ func TestParse(t *testing.T) {
 			t.Errorf("Parse(Name(%q)): range/gamma changed (%d..%d gamma %d)", s, bmin, bmax, back.Gamma())
 		}
 	}
-	bad := []string{"", "8", "8(2,2)", "8(2,2,2,x)", "(2,2)", "8[2,2,2,2]"}
+	// Widths over 8 and totals over 32 are errors, not NewBitScheme panics:
+	// a plan's scheme overrides are peer-sent text.
+	bad := []string{"", "8", "8(2,2)", "8(2,2,2,x)", "(2,2)", "8[2,2,2,2]", "9(9)", "40(8,8,8,8,8)"}
 	for _, s := range bad {
 		if _, err := Parse(s); err == nil {
 			t.Errorf("Parse(%q) accepted", s)

@@ -59,7 +59,7 @@ func clientParty(t *testing.T) (*abnn2.BankStore, *abnn2.Bank) {
 // offlineSession opens an offline-class session against rt in process —
 // hello, then Dial onto the pool shared with the server — proposing plan p
 // in both (nil proposes none).
-func offlineSession(t *testing.T, rt *Runtime, cliBank *abnn2.Bank, p *abnn2.Plan) (*abnn2.Client, HandshakeInfo) {
+func offlineSession(t *testing.T, rt *Runtime, cliBank *abnn2.Bank, p abnn2.Plan) (*abnn2.Client, HandshakeInfo) {
 	t.Helper()
 	h := hello{V: helloVersion, Offline: true}
 	if p != nil {
@@ -175,7 +175,7 @@ func TestOfflineSessionPlanned(t *testing.T) {
 	sconn, cconn := abnn2.Pipe()
 	defer cconn.Close()
 	go func() { _ = rt.HandleConn(context.Background(), sconn, "inproc") }()
-	short := &abnn2.Plan{Layers: p.Layers[:1]}
+	short := p[:1]
 	_, err = clientHandshake(cconn, hello{V: helloVersion, Offline: true, Plan: short.String()})
 	var rej *RejectError
 	if !errors.As(err, &rej) || rej.Rejection.Code != RejectBadPlan {

@@ -14,11 +14,11 @@ import (
 // testPlan is the mixed schedule the planned serve tests run the
 // two-layer test MLP under: the hidden layer on the SecureML baseline,
 // the output layer on ABNN2.
-func testPlan() *abnn2.Plan {
-	return &abnn2.Plan{Layers: []abnn2.PlanChoice{
+func testPlan() abnn2.Plan {
+	return abnn2.Plan{
 		{Backend: core.BackendSecureML},
 		{Backend: core.BackendABNN2},
-	}}
+	}
 }
 
 // TestServePlannedSessionEndToEnd: a client proposing a valid mixed
@@ -61,7 +61,7 @@ func TestServePlannedSessionEndToEnd(t *testing.T) {
 func TestRejectBadPlan(t *testing.T) {
 	rt := testRuntime(t, Options{})
 
-	short := &abnn2.Plan{Layers: []abnn2.PlanChoice{{Backend: core.BackendABNN2}}}
+	short := abnn2.Plan{{Backend: core.BackendABNN2}}
 	_, _, err := rt.ConnectPlan(context.Background(), "", short)
 	var rej *RejectError
 	if !errors.As(err, &rej) {
@@ -100,42 +100,57 @@ func TestRejectBadPlan(t *testing.T) {
 }
 
 // TestRequiredPlanMismatch: a runtime pinned to a required plan
-// (single-model servers started with -plan) admits only hellos carrying
-// that exact plan, and runs them end to end.
+// (single-model servers started with -plan) admits the hellos carrying
+// that schedule — in any spelling, since plans are compared in canonical
+// form, and every spelling has the required plan's fingerprint — and runs
+// them end to end; a hello carrying any other schedule is refused.
 func TestRequiredPlanMismatch(t *testing.T) {
 	reg := testRegistry(t, "m0")
-	required := testPlan()
+	required, err := core.ParseSchedule("secureml,abnn2:4(4)")
+	if err != nil {
+		t.Fatal(err)
+	}
 	rt := testRuntime(t, Options{Registry: reg, Session: abnn2.Config{Plan: required}})
-
-	other := &abnn2.Plan{Layers: []abnn2.PlanChoice{
-		{Backend: core.BackendABNN2},
-		{Backend: core.BackendSecureML},
-	}}
-	_, _, err := rt.ConnectPlan(context.Background(), "m0", other)
-	var rej *RejectError
-	if !errors.As(err, &rej) {
-		t.Fatalf("err = %v, want *RejectError", err)
-	}
-	if rej.Rejection.Code != RejectBadPlan || rej.Temporary() {
-		t.Fatalf("rejection = %+v, want permanent bad-plan", rej.Rejection)
-	}
-
-	// The matching plan is admitted and completes.
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	conn, arch, err := rt.ConnectPlan(ctx, "m0", required)
-	if err != nil {
-		t.Fatalf("connect with required plan: %v", err)
-	}
-	client, err := abnn2.Dial(conn, arch, abnn2.Config{
-		RingBits: 32, RoundTimeout: testRoundTimeout, Plan: required,
-	})
-	if err != nil {
-		conn.Close()
-		t.Fatalf("dial: %v", err)
-	}
-	defer client.Close()
-	if _, err := client.Classify(testInputs(1)); err != nil {
-		t.Fatalf("classify under required plan: %v", err)
+	for _, tc := range []struct {
+		spelling string
+		admitted bool
+	}{
+		{"abnn2,secureml", false},
+		{"secureml,abnn2", false},
+		{"secureml,abnn2:4(4)", true},
+		{"secureml, abnn2:4( 4)", true},
+		{"secureml,abnn2:04(4)", true},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		sconn, cconn := abnn2.Pipe()
+		go func() { _ = rt.HandleConn(ctx, sconn, "inproc") }()
+		info, err := clientHandshake(cconn, hello{V: helloVersion, Model: "m0", Plan: tc.spelling})
+		if !tc.admitted {
+			var rej *RejectError
+			if !errors.As(err, &rej) || rej.Rejection.Code != RejectBadPlan || rej.Temporary() {
+				t.Errorf("plan %q: %v, want a permanent bad-plan rejection", tc.spelling, err)
+			}
+			cconn.Close()
+			cancel()
+			continue
+		}
+		if err != nil {
+			t.Fatalf("plan %q: connect: %v", tc.spelling, err)
+		}
+		if p, _ := core.ParseSchedule(tc.spelling); p.Fingerprint() != required.Fingerprint() {
+			t.Errorf("plan %q has fingerprint %s, the required plan %s", tc.spelling, p.Fingerprint(), required.Fingerprint())
+		}
+		client, err := abnn2.Dial(cconn, info.Arch, abnn2.Config{
+			RingBits: 32, RoundTimeout: testRoundTimeout, Plan: required,
+		})
+		if err != nil {
+			cconn.Close()
+			t.Fatalf("plan %q: dial: %v", tc.spelling, err)
+		}
+		if _, err := client.Classify(testInputs(1)); err != nil {
+			t.Errorf("plan %q: classify under the required plan: %v", tc.spelling, err)
+		}
+		client.Close()
+		cancel()
 	}
 }

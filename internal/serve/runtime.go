@@ -12,7 +12,7 @@ import (
 	"time"
 
 	"abnn2"
-	"abnn2/internal/plan"
+	"abnn2/internal/core"
 	"abnn2/internal/trace"
 )
 
@@ -394,7 +394,7 @@ func (rt *Runtime) HandleConn(ctx context.Context, conn abnn2.Conn, remote strin
 	}
 	if sessPlan != nil {
 		// The admitted plan becomes the session's requirement: every
-		// batch announcement must carry this exact plan.
+		// batch announcement must carry this same schedule.
 		cfg.Plan = sessPlan
 	}
 	// The hello's class selects how the session is accounted, not what
@@ -467,18 +467,18 @@ func (rt *Runtime) checkOffline() *Rejection {
 // hello proposed none. Validation runs before admission — a plan the
 // server cannot execute is refused in the handshake round, before the
 // client sinks base-OT work into a doomed session.
-func (rt *Runtime) checkPlan(model *Model, h hello) (*abnn2.Plan, *Rejection) {
+func (rt *Runtime) checkPlan(model *Model, h hello) (abnn2.Plan, *Rejection) {
 	if h.Plan == "" {
 		return nil, nil
 	}
-	p, err := plan.FromString(h.Plan)
+	p, err := core.ParseSchedule(h.Plan)
 	if err == nil && rt.session.Plan != nil && p.String() != rt.session.Plan.String() {
 		err = fmt.Errorf("this server requires plan %s", rt.session.Plan)
 	}
 	if err == nil {
 		// Batch 1 is the most permissive shape; the session layer re-checks
 		// against each announced batch.
-		err = p.Validate(model.Quant.Arch(), 1)
+		err = p.Validate(model.Quant.Arch(), 1, nil)
 	}
 	if err != nil {
 		return nil, &Rejection{Code: RejectBadPlan, Reason: err.Error()}
@@ -585,7 +585,7 @@ func (rt *Runtime) Connect(ctx context.Context, model string) (abnn2.Conn, abnn2
 // ConnectPlan is Connect proposing a per-layer protocol plan in the
 // handshake (nil proposes none); the same plan must then be set as
 // abnn2.Config.Plan for the Dial on the returned connection.
-func (rt *Runtime) ConnectPlan(ctx context.Context, model string, p *abnn2.Plan) (abnn2.Conn, abnn2.Arch, error) {
+func (rt *Runtime) ConnectPlan(ctx context.Context, model string, p abnn2.Plan) (abnn2.Conn, abnn2.Arch, error) {
 	h := hello{V: helloVersion, Model: model}
 	if p != nil {
 		h.Plan = p.String()

@@ -41,7 +41,7 @@ func durableSweepParty(t *testing.T, seed uint64) (*abnn2.BankStore, *abnn2.Bank
 // runPeerBanked prefetches exactly one peer-paired correlation over an
 // in-memory pipe and executes the case provisioned from it, both sessions
 // under plan p (nil = all-ABNN2).
-func runPeerBanked(t *testing.T, c *Case, optRelu bool, p *abnn2.Plan) (*ring.Mat, error) {
+func runPeerBanked(t *testing.T, c *Case, optRelu bool, p abnn2.Plan) (*ring.Mat, error) {
 	t.Helper()
 	data, err := nn.MarshalQuantized(c.Model)
 	if err != nil {

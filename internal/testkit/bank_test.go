@@ -139,12 +139,8 @@ func TestPlannedBankedSweep(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: draw plan: %v", c.Desc(), err)
 			}
-			if err := p.Validate(core.ArchOf(c.Model), c.Batch); err != nil {
+			if err := p.Validate(core.ArchOf(c.Model), c.Batch, nil); err != nil {
 				t.Fatalf("%s: generated plan %s invalid: %v", c.Desc(), p, err)
-			}
-			sched, err := p.Schedule()
-			if err != nil {
-				t.Fatalf("%s: plan %s: %v", c.Desc(), p, err)
 			}
 			data, err := nn.MarshalQuantized(c.Model)
 			if err != nil {
@@ -161,13 +157,13 @@ func TestPlannedBankedSweep(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := b.RegisterSchedule(p.Fingerprint(), sched, planSweepKeyBits); err != nil {
+			if err := b.RegisterSchedule(p, planSweepKeyBits); err != nil {
 				t.Fatal(err)
 			}
 			plain := bank.Key{Model: id, Scheme: c.Scheme, RingBits: c.RingBits,
 				Batch: c.Batch, Backend: bank.SessionBackend}
 			planned := plain
-			planned.Backend = bank.PlanBackend(p.Fingerprint())
+			planned.Backend = bank.PlanBackend(p)
 			hits.key = planned
 			if err := b.Prewarm(planned, 1); err != nil {
 				t.Fatalf("%s: prewarm %v: %v", c.Desc(), planned, err)

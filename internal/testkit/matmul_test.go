@@ -211,8 +211,8 @@ func TestBackendTable(t *testing.T) {
 					arch := core.Arch{Frac: 8, SchemeName: scheme.Name(), Layers: []nn.Shape{{In: sh.N, Out: sh.M}}}
 					in := plan.Input{Arch: arch, RingBits: l, Batch: sh.O, Link: plan.LAN(), MiniONNBits: keyBits}
 					p := plan.Uniform(b, 1)
-					if got := p.Validate(arch, sh.O) == nil; got != fits {
-						t.Errorf("plan.Validate accepts = %v, Fits = %v", got, fits)
+					if got := p.Validate(arch, sh.O, nil) == nil; got != fits {
+						t.Errorf("Schedule.Validate accepts = %v, Fits = %v", got, fits)
 					}
 					_, est, err := plan.Choose(in)
 					if err != nil {

@@ -5,7 +5,7 @@ import (
 
 	"abnn2"
 	"abnn2/internal/core"
-	"abnn2/internal/plan"
+	"abnn2/internal/quant"
 )
 
 // TestGoldenSessionPlanned pins the full wire transcript of a planned
@@ -28,10 +28,10 @@ import (
 // conformance-locked by TestMixedPlanSweep rather than a transcript.
 func TestGoldenSessionPlanned(t *testing.T) {
 	c := Generate(5) // fixed case: ring 8, scheme 6(6), batch 2, conv+pool then FC
-	p := &plan.Plan{Layers: []plan.Choice{
-		{Backend: core.BackendABNN2, Scheme: "6(3,3)"},
+	p := abnn2.Plan{
+		{Backend: core.BackendABNN2, Scheme: quant.Uniform(3, 2)},
 		{Backend: core.BackendSecureML},
-	}}
+	}
 	mutate := func(server bool, cfg *abnn2.Config) { cfg.Plan = p }
 
 	srv1, cli1 := sessionTranscripts(t, c, 1, c.Inputs, mutate)

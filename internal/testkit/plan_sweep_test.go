@@ -6,7 +6,6 @@ import (
 
 	"abnn2"
 	"abnn2/internal/core"
-	"abnn2/internal/plan"
 	"abnn2/internal/prg"
 	"abnn2/internal/quant"
 	"abnn2/internal/ring"
@@ -30,7 +29,7 @@ const planSweepKeyBits = 512
 // [-1,1]), and ABNN2 layers occasionally carry a scheme override
 // widened to cover the session range — the planner emits exactly such
 // overrides when a coarser fragmentation is cheaper.
-func randomPlan(c *Case) (*plan.Plan, error) {
+func randomPlan(c *Case) (core.Schedule, error) {
 	arch := core.ArchOf(c.Model)
 	session, err := quant.Parse(arch.SchemeName)
 	if err != nil {
@@ -38,17 +37,17 @@ func randomPlan(c *Case) (*plan.Plan, error) {
 	}
 	smin, smax := session.Range()
 	rng := prg.New(prg.SeedFromInt(c.Seed)).Child("testkit-plan")
-	p := &plan.Plan{Layers: make([]plan.Choice, len(arch.Layers))}
+	p := make(core.Schedule, len(arch.Layers))
 	for i, l := range arch.Layers {
 		cands := []core.BackendID{core.BackendABNN2, core.BackendSecureML, core.BackendMiniONN}
 		if c.Batch*l.Cols() == 1 && smin >= -1 && smax <= 1 {
 			cands = append(cands, core.BackendQuotient)
 		}
-		ch := plan.Choice{Backend: cands[rng.Intn(len(cands))]}
+		ch := core.LayerChoice{Backend: cands[rng.Intn(len(cands))]}
 		if ch.Backend == core.BackendABNN2 && rng.Intn(3) == 0 {
 			ch.Scheme = overrideScheme(rng, smin, smax)
 		}
-		p.Layers[i] = ch
+		p[i] = ch
 	}
 	return p, nil
 }
@@ -56,7 +55,7 @@ func randomPlan(c *Case) (*plan.Plan, error) {
 // overrideScheme builds a random fragmentation of the smallest bit
 // scheme covering [smin, smax] — a valid ABNN2 per-layer override for
 // any session scheme with that range.
-func overrideScheme(rng *prg.PRG, smin, smax int64) string {
+func overrideScheme(rng *prg.PRG, smin, smax int64) quant.Scheme {
 	signed := smin < 0
 	bits := 1
 	for {
@@ -71,7 +70,7 @@ func overrideScheme(rng *prg.PRG, smin, smax int64) string {
 		}
 		bits++
 	}
-	return quant.NewBitScheme(signed, randomPartition(rng, bits)...).Name()
+	return quant.NewBitScheme(signed, randomPartition(rng, bits)...)
 }
 
 // TestMixedPlanSweep is the planner's conformance lock: for every seed
@@ -92,7 +91,7 @@ func TestMixedPlanSweep(t *testing.T) {
 				t.Fatalf("%s: draw plan: %v", c.Desc(), err)
 			}
 			arch := core.ArchOf(c.Model)
-			if err := p.Validate(arch, c.Batch); err != nil {
+			if err := p.Validate(arch, c.Batch, nil); err != nil {
 				t.Fatalf("%s: generated plan %s invalid: %v", c.Desc(), p, err)
 			}
 			planned, err := RunSecureCfg(c, 0, func(server bool, cfg *abnn2.Config) {

@@ -559,7 +559,7 @@ func TestPlannedPrefetchFillsPlanPool(t *testing.T) {
 	p := plan.Uniform(core.BackendSecureML, len(qm.Arch().Layers))
 	plain := bankSessionKeyForTest(t, qm, 2)
 	planned := plain
-	planned.Backend = bank.PlanBackend(p.Fingerprint())
+	planned.Backend = bank.PlanBackend(p)
 
 	scfg, ccfg := peerConfigs(t, qm, srv, cli)
 	ccfg.Plan = p

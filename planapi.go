@@ -10,15 +10,19 @@ package abnn2
 // against the model (layer count, weight ranges, backend
 // applicability) and both parties execute the mixed schedule.
 
-import "abnn2/internal/plan"
+import (
+	"abnn2/internal/core"
+	"abnn2/internal/plan"
+)
 
-// Plan is a per-layer offline backend schedule; see Config.Plan. Build
-// one with ChoosePlan (cost-model driven) or as a literal, one PlanChoice
-// per layer; its String is the form the tools' -plan flag takes.
-type Plan = plan.Plan
+// Plan is a per-layer offline backend schedule; see Config.Plan. nil is
+// no plan. Build one with ChoosePlan (cost-model driven) or as a literal,
+// one PlanChoice per layer; its String is the canonical text form the
+// tools' -plan flag takes, the wire carries and Fingerprint hashes.
+type Plan = core.Schedule
 
 // PlanChoice is one layer's (backend, scheme) assignment.
-type PlanChoice = plan.Choice
+type PlanChoice = core.LayerChoice
 
 // PlanLink models the channel the planner prices communication against;
 // use PlanLAN/PlanWAN or fill the fields directly.
@@ -41,4 +45,4 @@ func PlanWAN() PlanLink { return plan.WAN() }
 // ChoosePlan runs the planner: per layer, the cheapest applicable
 // (backend, η/γ decomposition) under the link's cost model.
 // Deterministic for a fixed input.
-func ChoosePlan(in PlanInput) (*Plan, *PlanEstimate, error) { return plan.Choose(in) }
+func ChoosePlan(in PlanInput) (Plan, *PlanEstimate, error) { return plan.Choose(in) }
