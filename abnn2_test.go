@@ -522,33 +522,53 @@ func TestRequiredPlanAdmitsAnySpelling(t *testing.T) {
 // TestV3PlanFlightFailsLoudly pairs this server with a wire-v3 client on
 // a bare connection, where no hello announces a version: set-up is the
 // same in both versions, so the session opens, and the first batch's plan
-// flight is v3's binary frame, which core.ParseSchedule refuses. The server's
-// batch must fail with that parse error — no *PanicError, the frame never
-// misread as a plan — and the client must see the connection close well
-// inside the round timeout, with no goroutine left behind.
+// flight is v3's binary frame, which core.ParseSchedule refuses.
 func TestV3PlanFlightFailsLoudly(t *testing.T) {
+	p := plan.Uniform(core.BackendSecureML, 2)
+	refusedPlanFlight(t, p, v3PlanFrame(p), `unknown backend "ABP1`)
+}
+
+// TestBadPlanFlightRefused: the plan flight is the one place a plan
+// crosses the wire, so a server that requires none still refuses there a
+// plan it cannot run — one of the wrong length, or text that is no plan.
+func TestBadPlanFlightRefused(t *testing.T) {
+	sent := plan.Uniform(core.BackendSecureML, 2)
+	for _, tc := range []struct{ frame, want string }{
+		{"abnn2", "schedule has 1 layers"},
+		{"not a plan", `unknown backend "not a plan"`},
+	} {
+		t.Run(tc.frame, func(t *testing.T) { refusedPlanFlight(t, sent, []byte(tc.frame), tc.want) })
+	}
+}
+
+// refusedPlanFlight runs a batch whose client dials with plan sent but
+// puts frame on the wire in its place. The server's batch must fail with
+// an error containing want — no *PanicError, the frame never misread as a
+// plan — and the client must see the connection close well inside the
+// round timeout, with no goroutine left behind.
+func refusedPlanFlight(t *testing.T, sent Plan, frame []byte, want string) {
+	t.Helper()
 	qm := chaosModel(t)
 	base := leakcheck.Base()
 	cfg := Config{RingBits: 32, RoundTimeout: chaosRoundTimeout}
 	ccfg := cfg
-	ccfg.Plan = plan.Uniform(core.BackendSecureML, len(qm.Arch().Layers))
+	ccfg.Plan = sent
 	sconn, cconn := Pipe()
 	start := time.Now()
-	frame := &planFrameConn{Conn: cconn, plan: ccfg.Plan.String(), frame: v3PlanFrame(ccfg.Plan)}
-	srvErr, cliErr, _ := runParties(t, qm, sconn, frame, cfg, ccfg)
-	if srvErr == nil || !strings.Contains(srvErr.Error(), `unknown backend "ABP1`) {
-		t.Errorf("server: %v, want the plan parse error", srvErr)
+	srvErr, cliErr, _ := runParties(t, qm, sconn, &planFrameConn{Conn: cconn, plan: sent.String(), frame: frame}, cfg, ccfg)
+	if srvErr == nil || !strings.Contains(srvErr.Error(), want) {
+		t.Errorf("server: %v, want an error containing %q", srvErr, want)
 	}
 	var pe *PanicError
 	if errors.As(srvErr, &pe) || errors.As(cliErr, &pe) {
 		t.Errorf("a party panicked: server=%v client=%v", srvErr, cliErr)
 	}
 	if cliErr == nil {
-		t.Error("the v3 client's batch completed against a server that refused its plan")
+		t.Error("the client's batch completed against a server that refused its plan")
 	}
 	if elapsed := time.Since(start); elapsed >= chaosRoundTimeout {
 		t.Errorf("the session took %v to fail, round timeout is %v", elapsed, chaosRoundTimeout)
 	}
 	t.Logf("server: %v; client: %v", srvErr, cliErr)
-	leakcheck.Settle(t, base, "v3 plan flight")
+	leakcheck.Settle(t, base, "refused plan flight")
 }

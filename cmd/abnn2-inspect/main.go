@@ -80,7 +80,7 @@ func main() {
 		return
 	}
 	if *planFlag != "" {
-		planReport(*modelPath, *planFlag, *linkFlag, *batches, *ringBits, *tracePath)
+		planReport(*modelPath, *planFlag, *linkFlag, batchSizes(*batches)[0], *ringBits, *tracePath)
 		return
 	}
 	if *tracePath != "" {
@@ -142,11 +142,7 @@ func main() {
 	fmt.Printf("\nprojected offline cost (Table 1 closed forms), %s link %.1f MB/s + %g ms RTT:\n",
 		link.Name, link.BandwidthBytes/1e6, float64(link.RTT)/float64(time.Millisecond))
 	fmt.Printf("%8s %14s %12s %14s\n", "batch", "#OT", "offline MB", "transfer s")
-	for _, bStr := range strings.Split(*batches, ",") {
-		b, err := strconv.Atoi(strings.TrimSpace(bStr))
-		if err != nil || b <= 0 {
-			log.Fatalf("bad batch size %q", bStr)
-		}
+	for _, b := range batchSizes(*batches) {
 		var ots int64
 		var bits float64
 		for _, l := range qm.Layers {
@@ -163,11 +159,26 @@ func main() {
 	fmt.Printf("(kappa = %d; one-batch C-OT and multi-batch packing selected automatically per batch)\n", otext.Kappa)
 }
 
+// batchSizes parses -batch, a comma-separated list of positive batch
+// sizes, and exits on any other entry.
+func batchSizes(list string) []int {
+	var sizes []int
+	for _, bStr := range strings.Split(list, ",") {
+		b, err := strconv.Atoi(strings.TrimSpace(bStr))
+		if err != nil || b <= 0 {
+			log.Fatalf("bad batch size %q", bStr)
+		}
+		sizes = append(sizes, b)
+	}
+	return sizes
+}
+
 // planReport prints the protocol planner's predicted per-layer cost
-// table for a model, and — when a span dump is supplied — the measured
-// per-layer offline ("triplets") spans beside the predictions, so a
-// recorded run can be judged against the cost model that planned it.
-func planReport(modelPath, planVal, linkVal, batches string, ringBits uint, tracePath string) {
+// table for a model at the given batch size, and — when a span dump is
+// supplied — the measured per-layer offline ("triplets") spans beside the
+// predictions, so a recorded run can be judged against the cost model
+// that planned it.
+func planReport(modelPath, planVal, linkVal string, batch int, ringBits uint, tracePath string) {
 	data, err := os.ReadFile(modelPath)
 	if err != nil {
 		log.Fatalf("read model: %v", err)
@@ -179,12 +190,6 @@ func planReport(modelPath, planVal, linkVal, batches string, ringBits uint, trac
 	link, err := plan.ParseLink(linkVal)
 	if err != nil {
 		log.Fatal(err)
-	}
-	batch := 1
-	if first := strings.Split(batches, ",")[0]; first != "" {
-		if b, err := strconv.Atoi(strings.TrimSpace(first)); err == nil && b > 0 {
-			batch = b
-		}
 	}
 	in := plan.Input{Arch: core.ArchOf(qm), RingBits: ringBits, Batch: batch, Link: link}
 	p, est, err := plan.FromFlag(planVal, in)

@@ -57,17 +57,13 @@ func clientParty(t *testing.T) (*abnn2.BankStore, *abnn2.Bank) {
 }
 
 // offlineSession opens an offline-class session against rt in process —
-// hello, then Dial onto the pool shared with the server — proposing plan p
-// in both (nil proposes none).
+// hello, then Dial onto the pool shared with the server under plan p (nil
+// = none).
 func offlineSession(t *testing.T, rt *Runtime, cliBank *abnn2.Bank, p abnn2.Plan) (*abnn2.Client, HandshakeInfo) {
 	t.Helper()
-	h := hello{V: helloVersion, Offline: true}
-	if p != nil {
-		h.Plan = p.String()
-	}
 	sconn, cconn := abnn2.Pipe()
 	go func() { _ = rt.HandleConn(context.Background(), sconn, "inproc") }()
-	info, err := clientHandshake(cconn, h)
+	info, err := clientHandshake(cconn, hello{V: helloVersion, Offline: true})
 	if err != nil {
 		cconn.Close()
 		t.Fatalf("offline handshake: %v", err)
@@ -131,11 +127,9 @@ func TestOfflineHandshakeAndSession(t *testing.T) {
 	}
 }
 
-// TestOfflineSessionPlanned: an offline hello proposing a plan is admitted
-// like an inference hello proposing one; the session prefetches under that
-// plan, and a planned inference session then runs banked-only from the
-// pool it filled and predicts like plaintext. A plan the model cannot run
-// is refused for an offline hello with the code an inference hello gets.
+// TestOfflineSessionPlanned: an offline session dialing with a plan
+// prefetches under that plan, and a planned inference session then runs
+// banked-only from the pool it filled and predicts like plaintext.
 func TestOfflineSessionPlanned(t *testing.T) {
 	rt, _ := durableRuntime(t, t.TempDir(), 4)
 	_, cliBank := clientParty(t)
@@ -150,7 +144,7 @@ func TestOfflineSessionPlanned(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	conn, arch, err := rt.ConnectPlan(ctx, "", p)
+	conn, arch, err := rt.Connect(ctx, "")
 	if err != nil {
 		t.Fatalf("planned connect: %v", err)
 	}
@@ -170,16 +164,6 @@ func TestOfflineSessionPlanned(t *testing.T) {
 		if want := qm.Quant.Predict(x); classes[k] != want {
 			t.Errorf("input %d: planned peer-banked %d, plaintext %d", k, classes[k], want)
 		}
-	}
-
-	sconn, cconn := abnn2.Pipe()
-	defer cconn.Close()
-	go func() { _ = rt.HandleConn(context.Background(), sconn, "inproc") }()
-	short := p[:1]
-	_, err = clientHandshake(cconn, hello{V: helloVersion, Offline: true, Plan: short.String()})
-	var rej *RejectError
-	if !errors.As(err, &rej) || rej.Rejection.Code != RejectBadPlan {
-		t.Fatalf("offline hello with an infeasible plan: %v, want %s", err, RejectBadPlan)
 	}
 }
 

@@ -2,8 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"testing"
 	"time"
 
@@ -21,19 +19,19 @@ func testPlan() abnn2.Plan {
 	}
 }
 
-// TestServePlannedSessionEndToEnd: a client proposing a valid mixed
-// plan in the hello is admitted, the admitted plan becomes the
-// session's requirement, and the planned session predicts exactly what
-// the plaintext model does.
+// TestServePlannedSessionEndToEnd: a client dialing with a valid mixed
+// plan is admitted by the ordinary handshake, announces the plan on each
+// batch, and the planned session predicts exactly what the plaintext
+// model does.
 func TestServePlannedSessionEndToEnd(t *testing.T) {
 	reg := testRegistry(t, "m0")
 	rt := testRuntime(t, Options{Registry: reg})
 	p := testPlan()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	conn, arch, err := rt.ConnectPlan(ctx, "m0", p)
+	conn, arch, err := rt.Connect(ctx, "m0")
 	if err != nil {
-		t.Fatalf("connect with plan: %v", err)
+		t.Fatalf("connect: %v", err)
 	}
 	client, err := abnn2.Dial(conn, arch, abnn2.Config{
 		RingBits: 32, RoundTimeout: testRoundTimeout, Plan: p,
@@ -55,55 +53,28 @@ func TestServePlannedSessionEndToEnd(t *testing.T) {
 	}
 }
 
-// TestRejectBadPlan: an infeasible plan (wrong layer count) and a
-// malformed plan are both refused in the handshake round with the
-// permanent bad-plan code — before admission, before any base-OT work.
-func TestRejectBadPlan(t *testing.T) {
-	rt := testRuntime(t, Options{})
+// helloConn sends raw in place of the client's first flight, the hello.
+type helloConn struct {
+	abnn2.Conn
+	raw  []byte
+	sent bool
+}
 
-	short := abnn2.Plan{{Backend: core.BackendABNN2}}
-	_, _, err := rt.ConnectPlan(context.Background(), "", short)
-	var rej *RejectError
-	if !errors.As(err, &rej) {
-		t.Fatalf("err = %v, want *RejectError", err)
+func (c *helloConn) Send(msg []byte) error {
+	if !c.sent {
+		c.sent, msg = true, c.raw
 	}
-	if rej.Rejection.Code != RejectBadPlan || rej.Temporary() {
-		t.Fatalf("rejection = %+v, want permanent bad-plan", rej.Rejection)
-	}
-
-	// A plan that does not parse at all.
-	raw, err := json.Marshal(hello{V: helloVersion, Plan: "not a plan"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sconn, cconn := abnn2.Pipe()
-	done := make(chan error, 1)
-	go func() { done <- rt.HandleConn(context.Background(), sconn, "test") }()
-	if err := cconn.Send(raw); err != nil {
-		t.Fatalf("send: %v", err)
-	}
-	reply, err := cconn.Recv()
-	if err != nil {
-		t.Fatalf("recv: %v", err)
-	}
-	var hr helloReply
-	if err := json.Unmarshal(reply, &hr); err != nil {
-		t.Fatalf("reply not JSON: %v", err)
-	}
-	if hr.OK || hr.Reject == nil || hr.Reject.Code != RejectBadPlan || hr.Reject.Retryable {
-		t.Fatalf("reply = %+v, want permanent bad-plan rejection", hr)
-	}
-	if err := <-done; !errors.As(err, &rej) || rej.Rejection.Code != RejectBadPlan {
-		t.Fatalf("HandleConn err = %v, want bad-plan RejectError", err)
-	}
-	cconn.Close()
+	return c.Conn.Send(msg)
 }
 
 // TestRequiredPlanMismatch: a runtime pinned to a required plan
-// (single-model servers started with -plan) admits the hellos carrying
-// that schedule — in any spelling, since plans are compared in canonical
-// form, and every spelling has the required plan's fingerprint — and runs
-// them end to end; a hello carrying any other schedule is refused.
+// (single-model servers started with -plan) admits every well-formed
+// hello, and enforces the plan where it crosses the wire, at each batch's
+// plan flight: a client dialing with the required plan classifies, one
+// dialing with another plan or none is admitted and its first batch
+// fails, and its session slot comes back. A version-4 hello that still
+// carries a plan, even one that does not parse, is admitted as if it did
+// not: the key is ignored.
 func TestRequiredPlanMismatch(t *testing.T) {
 	reg := testRegistry(t, "m0")
 	required, err := core.ParseSchedule("secureml,abnn2:4(4)")
@@ -112,45 +83,61 @@ func TestRequiredPlanMismatch(t *testing.T) {
 	}
 	rt := testRuntime(t, Options{Registry: reg, Session: abnn2.Config{Plan: required}})
 	for _, tc := range []struct {
-		spelling string
-		admitted bool
+		name       string
+		hello      string // raw hello; empty = the runtime client's
+		plan       string // the client's Config.Plan; empty = none
+		classifies bool
 	}{
-		{"abnn2,secureml", false},
-		{"secureml,abnn2", false},
-		{"secureml,abnn2:4(4)", true},
-		{"secureml, abnn2:4( 4)", true},
-		{"secureml,abnn2:04(4)", true},
+		{"required", "", "secureml,abnn2:4(4)", true},
+		{"other", "", "abnn2,secureml", false},
+		{"none", "", "", false},
+		{"hello-plan-ignored", `{"abnn2":4,"model":"m0","plan":"not a plan"}`, "secureml,abnn2:4(4)", true},
 	} {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		sconn, cconn := abnn2.Pipe()
-		go func() { _ = rt.HandleConn(ctx, sconn, "inproc") }()
-		info, err := clientHandshake(cconn, hello{V: helloVersion, Model: "m0", Plan: tc.spelling})
-		if !tc.admitted {
-			var rej *RejectError
-			if !errors.As(err, &rej) || rej.Rejection.Code != RejectBadPlan || rej.Temporary() {
-				t.Errorf("plan %q: %v, want a permanent bad-plan rejection", tc.spelling, err)
+		var p abnn2.Plan
+		if tc.plan != "" {
+			if p, err = core.ParseSchedule(tc.plan); err != nil {
+				t.Fatal(err)
 			}
-			cconn.Close()
-			cancel()
-			continue
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		var conn abnn2.Conn
+		var arch abnn2.Arch
+		if tc.hello == "" {
+			conn, arch, err = rt.Connect(ctx, "m0")
+		} else {
+			sconn, cconn := abnn2.Pipe()
+			go func() { _ = rt.HandleConn(ctx, sconn, "inproc") }()
+			var info HandshakeInfo
+			info, err = ClientHandshakeInfo(&helloConn{Conn: cconn, raw: []byte(tc.hello)}, "m0")
+			conn, arch = cconn, info.Arch
 		}
 		if err != nil {
-			t.Fatalf("plan %q: connect: %v", tc.spelling, err)
+			cancel()
+			t.Fatalf("%s: connect: %v", tc.name, err)
 		}
-		if p, _ := core.ParseSchedule(tc.spelling); p.Fingerprint() != required.Fingerprint() {
-			t.Errorf("plan %q has fingerprint %s, the required plan %s", tc.spelling, p.Fingerprint(), required.Fingerprint())
-		}
-		client, err := abnn2.Dial(cconn, info.Arch, abnn2.Config{
-			RingBits: 32, RoundTimeout: testRoundTimeout, Plan: required,
+		client, err := abnn2.Dial(conn, arch, abnn2.Config{
+			RingBits: 32, RoundTimeout: testRoundTimeout, Plan: p,
 		})
 		if err != nil {
-			cconn.Close()
-			t.Fatalf("plan %q: dial: %v", tc.spelling, err)
+			conn.Close()
+			cancel()
+			t.Fatalf("%s: dial: %v", tc.name, err)
 		}
-		if _, err := client.Classify(testInputs(1)); err != nil {
-			t.Errorf("plan %q: classify under the required plan: %v", tc.spelling, err)
-		}
+		_, err = client.Classify(testInputs(1))
 		client.Close()
 		cancel()
+		if tc.classifies && err != nil {
+			t.Errorf("%s: classify under plan %q: %v", tc.name, tc.plan, err)
+		}
+		if !tc.classifies && err == nil {
+			t.Errorf("%s: plan %q classified on a server requiring %s", tc.name, tc.plan, required)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for rt.Admission().Active() != 0 && time.Now().Before(deadline) {
+			time.Sleep(10 * time.Millisecond)
+		}
+		if active := rt.Admission().Active(); active != 0 {
+			t.Errorf("%s: %d sessions still admitted after the client closed", tc.name, active)
+		}
 	}
 }

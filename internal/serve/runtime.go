@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"abnn2"
-	"abnn2/internal/core"
 	"abnn2/internal/trace"
 )
 
@@ -348,14 +347,12 @@ func (rt *Runtime) HandleConn(ctx context.Context, conn abnn2.Conn, remote strin
 			Reason: fmt.Sprintf("model %q is not served here", h.Model),
 		})
 	}
-	// What the hello asks for is checked before admission: a request this
-	// server can never serve is refused without taking a slot.
-	sessPlan, rej := rt.checkPlan(model, h)
-	if rej == nil && h.Offline {
-		rej = rt.checkOffline()
-	}
-	if rej != nil {
-		return rt.reject(conn, remote, *rej)
+	// An offline hello is checked before admission: a request this server
+	// can never serve is refused without taking a slot.
+	if h.Offline {
+		if rej := rt.checkOffline(); rej != nil {
+			return rt.reject(conn, remote, *rej)
+		}
 	}
 	release, rej, degraded := rt.admit(model, h.Offline)
 	if rej != nil {
@@ -391,11 +388,6 @@ func (rt *Runtime) HandleConn(ctx context.Context, conn abnn2.Conn, remote strin
 		rt.m.degraded()
 		rt.log.Info("admitted degraded (pools dry, inline offline)",
 			"session", id, "model", model.Name, "remote", remote)
-	}
-	if sessPlan != nil {
-		// The admitted plan becomes the session's requirement: every
-		// batch announcement must carry this same schedule.
-		cfg.Plan = sessPlan
 	}
 	// The hello's class selects how the session is accounted, not what
 	// runs: a replenishment session stays out of the latency SLO, the
@@ -460,30 +452,6 @@ func (rt *Runtime) checkOffline() *Rejection {
 			Reason: "offline sessions require a server with a durable bank store"}
 	}
 	return nil
-}
-
-// checkPlan validates a hello's proposed per-layer protocol plan
-// against the requested model. A nil plan with a nil rejection means the
-// hello proposed none. Validation runs before admission — a plan the
-// server cannot execute is refused in the handshake round, before the
-// client sinks base-OT work into a doomed session.
-func (rt *Runtime) checkPlan(model *Model, h hello) (abnn2.Plan, *Rejection) {
-	if h.Plan == "" {
-		return nil, nil
-	}
-	p, err := core.ParseSchedule(h.Plan)
-	if err == nil && rt.session.Plan != nil && p.String() != rt.session.Plan.String() {
-		err = fmt.Errorf("this server requires plan %s", rt.session.Plan)
-	}
-	if err == nil {
-		// Batch 1 is the most permissive shape; the session layer re-checks
-		// against each announced batch.
-		err = p.Validate(model.Quant.Arch(), 1, nil)
-	}
-	if err != nil {
-		return nil, &Rejection{Code: RejectBadPlan, Reason: err.Error()}
-	}
-	return p, nil
 }
 
 // admit decides one handshake: a session slot plus degradation status,
@@ -577,22 +545,13 @@ func (rt *Runtime) reject(conn abnn2.Conn, remote string, rej Rejection) error {
 // and tests use it to drive the exact admission path TCP clients hit,
 // minus the network. On rejection the returned error is the
 // *RejectError, the pipe is closed, and the serving goroutine has
-// already exited by way of its own close.
+// already exited by way of its own close. A planned session sets
+// abnn2.Config.Plan for the Dial on the returned connection: its plan
+// travels in each batch's plan flight, never in the hello.
 func (rt *Runtime) Connect(ctx context.Context, model string) (abnn2.Conn, abnn2.Arch, error) {
-	return rt.ConnectPlan(ctx, model, nil)
-}
-
-// ConnectPlan is Connect proposing a per-layer protocol plan in the
-// handshake (nil proposes none); the same plan must then be set as
-// abnn2.Config.Plan for the Dial on the returned connection.
-func (rt *Runtime) ConnectPlan(ctx context.Context, model string, p abnn2.Plan) (abnn2.Conn, abnn2.Arch, error) {
-	h := hello{V: helloVersion, Model: model}
-	if p != nil {
-		h.Plan = p.String()
-	}
 	sconn, cconn := abnn2.Pipe()
 	go func() { _ = rt.HandleConn(ctx, sconn, "inproc") }()
-	info, err := clientHandshake(cconn, h)
+	info, err := ClientHandshakeInfo(cconn, model)
 	if err != nil {
 		cconn.Close()
 		return nil, info.Arch, err

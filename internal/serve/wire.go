@@ -11,7 +11,8 @@
 // retry-after hint the client backs off on) from permanent refusals
 // (unknown model, malformed hello), so a loaded server sheds work in one
 // cheap round trip instead of hanging, dropping, or half-serving
-// connections. See DESIGN.md, "Serving runtime".
+// connections. The hello carries no protocol plan: a plan crosses the wire
+// only in a batch's plan flight. See DESIGN.md, "Serving runtime".
 package serve
 
 import (
@@ -42,15 +43,14 @@ const maxHelloBytes = 4096
 // refuses it here, before any base-OT work, when it keeps no durable store
 // or the store is still recovering, and accounts it apart from inference
 // sessions; what runs after the handshake is the same session either way.
-// Plan, when present, is the text form (plan.String) of the per-layer
-// protocol plan the client intends to announce on every batch; the server
-// validates it against the model at admission — a plan it cannot serve is
-// refused in the handshake round, before any base-OT work.
+// A per-layer protocol plan is not part of the hello: it travels in each
+// batch's plan flight, where the session checks it. The decoder ignores
+// unknown keys, so a version-4 hello that still carries "plan" is admitted
+// as if it did not.
 type hello struct {
 	V       int    `json:"abnn2"`
 	Model   string `json:"model,omitempty"`
 	Offline bool   `json:"offline,omitempty"`
-	Plan    string `json:"plan,omitempty"`
 }
 
 // helloReply is the server's answer: the model's public architecture and
@@ -84,7 +84,9 @@ const (
 	RejectDraining     = "draining"      // shutdown in progress
 	RejectUnknownModel = "unknown-model" // requested model not registered
 	RejectBadHello     = "bad-hello"     // malformed or wrong-version hello
-	RejectBadPlan      = "bad-plan"      // proposed plan invalid for the model
+	// RejectBadPlan is no longer sent: a plan is checked per batch, at its
+	// plan flight. It stays declared for callers that list every code.
+	RejectBadPlan = "bad-plan"
 )
 
 // Rejection is the typed load-shedding answer of an overloaded or

@@ -1,6 +1,7 @@
 package testkit
 
 import (
+	"errors"
 	"fmt"
 
 	"abnn2"
@@ -43,24 +44,28 @@ func RunSecureCfg(c *Case, workers int, mutate func(server bool, cfg *abnn2.Conf
 		mutate(true, &scfg)
 		mutate(false, &ccfg)
 	}
+	// A party that fails makes its peer fail with a closed connection, so
+	// both errors are reported, the client's first.
 	srvErr := make(chan error, 1)
 	go func() {
 		_, err := abnn2.Serve(serverConn, qm, scfg)
+		if err != nil {
+			err = fmt.Errorf("server: %w", err)
+		}
 		srvErr <- err
 	}()
 	client, err := abnn2.Dial(clientConn, qm.Arch(), ccfg)
 	if err != nil {
 		clientConn.Close()
-		<-srvErr
-		return nil, fmt.Errorf("dial: %w", err)
+		return nil, errors.Join(fmt.Errorf("dial: %w", err), <-srvErr)
 	}
-	out, inferErr := client.Infer(c.Inputs)
+	out, err := client.Infer(c.Inputs)
 	client.Close() // server sees a clean hang-up and Serve returns
-	if err := <-srvErr; err != nil {
-		return nil, fmt.Errorf("server: %w", err)
+	if err != nil {
+		err = fmt.Errorf("infer: %w", err)
 	}
-	if inferErr != nil {
-		return nil, fmt.Errorf("infer: %w", inferErr)
+	if err := errors.Join(err, <-srvErr); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -1,6 +1,7 @@
 package testkit
 
 import (
+	"errors"
 	"fmt"
 
 	"abnn2/internal/core"
@@ -29,7 +30,8 @@ type party func(conn transport.Conn, rng *prg.PRG) (*ring.Mat, error)
 // shares is the one two-party skeleton under every backend: the server
 // runs in a goroutine, the client inline. A side that fails closes its
 // endpoint, so the other returns instead of waiting for a message that
-// will never come.
+// will never come; that side's error is then only the closed connection,
+// so both are reported, the client's first.
 func shares(seed uint64, server, client party) (U, V *ring.Mat, err error) {
 	serverConn, clientConn := transport.Pipe()
 	serr := make(chan error, 1)
@@ -37,18 +39,17 @@ func shares(seed uint64, server, client party) (U, V *ring.Mat, err error) {
 		var err error
 		if U, err = server(serverConn, prg.New(prg.SeedFromInt(2*seed+1))); err != nil {
 			serverConn.Close()
+			err = fmt.Errorf("server: %w", err)
 		}
 		serr <- err
 	}()
 	V, cerr := client(clientConn, prg.New(prg.SeedFromInt(2*seed+2)))
 	if cerr != nil {
 		clientConn.Close()
+		cerr = fmt.Errorf("client: %w", cerr)
 	}
-	if err := <-serr; err != nil {
-		return nil, nil, fmt.Errorf("server: %w", err)
-	}
-	if cerr != nil {
-		return nil, nil, fmt.Errorf("client: %w", cerr)
+	if err := errors.Join(cerr, <-serr); err != nil {
+		return nil, nil, err
 	}
 	return U, V, nil
 }

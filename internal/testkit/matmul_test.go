@@ -2,6 +2,7 @@ package testkit
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"abnn2/internal/core"
@@ -30,17 +31,21 @@ func randWeights(g *prg.PRG, scheme quant.Scheme, mn int) []int64 {
 
 func TestMatmulBackendABNN2(t *testing.T) {
 	cases := []struct {
-		name   string
-		scheme quant.Scheme
-		o      int
-		mode   core.Mode
+		name    string
+		scheme  quant.Scheme
+		o       int
+		mode    core.Mode
+		rRows   int    // rows of R; 0 = n, the rows W's columns need
+		wantErr string // "" = the shares must reconstruct W*R
 	}{
-		{"onebatch-4(2,2)", quant.NewBitScheme(true, 2, 2), 1, core.OneBatch},
-		{"naiveN-4(2,2)", quant.NewBitScheme(true, 2, 2), 1, core.MultiBatch},
-		{"multibatch-4(2,2)", quant.NewBitScheme(true, 2, 2), 3, core.MultiBatch},
-		{"multibatch-ternary", quant.Ternary(), 2, core.MultiBatch},
-		{"onebatch-binary", quant.Binary(), 1, core.OneBatch},
-		{"multibatch-u3(2,1)", quant.NewBitScheme(false, 2, 1), 2, core.MultiBatch},
+		{"onebatch-4(2,2)", quant.NewBitScheme(true, 2, 2), 1, core.OneBatch, 0, ""},
+		{"naiveN-4(2,2)", quant.NewBitScheme(true, 2, 2), 1, core.MultiBatch, 0, ""},
+		{"multibatch-4(2,2)", quant.NewBitScheme(true, 2, 2), 3, core.MultiBatch, 0, ""},
+		{"multibatch-ternary", quant.Ternary(), 2, core.MultiBatch, 0, ""},
+		{"onebatch-binary", quant.Binary(), 1, core.OneBatch, 0, ""},
+		{"multibatch-u3(2,1)", quant.NewBitScheme(false, 2, 1), 2, core.MultiBatch, 0, ""},
+		// The client refuses R first; the server only sees the hang-up.
+		{"client-cause-reported", quant.NewBitScheme(true, 2, 2), 1, core.OneBatch, 6, "client: core: R is 6x1, want 5x1"},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -50,9 +55,17 @@ func TestMatmulBackendABNN2(t *testing.T) {
 			g := prg.New(prg.SeedFromInt(101))
 			m, n := 4, 5
 			W := randWeights(g, tc.scheme, m*n)
-			R := g.Mat(rg, n, tc.o)
-			if err := CheckMatmul(ABNN2Matmul(tc.scheme, tc.mode), rg, W, m, n, R, 500); err != nil {
+			rRows := n
+			if tc.rRows != 0 {
+				rRows = tc.rRows
+			}
+			R := g.Mat(rg, rRows, tc.o)
+			err := CheckMatmul(ABNN2Matmul(tc.scheme, tc.mode), rg, W, m, n, R, 500)
+			if tc.wantErr == "" && err != nil {
 				t.Fatal(err)
+			}
+			if tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)) {
+				t.Fatalf("err = %v, want it to name the client's cause %q", err, tc.wantErr)
 			}
 		})
 	}
