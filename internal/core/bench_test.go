@@ -80,6 +80,13 @@ func BenchmarkTripletsOneBatchTernary(b *testing.B) {
 	benchTriplets(b, quant.Ternary(), MatShape{M: 128, N: 128, O: 1}, OneBatch)
 }
 
+// The bank's fill unit on mlp_b32_banked: the first Fig. 4 layer at
+// o = 32 under 4(2,2), 200 704 multi-batch OTs of four 128-byte
+// candidates each, on one worker per party.
+func BenchmarkTripletsMultiBatchFig4FC1x32(b *testing.B) {
+	benchTripletsWorkers(b, quant.Uniform(2, 2), MatShape{M: 128, N: 784, O: 32}, MultiBatch, 1)
+}
+
 func BenchmarkTripletsMultiBatch16(b *testing.B) {
 	benchTriplets(b, quant.Uniform(2, 4), MatShape{M: 128, N: 128, O: 16}, MultiBatch)
 }

@@ -42,8 +42,9 @@ func fuzzServerTriplets(f *testing.F, p Params) (*ServerTriplets, transport.Conn
 }
 
 // addPayloadSeeds seeds a payload parser at its valid length: zero, 0xFF
-// and 0x80 fills (set high bits reach the ring canonicality check), both
-// off-by-one neighbours and the empty payload.
+// and 0x80 fills (they set the bits above l, which the decoder masks and
+// never rejects: TestPayloadHighBitsNeverAbort), both off-by-one
+// neighbours and the empty payload.
 func addPayloadSeeds(f *testing.F, valid int) {
 	for _, fill := range []byte{0, 0xFF, 0x80} {
 		f.Add(bytes.Repeat([]byte{fill}, valid))
@@ -75,8 +76,8 @@ func FuzzTripletPayloadOneBatch(f *testing.F) {
 
 // FuzzTripletPayloadMultiBatch is the same for the multi-batch packing:
 // N_f * o * elemBytes per OT, so (4+4) * 2 * 5 * 6 = 480 bytes for the
-// same shape at o=2. The DecodeVec canonicality check (high pad bits of
-// the 33-bit ring must be zero) is reachable only here.
+// same shape at o=2. Here the decoder reads o elements per OT as one
+// span; their bits above the 33-bit ring's l are masked, never checked.
 func FuzzTripletPayloadMultiBatch(f *testing.F) {
 	p := Params{Ring: ring.New(33), Scheme: quant.NewBitScheme(true, 2, 2), Workers: 1}
 	srv, peer := fuzzServerTriplets(f, p)

@@ -234,10 +234,12 @@ func ModeFor(o int) Mode {
 	return MultiBatch
 }
 
-// subRun is how many OTs a one-batch worker derives the pads of in one
-// run, into its own scratch, before it encodes or decodes them: whole
+// subRun is how many OTs a worker derives the pads of in one run: whole
 // groups of the pad kernel's eight lanes at N = 2 and N = 4 on both
-// sides, and a scratch that stays in L1.
+// sides. A one-batch worker derives them into its own scratch, which
+// stays in L1, before it encodes or decodes; a multi-batch client XORs
+// them over the sub-run's ciphertexts it has just encoded, and a
+// multi-batch server derives them into scratch and decrypts there.
 const subRun = 32
 
 // GenerateClient runs the client side of the offline phase for shape sh
@@ -301,8 +303,11 @@ func (c *ClientTriplets) generateClient(params Params, vals [][]ring.Elem, sh Ma
 			pV := &ring.Mat{Rows: sh.M, Cols: sh.O, Data: pv}
 			pads := blk.NewDeriver()
 			var cands, cand []byte // one-batch: a sub-run's pads, and the OT's
+			var prod ring.Vec      // multi-batch: one candidate's o products
 			if mode == OneBatch {
 				cands = make([]byte, subRun*layout.maxN*elemBytes)
+			} else {
+				prod = make(ring.Vec, sh.O)
 			}
 			for local := lo; local < hi; local++ {
 				g := ot + local
@@ -338,12 +343,17 @@ func (c *ClientTriplets) generateClient(params Params, vals [][]ring.Elem, sh Ma
 				ss := masks[local*sh.O : (local+1)*sh.O]
 				rg.AddVecInPlace(vrow, ss)
 				for t := 0; t < n; t++ {
-					span := out[t*padBytes : (t+1)*padBytes]
-					for k := range ss {
-						rg.PutElem(span[k*elemBytes:], rg.Sub(rg.Mul(vals[f][t], rrow[k]), ss[k]))
+					for k, r := range rrow {
+						prod[k] = vals[f][t]*r - ss[k] // PutVec reduces
 					}
+					rg.PutVec(out[t*padBytes:], prod)
 				}
-				pads.XORPadsRun(out, padBytes, local, n)
+				// At a sub-run's end its ciphertexts lie back to back, as a
+				// run's pads do: XOR the pads over them in place.
+				if end := local + 1; end == hi || (end-lo)%subRun == 0 {
+					from := local - (local-lo)%subRun
+					layout.derive(pads, payload[layout.at(ot+from)-base:], ot, from, end, padBytes)
+				}
 			}
 		})
 		for _, pv := range partials {
@@ -382,19 +392,20 @@ func newPayloadLayout(sc quant.Scheme, mode Mode, padBytes int) payloadLayout {
 	return l
 }
 
-// derive XORs into buf the one-batch pads of the chunk's OTs lo..hi-1,
-// the chunk starting at OT ot: every candidate of each, elemBytes each,
-// OT after OT. A stretch of OTs with the same N is one run of the
+// derive XORs into buf the pads of the chunk's OTs lo..hi-1, the chunk
+// starting at OT ot: every candidate of each, padBytes each, OT after OT
+// — a one-batch sub-run's scratch, or a multi-batch sub-run's span of
+// the payload flight. A stretch of OTs with the same N is one run of the
 // deriver; under a uniform scheme that is all of them.
-func (l payloadLayout) derive(d *otext.SenderDeriver, buf []byte, ot, lo, hi, elemBytes int) {
+func (l payloadLayout) derive(d *otext.SenderDeriver, buf []byte, ot, lo, hi, padBytes int) {
 	gamma := len(l.n)
 	for lo < hi {
 		n, k := l.n[(ot+lo)%gamma], 1
 		for lo+k < hi && l.n[(ot+lo+k)%gamma] == n {
 			k++
 		}
-		d.XORPadsRun(buf[:k*n*elemBytes], elemBytes, lo, n)
-		buf, lo = buf[k*n*elemBytes:], lo+k
+		d.XORPadsRun(buf[:k*n*padBytes], padBytes, lo, n)
+		buf, lo = buf[k*n*padBytes:], lo+k
 	}
 }
 
@@ -530,43 +541,41 @@ func (s *ServerTriplets) generateServer(run []serverLayer, layerDone func()) ([]
 			partials[part] = pu
 			pU := &ring.Mat{Rows: sh.M, Cols: sh.O, Data: pu}
 			pads := blk.NewDeriver()
-			buf := make([]byte, padBytes)
-			// One-batch: a sub-run's 16-byte short pads. A short pad is a
-			// prefix of its OT's one chaining value, so one serves both the
-			// 8-byte pad(0) read and the elemBytes decrypt.
-			var short []byte
+			// A sub-run's pads, OT after OT: 16-byte short pads in one-batch
+			// mode, where a short pad is a prefix of its OT's one chaining
+			// value, so one serves both the 8-byte pad(0) read and the
+			// elemBytes decrypt; padBytes each in multi-batch mode.
+			stride := padBytes
 			if mode == OneBatch {
-				short = make([]byte, subRun*16)
+				stride = 16
 			}
+			scratch := make([]byte, subRun*stride)
 			for local := lo; local < hi; local++ {
 				g := ot + local
 				i := g / (sh.N * gamma)
 				w := blk.Choice(local)
 				urow := pU.Row(i)
 				ct := payload[layout.at(g)-base : layout.at(g+1)-base]
+				k := (local - lo) % subRun
+				if k == 0 {
+					run := scratch[:stride*(min(local+subRun, hi)-local)]
+					clear(run)
+					pads.XORPadsRun(run, stride, local)
+				}
+				pad := scratch[k*stride : k*stride+padBytes]
 				if mode == OneBatch {
-					k := (local - lo) % subRun
-					if k == 0 {
-						clear(short)
-						pads.XORPadsRun(short[:16*(min(local+subRun, hi)-local)], 16, local)
-					}
-					pad := short[16*k:]
 					if w == 0 {
 						// Output -s where s = pad(0); Value(0)*r = 0.
-						urow[0] = rg.Sub(urow[0], rg.FromBytesFull(pad[:8]))
+						urow[0] = rg.Sub(urow[0], rg.FromBytesFull(scratch[k*stride:]))
 						continue
 					}
-					// Candidate 0 has no ciphertext on the wire. Decrypt
-					// into scratch: the received flight is left as it
-					// arrived.
-					subtle.XORBytes(buf, ct[(w-1)*padBytes:w*padBytes], pad[:padBytes])
-				} else {
-					copy(buf, ct[w*padBytes:(w+1)*padBytes])
-					pads.XORPadsRun(buf, padBytes, local)
+					w-- // candidate 0 has no ciphertext on the wire
 				}
-				for k := range urow {
-					urow[k] = rg.Add(urow[k], rg.GetElem(buf[k*elemBytes:]))
-				}
+				// Decrypt in the scratch, so the received flight is left
+				// as it arrived, and add the products into U's row. The
+				// decoder masks the bits above l and never rejects.
+				subtle.XORBytes(pad, pad, ct[w*padBytes:(w+1)*padBytes])
+				rg.AddDecoded(urow, pad)
 			}
 		})
 		for _, pu := range partials {

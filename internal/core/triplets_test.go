@@ -274,3 +274,101 @@ func TestParamsValidate(t *testing.T) {
 		t.Errorf("valid params rejected: %v", err)
 	}
 }
+
+// highBitFlipper flips, once armed, the bits above a 33-bit ring's l in
+// every 5-byte element of the flights it sends: on the client that is
+// every candidate's ciphertext of every OT of a payload flight.
+type highBitFlipper struct {
+	transport.Conn
+	armed bool
+}
+
+func (h *highBitFlipper) Send(msg []byte) error {
+	if h.armed {
+		msg = append([]byte(nil), msg...)
+		for e := 4; e < len(msg); e += 5 {
+			msg[e] ^= 0xFE
+		}
+	}
+	return h.Conn.Send(msg)
+}
+
+// TestPayloadHighBitsNeverAbort: the server drops the bits above l of a
+// decrypted payload element; it never checks them. The client knows every
+// candidate's pad, so an abort that depended on them would depend on the
+// server's choice alone, a selective-failure leak of its weight fragment.
+// At l = 33, flipping the seven spare bits of every element of every
+// candidate leaves U bit-identical and returns no error, in both modes,
+// with weights that give each fragment every one of its choices.
+func TestPayloadHighBitsNeverAbort(t *testing.T) {
+	p := Params{Ring: ring.New(33), Scheme: quant.NewBitScheme(true, 2, 2), Workers: 2}
+	lo, hi := p.Scheme.Range()
+	var W []int64
+	for w := lo; w <= hi; w++ {
+		W = append(W, w)
+	}
+	choices, err := quant.DecomposeAll(p.Scheme, W)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for f := 0; f < p.Scheme.Gamma(); f++ {
+		seen := map[int]bool{}
+		for _, c := range choices {
+			seen[c[f]] = true
+		}
+		if len(seen) != p.Scheme.FragmentN(f) {
+			t.Fatalf("fragment %d takes %d of its %d choices", f, len(seen), p.Scheme.FragmentN(f))
+		}
+	}
+	for _, mode := range []Mode{OneBatch, MultiBatch} {
+		sh := MatShape{M: 2, N: len(W) / 2, O: 1}
+		if mode == MultiBatch {
+			sh.O = 3
+		}
+		R := prg.New(prg.SeedFromInt(5)).Mat(p.Ring, sh.N, sh.O)
+		var us [2]*ring.Mat
+		for flip := range us {
+			ca, cb := transport.Pipe()
+			cc := &highBitFlipper{Conn: ca}
+			var (
+				ct       *ClientTriplets
+				V        *ring.Mat
+				cerr     error
+				wg       sync.WaitGroup
+				st       *ServerTriplets
+				serr     error
+				flipping = flip == 1
+			)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				ct, cerr = NewClientTriplets(cc, p, 3, prg.New(prg.SeedFromInt(11)))
+			}()
+			st, serr = NewServerTripletsSeeded(cb, p, 3, prg.New(prg.SeedFromInt(12)))
+			wg.Wait()
+			if cerr != nil || serr != nil {
+				t.Fatalf("setup: client=%v server=%v", cerr, serr)
+			}
+			cc.armed = flipping
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				V, cerr = ct.GenerateClient(sh, R, mode)
+			}()
+			us[flip], serr = st.GenerateServer(sh, W, mode)
+			wg.Wait()
+			ca.Close()
+			if cerr != nil || serr != nil {
+				t.Fatalf("%v flipped=%v: client=%v server=%v", mode, flipping, cerr, serr)
+			}
+			if !flipping && !p.Ring.EqualMat(p.Ring.AddMat(us[0], V), plainProduct(p, sh, W, R)) {
+				t.Fatalf("%v: U + V != W * R", mode)
+			}
+		}
+		for k := range us[0].Data {
+			if us[0].Data[k] != us[1].Data[k] {
+				t.Fatalf("%v: U[%d] = %#x with the high bits flipped, %#x without", mode, k, us[1].Data[k], us[0].Data[k])
+			}
+		}
+	}
+}

@@ -79,7 +79,7 @@ func (s *Sender) SendCorrelatedRing(rg ring.Ring, width int, deltas ring.Vec) (x
 		return nil, err
 	}
 	x0 = make(ring.Vec, len(deltas))
-	buf := make([]byte, 0, rg.VecBytes(len(deltas)))
+	buf := make([]byte, rg.VecBytes(len(deltas)))
 	d := blk.NewDeriver()
 	pads := make([]byte, 2*width*8)
 	p0, p1 := pads[:width*8], pads[width*8:]
@@ -92,7 +92,7 @@ func (s *Sender) SendCorrelatedRing(rg ring.Ring, width int, deltas ring.Vec) (x
 			// Correction: c = x0 + delta - p1; a choice-1 receiver computes
 			// p1 + c = x0 + delta.
 			c := rg.Sub(rg.Add(x0[e], deltas[e]), rg.FromBytesFull(p1[k*8:]))
-			buf = rg.AppendElem(buf, c)
+			rg.PutElem(buf[e*rg.Bytes():], c)
 		}
 	}
 	if err := s.conn.Send(buf); err != nil {

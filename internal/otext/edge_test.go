@@ -108,8 +108,8 @@ func TestCorrelatedMatchesChosen(t *testing.T) {
 	msgs := make([][][]byte, m)
 	choices := make([]int, m)
 	for i := 0; i < m; i++ {
-		m0 := rg.AppendElem(nil, x0[i])
-		m1 := rg.AppendElem(nil, rg.Add(x0[i], deltas[i]))
+		m0 := rg.AppendVec(nil, ring.Vec{x0[i]})
+		m1 := rg.AppendVec(nil, ring.Vec{rg.Add(x0[i], deltas[i])})
 		msgs[i] = [][]byte{m0, m1}
 		choices[i] = int(bits[i])
 	}

@@ -71,8 +71,8 @@ func fuzzReceiver(f *testing.F, code Code) (*Receiver, transport.Conn) {
 }
 
 // addFlightSeeds seeds a flight parser at its valid length: zero, 0xFF
-// and 0x80 fills (set high bits reach the ring canonicality checks),
-// both off-by-one neighbours and the empty flight.
+// and 0x80 fills (they set the bits above l, which the ring decoders
+// mask and never reject), both off-by-one neighbours and the empty flight.
 func addFlightSeeds(f *testing.F, valid int) {
 	for _, fill := range []byte{0, 0xFF, 0x80} {
 		f.Add(bytes.Repeat([]byte{fill}, valid))
@@ -114,7 +114,7 @@ func FuzzRecvChosen(f *testing.F) {
 
 // FuzzRecvCorrelatedRing feeds arbitrary bytes as the COT correction
 // flight over the 33-bit ring (5-byte elements; valid length 3*5 = 15).
-// The odd ring width exercises DecodeElem's partial-element handling.
+// The odd ring width exercises GetElem's partial-element handling.
 func FuzzRecvCorrelatedRing(f *testing.F) {
 	rcv, peer := fuzzReceiver(f, WalshHadamardCode(2))
 	rg := ring.New(33)

@@ -61,6 +61,36 @@ func BenchmarkDeriverXORPad(b *testing.B) {
 	}
 }
 
+// BenchmarkPadRunLong derives the long pads of multi-batch triplets over
+// the 24-byte rows of the N = 4 code, a 32-OT run per call as a triplet
+// worker's sub-run; one op is one OT. A 128-byte pad is o = 32 products
+// of a 32-bit ring (the bank's fill unit), 2304 bytes o = 576 (a conv
+// layer): the client derives all four candidates, the server one pad.
+func BenchmarkPadRunLong(b *testing.B) {
+	const run, w = 32, 24
+	for _, c := range []struct {
+		name     string
+		cands, n int
+	}{{"client128N4", 4, 128}, {"server128", 0, 128}, {"server2304", 0, 2304}} {
+		b.Run(c.name, func(b *testing.B) {
+			g := New(SeedFromInt(7))
+			d := NewFastOracle("bench").Deriver(1, 0, w)
+			rows := g.Bytes(run * w)
+			var masks []byte
+			if c.cands > 0 {
+				masks = g.Bytes(c.cands * w)
+			}
+			dst := make([]byte, run*max(c.cands, 1)*c.n)
+			b.SetBytes(int64(max(c.cands, 1) * c.n))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i += run {
+				d.XORPadsRun(dst, c.n, uint64(i), rows, masks)
+			}
+		})
+	}
+}
+
 func BenchmarkVec4096(b *testing.B) {
 	g := New(SeedFromInt(1))
 	rg := ring.New(32)

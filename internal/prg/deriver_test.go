@@ -293,7 +293,9 @@ func checkRun(t *testing.T, o *FastOracle, session, first, tweak uint64, rows, m
 // (and masks nil), pads of both shapes and runs of 1 to 33 OTs, then
 // sweeps the pad kernel's own shapes — 16- and 24-byte rows, every short
 // pad length, every run length, so that every group count and tail
-// occurs — with indices that wrap past 2^64 among them.
+// occurs — with indices that wrap past 2^64 among them, and then its long
+// pads, whole blocks from 32 to 2304 bytes, beside a 136-byte one that is
+// not a whole number of blocks and takes the portable path.
 func TestXORPadsRunMatchesReference(t *testing.T) {
 	o := NewFastOracle("run-test")
 	g := New(SeedFromInt(44))
@@ -323,6 +325,18 @@ func TestXORPadsRunMatchesReference(t *testing.T) {
 						first = -uint64(1 + g.Intn(8)) // within 8 of 2^64
 					}
 					run(w, cands, n, k, first)
+				}
+			}
+		}
+	}
+	for _, w := range []int{16, 24} {
+		for _, cands := range []int{0, 1, 2, 3, 4, 8} {
+			for _, n := range []int{32, 48, 64, 128, 136, 2304} {
+				for _, k := range []int{1, 2, 3, 7, 8, 9, 17} {
+					if n == 2304 && k > 9 {
+						continue
+					}
+					run(w, cands, n, k, -uint64(1+g.Intn(16))) // within 16 of 2^64
 				}
 			}
 		}
@@ -360,14 +374,18 @@ func TestPadRunLayout(t *testing.T) {
 // kernel and the portable path alike, XORed into a dst that is not zero.
 // The header carries session and first index (8 bytes each), then one
 // byte each of width (mod 41), candidates (mod 9, 0 for masks nil), pad
-// length (mod 64, plus 1) and run length (mod 33, plus 1), zero-extended
-// when short.
+// length (mod 64, plus 1), run length (mod 33, plus 1) and 64-byte
+// blocks added to the pad length (mod 37, reaching 2368 bytes),
+// zero-extended when short.
 func FuzzPadRunMatchesHash(f *testing.F) {
-	shape := func(first uint64, w, cands, n, k byte) []byte {
-		h := make([]byte, 20)
+	shape := func(first uint64, w, cands byte, n int, k byte) []byte {
+		h := make([]byte, 20, 21)
 		binary.LittleEndian.PutUint64(h[0:], 0xC0FFEE)
 		binary.LittleEndian.PutUint64(h[8:], first)
-		h[16], h[17], h[18], h[19] = w, cands, n-1, k-1
+		h[16], h[17], h[18], h[19] = w, cands, byte((n-1)%64), k-1
+		if n > 64 {
+			h = append(h, byte((n-1)/64))
+		}
 		return h
 	}
 	f.Add(shape(1<<20, 24, 4, 4, 32), []byte("one-batch client at N = 4"))
@@ -376,14 +394,17 @@ func FuzzPadRunMatchesHash(f *testing.F) {
 	f.Add(shape(77, 24, 3, 8, 5), []byte("ternary"))
 	f.Add(shape(^uint64(0)-3, 16, 1, 16, 17), []byte{0xFF})
 	f.Add(shape(5, 40, 5, 64, 3), []byte{})
+	f.Add(shape(1<<20, 24, 4, 128, 6), []byte("multi-batch client at N = 4, o = 32"))
+	f.Add(shape(^uint64(0)-5, 24, 0, 128, 19), []byte("multi-batch server, o = 32"))
+	f.Add(shape(9, 24, 0, 2304, 9), []byte("conv server, o = 576"))
 	o := NewFastOracle("run-fuzz")
 	f.Fuzz(func(t *testing.T, header, data []byte) {
-		var hdr [20]byte
+		var hdr [21]byte
 		copy(hdr[:], header)
 		session := binary.LittleEndian.Uint64(hdr[0:])
 		first := binary.LittleEndian.Uint64(hdr[8:])
 		w, cands := int(hdr[16])%41, int(hdr[17])%9
-		n, k := int(hdr[18])%64+1, int(hdr[19])%33+1
+		n, k := int(hdr[18])%64+1+64*(int(hdr[20])%37), int(hdr[19])%33+1
 		if w == 0 {
 			cands = 0 // masks need a row to mask
 		}

@@ -59,12 +59,13 @@ func (o *FastOracle) Hash(session, index, tweak uint64, data []byte, n int) []by
 // FastOracle.Hash of the same query.
 //
 // Independent blocks go to the permutation together. On amd64 with
-// AES-NI a run of short pads over 16- or 24-byte rows takes the pad
-// kernel: eight lanes per call, a lane being one candidate of one OT, and
-// the index, data and feed-forward steps of all eight done in registers.
+// AES-NI a run over 16- or 24-byte rows whose pads are short, or long
+// and a whole number of blocks, takes the pad kernel: eight lanes per
+// call, a lane being one candidate of one OT, and the index, data,
+// expansion and feed-forward steps of all eight done in registers.
 // Everything else takes the portable path, one OT at a time: its N
 // candidates absorb each data block in one call per four candidates, and
-// expansion blocks, of one pad or of several, go four per call. Chaining
+// expansion blocks, of one pad or of several, go eight per call. Chaining
 // values are two little-endian words, so absorbing and expanding are word
 // XORs around the AES call. One Deriver serves one goroutine.
 type Deriver struct {
@@ -154,8 +155,8 @@ func (d *Deriver) XORPadsRun(dst []byte, n int, first uint64, rows, masks []byte
 	}
 	g0, g1 := d.header(short)
 	i := 0
-	if ots := 8 / cands; d.perm.kernel && short == 1 && (w == 16 || w == 24) && ots > 0 && k >= ots {
-		i = d.kernelRun(dst, n, first, rows, masks, cands, ots, k)
+	if ots := 8 / cands; d.perm.kernel && (short == 1 || n%16 == 0) && (w == 16 || w == 24) && ots > 0 && k >= ots {
+		i = d.kernelRun(dst, n, first, rows, masks, cands, ots, short, k)
 	}
 	for ; i < k; i++ {
 		c0, c1 := d.absorb(g0, g1, first+uint64(i), 0)
@@ -165,10 +166,10 @@ func (d *Deriver) XORPadsRun(dst []byte, n int, first uint64, rows, masks []byte
 
 // kernelRun derives the pads of the whole groups of a run through the pad
 // kernel, ots OTs to a group, and returns how many OTs it did.
-func (d *Deriver) kernelRun(dst []byte, n int, first uint64, rows, masks []byte, cands, ots, k int) int {
+func (d *Deriver) kernelRun(dst []byte, n int, first uint64, rows, masks []byte, cands, ots, short, k int) int {
 	w := d.dataLen
 	r := &d.run
-	r.g = d.blk[1]
+	r.g = d.blk[short]
 	r.groups, r.blocks, r.n = uint64(k/ots), uint64(w+15)/16, uint64(n)
 	r.rowStep, r.dstStep, r.otStep = uint64(ots*w), uint64(ots*cands*n), uint64(ots)
 	r.usedBytes = uint64(16 * ots * cands)
@@ -230,13 +231,13 @@ func (d *Deriver) pads(dst []byte, n, cands int, g0, g1 uint64, row, masks []byt
 }
 
 // expand XORs into dst, n bytes each, the expansions of the chaining
-// values c: block i of pad v is pi(c_v XOR tau_i) XOR c_v, four blocks
+// values c: block i of pad v is pi(c_v XOR tau_i) XOR c_v, eight blocks
 // per permutation call whichever pads they belong to.
 func (d *Deriver) expand(dst []byte, n int, c [][2]uint64) {
 	blocks := (n + 15) / 16
 	total := len(c) * blocks
-	for t0 := 0; t0 < total; t0 += 4 {
-		k := min(4, total-t0)
+	for t0 := 0; t0 < total; t0 += 8 {
+		k := min(8, total-t0)
 		for l := 0; l < k; l++ {
 			v, i := (t0+l)/blocks, (t0+l)%blocks
 			d.lanes.put(l, c[v][0]^uint64(i), c[v][1]^0xEE<<56)

@@ -236,6 +236,18 @@ eight:
 	DATA(LD, off, 6, X6); \
 	DATA(LD, off, 7, X7)
 
+// TWEAK sets lane l to its chaining value XOR tau_i, tau_i in X13, and
+// CHAIN XORs the chaining value into the lane's output and stores it for
+// the lane loop.
+#define TWEAK(l, X) \
+	MOVOU (128+l*16)(SP), X; \
+	PXOR X13, X
+
+#define CHAIN(l, X) \
+	MOVOU (128+l*16)(SP), X12; \
+	PXOR X12, X; \
+	MOVOU X, (l*16)(SP)
+
 // The padRun fields the kernel reads, by byte offset.
 #define padG 0
 #define padGroups 16
@@ -248,7 +260,7 @@ eight:
 #define padLane 72
 
 // func padKernel(rk *[11 * 16]byte, r *padRun, rows, masks, dst *byte, first uint64)
-TEXT ·padKernel(SB), NOSPLIT, $128-48
+TEXT ·padKernel(SB), NOSPLIT, $256-48
 	MOVQ rk+0(FP), AX
 	MOVQ r+8(FP), BX
 	MOVQ rows+16(FP), SI
@@ -283,8 +295,11 @@ group:
 	FEED8
 
 out:
-	// Lane l's pad is the first n bytes of its chaining value, XORed
-	// into dst at l*n: 16 bytes as two words, fewer as 8, 4, 2 and 1.
+	CMPQ CX, $16
+	JGT long
+	// A short pad: lane l's pad is the first n bytes of its chaining
+	// value, XORed into dst at l*n: 16 bytes as two words, fewer as 8, 4,
+	// 2 and 1.
 	MOVOU X0, 0(SP)
 	MOVOU X1, 16(SP)
 	MOVOU X2, 32(SP)
@@ -338,9 +353,69 @@ next:
 	CMPQ R12, padUsedBytes(BX)
 	JNE lane
 
+advance:
 	ADDQ padRowStep(BX), SI
 	ADDQ padDstStep(BX), DX
 	ADDQ padOTStep(BX), R8
 	DECQ R9
 	JNZ group
 	RET
+
+	// A long pad, n a multiple of 16: block i of lane l's pad is
+	// pi(c XOR tau_i) XOR c for its chaining value c, tau_i = (i, 0xEE<<56),
+	// XORed into dst at l*n + 16i. The chaining values wait in the frame at
+	// 128 + 16l, each block's eight outputs at 16l on their way to the used
+	// lanes' dst. R12 is 16i, R11 the block's dst in lane 0, then in lane l.
+long:
+	MOVOU X0, 128(SP)
+	MOVOU X1, 144(SP)
+	MOVOU X2, 160(SP)
+	MOVOU X3, 176(SP)
+	MOVOU X4, 192(SP)
+	MOVOU X5, 208(SP)
+	MOVOU X6, 224(SP)
+	MOVOU X7, 240(SP)
+	MOVQ $0xEE00000000000000, R10
+	MOVQ R10, X14
+	PSLLDQ $8, X14
+	XORQ R12, R12
+
+block:
+	MOVQ R12, R10
+	SHRQ $4, R10
+	MOVQ R10, X13
+	PXOR X14, X13
+	TWEAK(0, X0)
+	TWEAK(1, X1)
+	TWEAK(2, X2)
+	TWEAK(3, X3)
+	TWEAK(4, X4)
+	TWEAK(5, X5)
+	TWEAK(6, X6)
+	TWEAK(7, X7)
+	AES8
+	CHAIN(0, X0)
+	CHAIN(1, X1)
+	CHAIN(2, X2)
+	CHAIN(3, X3)
+	CHAIN(4, X4)
+	CHAIN(5, X5)
+	CHAIN(6, X6)
+	CHAIN(7, X7)
+	LEAQ (DX)(R12*1), R11
+	XORQ R10, R10
+
+longLane:
+	MOVOU 0(SP)(R10*1), X12
+	MOVOU (R11), X13
+	PXOR X13, X12
+	MOVOU X12, (R11)
+	ADDQ CX, R11
+	ADDQ $16, R10
+	CMPQ R10, padUsedBytes(BX)
+	JNE longLane
+
+	ADDQ $16, R12
+	CMPQ R12, CX
+	JNE block
+	JMP advance

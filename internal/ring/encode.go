@@ -3,19 +3,13 @@ package ring
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // Serialization of ring elements. Protocol messages carry elements in
 // little-endian order truncated to Ring.Bytes() bytes each, which is what
 // the communication-cost formulas in the paper's Table 1 count as "l bits
 // per element".
-
-// AppendElem appends the ceil(l/8)-byte little-endian encoding of x to dst.
-func (r Ring) AppendElem(dst []byte, x Elem) []byte {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], x&r.mask)
-	return append(dst, buf[:r.Bytes()]...)
-}
 
 // PutElem writes the encoding of x over the first Bytes() bytes of dst,
 // for a caller that laid the buffer out itself.
@@ -27,46 +21,80 @@ func (r Ring) PutElem(dst []byte, x Elem) {
 
 // GetElem reads the element encoded in the first Bytes() bytes of src. It
 // is PutElem's inverse for a buffer whose length the caller has already
-// checked; bytes that cross a trust boundary unchecked go to DecodeElem.
+// checked; bytes that cross a trust boundary unchecked go to DecodeVec.
+// Bits above l in the encoding are dropped, never rejected: a payload an
+// OT decrypted is read whatever its high bits (SECURITY.md).
 func (r Ring) GetElem(src []byte) Elem {
 	var buf [8]byte
 	copy(buf[:], src[:r.Bytes()])
 	return binary.LittleEndian.Uint64(buf[:]) & r.mask
 }
 
+// PutVec writes v over the first VecBytes(len(v)) bytes of dst, element
+// i as PutElem writes it at i*Bytes(). The width is dispatched once per
+// span: 4- and 8-byte rings run word stores, the others PutElem.
+func (r Ring) PutVec(dst []byte, v Vec) {
+	dst = dst[:r.VecBytes(len(v))]
+	switch r.Bytes() {
+	case 8:
+		for i, x := range v {
+			binary.LittleEndian.PutUint64(dst[8*i:8*i+8], x&r.mask)
+		}
+	case 4:
+		for i, x := range v {
+			binary.LittleEndian.PutUint32(dst[4*i:4*i+4], uint32(x&r.mask))
+		}
+	default:
+		n := r.Bytes()
+		for i, x := range v {
+			r.PutElem(dst[i*n:], x)
+		}
+	}
+}
+
+// AddDecoded adds into v, mod 2^l, the len(v) elements encoded in the
+// first VecBytes(len(v)) bytes of src, each read as GetElem reads it: it
+// masks the bits above l and never rejects. It is PutVec's inverse into a
+// zero v, dispatched the same way.
+func (r Ring) AddDecoded(v Vec, src []byte) {
+	src = src[:r.VecBytes(len(v))]
+	switch r.Bytes() {
+	case 8:
+		for i := range v {
+			v[i] = (v[i] + binary.LittleEndian.Uint64(src[8*i:8*i+8])) & r.mask
+		}
+	case 4:
+		for i := range v {
+			v[i] = (v[i] + uint64(binary.LittleEndian.Uint32(src[4*i:4*i+4]))) & r.mask
+		}
+	default:
+		n := r.Bytes()
+		for i := range v {
+			v[i] = (v[i] + r.GetElem(src[i*n:])) & r.mask
+		}
+	}
+}
+
 // AppendVec appends every element of v to dst.
 func (r Ring) AppendVec(dst []byte, v Vec) []byte {
-	for _, x := range v {
-		dst = r.AppendElem(dst, x)
-	}
+	n := len(dst)
+	dst = slices.Grow(dst, r.VecBytes(len(v)))[:n+r.VecBytes(len(v))]
+	r.PutVec(dst[n:], v)
 	return dst
 }
 
-// DecodeElem reads one element from src, returning it and the remaining
-// bytes. It returns an error if src is too short: protocol framing bugs
-// must surface as errors, not panics, because src crosses a trust boundary.
-func (r Ring) DecodeElem(src []byte) (Elem, []byte, error) {
-	n := r.Bytes()
-	if len(src) < n {
-		return 0, nil, fmt.Errorf("ring: short element encoding: have %d bytes, want %d", len(src), n)
-	}
-	return r.GetElem(src), src[n:], nil
-}
-
-// DecodeVec reads count elements from src.
+// DecodeVec reads count elements from src, returning them and the
+// remaining bytes. It returns an error if src is too short: protocol
+// framing bugs must surface as errors, not panics, because src crosses a
+// trust boundary.
 func (r Ring) DecodeVec(src []byte, count int) (Vec, []byte, error) {
-	if need := count * r.Bytes(); len(src) < need {
+	need := r.VecBytes(count)
+	if len(src) < need {
 		return nil, nil, fmt.Errorf("ring: short vector encoding: have %d bytes, want %d", len(src), need)
 	}
 	out := make(Vec, count)
-	var err error
-	for i := range out {
-		out[i], src, err = r.DecodeElem(src)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	return out, src, nil
+	r.AddDecoded(out, src)
+	return out, src[need:], nil
 }
 
 // VecBytes returns the wire size of an n-element vector.

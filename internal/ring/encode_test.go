@@ -1,0 +1,70 @@
+package ring
+
+import (
+	"bytes"
+	"math/rand"
+	"slices"
+	"testing"
+)
+
+// TestSpanCodecMatchesElementwise holds the span codec to the per-element
+// encoding at every ring width and span lengths 0 to 17: PutVec writes
+// exactly the bytes PutElem writes element by element, and AddDecoded
+// adds exactly what GetElem reads. Values carry bits above l, so both
+// must mask them, and the decoded bytes are random, so high bits in an
+// encoding must be dropped, not rejected.
+func TestSpanCodecMatchesElementwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	for bits := uint(1); bits <= 64; bits++ {
+		r := New(bits)
+		n := r.Bytes()
+		for count := 0; count <= 17; count++ {
+			v := make(Vec, count)
+			for i := range v {
+				v[i] = rng.Uint64() | 1<<63 // a high bit set, whatever l is
+			}
+			// Both buffers start as the same noise one byte past the span.
+			got := make([]byte, count*n+1)
+			rng.Read(got)
+			want := append([]byte(nil), got...)
+			for i, x := range v {
+				r.PutElem(want[i*n:], x)
+			}
+			r.PutVec(got, v)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("l=%d count=%d: PutVec wrote %x, PutElem %x", bits, count, got, want)
+			}
+
+			src := make([]byte, count*n)
+			rng.Read(src)
+			acc := make(Vec, count)
+			for i := range acc {
+				acc[i] = rng.Uint64() & r.Mask()
+			}
+			sum := acc.Clone()
+			for i := range sum {
+				sum[i] = r.Add(sum[i], r.GetElem(src[i*n:]))
+			}
+			r.AddDecoded(acc, src)
+			if !slices.Equal(acc, sum) { // unreduced: the codec keeps v reduced
+				t.Fatalf("l=%d count=%d: AddDecoded %x, per-element GetElem %x", bits, count, acc, sum)
+			}
+		}
+	}
+}
+
+// TestSpanCodecAllocatesNothing: the codec writes and reads the caller's
+// buffers and nothing else, at the word widths and a masked one.
+func TestSpanCodecAllocatesNothing(t *testing.T) {
+	for _, bits := range []uint{12, 32, 33, 64} {
+		r := New(bits)
+		v := make(Vec, 64)
+		buf := make([]byte, r.VecBytes(len(v)))
+		if a := testing.AllocsPerRun(10, func() { r.PutVec(buf, v) }); a != 0 {
+			t.Errorf("l=%d: PutVec made %.0f allocations", bits, a)
+		}
+		if a := testing.AllocsPerRun(10, func() { r.AddDecoded(v, buf) }); a != 0 {
+			t.Errorf("l=%d: AddDecoded made %.0f allocations", bits, a)
+		}
+	}
+}

@@ -100,8 +100,8 @@ func TestEncodeDecodeVec(t *testing.T) {
 
 func TestDecodeShortBuffer(t *testing.T) {
 	r := New(32)
-	if _, _, err := r.DecodeElem([]byte{1, 2}); err == nil {
-		t.Error("DecodeElem accepted short buffer")
+	if _, _, err := r.DecodeVec([]byte{1, 2}, 1); err == nil {
+		t.Error("DecodeVec accepted a short element")
 	}
 	if _, _, err := r.DecodeVec(make([]byte, 7), 2); err == nil {
 		t.Error("DecodeVec accepted short buffer")
@@ -113,8 +113,8 @@ func TestEncodeRoundTripProperty(t *testing.T) {
 	r := New(48)
 	f := func(x uint64) bool {
 		x = r.Reduce(x)
-		got, rest, err := r.DecodeElem(r.AppendElem(nil, x))
-		return err == nil && len(rest) == 0 && got == x
+		got, rest, err := r.DecodeVec(r.AppendVec(nil, Vec{x}), 1)
+		return err == nil && len(rest) == 0 && got[0] == x
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
