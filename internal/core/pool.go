@@ -89,7 +89,7 @@ func (c *ClientNonlinear) ArgmaxClient(y1 ring.Vec, n, batch int) ([]int, error)
 		masks[k] = c.maskRng.Uint64() & (1<<ib - 1)
 		in = append(in, gc.UintToBits(masks[k], uint(ib))...)
 	}
-	if err := c.garb.Run(c.cache.get(circuitKey{kindArgmax, rbits, n, batch}), in); err != nil {
+	if err := c.garb.Run(circuit(kindArgmax, rbits, n, batch), in); err != nil {
 		return nil, fmt.Errorf("core: argmax garble: %w", err)
 	}
 	raw, err := c.conn.Recv()
@@ -121,7 +121,7 @@ func (s *ServerNonlinear) ArgmaxServer(y0 ring.Vec, n, batch int) error {
 		return fmt.Errorf("core: argmax shares %d for %d x %d", len(y0), n, batch)
 	}
 	rbits := s.rg.Bits()
-	out, err := s.eval.Run(s.cache.get(circuitKey{kindArgmax, rbits, n, batch}), gc.VecToBits(y0, rbits))
+	out, err := s.eval.Run(circuit(kindArgmax, rbits, n, batch), gc.VecToBits(y0, rbits))
 	if err != nil {
 		return fmt.Errorf("core: argmax evaluate: %w", err)
 	}

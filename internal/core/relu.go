@@ -57,11 +57,11 @@ func (v ReLUVariant) String() string {
 // With gc's pipelined round that bounds the working set whatever the
 // batch size: the garbler holds at most Workers+1 chunks garbled and
 // unsent and the evaluator at most Workers+1 received and unevaluated —
-// at ring width 32 about 10 MB of flight per chunk plus 16 MB of wire
-// labels per worker, so tens of megabytes per party at Workers=1 even at
-// batch size 128 on the 784->128 layer (8 chunks). Like poolChunk it is
-// a tuned memory bound, not a knob: it fixes the size and position of
-// every flight.
+// at ring width 32 about 10 MB of flight per chunk, plus one window
+// group's body labels per worker (~30 KiB), so tens of megabytes per
+// party at Workers=1 even at batch size 128 on the 784->128 layer (8
+// chunks). Like poolChunk it is a tuned memory bound, not a knob: it
+// fixes the size and position of every flight.
 const reluChunk = 2048
 
 // circuitKind names what a garbled circuit computes over each window of
@@ -76,38 +76,19 @@ const (
 	kindArgmax                    // masked index of the window's maximum; n samples of win scores
 )
 
-// circuitKey identifies one circuit: what it computes, the ring width,
-// the values per window and the windows it holds.
-type circuitKey struct {
-	kind circuitKind
-	bits uint
-	win  int
-	n    int
-}
-
-func (k circuitKey) build() *gc.Circuit {
-	switch k.kind {
+// circuit builds the circuit of n windows of win values: one window's
+// body, so building it costs microseconds whatever n, and each round
+// builds its own.
+func circuit(kind circuitKind, bits uint, win, n int) *gc.Circuit {
+	switch kind {
 	case kindSign:
-		return gc.BatchSignCircuit(k.bits, k.n)
+		return gc.BatchSignCircuit(bits, n)
 	case kindArgmax:
-		return gc.BatchArgmaxCircuit(k.bits, k.win, indexBits(k.win), k.n)
+		return gc.BatchArgmaxCircuit(bits, win, indexBits(win), n)
 	case kindReLU:
-		return gc.Algorithm2Circuit(k.bits, k.win, k.n, (*gc.Builder).ReLU)
+		return gc.Algorithm2Circuit(bits, win, n, (*gc.Builder).ReLU)
 	}
-	return gc.Algorithm2Circuit(k.bits, k.win, k.n, nil)
-}
-
-// circuitCache memoizes the deterministic circuits; building a
-// 2048-neuron circuit is pure CPU and identical across chunks and runs.
-type circuitCache map[circuitKey]*gc.Circuit
-
-func (cc circuitCache) get(k circuitKey) *gc.Circuit {
-	c, ok := cc[k]
-	if !ok {
-		c = k.build()
-		cc[k] = c
-	}
-	return c
+	return gc.Algorithm2Circuit(bits, win, n, nil)
 }
 
 // batch cuts one layer into its garbled-circuit batch: shares holds one
@@ -115,14 +96,14 @@ func (cc circuitCache) get(k circuitKey) *gc.Circuit {
 // go into one circuit, and a circuit's input bits are its windows' shares
 // followed — on the garbler's side of a reshare — by its slice of the
 // output shares z1 (nil otherwise).
-func (cc circuitCache) batch(kind circuitKind, bits uint, win, chunk int, shares, z1 ring.Vec) (circs []*gc.Circuit, ins [][]byte) {
+func batch(kind circuitKind, bits uint, win, chunk int, shares, z1 ring.Vec) (circs []*gc.Circuit, ins [][]byte) {
 	for start, n := 0, len(shares)/win; start < n; start += chunk {
 		end := min(start+chunk, n)
 		in := gc.VecToBits(shares[start*win:end*win], bits)
 		if z1 != nil {
 			in = append(in, gc.VecToBits(z1[start:end], bits)...)
 		}
-		circs = append(circs, cc.get(circuitKey{kind, bits, win, end - start}))
+		circs = append(circs, circuit(kind, bits, win, end-start))
 		ins = append(ins, in)
 	}
 	return circs, ins
@@ -133,16 +114,14 @@ type ClientNonlinear struct {
 	rg      ring.Ring
 	garb    *gc.Garbler
 	conn    transport.Conn
-	cache   circuitCache
 	maskRng *prg.PRG // masks for output-hiding protocols (argmax)
 }
 
 // ServerNonlinear runs the server (evaluator) side.
 type ServerNonlinear struct {
-	rg    ring.Ring
-	eval  *gc.Evaluator
-	conn  transport.Conn
-	cache circuitCache
+	rg   ring.Ring
+	eval *gc.Evaluator
+	conn transport.Conn
 }
 
 // NewClientNonlinear sets up the garbler role (base OTs for label
@@ -152,7 +131,7 @@ func NewClientNonlinear(conn transport.Conn, rg ring.Ring, session uint64, rng *
 	if err != nil {
 		return nil, err
 	}
-	return &ClientNonlinear{rg: rg, garb: g, conn: conn, cache: circuitCache{}, maskRng: rng.Child("argmax-masks")}, nil
+	return &ClientNonlinear{rg: rg, garb: g, conn: conn, maskRng: rng.Child("argmax-masks")}, nil
 }
 
 // NewServerNonlinear sets up the evaluator role.
@@ -161,7 +140,7 @@ func NewServerNonlinear(conn transport.Conn, rg ring.Ring, session uint64, rng *
 	if err != nil {
 		return nil, err
 	}
-	return &ServerNonlinear{rg: rg, eval: e, conn: conn, cache: circuitCache{}}, nil
+	return &ServerNonlinear{rg: rg, eval: e, conn: conn}, nil
 }
 
 // SetWorkers bounds the kernel parallelism of the GC session underneath
@@ -178,14 +157,14 @@ func (s *ServerNonlinear) SetWorkers(n int) { s.eval.SetWorkers(n) }
 // chunk; the chunks run as one batch, so chunk k+1 garbles while chunk k
 // is on the wire and the flights keep a fixed order.
 func (c *ClientNonlinear) garble(kind circuitKind, win, chunk int, y1, z1 ring.Vec) error {
-	return c.garb.RunBatch(c.cache.batch(kind, c.rg.Bits(), win, chunk, y1, z1))
+	return c.garb.RunBatch(batch(kind, c.rg.Bits(), win, chunk, y1, z1))
 }
 
 // evaluate is the evaluator's side, chunked as garble chunks. It returns
 // one value per window: the server's share z0 for a reshare, the decoded
 // comparison bit for the sign circuit.
 func (s *ServerNonlinear) evaluate(kind circuitKind, win, chunk int, y0 ring.Vec) (ring.Vec, error) {
-	outs, err := s.eval.RunBatch(s.cache.batch(kind, s.rg.Bits(), win, chunk, y0, nil))
+	outs, err := s.eval.RunBatch(batch(kind, s.rg.Bits(), win, chunk, y0, nil))
 	if err != nil {
 		return nil, err
 	}

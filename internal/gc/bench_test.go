@@ -42,20 +42,21 @@ func BenchmarkEvaluateReLU256x32(b *testing.B) {
 
 // The 2048x32 kernels run the circuit core's ReLU chunk garbles (2048
 // neurons at 32 bits, 192,512 AND gates; a banked Fig. 4 request at
-// batch 32 runs four), in place into preallocated tables, so they time
-// the kernel and not Garbled's allocations.
+// batch 32 runs four), in place into a preallocated flight and labels,
+// so they time the kernel and not Garbled's allocations.
 
 func BenchmarkGarbleReLU2048x32(b *testing.B) {
 	circ := BatchReLUCircuit(32, 2048)
-	tables := make([]byte, circ.TableBytes())
+	msg := make([]byte, flightBytes(circ))
+	bits := make([]byte, circ.NumGarbler)
 	rng := prg.New(prg.SeedFromInt(1))
 	var s garbling
-	if err := s.garble(circ, rng, tables); err != nil { // sizes the kernel's scratch
+	if err := s.flight(circ, bits, rng, msg); err != nil { // sizes the kernel's scratch
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := s.garble(circ, rng, tables); err != nil {
+		if err := s.flight(circ, bits, rng, msg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -64,18 +65,23 @@ func BenchmarkGarbleReLU2048x32(b *testing.B) {
 
 func BenchmarkEvaluateReLU2048x32(b *testing.B) {
 	circ := BatchReLUCircuit(32, 2048)
-	tables := make([]byte, circ.TableBytes())
-	var g garbling
-	if err := g.garble(circ, prg.New(prg.SeedFromInt(2)), tables); err != nil {
+	g, err := Garble(circ, make([]byte, circ.NumGarbler), prg.New(prg.SeedFromInt(2)))
+	if err != nil {
 		b.Fatal(err)
 	}
+	// All-zero inputs: the zero labels are the active ones.
+	glabels, elabels := make([]byte, 0, circ.NumGarbler*LabelSize), make([]byte, 0, circ.NumEvaluator*LabelSize)
+	for _, l := range g.GarblerLabels {
+		glabels = append(glabels, l[:]...)
+	}
+	for _, p := range g.EvalPairs {
+		elabels = append(elabels, p[0][:]...)
+	}
+	perm := make([]byte, (circ.numOutputs()+7)/8)
 	var s evaluating
-	// All-zero inputs: the zero labels are the active ones. Evaluation
-	// writes gate outputs only, so the inputs stay loaded across runs.
-	copy(s.inputs(circ), g.zero[:circ.NumGarbler+circ.NumEvaluator])
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := s.evaluate(circ, tables); err != nil {
+		if err := s.evaluate(circ, g.Tables, glabels, elabels, perm); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -86,9 +92,11 @@ func reportPerAND(b *testing.B, c *Circuit) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*c.NumAND()), "ns/AND")
 }
 
+// BenchmarkBuildReLUCircuit builds the production ReLU chunk's circuit,
+// 2048 neurons at 32 bits: one body, whatever the chunk.
 func BenchmarkBuildReLUCircuit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_ = BatchReLUCircuit(32, 256)
+		_ = BatchReLUCircuit(32, 2048)
 	}
 }
 

@@ -29,34 +29,52 @@ type Gate struct {
 	Out  int
 }
 
-// Circuit is a boolean circuit over single-bit wires. Wires [0,
-// NumGarbler) belong to the garbler's input, the next NumEvaluator wires
-// to the evaluator's input; gate outputs follow.
+// Circuit is a boolean circuit over single-bit wires, held as the body
+// of one window and a window count n: the circuit is n copies of the
+// body, each on wires of its own. Every layer circuit is one: Algorithm 2
+// repeats one window's reconstruct-max-f-reshare, the sign circuit one
+// neuron's comparison, the argmax one sample's tournament; a circuit from
+// Builder.Finish is its own body with n = 1.
+//
+// A body's wires are its inputs, the garbler's groups first, then its
+// gates' outputs. The circuit's flat numbering, which fixes the wire
+// format, lays each input group out for all n windows before the next
+// group, and then every window's internal wires, window after window:
+//
+//	input i of group g, window k:  start_g*n + k*size_g + i
+//	internal wire w, window k:     n*inputs + k*internal + (w - inputs)
+//	the g-th AND gate of window k: AND gate k*A + g
+//
+// where start_g is the group's first body wire, inputs and internal count
+// one window's input and gate-output wires and A its AND gates. Garbler
+// inputs are [0, NumGarbler) of the flat numbering and evaluator inputs
+// the next NumEvaluator; outputs come window by window.
 type Circuit struct {
-	NumGarbler   int
-	NumEvaluator int
-	NumWires     int
-	Gates        []Gate
-	Outputs      []int
+	NumGarbler   int    // garbler input wires, over all n windows
+	NumEvaluator int    // evaluator input wires, over all n windows
+	NumWires     int    // one window's wires: its inputs, then its gates' outputs
+	Gates        []Gate // one window's gates, over its own wires
+	Outputs      []int  // one window's output wires, in order
 
-	ands int // AND gates in Gates, counted once by Finish; 0 = not counted
+	windows       int   // n
+	groups        []int // one window's input groups' sizes, in wire order
+	garblerGroups int   // how many of groups are the garbler's
+	ands          int   // AND gates in one window, counted by Finish
 }
 
 // NumAND returns the number of AND gates, the communication-relevant size
-// of the circuit (XOR and INV are free). Every flight-size computation
-// asks, so a circuit that came out of Builder.Finish answers from the
-// count taken there; one assembled by hand is scanned.
-func (c *Circuit) NumAND() int {
-	if c.ands > 0 {
-		return c.ands
-	}
-	n := 0
-	for _, g := range c.Gates {
-		if g.Kind == GateAND {
-			n++
-		}
-	}
-	return n
+// of the circuit (XOR and INV are free).
+func (c *Circuit) NumAND() int { return c.ands * c.windows }
+
+// numOutputs returns the number of output wires over all windows.
+func (c *Circuit) numOutputs() int { return len(c.Outputs) * c.windows }
+
+// repeat makes c, fresh from Finish, the body of n windows.
+func (c *Circuit) repeat(n int) *Circuit {
+	c.windows = n
+	c.NumGarbler *= n
+	c.NumEvaluator *= n
+	return c
 }
 
 // TableBytes returns the size of the garbled tables on the wire: two
@@ -80,6 +98,7 @@ func (b *Builder) GarblerInput(n int) []int {
 		panic("gc: garbler inputs must be declared first")
 	}
 	b.c.NumGarbler += n
+	b.c.garblerGroups++
 	return b.wires(n)
 }
 
@@ -93,8 +112,9 @@ func (b *Builder) EvaluatorInput(n int) []int {
 	return b.wires(n)
 }
 
-// wires reserves the next n wire indices.
+// wires reserves the next n wire indices as one input group.
 func (b *Builder) wires(n int) []int {
+	b.c.groups = append(b.c.groups, n)
 	ws := make([]int, n)
 	for i := range ws {
 		ws[i] = b.c.NumWires + i
@@ -125,7 +145,7 @@ func (b *Builder) NOT(a int) int { return b.gate(GateINV, a, 0) }
 // Output marks wires as circuit outputs, in order.
 func (b *Builder) Output(ws ...int) { b.c.Outputs = append(b.c.Outputs, ws...) }
 
-// Finish validates and returns the circuit.
+// Finish validates and returns the circuit, one window of itself.
 func (b *Builder) Finish() *Circuit {
 	for _, g := range b.c.Gates {
 		if g.A < 0 || g.A >= g.Out || (g.Kind != GateINV && (g.B < 0 || g.B >= g.Out)) {
@@ -138,7 +158,12 @@ func (b *Builder) Finish() *Circuit {
 		}
 	}
 	c := b.c
-	c.ands = c.NumAND()
+	c.windows = 1
+	for _, g := range c.Gates {
+		if g.Kind == GateAND {
+			c.ands++
+		}
+	}
 	return &c
 }
 

@@ -15,7 +15,7 @@ package gc
 // and returns the activated bits; nil is the identity. Every reshare layer
 // is an instance: ReLU is a window of one with (*Builder).ReLU, max
 // pooling a window of k*k values with or without it. The maximum is a
-// tournament in input order.
+// tournament in input order. The circuit is one window's body, repeated.
 //
 // Garbler inputs: y1 (n*win words), then z1 (n words). Evaluator inputs:
 // y0 (n*win words). Outputs: z0 (n words), revealed to the evaluator.
@@ -27,26 +27,23 @@ func Algorithm2Circuit(bits uint, win, n int, f func(b *Builder, y []int) []int)
 	}
 	b := NewBuilder()
 	l := int(bits)
-	y1 := b.GarblerInput(n * win * l)
-	z1 := b.GarblerInput(n * l)
-	y0 := b.EvaluatorInput(n * win * l)
-	for k := 0; k < n; k++ {
-		var y []int
-		for e := 0; e < win; e++ {
-			off := (k*win + e) * l
-			v := b.AdderMod(y0[off:off+l], y1[off:off+l])
-			if e == 0 {
-				y = v
-			} else {
-				y = b.Max(y, v)
-			}
+	y1 := b.GarblerInput(win * l)
+	z1 := b.GarblerInput(l)
+	y0 := b.EvaluatorInput(win * l)
+	var y []int
+	for e := 0; e < win; e++ {
+		v := b.AdderMod(y0[e*l:(e+1)*l], y1[e*l:(e+1)*l])
+		if e == 0 {
+			y = v
+		} else {
+			y = b.Max(y, v)
 		}
-		if f != nil {
-			y = f(b, y)
-		}
-		b.Output(b.SubMod(y, z1[k*l:(k+1)*l])...)
 	}
-	return b.Finish()
+	if f != nil {
+		y = f(b, y)
+	}
+	b.Output(b.SubMod(y, z1)...)
+	return b.Finish().repeat(n)
 }
 
 // ReLU appends max(0, y) for a signed word: every bit ANDed with the
@@ -76,20 +73,19 @@ func BatchMaxPoolCircuit(bits uint, win, n int, withReLU bool) *Circuit {
 // optimised ReLU (paper section 4.2): it reveals, per neuron, the single
 // bit b = 1 iff y0 + y1 >= 0 (z0 > -z1 in the paper's phrasing), and
 // nothing else passes through the circuit. Cost: about bits-1 AND gates
-// per neuron — one third of the Algorithm-2 circuit.
+// per neuron — one third of the Algorithm-2 circuit. The body is one
+// neuron's.
 //
 // Garbler inputs: y1 (n*bits). Evaluator inputs: y0 (n*bits).
 // Outputs: n sign bits, revealed to the evaluator.
 func BatchSignCircuit(bits uint, n int) *Circuit {
 	b := NewBuilder()
 	l := int(bits)
-	y1 := b.GarblerInput(n * l)
-	y0 := b.EvaluatorInput(n * l)
-	for k := 0; k < n; k++ {
-		y := b.AdderMod(y0[k*l:(k+1)*l], y1[k*l:(k+1)*l])
-		b.Output(b.NOT(y[l-1]))
-	}
-	return b.Finish()
+	y1 := b.GarblerInput(l)
+	y0 := b.EvaluatorInput(l)
+	y := b.AdderMod(y0, y1)
+	b.Output(b.NOT(y[l-1]))
+	return b.Finish().repeat(n)
 }
 
 // BatchArgmaxCircuit builds a secure argmax over n words for each of
@@ -98,7 +94,7 @@ func BatchSignCircuit(bits uint, n int) *Circuit {
 // runs a tournament carrying the running index, and outputs the winning
 // index XOR a garbler-chosen mask (so the evaluator learns nothing: it
 // forwards the masked index to the garbler, who unmasks). idxBits index
-// bits must satisfy 2^idxBits >= n.
+// bits must satisfy 2^idxBits >= n. The body is one sample's.
 //
 // Garbler inputs: y1 (batch*n words), masks (batch*idxBits). Evaluator:
 // y0 (batch*n words). Outputs: batch masked indices.
@@ -109,39 +105,35 @@ func BatchArgmaxCircuit(bits uint, n int, idxBits uint, batch int) *Circuit {
 	b := NewBuilder()
 	l := int(bits)
 	ib := int(idxBits)
-	y1 := b.GarblerInput(batch * n * l)
-	masks := b.GarblerInput(batch * ib)
-	y0 := b.EvaluatorInput(batch * n * l)
-	for s := 0; s < batch; s++ {
-		base := s * n * l
-		best := b.AdderMod(y0[base:base+l], y1[base:base+l])
-		// Index bits are constants: 0 and 1 as free wires.
-		zero := b.XOR(best[0], best[0])
-		one := b.constOne(zero)
-		bestIdx := make([]int, ib)
-		for i := range bestIdx {
-			bestIdx[i] = zero
-		}
-		for e := 1; e < n; e++ {
-			off := base + e*l
-			y := b.AdderMod(y0[off:off+l], y1[off:off+l])
-			gt := b.SignedLess(best, y) // candidate wins
-			best = b.MuxVec(gt, y, best)
-			candIdx := make([]int, ib)
-			for i := range candIdx {
-				if (e>>uint(i))&1 == 1 {
-					candIdx[i] = one
-				} else {
-					candIdx[i] = zero
-				}
-			}
-			bestIdx = b.MuxVec(gt, candIdx, bestIdx)
-		}
-		for i := 0; i < ib; i++ {
-			b.Output(b.XOR(bestIdx[i], masks[s*ib+i]))
-		}
+	y1 := b.GarblerInput(n * l)
+	masks := b.GarblerInput(ib)
+	y0 := b.EvaluatorInput(n * l)
+	best := b.AdderMod(y0[:l], y1[:l])
+	// Index bits are constants: 0 and 1 as free wires.
+	zero := b.XOR(best[0], best[0])
+	one := b.constOne(zero)
+	bestIdx := make([]int, ib)
+	for i := range bestIdx {
+		bestIdx[i] = zero
 	}
-	return b.Finish()
+	for e := 1; e < n; e++ {
+		y := b.AdderMod(y0[e*l:(e+1)*l], y1[e*l:(e+1)*l])
+		gt := b.SignedLess(best, y) // candidate wins
+		best = b.MuxVec(gt, y, best)
+		candIdx := make([]int, ib)
+		for i := range candIdx {
+			if (e>>uint(i))&1 == 1 {
+				candIdx[i] = one
+			} else {
+				candIdx[i] = zero
+			}
+		}
+		bestIdx = b.MuxVec(gt, candIdx, bestIdx)
+	}
+	for i := 0; i < ib; i++ {
+		b.Output(b.XOR(bestIdx[i], masks[i]))
+	}
+	return b.Finish().repeat(batch)
 }
 
 // PopCount appends a Wallace-style counter returning the number of set

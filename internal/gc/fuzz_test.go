@@ -49,7 +49,7 @@ func FuzzEvaluatorRun(f *testing.F) {
 	e, peer := fuzzEvaluator(f)
 	circ := BatchReLUCircuit(4, 2)
 	want := circ.TableBytes() + circ.NumGarbler*LabelSize +
-		(len(circ.Outputs)+7)/8 + circ.NumEvaluator*2*LabelSize
+		(circ.numOutputs()+7)/8 + circ.NumEvaluator*2*LabelSize
 	evalBits := make([]byte, circ.NumEvaluator)
 	for i := range evalBits {
 		evalBits[i] = byte(i) & 1
@@ -90,7 +90,7 @@ func FuzzEvaluate(f *testing.F) {
 				gl[i][j] = labelSrc[i*LabelSize+j]
 			}
 		}
-		decode := make([]byte, len(circ.Outputs))
+		decode := make([]byte, circ.numOutputs())
 		Evaluate(circ, tables, gl, el, decode)
 	})
 }

@@ -52,44 +52,23 @@ var (
 	mmo    = prg.NewPerm(mmoKey[:16])
 )
 
-// hasher computes the garbling hash H(label, tweak), instantiated as the
-// standard fixed-key AES MMO construction pi(x) XOR x with the tweak
-// folded into the input (JustGarble / half-gates paper instantiation).
-// An AND gate's hashes are independent, so they go to the permutation in
-// one call: four lanes on the garbler, two on the evaluator. The lanes
-// live in the kernel state, which is on the heap already.
-type hasher struct {
-	lanes prg.Lanes
-}
-
-// hash4 returns the garbler's four hashes of an AND gate, computed in
-// this order: H(a0, tweak), H(a1, tweak), H(b0, tweak+1), H(b1, tweak+1).
-func (h *hasher) hash4(a0, a1, b0, b1 wire, tweak uint64) (wire, wire, wire, wire) {
-	a0.lo ^= tweak
-	a1.lo ^= tweak
-	b0.lo ^= tweak + 1
-	b1.lo ^= tweak + 1
-	l := &h.lanes
-	a0.store(l[0][:])
-	a1.store(l[1][:])
-	b0.store(l[2][:])
-	b1.store(l[3][:])
-	mmo.Encrypt(l, 4)
-	return loadWire(l[0][:]).xor(a0), loadWire(l[1][:]).xor(a1),
-		loadWire(l[2][:]).xor(b0), loadWire(l[3][:]).xor(b1)
-}
-
-// hash2 returns the evaluator's two hashes of an AND gate, H(a, tweak)
-// and H(b, tweak+1), in that order.
-func (h *hasher) hash2(a, b wire, tweak uint64) (wire, wire) {
-	a.lo ^= tweak
-	b.lo ^= tweak + 1
-	l := &h.lanes
-	a.store(l[0][:])
-	b.store(l[1][:])
-	mmo.Encrypt(l, 2)
-	return loadWire(l[0][:]).xor(a), loadWire(l[1][:]).xor(b)
-}
+// The garbling hash H(label, tweak) is the standard fixed-key AES MMO
+// construction pi(x) XOR x with the tweak folded into the input's low
+// word (JustGarble / half-gates paper instantiation). The g-th AND gate
+// of window k has tweak 2(k*A + g), its evaluator half-gate tweak+1, and
+// its two table rows at rows tweak and tweak+1 of the tables. Both
+// parties walk the body once per group of four windows (lockstep), and an
+// AND gate's hashes fill the permutation's eight lanes: four hashes a
+// window to garble, so a window pair per call (garblePair, two calls a
+// group), and two to evaluate, so the whole quad in one (evalQuad). With
+// AES-NI one assembly call does the hashes and the half-gates of its
+// windows (gate_amd64.s); otherwise, and for a group short of windows,
+// the Go steps below do it over Perm.Encrypt with the same lanes.
+const (
+	garblePair = 2
+	evalQuad   = 4
+	group      = evalQuad
+)
 
 // Garbled is the garbler's output: everything the evaluator needs except
 // the evaluator's own input labels (those are transferred by OT).
@@ -101,166 +80,260 @@ type Garbled struct {
 	EvalPairs [][2]Label
 }
 
-// garbling is the garbling kernel's state and scratch: after garble
-// returns, r and zero hold the global offset and the zero label of every
-// wire, from which the caller reads input labels and decode bits in
-// whatever layout it needs. One garbling serves one goroutine; reusing it
-// from circuit to circuit reuses the wire-label array, the kernel's only
-// large allocation.
+// garbling is the garbling kernel's state and scratch. One garbling
+// serves one goroutine; reused from circuit to circuit it allocates
+// nothing after the first: its one array holds a window group's body
+// labels, wherever the windows sit in the circuit.
 type garbling struct {
-	h     hasher
-	r     wire   // free-XOR global offset, lsb 1
-	zero  []wire // zero label of every wire of the circuit last garbled
-	stage []byte // keystream staging for the input-label draw
+	lanes prg.Lanes
+	r     wire          // free-XOR global offset, lsb 1
+	lab   [][group]wire // zero label of body wire w in window j of the group: lab[w][j]
 }
 
-// labelStage is how much keystream garble draws at a time.
-const labelStage = 8 << 10
-
-// garble garbles c under fresh randomness from rng into tables, which
-// must be c.TableBytes() long. Free-XOR with global offset R (lsb 1),
-// half-gates for AND, INV by XORing the output-wire semantics with R.
+// flight garbles c under fresh randomness from rng into msg, laid out as
+// flightBytes describes, with the evaluator's label pairs still in the
+// clear: sendGarbled pads them once the label OT has run. Free-XOR with
+// global offset R (lsb 1), half-gates for AND, INV by XORing the
+// output-wire semantics with R.
 //
 // The draw order is the wire format's: R, then the zero label of every
-// input wire in wire order, LabelSize bytes each. The keystream is a
-// stream, so drawing it a stage at a time yields the same labels, and
-// leaves rng in the same state, as one draw per label.
-func (s *garbling) garble(c *Circuit, rng *prg.PRG, tables []byte) error {
-	if s.stage == nil {
-		s.stage = make([]byte, labelStage)
+// input wire in flat order, LabelSize bytes each, drawn straight into
+// the flight — the garbler's into its label region, the evaluator's into
+// the first halves of the pair slots. The keystream is a stream, so one
+// draw per region yields the same labels, and leaves rng in the same
+// state, as one draw per label.
+func (s *garbling) flight(c *Circuit, garblerBits []byte, rng *prg.PRG, msg []byte) error {
+	if len(garblerBits) != c.NumGarbler {
+		return fmt.Errorf("gc: %d garbler bits for %d input wires", len(garblerBits), c.NumGarbler)
 	}
-	if cap(s.zero) < c.NumWires {
-		s.zero = make([]wire, c.NumWires)
-	}
-	s.zero = s.zero[:c.NumWires]
-	zero := s.zero
-	rng.Fill(s.stage[:LabelSize])
-	r := loadWire(s.stage)
+	tb := c.TableBytes()
+	labels := msg[tb : tb+c.NumGarbler*LabelSize]
+	decode := msg[tb+len(labels) : tb+len(labels)+(c.numOutputs()+7)/8]
+	pairs := msg[len(msg)-c.NumEvaluator*2*LabelSize:]
+	rng.Fill(s.lanes[0][:]) // the lanes are scratch until the first AND gate
+	r := loadWire(s.lanes[0][:])
 	r.lo |= 1 // point-and-permute: lsb of R must be 1
 	s.r = r
-	for in := zero[:c.NumGarbler+c.NumEvaluator]; len(in) > 0; {
-		buf := s.stage[:min(len(in)*LabelSize, labelStage)]
-		rng.Fill(buf)
-		for i := 0; i < len(buf); i += LabelSize {
-			in[i/LabelSize] = loadWire(buf[i:])
-		}
-		in = in[len(buf)/LabelSize:]
+	rng.Fill(labels)
+	// The evaluator's zero labels are drawn packed into the pair region's
+	// first half and spread to their slots from the top down, so that
+	// each is read before a slot above it is written.
+	rng.Fill(pairs[:len(pairs)/2])
+	for i := c.NumEvaluator - 1; i >= 0; i-- {
+		z := loadWire(pairs[i*LabelSize:])
+		z.store(pairs[2*i*LabelSize:])
+		z.xor(r).store(pairs[(2*i+1)*LabelSize:])
 	}
+	if err := s.garble(c, msg[:tb], labels, pairs, decode); err != nil {
+		return err
+	}
+	for i, b := range garblerBits { // zero labels to active ones
+		loadWire(labels[i*LabelSize:]).xor(r.when(uint64(b & 1))).store(labels[i*LabelSize:])
+	}
+	return nil
+}
 
-	h := &s.h
-	var tweak uint64 // 2 * AND-gate index; the evaluator half-gate uses tweak+1
-	for i := range c.Gates {
-		g := &c.Gates[i]
-		switch g.Kind {
-		case GateXOR:
-			zero[g.Out] = zero[g.A].xor(zero[g.B])
-		case GateINV:
-			// NOT flips semantics: label for "out=0" is label for "a=1".
-			zero[g.Out] = zero[g.A].xor(r)
-		case GateAND:
-			a0, b0 := zero[g.A], zero[g.B]
-			pa, pb := a0.lsb(), b0.lsb()
-			// Four hashes: each of H(a0), H(b0) feeds both its half-gate's
-			// ciphertext and its output label.
-			ha0, ha1, hb0, hb1 := h.hash4(a0, a0.xor(r), b0, b0.xor(r), tweak)
-			// Generator half-gate.
-			tg := ha0.xor(ha1).xor(r.when(pb))
-			wg := ha0.xor(tg.when(pa))
-			// Evaluator half-gate.
-			te := hb0.xor(hb1).xor(a0)
-			we := hb0.xor(te.xor(a0).when(pb))
-			zero[g.Out] = wg.xor(we)
-			tg.store(tables[tweak*LabelSize:])
-			te.store(tables[(tweak+1)*LabelSize:])
-			tweak += 2
-		default:
-			return fmt.Errorf("gc: unknown gate kind %d", g.Kind)
+// garble garbles every window of c into tables and the packed decode
+// bits, reading the input zero labels from labels (the garbler's,
+// LabelSize apart) and pairs (the evaluator's, 2*LabelSize apart). Each
+// AND gate of a window group is garbled a window pair at a time.
+func (s *garbling) garble(c *Circuit, tables, labels, pairs, decode []byte) error {
+	rk, dt := mmo.RoundKeys(), 2*uint64(c.ands)
+	return lockstep(c, &s.lab, s.r, labels, LabelSize, pairs, 2*LabelSize, decode,
+		func(a, b, o *[group]wire, t uint64, L int) {
+			for j := 0; j < L; j += garblePair {
+				tj, n := t+uint64(j)*dt, min(garblePair, L-j)
+				rows := tables[tj*LabelSize : (tj+uint64(n-1)*dt+2)*LabelSize]
+				if rk != nil && n == garblePair {
+					garblePairKernel(rk, (*[garblePair]wire)(a[j:]), (*[garblePair]wire)(b[j:]), (*[garblePair]wire)(o[j:]), &s.r, tj, dt, &rows[0])
+				} else {
+					s.and(a[j:j+n], b[j:j+n], o[j:j+n], tj, dt, rows)
+				}
+			}
+		})
+}
+
+// lockstep walks c's body over every window, a group of windows at a
+// time, in *lab: body wire w of the group's window j at lab[w][j]. It
+// loads a group's input labels — garbler input f (flat numbering) from
+// g[f*gs:], evaluator input f from e[f*es:] — runs XOR and INV gates over
+// every lane itself and each AND gate through and, given the tweak of its
+// first window and how many of the group's windows are real, and packs
+// the output labels' permute bits into perm, output i at bit i%8 of
+// perm[i/8]. INV XORs inv into every lane: R on the garbler, flipping
+// what its zero label means, zero on the evaluator. A short last group
+// runs its missing windows on stale labels, which reach no table,
+// permute bit or flight.
+func lockstep(c *Circuit, lab *[][group]wire, inv wire, g []byte, gs int, e []byte, es int, perm []byte, and func(a, b, o *[group]wire, t uint64, L int)) error {
+	if len(*lab) < c.NumWires {
+		*lab = make([][group]wire, c.NumWires)
+	}
+	ls, outs := (*lab)[:c.NumWires], len(c.Outputs)
+	clear(perm)
+	for k := 0; k < c.windows; k += group {
+		L := min(group, c.windows-k)
+		w, start, src, stride := 0, 0, g, gs
+		for i, size := range c.groups {
+			if i == c.garblerGroups {
+				start, src, stride = 0, e, es
+			}
+			for j := 0; j < L; j++ {
+				f := start*c.windows + (k+j)*size
+				for x := 0; x < size; x++ {
+					ls[w+x][j] = loadWire(src[(f+x)*stride:])
+				}
+			}
+			w += size
+			start += size
+		}
+		t := uint64(k) * 2 * uint64(c.ands)
+		for i := range c.Gates {
+			gt := &c.Gates[i]
+			o, a := &ls[gt.Out], &ls[gt.A]
+			switch gt.Kind {
+			case GateXOR:
+				b := &ls[gt.B]
+				o[0], o[1], o[2], o[3] = a[0].xor(b[0]), a[1].xor(b[1]), a[2].xor(b[2]), a[3].xor(b[3])
+			case GateINV:
+				o[0], o[1], o[2], o[3] = a[0].xor(inv), a[1].xor(inv), a[2].xor(inv), a[3].xor(inv)
+			case GateAND:
+				and(a, &ls[gt.B], o, t, L)
+				t += 2
+			default:
+				return fmt.Errorf("gc: unknown gate kind %d", gt.Kind)
+			}
+		}
+		for j := 0; j < L; j++ {
+			for x, w := range c.Outputs {
+				i := (k+j)*outs + x
+				perm[i/8] |= byte(ls[w][j].lsb()) << (uint(i) % 8)
+			}
 		}
 	}
 	return nil
 }
 
-// garblerLabel returns the active label of garbler input wire i for the
-// given input bit.
-func (s *garbling) garblerLabel(i int, bit byte) wire {
-	return s.zero[i].xor(s.r.when(uint64(bit & 1)))
+// and garbles one AND gate in len(o) windows through Perm.Encrypt: window
+// j's zero labels a[j], b[j], tweak t+j*dt, table rows at rows[j*dt*
+// LabelSize:], output zero label into o[j]. Lanes 4j to 4j+3 hash
+// H(a0, tweak), H(a1, tweak), H(b0, tweak+1), H(b1, tweak+1); each of
+// H(a0), H(b0) feeds both its half-gate's ciphertext and its output label.
+func (s *garbling) and(a, b, o []wire, t, dt uint64, rows []byte) {
+	l, r := &s.lanes, s.r
+	var h [8]wire // the hash inputs, then the hashes
+	for j := range o {
+		tw := t + uint64(j)*dt
+		h[4*j], h[4*j+1], h[4*j+2], h[4*j+3] = a[j], a[j].xor(r), b[j], b[j].xor(r)
+		h[4*j].lo ^= tw
+		h[4*j+1].lo ^= tw
+		h[4*j+2].lo ^= tw + 1
+		h[4*j+3].lo ^= tw + 1
+	}
+	for i := range h[:4*len(o)] {
+		h[i].store(l[i][:])
+	}
+	mmo.Encrypt(l, 4*len(o))
+	for i := range h[:4*len(o)] {
+		h[i] = loadWire(l[i][:]).xor(h[i])
+	}
+	for j := range o {
+		ha0, ha1, hb0, hb1 := h[4*j], h[4*j+1], h[4*j+2], h[4*j+3]
+		a0, pa, pb := a[j], a[j].lsb(), b[j].lsb()
+		// Generator half-gate.
+		tg := ha0.xor(ha1).xor(r.when(pb))
+		wg := ha0.xor(tg.when(pa))
+		// Evaluator half-gate.
+		te := hb0.xor(hb1).xor(a0)
+		we := hb0.xor(te.xor(a0).when(pb))
+		o[j] = wg.xor(we)
+		row := rows[uint64(j)*dt*LabelSize:]
+		tg.store(row)
+		te.store(row[LabelSize:])
+	}
 }
 
 // Garble garbles the circuit under fresh randomness from rng, with the
 // garbler's input bits given.
 func Garble(c *Circuit, garblerBits []byte, rng *prg.PRG) (*Garbled, error) {
-	if len(garblerBits) != c.NumGarbler {
-		return nil, fmt.Errorf("gc: %d garbler bits for %d input wires", len(garblerBits), c.NumGarbler)
-	}
-	out := &Garbled{
-		Tables:        make([]byte, c.TableBytes()),
-		GarblerLabels: make([]Label, c.NumGarbler),
-		Decode:        make([]byte, len(c.Outputs)),
-		EvalPairs:     make([][2]Label, c.NumEvaluator),
-	}
+	msg := make([]byte, flightBytes(c))
 	var s garbling
-	if err := s.garble(c, rng, out.Tables); err != nil {
+	if err := s.flight(c, garblerBits, rng, msg); err != nil {
 		return nil, err
 	}
+	tb := c.TableBytes()
+	out := &Garbled{
+		Tables:        msg[:tb:tb],
+		GarblerLabels: make([]Label, c.NumGarbler),
+		Decode:        make([]byte, c.numOutputs()),
+		EvalPairs:     make([][2]Label, c.NumEvaluator),
+	}
+	off := tb
 	for i := range out.GarblerLabels {
-		out.GarblerLabels[i] = s.garblerLabel(i, garblerBits[i]).label()
+		off += copy(out.GarblerLabels[i][:], msg[off:])
 	}
+	for i := range out.Decode {
+		out.Decode[i] = msg[off+i/8] >> (uint(i) % 8) & 1
+	}
+	off += (len(out.Decode) + 7) / 8
 	for i := range out.EvalPairs {
-		z := s.zero[c.NumGarbler+i]
-		out.EvalPairs[i] = [2]Label{z.label(), z.xor(s.r).label()}
-	}
-	for i, w := range c.Outputs {
-		out.Decode[i] = byte(s.zero[w].lsb())
+		off += copy(out.EvalPairs[i][0][:], msg[off:])
+		off += copy(out.EvalPairs[i][1][:], msg[off:])
 	}
 	return out, nil
 }
 
 // evaluating is the evaluation kernel's scratch, the mirror of garbling:
-// the caller loads the active input labels into active, evaluate fills in
-// the rest.
+// a window group's body labels, and the evaluator's label pads, its
+// labels unpadded in place.
 type evaluating struct {
-	h      hasher
-	active []wire // active label of every wire
-	pads   []byte // the evaluator's label pads, its labels unpadded in place
+	lanes prg.Lanes
+	lab   [][group]wire // active label of body wire w in window j of the group: lab[w][j]
+	pads  []byte
 }
 
-// inputs returns the active-label array for c, its input wires to be
-// filled by the caller before evaluate.
-func (s *evaluating) inputs(c *Circuit) []wire {
-	if cap(s.active) < c.NumWires {
-		s.active = make([]wire, c.NumWires)
-	}
-	s.active = s.active[:c.NumWires]
-	return s.active
+// evaluate walks every window of c over tables, a window quad at a time,
+// one evalQuadKernel call per AND gate, from the garbler's active input labels in glabels and the evaluator's
+// in elabels, LabelSize apart each, and packs the outputs' permute bits
+// into perm as lockstep does.
+func (s *evaluating) evaluate(c *Circuit, tables, glabels, elabels, perm []byte) error {
+	rk, dt := mmo.RoundKeys(), 2*uint64(c.ands)
+	return lockstep(c, &s.lab, wire{}, glabels, LabelSize, elabels, LabelSize, perm,
+		func(a, b, o *[group]wire, t uint64, L int) {
+			rows := tables[t*LabelSize : (t+uint64(L-1)*dt+2)*LabelSize]
+			if rk != nil && L == evalQuad {
+				evalQuadKernel(rk, a, b, o, t, dt, &rows[0])
+			} else {
+				s.and(a[:L], b[:L], o[:L], t, dt, rows)
+			}
+		})
 }
 
-// evaluate walks the gates over the garbled tables, which must be
-// c.TableBytes() long.
-func (s *evaluating) evaluate(c *Circuit, tables []byte) error {
-	active := s.active
-	h := &s.h
-	var tweak uint64
-	for i := range c.Gates {
-		g := &c.Gates[i]
-		switch g.Kind {
-		case GateXOR:
-			active[g.Out] = active[g.A].xor(active[g.B])
-		case GateINV:
-			active[g.Out] = active[g.A]
-		case GateAND:
-			a, b := active[g.A], active[g.B]
-			tg := loadWire(tables[tweak*LabelSize:])
-			te := loadWire(tables[(tweak+1)*LabelSize:])
-			ha, hb := h.hash2(a, b, tweak)
-			wg := ha.xor(tg.when(a.lsb()))
-			we := hb.xor(te.xor(a).when(b.lsb()))
-			active[g.Out] = wg.xor(we)
-			tweak += 2
-		default:
-			return fmt.Errorf("gc: unknown gate kind %d", g.Kind)
-		}
+// and evaluates one AND gate in len(o) windows through Perm.Encrypt, the
+// mirror of garbling.and: lanes 2j and 2j+1 hash H(a, tweak) and
+// H(b, tweak+1) of window j.
+func (s *evaluating) and(a, b, o []wire, t, dt uint64, rows []byte) {
+	l := &s.lanes
+	var h [8]wire // the hash inputs, then the hashes
+	for j := range o {
+		tw := t + uint64(j)*dt
+		h[2*j], h[2*j+1] = a[j], b[j]
+		h[2*j].lo ^= tw
+		h[2*j+1].lo ^= tw + 1
 	}
-	return nil
+	for i := range h[:2*len(o)] {
+		h[i].store(l[i][:])
+	}
+	mmo.Encrypt(l, 2*len(o))
+	for i := range h[:2*len(o)] {
+		h[i] = loadWire(l[i][:]).xor(h[i])
+	}
+	for j := range o {
+		row := rows[uint64(j)*dt*LabelSize:]
+		tg, te := loadWire(row), loadWire(row[LabelSize:])
+		wg := h[2*j].xor(tg.when(a[j].lsb()))
+		we := h[2*j+1].xor(te.xor(a[j]).when(b[j].lsb()))
+		o[j] = wg.xor(we)
+	}
 }
 
 // Evaluate runs the evaluator over the garbled tables given active labels
@@ -273,23 +346,24 @@ func Evaluate(c *Circuit, tables []byte, garblerLabels, evalLabels []Label, deco
 	if len(tables) != c.TableBytes() {
 		return nil, fmt.Errorf("gc: tables are %d bytes, want %d", len(tables), c.TableBytes())
 	}
-	if len(decode) != len(c.Outputs) {
-		return nil, fmt.Errorf("gc: decode has %d bits, want %d", len(decode), len(c.Outputs))
+	if len(decode) != c.numOutputs() {
+		return nil, fmt.Errorf("gc: decode has %d bits, want %d", len(decode), c.numOutputs())
+	}
+	flat := func(ls []Label) []byte {
+		b := make([]byte, 0, len(ls)*LabelSize)
+		for i := range ls {
+			b = append(b, ls[i][:]...)
+		}
+		return b
 	}
 	var s evaluating
-	active := s.inputs(c)
-	for i := range garblerLabels {
-		active[i] = loadWire(garblerLabels[i][:])
-	}
-	for i := range evalLabels {
-		active[c.NumGarbler+i] = loadWire(evalLabels[i][:])
-	}
-	if err := s.evaluate(c, tables); err != nil {
+	perm := make([]byte, (c.numOutputs()+7)/8)
+	if err := s.evaluate(c, tables, flat(garblerLabels), flat(evalLabels), perm); err != nil {
 		return nil, err
 	}
-	bits := make([]byte, len(c.Outputs))
-	for i, w := range c.Outputs {
-		bits[i] = byte(active[w].lsb()) ^ decode[i]
+	bits := make([]byte, c.numOutputs())
+	for i := range bits {
+		bits[i] = (perm[i/8]>>(uint(i)%8))&1 ^ decode[i]
 	}
 	return bits, nil
 }

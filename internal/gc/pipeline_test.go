@@ -194,8 +194,10 @@ func TestRunBatchTranscriptIdentity(t *testing.T) {
 // TestGarblerRunAheadBound stalls the evaluator — it never sends circuit
 // 0's OT columns — and requires the garbler to garble exactly workers+1
 // circuits of an 8-circuit batch and then wait: the run-ahead window, not
-// the batch, is what bounds its memory. Once the evaluator shows up the
-// batch completes correctly.
+// the batch, is what bounds its memory, at workers+1 flights plus, per
+// worker, a kernel of at most 8 x body wires x LabelSize bytes
+// (TestGCScratchIsBodySized). Once the evaluator shows up the batch
+// completes correctly.
 func TestGarblerRunAheadBound(t *testing.T) {
 	const batch = 8
 	c := BatchReLUCircuit(8, 4)

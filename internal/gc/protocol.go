@@ -67,7 +67,7 @@ func (e *Evaluator) SetWorkers(n int) {
 // tables, the garbler's active input labels, the packed decode bits and
 // the evaluator's label pairs under their OT pads.
 func flightBytes(c *Circuit) int {
-	return c.TableBytes() + c.NumGarbler*LabelSize + (len(c.Outputs)+7)/8 + c.NumEvaluator*2*LabelSize
+	return c.TableBytes() + c.NumGarbler*LabelSize + (c.numOutputs()+7)/8 + c.NumEvaluator*2*LabelSize
 }
 
 // Run garbles c under the garbler's input bits and sends everything the
@@ -106,8 +106,9 @@ func (g *Garbler) RunBatch(circs []*Circuit, bits [][]byte) error {
 // garble(first) + max(garble, send) * (rest) instead of garble(all) +
 // send(all). At most workers + 1 circuits are garbled (or being garbled)
 // and not yet sent: that window, not the batch, bounds the garbler's
-// memory — one kernel's wire labels per worker and workers + 1 flights,
-// each reused from circuit to circuit and dropped with the round.
+// memory — workers + 1 flights and, per worker, one kernel's window-group
+// labels (4 x body wires x LabelSize bytes), each reused from circuit to
+// circuit and dropped with the round.
 func (g *Garbler) round(circs []*Circuit, bits [][]byte, rngs []*prg.PRG) error {
 	workers := par.NumChunks(g.workers, len(circs))
 	window := workers + 1
@@ -129,36 +130,6 @@ func (g *Garbler) round(circs []*Circuit, bits [][]byte, rngs []*prg.PRG) error 
 			return msg, nil
 		},
 		func(i int, msg []byte) error { return g.sendGarbled(circs[i], msg) })
-}
-
-// flight garbles c into msg, laid out as flightBytes describes, with the
-// evaluator's label pairs still in the clear: sendGarbled pads them once
-// the label OT has run.
-func (s *garbling) flight(c *Circuit, garblerBits []byte, rng *prg.PRG, msg []byte) error {
-	if len(garblerBits) != c.NumGarbler {
-		return fmt.Errorf("gc: %d garbler bits for %d input wires", len(garblerBits), c.NumGarbler)
-	}
-	tb := c.TableBytes()
-	if err := s.garble(c, rng, msg[:tb]); err != nil {
-		return err
-	}
-	off := tb
-	for i, b := range garblerBits {
-		s.garblerLabel(i, b).store(msg[off:])
-		off += LabelSize
-	}
-	decode := msg[off : off+(len(c.Outputs)+7)/8]
-	clear(decode)
-	for i, w := range c.Outputs {
-		decode[i/8] |= byte(s.zero[w].lsb()) << (uint(i) % 8)
-	}
-	off += len(decode)
-	for _, z := range s.zero[c.NumGarbler : c.NumGarbler+c.NumEvaluator] {
-		z.store(msg[off:])
-		z.xor(s.r).store(msg[off+LabelSize:])
-		off += 2 * LabelSize
-	}
-	return nil
 }
 
 // sendGarbled performs the communication half of a round: the label OT
@@ -208,8 +179,8 @@ func (e *Evaluator) RunBatch(circs []*Circuit, bits [][]byte) ([][]byte, error) 
 	if len(circs) != len(bits) {
 		return nil, fmt.Errorf("gc: %d circuits for %d input sets", len(circs), len(bits))
 	}
-	// One kernel per evaluation slot: its wire labels are reused from
-	// circuit to circuit and dropped with the round.
+	// One kernel per evaluation slot: its window-group labels and pads are
+	// reused from circuit to circuit and dropped with the round.
 	kernels := make([]evaluating, par.NumChunks(e.workers, len(circs)))
 	outs := make([][]byte, len(circs))
 	err := par.Behind(e.workers, len(circs),
@@ -259,40 +230,36 @@ func (e *Evaluator) recvGarbled(c *Circuit, evalBits []byte) (received, error) {
 }
 
 // flight evaluates c over a received flight: it opens the evaluator's
-// labels with the OT pads, takes the garbler's as sent, walks the gates
-// over the tables where they lie in the frame, and decodes the outputs.
+// labels with the OT pads, takes the garbler's as they lie in the frame,
+// walks the body over the tables there too, and decodes the outputs.
 func (s *evaluating) flight(c *Circuit, evalBits []byte, rcv received) ([]byte, error) {
 	msg := rcv.msg
-	active := s.inputs(c)
 	tb := c.TableBytes()
-	off := tb
-	for i := 0; i < c.NumGarbler; i++ {
-		active[i] = loadWire(msg[off:])
-		off += LabelSize
-	}
-	decode := msg[off : off+(len(c.Outputs)+7)/8]
+	glabels := msg[tb : tb+c.NumGarbler*LabelSize]
+	off := tb + len(glabels)
+	decode := msg[off : off+(c.numOutputs()+7)/8]
 	off += len(decode)
+	// Unpad into scratch: the frame stays as it arrived.
+	if n := c.NumEvaluator * LabelSize; cap(s.pads) < n {
+		s.pads = make([]byte, n)
+	}
+	pads := s.pads[:c.NumEvaluator*LabelSize]
 	if c.NumEvaluator > 0 {
-		// Unpad into scratch: the frame stays as it arrived.
-		if n := c.NumEvaluator * LabelSize; cap(s.pads) < n {
-			s.pads = make([]byte, n)
-		}
-		pads := s.pads[:c.NumEvaluator*LabelSize]
 		clear(pads)
 		rcv.blk.NewDeriver().XORPadsRun(pads, LabelSize, 0)
 		for i, b := range evalBits {
 			label := pads[i*LabelSize : (i+1)*LabelSize]
 			subtle.XORBytes(label, label, msg[off+int(b&1)*LabelSize:])
-			active[c.NumGarbler+i] = loadWire(label)
 			off += 2 * LabelSize
 		}
 	}
-	if err := s.evaluate(c, msg[:tb]); err != nil {
+	perm := make([]byte, len(decode))
+	if err := s.evaluate(c, msg[:tb], glabels, pads, perm); err != nil {
 		return nil, err
 	}
-	bits := make([]byte, len(c.Outputs))
-	for i, w := range c.Outputs {
-		bits[i] = byte(active[w].lsb()) ^ (decode[i/8]>>(uint(i)%8))&1
+	bits := make([]byte, c.numOutputs())
+	for i := range bits {
+		bits[i] = ((perm[i/8] ^ decode[i/8]) >> (uint(i) % 8)) & 1
 	}
 	return bits, nil
 }

@@ -137,7 +137,7 @@ func TestProtocolCommunicationMatchesFormula(t *testing.T) {
 	wg.Wait()
 	s := meter.Snapshot()
 	wantGE := int64(circ.TableBytes() + circ.NumGarbler*LabelSize +
-		(len(circ.Outputs)+7)/8 + circ.NumEvaluator*2*LabelSize)
+		(circ.numOutputs()+7)/8 + circ.NumEvaluator*2*LabelSize)
 	if s.BytesAB != wantGE {
 		t.Errorf("garbler sent %d bytes, want %d", s.BytesAB, wantGE)
 	}

@@ -16,6 +16,7 @@ func (b *Builder) OR(a, c int) int {
 }
 
 func plainEval(c *Circuit, gBits, eBits []byte) []byte {
+	c = expand(c)
 	wires := make([]byte, c.NumWires)
 	copy(wires, gBits)
 	copy(wires[c.NumGarbler:], eBits)

@@ -99,7 +99,9 @@ func matchReference(t testing.TB, c *Circuit, gBits, eBits []byte, seed uint64) 
 // TestKernelMatchesReference is the no-wire-change proof for the kernel:
 // over every circuit family the engine garbles, at ring widths either
 // side of the word boundaries and at one, a few and a chunk's worth of
-// neurons, the four-hash word-wide kernel produces the reference's bytes.
+// neurons — window counts that leave every tail of the garbler's window
+// pairs and the evaluator's window quads (n mod 4 = 1, 2, 3, 0) — the
+// lockstep kernels produce the reference's bytes.
 // The squarer is quadratic in the width, so its 256-neuron case runs at
 // width 8 only (at width 64 it is 2 M AND gates and 400 MB of gate list).
 func TestKernelMatchesReference(t *testing.T) {
@@ -118,7 +120,7 @@ func TestKernelMatchesReference(t *testing.T) {
 	seed := uint64(1)
 	for _, fam := range families {
 		for _, bits := range []uint{8, 32, 33, 64} {
-			for _, n := range []int{1, 3, 256} {
+			for _, n := range []int{1, 2, 3, 256} {
 				if fam.name == "square" && n == 256 && bits != 8 {
 					continue
 				}
@@ -141,13 +143,15 @@ func TestKernelMatchesReference(t *testing.T) {
 }
 
 // gateProgram decodes fuzzer bytes into a well-formed circuit: two bytes
-// pick the input counts, then every three bytes are one gate (kind, and
-// two operands taken modulo the wires that exist so far). Every gate
-// output is a circuit output, so every wire's decode bit is compared.
+// pick the input counts and the window count (the first byte's low two
+// bits and the rest, so the seeds below 4 stay one window), then every
+// three bytes are one gate of the body (kind, and two operands taken
+// modulo the wires that exist so far). Every gate output is a circuit
+// output, so every wire's decode bit is compared.
 func gateProgram(prog []byte) *Circuit {
-	nG, nE := 1, 1
+	nG, nE, n := 1, 1, 1
 	if len(prog) >= 2 {
-		nG, nE = 1+int(prog[0]%4), 1+int(prog[1]%4)
+		nG, nE, n = 1+int(prog[0]%4), 1+int(prog[1]%4), 1+int(prog[0]/4)%6
 		prog = prog[2:]
 	}
 	b := NewBuilder()
@@ -166,14 +170,14 @@ func gateProgram(prog []byte) *Circuit {
 		wires = append(wires, w)
 		b.Output(w)
 	}
-	return b.Finish()
+	return b.Finish().repeat(n)
 }
 
 // FuzzGarbleMatchesReference holds the kernel to the reference over
-// arbitrary gate lists, inputs and seeds, including the shapes no
-// circuit constructor emits: INV chains, gates fed the same wire twice,
-// AND gates on inverted and re-inverted wires. The input bytes double as
-// the garbling seed.
+// arbitrary gate lists, window counts, inputs and seeds, including the
+// shapes no circuit constructor emits: INV chains, gates fed the same
+// wire twice, AND gates on inverted and re-inverted wires. The input
+// bytes double as the garbling seed.
 func FuzzGarbleMatchesReference(f *testing.F) {
 	// Three long programs: a chain of 150 INVs with ANDs across it, all
 	// gate kinds interleaved, and ANDs of freshly inverted wires.
@@ -199,6 +203,9 @@ func FuzzGarbleMatchesReference(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 0, 1}, []byte{1, 1})
 	f.Add([]byte{1, 2, 1, 0, 0, 0, 1, 1, 1, 3, 3, 1, 5, 4}, []byte{0xFF, 0x00}) // x AND x, x XOR x
 	f.Add([]byte{}, []byte{})
+	for n := 2; n <= 6; n++ { // the mixed program repeated: every pair and quad tail
+		f.Add(append([]byte{byte(4*(n-1) + 2)}, mixed[1:]...), []byte{byte(n), 0x5A, 0xC3})
+	}
 	f.Fuzz(func(t *testing.T, prog, inputs []byte) {
 		c := gateProgram(prog)
 		bit := func(i int) byte {

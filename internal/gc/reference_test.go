@@ -14,7 +14,8 @@ import (
 // fixed-key AES calls per AND gate, one rng.Bytes per input label,
 // [16]byte labels passed by value. It is the byte-identity oracle of
 // reference_identity_test.go and FuzzGarbleMatchesReference: the wire
-// format is whatever this code produces.
+// format is whatever this code produces. It walks the flat gate list, so
+// each entry point first expands a body to the circuit it stands for.
 
 // mmoCipher is the garbling key under crypto/aes, the cipher the frozen
 // code below called before the package's hash moved to prg.Perm; kept
@@ -55,6 +56,7 @@ func (h *refHasher) hash(l Label, tweak uint64) Label {
 }
 
 func referenceGarble(c *Circuit, garblerBits []byte, rng *prg.PRG) (*Garbled, error) {
+	c = expand(c)
 	if len(garblerBits) != c.NumGarbler {
 		return nil, fmt.Errorf("gc: %d garbler bits for %d input wires", len(garblerBits), c.NumGarbler)
 	}
@@ -132,6 +134,7 @@ func referenceGarble(c *Circuit, garblerBits []byte, rng *prg.PRG) (*Garbled, er
 }
 
 func referenceEvaluate(c *Circuit, tables []byte, garblerLabels, evalLabels []Label, decode []byte) ([]byte, error) {
+	c = expand(c)
 	if len(garblerLabels) != c.NumGarbler || len(evalLabels) != c.NumEvaluator {
 		return nil, fmt.Errorf("gc: label count mismatch (%d,%d) want (%d,%d)",
 			len(garblerLabels), len(evalLabels), c.NumGarbler, c.NumEvaluator)

@@ -73,3 +73,13 @@ func (l *Lanes) put(i int, w0, w1 uint64) {
 func (l *Lanes) get(i int) (uint64, uint64) {
 	return binary.LittleEndian.Uint64(l[i][0:]), binary.LittleEndian.Uint64(l[i][8:])
 }
+
+// RoundKeys returns the expanded key for a caller's own AES-NI kernel, or
+// nil where Encrypt takes the portable path: off amd64, on a CPU without
+// AES-NI, and for a Perm from WrapBlock.
+func (p *Perm) RoundKeys() *[11 * 16]byte {
+	if !p.kernel {
+		return nil
+	}
+	return &p.rk
+}
