@@ -105,6 +105,7 @@ fuzz:
 	$(GO) test ./internal/transport -fuzz FuzzStreamRecv -fuzztime 10s
 	$(GO) test ./internal/transport -fuzz FuzzStreamRoundTrip -fuzztime 10s
 	$(GO) test ./internal/par -fuzz FuzzParMap -fuzztime 10s
+	$(GO) test ./internal/bitmat -fuzz FuzzTransposeKernelMatchesPortable -fuzztime 10s
 	$(GO) test ./internal/prg -fuzz FuzzPadDeriverMatchesHash -fuzztime 10s
 	$(GO) test ./internal/prg -fuzz FuzzPermMatchesCipher -fuzztime 10s
 	$(GO) test ./internal/prg -fuzz FuzzPadRunMatchesHash -fuzztime 10s
@@ -143,7 +144,7 @@ loc:
 # The size gate (CI's static job runs it): `make loc` may not exceed
 # LOC_MAX, the figure the last PR that moved it ended on. A PR that needs
 # more lines raises LOC_MAX here, in the open, in its diff.
-LOC_MAX = 20270
+LOC_MAX = 20392
 loc-check:
 	@n=$$($(MAKE) -s loc); \
 	if [ "$$n" -gt $(LOC_MAX) ]; then echo "loc-check: $$n non-test Go lines, LOC_MAX is $(LOC_MAX)"; exit 1; fi; \

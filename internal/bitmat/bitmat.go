@@ -62,39 +62,62 @@ func (m *Matrix) SetBit(i, j int, v byte) {
 }
 
 // Transpose returns the Cols x Rows transpose of m. The output has
-// RowsOut = m.Cols and ColsOut = m.Rows rounded up to a byte boundary in
-// storage; callers must treat bits beyond m.Rows in each output row as
-// padding (they are zero). For the OT extensions in this repo, m.Rows is
-// always padded to a multiple of 8 by the caller, so no slack bits exist
-// in practice.
-func Transpose(m *Matrix) *Matrix { return TransposePar(m, 1) }
-
-// TransposePar is Transpose with the block loop split across the shared
-// worker pool; the result is identical for any worker count.
-// workers <= 0 means GOMAXPROCS.
-func TransposePar(m *Matrix, workers int) *Matrix {
+// RowsOut = m.Cols and ColsOut = m.Rows rounded up to a byte boundary (at
+// least 8); the bits past m.Rows in each output row are padding, and zero.
+func Transpose(m *Matrix) *Matrix {
 	out := New(m.Cols, max(8, (m.Rows+7)&^7))
-	TransposeInto(out, m, workers)
+	TransposeInto(out, m, 1)
 	return out
 }
 
-// TransposeInto is TransposePar into a caller-owned matrix of the shape
-// TransposePar returns, every byte of which it overwrites, so a matrix
-// kept across calls needs no clearing.
+// TransposeInto is Transpose into a caller-owned matrix of the shape
+// Transpose returns, every byte of which it overwrites, so a matrix kept
+// across calls needs no clearing. The block loop is split across the
+// shared worker pool (workers <= 0 means GOMAXPROCS); the result is
+// identical for any worker count.
 //
-// The matrix is cut into 64x64 bit blocks, each transposed in registers
-// by transpose64. Rows and column bytes beyond the last whole block (the
-// OT extensions pad their row count to 8, not 64, because the padded
-// count is what crosses the wire) go through the 8x8 kernel. Block
-// (rb, cb) writes only bytes [8*rb, 8*rb+8) of output rows [64*cb,
-// 64*cb+64), so the workers' ranges are disjoint.
+// The block step takes kernelRows input rows across every whole group of
+// 8 column bytes: the SSE2 kernel's 16 rows on amd64, transpose64's 64
+// elsewhere. Rows past the last whole group and column bytes past the
+// last 8 (the OT extensions pad their row count to 8, not 64, because the
+// padded count is what crosses the wire, and code widths 224, 240 and
+// 248 leave 8 rows over) go through the 8x8 step.
 func TransposeInto(out, m *Matrix, workers int) {
+	transposeBlocks(out, m, workers, kernelRows, kernelStep)
+}
+
+// transposeBlocks is TransposeInto over a block step of blockRows rows:
+// step(out, m, rb, colBlocks) transposes rows [blockRows*rb,
+// blockRows*rb+blockRows) at column bytes [0, 8*colBlocks), writing only
+// bytes [blockRows/8*rb, blockRows/8*(rb+1)) of each output row, so the
+// workers' ranges are disjoint.
+func transposeBlocks(out, m *Matrix, workers, blockRows int, step func(out, m *Matrix, rb, colBlocks int)) {
 	if out.Rows != m.Cols || out.Cols != max(8, (m.Rows+7)&^7) {
 		panic(fmt.Sprintf("bitmat: transpose of %dx%d into %dx%d", m.Rows, m.Cols, out.Rows, out.Cols))
 	}
-	rowBlocks, colBlocks := m.Rows/64, m.Stride/8
-	par.Map(workers, rowBlocks*colBlocks, func(b int) {
-		rb, cb := b/colBlocks, b%colBlocks
+	rowBlocks, colBlocks := m.Rows/blockRows, m.Stride/8
+	par.Map(workers, rowBlocks, func(rb int) { step(out, m, rb, colBlocks) })
+	// What the blocks leave: column bytes past the last whole group of 8,
+	// then rows past the last whole block.
+	for rb8 := 0; rb8 < rowBlocks*blockRows/8; rb8++ {
+		for cb := colBlocks * 8; cb < m.Stride; cb++ {
+			transposeBlock8(out, m, rb8, cb)
+		}
+	}
+	for rb8 := rowBlocks * blockRows / 8; rb8*8 < m.Rows; rb8++ {
+		for cb := 0; cb < m.Stride; cb++ {
+			transposeBlock8(out, m, rb8, cb)
+		}
+	}
+	if m.Rows == 0 {
+		clear(out.Data)
+	}
+}
+
+// transpose64Rows is the portable block step: rows [64*rb, 64*rb+64) cut
+// into 64x64 bit blocks, each transposed in registers by transpose64.
+func transpose64Rows(out, m *Matrix, rb, colBlocks int) {
+	for cb := 0; cb < colBlocks; cb++ {
 		var blk [64]uint64
 		off := rb*64*m.Stride + cb*8
 		for k := range blk {
@@ -107,21 +130,6 @@ func TransposeInto(out, m *Matrix, workers int) {
 			binary.LittleEndian.PutUint64(out.Data[off:], blk[k])
 			off += out.Stride
 		}
-	})
-	// What the 64x64 blocks leave: column bytes past the last whole
-	// block, then rows past it.
-	for rb8 := 0; rb8 < rowBlocks*8; rb8++ {
-		for cb := colBlocks * 8; cb < m.Stride; cb++ {
-			transposeBlock8(out, m, rb8, cb)
-		}
-	}
-	for rb8 := rowBlocks * 8; rb8*8 < m.Rows; rb8++ {
-		for cb := 0; cb < m.Stride; cb++ {
-			transposeBlock8(out, m, rb8, cb)
-		}
-	}
-	if m.Rows == 0 {
-		clear(out.Data)
 	}
 }
 

@@ -99,23 +99,19 @@ func TestTranspose8x8Property(t *testing.T) {
 // TestTransposeMatchesBitReference checks the blocked kernels against a
 // bit-by-bit transpose on the shapes the OT extensions produce (a padded
 // OT count by a code width, and the swapped orientation), chosen to hit
-// the 64x64 kernel alone, the 8x8 remainder alone, and both; worker
-// counts 1 and 8 must agree byte for byte.
+// the block step alone, the 8x8 remainder alone, and both; worker counts
+// 1 and 8 must agree byte for byte.
 func TestTransposeMatchesBitReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, rows := range []int{8, 56, 64, 72, 400, 4096} {
 		for _, cols := range []int{128, 256} {
 			for _, s := range [][2]int{{rows, cols}, {cols, rows}} {
 				m := randomMatrix(rng, s[0], s[1])
-				want := New(m.Cols, m.Rows)
-				for i := 0; i < m.Rows; i++ {
-					for j := 0; j < m.Cols; j++ {
-						want.SetBit(j, i, m.Bit(i, j))
-					}
-				}
+				want := bitTranspose(m)
 				for _, workers := range []int{1, 8} {
-					got := TransposePar(m, workers)
-					if got.Rows != want.Rows || got.Cols != want.Cols || !bytes.Equal(got.Data, want.Data) {
+					got := New(want.Rows, want.Cols)
+					TransposeInto(got, m, workers)
+					if !bytes.Equal(got.Data, want.Data) {
 						t.Fatalf("%dx%d workers=%d: differs from the bit-by-bit transpose", s[0], s[1], workers)
 					}
 				}

@@ -11,15 +11,16 @@ import (
 
 // TestTripletAllocationsPerChunk gates the offline kernels' allocation
 // count: one 4096-OT chunk may cost each party a fixed number of buffers
-// (the u and payload flights, the block's row matrix, per-worker partials
-// and pad derivers), never anything per OT. Before the pad derivers the
+// (the received flight, per-worker partials and pad derivers), never
+// anything per OT; the u and payload flights and the blocks' row
+// matrices are reused from round to round. Before the pad derivers the
 // same chunk made about 9 allocations per OT, 37 000 in all. The layer
 // measured is one chunk long, so the count includes what a layer costs
 // once — on the server the run's bookkeeping (its layer table, the two
-// cursors, the share slice): 128 for both parties together, 123 before
-// the server ran layers as runs.
+// cursors, the share slice, the decomposed weights): 107 for both
+// parties together, 128 before the row matrices and flights were reused.
 func TestTripletAllocationsPerChunk(t *testing.T) {
-	const perParty = 72
+	const perParty = 56
 	p := Params{Ring: ring.New(32), Scheme: quant.Uniform(2, 2), Workers: 2}
 	ct, st, _, done := tripletPair(t, p)
 	defer done()

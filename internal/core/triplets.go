@@ -38,6 +38,7 @@ type ClientTriplets struct {
 	rng     *prg.PRG
 	vals    [][]ring.Elem
 	session uint64
+	payload []byte // the payload flight, reused across rounds
 
 	altVals   map[string][][]ring.Elem // fragValues per override scheme
 	baselines [numBackends]clientGenerator
@@ -283,9 +284,15 @@ func (c *ClientTriplets) generateClient(params Params, vals [][]ring.Elem, sh Ma
 			return nil, fmt.Errorf("core: client extend: %w", err)
 		}
 		// Every OT's ciphertext block has a public size, so workers can
-		// write disjoint spans of the payload flight directly.
+		// write disjoint spans of the payload flight directly. Each writes
+		// every byte of its span before XORing pads over it, so the flight
+		// is reused from round to round (Send does not keep it).
 		base := layout.at(ot)
-		payload := make([]byte, layout.at(ot+chunk)-base)
+		n := layout.at(ot+chunk) - base
+		if cap(c.payload) < n {
+			c.payload = make([]byte, n)
+		}
+		payload := c.payload[:n]
 		// Pre-draw the per-OT masking randomness sequentially, in the
 		// exact order the sequential protocol consumed it — seeded
 		// transcripts stay byte-identical for every worker count.
@@ -356,6 +363,7 @@ func (c *ClientTriplets) generateClient(params Params, vals [][]ring.Elem, sh Ma
 				}
 			}
 		})
+		blk.Release()
 		for _, pv := range partials {
 			rg.AddVecInPlace(V.Data, pv)
 		}
@@ -481,10 +489,12 @@ func (s *ServerTriplets) generateServer(run []serverLayer, layerDone func()) ([]
 	us := make([]*ring.Mat, len(run))
 
 	// The producer's view of the run: the layer it is in and that
-	// layer's decomposed weights. Only the producer goroutine touches it.
+	// layer's decomposed weights, weight after weight, fragments innermost:
+	// the OT order, so a chunk's choices are a subslice. Only the producer
+	// goroutine touches it.
 	var (
 		pk      = -1
-		choices [][]int
+		choices []int
 	)
 	extend := func(_, i int) (*otext.ReceiverBlock, error) {
 		for pk < 0 || i >= first[pk+1] {
@@ -497,15 +507,8 @@ func (s *ServerTriplets) generateServer(run []serverLayer, layerDone func()) ([]
 				return nil, fmt.Errorf("core: server extend: %w", err)
 			}
 		}
-		params, sh := run[pk].params, run[pk].sh
-		gamma := params.Scheme.Gamma()
 		ot := (i - first[pk]) * chunkOTs
-		cs := make([]int, min(params.NumOTs(sh)-ot, chunkOTs))
-		for local := range cs {
-			g := ot + local
-			cs[local] = choices[g/gamma][g%gamma]
-		}
-		blk, err := s.ot.Extend(cs)
+		blk, err := s.ot.Extend(choices[ot:min(len(choices), ot+chunkOTs)])
 		if err != nil {
 			return nil, fmt.Errorf("core: server extend: %w", err)
 		}
@@ -578,6 +581,7 @@ func (s *ServerTriplets) generateServer(run []serverLayer, layerDone func()) ([]
 				rg.AddDecoded(urow, pad)
 			}
 		})
+		blk.Release()
 		for _, pu := range partials {
 			rg.AddVecInPlace(U.Data, pu)
 		}

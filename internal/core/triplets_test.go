@@ -313,8 +313,8 @@ func TestPayloadHighBitsNeverAbort(t *testing.T) {
 	}
 	for f := 0; f < p.Scheme.Gamma(); f++ {
 		seen := map[int]bool{}
-		for _, c := range choices {
-			seen[c[f]] = true
+		for j := f; j < len(choices); j += p.Scheme.Gamma() {
+			seen[choices[j]] = true
 		}
 		if len(seen) != p.Scheme.FragmentN(f) {
 			t.Fatalf("fragment %d takes %d of its %d choices", f, len(seen), p.Scheme.FragmentN(f))

@@ -344,6 +344,45 @@ func TestOfflineWindowMemoryBound(t *testing.T) {
 	}
 }
 
+// TestOfflineRowScratchBounded: the server's row matrices come back to
+// its OT receiver as each chunk is decoded, and under generateServer the
+// free list they wait in never holds more than the blocks alive at once
+// can hand back — OfflineWindow, plus one of slack — over the first
+// Fig. 4 layer's 49 chunks, at either worker count.
+func TestOfflineRowScratchBounded(t *testing.T) {
+	for _, workers := range []int{1, 8} {
+		p := Params{Ring: ring.New(32), Scheme: quant.Uniform(2, 2), Workers: workers}
+		ct, st, _, done := tripletPair(t, p)
+		sh := MatShape{M: 128, N: 784, O: 1}
+		W := randomWeights(p.Scheme, sh.M*sh.N, 5)
+		R := prg.New(prg.SeedFromInt(6)).Mat(p.Ring, sh.N, sh.O)
+		var (
+			V    *ring.Mat
+			cerr error
+			wg   sync.WaitGroup
+		)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			V, cerr = ct.GenerateClient(sh, R, OneBatch)
+		}()
+		U, serr := st.GenerateServer(sh, W, OneBatch)
+		wg.Wait()
+		done()
+		if cerr != nil || serr != nil {
+			t.Fatalf("workers=%d: client=%v server=%v", workers, cerr, serr)
+		}
+		if !p.Ring.EqualMat(p.Ring.AddMat(U, V), plainProduct(p, sh, W, R)) {
+			t.Fatalf("workers=%d: U + V != W * R", workers)
+		}
+		peak := st.ot.RowScratchPeak()
+		t.Logf("workers=%d: %d chunks, at most %d row matrices free at once", workers, (p.NumOTs(sh)+chunkOTs-1)/chunkOTs, peak)
+		if peak < 1 || peak > OfflineWindow+1 {
+			t.Errorf("workers=%d: free list peaked at %d row matrices, want 1..%d", workers, peak, OfflineWindow+1)
+		}
+	}
+}
+
 // A run: consecutive ABNN2 layers share one pipeline, so the window —
 // and every abort path — spans layer boundaries.
 

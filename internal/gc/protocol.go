@@ -142,6 +142,7 @@ func (g *Garbler) sendGarbled(c *Circuit, msg []byte) error {
 		}
 		pairs := msg[len(msg)-c.NumEvaluator*2*LabelSize:]
 		blk.NewDeriver().XORPadsRun(pairs, LabelSize, 0, 2)
+		blk.Release()
 	}
 	if err := g.conn.Send(msg); err != nil {
 		return fmt.Errorf("gc: send garbled material: %w", err)
@@ -247,6 +248,7 @@ func (s *evaluating) flight(c *Circuit, evalBits []byte, rcv received) ([]byte, 
 	if c.NumEvaluator > 0 {
 		clear(pads)
 		rcv.blk.NewDeriver().XORPadsRun(pads, LabelSize, 0)
+		rcv.blk.Release()
 		for i, b := range evalBits {
 			label := pads[i*LabelSize : (i+1)*LabelSize]
 			subtle.XORBytes(label, label, msg[off+int(b&1)*LabelSize:])

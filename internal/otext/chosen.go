@@ -29,6 +29,7 @@ func (s *Sender) SendChosen(msgs [][][]byte, msgLen int) error {
 		}
 	}
 	blk.NewDeriver().XORPadsRun(out, msgLen, 0, n)
+	blk.Release()
 	return s.conn.Send(out)
 }
 
@@ -53,6 +54,7 @@ func (r *Receiver) RecvChosen(choices []int, msgLen int) ([][]byte, error) {
 		out[j] = append([]byte(nil), cts[(j*n+choices[j])*msgLen:][:msgLen]...)
 		d.XORPadsRun(out[j], msgLen, j)
 	}
+	blk.Release()
 	return out, nil
 }
 
@@ -95,6 +97,7 @@ func (s *Sender) SendCorrelatedRing(rg ring.Ring, width int, deltas ring.Vec) (x
 			rg.PutElem(buf[e*rg.Bytes():], c)
 		}
 	}
+	blk.Release()
 	if err := s.conn.Send(buf); err != nil {
 		return nil, fmt.Errorf("otext: send corrections: %w", err)
 	}
@@ -138,5 +141,6 @@ func (r *Receiver) RecvCorrelatedRing(rg ring.Ring, width int, choiceBits []byte
 			}
 		}
 	}
+	blk.Release()
 	return out, nil
 }

@@ -3,6 +3,7 @@ package otext
 import (
 	"crypto/subtle"
 	"fmt"
+	"sync"
 
 	"abnn2/internal/baseot"
 	"abnn2/internal/bitmat"
@@ -18,7 +19,8 @@ var oracle = prg.NewFastOracle("otext/pad")
 // multiplication protocol the *client* (holding the random share r) plays
 // this role. A Sender is bound to one connection, runs one code at a time
 // (see Use) and must be paired with exactly one Receiver performing the
-// same sequence of calls. Not safe for concurrent use.
+// same sequence of calls. Not safe for concurrent use, except that blocks
+// may be released while Extend runs.
 type Sender struct {
 	conn    transport.Conn
 	code    Code // what Extend runs over: at most len(cols) columns wide
@@ -29,6 +31,7 @@ type Sender struct {
 	counter uint64
 	workers int
 	qCols   *bitmat.Matrix // Extend's column-side scratch, reused across calls
+	rows    rowPool        // the row matrices of released blocks
 }
 
 // Receiver is the OT-extension receiver: the party whose per-OT choice
@@ -42,9 +45,62 @@ type Receiver struct {
 	cols1   []*prg.PRG
 	counter uint64
 	workers int
-	// Extend's column-side scratch, reused across calls (the row matrix t
-	// belongs to the block Extend returns; several are alive at once).
+	// Extend's column-side scratch and u flight, reused across calls.
 	tCols *bitmat.Matrix
+	u     []byte
+	rows  rowPool // the row matrices of released blocks
+}
+
+// rowPool is a party's free list of row matrices: Extend takes the
+// matrix it transposes into from it and a block's Release hands it back.
+// Every matrix in it was taken by an Extend whose block has been
+// released, so it never holds more than the peak number of blocks alive
+// at once. The mutex is there because blocks are released on the
+// goroutine that derives their pads, not always the one that extends.
+type rowPool struct {
+	mu   sync.Mutex
+	free []*bitmat.Matrix
+	peak int // most matrices free at once
+}
+
+// transpose returns the transpose of a round's column matrix, in a
+// matrix from the list when it has one.
+func (p *rowPool) transpose(cols *bitmat.Matrix, workers int) *bitmat.Matrix {
+	var rows *bitmat.Matrix
+	p.mu.Lock()
+	if n := len(p.free); n > 0 {
+		rows, p.free = p.free[n-1], p.free[:n-1]
+	}
+	p.mu.Unlock()
+	rows = bitmat.Resized(rows, cols.Cols, cols.Rows)
+	bitmat.TransposeInto(rows, cols, workers)
+	return rows
+}
+
+// put takes a block's matrix into the list, leaving the block none.
+func (p *rowPool) put(m **bitmat.Matrix) {
+	rows := live(*m)
+	*m = nil
+	p.mu.Lock()
+	p.free = append(p.free, rows)
+	p.peak = max(p.peak, len(p.free))
+	p.mu.Unlock()
+}
+
+// live returns a block's row matrix, which Release takes away.
+func live(rows *bitmat.Matrix) *bitmat.Matrix {
+	if rows == nil {
+		panic("otext: block used after Release")
+	}
+	return rows
+}
+
+// RowScratchPeak returns the most released row matrices the receiver has
+// held at once.
+func (r *Receiver) RowScratchPeak() int {
+	r.rows.mu.Lock()
+	defer r.rows.mu.Unlock()
+	return r.rows.peak
 }
 
 // SetWorkers bounds the kernel parallelism of Extend (column PRG
@@ -172,7 +228,7 @@ func (r *Receiver) Use(code Code) error {
 // SenderBlock holds the sender's state for one Extend round of m OTs: the
 // rows q_j from which pads for any choice value are derived. It is
 // read-only after Extend, so any number of SenderDerivers may read it
-// concurrently.
+// concurrently, until Release.
 type SenderBlock struct {
 	s     *Sender
 	q     *bitmat.Matrix // m_pad x w
@@ -182,7 +238,8 @@ type SenderBlock struct {
 }
 
 // ReceiverBlock holds the receiver's state for one Extend round: rows t_j
-// yielding the pad for the choice made at each index.
+// yielding the pad for the choice made at each index. Like a SenderBlock
+// it is read-only until Release.
 type ReceiverBlock struct {
 	r       *Receiver
 	t       *bitmat.Matrix // m_pad x w
@@ -216,7 +273,10 @@ func (r *Receiver) Extend(choices []int) (*ReceiverBlock, error) {
 	// they would sequentially, keeping the wire bytes identical.
 	r.tCols = bitmat.Resized(r.tCols, w, mPad)
 	tCols := r.tCols
-	u := make([]byte, w*mBytes)
+	if cap(r.u) < w*mBytes {
+		r.u = make([]byte, w*mBytes)
+	}
+	u := r.u[:w*mBytes] // every byte written below; Send does not keep it
 	par.Map(r.workers, w, func(i int) {
 		ti := tCols.Row(i)
 		r.cols0[i].Fill(ti)
@@ -230,7 +290,7 @@ func (r *Receiver) Extend(choices []int) (*ReceiverBlock, error) {
 	}
 	blk := &ReceiverBlock{
 		r:       r,
-		t:       bitmat.TransposePar(tCols, r.workers), // mPad x w
+		t:       r.rows.transpose(tCols, r.workers), // mPad x w
 		base:    r.counter,
 		m:       m,
 		choices: choices,
@@ -266,7 +326,7 @@ func (s *Sender) Extend(m int) (*SenderBlock, error) {
 	})
 	blk := &SenderBlock{
 		s:     s,
-		q:     bitmat.TransposePar(qCols, s.workers),
+		q:     s.rows.transpose(qCols, s.workers),
 		masks: s.masks,
 		base:  s.counter,
 		m:     m,
@@ -285,6 +345,15 @@ func (r *Receiver) Conn() transport.Conn { return r.conn }
 // Count returns the number of OTs in the block.
 func (b *ReceiverBlock) Count() int { return b.m }
 
+// Release hands the block's row matrix back to its Sender for a later
+// round to transpose into, once every pad has been derived: deriving from
+// a released block panics. A block that is never released is garbage like
+// any other. Release the block once, after its derivers are done.
+func (b *SenderBlock) Release() { b.s.rows.put(&b.q) }
+
+// Release mirrors SenderBlock.Release.
+func (b *ReceiverBlock) Release() { b.r.rows.put(&b.t) }
+
 // SenderDeriver derives the pads of one SenderBlock for one goroutine:
 // the oracle's header block is paid once per deriver and each OT's index
 // block once per run, after which the N candidates cost only their row
@@ -299,7 +368,7 @@ type SenderDeriver struct {
 // NewDeriver returns a deriver over b. Derivers are cheap; concurrent
 // kernels take one per goroutine rather than sharing.
 func (b *SenderBlock) NewDeriver() *SenderDeriver {
-	return &SenderDeriver{b: b, h: oracle.Deriver(b.s.session, 0, b.q.Stride)}
+	return &SenderDeriver{b: b, h: oracle.Deriver(b.s.session, 0, live(b.q).Stride)}
 }
 
 // XORPadsRun XORs into dst the n-byte pads of candidates 0..cands-1 of
@@ -308,9 +377,9 @@ func (b *SenderBlock) NewDeriver() *SenderDeriver {
 // N; an OT of a smaller fragment asks for fewer. A run of one OT is one
 // OT's pads.
 func (d *SenderDeriver) XORPadsRun(dst []byte, n, j, cands int) {
-	stride := d.b.q.Stride
+	q := live(d.b.q)
 	k := runLength(len(dst), n*cands, j, d.b.m)
-	d.h.XORPadsRun(dst, n, d.b.base+uint64(j), d.b.q.Data[j*stride:(j+k)*stride], d.b.masks[:cands*stride])
+	d.h.XORPadsRun(dst, n, d.b.base+uint64(j), q.Data[j*q.Stride:(j+k)*q.Stride], d.b.masks[:cands*q.Stride])
 }
 
 // ReceiverDeriver is the receiving side's SenderDeriver: the one pad per
@@ -322,15 +391,15 @@ type ReceiverDeriver struct {
 
 // NewDeriver returns a deriver over b, one per goroutine.
 func (b *ReceiverBlock) NewDeriver() *ReceiverDeriver {
-	return &ReceiverDeriver{b: b, h: oracle.Deriver(b.r.session, 0, b.t.Stride)}
+	return &ReceiverDeriver{b: b, h: oracle.Deriver(b.r.session, 0, live(b.t).Stride)}
 }
 
 // XORPadsRun XORs into dst the n-byte pads of the OTs j, j+1, ..., OT
 // j+i's at dst[i*n:]: len(dst)/n OTs, all in the block.
 func (d *ReceiverDeriver) XORPadsRun(dst []byte, n, j int) {
-	stride := d.b.t.Stride
+	t := live(d.b.t)
 	k := runLength(len(dst), n, j, d.b.m)
-	d.h.XORPadsRun(dst, n, d.b.base+uint64(j), d.b.t.Data[j*stride:(j+k)*stride], nil)
+	d.h.XORPadsRun(dst, n, d.b.base+uint64(j), t.Data[j*t.Stride:(j+k)*t.Stride], nil)
 }
 
 // runLength returns the number of OTs whose pads, per bytes each, fill

@@ -63,24 +63,28 @@ func MaxAbs(ws []float64) float64 {
 	return m
 }
 
-// DecomposeAll decomposes a slice of quantized weights, returning a
-// gamma-per-weight choice matrix: choices[j] are the fragment indices of
-// weight j. It fails fast on any out-of-range weight. A layer holds far
-// more weights than distinct values, so equal weights share one row:
-// callers must not modify the rows.
-func DecomposeAll(s Scheme, ws []int64) ([][]int, error) {
-	out := make([][]int, len(ws))
-	rows := make(map[int64][]int)
+// DecomposeAll decomposes a slice of quantized weights into one flat
+// choice slice: fragment f of weight j is at j*Gamma()+f. It fails fast
+// on any out-of-range weight. A layer holds far more weights than
+// distinct values, so a weight equal to the last one with its low 12 bits
+// copies that one's fragments: under a scheme of up to 12 bits each
+// distinct weight is decomposed once.
+func DecomposeAll(s Scheme, ws []int64) ([]int, error) {
+	gamma := s.Gamma()
+	out := make([]int, len(ws)*gamma)
+	last := make([]int, 1<<12) // 1 + the index of the last weight decomposed per low bits
 	for j, w := range ws {
-		c, ok := rows[w]
-		if !ok {
-			var err error
-			if c, err = s.Decompose(w); err != nil {
-				return nil, fmt.Errorf("quant: weight %d: %w", j, err)
-			}
-			rows[w] = c
+		slot := &last[w&(1<<12-1)]
+		if k := *slot - 1; k >= 0 && ws[k] == w {
+			copy(out[j*gamma:(j+1)*gamma], out[k*gamma:])
+			continue
 		}
-		out[j] = c
+		c, err := s.Decompose(w)
+		if err != nil {
+			return nil, fmt.Errorf("quant: weight %d: %w", j, err)
+		}
+		copy(out[j*gamma:], c)
+		*slot = j + 1
 	}
 	return out, nil
 }

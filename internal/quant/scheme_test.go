@@ -1,6 +1,7 @@
 package quant
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -182,14 +183,40 @@ func TestDecomposeAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := [][]int{{0}, {1}, {2}, {1}}
-	for i := range want {
-		if cs[i][0] != want[i][0] {
-			t.Errorf("weight %d: choice %d want %d", i, cs[i][0], want[i][0])
-		}
+	want := []int{0, 1, 2, 1}
+	if !slices.Equal(cs, want) {
+		t.Errorf("choices %v, want %v", cs, want)
 	}
 	if _, err := DecomposeAll(s, []int64{0, 7}); err == nil {
 		t.Error("out-of-range weight accepted")
+	}
+}
+
+// TestDecomposeAllFlat: weight j's fragments at j*Gamma(), equal to
+// Decompose's, for schemes narrower and wider than the 12 low bits that
+// find an earlier equal weight (at 16 bits, weights equal in those bits
+// but not equal), and an out-of-range weight after an in-range one of
+// equal low bits is still refused.
+func TestDecomposeAllFlat(t *testing.T) {
+	for _, s := range []Scheme{Uniform(2, 4), NewBitScheme(false, 3, 1), Uniform(4, 4)} {
+		lo, hi := s.Range()
+		ws := []int64{lo, hi, 0, 1, -1 & hi, lo, 3, hi, 0, lo + 1<<12&(hi-lo), lo, 1 + 1<<12&hi, 1}
+		cs, err := DecomposeAll(s, ws)
+		if err != nil {
+			t.Fatalf("%s: %v", s.Name(), err)
+		}
+		if len(cs) != len(ws)*s.Gamma() {
+			t.Fatalf("%s: %d choices for %d weights", s.Name(), len(cs), len(ws))
+		}
+		for j, w := range ws {
+			want, _ := s.Decompose(w)
+			if got := cs[j*s.Gamma() : (j+1)*s.Gamma()]; !slices.Equal(got, want) {
+				t.Errorf("%s weight %d (%d): %v, want %v", s.Name(), j, w, got, want)
+			}
+		}
+		if _, err := DecomposeAll(s, []int64{hi, hi + 1}); err == nil {
+			t.Errorf("%s: weight %d accepted", s.Name(), hi+1)
+		}
 	}
 }
 

@@ -48,17 +48,18 @@ import (
 // each with why it is kept. An entry that becomes reachable, or whose
 // function is deleted, fails the test too: the list stays exact.
 var internalOnlyTests = map[string]string{
-	"otext.Sender.SendChosen":   "chosen-message OT primitive, pinned by a golden transcript and FuzzRecvChosen",
-	"otext.Receiver.RecvChosen": "receiver half of SendChosen: same golden, same fuzz target",
-	"transport.Fault":           "chaos instrument: wraps a conn with the fault plan every chaos suite injects",
-	"transport.FaultConn.Sends": "chaos instrument: how many sends a clean run makes, so a test can fault each",
-	"transport.FaultConn.Fired": "chaos instrument: asserts the planned fault was actually reached",
-	"transport.Meter.Reset":     "test instrument: zero a meter after set-up to count one phase on its own",
-	"serve.Admission.Active":    "chaos instrument: tests wait on the admitted-session count",
-	"bank.Replenisher.Backoff":  "test instrument: the failure backoff a test waits to see set and cleared",
-	"bitmat.Matrix.Bit":         "test instrument: the reader SetBit and the transposes are checked against",
-	"ring.Ring.EqualMat":        "test oracle: share reconstruction in the core, gc and testkit tests",
-	"trace.Collector.Spans":     "public API: how a library user reads an abnn2.TraceCollector; the root telemetry tests read through it",
+	"otext.Sender.SendChosen":       "chosen-message OT primitive, pinned by a golden transcript and FuzzRecvChosen",
+	"otext.Receiver.RecvChosen":     "receiver half of SendChosen: same golden, same fuzz target",
+	"transport.Fault":               "chaos instrument: wraps a conn with the fault plan every chaos suite injects",
+	"transport.FaultConn.Sends":     "chaos instrument: how many sends a clean run makes, so a test can fault each",
+	"transport.FaultConn.Fired":     "chaos instrument: asserts the planned fault was actually reached",
+	"transport.Meter.Reset":         "test instrument: zero a meter after set-up to count one phase on its own",
+	"serve.Admission.Active":        "chaos instrument: tests wait on the admitted-session count",
+	"bank.Replenisher.Backoff":      "test instrument: the failure backoff a test waits to see set and cleared",
+	"bitmat.Matrix.Bit":             "test instrument: the reader SetBit and the transposes are checked against",
+	"otext.Receiver.RowScratchPeak": "test instrument: the free-list bound TestOfflineRowScratchBounded asserts",
+	"ring.Ring.EqualMat":            "test oracle: share reconstruction in the core, gc and testkit tests",
+	"trace.Collector.Spans":         "public API: how a library user reads an abnn2.TraceCollector; the root telemetry tests read through it",
 }
 
 type declared struct {
