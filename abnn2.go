@@ -432,9 +432,9 @@ func (s *Server) applyPlan(batch int, planned bool) error {
 
 // claim resolves a banked announcement: it takes this party's half of the
 // announced correlation — stored under the announcing client's identity,
-// the loopback client's for a 13-byte announcement; on disk its
-// claim-journal entry lands before the half is returned, so the id can
-// never back two batches even across a crash — and installs it. Any
+// the loopback client's for a 13-byte announcement; on disk its file is
+// unlinked and the unlink fsynced before the half is returned, so the id
+// can never back two batches even across a crash — and installs it. Any
 // failure — no bank, unknown or spent id, a half from another pool or
 // peer — is a protocol error that fails the batch at once; the session
 // never blocks waiting for material.
@@ -474,11 +474,11 @@ func (s *Server) claimKey(batch int) BankKey {
 // The server answers twice, echoing the id: go or nak before generating,
 // so a request it will not keep (no recovered durable store, this peer's
 // pool at Capacity) costs the client one round trip and no offline phase;
-// then, after a go, ack once its half is on disk or nak when it could not
-// be put there. It persists before acking: a client that crashes between
-// the ack and its own persist strands one server half, which is never
-// claimable and costs its disk space and one unit of that peer's pool
-// capacity.
+// then, after a go, ack once its half's file is written, fsynced and
+// renamed into its pool, or nak when it could not be put there. It
+// persists before acking: a client that crashes between the ack and its
+// own persist strands one server half, which is never claimable and
+// costs its file and one unit of that peer's pool capacity.
 func (s *Server) store(a announcement) error {
 	reply := func(kind byte) error {
 		return s.sc.Send(offlineFrame{kind: kind, id: a.corr}.append(nil))

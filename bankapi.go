@@ -72,11 +72,11 @@ func BankModelID(q *QuantizedModel) (string, error) {
 	return bank.ModelID(q.qm)
 }
 
-// BankStore is the bank's durable on-disk pool store: append-only
-// CRC-checksummed segment files per pool plus a claim journal with
-// claim-before-use tombstoning, so single-use survives SIGKILL. Open
-// one, Recover it, and pass it as BankOptions.Store; see DESIGN.md
-// "Correlation bank".
+// BankStore is the bank's durable on-disk pool store: one directory per
+// pool and one CRC-checksummed file per stored half. A claim unlinks the
+// half's file and fsyncs its directory before the half is used, so
+// single-use survives SIGKILL. Open one, Recover it, and pass it as
+// BankOptions.Store; see DESIGN.md "Correlation bank".
 type BankStore = bank.Store
 
 // BankStoreOptions configures OpenBankStore: directory and observer.

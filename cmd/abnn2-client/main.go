@@ -40,6 +40,7 @@ import (
 	"time"
 
 	"abnn2"
+	"abnn2/internal/bank"
 	"abnn2/internal/plan"
 	"abnn2/internal/serve"
 )
@@ -82,7 +83,7 @@ func main() {
 	var cbank *abnn2.Bank
 	if *bankDir != "" {
 		var err error
-		store, err = abnn2.OpenBankStore(abnn2.BankStoreOptions{Dir: *bankDir})
+		store, err = abnn2.OpenBankStore(abnn2.BankStoreOptions{Dir: *bankDir, Observer: bank.LogClaims(logger, nil)})
 		if err != nil {
 			logger.Error("open bank store", "dir", *bankDir, "err", err)
 			os.Exit(1)
@@ -94,8 +95,7 @@ func main() {
 			os.Exit(1)
 		}
 		logger.Info("bank store recovered", "dir", *bankDir, "peer", store.PeerID().String(),
-			"records", rstats.Records, "claimed", rstats.Claimed,
-			"torn_tails", rstats.TornTails, "quarantined", rstats.Quarantined)
+			"records", rstats.Records, "quarantined", rstats.Quarantined)
 		cbank = abnn2.NewBank(abnn2.BankOptions{Capacity: *prefetch, Workers: *workers, Store: store})
 		defer cbank.Close()
 	}

@@ -19,18 +19,12 @@
 // exiting non-zero if the attribution does not tile the wall time within
 // -tolerance.
 //
-// With -bank-audit it instead audits a durable bank store directory's
-// claim journal for double-spent correlation ids — the single-use
-// invariant scripts/crashtest.sh asserts after SIGKILL/restart cycles —
-// exiting non-zero if any id was claimed twice.
-//
 // Usage:
 //
 //	abnn2-train -out model.json
 //	abnn2-inspect -model model.json -batch 1,32,128 -link 9:72
 //	abnn2-inspect -trace spans.jsonl
 //	abnn2-inspect -timeline client.jsonl,server.jsonl
-//	abnn2-inspect -bank-audit /var/lib/abnn2
 package main
 
 import (
@@ -43,7 +37,6 @@ import (
 	"strings"
 	"time"
 
-	"abnn2/internal/bank"
 	"abnn2/internal/core"
 	"abnn2/internal/gc"
 	"abnn2/internal/nn"
@@ -62,7 +55,6 @@ func main() {
 	session := flag.Uint64("session", 0, "session id for -timeline (0 = the unique session both parties recorded)")
 	tolerance := flag.Float64("tolerance", 0.01, "allowed fraction of wall time left unattributed by -timeline before failing")
 	jsonOut := flag.Bool("json", false, "emit the -timeline result as JSON instead of a table")
-	bankAudit := flag.String("bank-audit", "", "audit a bank store directory's claim journal for double-spent ids")
 	planFlag := flag.String("plan", "", "print the "+
 		"protocol planner's predicted per-layer cost table for -model (auto, a backend name, or one entry per layer, e.g. abnn2,minionn); "+
 		"with -trace, also the measured per-layer offline spans beside it")
@@ -71,10 +63,6 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("abnn2-inspect: ")
 
-	if *bankAudit != "" {
-		auditBank(*bankAudit)
-		return
-	}
 	if *timeline != "" {
 		buildTimeline(*timeline, *session, *tolerance, *jsonOut)
 		return
@@ -352,27 +340,4 @@ func buildTimeline(paths string, session uint64, tolerance float64, jsonOut bool
 	if err := tl.Check(tolerance); err != nil {
 		log.Fatal(err)
 	}
-}
-
-// auditBank scans a durable store's claim journal for double-spent
-// correlation ids and exits non-zero when any are found.
-func auditBank(dir string) {
-	res, err := bank.AuditJournal(dir)
-	if err != nil {
-		log.Fatalf("bank audit: %v", err)
-	}
-	fmt.Printf("bank audit of %s:\n", dir)
-	fmt.Printf("  journal entries: %d\n", res.Entries)
-	if res.TornTail {
-		fmt.Println("  torn tail: yes (crashed append; recovery truncates it)")
-	}
-	if len(res.Dupes) == 0 {
-		fmt.Println("  double-spent ids: none")
-		return
-	}
-	for _, d := range res.Dupes {
-		fmt.Printf("  DOUBLE SPEND: scope %016x id %016x claimed %d times\n",
-			d.ScopeHash, d.ID, d.Count)
-	}
-	os.Exit(1)
 }

@@ -148,7 +148,7 @@ func main() {
 	var corrBank *abnn2.Bank
 	var store *abnn2.BankStore
 	if *bankDir != "" {
-		obs := bank.NewMetricsObserver(reg)
+		obs := bank.LogClaims(logger, bank.NewMetricsObserver(reg))
 		store, err = abnn2.OpenBankStore(abnn2.BankStoreOptions{Dir: *bankDir, Observer: obs})
 		if err != nil {
 			logger.Error("open bank store", "dir", *bankDir, "err", err)

@@ -12,13 +12,13 @@
 // pool it shares with its server and announces the id in-band; the server
 // session Claims the server half stored under that id and the announcing
 // client's identity. Either operation spends the half: it is removed
-// (and, on disk, tombstoned first) before it is returned, so no
+// (on disk, its file unlinked first) before it is returned, so no
 // correlation can back two online phases.
 //
 // Halves reach a pool in two ways. Put stores this party's half of a
 // correlation it generated with a remote peer over the wire (a batch whose
 // announcement says "store": Client.Prefetch and Server.store in the root
-// package's abnn2.go); those pools live in the Store's segment files and
+// package's abnn2.go); those pools live in the Store's pool directories and
 // survive restarts. The loopback filler (Prewarm, and a watermark refill
 // behind every loopback draw) is the same arrangement with both parties
 // in this process: a persistent generator pair runs the genuine offline
@@ -89,12 +89,15 @@ func (k Key) String() string {
 // the same kinds prefixed "peer-" on a remote peer's; the loopback filler
 // adds "refill", "refill-error" and "evict", the store its "persist-*"
 // kinds and the replenisher its "replenish-*" kinds. Depth is the pool
-// depth after the event where meaningful.
+// depth after the event where meaningful. A "persist-claim" names the
+// claimed half: its pool's scope digest and its correlation id.
 type Event struct {
 	Kind  string
 	Key   Key
 	Depth int
 	Err   error
+	Pool  string
+	ID    uint64
 }
 
 // Observer receives bank events; see NewMetricsObserver for the standard
@@ -359,7 +362,7 @@ func (p PeerID) events() string {
 
 // Draw takes the oldest client half of the pool shared with peer — the
 // server's identity, LoopbackServer for the in-process filler — and claims
-// it: on disk the claim's journal entry lands before the half is returned.
+// it: on disk the half's file is unlinked before the half is returned.
 // The returned id is what the client announces in-band; the server finds
 // the matching half through Claim. ok is false when the pool is dry or
 // unknown — callers fall back to inline offline generation or fail fast,
@@ -428,9 +431,9 @@ func (b *Bank) evictParked(p *pool) {
 
 // Claim takes the server half stored under the announcing client's
 // identity — LoopbackClient for the in-process filler — and the announced
-// correlation id. Single-use: the half is removed (on disk, its claim
-// journal entry lands) before it is returned, so the same id can never
-// back two online phases even across SIGKILL. A claim under another key or
+// correlation id. Single-use: the half is removed (on disk, its file is
+// unlinked) before it is returned, so the same id can never back two
+// online phases even across SIGKILL. A claim under another key or
 // peer than the half was stored under misses and leaves it in place.
 func (b *Bank) Claim(peer PeerID, id uint64, key Key) (half *core.ServerCorr, ok bool) {
 	blob, ok, err := b.store.ClaimByID(Scope{Peer: peer, Key: key}, id)
@@ -516,9 +519,9 @@ func (b *Bank) Snapshot() Stats {
 
 // Drain stops accepting new replenishment work, waits for in-flight
 // generation to finish (the SIGTERM path of cmd/abnn2-server), and
-// flushes the claim journal so no claim is left in OS buffers. Returns
-// ctx's error if the wait outlives it; callers should follow up with
-// Close, which force-cancels whatever remains.
+// fsyncs the store's pool directories so no append is left in OS
+// buffers. Returns ctx's error if the wait outlives it; callers should
+// follow up with Close, which force-cancels whatever remains.
 func (b *Bank) Drain(ctx context.Context) error {
 	b.mu.Lock()
 	b.draining = true

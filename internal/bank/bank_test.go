@@ -103,7 +103,7 @@ func fillLoopback(t *testing.T, n int) filled {
 // Put — one bank playing both parties, as the loopback filler does:
 // client halves under the server's identity, server halves under the
 // client's — and restarts the store before handing it over, so every
-// half a case sees has been through the segment files and recovery.
+// half a case sees has been through its file and recovery.
 func fillDiskPeer(t *testing.T, n int) filled {
 	// Genuine pairs from a loopback filler, restocked as a remote peer's
 	// (the wire protocol that normally does this is exercised in the root
@@ -268,22 +268,27 @@ func TestPool(t *testing.T) {
 	}
 }
 
-// TestPoolDeadStoreDegrades: when the store can no longer record claims
-// (its journal handle is gone), a remote peer's pool never hands out a
-// half — the claim comes first — while the loopback pool in the same
-// store, which has nothing on disk, keeps serving.
+// TestPoolDeadStoreDegrades: when the store can no longer make a claim
+// durable (its pool directories can no longer be fsynced), a remote
+// peer's pool never hands out a half — the claim comes first — while the
+// loopback pool in the same store, which has nothing on disk, keeps
+// serving.
 func TestPoolDeadStoreDegrades(t *testing.T) {
 	f := fillDiskPeer(t, 1)
 	loop := sessionKey(t, f.b, testModel(t), 1)
 	if err := f.b.Prewarm(loop, 1); err != nil {
 		t.Fatalf("prewarm: %v", err)
 	}
-	f.b.Store().journal.Close()
+	for _, sc := range f.b.Store().scopes {
+		if sc.dir != nil {
+			sc.dir.Close()
+		}
+	}
 	if _, _, ok := f.b.Draw(f.draw, f.key); ok {
-		t.Fatal("Draw handed out a half whose claim could not be journaled")
+		t.Fatal("Draw handed out a half whose claim could not be made durable")
 	}
 	if _, ok := f.b.Claim(f.claim, f.ids[0], f.key); ok {
-		t.Fatal("Claim handed out a half whose claim could not be journaled")
+		t.Fatal("Claim handed out a half whose claim could not be made durable")
 	}
 	if n := f.events.count("persist-claim-drop"); n != 2 {
 		t.Fatalf("%d persist-claim-drop events, want 2", n)

@@ -2,7 +2,7 @@ package bank
 
 import (
 	"bytes"
-	"slices"
+	"strings"
 	"testing"
 
 	"abnn2/internal/core"
@@ -11,97 +11,65 @@ import (
 
 // Fuzz targets for the durable store's disk parsers. A store directory
 // may be restored from backup, shared between operators, or tampered
-// with, so the parsers must never panic, never allocate from a hostile
-// length field, and must report torn tails with an in-bounds keep
-// offset (recovery truncates to it).
+// with, so the parsers must never panic, never trust a hostile length,
+// and must accept exactly what the store writes.
 
-// FuzzScanSegment: arbitrary segment images must scan without panicking,
-// and a torn-tail verdict must carry a keep offset recovery can truncate
-// to safely.
+// FuzzScanSegment fuzzes the half-file parser: arbitrary file contents
+// must parse without panicking, and a file that parses is the one the
+// store would write for its id and blob, byte for byte.
 func FuzzScanSegment(f *testing.F) {
-	scope := Scope{Key: Key{Model: "m", Scheme: "4(2,2)", RingBits: 32,
-		Batch: 2, Backend: "fuzz"}}
-	hdr := slices.Clip(appendSegmentHeader(nil, scope.String()))
-	img := appendSegmentRecord(hdr, 7, []byte{kindServerHalf, 1, 2, 3})
-	// Two records carrying real correlation blobs, then the same image with
-	// the first payload corrupted under an intact length field.
+	half := func(id uint64, blob []byte) []byte { return append(halfHeader(id, blob), blob...) }
 	s, c := fuzzCorrPair()
-	full := appendSegmentRecord(appendSegmentRecord(hdr, 1, EncodeServerCorr(s)), 2, EncodeClientCorr(c))
-	crcFlip := append([]byte{}, full...)
-	crcFlip[len(hdr)+8] ^= 0xFF
-	f.Add(img)
-	f.Add(full)
+	small := half(7, []byte{kindServerHalf, 1, 2, 3})
+	server := half(1, EncodeServerCorr(s))
+	crcFlip := half(2, EncodeClientCorr(c))
+	crcFlip[halfHeaderSize] ^= 0xFF // the blob's first byte, under an intact checksum
+	f.Add(small)
+	f.Add(server)
 	f.Add(crcFlip)
-	f.Add(img[:len(img)-3])             // torn record tail
-	f.Add(hdr)                          // header only
-	f.Add(hdr[:len(hdr)-3])             // torn scope line
-	f.Add(img[:5])                      // torn header
-	f.Add([]byte("ABNN2SG1"))           // header magic only
-	f.Add([]byte("NOTMAGIC________"))   // wrong magic
-	f.Add(appendSegmentHeader(nil, "")) // empty scope line
+	f.Add(small[:len(small)-3])       // cut short
+	f.Add(half(0, nil))               // empty blob
+	f.Add(small[:halfHeaderSize-1])   // torn header
+	f.Add(small[:5])                  // torn magic
+	f.Add([]byte("ABNN2HF1"))         // magic only
+	f.Add([]byte("NOTMAGIC________")) // wrong magic
+	f.Add([]byte("ABNN2SG1\x00\x00")) // an older-format segment
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, recs, keep, err := scanSegment(data)
-		if err == errTorn {
-			if keep < 0 || keep > int64(len(data)) {
-				t.Fatalf("torn keep offset %d out of [0, %d]", keep, len(data))
-			}
-			// Everything before the tear must scan cleanly after truncation.
-			if keep > 0 {
-				if _, _, _, err2 := scanSegment(data[:keep]); err2 != nil {
-					t.Fatalf("truncated-to-keep image still fails: %v", err2)
-				}
-			}
+		id, blob, err := parseHalf(data)
+		if err != nil {
+			return
 		}
-		for _, r := range recs {
-			if len(r.blob) > maxRecordBytes {
-				t.Fatalf("record %d blob of %d bytes exceeds bound", r.id, len(r.blob))
-			}
+		if len(blob) > maxRecordBytes {
+			t.Fatalf("half %d blob of %d bytes exceeds bound", id, len(blob))
+		}
+		if !bytes.Equal(half(id, blob), data) {
+			t.Fatalf("parsed half %d does not re-encode to its file", id)
 		}
 	})
 }
 
-// FuzzScanJournal: arbitrary journal images must scan without panicking;
-// the torn-tail contract mirrors the segment scanner's.
+// FuzzScanJournal fuzzes the names and the SCOPE files recovery reads
+// from a pool directory: arbitrary strings must parse without panicking,
+// and whatever parses as a half name or a scope is the canonical form
+// halfName or Scope.String writes, so no two spellings name one half or
+// one pool.
 func FuzzScanJournal(f *testing.F) {
-	img := append([]byte{}, journalMagic...)
-	img = appendJournalEntry(img, 0xAB, 1)
-	img = appendJournalEntry(img, 0xCD, 2)
-	img = appendJournalEntry(img, 0xAB, 3)
-	midFlip := append([]byte{}, img...)
-	midFlip[len(journalMagic)+4] ^= 0xFF // the first of three entries
-	f.Add(img)
-	f.Add(midFlip)
-	f.Add(img[:len(img)-journalEntrySize/2]) // torn last entry
-	f.Add(append([]byte{}, journalMagic...))
-	f.Add([]byte("ABNN2JN"))  // torn header
-	f.Add([]byte("XXNN2JN1")) // wrong magic
+	scope := testScope(PeerID{0xAB})
+	f.Add([]byte(halfName(1, 0xdeadbeef)))
+	f.Add([]byte(halfName(1, 0xdeadbeef) + tmpSuffix))
+	f.Add([]byte("0000000000000001-DEADBEEF00000000")) // upper-case hex
+	f.Add([]byte("1-2"))                               // not fixed-width
+	f.Add([]byte(scope.String()))
+	f.Add([]byte(strings.Replace(scope.String(), "l=32", "l=7", 1)))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		claims, keep, err := scanJournal(data)
-		if err == errTorn {
-			if keep < 0 || keep > int64(len(data)) {
-				t.Fatalf("torn keep offset %d out of [0, %d]", keep, len(data))
-			}
-			if keep > 0 {
-				if _, _, err2 := scanJournal(data[:keep]); err2 != nil {
-					t.Fatalf("truncated-to-keep journal still fails: %v", err2)
-				}
-			}
+		name := string(data)
+		if seq, id, ok := parseHalfName(name); ok && halfName(seq, id) != name {
+			t.Fatalf("half name %q parses to (%d, %x), which is named %q", name, seq, id, halfName(seq, id))
 		}
-		if err == nil {
-			// A clean scan accounts for every byte in whole entries.
-			n := 0
-			for _, ids := range claims {
-				n += len(ids)
-			}
-			if want := int64(len(journalMagic) + n*journalEntrySize); keep != want && n > 0 {
-				// Duplicate entries collapse in the map; keep only has to be
-				// entry-aligned and in bounds.
-				if (keep-int64(len(journalMagic)))%journalEntrySize != 0 {
-					t.Fatalf("clean scan ended off an entry boundary: keep=%d", keep)
-				}
-			}
+		if sc, err := parseScope(name); err == nil && sc.String() != name {
+			t.Fatalf("scope %q parses to %q", name, sc.String())
 		}
 	})
 }

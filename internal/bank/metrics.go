@@ -1,6 +1,11 @@
 package bank
 
-import "abnn2/internal/metrics"
+import (
+	"fmt"
+	"log/slog"
+
+	"abnn2/internal/metrics"
+)
 
 // NewMetricsObserver bridges bank events into a metrics registry:
 //
@@ -20,13 +25,11 @@ import "abnn2/internal/metrics"
 // plus the durable-store series (plain, so every series is visible in a
 // scrape even at zero — the CI integration job greps for them):
 //
-//	abnn2_bank_persist_segments_total        segment files opened
-//	abnn2_bank_persist_appends_total         records persisted
-//	abnn2_bank_persist_claims_total          records tombstoned in the journal
-//	abnn2_bank_persist_journal_fsyncs_total  journal fsync barriers
-//	abnn2_bank_persist_recovered_records     records available after recovery
-//	abnn2_bank_persist_quarantined_total     corrupt segments/dirs quarantined
-//	abnn2_bank_persist_pruned_total          fully-claimed segment files deleted
+//	abnn2_bank_persist_appends_total         halves persisted
+//	abnn2_bank_persist_claims_total          halves claimed (their files unlinked)
+//	abnn2_bank_persist_journal_fsyncs_total  claim fsyncs of a pool directory
+//	abnn2_bank_persist_recovered_records     halves available after recovery
+//	abnn2_bank_persist_quarantined_total     corrupt half files/pool dirs quarantined
 //	abnn2_bank_persist_errors_total          store claim/decode failures
 //	abnn2_bank_replenish_rounds_total        remote offline rounds completed
 //	abnn2_bank_replenish_retries_total       replenish attempts that failed
@@ -48,13 +51,11 @@ func NewMetricsObserver(r *metrics.Registry) Observer {
 		peerMisses:      r.NewCounterVec("abnn2_bank_peer_misses_total", "Peer-paired pool draws that found no half.", "key"),
 		peerClaims:      r.NewCounterVec("abnn2_bank_peer_claims_total", "Peer-paired server halves claimed.", "key"),
 		peerClaimMisses: r.NewCounterVec("abnn2_bank_peer_claim_misses_total", "Peer-paired claims for unknown or spent IDs.", "key"),
-		segments:        r.NewCounter("abnn2_bank_persist_segments_total", "Durable-store segment files opened."),
-		appends:         r.NewCounter("abnn2_bank_persist_appends_total", "Correlation records persisted."),
-		persistClaims:   r.NewCounter("abnn2_bank_persist_claims_total", "Correlation records tombstoned in the claim journal."),
-		fsyncs:          r.NewCounter("abnn2_bank_persist_journal_fsyncs_total", "Claim-journal fsync barriers."),
-		recovered:       r.NewGauge("abnn2_bank_persist_recovered_records", "Records available after the startup recovery scan."),
-		quarantined:     r.NewCounter("abnn2_bank_persist_quarantined_total", "Corrupt segments or pool dirs quarantined during recovery."),
-		pruned:          r.NewCounter("abnn2_bank_persist_pruned_total", "Fully-claimed segment files deleted during recovery or drain."),
+		appends:         r.NewCounter("abnn2_bank_persist_appends_total", "Correlation halves persisted."),
+		persistClaims:   r.NewCounter("abnn2_bank_persist_claims_total", "Correlation halves claimed from the durable store (their files unlinked)."),
+		fsyncs:          r.NewCounter("abnn2_bank_persist_journal_fsyncs_total", "Claim fsyncs: pool-directory fsyncs that made a claim's unlink durable."),
+		recovered:       r.NewGauge("abnn2_bank_persist_recovered_records", "Halves available after the startup recovery scan."),
+		quarantined:     r.NewCounter("abnn2_bank_persist_quarantined_total", "Corrupt half files or pool dirs quarantined."),
 		persistErrs:     r.NewCounter("abnn2_bank_persist_errors_total", "Durable-store claim/decode failures."),
 		replenishRounds: r.NewCounter("abnn2_bank_replenish_rounds_total", "Remote offline replenishment rounds completed."),
 		replenishRetry:  r.NewCounter("abnn2_bank_replenish_retries_total", "Remote replenishment attempts that failed."),
@@ -75,13 +76,11 @@ type metricsObserver struct {
 	peerMisses      *metrics.CounterVec
 	peerClaims      *metrics.CounterVec
 	peerClaimMisses *metrics.CounterVec
-	segments        *metrics.Counter
 	appends         *metrics.Counter
 	persistClaims   *metrics.Counter
 	fsyncs          *metrics.Counter
 	recovered       *metrics.Gauge
 	quarantined     *metrics.Counter
-	pruned          *metrics.Counter
 	persistErrs     *metrics.Counter
 	replenishRounds *metrics.Counter
 	replenishRetry  *metrics.Counter
@@ -115,20 +114,16 @@ func (m *metricsObserver) BankEvent(ev Event) {
 		m.peerClaims.With(k).Inc()
 	case "peer-claim-miss":
 		m.peerClaimMisses.With(k).Inc()
-	case "persist-segment":
-		m.segments.Inc()
 	case "persist-append":
 		m.appends.Inc()
 	case "persist-claim":
 		m.persistClaims.Inc()
-	case "persist-journal-fsync":
+	case "persist-claim-fsync":
 		m.fsyncs.Inc()
 	case "persist-recover":
 		m.recovered.Set(int64(ev.Depth))
 	case "persist-quarantine":
 		m.quarantined.Inc()
-	case "persist-prune":
-		m.pruned.Inc()
 	case "persist-claim-drop", "persist-decode-error":
 		m.persistErrs.Inc()
 	case "replenish-round":
@@ -139,3 +134,25 @@ func (m *metricsObserver) BankEvent(ev Event) {
 		m.backoffMS.Set(int64(ev.Depth))
 	}
 }
+
+// LogClaims returns an Observer that logs one "bank claim" line per
+// durable claim, naming the half's pool by its scope digest and the
+// half by its correlation id, and passes every event on to next (nil for
+// none). Loopback claims touch no disk and log nothing. A (scope, id)
+// pair in two lines of one party's logs is a half spent twice:
+// scripts/crashtest.sh and CI check for exactly that.
+func LogClaims(log *slog.Logger, next Observer) Observer {
+	return observerFunc(func(ev Event) {
+		if ev.Kind == "persist-claim" {
+			log.Info("bank claim", "scope", ev.Pool, "id", fmt.Sprintf("%016x", ev.ID))
+		}
+		if next != nil {
+			next.BankEvent(ev)
+		}
+	})
+}
+
+// observerFunc adapts a func to the Observer interface.
+type observerFunc func(Event)
+
+func (f observerFunc) BankEvent(ev Event) { f(ev) }

@@ -19,16 +19,10 @@ import (
 // length-checked, bounded, and returns errors instead of panicking (the
 // fuzz targets in fuzz_test.go hold it to that).
 //
-// Segment file:
+// Half file, one per stored half, named <seq>-<id> (16 hex digits each)
+// in its pool directory:
 //
-//	"ABNN2SG1" | u16 scopeLen | scope string      (header)
-//	u32 payloadLen | u32 crc32c(payload) | payload ...   (records)
-//	payload := u64 correlation id | corr blob
-//
-// Claim journal (one per store, shared by all pools):
-//
-//	"ABNN2JN1"                                    (header)
-//	u64 scopeHash | u64 id | u32 crc32c(first 16) ...    (20-byte entries)
+//	"ABNN2HF1" | u32 crc32c(id | blob) | u64 correlation id | corr blob
 //
 // Correlation blob (self-describing, tag first):
 //
@@ -40,23 +34,18 @@ import (
 // words (they are already reduced; the wire format's l-bit truncation is
 // a bandwidth optimization the disk does not need).
 
-var (
-	segmentMagic = []byte("ABNN2SG1")
-	journalMagic = []byte("ABNN2JN1")
-)
+var halfMagic = []byte("ABNN2HF1")
+
+// halfHeaderSize is the bytes of a half file ahead of its blob.
+const halfHeaderSize = 8 + 4 + 8
 
 // crcTable is the Castagnoli polynomial, hardware-accelerated on the
 // platforms this serves from.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// journalEntrySize is the fixed size of one claim-journal entry, chosen
-// so torn tails are detectable by length alone.
-const journalEntrySize = 20
-
-// maxRecordBytes bounds one segment record's payload. A correlation for
-// even an ImageNet-scale layer stack stays far below this; anything
-// larger is a corrupt or hostile length field, rejected before
-// allocation.
+// maxRecordBytes bounds one stored blob. A correlation for even an
+// ImageNet-scale layer stack stays far below this; anything larger is a
+// corrupt or hostile file, rejected before it is trusted.
 const maxRecordBytes = 1 << 28
 
 // maxMatDim bounds a decoded matrix dimension, mirroring the session
@@ -118,9 +107,8 @@ type Scope struct {
 	Key  Key
 }
 
-// String is the canonical scope encoding: the segment header line, the
-// KEY file contents, and the input to the journal's scope hash. Round-
-// trips through parseScope.
+// String is the canonical scope encoding: the SCOPE file's contents and
+// the input to the scope's digests. Round-trips through parseScope.
 func (s Scope) String() string {
 	return fmt.Sprintf("v1 peer=%s model=%s scheme=%s l=%d batch=%d backend=%s",
 		s.Peer, s.Key.Model, s.Key.Scheme, s.Key.RingBits, s.Key.Batch, s.Key.Backend)
@@ -182,164 +170,62 @@ func parseScope(s string) (Scope, error) {
 	return sc, nil
 }
 
-// hash returns the scope's 64-bit journal identity (a digest truncation,
-// so collisions across distinct pools are negligible).
+// hash returns the scope's 64-bit identity in a store's pool map (a digest
+// truncation, so collisions across distinct pools are negligible).
 func (s Scope) hash() uint64 {
 	sum := sha256.Sum256([]byte(s.String()))
 	return binary.LittleEndian.Uint64(sum[:8])
 }
 
-// dirName is the scope's pool directory name: a digest truncation, so
+// dirName is the scope digest: the pool directory's name and what a
+// "bank claim" log line names the pool by. A digest truncation, so
 // free-form key fields never meet the filesystem.
 func (s Scope) dirName() string {
 	sum := sha256.Sum256([]byte(s.String()))
 	return hex.EncodeToString(sum[:8])
 }
 
-// appendSegmentHeader appends a segment file header for scope.
-func appendSegmentHeader(dst []byte, scope string) []byte {
-	dst = append(dst, segmentMagic...)
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(scope)))
-	return append(dst, scope...)
+// halfHeader returns the header of the half file holding blob under id.
+func halfHeader(id uint64, blob []byte) []byte {
+	hdr := append(make([]byte, 0, halfHeaderSize), halfMagic...)
+	hdr = binary.LittleEndian.AppendUint32(hdr, 0)
+	hdr = binary.LittleEndian.AppendUint64(hdr, id)
+	sum := crc32.Update(crc32.Checksum(hdr[12:], crcTable), crcTable, blob)
+	binary.LittleEndian.PutUint32(hdr[8:12], sum)
+	return hdr
 }
 
-// appendSegmentRecord appends one framed, checksummed record: id plus a
-// correlation blob.
-func appendSegmentRecord(dst []byte, id uint64, blob []byte) []byte {
-	payload := make([]byte, 0, 8+len(blob))
-	payload = binary.LittleEndian.AppendUint64(payload, id)
-	payload = append(payload, blob...)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, crcTable))
-	return append(dst, payload...)
+// parseHalf checks a half file's magic, bound and checksum and returns
+// the id and blob it holds. Any error means the file is not a half this
+// store wrote whole: recovery quarantines it.
+func parseHalf(data []byte) (id uint64, blob []byte, err error) {
+	switch {
+	case len(data) < halfHeaderSize:
+		return 0, nil, fmt.Errorf("bank: half file of %d bytes is shorter than its header", len(data))
+	case string(data[:len(halfMagic)]) != string(halfMagic):
+		return 0, nil, fmt.Errorf("bank: bad half file magic")
+	case len(data)-halfHeaderSize > maxRecordBytes:
+		return 0, nil, fmt.Errorf("bank: half of %d bytes out of range", len(data)-halfHeaderSize)
+	case crc32.Checksum(data[12:], crcTable) != binary.LittleEndian.Uint32(data[8:12]):
+		return 0, nil, fmt.Errorf("bank: half file checksum mismatch")
+	}
+	return binary.LittleEndian.Uint64(data[12:20]), data[halfHeaderSize:], nil
 }
 
-// appendJournalEntry appends one fixed-size claim entry.
-func appendJournalEntry(dst []byte, scopeHash, id uint64) []byte {
-	var e [journalEntrySize]byte
-	binary.LittleEndian.PutUint64(e[0:8], scopeHash)
-	binary.LittleEndian.PutUint64(e[8:16], id)
-	binary.LittleEndian.PutUint32(e[16:20], crc32.Checksum(e[:16], crcTable))
-	return append(dst, e[:]...)
-}
+// halfName is the file name of the half with sequence number seq and id:
+// fixed-width, so a directory listing's name order is sequence order.
+func halfName(seq, id uint64) string { return fmt.Sprintf("%016x-%016x", seq, id) }
 
-// segRecord is one parsed segment record.
-type segRecord struct {
-	id   uint64
-	blob []byte
-}
-
-// scanSegment parses a whole segment image. It returns the records that
-// parse cleanly, the scope line from the header, and how the scan ended:
-//
-//   - err == nil: every byte accounted for.
-//   - errTorn (with keep = the offset of the last clean record boundary):
-//     the file ends mid-record — the torn tail of a crashed append.
-//     Recovery truncates to keep and trusts everything before it.
-//   - any other error: structural corruption (bad magic, checksum
-//     mismatch on a complete record, oversized length). Recovery
-//     quarantines the whole segment: a checksum failure means the disk or
-//     an editor rewrote history, and no later record can be trusted.
-func scanSegment(data []byte) (scope string, recs []segRecord, keep int64, err error) {
-	if len(data) < len(segmentMagic)+2 {
-		if incompleteHeader(data) {
-			return "", nil, 0, errTorn
-		}
-		return "", nil, 0, fmt.Errorf("bank: segment too short for header")
+// parseHalfName is the inverse of halfName. It accepts exactly what
+// halfName produces; recovery quarantines any other name.
+func parseHalfName(name string) (seq, id uint64, ok bool) {
+	s, i, found := strings.Cut(name, "-")
+	if !found {
+		return 0, 0, false
 	}
-	if string(data[:len(segmentMagic)]) != string(segmentMagic) {
-		return "", nil, 0, fmt.Errorf("bank: bad segment magic")
-	}
-	off := len(segmentMagic)
-	scopeLen := int(binary.LittleEndian.Uint16(data[off : off+2]))
-	off += 2
-	if len(data)-off < scopeLen {
-		return "", nil, 0, errTorn // crashed mid-header; nothing to keep
-	}
-	scope = string(data[off : off+scopeLen])
-	off += scopeLen
-	for off < len(data) {
-		rest := data[off:]
-		if len(rest) < 8 {
-			return scope, recs, int64(off), errTorn
-		}
-		plen := int(binary.LittleEndian.Uint32(rest[0:4]))
-		sum := binary.LittleEndian.Uint32(rest[4:8])
-		if plen < 8 || plen > maxRecordBytes {
-			return scope, recs, int64(off), fmt.Errorf("bank: segment record length %d out of range", plen)
-		}
-		if len(rest)-8 < plen {
-			return scope, recs, int64(off), errTorn
-		}
-		payload := rest[8 : 8+plen]
-		if crc32.Checksum(payload, crcTable) != sum {
-			return scope, recs, int64(off), fmt.Errorf("bank: segment record checksum mismatch at offset %d", off)
-		}
-		recs = append(recs, segRecord{
-			id:   binary.LittleEndian.Uint64(payload[:8]),
-			blob: payload[8:],
-		})
-		off += 8 + plen
-	}
-	return scope, recs, int64(off), nil
-}
-
-// incompleteHeader reports whether data is a strict prefix of a valid
-// header — a crash during the very first write, recoverable by
-// truncation to empty rather than quarantine.
-func incompleteHeader(data []byte) bool {
-	n := len(data)
-	if n > len(segmentMagic) {
-		n = len(segmentMagic)
-	}
-	return string(data[:n]) == string(segmentMagic[:n])
-}
-
-// errTorn marks a scan that hit a torn tail (see scanSegment).
-var errTorn = fmt.Errorf("bank: torn record tail")
-
-// scanJournal parses a claim-journal image into claimed-id sets keyed by
-// scope hash. The same ending contract as scanSegment applies: errTorn
-// with a keep offset for a crashed append, a hard error for corruption
-// that invalidates the whole journal (recovery then fails closed:
-// nothing persisted is replayed).
-func scanJournal(data []byte) (claims map[uint64]map[uint64]bool, keep int64, err error) {
-	claims = make(map[uint64]map[uint64]bool)
-	if len(data) < len(journalMagic) {
-		if string(data) == string(journalMagic[:len(data)]) {
-			return claims, 0, errTorn
-		}
-		return claims, 0, fmt.Errorf("bank: journal too short for header")
-	}
-	if string(data[:len(journalMagic)]) != string(journalMagic) {
-		return claims, 0, fmt.Errorf("bank: bad journal magic")
-	}
-	off := len(journalMagic)
-	for off < len(data) {
-		rest := data[off:]
-		if len(rest) < journalEntrySize {
-			return claims, int64(off), errTorn
-		}
-		e := rest[:journalEntrySize]
-		if crc32.Checksum(e[:16], crcTable) != binary.LittleEndian.Uint32(e[16:20]) {
-			// A bad checksum in the last entry slot is a torn write; one
-			// with further entries behind it is corruption.
-			if len(rest) == journalEntrySize {
-				return claims, int64(off), errTorn
-			}
-			return claims, int64(off), fmt.Errorf("bank: journal entry checksum mismatch at offset %d", off)
-		}
-		sh := binary.LittleEndian.Uint64(e[0:8])
-		id := binary.LittleEndian.Uint64(e[8:16])
-		m := claims[sh]
-		if m == nil {
-			m = make(map[uint64]bool)
-			claims[sh] = m
-		}
-		m[id] = true
-		off += journalEntrySize
-	}
-	return claims, int64(off), nil
+	seq, err1 := strconv.ParseUint(s, 16, 64)
+	id, err2 := strconv.ParseUint(i, 16, 64)
+	return seq, id, err1 == nil && err2 == nil && halfName(seq, id) == name
 }
 
 // --- correlation blob codec ---

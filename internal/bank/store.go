@@ -6,32 +6,31 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 )
 
 // Store holds every pool of a bank: one FIFO-with-claim-by-id image per
-// scope, and beneath it, for the scopes of remote peers, per-scope
-// append-only segment files of checksummed correlation records plus one
-// shared claim journal. The claim discipline is claim-before-use — a
-// record's journal entry is written and fsynced before the correlation
-// bytes are ever handed to a session — so single-use holds across
-// SIGKILL: a correlation that might have reached a wire is tombstoned on
-// disk before it does.
+// scope, and beneath it, for the scopes of remote peers, one directory
+// per pool holding one file per stored half. The claim discipline is
+// claim-before-use: a claim reads the half's file, unlinks it and fsyncs
+// the pool directory before the bytes leave the store, so single-use
+// holds across SIGKILL — a half that might have reached a wire has no
+// name on disk, and a name can be unlinked only once.
 //
 // A store opened without a directory (a bank's own, see New) and the
-// loopback scopes of any store are the same image with nothing beneath
-// it: their halves were generated inside this process and die with it,
-// so appends and claims skip the files and need no recovery.
+// loopback scopes of any store are the same image with the halves in
+// it: they were generated inside this process and die with it, so
+// appends and claims touch no file and need no recovery. A durable
+// scope's image holds ids only; its halves stay on disk until claimed.
 //
 // The durable scopes of a fresh Store are inert until Recover has run:
 // every read/write returns ErrNotRecovered so a server cannot serve from
 // an unvalidated directory (readiness in internal/serve is gated on
-// exactly this). Recovery truncates torn tails (the partial write of a
-// crashed append) and quarantines structurally corrupt segments;
-// corruption in the journal beyond a torn tail fails the whole store
-// closed — replaying a claim is the one error this design never risks.
+// exactly this). Recovery is a directory listing: it deletes the
+// temporary files of crashed appends and quarantines half files that
+// fail their checksum. A pool it cannot list, or a directory in the
+// older segment-and-journal format, fails the whole store closed.
 type Store struct {
 	opts StoreOptions
 	dir  string
@@ -41,7 +40,6 @@ type Store struct {
 	recovered bool
 	failed    error // hard recovery failure: every op returns it
 	closed    bool
-	journal   *os.File
 	scopes    map[uint64]*scopeState
 	stats     RecoverStats
 }
@@ -52,70 +50,60 @@ type StoreOptions struct {
 	// process; concurrent processes on one directory are not supported.
 	Dir string
 	// Observer, when non-nil, receives persist-* events; see
-	// NewPersistObserver.
+	// NewMetricsObserver and LogClaims.
 	Observer Observer
-
-	// segmentMaxBytes, a test hook, rotates a scope's active segment past
-	// this size; zero means 64 MiB.
-	segmentMaxBytes int64
-}
-
-func (o StoreOptions) segmentMax() int64 {
-	if o.segmentMaxBytes <= 0 {
-		return 64 << 20
-	}
-	return o.segmentMaxBytes
 }
 
 // RecoverStats summarizes one recovery scan.
 type RecoverStats struct {
 	Scopes      int // pool directories accepted
-	Segments    int // segment files accepted
-	Records     int // records available after claim subtraction
-	Claimed     int // journal entries applied
-	TornTails   int // segment/journal tails truncated
-	Quarantined int // segment files or pool dirs quarantined
-	Pruned      int // fully-claimed segment files deleted
+	Records     int // halves available
+	Quarantined int // half files or pool dirs quarantined
 }
 
 // ErrNotRecovered is returned by store operations before Recover has
 // completed successfully.
 var ErrNotRecovered = fmt.Errorf("bank: store not recovered")
 
-// scopeState is the in-memory image of one pool.
-type scopeState struct {
-	scope    Scope
-	hash     uint64
-	dir      string   // "" for a memory-only scope
-	seg      *os.File // active segment, nil until first Append
-	segSize  int64
-	segIndex int      // highest segment index seen/created
-	avail    []uint64 // unclaimed record ids, file order
-	recs     map[uint64][]byte
-	claimed  map[uint64]bool
-	segs     []*segmentInfo // every live segment file and the ids it holds
-	active   *segmentInfo   // the file behind seg; never pruned
+// FormatError is Recover's refusal of a directory written in the older
+// segment-and-journal format (a "journal" claim log, "seg-*.log" pool
+// segments). Recovery leaves every file of it as it found it.
+type FormatError struct {
+	Path string // the first file of the older format found
 }
 
-// segmentInfo tracks which record ids one segment file holds, so the
-// store can delete the file once every one of them has been claimed —
-// the pruning that stops the bank directory from growing monotonically.
-// ids lists every record parsed from or appended to the file, duplicate
-// appends included, which makes pruning conservative: a file is removed
-// only when no id it mentions is still servable.
-type segmentInfo struct {
-	path string
-	ids  []uint64
+func (e *FormatError) Error() string {
+	return fmt.Sprintf("bank: %s belongs to the segment-and-journal store format (ABNN2SG1/ABNN2JN1), "+
+		"which this store does not read; its files are left untouched", e.Path)
+}
+
+// scopeState is the in-memory image of one pool.
+type scopeState struct {
+	scope Scope
+	hash  uint64
+	avail []uint64          // unclaimed ids, FIFO
+	recs  map[uint64][]byte // a memory-only scope's halves
+	dir   *os.File          // a durable scope's pool directory; nil for memory-only
+	seqs  map[uint64]uint64 // a durable scope's unclaimed ids -> file sequence numbers
+	next  uint64            // a durable scope's last sequence number used
+}
+
+// live reports whether id is unclaimed in sc.
+func (sc *scopeState) live(id uint64) bool {
+	if sc.dir == nil {
+		_, ok := sc.recs[id]
+		return ok
+	}
+	_, ok := sc.seqs[id]
+	return ok
 }
 
 const (
 	peerFile  = "PEER"
 	scopeFile = "SCOPE"
-	journalF  = "journal"
 	poolsDir  = "pools"
 	quarDir   = "quarantine"
-	segPrefix = "seg-"
-	segSuffix = ".log"
+	tmpSuffix = ".tmp"
 )
 
 // OpenStore creates or attaches to a store directory and loads (creating
@@ -142,8 +130,8 @@ func OpenStore(opts StoreOptions) (*Store, error) {
 func newMemStore() *Store { return &Store{scopes: make(map[uint64]*scopeState)} }
 
 // loadPeer reads the durable peer identity, minting a fresh random one on
-// first open. The write is atomic (tmp + rename) so a crash mid-mint
-// cannot leave a torn identity.
+// first open. The write is atomic so a crash mid-mint cannot leave a torn
+// identity.
 func (s *Store) loadPeer() error {
 	path := filepath.Join(s.dir, peerFile)
 	if data, err := os.ReadFile(path); err == nil {
@@ -159,11 +147,7 @@ func (s *Store) loadPeer() error {
 	if _, err := rand.Read(s.peer[:]); err != nil {
 		return fmt.Errorf("bank: mint peer id: %w", err)
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, []byte(s.peer.String()+"\n"), 0o644); err != nil {
-		return fmt.Errorf("bank: store %s: %w", peerFile, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err := writeAtomic(path, []byte(s.peer.String()+"\n")); err != nil {
 		return fmt.Errorf("bank: store %s: %w", peerFile, err)
 	}
 	return nil
@@ -177,7 +161,7 @@ func (s *Store) PeerID() PeerID { return s.peer }
 func (s *Store) Dir() string { return s.dir }
 
 // NewCorrID mints a random correlation id for peer-paired records.
-// Random (not sequential) so ids are unguessable without the journal —
+// Random (not sequential) so ids are unguessable without the store —
 // see SECURITY.md.
 func NewCorrID() uint64 {
 	var b [8]byte
@@ -187,12 +171,13 @@ func NewCorrID() uint64 {
 	return binary.LittleEndian.Uint64(b[:])
 }
 
-// Recover scans the store: replays the claim journal, validates every
-// segment, truncates torn tails, quarantines corrupt segments or pool
-// directories, and builds the in-memory pool image. It must complete
-// before any other store operation. A hard journal failure poisons the
-// store permanently (fail closed); segment-level corruption only
-// quarantines the affected files.
+// Recover scans the store: it lists every pool directory, deletes the
+// temporary files of crashed appends, quarantines half files that fail
+// their checksum and pool directories without a valid SCOPE, and builds
+// the in-memory image of ids in sequence order. It must complete before
+// any other store operation on a durable scope. A pool that cannot be
+// listed, or files of the older format, poison the store permanently
+// (fail closed).
 func (s *Store) Recover() (RecoverStats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -206,12 +191,7 @@ func (s *Store) Recover() (RecoverStats, error) {
 		return s.stats, nil
 	}
 	var st RecoverStats
-	claims, err := s.recoverJournal(&st)
-	if err != nil {
-		s.failed = fmt.Errorf("bank: claim journal unrecoverable, store disabled: %w", err)
-		return RecoverStats{}, s.failed
-	}
-	if err := s.recoverPools(claims, &st); err != nil {
+	if err := s.recoverPools(&st); err != nil {
 		s.failed = err
 		return RecoverStats{}, s.failed
 	}
@@ -221,86 +201,33 @@ func (s *Store) Recover() (RecoverStats, error) {
 	return st, nil
 }
 
-// recoverJournal loads or creates the claim journal. Torn tails are
-// truncated; anything else is a hard error (the caller fails the store
-// closed).
-func (s *Store) recoverJournal(st *RecoverStats) (map[uint64]map[uint64]bool, error) {
-	path := filepath.Join(s.dir, journalF)
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		data = nil
-	} else if err != nil {
-		return nil, err
-	}
-	var claims map[uint64]map[uint64]bool
-	if len(data) == 0 {
-		claims = make(map[uint64]map[uint64]bool)
-		if err := os.WriteFile(path, journalMagic, 0o644); err != nil {
-			return nil, err
-		}
-	} else {
-		var keep int64
-		var serr error
-		claims, keep, serr = scanJournal(data)
-		if serr == errTorn {
-			st.TornTails++
-			if err := os.Truncate(path, max(keep, int64(len(journalMagic)))); err != nil {
-				return nil, err
-			}
-			if keep < int64(len(journalMagic)) {
-				if err := os.WriteFile(path, journalMagic, 0o644); err != nil {
-					return nil, err
-				}
-			}
-		} else if serr != nil {
-			return nil, serr
-		}
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	s.journal = f
-	for _, ids := range claims {
-		st.Claimed += len(ids)
-	}
-	return claims, nil
-}
-
-// recoverPools scans every pool directory under pools/.
-func (s *Store) recoverPools(claims map[uint64]map[uint64]bool, st *RecoverStats) error {
+// recoverPools refuses the older format, then recovers every entry of
+// pools/ as a pool directory.
+func (s *Store) recoverPools(st *RecoverStats) error {
 	root := filepath.Join(s.dir, poolsDir)
+	old, _ := filepath.Glob(filepath.Join(root, "*", "seg-*.log"))
+	if journal := filepath.Join(s.dir, "journal"); fileExists(journal) {
+		old = append([]string{journal}, old...)
+	}
+	if len(old) > 0 {
+		return &FormatError{Path: old[0]}
+	}
 	entries, err := os.ReadDir(root)
 	if err != nil {
 		return fmt.Errorf("bank: store pools: %w", err)
 	}
 	for _, e := range entries {
-		if !e.IsDir() {
-			continue
+		sc, err := s.recoverPool(filepath.Join(root, e.Name()), e.Name(), st)
+		if err != nil {
+			return err
 		}
-		dir := filepath.Join(root, e.Name())
-		sc, ok := s.recoverPoolDir(dir, e.Name(), st)
-		if !ok {
+		if sc == nil {
 			continue
 		}
 		if prev, dup := s.scopes[sc.hash]; dup {
+			_ = sc.dir.Close() // read-only handle
 			return fmt.Errorf("bank: scope hash collision between %q and %q", prev.scope, sc.scope)
 		}
-		// Subtract journaled claims from what the segments offered.
-		for id := range claims[sc.hash] {
-			if _, have := sc.recs[id]; have {
-				delete(sc.recs, id)
-				sc.claimed[id] = true
-			}
-		}
-		live := sc.avail[:0]
-		for _, id := range sc.avail {
-			if _, have := sc.recs[id]; have {
-				live = append(live, id)
-			}
-		}
-		sc.avail = live
-		st.Pruned += s.pruneLocked(sc)
 		s.scopes[sc.hash] = sc
 		st.Scopes++
 		st.Records += len(sc.avail)
@@ -309,101 +236,83 @@ func (s *Store) recoverPools(claims map[uint64]map[uint64]bool, st *RecoverStats
 	return nil
 }
 
-// recoverPoolDir validates one pool directory, returning ok=false after
-// quarantining it (or its corrupt segments).
-func (s *Store) recoverPoolDir(dir, name string, st *RecoverStats) (*scopeState, bool) {
-	scopeData, err := os.ReadFile(filepath.Join(dir, scopeFile))
-	if err != nil {
-		s.quarantine(dir, st)
-		return nil, false
-	}
-	scope, err := parseScope(strings.TrimSpace(string(scopeData)))
-	if err != nil || scope.dirName() != name || scope.Peer.loopback() {
-		s.quarantine(dir, st)
-		return nil, false
-	}
-	sc := &scopeState{
-		scope: scope, hash: scope.hash(), dir: dir,
-		recs: make(map[uint64][]byte), claimed: make(map[uint64]bool),
-	}
-	files, err := os.ReadDir(dir)
-	if err != nil {
-		s.quarantine(dir, st)
-		return nil, false
-	}
-	var segs []string
-	for _, f := range files {
-		n := f.Name()
-		if strings.HasPrefix(n, segPrefix) && strings.HasSuffix(n, segSuffix) {
-			segs = append(segs, n)
-		}
-	}
-	sort.Strings(segs)
-	for _, seg := range segs {
-		path := filepath.Join(dir, seg)
-		var idx int
-		if _, err := fmt.Sscanf(seg, segPrefix+"%d"+segSuffix, &idx); err == nil && idx > sc.segIndex {
-			sc.segIndex = idx
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			s.quarantine(path, st)
-			continue
-		}
-		si := &segmentInfo{path: path}
-		hdrScope, recs, keep, serr := scanSegment(data)
-		switch {
-		case serr == errTorn:
-			st.TornTails++
-			if err := os.Truncate(path, keep); err != nil {
-				s.quarantine(path, st)
-				continue
-			}
-			if keep == 0 {
-				// Crashed before the header landed: nothing usable, and
-				// the empty file is prunable.
-				sc.segs = append(sc.segs, si)
-				continue
-			}
-		case serr != nil:
-			s.quarantine(path, st)
-			continue
-		}
-		if len(recs) > 0 && hdrScope != scope.String() {
-			s.quarantine(path, st)
-			continue
-		}
-		st.Segments++
-		for _, r := range recs {
-			si.ids = append(si.ids, r.id)
-			if _, dup := sc.recs[r.id]; dup {
-				continue // replay of an earlier append; first wins
-			}
-			sc.recs[r.id] = r.blob
-			sc.avail = append(sc.avail, r.id)
-		}
-		sc.segs = append(sc.segs, si)
-	}
-	return sc, true
+func fileExists(path string) bool {
+	_, err := os.Lstat(path)
+	return err == nil
 }
 
-// quarantine moves a corrupt segment file or pool directory aside so
-// recovery completes without it — corrupt material is preserved for
-// forensics, never served, and never deleted.
-func (s *Store) quarantine(path string, st *RecoverStats) {
+// recoverPool recovers one pool directory. It returns nil and no error
+// after quarantining a directory without a valid SCOPE, and an error —
+// the store then fails closed — when the directory cannot be listed: its
+// halves could not be accounted for, nor new ones numbered after them.
+// A listing is in name order, which for half files is sequence order.
+func (s *Store) recoverPool(dir, name string, st *RecoverStats) (*scopeState, error) {
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("bank: pool %s cannot be listed, store disabled: %w", name, err)
+	}
+	scopeData, err := os.ReadFile(filepath.Join(dir, scopeFile))
+	var scope Scope
+	if err == nil {
+		scope, err = parseScope(strings.TrimSpace(string(scopeData)))
+	}
+	if err != nil || scope.dirName() != name || scope.Peer.loopback() {
+		s.quarantine(dir)
+		st.Quarantined++
+		return nil, nil
+	}
+	f, err := os.Open(dir)
+	if err != nil {
+		return nil, fmt.Errorf("bank: pool %s: %w", name, err)
+	}
+	sc := &scopeState{scope: scope, hash: scope.hash(), dir: f, seqs: make(map[uint64]uint64)}
+	for _, e := range files {
+		n := e.Name()
+		path := filepath.Join(dir, n)
+		if n == scopeFile {
+			continue
+		}
+		if strings.HasSuffix(n, tmpSuffix) {
+			// A crashed append, never a half; one that cannot be removed
+			// now is removed by the next recovery.
+			_ = os.Remove(path)
+			continue
+		}
+		seq, id, ok := parseHalfName(n)
+		if ok && !sc.live(id) {
+			var data []byte
+			var fid uint64
+			data, err = os.ReadFile(path)
+			if err == nil {
+				fid, _, err = parseHalf(data)
+			}
+			ok = err == nil && fid == id
+		}
+		if !ok {
+			s.quarantine(path)
+			st.Quarantined++
+			continue
+		}
+		sc.seqs[id] = seq
+		sc.avail = append(sc.avail, id)
+		sc.next = max(sc.next, seq)
+	}
+	return sc, nil
+}
+
+// quarantine moves a corrupt half file or pool directory aside —
+// corrupt material is preserved for forensics, never served, and never
+// deleted.
+func (s *Store) quarantine(path string) {
 	base := filepath.Base(path)
 	dst := filepath.Join(s.dir, quarDir, base)
-	for i := 1; ; i++ {
-		if _, err := os.Lstat(dst); os.IsNotExist(err) {
-			break
-		}
+	for i := 1; fileExists(dst); i++ {
 		dst = filepath.Join(s.dir, quarDir, fmt.Sprintf("%s.%d", base, i))
 	}
 	if err := os.Rename(path, dst); err != nil {
 		// Last resort: a quarantine that cannot move still must not serve.
 		_ = os.Rename(path, path+".quarantined")
 	}
-	st.Quarantined++
 	s.observe(Event{Kind: "persist-quarantine"})
 }
 
@@ -435,28 +344,32 @@ func (s *Store) getState(scope Scope, create bool) (*scopeState, error) {
 	if err := scope.valid(); err != nil {
 		return nil, err
 	}
-	sc := &scopeState{
-		scope: scope, hash: h,
-		recs: make(map[uint64][]byte), claimed: make(map[uint64]bool),
-	}
-	if !mem {
-		sc.dir = filepath.Join(s.dir, poolsDir, scope.dirName())
-		if err := os.MkdirAll(sc.dir, 0o755); err != nil {
+	sc := &scopeState{scope: scope, hash: h}
+	if mem {
+		sc.recs = make(map[uint64][]byte)
+	} else {
+		dir := filepath.Join(s.dir, poolsDir, scope.dirName())
+		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, fmt.Errorf("bank: pool dir: %w", err)
 		}
-		if err := os.WriteFile(filepath.Join(sc.dir, scopeFile), []byte(scope.String()+"\n"), 0o644); err != nil {
+		if err := writeAtomic(filepath.Join(dir, scopeFile), []byte(scope.String()+"\n")); err != nil {
 			return nil, fmt.Errorf("bank: pool scope file: %w", err)
 		}
+		f, err := os.Open(dir)
+		if err != nil {
+			return nil, fmt.Errorf("bank: pool dir: %w", err)
+		}
+		sc.dir, sc.seqs = f, make(map[uint64]uint64)
 	}
 	s.scopes[h] = sc
 	return sc, nil
 }
 
-// Append adds one correlation record under scope, durably unless the
-// scope is memory-only. The id must be fresh for the scope. The segment
-// write is buffered by the OS — a crash may lose unsynced appends, which
-// only costs regeneration (claims, not appends, carry the single-use
-// guarantee).
+// Append adds one correlation half under scope, durably unless the scope
+// is memory-only. The id must be fresh for the scope. A durable half is
+// written and fsynced under a temporary name, then renamed to its own;
+// a crash before the rename leaves only the temporary file, which
+// recovery deletes.
 func (s *Store) Append(scope Scope, id uint64, blob []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -464,150 +377,90 @@ func (s *Store) Append(scope Scope, id uint64, blob []byte) error {
 	if err != nil {
 		return err
 	}
-	if sc.claimed[id] {
-		return fmt.Errorf("bank: record id %d already claimed in scope", id)
-	}
-	if _, dup := sc.recs[id]; dup {
+	if sc.live(id) {
 		return fmt.Errorf("bank: duplicate record id %d in scope", id)
 	}
-	if sc.dir != "" {
-		if err := s.appendSegment(sc, id, blob); err != nil {
-			return err
-		}
-	}
-	stored := make([]byte, len(blob))
-	copy(stored, blob)
-	sc.recs[id] = stored
-	sc.avail = append(sc.avail, id)
-	if sc.dir == "" {
+	if sc.dir == nil {
+		stored := make([]byte, len(blob))
+		copy(stored, blob)
+		sc.recs[id] = stored
+		sc.avail = append(sc.avail, id)
 		return nil
 	}
-	if sc.segSize >= s.opts.segmentMax() {
-		if err := s.rotateSegment(sc); err != nil {
-			return err
-		}
+	seq := sc.next + 1
+	if err := writeAtomic(filepath.Join(sc.dir.Name(), halfName(seq, id)), halfHeader(id, blob), blob); err != nil {
+		return fmt.Errorf("bank: write half: %w", err)
 	}
+	sc.next = seq
+	sc.seqs[id] = seq
+	sc.avail = append(sc.avail, id)
 	s.observe(Event{Kind: "persist-append", Key: scope.Key, Depth: len(sc.avail)})
 	return nil
 }
 
-// appendSegment writes one record to sc's active segment file, opening
-// one first if there is none.
-func (s *Store) appendSegment(sc *scopeState, id uint64, blob []byte) error {
-	if sc.seg == nil {
-		if err := s.openSegment(sc); err != nil {
-			return err
+// writeAtomic writes the concatenated parts to path through a fsynced
+// temporary file and a rename, so path never holds a partial write.
+func writeAtomic(path string, parts ...[]byte) error {
+	tmp := path + tmpSuffix
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	for _, p := range parts {
+		if err == nil {
+			_, err = f.Write(p)
 		}
 	}
-	rec := appendSegmentRecord(nil, id, blob)
-	if _, err := sc.seg.Write(rec); err != nil {
-		return fmt.Errorf("bank: segment append: %w", err)
+	if err == nil {
+		err = f.Sync()
 	}
-	sc.segSize += int64(len(rec))
-	if sc.active != nil {
-		sc.active.ids = append(sc.active.ids, id)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	return nil
-}
-
-// openSegment starts a fresh segment file for sc. Recovery never reopens
-// old segments for append, so a truncated tail is never re-extended.
-func (s *Store) openSegment(sc *scopeState) error {
-	sc.segIndex++
-	path := filepath.Join(sc.dir, fmt.Sprintf("%s%06d%s", segPrefix, sc.segIndex, segSuffix))
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL|os.O_APPEND, 0o644)
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
 	if err != nil {
-		return fmt.Errorf("bank: open segment: %w", err)
+		_ = os.Remove(tmp) // best effort: recovery deletes what is left
 	}
-	hdr := appendSegmentHeader(nil, sc.scope.String())
-	if _, err := f.Write(hdr); err != nil {
-		f.Close()
-		return fmt.Errorf("bank: segment header: %w", err)
-	}
-	sc.seg, sc.segSize = f, int64(len(hdr))
-	sc.active = &segmentInfo{path: path}
-	sc.segs = append(sc.segs, sc.active)
-	s.observe(Event{Kind: "persist-segment", Key: sc.scope.Key})
-	return nil
-}
-
-// rotateSegment fsyncs and closes the active segment; the next Append
-// opens a new one. A closed segment becomes eligible for pruning once
-// its every record is claimed.
-func (s *Store) rotateSegment(sc *scopeState) error {
-	if sc.seg == nil {
-		return nil
-	}
-	sc.active = nil
-	if err := sc.seg.Sync(); err != nil {
-		sc.seg.Close()
-		sc.seg = nil
-		return fmt.Errorf("bank: segment sync: %w", err)
-	}
-	err := sc.seg.Close()
-	sc.seg = nil
 	return err
 }
 
-// pruneLocked deletes the scope's fully-claimed closed segment files and
-// returns how many it removed. A file is dead when none of the record
-// ids it holds is still servable (present in sc.recs); the active
-// segment is never touched. Deleting a dead file cannot resurrect an id:
-// the claim journal — which is what enforces single-use — is append-only
-// and keeps its entries forever.
-func (s *Store) pruneLocked(sc *scopeState) int {
-	pruned := 0
-	kept := sc.segs[:0]
-	for _, seg := range sc.segs {
-		dead := seg != sc.active
-		for _, id := range seg.ids {
-			if _, live := sc.recs[id]; live {
-				dead = false
-				break
-			}
-		}
-		if !dead {
-			kept = append(kept, seg)
-			continue
-		}
-		if err := os.Remove(seg.path); err != nil {
-			kept = append(kept, seg) // retried on the next prune pass
-			continue
-		}
-		pruned++
-		s.observe(Event{Kind: "persist-prune", Key: sc.scope.Key})
+// claimLocked takes the unclaimed half id out of sc and returns its blob.
+// A durable half's file is read, checked, unlinked and its directory
+// fsynced before the blob is returned. The id leaves the image even when
+// a step fails: once the unlink was attempted the half may be gone, so it
+// must never be served (the error then surfaces to the caller, who treats
+// the draw as a miss). A half whose file fails its check is quarantined.
+func (s *Store) claimLocked(sc *scopeState, id uint64) ([]byte, error) {
+	if sc.dir == nil {
+		b := sc.recs[id]
+		delete(sc.recs, id)
+		return b, nil
 	}
-	// Drop the released tail so kept/segs never alias stale entries.
-	for i := len(kept); i < len(sc.segs); i++ {
-		sc.segs[i] = nil
+	path := filepath.Join(sc.dir.Name(), halfName(sc.seqs[id], id))
+	delete(sc.seqs, id)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("bank: claim read: %w", err)
 	}
-	sc.segs = kept
-	return pruned
-}
-
-// claimLocked journals a claim, fsyncs the journal and applies the claim
-// in memory. The in-memory mark happens even when the disk write fails:
-// once a journal append was attempted the entry may be durable, so the
-// record must never be served (the error then surfaces to the caller,
-// who treats the draw as a miss).
-func (s *Store) claimLocked(sc *scopeState, id uint64) error {
-	delete(sc.recs, id)
-	if sc.dir == "" {
-		// Memory-only: no journal to write, and the filler's ids are
-		// sequential, so there is no reuse to remember the claim against.
-		return nil
+	fid, blob, err := parseHalf(data)
+	if err == nil && fid != id {
+		err = fmt.Errorf("bank: half file holds id %d, named %d", fid, id)
 	}
-	sc.claimed[id] = true
-	entry := appendJournalEntry(nil, sc.hash, id)
-	if _, err := s.journal.Write(entry); err != nil {
-		return fmt.Errorf("bank: journal append: %w", err)
+	if err != nil {
+		s.quarantine(path)
+		return nil, err
 	}
-	if err := s.journal.Sync(); err != nil {
-		return fmt.Errorf("bank: journal sync: %w", err)
+	if err := os.Remove(path); err != nil {
+		return nil, fmt.Errorf("bank: claim unlink: %w", err)
 	}
-	s.observe(Event{Kind: "persist-journal-fsync"})
-	s.observe(Event{Kind: "persist-claim", Key: sc.scope.Key})
-	return nil
+	if err := sc.dir.Sync(); err != nil {
+		return nil, fmt.Errorf("bank: claim fsync: %w", err)
+	}
+	s.observe(Event{Kind: "persist-claim-fsync"})
+	s.observe(Event{Kind: "persist-claim", Key: sc.scope.Key, ID: id, Pool: sc.scope.dirName()})
+	return blob, nil
 }
 
 // Draw claims and returns the oldest available record under scope. ok is
@@ -623,11 +476,11 @@ func (s *Store) Draw(scope Scope) (id uint64, blob []byte, ok bool, err error) {
 	for len(sc.avail) > 0 {
 		id = sc.avail[0]
 		sc.avail = sc.avail[1:]
-		b, have := sc.recs[id]
-		if !have {
+		if !sc.live(id) {
 			continue // claimed through ClaimByID while queued
 		}
-		if err := s.claimLocked(sc, id); err != nil {
+		b, err := s.claimLocked(sc, id)
+		if err != nil {
 			return 0, nil, false, err
 		}
 		return id, b, true, nil
@@ -644,17 +497,13 @@ func (s *Store) ClaimByID(scope Scope, id uint64) (blob []byte, ok bool, err err
 	if err != nil || sc == nil {
 		return nil, false, err
 	}
-	b, have := sc.recs[id]
-	if !have {
+	if !sc.live(id) {
 		return nil, false, nil
 	}
-	err = s.claimLocked(sc, id)
+	b, err := s.claimLocked(sc, id)
 	// Claims by id mostly arrive in draw order: dropping spent ids off the
 	// head keeps avail from growing with every correlation ever stored.
-	for len(sc.avail) > 0 {
-		if _, live := sc.recs[sc.avail[0]]; live {
-			break
-		}
+	for len(sc.avail) > 0 && !sc.live(sc.avail[0]) {
 		sc.avail = sc.avail[1:]
 	}
 	if err != nil {
@@ -671,7 +520,7 @@ func (s *Store) Depth(scope Scope) int {
 	if err != nil || sc == nil {
 		return 0
 	}
-	return len(sc.recs) // every unclaimed record, and only those, is in recs
+	return len(sc.recs) + len(sc.seqs) // every unclaimed record, and only those
 }
 
 // Recovered reports whether Recover has completed successfully.
@@ -681,32 +530,32 @@ func (s *Store) Recovered() bool {
 	return s.recovered
 }
 
-// Sync flushes the journal and every active segment to stable storage —
-// the drain path, so a graceful shutdown leaves nothing in OS buffers.
-// Every claim has already synced the journal; flushing it again here
-// covers a claim whose own sync failed.
+// Sync fsyncs every pool directory — the drain path, so the renames of
+// the halves appended since the last claim are on stable storage when a
+// graceful shutdown ends. Every claim has already synced its own.
 func (s *Store) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.recovered || s.closed {
 		return nil
 	}
-	first := s.journal.Sync()
+	return s.syncLocked()
+}
+
+func (s *Store) syncLocked() error {
+	var first error
 	for _, sc := range s.scopes {
-		if sc.seg != nil {
-			if err := sc.seg.Sync(); err != nil && first == nil {
+		if sc.dir != nil {
+			if err := sc.dir.Sync(); err != nil && first == nil {
 				first = err
 			}
 		}
-		// Drain doubles as cleanup: closed segments whose records have
-		// all been claimed are deleted here, so the directory shrinks on
-		// every graceful shutdown as well as on recovery.
-		s.pruneLocked(sc)
 	}
 	return first
 }
 
-// Close syncs and closes every open file. The store is unusable after.
+// Close syncs and closes every pool directory. The store is unusable
+// after.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -714,19 +563,10 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
-	var first error
-	if s.journal != nil {
-		first = s.journal.Sync()
-		if err := s.journal.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
+	first := s.syncLocked()
 	for _, sc := range s.scopes {
-		if sc.seg != nil {
-			if err := sc.seg.Sync(); err != nil && first == nil {
-				first = err
-			}
-			if err := sc.seg.Close(); err != nil && first == nil {
+		if sc.dir != nil {
+			if err := sc.dir.Close(); err != nil && first == nil {
 				first = err
 			}
 		}

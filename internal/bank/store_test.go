@@ -3,16 +3,22 @@ package bank
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"io/fs"
+	"log/slog"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 )
 
 // Store unit suite: the durable pool store's crash-safety contract —
-// claim-before-use tombstoning across reopen, torn-tail truncation,
-// corrupt-segment quarantine, and fail-closed journal recovery — all
-// exercised through the same reopen path a real restart takes.
+// a claim is an unlink that survives reopen, recovery deletes temporary
+// files and quarantines corrupt halves, a pool that cannot be listed and
+// a directory of the older format fail the store closed — all exercised
+// through the same reopen path a real restart takes.
 
 func testScope(peer PeerID) Scope {
 	return Scope{Peer: peer, Key: Key{Model: "m-test", Scheme: "4(2,2)",
@@ -35,15 +41,48 @@ func openRecovered(t *testing.T, dir string, opts StoreOptions) (*Store, Recover
 	return s, stats
 }
 
-// segPath returns the single segment file of the scope's pool dir.
-func segPath(t *testing.T, dir string, scope Scope) string {
+// poolPath returns the scope's pool directory under the store at dir.
+func poolPath(dir string, scope Scope) string {
+	return filepath.Join(dir, poolsDir, scope.dirName())
+}
+
+// halfFiles lists the names in the scope's pool directory other than
+// SCOPE, in name order.
+func halfFiles(t *testing.T, dir string, scope Scope) []string {
 	t.Helper()
-	pool := filepath.Join(dir, poolsDir, scope.dirName())
-	matches, err := filepath.Glob(filepath.Join(pool, segPrefix+"*"+segSuffix))
-	if err != nil || len(matches) == 0 {
-		t.Fatalf("no segment files under %s (err=%v)", pool, err)
+	entries, err := os.ReadDir(poolPath(dir, scope))
+	if err != nil {
+		t.Fatalf("list pool: %v", err)
 	}
-	return matches[len(matches)-1]
+	var names []string
+	for _, e := range entries {
+		if e.Name() != scopeFile {
+			names = append(names, e.Name())
+		}
+	}
+	return names
+}
+
+// halfPath returns the file of the scope's only half named with id.
+func halfPath(t *testing.T, dir string, scope Scope, id uint64) string {
+	t.Helper()
+	for _, n := range halfFiles(t, dir, scope) {
+		if _, fid, ok := parseHalfName(n); ok && fid == id {
+			return filepath.Join(poolPath(dir, scope), n)
+		}
+	}
+	t.Fatalf("no half file for id %d", id)
+	return ""
+}
+
+// appendN appends halves 1..n, half i being size bytes of i.
+func appendN(t *testing.T, s *Store, scope Scope, n, size int) {
+	t.Helper()
+	for i := 1; i <= n; i++ {
+		if err := s.Append(scope, uint64(i), bytes.Repeat([]byte{byte(i)}, size)); err != nil {
+			t.Fatalf("append %d: %v", i, err)
+		}
+	}
 }
 
 func TestStoreRefusesOpsBeforeRecover(t *testing.T) {
@@ -98,12 +137,13 @@ func TestStoreClaimSurvivesReopen(t *testing.T) {
 	if _, ok, err := s1.ClaimByID(scope, 3); err != nil || !ok {
 		t.Fatalf("claim 3: ok=%v err=%v", ok, err)
 	}
-	// Abandon s1 without Close or Sync: every claim fsyncs the journal, so
-	// both claims must already be durable — this is the SIGKILL model.
+	// Abandon s1 without Close or Sync: every claim unlinks its file and
+	// fsyncs the pool directory, so both claims must already be durable —
+	// this is the SIGKILL model.
 	s2, stats := openRecovered(t, dir, StoreOptions{})
 	defer s2.Close()
-	if stats.Records != 3 || stats.Claimed != 2 {
-		t.Fatalf("recovered %d records, %d claimed; want 3 and 2", stats.Records, stats.Claimed)
+	if stats.Records != 3 {
+		t.Fatalf("recovered %d records, want 3", stats.Records)
 	}
 	if _, ok, _ := s2.ClaimByID(scope, id); ok {
 		t.Fatalf("correlation %d claimable again after reopen — double use", id)
@@ -133,107 +173,84 @@ func TestStoreClaimSurvivesReopen(t *testing.T) {
 	}
 }
 
-// TestStoreTornTailTruncated: a record half-written at crash time is
-// truncated away on recovery; every complete record before it survives.
+// TestStoreTornTailTruncated: an append that crashed before its rename
+// leaves a temporary file; recovery deletes it, serves every half that
+// was renamed into place and quarantines nothing.
 func TestStoreTornTailTruncated(t *testing.T) {
 	dir := t.TempDir()
 	scope := testScope(NoPeer)
 	s1, _ := openRecovered(t, dir, StoreOptions{})
-	for i := 1; i <= 3; i++ {
-		if err := s1.Append(scope, uint64(i), []byte{byte(i), 0xEE}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	appendN(t, s1, scope, 3, 2)
 	s1.Close()
-	seg := segPath(t, dir, scope)
-	fi, err := os.Stat(seg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(seg, fi.Size()-3); err != nil {
+	tmp := filepath.Join(poolPath(dir, scope), halfName(4, 4)+tmpSuffix)
+	if err := os.WriteFile(tmp, halfHeader(4, []byte{4, 4})[:11], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	s2, stats := openRecovered(t, dir, StoreOptions{})
 	defer s2.Close()
-	if stats.TornTails != 1 {
-		t.Fatalf("TornTails = %d, want 1", stats.TornTails)
+	if stats.Records != 3 || stats.Quarantined != 0 {
+		t.Fatalf("recovered %d records (%d quarantined), want 3 (0)", stats.Records, stats.Quarantined)
 	}
-	if stats.Records != 2 || stats.Quarantined != 0 {
-		t.Fatalf("recovered %d records (%d quarantined), want 2 (0)", stats.Records, stats.Quarantined)
+	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+		t.Fatalf("temporary file survived recovery: %v", err)
 	}
-	if fi2, _ := os.Stat(seg); fi2 != nil && fi2.Size() >= fi.Size()-3 {
-		// the torn tail must be physically gone so the fresh segment never
-		// collides with stale bytes
-		t.Fatalf("torn tail not truncated: %d bytes, had %d", fi2.Size(), fi.Size()-3)
+	if err := s2.Append(scope, 4, []byte{4}); err != nil {
+		t.Fatalf("append after recovery: %v", err)
 	}
 }
 
-// TestStoreCorruptSegmentQuarantined: a complete record whose CRC does
-// not match means real corruption, not a crash mid-write; the whole
-// segment is moved aside, never deleted, and recovery proceeds.
+// TestStoreCorruptSegmentQuarantined: a half file whose checksum does not
+// match was rewritten by a disk or an editor; it is moved aside, never
+// deleted and never served, and recovery proceeds with the others.
 func TestStoreCorruptSegmentQuarantined(t *testing.T) {
 	dir := t.TempDir()
 	scope := testScope(NoPeer)
 	s1, _ := openRecovered(t, dir, StoreOptions{})
-	for i := 1; i <= 3; i++ {
-		if err := s1.Append(scope, uint64(i), bytes.Repeat([]byte{byte(i)}, 16)); err != nil {
-			t.Fatal(err)
-		}
-	}
+	appendN(t, s1, scope, 3, 16)
 	s1.Close()
-	seg := segPath(t, dir, scope)
-	data, err := os.ReadFile(seg)
+	path := halfPath(t, dir, scope, 2)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[len(data)-40] ^= 0x5A // mid-payload of an interior record
-	if err := os.WriteFile(seg, data, 0o644); err != nil {
+	data[len(data)-5] ^= 0x5A
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	s2, stats := openRecovered(t, dir, StoreOptions{})
 	defer s2.Close()
-	if stats.Quarantined != 1 {
-		t.Fatalf("Quarantined = %d, want 1", stats.Quarantined)
-	}
-	if stats.Records != 0 {
-		t.Fatalf("corrupt segment contributed %d records", stats.Records)
+	if stats.Quarantined != 1 || stats.Records != 2 {
+		t.Fatalf("recovered %d records, %d quarantined; want 2 and 1", stats.Records, stats.Quarantined)
 	}
 	quar, err := filepath.Glob(filepath.Join(dir, quarDir, "*"))
-	if err != nil || len(quar) != 1 {
-		t.Fatalf("quarantine dir holds %d files (err=%v), want the segment", len(quar), err)
+	if err != nil || len(quar) != 1 || filepath.Base(quar[0]) != filepath.Base(path) {
+		t.Fatalf("quarantine dir holds %v (err=%v), want the corrupt half", quar, err)
 	}
-	if _, err := os.Stat(seg); !os.IsNotExist(err) {
-		t.Fatalf("corrupt segment still in the pool dir: %v", err)
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("corrupt half still in the pool dir: %v", err)
+	}
+	if _, ok, _ := s2.ClaimByID(scope, 2); ok {
+		t.Fatal("the corrupt half was served")
 	}
 }
 
-// TestStoreJournalFailClosed: corruption in the middle of the claim
-// journal makes the claim set unknowable, so the store must refuse to
-// serve at all rather than risk double-spending a correlation.
+// TestStoreJournalFailClosed: a pool directory that cannot be listed
+// holds halves the store cannot account for and sequence numbers it
+// cannot continue, so the store refuses to serve at all rather than
+// guess.
 func TestStoreJournalFailClosed(t *testing.T) {
 	dir := t.TempDir()
 	scope := testScope(NoPeer)
 	s1, _ := openRecovered(t, dir, StoreOptions{})
-	for i := 1; i <= 4; i++ {
-		if err := s1.Append(scope, uint64(i), []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 1; i <= 3; i++ {
-		if _, ok, err := s1.ClaimByID(scope, uint64(i)); err != nil || !ok {
-			t.Fatalf("claim %d: ok=%v err=%v", i, ok, err)
-		}
-	}
+	appendN(t, s1, scope, 2, 1)
 	s1.Close()
-	jp := filepath.Join(dir, journalF)
-	data, err := os.ReadFile(jp)
-	if err != nil {
+	// A listing fails the same way for a process without read permission
+	// and, as here, for a pool that is no longer a directory.
+	pool := poolPath(dir, scope)
+	if err := os.RemoveAll(pool); err != nil {
 		t.Fatal(err)
 	}
-	// Flip a byte in the FIRST entry: not a torn tail, unambiguous
-	// corruption.
-	data[len(data)-3*journalEntrySize+4] ^= 0xFF
-	if err := os.WriteFile(jp, data, 0o644); err != nil {
+	if err := os.WriteFile(pool, []byte("not a pool\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	s2, err := OpenStore(StoreOptions{Dir: dir})
@@ -242,7 +259,7 @@ func TestStoreJournalFailClosed(t *testing.T) {
 	}
 	defer s2.Close()
 	if _, err := s2.Recover(); err == nil {
-		t.Fatal("recovery over a corrupt journal succeeded; must fail closed")
+		t.Fatal("recovery over an unlistable pool succeeded; must fail closed")
 	}
 	if err := s2.Append(scope, 99, []byte{9}); err == nil {
 		t.Fatal("Append succeeded on a failed store")
@@ -252,74 +269,109 @@ func TestStoreJournalFailClosed(t *testing.T) {
 	}
 }
 
-// TestStoreJournalTornTailTolerated: a partial trailing journal entry is
-// a crash mid-claim — the claim never reached the caller (the journal
-// write precedes use), so truncating it is safe and recovery proceeds.
+// TestStoreJournalTornTail: a half file cut short — which the
+// fsync-then-rename append never leaves, but a disk or a copy tool can —
+// fails its checksum and is quarantined; a claim made before the cut
+// stays made, and the other halves stay claimable.
 func TestStoreJournalTornTail(t *testing.T) {
 	dir := t.TempDir()
 	scope := testScope(NoPeer)
 	s1, _ := openRecovered(t, dir, StoreOptions{})
-	for i := 1; i <= 3; i++ {
-		if err := s1.Append(scope, uint64(i), []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	appendN(t, s1, scope, 3, 8)
 	if _, ok, err := s1.ClaimByID(scope, 1); err != nil || !ok {
 		t.Fatalf("claim: ok=%v err=%v", ok, err)
 	}
 	s1.Close()
-	jp := filepath.Join(dir, journalF)
-	fi, err := os.Stat(jp)
+	path := halfPath(t, dir, scope, 3)
+	fi, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Truncate(jp, fi.Size()+journalEntrySize/2); err == nil {
-		// extend with zero bytes: a torn trailing entry
-	} else {
+	if err := os.Truncate(path, fi.Size()-3); err != nil {
 		t.Fatal(err)
 	}
 	s2, stats := openRecovered(t, dir, StoreOptions{})
 	defer s2.Close()
-	if stats.Claimed != 1 || stats.Records != 2 {
-		t.Fatalf("recovered claimed=%d records=%d, want 1 and 2", stats.Claimed, stats.Records)
+	if stats.Records != 1 || stats.Quarantined != 1 {
+		t.Fatalf("recovered %d records, %d quarantined; want 1 and 1", stats.Records, stats.Quarantined)
 	}
-	if stats.TornTails != 1 {
-		t.Fatalf("TornTails = %d, want 1 (journal tail)", stats.TornTails)
+	if id, _, ok, err := s2.Draw(scope); err != nil || !ok || id != 2 {
+		t.Fatalf("draw = %d ok=%v err=%v, want half 2", id, ok, err)
+	}
+	if _, _, ok, _ := s2.Draw(scope); ok {
+		t.Fatal("a claimed or torn half was served")
 	}
 }
 
-// TestStoreSegmentRotation: appends past segmentMaxBytes rotate to new
-// segment files, and recovery reassembles the pool from all of them.
+// TestStoreSegmentRotation: a pool of many halves is one file per half
+// and nothing else, every name in the <seq>-<id> form, and recovery
+// rebuilds the pool in append order however the ids sort.
 func TestStoreSegmentRotation(t *testing.T) {
+	const n = 300 // past 0xff, so sequence order is more than one hex digit's
 	dir := t.TempDir()
 	scope := testScope(NoPeer)
-	s1, _ := openRecovered(t, dir, StoreOptions{segmentMaxBytes: 128})
-	for i := 1; i <= 6; i++ {
-		if err := s1.Append(scope, uint64(i), bytes.Repeat([]byte{byte(i)}, 48)); err != nil {
+	s1, _ := openRecovered(t, dir, StoreOptions{})
+	ids := make([]uint64, n)
+	for i := range ids {
+		ids[i] = NewCorrID()
+		if err := s1.Append(scope, ids[i], []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	s1.Close()
-	pool := filepath.Join(dir, poolsDir, scope.dirName())
-	segs, _ := filepath.Glob(filepath.Join(pool, segPrefix+"*"+segSuffix))
-	if len(segs) < 2 {
-		t.Fatalf("%d segment files after rotation, want >= 2", len(segs))
+	// The whole store: PEER, quarantine/ and the pool, which holds SCOPE
+	// and one file per half.
+	var got []string
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(dir, path)
+		got = append(got, rel)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := filepath.Join(poolsDir, scope.dirName())
+	want := []string{".", peerFile, poolsDir, pool, filepath.Join(pool, scopeFile), quarDir}
+	if len(got) != len(want)+n {
+		t.Fatalf("store holds %d entries, want %d", len(got), len(want)+n)
+	}
+	seen := map[string]bool{}
+	for _, p := range got {
+		seen[p] = true
+	}
+	for _, p := range want {
+		if !seen[p] {
+			t.Fatalf("store lacks %s", p)
+		}
+	}
+	for i, id := range ids {
+		if !seen[filepath.Join(pool, halfName(uint64(i+1), id))] {
+			t.Fatalf("half %d is not at %s", i, halfName(uint64(i+1), id))
+		}
 	}
 	s2, stats := openRecovered(t, dir, StoreOptions{})
 	defer s2.Close()
-	if stats.Records != 6 || stats.Segments != len(segs) {
-		t.Fatalf("recovered %d records over %d segments, want 6 over %d",
-			stats.Records, stats.Segments, len(segs))
+	if stats.Records != n || stats.Scopes != 1 {
+		t.Fatalf("recovered %d records in %d scopes, want %d in 1", stats.Records, stats.Scopes, n)
+	}
+	for i, want := range ids {
+		id, blob, ok, err := s2.Draw(scope)
+		if err != nil || !ok || id != want || blob[0] != byte(i) {
+			t.Fatalf("draw %d = id %x ok=%v err=%v, want %x (FIFO by sequence)", i, id, ok, err, want)
+		}
 	}
 }
 
-// TestStoreFsyncCadence: every claim is followed by its own journal
-// fsync barrier — the claim-before-use guarantee has no batching.
+// TestStoreFsyncCadence: every claim is followed by its own fsync of the
+// pool directory — the claim-before-use guarantee has no batching.
 func TestStoreFsyncCadence(t *testing.T) {
 	var mu sync.Mutex
 	fsyncs := 0
 	obs := observerFunc(func(ev Event) {
-		if ev.Kind == "persist-journal-fsync" {
+		if ev.Kind == "persist-claim-fsync" {
 			mu.Lock()
 			fsyncs++
 			mu.Unlock()
@@ -329,11 +381,7 @@ func TestStoreFsyncCadence(t *testing.T) {
 	scope := testScope(NoPeer)
 	s, _ := openRecovered(t, dir, StoreOptions{Observer: obs})
 	defer s.Close()
-	for i := 1; i <= 7; i++ {
-		if err := s.Append(scope, uint64(i), []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	appendN(t, s, scope, 7, 1)
 	for i := 1; i <= 7; i++ {
 		if _, ok, err := s.ClaimByID(scope, uint64(i)); err != nil || !ok {
 			t.Fatalf("claim %d: ok=%v err=%v", i, ok, err)
@@ -342,26 +390,17 @@ func TestStoreFsyncCadence(t *testing.T) {
 		after := fsyncs
 		mu.Unlock()
 		if after != i {
-			t.Fatalf("%d journal fsyncs after %d claims, want one per claim", after, i)
+			t.Fatalf("%d claim fsyncs after %d claims, want one per claim", after, i)
 		}
 	}
 }
-
-// observerFunc adapts a func to the Observer interface for tests.
-type observerFunc func(Event)
-
-func (f observerFunc) BankEvent(ev Event) { f(ev) }
 
 func TestStoreDrawIsFIFO(t *testing.T) {
 	dir := t.TempDir()
 	scope := testScope(NoPeer)
 	s, _ := openRecovered(t, dir, StoreOptions{})
 	defer s.Close()
-	for i := 1; i <= 3; i++ {
-		if err := s.Append(scope, uint64(i), []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	appendN(t, s, scope, 3, 1)
 	for want := uint64(1); want <= 3; want++ {
 		id, blob, ok, err := s.Draw(scope)
 		if err != nil || !ok {
@@ -373,6 +412,243 @@ func TestStoreDrawIsFIFO(t *testing.T) {
 	}
 	if _, _, ok, _ := s.Draw(scope); ok {
 		t.Fatal("draw from an empty pool succeeded")
+	}
+}
+
+// TestStoreHoldsIdsNotHalves: a recovered durable pool costs memory per
+// id, not per byte stored — the halves stay on disk until claimed.
+func TestStoreHoldsIdsNotHalves(t *testing.T) {
+	const n, size = 32, 256 << 10
+	dir := t.TempDir()
+	scope := testScope(NoPeer)
+	s1, _ := openRecovered(t, dir, StoreOptions{})
+	appendN(t, s1, scope, n, size)
+	s1.Close()
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s2, stats := openRecovered(t, dir, StoreOptions{})
+	defer s2.Close()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if stats.Records != n {
+		t.Fatalf("recovered %d records, want %d", stats.Records, n)
+	}
+	growth := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("heap growth holding %d recovered halves of %d KiB: %d KiB", n, size>>10, growth>>10)
+	if growth >= size {
+		t.Fatalf("recovered store holds %d KiB of heap, at least one half's %d KiB", growth>>10, size>>10)
+	}
+	runtime.KeepAlive(s2)
+}
+
+// TestStoreRefusesSegmentJournalFormat: a directory written in the older
+// segment-and-journal format is refused with a FormatError, every file in
+// it is left byte-identical, and the store serves nothing from it.
+func TestStoreRefusesSegmentJournalFormat(t *testing.T) {
+	dir := t.TempDir()
+	scope := testScope(NoPeer)
+	files := map[string][]byte{
+		peerFile:  []byte(strings.Repeat("ab", 16) + "\n"),
+		"journal": []byte("ABNN2JN1\x01\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00\x00\x00\x00\x00\xde\xad\xbe\xef"),
+		filepath.Join(poolsDir, scope.dirName(), scopeFile):        []byte(scope.String() + "\n"),
+		filepath.Join(poolsDir, scope.dirName(), "seg-000001.log"): []byte("ABNN2SG1\x05\x00v1 pe\x09\x00\x00\x00\x00\x00\x00\x00"),
+	}
+	for name, data := range files {
+		path := filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := OpenStore(StoreOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	_, err = s.Recover()
+	var ferr *FormatError
+	if !errors.As(err, &ferr) {
+		t.Fatalf("Recover over the older format = %v, want a *FormatError", err)
+	}
+	if !strings.Contains(err.Error(), "ABNN2JN1") {
+		t.Fatalf("format error %q does not name the format", err)
+	}
+	if err := s.Append(scope, 1, []byte{1}); err == nil {
+		t.Fatal("Append succeeded on a refused store")
+	}
+	if _, _, _, err := s.Draw(scope); err == nil {
+		t.Fatal("Draw succeeded on a refused store")
+	}
+	for name, data := range files {
+		got, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("%s changed under a refused recovery (err=%v)", name, err)
+		}
+	}
+}
+
+// TestStorePruneAtSync: claiming every half leaves nothing behind — the
+// pool directory holds its SCOPE file only, before and after a drain's
+// Sync — and each claim is one persist-claim event naming its half.
+func TestStorePruneAtSync(t *testing.T) {
+	var mu sync.Mutex
+	claimed := map[uint64]string{}
+	obs := observerFunc(func(ev Event) {
+		if ev.Kind == "persist-claim" {
+			mu.Lock()
+			claimed[ev.ID] = ev.Pool
+			mu.Unlock()
+		}
+	})
+	dir := t.TempDir()
+	scope := testScope(NoPeer)
+	s, _ := openRecovered(t, dir, StoreOptions{Observer: obs})
+	defer s.Close()
+	appendN(t, s, scope, 6, 48)
+	for i := 0; i < 6; i++ {
+		if _, _, ok, err := s.Draw(scope); err != nil || !ok {
+			t.Fatalf("draw %d: ok=%v err=%v", i, ok, err)
+		}
+	}
+	if n := halfFiles(t, dir, scope); len(n) != 0 {
+		t.Fatalf("claimed halves left files %v", n)
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if n := halfFiles(t, dir, scope); len(n) != 0 {
+		t.Fatalf("files %v after the drain sync", n)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for i := uint64(1); i <= 6; i++ {
+		if claimed[i] != scope.dirName() {
+			t.Fatalf("claim of %d reported pool %q, want %q", i, claimed[i], scope.dirName())
+		}
+	}
+}
+
+// TestStorePruneKeepsLiveSegments: a claim removes its own half's file
+// and no other.
+func TestStorePruneKeepsLiveSegments(t *testing.T) {
+	dir := t.TempDir()
+	scope := testScope(NoPeer)
+	s, _ := openRecovered(t, dir, StoreOptions{})
+	defer s.Close()
+	appendN(t, s, scope, 6, 48)
+	if _, _, ok, err := s.Draw(scope); err != nil || !ok {
+		t.Fatalf("draw: ok=%v err=%v", ok, err)
+	}
+	files := halfFiles(t, dir, scope)
+	if len(files) != 5 {
+		t.Fatalf("%d half files after one claim of six, want 5", len(files))
+	}
+	for _, n := range files {
+		if _, id, _ := parseHalfName(n); id == 1 {
+			t.Fatalf("the claimed half's file %s survived", n)
+		}
+	}
+	if got := s.Depth(scope); got != 5 {
+		t.Fatalf("depth after partial claim = %d, want 5", got)
+	}
+}
+
+// TestStorePruneAtRecovery: after a restart the pool is exactly its
+// unclaimed halves, still in order and still single-use.
+func TestStorePruneAtRecovery(t *testing.T) {
+	dir := t.TempDir()
+	scope := testScope(NoPeer)
+	s1, _ := openRecovered(t, dir, StoreOptions{})
+	appendN(t, s1, scope, 6, 48)
+	for i := 0; i < 4; i++ {
+		if _, _, ok, err := s1.Draw(scope); err != nil || !ok {
+			t.Fatalf("draw %d: ok=%v err=%v", i, ok, err)
+		}
+	}
+	s1.Close()
+
+	s2, stats := openRecovered(t, dir, StoreOptions{})
+	defer s2.Close()
+	if stats.Records != 2 || len(halfFiles(t, dir, scope)) != 2 {
+		t.Fatalf("recovered %d records over %d files, want 2 and 2", stats.Records, len(halfFiles(t, dir, scope)))
+	}
+	for want := uint64(5); want <= 6; want++ {
+		if id, _, ok, err := s2.Draw(scope); err != nil || !ok || id != want {
+			t.Fatalf("post-recovery draw = %d ok=%v err=%v, want %d", id, ok, err, want)
+		}
+	}
+	if _, _, ok, _ := s2.Draw(scope); ok {
+		t.Fatal("drew more records than were ever appended")
+	}
+}
+
+// TestStorePruneFullyClaimedStore: when every half is claimed before a
+// restart, recovery finds an empty pool, and a fresh append lands and
+// draws cleanly.
+func TestStorePruneFullyClaimedStore(t *testing.T) {
+	dir := t.TempDir()
+	scope := testScope(NoPeer)
+	s1, _ := openRecovered(t, dir, StoreOptions{})
+	appendN(t, s1, scope, 4, 48)
+	for i := 0; i < 4; i++ {
+		if _, _, ok, err := s1.Draw(scope); err != nil || !ok {
+			t.Fatalf("draw %d: ok=%v err=%v", i, ok, err)
+		}
+	}
+	s1.Close()
+
+	s2, stats := openRecovered(t, dir, StoreOptions{})
+	defer s2.Close()
+	if stats.Records != 0 || stats.Scopes != 1 {
+		t.Fatalf("recovered %d records in %d scopes, want 0 in 1", stats.Records, stats.Scopes)
+	}
+	if err := s2.Append(scope, 100, []byte{1}); err != nil {
+		t.Fatalf("append to an emptied pool: %v", err)
+	}
+	if id, _, ok, err := s2.Draw(scope); err != nil || !ok || id != 100 {
+		t.Fatalf("draw after refill: id=%d ok=%v err=%v", id, ok, err)
+	}
+}
+
+// TestAuditJournal: the claim log behind the single-use audit of
+// scripts/crashtest.sh — LogClaims writes one "bank claim" line per
+// durable claim with the pool's scope digest and the id, none for a
+// loopback claim, and passes every event on.
+func TestAuditJournal(t *testing.T) {
+	var buf bytes.Buffer
+	var mu sync.Mutex
+	passed := 0
+	next := observerFunc(func(Event) { mu.Lock(); passed++; mu.Unlock() })
+	log := slog.New(slog.NewTextHandler(&buf, nil))
+	dir := t.TempDir()
+	scope, loop := testScope(NoPeer), testScope(LoopbackServer)
+	s, _ := openRecovered(t, dir, StoreOptions{Observer: LogClaims(log, next)})
+	defer s.Close()
+	appendN(t, s, scope, 3, 1)
+	appendN(t, s, loop, 1, 1)
+	for _, sc := range []Scope{scope, scope, loop} {
+		if _, _, ok, err := s.Draw(sc); !ok || err != nil {
+			t.Fatalf("draw: ok=%v err=%v", ok, err)
+		}
+	}
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("claim log holds %d lines, want 2 (durable claims only):\n%s", len(lines), buf.String())
+	}
+	for i, line := range lines {
+		want := fmt.Sprintf(`msg="bank claim" scope=%s id=%016x`, scope.dirName(), i+1)
+		if !strings.Contains(line, want) {
+			t.Fatalf("claim line %q lacks %q", line, want)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if passed == 0 {
+		t.Fatal("LogClaims passed no event on")
 	}
 }
 

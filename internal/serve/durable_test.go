@@ -12,7 +12,7 @@ import (
 
 // Durable serving suite: offline-class sessions (what their hello is
 // refused for and how they are accounted), recovery-gated readiness, and
-// the drain-time claim journal flush.
+// the drain-time sync of the bank store.
 
 // durableRuntime builds a runtime whose bank persists to a fresh store
 // under dir, recovery already completed (synchronously, for test
@@ -328,8 +328,8 @@ func TestStoreOnlyRuntimeAdmitsBanked(t *testing.T) {
 }
 
 // TestDrainFlushesJournal: Drain succeeds with no live connections and
-// leaves the store's claim journal synced (Sync on a drained store is a
-// no-op, proving the flush already happened).
+// leaves the store's pool directories syncable (a second Sync after the
+// drain's own succeeds).
 func TestDrainFlushesJournal(t *testing.T) {
 	rt, st := durableRuntime(t, t.TempDir(), 2)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

@@ -231,8 +231,7 @@ func (rt *Runtime) StartRecovery(store *abnn2.BankStore) {
 			rt.log.Error("bank store recovery failed; serving without it", "dir", store.Dir(), "err", err)
 		} else {
 			rt.log.Info("bank store recovered", "dir", store.Dir(),
-				"scopes", stats.Scopes, "records", stats.Records, "claimed", stats.Claimed,
-				"torn_tails", stats.TornTails, "quarantined", stats.Quarantined)
+				"scopes", stats.Scopes, "records", stats.Records, "quarantined", stats.Quarantined)
 		}
 		rt.recovered.Store(true)
 		ready, _ := rt.ReadyState()
@@ -273,12 +272,13 @@ func (rt *Runtime) Drain(ctx context.Context) error {
 	// In-flight diagnostics profile windows must finish before the
 	// process exits, or the profile file is truncated mid-write.
 	defer rt.diag.wait()
-	// Flush the claim journal even when sessions outlive the deadline: an
-	// abandoned drain must not leave claims in OS buffers.
+	// Sync the bank store's pool directories even when sessions outlive
+	// the deadline: an abandoned drain must not leave the renames of
+	// appended halves in OS buffers (every claim has synced its own).
 	if store != nil {
 		defer func() {
 			if err := store.Sync(); err != nil {
-				rt.log.Warn("claim journal flush on drain failed", "err", err)
+				rt.log.Warn("bank store sync on drain failed", "err", err)
 			}
 		}()
 	}

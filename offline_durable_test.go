@@ -161,8 +161,8 @@ func TestRemoteOfflineCrashSingleUse(t *testing.T) {
 	}
 
 	// Crash both parties: new stores on the same dirs, the old ones left
-	// un-synced. Every claim fsyncs the journal, so the spent pair's
-	// claims are already on disk.
+	// un-synced. Every claim unlinks its half and fsyncs the pool
+	// directory, so the spent pair's claims are already on disk.
 	srv2 := newDurableParty(t, srvDir, 4)
 	cli2 := newDurableParty(t, cliDir, 4)
 	if d := cli2.bank.Depth(srv2.store.PeerID(), bankSessionKeyForTest(t, qm, 2)); d != 1 {

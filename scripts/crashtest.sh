@@ -4,10 +4,13 @@
 # the server mid-load, restart it on the same store directory, and prove
 # the two invariants the durable bank exists for:
 #
-#   1. single-use survives SIGKILL — no correlation id is ever claimed
-#      twice, audited from both parties' claim journals by
-#      `abnn2-inspect -bank-audit` (the journal is ground truth: every
-#      claim lands there, fsynced, before the correlation is handed out);
+#   1. single-use survives SIGKILL — no correlation is ever claimed
+#      twice. Each party logs one `bank claim` line (scope digest, id)
+#      per durable claim, after the claim's unlink is fsynced and before
+#      the half is used; no (scope, id) may appear twice across the
+#      server's two generations, nor across the client's runs. The store
+#      cannot unlink a name twice, so this check reads what the processes
+#      did, not what the store allows;
 #   2. recovered pools are bit-exact — the banked run after the crash
 #      predicts identically to a from-scratch inline run on the same
 #      inputs.
@@ -38,7 +41,6 @@ $GO run ./cmd/abnn2-train -arch fig4 -scheme "4(2,2)" -epochs 1 -samples 200 \
 echo "== build binaries (server race-enabled)"
 $GO build -race -o "$WORK/abnn2-server" ./cmd/abnn2-server
 $GO build -o "$WORK/abnn2-client" ./cmd/abnn2-client
-$GO build -o "$WORK/abnn2-inspect" ./cmd/abnn2-inspect
 
 boot_server() {
     log="$1"
@@ -106,7 +108,7 @@ if ! diff -u "$WORK/inline.pred" "$WORK/banked.pred"; then
     exit 1
 fi
 
-echo "== drain gen 2 so both journals are flushed"
+echo "== drain gen 2"
 kill -TERM "$SRV_PID"
 wait "$SRV_PID" || {
     echo "server exited non-zero on drain" >&2
@@ -115,8 +117,8 @@ wait "$SRV_PID" || {
 }
 SRV_PID=""
 
-echo "== audit both claim journals for double-spent correlation ids"
-"$WORK/abnn2-inspect" -bank-audit "$SRV_BANK"
-"$WORK/abnn2-inspect" -bank-audit "$CLI_BANK"
+echo "== audit both parties' claim logs for double-spent correlations"
+scripts/claimcheck.sh server "$WORK/server1.log" "$WORK/server2.log"
+scripts/claimcheck.sh client "$WORK/prefetch.log" "$WORK/load.log" "$WORK/banked.log"
 
 echo "crashtest OK"
