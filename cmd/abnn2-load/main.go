@@ -12,13 +12,15 @@
 // loadtest job asserts on.
 //
 // In-memory mode (the default) builds its own multi-tenant runtime:
-// -tenants small synthetic models (or the one model given with -model),
-// an optional correlation bank (-bank-capacity), and a bounded admission
-// controller (-max-sessions) — thousands of clients are then pipe pairs,
-// no sockets needed. TCP mode (-connect) exercises a real server
-// end-to-end, including DialTCP's jittered backoff; its clients take the
-// ring width and ReLU protocol from the server's handshake, so -ring and
-// -optimized-relu configure the embedded runtime only.
+// -tenants small synthetic models (or the one model given with -model)
+// behind a bounded admission controller (-max-sessions) — thousands of
+// clients are then pipe pairs, no sockets needed. Its sessions run the
+// offline phase inline; a correlation bank belongs to the two-process
+// flow (abnn2-server -bank-dir, abnn2-client -prefetch). TCP mode
+// (-connect) exercises a real server end-to-end, including DialTCP's
+// jittered backoff; its clients take the ring width and ReLU protocol
+// from the server's handshake, so -ring and -optimized-relu configure the
+// embedded runtime only.
 //
 // Usage:
 //
@@ -40,7 +42,6 @@ import (
 	"time"
 
 	"abnn2"
-	"abnn2/internal/bank"
 	"abnn2/internal/metrics"
 	"abnn2/internal/serve"
 	"abnn2/internal/transport"
@@ -61,8 +62,6 @@ func main() {
 	workers := flag.Int("workers", 1, "worker goroutines per session kernel")
 	roundTimeout := flag.Duration("round-timeout", time.Minute, "per-round protocol deadline")
 	maxSessions := flag.Int("max-sessions", 0, "embedded runtime admission capacity (0 = CPU-derived)")
-	bankCap := flag.Int("bank-capacity", 0, "embedded runtime correlation pool capacity (0 = bank off)")
-	offline := flag.String("offline", "auto", "embedded runtime offline mode: auto, banked")
 	dialTimeout := flag.Duration("dial-timeout", 30*time.Second, "per-connect budget including admission retries")
 	requireHints := flag.Bool("require-hints", false, "exit non-zero if any retryable rejection lacked a retry-after hint")
 	seed := flag.Uint64("seed", 11, "synthetic input seed")
@@ -79,12 +78,6 @@ func main() {
 		Sessions:   reg.NewCounter("abnn2_load_sessions_total", "Sessions admitted."),
 		Rejections: reg.NewCounterVec("abnn2_load_rejections_total", "Typed rejections observed, by code.", "code"),
 		Hintless:   reg.NewCounter("abnn2_load_hintless_rejections_total", "Retryable rejections that carried no retry-after hint."),
-	}
-
-	mode, err := abnn2.ParseOfflineMode(*offline)
-	if err != nil {
-		logger.Error("bad -offline", "err", err)
-		os.Exit(1)
 	}
 
 	names := splitNonEmpty(*modelNames)
@@ -109,35 +102,20 @@ func main() {
 		}
 		fmt.Printf("mode=tcp addr=%s clients=%d\n", addr, *clients)
 	} else {
-		rt, bankIDs, cleanup, err := embeddedRuntime(logger, *modelPath, *tenants, ccfg,
-			*maxSessions, *bankCap, *batch, mode)
+		rt, err := embeddedRuntime(logger, *modelPath, *tenants, ccfg, *maxSessions)
 		if err != nil {
 			logger.Error("embedded runtime", "err", err)
 			os.Exit(1)
-		}
-		defer cleanup()
-		for ready, reason := rt.ReadyState(); !ready; ready, reason = rt.ReadyState() {
-			logger.Info("waiting for runtime readiness", "reason", reason)
-			time.Sleep(250 * time.Millisecond)
 		}
 		if len(names) == 0 {
 			names = rt.Registry().Names()
 		}
 		dial = func(ctx context.Context, i int) (abnn2.Conn, abnn2.Arch, abnn2.Config, error) {
-			name := pick(names, i)
-			conn, arch, err := rt.Connect(ctx, name)
-			cfg := ccfg
-			if rt.Bank() != nil {
-				// In-process clients share the runtime's trust domain, so they
-				// may draw banked correlations like an embedded deployment.
-				cfg.Bank = rt.Bank()
-				cfg.OfflineMode = mode
-				cfg.BankModel = bankIDs[name]
-			}
-			return conn, arch, cfg, err
+			conn, arch, err := rt.Connect(ctx, pick(names, i))
+			return conn, arch, ccfg, err
 		}
-		fmt.Printf("mode=inproc tenants=%s max_sessions=%d bank_capacity=%d offline=%s clients=%d\n",
-			strings.Join(rt.Registry().Names(), ","), rt.Admission().Max(), *bankCap, mode, *clients)
+		fmt.Printf("mode=inproc tenants=%s max_sessions=%d clients=%d\n",
+			strings.Join(rt.Registry().Names(), ","), rt.Admission().Max(), *clients)
 	}
 
 	ctx := context.Background()
@@ -238,14 +216,7 @@ func runClient(ctx context.Context, id int,
 		for b := 0; b < sessionBatches && ctx.Err() == nil && (requests <= 0 || done < requests); b++ {
 			t0 := time.Now()
 			if _, err := client.Classify(inputs); err != nil {
-				switch {
-				case ctx.Err() != nil:
-				case errors.Is(err, abnn2.ErrBankDry):
-					// Strict banked mode ran the pool dry mid-session: a
-					// degradation event, not a failure — reconnect and the
-					// admission gate re-checks depth (refill is under way).
-					st.Rejections.With(serve.RejectBankDry).Inc()
-				default:
+				if ctx.Err() == nil {
 					st.Failures.Inc()
 				}
 				break
@@ -300,77 +271,45 @@ func connectRetry(ctx context.Context, id int,
 }
 
 // embeddedRuntime builds the in-memory serving runtime: tenant models
-// (loaded or synthetic), optional bank, admission, and logging. The
-// returned map resolves model name → bank model ID for banked clients.
+// (loaded or synthetic), admission, and logging.
 func embeddedRuntime(logger *slog.Logger, modelPath string, tenants int, ccfg abnn2.Config,
-	maxSessions, bankCap, batch int, mode abnn2.OfflineMode,
-) (*serve.Runtime, map[string]string, func(), error) {
+	maxSessions int) (*serve.Runtime, error) {
 	registry := serve.NewRegistry()
 	if modelPath != "" {
 		data, err := os.ReadFile(modelPath)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
 		qm, err := abnn2.LoadQuantizedModel(data)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
 		if _, err := registry.Add("m0", qm); err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
 	} else {
 		if tenants < 1 {
 			tenants = 1
 		}
 		for i := 0; i < tenants; i++ {
-			// Distinct hidden sizes give each tenant a distinct architecture
-			// and bank identity; untrained weights are fine — load runs
-			// exercise protocol cost, not accuracy.
+			// Distinct hidden sizes give each tenant a distinct
+			// architecture; untrained weights are fine — load runs exercise
+			// protocol cost, not accuracy.
 			qm, err := abnn2.NewMLP(12, 8+2*i, 4).Quantize("4(2,2)", 6)
 			if err != nil {
-				return nil, nil, nil, err
+				return nil, err
 			}
 			if _, err := registry.Add(fmt.Sprintf("m%d", i), qm); err != nil {
-				return nil, nil, nil, err
+				return nil, err
 			}
 		}
 	}
-	var corrBank *abnn2.Bank
-	if bankCap > 0 {
-		corrBank = abnn2.NewBank(abnn2.BankOptions{Capacity: bankCap, Workers: ccfg.Workers})
-	}
-	scfg := ccfg
-	scfg.Bank, scfg.OfflineMode = corrBank, mode
-	rt, err := serve.New(serve.Options{
+	return serve.New(serve.Options{
 		Registry:    registry,
 		MaxSessions: maxSessions,
-		Session:     scfg,
+		Session:     ccfg,
 		Logger:      logger,
 	})
-	if err != nil {
-		if corrBank != nil {
-			corrBank.Close()
-		}
-		return nil, nil, nil, err
-	}
-	bankIDs := make(map[string]string)
-	var keys []abnn2.BankKey
-	for _, name := range registry.Names() {
-		m, _ := registry.Get(name)
-		bankIDs[name] = m.BankID
-		if corrBank != nil {
-			keys = append(keys, abnn2.BankKey{Model: m.BankID, Scheme: m.Quant.Scheme(),
-				RingBits: ccfg.RingBits, Batch: batch, Backend: bank.SessionBackend})
-		}
-	}
-	// Readiness (polled by main before the run) gates on this prewarm.
-	rt.StartPrewarm(keys, bankCap)
-	cleanup := func() {
-		if corrBank != nil {
-			corrBank.Close()
-		}
-	}
-	return rt, bankIDs, cleanup, nil
 }
 
 // makeInputs builds one deterministic batch of inputs of the given

@@ -157,8 +157,6 @@ func main() {
 		logger.Info("durable bank store up", "dir", *bankDir, "peer", store.PeerID().String())
 		corrBank = abnn2.NewBank(abnn2.BankOptions{
 			Capacity: *bankCap,
-			Workers:  *workers,
-			Trace:    traceSink,
 			Observer: obs,
 			Store:    store,
 		})
@@ -323,14 +321,6 @@ func main() {
 	}
 	cancelDrain()
 	if corrBank != nil {
-		// In-flight pool replenishment gets the same grace the sessions
-		// had; whatever is still generating afterwards is force-cancelled
-		// (Close unblocks the generator protocol mid-round).
-		bctx, cancel := context.WithTimeout(context.Background(), *grace)
-		if err := corrBank.Drain(bctx); err != nil {
-			logger.Warn("shutdown: bank drain expired, aborting replenishment", "err", err)
-		}
-		cancel()
 		_ = corrBank.Close()
 		logger.Info("shutdown: correlation bank closed")
 	}

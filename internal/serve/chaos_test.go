@@ -15,9 +15,9 @@ import (
 	"abnn2/internal/transport"
 )
 
-// Serve-layer chaos suite: the admission, backpressure and degradation
-// machinery under concurrent multi-tenant load, hostile clients, and
-// injected transport faults. The invariant is the same error-not-hang
+// Serve-layer chaos suite: the admission and backpressure machinery under
+// concurrent multi-tenant load, hostile clients, and injected transport
+// faults. The invariant is the same error-not-hang
 // discipline as the protocol chaos suite, lifted one layer up: every
 // client either completes, or observes a typed retryable rejection it
 // can act on, or gets a prompt error — and the runtime ends every run
@@ -375,11 +375,13 @@ func TestChaosServeDrainUnderLoad(t *testing.T) {
 	leakcheck.Settle(t, base, "drain under load")
 }
 
-// TestChaosServeBankedMultiTenant: two tenants over one bank with tiny
-// pools and strict banked sessions server-side. Clients must observe
-// only completions or typed retryable rejections (saturated or
-// bank-dry) — never a hang — and pools refill between sheds so the run
-// makes progress.
+// TestChaosServeBankedMultiTenant: six bank-less clients of two tenants
+// race for two session slots on a runtime whose sessions carry a
+// storeless bank. Every client must finish its batch, riding out
+// saturated rejections by their retry-after hints — never a hang, never
+// a hintless retryable rejection — and nothing leaks: a server-side bank
+// no client draws from changes neither admission nor the inline offline
+// phase.
 func TestChaosServeBankedMultiTenant(t *testing.T) {
 	base := leakcheck.Base()
 

@@ -291,39 +291,59 @@ func TestRecoveryGatesReadiness(t *testing.T) {
 }
 
 // TestStoreOnlyRuntimeAdmitsBanked: a runtime whose bank only holds what
-// remote clients leave in its store — no loopback pool, the shape of
-// abnn2-server — becomes ready as soon as the store has recovered and
-// admits inference sessions under OfflineBanked, having generated no
-// correlation: whether a batch is banked is the client's store's business.
+// remote clients leave in its store — the shape of abnn2-server — becomes
+// ready as soon as the store has recovered and admits inference sessions
+// under OfflineBanked, having generated no correlation: whether a batch is
+// banked is the client's store's business. That holds with no loopback
+// pool, and with a registered but dry one for the served model: the
+// runtime looks at no loopback pool when it admits.
 func TestStoreOnlyRuntimeAdmitsBanked(t *testing.T) {
-	st, err := abnn2.OpenBankStore(abnn2.BankStoreOptions{Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := abnn2.NewBank(abnn2.BankOptions{Capacity: 2, Store: st})
-	rt := testRuntime(t, Options{Session: abnn2.Config{Bank: b, OfflineMode: abnn2.OfflineBanked}})
-	t.Cleanup(func() {
-		b.Close()
-		st.Close()
-	})
-	rt.StartRecovery(st)
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if ready, _ := rt.ReadyState(); ready {
-			break
+	for _, dryPool := range []bool{false, true} {
+		st, err := abnn2.OpenBankStore(abnn2.BankStoreOptions{Dir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("runtime never became ready")
+		b := abnn2.NewBank(abnn2.BankOptions{Capacity: 2, Store: st})
+		t.Cleanup(func() {
+			b.Close()
+			st.Close()
+		})
+		reg := testRegistry(t, "m0")
+		pools := 0
+		if dryPool {
+			qm := reg.Default().Quant
+			id, err := abnn2.RegisterBankModel(b, qm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := abnn2.BankKey{Model: id, Scheme: qm.Scheme(), RingBits: 32, Batch: 1, Backend: abnn2.BankSessionBackend}
+			if err := b.Prewarm(key, 0); err != nil {
+				t.Fatal(err)
+			}
+			pools = 1
 		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	conn, _, err := rt.Connect(context.Background(), "")
-	if err != nil {
-		t.Fatalf("inference hello under OfflineBanked with no loopback pool: %v", err)
-	}
-	conn.Close()
-	if snap := b.Snapshot(); snap.Refills != 0 || len(snap.Depths) != 0 {
-		t.Fatalf("bank generated %d correlations into %d loopback pools, want none", snap.Refills, len(snap.Depths))
+		rt := testRuntime(t, Options{Registry: reg, Session: abnn2.Config{Bank: b, OfflineMode: abnn2.OfflineBanked}})
+		rt.StartRecovery(st)
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			if ready, _ := rt.ReadyState(); ready {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("runtime never became ready")
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		conn, _, err := rt.Connect(context.Background(), "")
+		if err != nil {
+			t.Fatalf("dry loopback pool %v: inference hello under OfflineBanked: %v", dryPool, err)
+		}
+		conn.Close()
+		snap := b.Snapshot()
+		if snap.Refills != 0 || len(snap.Depths) != pools {
+			t.Fatalf("dry loopback pool %v: bank generated %d correlations into %d loopback pools, want none into %d",
+				dryPool, snap.Refills, len(snap.Depths), pools)
+		}
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 //     never load-dependent, so orchestrators do not restart a merely
 //     saturated server.
 //   - /readyz answers 200 once the runtime should receive traffic
-//     (models registered, bank prewarm finished, not draining) and 503
+//     (models registered, bank store recovered, not draining) and 503
 //     with the blocking reason otherwise — the signal load balancers
 //     gate on, flipping back to 503 the moment Drain begins.
 

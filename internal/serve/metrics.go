@@ -14,7 +14,11 @@ type Metrics struct {
 	HandshakeFails *metrics.Counter
 	Shed           *metrics.CounterVec // by rejection code
 	ShedHinted     *metrics.Counter    // retryable sheds that carried a retry-after hint
-	Degraded       *metrics.Counter    // sessions admitted inline because pools were dry
+	// Degraded is never incremented: it counted sessions admitted inline
+	// because in-process loopback pools were dry, and the runtime serves
+	// no loopback clients. It stays registered, and at zero, because the
+	// benchmark module reads the field.
+	Degraded       *metrics.Counter
 	SessionsActive *metrics.Gauge
 	SessionsTotal  *metrics.CounterVec // by model name
 	SessionsFailed *metrics.Counter
@@ -39,13 +43,13 @@ func NewMetrics(r *metrics.Registry) *Metrics {
 		HandshakeFails: r.NewCounter("abnn2_serve_handshake_failures_total", "Handshakes that failed before admission (timeout, malformed hello, dead conn)."),
 		Shed:           r.NewCounterVec("abnn2_serve_shed_total", "Connections shed with a typed rejection, by code.", "code"),
 		ShedHinted:     r.NewCounter("abnn2_serve_shed_hinted_total", "Retryable sheds that carried a retry-after hint."),
-		Degraded:       r.NewCounter("abnn2_serve_degraded_total", "Sessions admitted with inline (non-banked) offline provisioning because pools were dry."),
+		Degraded:       r.NewCounter("abnn2_serve_degraded_total", "Always 0: the runtime serves no in-process loopback clients, so no session is admitted degraded. Kept for existing readers."),
 		SessionsActive: r.NewGauge("abnn2_serve_sessions_active", "Admitted sessions currently being served."),
 		SessionsTotal:  r.NewCounterVec("abnn2_serve_sessions_total", "Admitted sessions, by model.", "model"),
 		SessionsFailed: r.NewCounter("abnn2_serve_sessions_failed_total", "Admitted sessions that ended with a protocol error."),
 		OfflineTotal:   r.NewCounter("abnn2_serve_offline_sessions_total", "Admitted remote offline-replenishment sessions."),
 		OfflineFailed:  r.NewCounter("abnn2_serve_offline_sessions_failed_total", "Remote offline-replenishment sessions that ended with an error."),
-		Ready:          r.NewGauge("abnn2_serve_ready", "Whether the runtime reports ready (prewarm done, not draining)."),
+		Ready:          r.NewGauge("abnn2_serve_ready", "Whether the runtime reports ready (store recovered, not draining)."),
 		SLOSessions:    r.NewCounter("abnn2_slo_sessions_total", "Inference sessions measured against the latency SLO."),
 		SLOBreaches:    r.NewCounterVec("abnn2_slo_breaches_total", "Inference sessions that breached the latency SLO, by model.", "model"),
 		SessionLatency: r.NewHistogramVec("abnn2_session_latency_seconds", "End-to-end inference session latency, by model.", "model", metrics.DurationBuckets),
@@ -73,12 +77,6 @@ func (m *Metrics) shed(rej Rejection) {
 	m.Shed.With(rej.Code).Inc()
 	if rej.Retryable && rej.RetryAfterMillis > 0 {
 		m.ShedHinted.Inc()
-	}
-}
-
-func (m *Metrics) degraded() {
-	if m != nil {
-		m.Degraded.Inc()
 	}
 }
 

@@ -16,8 +16,8 @@ type Model struct {
 	Name     string
 	Quant    *abnn2.QuantizedModel
 	ArchJSON json.RawMessage
-	// BankID is the model's correlation-pool identity, set by
-	// Runtime-level bank registration; empty when no bank is configured.
+	// BankID is the model's correlation-pool identity
+	// (abnn2.BankModelID), set by New; empty when no bank is configured.
 	BankID string
 }
 

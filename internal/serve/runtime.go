@@ -34,11 +34,9 @@ type Options struct {
 	// mode. The handshake tells every client the ring width and ReLU
 	// variant; SessionID is filled per connection by the runtime; New
 	// validates the template (abnn2.Config.Validate). Session.Bank, when
-	// non-nil, provisions sessions from precomputed correlation pools:
-	// remote clients claim the halves their offline sessions left in the
-	// bank's store, in-process clients sharing the bank draw from its
-	// loopback pools (New registers every model for them). Sessions
-	// degrade per Session.OfflineMode when pools run dry.
+	// non-nil with a durable store, lets remote clients claim the halves
+	// their offline sessions left in that store; a batch whose client
+	// found its pool dry runs inline or fails per Session.OfflineMode.
 	Session abnn2.Config
 	// Metrics, when non-nil, receives the runtime's admission and
 	// session series; see NewMetrics.
@@ -66,15 +64,15 @@ type Options struct {
 
 // retry hints for sheds whose wait is not slot-bound: a draining server
 // wants clients to find another replica soon but not hammer this one;
-// a dry bank refills in roughly one offline-phase time.
+// a recovering store is back in roughly one offline-phase time.
 const (
 	drainRetryAfter   = time.Second
 	bankDryRetryAfter = 250 * time.Millisecond
 )
 
 // Runtime is the resilient serving runtime: it owns admission,
-// backpressure, degradation, and lifecycle for every connection handed
-// to HandleConn, whatever transport it arrived on.
+// backpressure and lifecycle for every connection handed to HandleConn,
+// whatever transport it arrived on.
 type Runtime struct {
 	reg       *Registry
 	adm       *Admission
@@ -87,7 +85,6 @@ type Runtime struct {
 	diag      *diagnostics
 
 	nextSession atomic.Uint64
-	prewarmed   atomic.Bool
 	recovered   atomic.Bool
 
 	mu       sync.Mutex
@@ -97,8 +94,9 @@ type Runtime struct {
 }
 
 // New builds a runtime over a non-empty registry. When a bank is
-// configured, every registered model is registered with it here, so each
-// model gets its own correlation pools keyed by its identity.
+// configured, each model's BankID is set here: the identity that keys the
+// correlations remote clients store with this server. The runtime
+// generates none itself.
 func New(opts Options) (*Runtime, error) {
 	if opts.Registry == nil || opts.Registry.Len() == 0 {
 		return nil, fmt.Errorf("serve: registry is empty")
@@ -144,14 +142,13 @@ func New(opts Options) (*Runtime, error) {
 	if rt.session.Bank != nil {
 		for _, name := range rt.reg.Names() {
 			m, _ := rt.reg.Get(name)
-			id, err := abnn2.RegisterBankModel(rt.session.Bank, m.Quant)
+			id, err := abnn2.BankModelID(m.Quant)
 			if err != nil {
-				return nil, fmt.Errorf("serve: register %q with bank: %w", name, err)
+				return nil, fmt.Errorf("serve: bank identity of %q: %w", name, err)
 			}
 			m.BankID = id
 		}
 	}
-	rt.prewarmed.Store(true) // until StartPrewarm says otherwise
 	rt.recovered.Store(true) // until StartRecovery says otherwise
 	rt.m.setReady(true)
 	return rt, nil
@@ -177,39 +174,8 @@ func defaultMaxSessions(workers int) int {
 // introspection and tests).
 func (rt *Runtime) Admission() *Admission { return rt.adm }
 
-// Bank returns the runtime's correlation bank (nil when banking is off).
-func (rt *Runtime) Bank() *abnn2.Bank { return rt.session.Bank }
-
 // Registry returns the runtime's model registry.
 func (rt *Runtime) Registry() *Registry { return rt.reg }
-
-// StartPrewarm begins background prewarming of the loopback pools for
-// the given keys to depth each (for deployments whose clients share the
-// bank in process), gating readiness: /readyz answers 503 until every
-// key has been attempted. Prewarm failures are logged and skipped —
-// pools warm lazily on first miss — so a broken key degrades capacity,
-// not startup.
-func (rt *Runtime) StartPrewarm(keys []abnn2.BankKey, depth int) {
-	if rt.session.Bank == nil || len(keys) == 0 {
-		return
-	}
-	rt.prewarmed.Store(false)
-	rt.m.setReady(false)
-	rt.trackConn()
-	go func() {
-		defer rt.untrackConn()
-		for _, key := range keys {
-			if err := rt.session.Bank.Prewarm(key, depth); err != nil {
-				rt.log.Warn("bank prewarm failed", "key", key.String(), "err", err)
-				continue
-			}
-			rt.log.Info("bank pool warm", "key", key.String(), "depth", rt.session.Bank.Snapshot().Depths[key])
-		}
-		rt.prewarmed.Store(true)
-		ready, _ := rt.ReadyState()
-		rt.m.setReady(ready)
-	}()
-}
 
 // StartRecovery begins background recovery of the bank's durable store,
 // gating readiness: /readyz answers 503 until the recovery scan has
@@ -252,8 +218,6 @@ func (rt *Runtime) ReadyState() (bool, string) {
 		return false, "no models registered"
 	case !rt.recovered.Load():
 		return false, "bank store recovery in progress"
-	case !rt.prewarmed.Load():
-		return false, "bank prewarm in progress"
 	}
 	return true, "ready"
 }
@@ -354,7 +318,7 @@ func (rt *Runtime) HandleConn(ctx context.Context, conn abnn2.Conn, remote strin
 			return rt.reject(conn, remote, *rej)
 		}
 	}
-	release, rej, degraded := rt.admit(model, h.Offline)
+	release, rej := rt.admit(h.Offline)
 	if rej != nil {
 		return rt.reject(conn, remote, *rej)
 	}
@@ -384,11 +348,6 @@ func (rt *Runtime) HandleConn(ctx context.Context, conn abnn2.Conn, remote strin
 
 	cfg := rt.session
 	cfg.SessionID = id
-	if degraded {
-		rt.m.degraded()
-		rt.log.Info("admitted degraded (pools dry, inline offline)",
-			"session", id, "model", model.Name, "remote", remote)
-	}
 	// The hello's class selects how the session is accounted, not what
 	// runs: a replenishment session stays out of the latency SLO, the
 	// session-latency histogram and the timeline's queue class — how long
@@ -454,18 +413,16 @@ func (rt *Runtime) checkOffline() *Rejection {
 	return nil
 }
 
-// admit decides one handshake: a session slot plus degradation status,
-// or a typed rejection. Decision order: draining beats saturation beats
-// bank state, so a shutting-down server answers consistently whatever
-// its load and whichever kind of session the hello asked for. Offline
-// sessions take a normal slot — they cost the same compute as an inline
-// offline phase — and their bank state is the store's, not the pools':
-// filling dry pools is their whole point. An inference session's bank
-// state is its model's loopback pools, where there are any: what a remote
-// client's own store holds for this server is not visible from here, so
-// without loopback pools the session is admitted and each batch finds
-// out for itself.
-func (rt *Runtime) admit(model *Model, offline bool) (release func(), rej *Rejection, degraded bool) {
+// admit decides one handshake: a session slot or a typed rejection.
+// Decision order: draining beats saturation beats store state, so a
+// shutting-down server answers consistently whatever its load and
+// whichever kind of session the hello asked for. Offline sessions take a
+// normal slot — they cost the same compute as an inline offline phase —
+// and wait for the store's recovery, which they write into. An inference
+// session is admitted without a look at any pool: what a remote client's
+// own store holds for this server is not visible from here, so each batch
+// finds out for itself.
+func (rt *Runtime) admit(offline bool) (release func(), rej *Rejection) {
 	rt.mu.Lock()
 	draining := rt.draining
 	rt.mu.Unlock()
@@ -474,7 +431,7 @@ func (rt *Runtime) admit(model *Model, offline bool) (release func(), rej *Rejec
 			Code: RejectDraining, Retryable: true,
 			RetryAfterMillis: drainRetryAfter.Milliseconds(),
 			Reason:           "server is draining for shutdown",
-		}, false
+		}
 	}
 	release, ok := rt.adm.TryAcquire()
 	if !ok {
@@ -482,47 +439,19 @@ func (rt *Runtime) admit(model *Model, offline bool) (release func(), rej *Rejec
 			Code: RejectSaturated, Retryable: true,
 			RetryAfterMillis: rt.adm.RetryAfter().Milliseconds(),
 			Reason:           fmt.Sprintf("all %d session slots busy", rt.adm.Max()),
-		}, false
-	}
-	if offline {
-		if !rt.recovered.Load() {
-			// The store refuses writes until recovery completes; shedding
-			// here saves the client a doomed offline phase.
-			release()
-			return nil, &Rejection{
-				Code: RejectBankDry, Retryable: true,
-				RetryAfterMillis: bankDryRetryAfter.Milliseconds(),
-				Reason:           "bank store recovery in progress",
-			}, false
-		}
-	} else if rt.session.Bank != nil {
-		if depth, ok := rt.loopbackDepth(model); ok && depth == 0 {
-			if rt.session.OfflineMode == abnn2.OfflineBanked {
-				// Admitting would hand the client a session whose every batch
-				// fails; shed instead, while the miss-triggered refill runs.
-				release()
-				return nil, &Rejection{
-					Code: RejectBankDry, Retryable: true,
-					RetryAfterMillis: bankDryRetryAfter.Milliseconds(),
-					Reason:           fmt.Sprintf("correlation pools for model %q are dry", model.Name),
-				}, false
-			}
-			degraded = true // OfflineAuto: serve inline while pools refill
 		}
 	}
-	return release, nil, degraded
-}
-
-// loopbackDepth sums the live depths of the model's loopback pools across
-// all batch sizes; ok is false when the model has none, which is every
-// deployment whose clients do not share the bank in process.
-func (rt *Runtime) loopbackDepth(m *Model) (total int, ok bool) {
-	for key, depth := range rt.session.Bank.Snapshot().Depths {
-		if key.Model == m.BankID {
-			total, ok = total+depth, true
+	if offline && !rt.recovered.Load() {
+		// The store refuses writes until recovery completes; shedding
+		// here saves the client a doomed offline phase.
+		release()
+		return nil, &Rejection{
+			Code: RejectBankDry, Retryable: true,
+			RetryAfterMillis: bankDryRetryAfter.Milliseconds(),
+			Reason:           "bank store recovery in progress",
 		}
 	}
-	return total, ok
+	return release, nil
 }
 
 // reject sheds one connection: metrics, log, best-effort wire reply

@@ -1,7 +1,7 @@
 // Package serve is the resilient multi-tenant serving runtime behind
 // cmd/abnn2-server: a registry of hot models, bounded admission control,
-// explicit backpressure, and graceful degradation from banked to inline
-// offline provisioning.
+// explicit backpressure, and offline sessions into the durable bank store
+// whose halves remote clients later claim.
 //
 // The runtime adds one handshake round in front of the protocol: the
 // client opens with a small JSON hello naming the model it wants, and the
@@ -80,7 +80,7 @@ type helloReply struct {
 // hint. Unknown-model and bad-hello are permanent for this server.
 const (
 	RejectSaturated    = "saturated"     // admission capacity exhausted
-	RejectBankDry      = "bank-dry"      // banked-only server with empty pools
+	RejectBankDry      = "bank-dry"      // offline hello while the bank store recovers
 	RejectDraining     = "draining"      // shutdown in progress
 	RejectUnknownModel = "unknown-model" // requested model not registered
 	RejectBadHello     = "bad-hello"     // malformed or wrong-version hello

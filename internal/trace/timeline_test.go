@@ -14,19 +14,19 @@ import (
 //
 // Server-true schedule (session 7, symmetric 5ms transit):
 //
-//	  0..10ms  client dial/handshake (span "dial")     -> queue
-//	 10ms      client send #1 (40 B)
-//	 10..15ms  flight in transit                        -> wire
-//	 15ms      server recv #1
-//	 15..20ms  server draws from the bank (span "bank") -> bank-wait
-//	 20..25ms  server computes                          -> compute
-//	 25ms      server send #1 (100 B)
-//	 25..30ms  flight in transit                        -> wire
-//	 30ms      client recv #1
-//	 30..50ms  client computes (span "online")          -> compute
-//	 50ms      client send #2 (8 B)
-//	 50..55ms  flight in transit                        -> wire
-//	 55ms      server recv #2, session ends
+//	 0..10ms  client dial/handshake (span "dial")     -> queue
+//	10ms      client send #1 (40 B)
+//	10..15ms  flight in transit                        -> wire
+//	15ms      server recv #1
+//	15..20ms  server draws from the bank (span "bank") -> bank-wait
+//	20..25ms  server computes                          -> compute
+//	25ms      server send #1 (100 B)
+//	25..30ms  flight in transit                        -> wire
+//	30ms      client recv #1
+//	30..50ms  client computes (span "online")          -> compute
+//	50ms      client send #2 (8 B)
+//	50..55ms  flight in transit                        -> wire
+//	55ms      server recv #2, session ends
 func twoPartySession(skew time.Duration) (spans []Span, flights []Flight) {
 	base := time.Unix(1000, 0)
 	srv := func(ms int) time.Time { return base.Add(time.Duration(ms) * time.Millisecond) }
