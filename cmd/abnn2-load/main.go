@@ -35,7 +35,6 @@ import (
 	"fmt"
 	"log/slog"
 	"os"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -82,6 +81,7 @@ func main() {
 
 	names := splitNonEmpty(*modelNames)
 	var dial func(ctx context.Context, i int) (abnn2.Conn, abnn2.Arch, abnn2.Config, error)
+	finish := func() {} // runs once every client has returned
 	ccfg := abnn2.Config{RingBits: *ringBits, OptimizedReLU: *optRelu, Workers: *workers, RoundTimeout: *roundTimeout}
 
 	if *connect != "" {
@@ -110,9 +110,20 @@ func main() {
 		if len(names) == 0 {
 			names = rt.Registry().Names()
 		}
-		dial = func(ctx context.Context, i int) (abnn2.Conn, abnn2.Arch, abnn2.Config, error) {
-			conn, arch, err := rt.Connect(ctx, pick(names, i))
+		// Sessions run on their own context, not the load deadline: a
+		// session still in set-up when the deadline passes finishes, and
+		// its client then closes it. Once every client has returned, the
+		// runtime drains and the stragglers are cancelled.
+		serveCtx, stopServing := context.WithCancel(context.Background())
+		dial = func(_ context.Context, i int) (abnn2.Conn, abnn2.Arch, abnn2.Config, error) {
+			conn, arch, err := rt.Connect(serveCtx, pick(names, i))
 			return conn, arch, ccfg, err
+		}
+		finish = func() {
+			dctx, cancel := context.WithTimeout(context.Background(), *roundTimeout)
+			_ = rt.Drain(dctx)
+			cancel()
+			stopServing()
 		}
 		fmt.Printf("mode=inproc tenants=%s max_sessions=%d clients=%d\n",
 			strings.Join(rt.Registry().Names(), ","), rt.Admission().Max(), *clients)
@@ -139,14 +150,17 @@ func main() {
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
+	finish()
 
 	// Report straight from the metrics series.
 	reqs := st.Requests.Value()
 	fmt.Printf("requests: %d ok, %d failed; sessions: %d admitted, %d retries after rejection\n",
 		reqs, st.Failures.Value(), st.Sessions.Value(), st.Retries.Load())
-	codes, counts := rejectionLines(st)
-	for i, c := range codes {
-		fmt.Printf("rejections[%s]: %d\n", c, counts[i])
+	for _, code := range []string{serve.RejectSaturated, serve.RejectBankDry, serve.RejectDraining,
+		serve.RejectUnknownModel, serve.RejectBadHello} {
+		if n := st.Rejections.With(code).Value(); n > 0 {
+			fmt.Printf("rejections[%s]: %d\n", code, n)
+		}
 	}
 	if reqs > 0 {
 		fmt.Printf("latency: p50=%s p90=%s p99=%s mean=%s\n",
@@ -235,10 +249,9 @@ func runClient(ctx context.Context, id int,
 // connectRetry dials until admitted, honoring typed retryable
 // rejections: wait the server's hint (jittered; a default when the hint
 // is missing), then try again. Gives up on permanent rejections, dial
-// errors, context expiry, and a spent dialTimeout budget. The dial runs
-// under ctx itself — not a derived timeout — because an in-process dial
-// spawns the server session on that context, which must outlive the
-// connect.
+// errors, context expiry, and a spent dialTimeout budget. ctx, the load
+// deadline, bounds the waits between tries; an in-process dial serves
+// its session on the embedded runtime's own context, which outlives ctx.
 func connectRetry(ctx context.Context, id int,
 	dial func(context.Context, int) (abnn2.Conn, abnn2.Arch, abnn2.Config, error),
 	st *loadStats, dialTimeout time.Duration) (abnn2.Conn, abnn2.Arch, abnn2.Config, error) {
@@ -343,29 +356,6 @@ func pick(names []string, i int) string {
 		return ""
 	}
 	return names[i%len(names)]
-}
-
-func rejectionLines(st *loadStats) ([]string, []int64) {
-	type kv struct {
-		code string
-		n    int64
-	}
-	var rows []kv
-	// CounterVec has no public iteration; go through the Prometheus text
-	// would be overkill — track codes we know instead.
-	for _, code := range []string{serve.RejectSaturated, serve.RejectBankDry, serve.RejectDraining,
-		serve.RejectUnknownModel, serve.RejectBadHello} {
-		if n := st.Rejections.With(code).Value(); n > 0 {
-			rows = append(rows, kv{code, n})
-		}
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].n > rows[j].n })
-	codes := make([]string, len(rows))
-	counts := make([]int64, len(rows))
-	for i, r := range rows {
-		codes[i], counts[i] = r.code, r.n
-	}
-	return codes, counts
 }
 
 func splitNonEmpty(s string) []string {

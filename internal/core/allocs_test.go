@@ -57,6 +57,42 @@ func TestTripletAllocationsPerChunk(t *testing.T) {
 	}
 }
 
+// TestTripletMasksKept: the client draws a multi-batch round's masks
+// into one vector it keeps, as it keeps the payload flight, so two
+// back-to-back layers on one generator write the same backing array,
+// chunk·o elements (8·chunk·o bytes) long.
+func TestTripletMasksKept(t *testing.T) {
+	p := Params{Ring: ring.New(32), Scheme: quant.Uniform(2, 2), Workers: 2}
+	ct, st, _, done := tripletPair(t, p)
+	defer done()
+	sh := MatShape{M: 16, N: 256, O: 8} // two chunks per layer
+	W := randomWeights(p.Scheme, sh.M*sh.N, 3)
+	R := prg.New(prg.SeedFromInt(4)).Mat(p.Ring, sh.N, sh.O)
+	var first *ring.Elem
+	for call := 0; call < 2; call++ {
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := ct.GenerateClient(sh, R, MultiBatch); err != nil {
+				t.Error(err)
+			}
+		}()
+		if _, err := st.GenerateServer(sh, W, MultiBatch); err != nil {
+			t.Fatal(err)
+		}
+		wg.Wait()
+		if len(ct.masks) != chunkOTs*sh.O || cap(ct.masks) != chunkOTs*sh.O {
+			t.Fatalf("call %d: masks len %d cap %d, want %d", call, len(ct.masks), cap(ct.masks), chunkOTs*sh.O)
+		}
+		if call == 0 {
+			first = &ct.masks[0]
+		} else if &ct.masks[0] != first {
+			t.Fatal("second layer drew its masks into a new array")
+		}
+	}
+}
+
 // TestReLUAllocationsPerChunk gates the online GC path the same way: one
 // 2048-neuron chunk may cost each party a fixed number of buffers — the
 // input bit vectors, the batch's child PRG, the label-OT flights and

@@ -38,7 +38,8 @@ type ClientTriplets struct {
 	rng     *prg.PRG
 	vals    [][]ring.Elem
 	session uint64
-	payload []byte // the payload flight, reused across rounds
+	payload []byte   // the payload flight, reused across rounds
+	masks   ring.Vec // a multi-batch round's masks, reused likewise
 
 	altVals   map[string][][]ring.Elem // fragValues per override scheme
 	baselines [numBackends]clientGenerator
@@ -298,7 +299,11 @@ func (c *ClientTriplets) generateClient(params Params, vals [][]ring.Elem, sh Ma
 		// transcripts stay byte-identical for every worker count.
 		var masks ring.Vec
 		if mode != OneBatch {
-			masks = c.rng.Vec(rg, chunk*sh.O)
+			if cap(c.masks) < chunk*sh.O {
+				c.masks = make(ring.Vec, chunk*sh.O)
+			}
+			masks = c.masks[:chunk*sh.O]
+			c.rng.FillVec(rg, masks)
 		}
 		// Fragment x row accumulation: each worker sums its OT range
 		// into a private partial of V, reduced below. Ring addition is
@@ -310,11 +315,8 @@ func (c *ClientTriplets) generateClient(params Params, vals [][]ring.Elem, sh Ma
 			pV := &ring.Mat{Rows: sh.M, Cols: sh.O, Data: pv}
 			pads := blk.NewDeriver()
 			var cands, cand []byte // one-batch: a sub-run's pads, and the OT's
-			var prod ring.Vec      // multi-batch: one candidate's o products
 			if mode == OneBatch {
 				cands = make([]byte, subRun*layout.maxN*elemBytes)
-			} else {
-				prod = make(ring.Vec, sh.O)
 			}
 			for local := lo; local < hi; local++ {
 				g := ot + local
@@ -350,10 +352,7 @@ func (c *ClientTriplets) generateClient(params Params, vals [][]ring.Elem, sh Ma
 				ss := masks[local*sh.O : (local+1)*sh.O]
 				rg.AddVecInPlace(vrow, ss)
 				for t := 0; t < n; t++ {
-					for k, r := range rrow {
-						prod[k] = vals[f][t]*r - ss[k] // PutVec reduces
-					}
-					rg.PutVec(out[t*padBytes:], prod)
+					rg.PutMulSub(out[t*padBytes:], vals[f][t], rrow, ss)
 				}
 				// At a sub-run's end its ciphertexts lie back to back, as a
 				// run's pads do: XOR the pads over them in place.

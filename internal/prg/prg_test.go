@@ -2,6 +2,7 @@ package prg
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -65,6 +66,30 @@ func TestVecAndMatShapes(t *testing.T) {
 	m := g.Mat(r, 3, 5)
 	if m.Rows != 3 || m.Cols != 5 || len(m.Data) != 15 {
 		t.Fatalf("Mat shape %dx%d len %d", m.Rows, m.Cols, len(m.Data))
+	}
+}
+
+// TestFillVecMatchesVec: FillVec over a dirty kept buffer yields the
+// values Vec returns from the same stream, across the bulk draw's 1024
+// element boundary, and leaves the PRG where Vec leaves it.
+func TestFillVecMatchesVec(t *testing.T) {
+	for _, bits := range []uint{8, 32, 33, 64} {
+		r := ring.New(bits)
+		for _, n := range []int{0, 1, 7, 1024, 2500} {
+			a, b := New(SeedFromInt(9)), New(SeedFromInt(9))
+			want := a.Vec(r, n)
+			got := make(ring.Vec, n)
+			for i := range got {
+				got[i] = ^uint64(0)
+			}
+			b.FillVec(r, got)
+			if !slices.Equal(got, want) {
+				t.Fatalf("l=%d n=%d: FillVec %x, Vec %x", bits, n, got, want)
+			}
+			if x, y := b.Uint64(), a.Uint64(); x != y {
+				t.Fatalf("l=%d n=%d: next Uint64 %x after FillVec, %x after Vec", bits, n, x, y)
+			}
+		}
 	}
 }
 

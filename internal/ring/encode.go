@@ -52,6 +52,29 @@ func (r Ring) PutVec(dst []byte, v Vec) {
 	}
 }
 
+// PutMulSub writes c·v[i] − s[i] over the first VecBytes(len(v)) bytes
+// of dst: the bytes PutVec writes for that vector of products. s is at
+// least as long as v; inputs may carry bits above l. The width is
+// dispatched once per span, as PutVec does.
+func (r Ring) PutMulSub(dst []byte, c Elem, v, s Vec) {
+	dst, s = dst[:r.VecBytes(len(v))], s[:len(v)]
+	switch r.Bytes() {
+	case 8:
+		for i, x := range v {
+			binary.LittleEndian.PutUint64(dst[8*i:8*i+8], (c*x-s[i])&r.mask)
+		}
+	case 4:
+		for i, x := range v {
+			binary.LittleEndian.PutUint32(dst[4*i:4*i+4], uint32((c*x-s[i])&r.mask))
+		}
+	default:
+		n := r.Bytes()
+		for i, x := range v {
+			r.PutElem(dst[i*n:], c*x-s[i])
+		}
+	}
+}
+
 // AddDecoded adds into v, mod 2^l, the len(v) elements encoded in the
 // first VecBytes(len(v)) bytes of src, each read as GetElem reads it: it
 // masks the bits above l and never rejects. It is PutVec's inverse into a

@@ -6,7 +6,10 @@
 # typed and, when retryable, hinted. Finally, run one traced client and
 # reconcile its dump with the server's via abnn2-inspect -timeline: the
 # merged cross-party timeline must attribute the session's wall time to
-# compute/wire/queue/bank-wait within 1%, or the script fails.
+# compute/wire/queue/bank-wait within 1%, or the script fails. Before
+# all that, abnn2-load's embedded runtime runs a short timed load; the
+# end of its -duration must not fail a session (no "session failed" log
+# line).
 #
 # Tuned to finish in about a minute on one CI core: a tiny model, a
 # deliberately small -max-conns so shedding actually happens, and a
@@ -35,6 +38,17 @@ $GO build -race -o "$WORK/abnn2-server" ./cmd/abnn2-server
 $GO build -o "$WORK/abnn2-load" ./cmd/abnn2-load
 $GO build -o "$WORK/abnn2-client" ./cmd/abnn2-client
 $GO build -o "$WORK/abnn2-inspect" ./cmd/abnn2-inspect
+
+echo "== embedded runtime load (the deadline must not fail a session)"
+"$WORK/abnn2-load" -clients 4 -duration 2s -max-sessions 2 >"$WORK/embedded.log" 2>&1 || {
+    cat "$WORK/embedded.log" >&2
+    exit 1
+}
+if grep 'msg="session failed"' "$WORK/embedded.log" >&2; then
+    echo "embedded load run logged failed sessions" >&2
+    exit 1
+fi
+grep -E "^(requests|throughput):" "$WORK/embedded.log"
 
 echo "== boot server (small admission cap so backpressure fires)"
 "$WORK/abnn2-server" -model "$WORK/model.json" -listen "$ADDR" \
