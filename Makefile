@@ -45,7 +45,7 @@ perf-smoke:
 	$(GO) test -C benchmark ./...
 	bash benchmark/run.sh --workload mlp_b1_wan --seed 1 --seconds 5 --trace 0 | tail -n 1 | grep '"correct":true' | grep '"comm_mib_per_predict":{"value":9.4669008' | grep -q '"flights_per_predict":{"value":122,'
 	bash benchmark/run.sh --workload mlp_b1_lan --seed 1 --seconds 5 --trace 0 | tail -n 1 | grep '"correct":true' | grep '"comm_mib_per_predict":{"value":9.4669008' | grep -q '"flights_per_predict":{"value":122,'
-	bash benchmark/run.sh --workload cnn_b1_lan --seed 1 --seconds 5 --trace 0 | tail -n 1 | grep '"correct":true' | grep '"comm_mib_per_predict":{"value":15.865088' | grep -q '"flights_per_predict":{"value":22,'
+	bash benchmark/run.sh --workload cnn_b1_lan --seed 1 --seconds 5 --trace 0 | tail -n 1 | grep '"correct":true' | grep '"comm_mib_per_predict":{"value":14.986182' | grep -q '"flights_per_predict":{"value":22,'
 	bash benchmark/run.sh --workload mlp_b32_banked --seed 1 --seconds 5 --trace 0 | tail -n 1 | grep '"correct":true' | grep '"comm_mib_per_predict":{"value":43.628186' | grep -q '"flights_per_predict":{"value":10,'
 	bash benchmark/run.sh --workload serve_churn --seed 1 --seconds 5 --trace 0 | tail -n 1 | grep '"correct":true' | grep '"comm_mib_per_predict":{"value":0.3626546' | grep -q '"flights_per_predict":{"value":13,'
 
@@ -144,7 +144,7 @@ loc:
 # The size gate (CI's static job runs it): `make loc` may not exceed
 # LOC_MAX, the figure the last PR that moved it ended on. A PR that needs
 # more lines raises LOC_MAX here, in the open, in its diff.
-LOC_MAX = 19889
+LOC_MAX = 19872
 loc-check:
 	@n=$$($(MAKE) -s loc); \
 	if [ "$$n" -gt $(LOC_MAX) ]; then echo "loc-check: $$n non-test Go lines, LOC_MAX is $(LOC_MAX)"; exit 1; fi; \

@@ -144,7 +144,7 @@ func main() {
 
 	fmt.Printf("\nactivations: %d ReLU neurons and pool windows/prediction -> %d AND gates, %.2f MB garbled tables\n",
 		outputs, ands, float64(tableBytes)/(1<<20))
-	fmt.Printf("(kappa = %d; one-batch C-OT and multi-batch packing selected automatically per batch)\n", otext.Kappa)
+	fmt.Printf("(kappa = %d; every OT sends N-1 ciphertexts of batch*l bits: the candidate-0 pad is the mask at every batch size)\n", otext.Kappa)
 }
 
 // batchSizes parses -batch, a comma-separated list of positive batch

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"math"
 
 	"abnn2/internal/baseline"
 	"abnn2/internal/core"
@@ -29,7 +30,9 @@ func ablationRow(label string, m measurement, wan transport.NetModel) AblationRo
 
 // AblationOneBatch compares the section 4.1.3 correlated-OT packaging
 // (N-1 ciphertexts) against the naive Fig. 3 protocol (N ciphertexts)
-// for single-prediction offline matmul.
+// for single-prediction offline matmul. No encoder sends Fig. 3's N any
+// more, so the naive row is priced from core's formula, one more l-bit
+// ciphertext per OT, and has no times.
 func AblationOneBatch(opt Options) []AblationRow {
 	m, n := 128, 512
 	if opt.Quick {
@@ -37,14 +40,12 @@ func AblationOneBatch(opt Options) []AblationRow {
 	}
 	rg := ring.New(32)
 	scheme := quant.Uniform(2, 4)
-	rows := []AblationRow{}
-	// Fig. 3 is section 4.1.2 at o = 1: the naive row is MultiBatch there.
-	for _, row := range []struct {
-		label string
-		mode  core.Mode
-	}{{"naive-N", core.MultiBatch}, {core.OneBatch.String(), core.OneBatch}} {
-		meas := runOffline(opt, "ablation-onebatch "+row.label, rg, scheme, []offlineJob{{shape: core.MatShape{M: m, N: n, O: 1}, mode: row.mode}})
-		rows = append(rows, ablationRow(row.label, meas, transport.WANTable3))
+	sh := core.MatShape{M: m, N: n, O: 1}
+	naive := core.OfflineComplexity(32, scheme, sh)
+	naive.CommBits += float64(naive.NumOTs) * 32
+	rows := []AblationRow{
+		{Label: "naive-N", WallSec: math.NaN(), WANSec: math.NaN(), CommMB: naive.CommMB()},
+		ablationRow("one-batch", runOffline(opt, "ablation-onebatch one-batch", rg, scheme, []offlineJob{{shape: sh}}), transport.WANTable3),
 	}
 	printAblation(opt, "Ablation: one-batch C-OT vs naive 1-of-N (128x"+fmt.Sprint(n)+", 8(2,2,2,2), l=32)", rows)
 	return rows
@@ -65,13 +66,13 @@ func AblationMultiBatch(opt Options) []AblationRow {
 	// The strawman is o independent one-batch runs on one session.
 	repeated := make([]offlineJob, o)
 	for k := range repeated {
-		repeated[k] = offlineJob{shape: core.MatShape{M: m, N: n, O: 1}, mode: core.OneBatch}
+		repeated[k] = offlineJob{shape: core.MatShape{M: m, N: n, O: 1}}
 	}
 	for _, row := range []struct {
 		label string
 		jobs  []offlineJob
 	}{
-		{fmt.Sprintf("multi-batch (1 OT reused for %d columns)", o), []offlineJob{{shape: core.MatShape{M: m, N: n, O: o}, mode: core.MultiBatch}}},
+		{fmt.Sprintf("multi-batch (1 OT reused for %d columns)", o), []offlineJob{{shape: core.MatShape{M: m, N: n, O: o}}}},
 		{fmt.Sprintf("repeated one-batch (%d separate runs)", o), repeated},
 	} {
 		meas := runOffline(opt, "ablation-multibatch "+row.label, rg, scheme, row.jobs)
@@ -116,7 +117,7 @@ func AblationFragmentN(opt Options) []AblationRow {
 	}
 	rows := []AblationRow{}
 	for _, sc := range schemes {
-		meas := runOffline(opt, "ablation-fragment "+sc.Name(), rg, sc, []offlineJob{{shape: core.MatShape{M: m, N: n, O: 1}, mode: core.OneBatch}})
+		meas := runOffline(opt, "ablation-fragment "+sc.Name(), rg, sc, []offlineJob{{shape: core.MatShape{M: m, N: n, O: 1}}})
 		rows = append(rows, ablationRow(sc.Name(), meas, transport.WANTable3))
 	}
 	printAblation(opt, "Ablation: fragment size sweep for 8-bit weights (one-batch)", rows)

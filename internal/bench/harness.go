@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 	"text/tabwriter"
 	"time"
@@ -187,8 +188,15 @@ func (t *table) String() string {
 	return b.String()
 }
 
-func secs(v float64) string { return fmt.Sprintf("%.3f", v) }
-func mb(v float64) string   { return fmt.Sprintf("%.2f", v) }
+// secs prints a time; NaN, a row with none measured, prints "-".
+func secs(v float64) string {
+	if math.IsNaN(v) {
+		return "-"
+	}
+	return fmt.Sprintf("%.3f", v)
+}
+
+func mb(v float64) string { return fmt.Sprintf("%.2f", v) }
 
 // layerShape is one fully connected layer: M outputs, N inputs.
 type layerShape struct{ M, N int }

@@ -73,20 +73,19 @@ func Table2(opt Options) []Table2Row {
 	return rows
 }
 
-// offlineJob is one matrix product's worth of triplets: on ABNN2 (the zero
-// backend) packaged as mode, on a baseline as the baseline packs it.
+// offlineJob is one matrix product's worth of triplets on backend (ABNN2
+// is the zero value).
 type offlineJob struct {
 	shape   core.MatShape
-	mode    core.Mode
 	backend core.BackendID
 }
 
 // networkJobs is one job per layer of a network at the given batch size on
-// backend b, each ABNN2 job in the mode the engines would pick for it.
+// backend b.
 func networkJobs(b core.BackendID, shapes []layerShape, batch int) []offlineJob {
 	jobs := make([]offlineJob, len(shapes))
 	for i, sh := range shapes {
-		jobs[i] = offlineJob{core.MatShape{M: sh.M, N: sh.N, O: batch}, core.ModeFor(batch), b}
+		jobs[i] = offlineJob{core.MatShape{M: sh.M, N: sh.N, O: batch}, b}
 	}
 	return jobs
 }
@@ -113,7 +112,7 @@ func runOffline(opt Options, label string, rg ring.Ring, scheme quant.Scheme, jo
 			for _, j := range jobs {
 				R := rng.Mat(rg, j.shape.N, j.shape.O)
 				if j.backend == core.BackendABNN2 {
-					_, err = ct.GenerateClient(j.shape, R, j.mode)
+					_, err = ct.GenerateClient(j.shape, R, core.MultiBatch)
 				} else {
 					_, err = ct.GenerateBaseline(j.backend, j.shape, R)
 				}
@@ -133,7 +132,7 @@ func runOffline(opt Options, label string, rg ring.Ring, scheme quant.Scheme, jo
 			for _, j := range jobs {
 				W := randWeights(wrng, scheme, j.shape.M*j.shape.N)
 				if j.backend == core.BackendABNN2 {
-					_, err = st.GenerateServer(j.shape, W, j.mode)
+					_, err = st.GenerateServer(j.shape, W, core.MultiBatch)
 				} else {
 					_, err = st.GenerateBaseline(j.backend, j.shape, W)
 				}

@@ -11,7 +11,8 @@ import (
 
 // TestTripletAllocationsPerChunk gates the offline kernels' allocation
 // count: one 4096-OT chunk may cost each party a fixed number of buffers
-// (the received flight, per-worker partials and pad derivers), never
+// (the received flight, per-worker partials, pad derivers, pad scratch
+// and the client's mask vector), never
 // anything per OT; the u and payload flights and the blocks' row
 // matrices are reused from round to round. Before the pad derivers the
 // same chunk made about 9 allocations per OT, 37 000 in all. The layer
@@ -24,11 +25,8 @@ func TestTripletAllocationsPerChunk(t *testing.T) {
 	p := Params{Ring: ring.New(32), Scheme: quant.Uniform(2, 2), Workers: 2}
 	ct, st, _, done := tripletPair(t, p)
 	defer done()
-	for _, tc := range []struct {
-		mode Mode
-		o    int
-	}{{OneBatch, 1}, {MultiBatch, 1}, {MultiBatch, 16}} {
-		sh := MatShape{M: 16, N: 128, O: tc.o}
+	for _, o := range []int{1, 16} {
+		sh := MatShape{M: 16, N: 128, O: o}
 		if p.NumOTs(sh) != chunkOTs {
 			t.Fatalf("shape %+v is %d OTs, want one chunk of %d", sh, p.NumOTs(sh), chunkOTs)
 		}
@@ -41,54 +39,18 @@ func TestTripletAllocationsPerChunk(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if _, err := ct.GenerateClient(sh, R, tc.mode); err != nil {
+				if _, err := ct.GenerateClient(sh, R, MultiBatch); err != nil {
 					t.Error(err)
 				}
 			}()
-			if _, err := st.GenerateServer(sh, W, tc.mode); err != nil {
+			if _, err := st.GenerateServer(sh, W, MultiBatch); err != nil {
 				t.Error(err)
 			}
 			wg.Wait()
 		})
-		t.Logf("%v: %.0f allocations per chunk, both parties", tc.mode, allocs)
+		t.Logf("o=%d: %.0f allocations per chunk, both parties", o, allocs)
 		if allocs > 2*perParty {
-			t.Errorf("%v: %.0f allocations for one chunk, want <= %d per party", tc.mode, allocs, perParty)
-		}
-	}
-}
-
-// TestTripletMasksKept: the client draws a multi-batch round's masks
-// into one vector it keeps, as it keeps the payload flight, so two
-// back-to-back layers on one generator write the same backing array,
-// chunk·o elements (8·chunk·o bytes) long.
-func TestTripletMasksKept(t *testing.T) {
-	p := Params{Ring: ring.New(32), Scheme: quant.Uniform(2, 2), Workers: 2}
-	ct, st, _, done := tripletPair(t, p)
-	defer done()
-	sh := MatShape{M: 16, N: 256, O: 8} // two chunks per layer
-	W := randomWeights(p.Scheme, sh.M*sh.N, 3)
-	R := prg.New(prg.SeedFromInt(4)).Mat(p.Ring, sh.N, sh.O)
-	var first *ring.Elem
-	for call := 0; call < 2; call++ {
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := ct.GenerateClient(sh, R, MultiBatch); err != nil {
-				t.Error(err)
-			}
-		}()
-		if _, err := st.GenerateServer(sh, W, MultiBatch); err != nil {
-			t.Fatal(err)
-		}
-		wg.Wait()
-		if len(ct.masks) != chunkOTs*sh.O || cap(ct.masks) != chunkOTs*sh.O {
-			t.Fatalf("call %d: masks len %d cap %d, want %d", call, len(ct.masks), cap(ct.masks), chunkOTs*sh.O)
-		}
-		if call == 0 {
-			first = &ct.masks[0]
-		} else if &ct.masks[0] != first {
-			t.Fatal("second layer drew its masks into a new array")
+			t.Errorf("o=%d: %.0f allocations for one chunk, want <= %d per party", o, allocs, perParty)
 		}
 	}
 }

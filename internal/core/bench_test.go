@@ -87,6 +87,13 @@ func BenchmarkTripletsMultiBatchFig4FC1x32(b *testing.B) {
 	benchTripletsWorkers(b, quant.Uniform(2, 2), MatShape{M: 128, N: 784, O: 32}, MultiBatch, 1)
 }
 
+// cnn_b1_lan's convolution: 1 -> 4 channels, 5x5 kernels under
+// 8(2,2,2,2), 400 OTs at o = 576 positions, 2,304-byte pads, one chunk
+// split over two workers per party.
+func BenchmarkTripletsConvLongPads(b *testing.B) {
+	benchTripletsWorkers(b, quant.Uniform(2, 4), MatShape{M: 4, N: 25, O: 576}, MultiBatch, 2)
+}
+
 func BenchmarkTripletsMultiBatch16(b *testing.B) {
 	benchTriplets(b, quant.Uniform(2, 4), MatShape{M: 128, N: 128, O: 16}, MultiBatch)
 }

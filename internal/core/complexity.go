@@ -56,34 +56,37 @@ func SecureMLComplexity(l uint, sh MatShape) Complexity {
 	}
 }
 
-// abnn2Complexity sums payloadBits(N) plus the column-matrix bits over
-// the gamma*m*n OTs of a (possibly mixed-N) scheme.
-func abnn2Complexity(label string, scheme quant.Scheme, sh MatShape, payloadBits func(n float64) float64) Complexity {
+// abnn2Complexity prices the gamma*m*n OTs of a (possibly mixed-N)
+// scheme as generateClient sends them: N-1 ciphertexts of o*l bits per OT
+// plus the column-matrix bits. PaperBits charges paperPayload(N) and
+// 2*kappa column bits per OT instead: the Table 1 column it is labelled by.
+func abnn2Complexity(label string, l uint, scheme quant.Scheme, sh MatShape, paperPayload func(n float64) float64) Complexity {
 	mn := float64(sh.M) * float64(sh.N)
 	cols := float64(schemeCode(scheme).WidthBits())
 	c := Complexity{Label: label + " " + scheme.Name(), NumOTs: int64(scheme.Gamma()) * int64(sh.M) * int64(sh.N)}
 	c.Flights = OfflineFlights(c.NumOTs) // one round trip per window, not per chunk
 	for f := 0; f < scheme.Gamma(); f++ {
-		payload := payloadBits(float64(scheme.FragmentN(f)))
-		c.CommBits += mn * (payload + cols)
-		c.PaperBits += mn * (payload + 2*otext.Kappa)
+		n := float64(scheme.FragmentN(f))
+		c.CommBits += mn * (float64(sh.O)*float64(l)*(n-1) + cols)
+		c.PaperBits += mn * (paperPayload(n) + 2*otext.Kappa)
 	}
 	return c
 }
 
 // MultiBatchComplexity evaluates Table 1's "Ours' M-Batch" column for a
-// (possibly mixed-N) scheme: per fragment, o*l*N payload bits plus the
-// column-matrix bits, summed over gamma*m*n OTs.
+// (possibly mixed-N) scheme: its PaperBits charge o*l*N payload bits per
+// OT, section 4.1.2 as printed. Its CommBits are OfflineComplexity's:
+// candidate 0's ciphertext is not sent at any o.
 func MultiBatchComplexity(l uint, scheme quant.Scheme, sh MatShape) Complexity {
-	return abnn2Complexity("Ours M-Batch", scheme, sh, func(n float64) float64 {
+	return abnn2Complexity("Ours M-Batch", l, scheme, sh, func(n float64) float64 {
 		return float64(sh.O) * float64(l) * n
 	})
 }
 
-// OneBatchComplexity evaluates Table 1's "Ours' 1-Batch" column:
+// OneBatchComplexity evaluates Table 1's "Ours' 1-Batch" column, o = 1:
 // l*(N-1) payload bits plus the column-matrix bits per OT.
 func OneBatchComplexity(l uint, scheme quant.Scheme, sh MatShape) Complexity {
-	return abnn2Complexity("Ours 1-Batch", scheme, sh, func(n float64) float64 {
+	return abnn2Complexity("Ours 1-Batch", l, scheme, sh, func(n float64) float64 {
 		return float64(l) * (n - 1)
 	})
 }
@@ -114,11 +117,11 @@ func QuotientComplexity(l uint, sh MatShape) Complexity {
 	}
 }
 
-// OfflineComplexity returns the formula matching the implementation's
-// mode selection for a batch size.
+// OfflineComplexity is what an ABNN2 layer sends at any batch size:
+// gamma*m*n*(o*l*(N-1) + w) bits for w column bits per OT. Its PaperBits
+// are the same payload at 2*kappa column bits per OT.
 func OfflineComplexity(l uint, scheme quant.Scheme, sh MatShape) Complexity {
-	if sh.O == 1 {
-		return OneBatchComplexity(l, scheme, sh)
-	}
-	return MultiBatchComplexity(l, scheme, sh)
+	return abnn2Complexity("Ours", l, scheme, sh, func(n float64) float64 {
+		return float64(sh.O) * float64(l) * (n - 1)
+	})
 }

@@ -55,15 +55,15 @@ func TestOneBatchComplexityKnown(t *testing.T) {
 }
 
 func TestMultiBatchComplexityKnown(t *testing.T) {
-	// ternary (N=3, gamma=1, 192 columns), l=32, o=4, m*n=100:
-	// 100 * (4*32*3 + 192) = 100 * 576 = 57600 bits, 100 OTs; Table 1:
-	// 100 * (4*32*3 + 256) = 64000.
+	// ternary (N=3, gamma=1, 192 columns), l=32, o=4, m*n=100, N-1
+	// ciphertexts sent: 100 * (4*32*2 + 192) = 44800 bits, 100 OTs;
+	// Table 1 charges all N: 100 * (4*32*3 + 256) = 64000.
 	c := MultiBatchComplexity(32, quant.Ternary(), MatShape{M: 10, N: 10, O: 4})
 	if c.NumOTs != 100 {
 		t.Errorf("#OT = %d, want 100", c.NumOTs)
 	}
-	if c.CommBits != 57600 {
-		t.Errorf("comm = %v bits, want 57600", c.CommBits)
+	if c.CommBits != 44800 {
+		t.Errorf("comm = %v bits, want 44800", c.CommBits)
 	}
 	if c.PaperBits != 64000 {
 		t.Errorf("paper comm = %v bits, want 64000", c.PaperBits)

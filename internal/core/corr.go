@@ -91,7 +91,7 @@ func (s *ServerTriplets) OfflineCorrSched(model *nn.QuantizedModel, batch int, s
 			if sc := choice(end).Scheme; sc != nil {
 				p.Scheme = sc
 			}
-			run = append(run, serverLayer{params: p, sh: sh, W: model.Layers[end].W, mode: ModeFor(sh.O)})
+			run = append(run, serverLayer{params: p, sh: sh, W: model.Layers[end].W})
 		}
 		// li follows the run's consumer, so that it names the layer whose
 		// span is open — the one an error belongs to.
@@ -193,7 +193,7 @@ func (c *ClientTriplets) OfflineCorrSched(arch Arch, shareRNG *prg.PRG, batch in
 func (c *ClientTriplets) generateLayer(ch LayerChoice, sh MatShape, R *ring.Mat) (*ring.Mat, error) {
 	if ch.Backend == BackendABNN2 {
 		p, vals := c.schemeParams(ch.Scheme)
-		return c.generateClient(p, vals, sh, R, ModeFor(sh.O))
+		return c.generateClient(p, vals, sh, R)
 	}
 	return c.GenerateBaseline(ch.Backend, sh, R)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"strings"
 	"sync"
 	"testing"
 
@@ -14,7 +15,7 @@ import (
 // fuzzServerTriplets builds a real ServerTriplets (base OTs against a
 // throwaway client) and returns the peer conn for injecting payload
 // flights. The drainer discards the server's outgoing u matrices.
-func fuzzServerTriplets(f *testing.F, p Params) (*ServerTriplets, transport.Conn) {
+func fuzzServerTriplets(f testing.TB, p Params) (*ServerTriplets, transport.Conn) {
 	f.Helper()
 	ca, cb := transport.Pipe()
 	var (
@@ -44,7 +45,7 @@ func fuzzServerTriplets(f *testing.F, p Params) (*ServerTriplets, transport.Conn
 // addPayloadSeeds seeds a payload parser at its valid length: zero, 0xFF
 // and 0x80 fills (they set the bits above l, which the decoder masks and
 // never rejects: TestPayloadHighBitsNeverAbort), both off-by-one
-// neighbours and the empty payload.
+// neighbours, the empty payload and PRG output.
 func addPayloadSeeds(f *testing.F, valid int) {
 	for _, fill := range []byte{0, 0xFF, 0x80} {
 		f.Add(bytes.Repeat([]byte{fill}, valid))
@@ -52,6 +53,9 @@ func addPayloadSeeds(f *testing.F, valid int) {
 	f.Add(make([]byte, valid-1))
 	f.Add(make([]byte, valid+1))
 	f.Add([]byte{})
+	random := make([]byte, valid)
+	prg.New(prg.SeedFromInt(uint64(valid))).Fill(random)
+	f.Add(random)
 }
 
 // FuzzTripletPayloadOneBatch feeds arbitrary bytes as the client's
@@ -74,20 +78,38 @@ func FuzzTripletPayloadOneBatch(f *testing.F) {
 	})
 }
 
-// FuzzTripletPayloadMultiBatch is the same for the multi-batch packing:
-// N_f * o * elemBytes per OT, so (4+4) * 2 * 5 * 6 = 480 bytes for the
-// same shape at o=2. Here the decoder reads o elements per OT as one
-// span; their bits above the 33-bit ring's l are masked, never checked.
+// FuzzTripletPayloadMultiBatch is the same at o = 2: (N_f - 1) * o *
+// elemBytes per OT, so (3+3) * 2 * 5 * 6 = 360 bytes for the same shape.
+// Here the decoder reads o elements per OT as one span; their bits above
+// the 33-bit ring's l are masked, never checked. 480 bytes, the packing
+// that sent candidate 0's ciphertext too, is a seed of its own.
 func FuzzTripletPayloadMultiBatch(f *testing.F) {
 	p := Params{Ring: ring.New(33), Scheme: quant.NewBitScheme(true, 2, 2), Workers: 1}
 	srv, peer := fuzzServerTriplets(f, p)
 	sh := MatShape{M: 2, N: 3, O: 2}
 	W := []int64{1, -2, 0, 3, -1, 2}
-	addPayloadSeeds(f, 480)
+	addPayloadSeeds(f, 360)
+	f.Add(make([]byte, 480))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if err := peer.Send(data); err != nil {
 			t.Skip("pipe closed")
 		}
 		srv.GenerateServer(sh, W, MultiBatch)
 	})
+}
+
+// TestOldMultiBatchPayloadRefused: a multi-batch payload packed the way
+// wire version 4 packed it, all N ciphertexts per OT, fails the layer
+// with the length error: no panic, and no U.
+func TestOldMultiBatchPayloadRefused(t *testing.T) {
+	p := Params{Ring: ring.New(33), Scheme: quant.NewBitScheme(true, 2, 2), Workers: 1}
+	srv, peer := fuzzServerTriplets(t, p)
+	defer peer.Close()
+	if err := peer.Send(make([]byte, 480)); err != nil {
+		t.Fatal(err)
+	}
+	U, err := srv.GenerateServer(MatShape{M: 2, N: 3, O: 2}, []int64{1, -2, 0, 3, -1, 2}, MultiBatch)
+	if U != nil || err == nil || !strings.Contains(err.Error(), "payload is 480 bytes, want 360") {
+		t.Fatalf("version-4 payload: U = %v, err = %v; want the length error and no U", U, err)
+	}
 }

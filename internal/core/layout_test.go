@@ -125,14 +125,11 @@ func TestSampleMajor(t *testing.T) {
 // before payloadLayout, frozen: the chunk+1 prefix offsets of each OT's
 // ciphertext block inside one payload flight, for the chunk starting at
 // global OT index base.
-func payloadOffsetsPerChunk(p Params, base, chunk int, mode Mode, padBytes int) []int {
+func payloadOffsetsPerChunk(p Params, base, chunk int, padBytes int) []int {
 	gamma := p.Scheme.Gamma()
 	offs := make([]int, chunk+1)
 	for local := 0; local < chunk; local++ {
-		n := p.Scheme.FragmentN((base + local) % gamma)
-		if mode == OneBatch {
-			n-- // candidate 0 is the pad itself
-		}
+		n := p.Scheme.FragmentN((base+local)%gamma) - 1 // candidate 0 is the pad itself
 		offs[local+1] = offs[local] + n*padBytes
 	}
 	return offs
@@ -141,8 +138,8 @@ func payloadOffsetsPerChunk(p Params, base, chunk int, mode Mode, padBytes int) 
 // TestPayloadLayoutMatchesPerChunkOffsets: the once-per-layer layout puts
 // every OT of every chunk where the per-chunk offsets did, for every
 // scheme the conformance sweeps can draw — binary, ternary, and each
-// signed and unsigned partition of 1 to 8 bits into fragments — in both
-// modes, over chunks whose start is not a multiple of γ and a short last
+// signed and unsigned partition of 1 to 8 bits into fragments — at a
+// one-batch and a multi-batch pad size, over chunks whose start is not a multiple of γ and a short last
 // chunk.
 func TestPayloadLayoutMatchesPerChunkOffsets(t *testing.T) {
 	schemes := []quant.Scheme{quant.Binary(), quant.Ternary()}
@@ -164,18 +161,14 @@ func TestPayloadLayoutMatchesPerChunkOffsets(t *testing.T) {
 	const total = 3*chunkOTs + 1000
 	for _, sc := range schemes {
 		p := Params{Scheme: sc}
-		for _, mode := range []Mode{OneBatch, MultiBatch} {
-			padBytes := 4
-			if mode == MultiBatch {
-				padBytes = 3 * 8
-			}
-			l := newPayloadLayout(sc, mode, padBytes)
+		for _, padBytes := range []int{4, 3 * 8} {
+			l := newPayloadLayout(sc, padBytes)
 			for ot := 0; ot < total; ot += chunkOTs {
 				chunk := min(chunkOTs, total-ot)
-				want := payloadOffsetsPerChunk(p, ot, chunk, mode, padBytes)
+				want := payloadOffsetsPerChunk(p, ot, chunk, padBytes)
 				for local := 0; local <= chunk; local++ {
 					if got := l.at(ot+local) - l.at(ot); got != want[local] {
-						t.Fatalf("%s %v: OT %d of the chunk at %d is at %d, want %d", sc.Name(), mode, local, ot, got, want[local])
+						t.Fatalf("%s pad %d: OT %d of the chunk at %d is at %d, want %d", sc.Name(), padBytes, local, ot, got, want[local])
 					}
 				}
 			}

@@ -38,8 +38,7 @@ type ClientTriplets struct {
 	rng     *prg.PRG
 	vals    [][]ring.Elem
 	session uint64
-	payload []byte   // the payload flight, reused across rounds
-	masks   ring.Vec // a multi-batch round's masks, reused likewise
+	payload []byte // the payload flight, reused across rounds
 
 	altVals   map[string][][]ring.Elem // fragValues per override scheme
 	baselines [numBackends]clientGenerator
@@ -202,33 +201,24 @@ func (c *ClientTriplets) schemeParams(sc quant.Scheme) (Params, [][]ring.Elem) {
 	return p, vals
 }
 
-// Mode selects the payload packaging of the offline phase.
+// Mode names the paper's two offline variants. Both run the one payload
+// path (generateClient): every OT sends N-1 ciphertexts of o*l bits,
+// since the candidate-0 pad is the mask at every o. The type stays
+// exported only for the callers that still pass ModeFor(o) to
+// GenerateClient and GenerateServer (the benchmark's kernel replay), and
+// its one remaining effect is checkShape's rule that OneBatch needs o = 1.
 type Mode int
 
 const (
-	// OneBatch is the section 4.1.3 correlated-OT variant: the candidate-0
-	// payload is derived from the random-oracle pad itself, so only N-1
-	// ciphertexts of l bits cross the wire per OT. Only valid for o = 1.
+	// OneBatch is section 4.1.3's variant, for o = 1.
 	OneBatch Mode = iota
-	// MultiBatch is the section 4.1.2 variant: one OT per weight fragment
-	// carries all o products in N ciphertexts of o*l bits each. At o = 1
-	// it is the unoptimised Fig. 3 protocol (all N ciphertexts sent), which
-	// is how the one-batch ablation runs its "naive-N" row.
+	// MultiBatch is section 4.1.2's variant, for any o.
 	MultiBatch
 )
 
-func (m Mode) String() string {
-	switch m {
-	case OneBatch:
-		return "one-batch"
-	case MultiBatch:
-		return "multi-batch"
-	}
-	return fmt.Sprintf("Mode(%d)", int(m))
-}
-
-// ModeFor picks the paper's mode for a batch size: the C-OT variant for
-// single predictions, multi-batch otherwise.
+// ModeFor picks the paper's variant for a batch size: one-batch for
+// single predictions, multi-batch otherwise. Like Mode, it only feeds
+// checkShape.
 func ModeFor(o int) Mode {
 	if o == 1 {
 		return OneBatch
@@ -238,17 +228,19 @@ func ModeFor(o int) Mode {
 
 // subRun is how many OTs a worker derives the pads of in one run: whole
 // groups of the pad kernel's eight lanes at N = 2 and N = 4 on both
-// sides. A one-batch worker derives them into its own scratch, which
-// stays in L1, before it encodes or decodes; a multi-batch client XORs
-// them over the sub-run's ciphertexts it has just encoded, and a
-// multi-batch server derives them into scratch and decrypts there.
+// sides. Each worker derives them into its own scratch before it encodes
+// or decodes.
 const subRun = 32
 
 // GenerateClient runs the client side of the offline phase for shape sh
 // with the client share matrix R (n x o). It returns V (m x o) such that
-// the server's U satisfies U + V = W * R.
+// the server's U satisfies U + V = W * R. mode only adds checkShape's o = 1
+// rule for OneBatch.
 func (c *ClientTriplets) GenerateClient(sh MatShape, R *ring.Mat, mode Mode) (*ring.Mat, error) {
-	return c.generateClient(c.params, c.vals, sh, R, mode)
+	if err := checkShape(sh, mode); err != nil {
+		return nil, err
+	}
+	return c.generateClient(c.params, c.vals, sh, R)
 }
 
 // generateClient is GenerateClient under params, the session's or a
@@ -256,8 +248,14 @@ func (c *ClientTriplets) GenerateClient(sh MatShape, R *ring.Mat, mode Mode) (*r
 // decomposition), with vals that scheme's fragment values. The layer
 // extends over its own scheme's code; columns for it must be there (see
 // widen).
-func (c *ClientTriplets) generateClient(params Params, vals [][]ring.Elem, sh MatShape, R *ring.Mat, mode Mode) (*ring.Mat, error) {
-	if err := checkShape(sh, mode); err != nil {
+//
+// Every OT carries all o products of its weight fragment (section 4.1.2)
+// and sends N-1 ciphertexts, as section 4.1.3 does at o = 1: the mask is
+// the candidate-0 pad, s := pad(0) read as o ring elements, V accumulates
+// s, and ciphertext t >= 1 is (Value(t)*r - s) XOR pad(t). Value(0) = 0
+// (quant.Scheme), so the server's output for choice 0 is -s.
+func (c *ClientTriplets) generateClient(params Params, vals [][]ring.Elem, sh MatShape, R *ring.Mat) (*ring.Mat, error) {
+	if err := checkShape(sh, MultiBatch); err != nil {
 		return nil, err
 	}
 	if R.Rows != sh.N || R.Cols != sh.O {
@@ -270,9 +268,8 @@ func (c *ClientTriplets) generateClient(params Params, vals [][]ring.Elem, sh Ma
 	gamma := params.Scheme.Gamma()
 	total := params.NumOTs(sh)
 	V := ring.NewMat(sh.M, sh.O)
-	elemBytes := rg.Bytes()
-	padBytes := sh.O * elemBytes
-	layout := newPayloadLayout(params.Scheme, mode, padBytes)
+	padBytes := sh.O * rg.Bytes()
+	layout := newPayloadLayout(params.Scheme, padBytes)
 
 	ot := 0 // global OT index
 	for ot < total {
@@ -294,72 +291,38 @@ func (c *ClientTriplets) generateClient(params Params, vals [][]ring.Elem, sh Ma
 			c.payload = make([]byte, n)
 		}
 		payload := c.payload[:n]
-		// Pre-draw the per-OT masking randomness sequentially, in the
-		// exact order the sequential protocol consumed it — seeded
-		// transcripts stay byte-identical for every worker count.
-		var masks ring.Vec
-		if mode != OneBatch {
-			if cap(c.masks) < chunk*sh.O {
-				c.masks = make(ring.Vec, chunk*sh.O)
-			}
-			masks = c.masks[:chunk*sh.O]
-			c.rng.FillVec(rg, masks)
-		}
 		// Fragment x row accumulation: each worker sums its OT range
 		// into a private partial of V, reduced below. Ring addition is
 		// commutative, so the result is independent of scheduling.
 		partials := make([]ring.Vec, par.NumChunks(params.Workers, chunk))
 		par.Chunks(params.Workers, chunk, func(part, lo, hi int) {
-			pv := make(ring.Vec, sh.M*sh.O)
+			pv, s := make(ring.Vec, sh.M*sh.O), make(ring.Vec, sh.O) // s: the OT's mask
 			partials[part] = pv
 			pV := &ring.Mat{Rows: sh.M, Cols: sh.O, Data: pv}
 			pads := blk.NewDeriver()
-			var cands, cand []byte // one-batch: a sub-run's pads, and the OT's
-			if mode == OneBatch {
-				cands = make([]byte, subRun*layout.maxN*elemBytes)
-			}
+			cands := make([]byte, subRun*layout.maxN*padBytes) // a sub-run's pads
+			var cand []byte                                    // the OT's
 			for local := lo; local < hi; local++ {
 				g := ot + local
 				i := g / (sh.N * gamma) // W row
 				j := (g / gamma) % sh.N // W col
 				f := g % gamma          // fragment
 				n := layout.n[f]
-				vrow := pV.Row(i)
-				rrow := R.Row(j)
+				if (local-lo)%subRun == 0 {
+					clear(cands)
+					layout.derive(pads, cands, ot, local, min(local+subRun, hi), padBytes)
+					cand = cands
+				}
+				// s := pad(0), read as o ring elements; V accumulates it.
+				clear(s)
+				rg.AddDecoded(s, cand)
+				rg.AddVecInPlace(pV.Row(i), s)
 				// Each message is encoded straight into its span of the
 				// payload flight and the pads XORed over it in place.
 				out := payload[layout.at(g)-base : layout.at(g+1)-base]
-				if mode == OneBatch {
-					if (local-lo)%subRun == 0 {
-						clear(cands)
-						layout.derive(pads, cands, ot, local, min(local+subRun, hi), elemBytes)
-						cand = cands
-					}
-					// s := pad(0); V accumulates s; ciphertexts for t>=1 are
-					// (Value(t)*r - s) XOR pad(t).
-					s := rg.GetElem(cand)
-					vrow[0] = rg.Add(vrow[0], s)
-					for t := 1; t < n; t++ {
-						rg.PutElem(out[(t-1)*elemBytes:], rg.Sub(rg.Mul(vals[f][t], rrow[0]), s))
-					}
-					subtle.XORBytes(out, out, cand[elemBytes:n*elemBytes])
-					cand = cand[n*elemBytes:]
-					continue
-				}
-				// One OT carries all o columns:
-				// fresh random s_k per column, all N ciphertexts sent,
-				// payload_t = concat_k (Value(t)*r_jk - s_k).
-				ss := masks[local*sh.O : (local+1)*sh.O]
-				rg.AddVecInPlace(vrow, ss)
-				for t := 0; t < n; t++ {
-					rg.PutMulSub(out[t*padBytes:], vals[f][t], rrow, ss)
-				}
-				// At a sub-run's end its ciphertexts lie back to back, as a
-				// run's pads do: XOR the pads over them in place.
-				if end := local + 1; end == hi || (end-lo)%subRun == 0 {
-					from := local - (local-lo)%subRun
-					layout.derive(pads, payload[layout.at(ot+from)-base:], ot, from, end, padBytes)
-				}
+				rg.PutMulSub(out, vals[f][1:n], R.Row(j), s)
+				subtle.XORBytes(out, out, cand[padBytes:n*padBytes])
+				cand = cand[n*padBytes:]
 			}
 		})
 		blk.Release()
@@ -375,35 +338,31 @@ func (c *ClientTriplets) generateClient(params Params, vals [][]ring.Elem, sh Ma
 }
 
 // payloadLayout places each OT's ciphertext block in a layer's payload
-// flights. Sizes depend only on public data — the mode and the fragment
-// schedule, which repeats every γ OTs — so both parties, and every
-// worker, compute the identical layout, once per layer.
+// flights. Sizes depend only on public data — the pad size and the
+// fragment schedule, which repeats every γ OTs — so both parties, and
+// every worker, compute the identical layout, once per layer.
 type payloadLayout struct {
 	n      []int // candidates of fragment f
 	prefix []int // prefix[f]: ciphertext bytes of one weight's fragments 0..f-1
 	maxN   int
 }
 
-func newPayloadLayout(sc quant.Scheme, mode Mode, padBytes int) payloadLayout {
+func newPayloadLayout(sc quant.Scheme, padBytes int) payloadLayout {
 	gamma := sc.Gamma()
 	l := payloadLayout{n: make([]int, gamma), prefix: make([]int, gamma+1)}
 	for f := range l.n {
 		l.n[f] = sc.FragmentN(f)
 		l.maxN = max(l.maxN, l.n[f])
-		sent := l.n[f]
-		if mode == OneBatch {
-			sent-- // candidate 0 is the pad itself
-		}
-		l.prefix[f+1] = l.prefix[f] + sent*padBytes
+		// Candidate 0 has no ciphertext: its pad is the mask.
+		l.prefix[f+1] = l.prefix[f] + (l.n[f]-1)*padBytes
 	}
 	return l
 }
 
-// derive XORs into buf the pads of the chunk's OTs lo..hi-1, the chunk
-// starting at OT ot: every candidate of each, padBytes each, OT after OT
-// — a one-batch sub-run's scratch, or a multi-batch sub-run's span of
-// the payload flight. A stretch of OTs with the same N is one run of the
-// deriver; under a uniform scheme that is all of them.
+// derive XORs into buf, a client sub-run's scratch, the pads of the
+// chunk's OTs lo..hi-1, the chunk starting at OT ot: every candidate of
+// each, padBytes each, OT after OT. A stretch of OTs with the same N is
+// one run of the deriver; under a uniform scheme that is all of them.
 func (l payloadLayout) derive(d *otext.SenderDeriver, buf []byte, ot, lo, hi, padBytes int) {
 	gamma := len(l.n)
 	for lo < hi {
@@ -424,23 +383,25 @@ func (l payloadLayout) at(g int) int {
 }
 
 // GenerateServer runs the server side for quantized weights W (m x n,
-// row-major int64). It returns U (m x o).
+// row-major int64). It returns U (m x o). mode only adds checkShape's
+// o = 1 rule for OneBatch.
 func (s *ServerTriplets) GenerateServer(sh MatShape, W []int64, mode Mode) (*ring.Mat, error) {
-	us, err := s.generateServer([]serverLayer{{params: s.params, sh: sh, W: W, mode: mode}}, func() {})
+	if err := checkShape(sh, mode); err != nil {
+		return nil, err
+	}
+	us, err := s.generateServer([]serverLayer{{params: s.params, sh: sh, W: W}}, func() {})
 	if err != nil {
 		return nil, err
 	}
 	return us[0], nil
 }
 
-// serverLayer is one layer of a run: its shape, weights and payload
-// mode, under params — the session's, or a per-layer fragmentation
-// override's.
+// serverLayer is one layer of a run: its shape and weights, under
+// params — the session's, or a per-layer fragmentation override's.
 type serverLayer struct {
 	params Params
 	sh     MatShape
 	W      []int64
-	mode   Mode
 }
 
 // chunks is the number of extension rounds the layer is cut into.
@@ -476,14 +437,14 @@ func (s *ServerTriplets) generateServer(run []serverLayer, layerDone func()) ([]
 	first := make([]int, len(run)+1)
 	layouts := make([]payloadLayout, len(run))
 	for k, l := range run {
-		if err := checkShape(l.sh, l.mode); err != nil {
+		if err := checkShape(l.sh, MultiBatch); err != nil {
 			return nil, err
 		}
 		if len(l.W) != l.sh.M*l.sh.N {
 			return nil, fmt.Errorf("core: W has %d elements, want %d", len(l.W), l.sh.M*l.sh.N)
 		}
 		first[k+1] = first[k] + l.chunks()
-		layouts[k] = newPayloadLayout(l.params.Scheme, l.mode, l.sh.O*l.params.Ring.Bytes())
+		layouts[k] = newPayloadLayout(l.params.Scheme, l.sh.O*l.params.Ring.Bytes())
 	}
 	us := make([]*ring.Mat, len(run))
 
@@ -515,7 +476,7 @@ func (s *ServerTriplets) generateServer(run []serverLayer, layerDone func()) ([]
 	}
 	ck := 0 // the consumer's layer
 	decode := func(i int, blk *otext.ReceiverBlock) error {
-		params, sh, mode := run[ck].params, run[ck].sh, run[ck].mode
+		params, sh := run[ck].params, run[ck].sh
 		if us[ck] == nil {
 			us[ck] = ring.NewMat(sh.M, sh.O)
 		}
@@ -543,14 +504,10 @@ func (s *ServerTriplets) generateServer(run []serverLayer, layerDone func()) ([]
 			partials[part] = pu
 			pU := &ring.Mat{Rows: sh.M, Cols: sh.O, Data: pu}
 			pads := blk.NewDeriver()
-			// A sub-run's pads, OT after OT: 16-byte short pads in one-batch
-			// mode, where a short pad is a prefix of its OT's one chaining
-			// value, so one serves both the 8-byte pad(0) read and the
-			// elemBytes decrypt; padBytes each in multi-batch mode.
-			stride := padBytes
-			if mode == OneBatch {
-				stride = 16
-			}
+			// A sub-run's pads, OT after OT, at least 16 bytes apart: a pad
+			// of up to 16 bytes is a prefix of its OT's one chaining value
+			// (prg.FastOracle), so a 16-byte pad serves any shorter one.
+			stride := max(padBytes, 16)
 			scratch := make([]byte, subRun*stride)
 			for local := lo; local < hi; local++ {
 				g := ot + local
@@ -565,18 +522,18 @@ func (s *ServerTriplets) generateServer(run []serverLayer, layerDone func()) ([]
 					pads.XORPadsRun(run, stride, local)
 				}
 				pad := scratch[k*stride : k*stride+padBytes]
-				if mode == OneBatch {
-					if w == 0 {
-						// Output -s where s = pad(0); Value(0)*r = 0.
-						urow[0] = rg.Sub(urow[0], rg.FromBytesFull(scratch[k*stride:]))
-						continue
+				if w == 0 {
+					// Output -s where s = pad(0); Value(0)*r = 0.
+					for c := range urow {
+						urow[c] = rg.Sub(urow[c], rg.GetElem(pad[c*elemBytes:]))
 					}
-					w-- // candidate 0 has no ciphertext on the wire
+					continue
 				}
-				// Decrypt in the scratch, so the received flight is left
-				// as it arrived, and add the products into U's row. The
-				// decoder masks the bits above l and never rejects.
-				subtle.XORBytes(pad, pad, ct[w*padBytes:(w+1)*padBytes])
+				// Decrypt ciphertext w-1 (candidate 0 has none) in the
+				// scratch, so the received flight is left as it arrived, and
+				// add the products into U's row. The decoder masks the bits
+				// above l and never rejects.
+				subtle.XORBytes(pad, pad, ct[(w-1)*padBytes:w*padBytes])
 				rg.AddDecoded(urow, pad)
 			}
 		})
@@ -597,12 +554,14 @@ func (s *ServerTriplets) generateServer(run []serverLayer, layerDone func()) ([]
 	return us, nil
 }
 
+// checkShape refuses an empty shape, and o > 1 under OneBatch. The kernels
+// pass MultiBatch, which takes any o.
 func checkShape(sh MatShape, mode Mode) error {
 	if sh.M <= 0 || sh.N <= 0 || sh.O <= 0 {
 		return fmt.Errorf("core: invalid shape %+v", sh)
 	}
 	if mode == OneBatch && sh.O != 1 {
-		return fmt.Errorf("core: %v mode needs o=1, got o=%d", mode, sh.O)
+		return fmt.Errorf("core: one-batch mode needs o=1, got o=%d", sh.O)
 	}
 	return nil
 }

@@ -77,7 +77,7 @@ func runTriplets(t *testing.T, p Params, sh MatShape, mode Mode, seed uint64) tr
 	U, serr := st.GenerateServer(sh, W, mode)
 	wg.Wait()
 	if cerr != nil || serr != nil {
-		t.Fatalf("mode %v: client=%v server=%v", mode, cerr, serr)
+		t.Fatalf("o=%d: client=%v server=%v", sh.O, cerr, serr)
 	}
 	want := plainProduct(p, sh, W, R)
 	got := p.Ring.AddMat(U, V)
@@ -85,8 +85,8 @@ func runTriplets(t *testing.T, p Params, sh MatShape, mode Mode, seed uint64) tr
 		for i := 0; i < sh.M; i++ {
 			for k := 0; k < sh.O; k++ {
 				if got.At(i, k) != want.At(i, k) {
-					t.Fatalf("mode %v scheme %s: (U+V)[%d][%d] = %d, want %d",
-						mode, p.Scheme.Name(), i, k, got.At(i, k), want.At(i, k))
+					t.Fatalf("o=%d scheme %s: (U+V)[%d][%d] = %d, want %d",
+						sh.O, p.Scheme.Name(), i, k, got.At(i, k), want.At(i, k))
 				}
 			}
 		}
@@ -110,9 +110,14 @@ func TestOneBatchAllSchemes(t *testing.T) {
 	}
 }
 
+// At o = 1, MultiBatch is the one-batch path: no encoder sends Fig. 3's
+// N ciphertexts any more, so both entries move the same bytes each way.
 func TestNaiveNMatchesOneBatch(t *testing.T) {
 	p := Params{Ring: ring.New(32), Scheme: quant.Uniform(2, 2)}
-	runTriplets(t, p, MatShape{M: 3, N: 4, O: 1}, MultiBatch, 200)
+	sh := MatShape{M: 3, N: 4, O: 1}
+	if multi, one := runTriplets(t, p, sh, MultiBatch, 200), runTriplets(t, p, sh, OneBatch, 200); multi != one {
+		t.Errorf("MultiBatch at o = 1 moved %+v, OneBatch %+v", multi, one)
+	}
 }
 
 func TestMultiBatchAllSchemes(t *testing.T) {
@@ -147,9 +152,9 @@ func TestChunkingBoundary(t *testing.T) {
 // width this implementation sends — that of the KK13 code for the
 // scheme's largest N, written out by hand here — and the formulas in
 // complexity.go must say the same:
-// one-batch:  gamma*m*n * (l*(N-1) + width) bits
-// multi-batch: gamma*m*n * (o*l*N + width) bits
-// (payload client->server; column matrices server->client).
+// gamma*m*n * (o*l*(N-1) + width) bits at every o, Table 1's 1-Batch
+// column with l replaced by o*l (payload client->server; column matrices
+// server->client).
 func TestCommunicationMatchesTable1(t *testing.T) {
 	const l = 32
 	for _, c := range []struct {
@@ -162,33 +167,28 @@ func TestCommunicationMatchesTable1(t *testing.T) {
 		{quant.NewBitScheme(true, 3, 3, 2), 224}, // N = 8, 8, 4: one width per layer
 		{quant.NewBitScheme(true, 4, 4), 240},    // N = 16
 	} {
-		for _, sh := range []MatShape{{8, 16, 1}, {8, 16, 4}} {
-			mode := ModeFor(sh.O)
+		for _, sh := range []MatShape{{8, 16, 1}, {8, 16, 3}} {
 			p := Params{Ring: ring.New(l), Scheme: c.scheme}
-			stats := runTriplets(t, p, sh, mode, 500)
+			stats := runTriplets(t, p, sh, ModeFor(sh.O), 500)
 			var payloadBits, colBits int64
 			for f := 0; f < c.scheme.Gamma(); f++ {
 				n := int64(c.scheme.FragmentN(f))
 				per := int64(sh.M * sh.N)
-				if mode == OneBatch {
-					payloadBits += per * l * (n - 1)
-				} else {
-					payloadBits += per * int64(sh.O) * l * n
-				}
+				payloadBits += per * int64(sh.O) * l * (n - 1)
 				colBits += per * c.width
 			}
 			if got := stats.BytesAB * 8; got != payloadBits {
-				t.Errorf("%s %v: client payload %d bits, want %d", c.scheme.Name(), mode, got, payloadBits)
+				t.Errorf("%s o=%d: client payload %d bits, want %d", c.scheme.Name(), sh.O, got, payloadBits)
 			}
 			if got := stats.BytesBA * 8; got != colBits {
-				t.Errorf("%s %v: server columns %d bits, want %d", c.scheme.Name(), mode, got, colBits)
+				t.Errorf("%s o=%d: server columns %d bits, want %d", c.scheme.Name(), sh.O, got, colBits)
 			}
 			cx := OfflineComplexity(l, c.scheme, sh)
 			if got := float64(stats.TotalBytes() * 8); got != cx.CommBits {
-				t.Errorf("%s %v: measured %v bits, formula %v", c.scheme.Name(), mode, got, cx.CommBits)
+				t.Errorf("%s o=%d: measured %v bits, formula %v", c.scheme.Name(), sh.O, got, cx.CommBits)
 			}
 			if want := float64(payloadBits + int64(p.NumOTs(sh))*2*otext.Kappa); cx.PaperBits != want {
-				t.Errorf("%s %v: paper-faithful formula %v bits, want %v", c.scheme.Name(), mode, cx.PaperBits, want)
+				t.Errorf("%s o=%d: paper-faithful formula %v bits, want %v", c.scheme.Name(), sh.O, cx.PaperBits, want)
 			}
 		}
 	}
@@ -233,15 +233,15 @@ func TestCommunicationMatchesTable1(t *testing.T) {
 	}
 }
 
-// One-batch must use strictly less client->server traffic than naive-N
-// for the same shape (the section 4.1.3 claim).
+// One-batch must send one l-bit ciphertext per OT less than naive-N, the
+// Fig. 3 protocol's N of them (the section 4.1.3 claim).
 func TestOneBatchBeatsNaive(t *testing.T) {
-	p := Params{Ring: ring.New(32), Scheme: quant.Uniform(2, 4)}
+	p := Params{Ring: ring.New(32), Scheme: quant.Uniform(2, 4)} // N = 4
 	sh := MatShape{M: 4, N: 8, O: 1}
 	sOne := runTriplets(t, p, sh, OneBatch, 600)
-	sNaive := runTriplets(t, p, sh, MultiBatch, 601)
-	if sOne.BytesAB >= sNaive.BytesAB {
-		t.Errorf("one-batch payload %d >= naive %d", sOne.BytesAB, sNaive.BytesAB)
+	ots := int64(p.NumOTs(sh))
+	if naive := ots * 4 * 4; sOne.BytesAB != naive-ots*4 {
+		t.Errorf("one-batch payload %d bytes, want naive %d less one 4-byte ciphertext per OT", sOne.BytesAB, naive)
 	}
 }
 
@@ -320,11 +320,8 @@ func TestPayloadHighBitsNeverAbort(t *testing.T) {
 			t.Fatalf("fragment %d takes %d of its %d choices", f, len(seen), p.Scheme.FragmentN(f))
 		}
 	}
-	for _, mode := range []Mode{OneBatch, MultiBatch} {
-		sh := MatShape{M: 2, N: len(W) / 2, O: 1}
-		if mode == MultiBatch {
-			sh.O = 3
-		}
+	for _, o := range []int{1, 3} {
+		sh := MatShape{M: 2, N: len(W) / 2, O: o}
 		R := prg.New(prg.SeedFromInt(5)).Mat(p.Ring, sh.N, sh.O)
 		var us [2]*ring.Mat
 		for flip := range us {
@@ -353,21 +350,21 @@ func TestPayloadHighBitsNeverAbort(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				V, cerr = ct.GenerateClient(sh, R, mode)
+				V, cerr = ct.GenerateClient(sh, R, MultiBatch)
 			}()
-			us[flip], serr = st.GenerateServer(sh, W, mode)
+			us[flip], serr = st.GenerateServer(sh, W, MultiBatch)
 			wg.Wait()
 			ca.Close()
 			if cerr != nil || serr != nil {
-				t.Fatalf("%v flipped=%v: client=%v server=%v", mode, flipping, cerr, serr)
+				t.Fatalf("o=%d flipped=%v: client=%v server=%v", o, flipping, cerr, serr)
 			}
 			if !flipping && !p.Ring.EqualMat(p.Ring.AddMat(us[0], V), plainProduct(p, sh, W, R)) {
-				t.Fatalf("%v: U + V != W * R", mode)
+				t.Fatalf("o=%d: U + V != W * R", o)
 			}
 		}
 		for k := range us[0].Data {
 			if us[0].Data[k] != us[1].Data[k] {
-				t.Fatalf("%v: U[%d] = %#x with the high bits flipped, %#x without", mode, k, us[1].Data[k], us[0].Data[k])
+				t.Fatalf("o=%d: U[%d] = %#x with the high bits flipped, %#x without", o, k, us[1].Data[k], us[0].Data[k])
 			}
 		}
 	}

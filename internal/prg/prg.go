@@ -100,22 +100,21 @@ func (g *PRG) Elem(r ring.Ring) ring.Elem {
 // Vec samples a uniform n-element vector over r.
 func (g *PRG) Vec(r ring.Ring, n int) ring.Vec {
 	v := make(ring.Vec, n)
-	g.FillVec(r, v)
+	g.fillElems(r, v)
 	return v
 }
 
 // Mat samples a uniform rows x cols matrix over r.
 func (g *PRG) Mat(r ring.Ring, rows, cols int) *ring.Mat {
 	m := ring.NewMat(rows, cols)
-	g.FillVec(r, m.Data)
+	g.fillElems(r, m.Data)
 	return m
 }
 
-// FillVec sets every element of v to what Elem would return next: Vec's
-// values, drawn into a vector the caller keeps. CTR keystream is a
-// stream, so drawing it bulkBytes at a time yields the bytes of len(v)
-// Uint64 calls and leaves the PRG in the same state.
-func (g *PRG) FillVec(r ring.Ring, v []ring.Elem) {
+// fillElems sets every element of v to what Elem would return next. CTR
+// keystream is a stream, so drawing it bulkBytes at a time yields the
+// bytes of len(v) Uint64 calls and leaves the PRG in the same state.
+func (g *PRG) fillElems(r ring.Ring, v []ring.Elem) {
 	const bulkBytes = 8 << 10
 	if need := min(len(v)*8, bulkBytes); cap(g.buf) < need {
 		g.buf = make([]byte, need)

@@ -69,7 +69,7 @@ func TestVecAndMatShapes(t *testing.T) {
 	}
 }
 
-// TestFillVecMatchesVec: FillVec over a dirty kept buffer yields the
+// TestFillVecMatchesVec: fillElems over a dirty buffer yields the
 // values Vec returns from the same stream, across the bulk draw's 1024
 // element boundary, and leaves the PRG where Vec leaves it.
 func TestFillVecMatchesVec(t *testing.T) {
@@ -82,12 +82,12 @@ func TestFillVecMatchesVec(t *testing.T) {
 			for i := range got {
 				got[i] = ^uint64(0)
 			}
-			b.FillVec(r, got)
+			b.fillElems(r, got)
 			if !slices.Equal(got, want) {
-				t.Fatalf("l=%d n=%d: FillVec %x, Vec %x", bits, n, got, want)
+				t.Fatalf("l=%d n=%d: fillElems %x, Vec %x", bits, n, got, want)
 			}
 			if x, y := b.Uint64(), a.Uint64(); x != y {
-				t.Fatalf("l=%d n=%d: next Uint64 %x after FillVec, %x after Vec", bits, n, x, y)
+				t.Fatalf("l=%d n=%d: next Uint64 %x after fillElems, %x after Vec", bits, n, x, y)
 			}
 		}
 	}

@@ -25,6 +25,14 @@ import (
 // choices. Implementations must satisfy, for all representable w:
 //
 //	sum_i Value(i, Decompose(w)[i]) == w
+//
+// and, for every fragment i,
+//
+//	Value(i, 0) == 0
+//
+// which every ABNN2 layer's correctness rests on: the triplet generator
+// sends no ciphertext for candidate 0, whose pad is the client's mask, so
+// a server that chose 0 adds only the negated mask (Value(i, 0)*r = 0).
 type Scheme interface {
 	// Name is the paper-style designation, e.g. "8(2,2,2,2)" or "ternary".
 	Name() string

@@ -1,7 +1,9 @@
 package quant
 
 import (
+	"fmt"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -226,5 +228,46 @@ func TestMaxAbs(t *testing.T) {
 	}
 	if MaxAbs(nil) != 0 {
 		t.Error("MaxAbs(nil) != 0")
+	}
+}
+
+// TestCandidateZeroIsZero: Value(i, 0) == 0 at every fragment of every
+// scheme Parse accepts up to eta = 8 — each signed and unsigned partition
+// of eta into fragment widths — and of ternary and binary. The triplet
+// generator sends no ciphertext for candidate 0 (Scheme's doc), so a
+// scheme that broke this would give wrong products, not an error.
+func TestCandidateZeroIsZero(t *testing.T) {
+	names := []string{"ternary", "binary"}
+	var partitions func(eta int, widths []string)
+	partitions = func(eta int, widths []string) {
+		if eta == 0 {
+			total := 0
+			for _, w := range widths {
+				total += int(w[0] - '0')
+			}
+			body := fmt.Sprintf("%d(%s)", total, strings.Join(widths, ","))
+			names = append(names, body, "u"+body)
+			return
+		}
+		for w := 1; w <= eta; w++ {
+			partitions(eta-w, append(widths, fmt.Sprint(w)))
+		}
+	}
+	for eta := 1; eta <= 8; eta++ {
+		partitions(eta, nil)
+	}
+	if len(names) != 2+2*255 {
+		t.Fatalf("%d schemes, want 2 + 2*255 (the compositions of 1..8)", len(names))
+	}
+	for _, name := range names {
+		s, err := Parse(name)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", name, err)
+		}
+		for i := 0; i < s.Gamma(); i++ {
+			if v := s.Value(i, 0); v != 0 {
+				t.Errorf("%s: Value(%d, 0) = %d, want 0", name, i, v)
+			}
+		}
 	}
 }

@@ -52,26 +52,31 @@ func (r Ring) PutVec(dst []byte, v Vec) {
 	}
 }
 
-// PutMulSub writes c·v[i] − s[i] over the first VecBytes(len(v)) bytes
-// of dst: the bytes PutVec writes for that vector of products. s is at
+// PutMulSub writes, for each cs[k], c·v[i] − s[i] over the
+// VecBytes(len(v)) bytes of dst from k·VecBytes(len(v)) on: the bytes
+// PutVec writes for that vector of products, span after span. s is at
 // least as long as v; inputs may carry bits above l. The width is
 // dispatched once per span, as PutVec does.
-func (r Ring) PutMulSub(dst []byte, c Elem, v, s Vec) {
-	dst, s = dst[:r.VecBytes(len(v))], s[:len(v)]
-	switch r.Bytes() {
-	case 8:
-		for i, x := range v {
-			binary.LittleEndian.PutUint64(dst[8*i:8*i+8], (c*x-s[i])&r.mask)
+func (r Ring) PutMulSub(dst []byte, cs []Elem, v, s Vec) {
+	span := r.VecBytes(len(v))
+	dst, s = dst[:len(cs)*span], s[:len(v)]
+	for _, c := range cs {
+		switch r.Bytes() {
+		case 8:
+			for i, x := range v {
+				binary.LittleEndian.PutUint64(dst[8*i:8*i+8], (c*x-s[i])&r.mask)
+			}
+		case 4:
+			for i, x := range v {
+				binary.LittleEndian.PutUint32(dst[4*i:4*i+4], uint32((c*x-s[i])&r.mask))
+			}
+		default:
+			n := r.Bytes()
+			for i, x := range v {
+				r.PutElem(dst[i*n:], c*x-s[i])
+			}
 		}
-	case 4:
-		for i, x := range v {
-			binary.LittleEndian.PutUint32(dst[4*i:4*i+4], uint32((c*x-s[i])&r.mask))
-		}
-	default:
-		n := r.Bytes()
-		for i, x := range v {
-			r.PutElem(dst[i*n:], c*x-s[i])
-		}
+		dst = dst[span:]
 	}
 }
 

@@ -54,35 +54,42 @@ func TestSpanCodecMatchesElementwise(t *testing.T) {
 }
 
 // TestPutMulSubMatchesPutVec holds the fused writer to the path it
-// replaced in the multi-batch triplet kernel: products c·v[i] − s[i]
-// into a Vec, then PutVec. Inputs carry bits above l, so the word cases
-// must mask exactly as PutVec does (l = 25..31 and 57..63 have spare
-// bits in their 4- and 8-byte encodings), and the noise byte past the
-// span must survive.
+// replaced in the triplet kernel: for each c, products c·v[i] − s[i]
+// into a Vec, then PutVec, span after span. Inputs carry bits above l, so
+// the word cases must mask exactly as PutVec does (l = 25..31 and 57..63
+// have spare bits in their 4- and 8-byte encodings), and the noise byte
+// past the spans must survive.
 func TestPutMulSubMatchesPutVec(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for _, bits := range []uint{1, 7, 8, 9, 24, 25, 31, 32, 33, 56, 57, 63, 64} {
 		r := New(bits)
 		for _, count := range []int{0, 1, 2, 5, 16, 17} {
-			c := rng.Uint64() | 1<<63
-			v, s := make(Vec, count), make(Vec, count+1) // s may run past v
-			for i := range s {
-				s[i] = rng.Uint64() | 1<<62
-			}
-			for i := range v {
-				v[i] = rng.Uint64() | 1<<63
-			}
-			prod := make(Vec, count)
-			for i, x := range v {
-				prod[i] = c*x - s[i]
-			}
-			got := make([]byte, r.VecBytes(count)+1)
-			rng.Read(got)
-			want := append([]byte(nil), got...)
-			r.PutVec(want, prod)
-			r.PutMulSub(got, c, v, s)
-			if !bytes.Equal(got, want) {
-				t.Fatalf("l=%d count=%d: PutMulSub wrote %x, products then PutVec %x", bits, count, got, want)
+			for _, ncs := range []int{0, 1, 3} {
+				cs := make(Vec, ncs)
+				for k := range cs {
+					cs[k] = rng.Uint64() | 1<<63
+				}
+				v, s := make(Vec, count), make(Vec, count+1) // s may run past v
+				for i := range s {
+					s[i] = rng.Uint64() | 1<<62
+				}
+				for i := range v {
+					v[i] = rng.Uint64() | 1<<63
+				}
+				got := make([]byte, ncs*r.VecBytes(count)+1)
+				rng.Read(got)
+				want := append([]byte(nil), got...)
+				for k, c := range cs {
+					prod := make(Vec, count)
+					for i, x := range v {
+						prod[i] = c*x - s[i]
+					}
+					r.PutVec(want[k*r.VecBytes(count):], prod)
+				}
+				r.PutMulSub(got, cs, v, s)
+				if !bytes.Equal(got, want) {
+					t.Fatalf("l=%d count=%d cs=%d: PutMulSub wrote %x, products then PutVec %x", bits, count, ncs, got, want)
+				}
 			}
 		}
 	}
@@ -94,11 +101,11 @@ func TestSpanCodecAllocatesNothing(t *testing.T) {
 	for _, bits := range []uint{12, 32, 33, 64} {
 		r := New(bits)
 		v := make(Vec, 64)
-		buf := make([]byte, r.VecBytes(len(v)))
+		buf, cs := make([]byte, r.VecBytes(len(v))), Vec{3}
 		if a := testing.AllocsPerRun(10, func() { r.PutVec(buf, v) }); a != 0 {
 			t.Errorf("l=%d: PutVec made %.0f allocations", bits, a)
 		}
-		if a := testing.AllocsPerRun(10, func() { r.PutMulSub(buf, 3, v, v) }); a != 0 {
+		if a := testing.AllocsPerRun(10, func() { r.PutMulSub(buf, cs, v, v) }); a != 0 {
 			t.Errorf("l=%d: PutMulSub made %.0f allocations", bits, a)
 		}
 		if a := testing.AllocsPerRun(10, func() { r.AddDecoded(v, buf) }); a != 0 {

@@ -193,7 +193,7 @@ func TestGoldenGC(t *testing.T) {
 	compare(t, "gc-relu", "garbled ReLU bits=8 n=4", gcConn, ecConn)
 }
 
-func goldenMatmul(t *testing.T, name string, o int, mode core.Mode) {
+func goldenMatmul(t *testing.T, name, label string, o int) {
 	t.Helper()
 	rg := ring.New(32)
 	scheme := quant.NewBitScheme(true, 2, 2)
@@ -223,19 +223,19 @@ func goldenMatmul(t *testing.T, name string, o int, mode core.Mode) {
 	}
 	runPair(t,
 		func() error {
-			_, err := cli.GenerateClient(sh, R, mode)
+			_, err := cli.GenerateClient(sh, R, core.MultiBatch)
 			return err
 		},
 		func() error {
-			_, err := srv.GenerateServer(sh, W, mode)
+			_, err := srv.GenerateServer(sh, W, core.MultiBatch)
 			return err
 		})
-	compare(t, name, "abnn2 matmul "+mode.String(), cc, sc)
+	compare(t, name, "abnn2 matmul "+label, cc, sc)
 }
 
-func TestGoldenMatmulOneBatch(t *testing.T) { goldenMatmul(t, "matmul-onebatch", 1, core.OneBatch) }
+func TestGoldenMatmulOneBatch(t *testing.T) { goldenMatmul(t, "matmul-onebatch", "one-batch", 1) }
 func TestGoldenMatmulMultiBatch(t *testing.T) {
-	goldenMatmul(t, "matmul-multibatch", 2, core.MultiBatch)
+	goldenMatmul(t, "matmul-multibatch", "multi-batch", 2)
 }
 
 func goldenReLU(t *testing.T, name string, variant core.ReLUVariant) {

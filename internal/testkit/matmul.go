@@ -55,8 +55,9 @@ func shares(seed uint64, server, client party) (U, V *ring.Mat, err error) {
 }
 
 // ABNN2Matmul returns the paper's 1-out-of-N triplet protocol under the
-// given fragmentation scheme and payload mode (OneBatch requires o = 1).
-func ABNN2Matmul(scheme quant.Scheme, mode core.Mode) MatmulFunc {
+// given fragmentation scheme, at whatever o R has: one payload path
+// serves every batch size (core.MultiBatch takes any o).
+func ABNN2Matmul(scheme quant.Scheme) MatmulFunc {
 	return func(rg ring.Ring, W []int64, m, n int, R *ring.Mat, seed uint64) (*ring.Mat, *ring.Mat, error) {
 		p := core.Params{Ring: rg, Scheme: scheme}
 		sh := core.MatShape{M: m, N: n, O: R.Cols}
@@ -66,14 +67,14 @@ func ABNN2Matmul(scheme quant.Scheme, mode core.Mode) MatmulFunc {
 				if err != nil {
 					return nil, err
 				}
-				return srv.GenerateServer(sh, W, mode)
+				return srv.GenerateServer(sh, W, core.MultiBatch)
 			},
 			func(conn transport.Conn, rng *prg.PRG) (*ring.Mat, error) {
 				cli, err := core.NewClientTriplets(conn, p, 7, rng)
 				if err != nil {
 					return nil, err
 				}
-				return cli.GenerateClient(sh, R, mode)
+				return cli.GenerateClient(sh, R, core.MultiBatch)
 			})
 	}
 }

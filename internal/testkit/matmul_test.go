@@ -15,8 +15,8 @@ import (
 )
 
 // All four secure-matmul backends against the one differential oracle
-// (U + V == W*R over the ring): the ABNN2 triplet protocol in each mode
-// and the three comparison baselines. A correctness bug in any backend
+// (U + V == W*R over the ring): the ABNN2 triplet protocol at o = 1 and
+// above, and the three comparison baselines. A correctness bug in any backend
 // — or a drift between a baseline and the protocol it is benchmarked
 // against — fails here.
 
@@ -34,18 +34,16 @@ func TestMatmulBackendABNN2(t *testing.T) {
 		name    string
 		scheme  quant.Scheme
 		o       int
-		mode    core.Mode
 		rRows   int    // rows of R; 0 = n, the rows W's columns need
 		wantErr string // "" = the shares must reconstruct W*R
 	}{
-		{"onebatch-4(2,2)", quant.NewBitScheme(true, 2, 2), 1, core.OneBatch, 0, ""},
-		{"naiveN-4(2,2)", quant.NewBitScheme(true, 2, 2), 1, core.MultiBatch, 0, ""},
-		{"multibatch-4(2,2)", quant.NewBitScheme(true, 2, 2), 3, core.MultiBatch, 0, ""},
-		{"multibatch-ternary", quant.Ternary(), 2, core.MultiBatch, 0, ""},
-		{"onebatch-binary", quant.Binary(), 1, core.OneBatch, 0, ""},
-		{"multibatch-u3(2,1)", quant.NewBitScheme(false, 2, 1), 2, core.MultiBatch, 0, ""},
+		{"onebatch-4(2,2)", quant.NewBitScheme(true, 2, 2), 1, 0, ""},
+		{"multibatch-4(2,2)", quant.NewBitScheme(true, 2, 2), 3, 0, ""},
+		{"multibatch-ternary", quant.Ternary(), 2, 0, ""},
+		{"onebatch-binary", quant.Binary(), 1, 0, ""},
+		{"multibatch-u3(2,1)", quant.NewBitScheme(false, 2, 1), 2, 0, ""},
 		// The client refuses R first; the server only sees the hang-up.
-		{"client-cause-reported", quant.NewBitScheme(true, 2, 2), 1, core.OneBatch, 6, "client: core: R is 6x1, want 5x1"},
+		{"client-cause-reported", quant.NewBitScheme(true, 2, 2), 1, 6, "client: core: R is 6x1, want 5x1"},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -60,7 +58,7 @@ func TestMatmulBackendABNN2(t *testing.T) {
 				rRows = tc.rRows
 			}
 			R := g.Mat(rg, rRows, tc.o)
-			err := CheckMatmul(ABNN2Matmul(tc.scheme, tc.mode), rg, W, m, n, R, 500)
+			err := CheckMatmul(ABNN2Matmul(tc.scheme), rg, W, m, n, R, 500)
 			if tc.wantErr == "" && err != nil {
 				t.Fatal(err)
 			}
@@ -118,9 +116,8 @@ func TestMatmulBackendQuotient(t *testing.T) {
 
 // Satellite: a gamma=1 scheme (one fragment, one OT per weight) is the
 // degenerate point of the fragmentation machinery — the payload offsets
-// collapse to a single span. OneBatch and MultiBatch — at o = 1, the naive
-// Fig. 3 protocol, and above — must all agree with the plaintext product
-// there.
+// collapse to a single span. o = 1 and o = 2 must both agree with the
+// plaintext product there.
 func TestMatmulGammaOne(t *testing.T) {
 	scheme := quant.NewBitScheme(true, 4) // "4(4)": gamma=1, N=16
 	if scheme.Gamma() != 1 {
@@ -131,18 +128,10 @@ func TestMatmulGammaOne(t *testing.T) {
 		g := prg.New(prg.SeedFromInt(uint64(105 + rgBits)))
 		m, n := 3, 4
 		W := randWeights(g, scheme, m*n)
-		for _, tc := range []struct {
-			name string
-			o    int
-			mode core.Mode
-		}{
-			{"onebatch", 1, core.OneBatch},
-			{"naiveN", 1, core.MultiBatch},
-			{"multibatch", 2, core.MultiBatch},
-		} {
-			R := g.Mat(rg, n, tc.o)
-			if err := CheckMatmul(ABNN2Matmul(scheme, tc.mode), rg, W, m, n, R, 504); err != nil {
-				t.Errorf("ring=%d %s: %v", rgBits, tc.name, err)
+		for _, o := range []int{1, 2} {
+			R := g.Mat(rg, n, o)
+			if err := CheckMatmul(ABNN2Matmul(scheme), rg, W, m, n, R, 504); err != nil {
+				t.Errorf("ring=%d o=%d: %v", rgBits, o, err)
 			}
 		}
 	}
@@ -248,7 +237,7 @@ func TestBackendTable(t *testing.T) {
 
 					run := BaselineMatmul(b, keyBits)
 					if b == core.BackendABNN2 {
-						run = ABNN2Matmul(scheme, core.ModeFor(sh.O))
+						run = ABNN2Matmul(scheme)
 					}
 					err = CheckMatmul(run, rg, W, sh.M, sh.N, R, 505)
 					if !fits {
