@@ -102,6 +102,7 @@ fuzz:
 	$(GO) test ./internal/nn -fuzz FuzzUnmarshalQuantized -fuzztime 10s
 	$(GO) test ./internal/nn -fuzz FuzzUnmarshalModel -fuzztime 10s
 	$(GO) test ./internal/ring -fuzz FuzzDecodeVec -fuzztime 10s
+	$(GO) test ./internal/ring -fuzz FuzzSpanKernels -fuzztime 10s
 	$(GO) test ./internal/transport -fuzz FuzzStreamRecv -fuzztime 10s
 	$(GO) test ./internal/transport -fuzz FuzzStreamRoundTrip -fuzztime 10s
 	$(GO) test ./internal/par -fuzz FuzzParMap -fuzztime 10s
@@ -144,7 +145,7 @@ loc:
 # The size gate (CI's static job runs it): `make loc` may not exceed
 # LOC_MAX, the figure the last PR that moved it ended on. A PR that needs
 # more lines raises LOC_MAX here, in the open, in its diff.
-LOC_MAX = 19872
+LOC_MAX = 19932
 loc-check:
 	@n=$$($(MAKE) -s loc); \
 	if [ "$$n" -gt $(LOC_MAX) ]; then echo "loc-check: $$n non-test Go lines, LOC_MAX is $(LOC_MAX)"; exit 1; fi; \

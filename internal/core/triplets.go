@@ -283,8 +283,8 @@ func (c *ClientTriplets) generateClient(params Params, vals [][]ring.Elem, sh Ma
 		}
 		// Every OT's ciphertext block has a public size, so workers can
 		// write disjoint spans of the payload flight directly. Each writes
-		// every byte of its span before XORing pads over it, so the flight
-		// is reused from round to round (Send does not keep it).
+		// every byte of its span, pads and all, so the flight is reused
+		// from round to round (Send does not keep it).
 		base := layout.at(ot)
 		n := layout.at(ot+chunk) - base
 		if cap(c.payload) < n {
@@ -318,10 +318,9 @@ func (c *ClientTriplets) generateClient(params Params, vals [][]ring.Elem, sh Ma
 				rg.AddDecoded(s, cand)
 				rg.AddVecInPlace(pV.Row(i), s)
 				// Each message is encoded straight into its span of the
-				// payload flight and the pads XORed over it in place.
+				// payload flight, under its pad, in one pass.
 				out := payload[layout.at(g)-base : layout.at(g+1)-base]
-				rg.PutMulSub(out, vals[f][1:n], R.Row(j), s)
-				subtle.XORBytes(out, out, cand[padBytes:n*padBytes])
+				rg.PutMulSub(out, cand[padBytes:n*padBytes], vals[f][1:n], R.Row(j), s)
 				cand = cand[n*padBytes:]
 			}
 		})
@@ -483,8 +482,7 @@ func (s *ServerTriplets) generateServer(run []serverLayer, layerDone func()) ([]
 		U := us[ck]
 		rg := params.Ring
 		gamma := params.Scheme.Gamma()
-		elemBytes := rg.Bytes()
-		padBytes := sh.O * elemBytes
+		padBytes := sh.O * rg.Bytes()
 		layout := layouts[ck]
 		ot := (i - first[ck]) * chunkOTs
 		chunk := blk.Count()
@@ -524,9 +522,7 @@ func (s *ServerTriplets) generateServer(run []serverLayer, layerDone func()) ([]
 				pad := scratch[k*stride : k*stride+padBytes]
 				if w == 0 {
 					// Output -s where s = pad(0); Value(0)*r = 0.
-					for c := range urow {
-						urow[c] = rg.Sub(urow[c], rg.GetElem(pad[c*elemBytes:]))
-					}
+					rg.SubDecoded(urow, pad)
 					continue
 				}
 				// Decrypt ciphertext w-1 (candidate 0 has none) in the

@@ -1,6 +1,7 @@
 package ring
 
 import (
+	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
 	"slices"
@@ -52,53 +53,81 @@ func (r Ring) PutVec(dst []byte, v Vec) {
 	}
 }
 
-// PutMulSub writes, for each cs[k], c·v[i] − s[i] over the
+// PutMulSub writes, for each cs[k], (c·v[i] − s[i]) ⊕ pads over the
 // VecBytes(len(v)) bytes of dst from k·VecBytes(len(v)) on: the bytes
-// PutVec writes for that vector of products, span after span. s is at
-// least as long as v; inputs may carry bits above l. The width is
-// dispatched once per span, as PutVec does.
-func (r Ring) PutMulSub(dst []byte, cs []Elem, v, s Vec) {
+// PutVec writes for that vector of products, span after span, XORed with
+// pads at the same offsets. s is at least as long as v; inputs may carry
+// bits above l. Spans of at least four elements at a 4-byte width run the
+// span kernel (span_amd64.s); the others run word loops at 4 and 8
+// bytes and PutElem otherwise, dispatched once per span, then one XOR.
+func (r Ring) PutMulSub(dst, pads []byte, cs []Elem, v, s Vec) {
 	span := r.VecBytes(len(v))
-	dst, s = dst[:len(cs)*span], s[:len(v)]
+	dst, pads, s = dst[:len(cs)*span], pads[:len(cs)*span], s[:len(v)]
+	if r.kernel(len(v)) {
+		putMulSub32(dst, pads, cs, v, s, r.mask)
+		return
+	}
+	out := dst
 	for _, c := range cs {
 		switch r.Bytes() {
 		case 8:
 			for i, x := range v {
-				binary.LittleEndian.PutUint64(dst[8*i:8*i+8], (c*x-s[i])&r.mask)
+				binary.LittleEndian.PutUint64(out[8*i:8*i+8], (c*x-s[i])&r.mask)
 			}
 		case 4:
 			for i, x := range v {
-				binary.LittleEndian.PutUint32(dst[4*i:4*i+4], uint32((c*x-s[i])&r.mask))
+				binary.LittleEndian.PutUint32(out[4*i:4*i+4], uint32((c*x-s[i])&r.mask))
 			}
 		default:
 			n := r.Bytes()
 			for i, x := range v {
-				r.PutElem(dst[i*n:], c*x-s[i])
+				r.PutElem(out[i*n:], c*x-s[i])
 			}
 		}
-		dst = dst[span:]
+		out = out[span:]
 	}
+	subtle.XORBytes(dst, dst, pads)
 }
+
+// kernel reports whether an n-element span runs the span kernels: a
+// 4-byte width on amd64, at least one four-element block long. Shorter
+// spans, every one-batch layer's, keep the Go loops.
+func (r Ring) kernel(n int) bool { return n >= 4 && spanKernels && r.Bytes() == 4 }
 
 // AddDecoded adds into v, mod 2^l, the len(v) elements encoded in the
 // first VecBytes(len(v)) bytes of src, each read as GetElem reads it: it
 // masks the bits above l and never rejects. It is PutVec's inverse into a
-// zero v, dispatched the same way.
-func (r Ring) AddDecoded(v Vec, src []byte) {
+// zero v.
+func (r Ring) AddDecoded(v Vec, src []byte) { r.decode(v, src, 1) }
+
+// SubDecoded is AddDecoded with subtraction: v[i] −= the element encoded
+// at src[i·Bytes():], mod 2^l.
+func (r Ring) SubDecoded(v Vec, src []byte) { r.decode(v, src, ^uint64(0)) }
+
+// decode adds sign·x into v for each element x that src encodes, sign 1
+// or −1, dispatched as PutMulSub is.
+func (r Ring) decode(v Vec, src []byte, sign uint64) {
 	src = src[:r.VecBytes(len(v))]
 	switch r.Bytes() {
 	case 8:
 		for i := range v {
-			v[i] = (v[i] + binary.LittleEndian.Uint64(src[8*i:8*i+8])) & r.mask
+			v[i] = (v[i] + sign*binary.LittleEndian.Uint64(src[8*i:8*i+8])) & r.mask
 		}
 	case 4:
-		for i := range v {
-			v[i] = (v[i] + uint64(binary.LittleEndian.Uint32(src[4*i:4*i+4]))) & r.mask
+		switch {
+		case r.kernel(len(v)) && sign == 1:
+			addDecoded32(v, src, r.mask)
+		case r.kernel(len(v)):
+			subDecoded32(v, src, r.mask)
+		default:
+			for i := range v {
+				v[i] = (v[i] + sign*uint64(binary.LittleEndian.Uint32(src[4*i:4*i+4]))) & r.mask
+			}
 		}
 	default:
 		n := r.Bytes()
 		for i := range v {
-			v[i] = (v[i] + r.GetElem(src[i*n:])) & r.mask
+			v[i] = (v[i] + sign*r.GetElem(src[i*n:])) & r.mask
 		}
 	}
 }

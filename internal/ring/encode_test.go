@@ -55,10 +55,10 @@ func TestSpanCodecMatchesElementwise(t *testing.T) {
 
 // TestPutMulSubMatchesPutVec holds the fused writer to the path it
 // replaced in the triplet kernel: for each c, products c·v[i] − s[i]
-// into a Vec, then PutVec, span after span. Inputs carry bits above l, so
-// the word cases must mask exactly as PutVec does (l = 25..31 and 57..63
-// have spare bits in their 4- and 8-byte encodings), and the noise byte
-// past the spans must survive.
+// into a Vec, then PutVec, span after span, then the pads XORed over
+// them. Inputs carry bits above l, so the word cases must mask exactly as
+// PutVec does (l = 25..31 and 57..63 have spare bits in their 4- and
+// 8-byte encodings), and the noise byte past the spans must survive.
 func TestPutMulSubMatchesPutVec(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for _, bits := range []uint{1, 7, 8, 9, 24, 25, 31, 32, 33, 56, 57, 63, 64} {
@@ -76,6 +76,8 @@ func TestPutMulSubMatchesPutVec(t *testing.T) {
 				for i := range v {
 					v[i] = rng.Uint64() | 1<<63
 				}
+				pads := make([]byte, ncs*r.VecBytes(count)+1) // may run past the spans
+				rng.Read(pads)
 				got := make([]byte, ncs*r.VecBytes(count)+1)
 				rng.Read(got)
 				want := append([]byte(nil), got...)
@@ -86,9 +88,12 @@ func TestPutMulSubMatchesPutVec(t *testing.T) {
 					}
 					r.PutVec(want[k*r.VecBytes(count):], prod)
 				}
-				r.PutMulSub(got, cs, v, s)
+				for i := range want[:len(want)-1] {
+					want[i] ^= pads[i]
+				}
+				r.PutMulSub(got, pads, cs, v, s)
 				if !bytes.Equal(got, want) {
-					t.Fatalf("l=%d count=%d cs=%d: PutMulSub wrote %x, products then PutVec %x", bits, count, ncs, got, want)
+					t.Fatalf("l=%d count=%d cs=%d: PutMulSub wrote %x, products then PutVec and pads %x", bits, count, ncs, got, want)
 				}
 			}
 		}
@@ -96,7 +101,8 @@ func TestPutMulSubMatchesPutVec(t *testing.T) {
 }
 
 // TestSpanCodecAllocatesNothing: the codec writes and reads the caller's
-// buffers and nothing else, at the word widths and a masked one.
+// buffers and nothing else, at the word widths and a masked one, on
+// spans long enough for the span kernels.
 func TestSpanCodecAllocatesNothing(t *testing.T) {
 	for _, bits := range []uint{12, 32, 33, 64} {
 		r := New(bits)
@@ -105,11 +111,14 @@ func TestSpanCodecAllocatesNothing(t *testing.T) {
 		if a := testing.AllocsPerRun(10, func() { r.PutVec(buf, v) }); a != 0 {
 			t.Errorf("l=%d: PutVec made %.0f allocations", bits, a)
 		}
-		if a := testing.AllocsPerRun(10, func() { r.PutMulSub(buf, cs, v, v) }); a != 0 {
+		if a := testing.AllocsPerRun(10, func() { r.PutMulSub(buf, buf, cs, v, v) }); a != 0 {
 			t.Errorf("l=%d: PutMulSub made %.0f allocations", bits, a)
 		}
 		if a := testing.AllocsPerRun(10, func() { r.AddDecoded(v, buf) }); a != 0 {
 			t.Errorf("l=%d: AddDecoded made %.0f allocations", bits, a)
+		}
+		if a := testing.AllocsPerRun(10, func() { r.SubDecoded(v, buf) }); a != 0 {
+			t.Errorf("l=%d: SubDecoded made %.0f allocations", bits, a)
 		}
 	}
 }
