@@ -26,9 +26,10 @@ import (
 
 // ErrBankDry reports that a session required banked provisioning
 // (OfflineBanked) and found its correlation pool empty. It is a
-// retryable condition — the miss itself triggers background
-// replenishment, so a caller that backs off briefly and retries the
-// batch will usually find the pool warm. Test with errors.Is.
+// retryable condition — on a loopback pool the miss itself triggers
+// background replenishment, so a caller that backs off briefly and
+// retries the batch will usually find the pool warm; a remote peer's pool
+// fills only when the caller runs Client.Prefetch. Test with errors.Is.
 var ErrBankDry = errors.New("abnn2: correlation pool dry")
 
 // BankSessionBackend is the BankKey.Backend of the pools plan-less
@@ -93,26 +94,6 @@ type BankPeerID = bank.PeerID
 // Recover on it (directly, or via serve.Runtime.StartRecovery) before
 // serving from it.
 func OpenBankStore(opts BankStoreOptions) (*BankStore, error) { return bank.OpenStore(opts) }
-
-// ParseBankPeerID parses the 32-hex-digit form of a peer ID, e.g. the
-// one the serve handshake carries.
-func ParseBankPeerID(s string) (BankPeerID, error) { return bank.ParsePeerID(s) }
-
-// BankReplenisher keeps peer-paired pools above their low watermark by
-// prefetching in the background, with jittered exponential backoff on
-// transient failures; see NewBankReplenisher.
-type BankReplenisher = bank.Replenisher
-
-// BankReplenishOptions configures a BankReplenisher. Its Run callback
-// typically opens an offline-class session (serve.DialOffline, Dial) and
-// calls Client.Prefetch.
-type BankReplenishOptions = bank.ReplenishOptions
-
-// NewBankReplenisher validates options and returns a stopped
-// replenisher; Start it and Close it on shutdown.
-func NewBankReplenisher(opts BankReplenishOptions) (*BankReplenisher, error) {
-	return bank.NewReplenisher(opts)
-}
 
 // OfflineMode selects how a session provisions its offline phase; see
 // Config.OfflineMode.

@@ -144,20 +144,18 @@ func main() {
 	}
 
 	// Prefetch: run the genuine two-party offline protocol ahead of need,
-	// each party storing its half under the other's peer id. The initial
-	// fill is synchronous — inference should find the pool warm — and a
-	// background replenisher then keeps it above the low watermark for as
-	// long as the process lives.
+	// each party storing its half under the other's peer id. The fill is
+	// synchronous, so the inference session below finds the pool warm; a
+	// batch that finds it dry runs its offline phase inline.
 	if *prefetch > 0 {
 		// prefetchSession opens one replenishment session and stores up to
-		// want correlations of batch -n; it returns how many landed, the
-		// server's peer id and the pool they landed in.
-		prefetchSession := func(ctx context.Context, want int) (int, string, abnn2.BankKey, error) {
-			ctx, cancel := context.WithTimeout(ctx, *dialTimeout)
+		// want correlations of batch -n; it returns how many landed.
+		prefetchSession := func(want int) (int, error) {
+			ctx, cancel := context.WithTimeout(context.Background(), *dialTimeout)
 			defer cancel()
 			conn, info, err := serve.DialOffline(ctx, *addr, *model)
 			if err != nil {
-				return 0, "", abnn2.BankKey{}, err
+				return 0, err
 			}
 			defer conn.Close()
 			cfg := configFor(info)
@@ -165,46 +163,18 @@ func main() {
 			cfg.Plan = planFor(info)
 			client, err := abnn2.DialContext(ctx, conn, info.Arch, cfg)
 			if err != nil {
-				return 0, info.Peer, abnn2.BankKey{}, err
+				return 0, err
 			}
 			defer client.Close()
-			got, err := client.Prefetch(*n, want)
-			return got, info.Peer, client.PoolKey(*n), err
+			return client.Prefetch(*n, want)
 		}
 		start := time.Now()
-		got, peer, key, err := prefetchSession(context.Background(), *prefetch)
+		got, err := prefetchSession(*prefetch)
 		if err != nil {
 			dialFailed("replenishment session", err)
 		}
 		logger.Info("correlations prefetched", "stored", got, "batch", *n,
 			"dur", time.Since(start).Round(time.Millisecond))
-		serverPeer, err := abnn2.ParseBankPeerID(peer)
-		if err != nil {
-			logger.Error("server peer id", "peer", peer, "err", err)
-			os.Exit(1)
-		}
-
-		// Background replenishment: every draw during inference lowers the
-		// pool; the replenisher tops it back up to the prefetch target (the
-		// client bank's capacity) with fresh replenishment sessions once it
-		// falls to half of that, so a long-lived client never degrades to
-		// the inline offline phase.
-		rep, err := abnn2.NewBankReplenisher(abnn2.BankReplenishOptions{
-			Bank: cbank,
-			Peer: serverPeer,
-			Keys: []abnn2.BankKey{key},
-			Run: func(ctx context.Context, _ abnn2.BankKey, want int) (int, error) {
-				got, _, _, err := prefetchSession(ctx, want)
-				return got, err
-			},
-		})
-		if err != nil {
-			logger.Error("bank replenisher", "err", err)
-			os.Exit(1)
-		}
-		rep.Start()
-		defer rep.Close()
-		logger.Info("background replenisher started", "target", *prefetch)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), *dialTimeout)

@@ -87,10 +87,10 @@ func (k Key) String() string {
 // Event is one bank occurrence delivered to an Observer. Draws and claims
 // report "hit", "miss", "claim" and "claim-miss" on a loopback pool and
 // the same kinds prefixed "peer-" on a remote peer's; the loopback filler
-// adds "refill", "refill-error" and "evict", the store its "persist-*"
-// kinds and the replenisher its "replenish-*" kinds. Depth is the pool
-// depth after the event where meaningful. A "persist-claim" names the
-// claimed half: its pool's scope digest and its correlation id.
+// adds "refill", "refill-error" and "evict", and the store its
+// "persist-*" kinds. Depth is the pool depth after the event where
+// meaningful. A "persist-claim" names the claimed half: its pool's scope
+// digest and its correlation id.
 type Event struct {
 	Kind  string
 	Key   Key
@@ -466,8 +466,8 @@ func (b *Bank) Put(peer PeerID, key Key, id uint64, half []byte) error {
 }
 
 // Depth returns the number of unspent halves in the (peer, key) pool (0
-// when absent): the depth of a loopback pool under LoopbackServer, the
-// replenisher's watermark input under a remote peer.
+// when absent): the loopback pool's under LoopbackServer, the pool
+// Client.Prefetch fills under a remote peer.
 func (b *Bank) Depth(peer PeerID, key Key) int {
 	return b.store.Depth(Scope{Peer: peer, Key: key})
 }
@@ -578,9 +578,9 @@ func (b *Bank) stopping() bool {
 	return b.draining || b.closed
 }
 
-// maybeRefill starts the pool's background replenisher when depth is
-// below the low watermark and none is running. At most one replenisher
-// runs per pool; generation compute inside it still fans out across the
+// maybeRefill starts the pool's background refill when depth is below
+// the low watermark and none is running. At most one refill runs per
+// pool; generation compute inside it still fans out across the
 // worker pool.
 func (b *Bank) maybeRefill(p *pool) {
 	if b.stopping() {
@@ -599,7 +599,7 @@ func (b *Bank) maybeRefill(p *pool) {
 }
 
 // refill replenishes one pool up to Capacity, then exits. A generation
-// error stops the replenisher (the next Draw may retry); Close aborts it
+// error stops the refill (the next Draw may retry); Close aborts it
 // mid-pair by closing the generator pipe.
 func (b *Bank) refill(p *pool) {
 	defer b.wg.Done()

@@ -98,7 +98,7 @@ func TestTrunc64Rate(t *testing.T) {
 	rng := prg.New(prg.SeedFromInt(4))
 	failures := 0
 	for i := 0; i < 2000; i++ {
-		z := rg.FromSigned(int64(rng.Intn(1<<40)) - (1 << 39))
+		z := rg.FromSigned(int64(rng.Uint64()>>24) - (1 << 39)) // 40 uniform bits
 		z0 := rng.Elem(rg)
 		z1 := rg.Sub(z, z0)
 		got := rg.Signed(rg.Add(TruncShare0(rg, z0, 16), TruncShare1(rg, z1, 16)))

@@ -6,7 +6,7 @@ import (
 )
 
 // TestExpositionIsByteStable pins both export formats for one metric of
-// each of the six kinds (an escaped label value, a family in non-sorted
+// each of the five kinds (an escaped label value, a family in non-sorted
 // first-use order and an unused family included) against strings recorded
 // before the three labelled families became one generic Vec. The scrape is
 // an external contract — CI's integration job greps /metrics and /vars —
@@ -22,9 +22,6 @@ func TestExpositionIsByteStable(t *testing.T) {
 	cv := r.NewCounterVec("t_bytes_total", "Bytes by phase.", "phase")
 	cv.With("offline").Add(10)
 	cv.With(`on"line`).Add(4)
-	gv := r.NewGaugeVec("t_depth", "Pool depth.", "pool")
-	gv.With("b").Set(2)
-	gv.With("a").Set(0)
 	hv := r.NewHistogramVec("t_model_seconds", "Latency by model.", "model", []float64{0.5, 2.5})
 	hv.With("mnist").Observe(0.25)
 	hv.With("mnist").Observe(3)
@@ -48,10 +45,6 @@ t_seconds_count 3
 # TYPE t_bytes_total counter
 t_bytes_total{phase="offline"} 10
 t_bytes_total{phase="on\"line"} 4
-# HELP t_depth Pool depth.
-# TYPE t_depth gauge
-t_depth{pool="b"} 2
-t_depth{pool="a"} 0
 # HELP t_model_seconds Latency by model.
 # TYPE t_model_seconds histogram
 t_model_seconds_bucket{model="mnist",le="0.5"} 1
@@ -71,10 +64,6 @@ t_model_seconds_count{model="cnn"} 1
   "t_bytes_total": {
     "offline": 10,
     "on\"line": 4
-  },
-  "t_depth": {
-    "a": 0,
-    "b": 2
   },
   "t_empty_total": {},
   "t_model_seconds": {

@@ -148,7 +148,7 @@ var SizeBuckets = []float64{
 }
 
 // Vec is a family of metrics of one kind distinguished by one label:
-// bytes per protocol phase, pool depth per correlation key, session
+// bytes per protocol phase, claims per correlation key, session
 // latency per model (its histograms sharing one bucket ladder).
 type Vec[T any] struct {
 	label string
@@ -158,10 +158,9 @@ type Vec[T any] struct {
 	order []string
 }
 
-// The three families the registry hands out.
+// The two families the registry hands out.
 type (
 	CounterVec   = Vec[Counter]
-	GaugeVec     = Vec[Gauge]
 	HistogramVec = Vec[Histogram]
 )
 
@@ -290,13 +289,6 @@ func (r *Registry) NewHistogramVec(name, help, label string, bounds []float64) *
 	}
 	v := newVec(label, func() *Histogram { return newHistogram(bounds) })
 	r.register(name, help, "histogram", v)
-	return v
-}
-
-// NewGaugeVec registers and returns a single-label gauge family.
-func (r *Registry) NewGaugeVec(name, help, label string) *GaugeVec {
-	v := newVec(label, func() *Gauge { return &Gauge{} })
-	r.register(name, help, "gauge", v)
 	return v
 }
 

@@ -69,17 +69,16 @@ func (c ConvSpec) Validate() error {
 }
 
 // withinDim reports whether the product of positive factors is at most
-// maxDim, checking each partial product before the next factor multiplies
-// it, so that nothing overflows.
+// maxDim. Each factor is compared with what the partial product leaves
+// of maxDim before it multiplies, so that nothing overflows, not even a
+// 32-bit int.
 func withinDim(factors ...int) bool {
 	p := 1
 	for _, f := range factors {
-		if f > maxDim {
+		if f > maxDim/p {
 			return false
 		}
-		if p *= f; p > maxDim {
-			return false
-		}
+		p *= f
 	}
 	return true
 }

@@ -27,7 +27,7 @@ func TestConvValidate(t *testing.T) {
 		{Ci: 1, H: 4, W: 4, Kh: 9, Kw: 2, Stride: 1},
 		{Ci: 1, H: 4, W: 4, Kh: 2, Kw: 2, Stride: 1, Pad: -1},
 		{Ci: 1, H: 5, W: 5, Kh: 2, Kw: 2, Stride: 1, Pad: 1_000_000},    // output grid
-		{Ci: 1, H: 1, W: 1, Kh: 1, Kw: 1, Stride: 1, Pad: 1 << 62},      // field
+		{Ci: 1, H: 1, W: 1, Kh: 1, Kw: 1, Stride: 1, Pad: math.MaxInt},  // field
 		{Ci: 1 << 12, H: 1 << 12, W: 1 << 12, Kh: 1, Kw: 1, Stride: 1},  // input
 		{Ci: 1, H: 64, W: 64, Kh: 8192, Kw: 8192, Stride: 1, Pad: 4096}, // im2col rows
 	}

@@ -3,6 +3,7 @@ package prg
 import (
 	"bytes"
 	"encoding/binary"
+	"strconv"
 	"testing"
 	"unsafe"
 
@@ -167,10 +168,9 @@ func TestDeriverXORPadsMatchesReference(t *testing.T) {
 // for, are bugs in the caller and stop it.
 func TestDeriverPanicsOnWrongDataLength(t *testing.T) {
 	o := NewFastOracle("deriver-test")
-	for name, f := range map[string]func(){
-		"data":    func() { d := o.Deriver(1, 3, 16); d.XORPadsRun(make([]byte, 8), 8, 2, make([]byte, 15), nil) },
-		"tweak":   func() { o.Hash(1, 2, 1<<32, nil, 8) },
-		"dataLen": func() { o.Deriver(1, 0, 1<<31) },
+	cases := map[string]func(){
+		"data":  func() { d := o.Deriver(1, 3, 16); d.XORPadsRun(make([]byte, 8), 8, 2, make([]byte, 15), nil) },
+		"tweak": func() { o.Hash(1, 2, 1<<32, nil, 8) },
 		"row": func() {
 			d := o.Deriver(1, 3, 16)
 			d.XORPadsRun(make([]byte, 8), 4, 2, make([]byte, 15), make([]byte, 30))
@@ -187,7 +187,13 @@ func TestDeriverPanicsOnWrongDataLength(t *testing.T) {
 		"noRow": func() { d := o.Deriver(1, 3, 0); d.XORPadsRun(make([]byte, 8), 8, 2, nil, make([]byte, 8)) },
 		"run":   func() { d := o.Deriver(1, 3, 16); d.XORPadsRun(make([]byte, 16), 8, 2, make([]byte, 16), nil) },
 		"n":     func() { d := o.Deriver(1, 3, 16); d.XORPadsRun(nil, 0, 2, nil, nil) },
-	} {
+	}
+	if strconv.IntSize == 64 {
+		// A length of 2^31 is no int on a 32-bit platform.
+		dataLen := uint64(1) << 31
+		cases["dataLen"] = func() { o.Deriver(1, 0, int(dataLen)) }
+	}
+	for name, f := range cases {
 		func() {
 			defer func() {
 				if recover() == nil {

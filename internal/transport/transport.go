@@ -276,9 +276,8 @@ func (s *streamConn) Close() error { return s.rw.Close() }
 
 // Jitter spreads a retry delay d uniformly over [d/2, 3d/2), keeping the
 // mean at d, so a herd of parties that failed at the same instant — clients
-// redialing a restarted server, clients turned away by a loaded one,
-// replenishers whose peer went down — does not retry at the same instant
-// either.
+// redialing a restarted server, clients turned away by a loaded one —
+// does not retry at the same instant either.
 func Jitter(d time.Duration) time.Duration {
 	if d <= 0 {
 		return 0

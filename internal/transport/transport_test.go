@@ -235,8 +235,8 @@ func TestNetModelLANFasterThanWAN(t *testing.T) {
 	}
 }
 
-// TestJitterRange: every retry delay — DialTCP's, the serve client's, the
-// replenisher's — is jittered over [d/2, 3d/2), and zero stays zero.
+// TestJitterRange: every retry delay — DialTCP's, the serve client's,
+// abnn2-load's — is jittered over [d/2, 3d/2), and zero stays zero.
 func TestJitterRange(t *testing.T) {
 	if got := Jitter(0); got != 0 {
 		t.Fatalf("Jitter(0) = %v", got)

@@ -55,7 +55,6 @@ var internalOnlyTests = map[string]string{
 	"transport.FaultConn.Fired":     "chaos instrument: asserts the planned fault was actually reached",
 	"transport.Meter.Reset":         "test instrument: zero a meter after set-up to count one phase on its own",
 	"serve.Admission.Active":        "chaos instrument: tests wait on the admitted-session count",
-	"bank.Replenisher.Backoff":      "test instrument: the failure backoff a test waits to see set and cleared",
 	"bitmat.Matrix.Bit":             "test instrument: the reader SetBit and the transposes are checked against",
 	"otext.Receiver.RowScratchPeak": "test instrument: the free-list bound TestOfflineRowScratchBounded asserts",
 	"ring.Ring.EqualMat":            "test oracle: share reconstruction in the core, gc and testkit tests",
