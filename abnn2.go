@@ -117,14 +117,14 @@ type Config struct {
 	// on a client.
 	BankModel string
 	// BankPeer, on a client, is the serving peer's durable identity (the
-	// hex ID from the serve handshake). When set — which requires a Bank
+	// Peer of the serve handshake). When set — which requires a Bank
 	// carrying a durable store — batches draw from the pool this party
 	// filled with that server (Client.Prefetch) and from no other,
 	// announcing correlations with this party's own peer ID so the server
 	// can claim the matching stored half; the loopback pools of Bank are
-	// not consulted. Empty selects the loopback pools. With a Plan the
-	// pool is the one prefetched under that plan.
-	BankPeer string
+	// not consulted. The zero ID selects the loopback pools. With a Plan
+	// the pool is the one prefetched under that plan.
+	BankPeer BankPeerID
 	// Plan, when non-nil, fixes the per-layer offline backend schedule.
 	// On a client it is proposed to the server in every batch
 	// announcement (one extra public flight) and executed by both
@@ -173,6 +173,9 @@ func (c Config) Validate() error {
 	}
 	if c.OfflineMode == OfflineBanked && c.Bank == nil {
 		return fmt.Errorf("abnn2: OfflineBanked requires Config.Bank")
+	}
+	if c.BankPeer != bank.NoPeer && c.Bank == nil {
+		return fmt.Errorf("abnn2: Config.BankPeer requires Config.Bank")
 	}
 	if c.MiniONNKeyBits != 0 && (c.MiniONNKeyBits < paillier.MinModulusBits || c.MiniONNKeyBits > paillier.MaxModulusBits) {
 		return fmt.Errorf("abnn2: MiniONNKeyBits %d outside [%d,%d]", c.MiniONNKeyBits, paillier.MinModulusBits, paillier.MaxModulusBits)
@@ -544,14 +547,11 @@ func DialContext(ctx context.Context, conn Conn, arch Arch, cfg Config) (_ *Clie
 			return nil, fmt.Errorf("abnn2: Config.Bank on a client requires Config.BankModel")
 		}
 		source = provisionLoopback
-		if cfg.BankPeer != "" {
+		if cfg.BankPeer != bank.NoPeer {
 			if cfg.Bank.Store() == nil {
 				return nil, fmt.Errorf("abnn2: Config.BankPeer requires a bank with a durable store")
 			}
-			if peer, err = bank.ParsePeerID(cfg.BankPeer); err != nil {
-				return nil, err
-			}
-			source, selfPeer = provisionPeer, cfg.Bank.Store().PeerID()
+			source, peer, selfPeer = provisionPeer, cfg.BankPeer, cfg.Bank.Store().PeerID()
 		}
 	}
 	scheme, err := quant.Parse(arch.SchemeName)

@@ -189,6 +189,9 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := Dial(cc, qm.Arch(), Config{RingBits: 4}); err == nil {
 		t.Error("RingBits 4 accepted by client")
 	}
+	if err := (Config{BankPeer: BankPeerID{1}}).Validate(); err == nil || !strings.Contains(err.Error(), "BankPeer") {
+		t.Errorf("BankPeer without Bank: Validate = %v, want an error naming BankPeer", err)
+	}
 }
 
 func TestDialRejectsBadScheme(t *testing.T) {

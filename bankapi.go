@@ -40,8 +40,8 @@ const BankSessionBackend = bank.SessionBackend
 type Bank = bank.Bank
 
 // BankOptions sizes and instruments a Bank: pool capacity, low-watermark
-// refill trigger, generation parallelism, deterministic seeding, tracing
-// and metrics hooks.
+// refill trigger, generation parallelism, deterministic seeding and the
+// metrics hook.
 type BankOptions = bank.Options
 
 // BankKey identifies one correlation pool: (model, scheme, ring width,

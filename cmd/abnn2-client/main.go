@@ -199,7 +199,7 @@ func main() {
 
 	cfg := configFor(info)
 	cfg.Plan = planFor(info)
-	if cbank != nil && info.BankID != "" && info.Peer != "" {
+	if cbank != nil && info.BankID != "" && info.Peer != (abnn2.BankPeerID{}) {
 		// Provision from the durable peer-paired pool; a dry pool falls
 		// back to the inline offline phase (OfflineAuto).
 		cfg.Bank, cfg.BankModel, cfg.BankPeer = cbank, info.BankID, info.Peer

@@ -49,7 +49,6 @@ import (
 	"abnn2/internal/prg"
 	"abnn2/internal/quant"
 	"abnn2/internal/ring"
-	"abnn2/internal/trace"
 )
 
 // SessionBackend is the Key.Backend of pools generated under the default
@@ -122,10 +121,6 @@ type Options struct {
 	// by its Key, so the sequence drawn from one pool is independent of
 	// interleaving with other pools. Testing only.
 	Seed uint64
-	// Trace, when non-nil, receives one "bank-refill" span per generated
-	// pair (party "bank"), carrying the offline bytes and wall time moved
-	// off the request path.
-	Trace trace.Sink
 	// Observer, when non-nil, receives pool hit/miss/refill/depth events;
 	// see NewMetricsObserver.
 	Observer Observer
@@ -164,14 +159,11 @@ const maxClaims = 1024
 // pairs, distinct from the live session tags in internal/core.
 const bankSession = 0xBA
 
-// Stats is a snapshot of bank counters — draws and claims on every pool,
-// refills of the loopback ones — and the loopback pools' depths.
+// Stats is a snapshot of bank counters — draws on every pool, refills of
+// the loopback ones — and the loopback pools' depths.
 type Stats struct {
 	Hits, Misses int64
-	Claims       int64
-	ClaimMisses  int64
 	Refills      int64
-	RefillErrors int64
 	Depths       map[Key]int
 }
 
@@ -193,7 +185,7 @@ type Bank struct {
 	nextID atomic.Uint64 // loopback correlation ids are sequential
 	wg     sync.WaitGroup
 
-	hits, misses, claimed, claimMisses, refills, refillErrors atomic.Int64
+	hits, misses, refills atomic.Int64
 }
 
 // New returns an empty bank. Register models, then Prewarm loopback pools
@@ -278,12 +270,7 @@ func (b *Bank) RegisterModel(qm *nn.QuantizedModel) (string, error) {
 // newPoolLocked builds a pool shell; b.mu must be held (the pool's rng is
 // derived from the bank root stream).
 func (b *Bank) newPoolLocked(key Key) *pool {
-	p := &pool{key: key, rng: b.rng.Child("pool/" + key.String())}
-	if b.opts.Trace != nil {
-		p.tr = trace.New(b.opts.Trace, trace.WithParty("bank"),
-			trace.WithLabel(key.String()), trace.WithCounters(p.counters))
-	}
-	return p
+	return &pool{key: key, rng: b.rng.Child("pool/" + key.String())}
 }
 
 // lookup returns the loopback pool's filler for key, creating it on first
@@ -441,13 +428,11 @@ func (b *Bank) Claim(peer PeerID, id uint64, key Key) (half *core.ServerCorr, ok
 		b.observe(Event{Kind: "persist-claim-drop", Key: key, Err: err})
 	} else if ok {
 		if half, err = DecodeServerCorr(blob); err == nil {
-			b.claimed.Add(1)
 			b.observe(Event{Kind: peer.events() + "claim", Key: key})
 			return half, true
 		}
 		b.observe(Event{Kind: "persist-decode-error", Key: key, Err: err})
 	}
-	b.claimMisses.Add(1)
 	b.observe(Event{Kind: peer.events() + "claim-miss", Key: key})
 	return nil, false
 }
@@ -498,13 +483,10 @@ func (b *Bank) Prewarm(key Key, n int) error {
 // Snapshot returns current counters and the loopback pools' depths.
 func (b *Bank) Snapshot() Stats {
 	s := Stats{
-		Hits:         b.hits.Load(),
-		Misses:       b.misses.Load(),
-		Claims:       b.claimed.Load(),
-		ClaimMisses:  b.claimMisses.Load(),
-		Refills:      b.refills.Load(),
-		RefillErrors: b.refillErrors.Load(),
-		Depths:       make(map[Key]int),
+		Hits:    b.hits.Load(),
+		Misses:  b.misses.Load(),
+		Refills: b.refills.Load(),
+		Depths:  make(map[Key]int),
 	}
 	b.mu.Lock()
 	for key := range b.pools {
@@ -606,7 +588,6 @@ func (b *Bank) refill(p *pool) {
 	cap := b.opts.capacity()
 	for !b.stopping() && b.Depth(LoopbackServer, p.key) < cap {
 		if err := b.fill(p); err != nil {
-			b.refillErrors.Add(1)
 			b.observe(Event{Kind: "refill-error", Key: p.key, Err: err})
 			break
 		}
@@ -629,9 +610,7 @@ func (b *Bank) fill(p *pool) error {
 	if err := b.ctx.Err(); err != nil {
 		return fmt.Errorf("bank: closed")
 	}
-	sp := p.tr.Start("bank-refill").SetBatch(p.key.Batch)
 	server, client, err := p.generate(b.ctx)
-	sp.End(err)
 	if err != nil {
 		return err
 	}

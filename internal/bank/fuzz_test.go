@@ -14,10 +14,10 @@ import (
 // with, so the parsers must never panic, never trust a hostile length,
 // and must accept exactly what the store writes.
 
-// FuzzScanSegment fuzzes the half-file parser: arbitrary file contents
+// FuzzParseHalf fuzzes the half-file parser: arbitrary file contents
 // must parse without panicking, and a file that parses is the one the
 // store would write for its id and blob, byte for byte.
-func FuzzScanSegment(f *testing.F) {
+func FuzzParseHalf(f *testing.F) {
 	half := func(id uint64, blob []byte) []byte { return append(halfHeader(id, blob), blob...) }
 	s, c := fuzzCorrPair()
 	small := half(7, []byte{kindServerHalf, 1, 2, 3})
@@ -32,9 +32,10 @@ func FuzzScanSegment(f *testing.F) {
 	f.Add(small[:halfHeaderSize-1])   // torn header
 	f.Add(small[:5])                  // torn magic
 	f.Add([]byte("ABNN2HF1"))         // magic only
-	f.Add([]byte("NOTMAGIC________")) // wrong magic
+	f.Add([]byte("NOTMAGIC________")) // wrong magic, torn header
 	f.Add([]byte("ABNN2SG1\x00\x00")) // an older-format segment
 	f.Add([]byte{})
+	f.Add(append([]byte("NOTMAGIC"), small[len(halfMagic):]...)) // wrong magic, whole file
 	f.Fuzz(func(t *testing.T, data []byte) {
 		id, blob, err := parseHalf(data)
 		if err != nil {

@@ -8,7 +8,6 @@ import (
 	"abnn2/internal/core"
 	"abnn2/internal/nn"
 	"abnn2/internal/prg"
-	"abnn2/internal/trace"
 	"abnn2/internal/transport"
 )
 
@@ -21,7 +20,6 @@ type pool struct {
 	params core.Params
 	sched  core.Schedule // per-layer backend schedule; nil = all-ABNN2
 	rng    *prg.PRG      // pool stream; consumed only under genMu
-	tr     *trace.Tracer
 
 	genMu   sync.Mutex // serializes generation and lazy generator setup
 	session *sessionGen
@@ -58,19 +56,6 @@ func (p *pool) generate(ctx context.Context) (*core.ServerCorr, *core.ClientCorr
 	return p.session.generate(p.key.Batch, p.sched)
 }
 
-// counters reads the session generator's pipe meter for the tracer, so
-// bank-refill spans carry the offline bytes they moved off the request
-// path; it is zero until the generator exists.
-func (p *pool) counters() transport.Stats {
-	p.mu.Lock()
-	g := p.session
-	p.mu.Unlock()
-	if g == nil {
-		return transport.Stats{}
-	}
-	return g.meter.Snapshot()
-}
-
 // closeGen closes the generator pipes, unblocking any in-flight offline
 // protocol round; the interrupted generation surfaces as a refill error.
 func (p *pool) closeGen() {
@@ -89,7 +74,6 @@ func (p *pool) closeGen() {
 // client triplet sender) over the internal pipe and returns both halves.
 type sessionGen struct {
 	sconn, cconn transport.Conn
-	meter        *transport.Meter
 	strip        *core.ServerTriplets
 	ctrip        *core.ClientTriplets
 	shares       *prg.PRG // the client's r0/z1 stream
@@ -99,7 +83,6 @@ type sessionGen struct {
 
 func newSessionGen(model *nn.QuantizedModel, p core.Params, rng *prg.PRG) (*sessionGen, error) {
 	sconn, cconn := transport.Pipe()
-	mc, meter := transport.MeterEndpoint(cconn)
 	srng, crng, shares := rng.Child("server"), rng.Child("client"), rng.Child("shares")
 	type setup struct {
 		t   *core.ServerTriplets
@@ -110,7 +93,7 @@ func newSessionGen(model *nn.QuantizedModel, p core.Params, rng *prg.PRG) (*sess
 		t, err := core.NewServerTripletsSeeded(sconn, p, bankSession, srng)
 		ch <- setup{t, err}
 	}()
-	ctrip, cerr := core.NewClientTriplets(mc, p, bankSession, crng)
+	ctrip, cerr := core.NewClientTriplets(cconn, p, bankSession, crng)
 	if cerr != nil {
 		// Unblock the server half before collecting it (one Close downs
 		// both pipe ends).
@@ -125,7 +108,7 @@ func newSessionGen(model *nn.QuantizedModel, p core.Params, rng *prg.PRG) (*sess
 		return nil, fmt.Errorf("bank: generator server setup: %w", s.err)
 	}
 	return &sessionGen{
-		sconn: sconn, cconn: mc, meter: meter,
+		sconn: sconn, cconn: cconn,
 		strip: s.t, ctrip: ctrip, shares: shares,
 		model: model, arch: core.ArchOf(model),
 	}, nil

@@ -231,7 +231,6 @@ func (s *Store) recoverPools(st *RecoverStats) error {
 		s.scopes[sc.hash] = sc
 		st.Scopes++
 		st.Records += len(sc.avail)
-		s.observe(Event{Kind: "persist-depth", Key: sc.scope.Key, Depth: len(sc.avail)})
 	}
 	return nil
 }

@@ -117,12 +117,9 @@ func record(label string, s transport.Stats) {
 // fails closes its endpoint, so a peer parked in Recv returns instead of
 // waiting out the test timeout; both errors come back joined.
 //
-// The measurement is the client endpoint's view: BytesAB is what the
-// client sent, and Flights — the NetModel input behind the LAN/WAN columns
-// — is counted in the order the client performed its operations. That
-// order is fixed by the protocol; a meter shared by both ends would count
-// flights in arrival order, which depends on scheduling now that the
-// server sends ahead in the offline phase (see transport.Stats).
+// The measurement is the client endpoint's meter: BytesAB is what the
+// client sent, and Flights, the NetModel input behind the LAN/WAN columns,
+// counts in the client's own order (see transport.Stats).
 func run(opt Options, label string, client, server func(side) error) (measurement, error) {
 	a, b := transport.Pipe()
 	ca, cliMeter := transport.MeterEndpoint(a)

@@ -86,8 +86,8 @@ func TestOfflineHandshakeAndSession(t *testing.T) {
 	_, cliBank := clientParty(t)
 
 	client, info := offlineSession(t, rt, cliBank, nil)
-	if info.BankID == "" || info.Peer != srvStore.PeerID().String() {
-		t.Fatalf("offline handshake info incomplete: bank=%q peer=%q", info.BankID, info.Peer)
+	if info.BankID == "" || info.Peer != srvStore.PeerID() {
+		t.Fatalf("offline handshake info incomplete: bank=%q peer=%s", info.BankID, info.Peer)
 	}
 	got, err := client.Prefetch(2, 2)
 	client.Close()

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -285,6 +286,46 @@ func TestHelloVersionMismatch(t *testing.T) {
 			var rej *RejectError
 			if !errors.As(err, &rej) || rej.Rejection.Code != RejectBadHello || rej.Temporary() {
 				t.Fatalf("handshake err = %v, want a permanent bad-hello *RejectError", err)
+			}
+		})
+	}
+}
+
+// The server's peer id arrives as hex in the hello reply; the handshake
+// parses it, so a malformed one fails here rather than at the first
+// banked batch.
+func TestHelloReplyPeer(t *testing.T) {
+	peer := abnn2.BankPeerID{0xab, 0xcd}
+	for _, tc := range []struct {
+		name, peer string
+		want       abnn2.BankPeerID
+		bad        bool
+	}{
+		{"absent", "", abnn2.BankPeerID{}, false},
+		{"valid", peer.String(), peer, false},
+		{"not-hex", "zz", abnn2.BankPeerID{}, true},
+		{"short", "abcd", abnn2.BankPeerID{}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sconn, cconn := abnn2.Pipe()
+			defer cconn.Close()
+			go func() {
+				defer sconn.Close()
+				if _, err := sconn.Recv(); err != nil {
+					return
+				}
+				out, _ := json.Marshal(helloReply{OK: true, Arch: json.RawMessage("{}"), RingBits: 32, Peer: tc.peer})
+				_ = sconn.Send(out)
+			}()
+			info, err := ClientHandshakeInfo(cconn, "m0")
+			if tc.bad {
+				if err == nil || !strings.Contains(err.Error(), "malformed peer id") {
+					t.Fatalf("handshake err = %v, want a malformed peer id error", err)
+				}
+				return
+			}
+			if err != nil || info.Peer != tc.want {
+				t.Fatalf("handshake = %s, %v; want peer %s", info.Peer, err, tc.want)
 			}
 		})
 	}

@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"abnn2"
+	"abnn2/internal/bank"
 	"abnn2/internal/transport"
 )
 
@@ -139,7 +140,7 @@ type HandshakeInfo struct {
 	RingBits      uint
 	OptimizedReLU bool
 	BankID        string
-	Peer          string
+	Peer          abnn2.BankPeerID // zero when the server runs no durable bank
 	// SessionID is the server-assigned session id; set it as
 	// abnn2.Config.SessionID so client-side spans and flights correlate
 	// with the server's dump of the same session.
@@ -185,8 +186,13 @@ func clientHandshake(conn abnn2.Conn, h hello) (HandshakeInfo, error) {
 	if hr.RingBits == 0 {
 		return info, fmt.Errorf("serve: hello reply carries no ring width")
 	}
+	if hr.Peer != "" {
+		if info.Peer, err = bank.ParsePeerID(hr.Peer); err != nil {
+			return info, fmt.Errorf("serve: hello reply: %w", err)
+		}
+	}
 	info.Model, info.RingBits, info.OptimizedReLU = hr.Model, hr.RingBits, hr.OptimizedReLU
-	info.BankID, info.Peer, info.SessionID = hr.BankID, hr.Peer, hr.Session
+	info.BankID, info.SessionID = hr.BankID, hr.Session
 	return info, nil
 }
 

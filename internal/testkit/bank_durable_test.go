@@ -68,7 +68,7 @@ func runPeerBanked(t *testing.T, c *Case, optRelu bool, p abnn2.Plan) (*ring.Mat
 		} else {
 			cfg.Bank = cliBank
 			cfg.BankModel = id
-			cfg.BankPeer = srvStore.PeerID().String()
+			cfg.BankPeer = srvStore.PeerID()
 		}
 	}
 

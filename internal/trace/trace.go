@@ -14,8 +14,6 @@
 //	offline    the data-independent phase of a batch, when run inline
 //	triplets   one layer's triplet generation (Layer set)
 //	bank       a session drawing/claiming a precomputed correlation
-//	bank-refill one pair generated by the correlation bank (party "bank",
-//	           Label = pool key): the offline phase moved off the request path
 //	online     the data-dependent phase of a batch
 //	input      masked-input transfer
 //	matmul     one layer's online matrix multiplication (Layer set)
@@ -25,8 +23,8 @@
 //	output     output-share transfer
 //
 // Byte counters come in through a caller-supplied closure returning the
-// endpoint's transport.Stats (a transport.Meter's Snapshot), so core,
-// bank and the public abnn2 package can all share one Tracer; transport
+// endpoint's transport.Stats (a transport.Meter's Snapshot), so core and
+// the public abnn2 package can share one Tracer; transport
 // itself imports nothing of this package.
 //
 // A nil *Tracer is the disabled tracer: every method is a no-op and the

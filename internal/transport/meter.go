@@ -6,28 +6,20 @@ import (
 	"time"
 )
 
-// Stats aggregates the communication profile of a protocol execution
-// between two parties: total bytes in each direction, message count, and
-// the number of one-way flights (direction flips), which is what latency
-// multiplies in a WAN.
+// Stats aggregates the communication profile of a protocol execution as
+// one endpoint saw it: bytes in each direction, message count, and the
+// number of one-way flights (direction flips), which is what latency
+// multiplies in a WAN. Party A is the metered endpoint itself (the first
+// conn of MeteredPipe), so BytesAB is what it sent and BytesBA what it
+// received; only completed operations count.
 //
-// Two attributions are in use. A MeteredPipe observes both endpoints:
-// party A is the first conn of the pair. A MeterEndpoint observes one
-// endpoint only: party A is that endpoint itself, so BytesAB is what it
-// sent and BytesBA what it received — over a lossless transport the two
-// views agree on bytes and messages.
-//
-// They do not agree on Flights once a party sends ahead of what it is
-// owed, as the server does in the pipelined offline phase. A shared
-// MeteredPipe meter counts direction flips in global arrival order, so
-// with both directions in flight at once the count depends on how the two
-// parties' goroutines were scheduled (15 one run, 17 the next). An
-// endpoint meter counts flips in the order its own party performed the
-// operations; for a party that is a single sequential loop — the client —
-// that order is fixed by the protocol, so its count is deterministic and
-// is the number to compare across runs or to price with a NetModel.
+// Flights are counted in the order the metered party performed its sends
+// and receives. For a party that is one sequential loop — the client —
+// that order is fixed by the protocol, so the count is the same every run
+// even where the peer sends ahead of what it is owed, and it is the number
+// to compare across runs or to price with a NetModel.
 type Stats struct {
-	BytesAB  int64 // bytes sent by party A (the first conn of MeteredPipe)
+	BytesAB  int64 // bytes sent by party A, the metered endpoint
 	BytesBA  int64 // bytes sent by party B
 	Messages int64 // framed messages in both directions
 	Flights  int64 // direction changes; a request/response exchange is 2
@@ -56,7 +48,7 @@ func (s Stats) Add(other Stats) Stats {
 	}
 }
 
-// Meter collects Stats for a connection pair. Safe for concurrent use.
+// Meter collects one endpoint's Stats. Safe for concurrent use.
 type Meter struct {
 	mu         sync.Mutex
 	stats      Stats
@@ -81,10 +73,6 @@ func (m *Meter) Reset() {
 func (m *Meter) record(sender int, n int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.recordLocked(sender, n)
-}
-
-func (m *Meter) recordLocked(sender int, n int) {
 	if sender == 1 {
 		m.stats.BytesAB += int64(n)
 	} else {
@@ -97,38 +85,12 @@ func (m *Meter) recordLocked(sender int, n int) {
 	}
 }
 
-// meteredConn wraps a Conn, attributing sent bytes to one party.
-type meteredConn struct {
-	Conn
-	meter *Meter
-	party int
-}
-
-func (c *meteredConn) Send(msg []byte) error {
-	// Record only after the transport accepts the message: a failed or
-	// faulted send (timeout, injected fault, closed conn) moved nothing,
-	// and counting it would inflate Stats. The meter lock is held across
-	// the transport send so the two endpoints' records land in wire
-	// order — otherwise the peer could receive this message and record
-	// its response before we record the send, making the shared flight
-	// count depend on scheduling.
-	c.meter.mu.Lock()
-	defer c.meter.mu.Unlock()
-	if err := c.Conn.Send(msg); err != nil {
-		return err
-	}
-	c.meter.recordLocked(c.party, len(msg))
-	return nil
-}
-
-// MeteredPipe returns an in-memory connected pair whose traffic is recorded
-// in the returned Meter. The first connection is party A for accounting.
+// MeteredPipe returns an in-memory connected pair whose first connection
+// is metered as by MeterEndpoint: the returned Meter is that party's view.
 func MeteredPipe() (Conn, Conn, *Meter) {
 	a, b := Pipe()
-	m := &Meter{}
-	return &meteredConn{Conn: a, meter: m, party: 1},
-		&meteredConn{Conn: b, meter: m, party: 2},
-		m
+	ma, m := MeterEndpoint(a)
+	return ma, b, m
 }
 
 // FlightFunc observes one successfully framed message crossing an

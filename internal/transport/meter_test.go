@@ -6,26 +6,6 @@ import (
 	"testing"
 )
 
-// A send that fails must leave Stats untouched: the bytes never moved.
-// Regression test for the metered wrapper recording before Conn.Send
-// returned, which inflated Stats under fault injection.
-func TestMeterSkipsFailedSends(t *testing.T) {
-	a, _ := Pipe()
-	meter := &Meter{}
-	ma := &meteredConn{Conn: Fault(a, FaultPlan{Class: FaultDisconnect, Message: 1}), meter: meter, party: 1}
-
-	if err := ma.Send([]byte("ok")); err != nil {
-		t.Fatal(err)
-	}
-	if err := ma.Send([]byte("never-arrives")); err == nil {
-		t.Fatal("faulted send reported success")
-	}
-	s := meter.Snapshot()
-	if s.BytesAB != 2 || s.Messages != 1 || s.Flights != 1 {
-		t.Fatalf("stats after faulted send = %+v, want 2 bytes / 1 message / 1 flight", s)
-	}
-}
-
 func TestMeterEndpointSkipsFailedOps(t *testing.T) {
 	a, b := Pipe()
 	// The fault plan fails the second send deterministically (and closes
@@ -49,10 +29,12 @@ func TestMeterEndpointSkipsFailedOps(t *testing.T) {
 	}
 }
 
-// Single-ended metering must agree with the two-ended pipe meter.
+// The two ends of a pipe see the same traffic from opposite sides: bytes
+// swap between them and the message counts agree. Under strict ping-pong
+// both parties perform their operations in the same global order, so the
+// flight counts agree too.
 func TestMeterEndpointMatchesPipeMeter(t *testing.T) {
-	pa, pb, pipeMeter := MeteredPipe()
-	a, aMeter := MeterEndpoint(pa)
+	a, pb, aMeter := MeteredPipe()
 	b, bMeter := MeterEndpoint(pb)
 
 	done := make(chan error, 1)
@@ -81,18 +63,57 @@ func TestMeterEndpointMatchesPipeMeter(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	want := pipeMeter.Snapshot()
-	got := aMeter.Snapshot()
+	got, mirror := aMeter.Snapshot(), bMeter.Snapshot()
+	want := Stats{BytesAB: 10*100 + 45, BytesBA: 10 * 7, Messages: 20, Flights: 20}
 	if got != want {
-		t.Fatalf("endpoint view %+v, pipe view %+v", got, want)
+		t.Fatalf("first end %+v, want %+v", got, want)
 	}
-	// B's view swaps directions: its sends are the pipe's BA traffic.
-	bGot := bMeter.Snapshot()
-	if bGot.BytesAB != want.BytesBA || bGot.BytesBA != want.BytesAB {
-		t.Fatalf("peer endpoint view %+v vs pipe view %+v", bGot, want)
+	if mirror.BytesAB != got.BytesBA || mirror.BytesBA != got.BytesAB {
+		t.Fatalf("second end %+v does not swap the first end's bytes %+v", mirror, got)
 	}
-	if bGot.Messages != want.Messages || bGot.Flights != want.Flights {
-		t.Fatalf("peer message/flight view %+v vs pipe view %+v", bGot, want)
+	if mirror.Messages != got.Messages || mirror.Flights != got.Flights {
+		t.Fatalf("second end %+v, first end %+v: messages or flights differ", mirror, got)
+	}
+}
+
+// The second end sends ahead of what it is owed, and the first end's send
+// lands somewhere among those k frames. The first end's meter counts in
+// its own order — one send, then k receives — so it reads the same Stats
+// every run; a meter shared by both ends would count flips in whichever
+// order the two ends' sends happened to land.
+func TestMeteredPipeSendAheadIsExact(t *testing.T) {
+	const k = 256
+	want := Stats{BytesAB: 11, BytesBA: k * 3, Messages: k + 1, Flights: 2}
+	for run := 0; run < 200; run++ {
+		a, b, meter := MeteredPipe()
+		started, done := make(chan struct{}), make(chan error, 1)
+		go func() {
+			close(started)
+			for i := 0; i < k; i++ {
+				if err := b.Send(make([]byte, 3)); err != nil {
+					done <- err
+					return
+				}
+			}
+			_, err := b.Recv()
+			done <- err
+		}()
+		<-started
+		if err := a.Send(make([]byte, 11)); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < k; i++ {
+			if _, err := a.Recv(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		if got := meter.Snapshot(); got != want {
+			t.Fatalf("run %d: stats %+v, want %+v", run, got, want)
+		}
+		a.Close()
 	}
 }
 

@@ -97,7 +97,7 @@ func peerConfigs(t *testing.T, qm *QuantizedModel, srv, cli *durableParty) (Conf
 		Bank: srv.bank, OfflineMode: OfflineBanked}
 	ccfg := Config{RingBits: 32, Seed: 0x0FF2, RoundTimeout: chaosRoundTimeout,
 		Bank: cli.bank, OfflineMode: OfflineBanked, BankModel: id,
-		BankPeer: srv.store.PeerID().String()}
+		BankPeer: srv.store.PeerID()}
 	return scfg, ccfg
 }
 
@@ -336,7 +336,7 @@ func TestRemoteOfflineRequiresStore(t *testing.T) {
 	sconn, cconn := Pipe()
 	defer sconn.Close()
 	defer cconn.Close()
-	_, err = Dial(cconn, qm.Arch(), Config{RingBits: 32, Bank: memBank, BankModel: id, BankPeer: BankPeerID{1}.String()})
+	_, err = Dial(cconn, qm.Arch(), Config{RingBits: 32, Bank: memBank, BankModel: id, BankPeer: BankPeerID{1}})
 	if err == nil || !strings.Contains(err.Error(), "durable store") {
 		t.Errorf("Dial with BankPeer and no store: %v", err)
 	}

@@ -20,7 +20,7 @@ import (
 type Stats = transport.Stats
 
 // TraceSpan is one completed protocol phase: its name ("setup", "baseot",
-// "offline", "triplets", "bank", "bank-refill", "batch", "online",
+// "offline", "triplets", "bank", "bank-peer", "batch", "online",
 // "input", "matmul", "relu", "pool", "argmax", "output", "idle"),
 // nesting (root spans partition a
 // session's traffic), layer/batch attribution, wall time, and the

@@ -9,9 +9,7 @@ import (
 
 // runSecureWorkers runs one full Serve/Dial inference over a pipe at the
 // given worker count and returns the classifications plus the exact wire
-// traffic as the client endpoint counts it: the server sends ahead in the
-// offline phase, so a meter shared by both ends would count flights in a
-// scheduling-dependent order (see transport.Stats).
+// traffic as the client endpoint counts it (see transport.Stats).
 func runSecureWorkers(t *testing.T, qm *QuantizedModel, inputs [][]float64, workers int) ([]int, transport.Stats) {
 	t.Helper()
 	sc, cc := Pipe()
