@@ -125,7 +125,7 @@ fuzz:
 	$(GO) test ./internal/baseot -fuzz FuzzSendMatchesReference -fuzztime 10s
 	$(GO) test ./internal/paillier -fuzz FuzzUnmarshalCiphertext -fuzztime 10s
 	$(GO) test ./internal/bank -fuzz 'FuzzParseHalf$$' -fuzztime 10s
-	$(GO) test ./internal/bank -fuzz FuzzScanJournal -fuzztime 10s
+	$(GO) test ./internal/bank -fuzz 'FuzzParseHalfName$$' -fuzztime 10s
 	$(GO) test ./internal/bank -fuzz FuzzDecodeCorr -fuzztime 10s
 	$(GO) test ./internal/plan -fuzz FuzzPlanFromString -fuzztime 10s
 	$(GO) test . -fuzz FuzzParseAnnouncement -fuzztime 10s
@@ -145,7 +145,7 @@ loc:
 # The size gate (CI's static job runs it): `make loc` may not exceed
 # LOC_MAX, the figure the last PR that moved it ended on. A PR that needs
 # more lines raises LOC_MAX here, in the open, in its diff.
-LOC_MAX = 19572
+LOC_MAX = 19500
 loc-check:
 	@n=$$($(MAKE) -s loc); \
 	if [ "$$n" -gt $(LOC_MAX) ]; then echo "loc-check: $$n non-test Go lines, LOC_MAX is $(LOC_MAX)"; exit 1; fi; \

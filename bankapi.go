@@ -25,11 +25,10 @@ import (
 )
 
 // ErrBankDry reports that a session required banked provisioning
-// (OfflineBanked) and found its correlation pool empty. It is a
-// retryable condition — on a loopback pool the miss itself triggers
-// background replenishment, so a caller that backs off briefly and
-// retries the batch will usually find the pool warm; a remote peer's pool
-// fills only when the caller runs Client.Prefetch. Test with errors.Is.
+// (OfflineBanked) and found its correlation pool empty. A dry pool does
+// not warm itself: a loopback pool fills only when the caller runs
+// Bank.Prewarm, a remote peer's only when it runs Client.Prefetch; the
+// batch succeeds on retry once one of them has. Test with errors.Is.
 var ErrBankDry = errors.New("abnn2: correlation pool dry")
 
 // BankSessionBackend is the BankKey.Backend of the pools plan-less
@@ -39,9 +38,9 @@ const BankSessionBackend = bank.SessionBackend
 // Bank is a correlation precompute service; see NewBank.
 type Bank = bank.Bank
 
-// BankOptions sizes and instruments a Bank: pool capacity, low-watermark
-// refill trigger, generation parallelism, deterministic seeding and the
-// metrics hook.
+// BankOptions sizes and instruments a Bank: pool capacity, generation
+// parallelism, deterministic seeding, the metrics hook and the durable
+// store. Its Low field is ignored.
 type BankOptions = bank.Options
 
 // BankKey identifies one correlation pool: (model, scheme, ring width,
@@ -53,9 +52,9 @@ type BankStats = bank.Stats
 
 // NewBank returns an empty correlation bank. For loopback provisioning
 // register the served models with RegisterBankModel, hand the bank to
-// both endpoints via Config.Bank, and optionally Prewarm the pools you
-// expect traffic on; pools touched cold warm themselves in the
-// background.
+// both endpoints via Config.Bank, and Prewarm the pools you expect
+// traffic on: a pool touched cold misses (the batch runs inline under
+// OfflineAuto, fails with ErrBankDry under OfflineBanked) and stays cold.
 func NewBank(opts BankOptions) *Bank { return bank.New(opts) }
 
 // RegisterBankModel makes a model's correlation pools available and

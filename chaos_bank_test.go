@@ -9,11 +9,12 @@ import (
 	"testing"
 	"time"
 
+	"abnn2/internal/bank"
 	"abnn2/internal/leakcheck"
 )
 
 // Bank chaos suite: banked provisioning under hostile conditions — dry
-// pools, forged correlation IDs, shutdown racing replenishment and live
+// pools, forged correlation IDs, shutdown racing a Prewarm and live
 // sessions. The invariant is the same error-or-fallback discipline the
 // transport chaos tests enforce: a session either completes correctly
 // or returns an error promptly; nothing hangs, nothing leaks.
@@ -39,8 +40,8 @@ func chaosBank(t *testing.T, qm *QuantizedModel, opts BankOptions) (*Bank, strin
 
 // TestChaosBankDryPool: a cold pool under OfflineBanked must fail the
 // batch immediately — and under OfflineAuto must fall back to the
-// inline offline phase and still classify correctly. Either way the
-// background warm-up the misses kicked off dies with Close.
+// inline offline phase and still classify correctly. The miss leaves
+// nothing running behind it.
 func TestChaosBankDryPool(t *testing.T) {
 	qm := chaosModel(t)
 	base := leakcheck.Base()
@@ -150,46 +151,56 @@ func TestChaosBankForgedCorrelationID(t *testing.T) {
 	leakcheck.Settle(t, base, "forged correlation ID")
 }
 
-// TestChaosBankCloseMidReplenish: with Low = Capacity every draw leaves
-// the pool below its watermark, so a refill is guaranteed to be running
-// when Close lands. Close must cancel the in-flight generator pair and
-// return promptly, leaving no goroutines behind.
+// firstRefill signals the first pair a Prewarm stores.
+type firstRefill chan struct{}
+
+func (c firstRefill) BankEvent(ev bank.Event) {
+	if ev.Kind == "refill" {
+		select {
+		case c <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// TestChaosBankCloseMidReplenish: a Close that lands while Prewarm fills
+// a pool must cancel the in-flight generator pair and return promptly;
+// the Prewarm returns an error, and no goroutine is left behind.
 func TestChaosBankCloseMidReplenish(t *testing.T) {
 	qm := chaosModel(t)
 	base := leakcheck.Base()
 
-	b, id, keyFor := chaosBank(t, qm, BankOptions{Capacity: 8, Low: 8})
-	if err := b.Prewarm(keyFor(2), 1); err != nil {
-		t.Fatalf("prewarm: %v", err)
+	filled := make(firstRefill, 1)
+	b, _, keyFor := chaosBank(t, qm, BankOptions{Capacity: 8, Observer: filled})
+	prewarmed := make(chan error, 1)
+	go func() { prewarmed <- b.Prewarm(keyFor(2), b.Capacity()) }()
+	select {
+	case <-filled: // one pair in, seven to go: generation is in flight
+	case err := <-prewarmed:
+		t.Fatalf("Prewarm returned %v before its first pair", err)
 	}
-	sconn, cconn := Pipe()
-	scfg := Config{RingBits: 32, RoundTimeout: chaosRoundTimeout,
-		Bank: b, OfflineMode: OfflineBanked}
-	ccfg := Config{RingBits: 32, Seed: 80, RoundTimeout: chaosRoundTimeout,
-		Bank: b, OfflineMode: OfflineBanked, BankModel: id}
-	srvErr, cliErr, classes := runParties(t, qm, sconn, cconn, scfg, ccfg)
-	if srvErr != nil || cliErr != nil {
-		t.Fatalf("banked run failed: server=%v client=%v", srvErr, cliErr)
-	}
-	for k, x := range chaosInputs(2) {
-		if classes[k] != qm.Predict(x) {
-			t.Errorf("banked run misclassified input %d", k)
-		}
-	}
-	// The draw above left depth 0 < Low 8: replenishment is in flight.
 	closed := make(chan error, 1)
 	go func() { closed <- b.Close() }()
-	select {
-	case err := <-closed:
-		if err != nil {
-			t.Fatalf("close: %v", err)
+	watchdog := time.After(chaosWatchdog)
+	for closed != nil || prewarmed != nil {
+		select {
+		case err := <-closed:
+			if err != nil {
+				t.Fatalf("close: %v", err)
+			}
+			closed = nil
+		case err := <-prewarmed:
+			if err == nil {
+				t.Fatal("Prewarm filled the pool across a Close")
+			}
+			prewarmed = nil
+		case <-watchdog:
+			buf := make([]byte, 1<<20)
+			n := runtime.Stack(buf, true)
+			t.Fatalf("Close or Prewarm hung on an interrupted generation:\n%s", buf[:n])
 		}
-	case <-time.After(chaosWatchdog):
-		buf := make([]byte, 1<<20)
-		n := runtime.Stack(buf, true)
-		t.Fatalf("Close hung on in-flight replenishment:\n%s", buf[:n])
 	}
-	leakcheck.Settle(t, base, "close mid-replenish")
+	leakcheck.Settle(t, base, "close mid-prewarm")
 }
 
 // TestChaosBankConcurrentDrain: several OfflineAuto sessions race a
@@ -256,9 +267,9 @@ func TestChaosBankConcurrentDrain(t *testing.T) {
 }
 
 // TestChaosBankDryConcurrent: N parallel strict-banked sessions race a
-// capacity-1 pool. Each session must either complete correctly (it won
-// the draw, or a miss-triggered refill landed in time) or fail with the
-// typed ErrBankDry — never hang, never leak. The same race under
+// capacity-1 pool holding one pair. Exactly one session wins the draw and
+// completes correctly; every other fails with the typed ErrBankDry — the
+// misses fill nothing — and none hangs or leaks. The same race under
 // OfflineAuto must complete every session via inline fallback.
 func TestChaosBankDryConcurrent(t *testing.T) {
 	qm := chaosModel(t)
@@ -306,8 +317,8 @@ func TestChaosBankDryConcurrent(t *testing.T) {
 				t.Errorf("session %d failed without the typed dry error: %v", i, err)
 			}
 		}
-		if completed == 0 {
-			t.Error("no session won the prewarmed correlation")
+		if completed != 1 {
+			t.Errorf("%d sessions completed on one prewarmed correlation, want exactly 1", completed)
 		}
 	})
 

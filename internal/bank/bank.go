@@ -19,12 +19,11 @@
 // correlation it generated with a remote peer over the wire (a batch whose
 // announcement says "store": Client.Prefetch and Server.store in the root
 // package's abnn2.go); those pools live in the Store's pool directories and
-// survive restarts. The loopback filler (Prewarm, and a watermark refill
-// behind every loopback draw) is the same arrangement with both parties
-// in this process: a persistent generator pair runs the genuine offline
-// protocol over an internal pipe and stores the client halves under
-// LoopbackServer and the server halves under LoopbackClient, in memory
-// only.
+// survive restarts. Prewarm, the only filler of a loopback pool, is the
+// same arrangement with both parties in this process, on its caller's
+// goroutine: a generator pair runs the genuine offline protocol over an
+// internal pipe and stores the client halves under LoopbackServer and the
+// server halves under LoopbackClient, in memory only.
 //
 // Security model: the loopback peer is an in-process trusted dealer — the
 // process that hosts both generator endpoints sees both halves. That
@@ -86,7 +85,7 @@ func (k Key) String() string {
 // Event is one bank occurrence delivered to an Observer. Draws and claims
 // report "hit", "miss", "claim" and "claim-miss" on a loopback pool and
 // the same kinds prefixed "peer-" on a remote peer's; the loopback filler
-// adds "refill", "refill-error" and "evict", and the store its
+// adds "refill" (one pair Prewarm generated) and "evict", and the store its
 // "persist-*" kinds. Depth is the pool depth after the event where
 // meaningful. A "persist-claim" names the claimed half: its pool's scope
 // digest and its correlation id.
@@ -109,9 +108,8 @@ type Observer interface {
 type Options struct {
 	// Capacity bounds each pool's depth. Default 8.
 	Capacity int
-	// Low is the refill watermark: a loopback pool dropping below it
-	// triggers background replenishment up to Capacity. Default
-	// Capacity/2, minimum 1.
+	// Deprecated: ignored. Loopback pools fill only in Prewarm; the
+	// field stays for callers that still set it.
 	Low int
 	// Workers bounds generation compute parallelism (the internal/par
 	// pool), like core.Params.Workers. 0 means one worker per CPU.
@@ -139,16 +137,6 @@ func (o Options) capacity() int {
 	return o.Capacity
 }
 
-func (o Options) low() int {
-	if o.Low > 0 {
-		return o.Low
-	}
-	if l := o.capacity() / 2; l > 0 {
-		return l
-	}
-	return 1
-}
-
 // maxClaims bounds, per loopback pool, the server halves whose client
 // half was drawn and whose id was never claimed (the client died before
 // announcing): they must not hold memory forever, so past this bound the
@@ -159,8 +147,8 @@ const maxClaims = 1024
 // pairs, distinct from the live session tags in internal/core.
 const bankSession = 0xBA
 
-// Stats is a snapshot of bank counters — draws on every pool, refills of
-// the loopback ones — and the loopback pools' depths.
+// Stats is a snapshot of bank counters — draws on every pool, Prewarm's
+// fills of the loopback ones — and the loopback pools' depths.
 type Stats struct {
 	Hits, Misses int64
 	Refills      int64
@@ -175,21 +163,19 @@ type Bank struct {
 	cancel context.CancelFunc
 	rng    *prg.PRG // root stream; pool children derived under mu
 
-	mu       sync.Mutex
-	models   map[string]*nn.QuantizedModel
-	scheds   map[string]schedEntry
-	pools    map[Key]*pool // the loopback pools' fillers
-	draining bool
-	closed   bool
+	mu     sync.Mutex
+	models map[string]*nn.QuantizedModel
+	scheds map[string]schedEntry
+	pools  map[Key]*pool // the loopback pools' fillers
+	closed bool
 
 	nextID atomic.Uint64 // loopback correlation ids are sequential
-	wg     sync.WaitGroup
 
 	hits, misses, refills atomic.Int64
 }
 
-// New returns an empty bank. Register models, then Prewarm loopback pools
-// or let first-touch misses warm them in the background.
+// New returns an empty bank. Register models, then Prewarm the loopback
+// pools sessions will draw from: nothing else fills them.
 func New(opts Options) *Bank {
 	ctx, cancel := context.WithCancel(context.Background())
 	var rng *prg.PRG
@@ -353,8 +339,7 @@ func (p PeerID) events() string {
 // The returned id is what the client announces in-band; the server finds
 // the matching half through Claim. ok is false when the pool is dry or
 // unknown — callers fall back to inline offline generation or fail fast,
-// never wait; a dry loopback pool additionally starts warming in the
-// background for subsequent sessions.
+// never wait. A dry loopback pool stays dry until Prewarm fills it.
 func (b *Bank) Draw(peer PeerID, key Key) (id uint64, half *core.ClientCorr, ok bool) {
 	scope := Scope{Peer: peer, Key: key}
 	var p *pool // the filler behind a loopback pool
@@ -379,14 +364,10 @@ func (b *Bank) Draw(peer PeerID, key Key) (id uint64, half *core.ClientCorr, ok 
 		}
 		if p != nil {
 			b.evictParked(p)
-			b.maybeRefill(p)
 		}
 		b.hits.Add(1)
 		b.observe(Event{Kind: peer.events() + "hit", Key: key, Depth: b.store.Depth(scope)})
 		return id, half, true
-	}
-	if p != nil {
-		b.maybeRefill(p)
 	}
 	return b.miss(peer, key)
 }
@@ -461,9 +442,9 @@ func (b *Bank) Depth(peer PeerID, key Key) int {
 // filler fills to, and what a server enforces per peer on store batches.
 func (b *Bank) Capacity() int { return b.opts.capacity() }
 
-// Prewarm synchronously fills the loopback pool for key to depth n
-// (clamped to Capacity). Errors out rather than blocking forever when the
-// bank is closing.
+// Prewarm fills the loopback pool for key to depth n (clamped to
+// Capacity) on the caller's goroutine: the only way a loopback pool
+// fills. A Close during the fill interrupts it with an error.
 func (b *Bank) Prewarm(key Key, n int) error {
 	p := b.lookup(key)
 	if p == nil {
@@ -499,105 +480,24 @@ func (b *Bank) Snapshot() Stats {
 	return s
 }
 
-// Drain stops accepting new replenishment work, waits for in-flight
-// generation to finish (the SIGTERM path of cmd/abnn2-server), and
-// fsyncs the store's pool directories so no append is left in OS
-// buffers. Returns ctx's error if the wait outlives it; callers should
-// follow up with Close, which force-cancels whatever remains.
-func (b *Bank) Drain(ctx context.Context) error {
-	b.mu.Lock()
-	b.draining = true
-	b.mu.Unlock()
-	done := make(chan struct{})
-	go func() {
-		b.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		if st := b.opts.Store; st != nil {
-			return st.Sync()
-		}
-		return nil
-	case <-ctx.Done():
-		if st := b.opts.Store; st != nil {
-			_ = st.Sync()
-		}
-		return ctx.Err()
-	}
-}
+// Drain is Store.Sync: no append is left in OS buffers. The bank runs
+// nothing in the background, so there is nothing to wait for.
+func (b *Bank) Drain(context.Context) error { return b.store.Sync() }
 
-// Close force-stops the bank: pending refills are cancelled (in-flight
-// generator protocol rounds are unblocked by closing their pipes), and
-// Close returns once every background goroutine has exited. Safe to call
-// more than once; loopback draws report misses afterwards.
+// Close stops the bank: it closes the generator pipes, failing the round
+// of any Prewarm in progress, and refuses later ones. Safe to call more
+// than once; loopback draws report misses afterwards.
 func (b *Bank) Close() error {
 	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		b.wg.Wait()
-		return nil
-	}
-	b.closed = true
-	b.draining = true
-	pools := make([]*pool, 0, len(b.pools))
-	for _, p := range b.pools {
-		pools = append(pools, p)
-	}
-	b.mu.Unlock()
-	b.cancel()
-	for _, p := range pools {
-		p.closeGen()
-	}
-	b.wg.Wait()
-	return nil
-}
-
-// stopping reports whether new generation work should be abandoned.
-func (b *Bank) stopping() bool {
-	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.draining || b.closed
-}
-
-// maybeRefill starts the pool's background refill when depth is below
-// the low watermark and none is running. At most one refill runs per
-// pool; generation compute inside it still fans out across the
-// worker pool.
-func (b *Bank) maybeRefill(p *pool) {
-	if b.stopping() {
-		return
-	}
-	low := b.opts.low()
-	p.mu.Lock()
-	if p.refilling || b.Depth(LoopbackServer, p.key) >= low {
-		p.mu.Unlock()
-		return
-	}
-	p.refilling = true
-	p.mu.Unlock()
-	b.wg.Add(1)
-	go b.refill(p)
-}
-
-// refill replenishes one pool up to Capacity, then exits. A generation
-// error stops the refill (the next Draw may retry); Close aborts it
-// mid-pair by closing the generator pipe.
-func (b *Bank) refill(p *pool) {
-	defer b.wg.Done()
-	cap := b.opts.capacity()
-	for !b.stopping() && b.Depth(LoopbackServer, p.key) < cap {
-		if err := b.fill(p); err != nil {
-			b.observe(Event{Kind: "refill-error", Key: p.key, Err: err})
-			break
+	if !b.closed {
+		b.closed = true
+		b.cancel() // before closeGen: a generator set up meanwhile sees it
+		for _, p := range b.pools {
+			p.closeGen()
 		}
 	}
-	p.mu.Lock()
-	p.refilling = false
-	p.mu.Unlock()
-	// A Draw that raced with our exit saw refilling=true and skipped its
-	// trigger; maybeRefill restarts us if the pool is still shallow.
-	b.maybeRefill(p)
+	return nil
 }
 
 // fill generates one pair for p and stores its halves under the next

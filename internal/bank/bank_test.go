@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"abnn2/internal/core"
+	"abnn2/internal/leakcheck"
 	"abnn2/internal/nn"
 	"abnn2/internal/prg"
 	"abnn2/internal/quant"
@@ -87,10 +88,6 @@ func fillLoopback(t *testing.T, n int) filled {
 	// Asking for more than Capacity fills to Capacity.
 	if err := b.Prewarm(key, n+2); err != nil {
 		t.Fatalf("prewarm: %v", err)
-	}
-	// No refill behind the draws: the pool holds exactly n.
-	if err := b.Drain(context.Background()); err != nil {
-		t.Fatalf("drain: %v", err)
 	}
 	ids := make([]uint64, n)
 	for i := range ids {
@@ -325,14 +322,11 @@ func TestPutNeedsDurableStore(t *testing.T) {
 func TestLoopbackEvictionBound(t *testing.T) {
 	const k = 3
 	ev := &eventCounter{}
-	b := New(Options{Capacity: maxClaims + k, Low: 1, Seed: 21, Observer: ev})
+	b := New(Options{Capacity: maxClaims + k, Seed: 21, Observer: ev})
 	defer b.Close()
 	key := sessionKey(t, b, testModel(t), 1)
 	if err := b.Prewarm(key, maxClaims+k); err != nil {
 		t.Fatalf("prewarm: %v", err)
-	}
-	if err := b.Drain(context.Background()); err != nil {
-		t.Fatalf("drain: %v", err)
 	}
 	for i := 1; i <= maxClaims+k; i++ {
 		if id, _, ok := b.Draw(LoopbackServer, key); !ok || id != uint64(i) {
@@ -409,34 +403,6 @@ func TestLoopbackDeterministicSeeding(t *testing.T) {
 	}
 }
 
-func TestLoopbackWatermarkRefill(t *testing.T) {
-	b := New(Options{Capacity: 4, Low: 2, Seed: 5})
-	defer b.Close()
-	key := sessionKey(t, b, testModel(t), 1)
-	if err := b.Prewarm(key, 4); err != nil {
-		t.Fatalf("prewarm: %v", err)
-	}
-	for i := 0; i < 3; i++ {
-		if _, _, ok := b.Draw(LoopbackServer, key); !ok {
-			t.Fatalf("draw %d missed", i)
-		}
-	}
-	deadline := time.Now().Add(30 * time.Second)
-	for b.Depth(LoopbackServer, key) < 4 {
-		if time.Now().After(deadline) {
-			t.Fatalf("pool not replenished to capacity, depth %d", b.Depth(LoopbackServer, key))
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	st := b.Snapshot()
-	if st.Refills < 7 { // 4 prewarm + >=3 background
-		t.Fatalf("refills = %d, want >= 7", st.Refills)
-	}
-	if st.Hits != 3 || st.Depths[key] != 4 {
-		t.Fatalf("hits = %d depth = %d, want 3 and 4", st.Hits, st.Depths[key])
-	}
-}
-
 func TestLoopbackMissPaths(t *testing.T) {
 	b := New(Options{Capacity: 2, Seed: 5})
 	defer b.Close()
@@ -457,44 +423,69 @@ func TestLoopbackMissPaths(t *testing.T) {
 	if _, _, ok := b.Draw(LoopbackServer, badBatch); ok {
 		t.Fatalf("draw with negative batch succeeded")
 	}
-	// Dry pool: first touch misses but warms in the background.
+	// A cold pool misses and stays cold: only Prewarm fills it.
 	if _, _, ok := b.Draw(LoopbackServer, key); ok {
 		t.Fatalf("draw on a cold pool succeeded")
 	}
-	deadline := time.Now().Add(30 * time.Second)
-	for b.Depth(LoopbackServer, key) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("miss did not trigger background warming")
-		}
-		time.Sleep(5 * time.Millisecond)
+	if d := b.Depth(LoopbackServer, key); d != 0 {
+		t.Fatalf("a miss left the cold pool at depth %d, want 0", d)
 	}
-	if st := b.Snapshot(); st.Misses < 4 {
-		t.Fatalf("misses = %d, want >= 4", st.Misses)
+	if st := b.Snapshot(); st.Misses != 4 || st.Refills != 0 {
+		t.Fatalf("misses = %d refills = %d, want 4 and 0", st.Misses, st.Refills)
 	}
 }
 
+// refillSignal reports the first "refill" event on a channel.
+type refillSignal chan struct{}
+
+func (c refillSignal) BankEvent(ev Event) {
+	if ev.Kind == "refill" {
+		select {
+		case c <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// TestBankDrainAndClose: a Close that lands while Prewarm generates
+// interrupts it — Close returns at once, Prewarm returns an error and
+// every generator goroutine exits — and a closed bank refuses new work.
 func TestBankDrainAndClose(t *testing.T) {
-	b := New(Options{Capacity: 8, Low: 8, Seed: 4})
+	base := leakcheck.Base()
+	filled := make(refillSignal, 1)
+	b := New(Options{Capacity: 8, Seed: 4, Observer: filled})
 	qm := testModel(t)
 	key := sessionKey(t, b, qm, 2)
-	if err := b.Prewarm(key, 1); err != nil {
-		t.Fatalf("prewarm: %v", err)
-	}
-	// Pop the only entry: depth 0 < low triggers a background refill of
-	// up to 7 more pairs, which Close must be able to interrupt.
-	if _, _, ok := b.Draw(LoopbackServer, key); !ok {
-		t.Fatalf("draw missed")
-	}
-	done := make(chan struct{})
-	go func() {
-		_ = b.Close()
-		close(done)
-	}()
+	prewarmed := make(chan error, 1)
+	go func() { prewarmed <- b.Prewarm(key, b.Capacity()) }()
+	// One pair is in: the other seven are still to generate.
 	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatalf("Close hung with a replenishment in flight")
+	case <-filled:
+	case err := <-prewarmed:
+		t.Fatalf("Prewarm returned %v before its first pair", err)
 	}
+	if err := b.Drain(context.Background()); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- b.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatalf("close: %v", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatalf("Close hung with a Prewarm in flight")
+	}
+	select {
+	case err := <-prewarmed:
+		if err == nil {
+			t.Fatalf("Prewarm filled the pool to %d across a Close", b.Depth(LoopbackServer, key))
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatalf("Prewarm did not return after Close")
+	}
+	leakcheck.Settle(t, base, "close during prewarm")
 	if _, _, ok := b.Draw(LoopbackServer, key); ok {
 		t.Fatalf("draw succeeded after Close")
 	}
@@ -507,31 +498,5 @@ func TestBankDrainAndClose(t *testing.T) {
 	// Close is idempotent.
 	if err := b.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
-	}
-}
-
-func TestBankDrainWaitsForRefill(t *testing.T) {
-	b := New(Options{Capacity: 2, Low: 2, Seed: 6})
-	defer b.Close()
-	key := sessionKey(t, b, testModel(t), 1)
-	if err := b.Prewarm(key, 1); err != nil {
-		t.Fatalf("prewarm: %v", err)
-	}
-	if _, _, ok := b.Draw(LoopbackServer, key); !ok {
-		t.Fatalf("draw missed")
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := b.Drain(ctx); err != nil {
-		t.Fatalf("drain: %v", err)
-	}
-	// After a drain no new refills start: depth stays wherever it landed.
-	d := b.Depth(LoopbackServer, key)
-	if _, _, ok := b.Draw(LoopbackServer, key); ok != (d > 0) {
-		t.Fatalf("post-drain draw ok=%v with depth %d", ok, d)
-	}
-	time.Sleep(20 * time.Millisecond)
-	if after := b.Depth(LoopbackServer, key); after > d {
-		t.Fatalf("pool refilled after Drain: %d -> %d", d, after)
 	}
 }

@@ -50,12 +50,12 @@ func FuzzParseHalf(f *testing.F) {
 	})
 }
 
-// FuzzScanJournal fuzzes the names and the SCOPE files recovery reads
+// FuzzParseHalfName fuzzes the names and the SCOPE files recovery reads
 // from a pool directory: arbitrary strings must parse without panicking,
 // and whatever parses as a half name or a scope is the canonical form
 // halfName or Scope.String writes, so no two spellings name one half or
 // one pool.
-func FuzzScanJournal(f *testing.F) {
+func FuzzParseHalfName(f *testing.F) {
 	scope := testScope(PeerID{0xAB})
 	f.Add([]byte(halfName(1, 0xdeadbeef)))
 	f.Add([]byte(halfName(1, 0xdeadbeef) + tmpSuffix))

@@ -21,12 +21,10 @@ type pool struct {
 	sched  core.Schedule // per-layer backend schedule; nil = all-ABNN2
 	rng    *prg.PRG      // pool stream; consumed only under genMu
 
-	genMu   sync.Mutex // serializes generation and lazy generator setup
-	session *sessionGen
+	genMu   sync.Mutex  // serializes generation and lazy generator setup
+	session *sessionGen // set under genMu and mu; its pipe closed by Bank.Close
 
-	mu        sync.Mutex // also makes storing a pair atomic for evictParked
-	refilling bool
-	conns     []transport.Conn // generator pipe ends, closed by Bank.Close
+	mu sync.Mutex // also makes storing a pair atomic for evictParked
 }
 
 // scopes returns where the pool's halves wait: client halves under the
@@ -43,11 +41,10 @@ func (p *pool) generate(ctx context.Context) (*core.ServerCorr, *core.ClientCorr
 			return nil, nil, err
 		}
 		p.mu.Lock()
-		p.conns = append(p.conns, g.sconn, g.cconn)
 		p.session = g
 		p.mu.Unlock()
-		// A Close that raced with setup snapshotted the conn list before
-		// this append; re-check so the fresh pipe is not left open.
+		// A Close that raced with setup found no pipe to close; re-check
+		// so the fresh one is not left open.
 		if ctx.Err() != nil {
 			p.closeGen()
 			return nil, nil, fmt.Errorf("bank: closed")
@@ -56,15 +53,14 @@ func (p *pool) generate(ctx context.Context) (*core.ServerCorr, *core.ClientCorr
 	return p.session.generate(p.key.Batch, p.sched)
 }
 
-// closeGen closes the generator pipes, unblocking any in-flight offline
-// protocol round; the interrupted generation surfaces as a refill error.
+// closeGen closes the generator pipe (one Close downs both ends),
+// unblocking any in-flight offline protocol round; the interrupted
+// generation surfaces as Prewarm's error.
 func (p *pool) closeGen() {
 	p.mu.Lock()
-	conns := p.conns
-	p.conns = nil
-	p.mu.Unlock()
-	for _, c := range conns {
-		_ = c.Close()
+	defer p.mu.Unlock()
+	if p.session != nil {
+		_ = p.session.sconn.Close()
 	}
 }
 

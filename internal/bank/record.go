@@ -44,8 +44,9 @@ const halfHeaderSize = 8 + 4 + 8
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // maxRecordBytes bounds one stored blob. A correlation for even an
-// ImageNet-scale layer stack stays far below this; anything larger is a
-// corrupt or hostile file, rejected before it is trusted.
+// ImageNet-scale layer stack stays far below this; a half file holding
+// more is a corrupt or hostile one, which readHalf refuses from its size
+// before reading it.
 const maxRecordBytes = 1 << 28
 
 // maxMatDim bounds a decoded matrix dimension, mirroring the session
@@ -115,11 +116,12 @@ func (s Scope) String() string {
 }
 
 // valid rejects scopes whose canonical encoding would not round-trip
-// (embedded whitespace) or whose key fields are out of protocol range.
+// (embedded whitespace, or a SCOPE line longer than readFileMax reads
+// back) or whose key fields are out of protocol range.
 func (s Scope) valid() error {
 	for _, f := range []string{s.Key.Model, s.Key.Scheme, s.Key.Backend} {
-		if f == "" || strings.ContainsAny(f, " \n\t") {
-			return fmt.Errorf("bank: scope field %q is empty or contains whitespace", f)
+		if f == "" || len(f) > maxLineBytes/4 || strings.ContainsAny(f, " \n\t") {
+			return fmt.Errorf("bank: scope field %.40q is empty, too long or contains whitespace", f)
 		}
 	}
 	if s.Key.RingBits < 8 || s.Key.RingBits > 64 {
@@ -195,8 +197,9 @@ func halfHeader(id uint64, blob []byte) []byte {
 	return hdr
 }
 
-// parseHalf checks a half file's magic, bound and checksum and returns
-// the id and blob it holds. Any error means the file is not a half this
+// parseHalf checks a half file's magic and checksum and returns the id
+// and blob it holds; readHalf has already refused a file longer than
+// maxRecordBytes of blob. Any error means the file is not a half this
 // store wrote whole: recovery quarantines it.
 func parseHalf(data []byte) (id uint64, blob []byte, err error) {
 	switch {
@@ -204,8 +207,6 @@ func parseHalf(data []byte) (id uint64, blob []byte, err error) {
 		return 0, nil, fmt.Errorf("bank: half file of %d bytes is shorter than its header", len(data))
 	case string(data[:len(halfMagic)]) != string(halfMagic):
 		return 0, nil, fmt.Errorf("bank: bad half file magic")
-	case len(data)-halfHeaderSize > maxRecordBytes:
-		return 0, nil, fmt.Errorf("bank: half of %d bytes out of range", len(data)-halfHeaderSize)
 	case crc32.Checksum(data[12:], crcTable) != binary.LittleEndian.Uint32(data[8:12]):
 		return 0, nil, fmt.Errorf("bank: half file checksum mismatch")
 	}

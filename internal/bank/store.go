@@ -3,7 +3,10 @@ package bank
 import (
 	"crypto/rand"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -134,7 +137,7 @@ func newMemStore() *Store { return &Store{scopes: make(map[uint64]*scopeState)} 
 // identity.
 func (s *Store) loadPeer() error {
 	path := filepath.Join(s.dir, peerFile)
-	if data, err := os.ReadFile(path); err == nil {
+	if data, err := readFileMax(path, maxLineBytes); err == nil {
 		p, perr := ParsePeerID(strings.TrimSpace(string(data)))
 		if perr != nil {
 			return fmt.Errorf("bank: store %s: %w", peerFile, perr)
@@ -250,7 +253,7 @@ func (s *Store) recoverPool(dir, name string, st *RecoverStats) (*scopeState, er
 	if err != nil {
 		return nil, fmt.Errorf("bank: pool %s cannot be listed, store disabled: %w", name, err)
 	}
-	scopeData, err := os.ReadFile(filepath.Join(dir, scopeFile))
+	scopeData, err := readFileMax(filepath.Join(dir, scopeFile), maxLineBytes)
 	var scope Scope
 	if err == nil {
 		scope, err = parseScope(strings.TrimSpace(string(scopeData)))
@@ -279,13 +282,8 @@ func (s *Store) recoverPool(dir, name string, st *RecoverStats) (*scopeState, er
 		}
 		seq, id, ok := parseHalfName(n)
 		if ok && !sc.live(id) {
-			var data []byte
-			var fid uint64
-			data, err = os.ReadFile(path)
-			if err == nil {
-				fid, _, err = parseHalf(data)
-			}
-			ok = err == nil && fid == id
+			_, err := readHalf(path, id)
+			ok = err == nil
 		}
 		if !ok {
 			s.quarantine(path)
@@ -425,6 +423,44 @@ func writeAtomic(path string, parts ...[]byte) error {
 	return err
 }
 
+// maxLineBytes bounds the one-line files, PEER and SCOPE.
+const maxLineBytes = 1 << 16
+
+// readFileMax reads the file at path whole, but refuses one of more than
+// max bytes from its size, before reading it. An *fs.PathError is the
+// file system's error, any other the file's.
+func readFileMax(path string, max int64) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err == nil && fi.Size() > max {
+		err = fmt.Errorf("bank: %s holds %d bytes, more than %d", filepath.Base(path), fi.Size(), max)
+	}
+	if err != nil {
+		return nil, err
+	}
+	data := make([]byte, fi.Size())
+	_, err = io.ReadFull(f, data)
+	return data, err
+}
+
+// readHalf reads the half file at path, bounded by the largest half the
+// store writes, and checks that it holds id.
+func readHalf(path string, id uint64) ([]byte, error) {
+	data, err := readFileMax(path, halfHeaderSize+maxRecordBytes)
+	if err != nil {
+		return nil, err
+	}
+	fid, blob, err := parseHalf(data)
+	if err == nil && fid != id {
+		err = fmt.Errorf("bank: half file holds id %d, named %d", fid, id)
+	}
+	return blob, err
+}
+
 // claimLocked takes the unclaimed half id out of sc and returns its blob.
 // A durable half's file is read, checked, unlinked and its directory
 // fsynced before the blob is returned. The id leaves the image even when
@@ -439,13 +475,9 @@ func (s *Store) claimLocked(sc *scopeState, id uint64) ([]byte, error) {
 	}
 	path := filepath.Join(sc.dir.Name(), halfName(sc.seqs[id], id))
 	delete(sc.seqs, id)
-	data, err := os.ReadFile(path)
-	if err != nil {
+	blob, err := readHalf(path, id)
+	if errors.As(err, new(*fs.PathError)) {
 		return nil, fmt.Errorf("bank: claim read: %w", err)
-	}
-	fid, blob, err := parseHalf(data)
-	if err == nil && fid != id {
-		err = fmt.Errorf("bank: half file holds id %d, named %d", fid, id)
 	}
 	if err != nil {
 		s.quarantine(path)

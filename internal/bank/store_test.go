@@ -234,6 +234,69 @@ func TestStoreCorruptSegmentQuarantined(t *testing.T) {
 	}
 }
 
+// TestStoreOversizeFilesQuarantined: a half file or SCOPE longer than
+// any the store writes is refused from its size, before it is read: a
+// planted sparse file with a valid magic and one byte past the bound costs
+// recovery and a claim almost no memory, and is quarantined like any
+// corrupt half.
+func TestStoreOversizeFilesQuarantined(t *testing.T) {
+	const oversize = halfHeaderSize + maxRecordBytes + 1
+	dir := t.TempDir()
+	scope, other := testScope(NoPeer), testScope(PeerID{7})
+	s1, _ := openRecovered(t, dir, StoreOptions{})
+	appendN(t, s1, scope, 3, 16)
+	appendN(t, s1, other, 1, 16)
+	s1.Close()
+	// Truncate extends a file sparsely, so the headers stay intact.
+	grow := func(path string, size int64) {
+		t.Helper()
+		if err := os.Truncate(path, size); err != nil {
+			t.Fatal(err)
+		}
+	}
+	grow(halfPath(t, dir, scope, 2), oversize)
+	grow(filepath.Join(poolPath(dir, other), scopeFile), maxLineBytes+1)
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+
+	var s2 *Store
+	var stats RecoverStats
+	if n := allocated(func() { s2, stats = openRecovered(t, dir, StoreOptions{}) }); n >= 1<<20 {
+		t.Fatalf("recovery allocated %d KiB over oversized files", n>>10)
+	}
+	defer s2.Close()
+	if stats.Quarantined != 2 || stats.Records != 2 {
+		t.Fatalf("recovered %d records, %d quarantined; want 2 and 2", stats.Records, stats.Quarantined)
+	}
+	if _, ok, _ := s2.ClaimByID(scope, 2); ok {
+		t.Fatal("the oversized half was served")
+	}
+
+	// A half that grows past the bound after recovery is refused by its claim.
+	path := halfPath(t, dir, scope, 3)
+	grow(path, oversize)
+	var err error
+	var ok bool
+	if n := allocated(func() { _, ok, err = s2.ClaimByID(scope, 3) }); n >= 1<<20 {
+		t.Fatalf("the claim allocated %d KiB over an oversized half", n>>10)
+	}
+	if ok || err == nil {
+		t.Fatalf("claim of an oversized half: ok=%v err=%v, want a refusal", ok, err)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("oversized half still in the pool dir: %v", err)
+	}
+	quar, err := filepath.Glob(filepath.Join(dir, quarDir, "*"))
+	if err != nil || len(quar) != 3 {
+		t.Fatalf("quarantine dir holds %v (err=%v), want two halves and one pool", quar, err)
+	}
+}
+
 // TestStoreJournalFailClosed: a pool directory that cannot be listed
 // holds halves the store cannot account for and sequence numbers it
 // cannot continue, so the store refuses to serve at all rather than
@@ -667,10 +730,18 @@ func TestScopeRoundTrip(t *testing.T) {
 	for _, bad := range []string{
 		"", "v2 peer=x", "v1 peer=zz model=m scheme=s l=32 batch=1 backend=b",
 		"v1 peer=" + NoPeer.String() + " model=m scheme=s l=7 batch=1 backend=b",
+		"v1 peer=" + NoPeer.String() + " model=" + strings.Repeat("m", maxLineBytes/4+1) + " scheme=s l=32 batch=1 backend=b",
 	} {
 		if _, err := parseScope(bad); err == nil {
-			t.Fatalf("parseScope(%q) accepted garbage", bad)
+			t.Fatalf("parseScope(%.80q) accepted garbage", bad)
 		}
+	}
+	// The longest valid scope's SCOPE line is one recovery reads back.
+	long := testScope(peer)
+	field := strings.Repeat("x", maxLineBytes/4)
+	long.Key.Model, long.Key.Scheme, long.Key.Backend = field, field, field
+	if err := long.valid(); err != nil || len(long.String())+1 > maxLineBytes {
+		t.Fatalf("longest valid scope: err %v, SCOPE line of %d bytes past the %d-byte bound", err, len(long.String())+1, maxLineBytes)
 	}
 }
 
