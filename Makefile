@@ -145,7 +145,7 @@ loc:
 # The size gate (CI's static job runs it): `make loc` may not exceed
 # LOC_MAX, the figure the last PR that moved it ended on. A PR that needs
 # more lines raises LOC_MAX here, in the open, in its diff.
-LOC_MAX = 19500
+LOC_MAX = 19583
 loc-check:
 	@n=$$($(MAKE) -s loc); \
 	if [ "$$n" -gt $(LOC_MAX) ]; then echo "loc-check: $$n non-test Go lines, LOC_MAX is $(LOC_MAX)"; exit 1; fi; \

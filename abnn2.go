@@ -42,7 +42,9 @@ import (
 )
 
 // Conn is a two-party message channel. Obtain one from Pipe (in-process)
-// or Stream (TCP or any byte stream).
+// or Stream (TCP or any byte stream). Release hands a received message
+// back for a later frame to reuse; a Conn of the caller's own may
+// implement it as a no-op.
 type Conn = transport.Conn
 
 // Pipe returns an in-process connection pair (server end, client end).

@@ -238,7 +238,7 @@ func ModelID(qm *nn.QuantizedModel) (string, error) {
 
 // RegisterModel makes a model's loopback pools generable and returns the
 // model ID clients put in their pool keys. Pools themselves are created
-// lazily per (ring, batch) on first Draw or Prewarm. Idempotent.
+// per (ring, batch) by Prewarm. Idempotent.
 func (b *Bank) RegisterModel(qm *nn.QuantizedModel) (string, error) {
 	id, err := ModelID(qm)
 	if err != nil {
@@ -339,12 +339,19 @@ func (p PeerID) events() string {
 // The returned id is what the client announces in-band; the server finds
 // the matching half through Claim. ok is false when the pool is dry or
 // unknown — callers fall back to inline offline generation or fail fast,
-// never wait. A dry loopback pool stays dry until Prewarm fills it.
+// never wait. A dry loopback pool stays dry until Prewarm fills it, and a
+// loopback Draw creates no pool: a key Prewarm never named stays out of
+// Snapshot's depths, however often it misses.
 func (b *Bank) Draw(peer PeerID, key Key) (id uint64, half *core.ClientCorr, ok bool) {
 	scope := Scope{Peer: peer, Key: key}
-	var p *pool // the filler behind a loopback pool
+	var p *pool // the filler behind a loopback pool, nil until Prewarm
 	if peer == LoopbackServer {
-		if p = b.lookup(key); p == nil {
+		b.mu.Lock()
+		_, registered := b.models[key.Model]
+		p = b.pools[key]
+		closed := b.closed
+		b.mu.Unlock()
+		if closed || !registered {
 			return b.miss(peer, key)
 		}
 	}

@@ -430,8 +430,13 @@ func TestLoopbackMissPaths(t *testing.T) {
 	if d := b.Depth(LoopbackServer, key); d != 0 {
 		t.Fatalf("a miss left the cold pool at depth %d, want 0", d)
 	}
-	if st := b.Snapshot(); st.Misses != 4 || st.Refills != 0 {
+	st := b.Snapshot()
+	if st.Misses != 4 || st.Refills != 0 {
 		t.Fatalf("misses = %d refills = %d, want 4 and 0", st.Misses, st.Refills)
+	}
+	// Nor does a miss create the pool: Prewarm is the one caller that does.
+	if len(st.Depths) != 0 {
+		t.Fatalf("misses left pools %v in the snapshot, want none", st.Depths)
 	}
 }
 

@@ -1,21 +1,23 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
 	"abnn2/internal/prg"
 	"abnn2/internal/quant"
 	"abnn2/internal/ring"
+	"abnn2/internal/transport"
 )
 
 // TestTripletAllocationsPerChunk gates the offline kernels' allocation
 // count: one 4096-OT chunk may cost each party a fixed number of buffers
-// (the received flight, per-worker partials, pad derivers, pad scratch
-// and the client's mask vector), never
-// anything per OT; the u and payload flights and the blocks' row
-// matrices are reused from round to round. Before the pad derivers the
-// same chunk made about 9 allocations per OT, 37 000 in all. The layer
+// (per-worker partials, pad derivers, pad scratch and the client's mask
+// vector), never anything per OT; the u and payload flights, the frames
+// they arrive in and the blocks' row matrices are reused from round to
+// round. Before the pad derivers the same chunk made about 9 allocations
+// per OT, 37 000 in all. The layer
 // measured is one chunk long, so the count includes what a layer costs
 // once — on the server the run's bookkeeping (its layer table, the two
 // cursors, the share slice, the decomposed weights): 107 for both
@@ -58,10 +60,10 @@ func TestTripletAllocationsPerChunk(t *testing.T) {
 // TestReLUAllocationsPerChunk gates the online GC path the same way: one
 // 2048-neuron chunk may cost each party a fixed number of buffers — the
 // input bit vectors, the batch's child PRG, the label-OT flights and
-// blocks, the pipeline's channels, one wire-label array, the flight and
-// the received frame, the output — and nothing per gate, per wire or per
-// label. Before the word-wide kernel the same chunk made about 200 000
-// allocations per party, one per input label.
+// blocks, the pipeline's channels, one wire-label array, the output — and
+// nothing per gate, per wire or per label; the flight and the frame it
+// arrives in are reused. Before the word-wide kernel the same chunk made
+// about 200 000 allocations per party, one per input label.
 func TestReLUAllocationsPerChunk(t *testing.T) {
 	const perParty = 64
 	rg := ring.New(32)
@@ -92,5 +94,74 @@ func TestReLUAllocationsPerChunk(t *testing.T) {
 		if allocs > 2*perParty {
 			t.Errorf("%v: %.0f allocations for one chunk, want <= %d per party", variant, allocs, perParty)
 		}
+	}
+}
+
+// TestOfflineFlightsRecycled: a multi-batch round moves its u and payload
+// flights through frames the receivers have released, not through a new
+// frame per flight. The second of two Fig. 4 FC1 batch-32 rounds over a
+// metered pipe — the bank's fill unit, 82 MB on the wire — allocates less
+// than the bytes it moves; with a frame per flight it allocated more.
+func TestOfflineFlightsRecycled(t *testing.T) {
+	p := Params{Ring: ring.New(32), Scheme: quant.Uniform(2, 2), Workers: 1}
+	ct, st, meter, done := tripletPair(t, p)
+	defer done()
+	sh := MatShape{M: 128, N: 784, O: 32}
+	W := randomWeights(p.Scheme, sh.M*sh.N, 7)
+	R := prg.New(prg.SeedFromInt(8)).Mat(p.Ring, sh.N, sh.O)
+	secondRunAllocatesLess(t, meter,
+		func() error { _, err := ct.GenerateClient(sh, R, MultiBatch); return err },
+		func() error { _, err := st.GenerateServer(sh, W, MultiBatch); return err })
+}
+
+// TestReLUFlightsRecycled is TestOfflineFlightsRecycled for the online
+// GC round: the garbler keeps its flight slots from batch to batch and
+// the evaluator releases each garbled-material frame, so a second ReLU
+// batch allocates less than it moves; with the slots made per batch and
+// a frame per flight it allocated half as much again.
+func TestReLUFlightsRecycled(t *testing.T) {
+	rg := ring.New(32)
+	cn, sn, meter, done := nonlinearPair(t, rg)
+	defer done()
+	cn.SetWorkers(1)
+	sn.SetWorkers(1)
+	g := prg.New(prg.SeedFromInt(9))
+	n := 4 * reluChunk
+	y1, z1, y0 := g.Vec(rg, n), g.Vec(rg, n), g.Vec(rg, n)
+	secondRunAllocatesLess(t, meter,
+		func() error { return cn.ReLUClient(ReLUGC, y1, z1) },
+		func() error { _, err := sn.ReLUServer(ReLUGC, y0); return err })
+}
+
+// secondRunAllocatesLess runs the two parties' calls together twice and
+// fails t unless the second run allocates, in the whole process, fewer
+// bytes than meter saw it move.
+func secondRunAllocatesLess(t *testing.T, meter *transport.Meter, client, server func() error) {
+	t.Helper()
+	run := func() {
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := client(); err != nil {
+				t.Error(err)
+			}
+		}()
+		if err := server(); err != nil {
+			t.Error(err)
+		}
+		wg.Wait()
+	}
+	run()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sent := meter.Snapshot()
+	run()
+	runtime.ReadMemStats(&after)
+	moved := meter.Snapshot().Sub(sent).TotalBytes()
+	alloc := int64(after.TotalAlloc - before.TotalAlloc)
+	t.Logf("second run: %d bytes allocated, %d bytes moved", alloc, moved)
+	if alloc >= moved {
+		t.Errorf("second run allocated %d bytes to move %d: its flights were not recycled", alloc, moved)
 	}
 }

@@ -534,6 +534,7 @@ func (s *ServerTriplets) generateServer(run []serverLayer, layerDone func()) ([]
 			}
 		})
 		blk.Release()
+		s.ot.Conn().Release(payload)
 		for _, pu := range partials {
 			rg.AddVecInPlace(U.Data, pu)
 		}

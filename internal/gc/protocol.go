@@ -19,6 +19,7 @@ type Garbler struct {
 	ot      *otext.Sender
 	rng     *prg.PRG
 	workers int
+	flights [][]byte     // round's flight slots, kept from batch to batch
 	garbled atomic.Int64 // circuits garbled so far; the run-ahead bound test reads it mid-round
 }
 
@@ -106,14 +107,18 @@ func (g *Garbler) RunBatch(circs []*Circuit, bits [][]byte) error {
 // garble(first) + max(garble, send) * (rest) instead of garble(all) +
 // send(all). At most workers + 1 circuits are garbled (or being garbled)
 // and not yet sent: that window, not the batch, bounds the garbler's
-// memory — workers + 1 flights and, per worker, one kernel's window-group
-// labels (4 x body wires x LabelSize bytes), each reused from circuit to
-// circuit and dropped with the round.
+// memory — workers + 1 flights, kept on the Garbler from batch to batch,
+// and, per worker, one kernel's window-group labels (4 x body wires x
+// LabelSize bytes), reused from circuit to circuit and dropped with the
+// round.
 func (g *Garbler) round(circs []*Circuit, bits [][]byte, rngs []*prg.PRG) error {
 	workers := par.NumChunks(g.workers, len(circs))
 	window := workers + 1
 	kernels := make([]garbling, workers) // one per producer goroutine
-	flights := make([][]byte, window)    // circuit i uses slot i mod window
+	if len(g.flights) < window {
+		g.flights = make([][]byte, window)
+	}
+	flights := g.flights[:window] // circuit i uses slot i mod window
 	return par.Ahead(workers, window, len(circs),
 		func(w, i int) ([]byte, error) {
 			// Circuit i-window has been sent — par.Ahead starts no item
@@ -152,7 +157,8 @@ func (g *Garbler) sendGarbled(c *Circuit, msg []byte) error {
 
 // received is one circuit's garbled-material flight and the label-OT
 // block that opens the evaluator's labels in it. The evaluation it is
-// handed to owns the frame: its tables are read in place.
+// handed to owns the frame: its tables are read in place, and RunBatch
+// releases it to the conn once the evaluation returns.
 type received struct {
 	msg []byte
 	blk *otext.ReceiverBlock
@@ -188,6 +194,7 @@ func (e *Evaluator) RunBatch(circs []*Circuit, bits [][]byte) ([][]byte, error) 
 		func(i int) (received, error) { return e.recvGarbled(circs[i], bits[i]) },
 		func(w, i int, rcv received) (err error) {
 			outs[i], err = kernels[w].flight(circs[i], bits[i], rcv)
+			e.conn.Release(rcv.msg)
 			return err
 		})
 	if err != nil {

@@ -324,6 +324,7 @@ func (s *Sender) Extend(m int) (*SenderBlock, error) {
 			subtle.XORBytes(qi, qi, u[i*mBytes:(i+1)*mBytes])
 		}
 	})
+	s.conn.Release(u)
 	blk := &SenderBlock{
 		s:     s,
 		q:     s.rows.transpose(qCols, s.workers),

@@ -128,6 +128,8 @@ func (f *FaultConn) Send(msg []byte) error {
 
 func (f *FaultConn) Recv() ([]byte, error) { return f.inner.Recv() }
 
+func (f *FaultConn) Release(msg []byte) { f.inner.Release(msg) }
+
 func (f *FaultConn) SetDeadline(t time.Time) error { return f.inner.SetDeadline(t) }
 
 func (f *FaultConn) Close() error { return f.inner.Close() }

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"testing"
 )
@@ -17,23 +18,37 @@ func (m *memStream) Write(p []byte) (int, error) { return len(p), nil }
 func (m *memStream) Close() error                { return nil }
 
 // FuzzStreamRecv: arbitrary byte streams must never panic the framed
-// receiver and must never yield a message larger than the limit.
+// receiver, never yield a message larger than the limit, and — with each
+// message released before the next receive — always yield exactly the
+// frame's bytes, in a recycled buffer or a new one, and no buffer at all
+// when the stream ends mid-frame.
 func FuzzStreamRecv(f *testing.F) {
 	// A valid frame, a truncated frame, an oversize announcement.
 	f.Add([]byte{3, 0, 0, 0, 'a', 'b', 'c'})
 	f.Add([]byte{3, 0, 0, 0, 'a'})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 	f.Add([]byte{})
+	// A frame, a shorter one that reuses its buffer, then a cut one.
+	f.Add([]byte{3, 0, 0, 0, 'a', 'b', 'c', 2, 0, 0, 0, 'd', 'e', 3, 0, 0, 0, 'f'})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := NewStream(&memStream{r: bytes.NewReader(data)})
+		rest := data
 		for i := 0; i < 4; i++ {
 			msg, err := c.Recv()
 			if err != nil {
+				if msg != nil {
+					t.Fatalf("failed receive returned %d bytes", len(msg))
+				}
 				return // any error is acceptable; panics are not
 			}
 			if len(msg) > MaxMessageSize {
 				t.Fatalf("message of %d bytes exceeds limit", len(msg))
 			}
+			if want := rest[4 : 4+len(msg)]; !bytes.Equal(msg, want) || int(binary.LittleEndian.Uint32(rest)) != len(msg) {
+				t.Fatalf("message %d is %x, want the frame's %x", i, msg, want)
+			}
+			rest = rest[4+len(msg):]
+			c.Release(msg)
 		}
 	})
 }

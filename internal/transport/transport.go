@@ -17,6 +17,7 @@ import (
 	"io"
 	"math/rand/v2"
 	"os"
+	"slices"
 	"sync"
 	"time"
 )
@@ -28,7 +29,18 @@ import (
 //
 // Send does not keep msg: when it returns, the bytes have been copied or
 // written out and the caller may reuse the buffer (a wrapper that logs
-// flights copies them). A message returned by Recv belongs to the caller.
+// flights copies them).
+//
+// A message returned by Recv belongs to the caller until the caller hands
+// it back with Release. From then on the conn may write a later frame
+// into it — the next Send towards this endpoint on a pipe, the next Recv
+// on a stream — so neither the message nor any slice of it may be read
+// again. Release is optional (a frame never released is garbage like any
+// other), may be called from any goroutine, and must be called at most
+// once per message, with a message Recv on this conn returned. A conn
+// keeps at most four released frames and reuses one only for a frame of
+// at least half its capacity, so a small frame never carries a large
+// buffer off; a wrapper forwards Release to the conn it wraps.
 //
 // SetDeadline bounds all current and future Send/Recv calls: operations
 // that have not completed by t fail with a timeout error (IsTimeout
@@ -38,8 +50,50 @@ import (
 type Conn interface {
 	Send(msg []byte) error
 	Recv() ([]byte, error)
+	Release(msg []byte)
 	SetDeadline(t time.Time) error
 	Close() error
+}
+
+// maxReleased is Conn's "at most four" released frames: enough for a
+// flight kind to circulate between the parties, few enough that an idle
+// conn pins little.
+const maxReleased = 4
+
+// frames is the free list behind Release: the most recently released
+// frames, oldest first. It is locked because the receiver releases while
+// the sender, or the next Recv, takes.
+type frames struct {
+	mu   sync.Mutex
+	free [][]byte
+}
+
+// get returns an n-byte frame: a kept one of capacity n to 2n, else a new one.
+func (f *frames) get(n int) []byte {
+	f.mu.Lock()
+	for i, b := range f.free {
+		if cap(b) >= n && cap(b) <= 2*n {
+			f.free = slices.Delete(f.free, i, i+1)
+			f.mu.Unlock()
+			return b[:n]
+		}
+	}
+	f.mu.Unlock()
+	return make([]byte, n)
+}
+
+// put keeps b, dropping the oldest kept frame when maxReleased are kept.
+// A frame of no capacity is not kept: get(0) would hand it out as nil.
+func (f *frames) put(b []byte) {
+	if cap(b) == 0 {
+		return
+	}
+	f.mu.Lock()
+	if len(f.free) == maxReleased {
+		f.free = slices.Delete(f.free, 0, 1)
+	}
+	f.free = append(f.free, b)
+	f.mu.Unlock()
 }
 
 // ErrClosed is returned by operations on a closed connection.
@@ -138,10 +192,12 @@ type pipeHalf struct {
 	once *sync.Once
 	peer *pipeHalf
 	dl   deadline
+	rel  frames // released by this half, written by the peer's Sends
 }
 
 // Pipe returns a connected pair of in-memory connections. Messages are
-// copied on Send, so callers may reuse buffers.
+// copied on Send, into a frame the receiving half has released when it
+// kept one, so callers may reuse buffers.
 func Pipe() (Conn, Conn) {
 	ab := make(chan []byte, 1024)
 	ba := make(chan []byte, 1024)
@@ -154,7 +210,7 @@ func Pipe() (Conn, Conn) {
 }
 
 func (p *pipeHalf) Send(msg []byte) error {
-	cp := make([]byte, len(msg))
+	cp := p.peer.rel.get(len(msg))
 	copy(cp, msg)
 	select {
 	case p.out <- cp:
@@ -184,6 +240,8 @@ func (p *pipeHalf) Recv() ([]byte, error) {
 	}
 }
 
+func (p *pipeHalf) Release(msg []byte) { p.rel.put(msg) }
+
 // SetDeadline bounds this endpoint's Send and Recv calls, including ones
 // already blocked.
 func (p *pipeHalf) SetDeadline(t time.Time) error {
@@ -203,6 +261,7 @@ type streamConn struct {
 	limit  int
 	sendMu sync.Mutex
 	recvMu sync.Mutex
+	rel    frames // released frames, read into by later Recvs
 }
 
 // MaxMessageSize is the default bound on a single framed message
@@ -256,12 +315,14 @@ func (s *streamConn) Recv() ([]byte, error) {
 	if int64(n) > int64(s.limit) {
 		return nil, fmt.Errorf("transport: peer announced %d-byte message, exceeds %d-byte limit", n, s.limit)
 	}
-	msg := make([]byte, n)
+	msg := s.rel.get(int(n))
 	if _, err := io.ReadFull(s.rw, msg); err != nil {
 		return nil, fmt.Errorf("transport: recv body: %w", err)
 	}
 	return msg, nil
 }
+
+func (s *streamConn) Release(msg []byte) { s.rel.put(msg) }
 
 // SetDeadline delegates to the underlying stream when it has deadline
 // support (net.Conn does); otherwise it reports ErrDeadlineUnsupported.

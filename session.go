@@ -242,6 +242,8 @@ func (c *sessionConn) recvIdle() ([]byte, error) {
 	return msg, c.opErr(err)
 }
 
+func (c *sessionConn) Release(msg []byte) { c.inner.Release(msg) }
+
 func (c *sessionConn) SetDeadline(t time.Time) error { return c.inner.SetDeadline(t) }
 
 func (c *sessionConn) Close() error {
