@@ -13,17 +13,18 @@ import (
 
 // TestTripletAllocationsPerChunk gates the offline kernels' allocation
 // count: one 4096-OT chunk may cost each party a fixed number of buffers
-// (per-worker partials, pad derivers, pad scratch and the client's mask
-// vector), never anything per OT; the u and payload flights, the frames
-// they arrive in and the blocks' row matrices are reused from round to
-// round. Before the pad derivers the same chunk made about 9 allocations
-// per OT, 37 000 in all. The layer
+// (pad derivers, the pool's range bookkeeping), never anything per OT;
+// the u and payload flights, the frames they arrive in, the blocks' row
+// matrices and the per-worker partials, masks and pad scratch are reused
+// from round to round. Before the pad derivers the same chunk made about
+// 9 allocations per OT, 37 000 in all. The layer
 // measured is one chunk long, so the count includes what a layer costs
 // once — on the server the run's bookkeeping (its layer table, the two
-// cursors, the share slice, the decomposed weights): 107 for both
-// parties together, 128 before the row matrices and flights were reused.
+// cursors, the share slice, the decomposed weights): 93 for both
+// parties together, 105 before the per-worker scratch was kept and 128
+// before the row matrices and flights were reused.
 func TestTripletAllocationsPerChunk(t *testing.T) {
-	const perParty = 56
+	const perParty = 50
 	p := Params{Ring: ring.New(32), Scheme: quant.Uniform(2, 2), Workers: 2}
 	ct, st, _, done := tripletPair(t, p)
 	defer done()
@@ -58,7 +59,7 @@ func TestTripletAllocationsPerChunk(t *testing.T) {
 }
 
 // TestReLUAllocationsPerChunk gates the online GC path the same way: one
-// 2048-neuron chunk may cost each party a fixed number of buffers — the
+// 1024-neuron chunk may cost each party a fixed number of buffers — the
 // input bit vectors, the batch's child PRG, the label-OT flights and
 // blocks, the pipeline's channels, one wire-label array, the output — and
 // nothing per gate, per wire or per label; the flight and the frame it
@@ -112,6 +113,49 @@ func TestOfflineFlightsRecycled(t *testing.T) {
 	secondRunAllocatesLess(t, meter,
 		func() error { _, err := ct.GenerateClient(sh, R, MultiBatch); return err },
 		func() error { _, err := st.GenerateServer(sh, W, MultiBatch); return err })
+}
+
+// TestOfflineScratchKept: the triplet kernels' per-worker scratch — each
+// worker's partial of V or U, the client's mask, the pads of a sub-run —
+// is kept on the party from chunk to chunk. The second of two Fig. 4 FC1
+// batch-32 rounds at four workers, 49 chunks, makes at most 3,600
+// allocations in the whole process (3,170 measured: pad derivers, the
+// pool's bookkeeping, the shares). With the scratch made per chunk it
+// made 4,245, 22 more a chunk: three buffers per worker and the partials'
+// slice on the client, two and the slice on the server. Counts, unlike
+// bytes, do not move with how many flight frames the conn could reuse.
+func TestOfflineScratchKept(t *testing.T) {
+	const limit = 3600
+	p := Params{Ring: ring.New(32), Scheme: quant.Uniform(2, 2), Workers: 4}
+	ct, st, _, done := tripletPair(t, p)
+	defer done()
+	sh := MatShape{M: 128, N: 784, O: 32}
+	W := randomWeights(p.Scheme, sh.M*sh.N, 7)
+	R := prg.New(prg.SeedFromInt(8)).Mat(p.Ring, sh.N, sh.O)
+	run := func() {
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := ct.GenerateClient(sh, R, MultiBatch); err != nil {
+				t.Error(err)
+			}
+		}()
+		if _, err := st.GenerateServer(sh, W, MultiBatch); err != nil {
+			t.Error(err)
+		}
+		wg.Wait()
+	}
+	run()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	n := after.Mallocs - before.Mallocs
+	t.Logf("second round: %d allocations, %d bytes", n, after.TotalAlloc-before.TotalAlloc)
+	if n > limit {
+		t.Errorf("second FC1 batch-32 round made %d allocations, want at most %d", n, limit)
+	}
 }
 
 // TestReLUFlightsRecycled is TestOfflineFlightsRecycled for the online

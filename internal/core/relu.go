@@ -57,12 +57,18 @@ func (v ReLUVariant) String() string {
 // With gc's pipelined round that bounds the working set whatever the
 // batch size: the garbler holds at most Workers+1 chunks garbled and
 // unsent and the evaluator at most Workers+1 received and unevaluated —
-// at ring width 32 about 10 MB of flight per chunk, plus one window
-// group's body labels per worker (~30 KiB), so tens of megabytes per
-// party at Workers=1 even at batch size 128 on the 784->128 layer (8
-// chunks). Like poolChunk it is a tuned memory bound, not a knob: it
-// fixes the size and position of every flight.
-const reluChunk = 2048
+// at ring width 32 about 5 MB of flight per chunk, plus one window
+// group's body labels per worker (~30 KiB) and gc's columnsAhead label-OT
+// blocks (512 KiB each), so tens of megabytes per party at Workers=1
+// even at batch size 128 on the 784->128 layer (16 chunks). It also sets
+// the round's latency: garbling a layer's first chunk waits for the
+// evaluator's columns, which wait for its previous layer's last
+// evaluation, so a layer pays one chunk's garbling and one's evaluation
+// that nothing hides. At 1024 a Fig. 4 batch-32 layer is four chunks,
+// columnsAhead of them, so still two direction flips. Like poolChunk it
+// is a tuned bound, not a knob: it fixes the size and position of every
+// flight.
+const reluChunk = 1024
 
 // circuitKind names what a garbled circuit computes over each window of
 // reconstructed values. The first two are Algorithm 2 — max over the

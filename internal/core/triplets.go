@@ -3,6 +3,7 @@ package core
 import (
 	"crypto/subtle"
 	"fmt"
+	"slices"
 
 	"abnn2/internal/otext"
 	"abnn2/internal/par"
@@ -39,6 +40,7 @@ type ClientTriplets struct {
 	vals    [][]ring.Elem
 	session uint64
 	payload []byte // the payload flight, reused across rounds
+	parts   workerScratch
 
 	altVals   map[string][][]ring.Elem // fragValues per override scheme
 	baselines [numBackends]clientGenerator
@@ -51,8 +53,32 @@ type ServerTriplets struct {
 	ot      *otext.Receiver
 	rng     *prg.PRG
 	session uint64
+	parts   workerScratch
 
 	baselines [numBackends]serverGenerator
+}
+
+// workerScratch is a party's per-worker scratch for the triplet kernels,
+// kept from round to round so that a round allocates none of it: worker
+// k's partial of V (client) or U (server) in sums[k], the client's mask
+// s in masks[k], a sub-run's pads in pads[k].
+type workerScratch struct {
+	sums, masks []ring.Vec
+	pads        [][]byte
+}
+
+// size readies the scratch of k workers: sums of sumLen elements, masks
+// of maskLen, pads of padLen bytes. What they hold is stale: each worker
+// clears what it reads before it reads it.
+func (w *workerScratch) size(k, sumLen, maskLen, padLen int) {
+	for len(w.sums) < k {
+		w.sums, w.masks, w.pads = append(w.sums, nil), append(w.masks, nil), append(w.pads, nil)
+	}
+	for i := range k {
+		w.sums[i] = slices.Grow(w.sums[i][:0], sumLen)[:sumLen]
+		w.masks[i] = slices.Grow(w.masks[i][:0], maskLen)[:maskLen]
+		w.pads[i] = slices.Grow(w.pads[i][:0], padLen)[:padLen]
+	}
 }
 
 // schemeCode returns the KK13 code a layer fragmented under sc extends
@@ -294,14 +320,15 @@ func (c *ClientTriplets) generateClient(params Params, vals [][]ring.Elem, sh Ma
 		// Fragment x row accumulation: each worker sums its OT range
 		// into a private partial of V, reduced below. Ring addition is
 		// commutative, so the result is independent of scheduling.
-		partials := make([]ring.Vec, par.NumChunks(params.Workers, chunk))
+		parts := par.NumChunks(params.Workers, chunk)
+		c.parts.size(parts, sh.M*sh.O, sh.O, subRun*layout.maxN*padBytes)
 		par.Chunks(params.Workers, chunk, func(part, lo, hi int) {
-			pv, s := make(ring.Vec, sh.M*sh.O), make(ring.Vec, sh.O) // s: the OT's mask
-			partials[part] = pv
+			pv, s := c.parts.sums[part], c.parts.masks[part] // s: the OT's mask
+			clear(pv)
 			pV := &ring.Mat{Rows: sh.M, Cols: sh.O, Data: pv}
 			pads := blk.NewDeriver()
-			cands := make([]byte, subRun*layout.maxN*padBytes) // a sub-run's pads
-			var cand []byte                                    // the OT's
+			cands := c.parts.pads[part] // a sub-run's pads
+			var cand []byte             // the OT's
 			for local := lo; local < hi; local++ {
 				g := ot + local
 				i := g / (sh.N * gamma) // W row
@@ -325,7 +352,7 @@ func (c *ClientTriplets) generateClient(params Params, vals [][]ring.Elem, sh Ma
 			}
 		})
 		blk.Release()
-		for _, pv := range partials {
+		for _, pv := range c.parts.sums[:parts] {
 			rg.AddVecInPlace(V.Data, pv)
 		}
 		if err := c.ot.Conn().Send(payload); err != nil {
@@ -455,7 +482,7 @@ func (s *ServerTriplets) generateServer(run []serverLayer, layerDone func()) ([]
 		pk      = -1
 		choices []int
 	)
-	extend := func(_, i int) (*otext.ReceiverBlock, error) {
+	extend := func(_, i int, _ <-chan struct{}) (*otext.ReceiverBlock, error) {
 		for pk < 0 || i >= first[pk+1] {
 			pk++
 			var err error
@@ -495,18 +522,19 @@ func (s *ServerTriplets) generateServer(run []serverLayer, layerDone func()) ([]
 			return fmt.Errorf("core: payload is %d bytes, want %d", len(payload), want)
 		}
 		// Mirror of the client kernel: workers decode disjoint payload
-		// spans into private partials of U, reduced below.
-		partials := make([]ring.Vec, par.NumChunks(params.Workers, chunk))
+		// spans into private partials of U, reduced below. A sub-run's
+		// pads lie OT after OT, at least 16 bytes apart: a pad of up to 16
+		// bytes is a prefix of its OT's one chaining value
+		// (prg.FastOracle), so a 16-byte pad serves any shorter one.
+		stride := max(padBytes, 16)
+		parts := par.NumChunks(params.Workers, chunk)
+		s.parts.size(parts, sh.M*sh.O, 0, subRun*stride)
 		par.Chunks(params.Workers, chunk, func(part, lo, hi int) {
-			pu := make(ring.Vec, sh.M*sh.O)
-			partials[part] = pu
+			pu := s.parts.sums[part]
+			clear(pu)
 			pU := &ring.Mat{Rows: sh.M, Cols: sh.O, Data: pu}
 			pads := blk.NewDeriver()
-			// A sub-run's pads, OT after OT, at least 16 bytes apart: a pad
-			// of up to 16 bytes is a prefix of its OT's one chaining value
-			// (prg.FastOracle), so a 16-byte pad serves any shorter one.
-			stride := max(padBytes, 16)
-			scratch := make([]byte, subRun*stride)
+			scratch := s.parts.pads[part]
 			for local := lo; local < hi; local++ {
 				g := ot + local
 				i := g / (sh.N * gamma)
@@ -535,7 +563,7 @@ func (s *ServerTriplets) generateServer(run []serverLayer, layerDone func()) ([]
 		})
 		blk.Release()
 		s.ot.Conn().Release(payload)
-		for _, pu := range partials {
+		for _, pu := range s.parts.sums[:parts] {
 			rg.AddVecInPlace(U.Data, pu)
 		}
 		if i+1 == first[ck+1] {

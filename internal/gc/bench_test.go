@@ -40,23 +40,24 @@ func BenchmarkEvaluateReLU256x32(b *testing.B) {
 	}
 }
 
-// The 2048x32 kernels run the circuit core's ReLU chunk garbles (2048
-// neurons at 32 bits, 192,512 AND gates; a banked Fig. 4 request at
-// batch 32 runs four), in place into a preallocated flight and labels,
-// so they time the kernel and not Garbled's allocations.
+// The 2048x32 kernels run a ReLU circuit of 2048 neurons at 32 bits,
+// 192,512 AND gates: two of core's 1024-neuron chunks, and a banked Fig. 4
+// request at batch 32 garbles as many gates as four of them. They garble
+// in place into a preallocated flight and label pairs, so they time the
+// kernel and not Garbled's allocations.
 
 func BenchmarkGarbleReLU2048x32(b *testing.B) {
 	circ := BatchReLUCircuit(32, 2048)
-	msg := make([]byte, flightBytes(circ))
+	msg, pairs := make([]byte, flightBytes(circ)), make([]byte, circ.NumEvaluator*2*LabelSize)
 	bits := make([]byte, circ.NumGarbler)
 	rng := prg.New(prg.SeedFromInt(1))
 	var s garbling
-	if err := s.flight(circ, bits, rng, msg); err != nil { // sizes the kernel's scratch
+	if err := s.flight(circ, bits, rng, nil, msg, pairs); err != nil { // sizes the kernel's scratch
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := s.flight(circ, bits, rng, msg); err != nil {
+		if err := s.flight(circ, bits, rng, nil, msg, pairs); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -92,8 +93,8 @@ func reportPerAND(b *testing.B, c *Circuit) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*c.NumAND()), "ns/AND")
 }
 
-// BenchmarkBuildReLUCircuit builds the production ReLU chunk's circuit,
-// 2048 neurons at 32 bits: one body, whatever the chunk.
+// BenchmarkBuildReLUCircuit builds a ReLU circuit of 2048 neurons at 32
+// bits: one body, whatever the chunk.
 func BenchmarkBuildReLUCircuit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = BatchReLUCircuit(32, 2048)

@@ -41,19 +41,27 @@ func fuzzEvaluator(f *testing.F) (*Evaluator, transport.Conn) {
 }
 
 // FuzzEvaluatorRun treats the garbled-material flight as attacker bytes.
-// For BatchReLUCircuit(4, 2) the valid length is TableBytes() +
-// NumGarbler*LabelSize + decode + NumEvaluator*2*LabelSize; every other
-// length must error, and even a correctly-sized flight of garbage must
-// evaluate (to garbage bits) without panicking.
+// For BatchReLUCircuit(4, 2) the valid length is flightBytes: tables,
+// garbler labels, decode bits and one label-OT ciphertext per evaluator
+// input; every other length must error, and even a correctly-sized
+// flight of garbage must evaluate (to garbage bits) without panicking.
 func FuzzEvaluatorRun(f *testing.F) {
 	e, peer := fuzzEvaluator(f)
 	circ := BatchReLUCircuit(4, 2)
-	want := circ.TableBytes() + circ.NumGarbler*LabelSize +
-		(circ.numOutputs()+7)/8 + circ.NumEvaluator*2*LabelSize
+	want := flightBytes(circ)
 	evalBits := make([]byte, circ.NumEvaluator)
 	for i := range evalBits {
 		evalBits[i] = byte(i) & 1
 	}
+	// A garbled flight whose ciphertexts were never padded: real tables
+	// and labels, wrong evaluator labels.
+	garbled := make([]byte, want)
+	var s garbling
+	if err := s.flight(circ, make([]byte, circ.NumGarbler), prg.New(prg.SeedFromInt(3)), nil,
+		garbled, make([]byte, circ.NumEvaluator*2*LabelSize)); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(garbled)
 	f.Add(make([]byte, want))
 	f.Add(bytes.Repeat([]byte{0xFF}, want))
 	f.Add(bytes.Repeat([]byte{0x80}, want))

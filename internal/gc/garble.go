@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"abnn2/internal/otext"
 	"abnn2/internal/prg"
 )
 
@@ -90,39 +91,55 @@ type garbling struct {
 	lab   [][group]wire // zero label of body wire w in window j of the group: lab[w][j]
 }
 
-// flight garbles c under fresh randomness from rng into msg, laid out as
-// flightBytes describes, with the evaluator's label pairs still in the
-// clear: sendGarbled pads them once the label OT has run. Free-XOR with
-// global offset R (lsb 1), half-gates for AND, INV by XORing the
-// output-wire semantics with R.
+// flight garbles c into msg, laid out as flightBytes describes, with the
+// evaluator's input labels in pairs, NumEvaluator*2*LabelSize bytes the
+// caller holds: input i's zero label at pairs[2i*LabelSize:], the next
+// LabelSize bytes scratch or, without a block, its partner. Free-XOR
+// with global offset R (lsb 1), half-gates for AND, INV by XORing the
+// output-wire semantics with R. rng draws R, then the zero label of
+// every garbler input wire in flat order, LabelSize bytes each, straight
+// into the flight's label region.
 //
-// The draw order is the wire format's: R, then the zero label of every
-// input wire in flat order, LabelSize bytes each, drawn straight into
-// the flight — the garbler's into its label region, the evaluator's into
-// the first halves of the pair slots. The keystream is a stream, so one
-// draw per region yields the same labels, and leaves rng in the same
-// state, as one draw per label.
-func (s *garbling) flight(c *Circuit, garblerBits []byte, rng *prg.PRG, msg []byte) error {
+// The evaluator's labels are those of a correlated OT: with blk, the
+// circuit's label-OT block, input i's zero label k0 is its pad for
+// choice 0, and the flight's ciphertext i is pad1 XOR k0 XOR R, so the
+// evaluator learns k0 or k0 XOR R and nothing else. The block is
+// released once its pads are derived. Without one (Garble, and a circuit
+// without evaluator inputs) rng draws the zero labels next, in flat order,
+// and pairs holds each beside its partner k0 XOR R for Garbled.EvalPairs;
+// the keystream is a stream, so one draw per region yields the same
+// labels, and leaves rng in the same state, as one draw per label.
+func (s *garbling) flight(c *Circuit, garblerBits []byte, rng *prg.PRG, blk *otext.SenderBlock, msg, pairs []byte) error {
 	if len(garblerBits) != c.NumGarbler {
 		return fmt.Errorf("gc: %d garbler bits for %d input wires", len(garblerBits), c.NumGarbler)
 	}
 	tb := c.TableBytes()
 	labels := msg[tb : tb+c.NumGarbler*LabelSize]
 	decode := msg[tb+len(labels) : tb+len(labels)+(c.numOutputs()+7)/8]
-	pairs := msg[len(msg)-c.NumEvaluator*2*LabelSize:]
 	rng.Fill(s.lanes[0][:]) // the lanes are scratch until the first AND gate
 	r := loadWire(s.lanes[0][:])
 	r.lo |= 1 // point-and-permute: lsb of R must be 1
 	s.r = r
 	rng.Fill(labels)
-	// The evaluator's zero labels are drawn packed into the pair region's
-	// first half and spread to their slots from the top down, so that
-	// each is read before a slot above it is written.
-	rng.Fill(pairs[:len(pairs)/2])
-	for i := c.NumEvaluator - 1; i >= 0; i-- {
-		z := loadWire(pairs[i*LabelSize:])
-		z.store(pairs[2*i*LabelSize:])
-		z.xor(r).store(pairs[(2*i+1)*LabelSize:])
+	if blk != nil {
+		clear(pairs)
+		blk.NewDeriver().XORPadsRun(pairs, LabelSize, 0, 2)
+		blk.Release()
+		cts := msg[len(msg)-c.NumEvaluator*LabelSize:]
+		for i := range c.NumEvaluator {
+			k0, pad1 := loadWire(pairs[2*i*LabelSize:]), loadWire(pairs[(2*i+1)*LabelSize:])
+			pad1.xor(k0).xor(r).store(cts[i*LabelSize:])
+		}
+	} else {
+		// Drawn packed into the first half and spread to their slots from
+		// the top down, so that each is read before a slot above it is
+		// written.
+		rng.Fill(pairs[:len(pairs)/2])
+		for i := c.NumEvaluator - 1; i >= 0; i-- {
+			z := loadWire(pairs[i*LabelSize:])
+			z.store(pairs[2*i*LabelSize:])
+			z.xor(r).store(pairs[(2*i+1)*LabelSize:])
+		}
 	}
 	if err := s.garble(c, msg[:tb], labels, pairs, decode); err != nil {
 		return err
@@ -255,9 +272,9 @@ func (s *garbling) and(a, b, o []wire, t, dt uint64, rows []byte) {
 // Garble garbles the circuit under fresh randomness from rng, with the
 // garbler's input bits given.
 func Garble(c *Circuit, garblerBits []byte, rng *prg.PRG) (*Garbled, error) {
-	msg := make([]byte, flightBytes(c))
+	msg, pairs := make([]byte, flightBytes(c)), make([]byte, c.NumEvaluator*2*LabelSize)
 	var s garbling
-	if err := s.flight(c, garblerBits, rng, msg); err != nil {
+	if err := s.flight(c, garblerBits, rng, nil, msg, pairs); err != nil {
 		return nil, err
 	}
 	tb := c.TableBytes()
@@ -274,21 +291,18 @@ func Garble(c *Circuit, garblerBits []byte, rng *prg.PRG) (*Garbled, error) {
 	for i := range out.Decode {
 		out.Decode[i] = msg[off+i/8] >> (uint(i) % 8) & 1
 	}
-	off += (len(out.Decode) + 7) / 8
 	for i := range out.EvalPairs {
-		off += copy(out.EvalPairs[i][0][:], msg[off:])
-		off += copy(out.EvalPairs[i][1][:], msg[off:])
+		copy(out.EvalPairs[i][0][:], pairs[2*i*LabelSize:])
+		copy(out.EvalPairs[i][1][:], pairs[(2*i+1)*LabelSize:])
 	}
 	return out, nil
 }
 
 // evaluating is the evaluation kernel's scratch, the mirror of garbling:
-// a window group's body labels, and the evaluator's label pads, its
-// labels unpadded in place.
+// a window group's body labels.
 type evaluating struct {
 	lanes prg.Lanes
 	lab   [][group]wire // active label of body wire w in window j of the group: lab[w][j]
-	pads  []byte
 }
 
 // evaluate walks every window of c over tables, a window quad at a time,

@@ -78,19 +78,19 @@ func allocated(f func()) uint64 {
 // not by its chunk: garbling a production chunk into its flight, and
 // evaluating it from its labels, allocates at most eight lanes of labels
 // per body wire (8 x NumWires x LabelSize bytes) beyond the flight, the
-// labels and the output bits the caller holds — and nothing at all once
-// the kernel is warm. The chunks are the ReLU layer's 2048 neurons and
-// the 2x2 max-pool's 512 windows of four, both at ring width 32.
+// label pairs, the labels and the output bits the caller holds — and nothing at all once
+// the kernel is warm. The chunks are 2048 ReLU neurons, twice core's
+// chunk, and the 2x2 max-pool's 512 windows of four, both at ring width 32.
 func TestGCScratchIsBodySized(t *testing.T) {
 	for _, c := range []*Circuit{BatchReLUCircuit(32, 2048), BatchMaxPoolCircuit(32, 4, 512, true)} {
 		bound := uint64(8 * c.NumWires * LabelSize)
 		tb := c.TableBytes()
-		msg := make([]byte, flightBytes(c))
+		msg, pairs := make([]byte, flightBytes(c)), make([]byte, c.NumEvaluator*2*LabelSize)
 		bits := make([]byte, c.NumGarbler)
 		rng := prg.New(prg.SeedFromInt(3))
 		var g garbling
 		garble := func() {
-			if err := g.flight(c, bits, rng, msg); err != nil {
+			if err := g.flight(c, bits, rng, nil, msg, pairs); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -104,7 +104,6 @@ func TestGCScratchIsBodySized(t *testing.T) {
 		// All-zero garbler bits: the labels in the flight are the zero
 		// labels, and the evaluator's zero labels are its pairs' first halves.
 		glabels := msg[tb : tb+c.NumGarbler*LabelSize]
-		pairs := msg[len(msg)-c.NumEvaluator*2*LabelSize:]
 		elabels := make([]byte, 0, c.NumEvaluator*LabelSize)
 		for i := 0; i < len(pairs); i += 2 * LabelSize {
 			elabels = append(elabels, pairs[i:i+LabelSize]...)

@@ -104,17 +104,15 @@ func TestHashCallsPerANDGate(t *testing.T) {
 			calls.Store(0)
 			// The evaluator only receives while the garbler's round runs,
 			// so every hash counted is the garbler's.
-			rcvs := make([]received, len(circs))
+			msgs := make([][]byte, len(circs))
 			_, gerr, eerr = bothSides(
 				func() error { return g.RunBatch(circs, gbits) },
 				func() ([][]byte, error) {
-					for i, c := range circs {
-						var err error
-						if rcvs[i], err = e.recvGarbled(c, ebits[i]); err != nil {
-							return nil, err
-						}
+					recv, err := e.labelRound(circs, ebits)
+					for i := 0; err == nil && i < len(circs); i++ {
+						msgs[i], err = recv(i)
 					}
-					return nil, nil
+					return nil, err
 				})
 			ca.Close()
 			if gerr != nil || eerr != nil {
@@ -123,7 +121,7 @@ func TestHashCallsPerANDGate(t *testing.T) {
 			check(fmt.Sprintf("bits %d workers %d: RunBatch garbling", bits, workers), 4, circs)
 			var s evaluating
 			for i, c := range circs {
-				out, err := s.flight(c, ebits[i], rcvs[i])
+				out, err := s.flight(c, msgs[i])
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -191,13 +192,31 @@ func TestRunBatchTranscriptIdentity(t *testing.T) {
 	}
 }
 
-// TestGarblerRunAheadBound stalls the evaluator — it never sends circuit
-// 0's OT columns — and requires the garbler to garble exactly workers+1
-// circuits of an 8-circuit batch and then wait: the run-ahead window, not
-// the batch, is what bounds its memory, at workers+1 flights plus, per
-// worker, a kernel of at most 8 x body wires x LabelSize bytes
-// (TestGCScratchIsBodySized). Once the evaluator shows up the batch
-// completes correctly.
+// gatedSends is an endpoint whose sends, once armed, wait until open is
+// closed.
+type gatedSends struct {
+	transport.Conn
+	armed atomic.Bool
+	open  chan struct{}
+}
+
+func (c *gatedSends) Send(msg []byte) error {
+	if c.armed.Load() {
+		<-c.open
+	}
+	return c.Conn.Send(msg)
+}
+
+// TestGarblerRunAheadBound stalls the garbler's first send — the
+// evaluator has sent the columns of the first columnsAhead circuits and
+// waits for flight 0 — and requires the garbler to garble exactly
+// workers+1 circuits of an 8-circuit batch and then wait: the run-ahead
+// window, not the batch or the columns in hand, is what bounds its
+// memory, at workers+1 flights plus, per worker, a kernel of at most 8 x
+// body wires x LabelSize bytes (TestGCScratchIsBodySized). Both worker
+// counts keep workers+1 within columnsAhead, so the columns are not what
+// stops the garbler. Once the send goes out the batch completes
+// correctly.
 func TestGarblerRunAheadBound(t *testing.T) {
 	const batch = 8
 	c := BatchReLUCircuit(8, 4)
@@ -211,14 +230,25 @@ func TestGarblerRunAheadBound(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		base := leakcheck.Base()
 		ca, cb := transport.Pipe()
-		g, e, gerr, eerr := newParties(ca, cb)
+		gate := &gatedSends{Conn: ca, open: make(chan struct{})}
+		g, e, gerr, eerr := newParties(gate, cb)
 		if gerr != nil || eerr != nil {
 			t.Fatalf("setup: %v %v", gerr, eerr)
 		}
 		g.SetWorkers(workers)
 		e.SetWorkers(workers)
+		gate.armed.Store(true)
 		gdone := make(chan error, 1)
 		go func() { gdone <- g.RunBatch(circs, gbits) }()
+		type result struct {
+			outs [][]byte
+			err  error
+		}
+		edone := make(chan result, 1)
+		go func() {
+			outs, err := e.RunBatch(circs, ebits)
+			edone <- result{outs, err}
+		}()
 
 		want := int64(workers + 1)
 		deadline := time.Now().Add(20 * time.Second)
@@ -230,19 +260,20 @@ func TestGarblerRunAheadBound(t *testing.T) {
 		}
 		time.Sleep(50 * time.Millisecond)
 		if got := g.garbled.Load(); got != want {
-			t.Errorf("workers=%d: %d of %d circuits garbled with the evaluator stalled, want workers+1 = %d",
+			t.Errorf("workers=%d: %d of %d circuits garbled with the first send stalled, want workers+1 = %d",
 				workers, got, batch, want)
 		}
 
-		outs, err := e.RunBatch(circs, ebits)
-		if gerr := <-gdone; gerr != nil || err != nil {
-			t.Fatalf("workers=%d: garbler=%v evaluator=%v", workers, gerr, err)
+		close(gate.open)
+		r := <-edone
+		if gerr := <-gdone; gerr != nil || r.err != nil {
+			t.Fatalf("workers=%d: garbler=%v evaluator=%v", workers, gerr, r.err)
 		}
 		if got := g.garbled.Load(); got != batch {
 			t.Errorf("workers=%d: %d circuits garbled in all, want %d", workers, got, batch)
 		}
 		for i := range circs {
-			if !bytes.Equal(outs[i], plainEval(c, gbits[i], ebits[i])) {
+			if !bytes.Equal(r.outs[i], plainEval(c, gbits[i], ebits[i])) {
 				t.Errorf("workers=%d: circuit %d decoded wrongly", workers, i)
 			}
 		}

@@ -1,6 +1,7 @@
 package gc
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 
@@ -118,8 +119,8 @@ func TestProtocolOnlineFlights(t *testing.T) {
 }
 
 // The garbler->evaluator message size must match the analytic GC cost:
-// 2*kappa per AND + kappa per garbler input + kappa*2 per evaluator input
-// + packed decode bits.
+// 2*kappa per AND + kappa per garbler input + kappa per evaluator input
+// (the correlated label OT's one ciphertext) + packed decode bits.
 func TestProtocolCommunicationMatchesFormula(t *testing.T) {
 	g, e, meter, done := setupParties(t)
 	defer done()
@@ -137,12 +138,60 @@ func TestProtocolCommunicationMatchesFormula(t *testing.T) {
 	wg.Wait()
 	s := meter.Snapshot()
 	wantGE := int64(circ.TableBytes() + circ.NumGarbler*LabelSize +
-		(circ.numOutputs()+7)/8 + circ.NumEvaluator*2*LabelSize)
+		(circ.numOutputs()+7)/8 + circ.NumEvaluator*LabelSize)
 	if s.BytesAB != wantGE {
 		t.Errorf("garbler sent %d bytes, want %d", s.BytesAB, wantGE)
 	}
 	wantEG := int64(((circ.NumEvaluator + 7) &^ 7) * 128 / 8)
 	if s.BytesBA != wantEG {
 		t.Errorf("evaluator sent %d bytes, want %d", s.BytesBA, wantEG)
+	}
+}
+
+// TestRunBatchExactCost holds a batch of n circuits to its exact cost on
+// the garbler's meter: every flight is flightBytes, every label OT's
+// column matrix 128 bits per padded OT, and the columns run columnsAhead
+// circuits ahead of the flights, so the round is 2 direction flips up to
+// columnsAhead circuits and 2(n-columnsAhead+1) beyond. The evaluator
+// never holds more than columnsAhead label-OT blocks.
+func TestRunBatchExactCost(t *testing.T) {
+	c := BatchReLUCircuit(8, 3)
+	for _, n := range []int{1, columnsAhead - 1, columnsAhead, columnsAhead + 1, 2*columnsAhead + 3} {
+		g, e, meter, done := setupParties(t)
+		circs := make([]*Circuit, n)
+		gbits, ebits := make([][]byte, n), make([][]byte, n)
+		var wantGE, wantEG int64
+		for i := range circs {
+			circs[i] = c
+			gbits[i], ebits[i] = make([]byte, c.NumGarbler), make([]byte, c.NumEvaluator)
+			ebits[i][i%c.NumEvaluator] = 1
+			wantGE += int64(flightBytes(c))
+			wantEG += int64((c.NumEvaluator + 7) &^ 7 * 128 / 8)
+		}
+		wantFlights := int64(2)
+		if n > columnsAhead {
+			wantFlights = int64(2 * (n - columnsAhead + 1))
+		}
+		meter.Reset()
+		outs, gerr, eerr := bothSides(
+			func() error { return g.RunBatch(circs, gbits) },
+			func() ([][]byte, error) { return e.RunBatch(circs, ebits) })
+		done()
+		if gerr != nil || eerr != nil {
+			t.Fatalf("n=%d: garbler=%v evaluator=%v", n, gerr, eerr)
+		}
+		s := meter.Snapshot()
+		if s.BytesAB != wantGE || s.BytesBA != wantEG || s.Flights != wantFlights {
+			t.Errorf("n=%d: garbler sent %d B, evaluator %d B, %d flights; want %d, %d, %d",
+				n, s.BytesAB, s.BytesBA, s.Flights, wantGE, wantEG, wantFlights)
+		}
+		if peak := e.ot.RowScratchPeak(); peak > columnsAhead {
+			t.Errorf("n=%d: the evaluator held %d label-OT blocks, want at most %d", n, peak, columnsAhead)
+		}
+		for i := range circs {
+			if !bytes.Equal(outs[i], plainEval(c, gbits[i], ebits[i])) {
+				t.Errorf("n=%d: circuit %d decoded wrongly", n, i)
+			}
+		}
 	}
 }

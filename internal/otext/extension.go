@@ -300,7 +300,9 @@ func (r *Receiver) Extend(choices []int) (*ReceiverBlock, error) {
 }
 
 // Extend runs one extension round for m OTs from the sender side,
-// consuming the receiver's masked column matrix.
+// consuming the receiver's masked column matrix. The column streams are
+// expanded before the matrix is received, while the receiver is still
+// computing and sending it.
 func (s *Sender) Extend(m int) (*SenderBlock, error) {
 	if m == 0 {
 		return nil, fmt.Errorf("otext: Extend with zero OTs")
@@ -308,6 +310,9 @@ func (s *Sender) Extend(m int) (*SenderBlock, error) {
 	w := s.code.WidthBits()
 	mPad := (m + 7) &^ 7
 	mBytes := mPad / 8
+	s.qCols = bitmat.Resized(s.qCols, w, mPad)
+	qCols := s.qCols
+	par.Map(s.workers, w, func(i int) { s.cols[i].Fill(qCols.Row(i)) })
 	u, err := s.conn.Recv()
 	if err != nil {
 		return nil, fmt.Errorf("otext: recv u matrix: %w", err)
@@ -315,15 +320,12 @@ func (s *Sender) Extend(m int) (*SenderBlock, error) {
 	if len(u) != w*mBytes {
 		return nil, fmt.Errorf("otext: u matrix is %d bytes, want %d", len(u), w*mBytes)
 	}
-	s.qCols = bitmat.Resized(s.qCols, w, mPad)
-	qCols := s.qCols
-	par.Map(s.workers, w, func(i int) {
-		qi := qCols.Row(i)
-		s.cols[i].Fill(qi)
+	for i := range w {
 		if (s.s[i/8]>>(uint(i)%8))&1 == 1 {
+			qi := qCols.Row(i)
 			subtle.XORBytes(qi, qi, u[i*mBytes:(i+1)*mBytes])
 		}
-	})
+	}
 	s.conn.Release(u)
 	blk := &SenderBlock{
 		s:     s,

@@ -36,22 +36,24 @@ type produced[T any] struct {
 	panicked *ChunkPanic
 }
 
-// Ahead runs produce(w, i) for i in [0, n) on min(Workers(workers), n)
-// producer goroutines, w numbering the goroutine so it can own scratch,
-// and consume(i, v) on the calling goroutine in index order. A producer
-// takes a credit before it starts an item and the consumer returns it
-// when consume(i) has returned, so at most window items are produced (or
-// in production) and not yet consumed; with one worker the items are
-// produced strictly in order on one goroutine, which is what a stateful
-// producer such as an OT extension needs.
+// Ahead runs produce(w, i, stop) for i in [0, n) on
+// min(Workers(workers), n) producer goroutines, w numbering the goroutine
+// so it can own scratch, and consume(i, v) on the calling goroutine in
+// index order. A producer takes a credit before it starts an item and the
+// consumer returns it when consume(i) has returned, so at most window
+// items are produced (or in production) and not yet consumed; with one
+// worker the items are produced strictly in order on one goroutine, which
+// is what a stateful producer such as an OT extension needs.
 //
 // The first failing item in index order decides the result: its produce
 // error is returned, its panic re-raised. A consume error is returned at
-// once. On every return path, panics included, the producers are told to
-// stop and waited for; one that is blocked inside produce is released by
-// whatever bounds that call (for a Send: peer hangup, the round deadline,
-// cancellation).
-func Ahead[T any](workers, window, n int, produce func(w, i int) (T, error), consume func(i int, v T) error) error {
+// once. On every return path, panics included, stop is closed and the
+// producers are waited for. A producer that waits for something only a
+// consume call provides must also wait on stop, and may return anything
+// once it is closed: no item is consumed after that. One blocked
+// elsewhere inside produce is released by whatever bounds that call (for
+// a Send: peer hangup, the round deadline, cancellation).
+func Ahead[T any](workers, window, n int, produce func(w, i int, stop <-chan struct{}) (T, error), consume func(i int, v T) error) error {
 	workers = NumChunks(workers, n)
 	if workers == 0 {
 		return nil
@@ -76,7 +78,7 @@ func Ahead[T any](workers, window, n int, produce func(w, i int) (T, error), con
 				p = produced[T]{panicked: asChunkPanic(r)}
 			}
 		}()
-		v, err := produce(w, i)
+		v, err := produce(w, i, stop)
 		return produced[T]{v: v, err: err}
 	}
 	for w := 0; w < workers; w++ {

@@ -43,7 +43,7 @@ func TestAheadOrderAndWindow(t *testing.T) {
 			}
 			next := 0
 			err := par.Ahead(tc.workers, tc.window, tc.n,
-				func(w, i int) (int, error) {
+				func(w, i int, _ <-chan struct{}) (int, error) {
 					mu.Lock()
 					started++
 					maxAhead = max(maxAhead, started-consumed)
@@ -117,7 +117,7 @@ func TestAheadStallsAtWindow(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		done <- par.Ahead(workers, window, n,
-			func(_, i int) (int, error) { produced.Add(1); return i, nil },
+			func(_, i int, _ <-chan struct{}) (int, error) { produced.Add(1); return i, nil },
 			func(int, int) error { <-gate; return nil })
 	}()
 	waitFor(window)
@@ -141,7 +141,7 @@ func TestAheadErrors(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			var consumed []int
 			err := par.Ahead(workers, 5, 12,
-				func(_, i int) (int, error) {
+				func(_, i int, _ <-chan struct{}) (int, error) {
 					if i == 6 || i == 8 {
 						return 0, fmt.Errorf("item %d: %w", i, boom)
 					}
@@ -161,7 +161,7 @@ func TestAheadErrors(t *testing.T) {
 		base := leakcheck.Base()
 		var produced atomic.Int32
 		err := par.Ahead(3, 4, 100,
-			func(_, i int) (int, error) { produced.Add(1); return i, nil },
+			func(_, i int, _ <-chan struct{}) (int, error) { produced.Add(1); return i, nil },
 			func(i, _ int) error {
 				if i == 2 {
 					return boom
@@ -176,6 +176,38 @@ func TestAheadErrors(t *testing.T) {
 			t.Errorf("%d items produced around a consumer that failed at item 2 with window 4", got)
 		}
 		leakcheck.Settle(t, base, "consume error")
+	})
+	t.Run("stop-releases-waiting-producers", func(t *testing.T) {
+		// Item i waits for a token consume(i-1) hands over, the way a
+		// garbler's producer waits for its label-OT block. A consumer that
+		// fails hands over nothing more; stop must end every wait.
+		base := leakcheck.Base()
+		const n = 10
+		tokens := make([]chan struct{}, n)
+		for i := range tokens {
+			tokens[i] = make(chan struct{}, 1)
+		}
+		tokens[0] <- struct{}{}
+		err := par.Ahead(3, 4, n,
+			func(_, i int, stop <-chan struct{}) (int, error) {
+				select {
+				case <-tokens[i]:
+					return i, nil
+				case <-stop:
+					return 0, errors.New("stopped")
+				}
+			},
+			func(i, _ int) error {
+				if i == 3 {
+					return boom
+				}
+				tokens[i+1] <- struct{}{}
+				return nil
+			})
+		if !errors.Is(err, boom) {
+			t.Errorf("error %v, want boom", err)
+		}
+		leakcheck.Settle(t, base, "stop")
 	})
 }
 
@@ -197,7 +229,7 @@ func TestAheadPanics(t *testing.T) {
 	}{{"plain", "kaboom"}, {"rethrown", inner}} {
 		r := catch(func() {
 			err := par.Ahead(2, 3, 9,
-				func(_, i int) (int, error) {
+				func(_, i int, _ <-chan struct{}) (int, error) {
 					if i == 4 {
 						panic(tc.with)
 					}
@@ -220,7 +252,7 @@ func TestAheadPanics(t *testing.T) {
 	}
 	if r := catch(func() {
 		_ = par.Ahead(2, 3, 9,
-			func(_, i int) (int, error) { return i, nil },
+			func(_, i int, _ <-chan struct{}) (int, error) { return i, nil },
 			func(i, _ int) error {
 				if i == 1 {
 					panic("consumer")
