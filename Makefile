@@ -112,7 +112,6 @@ fuzz:
 	$(GO) test ./internal/prg -fuzz FuzzPadRunMatchesHash -fuzztime 10s
 	$(GO) test ./internal/otext -fuzz FuzzSenderExtend -fuzztime 10s
 	$(GO) test ./internal/otext -fuzz FuzzRecvChosen -fuzztime 10s
-	$(GO) test ./internal/otext -fuzz FuzzRecvCorrelatedRing -fuzztime 10s
 	$(GO) test ./internal/otext -fuzz FuzzCodeColumnsMatchEncode -fuzztime 10s
 	$(GO) test ./internal/gc -fuzz FuzzEvaluatorRun -fuzztime 10s
 	$(GO) test ./internal/gc -fuzz 'FuzzEvaluate$$' -fuzztime 10s
@@ -145,7 +144,7 @@ loc:
 # The size gate (CI's static job runs it): `make loc` may not exceed
 # LOC_MAX, the figure the last PR that moved it ended on. A PR that needs
 # more lines raises LOC_MAX here, in the open, in its diff.
-LOC_MAX = 19734
+LOC_MAX = 19487
 loc-check:
 	@n=$$($(MAKE) -s loc); \
 	if [ "$$n" -gt $(LOC_MAX) ]; then echo "loc-check: $$n non-test Go lines, LOC_MAX is $(LOC_MAX)"; exit 1; fi; \

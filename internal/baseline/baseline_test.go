@@ -12,59 +12,6 @@ import (
 	"abnn2/internal/transport"
 )
 
-func TestSecureMLTriplets(t *testing.T) {
-	rg := ring.New(32)
-	for _, o := range []int{1, 3} {
-		ca, cb, _ := transport.MeteredPipe()
-		var (
-			cl   *SecureMLClient
-			cerr error
-			wg   sync.WaitGroup
-		)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cl, cerr = NewSecureMLClient(ca, rg, 1, 0, prg.New(prg.SeedFromInt(1)))
-		}()
-		sv, serr := NewSecureMLServer(cb, rg, 1, 0, prg.New(prg.SeedFromInt(2)))
-		wg.Wait()
-		if cerr != nil || serr != nil {
-			t.Fatalf("setup: %v %v", cerr, serr)
-		}
-		const m, n = 4, 5
-		g := prg.New(prg.SeedFromInt(3))
-		W := make([]int64, m*n)
-		for i := range W {
-			W[i] = int64(g.Intn(1<<16)) - (1 << 15) // full-width signed values
-		}
-		R := g.Mat(rg, n, o)
-		var (
-			V  *ring.Mat
-			ce error
-		)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			V, ce = cl.GenerateClient(m, R)
-		}()
-		U, se := sv.GenerateServer(W, m, n, o)
-		wg.Wait()
-		ca.Close()
-		if ce != nil || se != nil {
-			t.Fatalf("o=%d: %v %v", o, ce, se)
-		}
-		Wm := ring.NewMat(m, n)
-		for i, w := range W {
-			Wm.Data[i] = rg.FromSigned(w)
-		}
-		want := rg.MulMat(Wm, R)
-		got := rg.AddMat(U, V)
-		if !rg.EqualMat(got, want) {
-			t.Fatalf("o=%d: secureml triplets incorrect", o)
-		}
-	}
-}
-
 func TestMiniONNTriplets(t *testing.T) {
 	rg := ring.New(32)
 	ca, cb, meter := transport.MeteredPipe()
@@ -233,90 +180,6 @@ func TestMiniONNHonoursWorkers(t *testing.T) {
 	}
 	if peak != 1 {
 		t.Errorf("%d loop bodies in flight at once under Workers=1", peak)
-	}
-}
-
-func TestQuotientTriplets(t *testing.T) {
-	rg := ring.New(32)
-	ca, cb, _ := transport.MeteredPipe()
-	defer ca.Close()
-	var (
-		cl   *QuotientClient
-		cerr error
-		wg   sync.WaitGroup
-	)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		cl, cerr = NewQuotientClient(ca, rg, 2, 0, prg.New(prg.SeedFromInt(7)))
-	}()
-	sv, serr := NewQuotientServer(cb, rg, 2, 0, prg.New(prg.SeedFromInt(8)))
-	wg.Wait()
-	if cerr != nil || serr != nil {
-		t.Fatalf("setup: %v %v", cerr, serr)
-	}
-	const m, n = 5, 6
-	g := prg.New(prg.SeedFromInt(9))
-	W := make([]int64, m*n)
-	for i := range W {
-		W[i] = int64(g.Intn(3)) - 1
-	}
-	R := g.Mat(rg, n, 1)
-	r := R.Data
-	var (
-		v  *ring.Mat
-		ce error
-	)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		v, ce = cl.GenerateClient(m, R)
-	}()
-	u, se := sv.GenerateServer(W, m, n, 1)
-	wg.Wait()
-	if ce != nil || se != nil {
-		t.Fatalf("%v %v", ce, se)
-	}
-	for i := 0; i < m; i++ {
-		var want ring.Elem
-		for j := 0; j < n; j++ {
-			want = rg.Add(want, rg.Mul(rg.FromSigned(W[i*n+j]), r[j]))
-		}
-		if got := rg.Add(u.Data[i], v.Data[i]); got != want {
-			t.Fatalf("row %d: %d want %d", i, got, want)
-		}
-	}
-}
-
-// The gadget's own refusals: a weight outside {-1, 0, 1}, and — it takes
-// the other baselines' signatures but is vector-only — any o but 1, on
-// either side, before a byte is sent.
-func TestQuotientRejectsNonTernary(t *testing.T) {
-	rg := ring.New(32)
-	ca, cb, _ := transport.MeteredPipe()
-	defer ca.Close()
-	var (
-		cl *QuotientClient
-		wg sync.WaitGroup
-	)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		cl, _ = NewQuotientClient(ca, rg, 3, 0, prg.New(prg.SeedFromInt(10)))
-	}()
-	sv, err := NewQuotientServer(cb, rg, 3, 0, prg.New(prg.SeedFromInt(11)))
-	wg.Wait()
-	if err != nil || cl == nil {
-		t.Fatalf("setup: client=%v server err=%v", cl, err)
-	}
-	if _, err := sv.GenerateServer([]int64{2}, 1, 1, 1); err == nil {
-		t.Error("non-ternary weight accepted")
-	}
-	if _, err := sv.GenerateServer([]int64{1}, 1, 1, 2); err == nil {
-		t.Error("server accepted o=2")
-	}
-	if _, err := cl.GenerateClient(1, ring.NewMat(1, 2)); err == nil {
-		t.Error("client accepted a two-column R")
 	}
 }
 

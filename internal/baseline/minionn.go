@@ -1,3 +1,10 @@
+// Package baseline implements the comparison systems the paper evaluates
+// against that are not points of its own OT triplet protocol: MiniONN's
+// HE-based offline phase (CCS'17, over Paillier here — see DESIGN.md
+// "Substitutions") and XONN's all-binary garbled network (USENIX
+// Security'19). SecureML's bitwise OT triplets and QUOTIENT's ternary
+// gadget are fixed fragmentation schemes of the ABNN2 triplet engine
+// (quant.SecureML, quant.Quotient; internal/core's backend table).
 package baseline
 
 import (

@@ -26,15 +26,16 @@ import (
 type BackendID uint8
 
 const (
-	// BackendABNN2 is the paper's 1-out-of-N OT triplet protocol
-	// (one-batch or multi-batch picked by ModeFor, as always).
+	// BackendABNN2 is the paper's 1-out-of-N OT triplet protocol under
+	// the session's fragmentation scheme or a per-layer override.
 	BackendABNN2 BackendID = iota
-	// BackendSecureML is the bitwise correlated-OT triplet baseline.
+	// BackendSecureML is the bitwise OT triplet baseline: the ABNN2
+	// engine under quant.SecureML, one 1-out-of-2 OT per weight bit.
 	BackendSecureML
 	// BackendMiniONN is the Paillier additively-homomorphic baseline.
 	BackendMiniONN
-	// BackendQuotient is the ternary correlated-OT baseline (vector-only,
-	// weights in {-1, 0, 1}: its fits rule below).
+	// BackendQuotient is the ternary OT baseline: the ABNN2 engine under
+	// quant.Quotient, weights in {-1, 0, 1} (its fits rule below).
 	BackendQuotient
 
 	numBackends
@@ -42,36 +43,36 @@ const (
 
 // backend is everything the stack knows about one offline backend; the
 // table below holds one per BackendID and is the only place a backend is
-// described. The engines build its generators from it (GenerateBaseline),
-// Schedule.Validate and the planner ask it whether a layer fits, and the
-// planner prices a layer with its cost (internal/plan). The ABNN2 entry
-// has no constructors: its generators are ClientTriplets and
-// ServerTriplets themselves.
+// described. The engines run its layers from it (layerScheme,
+// GenerateBaseline), Schedule.Validate and the planner ask it whether a
+// layer fits, and the planner prices a layer with its cost
+// (internal/plan).
 type backend struct {
 	name string
-	// tag is added to the triplet session's tag for the backend's own
-	// OT-extension session, keeping its instances (and random-oracle
-	// domains) apart from the triplet and GC sessions on the same
-	// connection. MiniONN runs no extension.
-	tag uint64
-	// fragments says the backend runs under a fragmentation scheme, so a
-	// LayerChoice may override the session's.
+	// fragments says the backend runs the triplet engine under a
+	// fragmentation scheme, the session's unless a LayerChoice overrides
+	// it.
 	fragments bool
+	// scheme is the fixed scheme the triplet engine runs the backend
+	// under over an l-bit ring; a LayerChoice cannot override it. The
+	// two paper baselines this covers are points of equation 2.
+	scheme func(l uint) quant.Scheme
 	// fits is the backend's applicability rule: why a layer of shape sh
 	// whose weights lie in [lo, hi] cannot run on it. nil: any layer can.
 	fits func(sh MatShape, lo, hi int64) error
-	// client and server set up the backend's generator pair over conn; rng
-	// is the party's stream for this backend, Child(name) of its own.
-	client func(conn Conn, p Params, session uint64, rng *prg.PRG) (clientGenerator, error)
-	server func(conn Conn, p Params, session uint64, rng *prg.PRG) (serverGenerator, error)
+	// client and server set up the generator pair of a backend that runs
+	// no triplets (MiniONN) over conn; rng is the party's stream for this
+	// backend, Child(name) of its own.
+	client func(conn Conn, p Params, rng *prg.PRG) (clientGenerator, error)
+	server func(conn Conn, p Params, rng *prg.PRG) (serverGenerator, error)
 	// cost is one layer's steady-state cost as sent, from the constants the
 	// protocol itself runs on; keyBits is a Params.MiniONNBits, sc the
 	// layer's fragmentation scheme.
 	cost func(l uint, keyBits int, sc quant.Scheme, sh MatShape) Complexity
 }
 
-// clientGenerator and serverGenerator are the one pair of signatures the
-// three baseline generator pairs share: V, resp. U, with U + V = W * R.
+// clientGenerator and serverGenerator are the pair of signatures a
+// backend with constructors implements: V, resp. U, with U + V = W * R.
 type clientGenerator interface {
 	GenerateClient(m int, R *ring.Mat) (*ring.Mat, error)
 }
@@ -89,24 +90,18 @@ var backends = [numBackends]backend{
 		},
 	},
 	BackendSecureML: {
-		name: "secureml",
-		tag:  0x40,
-		client: func(conn Conn, p Params, session uint64, rng *prg.PRG) (clientGenerator, error) {
-			return baseline.NewSecureMLClient(conn, p.Ring, session, p.Workers, rng)
-		},
-		server: func(conn Conn, p Params, session uint64, rng *prg.PRG) (serverGenerator, error) {
-			return baseline.NewSecureMLServer(conn, p.Ring, session, p.Workers, rng)
-		},
+		name:   "secureml",
+		scheme: quant.SecureML,
 		cost: func(l uint, _ int, _ quant.Scheme, sh MatShape) Complexity {
 			return SecureMLComplexity(l, sh)
 		},
 	},
 	BackendMiniONN: {
 		name: "minionn",
-		client: func(conn Conn, p Params, _ uint64, rng *prg.PRG) (clientGenerator, error) {
+		client: func(conn Conn, p Params, rng *prg.PRG) (clientGenerator, error) {
 			return baseline.NewMiniONNClient(conn, p.Ring, PaillierBits(p.MiniONNBits), p.Workers, rng)
 		},
-		server: func(conn Conn, p Params, _ uint64, rng *prg.PRG) (serverGenerator, error) {
+		server: func(conn Conn, p Params, rng *prg.PRG) (serverGenerator, error) {
 			return baseline.NewMiniONNServer(conn, p.Ring, p.Workers, rng)
 		},
 		cost: func(_ uint, keyBits int, _ quant.Scheme, sh MatShape) Complexity {
@@ -114,27 +109,37 @@ var backends = [numBackends]backend{
 		},
 	},
 	BackendQuotient: {
-		name: "quotient",
-		tag:  0x41,
-		fits: func(sh MatShape, lo, hi int64) error {
-			if sh.O != 1 {
-				return fmt.Errorf("quotient backend requires o=1, got o=%d", sh.O)
-			}
+		name:   "quotient",
+		scheme: func(uint) quant.Scheme { return quant.Quotient() },
+		fits: func(_ MatShape, lo, hi int64) error {
 			if lo < -1 || hi > 1 {
 				return fmt.Errorf("quotient backend requires ternary weights, got [%d,%d]", lo, hi)
 			}
 			return nil
 		},
-		client: func(conn Conn, p Params, session uint64, rng *prg.PRG) (clientGenerator, error) {
-			return baseline.NewQuotientClient(conn, p.Ring, session, p.Workers, rng)
-		},
-		server: func(conn Conn, p Params, session uint64, rng *prg.PRG) (serverGenerator, error) {
-			return baseline.NewQuotientServer(conn, p.Ring, session, p.Workers, rng)
-		},
 		cost: func(l uint, _ int, _ quant.Scheme, sh MatShape) Complexity {
 			return QuotientComplexity(l, sh)
 		},
 	},
+}
+
+// layerScheme returns the scheme the triplet engine runs a layer of
+// choice ch under — the backend's fixed one, else ch's override, else the
+// session's — and false for a backend that runs no triplets (MiniONN) or
+// no backend at all, which GenerateBaseline refuses.
+func (p Params) layerScheme(ch LayerChoice) (quant.Scheme, bool) {
+	if !ch.Backend.Valid() {
+		return nil, false
+	}
+	switch e := &backends[ch.Backend]; {
+	case e.scheme != nil:
+		return e.scheme(p.Ring.Bits()), true
+	case !e.fragments:
+		return nil, false
+	case ch.Scheme != nil:
+		return ch.Scheme, true
+	}
+	return p.Scheme, true
 }
 
 // PaillierBits resolves a MiniONN key-size setting (Params.MiniONNBits,
@@ -157,8 +162,8 @@ func (b BackendID) String() string {
 func (b BackendID) Valid() bool { return b < numBackends }
 
 // Fragments reports whether b runs under a fragmentation scheme that a
-// per-layer choice may override (ABNN2 alone; the baselines do not
-// fragment).
+// per-layer choice may override (ABNN2 alone; the baselines' schemes are
+// fixed).
 func (b BackendID) Fragments() bool { return backends[b].fragments }
 
 // Fits reports why b cannot run a layer of shape sh whose weights lie in
@@ -203,7 +208,7 @@ func Backends() []BackendID {
 // LayerChoice fixes one linear layer's offline backend. Scheme, when
 // non-nil, overrides the session fragmentation scheme for the ABNN2
 // backend (an alternative η/γ decomposition of the same weight range);
-// it must be nil for the baselines, which do not fragment.
+// it must be nil for the baselines, whose schemes are fixed.
 type LayerChoice struct {
 	Backend BackendID
 	Scheme  quant.Scheme

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"abnn2/internal/baseline"
 	"abnn2/internal/otext"
 	"abnn2/internal/quant"
 )
@@ -39,10 +38,10 @@ func (c Complexity) PaperMB() float64 { return c.PaperBits / 8 / (1 << 20) }
 
 // SecureMLComplexity evaluates Table 1's SecureML column: OT count
 // l(l+1)/128 * mno and, in PaperBits, communication
-// mno*l(l+1)*(1+kappa/64) bits. What internal/baseline sends is one
-// correlated OT per weight bit carrying o ring elements — m*n*l OTs of
-// kappa column bits and o*l correction bits, in rounds of SecureMLChunk,
-// two flights each — and that is CommBits.
+// mno*l(l+1)*(1+kappa/64) bits. What the engine sends under
+// quant.SecureML is one 1-out-of-2 OT per weight bit carrying o ring
+// elements — m*n*l OTs of kappa column bits (the N = 2 code) and o*l
+// payload bits — and that is CommBits.
 func SecureMLComplexity(l uint, sh MatShape) Complexity {
 	mno := int64(sh.M) * int64(sh.N) * int64(sh.O)
 	ll1 := float64(l) * float64(l+1)
@@ -52,7 +51,7 @@ func SecureMLComplexity(l uint, sh MatShape) Complexity {
 		NumOTs:    int64(ll1/128*float64(mno) + 0.5),
 		CommBits:  float64(cots) * (otext.Kappa + float64(sh.O)*float64(l)),
 		PaperBits: float64(mno) * ll1 * (1 + float64(otext.Kappa)/64),
-		Flights:   2 * int((cots+baseline.SecureMLChunk-1)/baseline.SecureMLChunk),
+		Flights:   OfflineFlights(cots),
 	}
 }
 
@@ -102,18 +101,19 @@ func MiniONNComplexity(keyBits int, sh MatShape) Complexity {
 	return Complexity{Label: "MiniONN", CommBits: bits, PaperBits: bits, Flights: 3, PaillierOps: ops}
 }
 
-// QuotientComplexity models the ternary correlated-OT baseline: 2 COTs
-// per weight (one per nonzero sign candidate), each costing l payload
-// bits plus the column-matrix bits — kappa of them, since a COT is a
-// 1-out-of-2 OT over the repetition code. Vector-only (o = 1).
+// QuotientComplexity models the ternary OT baseline as the engine runs it
+// under quant.Quotient: 2 OTs per weight (one per nonzero sign
+// candidate), each costing o*l payload bits plus the column-matrix bits —
+// kappa of them, since N = 2 runs over the repetition code.
 func QuotientComplexity(l uint, sh MatShape) Complexity {
 	mn := float64(sh.M) * float64(sh.N)
+	ol := float64(sh.O) * float64(l)
 	return Complexity{
 		Label:     "QUOTIENT",
 		NumOTs:    2 * int64(sh.M) * int64(sh.N),
-		CommBits:  2 * mn * (float64(l) + float64(otext.WalshHadamardCode(2).WidthBits())),
-		PaperBits: 2 * mn * (float64(l) + 2*otext.Kappa),
-		Flights:   2,
+		CommBits:  2 * mn * (ol + float64(otext.WalshHadamardCode(2).WidthBits())),
+		PaperBits: 2 * mn * (ol + 2*otext.Kappa),
+		Flights:   OfflineFlights(2 * int64(sh.M) * int64(sh.N)),
 	}
 }
 

@@ -11,9 +11,10 @@ import (
 
 func TestSecureMLComplexityKnown(t *testing.T) {
 	// l=64, 128x1000 x 1000x1: #OT = 64*65/128 * 128000 = 4,160,000;
-	// Table 1's comm = 128000*64*65*(1+2) bits. As sent: one COT per weight
-	// bit, 128000*64 of them, each 128 column bits and o*64 correction bits,
-	// in 1000 rounds of 8192.
+	// Table 1's comm = 128000*64*65*(1+2) bits. As sent: one 1-out-of-2 OT
+	// per weight bit, 128000*64 of them, each 128 column bits and o*64
+	// payload bits, in 2000 extension rounds of 4096, a window of 12 rounds
+	// waited on at a time: 2*ceil(2000/12) flights.
 	c := SecureMLComplexity(64, MatShape{M: 128, N: 1000, O: 1})
 	if c.NumOTs != 4160000 {
 		t.Errorf("#OT = %d, want 4160000", c.NumOTs)
@@ -24,8 +25,8 @@ func TestSecureMLComplexityKnown(t *testing.T) {
 	if want := 128000.0 * 64 * (128 + 64); c.CommBits != want {
 		t.Errorf("comm as sent = %v bits, want %v", c.CommBits, want)
 	}
-	if c.Flights != 2000 {
-		t.Errorf("flights = %d, want 2000", c.Flights)
+	if c.Flights != 334 {
+		t.Errorf("flights = %d, want 334", c.Flights)
 	}
 	// o = 16: the column bits are shared by the 16 products of one OT, the
 	// paper's closed form scales whole.
@@ -76,6 +77,32 @@ func TestQuotientComplexityKnown(t *testing.T) {
 	c := QuotientComplexity(32, MatShape{M: 10, N: 10, O: 1})
 	if c.NumOTs != 200 || c.CommBits != 200*(32+128) || c.PaperBits != 200*(32+256) {
 		t.Errorf("#OT = %d, comm = %v, paper comm = %v", c.NumOTs, c.CommBits, c.PaperBits)
+	}
+	// o = 3: each OT carries three products, the columns once.
+	c = QuotientComplexity(32, MatShape{M: 10, N: 10, O: 3})
+	if c.CommBits != 200*(3*32+128) || c.PaperBits != 200*(3*32+256) {
+		t.Errorf("o=3: comm = %v, paper comm = %v", c.CommBits, c.PaperBits)
+	}
+}
+
+// TestBaselineCostsAreSchemeCosts: SecureML and QUOTIENT are the triplet
+// engine under a fixed scheme, so their closed forms price exactly what
+// OfflineComplexity prices under that scheme — bytes and flights — over
+// every ring width and batch.
+func TestBaselineCostsAreSchemeCosts(t *testing.T) {
+	for _, l := range []uint{8, 16, 32, 33, 64} {
+		for _, sh := range []MatShape{{M: 4, N: 6, O: 1}, {M: 128, N: 1000, O: 1}, {M: 32, N: 96, O: 4}} {
+			for _, c := range []struct {
+				base   Complexity
+				scheme quant.Scheme
+			}{{SecureMLComplexity(l, sh), quant.SecureML(l)}, {QuotientComplexity(l, sh), quant.Quotient()}} {
+				got := OfflineComplexity(l, c.scheme, sh)
+				if got.CommBits != c.base.CommBits || got.Flights != c.base.Flights {
+					t.Errorf("l=%d %+v %s: engine prices %v bits in %d flights, %s %v bits in %d",
+						l, sh, c.scheme.Name(), got.CommBits, got.Flights, c.base.Label, c.base.CommBits, c.base.Flights)
+				}
+			}
+		}
 	}
 }
 

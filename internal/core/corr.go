@@ -42,10 +42,11 @@ type ClientCorr struct {
 // interchangeable downstream; only the wire bytes spent producing it
 // differ.
 //
-// Each maximal run of consecutive ABNN2 layers is one pipeline (see
+// Each maximal run of consecutive triplet layers — ABNN2, SecureML and
+// QUOTIENT, each under its layerScheme — is one pipeline (see
 // generateServer): the server extends into layer L+1 while layer L's
-// payloads are still coming back. A baseline layer ends the run, which
-// drains before the baseline's own messages start. Every layer still gets
+// payloads are still coming back. A MiniONN layer ends the run, which
+// drains before MiniONN's own messages start. Every layer still gets
 // its "triplets" span: a run's consumer closes layer L's and opens layer
 // L+1's when it has decoded L's last chunk, so the spans tile the phase;
 // what a server span's byte count says is what crossed the wire while it
@@ -57,7 +58,7 @@ func (s *ServerTriplets) OfflineCorrSched(model *nn.QuantizedModel, batch int, s
 	if sched != nil && len(sched) != len(model.Layers) {
 		return nil, fmt.Errorf("core: schedule has %d layers, model has %d", len(sched), len(model.Layers))
 	}
-	if err := s.widen(widestCode(s.params.Scheme, sched)); err != nil {
+	if err := s.widen(s.params.widestCode(sched)); err != nil {
 		return nil, fmt.Errorf("core: server offline: %w", err)
 	}
 	choice := func(li int) LayerChoice {
@@ -73,12 +74,12 @@ func (s *ServerTriplets) OfflineCorrSched(model *nn.QuantizedModel, batch int, s
 	n := len(model.Layers)
 	corr := &ServerCorr{Batch: batch, U: make([]*ring.Mat, n)}
 	for li := 0; li < n; {
-		if ch := choice(li); ch.Backend != BackendABNN2 {
+		if _, ok := s.params.layerScheme(choice(li)); !ok {
 			lsp := span(li)
-			u, err := s.GenerateBaseline(ch.Backend, shape(li), model.Layers[li].W)
+			u, err := s.GenerateBaseline(choice(li).Backend, shape(li), model.Layers[li].W)
 			lsp.End(err)
 			if err != nil {
-				return nil, fmt.Errorf("core: server offline layer %d (%s): %w", li, ch.Backend, err)
+				return nil, fmt.Errorf("core: server offline layer %d (%s): %w", li, choice(li).Backend, err)
 			}
 			corr.U[li] = u
 			li++
@@ -86,12 +87,14 @@ func (s *ServerTriplets) OfflineCorrSched(model *nn.QuantizedModel, batch int, s
 		}
 		var run []serverLayer
 		start, end := li, li
-		for ; end < n && choice(end).Backend == BackendABNN2; end++ {
-			p, sh := s.params, shape(end)
-			if sc := choice(end).Scheme; sc != nil {
-				p.Scheme = sc
+		for ; end < n; end++ {
+			sc, ok := s.params.layerScheme(choice(end))
+			if !ok {
+				break
 			}
-			run = append(run, serverLayer{params: p, sh: sh, W: model.Layers[end].W})
+			p := s.params
+			p.Scheme = sc
+			run = append(run, serverLayer{params: p, sh: shape(end), W: model.Layers[end].W})
 		}
 		// li follows the run's consumer, so that it names the layer whose
 		// span is open — the one an error belongs to.
@@ -104,7 +107,7 @@ func (s *ServerTriplets) OfflineCorrSched(model *nn.QuantizedModel, batch int, s
 		})
 		if err != nil {
 			lsp.End(err)
-			return nil, fmt.Errorf("core: server offline layer %d (%s): %w", li, BackendABNN2, err)
+			return nil, fmt.Errorf("core: server offline layer %d (%s): %w", li, choice(li).Backend, err)
 		}
 		copy(corr.U[start:end], us)
 	}
@@ -112,19 +115,32 @@ func (s *ServerTriplets) OfflineCorrSched(model *nn.QuantizedModel, batch int, s
 }
 
 // GenerateBaseline runs the server side of one layer on baseline backend
-// b: U (m x o) for weights W (m x n). The generator is built from the
-// backend table at the first layer a schedule routes to the backend — so
-// unscheduled sessions consume no extra randomness and stay
-// byte-identical to the pre-schedule wire format — and kept. Both parties
-// reach that layer at the same point of the message sequence, so the
+// b: U (m x o) for weights W (m x n). SecureML and QUOTIENT are a
+// one-layer triplet run under their fixed scheme, after base OTs for any
+// columns its code lacks. MiniONN's generator is built from the backend
+// table at the first layer a schedule routes to it — so unscheduled
+// sessions consume no extra randomness — and kept. Both parties reach
+// that layer at the same point of the message sequence, so the
 // lazily-run setup flights pair up.
 func (s *ServerTriplets) GenerateBaseline(b BackendID, sh MatShape, W []int64) (*ring.Mat, error) {
-	if !b.Valid() || backends[b].server == nil {
-		return nil, fmt.Errorf("core: backend %s has no baseline generator", b)
+	if !b.Valid() || b == BackendABNN2 {
+		return nil, fmt.Errorf("core: backend %s is not a baseline", b)
+	}
+	if sc, ok := s.params.layerScheme(LayerChoice{Backend: b}); ok {
+		if err := s.widen(schemeCode(sc)); err != nil {
+			return nil, fmt.Errorf("core: %s setup: %w", b, err)
+		}
+		p := s.params
+		p.Scheme = sc
+		us, err := s.generateServer([]serverLayer{{params: p, sh: sh, W: W}}, func() {})
+		if err != nil {
+			return nil, err
+		}
+		return us[0], nil
 	}
 	if s.baselines[b] == nil {
 		e := &backends[b]
-		g, err := e.server(s.ot.Conn(), s.params, s.session+e.tag, s.rng.Child(e.name))
+		g, err := e.server(s.ot.Conn(), s.params, s.rng.Child(e.name))
 		if err != nil {
 			return nil, fmt.Errorf("core: %s setup: %w", e.name, err)
 		}
@@ -146,7 +162,7 @@ func (c *ClientTriplets) OfflineCorrSched(arch Arch, shareRNG *prg.PRG, batch in
 	if sched != nil && len(sched) != len(arch.Layers) {
 		return nil, fmt.Errorf("core: schedule has %d layers, architecture has %d", len(sched), len(arch.Layers))
 	}
-	if err := c.widen(widestCode(c.params.Scheme, sched)); err != nil {
+	if err := c.widen(c.params.widestCode(sched)); err != nil {
 		return nil, fmt.Errorf("core: client offline: %w", err)
 	}
 	rg := c.params.Ring
@@ -191,22 +207,30 @@ func (c *ClientTriplets) OfflineCorrSched(arch Arch, shareRNG *prg.PRG, batch in
 // generateLayer is the client-side backend dispatch; R is the client's
 // n x o share matrix for the layer.
 func (c *ClientTriplets) generateLayer(ch LayerChoice, sh MatShape, R *ring.Mat) (*ring.Mat, error) {
-	if ch.Backend == BackendABNN2 {
-		p, vals := c.schemeParams(ch.Scheme)
-		return c.generateClient(p, vals, sh, R)
+	sc, ok := c.params.layerScheme(ch)
+	if !ok {
+		return c.GenerateBaseline(ch.Backend, sh, R)
 	}
-	return c.GenerateBaseline(ch.Backend, sh, R)
+	p, vals := c.schemeParams(sc)
+	return c.generateClient(p, vals, sh, R)
 }
 
 // GenerateBaseline mirrors ServerTriplets.GenerateBaseline: V (m x o) for
 // the client's share matrix R (n x o).
 func (c *ClientTriplets) GenerateBaseline(b BackendID, sh MatShape, R *ring.Mat) (*ring.Mat, error) {
-	if !b.Valid() || backends[b].client == nil {
-		return nil, fmt.Errorf("core: backend %s has no baseline generator", b)
+	if !b.Valid() || b == BackendABNN2 {
+		return nil, fmt.Errorf("core: backend %s is not a baseline", b)
+	}
+	if sc, ok := c.params.layerScheme(LayerChoice{Backend: b}); ok {
+		if err := c.widen(schemeCode(sc)); err != nil {
+			return nil, fmt.Errorf("core: %s setup: %w", b, err)
+		}
+		p, vals := c.schemeParams(sc)
+		return c.generateClient(p, vals, sh, R)
 	}
 	if c.baselines[b] == nil {
 		e := &backends[b]
-		g, err := e.client(c.ot.Conn(), c.params, c.session+e.tag, c.rng.Child(e.name))
+		g, err := e.client(c.ot.Conn(), c.params, c.rng.Child(e.name))
 		if err != nil {
 			return nil, fmt.Errorf("core: %s setup: %w", e.name, err)
 		}

@@ -29,16 +29,17 @@ import (
 // of the widest fragmentation scheme it has run so far: the session
 // scheme's from set-up, more only if a plan re-fragments a layer into
 // larger N (see widen). Every layer extends over the code of its own
-// scheme, a prefix of those columns.
-// When a per-layer Schedule routes layers to the baseline backends, it
-// also lazily owns the matching baseline generators over the same
-// connection, one slot per entry of the backend table (GenerateBaseline).
+// scheme, a prefix of those columns; so does a SecureML or QUOTIENT
+// layer, whose N = 2 code is a prefix of every code.
+// When a per-layer Schedule routes layers to a backend that runs no
+// triplets (MiniONN), it also lazily owns that backend's generator over
+// the same connection, one slot per entry of the backend table
+// (GenerateBaseline).
 type ClientTriplets struct {
 	params  Params
 	ot      *otext.Sender
 	rng     *prg.PRG
 	vals    [][]ring.Elem
-	session uint64
 	payload []byte // the payload flight, reused across rounds
 	parts   workerScratch
 
@@ -47,13 +48,12 @@ type ClientTriplets struct {
 }
 
 // ServerTriplets is the server-side triplet generator (OT receiver),
-// plus the lazily-created server sides of any scheduled baselines.
+// plus the lazily-created server side of a scheduled MiniONN layer.
 type ServerTriplets struct {
-	params  Params
-	ot      *otext.Receiver
-	rng     *prg.PRG
-	session uint64
-	parts   workerScratch
+	params Params
+	ot     *otext.Receiver
+	rng    *prg.PRG
+	parts  workerScratch
 
 	baselines [numBackends]serverGenerator
 }
@@ -93,23 +93,16 @@ func schemeCode(sc quant.Scheme) otext.Code {
 	return otext.WalshHadamardCode(n)
 }
 
-// widestCode returns the widest code an ABNN2 layer of sched extends
-// over under session scheme sc; a nil schedule runs every layer under sc.
-func widestCode(sc quant.Scheme, sched Schedule) otext.Code {
+// widestCode returns the widest code a triplet layer of sched extends
+// over; a nil schedule runs every layer under the session scheme.
+func (p Params) widestCode(sched Schedule) otext.Code {
 	if sched == nil {
-		return schemeCode(sc)
+		return schemeCode(p.Scheme)
 	}
 	var widest otext.Code
 	for _, ch := range sched {
-		if ch.Backend != BackendABNN2 {
-			continue
-		}
-		code := schemeCode(sc)
-		if ch.Scheme != nil {
-			code = schemeCode(ch.Scheme)
-		}
-		if code.WidthBits() > widest.WidthBits() {
-			widest = code
+		if sc, ok := p.layerScheme(ch); ok && schemeCode(sc).WidthBits() > widest.WidthBits() {
+			widest = schemeCode(sc)
 		}
 	}
 	return widest
@@ -132,10 +125,11 @@ func NewClientTriplets(conn Conn, p Params, session uint64, rng *prg.PRG) (*Clie
 
 // OpenClientTriplets is NewClientTriplets short of its base OTs: a
 // generator with no columns yet, which has sent nothing. OfflineCorrSched
-// widens it to what its schedule's ABNN2 layers extend over and a baseline
-// sets itself up at its first layer, so a run of baseline layers alone —
-// the baselines' rows of the paper's tables, the matmul oracle — pays for
-// its own set-up and no other; GenerateClient needs the columns there.
+// widens it to what its schedule's triplet layers extend over,
+// GenerateBaseline to its backend's code, and MiniONN sets itself up at
+// its first layer, so a run of baseline layers alone — the baselines' rows
+// of the paper's tables, the matmul oracle — pays for its own set-up and
+// no other; GenerateClient needs the columns there.
 func OpenClientTriplets(conn Conn, p Params, session uint64, rng *prg.PRG) (*ClientTriplets, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -145,7 +139,7 @@ func OpenClientTriplets(conn Conn, p Params, session uint64, rng *prg.PRG) (*Cli
 		return nil, err
 	}
 	ot.SetWorkers(p.Workers)
-	return &ClientTriplets{params: p, ot: ot, rng: rng, vals: p.fragValues(), session: session}, nil
+	return &ClientTriplets{params: p, ot: ot, rng: rng, vals: p.fragValues()}, nil
 }
 
 // widen runs the base OTs for whatever columns code has beyond those the
@@ -196,7 +190,7 @@ func OpenServerTriplets(conn Conn, p Params, session uint64, rng *prg.PRG) (*Ser
 		return nil, err
 	}
 	ot.SetWorkers(p.Workers)
-	return &ServerTriplets{params: p, ot: ot, rng: rng, session: session}, nil
+	return &ServerTriplets{params: p, ot: ot, rng: rng}, nil
 }
 
 // widen mirrors ClientTriplets.widen. It receives, so it must never run
@@ -206,12 +200,12 @@ func (s *ServerTriplets) widen(code otext.Code) error {
 	return widenSpan(s.params.Trace, code.WidthBits()-s.ot.Columns(), func() error { return s.ot.Widen(code, s.rng) })
 }
 
-// schemeParams resolves an optional per-layer scheme override into the
-// Params and fragment-value table the ABNN2 kernel runs under. Override
-// tables are cached by scheme name; a nil or identical override is the
-// fast path with zero allocation.
+// schemeParams resolves a layer's scheme (layerScheme) into the Params
+// and fragment-value table the triplet kernel runs under. Other schemes'
+// tables are cached by scheme name; the session scheme is the fast path
+// with zero allocation.
 func (c *ClientTriplets) schemeParams(sc quant.Scheme) (Params, [][]ring.Elem) {
-	if sc == nil || sc.Name() == c.params.Scheme.Name() {
+	if sc == c.params.Scheme || sc.Name() == c.params.Scheme.Name() {
 		return c.params, c.vals
 	}
 	p := c.params

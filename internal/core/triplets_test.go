@@ -4,7 +4,6 @@ import (
 	"sync"
 	"testing"
 
-	"abnn2/internal/baseline"
 	"abnn2/internal/otext"
 	"abnn2/internal/prg"
 	"abnn2/internal/quant"
@@ -193,43 +192,42 @@ func TestCommunicationMatchesTable1(t *testing.T) {
 		}
 	}
 
-	// QUOTIENT: two correlated 1-out-of-2 OTs per weight, l correction
-	// bits and the 128-bit repetition code's columns each.
-	sh := MatShape{8, 16, 1}
-	rg := ring.New(l)
-	ca, cb, meter := transport.MeteredPipe()
-	defer ca.Close()
-	var (
-		qc   *baseline.QuotientClient
-		cerr error
-		wg   sync.WaitGroup
-	)
-	setup := func(f func()) {
+	// QUOTIENT through the backend dispatch: two 1-out-of-2 OTs per
+	// weight, o*l payload bits and the 128-bit repetition code's columns
+	// each, at any o. The N = 2 code is a prefix of the ternary session's.
+	for _, o := range []int{1, 3} {
+		sh := MatShape{8, 16, o}
+		p := Params{Ring: ring.New(l), Scheme: quant.Ternary()}
+		ct, st, meter, done := tripletPair(t, p)
+		W := randomWeights(quant.Quotient(), sh.M*sh.N, 4)
+		R := prg.New(prg.SeedFromInt(3)).Mat(p.Ring, sh.N, o)
+		meter.Reset()
+		var (
+			V    *ring.Mat
+			cerr error
+			wg   sync.WaitGroup
+		)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			f()
+			V, cerr = ct.GenerateBaseline(BackendQuotient, sh, R)
 		}()
-	}
-	setup(func() { qc, cerr = baseline.NewQuotientClient(ca, rg, 1, 0, prg.New(prg.SeedFromInt(1))) })
-	qs, serr := baseline.NewQuotientServer(cb, rg, 1, 0, prg.New(prg.SeedFromInt(2)))
-	wg.Wait()
-	if cerr != nil || serr != nil {
-		t.Fatalf("quotient setup: client=%v server=%v", cerr, serr)
-	}
-	meter.Reset()
-	setup(func() { _, cerr = qc.GenerateClient(sh.M, prg.New(prg.SeedFromInt(3)).Mat(rg, sh.N, 1)) })
-	_, serr = qs.GenerateServer(randomWeights(quant.Ternary(), sh.M*sh.N, 4), sh.M, sh.N, 1)
-	wg.Wait()
-	if cerr != nil || serr != nil {
-		t.Fatalf("quotient: client=%v server=%v", cerr, serr)
-	}
-	stats := meter.Snapshot()
-	if got, want := stats.BytesBA*8, int64(2*sh.M*sh.N*128); got != want {
-		t.Errorf("quotient: server columns %d bits, want %d", got, want)
-	}
-	if got, want := float64(stats.TotalBytes()*8), QuotientComplexity(l, sh).CommBits; got != want {
-		t.Errorf("quotient: measured %v bits, formula %v", got, want)
+		U, serr := st.GenerateBaseline(BackendQuotient, sh, W)
+		wg.Wait()
+		done()
+		if cerr != nil || serr != nil {
+			t.Fatalf("quotient o=%d: client=%v server=%v", o, cerr, serr)
+		}
+		if !p.Ring.EqualMat(p.Ring.AddMat(U, V), plainProduct(p, sh, W, R)) {
+			t.Errorf("quotient o=%d: U + V != W * R", o)
+		}
+		stats := meter.Snapshot()
+		if got, want := stats.BytesBA*8, int64(2*sh.M*sh.N*128); got != want {
+			t.Errorf("quotient o=%d: server columns %d bits, want %d", o, got, want)
+		}
+		if got, want := float64(stats.TotalBytes()*8), QuotientComplexity(l, sh).CommBits; got != want {
+			t.Errorf("quotient o=%d: measured %v bits, formula %v", o, got, want)
+		}
 	}
 }
 

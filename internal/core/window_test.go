@@ -510,6 +510,37 @@ func TestOfflineRunEndsAtBaseline(t *testing.T) {
 	leakcheck.Settle(t, base, "run ends at baseline")
 }
 
+// TestOfflineBaselineOnlyPlan: a plan of SecureML and QUOTIENT layers
+// alone, on generators with no columns yet, is one triplet run under the
+// two fixed schemes. It widens both parties to the N = 2 code's 128
+// columns and no further, and every layer is exact at l = 64, where a
+// weight of -1 sets all 64 of SecureML's bits.
+func TestOfflineBaselineOnlyPlan(t *testing.T) {
+	p := Params{Ring: ring.New(64), Scheme: quant.NewBitScheme(true, 4)} // N = 16: 240 columns, never run
+	m := nn.NewModel(12, 9, 7, 5)
+	m.InitXavier(prg.New(prg.SeedFromInt(12)))
+	qm := nn.Quantize(m, quant.Ternary(), 4) // -1 sets every bit, the top one too
+	ca, cb := transport.Pipe()
+	defer ca.Close()
+	ct, err := OpenClientTriplets(ca, p, 1, prg.New(prg.SeedFromInt(10)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := OpenServerTriplets(cb, p, 1, prg.New(prg.SeedFromInt(11)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := Schedule{{Backend: BackendSecureML}, {Backend: BackendQuotient}, {Backend: BackendSecureML}}
+	cc, sc, cerr, serr := offlinePair(ct, st, qm, sched)()
+	if cerr != nil || serr != nil {
+		t.Fatalf("client=%v server=%v", cerr, serr)
+	}
+	if c, s := ct.ot.Columns(), st.ot.Columns(); c != 128 || s != 128 {
+		t.Errorf("client holds %d columns and server %d, want the repetition code's 128", c, s)
+	}
+	checkCorr(t, p, qm, cc, sc)
+}
+
 // TestOfflineRunProducerPanicInSecondLayer: the producer panics on a u
 // flight of the run's second layer while the consumer is still decoding
 // the first; the panic must reach OfflineCorrSched's caller as a

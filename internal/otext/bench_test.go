@@ -34,6 +34,8 @@ func benchExtend(b *testing.B, code Code, m int) { benchExtendWorkers(b, code, m
 
 // benchExtendWorkers pins both parties to a worker count; workers=1 is
 // the sequential baseline the parallel kernels are compared against.
+// Both sides release their blocks each round, as the triplet kernels do,
+// so a round reuses the row matrix the last one transposed into.
 func benchExtendWorkers(b *testing.B, code Code, m, workers int) {
 	snd, rcv, done := benchPair(b, code)
 	defer done()
@@ -46,13 +48,18 @@ func benchExtendWorkers(b *testing.B, code Code, m, workers int) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := snd.Extend(m); err != nil {
+			blk, err := snd.Extend(m)
+			if err != nil {
 				b.Error(err)
+				return
 			}
+			blk.Release()
 		}()
-		if _, err := rcv.Extend(choices); err != nil {
+		blk, err := rcv.Extend(choices)
+		if err != nil {
 			b.Fatal(err)
 		}
+		blk.Release()
 		wg.Wait()
 	}
 	b.ReportMetric(float64(m)*float64(b.N), "OTs-total")

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"abnn2/internal/prg"
-	"abnn2/internal/ring"
 	"abnn2/internal/transport"
 )
 
@@ -109,21 +108,5 @@ func FuzzRecvChosen(f *testing.F) {
 			t.Skip("pipe closed")
 		}
 		rcv.RecvChosen(choices, 4)
-	})
-}
-
-// FuzzRecvCorrelatedRing feeds arbitrary bytes as the COT correction
-// flight over the 33-bit ring (5-byte elements; valid length 3*5 = 15).
-// The odd ring width exercises GetElem's partial-element handling.
-func FuzzRecvCorrelatedRing(f *testing.F) {
-	rcv, peer := fuzzReceiver(f, WalshHadamardCode(2))
-	rg := ring.New(33)
-	bits := []byte{1, 0, 1}
-	addFlightSeeds(f, 15)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if err := peer.Send(data); err != nil {
-			t.Skip("pipe closed")
-		}
-		rcv.RecvCorrelatedRing(rg, 1, bits)
 	})
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"abnn2/internal/prg"
-	"abnn2/internal/ring"
 	"abnn2/internal/transport"
 )
 
@@ -413,43 +412,6 @@ func TestChosenMessages1ofN(t *testing.T) {
 	for j := range got {
 		if !bytes.Equal(got[j], msgs[j][choices[j]]) {
 			t.Fatalf("OT %d: wrong message", j)
-		}
-	}
-}
-
-func TestCorrelatedRing(t *testing.T) {
-	rg := ring.New(32)
-	snd, rcv, _, done := setupPair(t, WalshHadamardCode(2))
-	defer done()
-	g := prg.New(prg.SeedFromInt(88))
-	const m = 50
-	deltas := g.Vec(rg, m)
-	bits := make([]byte, m)
-	for i := range bits {
-		bits[i] = byte(g.Intn(2))
-	}
-	var (
-		x0   ring.Vec
-		serr error
-		wg   sync.WaitGroup
-	)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		x0, serr = snd.SendCorrelatedRing(rg, 1, deltas)
-	}()
-	xb, err := rcv.RecvCorrelatedRing(rg, 1, bits)
-	wg.Wait()
-	if serr != nil || err != nil {
-		t.Fatalf("cot: %v %v", serr, err)
-	}
-	for j := 0; j < m; j++ {
-		want := x0[j]
-		if bits[j] == 1 {
-			want = rg.Add(x0[j], deltas[j])
-		}
-		if xb[j] != want {
-			t.Fatalf("cot %d: got %d want %d (bit %d)", j, xb[j], want, bits[j])
 		}
 	}
 }

@@ -17,6 +17,7 @@ package quant
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -26,7 +27,8 @@ import (
 //
 //	sum_i Value(i, Decompose(w)[i]) == w
 //
-// and, for every fragment i,
+// (SecureML's modulo 2^l, the ring it is built for) and, for every
+// fragment i,
 //
 //	Value(i, 0) == 0
 //
@@ -236,6 +238,72 @@ func Parse(s string) (Scheme, error) {
 		return nil, fmt.Errorf("quant: widths in %q sum to %d, want %d and at most 32", s, sum, eta)
 	}
 	return NewBitScheme(signed, widths...), nil
+}
+
+// secureMLScheme is SecureML's bitwise decomposition over an l-bit ring:
+// l one-bit fragments, fragment i worth 2^i, so each bit of the weight
+// read as an l-bit ring element is one 1-out-of-2 OT. Every int64 is
+// representable: its fragments sum to it modulo 2^l, the ring the
+// triplet engine embeds Values in, as SecureML reads a weight.
+type secureMLScheme uint
+
+// SecureML returns SecureML's decomposition over an l-bit ring, 1 <= l <=
+// 64. Its name is not a Parse designation.
+func SecureML(l uint) Scheme {
+	if l == 0 || l > 64 {
+		panic(fmt.Sprintf("quant: SecureML ring width %d out of range [1,64]", l))
+	}
+	return secureMLScheme(l)
+}
+
+func (s secureMLScheme) Name() string        { return "secureml" + strconv.Itoa(int(s)) }
+func (s secureMLScheme) Gamma() int          { return int(s) }
+func (secureMLScheme) FragmentN(int) int     { return 2 }
+func (secureMLScheme) Range() (int64, int64) { return math.MinInt64, math.MaxInt64 }
+func (secureMLScheme) Value(i, t int) int64  { return int64(t&1) << i }
+func (s secureMLScheme) Decompose(w int64) ([]int, error) {
+	out := make([]int, s)
+	for i := range out {
+		out[i] = int(uint64(w) >> i & 1)
+	}
+	return out, nil
+}
+
+// quotientScheme is QUOTIENT's ternary gadget (CCS'19): w in {-1, 0, 1}
+// is b+ - b-, two one-bit fragments worth +1 and -1.
+type quotientScheme struct{}
+
+// Quotient returns QUOTIENT's two-fragment ternary scheme. Its name is
+// not a Parse designation.
+func Quotient() Scheme { return quotientScheme{} }
+
+func (quotientScheme) Name() string          { return "quotient" }
+func (quotientScheme) Gamma() int            { return 2 }
+func (quotientScheme) FragmentN(int) int     { return 2 }
+func (quotientScheme) Range() (int64, int64) { return -1, 1 }
+
+func (quotientScheme) Value(i, t int) int64 {
+	switch {
+	case t == 0:
+		return 0
+	case t == 1 && i == 0:
+		return 1
+	case t == 1 && i == 1:
+		return -1
+	}
+	panic(fmt.Sprintf("quant: quotient fragment %d candidate %d out of range", i, t))
+}
+
+func (quotientScheme) Decompose(w int64) ([]int, error) {
+	switch w {
+	case 0:
+		return []int{0, 0}, nil
+	case 1:
+		return []int{1, 0}, nil
+	case -1:
+		return []int{0, 1}, nil
+	}
+	return nil, fmt.Errorf("quant: weight %d is not ternary", w)
 }
 
 // OneBit returns the (1,...,1) scheme with eta fragments, the paper's

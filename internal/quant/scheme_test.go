@@ -2,6 +2,7 @@ package quant
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -32,6 +33,7 @@ func TestDecomposeRecomposeAllSchemes(t *testing.T) {
 		NewBitScheme(true, 3),
 		NewBitScheme(false, 1, 1, 1, 1, 1, 1, 1, 1),
 		OneBit(8, true),
+		Quotient(),
 	}
 	for _, s := range schemes {
 		min, max := s.Range()
@@ -63,6 +65,8 @@ func TestDecomposeOutOfRange(t *testing.T) {
 		{Binary(), 2},
 		{Binary(), -1},
 		{Ternary(), 2},
+		{Quotient(), 2},
+		{Quotient(), -2},
 		{NewBitScheme(true, 2, 2), 8},
 		{NewBitScheme(true, 2, 2), -9},
 	}
@@ -267,6 +271,42 @@ func TestCandidateZeroIsZero(t *testing.T) {
 		for i := 0; i < s.Gamma(); i++ {
 			if v := s.Value(i, 0); v != 0 {
 				t.Errorf("%s: Value(%d, 0) = %d, want 0", name, i, v)
+			}
+		}
+	}
+}
+
+// TestBaselineSchemes: SecureML's and QUOTIENT's schemes keep the Scheme
+// contract, SecureML's modulo 2^l up to its 64 fragments, and neither
+// name parses, so a plan cannot spell either as an ABNN2 override.
+func TestBaselineSchemes(t *testing.T) {
+	for _, s := range []Scheme{SecureML(33), SecureML(64), Quotient()} {
+		if _, err := Parse(s.Name()); err == nil {
+			t.Errorf("Parse(%q) accepted a baseline's scheme", s.Name())
+		}
+		for i := 0; i < s.Gamma(); i++ {
+			if n := s.FragmentN(i); n != 2 {
+				t.Errorf("%s: fragment %d has N = %d, want 2", s.Name(), i, n)
+			}
+			if v := s.Value(i, 0); v != 0 {
+				t.Errorf("%s: Value(%d, 0) = %d, want 0", s.Name(), i, v)
+			}
+		}
+	}
+	ws := []int64{math.MinInt64, math.MaxInt64, -1, 0, 1, 255, -0x123456789abcdef}
+	for _, l := range []uint{1, 8, 33, 64} {
+		s := SecureML(l)
+		if s.Gamma() != int(l) {
+			t.Errorf("SecureML(%d) has %d fragments", l, s.Gamma())
+		}
+		mask := ^uint64(0) >> (64 - l)
+		for _, w := range ws {
+			frags, err := s.Decompose(w)
+			if err != nil {
+				t.Fatalf("SecureML(%d): decompose(%d): %v", l, w, err)
+			}
+			if got := uint64(recompose(s, frags)); got&mask != uint64(w)&mask {
+				t.Errorf("SecureML(%d): recompose(%d) = %d, not w modulo 2^%d", l, w, int64(got), l)
 			}
 		}
 	}

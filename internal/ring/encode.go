@@ -156,9 +156,3 @@ func (r Ring) DecodeVec(src []byte, count int) (Vec, []byte, error) {
 
 // VecBytes returns the wire size of an n-element vector.
 func (r Ring) VecBytes(n int) int { return n * r.Bytes() }
-
-// FromBytesFull interprets exactly 8 bytes as one uint64 and reduces it.
-// Used when expanding PRG output into ring elements.
-func (r Ring) FromBytesFull(b []byte) Elem {
-	return binary.LittleEndian.Uint64(b) & r.mask
-}

@@ -150,8 +150,4 @@ func TestVectorHelpers(t *testing.T) {
 	if r.Bits() != 8 {
 		t.Fatal("Bits wrong")
 	}
-	buf := []byte{0x2A, 0, 0, 0, 0, 0, 0, 0}
-	if r.FromBytesFull(buf) != 42 {
-		t.Fatal("FromBytesFull wrong")
-	}
 }

@@ -227,8 +227,9 @@ func TestRejectBadHello(t *testing.T) {
 // flights would not line up (version 1), one that completes and then
 // derives pads the peer does not (version 2), a planned session whose
 // plan flight the peer cannot parse (version 3), a multi-batch layer
-// whose payload length the peer refuses (version 4), or a GC round whose
-// flight length the peer refuses (version 5).
+// whose payload length the peer refuses (version 4), a GC round whose
+// flight length the peer refuses (version 5), or a planned SecureML or
+// QUOTIENT layer whose flights the peer does not pair (version 6).
 func TestHelloVersionMismatch(t *testing.T) {
 	for old := 1; old < helloVersion; old++ {
 		t.Run(fmt.Sprintf("v%d-client", old), func(t *testing.T) {
@@ -281,8 +282,8 @@ func TestHelloVersionMismatch(t *testing.T) {
 				_ = sconn.Send(out)
 			}()
 			_, err := ClientHandshakeInfo(cconn, "m0")
-			if v := <-sawVersion; v != 6 {
-				t.Errorf("client's hello says version %d, want 6", v)
+			if v := <-sawVersion; v != 7 {
+				t.Errorf("client's hello says version %d, want 7", v)
 			}
 			var rej *RejectError
 			if !errors.As(err, &rej) || rej.Rejection.Code != RejectBadHello || rej.Temporary() {

@@ -144,24 +144,6 @@ func TestGoldenKK13(t *testing.T) {
 	compare(t, "kk13-chosen", "kk13 wh16 chosen m=3 msgLen=8", sc, rc)
 }
 
-func TestGoldenCOT(t *testing.T) {
-	rg := ring.New(32)
-	snd, rcv, sc, rc := otPair(t, otext.WalshHadamardCode(2))
-	g := prg.New(prg.SeedFromInt(6))
-	deltas := g.Vec(rg, 6)
-	bits := []byte{1, 0, 1, 1, 0, 0}
-	runPair(t,
-		func() error {
-			_, err := snd.SendCorrelatedRing(rg, 1, deltas)
-			return err
-		},
-		func() error {
-			_, err := rcv.RecvCorrelatedRing(rg, 1, bits)
-			return err
-		})
-	compare(t, "cot-ring32", "correlated OT ring=32 m=6", sc, rc)
-}
-
 func TestGoldenGC(t *testing.T) {
 	gcConn, ecConn := pairConns()
 	var (

@@ -12,11 +12,12 @@ import (
 )
 
 // Secure matrix-multiplication backends behind one oracle: the ABNN2
-// triplet protocol in each of its modes, plus the three comparison
-// baselines (SecureML OT triplets, MiniONN Paillier, QUOTIENT ternary
-// COT). All produce additive shares U (server) and V (client) of W*R,
-// so one differential check — U + V == W*R over the ring — covers all
-// of them.
+// triplet protocol under any fragmentation scheme, plus the three
+// comparison baselines (SecureML's bitwise OT triplets and QUOTIENT's
+// ternary gadget, both the triplet engine under a fixed scheme, and
+// MiniONN over Paillier). All produce additive shares U (server) and V
+// (client) of W*R, so one differential check — U + V == W*R over the
+// ring — covers all of them.
 
 // MatmulFunc runs one secure matmul backend for server weights W
 // (m x n, row-major) and client shares R (n x o), returning the two
@@ -79,12 +80,13 @@ func ABNN2Matmul(scheme quant.Scheme) MatmulFunc {
 	}
 }
 
-// BaselineMatmul returns comparison backend b — SecureML's bitwise COT
+// BaselineMatmul returns comparison backend b — SecureML's bitwise OT
 // triplets, MiniONN over a Paillier key of keyBits (0 = the default; 512
-// keeps the sweep fast), QUOTIENT's ternary COT gadget, which is
-// vector-only and needs W in {-1, 0, 1} — run the way a scheduled session
-// runs it: through the triplet generators' own dispatch, the lazily-run
-// set-up included.
+// keeps the sweep fast), QUOTIENT's ternary gadget, which needs W in
+// {-1, 0, 1} — run the way a scheduled session runs it: through the
+// triplet generators' own dispatch, on generators with no columns yet,
+// so the backend's own set-up (base OTs for the N = 2 code, MiniONN's
+// key) runs at its layer.
 func BaselineMatmul(b core.BackendID, keyBits int) MatmulFunc {
 	return func(rg ring.Ring, W []int64, m, n int, R *ring.Mat, seed uint64) (*ring.Mat, *ring.Mat, error) {
 		// Params wants a session scheme; no layer runs under it here.

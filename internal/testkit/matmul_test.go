@@ -69,18 +69,54 @@ func TestMatmulBackendABNN2(t *testing.T) {
 	}
 }
 
+// SecureML and QUOTIENT, the two baselines that are fixed schemes of the
+// triplet engine, run through the backend dispatch over every conformance
+// ring width at o = 1 and 4. SecureML's weights span the whole signed
+// l-bit range, so each of its l fragments takes both choices, and include
+// the ends of int64, which it reads modulo 2^l as the ring does.
 func TestMatmulBackendSecureML(t *testing.T) {
-	t.Parallel()
-	rg := ring.New(32)
-	g := prg.New(prg.SeedFromInt(102))
-	m, n, o := 3, 4, 2
-	W := make([]int64, m*n)
-	for i := range W {
-		W[i] = int64(g.Intn(255)) - 127
+	matmulTripletBaseline(t, core.BackendSecureML, func(g *prg.PRG, l uint, W []int64) {
+		for i := range W {
+			W[i] = int64(g.Uint64()<<(64-l)) >> (64 - l) // sign-extended l bits
+		}
+		W[0], W[1] = quant.SecureML(l).Range()
+	})
+}
+
+func TestMatmulBackendQuotient(t *testing.T) {
+	matmulTripletBaseline(t, core.BackendQuotient, func(g *prg.PRG, _ uint, W []int64) {
+		copy(W, randWeights(g, quant.Quotient(), len(W)))
+	})
+}
+
+func matmulTripletBaseline(t *testing.T, b core.BackendID, fill func(g *prg.PRG, l uint, W []int64)) {
+	for _, l := range RingWidths {
+		for _, o := range []int{1, 4} {
+			l, o := l, o
+			t.Run(fmt.Sprintf("l=%d/o=%d", l, o), func(t *testing.T) {
+				t.Parallel()
+				rg := ring.New(l)
+				g := prg.New(prg.SeedFromInt(uint64(102 + l)))
+				m, n := 3, 5
+				W := make([]int64, m*n)
+				fill(g, l, W)
+				R := g.Mat(rg, n, o)
+				if err := CheckMatmul(BaselineMatmul(b, 0), rg, W, m, n, R, 501); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
 	}
-	R := g.Mat(rg, n, o)
-	if err := CheckMatmul(BaselineMatmul(core.BackendSecureML, 0), rg, W, m, n, R, 501); err != nil {
-		t.Fatal(err)
+}
+
+// TestQuotientRejectsNonTernary: a weight outside {-1, 0, 1} is the
+// server's error before it extends a single OT of the layer.
+func TestQuotientRejectsNonTernary(t *testing.T) {
+	rg := ring.New(32)
+	R := prg.New(prg.SeedFromInt(104)).Mat(rg, 2, 1)
+	err := CheckMatmul(BaselineMatmul(core.BackendQuotient, 0), rg, []int64{1, 2}, 1, 2, R, 503)
+	if err == nil || !strings.Contains(err.Error(), "server: quant: weight 1: quant: weight 2 is not ternary") {
+		t.Fatalf("err = %v, want the server's refusal of weight 2", err)
 	}
 }
 
@@ -95,21 +131,6 @@ func TestMatmulBackendMiniONN(t *testing.T) {
 	}
 	R := g.Mat(rg, n, o)
 	if err := CheckMatmul(BaselineMatmul(core.BackendMiniONN, 512), rg, W, m, n, R, 502); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMatmulBackendQuotient(t *testing.T) {
-	t.Parallel()
-	rg := ring.New(32)
-	g := prg.New(prg.SeedFromInt(104))
-	m, n := 4, 6
-	W := make([]int64, m*n)
-	for i := range W {
-		W[i] = int64(g.Intn(3)) - 1
-	}
-	R := g.Mat(rg, n, 1)
-	if err := CheckMatmul(BaselineMatmul(core.BackendQuotient, 0), rg, W, m, n, R, 503); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -174,9 +195,10 @@ func steadyState(b core.BackendID, p core.Params, sh core.MatShape, W []int64, R
 }
 
 // TestBackendTable holds every entry of core's backend table to what the
-// rest of the stack does with it, over both payload regimes, a shape inside
-// one SecureML round and one across twelve, and a session scheme QUOTIENT
-// fits and one it does not:
+// rest of the stack does with it, over o = 1 and o = 4, a shape inside one
+// extension round and one across many (SecureML's 32x96 at l = 32 is 24
+// rounds, two windows), and a session scheme QUOTIENT fits and one it does
+// not:
 //
 //   - its applicability rule is the one verdict everywhere: Fits, the
 //     planner's Validate and its candidate list, both parties'
@@ -186,8 +208,9 @@ func steadyState(b core.BackendID, p core.Params, sh core.MatShape, W []int64, R
 //     are CommBits/8, not one more or less.
 //
 // The set-up a backend runs at its first layer is measured here and not
-// priced anywhere yet: 12,481 bytes of base OTs for the two COT baselines,
-// the modulus for MiniONN (ROADMAP, cost model). Nor are the rows an
+// priced anywhere yet: the modulus for MiniONN (ROADMAP, cost model).
+// SecureML and QUOTIENT run none: their N = 2 code is a prefix of the
+// session scheme's, whose base OTs ran with the generators. Nor are the rows an
 // extension round pads its OT count to a multiple of 8 with, or the bits a
 // ring element is padded to whole bytes with: the shapes here have OT
 // counts that are multiples of 8 and l = 32. Flights are not asserted:
@@ -196,7 +219,7 @@ func steadyState(b core.BackendID, p core.Params, sh core.MatShape, W []int64, R
 func TestBackendTable(t *testing.T) {
 	const l, keyBits = 32, 256
 	rg := ring.New(l)
-	setup := map[core.BackendID]int64{core.BackendSecureML: 12481, core.BackendMiniONN: keyBits / 8, core.BackendQuotient: 12481}
+	setup := map[core.BackendID]int64{core.BackendMiniONN: keyBits / 8}
 	for _, b := range core.Backends() {
 		for _, scheme := range []quant.Scheme{quant.Ternary(), quant.NewBitScheme(true, 2, 2)} {
 			for _, sh := range []core.MatShape{{M: 4, N: 6, O: 1}, {M: 4, N: 6, O: 4}, {M: 32, N: 96, O: 1}, {M: 32, N: 96, O: 4}} {

@@ -25,8 +25,8 @@ const planSweepKeyBits = 512
 // randomPlan draws a per-layer backend assignment for a case, seeded
 // from the case seed so a failing plan reproduces from the seed alone.
 // Each layer picks uniformly among its applicable backends (QUOTIENT
-// only on vector layers of batch-1 sessions whose scheme range fits
-// [-1,1]), and ABNN2 layers occasionally carry a scheme override
+// only where the session scheme's range fits [-1,1]), and ABNN2 layers
+// occasionally carry a scheme override
 // widened to cover the session range — the planner emits exactly such
 // overrides when a coarser fragmentation is cheaper.
 func randomPlan(c *Case) (core.Schedule, error) {
@@ -38,9 +38,9 @@ func randomPlan(c *Case) (core.Schedule, error) {
 	smin, smax := session.Range()
 	rng := prg.New(prg.SeedFromInt(c.Seed)).Child("testkit-plan")
 	p := make(core.Schedule, len(arch.Layers))
-	for i, l := range arch.Layers {
+	for i := range arch.Layers {
 		cands := []core.BackendID{core.BackendABNN2, core.BackendSecureML, core.BackendMiniONN}
-		if c.Batch*l.Cols() == 1 && smin >= -1 && smax <= 1 {
+		if smin >= -1 && smax <= 1 {
 			cands = append(cands, core.BackendQuotient)
 		}
 		ch := core.LayerChoice{Backend: cands[rng.Intn(len(cands))]}
