@@ -270,7 +270,7 @@ func newServer(ctx context.Context, conn Conn, model *QuantizedModel, cfg Config
 	defer s.releaseOn(&err)
 	// Pre-check the required plan against this model so a misconfigured
 	// server fails at setup, not per batch.
-	if err := cfg.Plan.Validate(eng.Arch(), 1, nil); err != nil {
+	if err := cfg.Plan.Validate(eng.Arch(), nil); err != nil {
 		return nil, err
 	}
 	srv := &Server{session: s, eng: eng, bank: cfg.Bank, mode: cfg.OfflineMode, required: cfg.Plan}
@@ -375,7 +375,7 @@ func (s *Server) HandleBatch() error {
 // serveBatch runs the batch a announces: a store batch, or a prediction
 // on offline material claimed, or generated inline, as a says.
 func (s *Server) serveBatch(a announcement) error {
-	if err := s.applyPlan(a.batch, a.plan); err != nil {
+	if err := s.applyPlan(a.plan); err != nil {
 		return err
 	}
 	if a.store {
@@ -404,9 +404,11 @@ func (s *Server) serveBatch(a announcement) error {
 // default. The frame is the plan's text form in attacker-shaped bytes: it
 // is parsed by core.ParseSchedule, compared in canonical form with the
 // server's configured plan (when one is required), and validated against
-// the model — layer count, backend applicability, weight ranges — before
-// any of it reaches the protocol.
-func (s *Server) applyPlan(batch int, planned bool) error {
+// the model — layer count, backend applicability, the session scheme's
+// public range, then the weights themselves in the engine's SetSchedule —
+// before any of it reaches the protocol. The server checks every plan
+// frame it is sent; the client checks its own plan once, at Dial.
+func (s *Server) applyPlan(planned bool) error {
 	var sched core.Schedule
 	if planned {
 		raw, err := s.sc.Recv()
@@ -425,11 +427,14 @@ func (s *Server) applyPlan(batch int, planned bool) error {
 	case sched == nil && s.sched == nil:
 		return nil
 	}
-	if err := sched.Validate(s.eng.Arch(), batch, nil); err != nil {
+	// The session scheme's public range first: the engine's check reads
+	// the private weights, so a plan refused only there would tell the
+	// client whether a layer's weights fit the probed range.
+	if err := sched.Validate(s.eng.Arch(), nil); err != nil {
 		return fmt.Errorf("abnn2: %w", err)
 	}
 	if err := s.eng.SetSchedule(sched); err != nil {
-		return err
+		return fmt.Errorf("abnn2: %w", err)
 	}
 	s.sched = sched
 	return nil
@@ -693,9 +698,6 @@ func (c *Client) encodeBatch(inputs [][]float64) (*ring.Mat, error) {
 // batch falls back to the inline offline phase (OfflineAuto) or fails
 // fast (OfflineBanked) — it never waits for the pool to fill.
 func (c *Client) provision(batch int, argmax bool) error {
-	if err := c.planFits(batch); err != nil {
-		return err
-	}
 	a := announcement{batch: batch, argmax: argmax}
 	if c.source != provisionInline {
 		key := c.PoolKey(batch)
@@ -717,16 +719,6 @@ func (c *Client) provision(batch int, argmax bool) error {
 	}
 	if a.source == provisionInline {
 		return c.eng.Offline(batch)
-	}
-	return nil
-}
-
-// planFits revalidates the session's plan for one batch size: it changes
-// backend applicability (QUOTIENT is o=1 only), and the server would
-// reject the announcement anyway.
-func (c *Client) planFits(batch int) error {
-	if err := c.plan.Validate(c.arch, batch, nil); err != nil {
-		return fmt.Errorf("abnn2: %w", err)
 	}
 	return nil
 }
@@ -772,9 +764,6 @@ func (c *Client) Prefetch(batch, n int) (stored int, err error) {
 	}
 	if batch <= 0 || batch > maxBatch {
 		return 0, fmt.Errorf("abnn2: batch size %d out of range", batch)
-	}
-	if err := c.planFits(batch); err != nil {
-		return 0, err
 	}
 	for stored < n {
 		sp := c.tr.Start("offline-replenish").SetBatch(batch)

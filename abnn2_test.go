@@ -544,6 +544,28 @@ func TestBadPlanFlightRefused(t *testing.T) {
 	}
 }
 
+// TestPlanFlightRefusalIgnoresWeights: whether a server refuses a plan
+// frame must turn on public data only. This model's scheme is 4(2,2), but
+// every weight it holds is in {-1, 0, 1} — which a quotient layer, or an
+// abnn2 override with a 2-bit range, would fit. The server must still
+// refuse both, over the scheme's public range, or the refusal tells the
+// client its weights are ternary.
+func TestPlanFlightRefusalIgnoresWeights(t *testing.T) {
+	qm := chaosModel(t)
+	for _, l := range qm.qm.Layers {
+		for i := range l.W {
+			l.W[i] = int64(i%3) - 1
+		}
+	}
+	sent := plan.Uniform(core.BackendSecureML, 2)
+	for _, tc := range []struct{ frame, want string }{
+		{"quotient,quotient", "quotient backend requires ternary weights, got [-8,7]"},
+		{"abnn2:2(2),abnn2", "outside scheme 2(2) range"},
+	} {
+		t.Run(tc.frame, func(t *testing.T) { refusedPlanFlightOn(t, qm, sent, []byte(tc.frame), tc.want) })
+	}
+}
+
 // refusedPlanFlight runs a batch whose client dials with plan sent but
 // puts frame on the wire in its place. The server's batch must fail with
 // an error containing want — no *PanicError, the frame never misread as a
@@ -551,7 +573,11 @@ func TestBadPlanFlightRefused(t *testing.T) {
 // round timeout, with no goroutine left behind.
 func refusedPlanFlight(t *testing.T, sent Plan, frame []byte, want string) {
 	t.Helper()
-	qm := chaosModel(t)
+	refusedPlanFlightOn(t, chaosModel(t), sent, frame, want)
+}
+
+func refusedPlanFlightOn(t *testing.T, qm *QuantizedModel, sent Plan, frame []byte, want string) {
+	t.Helper()
 	base := leakcheck.Base()
 	cfg := Config{RingBits: 32, RoundTimeout: chaosRoundTimeout}
 	ccfg := cfg

@@ -23,7 +23,7 @@ func TestSecureMLTriplets(t *testing.T) {
 			W[i] = int64(g.Intn(1<<16)) - (1 << 15) // full-width signed values
 		}
 		R := g.Mat(rg, n, o)
-		if err := testkit.CheckMatmul(testkit.BaselineMatmul(core.BackendSecureML, 0), rg, W, m, n, R, 1); err != nil {
+		if err := testkit.CheckMatmul(testkit.Matmul(core.LayerChoice{Backend: core.BackendSecureML}, 0), rg, W, m, n, R, 1); err != nil {
 			t.Fatalf("o=%d: %v", o, err)
 		}
 	}
@@ -38,7 +38,7 @@ func TestQuotientTriplets(t *testing.T) {
 		W[i] = int64(g.Intn(3)) - 1
 	}
 	R := g.Mat(rg, n, 1)
-	if err := testkit.CheckMatmul(testkit.BaselineMatmul(core.BackendQuotient, 0), rg, W, m, n, R, 7); err != nil {
+	if err := testkit.CheckMatmul(testkit.Matmul(core.LayerChoice{Backend: core.BackendQuotient}, 0), rg, W, m, n, R, 7); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -110,7 +110,7 @@ func TablePlan(opt Options) []TablePlanRow {
 	entries := []entry{{chosen, uni}}
 	for _, b := range core.Backends() {
 		u := plan.Uniform(b, len(arch.Layers))
-		if u.Validate(arch, batch, nil) != nil {
+		if u.Validate(arch, nil) != nil {
 			continue // e.g. QUOTIENT on a multi-bit scheme
 		}
 		if u.String() == chosen.String() {

@@ -73,11 +73,11 @@ func Table2(opt Options) []Table2Row {
 	return rows
 }
 
-// offlineJob is one matrix product's worth of triplets on backend (ABNN2
-// is the zero value).
+// offlineJob is one matrix product's worth of triplets under choice
+// (ABNN2 under the session scheme is the zero value).
 type offlineJob struct {
-	shape   core.MatShape
-	backend core.BackendID
+	shape  core.MatShape
+	choice core.LayerChoice
 }
 
 // networkJobs is one job per layer of a network at the given batch size on
@@ -85,38 +85,29 @@ type offlineJob struct {
 func networkJobs(b core.BackendID, shapes []layerShape, batch int) []offlineJob {
 	jobs := make([]offlineJob, len(shapes))
 	for i, sh := range shapes {
-		jobs[i] = offlineJob{core.MatShape{M: sh.M, N: sh.N, O: batch}, b}
+		jobs[i] = offlineJob{core.MatShape{M: sh.M, N: sh.N, O: batch}, core.LayerChoice{Backend: b}}
 	}
 	return jobs
 }
 
 // runOffline is the one offline driver: it generates the triplets of
-// every job, in order, on one session set-up, and measures the lot — the
-// scheme's base OTs when the jobs run ABNN2; when they run a baseline, the
-// set-up it runs at its first job and no ABNN2 column (core.Open*Triplets).
-// Weights are drawn from scheme's range on every backend: the tables
-// measure cost, which does not depend on their values.
+// every job, in order, on one pair of generators with no columns yet, and
+// measures the lot, set-up included: each job runs the set-up its backend
+// needs and the jobs before it did not run (GenerateLayer's dispatch), the
+// scheme's base OTs for ABNN2, the N = 2 code's for SecureML, the key for
+// MiniONN. Weights are drawn from scheme's range on every backend: the
+// tables measure cost, which does not depend on their values.
 func runOffline(opt Options, label string, rg ring.Ring, scheme quant.Scheme, jobs []offlineJob) measurement {
-	newClient, newServer := core.NewClientTriplets, core.NewServerTripletsSeeded
-	if jobs[0].backend != core.BackendABNN2 {
-		newClient, newServer = core.OpenClientTriplets, core.OpenServerTriplets
-	}
 	return mustRun(opt, label,
 		offlinePhase(func(s side) error {
 			rng := prg.New(prg.SeedFromInt(1))
 			p := core.Params{Ring: rg, Scheme: scheme, Workers: opt.Workers, Trace: s.trace}
-			ct, err := newClient(s.conn, p, 1, rng)
+			ct, err := core.OpenClientTriplets(s.conn, p, 1, rng)
 			if err != nil {
 				return err
 			}
 			for _, j := range jobs {
-				R := rng.Mat(rg, j.shape.N, j.shape.O)
-				if j.backend == core.BackendABNN2 {
-					_, err = ct.GenerateClient(j.shape, R, core.MultiBatch)
-				} else {
-					_, err = ct.GenerateBaseline(j.backend, j.shape, R)
-				}
-				if err != nil {
+				if _, err := ct.GenerateLayer(j.choice, j.shape, rng.Mat(rg, j.shape.N, j.shape.O)); err != nil {
 					return err
 				}
 			}
@@ -124,19 +115,13 @@ func runOffline(opt Options, label string, rg ring.Ring, scheme quant.Scheme, jo
 		}),
 		offlinePhase(func(s side) error {
 			p := core.Params{Ring: rg, Scheme: scheme, Workers: opt.Workers, Trace: s.trace}
-			st, err := newServer(s.conn, p, 1, prg.New(prg.NewSeed()))
+			st, err := core.OpenServerTriplets(s.conn, p, 1, prg.New(prg.NewSeed()))
 			if err != nil {
 				return err
 			}
 			wrng := prg.New(prg.SeedFromInt(2))
 			for _, j := range jobs {
-				W := randWeights(wrng, scheme, j.shape.M*j.shape.N)
-				if j.backend == core.BackendABNN2 {
-					_, err = st.GenerateServer(j.shape, W, core.MultiBatch)
-				} else {
-					_, err = st.GenerateBaseline(j.backend, j.shape, W)
-				}
-				if err != nil {
+				if _, err := st.GenerateLayer(j.choice, j.shape, randWeights(wrng, scheme, j.shape.M*j.shape.N)); err != nil {
 					return err
 				}
 			}

@@ -209,3 +209,68 @@ func secondRunAllocatesLess(t *testing.T, meter *transport.Meter, client, server
 		t.Errorf("second run allocated %d bytes to move %d: its flights were not recycled", alloc, moved)
 	}
 }
+
+// TestDecompositionPerChunk: the server decomposes a layer's weights a
+// chunk at a time into buffers it keeps, never the whole layer at once.
+// SecureML's 128x1000 layer at l = 64 is 8,192,000 OTs; with weights over
+// the whole int64 range every weight is distinct, so its decomposition,
+// flat, was 62.5 MiB of choices plus a 512-byte slice per weight, 125 MiB
+// in all. Decomposed per chunk, the run allocates 10.3 MiB besides its
+// flights, set-up included. Neither party releases a received frame here, so every flight
+// is a frame of its own and the flights' share of the allocation is
+// exactly the bytes moved, not what the timing of the pipeline lets the
+// conns reuse.
+func TestDecompositionPerChunk(t *testing.T) {
+	const limit = 24 << 20
+	p := Params{Ring: ring.New(64), Scheme: quant.Uniform(2, 2), Workers: 2}
+	ca, cb, meter := transport.MeteredPipe()
+	defer ca.Close()
+	sh := MatShape{M: 128, N: 1000, O: 1}
+	g := prg.New(prg.SeedFromInt(12))
+	W := make([]int64, sh.M*sh.N)
+	for i := range W {
+		W[i] = int64(g.Uint64())
+	}
+	R := g.Mat(p.Ring, sh.N, sh.O)
+	ch := LayerChoice{Backend: BackendSecureML}
+	var (
+		before, after runtime.MemStats
+		V             *ring.Mat
+		cerr          error
+		wg            sync.WaitGroup
+	)
+	runtime.ReadMemStats(&before)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		ct, err := OpenClientTriplets(keepFrames{ca}, p, 1, prg.New(prg.SeedFromInt(10)))
+		if err == nil {
+			V, err = ct.GenerateLayer(ch, sh, R)
+		}
+		cerr = err
+	}()
+	st, serr := OpenServerTriplets(keepFrames{cb}, p, 1, prg.New(prg.SeedFromInt(11)))
+	var U *ring.Mat
+	if serr == nil {
+		U, serr = st.GenerateLayer(ch, sh, W)
+	}
+	wg.Wait()
+	runtime.ReadMemStats(&after)
+	if cerr != nil || serr != nil {
+		t.Fatalf("client=%v server=%v", cerr, serr)
+	}
+	if !p.Ring.EqualMat(p.Ring.AddMat(U, V), plainProduct(p, sh, W, R)) {
+		t.Fatal("U + V != W * R")
+	}
+	moved := meter.Snapshot().TotalBytes()
+	alloc := int64(after.TotalAlloc - before.TotalAlloc)
+	t.Logf("%d bytes allocated to move %d", alloc, moved)
+	if alloc-moved > limit {
+		t.Errorf("the layer allocated %d bytes besides its %d-byte flights, want at most %d", alloc-moved, moved, limit)
+	}
+}
+
+// keepFrames is a conn whose received frames are never released.
+type keepFrames struct{ transport.Conn }
+
+func (keepFrames) Release([]byte) {}

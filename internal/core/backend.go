@@ -8,9 +8,7 @@ import (
 	"strings"
 
 	"abnn2/internal/baseline"
-	"abnn2/internal/prg"
 	"abnn2/internal/quant"
-	"abnn2/internal/ring"
 )
 
 // Per-layer backend selection. Every matmul backend in the repo produces
@@ -43,10 +41,10 @@ const (
 
 // backend is everything the stack knows about one offline backend; the
 // table below holds one per BackendID and is the only place a backend is
-// described. The engines run its layers from it (layerScheme,
-// GenerateBaseline), Schedule.Validate and the planner ask it whether a
-// layer fits, and the planner prices a layer with its cost
-// (internal/plan).
+// described. GenerateLayer runs a layer from it (layerScheme: the scheme
+// of a triplet backend, none for MiniONN), Schedule.Validate and the
+// planner ask it whether a layer fits, and the planner prices a layer
+// with its cost (internal/plan).
 type backend struct {
 	name string
 	// fragments says the backend runs the triplet engine under a
@@ -57,28 +55,13 @@ type backend struct {
 	// under over an l-bit ring; a LayerChoice cannot override it. The
 	// two paper baselines this covers are points of equation 2.
 	scheme func(l uint) quant.Scheme
-	// fits is the backend's applicability rule: why a layer of shape sh
-	// whose weights lie in [lo, hi] cannot run on it. nil: any layer can.
-	fits func(sh MatShape, lo, hi int64) error
-	// client and server set up the generator pair of a backend that runs
-	// no triplets (MiniONN) over conn; rng is the party's stream for this
-	// backend, Child(name) of its own.
-	client func(conn Conn, p Params, rng *prg.PRG) (clientGenerator, error)
-	server func(conn Conn, p Params, rng *prg.PRG) (serverGenerator, error)
+	// fits is the backend's applicability rule: why a layer whose weights
+	// lie in [lo, hi] cannot run on it. nil: any layer can.
+	fits func(lo, hi int64) error
 	// cost is one layer's steady-state cost as sent, from the constants the
 	// protocol itself runs on; keyBits is a Params.MiniONNBits, sc the
 	// layer's fragmentation scheme.
 	cost func(l uint, keyBits int, sc quant.Scheme, sh MatShape) Complexity
-}
-
-// clientGenerator and serverGenerator are the pair of signatures a
-// backend with constructors implements: V, resp. U, with U + V = W * R.
-type clientGenerator interface {
-	GenerateClient(m int, R *ring.Mat) (*ring.Mat, error)
-}
-
-type serverGenerator interface {
-	GenerateServer(W []int64, m, n, o int) (*ring.Mat, error)
 }
 
 var backends = [numBackends]backend{
@@ -98,12 +81,6 @@ var backends = [numBackends]backend{
 	},
 	BackendMiniONN: {
 		name: "minionn",
-		client: func(conn Conn, p Params, rng *prg.PRG) (clientGenerator, error) {
-			return baseline.NewMiniONNClient(conn, p.Ring, PaillierBits(p.MiniONNBits), p.Workers, rng)
-		},
-		server: func(conn Conn, p Params, rng *prg.PRG) (serverGenerator, error) {
-			return baseline.NewMiniONNServer(conn, p.Ring, p.Workers, rng)
-		},
 		cost: func(_ uint, keyBits int, _ quant.Scheme, sh MatShape) Complexity {
 			return MiniONNComplexity(PaillierBits(keyBits), sh)
 		},
@@ -111,7 +88,7 @@ var backends = [numBackends]backend{
 	BackendQuotient: {
 		name:   "quotient",
 		scheme: func(uint) quant.Scheme { return quant.Quotient() },
-		fits: func(_ MatShape, lo, hi int64) error {
+		fits: func(lo, hi int64) error {
 			if lo < -1 || hi > 1 {
 				return fmt.Errorf("quotient backend requires ternary weights, got [%d,%d]", lo, hi)
 			}
@@ -126,7 +103,7 @@ var backends = [numBackends]backend{
 // layerScheme returns the scheme the triplet engine runs a layer of
 // choice ch under — the backend's fixed one, else ch's override, else the
 // session's — and false for a backend that runs no triplets (MiniONN) or
-// no backend at all, which GenerateBaseline refuses.
+// no backend at all.
 func (p Params) layerScheme(ch LayerChoice) (quant.Scheme, bool) {
 	if !ch.Backend.Valid() {
 		return nil, false
@@ -166,13 +143,14 @@ func (b BackendID) Valid() bool { return b < numBackends }
 // fixed).
 func (b BackendID) Fragments() bool { return backends[b].fragments }
 
-// Fits reports why b cannot run a layer of shape sh whose weights lie in
-// [lo, hi] — the range of the weights themselves where they are known
-// (the server), of the session scheme where only that is public (the
-// client, the planner) — and nil when it can.
-func (b BackendID) Fits(sh MatShape, lo, hi int64) error {
+// Fits reports why b cannot run a layer whose weights lie in [lo, hi] —
+// the range of the weights themselves where they are known (the server),
+// of the session scheme where only that is public (the client, the
+// planner) — and nil when it can. No rule reads the layer's shape or the
+// batch size, so a plan that fits a model fits it at every batch.
+func (b BackendID) Fits(lo, hi int64) error {
 	if fits := backends[b].fits; fits != nil {
-		return fits(sh, lo, hi)
+		return fits(lo, hi)
 	}
 	return nil
 }
@@ -332,14 +310,15 @@ func ParseSchedule(text string) (Schedule, error) {
 	return s, nil
 }
 
-// Validate checks the schedule against the architecture at a batch size:
-// one valid choice per layer, scheme overrides only where the backend
-// fragments, and every layer fitting its backend (Fits) and its override —
-// for the weights it holds on the server, for the session scheme's whole
-// range on the client, which holds none (weights is nil there). The
-// engines learn the batch size only at Offline and ask about a batch of
-// one, the smallest o a layer runs at; a session asks again per batch.
-func (s Schedule) Validate(arch Arch, batch int, weights [][]int64) error {
+// Validate checks the schedule against the architecture: one valid
+// choice per layer, scheme overrides only where the backend fragments,
+// and every layer fitting its backend (Fits) and its override — for the
+// weights it holds on the server, for the session scheme's whole range on
+// the client, which holds none (weights is nil there). Nothing it checks
+// depends on the batch size: a client checks its plan once, at Dial, and a
+// server checks each plan frame it is sent — over the public range first,
+// so a refusal never turns on the private weights.
+func (s Schedule) Validate(arch Arch, weights [][]int64) error {
 	if s == nil {
 		return nil
 	}
@@ -374,7 +353,7 @@ func (s Schedule) Validate(arch Arch, batch int, weights [][]int64) error {
 				return fmt.Errorf("core: layer %d: weights in [%d,%d] outside scheme %s range", li, lo, hi, ch.Scheme.Name())
 			}
 		}
-		if err := ch.Backend.Fits(ShapeAt(arch.Layers[li], batch), lo, hi); err != nil {
+		if err := ch.Backend.Fits(lo, hi); err != nil {
 			return fmt.Errorf("core: layer %d: %w", li, err)
 		}
 	}

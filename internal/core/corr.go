@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"abnn2/internal/baseline"
 	"abnn2/internal/nn"
 	"abnn2/internal/par"
 	"abnn2/internal/prg"
@@ -76,7 +77,7 @@ func (s *ServerTriplets) OfflineCorrSched(model *nn.QuantizedModel, batch int, s
 	for li := 0; li < n; {
 		if _, ok := s.params.layerScheme(choice(li)); !ok {
 			lsp := span(li)
-			u, err := s.GenerateBaseline(choice(li).Backend, shape(li), model.Layers[li].W)
+			u, err := s.GenerateLayer(choice(li), shape(li), model.Layers[li].W)
 			lsp.End(err)
 			if err != nil {
 				return nil, fmt.Errorf("core: server offline layer %d (%s): %w", li, choice(li).Backend, err)
@@ -114,21 +115,18 @@ func (s *ServerTriplets) OfflineCorrSched(model *nn.QuantizedModel, batch int, s
 	return corr, nil
 }
 
-// GenerateBaseline runs the server side of one layer on baseline backend
-// b: U (m x o) for weights W (m x n). SecureML and QUOTIENT are a
-// one-layer triplet run under their fixed scheme, after base OTs for any
-// columns its code lacks. MiniONN's generator is built from the backend
-// table at the first layer a schedule routes to it — so unscheduled
-// sessions consume no extra randomness — and kept. Both parties reach
-// that layer at the same point of the message sequence, so the
-// lazily-run setup flights pair up.
-func (s *ServerTriplets) GenerateBaseline(b BackendID, sh MatShape, W []int64) (*ring.Mat, error) {
-	if !b.Valid() || b == BackendABNN2 {
-		return nil, fmt.Errorf("core: backend %s is not a baseline", b)
-	}
-	if sc, ok := s.params.layerScheme(LayerChoice{Backend: b}); ok {
+// GenerateLayer is the one way the server runs a layer: U (m x o) for
+// weights W (m x n) under choice ch, the backend table's dispatch. A
+// triplet layer is a one-layer run (generateServer) under its
+// layerScheme, after base OTs for any columns that scheme's code lacks.
+// MiniONN's server is built at the first layer routed to it — so a
+// session that routes none consumes no extra randomness — and kept. Both
+// parties reach that layer at the same point of the message sequence, so
+// the lazily-run set-up flights pair up.
+func (s *ServerTriplets) GenerateLayer(ch LayerChoice, sh MatShape, W []int64) (*ring.Mat, error) {
+	if sc, ok := s.params.layerScheme(ch); ok {
 		if err := s.widen(schemeCode(sc)); err != nil {
-			return nil, fmt.Errorf("core: %s setup: %w", b, err)
+			return nil, fmt.Errorf("core: %s setup: %w", ch.Backend, err)
 		}
 		p := s.params
 		p.Scheme = sc
@@ -138,15 +136,17 @@ func (s *ServerTriplets) GenerateBaseline(b BackendID, sh MatShape, W []int64) (
 		}
 		return us[0], nil
 	}
-	if s.baselines[b] == nil {
-		e := &backends[b]
-		g, err := e.server(s.ot.Conn(), s.params, s.rng.Child(e.name))
-		if err != nil {
-			return nil, fmt.Errorf("core: %s setup: %w", e.name, err)
-		}
-		s.baselines[b] = g
+	if ch.Backend != BackendMiniONN {
+		return nil, fmt.Errorf("core: unknown backend %d", uint8(ch.Backend))
 	}
-	return s.baselines[b].GenerateServer(W, sh.M, sh.N, sh.O)
+	if s.minionn == nil {
+		g, err := baseline.NewMiniONNServer(s.ot.Conn(), s.params.Ring, s.params.Workers, s.rng.Child(ch.Backend.String()))
+		if err != nil {
+			return nil, fmt.Errorf("core: %s setup: %w", ch.Backend, err)
+		}
+		s.minionn = g
+	}
+	return s.minionn.GenerateServer(W, sh.M, sh.N, sh.O)
 }
 
 // OfflineCorrSched runs the client side of the offline phase: it samples
@@ -180,7 +180,7 @@ func (c *ClientTriplets) OfflineCorrSched(arch Arch, shareRNG *prg.PRG, batch in
 			ch = sched[li]
 		}
 		lsp := c.params.Trace.Start("triplets").SetLayer(li).SetWorkers(par.Workers(c.params.Workers))
-		v, err := c.generateLayer(ch, sh, shareCols(l, r))
+		v, err := c.GenerateLayer(ch, sh, shareCols(l, r))
 		lsp.End(err)
 		if err != nil {
 			return nil, fmt.Errorf("core: client offline layer %d (%s): %w", li, ch.Backend, err)
@@ -204,39 +204,27 @@ func (c *ClientTriplets) OfflineCorrSched(arch Arch, shareRNG *prg.PRG, batch in
 	return corr, nil
 }
 
-// generateLayer is the client-side backend dispatch; R is the client's
-// n x o share matrix for the layer.
-func (c *ClientTriplets) generateLayer(ch LayerChoice, sh MatShape, R *ring.Mat) (*ring.Mat, error) {
-	sc, ok := c.params.layerScheme(ch)
-	if !ok {
-		return c.GenerateBaseline(ch.Backend, sh, R)
-	}
-	p, vals := c.schemeParams(sc)
-	return c.generateClient(p, vals, sh, R)
-}
-
-// GenerateBaseline mirrors ServerTriplets.GenerateBaseline: V (m x o) for
-// the client's share matrix R (n x o).
-func (c *ClientTriplets) GenerateBaseline(b BackendID, sh MatShape, R *ring.Mat) (*ring.Mat, error) {
-	if !b.Valid() || b == BackendABNN2 {
-		return nil, fmt.Errorf("core: backend %s is not a baseline", b)
-	}
-	if sc, ok := c.params.layerScheme(LayerChoice{Backend: b}); ok {
+// GenerateLayer mirrors ServerTriplets.GenerateLayer: V (m x o) for the
+// client's share matrix R (n x o), with U + V = W * R.
+func (c *ClientTriplets) GenerateLayer(ch LayerChoice, sh MatShape, R *ring.Mat) (*ring.Mat, error) {
+	if sc, ok := c.params.layerScheme(ch); ok {
 		if err := c.widen(schemeCode(sc)); err != nil {
-			return nil, fmt.Errorf("core: %s setup: %w", b, err)
+			return nil, fmt.Errorf("core: %s setup: %w", ch.Backend, err)
 		}
 		p, vals := c.schemeParams(sc)
 		return c.generateClient(p, vals, sh, R)
 	}
-	if c.baselines[b] == nil {
-		e := &backends[b]
-		g, err := e.client(c.ot.Conn(), c.params, c.rng.Child(e.name))
-		if err != nil {
-			return nil, fmt.Errorf("core: %s setup: %w", e.name, err)
-		}
-		c.baselines[b] = g
+	if ch.Backend != BackendMiniONN {
+		return nil, fmt.Errorf("core: unknown backend %d", uint8(ch.Backend))
 	}
-	return c.baselines[b].GenerateClient(sh.M, R)
+	if c.minionn == nil {
+		g, err := baseline.NewMiniONNClient(c.ot.Conn(), c.params.Ring, PaillierBits(c.params.MiniONNBits), c.params.Workers, c.rng.Child(ch.Backend.String()))
+		if err != nil {
+			return nil, fmt.Errorf("core: %s setup: %w", ch.Backend, err)
+		}
+		c.minionn = g
+	}
+	return c.minionn.GenerateClient(sh.M, R)
 }
 
 // InstallCorr arms the engine with a precomputed correlation half, in

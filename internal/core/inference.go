@@ -218,7 +218,7 @@ func (e *ServerEngine) SetSchedule(s Schedule) error {
 	for i, l := range e.model.Layers {
 		weights[i] = l.W
 	}
-	if err := s.Validate(e.arch, 1, weights); err != nil {
+	if err := s.Validate(e.arch, weights); err != nil {
 		return err
 	}
 	e.sched = s
@@ -228,7 +228,7 @@ func (e *ServerEngine) SetSchedule(s Schedule) error {
 // SetSchedule is the client-side counterpart; the client holds no
 // weights, so only structural validity is checked.
 func (e *ClientEngine) SetSchedule(s Schedule) error {
-	if err := s.Validate(e.arch, 1, nil); err != nil {
+	if err := s.Validate(e.arch, nil); err != nil {
 		return err
 	}
 	e.sched = s

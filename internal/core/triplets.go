@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 
+	"abnn2/internal/baseline"
 	"abnn2/internal/otext"
 	"abnn2/internal/par"
 	"abnn2/internal/prg"
@@ -31,10 +32,9 @@ import (
 // larger N (see widen). Every layer extends over the code of its own
 // scheme, a prefix of those columns; so does a SecureML or QUOTIENT
 // layer, whose N = 2 code is a prefix of every code.
-// When a per-layer Schedule routes layers to a backend that runs no
-// triplets (MiniONN), it also lazily owns that backend's generator over
-// the same connection, one slot per entry of the backend table
-// (GenerateBaseline).
+// When a per-layer Schedule routes a layer to MiniONN, the one backend
+// that runs no triplets, it also lazily owns MiniONN's client over the
+// same connection (GenerateLayer).
 type ClientTriplets struct {
 	params  Params
 	ot      *otext.Sender
@@ -43,8 +43,8 @@ type ClientTriplets struct {
 	payload []byte // the payload flight, reused across rounds
 	parts   workerScratch
 
-	altVals   map[string][][]ring.Elem // fragValues per override scheme
-	baselines [numBackends]clientGenerator
+	altVals map[string][][]ring.Elem // fragValues per override scheme
+	minionn *baseline.MiniONNClient
 }
 
 // ServerTriplets is the server-side triplet generator (OT receiver),
@@ -54,8 +54,13 @@ type ServerTriplets struct {
 	ot     *otext.Receiver
 	rng    *prg.PRG
 	parts  workerScratch
+	// choices holds the decomposed weights of the chunks a run has
+	// extended and not yet decoded, chunk i in choices[i%OfflineWindow]:
+	// a block reads its choices until it is decoded, and par.Ahead starts
+	// chunk i+OfflineWindow only once chunk i has been.
+	choices [OfflineWindow][]int
 
-	baselines [numBackends]serverGenerator
+	minionn *baseline.MiniONNServer
 }
 
 // workerScratch is a party's per-worker scratch for the triplet kernels,
@@ -125,11 +130,11 @@ func NewClientTriplets(conn Conn, p Params, session uint64, rng *prg.PRG) (*Clie
 
 // OpenClientTriplets is NewClientTriplets short of its base OTs: a
 // generator with no columns yet, which has sent nothing. OfflineCorrSched
-// widens it to what its schedule's triplet layers extend over,
-// GenerateBaseline to its backend's code, and MiniONN sets itself up at
-// its first layer, so a run of baseline layers alone — the baselines' rows
-// of the paper's tables, the matmul oracle — pays for its own set-up and
-// no other; GenerateClient needs the columns there.
+// widens it to what its schedule's triplet layers extend over, and
+// GenerateLayer to its layer's code, while MiniONN sets itself up at its
+// first layer; so a run of layers pays for its own set-up and no other:
+// a run of MiniONN layers alone runs no base OTs, one of SecureML or
+// QUOTIENT layers those of the N = 2 code only.
 func OpenClientTriplets(conn Conn, p Params, session uint64, rng *prg.PRG) (*ClientTriplets, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -224,9 +229,10 @@ func (c *ClientTriplets) schemeParams(sc quant.Scheme) (Params, [][]ring.Elem) {
 // Mode names the paper's two offline variants. Both run the one payload
 // path (generateClient): every OT sends N-1 ciphertexts of o*l bits,
 // since the candidate-0 pad is the mask at every o. The type stays
-// exported only for the callers that still pass ModeFor(o) to
-// GenerateClient and GenerateServer (the benchmark's kernel replay), and
-// its one remaining effect is checkShape's rule that OneBatch needs o = 1.
+// exported only for the benchmark's kernel replay, which passes ModeFor(o)
+// to GenerateClient and GenerateServer; its one effect is checkShape's
+// rule that OneBatch needs o = 1. Layers run through GenerateLayer, which
+// takes none.
 type Mode int
 
 const (
@@ -252,19 +258,17 @@ func ModeFor(o int) Mode {
 // or decodes.
 const subRun = 32
 
-// GenerateClient runs the client side of the offline phase for shape sh
-// with the client share matrix R (n x o). It returns V (m x o) such that
-// the server's U satisfies U + V = W * R. mode only adds checkShape's o = 1
-// rule for OneBatch.
+// GenerateClient is GenerateLayer for an ABNN2 layer under the session
+// scheme. mode only adds checkShape's o = 1 rule for OneBatch.
 func (c *ClientTriplets) GenerateClient(sh MatShape, R *ring.Mat, mode Mode) (*ring.Mat, error) {
 	if err := checkShape(sh, mode); err != nil {
 		return nil, err
 	}
-	return c.generateClient(c.params, c.vals, sh, R)
+	return c.GenerateLayer(LayerChoice{}, sh, R)
 }
 
-// generateClient is GenerateClient under params, the session's or a
-// per-layer fragmentation override's (a planner-chosen η/γ
+// generateClient is a triplet layer's client side under params, the
+// session's or a per-layer fragmentation override's (a planner-chosen η/γ
 // decomposition), with vals that scheme's fragment values. The layer
 // extends over its own scheme's code; columns for it must be there (see
 // widen).
@@ -402,18 +406,12 @@ func (l payloadLayout) at(g int) int {
 	return g/gamma*l.prefix[gamma] + l.prefix[g%gamma]
 }
 
-// GenerateServer runs the server side for quantized weights W (m x n,
-// row-major int64). It returns U (m x o). mode only adds checkShape's
-// o = 1 rule for OneBatch.
+// GenerateServer mirrors GenerateClient.
 func (s *ServerTriplets) GenerateServer(sh MatShape, W []int64, mode Mode) (*ring.Mat, error) {
 	if err := checkShape(sh, mode); err != nil {
 		return nil, err
 	}
-	us, err := s.generateServer([]serverLayer{{params: s.params, sh: sh, W: W}}, func() {})
-	if err != nil {
-		return nil, err
-	}
-	return us[0], nil
+	return s.GenerateLayer(LayerChoice{}, sh, W)
 }
 
 // serverLayer is one layer of a run: its shape and weights, under
@@ -428,12 +426,12 @@ type serverLayer struct {
 func (l serverLayer) chunks() int { return (l.params.NumOTs(l.sh) + chunkOTs - 1) / chunkOTs }
 
 // generateServer is the server side of the offline phase for a run of
-// consecutive ABNN2 layers, pipelined on one par.Ahead over the run's
+// consecutive triplet layers, pipelined on one par.Ahead over the run's
 // flat chunk sequence: a producer goroutine decomposes each chunk's
-// choices and runs Extend — which sends the chunk's u matrix — for up to
-// OfflineWindow chunks that are extended but not yet decoded, while this
-// goroutine receives payload k and decodes it against the queued block.
-// u_{k+1} depends on nothing the client sends, in the next layer no more
+// weights into its choices and runs Extend — which sends the chunk's u
+// matrix — for up to OfflineWindow chunks that are extended but not yet
+// decoded, while this goroutine receives payload k and decodes it against
+// the queued block. u_{k+1} depends on nothing the client sends, in the next layer no more
 // than in this one, so the only thing bounding the run-ahead is the
 // window: the producer goes straight on into layer L+1 while layer L's
 // last payloads are still on their way back, and a run fills and drains
@@ -468,27 +466,27 @@ func (s *ServerTriplets) generateServer(run []serverLayer, layerDone func()) ([]
 	}
 	us := make([]*ring.Mat, len(run))
 
-	// The producer's view of the run: the layer it is in and that
-	// layer's decomposed weights, weight after weight, fragments innermost:
-	// the OT order, so a chunk's choices are a subslice. Only the producer
-	// goroutine touches it.
-	var (
-		pk      = -1
-		choices []int
-	)
+	pk := -1 // the producer's layer; only the producer goroutine touches it
 	extend := func(_, i int, _ <-chan struct{}) (*otext.ReceiverBlock, error) {
 		for pk < 0 || i >= first[pk+1] {
 			pk++
-			var err error
-			if choices, err = quant.DecomposeAll(run[pk].params.Scheme, run[pk].W); err != nil {
-				return nil, err
-			}
 			if err := s.ot.Use(schemeCode(run[pk].params.Scheme)); err != nil {
 				return nil, fmt.Errorf("core: server extend: %w", err)
 			}
 		}
-		ot := (i - first[pk]) * chunkOTs
-		blk, err := s.ot.Extend(choices[ot:min(len(choices), ot+chunkOTs)])
+		// The chunk's OTs, weight after weight, fragments innermost: those
+		// of the weights it touches, less the fragments of its first and
+		// last weight that belong to the chunks either side.
+		l := run[pk]
+		gamma := l.params.Scheme.Gamma()
+		lo := (i - first[pk]) * chunkOTs
+		hi := min(l.params.NumOTs(l.sh), lo+chunkOTs)
+		buf, err := quant.AppendChoices(l.params.Scheme, s.choices[i%OfflineWindow][:0], l.W, lo/gamma, (hi+gamma-1)/gamma)
+		if err != nil {
+			return nil, err
+		}
+		s.choices[i%OfflineWindow] = buf
+		blk, err := s.ot.Extend(buf[lo%gamma : lo%gamma+hi-lo])
 		if err != nil {
 			return nil, fmt.Errorf("core: server extend: %w", err)
 		}

@@ -145,6 +145,11 @@ func TestChunkingBoundary(t *testing.T) {
 	p := Params{Ring: ring.New(32), Scheme: quant.Uniform(2, 2)}
 	sh := MatShape{M: 1, N: chunkOTs/2 + 7, O: 1} // 2*(2048+7) OTs > chunk
 	runTriplets(t, p, sh, OneBatch, 400)
+	// Under gamma = 3 the chunks after the first start one and two
+	// fragments into a weight, whose other fragments the chunk before
+	// holds: the server decomposes each chunk's weights on their own.
+	p.Scheme = quant.NewBitScheme(true, 3, 3, 2)
+	runTriplets(t, p, MatShape{M: 1, N: chunkOTs + 5, O: 2}, MultiBatch, 401)
 }
 
 // Communication must match Table 1's formulas exactly, at the column
@@ -210,9 +215,9 @@ func TestCommunicationMatchesTable1(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			V, cerr = ct.GenerateBaseline(BackendQuotient, sh, R)
+			V, cerr = ct.GenerateLayer(LayerChoice{Backend: BackendQuotient}, sh, R)
 		}()
-		U, serr := st.GenerateBaseline(BackendQuotient, sh, W)
+		U, serr := st.GenerateLayer(LayerChoice{Backend: BackendQuotient}, sh, W)
 		wg.Wait()
 		done()
 		if cerr != nil || serr != nil {
@@ -305,7 +310,7 @@ func TestPayloadHighBitsNeverAbort(t *testing.T) {
 	for w := lo; w <= hi; w++ {
 		W = append(W, w)
 	}
-	choices, err := quant.DecomposeAll(p.Scheme, W)
+	choices, err := quant.AppendChoices(p.Scheme, nil, W, 0, len(W))
 	if err != nil {
 		t.Fatal(err)
 	}

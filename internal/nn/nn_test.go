@@ -131,7 +131,7 @@ func TestQuantizedWeightsInRange(t *testing.T) {
 	for _, scheme := range []quant.Scheme{quant.Binary(), quant.Ternary(), quant.Uniform(2, 2)} {
 		qm := Quantize(m, scheme, 8)
 		for li, l := range qm.Layers {
-			if _, err := quant.DecomposeAll(scheme, l.W); err != nil {
+			if _, err := quant.AppendChoices(scheme, nil, l.W, 0, len(l.W)); err != nil {
 				t.Errorf("%s layer %d: %v", scheme.Name(), li, err)
 			}
 		}

@@ -96,7 +96,7 @@ func UnmarshalQuantized(data []byte) (*QuantizedModel, error) {
 		if err != nil {
 			return nil, fmt.Errorf("nn: quantized layer %d: %w", i, err)
 		}
-		if _, err := quant.DecomposeAll(scheme, lj.W); err != nil {
+		if _, err := quant.AppendChoices(scheme, nil, lj.W, 0, len(lj.W)); err != nil {
 			return nil, fmt.Errorf("nn: quantized layer %d: %w", i, err)
 		}
 		ql := &QuantizedLayer{

@@ -204,7 +204,7 @@ func candidates(in Input, session quant.Scheme, l nn.Shape) []Candidate {
 	lo, hi := session.Range()
 	var out []Candidate
 	for _, b := range core.Backends() {
-		if b.Fits(sh, lo, hi) != nil {
+		if b.Fits(lo, hi) != nil {
 			continue
 		}
 		out = append(out, price(in, session, core.LayerChoice{Backend: b}, sh))
@@ -301,7 +301,7 @@ func EstimatePlan(in Input, s core.Schedule) (*Estimate, error) {
 	if err := in.validate(); err != nil {
 		return nil, err
 	}
-	if err := s.Validate(in.Arch, in.Batch, nil); err != nil {
+	if err := s.Validate(in.Arch, nil); err != nil {
 		return nil, err
 	}
 	session, err := quant.Parse(in.Arch.SchemeName)

@@ -23,7 +23,7 @@ func FuzzParse(f *testing.F) {
 			if w < min || w > max {
 				continue
 			}
-			frags, err := scheme.Decompose(w)
+			frags, err := scheme.AppendDecompose(nil, w)
 			if err != nil {
 				t.Fatalf("%q: decompose(%d): %v", s, w, err)
 			}

@@ -3,6 +3,7 @@ package quant
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Quantizer converts floating-point weights to scheme-representable
@@ -63,28 +64,17 @@ func MaxAbs(ws []float64) float64 {
 	return m
 }
 
-// DecomposeAll decomposes a slice of quantized weights into one flat
-// choice slice: fragment f of weight j is at j*Gamma()+f. It fails fast
-// on any out-of-range weight. A layer holds far more weights than
-// distinct values, so a weight equal to the last one with its low 12 bits
-// copies that one's fragments: under a scheme of up to 12 bits each
-// distinct weight is decomposed once.
-func DecomposeAll(s Scheme, ws []int64) ([]int, error) {
-	gamma := s.Gamma()
-	out := make([]int, len(ws)*gamma)
-	last := make([]int, 1<<12) // 1 + the index of the last weight decomposed per low bits
-	for j, w := range ws {
-		slot := &last[w&(1<<12-1)]
-		if k := *slot - 1; k >= 0 && ws[k] == w {
-			copy(out[j*gamma:(j+1)*gamma], out[k*gamma:])
-			continue
+// AppendChoices appends the OT choices of weights ws[lo:hi] under s to
+// dst: fragment f of weight j is choice (j-lo)*Gamma()+f of what it
+// appends. It fails on the first out-of-range weight, naming its index
+// in ws.
+func AppendChoices(s Scheme, dst []int, ws []int64, lo, hi int) ([]int, error) {
+	dst = slices.Grow(dst, (hi-lo)*s.Gamma())
+	for j, w := range ws[lo:hi] {
+		var err error
+		if dst, err = s.AppendDecompose(dst, w); err != nil {
+			return nil, fmt.Errorf("quant: weight %d: %w", lo+j, err)
 		}
-		c, err := s.Decompose(w)
-		if err != nil {
-			return nil, fmt.Errorf("quant: weight %d: %w", j, err)
-		}
-		copy(out[j*gamma:], c)
-		*slot = j + 1
 	}
-	return out, nil
+	return dst, nil
 }

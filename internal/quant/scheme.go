@@ -25,7 +25,7 @@ import (
 // Scheme describes how one quantized weight is decomposed into OT
 // choices. Implementations must satisfy, for all representable w:
 //
-//	sum_i Value(i, Decompose(w)[i]) == w
+//	sum_i Value(i, AppendDecompose(nil, w)[i]) == w
 //
 // (SecureML's modulo 2^l, the ring it is built for) and, for every
 // fragment i,
@@ -45,9 +45,10 @@ type Scheme interface {
 	// Value returns the signed integer contribution of candidate t at
 	// fragment i.
 	Value(i, t int) int64
-	// Decompose splits w into per-fragment candidate indices. It returns
+	// AppendDecompose appends w's per-fragment candidate indices to dst,
+	// lowest fragment first, and returns the extended slice. It returns
 	// an error if w is outside the representable range.
-	Decompose(w int64) ([]int, error)
+	AppendDecompose(dst []int, w int64) ([]int, error)
 	// Range returns the representable closed interval [min, max].
 	Range() (min, max int64)
 }
@@ -128,18 +129,17 @@ func (s *bitScheme) Range() (int64, int64) {
 	return 0, (int64(1) << s.eta) - 1
 }
 
-func (s *bitScheme) Decompose(w int64) ([]int, error) {
+func (s *bitScheme) AppendDecompose(dst []int, w int64) ([]int, error) {
 	min, max := s.Range()
 	if w < min || w > max {
 		return nil, fmt.Errorf("quant: weight %d outside %s range [%d,%d]", w, s.Name(), min, max)
 	}
 	u := uint64(w) & ((1 << s.eta) - 1) // two's complement over eta bits
-	out := make([]int, len(s.widths))
-	for i, width := range s.widths {
-		out[i] = int(u & ((1 << width) - 1))
+	for _, width := range s.widths {
+		dst = append(dst, int(u&((1<<width)-1)))
 		u >>= width
 	}
-	return out, nil
+	return dst, nil
 }
 
 // ternaryScheme is the single-fragment {-1, 0, +1} scheme with three
@@ -166,14 +166,14 @@ func (ternaryScheme) Value(i, t int) int64 {
 	panic(fmt.Sprintf("quant: ternary candidate %d out of range", t))
 }
 
-func (ternaryScheme) Decompose(w int64) ([]int, error) {
+func (ternaryScheme) AppendDecompose(dst []int, w int64) ([]int, error) {
 	switch w {
 	case 0:
-		return []int{0}, nil
+		return append(dst, 0), nil
 	case 1:
-		return []int{1}, nil
+		return append(dst, 1), nil
 	case -1:
-		return []int{2}, nil
+		return append(dst, 2), nil
 	}
 	return nil, fmt.Errorf("quant: weight %d is not ternary", w)
 }
@@ -261,12 +261,11 @@ func (s secureMLScheme) Gamma() int          { return int(s) }
 func (secureMLScheme) FragmentN(int) int     { return 2 }
 func (secureMLScheme) Range() (int64, int64) { return math.MinInt64, math.MaxInt64 }
 func (secureMLScheme) Value(i, t int) int64  { return int64(t&1) << i }
-func (s secureMLScheme) Decompose(w int64) ([]int, error) {
-	out := make([]int, s)
-	for i := range out {
-		out[i] = int(uint64(w) >> i & 1)
+func (s secureMLScheme) AppendDecompose(dst []int, w int64) ([]int, error) {
+	for i := range uint(s) {
+		dst = append(dst, int(uint64(w)>>i&1))
 	}
-	return out, nil
+	return dst, nil
 }
 
 // quotientScheme is QUOTIENT's ternary gadget (CCS'19): w in {-1, 0, 1}
@@ -294,14 +293,14 @@ func (quotientScheme) Value(i, t int) int64 {
 	panic(fmt.Sprintf("quant: quotient fragment %d candidate %d out of range", i, t))
 }
 
-func (quotientScheme) Decompose(w int64) ([]int, error) {
+func (quotientScheme) AppendDecompose(dst []int, w int64) ([]int, error) {
 	switch w {
 	case 0:
-		return []int{0, 0}, nil
+		return append(dst, 0, 0), nil
 	case 1:
-		return []int{1, 0}, nil
+		return append(dst, 1, 0), nil
 	case -1:
-		return []int{0, 1}, nil
+		return append(dst, 0, 1), nil
 	}
 	return nil, fmt.Errorf("quant: weight %d is not ternary", w)
 }

@@ -38,7 +38,7 @@ func TestDecomposeRecomposeAllSchemes(t *testing.T) {
 	for _, s := range schemes {
 		min, max := s.Range()
 		for w := min; w <= max; w++ {
-			frags, err := s.Decompose(w)
+			frags, err := s.AppendDecompose(nil, w)
 			if err != nil {
 				t.Fatalf("%s: decompose(%d): %v", s.Name(), w, err)
 			}
@@ -71,7 +71,7 @@ func TestDecomposeOutOfRange(t *testing.T) {
 		{NewBitScheme(true, 2, 2), -9},
 	}
 	for _, c := range cases {
-		if _, err := c.s.Decompose(c.w); err == nil {
+		if _, err := c.s.AppendDecompose(nil, c.w); err == nil {
 			t.Errorf("%s: decompose(%d) accepted", c.s.Name(), c.w)
 		}
 	}
@@ -102,11 +102,11 @@ func TestParse(t *testing.T) {
 			continue
 		}
 		min, max := sch.Range()
-		frags, err := sch.Decompose(min)
+		frags, err := sch.AppendDecompose(nil, min)
 		if err != nil || recompose(sch, frags) != min {
 			t.Errorf("Parse(%q): min roundtrip failed", s)
 		}
-		frags, err = sch.Decompose(max)
+		frags, err = sch.AppendDecompose(nil, max)
 		if err != nil || recompose(sch, frags) != max {
 			t.Errorf("Parse(%q): max roundtrip failed", s)
 		}
@@ -153,7 +153,7 @@ func TestDecomposeProperty(t *testing.T) {
 	s := NewBitScheme(true, 3, 3, 2)
 	f := func(raw int8) bool {
 		w := int64(raw)
-		frags, err := s.Decompose(w)
+		frags, err := s.AppendDecompose(nil, w)
 		return err == nil && recompose(s, frags) == w
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -184,8 +184,8 @@ func TestQuantizerClamps(t *testing.T) {
 }
 
 func TestDecomposeAll(t *testing.T) {
-	s := Ternary()
-	cs, err := DecomposeAll(s, []int64{0, 1, -1, 1})
+	ws := []int64{0, 1, -1, 1}
+	cs, err := AppendChoices(Ternary(), nil, ws, 0, len(ws))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,35 +193,43 @@ func TestDecomposeAll(t *testing.T) {
 	if !slices.Equal(cs, want) {
 		t.Errorf("choices %v, want %v", cs, want)
 	}
-	if _, err := DecomposeAll(s, []int64{0, 7}); err == nil {
+	if _, err := AppendChoices(Ternary(), nil, []int64{0, 7}, 0, 2); err == nil {
 		t.Error("out-of-range weight accepted")
 	}
 }
 
 // TestDecomposeAllFlat: weight j's fragments at j*Gamma(), equal to
-// Decompose's, for schemes narrower and wider than the 12 low bits that
-// find an earlier equal weight (at 16 bits, weights equal in those bits
-// but not equal), and an out-of-range weight after an in-range one of
-// equal low bits is still refused.
+// AppendDecompose's, whether the weights are appended in one call or one
+// at a time; an out-of-range weight is refused by its index in the layer.
 func TestDecomposeAllFlat(t *testing.T) {
-	for _, s := range []Scheme{Uniform(2, 4), NewBitScheme(false, 3, 1), Uniform(4, 4)} {
+	for _, s := range []Scheme{Uniform(2, 4), NewBitScheme(false, 3, 1), Uniform(4, 4), Quotient(), SecureML(64)} {
 		lo, hi := s.Range()
-		ws := []int64{lo, hi, 0, 1, -1 & hi, lo, 3, hi, 0, lo + 1<<12&(hi-lo), lo, 1 + 1<<12&hi, 1}
-		cs, err := DecomposeAll(s, ws)
+		ws := []int64{lo, hi, 0, 1, -1 & hi, lo, 3 & hi, hi, 0, lo + 1<<12&(hi-lo), lo, 1 + 1<<12&hi, 1}
+		cs, err := AppendChoices(s, nil, ws, 0, len(ws))
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
-		if len(cs) != len(ws)*s.Gamma() {
-			t.Fatalf("%s: %d choices for %d weights", s.Name(), len(cs), len(ws))
+		var one []int
+		for j := range ws {
+			if one, err = AppendChoices(s, one, ws, j, j+1); err != nil {
+				t.Fatalf("%s: %v", s.Name(), err)
+			}
+		}
+		if len(cs) != len(ws)*s.Gamma() || !slices.Equal(one, cs) {
+			t.Fatalf("%s: %d choices for %d weights, %d one at a time", s.Name(), len(cs), len(ws), len(one))
 		}
 		for j, w := range ws {
-			want, _ := s.Decompose(w)
+			want, _ := s.AppendDecompose(nil, w)
 			if got := cs[j*s.Gamma() : (j+1)*s.Gamma()]; !slices.Equal(got, want) {
 				t.Errorf("%s weight %d (%d): %v, want %v", s.Name(), j, w, got, want)
 			}
 		}
-		if _, err := DecomposeAll(s, []int64{hi, hi + 1}); err == nil {
-			t.Errorf("%s: weight %d accepted", s.Name(), hi+1)
+		if hi == math.MaxInt64 {
+			continue // every int64 is in range
+		}
+		_, err = AppendChoices(s, nil, []int64{0, hi, hi + 1}, 1, 3)
+		if err == nil || !strings.Contains(err.Error(), "quant: weight 2:") {
+			t.Errorf("%s: weight %d: err = %v, want the refusal of weight 2", s.Name(), hi+1, err)
 		}
 	}
 }
@@ -301,7 +309,7 @@ func TestBaselineSchemes(t *testing.T) {
 		}
 		mask := ^uint64(0) >> (64 - l)
 		for _, w := range ws {
-			frags, err := s.Decompose(w)
+			frags, err := s.AppendDecompose(nil, w)
 			if err != nil {
 				t.Fatalf("SecureML(%d): decompose(%d): %v", l, w, err)
 			}

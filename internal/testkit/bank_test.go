@@ -139,7 +139,7 @@ func TestPlannedBankedSweep(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: draw plan: %v", c.Desc(), err)
 			}
-			if err := p.Validate(core.ArchOf(c.Model), c.Batch, nil); err != nil {
+			if err := p.Validate(core.ArchOf(c.Model), nil); err != nil {
 				t.Fatalf("%s: generated plan %s invalid: %v", c.Desc(), p, err)
 			}
 			data, err := nn.MarshalQuantized(c.Model)

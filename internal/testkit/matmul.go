@@ -55,42 +55,22 @@ func shares(seed uint64, server, client party) (U, V *ring.Mat, err error) {
 	return U, V, nil
 }
 
-// ABNN2Matmul returns the paper's 1-out-of-N triplet protocol under the
-// given fragmentation scheme, at whatever o R has: one payload path
-// serves every batch size (core.MultiBatch takes any o).
-func ABNN2Matmul(scheme quant.Scheme) MatmulFunc {
+// Matmul returns the backend of choice ch — the paper's 1-out-of-N
+// triplet protocol under ch.Scheme, SecureML's bitwise OT triplets,
+// MiniONN over a Paillier key of keyBits (0 = the default; 512 keeps the
+// sweep fast), QUOTIENT's ternary gadget, which needs W in {-1, 0, 1} —
+// at whatever o R has, run the way a scheduled session runs a layer:
+// through the generators' one dispatch, GenerateLayer, on generators with
+// no columns yet, so the layer's own set-up (base OTs for its code,
+// MiniONN's key) runs at it.
+func Matmul(ch core.LayerChoice, keyBits int) MatmulFunc {
 	return func(rg ring.Ring, W []int64, m, n int, R *ring.Mat, seed uint64) (*ring.Mat, *ring.Mat, error) {
-		p := core.Params{Ring: rg, Scheme: scheme}
-		sh := core.MatShape{M: m, N: n, O: R.Cols}
-		return shares(seed,
-			func(conn transport.Conn, rng *prg.PRG) (*ring.Mat, error) {
-				srv, err := core.NewServerTripletsSeeded(conn, p, 7, rng)
-				if err != nil {
-					return nil, err
-				}
-				return srv.GenerateServer(sh, W, core.MultiBatch)
-			},
-			func(conn transport.Conn, rng *prg.PRG) (*ring.Mat, error) {
-				cli, err := core.NewClientTriplets(conn, p, 7, rng)
-				if err != nil {
-					return nil, err
-				}
-				return cli.GenerateClient(sh, R, core.MultiBatch)
-			})
-	}
-}
-
-// BaselineMatmul returns comparison backend b — SecureML's bitwise OT
-// triplets, MiniONN over a Paillier key of keyBits (0 = the default; 512
-// keeps the sweep fast), QUOTIENT's ternary gadget, which needs W in
-// {-1, 0, 1} — run the way a scheduled session runs it: through the
-// triplet generators' own dispatch, on generators with no columns yet,
-// so the backend's own set-up (base OTs for the N = 2 code, MiniONN's
-// key) runs at its layer.
-func BaselineMatmul(b core.BackendID, keyBits int) MatmulFunc {
-	return func(rg ring.Ring, W []int64, m, n int, R *ring.Mat, seed uint64) (*ring.Mat, *ring.Mat, error) {
-		// Params wants a session scheme; no layer runs under it here.
+		// Params wants a session scheme: ABNN2's own, for the baselines
+		// one no layer runs under.
 		p := core.Params{Ring: rg, Scheme: quant.Binary(), MiniONNBits: keyBits}
+		if ch.Scheme != nil {
+			p.Scheme = ch.Scheme
+		}
 		sh := core.MatShape{M: m, N: n, O: R.Cols}
 		return shares(seed,
 			func(conn transport.Conn, rng *prg.PRG) (*ring.Mat, error) {
@@ -98,14 +78,14 @@ func BaselineMatmul(b core.BackendID, keyBits int) MatmulFunc {
 				if err != nil {
 					return nil, err
 				}
-				return srv.GenerateBaseline(b, sh, W)
+				return srv.GenerateLayer(ch, sh, W)
 			},
 			func(conn transport.Conn, rng *prg.PRG) (*ring.Mat, error) {
 				cli, err := core.OpenClientTriplets(conn, p, 7, rng)
 				if err != nil {
 					return nil, err
 				}
-				return cli.GenerateBaseline(b, sh, R)
+				return cli.GenerateLayer(ch, sh, R)
 			})
 	}
 }

@@ -58,7 +58,7 @@ func TestMatmulBackendABNN2(t *testing.T) {
 				rRows = tc.rRows
 			}
 			R := g.Mat(rg, rRows, tc.o)
-			err := CheckMatmul(ABNN2Matmul(tc.scheme), rg, W, m, n, R, 500)
+			err := CheckMatmul(Matmul(core.LayerChoice{Scheme: tc.scheme}, 0), rg, W, m, n, R, 500)
 			if tc.wantErr == "" && err != nil {
 				t.Fatal(err)
 			}
@@ -101,7 +101,7 @@ func matmulTripletBaseline(t *testing.T, b core.BackendID, fill func(g *prg.PRG,
 				W := make([]int64, m*n)
 				fill(g, l, W)
 				R := g.Mat(rg, n, o)
-				if err := CheckMatmul(BaselineMatmul(b, 0), rg, W, m, n, R, 501); err != nil {
+				if err := CheckMatmul(Matmul(core.LayerChoice{Backend: b}, 0), rg, W, m, n, R, 501); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -114,7 +114,7 @@ func matmulTripletBaseline(t *testing.T, b core.BackendID, fill func(g *prg.PRG,
 func TestQuotientRejectsNonTernary(t *testing.T) {
 	rg := ring.New(32)
 	R := prg.New(prg.SeedFromInt(104)).Mat(rg, 2, 1)
-	err := CheckMatmul(BaselineMatmul(core.BackendQuotient, 0), rg, []int64{1, 2}, 1, 2, R, 503)
+	err := CheckMatmul(Matmul(core.LayerChoice{Backend: core.BackendQuotient}, 0), rg, []int64{1, 2}, 1, 2, R, 503)
 	if err == nil || !strings.Contains(err.Error(), "server: quant: weight 1: quant: weight 2 is not ternary") {
 		t.Fatalf("err = %v, want the server's refusal of weight 2", err)
 	}
@@ -130,7 +130,7 @@ func TestMatmulBackendMiniONN(t *testing.T) {
 		W[i] = int64(g.Intn(255)) - 127
 	}
 	R := g.Mat(rg, n, o)
-	if err := CheckMatmul(BaselineMatmul(core.BackendMiniONN, 512), rg, W, m, n, R, 502); err != nil {
+	if err := CheckMatmul(Matmul(core.LayerChoice{Backend: core.BackendMiniONN}, 512), rg, W, m, n, R, 502); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -151,7 +151,7 @@ func TestMatmulGammaOne(t *testing.T) {
 		W := randWeights(g, scheme, m*n)
 		for _, o := range []int{1, 2} {
 			R := g.Mat(rg, n, o)
-			if err := CheckMatmul(ABNN2Matmul(scheme), rg, W, m, n, R, 504); err != nil {
+			if err := CheckMatmul(Matmul(core.LayerChoice{Scheme: scheme}, 0), rg, W, m, n, R, 504); err != nil {
 				t.Errorf("ring=%d o=%d: %v", rgBits, o, err)
 			}
 		}
@@ -169,11 +169,7 @@ func steadyState(b core.BackendID, p core.Params, sh core.MatShape, W []int64, R
 		func(conn transport.Conn, rng *prg.PRG) (*ring.Mat, error) {
 			srv, err := core.NewServerTripletsSeeded(conn, p, 7, rng)
 			for i := 0; i < 2 && err == nil; i++ {
-				if b == core.BackendABNN2 {
-					_, err = srv.GenerateServer(sh, W, core.ModeFor(sh.O))
-				} else {
-					_, err = srv.GenerateBaseline(b, sh, W)
-				}
+				_, err = srv.GenerateLayer(core.LayerChoice{Backend: b}, sh, W)
 			}
 			return nil, err
 		},
@@ -182,11 +178,7 @@ func steadyState(b core.BackendID, p core.Params, sh core.MatShape, W []int64, R
 			cli, err := core.NewClientTriplets(conn, p, 7, rng)
 			marks[0] = meter.Snapshot()
 			for i := 0; i < 2 && err == nil; i++ {
-				if b == core.BackendABNN2 {
-					_, err = cli.GenerateClient(sh, R, core.ModeFor(sh.O))
-				} else {
-					_, err = cli.GenerateBaseline(b, sh, R)
-				}
+				_, err = cli.GenerateLayer(core.LayerChoice{Backend: b}, sh, R)
 				marks[i+1] = meter.Snapshot()
 			}
 			return nil, err
@@ -231,12 +223,12 @@ func TestBackendTable(t *testing.T) {
 					W[0], W[1] = scheme.Range() // the whole range occurs
 					R := g.Mat(rg, sh.N, sh.O)
 					lo, hi := scheme.Range()
-					fits := b.Fits(sh, lo, hi) == nil
+					fits := b.Fits(lo, hi) == nil
 
 					arch := core.Arch{Frac: 8, SchemeName: scheme.Name(), Layers: []nn.Shape{{In: sh.N, Out: sh.M}}}
 					in := plan.Input{Arch: arch, RingBits: l, Batch: sh.O, Link: plan.LAN(), MiniONNBits: keyBits}
 					p := plan.Uniform(b, 1)
-					if got := p.Validate(arch, sh.O, nil) == nil; got != fits {
+					if got := p.Validate(arch, nil) == nil; got != fits {
 						t.Errorf("Schedule.Validate accepts = %v, Fits = %v", got, fits)
 					}
 					_, est, err := plan.Choose(in)
@@ -251,18 +243,18 @@ func TestBackendTable(t *testing.T) {
 						t.Errorf("planner lists the backend = %v, Fits = %v", listed, fits)
 					}
 					sched := core.Schedule{{Backend: b}}
-					if got := sched.Validate(arch, sh.O, nil) == nil; got != fits {
+					if got := sched.Validate(arch, nil) == nil; got != fits {
 						t.Errorf("client Schedule.Validate accepts = %v, Fits = %v", got, fits)
 					}
-					if got := sched.Validate(arch, sh.O, [][]int64{W}) == nil; got != fits {
+					if got := sched.Validate(arch, [][]int64{W}) == nil; got != fits {
 						t.Errorf("server Schedule.Validate accepts = %v, Fits = %v", got, fits)
 					}
 
-					run := BaselineMatmul(b, keyBits)
+					ch := core.LayerChoice{Backend: b}
 					if b == core.BackendABNN2 {
-						run = ABNN2Matmul(scheme)
+						ch.Scheme = scheme
 					}
-					err = CheckMatmul(run, rg, W, sh.M, sh.N, R, 505)
+					err = CheckMatmul(Matmul(ch, keyBits), rg, W, sh.M, sh.N, R, 505)
 					if !fits {
 						if err == nil {
 							t.Error("the generators ran a layer the backend does not fit")

@@ -91,7 +91,7 @@ func TestMixedPlanSweep(t *testing.T) {
 				t.Fatalf("%s: draw plan: %v", c.Desc(), err)
 			}
 			arch := core.ArchOf(c.Model)
-			if err := p.Validate(arch, c.Batch, nil); err != nil {
+			if err := p.Validate(arch, nil); err != nil {
 				t.Fatalf("%s: generated plan %s invalid: %v", c.Desc(), p, err)
 			}
 			planned, err := RunSecureCfg(c, 0, func(server bool, cfg *abnn2.Config) {
