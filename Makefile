@@ -43,11 +43,11 @@ bench:
 # later benchmark run.
 perf-smoke:
 	$(GO) test -C benchmark ./...
-	bash benchmark/run.sh --workload mlp_b1_wan --seed 1 --seconds 5 --trace 0 | tail -n 1 | grep '"correct":true' | grep '"comm_mib_per_predict":{"value":9.3419008' | grep -q '"flights_per_predict":{"value":122,'
-	bash benchmark/run.sh --workload mlp_b1_lan --seed 1 --seconds 5 --trace 0 | tail -n 1 | grep '"correct":true' | grep '"comm_mib_per_predict":{"value":9.3419008' | grep -q '"flights_per_predict":{"value":122,'
-	bash benchmark/run.sh --workload cnn_b1_lan --seed 1 --seconds 5 --trace 0 | tail -n 1 | grep '"correct":true' | grep '"comm_mib_per_predict":{"value":13.856299' | grep -q '"flights_per_predict":{"value":20,'
-	bash benchmark/run.sh --workload mlp_b32_banked --seed 1 --seconds 5 --trace 0 | tail -n 1 | grep '"correct":true' | grep '"comm_mib_per_predict":{"value":39.628186' | grep -q '"flights_per_predict":{"value":6,'
-	bash benchmark/run.sh --workload serve_churn --seed 1 --seconds 5 --trace 0 | tail -n 1 | grep '"correct":true' | grep '"comm_mib_per_predict":{"value":0.3470296' | grep -q '"flights_per_predict":{"value":13,'
+	bash benchmark/run.sh --workload mlp_b1_wan --seed 1 --seconds 5 --trace 0 | tail -n 1 | grep '"correct":true' | grep '"comm_mib_per_predict":{"value":9.0919008' | grep -q '"flights_per_predict":{"value":122,'
+	bash benchmark/run.sh --workload mlp_b1_lan --seed 1 --seconds 5 --trace 0 | tail -n 1 | grep '"correct":true' | grep '"comm_mib_per_predict":{"value":9.0919008' | grep -q '"flights_per_predict":{"value":122,'
+	bash benchmark/run.sh --workload cnn_b1_lan --seed 1 --seconds 5 --trace 0 | tail -n 1 | grep '"correct":true' | grep '"comm_mib_per_predict":{"value":12.445105' | grep -q '"flights_per_predict":{"value":20,'
+	bash benchmark/run.sh --workload mlp_b32_banked --seed 1 --seconds 5 --trace 0 | tail -n 1 | grep '"correct":true' | grep '"comm_mib_per_predict":{"value":31.628186' | grep -q '"flights_per_predict":{"value":6,'
+	bash benchmark/run.sh --workload serve_churn --seed 1 --seconds 5 --trace 0 | tail -n 1 | grep '"correct":true' | grep '"comm_mib_per_predict":{"value":0.3157796' | grep -q '"flights_per_predict":{"value":13,'
 
 # Full paper tables (can take tens of minutes on one core).
 tables:
@@ -144,7 +144,7 @@ loc:
 # The size gate (CI's static job runs it): `make loc` may not exceed
 # LOC_MAX, the figure the last PR that moved it ended on. A PR that needs
 # more lines raises LOC_MAX here, in the open, in its diff.
-LOC_MAX = 19395
+LOC_MAX = 19432
 loc-check:
 	@n=$$($(MAKE) -s loc); \
 	if [ "$$n" -gt $(LOC_MAX) ]; then echo "loc-check: $$n non-test Go lines, LOC_MAX is $(LOC_MAX)"; exit 1; fi; \

@@ -407,7 +407,9 @@ func (s *Server) serveBatch(a announcement) error {
 // the model — layer count, backend applicability, the session scheme's
 // public range, then the weights themselves in the engine's SetSchedule —
 // before any of it reaches the protocol. The server checks every plan
-// frame it is sent; the client checks its own plan once, at Dial.
+// frame it is sent, except one whose canonical form is the plan already
+// installed, which passed both checks when it was; the client checks its
+// own plan once, at Dial.
 func (s *Server) applyPlan(planned bool) error {
 	var sched core.Schedule
 	if planned {
@@ -424,7 +426,8 @@ func (s *Server) applyPlan(planned bool) error {
 		return fmt.Errorf("abnn2: batch announced without a plan, but this server requires one")
 	case s.required != nil && sched.String() != s.required.String():
 		return fmt.Errorf("abnn2: announced plan does not match this server's configured plan")
-	case sched == nil && s.sched == nil:
+	case sched == nil && s.sched == nil,
+		sched != nil && s.sched != nil && sched.String() == s.sched.String():
 		return nil
 	}
 	// The session scheme's public range first: the engine's check reads

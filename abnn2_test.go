@@ -566,6 +566,62 @@ func TestPlanFlightRefusalIgnoresWeights(t *testing.T) {
 	}
 }
 
+// TestRepeatedPlanFrameSkipsValidation: a plan frame whose canonical form
+// is the installed plan, in any spelling, leaves that plan installed —
+// the server neither validates it again nor rebuilds the engine's
+// schedule, whose weight scan it passed when it was installed — while a
+// different frame, and a batch without one, still replace it.
+func TestRepeatedPlanFrameSkipsValidation(t *testing.T) {
+	qm := chaosModel(t)
+	cfg := Config{RingBits: 32, RoundTimeout: chaosRoundTimeout}
+	sconn, cconn := Pipe()
+	defer sconn.Close()
+	defer cconn.Close()
+	dialed := make(chan error, 1)
+	var cli *Client
+	go func() {
+		var err error
+		cli, err = Dial(cconn, qm.Arch(), cfg)
+		dialed <- err
+	}()
+	srv, err := NewServer(sconn, qm, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-dialed; err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	apply := func(frame string) {
+		t.Helper()
+		planned := frame != ""
+		if planned {
+			if err := cconn.Send([]byte(frame)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := srv.applyPlan(planned); err != nil {
+			t.Fatalf("plan %q: %v", frame, err)
+		}
+	}
+	apply("abnn2:4(4),secureml")
+	installed := &srv.sched[0]
+	for _, frame := range []string{"abnn2:4(4),secureml", "abnn2:4( 4) , secureml"} {
+		apply(frame)
+		if &srv.sched[0] != installed {
+			t.Errorf("plan %q: the installed plan was validated and installed again", frame)
+		}
+	}
+	apply("abnn2:4(2,2),secureml")
+	if &srv.sched[0] == installed || srv.sched.String() != "abnn2:4(2,2),secureml" {
+		t.Errorf("a different plan left %q installed", srv.sched)
+	}
+	apply("")
+	if srv.sched != nil {
+		t.Errorf("a batch without a plan left %q installed", srv.sched)
+	}
+}
+
 // refusedPlanFlight runs a batch whose client dials with plan sent but
 // puts frame on the wire in its place. The server's batch must fail with
 // an error containing want — no *PanicError, the frame never misread as a

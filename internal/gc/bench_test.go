@@ -51,13 +51,15 @@ func BenchmarkGarbleReLU2048x32(b *testing.B) {
 	msg, pairs := make([]byte, flightBytes(circ)), make([]byte, circ.NumEvaluator*2*LabelSize)
 	bits := make([]byte, circ.NumGarbler)
 	rng := prg.New(prg.SeedFromInt(1))
+	var x inputLabels
+	labels := x.upTo(circ)
 	var s garbling
-	if err := s.flight(circ, bits, rng, nil, msg, pairs); err != nil { // sizes the kernel's scratch
+	if err := s.flight(circ, bits, labels, rng, nil, msg, pairs); err != nil { // sizes the kernel's scratch
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := s.flight(circ, bits, rng, nil, msg, pairs); err != nil {
+		if err := s.flight(circ, bits, labels, rng, nil, msg, pairs); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -42,9 +42,9 @@ func fuzzEvaluator(f *testing.F) (*Evaluator, transport.Conn) {
 
 // FuzzEvaluatorRun treats the garbled-material flight as attacker bytes.
 // For BatchReLUCircuit(4, 2) the valid length is flightBytes: tables,
-// garbler labels, decode bits and one label-OT ciphertext per evaluator
-// input; every other length must error, and even a correctly-sized
-// flight of garbage must evaluate (to garbage bits) without panicking.
+// decode bits and one label-OT ciphertext per evaluator input; every
+// other length must error, and even a correctly-sized flight of garbage
+// must evaluate (to garbage bits) without panicking.
 func FuzzEvaluatorRun(f *testing.F) {
 	e, peer := fuzzEvaluator(f)
 	circ := BatchReLUCircuit(4, 2)
@@ -54,10 +54,11 @@ func FuzzEvaluatorRun(f *testing.F) {
 		evalBits[i] = byte(i) & 1
 	}
 	// A garbled flight whose ciphertexts were never padded: real tables
-	// and labels, wrong evaluator labels.
+	// and decode bits, wrong evaluator labels.
 	garbled := make([]byte, want)
 	var s garbling
-	if err := s.flight(circ, make([]byte, circ.NumGarbler), prg.New(prg.SeedFromInt(3)), nil,
+	var x inputLabels
+	if err := s.flight(circ, make([]byte, circ.NumGarbler), x.upTo(circ), prg.New(prg.SeedFromInt(3)), nil,
 		garbled, make([]byte, circ.NumEvaluator*2*LabelSize)); err != nil {
 		f.Fatal(err)
 	}
@@ -79,7 +80,8 @@ func FuzzEvaluatorRun(f *testing.F) {
 // FuzzEvaluate drives the pure evaluation function directly: arbitrary
 // table bytes, label material carved from the fuzzer's second argument,
 // and a decode vector. Evaluate validates every slice length itself, so
-// no input may panic.
+// no input may panic. The last seed is a real garbling: its tables and
+// the derived garbler labels X_0 onwards.
 func FuzzEvaluate(f *testing.F) {
 	circ := BatchSignCircuit(8, 1)
 	labels := make([]byte, circ.NumGarbler*LabelSize) // a distinct label for every garbler input
@@ -90,6 +92,12 @@ func FuzzEvaluate(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xFF}, circ.TableBytes()), labels)
 	f.Add([]byte{}, []byte{})
 	f.Add(make([]byte, 7), make([]byte, 3))
+	garbled, err := Garble(circ, make([]byte, circ.NumGarbler), prg.New(prg.SeedFromInt(4)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	var x inputLabels
+	f.Add(garbled.Tables, x.upTo(circ))
 	f.Fuzz(func(t *testing.T, tables, labelSrc []byte) {
 		gl := make([]Label, circ.NumGarbler)
 		el := make([]Label, circ.NumEvaluator)

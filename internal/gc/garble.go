@@ -71,11 +71,43 @@ const (
 	group      = evalQuad
 )
 
+// inputSeed keys the garbler's active input labels: X_f, the active label
+// of garbler input f (flat numbering), is AES(key, f), block f of this
+// key's CTR keystream from a zero IV. Both parties derive it, so it never
+// crosses the wire; the garbler garbles from the zero label X_f XOR b_f*R
+// (SECURITY.md, "Garbler input labels", for why R must stay per circuit).
+// The key is not mmo's, so the garbling hash counts no derivation.
+var inputSeed = func() prg.Seed {
+	h := sha256.Sum256([]byte("abnn2/gc/garbler-inputs"))
+	return prg.Seed(h[:prg.SeedSize])
+}()
+
+// inputLabels caches X_0, X_1, ..., LabelSize bytes apart. A Garbler and
+// an Evaluator each keep one, grown to the largest circuit they have run,
+// so no circuit derives or copies its garbler labels.
+type inputLabels []byte
+
+// upTo returns X_0 onwards, at least as many labels as any of circs has
+// garbler inputs, deriving them again only when one has more than every
+// circuit before. A keystream's prefix does not depend on its length, so
+// growing keeps every label handed out.
+func (x *inputLabels) upTo(circs ...*Circuit) []byte {
+	n := 0
+	for _, c := range circs {
+		n = max(n, c.NumGarbler*LabelSize)
+	}
+	if len(*x) < n {
+		*x = make(inputLabels, n)
+		prg.New(inputSeed).Fill(*x)
+	}
+	return *x
+}
+
 // Garbled is the garbler's output: everything the evaluator needs except
 // the evaluator's own input labels (those are transferred by OT).
 type Garbled struct {
 	Tables        []byte  // 2 * LabelSize bytes per AND gate, in gate order
-	GarblerLabels []Label // active labels for the garbler's inputs
+	GarblerLabels []Label // active labels for the garbler's inputs: X_0, X_1, ...
 	Decode        []byte  // one permute bit per output wire
 	// Evaluator input label pairs, kept by the garbler for the OTs.
 	EvalPairs [][2]Label
@@ -92,13 +124,13 @@ type garbling struct {
 }
 
 // flight garbles c into msg, laid out as flightBytes describes, with the
-// evaluator's input labels in pairs, NumEvaluator*2*LabelSize bytes the
-// caller holds: input i's zero label at pairs[2i*LabelSize:], the next
-// LabelSize bytes scratch or, without a block, its partner. Free-XOR
-// with global offset R (lsb 1), half-gates for AND, INV by XORing the
-// output-wire semantics with R. rng draws R, then the zero label of
-// every garbler input wire in flat order, LabelSize bytes each, straight
-// into the flight's label region.
+// garbler's active input labels in labels (X_0 onwards, at least
+// NumGarbler of them, from an inputLabels) and the evaluator's input
+// labels in pairs, NumEvaluator*2*LabelSize bytes the caller holds: input
+// i's zero label at pairs[2i*LabelSize:], the next LabelSize bytes
+// scratch or, without a block, its partner. Free-XOR with global offset R
+// (lsb 1), half-gates for AND, INV by XORing the output-wire semantics
+// with R. rng draws R; garbler input f's zero label is X_f XOR b_f*R.
 //
 // The evaluator's labels are those of a correlated OT: with blk, the
 // circuit's label-OT block, input i's zero label k0 is its pad for
@@ -109,18 +141,16 @@ type garbling struct {
 // and pairs holds each beside its partner k0 XOR R for Garbled.EvalPairs;
 // the keystream is a stream, so one draw per region yields the same
 // labels, and leaves rng in the same state, as one draw per label.
-func (s *garbling) flight(c *Circuit, garblerBits []byte, rng *prg.PRG, blk *otext.SenderBlock, msg, pairs []byte) error {
+func (s *garbling) flight(c *Circuit, garblerBits, labels []byte, rng *prg.PRG, blk *otext.SenderBlock, msg, pairs []byte) error {
 	if len(garblerBits) != c.NumGarbler {
 		return fmt.Errorf("gc: %d garbler bits for %d input wires", len(garblerBits), c.NumGarbler)
 	}
 	tb := c.TableBytes()
-	labels := msg[tb : tb+c.NumGarbler*LabelSize]
-	decode := msg[tb+len(labels) : tb+len(labels)+(c.numOutputs()+7)/8]
+	decode := msg[tb : tb+(c.numOutputs()+7)/8]
 	rng.Fill(s.lanes[0][:]) // the lanes are scratch until the first AND gate
 	r := loadWire(s.lanes[0][:])
 	r.lo |= 1 // point-and-permute: lsb of R must be 1
 	s.r = r
-	rng.Fill(labels)
 	if blk != nil {
 		clear(pairs)
 		blk.NewDeriver().XORPadsRun(pairs, LabelSize, 0, 2)
@@ -141,22 +171,16 @@ func (s *garbling) flight(c *Circuit, garblerBits []byte, rng *prg.PRG, blk *ote
 			z.xor(r).store(pairs[(2*i+1)*LabelSize:])
 		}
 	}
-	if err := s.garble(c, msg[:tb], labels, pairs, decode); err != nil {
-		return err
-	}
-	for i, b := range garblerBits { // zero labels to active ones
-		loadWire(labels[i*LabelSize:]).xor(r.when(uint64(b & 1))).store(labels[i*LabelSize:])
-	}
-	return nil
+	return s.garble(c, msg[:tb], garblerBits, labels, pairs, decode)
 }
 
 // garble garbles every window of c into tables and the packed decode
-// bits, reading the input zero labels from labels (the garbler's,
-// LabelSize apart) and pairs (the evaluator's, 2*LabelSize apart). Each
-// AND gate of a window group is garbled a window pair at a time.
-func (s *garbling) garble(c *Circuit, tables, labels, pairs, decode []byte) error {
+// bits, reading the garbler's input zero labels as X_f XOR b_f*R from
+// labels and bits, and the evaluator's from pairs, 2*LabelSize apart.
+// Each AND gate of a window group is garbled a window pair at a time.
+func (s *garbling) garble(c *Circuit, tables, bits, labels, pairs, decode []byte) error {
 	rk, dt := mmo.RoundKeys(), 2*uint64(c.ands)
-	return lockstep(c, &s.lab, s.r, labels, LabelSize, pairs, 2*LabelSize, decode,
+	return lockstep(c, &s.lab, s.r, labels, bits, pairs, 2*LabelSize, decode,
 		func(a, b, o *[group]wire, t uint64, L int) {
 			for j := 0; j < L; j += garblePair {
 				tj, n := t+uint64(j)*dt, min(garblePair, L-j)
@@ -173,7 +197,9 @@ func (s *garbling) garble(c *Circuit, tables, labels, pairs, decode []byte) erro
 // lockstep walks c's body over every window, a group of windows at a
 // time, in *lab: body wire w of the group's window j at lab[w][j]. It
 // loads a group's input labels — garbler input f (flat numbering) from
-// g[f*gs:], evaluator input f from e[f*es:] — runs XOR and INV gates over
+// g[f*LabelSize:], XORed with inv where gbits[f] is 1 (on the garbler,
+// X_f XOR b_f*R; the evaluator passes no bits and reads X_f), evaluator
+// input f from e[f*es:] — runs XOR and INV gates over
 // every lane itself and each AND gate through and, given the tweak of its
 // first window and how many of the group's windows are real, and packs
 // the output labels' permute bits into perm, output i at bit i%8 of
@@ -181,7 +207,7 @@ func (s *garbling) garble(c *Circuit, tables, labels, pairs, decode []byte) erro
 // what its zero label means, zero on the evaluator. A short last group
 // runs its missing windows on stale labels, which reach no table,
 // permute bit or flight.
-func lockstep(c *Circuit, lab *[][group]wire, inv wire, g []byte, gs int, e []byte, es int, perm []byte, and func(a, b, o *[group]wire, t uint64, L int)) error {
+func lockstep(c *Circuit, lab *[][group]wire, inv wire, g, gbits, e []byte, es int, perm []byte, and func(a, b, o *[group]wire, t uint64, L int)) error {
 	if len(*lab) < c.NumWires {
 		*lab = make([][group]wire, c.NumWires)
 	}
@@ -189,15 +215,19 @@ func lockstep(c *Circuit, lab *[][group]wire, inv wire, g []byte, gs int, e []by
 	clear(perm)
 	for k := 0; k < c.windows; k += group {
 		L := min(group, c.windows-k)
-		w, start, src, stride := 0, 0, g, gs
+		w, start, src, stride, bits := 0, 0, g, LabelSize, gbits
 		for i, size := range c.groups {
 			if i == c.garblerGroups {
-				start, src, stride = 0, e, es
+				start, src, stride, bits = 0, e, es, nil
 			}
 			for j := 0; j < L; j++ {
 				f := start*c.windows + (k+j)*size
 				for x := 0; x < size; x++ {
-					ls[w+x][j] = loadWire(src[(f+x)*stride:])
+					l := loadWire(src[(f+x)*stride:])
+					if bits != nil {
+						l = l.xor(inv.when(uint64(bits[f+x] & 1)))
+					}
+					ls[w+x][j] = l
 				}
 			}
 			w += size
@@ -273,8 +303,10 @@ func (s *garbling) and(a, b, o []wire, t, dt uint64, rows []byte) {
 // garbler's input bits given.
 func Garble(c *Circuit, garblerBits []byte, rng *prg.PRG) (*Garbled, error) {
 	msg, pairs := make([]byte, flightBytes(c)), make([]byte, c.NumEvaluator*2*LabelSize)
+	var x inputLabels
+	labels := x.upTo(c)
 	var s garbling
-	if err := s.flight(c, garblerBits, rng, nil, msg, pairs); err != nil {
+	if err := s.flight(c, garblerBits, labels, rng, nil, msg, pairs); err != nil {
 		return nil, err
 	}
 	tb := c.TableBytes()
@@ -284,12 +316,11 @@ func Garble(c *Circuit, garblerBits []byte, rng *prg.PRG) (*Garbled, error) {
 		Decode:        make([]byte, c.numOutputs()),
 		EvalPairs:     make([][2]Label, c.NumEvaluator),
 	}
-	off := tb
 	for i := range out.GarblerLabels {
-		off += copy(out.GarblerLabels[i][:], msg[off:])
+		copy(out.GarblerLabels[i][:], labels[i*LabelSize:])
 	}
 	for i := range out.Decode {
-		out.Decode[i] = msg[off+i/8] >> (uint(i) % 8) & 1
+		out.Decode[i] = msg[tb+i/8] >> (uint(i) % 8) & 1
 	}
 	for i := range out.EvalPairs {
 		copy(out.EvalPairs[i][0][:], pairs[2*i*LabelSize:])
@@ -311,7 +342,7 @@ type evaluating struct {
 // into perm as lockstep does.
 func (s *evaluating) evaluate(c *Circuit, tables, glabels, elabels, perm []byte) error {
 	rk, dt := mmo.RoundKeys(), 2*uint64(c.ands)
-	return lockstep(c, &s.lab, wire{}, glabels, LabelSize, elabels, LabelSize, perm,
+	return lockstep(c, &s.lab, wire{}, glabels, nil, elabels, LabelSize, perm,
 		func(a, b, o *[group]wire, t uint64, L int) {
 			rows := tables[t*LabelSize : (t+uint64(L-1)*dt+2)*LabelSize]
 			if rk != nil && L == evalQuad {

@@ -79,7 +79,9 @@ func allocated(f func()) uint64 {
 // evaluating it from its labels, allocates at most eight lanes of labels
 // per body wire (8 x NumWires x LabelSize bytes) beyond the flight, the
 // label pairs, the labels and the output bits the caller holds — and nothing at all once
-// the kernel is warm. The chunks are 2048 ReLU neurons, twice core's
+// the kernel is warm. Neither party allocates for the garbler's input
+// labels per circuit: both read them from one inputLabels, which a warm
+// party does not derive again. The chunks are 2048 ReLU neurons, twice core's
 // chunk, and the 2x2 max-pool's 512 windows of four, both at ring width 32.
 func TestGCScratchIsBodySized(t *testing.T) {
 	for _, c := range []*Circuit{BatchReLUCircuit(32, 2048), BatchMaxPoolCircuit(32, 4, 512, true)} {
@@ -88,9 +90,14 @@ func TestGCScratchIsBodySized(t *testing.T) {
 		msg, pairs := make([]byte, flightBytes(c)), make([]byte, c.NumEvaluator*2*LabelSize)
 		bits := make([]byte, c.NumGarbler)
 		rng := prg.New(prg.SeedFromInt(3))
+		var x inputLabels
+		labels := x.upTo(c)
+		if n := testing.AllocsPerRun(2, func() { labels = x.upTo(c) }); n != 0 {
+			t.Errorf("%d windows: a warm label cache allocates %v times per circuit", c.windows, n)
+		}
 		var g garbling
 		garble := func() {
-			if err := g.flight(c, bits, rng, nil, msg, pairs); err != nil {
+			if err := g.flight(c, bits, labels, rng, nil, msg, pairs); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -101,9 +108,8 @@ func TestGCScratchIsBodySized(t *testing.T) {
 			t.Errorf("%d windows: a warm garbling allocates %v times per circuit", c.windows, n)
 		}
 
-		// All-zero garbler bits: the labels in the flight are the zero
-		// labels, and the evaluator's zero labels are its pairs' first halves.
-		glabels := msg[tb : tb+c.NumGarbler*LabelSize]
+		// All-zero garbler bits: the derived labels are the zero labels,
+		// and the evaluator's zero labels are its pairs' first halves.
 		elabels := make([]byte, 0, c.NumEvaluator*LabelSize)
 		for i := 0; i < len(pairs); i += 2 * LabelSize {
 			elabels = append(elabels, pairs[i:i+LabelSize]...)
@@ -111,7 +117,7 @@ func TestGCScratchIsBodySized(t *testing.T) {
 		perm := make([]byte, (c.numOutputs()+7)/8)
 		var e evaluating
 		evaluate := func() {
-			if err := e.evaluate(c, msg[:tb], glabels, elabels, perm); err != nil {
+			if err := e.evaluate(c, msg[:tb], labels, elabels, perm); err != nil {
 				t.Fatal(err)
 			}
 		}

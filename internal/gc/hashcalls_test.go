@@ -121,7 +121,7 @@ func TestHashCallsPerANDGate(t *testing.T) {
 			check(fmt.Sprintf("bits %d workers %d: RunBatch garbling", bits, workers), 4, circs)
 			var s evaluating
 			for i, c := range circs {
-				out, err := s.flight(c, msgs[i])
+				out, err := s.flight(c, e.labels.upTo(c), msgs[i])
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -38,6 +38,7 @@ type Garbler struct {
 	// kept from batch to batch.
 	flights [][]byte
 	pairs   [][]byte
+	labels  inputLabels  // the garbler inputs' active labels, X_0 onwards
 	garbled atomic.Int64 // circuits garbled so far; the run-ahead bound test reads it mid-round
 }
 
@@ -46,7 +47,8 @@ type Evaluator struct {
 	conn    transport.Conn
 	ot      *otext.Receiver
 	workers int
-	choices []int // label-OT choice scratch
+	choices []int       // label-OT choice scratch
+	labels  inputLabels // the garbler inputs' active labels, X_0 onwards
 }
 
 // NewGarbler sets up the garbling side, running base OTs for the label
@@ -83,16 +85,17 @@ func (e *Evaluator) SetWorkers(n int) {
 }
 
 // flightBytes is the size of c's garbler -> evaluator flight: the garbled
-// tables, the garbler's active input labels, the packed decode bits and
-// one label-OT ciphertext per evaluator input.
+// tables, the packed decode bits and one label-OT ciphertext per
+// evaluator input. The garbler's active input labels are not sent: both
+// parties derive them (inputLabels).
 func flightBytes(c *Circuit) int {
-	return c.TableBytes() + c.NumGarbler*LabelSize + (c.numOutputs()+7)/8 + c.NumEvaluator*LabelSize
+	return c.TableBytes() + (c.numOutputs()+7)/8 + c.NumEvaluator*LabelSize
 }
 
 // Run garbles c under the garbler's input bits and sends everything the
 // evaluator needs in a single flight, once it has received the label-OT
 // column matrix. The protocol per invocation is two flights total:
-// evaluator -> garbler (OT columns), garbler -> evaluator (tables, labels,
+// evaluator -> garbler (OT columns), garbler -> evaluator (tables,
 // decode bits, OT ciphertexts). Run is a round of one circuit garbled
 // straight from the garbler's stream.
 func (g *Garbler) Run(c *Circuit, garblerBits []byte) error {
@@ -148,6 +151,7 @@ func (g *Garbler) round(circs []*Circuit, bits [][]byte, rngs []*prg.PRG) error 
 		g.pairs = make([][]byte, workers)
 	}
 	flights := g.flights[:window] // circuit i uses slot i mod window
+	labels := g.labels.upTo(circs...)
 	// blks[i] carries circuit i's label-OT block — nil for a circuit
 	// without evaluator inputs — or the error that ended its extension, from
 	// the goroutine that receives its columns to its producer.
@@ -211,7 +215,7 @@ func (g *Garbler) round(circs []*Circuit, bits [][]byte, rngs []*prg.PRG) error 
 				g.pairs[w] = make([]byte, np)
 			}
 			pairs := g.pairs[w][:np]
-			if err := kernels[w].flight(circs[i], bits[i], rngs[i], x.blk, msg, pairs); err != nil {
+			if err := kernels[w].flight(circs[i], bits[i], labels, rngs[i], x.blk, msg, pairs); err != nil {
 				return nil, err
 			}
 			g.garbled.Add(1)
@@ -270,10 +274,11 @@ func (e *Evaluator) RunBatch(circs []*Circuit, bits [][]byte) ([][]byte, error) 
 	// One kernel per evaluation slot: its window-group labels are reused
 	// from circuit to circuit and dropped with the round.
 	kernels := make([]evaluating, par.NumChunks(e.workers, len(circs)))
+	labels := e.labels.upTo(circs...)
 	outs := make([][]byte, len(circs))
 	err = par.Behind(e.workers, len(circs), recv,
 		func(w, i int, msg []byte) (err error) {
-			outs[i], err = kernels[w].flight(circs[i], msg)
+			outs[i], err = kernels[w].flight(circs[i], labels, msg)
 			e.conn.Release(msg)
 			return err
 		})
@@ -352,17 +357,15 @@ func (e *Evaluator) labelRound(circs []*Circuit, bits [][]byte) (recv func(i int
 }
 
 // flight evaluates c over a received flight whose labels labelRound has
-// opened: it takes the garbler's and the evaluator's labels as they lie
-// in the frame, walks the body over the tables there too, and decodes the
-// outputs.
-func (s *evaluating) flight(c *Circuit, msg []byte) ([]byte, error) {
+// opened: it takes the garbler's active labels from labels (X_0 onwards)
+// and the evaluator's as they lie in the frame, walks the body over the
+// tables there too, and decodes the outputs.
+func (s *evaluating) flight(c *Circuit, labels, msg []byte) ([]byte, error) {
 	tb := c.TableBytes()
-	glabels := msg[tb : tb+c.NumGarbler*LabelSize]
-	off := tb + len(glabels)
-	decode := msg[off : off+(c.numOutputs()+7)/8]
-	elabels := msg[off+len(decode):]
+	decode := msg[tb : tb+(c.numOutputs()+7)/8]
+	elabels := msg[tb+len(decode):]
 	perm := make([]byte, len(decode))
-	if err := s.evaluate(c, msg[:tb], glabels, elabels, perm); err != nil {
+	if err := s.evaluate(c, msg[:tb], labels, elabels, perm); err != nil {
 		return nil, err
 	}
 	bits := make([]byte, c.numOutputs())

@@ -119,8 +119,9 @@ func TestProtocolOnlineFlights(t *testing.T) {
 }
 
 // The garbler->evaluator message size must match the analytic GC cost:
-// 2*kappa per AND + kappa per garbler input + kappa per evaluator input
-// (the correlated label OT's one ciphertext) + packed decode bits.
+// 2*kappa per AND + kappa per evaluator input (the correlated label OT's
+// one ciphertext) + packed decode bits. The garbler's input labels are
+// derived on both sides, so they cost nothing on the wire.
 func TestProtocolCommunicationMatchesFormula(t *testing.T) {
 	g, e, meter, done := setupParties(t)
 	defer done()
@@ -137,8 +138,7 @@ func TestProtocolCommunicationMatchesFormula(t *testing.T) {
 	}
 	wg.Wait()
 	s := meter.Snapshot()
-	wantGE := int64(circ.TableBytes() + circ.NumGarbler*LabelSize +
-		(circ.numOutputs()+7)/8 + circ.NumEvaluator*LabelSize)
+	wantGE := int64(circ.TableBytes() + (circ.numOutputs()+7)/8 + circ.NumEvaluator*LabelSize)
 	if s.BytesAB != wantGE {
 		t.Errorf("garbler sent %d bytes, want %d", s.BytesAB, wantGE)
 	}
@@ -193,5 +193,44 @@ func TestRunBatchExactCost(t *testing.T) {
 				t.Errorf("n=%d: circuit %d decoded wrongly", n, i)
 			}
 		}
+	}
+}
+
+// TestInputLabelsDerivedOncePerParty: each party derives the garbler's
+// input labels once, for the largest circuit of its first round, and
+// later rounds of circuits no larger read the same labels without
+// deriving them again. Both parties hold the same labels.
+func TestInputLabelsDerivedOncePerParty(t *testing.T) {
+	g, e, _, done := setupParties(t)
+	defer done()
+	round := func(circs ...*Circuit) {
+		t.Helper()
+		gbits, ebits := make([][]byte, len(circs)), make([][]byte, len(circs))
+		for i, c := range circs {
+			gbits[i], ebits[i] = make([]byte, c.NumGarbler), make([]byte, c.NumEvaluator)
+			gbits[i][i%c.NumGarbler] = 1
+		}
+		outs, gerr, eerr := bothSides(
+			func() error { return g.RunBatch(circs, gbits) },
+			func() ([][]byte, error) { return e.RunBatch(circs, ebits) })
+		if gerr != nil || eerr != nil {
+			t.Fatalf("garbler=%v evaluator=%v", gerr, eerr)
+		}
+		for i, c := range circs {
+			if !bytes.Equal(outs[i], plainEval(c, gbits[i], ebits[i])) {
+				t.Fatalf("circuit %d decoded wrongly", i)
+			}
+		}
+	}
+	big, small := BatchReLUCircuit(8, 5), BatchReLUCircuit(8, 2)
+	round(small, big)
+	want := big.NumGarbler * LabelSize
+	if len(g.labels) != want || !bytes.Equal(g.labels, e.labels) {
+		t.Fatalf("garbler holds %d label bytes, evaluator %d, want the same %d", len(g.labels), len(e.labels), want)
+	}
+	gl, el := &g.labels[0], &e.labels[0]
+	round(small, small, big)
+	if &g.labels[0] != gl || &e.labels[0] != el {
+		t.Error("a round of circuits no larger than the last derived the labels again")
 	}
 }

@@ -16,6 +16,9 @@ import (
 // reference_identity_test.go and FuzzGarbleMatchesReference: the wire
 // format is whatever this code produces. It walks the flat gate list, so
 // each entry point first expands a body to the circuit it stands for.
+// Since the garbler's active input labels left the wire it draws no zero
+// label for a garbler input: that is refGarblerInput(i) XOR b_i*R, the
+// one change made to the frozen code.
 
 // mmoCipher is the garbling key under crypto/aes, the cipher the frozen
 // code below called before the package's hash moved to prg.Perm; kept
@@ -27,6 +30,25 @@ var mmoCipher = func() cipher.Block {
 	}
 	return c
 }()
+
+// inputCipher is the garbler-input key under crypto/aes, so that the
+// reference derives X_i without the keystream inputLabels reads.
+var inputCipher = func() cipher.Block {
+	c, err := aes.NewCipher(inputSeed[:])
+	if err != nil {
+		panic(err) // impossible: fixed key length
+	}
+	return c
+}()
+
+// refGarblerInput is X_i, the active label of garbler input i: AES under
+// the garbler-input key of i as a big-endian 128-bit counter.
+func refGarblerInput(i int) Label {
+	var ctr, x Label
+	binary.BigEndian.PutUint64(ctr[8:], uint64(i))
+	inputCipher.Encrypt(x[:], ctr[:])
+	return x
+}
 
 func (l Label) lsb() byte { return l[0] & 1 }
 
@@ -65,7 +87,13 @@ func referenceGarble(c *Circuit, garblerBits []byte, rng *prg.PRG) (*Garbled, er
 	r[0] |= 1 // point-and-permute: lsb of R must be 1
 
 	zero := make([]Label, c.NumWires) // zero label of every wire
-	for i := 0; i < c.NumGarbler+c.NumEvaluator; i++ {
+	for i := 0; i < c.NumGarbler; i++ {
+		zero[i] = refGarblerInput(i)
+		if garblerBits[i]&1 == 1 {
+			zero[i] = refXorLabel(zero[i], r)
+		}
+	}
+	for i := c.NumGarbler; i < c.NumGarbler+c.NumEvaluator; i++ {
 		copy(zero[i][:], rng.Bytes(LabelSize))
 	}
 	tables := make([]byte, 0, c.TableBytes())

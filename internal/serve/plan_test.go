@@ -91,7 +91,7 @@ func TestRequiredPlanMismatch(t *testing.T) {
 		{"required", "", "secureml,abnn2:4(4)", true},
 		{"other", "", "abnn2,secureml", false},
 		{"none", "", "", false},
-		{"hello-plan-ignored", `{"abnn2":7,"model":"m0","plan":"not a plan"}`, "secureml,abnn2:4(4)", true},
+		{"hello-plan-ignored", `{"abnn2":8,"model":"m0","plan":"not a plan"}`, "secureml,abnn2:4(4)", true},
 	} {
 		var p abnn2.Plan
 		if tc.plan != "" {

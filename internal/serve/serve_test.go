@@ -221,15 +221,15 @@ func TestRejectBadHello(t *testing.T) {
 // with each older one, on the raw hello. An old client's hello —
 // well-formed, naming a served model — is refused bad-hello, permanently,
 // before the session's set-up opens a single span; and this client's
-// hello says version 6, which an old server (frozen here: it admits its
+// hello says version 8, which an old server (frozen here: it admits its
 // own version only) refuses the same way, so the client fails with a
 // permanent *RejectError instead of running a handshake whose base-OT
 // flights would not line up (version 1), one that completes and then
 // derives pads the peer does not (version 2), a planned session whose
 // plan flight the peer cannot parse (version 3), a multi-batch layer
 // whose payload length the peer refuses (version 4), a GC round whose
-// flight length the peer refuses (version 5), or a planned SecureML or
-// QUOTIENT layer whose flights the peer does not pair (version 6).
+// flight length the peer refuses (version 5 or 7), or a planned SecureML
+// or QUOTIENT layer whose flights the peer does not pair (version 6).
 func TestHelloVersionMismatch(t *testing.T) {
 	for old := 1; old < helloVersion; old++ {
 		t.Run(fmt.Sprintf("v%d-client", old), func(t *testing.T) {
@@ -282,8 +282,8 @@ func TestHelloVersionMismatch(t *testing.T) {
 				_ = sconn.Send(out)
 			}()
 			_, err := ClientHandshakeInfo(cconn, "m0")
-			if v := <-sawVersion; v != 7 {
-				t.Errorf("client's hello says version %d, want 7", v)
+			if v := <-sawVersion; v != 8 {
+				t.Errorf("client's hello says version %d, want 8", v)
 			}
 			var rej *RejectError
 			if !errors.As(err, &rej) || rej.Rejection.Code != RejectBadHello || rej.Temporary() {

@@ -32,7 +32,7 @@ import (
 // non-retryable bad-hello rejection, before any base-OT work, so the
 // field also doubles as the magic that distinguishes a runtime client
 // from a stray connection.
-const helloVersion = 7
+const helloVersion = 8
 
 // maxHelloBytes bounds the first client flight. A hello is a short JSON
 // object; anything bigger is hostile or lost.
